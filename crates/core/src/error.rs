@@ -75,6 +75,14 @@ pub enum ModelError {
         /// Human-readable explanation.
         reason: String,
     },
+    /// A line occupancy `at + r'` does not fit the `Slot` range: the run
+    /// has reached the end of representable time.
+    SlotOverflow {
+        /// Slot of the transmission.
+        at: Slot,
+        /// The occupancy window `r'` that could not be added to it.
+        r_prime: Slot,
+    },
 }
 
 impl fmt::Display for ModelError {
@@ -114,6 +122,10 @@ impl fmt::Display for ModelError {
                 write!(f, "demultiplexor referenced empty buffer slot {index} at {input:?}")
             }
             ModelError::MalformedTrace { reason } => write!(f, "malformed trace: {reason}"),
+            ModelError::SlotOverflow { at, r_prime } => write!(
+                f,
+                "slot overflow: a line taken at slot {at} cannot be held for r' = {r_prime} slots"
+            ),
         }
     }
 }

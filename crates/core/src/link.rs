@@ -25,6 +25,14 @@ pub enum LinkSide {
     PlaneToOutput,
 }
 
+/// `now + r'`, the slot a line taken at `now` frees again — a typed error,
+/// not a wrap, at the top of the slot range.
+#[inline]
+fn occupied_until(now: Slot, r_prime: Slot) -> Result<Slot, ModelError> {
+    now.checked_add(r_prime)
+        .ok_or(ModelError::SlotOverflow { at: now, r_prime })
+}
+
 /// An `A × B` bank of rate-`r` lines with per-line occupancy tracking.
 #[derive(Clone, Debug)]
 pub struct LinkBank {
@@ -91,7 +99,7 @@ impl LinkBank {
                 },
             });
         }
-        self.busy_until[idx] = now + self.r_prime;
+        self.busy_until[idx] = occupied_until(now, self.r_prime)?;
         self.acquisitions += 1;
         Ok(())
     }
@@ -218,7 +226,7 @@ impl LinkBankPart<'_> {
                 },
             });
         }
-        self.busy_until[idx] = now + self.r_prime;
+        self.busy_until[idx] = occupied_until(now, self.r_prime)?;
         self.taken += 1;
         Ok(())
     }
@@ -281,6 +289,22 @@ mod tests {
             bank.acquire(0, 0, t).unwrap();
         }
         assert_eq!(bank.acquisitions(), 5);
+    }
+
+    #[test]
+    fn occupancy_past_the_last_slot_is_a_typed_error() {
+        let mut bank = LinkBank::new(2, 1, 4, LinkSide::InputToPlane);
+        bank.acquire(0, 0, Slot::MAX - 4).unwrap();
+        assert_eq!(bank.free_at(0, 0), Slot::MAX);
+        let overflow = ModelError::SlotOverflow {
+            at: Slot::MAX - 3,
+            r_prime: 4,
+        };
+        assert_eq!(bank.acquire(1, 0, Slot::MAX - 3), Err(overflow.clone()));
+        assert_eq!(bank.acquisitions(), 1);
+        let mut parts = bank.split_rows_mut(1);
+        assert_eq!(parts[1].acquire(1, 0, Slot::MAX - 3), Err(overflow));
+        assert_eq!(parts[1].taken(), 0);
     }
 
     #[test]

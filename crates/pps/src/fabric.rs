@@ -3,13 +3,12 @@
 //! multiplexors, advanced with an event agenda so per-slot cost scales with
 //! *activity*, not with `K × N`.
 
+use crate::agenda::Agenda;
 use crate::output::OutputMux;
 use crate::plane::Plane;
 use pps_core::prelude::*;
 use pps_core::telemetry::{self, Engine, EventKind, ShardCapture};
 use pps_core::workers::{self, WorkerLease};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Aggregate fabric statistics for one run.
@@ -49,17 +48,15 @@ pub struct Fabric {
     /// Structure-of-arrays metadata for every cell that entered the switch
     /// this run; plane queues and output muxes park bare ids against it.
     pool: CellPool,
-    /// Pending plane-service events, `(slot, plane, output)`, partitioned
-    /// into one heap per intra-run shard (`agendas[p / planes_per_shard]`).
-    /// With one shard this is exactly the old single agenda.
-    agendas: Vec<BinaryHeap<Reverse<(Slot, u32, u32)>>>,
+    /// Pending plane-service events, `(slot, plane, output)`, at most one
+    /// per line: one timing wheel per intra-run shard
+    /// (`agendas[p / planes_per_shard]`).
+    agendas: Vec<Agenda>,
     /// Number of intra-run shards (DESIGN.md §16). 1 = the serial walk.
     shards: usize,
     /// Planes per shard: `ceil(k / shards)`; shard `s` owns planes
     /// `[s·planes_per_shard, (s+1)·planes_per_shard)`.
     planes_per_shard: usize,
-    /// Whether `(plane, output)` currently has an agenda entry.
-    scheduled: Vec<bool>,
     /// Outputs that may be able to emit (dense list + membership flags:
     /// the emit sweep compacts the list in place, no per-slot allocation).
     active_list: Vec<u32>,
@@ -120,10 +117,9 @@ impl Fabric {
                 })
                 .collect(),
             pool: CellPool::new(),
-            agendas: vec![BinaryHeap::new()],
+            agendas: Agenda::banded(n, k, cfg.r_prime, k, Vec::new()),
             shards: 1,
             planes_per_shard: k,
-            scheduled: vec![false; k * n],
             active_list: Vec::with_capacity(n),
             active_flag: vec![false; n],
             plane_len_live: vec![0; k * n],
@@ -152,17 +148,10 @@ impl Fabric {
         if shards == self.shards && pps == self.planes_per_shard {
             return;
         }
-        let entries: Vec<(Slot, u32, u32)> = self
-            .agendas
-            .iter_mut()
-            .flat_map(|a| std::mem::take(a).into_iter().map(|Reverse(t)| t))
-            .collect();
         self.shards = shards;
         self.planes_per_shard = pps;
-        self.agendas = (0..shards).map(|_| BinaryHeap::new()).collect();
-        for (at, p, j) in entries {
-            self.agendas[p as usize / pps].push(Reverse((at, p, j)));
-        }
+        let old = std::mem::take(&mut self.agendas);
+        self.agendas = Agenda::banded(n, k, self.cfg.r_prime, pps, old);
         let chunk = n.div_ceil(shards);
         let eshards = n.div_ceil(chunk);
         self.deliveries = vec![Vec::new(); shards];
@@ -262,16 +251,10 @@ impl Fabric {
         Ok(())
     }
 
+    /// Arm line `(plane, output)` for service at `at` unless it already
+    /// has an agenda entry.
     fn schedule(&mut self, plane: usize, output: usize, at: Slot) {
-        let idx = plane * self.cfg.n + output;
-        if !self.scheduled[idx] {
-            self.scheduled[idx] = true;
-            self.agendas[plane / self.planes_per_shard].push(Reverse((
-                at,
-                plane as u32,
-                output as u32,
-            )));
-        }
+        self.agendas[plane / self.planes_per_shard].push(at, plane, output);
     }
 
     /// Serve every `(plane, output)` line whose service event is due:
@@ -282,8 +265,15 @@ impl Fabric {
     /// agenda band over disjoint plane/link state (possibly on leased
     /// worker threads), deferring output delivery; deliveries then merge
     /// on this thread in global `(slot, plane, output)` order — the exact
-    /// pop order of the serial heap — so telemetry, the active list, and
+    /// pop order of the serial agenda — so telemetry, the active list, and
     /// every counter evolve byte-identically to one shard.
+    ///
+    /// Call it in every slot an entry is due ([`next_activity`] names the
+    /// next one). Late service is drained in slot order, but only while
+    /// the pending slots fit the agenda's `r' + 2`-bucket window; beyond
+    /// that [`Agenda::push`] panics rather than mis-order.
+    ///
+    /// [`next_activity`]: Self::next_activity
     pub fn service(&mut self, now: Slot) -> Result<(), ModelError> {
         if self.shards == 1 {
             return self.service_serial(now);
@@ -293,13 +283,8 @@ impl Fabric {
 
     /// The pre-sharding service loop, used verbatim when `shards == 1`.
     fn service_serial(&mut self, now: Slot) -> Result<(), ModelError> {
-        while let Some(&Reverse((at, p, j))) = self.agendas[0].peek() {
-            if at > now {
-                break;
-            }
-            self.agendas[0].pop();
+        while let Some((_, p, j)) = self.agendas[0].pop_due(now) {
             let (p, j) = (p as usize, j as usize);
-            self.scheduled[p * self.cfg.n + j] = false;
             if self.planes[p].queue_len(j) == 0 {
                 continue; // drained in the meantime; re-armed on next push
             }
@@ -334,7 +319,10 @@ impl Fabric {
                 }
             }
             if self.planes[p].queue_len(j) > 0 {
-                self.schedule(p, j, now + self.cfg.r_prime as Slot);
+                // Re-arm when the line frees: `now + r'`, which `acquire`
+                // has just checked against slot overflow.
+                let at = self.out_links.free_at(p, j);
+                self.schedule(p, j, at);
             }
         }
         Ok(())
@@ -344,17 +332,15 @@ impl Fabric {
     /// barrier. Soundness: during `service(now)` every pop is at `≤ now`
     /// and every push lands at `> now` (`r' ≥ 1`, and a busy line's
     /// `free_at > now`), so no shard can create work another shard should
-    /// have seen this slot; all state a shard touches (its agenda band,
-    /// its planes, its `out_links` rows, its `scheduled`/`plane_len_live`
-    /// bands) is plane-indexed and disjoint by construction.
+    /// have seen this slot; all state a shard touches (its agenda wheel,
+    /// its planes, its `out_links` rows, its `plane_len_live` band) is
+    /// plane-indexed and disjoint by construction.
     fn service_sharded(&mut self, now: Slot) -> Result<(), ModelError> {
         let n = self.cfg.n;
         let pps = self.planes_per_shard;
-        let r_prime = self.cfg.r_prime as Slot;
         let Fabric {
             out_links,
             planes,
-            scheduled,
             plane_len_live,
             agendas,
             deliveries,
@@ -364,21 +350,18 @@ impl Fabric {
             .split_rows_mut(pps)
             .into_iter()
             .zip(planes.chunks_mut(pps))
-            .zip(scheduled.chunks_mut(pps * n))
             .zip(plane_len_live.chunks_mut(pps * n))
             .zip(agendas.iter_mut())
             .zip(deliveries.iter_mut())
             .enumerate()
             .map(
-                |(i, (((((out, planes), scheduled), plane_len_live), agenda), deliveries))| {
+                |(i, ((((out, planes), plane_len_live), agenda), deliveries))| {
                     deliveries.clear();
                     ServiceShard {
                         base: i * pps,
                         n,
-                        r_prime,
                         out,
                         planes,
-                        scheduled,
                         plane_len_live,
                         agenda,
                         deliveries,
@@ -397,7 +380,7 @@ impl Fabric {
         }
 
         // Barrier merge: apply deliveries to the output muxes in the
-        // serial heap's pop order (per-shard vecs are sorted by pop, keys
+        // serial agenda's pop order (per-shard vecs are sorted by pop, keys
         // are unique, so a cursor min-merge reconstructs it exactly).
         let merge_start = Instant::now();
         let cursors = &mut self.cur_a[..self.shards];
@@ -566,13 +549,13 @@ impl Fabric {
     pub fn next_activity(&self, now: Slot) -> Option<Slot> {
         // Stale agenda entries (drained queues, busy lines) are legitimate
         // activity: the dense loop pops them at exactly this slot, so the
-        // skip must stop there too to keep the heap evolution identical.
+        // skip must stop there too to keep the agenda evolution identical.
         // With shards, the joint jump window is the min over the per-shard
         // agenda peeks — every shard must agree to sleep through the gap.
         let mut min = pps_core::stepping::earliest_of(
             self.agendas
                 .iter()
-                .map(|a| a.peek().map(|&Reverse((at, _, _))| at.max(now + 1))),
+                .map(|a| a.peek().map(|at| at.max(now + 1))),
         );
         if min == Some(now + 1) {
             return min;
@@ -592,8 +575,16 @@ impl Fabric {
     /// Replay the dense loop's effects over the skipped interval
     /// `[from, to]` in closed form: meter the slots as skipped and account
     /// the stall exposure of every active output. Valid only for intervals
-    /// in which [`next_activity`](Self::next_activity) reported nothing due.
+    /// in which [`next_activity`](Self::next_activity) reported nothing due
+    /// (debug builds assert it: a jump over a pending event is a missed
+    /// wake-up, never a silent one).
     pub fn skip_idle_slots(&mut self, from: Slot, to: Slot) {
+        debug_assert!(
+            self.next_activity(from.saturating_sub(1))
+                .is_none_or(|at| at > to),
+            "skip over [{from}, {to}] jumps fabric activity due at {:?}",
+            self.next_activity(from.saturating_sub(1))
+        );
         pps_core::perf::record_skipped(to - from + 1);
         for idx in 0..self.active_list.len() {
             let j = self.active_list[idx] as usize;
@@ -643,6 +634,13 @@ impl Fabric {
     /// inside the plane are lost with it: they are counted dropped and
     /// unregistered from the GlobalFcfs straggler tracking so outputs do
     /// not wait for them forever.
+    ///
+    /// The plane's agenda entries stay armed. They pop as stale at their
+    /// slot (empty queue: nothing delivered, nothing re-armed), and until
+    /// then [`next_activity`](Self::next_activity) still names that slot,
+    /// so skip-ahead wakes once more for the dead plane. Pruning them here
+    /// would change the pinned `slots`/`slots_skipped` counts of every
+    /// faulted run and needs a re-bless.
     pub fn fail_plane(&mut self, plane: usize) -> Result<(), ModelError> {
         self.check_plane(plane)?;
         for id in self.planes[plane].fail() {
@@ -787,17 +785,15 @@ impl Fabric {
 }
 
 /// One plane band of a sharded [`Fabric::service`] pass: owns its agenda
-/// heap, planes, `out_links` rows, and `scheduled`/`plane_len_live` bands
-/// (all at global indices), and defers output delivery into a sorted vec.
+/// wheel, planes, `out_links` rows, and `plane_len_live` band (all at
+/// global indices), and defers output delivery into a sorted vec.
 struct ServiceShard<'a> {
     base: usize,
     n: usize,
-    r_prime: Slot,
     out: LinkBankPart<'a>,
     planes: &'a mut [Plane],
-    scheduled: &'a mut [bool],
     plane_len_live: &'a mut [u32],
-    agenda: &'a mut BinaryHeap<Reverse<(Slot, u32, u32)>>,
+    agenda: &'a mut Agenda,
     deliveries: &'a mut Vec<(Slot, u32, u32, CellId)>,
     err: Option<ModelError>,
 }
@@ -808,23 +804,14 @@ impl ServiceShard<'_> {
     /// tally in the [`LinkBankPart`]. An error stops this shard and is
     /// surfaced after the barrier (lowest shard wins, deterministically).
     fn run(&mut self, now: Slot) {
-        while let Some(&Reverse((at, p, j))) = self.agenda.peek() {
-            if at > now {
-                break;
-            }
-            self.agenda.pop();
+        while let Some((at, p, j)) = self.agenda.pop_due(now) {
             let (pu, ju) = (p as usize, j as usize);
             let local = (pu - self.base) * self.n + ju;
-            self.scheduled[local] = false;
             if self.planes[pu - self.base].queue_len(ju) == 0 {
                 continue;
             }
             if !self.out.is_free(pu, ju, now) {
-                let at = self.out.free_at(pu, ju);
-                if !self.scheduled[local] {
-                    self.scheduled[local] = true;
-                    self.agenda.push(Reverse((at, p, j)));
-                }
+                self.agenda.push(self.out.free_at(pu, ju), pu, ju);
                 continue;
             }
             let id = self.planes[pu - self.base]
@@ -835,15 +822,11 @@ impl ServiceShard<'_> {
                 return;
             }
             self.plane_len_live[local] -= 1;
-            // Keyed by the agenda slot `at` (the serial heap's pop key),
+            // Keyed by the agenda slot `at` (the serial agenda's pop key),
             // not `now`: the barrier merge min-reduces on it.
             self.deliveries.push((at, p, j, id));
             if self.planes[pu - self.base].queue_len(ju) > 0 {
-                let at = now + self.r_prime;
-                if !self.scheduled[local] {
-                    self.scheduled[local] = true;
-                    self.agenda.push(Reverse((at, p, j)));
-                }
+                self.agenda.push(self.out.free_at(pu, ju), pu, ju);
             }
         }
     }
@@ -1083,6 +1066,131 @@ mod tests {
         assert_eq!(log.get(CellId(1)).departure, None);
         assert_eq!(f.stats().dropped, 1);
         assert_eq!(f.backlog(), 0);
+    }
+
+    #[test]
+    fn failed_planes_agenda_entry_stays_armed_and_pops_stale() {
+        let (mut f, mut log) = setup(2, 2, 3);
+        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
+            .unwrap();
+        f.dispatch(cell(1, 1, 0, 0), PlaneId(0), 0, &mut log)
+            .unwrap();
+        f.service(0).unwrap();
+        f.emit(0, &mut log);
+        assert_eq!(f.next_activity(0), Some(3), "line (0, 0) re-armed");
+        f.fail_plane(0).unwrap();
+        assert_eq!(f.backlog(), 0);
+        // The dead plane's entry still wakes the skip loop at its slot...
+        assert_eq!(f.next_activity(0), Some(3));
+        f.skip_idle_slots(1, 2);
+        // ...where it delivers nothing and re-arms nothing.
+        f.service(3).unwrap();
+        f.emit(3, &mut log);
+        assert_eq!(log.get(CellId(1)).departure, None);
+        assert_eq!(f.stats().output_line_uses, 1);
+        assert_eq!(f.next_activity(3), None);
+        // Recovery plus a dispatch arms the line as on a fresh fabric.
+        f.recover_plane(0).unwrap();
+        f.dispatch(cell(2, 1, 0, 5), PlaneId(0), 5, &mut log)
+            .unwrap();
+        assert_eq!(f.next_activity(4), Some(5));
+        f.service(5).unwrap();
+        f.emit(5, &mut log);
+        assert_eq!(log.get(CellId(2)).departure, Some(5));
+        assert_eq!(f.next_activity(5), None);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "jumps fabric activity")]
+    fn skipping_across_a_pending_service_event_panics() {
+        let (mut f, mut log) = setup(2, 2, 3);
+        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
+            .unwrap();
+        f.dispatch(cell(1, 1, 0, 0), PlaneId(0), 0, &mut log)
+            .unwrap();
+        f.service(0).unwrap();
+        f.emit(0, &mut log);
+        // Cell 1's service event is due at slot 3.
+        f.skip_idle_slots(1, 3);
+    }
+
+    /// Dispatch a fixed script (four cells a slot for ten slots, squeezed
+    /// onto two outputs so plane queues and busy lines form) from slot
+    /// `base`, run service/emit for `horizon` slots, and return every
+    /// cell's departure and every slot's `next_activity`, relative to
+    /// `base`.
+    fn shifted_script(base: Slot, horizon: Slot) -> (Vec<Option<Slot>>, Vec<Option<Slot>>) {
+        let (n, k, rp) = (4, 4, 4);
+        let mut f = Fabric::new(PpsConfig::bufferless(n, k, rp));
+        let cells: Vec<Cell> = (0..10u64)
+            .flat_map(|t| (0..n as u64).map(move |i| (t, i)))
+            .enumerate()
+            .map(|(id, (t, i))| Cell {
+                id: CellId(id as u64),
+                input: PortId(i as u32),
+                output: PortId(((i + t) % 2) as u32),
+                seq: (t / 2) as u32,
+                arrival: base + t,
+            })
+            .collect();
+        let mut log = RunLog::with_cells(&cells);
+        let mut wakes = Vec::new();
+        for t in 0..horizon {
+            let now = base + t;
+            for c in cells.iter().filter(|c| c.arrival == now) {
+                f.register_arrival(c);
+                let plane = PlaneId(((t + c.input.0 as u64) % k as u64) as u32);
+                f.dispatch(*c, plane, now, &mut log).unwrap();
+            }
+            f.service(now).unwrap();
+            f.emit(now, &mut log);
+            wakes.push(f.next_activity(now).map(|at| at - base));
+        }
+        assert_eq!(f.backlog(), 0, "script must drain within the horizon");
+        let departures = cells
+            .iter()
+            .map(|c| log.get(c.id).departure.map(|d| d - base))
+            .collect();
+        (departures, wakes)
+    }
+
+    #[test]
+    fn script_near_the_last_slot_matches_slot_zero() {
+        let horizon = 40;
+        let at_zero = shifted_script(0, horizon);
+        assert!(
+            at_zero.0.iter().flatten().any(|&d| d > 20),
+            "the script should queue cells behind busy lines"
+        );
+        // 4·r' of headroom: no `now + r'` of the script can wrap, wherever
+        // the shift lands the wheel's buckets.
+        for slack in [16, 17, 19] {
+            assert_eq!(
+                shifted_script(Slot::MAX - slack - horizon, horizon),
+                at_zero
+            );
+        }
+    }
+
+    #[test]
+    fn line_occupancy_past_the_last_slot_is_a_typed_error() {
+        let (mut f, mut log) = setup(2, 2, 3);
+        let err = f
+            .dispatch(
+                cell(0, 0, 0, Slot::MAX - 2),
+                PlaneId(0),
+                Slot::MAX - 2,
+                &mut log,
+            )
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::SlotOverflow {
+                at: Slot::MAX - 2,
+                r_prime: 3
+            }
+        );
     }
 
     #[test]

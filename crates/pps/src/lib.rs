@@ -13,7 +13,8 @@
 //!   randomized, static partition, FTD), `u`-RT (stale least-loaded,
 //!   arbitrated crossbar), centralized (CPA), and the Theorem 12 delayed
 //!   CPA.
-//! * [`plane`], [`output`], [`fabric`] — the switching fabric internals.
+//! * [`plane`], [`output`], [`fabric`], [`agenda`] — the switching fabric
+//!   internals.
 //!
 //! ## Quick example
 //!
@@ -35,6 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod agenda;
 pub mod demux;
 pub mod engine;
 pub mod fabric;
