@@ -28,8 +28,7 @@ pub mod timeseries;
 pub use degradation::{fault_impact, FaultImpact};
 pub use distribution::{relative_delays, Histogram, Log2Histogram, Percentiles, TailQuantiles};
 pub use lockstep::{
-    compare_buffered, compare_buffered_faulted, compare_bufferless, compare_bufferless_faulted,
-    compare_bufferless_intra, Comparison,
+    compare, compare_buffered, compare_bufferless, compare_bufferless_faulted, Comparison,
 };
 pub use metrics::{flow_jitters, RelativeDelay};
 pub use plot::AsciiChart;

@@ -9,7 +9,7 @@
 use crate::metrics::{self, RelativeDelay};
 use pps_core::prelude::*;
 use pps_reference::oq::run_oq;
-use pps_switch::engine::{BufferedPps, BufferlessPps, PpsRun};
+use pps_switch::engine::{BufferedPps, BufferlessPps, InputStage, Pps, PpsRun};
 use pps_switch::fabric::FabricStats;
 
 /// Joined result of one PPS run and one shadow-OQ run over the same trace.
@@ -58,6 +58,22 @@ impl Comparison {
     }
 }
 
+/// The one lockstep: run `trace` through `pps` — built and configured
+/// (fault plan, shard count, stepping mode) by the caller — and through the
+/// shadow OQ switch. The shadow switch stays fault-free whatever `pps`
+/// replays: relative metrics then measure pure degradation, not a shifted
+/// baseline.
+pub fn compare<S: InputStage>(mut pps: Pps<S>, trace: &Trace) -> Result<Comparison, ModelError> {
+    let n = pps.fabric().cfg().n;
+    let run = pps.run(trace)?;
+    // Free the fabric (N² rings, the cell pool) before the shadow run
+    // allocates its log: the two never need to coexist, and on wide
+    // switches holding both is a fifth of the process's peak memory.
+    drop(pps);
+    let oq = run_oq(trace, n);
+    Ok(Comparison { pps: run, oq, n })
+}
+
 /// Run `trace` through a bufferless PPS with `demux` and through the shadow
 /// OQ switch.
 ///
@@ -81,9 +97,7 @@ pub fn compare_bufferless<D: Demultiplexor>(
     demux: D,
     trace: &Trace,
 ) -> Result<Comparison, ModelError> {
-    let pps = BufferlessPps::new(cfg, demux)?.run(trace)?;
-    let oq = run_oq(trace, cfg.n);
-    Ok(Comparison { pps, oq, n: cfg.n })
+    compare(BufferlessPps::new(cfg, demux)?, trace)
 }
 
 /// Run `trace` through an input-buffered PPS with `demux` and through the
@@ -93,57 +107,20 @@ pub fn compare_buffered<D: BufferedDemultiplexor>(
     demux: D,
     trace: &Trace,
 ) -> Result<Comparison, ModelError> {
-    let pps = BufferedPps::new(cfg, demux)?.run(trace)?;
-    let oq = run_oq(trace, cfg.n);
-    Ok(Comparison { pps, oq, n: cfg.n })
-}
-
-/// Like [`compare_bufferless`], but pins the PPS engine's intra-run shard
-/// count instead of inheriting the process-wide default. Results are
-/// byte-identical at any value (DESIGN.md §16) — callers use this to
-/// exercise the sharded fabric explicitly, or to pin a point serial.
-pub fn compare_bufferless_intra<D: Demultiplexor>(
-    cfg: PpsConfig,
-    demux: D,
-    trace: &Trace,
-    intra_jobs: usize,
-) -> Result<Comparison, ModelError> {
-    let mut sw = BufferlessPps::new(cfg, demux)?;
-    sw.set_intra_jobs(intra_jobs);
-    let pps = sw.run(trace)?;
-    let oq = run_oq(trace, cfg.n);
-    Ok(Comparison { pps, oq, n: cfg.n })
+    compare(BufferedPps::new(cfg, demux)?, trace)
 }
 
 /// Like [`compare_bufferless`], but the PPS replays the scripted `faults`
-/// mid-run. The shadow switch stays fault-free: relative metrics then
-/// measure pure degradation, not a shifted baseline.
+/// mid-run.
 pub fn compare_bufferless_faulted<D: Demultiplexor>(
     cfg: PpsConfig,
     demux: D,
     trace: &Trace,
     faults: &FaultPlan,
 ) -> Result<Comparison, ModelError> {
-    let mut sw = BufferlessPps::new(cfg, demux)?;
-    sw.set_fault_plan(faults)?;
-    let pps = sw.run(trace)?;
-    let oq = run_oq(trace, cfg.n);
-    Ok(Comparison { pps, oq, n: cfg.n })
-}
-
-/// Like [`compare_buffered`], but the PPS replays the scripted `faults`
-/// mid-run.
-pub fn compare_buffered_faulted<D: BufferedDemultiplexor>(
-    cfg: PpsConfig,
-    demux: D,
-    trace: &Trace,
-    faults: &FaultPlan,
-) -> Result<Comparison, ModelError> {
-    let mut sw = BufferedPps::new(cfg, demux)?;
-    sw.set_fault_plan(faults)?;
-    let pps = sw.run(trace)?;
-    let oq = run_oq(trace, cfg.n);
-    Ok(Comparison { pps, oq, n: cfg.n })
+    let mut pps = BufferlessPps::new(cfg, demux)?;
+    pps.set_fault_plan(faults)?;
+    compare(pps, trace)
 }
 
 #[cfg(test)]

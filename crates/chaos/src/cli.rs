@@ -16,6 +16,7 @@ use pps_core::time::Slot;
 use pps_core::workers;
 use std::fmt;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 /// A user-facing chaos-driver error. Every variant maps to a message and
 /// a nonzero exit, never a panic.
@@ -179,6 +180,14 @@ pub struct ChaosReport {
 /// executor, results merge in case order, and repros are written from
 /// this thread in that same order.
 pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
+    // A campaign sets two process-wide knobs (the worker budget, the
+    // telemetry level) and restores the level when its cases are done;
+    // a second campaign in the same process — sibling harness tests —
+    // restoring `Off` mid-flight would blind this one's stream oracles.
+    // Campaigns therefore take turns. The lock guards no data, so a
+    // poisoned one (a sibling campaign panicked) is taken all the same.
+    static CAMPAIGN: Mutex<()> = Mutex::new(());
+    let campaign = CAMPAIGN.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(jobs) = opts.jobs {
         workers::set_jobs(jobs);
     }
@@ -218,6 +227,7 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
         });
 
     telemetry::set_level(prev_level);
+    drop(campaign);
 
     let mut lines = Vec::with_capacity(results.len());
     let mut failed = 0usize;

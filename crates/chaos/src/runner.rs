@@ -15,13 +15,14 @@
 use crate::case::{ChaosCase, CrossbarChoice};
 use crate::fuzz_demux::{FuzzBufferedDemux, FuzzDemux};
 use pps_core::oracle::{self, ConservationLedger, OracleKind, OracleViolation};
+use pps_core::stepping::{earliest_of, SlotEngine};
 use pps_core::telemetry::{self, Event};
 use pps_core::{Cell, ModelError, RunLog, Slot, Stepping};
 use pps_crossbar::{
     CioqSwitch, CrossbarScheduler, CrossbarSwitch, IslipArbiter, QpsRScheduler, SwQpsScheduler,
 };
 use pps_reference::ShadowOq;
-use pps_switch::{BufferedPps, BufferlessPps, Fabric};
+use pps_switch::{BufferedPps, BufferlessPps, InputStage, Pps};
 use pps_telemetry::{check_stream, StreamOracleConfig};
 use pps_traffic::min_burstiness;
 use std::sync::Arc;
@@ -72,7 +73,7 @@ pub enum FailureKind {
 }
 
 /// Everything one case run produces.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CaseOutcome {
     /// Cells offered by the trace.
     pub cells: usize,
@@ -135,71 +136,34 @@ fn comparison_scheduler(case: &ChaosCase) -> Box<dyn CrossbarScheduler> {
     }
 }
 
-/// The two engine shapes a case can materialize.
-enum EngineUnderTest {
-    Bufferless(BufferlessPps<FuzzDemux>),
-    Buffered(BufferedPps<FuzzBufferedDemux>),
+/// A PPS built for `case`, or the engine error that refused it.
+type EngineUnderTest<S> = Result<Pps<S>, ModelError>;
+
+/// Attach the case's fault plan and the run's shard count to a fresh PPS.
+fn armed<S: InputStage>(
+    pps: EngineUnderTest<S>,
+    case: &ChaosCase,
+    intra_jobs: usize,
+) -> EngineUnderTest<S> {
+    let mut pps = pps?;
+    pps.set_fault_plan_shared(Arc::new(case.plan.clone()))?;
+    pps.set_intra_jobs(intra_jobs);
+    Ok(pps)
 }
 
-impl EngineUnderTest {
-    fn build(case: &ChaosCase, intra_jobs: usize) -> Result<Self, ModelError> {
-        let cfg = case.config();
-        let plan = Arc::new(case.plan.clone());
-        if case.buffer == 0 {
-            let demux = FuzzDemux::build(case.demux, case.n, case.k, case.r_prime, case.seed);
-            let mut e = BufferlessPps::new(cfg, demux)?;
-            e.set_fault_plan_shared(plan)?;
-            e.set_intra_jobs(intra_jobs);
-            Ok(EngineUnderTest::Bufferless(e))
-        } else {
-            let demux = FuzzBufferedDemux::build(case.demux, case.n, case.k, case.r_prime);
-            let mut e = BufferedPps::new(cfg, demux)?;
-            e.set_fault_plan_shared(plan)?;
-            e.set_intra_jobs(intra_jobs);
-            Ok(EngineUnderTest::Buffered(e))
-        }
-    }
-
-    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
-        match self {
-            EngineUnderTest::Bufferless(e) => e.slot(now, arrivals, log),
-            EngineUnderTest::Buffered(e) => e.slot(now, arrivals, log),
-        }
-    }
-
-    fn backlog(&self) -> usize {
-        match self {
-            EngineUnderTest::Bufferless(e) => e.backlog(),
-            EngineUnderTest::Buffered(e) => e.backlog(),
-        }
-    }
-
-    fn fabric(&self) -> &Fabric {
-        match self {
-            EngineUnderTest::Bufferless(e) => e.fabric(),
-            EngineUnderTest::Buffered(e) => e.fabric(),
-        }
-    }
-
-    fn inject_conservation_leak(&mut self) {
-        match self {
-            EngineUnderTest::Bufferless(e) => e.inject_conservation_leak(),
-            EngineUnderTest::Buffered(e) => e.inject_conservation_leak(),
-        }
-    }
-
-    fn next_activity(&self, now: Slot) -> Option<Slot> {
-        match self {
-            EngineUnderTest::Bufferless(e) => e.next_activity(now),
-            EngineUnderTest::Buffered(e) => e.next_activity(now),
-        }
-    }
-
-    fn skip_idle(&mut self, from: Slot, to: Slot) {
-        match self {
-            EngineUnderTest::Bufferless(e) => e.skip_idle(from, to),
-            EngineUnderTest::Buffered(e) => e.skip_idle(from, to),
-        }
+/// Build the engine shape the case calls for and run it in lockstep with
+/// the three comparison engines.
+fn run_engines(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, RunLog, RunLog) {
+    let ChaosCase { n, k, r_prime, .. } = *case;
+    let intra_jobs = opts.force_intra_jobs.unwrap_or_else(|| case.intra_jobs());
+    if case.buffer == 0 {
+        let demux = FuzzDemux::build(case.demux, n, k, r_prime, case.seed);
+        let pps = BufferlessPps::new(case.config(), demux);
+        lockstep(case, opts, cells, armed(pps, case, intra_jobs))
+    } else {
+        let demux = FuzzBufferedDemux::build(case.demux, n, k, r_prime);
+        let pps = BufferedPps::new(case.config(), demux);
+        lockstep(case, opts, cells, armed(pps, case, intra_jobs))
     }
 }
 
@@ -210,7 +174,7 @@ pub fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
 
     let ((mut outcome, pps_log, oq_log), log) =
         telemetry::collect(format!("chaos/{}", case.index), || {
-            lockstep(case, opts, &cells)
+            run_engines(case, opts, &cells)
         });
 
     // Fold the stream oracles over everything the run recorded. A single
@@ -264,17 +228,15 @@ pub fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
 /// The slot loop proper. Returns the outcome skeleton plus the PPS and OQ
 /// run logs (the crossbar/CIOQ logs are checked inside and dropped — only
 /// the PPS/OQ pair feeds the relative-delay oracle).
-fn lockstep(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, RunLog, RunLog) {
+fn lockstep<S: InputStage>(
+    case: &ChaosCase,
+    opts: RunOpts,
+    cells: &[Cell],
+    engine: EngineUnderTest<S>,
+) -> (CaseOutcome, RunLog, RunLog) {
     let mut outcome = CaseOutcome {
         cells: cells.len(),
-        delivered: 0,
-        dropped: 0,
-        skipped: 0,
-        late_dropped: 0,
-        end_slot: 0,
-        violations: Vec::new(),
-        engine_error: None,
-        events: None,
+        ..CaseOutcome::default()
     };
 
     let mut pps_log = RunLog::with_cells(cells);
@@ -282,8 +244,7 @@ fn lockstep(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, Ru
     let mut xbar_log = RunLog::with_cells(cells);
     let mut cioq_log = RunLog::with_cells(cells);
 
-    let intra_jobs = opts.force_intra_jobs.unwrap_or_else(|| case.intra_jobs());
-    let mut engine = match EngineUnderTest::build(case, intra_jobs) {
+    let mut engine = match engine {
         Ok(e) => e,
         Err(e) => {
             outcome.engine_error = Some((0, e.to_string()));
@@ -374,29 +335,21 @@ fn lockstep(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, Ru
             // the stall window). Landing exactly there keeps end_slot and
             // every per-slot check identical to the dense walk.
             let limit = cap.min(last_progress + STALL_WINDOW + 1);
-            let mut target = if next < cells.len() {
-                cells[next].arrival
-            } else {
-                Slot::MAX
-            };
-            for t in [
+            let next_arrival = cells.get(next).map_or(Slot::MAX, |c| c.arrival);
+            let wake = earliest_of([
                 engine.next_activity(now - 1),
                 oq.next_activity(now - 1),
                 xbar.next_activity(now - 1),
                 cioq.next_activity(now - 1),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                target = target.min(t);
-            }
+            ]);
+            let target = next_arrival.min(wake.unwrap_or(Slot::MAX));
             let stop = target.min(limit);
             if stop > now {
+                // Each engine replays (or just meters) the stretch itself.
                 engine.skip_idle(now, stop - 1);
-                // The crossbar and CIOQ meter every dense slot themselves;
-                // account the stretch they just elided (the engine meters
-                // its own inside skip_idle, the shadow OQ meters nothing).
-                pps_core::perf::record_skipped(2 * (stop - now));
+                oq.skip_idle(now, stop - 1);
+                xbar.skip_idle(now, stop - 1);
+                cioq.skip_idle(now, stop - 1);
                 now = stop;
             }
         }
@@ -436,18 +389,10 @@ fn lockstep(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, Ru
             });
         }
     }
-    outcome
-        .violations
-        .extend(oracle::check_flow_order(&xbar_log));
-    outcome
-        .violations
-        .extend(oracle::check_causality(&xbar_log));
-    outcome
-        .violations
-        .extend(oracle::check_flow_order(&cioq_log));
-    outcome
-        .violations
-        .extend(oracle::check_causality(&cioq_log));
+    for log in [&xbar_log, &cioq_log] {
+        outcome.violations.extend(oracle::check_flow_order(log));
+        outcome.violations.extend(oracle::check_causality(log));
+    }
 
     (outcome, pps_log, oq_log)
 }

@@ -12,7 +12,7 @@
 //! The counter lives in `pps-core` (rather than `pps-switch`, where it
 //! started) so that engines which do not depend on the PPS fabric — the
 //! `pps-crossbar` CIOQ/iSLIP switches, trace validators — can account
-//! their slots too; `pps_switch::perf` re-exports it for compatibility.
+//! their slots too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -151,4 +151,44 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(SplitMix64::fold_digest(a, 5), SplitMix64::fold_digest(b, 5));
     }
+
+    #[test]
+    fn chance_extremes_are_exact() {
+        let mut r = SplitMix64::new(1);
+        assert!(!r.chance(0.0));
+        assert!(r.chance(1.0));
+    }
+
+    #[test]
+    fn geometric_matches_its_mean() {
+        // Mean of Geometric(p) on {0,1,...} is (1-p)/p.
+        let mut r = SplitMix64::new(99);
+        for p in [0.5, 0.1, 0.02] {
+            let n = 20_000u64;
+            let sum: f64 = (0..n).map(|_| r.geometric(p) as f64).sum();
+            let mean = sum / n as f64;
+            let expect = (1.0 - p) / p;
+            assert!(
+                (mean - expect).abs() < expect * 0.1 + 0.05,
+                "p={p}: mean {mean} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn geometric_extremes() {
+        let mut r = SplitMix64::new(5);
+        assert_eq!(r.geometric(1.0), 0);
+        assert_eq!(r.geometric(0.0), u64::MAX);
+    }
+
+    #[test]
+    fn below_covers_range() {
+        let mut r = SplitMix64::new(11);
+        let mut seen = [false; 8];
+        for _ in 0..512 {
+            seen[r.below(8) as usize] = true;
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
 }

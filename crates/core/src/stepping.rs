@@ -1,14 +1,14 @@
-//! Slot-stepping policy: dense lockstep vs event-driven skip-ahead.
+//! Slot-stepping policy and the one run loop every engine shares.
 //!
-//! Every engine in the workspace historically advanced `now` one slot at a
-//! time, paying a full loop iteration even when nothing was in flight.
-//! Skip-ahead stepping (DESIGN.md §15) instead asks every time-bearing
-//! component for its *next activity slot* — the next scripted arrival, the
-//! earliest plane-service event, a resequencer watchdog expiry, the next
-//! fault activation — and jumps `now` to the minimum, replaying the skipped
-//! interval's effects in closed form. The two modes are **byte-identical**
-//! in everything observable (run logs, statistics, telemetry traces,
-//! oracle verdicts); they differ only in wall clock and in how the
+//! A switch here is anything that honours the four-method [`SlotEngine`]
+//! contract — process one slot, report its backlog, name its next
+//! activity, replay an idle interval in closed form — and [`drive`] is the
+//! only loop that runs one over a trace: it gathers each slot's arrivals,
+//! enforces the livelock cap and, under [`Stepping::SkipAhead`]
+//! (DESIGN.md §15), jumps `now` to the earlier of the next arrival and the
+//! engine's next activity. The two modes are **byte-identical** in
+//! everything observable (run logs, statistics, telemetry traces, oracle
+//! verdicts); they differ only in wall clock and in how the
 //! [`crate::perf`] meters split slots between `simulated` and `skipped`.
 //!
 //! The process-wide default is [`Stepping::SkipAhead`]; the dense loop
@@ -16,6 +16,7 @@
 //! setters) for paranoia runs and for the equivalence harness that pits
 //! the two against each other.
 
+use crate::{Cell, ModelError, RunLog, Slot};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How an engine's run loop advances time.
@@ -73,10 +74,7 @@ pub fn process_default() -> Stepping {
 /// Fold two optional next-activity slots into the earlier one — the
 /// reduction every engine's `next_activity` performs over its components.
 #[inline]
-pub fn earliest(
-    a: Option<crate::time::Slot>,
-    b: Option<crate::time::Slot>,
-) -> Option<crate::time::Slot> {
+pub fn earliest(a: Option<Slot>, b: Option<Slot>) -> Option<Slot> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
         (x, None) => x,
@@ -89,10 +87,74 @@ pub fn earliest(
 /// size a joint skip-ahead jump window (every shard must be willing to
 /// sleep through the whole gap).
 #[inline]
-pub fn earliest_of(
-    items: impl IntoIterator<Item = Option<crate::time::Slot>>,
-) -> Option<crate::time::Slot> {
+pub fn earliest_of(items: impl IntoIterator<Item = Option<Slot>>) -> Option<Slot> {
     items.into_iter().fold(None, earliest)
+}
+
+/// What [`drive`] needs from a switch. The PPS, the shadow OQ switch, the
+/// crossbar and the CIOQ switch all implement it by delegating to their
+/// inherent methods of the same names.
+pub trait SlotEngine {
+    /// Advance one slot: accept `arrivals` (all with `arrival == now`, in
+    /// input-port order), then serve and emit, recording into `log`.
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError>;
+
+    /// Cells still inside the switch.
+    fn backlog(&self) -> usize;
+
+    /// The next slot strictly after `now` at which the switch does
+    /// anything, ignoring future arrivals (the driver owns those). `None`
+    /// means quiescent until the next arrival.
+    fn next_activity(&self, now: Slot) -> Option<Slot>;
+
+    /// Replay the dense loop's per-slot effects over the idle interval
+    /// `[from, to]` in closed form. Only called when no cell arrives in
+    /// the interval and [`next_activity`](Self::next_activity) reported
+    /// nothing due before `to + 1`.
+    fn skip_idle(&mut self, from: Slot, to: Slot);
+}
+
+/// Run `cells` (sorted by arrival slot, as [`crate::Trace::cells`] yields
+/// them) through `engine` from slot 0 until everything has arrived and the
+/// backlog is empty, or until `now` passes the livelock `cap` — leftovers
+/// then stay undelivered in the log instead of spinning forever. Returns
+/// the per-cell log and the slot after the last processed one.
+///
+/// Callers compute `cap` with saturating arithmetic (a trace may sit
+/// anywhere in `Slot`'s range); it is clamped below `Slot::MAX` here so
+/// neither `now + 1` nor the one-past-the-cap jump can overflow.
+pub fn drive<E: SlotEngine + ?Sized>(
+    engine: &mut E,
+    cells: &[Cell],
+    cap: Slot,
+    mode: Stepping,
+) -> Result<(RunLog, Slot), ModelError> {
+    let cap = cap.min(Slot::MAX - 1);
+    let mut log = RunLog::with_cells(cells);
+    let mut next = 0usize;
+    let mut now: Slot = 0;
+    let mut more = next < cells.len() || engine.backlog() > 0;
+    while more && now <= cap {
+        let first = next;
+        while next < cells.len() && cells[next].arrival == now {
+            next += 1;
+        }
+        engine.slot(now, &cells[first..next], &mut log)?;
+        now += 1;
+        more = next < cells.len() || engine.backlog() > 0;
+        let next_arrival = cells.get(next).map_or(Slot::MAX, |c| c.arrival);
+        if more && mode == Stepping::SkipAhead && now <= cap && next_arrival != now {
+            // Dense walks idle slots through the cap before giving up, so
+            // the jump may go one past it at most.
+            let wake = engine.next_activity(now - 1).unwrap_or(Slot::MAX);
+            let stop = next_arrival.min(wake).min(cap + 1);
+            if stop > now {
+                engine.skip_idle(now, stop - 1);
+                now = stop;
+            }
+        }
+    }
+    Ok((log, now))
 }
 
 #[cfg(test)]
@@ -121,5 +183,130 @@ mod tests {
         assert_eq!(earliest_of([]), None);
         assert_eq!(earliest_of([None, None]), None);
         assert_eq!(earliest_of([None, Some(5), Some(2), None]), Some(2));
+    }
+
+    /// A fixed-delay line: every cell departs `delay` slots after it
+    /// arrives. Meters its own processed and skipped slots.
+    struct DelayLine {
+        delay: Slot,
+        pending: std::collections::VecDeque<(Slot, crate::CellId)>,
+        processed: u64,
+        skipped: u64,
+    }
+
+    impl DelayLine {
+        fn new(delay: Slot) -> Self {
+            DelayLine {
+                delay,
+                pending: Default::default(),
+                processed: 0,
+                skipped: 0,
+            }
+        }
+    }
+
+    impl SlotEngine for DelayLine {
+        fn slot(
+            &mut self,
+            now: Slot,
+            arrivals: &[Cell],
+            log: &mut RunLog,
+        ) -> Result<(), ModelError> {
+            self.processed += 1;
+            for c in arrivals {
+                assert_eq!(c.arrival, now, "driver handed over a cell early or late");
+                self.pending.push_back((now + self.delay, c.id));
+            }
+            while let Some(&(due, id)) = self.pending.front() {
+                assert!(due >= now, "driver jumped over a pending departure");
+                if due > now {
+                    break;
+                }
+                self.pending.pop_front();
+                log.set_departure(id, now);
+            }
+            Ok(())
+        }
+
+        fn backlog(&self) -> usize {
+            self.pending.len()
+        }
+
+        fn next_activity(&self, now: Slot) -> Option<Slot> {
+            self.pending.front().map(|&(due, _)| due.max(now + 1))
+        }
+
+        fn skip_idle(&mut self, from: Slot, to: Slot) {
+            assert!(from <= to);
+            self.skipped += to - from + 1;
+        }
+    }
+
+    /// Drive `arrivals` through a fresh delay line in both modes; assert
+    /// equal logs, equal end slots and a consistent slot split, and return
+    /// `(log, end_slot, slots the skip run processed)`.
+    fn both_modes(arrivals: Vec<(Slot, u32)>, delay: Slot, cap: Slot) -> (RunLog, Slot, u64) {
+        use crate::{Arrival, Trace};
+        let n = 4;
+        let arrivals = arrivals
+            .into_iter()
+            .map(|(slot, input)| Arrival::new(slot, input, 0))
+            .collect();
+        let cells = Trace::build(arrivals, n).unwrap().cells(n);
+        let mut dense = DelayLine::new(delay);
+        let mut skip = DelayLine::new(delay);
+        let (dense_log, dense_end) = drive(&mut dense, &cells, cap, Stepping::Dense).unwrap();
+        let (skip_log, skip_end) = drive(&mut skip, &cells, cap, Stepping::SkipAhead).unwrap();
+        assert_eq!(dense_log.records(), skip_log.records());
+        assert_eq!(dense_end, skip_end);
+        assert_eq!(dense.skipped, 0);
+        assert_eq!(dense.processed, dense_end, "dense walks every slot");
+        assert_eq!(skip.processed + skip.skipped, dense.processed);
+        (skip_log, skip_end, skip.processed)
+    }
+
+    #[test]
+    fn drive_is_mode_independent_and_skips_idle_stretches() {
+        // Two bursts 500 slots apart through a 7-slot line.
+        let arrivals = vec![(3, 0), (3, 1), (4, 0), (500, 2), (501, 2)];
+        let (log, end, processed) = both_modes(arrivals, 7, 10_000);
+        assert_eq!(log.undelivered(), 0);
+        assert_eq!(log.max_delay(), Some(7));
+        assert_eq!(end, 509, "one past the last departure");
+        assert!(processed < 20, "skip-ahead processed {processed} slots");
+    }
+
+    #[test]
+    fn drive_stops_one_past_the_cap() {
+        // The line needs 100 slots, the cap allows 10: both modes give up
+        // at slot 11 with the cell undelivered.
+        let (log, end, processed) = both_modes(vec![(0, 0)], 100, 10);
+        assert_eq!(log.undelivered(), 1);
+        assert_eq!(end, 11);
+        assert_eq!(processed, 1, "skip-ahead jumps straight to the cap");
+    }
+
+    #[test]
+    fn drive_jumps_to_a_far_future_arrival() {
+        // Nothing pending, nothing scheduled: the only event is an arrival
+        // a million slots out.
+        let (log, end, processed) = both_modes(vec![(1_000_000, 3)], 2, 2_000_000);
+        assert_eq!(log.undelivered(), 0);
+        assert_eq!(end, 1_000_003);
+        assert_eq!(processed, 3, "slot 0, the arrival slot, the departure slot");
+    }
+
+    #[test]
+    fn drive_survives_a_cap_at_the_end_of_time() {
+        // An uncapped run (`Slot::MAX`) of a trace parked near the end of
+        // the slot range: no overflow in `now + 1` or the jump target.
+        let at = Slot::MAX - 40;
+        let mut line = DelayLine::new(5);
+        let cells = crate::Trace::build(vec![crate::Arrival::new(at, 0, 0)], 4)
+            .unwrap()
+            .cells(4);
+        let (log, end) = drive(&mut line, &cells, Slot::MAX, Stepping::SkipAhead).unwrap();
+        assert_eq!(log.records()[0].departure, Some(at + 5));
+        assert_eq!(end, at + 6);
     }
 }

@@ -16,6 +16,7 @@
 //! architecture.
 
 use pps_core::prelude::*;
+use pps_core::stepping::{self, SlotEngine};
 use std::collections::BTreeSet;
 
 /// The matching discipline a [`CioqSwitch`] runs in each fabric phase.
@@ -239,59 +240,47 @@ impl CioqSwitch {
     }
 }
 
-/// Run a trace through a fresh CIOQ switch until it drains. Uses the
-/// process-default stepping mode.
-pub fn run_cioq(trace: &Trace, n: usize, speedup: usize) -> RunLog {
-    run_cioq_stepped(trace, n, speedup, pps_core::stepping::process_default())
+impl SlotEngine for CioqSwitch {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        CioqSwitch::slot(self, now, arrivals, log);
+        Ok(())
+    }
+
+    fn backlog(&self) -> usize {
+        CioqSwitch::backlog(self)
+    }
+
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        CioqSwitch::next_activity(self, now)
+    }
+
+    /// An empty CIOQ slot moves no state, so an idle stretch is only
+    /// metered: as skipped instead of simulated.
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        pps_core::perf::record_skipped(to - from + 1);
+    }
 }
 
-/// [`run_cioq`] with an explicit stepping mode. Identical logs either way:
-/// an empty CIOQ slot moves no state (see [`CioqSwitch::next_activity`]),
-/// so skip-ahead jumps idle stretches and meters them as skipped.
-pub fn run_cioq_stepped(
-    trace: &Trace,
-    n: usize,
-    speedup: usize,
-    mode: pps_core::Stepping,
-) -> RunLog {
+/// Run a trace through a fresh critical-cells-first CIOQ switch until it
+/// drains. Uses the process-default stepping mode.
+pub fn run_cioq(trace: &Trace, n: usize, speedup: usize) -> RunLog {
+    let mode = stepping::process_default();
     run_cioq_policy(trace, n, speedup, CioqPolicy::CriticalFirst, mode)
 }
 
-/// [`run_cioq_stepped`] under an explicit matching policy.
+/// [`run_cioq`] under an explicit matching policy and stepping mode
+/// (identical logs either way).
 pub fn run_cioq_policy(
     trace: &Trace,
     n: usize,
     speedup: usize,
     policy: CioqPolicy,
-    mode: pps_core::Stepping,
+    mode: Stepping,
 ) -> RunLog {
-    let cells = trace.cells(n);
-    let mut log = RunLog::with_cells(&cells);
     let mut sw = CioqSwitch::with_policy(n, speedup, policy);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut scratch: Vec<Cell> = Vec::new();
-    let cap = trace.horizon() + (trace.len() as Slot + 2) * (n as Slot) + 64;
-    while next < cells.len() || sw.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        sw.slot(now, &scratch, &mut log);
-        now += 1;
-        if now > cap {
-            break;
-        }
-        if mode == pps_core::Stepping::SkipAhead
-            && next < cells.len()
-            && cells[next].arrival > now
-            && sw.backlog() == 0
-        {
-            pps_core::perf::record_skipped(cells[next].arrival - now);
-            now = cells[next].arrival;
-        }
-    }
+    let cap = crate::switch::drain_cap(trace, n);
+    let (log, _) =
+        stepping::drive(&mut sw, &trace.cells(n), cap, mode).expect("a CIOQ slot cannot fail");
     log
 }
 

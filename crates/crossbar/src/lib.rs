@@ -46,7 +46,7 @@ pub mod islip;
 pub mod scheduler;
 pub mod switch;
 
-pub use cioq::{run_cioq, run_cioq_policy, run_cioq_stepped, CioqPolicy, CioqSwitch};
+pub use cioq::{run_cioq, run_cioq_policy, CioqPolicy, CioqSwitch};
 pub use islip::IslipArbiter;
 pub use scheduler::{CrossbarScheduler, QpsRScheduler, SwQpsScheduler};
-pub use switch::{run_crossbar, run_crossbar_stepped, run_crossbar_with, CrossbarSwitch};
+pub use switch::{run_crossbar, run_crossbar_with, CrossbarSwitch};

@@ -3,6 +3,7 @@
 use crate::islip::IslipArbiter;
 use crate::scheduler::CrossbarScheduler;
 use pps_core::prelude::*;
+use pps_core::stepping::{self, SlotEngine};
 
 /// An `N × N` input-queued crossbar with per-input VOQs and a pluggable
 /// matching scheduler (iSLIP by default), running at the external rate `R`
@@ -124,63 +125,59 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
     }
 }
 
-/// Run a trace through a fresh crossbar until it drains; returns the log.
-/// Uses the process-default stepping mode.
-pub fn run_crossbar(trace: &Trace, n: usize, iterations: usize) -> RunLog {
-    run_crossbar_stepped(trace, n, iterations, pps_core::stepping::process_default())
+impl<S: CrossbarScheduler> SlotEngine for CrossbarSwitch<S> {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        CrossbarSwitch::slot(self, now, arrivals, log);
+        Ok(())
+    }
+
+    fn backlog(&self) -> usize {
+        CrossbarSwitch::backlog(self)
+    }
+
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        CrossbarSwitch::next_activity(self, now)
+    }
+
+    /// An empty crossbar slot moves no state, so an idle stretch is only
+    /// metered: as skipped instead of simulated.
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        pps_core::perf::record_skipped(to - from + 1);
+    }
 }
 
-/// [`run_crossbar`] with an explicit stepping mode. Identical logs either
-/// way: an empty crossbar slot moves no state (see
-/// [`CrossbarSwitch::next_activity`]), so skip-ahead jumps idle stretches
-/// and meters them as skipped instead of simulated.
-pub fn run_crossbar_stepped(
-    trace: &Trace,
-    n: usize,
-    iterations: usize,
-    mode: pps_core::Stepping,
-) -> RunLog {
+/// Livelock cap shared by the crossbar and CIOQ runs: every cell serialized
+/// through one port plus slack, saturating so a trace parked near
+/// `Slot::MAX` gets an unreachable cap rather than a wrapped one.
+pub(crate) fn drain_cap(trace: &Trace, n: usize) -> Slot {
+    (trace.len() as Slot + 2)
+        .saturating_mul(n as Slot)
+        .saturating_add(trace.horizon())
+        .saturating_add(64)
+}
+
+/// Run a trace through a fresh iSLIP crossbar until it drains; returns the
+/// log. Uses the process-default stepping mode.
+pub fn run_crossbar(trace: &Trace, n: usize, iterations: usize) -> RunLog {
+    let mode = stepping::process_default();
     run_crossbar_with(trace, IslipArbiter::new(n, iterations), mode).0
 }
 
 /// Run a trace through a fresh crossbar driven by `scheduler` until it
-/// drains. Returns the log plus the drained switch, so callers can inspect
-/// final scheduler state (the stepping-equivalence tests compare
+/// drains, under an explicit stepping mode (identical logs either way).
+/// Returns the log plus the drained switch, so callers can inspect final
+/// scheduler state (the stepping-equivalence tests compare
 /// [`CrossbarScheduler::state_digest`] across modes — identical logs with
 /// diverged hidden state would still be a bug).
 pub fn run_crossbar_with<S: CrossbarScheduler>(
     trace: &Trace,
     scheduler: S,
-    mode: pps_core::Stepping,
+    mode: Stepping,
 ) -> (RunLog, CrossbarSwitch<S>) {
     let n = scheduler.n();
-    let cells = trace.cells(n);
-    let mut log = RunLog::with_cells(&cells);
     let mut xb = CrossbarSwitch::with_scheduler(n, scheduler);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut scratch: Vec<Cell> = Vec::new();
-    let cap = trace.horizon() + (trace.len() as Slot + 2) * (n as Slot) + 64;
-    while next < cells.len() || xb.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        xb.slot(now, &scratch, &mut log);
-        now += 1;
-        if now > cap {
-            break;
-        }
-        if mode == pps_core::Stepping::SkipAhead
-            && next < cells.len()
-            && cells[next].arrival > now
-            && xb.backlog() == 0
-        {
-            pps_core::perf::record_skipped(cells[next].arrival - now);
-            now = cells[next].arrival;
-        }
-    }
+    let (log, _) = stepping::drive(&mut xb, &trace.cells(n), drain_cap(trace, n), mode)
+        .expect("a crossbar slot cannot fail");
     (log, xb)
 }
 

@@ -11,7 +11,6 @@
 //! ppslab --jobs 4    # worker budget (default: available parallelism; 1 = serial)
 //! ppslab --intra-jobs 4     # shard each run's planes/outputs (default: 1 = serial fabric)
 //! ppslab --stepping dense   # force the dense slot loop (default: skip-ahead)
-//! ppslab --parallel  # deprecated no-op (the default is already parallel; use --jobs)
 //! ppslab --bench-json BENCH_experiments.json   # record wall-clock + slots/sec
 //! ppslab --telemetry counters          # event counters to stderr after the run
 //! ppslab --telemetry full --trace-out trace.json e3   # Perfetto-loadable trace
@@ -37,8 +36,8 @@
 use pps_experiments::sweep::SweepPlan;
 use pps_experiments::{registry, ExperimentOutput};
 
-/// Quick simulator performance summary (no criterion; for the README's
-/// throughput claims use `cargo bench -p pps-bench`).
+/// Quick simulator performance summary (a smoke reading only; measured
+/// throughput claims come from `ppsbench`, see `ppsbench/README.md`).
 fn perf() {
     use pps_core::prelude::*;
     use pps_switch::demux::RoundRobinDemux;
@@ -181,15 +180,9 @@ fn main() {
     if trace_out.is_some() && telemetry_level != pps_core::telemetry::Level::Full {
         eprintln!("warning: --trace-out needs --telemetry full to have events to write");
     }
-    if args.iter().any(|a| a == "--parallel") {
-        eprintln!(
-            "warning: --parallel is deprecated and has no effect \
-             (parallel is the default); use --jobs N to set the worker budget"
-        );
-    }
-    // Worker budget: explicit --jobs wins; otherwise use every core
-    // (--parallel is the legacy spelling of that default). Tables come out
-    // byte-identical either way — see the sweep executor's contract.
+    // Worker budget: explicit --jobs wins; otherwise use every core.
+    // Tables come out byte-identical either way — see the sweep
+    // executor's contract.
     let jobs: usize = match flag_value(&args, "--jobs") {
         Some(v) => v.parse().unwrap_or_else(|e| {
             eprintln!("error: --jobs: {e}");
@@ -283,8 +276,8 @@ fn main() {
         selected
             .iter()
             .map(|(id, runner)| {
-                let slots0 = pps_switch::perf::slots_simulated();
-                let skipped0 = pps_switch::perf::slots_skipped();
+                let slots0 = pps_core::perf::slots_simulated();
+                let skipped0 = pps_core::perf::slots_skipped();
                 let merge0 = pps_core::perf::intra_merge_nanos();
                 let start = std::time::Instant::now();
                 let out = if tracing {
@@ -298,8 +291,8 @@ fn main() {
                 bench.push((
                     id,
                     secs,
-                    pps_switch::perf::slots_simulated() - slots0,
-                    pps_switch::perf::slots_skipped() - skipped0,
+                    pps_core::perf::slots_simulated() - slots0,
+                    pps_core::perf::slots_skipped() - skipped0,
                     pps_core::perf::intra_merge_nanos() - merge0,
                 ));
                 out

@@ -10,9 +10,10 @@
 
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless_intra, Table};
+use pps_analysis::{compare, Table};
 use pps_core::prelude::*;
 use pps_switch::demux::RoundRobinDemux;
+use pps_switch::engine::BufferlessPps;
 use pps_traffic::adversary::concentration_attack;
 
 /// One scaling point: `(N, exact bound, measured delay, implied buffer)`.
@@ -29,7 +30,9 @@ pub fn point_at(n: usize, k: usize, r_prime: usize, intra_jobs: usize) -> (usize
     cfg.validate().expect("valid point");
     let demux = RoundRobinDemux::new(n, k);
     let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let cmp = compare_bufferless_intra(cfg, demux, &atk.trace, intra_jobs).expect("run");
+    let mut pps = BufferlessPps::new(cfg, demux).expect("engine");
+    pps.set_intra_jobs(intra_jobs);
+    let cmp = compare(pps, &atk.trace).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     // "Large relative queuing delays usually imply that the buffer sizes at

@@ -1,13 +1,25 @@
-//! The PPS engines.
+//! The PPS engine.
 //!
-//! [`BufferlessPps`] implements the base architecture (Definition 1: an
-//! arriving cell is demultiplexed to a plane in its arrival slot);
-//! [`BufferedPps`] implements the input-buffered variant of Iyer & McKeown
-//! (Definition 2: the demultiplexor may hold arriving cells in a finite
-//! input buffer and release any number of buffered cells per slot, subject
-//! to the line-rate constraints).
+//! The paper defines one PPS whose two variants differ only in what the
+//! demultiplexor may do with an arriving cell, and the code follows it:
+//! [`Pps<S>`] owns everything the variants share — the fabric, the
+//! information bus, the fault script and the slot frame — and is generic
+//! over an [`InputStage`], which owns only the per-slot ingest of arrivals:
 //!
-//! Both engines enforce the formal model: per-slot arrival/departure
+//! * [`Unbuffered`] (Definition 1) — an arriving cell is demultiplexed to a
+//!   plane in its arrival slot, by a [`Demultiplexor`];
+//! * [`InputBuffers`] (Definition 2, Iyer & McKeown) — a
+//!   [`BufferedDemultiplexor`] may hold arriving cells in a finite input
+//!   buffer and release any number of buffered cells per slot, subject to
+//!   the line-rate constraints.
+//!
+//! [`BufferlessPps<D>`] and [`BufferedPps<D>`] are aliases for the two
+//! instantiations. Dispatch is static: each alias monomorphises to its own
+//! slot loop, and the bufferless per-cell path carries none of the buffered
+//! stage's decision scratch or per-input scan. Whole-trace runs go through
+//! the workspace's one driver, [`pps_core::stepping::drive`].
+//!
+//! Both variants enforce the formal model: per-slot arrival/departure
 //! cardinality, the input and output constraints, no cell drops (outside
 //! fault-injection), and the information classification — a
 //! fully-distributed demultiplexor is handed *no* global view, a `u`-RT one
@@ -16,8 +28,10 @@
 
 use crate::fabric::{Fabric, FabricStats};
 use pps_core::prelude::*;
-use pps_core::stepping::{self, earliest};
+use pps_core::stepping::{self, earliest, SlotEngine};
 use pps_core::telemetry::{self, Engine, EventKind, FaultKind};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Outcome of a complete PPS run.
 #[derive(Clone, Debug)]
@@ -41,22 +55,13 @@ struct InfoBus {
 
 impl InfoBus {
     fn new(class: InfoClass) -> Self {
-        match class {
-            InfoClass::FullyDistributed => InfoBus {
-                ring: None,
-                centralized: false,
-                current: None,
+        InfoBus {
+            ring: match class {
+                InfoClass::RealTimeDistributed { u } => Some(SnapshotRing::new(u.max(1))),
+                _ => None,
             },
-            InfoClass::RealTimeDistributed { u } => InfoBus {
-                ring: Some(SnapshotRing::new(u.max(1))),
-                centralized: false,
-                current: None,
-            },
-            InfoClass::Centralized => InfoBus {
-                ring: None,
-                centralized: true,
-                current: None,
-            },
+            centralized: class == InfoClass::Centralized,
+            current: None,
         }
     }
 
@@ -72,7 +77,6 @@ impl InfoBus {
                 None => self.current = Some(fabric.snapshot(now, buffers)),
             }
         }
-        let _ = now;
     }
 
     fn view(&self, now: Slot) -> Option<&GlobalSnapshot> {
@@ -83,38 +87,26 @@ impl InfoBus {
         }
     }
 
-    /// Record the end-of-slot state, stamped with the slot it covers: the
-    /// snapshot tagged `t` reflects all events through slot `t`, so a
-    /// `u`-RT demultiplexor deciding at `t` sees exactly the paper's
-    /// `[0, t − u]` information window.
-    fn end_slot(&mut self, now: Slot, fabric: &Fabric, buffers: &[u32]) {
-        if let Some(ring) = &mut self.ring {
-            // Once the ring is full (after the first u + 1 slots) every
-            // push reuses the buffers of the snapshot it would evict.
-            let snap = match ring.recycle_slot() {
-                Some(mut old) => {
-                    fabric.snapshot_into(now, buffers, &mut old);
-                    old
-                }
-                None => fabric.snapshot(now, buffers),
-            };
-            ring.push(snap);
-        }
-    }
-
-    /// Replay the per-slot snapshot pushes of the skipped interval
-    /// `[from, to]`. The fabric is frozen across the gap (nothing arrives,
-    /// serves, or emits in a skipped slot), so dense stepping would push
-    /// the same snapshot contents under each gap slot's tag; only the last
-    /// `delay + 1` tags can survive the ring's eviction, so only those are
-    /// pushed — tag contiguity among retained entries is preserved either
-    /// way, which is what [`SnapshotRing::view`]'s index arithmetic needs.
-    fn skip_gap(&mut self, from: Slot, to: Slot, fabric: &Fabric, buffers: &[u32]) {
+    /// Record the end-of-slot state of slots `[from, to]`, each stamped
+    /// with the slot it covers: the snapshot tagged `t` reflects all events
+    /// through slot `t`, so a `u`-RT demultiplexor deciding at `t` sees
+    /// exactly the paper's `[0, t − u]` information window. Called with
+    /// `from == to` at the end of every processed slot, and with a whole
+    /// skipped interval by [`Pps::skip_idle`]: the fabric is frozen across
+    /// a gap (nothing arrives, serves, or emits
+    /// in a skipped slot), so dense stepping would push the same snapshot
+    /// contents under each gap slot's tag; only the last `delay + 1` tags
+    /// can survive the ring's eviction, so only those are pushed — tag
+    /// contiguity among retained entries is preserved either way, which is
+    /// what [`SnapshotRing::view`]'s index arithmetic needs.
+    fn publish(&mut self, from: Slot, to: Slot, fabric: &Fabric, buffers: &[u32]) {
         let Some(ring) = &mut self.ring else {
             return;
         };
         let start = from.max(to.saturating_sub(ring.delay()));
         for t in start..=to {
+            // Once the ring is full (after the first u + 1 slots) every
+            // push reuses the buffers of the snapshot it would evict.
             let snap = match ring.recycle_slot() {
                 Some(mut old) => {
                     fabric.snapshot_into(t, buffers, &mut old);
@@ -137,12 +129,12 @@ struct FaultSchedule {
     /// The plan being replayed, shared rather than copied: replaying one
     /// plan against many runs (the fault experiments' inner loops) clones
     /// a pointer, not the event vec.
-    plan: Option<std::sync::Arc<FaultPlan>>,
+    plan: Option<Arc<FaultPlan>>,
     next: usize,
 }
 
 impl FaultSchedule {
-    fn set(&mut self, plan: std::sync::Arc<FaultPlan>) {
+    fn set(&mut self, plan: Arc<FaultPlan>) {
         self.plan = Some(plan);
         self.next = 0;
     }
@@ -191,32 +183,349 @@ impl FaultSchedule {
     }
 }
 
-const NO_BUFFERS: [u32; 0] = [];
+/// What differs between the paper's two PPS variants: how one slot's
+/// arrivals (and whatever the stage still holds) reach the fabric. A stage
+/// is built from, and driven by, one demultiplexing algorithm.
+pub trait InputStage: Sized {
+    /// The demultiplexing algorithm driving the stage.
+    type Demux;
 
-/// A bufferless PPS driven by a [`Demultiplexor`].
-pub struct BufferlessPps<D: Demultiplexor> {
-    fabric: Fabric,
+    /// Build the stage for `cfg`, rejecting a `cfg.buffer` of the wrong
+    /// kind.
+    fn build(cfg: &PpsConfig, demux: Self::Demux) -> Result<Self, ModelError>;
+
+    /// The demultiplexor.
+    fn demux(&self) -> &Self::Demux;
+
+    /// The demultiplexor's information class (sizes the snapshot bus).
+    fn info_class(&self) -> InfoClass;
+
+    /// Cells buffered per input, as published in global snapshots (empty
+    /// for a stage without buffers).
+    fn buffer_live(&self) -> &[u32];
+
+    /// Cells held in the stage, not yet handed to the fabric.
+    fn backlog(&self) -> usize;
+
+    /// One slot's ingest: consult the demultiplexor about `arrivals`
+    /// (sorted by input port, as produced by [`Trace::cells`]) and about
+    /// anything buffered, and dispatch what it releases into `fabric`.
+    fn ingest(
+        &mut self,
+        now: Slot,
+        arrivals: &[Cell],
+        fabric: &mut Fabric,
+        global: Option<&GlobalSnapshot>,
+        log: &mut RunLog,
+    ) -> Result<(), ModelError>;
+
+    /// Fold the stage's wake-ups after `now` — the demultiplexor's own, and
+    /// those of buffered cells — into `t`, the earliest activity found so
+    /// far.
+    fn earliest_wake(&self, now: Slot, fabric: &Fabric, t: Option<Slot>) -> Option<Slot>;
+}
+
+#[inline(always)]
+fn record_arrival(now: Slot, cell: &Cell) {
+    debug_assert_eq!(cell.arrival, now);
+    if telemetry::on() {
+        let (cell, input, output) = (cell.id, cell.input, cell.output);
+        telemetry::record(
+            Engine::Pps,
+            now,
+            EventKind::Arrival {
+                cell,
+                input,
+                output,
+            },
+        );
+    }
+}
+
+#[inline(always)]
+fn record_decision(now: Slot, cell: &Cell, plane: PlaneId) {
+    if telemetry::on() {
+        let (cell, input) = (cell.id, cell.input);
+        telemetry::record(
+            Engine::Pps,
+            now,
+            EventKind::DemuxDecision { cell, input, plane },
+        );
+    }
+}
+
+/// The Definition 1 input stage: no buffers, every arrival is dispatched
+/// (or, with every line degraded, lost) in its arrival slot.
+pub struct Unbuffered<D> {
     demux: D,
+}
+
+impl<D: Demultiplexor> InputStage for Unbuffered<D> {
+    type Demux = D;
+
+    fn build(cfg: &PpsConfig, demux: D) -> Result<Self, ModelError> {
+        match cfg.buffer {
+            BufferSpec::Bufferless => Ok(Unbuffered { demux }),
+            BufferSpec::Buffered { .. } => Err(ModelError::InvalidConfig {
+                reason: "BufferlessPps requires BufferSpec::Bufferless".into(),
+            }),
+        }
+    }
+
+    fn demux(&self) -> &D {
+        &self.demux
+    }
+
+    fn info_class(&self) -> InfoClass {
+        self.demux.info_class()
+    }
+
+    fn buffer_live(&self) -> &[u32] {
+        &[]
+    }
+
+    fn backlog(&self) -> usize {
+        0
+    }
+
+    fn ingest(
+        &mut self,
+        now: Slot,
+        arrivals: &[Cell],
+        fabric: &mut Fabric,
+        global: Option<&GlobalSnapshot>,
+        log: &mut RunLog,
+    ) -> Result<(), ModelError> {
+        self.demux.on_slot(now, global);
+        for cell in arrivals {
+            record_arrival(now, cell);
+            fabric.register_arrival(cell);
+            // Under link degradation an input can find *every* line busy —
+            // the K >= r' guarantee only covers ordinary occupancy. A
+            // bufferless input has nowhere to hold the cell: it is lost at
+            // the first stage rather than reported as an algorithm bug.
+            let local = fabric.local_view(cell.input, now);
+            if local.free_planes().next().is_none() {
+                fabric.drop_at_input(cell);
+                continue;
+            }
+            let plane = self.demux.dispatch(cell, &DispatchCtx { local, global });
+            record_decision(now, cell, plane);
+            fabric.dispatch(*cell, plane, now, log)?;
+        }
+        Ok(())
+    }
+
+    fn earliest_wake(&self, now: Slot, _fabric: &Fabric, t: Option<Slot>) -> Option<Slot> {
+        earliest(t, self.demux.next_activity(now))
+    }
+}
+
+/// The Definition 2 input stage: one finite FIFO buffer per input, drained
+/// at the demultiplexor's discretion.
+pub struct InputBuffers<D> {
+    demux: D,
+    buffers: Vec<VecDeque<Cell>>,
+    buffer_live: Vec<u32>,
+    /// Running total of `buffer_live` — lets the skip logic test "any
+    /// buffered cell anywhere" without an O(N) sweep.
+    buffered_cells: usize,
+    capacity: usize,
+    max_occupancy: usize,
+    /// Per-slot decision scratch, cleared and refilled for every input so
+    /// deciding allocates nothing in the steady state.
+    decision: BufferedDecision,
+}
+
+impl<D: BufferedDemultiplexor> InputBuffers<D> {
+    fn apply_decision(
+        &mut self,
+        input: usize,
+        now: Slot,
+        arrival: Option<Cell>,
+        decision: &mut BufferedDecision,
+        fabric: &mut Fabric,
+        log: &mut RunLog,
+    ) -> Result<(), ModelError> {
+        let port = PortId(input as u32);
+        // Validate and perform releases, highest index first so earlier
+        // indices stay valid during removal.
+        let releases = &mut decision.releases;
+        releases.sort_by_key(|r| std::cmp::Reverse(r.0));
+        if let Some(w) = releases.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(ModelError::BadBufferIndex {
+                input: port,
+                index: w[0].0,
+            });
+        }
+        for &(index, plane) in releases.iter() {
+            let cell = self.buffers[input]
+                .remove(index)
+                .ok_or(ModelError::BadBufferIndex { input: port, index })?;
+            self.buffer_live[input] -= 1;
+            self.buffered_cells -= 1;
+            record_decision(now, &cell, plane);
+            fabric.dispatch(cell, plane, now, log)?;
+        }
+        match (arrival, decision.arrival) {
+            (Some(cell), Some(ArrivalAction::Dispatch(plane))) => {
+                record_decision(now, &cell, plane);
+                fabric.dispatch(cell, plane, now, log)?;
+            }
+            (Some(cell), Some(ArrivalAction::Enqueue)) | (Some(cell), None) => {
+                // A missing action defaults to buffering: the model forbids
+                // dropping, so the engine never discards an arrival.
+                if self.buffers[input].len() >= self.capacity {
+                    return Err(ModelError::BufferOverflow {
+                        input: port,
+                        capacity: self.capacity,
+                        cell: cell.id,
+                    });
+                }
+                self.buffers[input].push_back(cell);
+                self.buffer_live[input] += 1;
+                self.buffered_cells += 1;
+                self.max_occupancy = self.max_occupancy.max(self.buffers[input].len());
+            }
+            (None, _) => {}
+        }
+        Ok(())
+    }
+}
+
+impl<D: BufferedDemultiplexor> InputStage for InputBuffers<D> {
+    type Demux = D;
+
+    fn build(cfg: &PpsConfig, demux: D) -> Result<Self, ModelError> {
+        let BufferSpec::Buffered { size: capacity } = cfg.buffer else {
+            return Err(ModelError::InvalidConfig {
+                reason: "BufferedPps requires BufferSpec::Buffered".into(),
+            });
+        };
+        Ok(InputBuffers {
+            demux,
+            buffers: vec![VecDeque::new(); cfg.n],
+            buffer_live: vec![0; cfg.n],
+            buffered_cells: 0,
+            capacity,
+            max_occupancy: 0,
+            decision: BufferedDecision::default(),
+        })
+    }
+
+    fn demux(&self) -> &D {
+        &self.demux
+    }
+
+    fn info_class(&self) -> InfoClass {
+        self.demux.info_class()
+    }
+
+    fn buffer_live(&self) -> &[u32] {
+        &self.buffer_live
+    }
+
+    fn backlog(&self) -> usize {
+        self.buffered_cells
+    }
+
+    /// The demultiplexor is consulted per input in port order, matching
+    /// the global-FCFS tie-break.
+    fn ingest(
+        &mut self,
+        now: Slot,
+        arrivals: &[Cell],
+        fabric: &mut Fabric,
+        global: Option<&GlobalSnapshot>,
+        log: &mut RunLog,
+    ) -> Result<(), ModelError> {
+        let mut arr_iter = arrivals.iter().peekable();
+        for input in 0..self.buffers.len() {
+            let arrival = arr_iter.next_if(|c| c.input.idx() == input).copied();
+            if arrival.is_none() && self.buffers[input].is_empty() {
+                continue;
+            }
+            if let Some(c) = &arrival {
+                record_arrival(now, c);
+                fabric.register_arrival(c);
+            }
+            let port = PortId(input as u32);
+            let mut decision = std::mem::take(&mut self.decision);
+            decision.clear();
+            let ctx = DispatchCtx {
+                local: fabric.local_view(port, now),
+                global,
+            };
+            let buf = self.buffers[input].make_contiguous();
+            self.demux
+                .slot_decision(port, arrival.as_ref(), buf, &ctx, &mut decision);
+            let applied = self.apply_decision(input, now, arrival, &mut decision, fabric, log);
+            // Hand the scratch (and its allocation) back before surfacing
+            // any model error.
+            self.decision = decision;
+            applied?;
+        }
+        Ok(())
+    }
+
+    /// While input buffers hold cells, each occupied input's wake-up comes
+    /// from the demultiplexor's
+    /// [`buffered_next_activity`](BufferedDemultiplexor::buffered_next_activity)
+    /// for its head cell (conservative default: the very next slot, the
+    /// pre-PR-8 dense behavior) — so hold-for-`u` style algorithms let
+    /// buffered runs skip idle gaps too. Waking early is always safe (the
+    /// dense walk would have decided "hold" and mutated nothing).
+    fn earliest_wake(&self, now: Slot, fabric: &Fabric, t: Option<Slot>) -> Option<Slot> {
+        let mut t = earliest(t, self.demux.next_activity(now));
+        if self.buffered_cells > 0 {
+            for (input, buf) in self.buffers.iter().enumerate() {
+                if t == Some(now + 1) {
+                    break; // cannot get earlier than the next slot
+                }
+                let Some(head) = buf.front() else { continue };
+                let port = PortId(input as u32);
+                let view = fabric.local_view(port, now);
+                t = earliest(t, self.demux.buffered_next_activity(port, head, &view));
+            }
+        }
+        t
+    }
+}
+
+/// A PPS: the fabric, information bus and fault script every variant
+/// shares, fronted by the [`InputStage`] that tells the variants apart.
+pub struct Pps<S> {
+    fabric: Fabric,
+    stage: S,
     bus: InfoBus,
     faults: FaultSchedule,
     stepping: Stepping,
 }
 
-impl<D: Demultiplexor> BufferlessPps<D> {
-    /// Build the switch; validates the configuration (which must be
-    /// bufferless).
-    pub fn new(cfg: PpsConfig, demux: D) -> Result<Self, ModelError> {
+/// A bufferless PPS (Definition 1) driven by a [`Demultiplexor`].
+pub type BufferlessPps<D> = Pps<Unbuffered<D>>;
+
+/// An input-buffered PPS (Definition 2) driven by a
+/// [`BufferedDemultiplexor`].
+pub type BufferedPps<D> = Pps<InputBuffers<D>>;
+
+impl<D: BufferedDemultiplexor> Pps<InputBuffers<D>> {
+    /// Highest input-buffer occupancy reached.
+    pub fn max_buffer_occupancy(&self) -> usize {
+        self.stage.max_occupancy
+    }
+}
+
+impl<S: InputStage> Pps<S> {
+    /// Build the switch; validates the configuration, whose buffer spec
+    /// must match the input stage.
+    pub fn new(cfg: PpsConfig, demux: S::Demux) -> Result<Self, ModelError> {
         cfg.validate()?;
-        if !matches!(cfg.buffer, BufferSpec::Bufferless) {
-            return Err(ModelError::InvalidConfig {
-                reason: "BufferlessPps requires BufferSpec::Bufferless".into(),
-            });
-        }
-        let bus = InfoBus::new(demux.info_class());
-        Ok(BufferlessPps {
+        let stage = S::build(&cfg, demux)?;
+        Ok(Pps {
             fabric: Fabric::new(cfg),
-            demux,
-            bus,
+            bus: InfoBus::new(stage.info_class()),
+            stage,
             faults: FaultSchedule::default(),
             stepping: stepping::process_default(),
         })
@@ -237,8 +546,8 @@ impl<D: Demultiplexor> BufferlessPps<D> {
     }
 
     /// The demultiplexor (e.g. to read algorithm-specific statistics).
-    pub fn demux(&self) -> &D {
-        &self.demux
+    pub fn demux(&self) -> &S::Demux {
+        self.stage.demux()
     }
 
     /// The fabric (for congestion probes and statistics mid-run).
@@ -267,23 +576,21 @@ impl<D: Demultiplexor> BufferlessPps<D> {
     /// effect at the start of its slot. Validates the plan against the
     /// switch geometry.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), ModelError> {
-        self.set_fault_plan_shared(std::sync::Arc::new(plan.clone()))
+        self.set_fault_plan_shared(Arc::new(plan.clone()))
     }
 
     /// Like [`set_fault_plan`](Self::set_fault_plan), but shares the plan
     /// instead of copying it — the cheap path when one plan is replayed
     /// against many runs.
-    pub fn set_fault_plan_shared(
-        &mut self,
-        plan: std::sync::Arc<FaultPlan>,
-    ) -> Result<(), ModelError> {
+    pub fn set_fault_plan_shared(&mut self, plan: Arc<FaultPlan>) -> Result<(), ModelError> {
         plan.validate(self.fabric.cfg())?;
         self.faults.set(plan);
         Ok(())
     }
 
-    /// Advance one slot: dispatch this slot's arrivals, serve the planes,
-    /// emit at the outputs.
+    /// Advance one slot: apply due faults, let the input stage dispatch
+    /// this slot's arrivals (sorted by input port), serve the planes, emit
+    /// at the outputs.
     pub fn slot(
         &mut self,
         now: Slot,
@@ -291,76 +598,31 @@ impl<D: Demultiplexor> BufferlessPps<D> {
         log: &mut RunLog,
     ) -> Result<(), ModelError> {
         self.faults.apply_due(now, &mut self.fabric)?;
-        self.bus.begin_slot(now, &self.fabric, &NO_BUFFERS);
-        self.demux.on_slot(now, self.bus.view(now));
-        for cell in arrivals {
-            debug_assert_eq!(cell.arrival, now);
-            if telemetry::on() {
-                telemetry::record(
-                    Engine::Pps,
-                    now,
-                    EventKind::Arrival {
-                        cell: cell.id,
-                        input: cell.input,
-                        output: cell.output,
-                    },
-                );
-            }
-            self.fabric.register_arrival(cell);
-            // Under link degradation an input can find *every* line busy —
-            // the K >= r' guarantee only covers ordinary occupancy. A
-            // bufferless input has nowhere to hold the cell: it is lost at
-            // the first stage rather than reported as an algorithm bug.
-            let any_free = self
-                .fabric
-                .local_view(cell.input, now)
-                .free_planes()
-                .next()
-                .is_some();
-            if !any_free {
-                self.fabric.drop_at_input(cell);
-                continue;
-            }
-            let plane = {
-                let ctx = DispatchCtx {
-                    local: self.fabric.local_view(cell.input, now),
-                    global: self.bus.view(now),
-                };
-                self.demux.dispatch(cell, &ctx)
-            };
-            if telemetry::on() {
-                telemetry::record(
-                    Engine::Pps,
-                    now,
-                    EventKind::DemuxDecision {
-                        cell: cell.id,
-                        input: cell.input,
-                        plane,
-                    },
-                );
-            }
-            self.fabric.dispatch(*cell, plane, now, log)?;
-        }
+        self.bus
+            .begin_slot(now, &self.fabric, self.stage.buffer_live());
+        let global = self.bus.view(now);
+        self.stage
+            .ingest(now, arrivals, &mut self.fabric, global, log)?;
         self.fabric.service(now)?;
         self.fabric.emit(now, log);
-        self.bus.end_slot(now, &self.fabric, &NO_BUFFERS);
+        self.bus
+            .publish(now, now, &self.fabric, self.stage.buffer_live());
         Ok(())
     }
 
-    /// Cells still inside the switch.
+    /// Cells still inside the switch (input buffers + fabric).
     pub fn backlog(&self) -> usize {
-        self.fabric.backlog()
+        self.fabric.backlog() + self.stage.backlog()
     }
 
     /// The next slot strictly after `now` at which the switch does
     /// anything beyond per-slot stall accounting, ignoring future arrivals
     /// (the caller owns the arrival stream): the next scripted fault, any
-    /// fabric service/emit/watchdog activity, or a demux wake-up. `None`
-    /// means the switch is quiescent until the next arrival.
+    /// fabric service/emit/watchdog activity, or an input-stage wake-up.
+    /// `None` means the switch is quiescent until the next arrival.
     pub fn next_activity(&self, now: Slot) -> Option<Slot> {
-        let mut t = self.faults.next_activity();
-        t = earliest(t, self.fabric.next_activity(now));
-        t = earliest(t, self.demux.next_activity(now));
+        let t = earliest(self.faults.next_activity(), self.fabric.next_activity(now));
+        let t = self.stage.earliest_wake(now, &self.fabric, t);
         t.map(|s| s.max(now + 1))
     }
 
@@ -371,399 +633,50 @@ impl<D: Demultiplexor> BufferlessPps<D> {
     /// reported nothing due before `to + 1`.
     pub fn skip_idle(&mut self, from: Slot, to: Slot) {
         self.fabric.skip_idle_slots(from, to);
-        self.bus.skip_gap(from, to, &self.fabric, &NO_BUFFERS);
+        self.bus
+            .publish(from, to, &self.fabric, self.stage.buffer_live());
     }
 
-    /// Run a whole trace to completion (arrivals plus drain).
+    /// Run a whole trace to completion (arrivals plus drain) under the
+    /// engine's stepping mode.
     pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
-        let cells = trace.cells(self.fabric.cfg().n);
+        let cfg = *self.fabric.cfg();
+        let cells = trace.cells(cfg.n);
         self.fabric.reserve_cells(cells.len());
-        let mut log = RunLog::with_cells(&cells);
-        let mut next = 0usize;
-        let mut now: Slot = 0;
-        let cap = drain_cap(trace, self.fabric.cfg());
-        let mut scratch: Vec<Cell> = Vec::new();
-        while next < cells.len() || self.backlog() > 0 {
-            scratch.clear();
-            while next < cells.len() && cells[next].arrival == now {
-                scratch.push(cells[next]);
-                next += 1;
-            }
-            self.slot(now, &scratch, &mut log)?;
-            now += 1;
-            if now > cap {
-                break; // livelock guard; remaining cells stay undelivered
-            }
-            if self.stepping == Stepping::SkipAhead && (next < cells.len() || self.backlog() > 0) {
-                let next_arrival = cells.get(next).map(|c| c.arrival);
-                if next_arrival != Some(now) {
-                    let mut target = next_arrival.unwrap_or(Slot::MAX);
-                    if let Some(t) = self.next_activity(now - 1) {
-                        target = target.min(t);
-                    }
-                    // Dense walks idle slots through the cap before giving
-                    // up, so the jump may go one past it at most.
-                    let stop = target.min(cap + 1);
-                    if stop > now {
-                        self.skip_idle(now, stop - 1);
-                        now = stop;
-                        if now > cap {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        // Generous bound on how long draining can take: every cell
+        // serialized through one line plus slack. Saturating, so a trace
+        // parked near `Slot::MAX` gets an unreachable cap, not a wrapped
+        // one.
+        let cap = (cells.len() as Slot + 1)
+            .saturating_mul(cfg.r_prime as Slot + 1)
+            .saturating_add(trace.horizon())
+            .saturating_add(cfg.buffer.capacity() as Slot + 64);
+        let mode = self.stepping;
+        let (log, end_slot) = stepping::drive(self, &cells, cap, mode)?;
         Ok(PpsRun {
             log,
             stats: self.fabric.stats(),
-            end_slot: now,
+            end_slot,
         })
     }
 }
 
-/// An input-buffered PPS driven by a [`BufferedDemultiplexor`].
-pub struct BufferedPps<D: BufferedDemultiplexor> {
-    fabric: Fabric,
-    demux: D,
-    bus: InfoBus,
-    faults: FaultSchedule,
-    buffers: Vec<std::collections::VecDeque<Cell>>,
-    buffer_live: Vec<u32>,
-    /// Running total of `buffer_live` — lets the skip logic test "any
-    /// buffered cell anywhere" without an O(N) sweep.
-    buffered_cells: usize,
-    capacity: usize,
-    max_buffer_occupancy: usize,
-    stepping: Stepping,
-    /// Per-slot decision scratch, cleared and refilled for every input so
-    /// deciding allocates nothing in the steady state.
-    decision: BufferedDecision,
-}
-
-impl<D: BufferedDemultiplexor> BufferedPps<D> {
-    /// Build the switch; the configuration must specify input buffers.
-    pub fn new(cfg: PpsConfig, demux: D) -> Result<Self, ModelError> {
-        cfg.validate()?;
-        let capacity = match cfg.buffer {
-            BufferSpec::Buffered { size } => size,
-            BufferSpec::Bufferless => {
-                return Err(ModelError::InvalidConfig {
-                    reason: "BufferedPps requires BufferSpec::Buffered".into(),
-                })
-            }
-        };
-        let bus = InfoBus::new(demux.info_class());
-        Ok(BufferedPps {
-            fabric: Fabric::new(cfg),
-            demux,
-            bus,
-            faults: FaultSchedule::default(),
-            buffers: (0..cfg.n)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            buffer_live: vec![0; cfg.n],
-            buffered_cells: 0,
-            capacity,
-            max_buffer_occupancy: 0,
-            stepping: stepping::process_default(),
-            decision: BufferedDecision::default(),
-        })
+impl<S: InputStage> SlotEngine for Pps<S> {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        Pps::slot(self, now, arrivals, log)
     }
 
-    /// Override the slot-stepping mode; see [`BufferlessPps::set_stepping`].
-    pub fn set_stepping(&mut self, mode: Stepping) {
-        self.stepping = mode;
+    fn backlog(&self) -> usize {
+        Pps::backlog(self)
     }
 
-    /// Override the intra-run shard count; see
-    /// [`BufferlessPps::set_intra_jobs`].
-    pub fn set_intra_jobs(&mut self, n: usize) {
-        self.fabric.set_intra_shards(n);
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        Pps::next_activity(self, now)
     }
 
-    /// The demultiplexor.
-    pub fn demux(&self) -> &D {
-        &self.demux
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        Pps::skip_idle(self, from, to)
     }
-
-    /// The fabric.
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// Highest input-buffer occupancy reached.
-    pub fn max_buffer_occupancy(&self) -> usize {
-        self.max_buffer_occupancy
-    }
-
-    /// Fault-injection: fail plane `plane` from now on. Out-of-range plane
-    /// indices are rejected, not a panic.
-    pub fn fail_plane(&mut self, plane: usize) -> Result<(), ModelError> {
-        self.fabric.fail_plane(plane)
-    }
-
-    /// Fault-injection: bring a failed plane back into service.
-    pub fn recover_plane(&mut self, plane: usize) -> Result<(), ModelError> {
-        self.fabric.recover_plane(plane)
-    }
-
-    /// Test-only chaos hook; see `Fabric::inject_conservation_leak`.
-    #[doc(hidden)]
-    pub fn inject_conservation_leak(&mut self) {
-        self.fabric.inject_conservation_leak();
-    }
-
-    /// Replay `plan` during the next [`run`](Self::run); see
-    /// [`BufferlessPps::set_fault_plan`].
-    pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), ModelError> {
-        self.set_fault_plan_shared(std::sync::Arc::new(plan.clone()))
-    }
-
-    /// Like [`set_fault_plan`](Self::set_fault_plan), but shares the plan
-    /// instead of copying it; see [`BufferlessPps::set_fault_plan_shared`].
-    pub fn set_fault_plan_shared(
-        &mut self,
-        plan: std::sync::Arc<FaultPlan>,
-    ) -> Result<(), ModelError> {
-        plan.validate(self.fabric.cfg())?;
-        self.faults.set(plan);
-        Ok(())
-    }
-
-    /// Advance one slot. `arrivals` must be sorted by input port (as
-    /// produced by [`Trace::cells`]); the demultiplexor is consulted per
-    /// input in port order, matching the global-FCFS tie-break.
-    pub fn slot(
-        &mut self,
-        now: Slot,
-        arrivals: &[Cell],
-        log: &mut RunLog,
-    ) -> Result<(), ModelError> {
-        self.faults.apply_due(now, &mut self.fabric)?;
-        self.bus.begin_slot(now, &self.fabric, &self.buffer_live);
-        let mut arr_iter = arrivals.iter().peekable();
-        for input in 0..self.fabric.cfg().n {
-            let arrival = arr_iter.next_if(|c| c.input.idx() == input).copied();
-            if arrival.is_none() && self.buffers[input].is_empty() {
-                continue;
-            }
-            if let Some(c) = arrival {
-                debug_assert_eq!(c.arrival, now);
-                if telemetry::on() {
-                    telemetry::record(
-                        Engine::Pps,
-                        now,
-                        EventKind::Arrival {
-                            cell: c.id,
-                            input: c.input,
-                            output: c.output,
-                        },
-                    );
-                }
-                self.fabric.register_arrival(&c);
-            }
-            let mut decision = std::mem::take(&mut self.decision);
-            decision.clear();
-            {
-                let buf = self.buffers[input].make_contiguous();
-                let ctx = DispatchCtx {
-                    local: self.fabric.local_view(PortId(input as u32), now),
-                    global: self.bus.view(now),
-                };
-                self.demux.slot_decision(
-                    PortId(input as u32),
-                    arrival.as_ref(),
-                    buf,
-                    &ctx,
-                    &mut decision,
-                );
-            }
-            let applied = self.apply_decision(input, now, arrival, &mut decision, log);
-            // Hand the scratch (and its allocation) back before surfacing
-            // any model error.
-            self.decision = decision;
-            applied?;
-        }
-        self.fabric.service(now)?;
-        self.fabric.emit(now, log);
-        self.bus.end_slot(now, &self.fabric, &self.buffer_live);
-        Ok(())
-    }
-
-    fn apply_decision(
-        &mut self,
-        input: usize,
-        now: Slot,
-        arrival: Option<Cell>,
-        decision: &mut BufferedDecision,
-        log: &mut RunLog,
-    ) -> Result<(), ModelError> {
-        // Validate and perform releases, highest index first so earlier
-        // indices stay valid during removal.
-        let releases = &mut decision.releases;
-        releases.sort_by_key(|r| std::cmp::Reverse(r.0));
-        for w in releases.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(ModelError::BadBufferIndex {
-                    input: PortId(input as u32),
-                    index: w[0].0,
-                });
-            }
-        }
-        for &(idx, plane) in releases.iter() {
-            let cell = self.buffers[input]
-                .remove(idx)
-                .ok_or(ModelError::BadBufferIndex {
-                    input: PortId(input as u32),
-                    index: idx,
-                })?;
-            self.buffer_live[input] -= 1;
-            self.buffered_cells -= 1;
-            if telemetry::on() {
-                telemetry::record(
-                    Engine::Pps,
-                    now,
-                    EventKind::DemuxDecision {
-                        cell: cell.id,
-                        input: cell.input,
-                        plane,
-                    },
-                );
-            }
-            self.fabric.dispatch(cell, plane, now, log)?;
-        }
-        match (arrival, decision.arrival) {
-            (Some(cell), Some(ArrivalAction::Dispatch(plane))) => {
-                if telemetry::on() {
-                    telemetry::record(
-                        Engine::Pps,
-                        now,
-                        EventKind::DemuxDecision {
-                            cell: cell.id,
-                            input: cell.input,
-                            plane,
-                        },
-                    );
-                }
-                self.fabric.dispatch(cell, plane, now, log)?;
-            }
-            (Some(cell), Some(ArrivalAction::Enqueue)) | (Some(cell), None) => {
-                // A missing action defaults to buffering: the model forbids
-                // dropping, so the engine never discards an arrival.
-                if self.buffers[input].len() >= self.capacity {
-                    return Err(ModelError::BufferOverflow {
-                        input: PortId(input as u32),
-                        capacity: self.capacity,
-                        cell: cell.id,
-                    });
-                }
-                self.buffers[input].push_back(cell);
-                self.buffer_live[input] += 1;
-                self.buffered_cells += 1;
-                self.max_buffer_occupancy =
-                    self.max_buffer_occupancy.max(self.buffers[input].len());
-            }
-            (None, _) => {}
-        }
-        Ok(())
-    }
-
-    /// Cells still inside the switch (buffers + fabric).
-    pub fn backlog(&self) -> usize {
-        self.fabric.backlog() + self.buffered_cells
-    }
-
-    /// Next-activity lookahead; see [`BufferlessPps::next_activity`].
-    ///
-    /// While input buffers hold cells, each occupied input's wake-up comes
-    /// from the demultiplexor's
-    /// [`buffered_next_activity`](BufferedDemultiplexor::buffered_next_activity)
-    /// for its head cell (conservative default: the very next slot, the
-    /// pre-PR-8 dense behavior) — so hold-for-`u` style algorithms let
-    /// buffered runs skip idle gaps too. Waking early is always safe (the
-    /// dense walk would have decided "hold" and mutated nothing).
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
-        let mut t = self.faults.next_activity();
-        t = earliest(t, self.fabric.next_activity(now));
-        t = earliest(t, self.demux.next_activity(now));
-        if self.buffered_cells > 0 {
-            for (input, buf) in self.buffers.iter().enumerate() {
-                if t == Some(now + 1) {
-                    break; // cannot get earlier than the next slot
-                }
-                let Some(head) = buf.front() else { continue };
-                let view = self.fabric.local_view(PortId(input as u32), now);
-                t = earliest(
-                    t,
-                    self.demux
-                        .buffered_next_activity(PortId(input as u32), head, &view),
-                );
-            }
-        }
-        t.map(|s| s.max(now + 1))
-    }
-
-    /// Closed-form idle-interval replay; see [`BufferlessPps::skip_idle`].
-    pub fn skip_idle(&mut self, from: Slot, to: Slot) {
-        self.fabric.skip_idle_slots(from, to);
-        self.bus.skip_gap(from, to, &self.fabric, &self.buffer_live);
-    }
-
-    /// Run a whole trace to completion (arrivals plus drain).
-    pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
-        let cells = trace.cells(self.fabric.cfg().n);
-        self.fabric.reserve_cells(cells.len());
-        let mut log = RunLog::with_cells(&cells);
-        let mut next = 0usize;
-        let mut now: Slot = 0;
-        let cap = drain_cap(trace, self.fabric.cfg());
-        let mut scratch: Vec<Cell> = Vec::new();
-        while next < cells.len() || self.backlog() > 0 {
-            scratch.clear();
-            while next < cells.len() && cells[next].arrival == now {
-                scratch.push(cells[next]);
-                next += 1;
-            }
-            self.slot(now, &scratch, &mut log)?;
-            now += 1;
-            if now > cap {
-                break;
-            }
-            if self.stepping == Stepping::SkipAhead && (next < cells.len() || self.backlog() > 0) {
-                let next_arrival = cells.get(next).map(|c| c.arrival);
-                if next_arrival != Some(now) {
-                    let mut target = next_arrival.unwrap_or(Slot::MAX);
-                    if let Some(t) = self.next_activity(now - 1) {
-                        target = target.min(t);
-                    }
-                    let stop = target.min(cap + 1);
-                    if stop > now {
-                        self.skip_idle(now, stop - 1);
-                        now = stop;
-                        if now > cap {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(PpsRun {
-            log,
-            stats: self.fabric.stats(),
-            end_slot: now,
-        })
-    }
-}
-
-/// Generous upper bound on how long draining a trace can take: every cell
-/// serialized through one line plus slack. Runs hitting the cap report the
-/// leftovers as undelivered instead of spinning forever.
-fn drain_cap(trace: &Trace, cfg: &PpsConfig) -> Slot {
-    trace.horizon()
-        + (trace.len() as Slot + 1) * (cfg.r_prime as Slot + 1)
-        + cfg.buffer.capacity() as Slot
-        + 64
 }
 
 /// Convenience: run `trace` through a fresh bufferless PPS.
@@ -782,30 +695,4 @@ pub fn run_buffered<D: BufferedDemultiplexor>(
     trace: &Trace,
 ) -> Result<PpsRun, ModelError> {
     BufferedPps::new(cfg, demux)?.run(trace)
-}
-
-/// Convenience: run `trace` through a fresh bufferless PPS while replaying
-/// the scripted `faults`.
-pub fn run_bufferless_with_faults<D: Demultiplexor>(
-    cfg: PpsConfig,
-    demux: D,
-    trace: &Trace,
-    faults: &FaultPlan,
-) -> Result<PpsRun, ModelError> {
-    let mut pps = BufferlessPps::new(cfg, demux)?;
-    pps.set_fault_plan(faults)?;
-    pps.run(trace)
-}
-
-/// Convenience: run `trace` through a fresh input-buffered PPS while
-/// replaying the scripted `faults`.
-pub fn run_buffered_with_faults<D: BufferedDemultiplexor>(
-    cfg: PpsConfig,
-    demux: D,
-    trace: &Trace,
-    faults: &FaultPlan,
-) -> Result<PpsRun, ModelError> {
-    let mut pps = BufferedPps::new(cfg, demux)?;
-    pps.set_fault_plan(faults)?;
-    pps.run(trace)
 }

@@ -4,8 +4,9 @@
 //! `K` center-stage planes running at internal rate `r = R/r'` (paper,
 //! Section 2 and Figure 1).
 //!
-//! * [`engine::BufferlessPps`] / [`engine::BufferedPps`] — the two switch
-//!   variants, enforcing the input/output line constraints, per-slot
+//! * [`engine::Pps`] — the switch, generic over its input stage;
+//!   [`engine::BufferlessPps`] / [`engine::BufferedPps`] name the paper's two
+//!   variants. Enforces the input/output line constraints, per-slot
 //!   arrival/departure cardinality, flow-order preservation, and the
 //!   information classification of the demultiplexing algorithm.
 //! * [`demux`] — one implementation per algorithm class the paper
@@ -41,8 +42,9 @@ pub mod demux;
 pub mod engine;
 pub mod fabric;
 pub mod output;
-pub mod perf;
 pub mod plane;
 
-pub use engine::{run_buffered, run_bufferless, BufferedPps, BufferlessPps, PpsRun};
+pub use engine::{
+    run_buffered, run_bufferless, BufferedPps, BufferlessPps, InputStage, Pps, PpsRun,
+};
 pub use fabric::{Fabric, FabricStats};

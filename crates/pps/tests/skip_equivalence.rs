@@ -245,7 +245,7 @@ fn soak_billion_slot_horizon_is_events_bound() {
         trace.horizon()
     );
 
-    let skipped0 = pps_switch::perf::slots_skipped();
+    let skipped0 = pps_core::perf::slots_skipped();
     let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).expect("engine");
     pps.set_stepping(Stepping::SkipAhead);
     let start = std::time::Instant::now();
@@ -254,7 +254,7 @@ fn soak_billion_slot_horizon_is_events_bound() {
     assert_eq!(run.log.undelivered(), 0);
     assert!(run.end_slot >= trace.horizon());
     // The elided interval is metered, not silently lost.
-    assert!(pps_switch::perf::slots_skipped() - skipped0 >= 900_000_000);
+    assert!(pps_core::perf::slots_skipped() - skipped0 >= 900_000_000);
     assert!(
         elapsed.as_secs_f64() < 30.0,
         "soak took {elapsed:?} — skip-ahead is not events-bound"

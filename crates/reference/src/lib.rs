@@ -26,7 +26,7 @@ pub mod oq;
 pub mod regulator;
 
 pub use checker::{check_flow_order, check_work_conserving, Violation};
-pub use oq::{fcfs_departure_times, run_oq, run_oq_stepped, ShadowOq};
+pub use oq::{fcfs_departure_times, run_oq, ShadowOq};
 pub use regulator::{
     min_feasible_delay, regulate, regulate_online, OnlineRegulation, RegulationReport,
 };

@@ -8,6 +8,7 @@
 //! depart in the very slot it arrives when its output is idle.
 
 use pps_core::prelude::*;
+use pps_core::stepping::{self, SlotEngine};
 
 /// A step-wise FCFS output-queued switch, usable in lockstep with a PPS on
 /// the same trace.
@@ -102,35 +103,33 @@ impl ShadowOq {
     }
 }
 
-/// Run a trace through a fresh OQ switch until every cell departs; returns
-/// the per-cell log. Uses the process-default stepping mode.
-pub fn run_oq(trace: &Trace, n: usize) -> RunLog {
-    run_oq_stepped(trace, n, pps_core::stepping::process_default())
+impl SlotEngine for ShadowOq {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        ShadowOq::slot(self, now, arrivals, log);
+        Ok(())
+    }
+
+    fn backlog(&self) -> usize {
+        ShadowOq::backlog(self)
+    }
+
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        ShadowOq::next_activity(self, now)
+    }
+
+    /// An empty OQ switch is a pure no-op between arrivals: it records no
+    /// telemetry and meters no slots, so there is nothing to replay.
+    fn skip_idle(&mut self, _from: Slot, _to: Slot) {}
 }
 
-/// [`run_oq`] with an explicit stepping mode. Both modes produce identical
-/// logs: an empty OQ switch is a pure no-op between arrivals (it records
-/// no telemetry and meters no slots), so skip-ahead simply jumps the idle
-/// stretches.
-pub fn run_oq_stepped(trace: &Trace, n: usize, mode: pps_core::Stepping) -> RunLog {
-    let cells = trace.cells(n);
-    let mut log = RunLog::with_cells(&cells);
-    let mut oq = ShadowOq::new(n);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut scratch: Vec<Cell> = Vec::new();
-    while next < cells.len() || oq.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        oq.slot(now, &scratch, &mut log);
-        now += 1;
-        if mode == pps_core::Stepping::SkipAhead && next < cells.len() && oq.backlog() == 0 {
-            now = now.max(cells[next].arrival);
-        }
-    }
+/// Run a trace through a fresh OQ switch until every cell departs; returns
+/// the per-cell log. Uses the process-default stepping mode (both modes
+/// produce identical logs). An OQ switch is work-conserving, so the run
+/// needs no livelock cap.
+pub fn run_oq(trace: &Trace, n: usize) -> RunLog {
+    let mode = stepping::process_default();
+    let (log, _) = stepping::drive(&mut ShadowOq::new(n), &trace.cells(n), Slot::MAX, mode)
+        .expect("an OQ slot cannot fail");
     log
 }
 

@@ -16,8 +16,8 @@
 //! classes absorb the queueing the high classes shed — while total work
 //! is conserved, so the *aggregate* delay matches FCFS slot for slot.
 
-use crate::rng::mix64;
 use pps_core::prelude::*;
+use pps_core::rng::mix64;
 use std::collections::VecDeque;
 
 /// A trace whose cells carry service classes `0..n_classes`, class 0

@@ -40,7 +40,6 @@
 pub mod classes;
 pub mod mmpp;
 pub mod replay;
-pub mod rng;
 pub mod shaped;
 pub mod spec;
 pub mod stream;
@@ -48,8 +47,8 @@ pub mod zipf;
 
 pub use classes::{priority_departure_times, priority_oq_delays, ClassedTrace};
 pub use mmpp::{MmppGen, OnOffBurstGen, Phase};
+pub use pps_core::rng::{mix64, SplitMix64};
 pub use replay::ReplayStream;
-pub use rng::{mix64, SplitMix64};
 pub use shaped::{Shaped, UniformGen};
 pub use spec::WorkloadSpec;
 pub use stream::{materialize, materialize_dense, ArrivalStream, LbContract};

@@ -19,9 +19,9 @@
 //! inversion, so generation is `O(cells + state transitions)` and
 //! `next_activity` lets the materializer jump over silence.
 
-use crate::rng::SplitMix64;
 use crate::stream::ArrivalStream;
 use pps_core::prelude::*;
+use pps_core::rng::SplitMix64;
 
 /// Parameters of one modulation state: per-slot arrival probability while
 /// in the state, and per-slot probability of leaving it.

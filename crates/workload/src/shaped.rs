@@ -15,9 +15,9 @@
 //! [`UniformGen`] is the plain memoryless source (Bernoulli slots, uniform
 //! destinations) used both standalone and as the default shaping inner.
 
-use crate::rng::SplitMix64;
 use crate::stream::{ArrivalStream, LbContract};
 use pps_core::prelude::*;
+use pps_core::rng::SplitMix64;
 
 /// Memoryless source: each input fires with probability `load` per slot
 /// (pre-drawn geometric gaps), destination uniform per cell.

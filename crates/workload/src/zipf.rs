@@ -17,9 +17,9 @@
 //! switch: hot flows become hot outputs, and per-flow demultiplexors see
 //! realistic flow-table churn.
 
-use crate::rng::{mix64, SplitMix64};
 use crate::stream::ArrivalStream;
 use pps_core::prelude::*;
+use pps_core::rng::{mix64, SplitMix64};
 
 /// O(1) sampler for `P(k) ∝ 1/k^s`, `k ∈ 1..=n`, by rejection-inversion.
 #[derive(Clone, Copy, Debug)]

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use pps_core::prelude::*;
 use pps_reference::checker::{check_flow_order, Violation};
 use pps_switch::demux::{BufferedRoundRobinDemux, FaultAwareRoundRobinDemux, RoundRobinDemux};
-use pps_switch::engine::{run_buffered_with_faults, run_bufferless_with_faults};
+use pps_switch::engine::{BufferedPps, BufferlessPps, InputStage, Pps, PpsRun};
 use pps_traffic::gen::BernoulliGen;
 
 /// Random geometry: (n, k, r') with K >= r' (bufferless-legal).
@@ -49,6 +49,12 @@ fn plan_strategy(n: usize, k: usize, slots: Slot) -> impl Strategy<Value = Fault
         )
 }
 
+/// Run `trace` through `pps` while it replays the scripted `plan`.
+fn run_faulted<S: InputStage>(mut pps: Pps<S>, trace: &Trace, plan: &FaultPlan) -> PpsRun {
+    pps.set_fault_plan(plan).unwrap();
+    pps.run(trace).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -63,23 +69,17 @@ proptest! {
         let trace = BernoulliGen::uniform(0.7, seed).trace(n, 300);
         let cfg = PpsConfig::bufferless(n, k, r_prime).with_watchdog(watchdog);
         prop_assume!(cfg.validate().is_ok());
-        let once = run_bufferless_with_faults(
-            cfg, FaultAwareRoundRobinDemux::urt(n, k, u), &trace, &plan,
-        ).unwrap();
-        let again = run_bufferless_with_faults(
-            cfg, FaultAwareRoundRobinDemux::urt(n, k, u), &trace, &plan,
-        ).unwrap();
+        let urt = || BufferlessPps::new(cfg, FaultAwareRoundRobinDemux::urt(n, k, u)).unwrap();
+        let once = run_faulted(urt(), &trace, &plan);
+        let again = run_faulted(urt(), &trace, &plan);
         prop_assert_eq!(once.log.records(), again.log.records());
         prop_assert_eq!(format!("{:?}", once.stats), format!("{:?}", again.stats));
         prop_assert_eq!(once.end_slot, again.end_slot);
 
         let bcfg = PpsConfig::buffered(n, k, r_prime, 64).with_watchdog(watchdog);
-        let b_once = run_buffered_with_faults(
-            bcfg, BufferedRoundRobinDemux::new(n, k), &trace, &plan,
-        ).unwrap();
-        let b_again = run_buffered_with_faults(
-            bcfg, BufferedRoundRobinDemux::new(n, k), &trace, &plan,
-        ).unwrap();
+        let buffered = || BufferedPps::new(bcfg, BufferedRoundRobinDemux::new(n, k)).unwrap();
+        let b_once = run_faulted(buffered(), &trace, &plan);
+        let b_again = run_faulted(buffered(), &trace, &plan);
         prop_assert_eq!(b_once.log.records(), b_again.log.records());
         prop_assert_eq!(format!("{:?}", b_once.stats), format!("{:?}", b_again.stats));
     }
@@ -97,9 +97,8 @@ proptest! {
         let trace = BernoulliGen::uniform(0.8, seed).trace(n, 300);
         let cfg = PpsConfig::bufferless(n, k, r_prime).with_watchdog(watchdog);
         prop_assume!(cfg.validate().is_ok());
-        let run = run_bufferless_with_faults(
-            cfg, RoundRobinDemux::new(n, k), &trace, &plan,
-        ).unwrap();
+        let pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).unwrap();
+        let run = run_faulted(pps, &trace, &plan);
         let reorders: Vec<_> = check_flow_order(&run.log)
             .into_iter()
             .filter(|v| matches!(v, Violation::FlowReorder { .. }))
@@ -107,9 +106,8 @@ proptest! {
         prop_assert!(reorders.is_empty(), "flow reordered: {reorders:?}");
 
         let bcfg = PpsConfig::buffered(n, k, r_prime, 64).with_watchdog(watchdog);
-        let brun = run_buffered_with_faults(
-            bcfg, BufferedRoundRobinDemux::new(n, k), &trace, &plan,
-        ).unwrap();
+        let bpps = BufferedPps::new(bcfg, BufferedRoundRobinDemux::new(n, k)).unwrap();
+        let brun = run_faulted(bpps, &trace, &plan);
         let reorders: Vec<_> = check_flow_order(&brun.log)
             .into_iter()
             .filter(|v| matches!(v, Violation::FlowReorder { .. }))

@@ -6,7 +6,7 @@
 
 use pps_core::prelude::*;
 use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux, StaticPartitionDemux};
-use pps_switch::engine::{run_buffered_with_faults, BufferedPps, BufferlessPps};
+use pps_switch::engine::{BufferedPps, BufferlessPps};
 use pps_traffic::gen::BernoulliGen;
 
 fn run_with_failed_plane<D: Demultiplexor>(
@@ -128,8 +128,9 @@ fn buffered_switch_survives_a_fail_recover_cycle() {
     let cfg = PpsConfig::buffered(n, k, r_prime, 64).with_watchdog(16);
     let trace = BernoulliGen::uniform(0.6, 17).trace(n, 1_200);
     let plan = FaultPlan::new().plane_down(0, 300).plane_up(0, 700);
-    let run =
-        run_buffered_with_faults(cfg, BufferedRoundRobinDemux::new(n, k), &trace, &plan).unwrap();
+    let mut pps = BufferedPps::new(cfg, BufferedRoundRobinDemux::new(n, k)).unwrap();
+    pps.set_fault_plan(&plan).unwrap();
+    let run = pps.run(&trace).unwrap();
     assert!(run.stats.dropped > 0, "the outage must cost something");
     for rec in run.log.records() {
         if rec.departure.is_none() {
