@@ -255,7 +255,7 @@ fn lockstep<S: InputStage>(
         engine.inject_conservation_leak();
     }
     let mut oq = ShadowOq::new(case.n);
-    let mut xbar = CrossbarSwitch::with_scheduler(case.n, comparison_scheduler(case));
+    let mut xbar = CrossbarSwitch::with_scheduler(comparison_scheduler(case));
     let speedup = opts.force_cioq_speedup.unwrap_or(CIOQ_SPEEDUP);
     let mut cioq = CioqSwitch::with_policy(case.n, speedup, case.cioq_policy());
 

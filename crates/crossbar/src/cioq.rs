@@ -15,6 +15,7 @@
 //! exhibits on the PPS (ablation A2), in a completely different
 //! architecture.
 
+use crate::occupancy::{clear_bit, cyclic_bits, fill_ones, test_bit, words_for, Voqs};
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
 use std::collections::BTreeSet;
@@ -60,8 +61,9 @@ pub struct CioqSwitch {
     speedup: usize,
     policy: CioqPolicy,
     /// VOQ `(i, j)` holding `(deadline, id)` in FIFO (= deadline) order —
-    /// the matching and the output buffer only ever need the id.
-    voqs: Vec<std::collections::VecDeque<(Slot, CellId)>>,
+    /// the matching and the output buffer only ever need the id — plus
+    /// the occupancy index the match loops walk.
+    voqs: Voqs<(Slot, CellId)>,
     /// FCFS-OQ deadline oracle per output.
     dt_last: Vec<Option<Slot>>,
     /// Output-side buffers: cells awaiting emission, keyed by deadline.
@@ -69,6 +71,12 @@ pub struct CioqSwitch {
     /// Cells currently parked at the outputs (`outq` entries).
     parked: usize,
     max_outq: usize,
+    /// Scratch bitmaps: ports not yet matched in the current phase.
+    in_free: Vec<u64>,
+    out_free: Vec<u64>,
+    /// Scratch: the VOQ heads of a critical-first phase, as
+    /// `(deadline, id, input, output)`.
+    heads: Vec<(Slot, CellId, usize, usize)>,
 }
 
 impl CioqSwitch {
@@ -85,11 +93,14 @@ impl CioqSwitch {
             n,
             speedup: speedup.max(1),
             policy,
-            voqs: (0..n * n).map(|_| Default::default()).collect(),
+            voqs: Voqs::new(n),
             dt_last: vec![None; n],
             outq: (0..n).map(|_| BTreeSet::new()).collect(),
             parked: 0,
             max_outq: 0,
+            in_free: vec![0; words_for(n)],
+            out_free: vec![0; words_for(n)],
+            heads: Vec::new(),
         }
     }
 
@@ -121,7 +132,7 @@ impl CioqSwitch {
                 None => now,
             };
             self.dt_last[j] = Some(dt);
-            self.voqs[cell.input.idx() * self.n + j].push_back((dt, cell.id));
+            self.voqs.push(cell.input.idx(), j, (dt, cell.id));
         }
         // s matching phases per slot, policy-dependent. Either way the
         // transferred cell parks at its output keyed by its FCFS-OQ
@@ -129,26 +140,30 @@ impl CioqSwitch {
         // deadlines are strictly increasing and VOQs are FIFO, so flow
         // order survives even the deadline-blind policy.
         for phase in 0..self.speedup {
+            if self.voqs.occupancy().is_empty() {
+                break;
+            }
+            fill_ones(&mut self.out_free, self.n);
             match self.policy {
                 // Greedy earliest-deadline-first over VOQ heads.
                 CioqPolicy::CriticalFirst => {
-                    let mut heads: Vec<(Slot, CellId, usize, usize)> = Vec::new();
+                    self.heads.clear();
                     for i in 0..self.n {
-                        for j in 0..self.n {
-                            if let Some(&(dt, id)) = self.voqs[i * self.n + j].front() {
-                                heads.push((dt, id, i, j));
+                        for j in self.voqs.occupancy().row_outputs(i) {
+                            if let Some(&(dt, id)) = self.voqs.front(i, j) {
+                                self.heads.push((dt, id, i, j));
                             }
                         }
                     }
-                    heads.sort_unstable();
-                    let mut input_used = vec![false; self.n];
-                    let mut output_used = vec![false; self.n];
-                    for (_dt, _id, i, j) in heads {
-                        if input_used[i] || output_used[j] {
+                    self.heads.sort_unstable();
+                    fill_ones(&mut self.in_free, self.n);
+                    for at in 0..self.heads.len() {
+                        let (_dt, _id, i, j) = self.heads[at];
+                        if !(test_bit(&self.in_free, i) && test_bit(&self.out_free, j)) {
                             continue;
                         }
-                        input_used[i] = true;
-                        output_used[j] = true;
+                        clear_bit(&mut self.in_free, i);
+                        clear_bit(&mut self.out_free, j);
                         self.transfer(now, i, j);
                     }
                 }
@@ -156,24 +171,22 @@ impl CioqSwitch {
                 // matching, blind to deadlines.
                 CioqPolicy::MaximalRr => {
                     let start = (now as usize).wrapping_add(phase) % self.n;
-                    let mut output_used = vec![false; self.n];
                     for off in 0..self.n {
                         let i = (start + off) % self.n;
+                        let occ = self.voqs.occupancy();
+                        // Input `i`'s non-empty VOQs to still-unmatched
+                        // outputs, in rotating order from `start`.
                         let mut best: Option<(usize, usize)> = None; // (len, j)
-                        for joff in 0..self.n {
-                            let j = (start + joff) % self.n;
-                            if output_used[j] {
-                                continue;
-                            }
-                            let l = self.voqs[i * self.n + j].len();
+                        for j in cyclic_bits(occ.row(i), &self.out_free, start) {
+                            let l = occ.len(i, j);
                             // Ties go to the output visited first from the
                             // rotating start.
-                            if l > 0 && best.is_none_or(|(bl, _)| l > bl) {
+                            if best.is_none_or(|(bl, _)| l > bl) {
                                 best = Some((l, j));
                             }
                         }
                         if let Some((_, j)) = best {
-                            output_used[j] = true;
+                            clear_bit(&mut self.out_free, j);
                             self.transfer(now, i, j);
                         }
                     }
@@ -183,8 +196,7 @@ impl CioqSwitch {
         // Emission: earliest deadline per output, one per slot.
         for j in 0..self.n {
             self.max_outq = self.max_outq.max(self.outq[j].len());
-            if let Some(&(dt, id)) = self.outq[j].first() {
-                self.outq[j].remove(&(dt, id));
+            if let Some((_dt, id)) = self.outq[j].pop_first() {
                 self.parked -= 1;
                 if telemetry::on() {
                     telemetry::record(
@@ -199,13 +211,15 @@ impl CioqSwitch {
                 log.set_departure(id, now);
             }
         }
+        #[cfg(debug_assertions)]
+        self.voqs.assert_in_sync();
     }
 
     /// Move the head of VOQ `(i, j)` across the fabric into output `j`'s
     /// buffer.
     fn transfer(&mut self, now: Slot, i: usize, j: usize) {
         use pps_core::telemetry::{self, Engine, EventKind};
-        let (dt, id) = self.voqs[i * self.n + j].pop_front().expect("head exists");
+        let (dt, id) = self.voqs.pop(i, j).expect("head exists");
         if telemetry::on() {
             // Parked at the output buffer awaiting its deadline turn.
             telemetry::record(
@@ -223,7 +237,7 @@ impl CioqSwitch {
 
     /// Cells still inside the switch.
     pub fn backlog(&self) -> usize {
-        self.voqs.iter().map(|q| q.len()).sum::<usize>() + self.parked
+        self.voqs.occupancy().backlog() + self.parked
     }
 
     /// The next slot strictly after `now` at which the switch does

@@ -16,6 +16,8 @@
 //! deliver 100% throughput under uniform traffic (and slot-exact service
 //! under admissible persistent patterns once desynchronized).
 
+use crate::occupancy::{clear_bit, cyclic_bits, fill_ones, set_bit, words_for, Occupancy};
+
 /// Round-robin grant/accept state for an `N × N` arbiter.
 #[derive(Clone, Debug)]
 pub struct IslipArbiter {
@@ -23,6 +25,13 @@ pub struct IslipArbiter {
     iterations: usize,
     grant_ptr: Vec<usize>,
     accept_ptr: Vec<usize>,
+    /// Scratch bitmap: inputs not yet matched this slot.
+    in_free: Vec<u64>,
+    /// Scratch bitmap: outputs not yet matched this slot.
+    out_free: Vec<u64>,
+    /// Scratch: input `i`'s bitmap of outputs granting it this iteration,
+    /// at `i * words ..` (all clear between iterations).
+    granted: Vec<u64>,
 }
 
 impl IslipArbiter {
@@ -30,70 +39,21 @@ impl IslipArbiter {
     /// rounds per slot (1 is classic SLIP; log₂N is the usual practical
     /// choice).
     pub fn new(n: usize, iterations: usize) -> Self {
+        let words = words_for(n);
         IslipArbiter {
             n,
             iterations: iterations.max(1),
             grant_ptr: vec![0; n],
             accept_ptr: vec![0; n],
+            in_free: vec![0; words],
+            out_free: vec![0; words],
+            granted: vec![0; n * words],
         }
     }
 
     /// Number of ports.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Compute a matching. `occupied(i, j)` reports whether VOQ `(i, j)`
-    /// holds at least one cell. Returns `match_of_input[i] = Some(j)`.
-    pub fn matching<F: Fn(usize, usize) -> bool>(&mut self, occupied: F) -> Vec<Option<usize>> {
-        let n = self.n;
-        let mut input_matched: Vec<Option<usize>> = vec![None; n];
-        let mut output_matched: Vec<Option<usize>> = vec![None; n];
-        for iter in 0..self.iterations {
-            // Grant phase: each unmatched output picks among requesting
-            // unmatched inputs.
-            let mut grants: Vec<Option<usize>> = vec![None; n]; // output -> input
-            for j in 0..n {
-                if output_matched[j].is_some() {
-                    continue;
-                }
-                let start = self.grant_ptr[j];
-                for off in 0..n {
-                    let i = (start + off) % n;
-                    if input_matched[i].is_none() && occupied(i, j) {
-                        grants[j] = Some(i);
-                        break;
-                    }
-                }
-            }
-            // Accept phase: each input picks among its grants.
-            #[allow(clippy::needless_range_loop)] // i indexes three vectors
-            for i in 0..n {
-                if input_matched[i].is_some() {
-                    continue;
-                }
-                let start = self.accept_ptr[i];
-                let mut chosen: Option<usize> = None;
-                for off in 0..n {
-                    let j = (start + off) % n;
-                    if grants[j] == Some(i) {
-                        chosen = Some(j);
-                        break;
-                    }
-                }
-                if let Some(j) = chosen {
-                    input_matched[i] = Some(j);
-                    output_matched[j] = Some(i);
-                    // Pointer update only on first-iteration acceptance —
-                    // the desynchronization rule.
-                    if iter == 0 {
-                        self.grant_ptr[j] = (i + 1) % n;
-                        self.accept_ptr[i] = (j + 1) % n;
-                    }
-                }
-            }
-        }
-        input_matched
     }
 
     /// Reset pointers to the initial configuration.
@@ -117,10 +77,50 @@ impl crate::scheduler::CrossbarScheduler for IslipArbiter {
         self.n
     }
 
-    fn schedule(&mut self, _now: pps_core::Slot, lens: &[usize], out: &mut [Option<usize>]) {
+    fn schedule(&mut self, _now: pps_core::Slot, occ: &Occupancy, out: &mut [Option<usize>]) {
+        if occ.is_empty() {
+            return;
+        }
         let n = self.n;
-        let m = self.matching(|i, j| lens[i * n + j] > 0);
-        out.copy_from_slice(&m);
+        let words = occ.words();
+        fill_ones(&mut self.in_free, n);
+        fill_ones(&mut self.out_free, n);
+        for iter in 0..self.iterations {
+            // Grant phase: each unmatched output grants the requesting
+            // unmatched input closest (cyclically) to its grant pointer —
+            // the first set bit of `col(j) & in_free` from the pointer.
+            let mut any_grant = false;
+            for j in cyclic_bits(&self.out_free, &self.out_free, 0) {
+                let first = cyclic_bits(occ.col(j), &self.in_free, self.grant_ptr[j]).next();
+                if let Some(i) = first {
+                    set_bit(&mut self.granted[i * words..], j);
+                    any_grant = true;
+                }
+            }
+            if !any_grant {
+                // No request joins two unmatched ports: later iterations
+                // would see the same bitmaps and grant nothing either.
+                break;
+            }
+            // Accept phase: each input accepts the granting output closest
+            // to its accept pointer.
+            for (i, matched) in out.iter_mut().enumerate() {
+                let grants = &mut self.granted[i * words..(i + 1) * words];
+                let Some(j) = cyclic_bits(grants, grants, self.accept_ptr[i]).next() else {
+                    continue;
+                };
+                grants.fill(0);
+                *matched = Some(j);
+                clear_bit(&mut self.in_free, i);
+                clear_bit(&mut self.out_free, j);
+                // Pointer update only on first-iteration acceptance — the
+                // desynchronization rule.
+                if iter == 0 {
+                    self.grant_ptr[j] = (i + 1) % n;
+                    self.accept_ptr[i] = (j + 1) % n;
+                }
+            }
+        }
     }
 
     fn reset(&mut self) {
@@ -144,11 +144,26 @@ impl crate::scheduler::CrossbarScheduler for IslipArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheduler::CrossbarScheduler;
+
+    /// One `schedule` call over the matrix with a cell wherever `occupied`.
+    fn matching<F: Fn(usize, usize) -> bool>(
+        a: &mut IslipArbiter,
+        occupied: F,
+    ) -> Vec<Option<usize>> {
+        let n = a.n();
+        let lens: Vec<usize> = (0..n * n)
+            .map(|x| occupied(x / n, x % n) as usize)
+            .collect();
+        let mut out = vec![None; n];
+        a.schedule(0, &Occupancy::from_lens(n, &lens), &mut out);
+        out
+    }
 
     #[test]
     fn single_request_is_matched() {
         let mut a = IslipArbiter::new(4, 1);
-        let m = a.matching(|i, j| i == 2 && j == 3);
+        let m = matching(&mut a, |i, j| i == 2 && j == 3);
         assert_eq!(m, vec![None, None, Some(3), None]);
     }
 
@@ -158,13 +173,9 @@ mod tests {
         // call, and the pointer moves so they alternate.
         let mut a = IslipArbiter::new(2, 1);
         let occupied = |i: usize, j: usize| j == 0 && i < 2;
-        let w1 = a.matching(occupied)[0].is_some() as u8 + a.matching(occupied)[0].is_some() as u8;
-        // Over two slots both inputs get served once each.
-        let _ = w1;
         let mut served = [0u8; 2];
-        a.reset();
         for _ in 0..4 {
-            let m = a.matching(occupied);
+            let m = matching(&mut a, occupied);
             for (i, mj) in m.iter().enumerate() {
                 if mj.is_some() {
                     served[i] += 1;
@@ -182,7 +193,7 @@ mod tests {
         let mut a = IslipArbiter::new(n, 1);
         let mut perfect = 0;
         for slot in 0..3 * n {
-            let m = a.matching(|_, _| true);
+            let m = matching(&mut a, |_, _| true);
             let matched = m.iter().filter(|x| x.is_some()).count();
             if slot >= n {
                 assert_eq!(matched, n, "slot {slot}: matching not perfect: {m:?}");
@@ -198,7 +209,7 @@ mod tests {
     fn matching_is_conflict_free() {
         let mut a = IslipArbiter::new(6, 3);
         for _ in 0..32 {
-            let m = a.matching(|i, j| (i + j) % 2 == 0);
+            let m = matching(&mut a, |i, j| (i + j) % 2 == 0);
             let outs: Vec<usize> = m.iter().flatten().copied().collect();
             let set: std::collections::BTreeSet<usize> = outs.iter().copied().collect();
             assert_eq!(outs.len(), set.len(), "two inputs matched one output");
@@ -212,8 +223,8 @@ mod tests {
         let occupied = |i: usize, j: usize| i < 2 && j < 2;
         let mut a1 = IslipArbiter::new(4, 1);
         let mut a2 = IslipArbiter::new(4, 2);
-        let m1 = a1.matching(occupied).iter().flatten().count();
-        let m2 = a2.matching(occupied).iter().flatten().count();
+        let m1 = matching(&mut a1, occupied).iter().flatten().count();
+        let m2 = matching(&mut a2, occupied).iter().flatten().count();
         assert!(m2 >= m1);
         assert_eq!(m2, 2, "two iterations must saturate the 2x2 block");
     }

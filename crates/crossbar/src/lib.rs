@@ -34,6 +34,11 @@
 //! | [`QpsRScheduler`] | queue-proportional sampling, `r` rounds | Gong et al., arXiv 1905.05392 |
 //! | [`SwQpsScheduler`] | sliding-window QPS batch matching | Meng et al., arXiv 2010.08620 |
 //!
+//! Every discipline reads the switch's [`Occupancy`] index — queue
+//! lengths, row totals and non-empty bitmaps kept current by the VOQs'
+//! `push`/`pop` — and walks bitmaps instead of rescanning `N²` lengths
+//! (DESIGN.md §20).
+//!
 //! The CIOQ switch ([`CioqSwitch`]) separately offers critical-cell-first
 //! or rotating maximal matching under configurable speedup
 //! ([`cioq::CioqPolicy`], after Cogill & Lall, arXiv cs/0605030).
@@ -43,10 +48,12 @@
 
 pub mod cioq;
 pub mod islip;
+pub mod occupancy;
 pub mod scheduler;
 pub mod switch;
 
 pub use cioq::{run_cioq, run_cioq_policy, CioqPolicy, CioqSwitch};
 pub use islip::IslipArbiter;
+pub use occupancy::Occupancy;
 pub use scheduler::{CrossbarScheduler, QpsRScheduler, SwQpsScheduler};
 pub use switch::{run_crossbar, run_crossbar_with, CrossbarSwitch};

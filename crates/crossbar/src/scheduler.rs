@@ -40,8 +40,12 @@
 //! none. (SW-QPS's window needs no catch-up across a jump: an empty window
 //! slides into an empty window.)
 
+use crate::occupancy::{set_bit, words_for, Occupancy};
 use pps_core::rng::SplitMix64;
 use pps_core::Slot;
+
+/// "No port" in the schedulers' `usize` scratch tables.
+const NONE: usize = usize::MAX;
 
 /// A per-slot matching discipline for an `N × N` VOQ crossbar.
 ///
@@ -51,12 +55,12 @@ pub trait CrossbarScheduler: Send {
     /// Number of ports.
     fn n(&self) -> usize;
 
-    /// Compute this slot's matching. `lens[i * n + j]` is the occupancy of
-    /// VOQ `(i, j)`; the result is written into `out` (length `n`,
-    /// pre-filled `None` by the caller) as `out[i] = Some(j)`. Every
+    /// Compute this slot's matching over the switch's occupancy index
+    /// (`occ.n() == self.n()`); the result is written into `out` (length
+    /// `n`, pre-filled `None` by the caller) as `out[i] = Some(j)`. Every
     /// matched pair must name a non-empty VOQ, and no output may be
     /// matched twice.
-    fn schedule(&mut self, now: Slot, lens: &[usize], out: &mut [Option<usize>]);
+    fn schedule(&mut self, now: Slot, occ: &Occupancy, out: &mut [Option<usize>]);
 
     /// The next slot strictly after `now` at which the scheduler must be
     /// stepped, given the fabric's total VOQ backlog. All current
@@ -84,8 +88,8 @@ impl CrossbarScheduler for Box<dyn CrossbarScheduler> {
         (**self).n()
     }
 
-    fn schedule(&mut self, now: Slot, lens: &[usize], out: &mut [Option<usize>]) {
-        (**self).schedule(now, lens, out)
+    fn schedule(&mut self, now: Slot, occ: &Occupancy, out: &mut [Option<usize>]) {
+        (**self).schedule(now, occ, out)
     }
 
     fn next_activity(&self, now: Slot, backlog: usize) -> Option<Slot> {
@@ -115,9 +119,11 @@ pub struct QpsRScheduler {
     n: usize,
     r: usize,
     rng: SplitMix64,
-    /// Scratch: the output each unmatched input proposed this round
-    /// (`usize::MAX` = no proposal).
-    proposals: Vec<usize>,
+    /// Scratch: the proposer each output would accept this round
+    /// ([`NONE`] = no proposal reached it).
+    winner: Vec<usize>,
+    /// Scratch: outputs matched in an earlier round of this slot.
+    taken: Vec<bool>,
 }
 
 impl QpsRScheduler {
@@ -128,28 +134,14 @@ impl QpsRScheduler {
             n,
             r: r.max(1),
             rng: SplitMix64::new(seed).derive(0x9B5),
-            proposals: vec![usize::MAX; n],
+            winner: vec![NONE; n],
+            taken: vec![false; n],
         }
     }
 
     /// The configured number of accept rounds.
     pub fn rounds(&self) -> usize {
         self.r
-    }
-
-    /// Queue-proportional draw for input `i`: output `j` with probability
-    /// `lens[i][j] / total`. Consumes exactly one RNG draw; the caller
-    /// guarantees `total > 0`.
-    fn sample_output(&mut self, i: usize, lens: &[usize], total: u64) -> usize {
-        let mut x = self.rng.below(total);
-        for j in 0..self.n {
-            let l = lens[i * self.n + j] as u64;
-            if x < l {
-                return j;
-            }
-            x -= l;
-        }
-        unreachable!("draw below total must land in a VOQ")
     }
 }
 
@@ -158,37 +150,52 @@ impl CrossbarScheduler for QpsRScheduler {
         self.n
     }
 
-    fn schedule(&mut self, _now: Slot, lens: &[usize], out: &mut [Option<usize>]) {
-        let n = self.n;
-        let mut output_taken = vec![false; n];
+    fn schedule(&mut self, _now: Slot, occ: &Occupancy, out: &mut [Option<usize>]) {
+        if occ.is_empty() {
+            return;
+        }
+        self.taken.fill(false);
         for _round in 0..self.r {
             // Proposal phase: every still-unmatched input with backlog
-            // samples one output queue-proportionally. Inputs with no
-            // queued cells draw nothing — the skip-ahead invariant.
-            for i in 0..n {
-                self.proposals[i] = usize::MAX;
-                if out[i].is_some() {
+            // samples one output queue-proportionally (output `j` with
+            // probability `len(i, j) / row_total(i)`, one draw). Inputs
+            // with no queued cells draw nothing — the skip-ahead
+            // invariant. Each output keeps the proposer with the longest
+            // VOQ as the proposals come in (smallest input id on ties:
+            // inputs propose in ascending order and only a strictly longer
+            // VOQ displaces); proposals to already-matched outputs are
+            // simply lost this round.
+            let mut drew = false;
+            for (i, matched) in out.iter().enumerate() {
+                let total = occ.row_total(i) as u64;
+                if matched.is_some() || total == 0 {
                     continue;
                 }
-                let total: u64 = lens[i * n..(i + 1) * n].iter().map(|&l| l as u64).sum();
-                if total == 0 {
-                    continue;
+                drew = true;
+                let mut x = self.rng.below(total);
+                for j in occ.row_outputs(i) {
+                    let l = occ.len(i, j) as u64;
+                    if x < l {
+                        let held = self.winner[j];
+                        if !self.taken[j] && (held == NONE || occ.len(i, j) > occ.len(held, j)) {
+                            self.winner[j] = i;
+                        }
+                        break;
+                    }
+                    x -= l;
                 }
-                self.proposals[i] = self.sample_output(i, lens, total);
             }
-            // Accept phase: each unmatched output takes the proposer with
-            // the longest VOQ (smallest input id on ties); proposals to
-            // already-matched outputs are simply lost this round.
-            for j in 0..n {
-                if output_taken[j] {
-                    continue;
-                }
-                let winner = (0..n)
-                    .filter(|&i| self.proposals[i] == j)
-                    .max_by_key(|&i| (lens[i * n + j], std::cmp::Reverse(i)));
-                if let Some(i) = winner {
-                    out[i] = Some(j);
-                    output_taken[j] = true;
+            if !drew {
+                // Every backlogged input is matched: later rounds would
+                // draw nothing either.
+                break;
+            }
+            // Accept phase, one pass over the outputs.
+            for (j, w) in self.winner.iter_mut().enumerate() {
+                if *w != NONE {
+                    out[*w] = Some(j);
+                    self.taken[j] = true;
+                    *w = NONE;
                 }
             }
         }
@@ -197,7 +204,7 @@ impl CrossbarScheduler for QpsRScheduler {
     fn reset(&mut self) {
         // Note: reset does not rewind the RNG — a reset scheduler is a new
         // automaton, so callers wanting bit-replay construct a fresh one.
-        self.proposals.fill(usize::MAX);
+        self.winner.fill(NONE);
     }
 
     fn state_digest(&self) -> u64 {
@@ -214,15 +221,35 @@ impl CrossbarScheduler for QpsRScheduler {
 // ---------------------------------------------------------------------------
 
 /// Sliding-window QPS batch scheduler (SW-QPS).
+///
+/// The window of `T` partial matchings is a flat ring of `T × N` entries
+/// plus, per port, a `T`-bit *busy* bitmap (`ceil(T / 64)` words, bit `w`
+/// = reserved in the matching that executes `w` slots from now) — the
+/// SW-QPS paper's own availability bitmaps. First fit is the lowest clear
+/// bit of `in_busy[i] | out_busy[j]`; sliding the window is a one-bit
+/// shift of every bitmap and a step of the ring head.
 #[derive(Clone, Debug)]
 pub struct SwQpsScheduler {
     n: usize,
     window: usize,
+    /// Words per port bitmap.
+    words: usize,
     rng: SplitMix64,
-    /// `slots[w][i] = Some(j)`: input `i` is reserved for output `j` in the
-    /// matching that executes `w` slots from now. `slots[0]` is popped and
-    /// executed by every `schedule` call.
-    slots: std::collections::VecDeque<Vec<Option<usize>>>,
+    /// `ring[((head + w) % window) * n + i] = j`: input `i` is reserved
+    /// for output `j` in the matching `w` slots from now ([`NONE`] = free).
+    ring: Vec<usize>,
+    /// Ring row of the matching that executes this slot.
+    head: usize,
+    /// Input `i`'s busy bitmap at `i * words ..`.
+    in_busy: Vec<u64>,
+    /// Output `j`'s busy bitmap at `j * words ..`.
+    out_busy: Vec<u64>,
+    /// Reservations for VOQ `(i, j)` parked in the window, at `i * n + j`.
+    reserved: Vec<usize>,
+    /// Reservations parked in the whole window.
+    pending: usize,
+    /// Scratch: this slot's proposals as `(len, i, j)`.
+    proposals: Vec<(usize, usize, usize)>,
 }
 
 impl SwQpsScheduler {
@@ -230,11 +257,19 @@ impl SwQpsScheduler {
     /// `n × n` crossbar, drawing proposals from a seeded substream.
     pub fn new(n: usize, window: usize, seed: u64) -> Self {
         let window = window.max(1);
+        let words = words_for(window);
         SwQpsScheduler {
             n,
             window,
+            words,
             rng: SplitMix64::new(seed).derive(0x5109),
-            slots: (0..window).map(|_| vec![None; n]).collect(),
+            ring: vec![NONE; window * n],
+            head: 0,
+            in_busy: vec![0; n * words],
+            out_busy: vec![0; n * words],
+            reserved: vec![0; n * n],
+            pending: 0,
+            proposals: Vec::with_capacity(n),
         }
     }
 
@@ -243,9 +278,35 @@ impl SwQpsScheduler {
         self.window
     }
 
-    /// Reservations for VOQ `(i, j)` currently parked in the window.
-    fn reserved(&self, i: usize, j: usize) -> usize {
-        self.slots.iter().filter(|m| m[i] == Some(j)).count()
+    /// Cells of VOQ `(i, j)` not yet reserved in the window.
+    fn unreserved(&self, occ: &Occupancy, i: usize, j: usize) -> u64 {
+        occ.len(i, j).saturating_sub(self.reserved[i * self.n + j]) as u64
+    }
+
+    /// The earliest window slot in which neither input `i` nor output `j`
+    /// is reserved.
+    fn first_fit(&self, i: usize, j: usize) -> Option<usize> {
+        let ins = &self.in_busy[i * self.words..(i + 1) * self.words];
+        let outs = &self.out_busy[j * self.words..(j + 1) * self.words];
+        let (k, free) = ins
+            .iter()
+            .zip(outs)
+            .map(|(a, b)| !(a | b))
+            .enumerate()
+            .find(|&(_, free)| free != 0)?;
+        // The clear bits past `window` in the last word are not slots.
+        let w = k * 64 + free.trailing_zeros() as usize;
+        (w < self.window).then_some(w)
+    }
+}
+
+/// Slide a port's busy bitmap one slot towards the head.
+fn shift_down(map: &mut [u64]) {
+    let mut carry = 0;
+    for w in map.iter_mut().rev() {
+        let next = *w << 63;
+        *w = (*w >> 1) | carry;
+        carry = next;
     }
 }
 
@@ -254,24 +315,28 @@ impl CrossbarScheduler for SwQpsScheduler {
         self.n
     }
 
-    fn schedule(&mut self, _now: Slot, lens: &[usize], out: &mut [Option<usize>]) {
+    fn schedule(&mut self, _now: Slot, occ: &Occupancy, out: &mut [Option<usize>]) {
+        // Every reservation points at a queued cell, so an empty matrix
+        // means an empty window: nothing to draw, execute or slide (and
+        // the ring head stays put).
+        if occ.is_empty() && self.pending == 0 {
+            return;
+        }
         let n = self.n;
         // Proposal phase: one QPS draw per backlogged input, proposing
         // only cells not already reserved in the window (so executing a
         // reservation always finds its cell queued).
-        let mut proposals: Vec<(usize, usize, usize)> = Vec::new(); // (len, i, j)
+        self.proposals.clear();
         for i in 0..n {
-            let total: u64 = (0..n)
-                .map(|j| lens[i * n + j].saturating_sub(self.reserved(i, j)) as u64)
-                .sum();
+            let total: u64 = occ.row_outputs(i).map(|j| self.unreserved(occ, i, j)).sum();
             if total == 0 {
                 continue;
             }
             let mut x = self.rng.below(total);
-            for j in 0..n {
-                let l = lens[i * n + j].saturating_sub(self.reserved(i, j)) as u64;
+            for j in occ.row_outputs(i) {
+                let l = self.unreserved(occ, i, j);
                 if x < l {
-                    proposals.push((lens[i * n + j], i, j));
+                    self.proposals.push((occ.len(i, j), i, j));
                     break;
                 }
                 x -= l;
@@ -280,38 +345,56 @@ impl CrossbarScheduler for SwQpsScheduler {
         // Accept phase: longest-VOQ proposals first (smallest input id on
         // ties), each packed into the earliest window slot where both its
         // input and its output are still unmatched (first fit).
-        proposals.sort_unstable_by(|a, b| {
+        self.proposals.sort_unstable_by(|a, b| {
             (b.0, std::cmp::Reverse(b.1)).cmp(&(a.0, std::cmp::Reverse(a.1)))
         });
-        for (_len, i, j) in proposals {
-            let fit = (0..self.window).find(|&w| {
-                let m = &self.slots[w];
-                m[i].is_none() && !m.contains(&Some(j))
-            });
-            if let Some(w) = fit {
-                self.slots[w][i] = Some(j);
+        for at in 0..self.proposals.len() {
+            let (_len, i, j) = self.proposals[at];
+            if let Some(w) = self.first_fit(i, j) {
+                self.ring[(self.head + w) % self.window * n + i] = j;
+                set_bit(&mut self.in_busy[i * self.words..], w);
+                set_bit(&mut self.out_busy[j * self.words..], w);
+                self.reserved[i * n + j] += 1;
+                self.pending += 1;
             }
         }
         // Execute the matching leaving the window and slide.
-        let head = self.slots.pop_front().expect("window is never empty");
-        out.copy_from_slice(&head);
-        let mut recycled = head;
-        recycled.fill(None);
-        self.slots.push_back(recycled);
-    }
-
-    fn reset(&mut self) {
-        for m in &mut self.slots {
-            m.fill(None);
+        let head = &mut self.ring[self.head * n..(self.head + 1) * n];
+        for (i, slot) in head.iter_mut().enumerate() {
+            let j = std::mem::replace(slot, NONE);
+            if j != NONE {
+                out[i] = Some(j);
+                self.reserved[i * n + j] -= 1;
+                self.pending -= 1;
+            }
+        }
+        self.head = (self.head + 1) % self.window;
+        for map in self.in_busy.chunks_mut(self.words) {
+            shift_down(map);
+        }
+        for map in self.out_busy.chunks_mut(self.words) {
+            shift_down(map);
         }
     }
 
+    fn reset(&mut self) {
+        self.ring.fill(NONE);
+        self.head = 0;
+        self.in_busy.fill(0);
+        self.out_busy.fill(0);
+        self.reserved.fill(0);
+        self.pending = 0;
+    }
+
     fn state_digest(&self) -> u64 {
+        // Window order from the head, so the digest does not depend on
+        // where in the ring the head happens to be.
         let mut d = SplitMix64::fold_digest(0x5109, self.rng.state_fingerprint());
-        for m in &self.slots {
-            for (i, j) in m.iter().enumerate() {
-                if let Some(j) = j {
-                    d = SplitMix64::fold_digest(d, ((i as u64) << 32) | *j as u64);
+        for w in 0..self.window {
+            let row = (self.head + w) % self.window * self.n;
+            for (i, &j) in self.ring[row..row + self.n].iter().enumerate() {
+                if j != NONE {
+                    d = SplitMix64::fold_digest(d, ((i as u64) << 32) | j as u64);
                 }
             }
             d = SplitMix64::fold_digest(d, 0xFEED);
@@ -338,7 +421,7 @@ mod tests {
 
     fn run_sched<S: CrossbarScheduler>(s: &mut S, lens: &[usize]) -> Vec<Option<usize>> {
         let mut out = vec![None; s.n()];
-        s.schedule(0, lens, &mut out);
+        s.schedule(0, &Occupancy::from_lens(s.n(), lens), &mut out);
         out
     }
 
@@ -467,11 +550,7 @@ mod tests {
         let mut s = SwQpsScheduler::new(n, 8, 17);
         let mut lens: Vec<usize> = (0..n * n).map(|x| (x * 5) % 3 + 1).collect();
         for _ in 0..64 {
-            let m = {
-                let mut out = vec![None; n];
-                s.schedule(0, &lens, &mut out);
-                out
-            };
+            let m = run_sched(&mut s, &lens);
             assert_valid(n, &lens, &m);
             for (i, j) in m.iter().enumerate() {
                 if let Some(j) = j {
@@ -509,8 +588,7 @@ mod tests {
         assert_eq!(s.n(), 4);
         assert_eq!(s.name(), "qps-r");
         let lens = lens_of(4, &[(0, 1, 1)]);
-        let mut out = vec![None; 4];
-        s.schedule(0, &lens, &mut out);
+        let out = run_sched(&mut s, &lens);
         assert_eq!(out[0], Some(1));
         assert_eq!(s.next_activity(5, 1), Some(6));
         assert_eq!(s.next_activity(5, 0), None);

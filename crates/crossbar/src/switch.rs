@@ -1,6 +1,7 @@
 //! The VOQ input-queued crossbar switch, generic over its scheduler.
 
 use crate::islip::IslipArbiter;
+use crate::occupancy::Voqs;
 use crate::scheduler::CrossbarScheduler;
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
@@ -11,12 +12,11 @@ use pps_core::stepping::{self, SlotEngine};
 #[derive(Clone, Debug)]
 pub struct CrossbarSwitch<S: CrossbarScheduler = IslipArbiter> {
     n: usize,
-    /// VOQ `(i, j)` at `i * n + j`, holding bare cell ids (the matching
-    /// only needs occupancy, the departure only the id).
-    voqs: Vec<FifoQueue<CellId>>,
+    /// The VOQs, holding bare cell ids (the matching only needs occupancy,
+    /// the departure only the id), and the occupancy index the scheduler
+    /// reads.
+    voqs: Voqs<CellId>,
     scheduler: S,
-    /// Scratch occupancy matrix handed to the scheduler each slot.
-    lens: Vec<usize>,
     /// Scratch matching written by the scheduler each slot.
     matching: Vec<Option<usize>>,
     transmitted: u64,
@@ -25,20 +25,19 @@ pub struct CrossbarSwitch<S: CrossbarScheduler = IslipArbiter> {
 impl CrossbarSwitch<IslipArbiter> {
     /// An idle `n × n` crossbar with an `iterations`-round iSLIP arbiter.
     pub fn new(n: usize, iterations: usize) -> Self {
-        CrossbarSwitch::with_scheduler(n, IslipArbiter::new(n, iterations))
+        CrossbarSwitch::with_scheduler(IslipArbiter::new(n, iterations))
     }
 }
 
 impl<S: CrossbarScheduler> CrossbarSwitch<S> {
-    /// An idle `n × n` crossbar driven by `scheduler` (whose port count
-    /// must match `n`).
-    pub fn with_scheduler(n: usize, scheduler: S) -> Self {
-        assert_eq!(scheduler.n(), n, "scheduler port count mismatch");
+    /// An idle crossbar driven by `scheduler`, with as many ports as it
+    /// schedules.
+    pub fn with_scheduler(scheduler: S) -> Self {
+        let n = scheduler.n();
         CrossbarSwitch {
             n,
-            voqs: (0..n * n).map(|_| FifoQueue::new()).collect(),
+            voqs: Voqs::new(n),
             scheduler,
-            lens: vec![0; n * n],
             matching: vec![None; n],
             transmitted: 0,
         }
@@ -63,17 +62,16 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
                     },
                 );
             }
-            self.voqs[cell.input.idx() * self.n + cell.output.idx()].push(cell.id);
-        }
-        for (l, q) in self.lens.iter_mut().zip(&self.voqs) {
-            *l = q.len();
+            self.voqs.push(cell.input.idx(), cell.output.idx(), cell.id);
         }
         self.matching.fill(None);
-        self.scheduler.schedule(now, &self.lens, &mut self.matching);
+        self.scheduler
+            .schedule(now, self.voqs.occupancy(), &mut self.matching);
         for i in 0..self.n {
             if let Some(j) = self.matching[i] {
-                let id = self.voqs[i * self.n + j]
-                    .pop()
+                let id = self
+                    .voqs
+                    .pop(i, j)
                     .expect("scheduler only matches occupied VOQs");
                 if telemetry::on() {
                     telemetry::record(
@@ -89,11 +87,13 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
                 self.transmitted += 1;
             }
         }
+        #[cfg(debug_assertions)]
+        self.voqs.assert_in_sync();
     }
 
     /// Cells currently queued at the inputs.
     pub fn backlog(&self) -> usize {
-        self.voqs.iter().map(|q| q.len()).sum()
+        self.voqs.occupancy().backlog()
     }
 
     /// The next slot strictly after `now` at which the switch does
@@ -107,11 +107,7 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
 
     /// Highest VOQ occupancy reached.
     pub fn max_voq_occupancy(&self) -> usize {
-        self.voqs
-            .iter()
-            .map(|q| q.max_occupancy())
-            .max()
-            .unwrap_or(0)
+        self.voqs.max_len()
     }
 
     /// Total cells transmitted.
@@ -175,7 +171,7 @@ pub fn run_crossbar_with<S: CrossbarScheduler>(
     mode: Stepping,
 ) -> (RunLog, CrossbarSwitch<S>) {
     let n = scheduler.n();
-    let mut xb = CrossbarSwitch::with_scheduler(n, scheduler);
+    let mut xb = CrossbarSwitch::with_scheduler(scheduler);
     let (log, _) = stepping::drive(&mut xb, &trace.cells(n), drain_cap(trace, n), mode)
         .expect("a crossbar slot cannot fail");
     (log, xb)

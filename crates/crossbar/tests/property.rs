@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use pps_crossbar::{run_cioq, run_crossbar, IslipArbiter};
+use pps_crossbar::{run_cioq, run_crossbar, CrossbarScheduler, IslipArbiter, Occupancy};
 use pps_reference::checker::check_flow_order;
 use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;
@@ -23,8 +23,10 @@ proptest! {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             *cell = (x >> 62) & 1 == 1;
         }
-        let mut arb = IslipArbiter::new(n, iterations);
-        let m = arb.matching(|i, j| occ[i * n + j]);
+        let lens: Vec<usize> = occ.iter().map(|&o| o as usize).collect();
+        let index = Occupancy::from_lens(n, &lens);
+        let mut m = vec![None; n];
+        IslipArbiter::new(n, iterations).schedule(0, &index, &mut m);
         // Conflict-free in both directions.
         let mut outs = std::collections::BTreeSet::new();
         for (i, mj) in m.iter().enumerate() {
@@ -35,8 +37,8 @@ proptest! {
         }
         // With n iterations the matching is maximal: no (i, j) with both
         // endpoints unmatched and a cell between them.
-        let mut arb_full = IslipArbiter::new(n, n);
-        let m = arb_full.matching(|i, j| occ[i * n + j]);
+        let mut m = vec![None; n];
+        IslipArbiter::new(n, n).schedule(0, &index, &mut m);
         let matched_outs: std::collections::BTreeSet<usize> =
             m.iter().flatten().copied().collect();
         for i in 0..n {

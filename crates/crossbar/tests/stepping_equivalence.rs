@@ -14,11 +14,12 @@
 //! CIOQ switch under both matching policies for good measure.
 
 use pps_core::rng::SplitMix64;
+use pps_core::stepping::drive;
 use pps_core::trace::{Arrival, Trace};
 use pps_core::{Slot, Stepping};
 use pps_crossbar::{
-    run_cioq_policy, run_crossbar_with, CioqPolicy, CrossbarScheduler, IslipArbiter, QpsRScheduler,
-    SwQpsScheduler,
+    run_cioq_policy, run_crossbar_with, CioqPolicy, CioqSwitch, CrossbarScheduler, CrossbarSwitch,
+    IslipArbiter, QpsRScheduler, SwQpsScheduler,
 };
 use proptest::prelude::*;
 
@@ -175,4 +176,73 @@ fn islip_pointer_freeze_regression() {
     let d: Vec<_> = dense_log.records().iter().map(|r| r.departure).collect();
     let s: Vec<_> = skip_log.records().iter().map(|r| r.departure).collect();
     assert_eq!(d, s);
+}
+
+/// Contended bursts — every input to output 0 for four slots, which takes
+/// `4n` slots to serve — separated by idle gaps a thousand slots long and
+/// of no particular residue modulo any window length.
+fn long_gap_trace(n: usize) -> Trace {
+    let mut v = Vec::new();
+    for start in [0u64, 1_003, 2_411, 9_999] {
+        for s in 0..4 {
+            for i in 0..n as u32 {
+                v.push(Arrival::new(start + s, i, 0));
+            }
+        }
+    }
+    Trace::build(v, n).unwrap()
+}
+
+/// SW-QPS keeps its window in a ring. Dense stepping calls `schedule` on
+/// every slot of a long gap and skip-ahead on none, so if an idle call
+/// moved the ring head — or the digest read the ring from slot 0 instead
+/// of from the head — the two runs would part here. One window shorter
+/// than the bursts' drain, one longer than a bitmap word.
+#[test]
+fn sw_qps_window_survives_long_idle_gaps() {
+    let n = 5;
+    let t = long_gap_trace(n);
+    for window in [8, 65] {
+        assert_equivalent(&t, || SwQpsScheduler::new(n, window, 77));
+    }
+}
+
+/// The idle-slot contract, asked of each discipline directly: after a
+/// contended burst has drained (pointers moved, draws made, the SW-QPS
+/// ring head somewhere inside the ring), a hundred `slot` calls with no
+/// arrivals and no backlog draw nothing and leave `state_digest` alone.
+#[test]
+fn idle_slots_are_pure_noops_for_every_discipline() {
+    let n = 5;
+    let burst = &long_gap_trace(n).cells(n)[..4 * n];
+
+    fn check<S: CrossbarScheduler>(burst: &[pps_core::Cell], scheduler: S) {
+        let mut sw = CrossbarSwitch::with_scheduler(scheduler);
+        let (mut log, end) = drive(&mut sw, burst, Slot::MAX, Stepping::Dense).unwrap();
+        let name = sw.scheduler().name();
+        let drained = sw.scheduler().state_digest();
+        for now in end..end + 100 {
+            sw.slot(now, &[], &mut log);
+            assert_eq!(sw.scheduler().state_digest(), drained, "{name}: slot {now}");
+        }
+        assert_eq!(sw.next_activity(end + 100), None, "{name}");
+    }
+    check(burst, IslipArbiter::new(n, 2));
+    check(burst, QpsRScheduler::new(n, 3, 21));
+    check(burst, SwQpsScheduler::new(n, 8, 22));
+    check(burst, SwQpsScheduler::new(n, 65, 23));
+
+    // The CIOQ policies hold no pointer or RNG state; their hidden state
+    // is the output-queue high-water mark and the backlog.
+    for policy in [CioqPolicy::CriticalFirst, CioqPolicy::MaximalRr] {
+        let mut sw = CioqSwitch::with_policy(n, 2, policy);
+        let (mut log, end) = drive(&mut sw, burst, Slot::MAX, Stepping::Dense).unwrap();
+        let (high_water, delivered) = (sw.max_output_queue(), log.clone());
+        for now in end..end + 100 {
+            sw.slot(now, &[], &mut log);
+        }
+        assert_eq!(sw.backlog(), 0, "{}", policy.name());
+        assert_eq!(sw.max_output_queue(), high_water, "{}", policy.name());
+        assert_eq!(log.records(), delivered.records(), "{}", policy.name());
+    }
 }

@@ -45,7 +45,7 @@ fn comparison_engines_agree_across_stepping_modes() {
     assert_modes_agree("islip", || CrossbarSwitch::new(n, 2), &cells, cap);
     assert_modes_agree(
         "qps-3",
-        || CrossbarSwitch::with_scheduler(n, QpsRScheduler::new(n, 3, 5)),
+        || CrossbarSwitch::with_scheduler(QpsRScheduler::new(n, 3, 5)),
         &cells,
         cap,
     );
