@@ -68,7 +68,6 @@ pub fn fault_impact(
     let mut last_bad: Option<Slot> = None;
     let mut last_post_arrival: Option<Slot> = None;
     for (p, o) in pps.records().iter().zip(oq.records().iter()) {
-        debug_assert_eq!(p.id, o.id);
         let phase = if p.arrival < from {
             0
         } else if p.arrival < until {

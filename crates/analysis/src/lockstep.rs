@@ -50,7 +50,7 @@ impl Comparison {
     pub fn max_concentration(&self) -> usize {
         let mut counts: std::collections::BTreeMap<(PlaneId, PortId), usize> = Default::default();
         for rec in self.pps.log.records() {
-            if let Some(plane) = rec.plane {
+            if let Some(plane) = rec.plane() {
                 *counts.entry((plane, rec.output)).or_default() += 1;
             }
         }

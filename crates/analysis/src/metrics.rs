@@ -30,7 +30,6 @@ pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
     let mut compared = 0usize;
     let mut undelivered = 0usize;
     for (p, o) in pps.records().iter().zip(oq.records().iter()) {
-        debug_assert_eq!(p.id, o.id);
         match (p.delay(), o.delay()) {
             (Some(dp), Some(dq)) => {
                 let d = dp as i64 - dq as i64;
@@ -147,7 +146,7 @@ pub fn rank_relative_delay(
             .records()
             .iter()
             .filter(|r| r.output == output && r.arrival >= window.0 && r.arrival < window.1)
-            .filter_map(|r| r.departure)
+            .filter_map(|r| r.departure())
             .collect();
         d.sort_unstable();
         d

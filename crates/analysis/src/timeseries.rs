@@ -29,7 +29,7 @@ impl OutputSeries {
             .records()
             .iter()
             .filter(|r| r.output == output)
-            .filter_map(|r| r.departure.max(Some(r.arrival)))
+            .filter_map(|r| r.departure().max(Some(r.arrival)))
             .max()
             .unwrap_or(0);
         let len = horizon as usize + 1;
@@ -40,7 +40,7 @@ impl OutputSeries {
                 continue;
             }
             arrivals[r.arrival as usize] += 1;
-            if let Some(d) = r.departure {
+            if let Some(d) = r.departure() {
                 departures[d as usize] += 1;
             }
         }

@@ -2,7 +2,10 @@
 //!
 //! Packets are fragmented into fixed-size cells outside the switch (paper,
 //! Section 1); inside the model a cell is pure metadata. The struct is kept
-//! at 32 bytes so multi-million-cell runs stay cache-friendly.
+//! at 32 bytes so multi-million-cell runs stay cache-friendly. Cells are
+//! minted by the trace's cursor ([`crate::Trace::cursor`]) as the run
+//! driver reaches their arrival slot — an engine is handed one slot's
+//! cells at a time, never the whole trace.
 
 use crate::ids::{CellId, FlowId, PlaneId, PortId};
 use crate::time::Slot;

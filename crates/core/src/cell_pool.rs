@@ -8,8 +8,9 @@
 //! ids and the per-slot loops touch one cache-dense column per field they
 //! actually read.
 //!
-//! Ids are assigned in global arrival order by [`Trace::cells`]
-//! (`crate::trace::Trace::cells`), so within one run the pool is a dense
+//! Ids are assigned in global arrival order by the trace's cell cursor
+//! ([`Trace::cursor`](crate::trace::Trace::cursor)), which the run driver
+//! pulls one slot at a time, so within one run the pool is a dense
 //! append-mostly table: [`ensure`](CellPool::ensure) is an O(1) write for the
 //! common in-order case and idempotent for re-registration (the buffered
 //! engine registers a cell at arrival and again at dispatch). An id is
@@ -47,7 +48,7 @@ impl CellPool {
     }
 
     /// Reserve room for at least `cells` total entries (run-length known up
-    /// front, e.g. from `Trace::cells`), so the arrays grow once.
+    /// front, e.g. `Trace::len`), so the arrays grow once.
     pub fn reserve(&mut self, cells: usize) {
         let extra = cells.saturating_sub(self.input.len());
         self.input.reserve(extra);

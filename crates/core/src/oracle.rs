@@ -152,7 +152,7 @@ pub fn check_pool_occupancy(pool_len: u64, arrivals: u64, slot: Slot) -> Option<
 
 /// Per-flow FIFO at every output, over the **delivered** cells only.
 ///
-/// Within a flow, [`crate::Trace::cells`] assigns ids (and seqs) in
+/// Within a flow, [`crate::Trace::cursor`] assigns ids (and seqs) in
 /// arrival order, so delivered cells must depart in strictly increasing
 /// id order — strictly, because a flow's cells share one output and an
 /// output emits at most one cell per slot. Undelivered cells (lost to
@@ -162,9 +162,9 @@ pub fn check_flow_order(log: &RunLog) -> Vec<OracleViolation> {
     use std::collections::HashMap;
     let mut last: HashMap<(u32, u32), (u64, Slot)> = HashMap::new();
     let mut violations = Vec::new();
-    // records() iterates in id order == per-flow arrival order.
-    for rec in log.records() {
-        let Some(dep) = rec.departure else { continue };
+    // iter() walks in id order == per-flow arrival order.
+    for (id, rec) in log.iter() {
+        let Some(dep) = rec.departure() else { continue };
         let key = (rec.input.0, rec.output.0);
         if let Some(&(prev_id, prev_dep)) = last.get(&key) {
             if dep <= prev_dep {
@@ -173,12 +173,12 @@ pub fn check_flow_order(log: &RunLog) -> Vec<OracleViolation> {
                     slot: dep.max(prev_dep),
                     detail: format!(
                         "flow {}->{}: cell {} departed at {} not after cell {} at {}",
-                        rec.input.0, rec.output.0, rec.id.0, dep, prev_id, prev_dep
+                        rec.input.0, rec.output.0, id.0, dep, prev_id, prev_dep
                     ),
                 });
             }
         }
-        last.insert(key, (rec.id.0, dep));
+        last.insert(key, (id.0, dep));
     }
     violations
 }
@@ -188,16 +188,15 @@ pub fn check_flow_order(log: &RunLog) -> Vec<OracleViolation> {
 /// [`RunLog::set_departure`] panics — and re-checked over the event stream
 /// by `pps_telemetry::oracle`.)
 pub fn check_causality(log: &RunLog) -> Vec<OracleViolation> {
-    log.records()
-        .iter()
-        .filter_map(|rec| {
-            let dep = rec.departure?;
+    log.iter()
+        .filter_map(|(id, rec)| {
+            let dep = rec.departure()?;
             (dep < rec.arrival).then(|| OracleViolation {
                 kind: OracleKind::Causality,
                 slot: dep,
                 detail: format!(
                     "cell {} departed at {} before arriving at {}",
-                    rec.id.0, dep, rec.arrival
+                    id.0, dep, rec.arrival
                 ),
             })
         })
@@ -214,8 +213,8 @@ pub fn check_causality(log: &RunLog) -> Vec<OracleViolation> {
 /// fully-distributed algorithms under burstiness `B`).
 pub fn check_relative_delay(pps: &RunLog, oq: &RunLog, bound: u64) -> Vec<OracleViolation> {
     let mut violations = Vec::new();
-    for rec in pps.records() {
-        let (Some(dep), Some(oq_dep)) = (rec.departure, oq.get(rec.id).departure) else {
+    for (id, rec) in pps.iter() {
+        let (Some(dep), Some(oq_dep)) = (rec.departure(), oq.get(id).departure()) else {
             continue;
         };
         let (d_pps, d_oq) = (dep - rec.arrival, oq_dep - rec.arrival);
@@ -225,7 +224,7 @@ pub fn check_relative_delay(pps: &RunLog, oq: &RunLog, bound: u64) -> Vec<Oracle
                 slot: dep,
                 detail: format!(
                     "cell {}: PPS delay {} vs OQ delay {} exceeds envelope {}",
-                    rec.id.0, d_pps, d_oq, bound
+                    id.0, d_pps, d_oq, bound
                 ),
             });
         }

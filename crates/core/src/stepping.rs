@@ -3,8 +3,9 @@
 //! A switch here is anything that honours the four-method [`SlotEngine`]
 //! contract — process one slot, report its backlog, name its next
 //! activity, replay an idle interval in closed form — and [`drive`] is the
-//! only loop that runs one over a trace: it gathers each slot's arrivals,
-//! enforces the livelock cap and, under [`Stepping::SkipAhead`]
+//! only loop that runs one over a trace: it streams each slot's arrivals
+//! out of the [`Trace`] and appends their records to the log, enforces the
+//! livelock cap and, under [`Stepping::SkipAhead`]
 //! (DESIGN.md §15), jumps `now` to the earlier of the next arrival and the
 //! engine's next activity. The two modes are **byte-identical** in
 //! everything observable (run logs, statistics, telemetry traces, oracle
@@ -16,7 +17,7 @@
 //! setters) for paranoia runs and for the equivalence harness that pits
 //! the two against each other.
 
-use crate::{Cell, ModelError, RunLog, Slot};
+use crate::{Cell, ModelError, RunLog, Slot, Trace};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How an engine's run loop advances time.
@@ -114,35 +115,46 @@ pub trait SlotEngine {
     fn skip_idle(&mut self, from: Slot, to: Slot);
 }
 
-/// Run `cells` (sorted by arrival slot, as [`crate::Trace::cells`] yields
-/// them) through `engine` from slot 0 until everything has arrived and the
-/// backlog is empty, or until `now` passes the livelock `cap` — leftovers
-/// then stay undelivered in the log instead of spinning forever. Returns
-/// the per-cell log and the slot after the last processed one.
+/// Run `trace` (an `n × n` switch's arrivals) through `engine` from slot 0
+/// until everything has arrived and the backlog is empty, or until `now`
+/// passes the livelock `cap` — leftovers then stay undelivered in the log
+/// instead of spinning forever. Returns the per-cell log and the slot after
+/// the last processed one.
+///
+/// Arrivals stream: each slot's cells are pulled from the trace's
+/// [`cursor`](Trace::cursor) into a scratch of at most `n` entries, and
+/// each cell's record is appended to the log as the cell enters the switch
+/// — nothing O(cells) is built before slot 0 (DESIGN.md §21). The log still
+/// covers the whole trace when the cap cuts a run short: cells that never
+/// entered are appended as undelivered records, so `log.len() ==
+/// trace.len()` always and two logs of one trace join by id.
 ///
 /// Callers compute `cap` with saturating arithmetic (a trace may sit
 /// anywhere in `Slot`'s range); it is clamped below `Slot::MAX` here so
 /// neither `now + 1` nor the one-past-the-cap jump can overflow.
 pub fn drive<E: SlotEngine + ?Sized>(
     engine: &mut E,
-    cells: &[Cell],
+    trace: &Trace,
+    n: usize,
     cap: Slot,
     mode: Stepping,
 ) -> Result<(RunLog, Slot), ModelError> {
     let cap = cap.min(Slot::MAX - 1);
-    let mut log = RunLog::with_cells(cells);
-    let mut next = 0usize;
+    let mut cursor = trace.cursor(n);
+    let mut log = RunLog::with_capacity(trace.len());
+    let mut arrivals: Vec<Cell> = Vec::with_capacity(n);
     let mut now: Slot = 0;
-    let mut more = next < cells.len() || engine.backlog() > 0;
+    let mut more = cursor.peek_slot().is_some() || engine.backlog() > 0;
     while more && now <= cap {
-        let first = next;
-        while next < cells.len() && cells[next].arrival == now {
-            next += 1;
+        arrivals.clear();
+        while let Some(cell) = cursor.next_at(now) {
+            log.push(&cell);
+            arrivals.push(cell);
         }
-        engine.slot(now, &cells[first..next], &mut log)?;
+        engine.slot(now, &arrivals, &mut log)?;
         now += 1;
-        more = next < cells.len() || engine.backlog() > 0;
-        let next_arrival = cells.get(next).map_or(Slot::MAX, |c| c.arrival);
+        more = cursor.peek_slot().is_some() || engine.backlog() > 0;
+        let next_arrival = cursor.peek_slot().unwrap_or(Slot::MAX);
         if more && mode == Stepping::SkipAhead && now <= cap && next_arrival != now {
             // Dense walks idle slots through the cap before giving up, so
             // the jump may go one past it at most.
@@ -153,6 +165,9 @@ pub fn drive<E: SlotEngine + ?Sized>(
                 now = stop;
             }
         }
+    }
+    for cell in cursor {
+        log.push(&cell);
     }
     Ok((log, now))
 }
@@ -246,17 +261,17 @@ mod tests {
     /// equal logs, equal end slots and a consistent slot split, and return
     /// `(log, end_slot, slots the skip run processed)`.
     fn both_modes(arrivals: Vec<(Slot, u32)>, delay: Slot, cap: Slot) -> (RunLog, Slot, u64) {
-        use crate::{Arrival, Trace};
+        use crate::Arrival;
         let n = 4;
         let arrivals = arrivals
             .into_iter()
             .map(|(slot, input)| Arrival::new(slot, input, 0))
             .collect();
-        let cells = Trace::build(arrivals, n).unwrap().cells(n);
+        let trace = Trace::build(arrivals, n).unwrap();
         let mut dense = DelayLine::new(delay);
         let mut skip = DelayLine::new(delay);
-        let (dense_log, dense_end) = drive(&mut dense, &cells, cap, Stepping::Dense).unwrap();
-        let (skip_log, skip_end) = drive(&mut skip, &cells, cap, Stepping::SkipAhead).unwrap();
+        let (dense_log, dense_end) = drive(&mut dense, &trace, n, cap, Stepping::Dense).unwrap();
+        let (skip_log, skip_end) = drive(&mut skip, &trace, n, cap, Stepping::SkipAhead).unwrap();
         assert_eq!(dense_log.records(), skip_log.records());
         assert_eq!(dense_end, skip_end);
         assert_eq!(dense.skipped, 0);
@@ -302,11 +317,132 @@ mod tests {
         // the slot range: no overflow in `now + 1` or the jump target.
         let at = Slot::MAX - 40;
         let mut line = DelayLine::new(5);
-        let cells = crate::Trace::build(vec![crate::Arrival::new(at, 0, 0)], 4)
-            .unwrap()
-            .cells(4);
-        let (log, end) = drive(&mut line, &cells, Slot::MAX, Stepping::SkipAhead).unwrap();
-        assert_eq!(log.records()[0].departure, Some(at + 5));
+        let trace = Trace::build(vec![crate::Arrival::new(at, 0, 0)], 4).unwrap();
+        let (log, end) = drive(&mut line, &trace, 4, Slot::MAX, Stepping::SkipAhead).unwrap();
+        assert_eq!(log.records()[0].departure(), Some(at + 5));
         assert_eq!(end, at + 6);
+    }
+
+    #[test]
+    fn a_cap_before_the_last_arrival_still_logs_the_whole_trace() {
+        // The cap ends the run at slot 4; the cells of slots 50 and 51
+        // never enter the line but are in the log, undelivered, with the
+        // ids and seqs a full run gives them.
+        let arrivals = vec![(0, 0), (1, 0), (50, 0), (51, 1)];
+        let (log, end, _) = both_modes(arrivals, 2, 3);
+        assert_eq!(end, 4);
+        assert_eq!(log.len(), 4);
+        assert_eq!(log.undelivered(), 2);
+        assert_eq!(log.get(crate::CellId(2)).arrival, 50);
+        assert_eq!(
+            log.get(crate::CellId(2)).seq,
+            2,
+            "third cell of flow 0 -> 0"
+        );
+    }
+
+    /// The driver this one replaced, kept as the oracle: materialise the
+    /// whole trace, pre-fill the whole log, slice the sorted cell list.
+    fn materialised_drive<E: SlotEngine>(
+        engine: &mut E,
+        trace: &Trace,
+        n: usize,
+        cap: Slot,
+        mode: Stepping,
+    ) -> (RunLog, Slot) {
+        let cells = trace.cells(n);
+        let cap = cap.min(Slot::MAX - 1);
+        let mut log = RunLog::with_cells(&cells);
+        let mut next = 0usize;
+        let mut now: Slot = 0;
+        let mut more = next < cells.len() || engine.backlog() > 0;
+        while more && now <= cap {
+            let first = next;
+            while next < cells.len() && cells[next].arrival == now {
+                next += 1;
+            }
+            engine.slot(now, &cells[first..next], &mut log).unwrap();
+            now += 1;
+            more = next < cells.len() || engine.backlog() > 0;
+            let next_arrival = cells.get(next).map_or(Slot::MAX, |c| c.arrival);
+            if more && mode == Stepping::SkipAhead && now <= cap && next_arrival != now {
+                let wake = engine.next_activity(now - 1).unwrap_or(Slot::MAX);
+                let stop = next_arrival.min(wake).min(cap + 1);
+                if stop > now {
+                    engine.skip_idle(now, stop - 1);
+                    now = stop;
+                }
+            }
+        }
+        (log, now)
+    }
+
+    /// A random trace on `n` ports: `bursts` runs of busy slots (each input
+    /// sends with probability `load`, to a random output) `gap`-ish slots
+    /// apart, the whole thing starting at `base`.
+    fn random_trace(n: usize, seed: u64, bursts: u64, load: f64, gap: u64, base: Slot) -> Trace {
+        let mut rng = crate::rng::SplitMix64::new(seed).derive(0xD21E);
+        let mut arrivals = Vec::new();
+        let mut slot = base;
+        for _ in 0..bursts {
+            for _ in 0..1 + rng.below(6) {
+                for input in 0..n as u32 {
+                    if rng.chance(load) {
+                        arrivals.push(crate::Arrival::new(slot, input, rng.below(n as u64) as u32));
+                    }
+                }
+                slot += 1;
+            }
+            slot += rng.below(gap + 1);
+        }
+        Trace::build(arrivals, n).unwrap()
+    }
+
+    /// `drive` against the materialising oracle, on a fresh delay line
+    /// each: same records, same end slot, same processed/skipped split.
+    fn assert_matches_oracle(trace: &Trace, n: usize, delay: Slot, cap: Slot, mode: Stepping) {
+        let (mut ours, mut model) = (DelayLine::new(delay), DelayLine::new(delay));
+        let (log, end) = drive(&mut ours, trace, n, cap, mode).unwrap();
+        let (model_log, model_end) = materialised_drive(&mut model, trace, n, cap, mode);
+        assert_eq!(log.len(), trace.len(), "{mode:?}: the log covers the trace");
+        assert_eq!(log.records(), model_log.records(), "{mode:?}: records");
+        assert_eq!(end, model_end, "{mode:?}: end slot");
+        assert_eq!(
+            (ours.processed, ours.skipped),
+            (model.processed, model.skipped),
+            "{mode:?}: processed/skipped split"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn drive_matches_the_materialising_driver(
+            n in 1usize..6,
+            seed in 0u64..1_000_000,
+            delay in 0u64..40,
+            cut in 0u64..100,
+        ) {
+            let both = [Stepping::Dense, Stepping::SkipAhead];
+            let dense = random_trace(n, seed, 8, 0.9, 0, 0);
+            let gappy = random_trace(n, seed, 5, 0.5, 400, 0);
+            for trace in [&dense, &gappy] {
+                // Uncapped, then a cap somewhere inside the trace: the cut
+                // cells must still be logged, with full-run seqs.
+                let inside = trace.horizon() * cut / 100;
+                for cap in [Slot::MAX, inside] {
+                    for mode in both {
+                        assert_matches_oracle(trace, n, delay, cap, mode);
+                    }
+                }
+            }
+            // Parked at the end of time (last departure by `MAX - 17`):
+            // only skip-ahead can get there.
+            let parked = random_trace(n, seed, 2, 0.7, 4, Slot::MAX - 40);
+            for cap in [Slot::MAX, Slot::MAX - 30] {
+                assert_matches_oracle(&parked, n, delay % 8, cap, Stepping::SkipAhead);
+            }
+        }
     }
 }

@@ -97,29 +97,26 @@ impl Trace {
         self.arrivals.last().map_or(0, |a| a.slot)
     }
 
-    /// Materialize the trace into [`Cell`]s with global ids in arrival order
-    /// and per-flow sequence numbers.
+    /// Walk the trace as [`Cell`]s, lazily: global ids in arrival order and
+    /// per-flow sequence numbers, one cell at a time.
     ///
-    /// Both switch engines inject exactly these cells, so per-cell records
-    /// can be joined by [`CellId`] afterwards.
+    /// Every engine run pulls its arrivals through one of these
+    /// ([`crate::stepping::drive`]), so per-cell records can be joined by
+    /// [`CellId`] afterwards.
+    pub fn cursor(&self, n: usize) -> CellCursor<'_> {
+        CellCursor {
+            arrivals: &self.arrivals,
+            pos: 0,
+            n,
+            seq: vec![0u32; n * n],
+        }
+    }
+
+    /// Materialize the whole trace into [`Cell`]s: [`cursor`](Self::cursor),
+    /// collected. For hand-written slot loops that want the slice; engine
+    /// runs never build it.
     pub fn cells(&self, n: usize) -> Vec<Cell> {
-        let mut seq = vec![0u32; n * n];
-        self.arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let f = a.input.idx() * n + a.output.idx();
-                let s = seq[f];
-                seq[f] += 1;
-                Cell {
-                    id: CellId(i as u64),
-                    input: a.input,
-                    output: a.output,
-                    seq: s,
-                    arrival: a.slot,
-                }
-            })
-            .collect()
+        self.cursor(n).collect()
     }
 
     /// Concatenate `other` onto this trace, shifting it to start `gap` slots
@@ -161,6 +158,64 @@ impl Trace {
         }
     }
 }
+
+/// Lazy cell view of a trace; see [`Trace::cursor`]. The one place ids and
+/// per-flow sequence numbers are assigned.
+pub struct CellCursor<'a> {
+    arrivals: &'a [Arrival],
+    pos: usize,
+    n: usize,
+    /// Next sequence number of each flow, indexed `input * n + output`.
+    seq: Vec<u32>,
+}
+
+impl CellCursor<'_> {
+    /// Arrival slot of the next cell, or `None` once the trace is spent.
+    #[inline]
+    pub fn peek_slot(&self) -> Option<Slot> {
+        self.arrivals.get(self.pos).map(|a| a.slot)
+    }
+
+    /// The next cell if it arrives in `slot`; otherwise the cursor stays
+    /// put. Called in a loop it yields exactly one slot's arrivals, in
+    /// input-port order.
+    #[inline]
+    pub fn next_at(&mut self, slot: Slot) -> Option<Cell> {
+        if self.peek_slot() == Some(slot) {
+            self.next()
+        } else {
+            None
+        }
+    }
+}
+
+impl Iterator for CellCursor<'_> {
+    type Item = Cell;
+
+    #[inline]
+    fn next(&mut self) -> Option<Cell> {
+        let a = self.arrivals.get(self.pos)?;
+        let id = CellId(self.pos as u64);
+        self.pos += 1;
+        let next_seq = &mut self.seq[a.input.idx() * self.n + a.output.idx()];
+        let seq = *next_seq;
+        *next_seq += 1;
+        Some(Cell {
+            id,
+            input: a.input,
+            output: a.output,
+            seq,
+            arrival: a.slot,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.arrivals.len() - self.pos;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for CellCursor<'_> {}
 
 /// Iterator over per-slot arrival groups; see [`Trace::by_slot`].
 pub struct BySlot<'a> {
@@ -233,6 +288,71 @@ mod tests {
         assert_eq!(seqs, vec![0, 1, 0, 2]);
         // Ids are dense in arrival order.
         assert_eq!(cells[3].id, CellId(3));
+    }
+
+    /// `Trace::cells` as it was before the cursor: one eager pass.
+    fn eager_cells(t: &Trace, n: usize) -> Vec<Cell> {
+        let mut seq = vec![0u32; n * n];
+        t.arrivals()
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let f = a.input.idx() * n + a.output.idx();
+                let s = seq[f];
+                seq[f] += 1;
+                Cell {
+                    id: CellId(i as u64),
+                    input: a.input,
+                    output: a.output,
+                    seq: s,
+                    arrival: a.slot,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cursor_yields_the_eager_cells_on_composed_traces() {
+        let n = 3;
+        // Several flows interleaved, some sharing an input or an output.
+        let base = Trace::build(
+            (0..12u64)
+                .flat_map(|s| {
+                    [
+                        Arrival::new(s, 0, (s % 3) as u32),
+                        Arrival::new(s, 2, 1),
+                        Arrival::new(2 * s + 30, 1, (s % 2) as u32),
+                    ]
+                })
+                .collect(),
+            n,
+        )
+        .unwrap();
+        let other = Trace::build(vec![Arrival::new(0, 1, 1), Arrival::new(3, 0, 0)], n).unwrap();
+        let merged = base.clone().merge(other.clone().shifted(100), n).unwrap();
+        for t in [
+            Trace::empty(),
+            base.clone(),
+            base.clone().then(&other, 7).then(&base, 0),
+            base.clone().shifted(1 << 40),
+            merged,
+        ] {
+            let want = eager_cells(&t, n);
+            assert_eq!(t.cells(n), want);
+            // Slot by slot, the way the driver pulls them.
+            let mut cursor = t.cursor(n);
+            let mut got = Vec::new();
+            while let Some(slot) = cursor.peek_slot() {
+                assert_eq!(cursor.next_at(slot + 1), None, "not that slot's cell");
+                assert_eq!(cursor.len(), want.len() - got.len());
+                while let Some(cell) = cursor.next_at(slot) {
+                    assert_eq!(cell.arrival, slot);
+                    got.push(cell);
+                }
+            }
+            assert_eq!(got, want);
+            assert_eq!(cursor.next(), None);
+        }
     }
 
     #[test]

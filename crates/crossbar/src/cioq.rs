@@ -293,8 +293,7 @@ pub fn run_cioq_policy(
 ) -> RunLog {
     let mut sw = CioqSwitch::with_policy(n, speedup, policy);
     let cap = crate::switch::drain_cap(trace, n);
-    let (log, _) =
-        stepping::drive(&mut sw, &trace.cells(n), cap, mode).expect("a CIOQ slot cannot fail");
+    let (log, _) = stepping::drive(&mut sw, trace, n, cap, mode).expect("a CIOQ slot cannot fail");
     log
 }
 
@@ -334,9 +333,9 @@ mod tests {
         let oq = run_oq(&t, n);
         let cioq = run_cioq(&t, n, 2);
         assert_eq!(cioq.undelivered(), 0);
-        for (a, b) in cioq.records().iter().zip(oq.records()) {
-            let rel = a.departure.unwrap() as i64 - b.departure.unwrap() as i64;
-            assert!(rel <= 1, "cell {:?} late by {rel}", a.id);
+        for ((id, a), b) in cioq.iter().zip(oq.records()) {
+            let rel = a.departure().unwrap() as i64 - b.departure().unwrap() as i64;
+            assert!(rel <= 1, "cell {id:?} late by {rel}");
         }
     }
 
@@ -361,7 +360,7 @@ mod tests {
             .records()
             .iter()
             .zip(oq.records())
-            .map(|(a, b)| a.departure.unwrap() as i64 - b.departure.unwrap() as i64)
+            .map(|(a, b)| a.departure().unwrap() as i64 - b.departure().unwrap() as i64)
             .max()
             .unwrap();
         assert!(worst > 0, "speedup 1 should visibly miss deadlines");
@@ -407,7 +406,7 @@ mod tests {
         let last = log
             .records()
             .iter()
-            .filter_map(|r| r.departure)
+            .filter_map(|r| r.departure())
             .max()
             .unwrap();
         assert!(

@@ -172,7 +172,7 @@ pub fn run_crossbar_with<S: CrossbarScheduler>(
 ) -> (RunLog, CrossbarSwitch<S>) {
     let n = scheduler.n();
     let mut xb = CrossbarSwitch::with_scheduler(scheduler);
-    let (log, _) = stepping::drive(&mut xb, &trace.cells(n), drain_cap(trace, n), mode)
+    let (log, _) = stepping::drive(&mut xb, trace, n, drain_cap(trace, n), mode)
         .expect("a crossbar slot cannot fail");
     (log, xb)
 }

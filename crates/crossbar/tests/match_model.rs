@@ -497,7 +497,7 @@ fn lockstep<A: Switch, B: Switch>(
         old.slot(now, arrivals, &mut old_log);
         // The slot's matching, read off the departures it caused.
         for &id in &in_flight {
-            let (a, b) = (new_log.get(id).departure, old_log.get(id).departure);
+            let (a, b) = (new_log.get(id).departure(), old_log.get(id).departure());
             prop_assert_eq!(
                 a,
                 b,
@@ -507,7 +507,7 @@ fn lockstep<A: Switch, B: Switch>(
                 id
             );
         }
-        in_flight.retain(|&id| new_log.get(id).departure.is_none());
+        in_flight.retain(|&id| new_log.get(id).departure().is_none());
         prop_assert_eq!(
             new.backlog(),
             old.backlog(),

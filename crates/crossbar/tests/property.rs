@@ -65,7 +65,7 @@ proptest! {
         // One departure per output per slot.
         let mut seen = std::collections::BTreeSet::new();
         for r in log.records() {
-            if let Some(d) = r.departure {
+            if let Some(d) = r.departure() {
                 prop_assert!(seen.insert((r.output, d)), "double departure");
                 prop_assert!(d >= r.arrival);
             }
@@ -85,7 +85,7 @@ proptest! {
                 .records()
                 .iter()
                 .zip(oq.records())
-                .map(|(a, b)| a.departure.unwrap() as i64 - b.departure.unwrap() as i64)
+                .map(|(a, b)| a.departure().unwrap() as i64 - b.departure().unwrap() as i64)
                 .max()
                 .unwrap_or(0);
             prop_assert!(worst <= prev_worst, "speedup {} worsened: {} > {}", s, worst, prev_worst);

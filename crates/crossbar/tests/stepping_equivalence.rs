@@ -57,14 +57,12 @@ fn assert_equivalent<S: CrossbarScheduler, F: Fn() -> S>(t: &Trace, make: F) -> 
     let (dense_log, dense_sw) = run_crossbar_with(t, make(), Stepping::Dense);
     let (skip_log, skip_sw) = run_crossbar_with(t, make(), Stepping::SkipAhead);
     let dense: Vec<_> = dense_log
-        .records()
         .iter()
-        .map(|r| (r.id, r.arrival, r.departure))
+        .map(|(id, r)| (id, r.arrival, r.departure()))
         .collect();
     let skip: Vec<_> = skip_log
-        .records()
         .iter()
-        .map(|r| (r.id, r.arrival, r.departure))
+        .map(|(id, r)| (id, r.arrival, r.departure()))
         .collect();
     assert_eq!(
         dense,
@@ -141,8 +139,8 @@ proptest! {
         for policy in [CioqPolicy::CriticalFirst, CioqPolicy::MaximalRr] {
             let dense = run_cioq_policy(&t, n, speedup, policy, Stepping::Dense);
             let skip = run_cioq_policy(&t, n, speedup, policy, Stepping::SkipAhead);
-            let d: Vec<_> = dense.records().iter().map(|r| (r.id, r.departure)).collect();
-            let s: Vec<_> = skip.records().iter().map(|r| (r.id, r.departure)).collect();
+            let d: Vec<_> = dense.iter().map(|(id, r)| (id, r.departure())).collect();
+            let s: Vec<_> = skip.iter().map(|(id, r)| (id, r.departure())).collect();
             prop_assert_eq!(d, s, "policy {} diverged", policy.name());
             prop_assert_eq!(dense.undelivered(), 0);
         }
@@ -173,8 +171,8 @@ fn islip_pointer_freeze_regression() {
         dense_sw.scheduler().pointers(),
         skip_sw.scheduler().pointers()
     );
-    let d: Vec<_> = dense_log.records().iter().map(|r| r.departure).collect();
-    let s: Vec<_> = skip_log.records().iter().map(|r| r.departure).collect();
+    let d: Vec<_> = dense_log.records().iter().map(|r| r.departure()).collect();
+    let s: Vec<_> = skip_log.records().iter().map(|r| r.departure()).collect();
     assert_eq!(d, s);
 }
 
@@ -214,11 +212,12 @@ fn sw_qps_window_survives_long_idle_gaps() {
 #[test]
 fn idle_slots_are_pure_noops_for_every_discipline() {
     let n = 5;
-    let burst = &long_gap_trace(n).cells(n)[..4 * n];
+    let burst = &Trace::build(long_gap_trace(n).arrivals()[..4 * n].to_vec(), n).unwrap();
 
-    fn check<S: CrossbarScheduler>(burst: &[pps_core::Cell], scheduler: S) {
+    fn check<S: CrossbarScheduler>(burst: &Trace, scheduler: S) {
         let mut sw = CrossbarSwitch::with_scheduler(scheduler);
-        let (mut log, end) = drive(&mut sw, burst, Slot::MAX, Stepping::Dense).unwrap();
+        let n = sw.scheduler().n();
+        let (mut log, end) = drive(&mut sw, burst, n, Slot::MAX, Stepping::Dense).unwrap();
         let name = sw.scheduler().name();
         let drained = sw.scheduler().state_digest();
         for now in end..end + 100 {
@@ -236,7 +235,7 @@ fn idle_slots_are_pure_noops_for_every_discipline() {
     // is the output-queue high-water mark and the backlog.
     for policy in [CioqPolicy::CriticalFirst, CioqPolicy::MaximalRr] {
         let mut sw = CioqSwitch::with_policy(n, 2, policy);
-        let (mut log, end) = drive(&mut sw, burst, Slot::MAX, Stepping::Dense).unwrap();
+        let (mut log, end) = drive(&mut sw, burst, n, Slot::MAX, Stepping::Dense).unwrap();
         let (high_water, delivered) = (sw.max_output_queue(), log.clone());
         for now in end..end + 100 {
             sw.slot(now, &[], &mut log);

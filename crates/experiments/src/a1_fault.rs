@@ -46,7 +46,7 @@ pub fn point<D: Demultiplexor>(cfg: PpsConfig, demux: D, trace: &Trace) -> (f64,
         // A cell is *lost* when it was dispatched onto the failed plane.
         // (Later same-flow cells are then also stuck behind it in the
         // resequencer — collateral the loss metric does not double-count.)
-        if rec.plane == Some(PlaneId(0)) && rec.departure.is_none() {
+        if rec.plane() == Some(PlaneId(0)) && rec.departure().is_none() {
             lost[rec.input.idx()] += 1;
         }
     }

@@ -208,7 +208,7 @@ pub trait InputStage: Sized {
     fn backlog(&self) -> usize;
 
     /// One slot's ingest: consult the demultiplexor about `arrivals`
-    /// (sorted by input port, as produced by [`Trace::cells`]) and about
+    /// (sorted by input port, as produced by [`Trace::cursor`]) and about
     /// anything buffered, and dispatch what it releases into `fabric`.
     fn ingest(
         &mut self,
@@ -641,18 +641,17 @@ impl<S: InputStage> Pps<S> {
     /// engine's stepping mode.
     pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
         let cfg = *self.fabric.cfg();
-        let cells = trace.cells(cfg.n);
-        self.fabric.reserve_cells(cells.len());
+        self.fabric.reserve_cells(trace.len());
         // Generous bound on how long draining can take: every cell
         // serialized through one line plus slack. Saturating, so a trace
         // parked near `Slot::MAX` gets an unreachable cap, not a wrapped
         // one.
-        let cap = (cells.len() as Slot + 1)
+        let cap = (trace.len() as Slot + 1)
             .saturating_mul(cfg.r_prime as Slot + 1)
             .saturating_add(trace.horizon())
             .saturating_add(cfg.buffer.capacity() as Slot + 64);
         let mode = self.stepping;
-        let (log, end_slot) = stepping::drive(self, &cells, cap, mode)?;
+        let (log, end_slot) = stepping::drive(self, trace, cfg.n, cap, mode)?;
         Ok(PpsRun {
             log,
             stats: self.fabric.stats(),

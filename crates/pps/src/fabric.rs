@@ -956,8 +956,8 @@ mod tests {
             .unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
-        assert_eq!(log.get(CellId(0)).departure, Some(0));
-        assert_eq!(log.get(CellId(0)).plane, Some(PlaneId(0)));
+        assert_eq!(log.get(CellId(0)).departure(), Some(0));
+        assert_eq!(log.get(CellId(0)).plane(), Some(PlaneId(0)));
         assert_eq!(f.backlog(), 0);
     }
 
@@ -974,8 +974,8 @@ mod tests {
             f.service(now).unwrap();
             f.emit(now, &mut log);
         }
-        assert_eq!(log.get(CellId(0)).departure, Some(0));
-        assert_eq!(log.get(CellId(1)).departure, Some(3));
+        assert_eq!(log.get(CellId(0)).departure(), Some(0));
+        assert_eq!(log.get(CellId(1)).departure(), Some(3));
     }
 
     #[test]
@@ -1013,8 +1013,8 @@ mod tests {
         f.service(1).unwrap();
         f.emit(1, &mut log);
         // Both delivered in slot 0 (different planes), emitted 0 and 1.
-        assert_eq!(log.get(CellId(0)).departure, Some(0));
-        assert_eq!(log.get(CellId(1)).departure, Some(1));
+        assert_eq!(log.get(CellId(0)).departure(), Some(0));
+        assert_eq!(log.get(CellId(1)).departure(), Some(1));
         assert_eq!(f.stats().max_output_held, 2);
     }
 
@@ -1026,7 +1026,7 @@ mod tests {
             .unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
-        assert_eq!(log.get(CellId(0)).departure, None);
+        assert_eq!(log.get(CellId(0)).departure(), None);
         assert_eq!(f.stats().dropped, 1);
         assert_eq!(f.backlog(), 0);
     }
@@ -1057,13 +1057,13 @@ mod tests {
             .unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
-        assert_eq!(log.get(CellId(0)).departure, Some(0));
+        assert_eq!(log.get(CellId(0)).departure(), Some(0));
         f.fail_plane(0).unwrap();
         for now in 1..=6 {
             f.service(now).unwrap();
             f.emit(now, &mut log);
         }
-        assert_eq!(log.get(CellId(1)).departure, None);
+        assert_eq!(log.get(CellId(1)).departure(), None);
         assert_eq!(f.stats().dropped, 1);
         assert_eq!(f.backlog(), 0);
     }
@@ -1086,7 +1086,7 @@ mod tests {
         // ...where it delivers nothing and re-arms nothing.
         f.service(3).unwrap();
         f.emit(3, &mut log);
-        assert_eq!(log.get(CellId(1)).departure, None);
+        assert_eq!(log.get(CellId(1)).departure(), None);
         assert_eq!(f.stats().output_line_uses, 1);
         assert_eq!(f.next_activity(3), None);
         // Recovery plus a dispatch arms the line as on a fresh fabric.
@@ -1096,7 +1096,7 @@ mod tests {
         assert_eq!(f.next_activity(4), Some(5));
         f.service(5).unwrap();
         f.emit(5, &mut log);
-        assert_eq!(log.get(CellId(2)).departure, Some(5));
+        assert_eq!(log.get(CellId(2)).departure(), Some(5));
         assert_eq!(f.next_activity(5), None);
     }
 
@@ -1150,7 +1150,7 @@ mod tests {
         assert_eq!(f.backlog(), 0, "script must drain within the horizon");
         let departures = cells
             .iter()
-            .map(|c| log.get(c.id).departure.map(|d| d - base))
+            .map(|c| log.get(c.id).departure().map(|d| d - base))
             .collect();
         (departures, wakes)
     }
@@ -1205,8 +1205,8 @@ mod tests {
             .unwrap();
         f.service(2).unwrap();
         f.emit(2, &mut log);
-        assert_eq!(log.get(CellId(0)).departure, None);
-        assert_eq!(log.get(CellId(1)).departure, Some(2));
+        assert_eq!(log.get(CellId(0)).departure(), None);
+        assert_eq!(log.get(CellId(1)).departure(), Some(2));
         assert_eq!(f.stats().dropped, 1);
     }
 

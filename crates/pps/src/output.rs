@@ -552,20 +552,22 @@ impl OutputMux {
             return Some(now + 1);
         }
         let limit = self.watchdog?;
+        // A stall clock started at `since` fires during its limit-th
+        // consecutive stalled slot: `since + limit - 1`, saturating — a
+        // limit near `Slot::MAX` is a deadline at the end of time, not a
+        // wrapped one in the past.
+        let fires = |since: Slot| since.saturating_add(limit - 1).max(now + 1);
         match self.discipline {
-            // A blocked flow's gap expires during its limit-th consecutive
-            // blocked slot: `since + limit - 1`.
+            // Per-flow gap clocks: the earliest one.
             OutputDiscipline::FlowFifo => self
                 .blocked_since
                 .iter()
                 .flatten()
-                .map(|&since| (since + limit - 1).max(now + 1))
+                .map(|&since| fires(since))
                 .min(),
             // Whole-mux stall clock; if it has not started yet, dense would
             // start it at the next stalled slot (`now + 1`).
-            OutputDiscipline::GlobalFcfs => {
-                Some((self.stalled_since.unwrap_or(now + 1) + limit - 1).max(now + 1))
-            }
+            OutputDiscipline::GlobalFcfs => Some(fires(self.stalled_since.unwrap_or(now + 1))),
             // Greedy with held cells always has an eligible cell, so
             // `can_emit` above already returned.
             OutputDiscipline::Greedy => None,
@@ -986,6 +988,42 @@ mod tests {
         assert_eq!(m.emit_seq(10_011), Some(0));
         assert_eq!(m.emit_seq(10_012), Some(1));
         assert_eq!(m.m.skipped(), 0);
+    }
+
+    #[test]
+    fn a_watchdog_limit_at_the_end_of_time_saturates_its_deadline() {
+        // `since + limit - 1` with `limit = Slot::MAX` (which `validate()`
+        // accepts) used to overflow: a debug panic, and in release a
+        // wrapped deadline in the past that woke the mux every slot.
+        let mut fifo = Rig::new(1, OutputDiscipline::FlowFifo);
+        fifo.m.set_watchdog(Some(Slot::MAX));
+        fifo.deliver(cell(1, 0, 1, 1), 10); // gap-blocked behind seq 0
+        assert_eq!(fifo.emit(10), None);
+        assert_eq!(fifo.m.next_activity(10), Some(Slot::MAX));
+
+        let mut fcfs = Rig::new(1, OutputDiscipline::GlobalFcfs);
+        fcfs.m.set_watchdog(Some(Slot::MAX));
+        fcfs.m.register_in_flight(CellId(0));
+        fcfs.m.register_in_flight(CellId(1));
+        fcfs.deliver(cell(1, 0, 1, 1), 10); // cell 0 is still in a plane
+        assert_eq!(
+            fcfs.m.next_activity(9),
+            Some(Slot::MAX),
+            "clock not started"
+        );
+        assert_eq!(fcfs.emit(10), None);
+        assert_eq!(
+            fcfs.m.next_activity(10),
+            Some(Slot::MAX),
+            "stalled since 10"
+        );
+
+        for m in [&mut fifo, &mut fcfs] {
+            m.m.skip_idle(11, 1_000_010);
+            assert_eq!(m.emit(1_000_011), None, "the watchdog never fires");
+            assert_eq!(m.m.stalled_slots(), 1_000_002);
+            assert_eq!(m.m.skipped(), 0);
+        }
     }
 
     #[test]

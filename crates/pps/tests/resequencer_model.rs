@@ -147,7 +147,7 @@ fn lcg(state: &mut u64) -> u64 {
 /// Build one output's worth of flows — per input, `len` cells with
 /// consecutive seqs and strictly increasing arrivals — then scatter each
 /// cell's plane-delivery slot by a random delay. Ids follow global arrival
-/// order, as `Trace::cells` assigns them.
+/// order, as `Trace::cursor` assigns them.
 fn build_run(
     lens: &[usize],
     seed: u64,

@@ -51,11 +51,11 @@ pub fn check_work_conserving(log: &RunLog, within: Option<(Slot, Slot)>) -> Vec<
     // Group cell events per output.
     let mut outputs: std::collections::BTreeMap<PortId, Vec<(Slot, Option<Slot>, CellId)>> =
         std::collections::BTreeMap::new();
-    for rec in log.records() {
+    for (id, rec) in log.iter() {
         outputs
             .entry(rec.output)
             .or_default()
-            .push((rec.arrival, rec.departure, rec.id));
+            .push((rec.arrival, rec.departure(), id));
     }
     for (output, mut cells) in outputs {
         cells.sort_by_key(|&(a, _, id)| (a, id));
@@ -91,26 +91,26 @@ pub fn check_work_conserving(log: &RunLog, within: Option<(Slot, Slot)>) -> Vec<
 /// cell departed.
 pub fn check_flow_order(log: &RunLog) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut flows: std::collections::BTreeMap<FlowId, Vec<&CellRecord>> =
+    let mut flows: std::collections::BTreeMap<FlowId, Vec<(CellId, &CellRecord)>> =
         std::collections::BTreeMap::new();
-    for rec in log.records() {
-        if rec.departure.is_none() {
-            violations.push(Violation::Undelivered { cell: rec.id });
+    for (id, rec) in log.iter() {
+        if rec.departure().is_none() {
+            violations.push(Violation::Undelivered { cell: id });
             continue;
         }
-        flows.entry(rec.flow()).or_default().push(rec);
+        flows.entry(rec.flow()).or_default().push((id, rec));
     }
     for (flow, mut recs) in flows {
-        recs.sort_by_key(|r| r.seq);
+        recs.sort_by_key(|(_, r)| r.seq);
         for w in recs.windows(2) {
-            let (a, b) = (w[0], w[1]);
+            let ((earlier, a), (later, b)) = (w[0], w[1]);
             // Same-slot departure of two cells at one output is impossible
             // (one departure per output per slot), so strict inequality.
-            if b.departure <= a.departure {
+            if b.departure() <= a.departure() {
                 violations.push(Violation::FlowReorder {
                     flow,
-                    earlier: a.id,
-                    later: b.id,
+                    earlier,
+                    later,
                 });
             }
         }

@@ -128,7 +128,7 @@ impl SlotEngine for ShadowOq {
 /// needs no livelock cap.
 pub fn run_oq(trace: &Trace, n: usize) -> RunLog {
     let mode = stepping::process_default();
-    let (log, _) = stepping::drive(&mut ShadowOq::new(n), &trace.cells(n), Slot::MAX, mode)
+    let (log, _) = stepping::drive(&mut ShadowOq::new(n), trace, n, Slot::MAX, mode)
         .expect("an OQ slot cannot fail");
     log
 }
@@ -141,13 +141,13 @@ pub fn run_oq(trace: &Trace, n: usize) -> RunLog {
 pub fn fcfs_departure_times(trace: &Trace, n: usize) -> Vec<Slot> {
     let mut last: Vec<Option<Slot>> = vec![None; n];
     trace
-        .cells(n)
+        .arrivals()
         .iter()
-        .map(|cell| {
-            let j = cell.output.idx();
+        .map(|a| {
+            let j = a.output.idx();
             let dt = match last[j] {
-                Some(prev) => cell.arrival.max(prev + 1),
-                None => cell.arrival,
+                Some(prev) => a.slot.max(prev + 1),
+                None => a.slot,
             };
             last[j] = Some(dt);
             dt
@@ -167,7 +167,7 @@ mod tests {
     fn lone_cell_departs_in_arrival_slot() {
         let t = trace(vec![Arrival::new(5, 0, 1)], 2);
         let log = run_oq(&t, 2);
-        assert_eq!(log.get(CellId(0)).departure, Some(5));
+        assert_eq!(log.get(CellId(0)).departure(), Some(5));
         assert_eq!(log.get(CellId(0)).delay(), Some(0));
     }
 
@@ -184,11 +184,11 @@ mod tests {
             3,
         );
         let log = run_oq(&t, 3);
-        // Trace::cells orders same-slot arrivals by input.
+        // The trace orders same-slot arrivals by input.
         let mut by_input: Vec<(u32, Slot)> = log
             .records()
             .iter()
-            .map(|r| (r.input.0, r.departure.unwrap()))
+            .map(|r| (r.input.0, r.departure().unwrap()))
             .collect();
         by_input.sort();
         assert_eq!(by_input, vec![(0, 0), (1, 1), (2, 2)]);
@@ -208,12 +208,11 @@ mod tests {
         let t = trace(arr, 4);
         let log = run_oq(&t, 4);
         let analytic = fcfs_departure_times(&t, 4);
-        for rec in log.records() {
+        for (id, rec) in log.iter() {
             assert_eq!(
-                rec.departure,
-                Some(analytic[rec.id.idx()]),
-                "cell {:?} departure mismatch",
-                rec.id
+                rec.departure(),
+                Some(analytic[id.idx()]),
+                "cell {id:?} departure mismatch"
             );
         }
     }

@@ -58,7 +58,7 @@ pub fn regulate(log: &RunLog, d_target: Slot) -> RegulationReport {
     // Group delivered cells per output, ordered by switch departure.
     let mut per_output: BTreeMap<PortId, Vec<(Slot, Slot)>> = BTreeMap::new(); // (departure, arrival)
     for rec in log.records() {
-        if let Some(dep) = rec.departure {
+        if let Some(dep) = rec.departure() {
             per_output
                 .entry(rec.output)
                 .or_default()
@@ -147,7 +147,7 @@ pub fn regulate_online(log: &RunLog, d_target: Slot, buffer_cap: usize) -> Onlin
     let mut per_output: BTreeMap<PortId, Vec<(Slot, Slot)>> = BTreeMap::new(); // (departure, arrival)
     let mut horizon: Slot = 0;
     for rec in log.records() {
-        if let Some(dep) = rec.departure {
+        if let Some(dep) = rec.departure() {
             per_output
                 .entry(rec.output)
                 .or_default()

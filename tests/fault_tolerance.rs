@@ -59,7 +59,7 @@ fn minimal_partition_halves_its_victims_traffic() {
     let mut lost = vec![0u64; n];
     for rec in run.log.records() {
         sent[rec.input.idx()] += 1;
-        if rec.plane == Some(PlaneId(0)) && rec.departure.is_none() {
+        if rec.plane() == Some(PlaneId(0)) && rec.departure().is_none() {
             lost[rec.input.idx()] += 1;
         }
     }
@@ -87,7 +87,7 @@ fn failure_does_not_wedge_unaffected_flows() {
     for rec in run.log.records() {
         if rec.input == PortId(0) {
             assert!(
-                rec.departure.is_some(),
+                rec.departure().is_some(),
                 "flow avoiding the failed plane must complete: {rec:?}"
             );
         }
@@ -133,12 +133,12 @@ fn buffered_switch_survives_a_fail_recover_cycle() {
     let run = pps.run(&trace).unwrap();
     assert!(run.stats.dropped > 0, "the outage must cost something");
     for rec in run.log.records() {
-        if rec.departure.is_none() {
+        if rec.departure().is_none() {
             // Only the dead plane loses cells, and only cells dispatched
             // during the outage (dispatch happens at or after arrival, so
             // every victim arrived before the PlaneUp slot).
             assert_eq!(
-                rec.plane,
+                rec.plane(),
                 Some(PlaneId(0)),
                 "loss off the dead plane: {rec:?}"
             );
@@ -150,7 +150,7 @@ fn buffered_switch_survives_a_fail_recover_cycle() {
         .log
         .records()
         .iter()
-        .filter(|r| r.plane == Some(PlaneId(0)) && r.departure.is_some() && r.arrival >= 700)
+        .filter(|r| r.plane() == Some(PlaneId(0)) && r.departure().is_some() && r.arrival >= 700)
         .count();
     assert!(after_recovery > 0, "plane 0 must carry cells after PlaneUp");
     // The watchdog skipped the gaps the lost cells left behind.
@@ -171,13 +171,43 @@ fn global_fcfs_mux_does_not_deadlock_on_lost_cells() {
         .log
         .records()
         .iter()
-        .filter(|r| r.plane.is_some() && r.plane != Some(PlaneId(1)))
+        .filter(|r| r.plane().is_some() && r.plane() != Some(PlaneId(1)))
         .count();
     let delivered = run
         .log
         .records()
         .iter()
-        .filter(|r| r.departure.is_some())
+        .filter(|r| r.departure().is_some())
         .count();
     assert_eq!(alive, delivered, "healthy-plane cells must all depart");
+}
+
+#[test]
+fn a_watchdog_limit_of_slot_max_behaves_like_no_watchdog() {
+    // `PpsConfig::with_watchdog(Slot::MAX)` passes `validate()`, and the
+    // gap deadline `since + limit - 1` then used to overflow the moment a
+    // flow gap-blocked: a panic in debug builds, a wrapped deadline that
+    // woke the switch every slot in release. One PlaneDown/PlaneUp pulse
+    // loses cells in plane 0; their flows' later cells block behind the
+    // gaps until the drain cap, and a watchdog that cannot fire before the
+    // end of time must leave exactly the run no watchdog leaves.
+    let (n, k, r_prime) = (4, 4, 2);
+    let trace = BernoulliGen::uniform(0.7, 21).trace(n, 300);
+    let plan = FaultPlan::new().plane_down(0, 50).plane_up(0, 60);
+    let run = |cfg: PpsConfig| {
+        let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).unwrap();
+        pps.set_stepping(Stepping::SkipAhead);
+        pps.set_fault_plan(&plan).unwrap();
+        pps.run(&trace).unwrap()
+    };
+    let cfg = PpsConfig::bufferless(n, k, r_prime);
+    let never = run(cfg);
+    let at_max = run(cfg.with_watchdog(Slot::MAX));
+    assert!(
+        never.log.undelivered() as u64 > never.stats.dropped,
+        "cells must block behind a lost one"
+    );
+    assert_eq!(at_max.log.records(), never.log.records());
+    assert_eq!(at_max.stats, never.stats);
+    assert_eq!(at_max.end_slot, never.end_slot);
 }

@@ -56,7 +56,7 @@ fn assert_run_obligations(run: &PpsRun, what: &str) {
     // At most one departure per output per slot.
     let mut per_slot: std::collections::BTreeMap<(PortId, Slot), u32> = Default::default();
     for rec in run.log.records() {
-        if let Some(dep) = rec.departure {
+        if let Some(dep) = rec.departure() {
             let c = per_slot.entry((rec.output, dep)).or_default();
             *c += 1;
             assert_eq!(
@@ -128,7 +128,7 @@ proptest! {
         let block = h * r_prime;
         let mut flows: std::collections::BTreeMap<FlowId, Vec<(u32, PlaneId)>> = Default::default();
         for rec in run.log.records() {
-            flows.entry(rec.flow()).or_default().push((rec.seq, rec.plane.unwrap()));
+            flows.entry(rec.flow()).or_default().push((rec.seq, rec.plane().unwrap()));
         }
         for (flow, mut cells) in flows {
             cells.sort();
@@ -285,8 +285,8 @@ proptest! {
         prop_assert!(check_work_conserving(&log, None).is_empty());
         prop_assert!(check_flow_order(&log).is_empty());
         let analytic = pps_reference::oq::fcfs_departure_times(&trace, n);
-        for rec in log.records() {
-            prop_assert_eq!(rec.departure, Some(analytic[rec.id.idx()]));
+        for (id, rec) in log.iter() {
+            prop_assert_eq!(rec.departure(), Some(analytic[id.idx()]));
         }
     }
 
