@@ -59,10 +59,9 @@ impl Comparison {
 }
 
 /// The one lockstep: run `trace` through `pps` — built and configured
-/// (fault plan, shard count, stepping mode) by the caller — and through the
-/// shadow OQ switch. The shadow switch stays fault-free whatever `pps`
-/// replays: relative metrics then measure pure degradation, not a shifted
-/// baseline.
+/// (fault plan, stepping mode) by the caller — and through the shadow OQ
+/// switch. The shadow switch stays fault-free whatever `pps` replays:
+/// relative metrics then measure pure degradation, not a shifted baseline.
 pub fn compare<S: InputStage>(mut pps: Pps<S>, trace: &Trace) -> Result<Comparison, ModelError> {
     let n = pps.fabric().cfg().n;
     let run = pps.run(trace)?;

@@ -74,9 +74,6 @@ pub struct ChaosOptions {
     /// Pin every case to one stepping mode instead of the per-case draw
     /// (`--stepping dense|skip`). Reports are byte-identical either way.
     pub force_stepping: Option<pps_core::Stepping>,
-    /// Pin every case's intra-run shard count instead of the per-case draw
-    /// (`--intra-jobs N`). Reports are byte-identical at any value.
-    pub force_intra_jobs: Option<usize>,
 }
 
 impl Default for ChaosOptions {
@@ -92,7 +89,6 @@ impl Default for ChaosOptions {
             truncate_at: None,
             inject_leak: 0,
             force_stepping: None,
-            force_intra_jobs: None,
         }
     }
 }
@@ -131,15 +127,6 @@ pub fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
                 opts.force_stepping = Some(pps_core::Stepping::parse(v).ok_or_else(|| {
                     ChaosError::InvalidFlag(format!("--stepping {v}: expected dense or skip"))
                 })?);
-            }
-            "--intra-jobs" => {
-                let n: usize = parse_num(flag, value()?)?;
-                if n == 0 {
-                    return Err(ChaosError::InvalidFlag(
-                        "--intra-jobs must be at least 1".into(),
-                    ));
-                }
-                opts.force_intra_jobs = Some(n);
             }
             other => {
                 return Err(ChaosError::InvalidFlag(format!("unknown flag {other}")));
@@ -204,7 +191,6 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
         keep_events: false,
         inject_leak: opts.inject_leak,
         force_stepping: opts.force_stepping,
-        force_intra_jobs: opts.force_intra_jobs,
         force_cioq_speedup: None,
     };
     let seed = opts.seed;

@@ -53,10 +53,6 @@ pub struct RunOpts {
     /// draw it from its seed ([`ChaosCase::stepping`]). Used by the
     /// dense/skip equivalence tests; `None` in normal campaigns.
     pub force_stepping: Option<Stepping>,
-    /// Pin the engine's intra-run shard count instead of letting the case
-    /// draw it from its seed ([`ChaosCase::intra_jobs`]). Used by the
-    /// sharded/serial equivalence tests; `None` in normal campaigns.
-    pub force_intra_jobs: Option<usize>,
     /// Pin the comparison CIOQ switch's speedup instead of the default
     /// [`CIOQ_SPEEDUP`]. Used by the speedup × fault interaction tests;
     /// `None` in normal campaigns.
@@ -139,15 +135,10 @@ fn comparison_scheduler(case: &ChaosCase) -> Box<dyn CrossbarScheduler> {
 /// A PPS built for `case`, or the engine error that refused it.
 type EngineUnderTest<S> = Result<Pps<S>, ModelError>;
 
-/// Attach the case's fault plan and the run's shard count to a fresh PPS.
-fn armed<S: InputStage>(
-    pps: EngineUnderTest<S>,
-    case: &ChaosCase,
-    intra_jobs: usize,
-) -> EngineUnderTest<S> {
+/// Attach the case's fault plan to a fresh PPS.
+fn armed<S: InputStage>(pps: EngineUnderTest<S>, case: &ChaosCase) -> EngineUnderTest<S> {
     let mut pps = pps?;
     pps.set_fault_plan_shared(Arc::new(case.plan.clone()))?;
-    pps.set_intra_jobs(intra_jobs);
     Ok(pps)
 }
 
@@ -155,15 +146,14 @@ fn armed<S: InputStage>(
 /// the three comparison engines.
 fn run_engines(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, RunLog, RunLog) {
     let ChaosCase { n, k, r_prime, .. } = *case;
-    let intra_jobs = opts.force_intra_jobs.unwrap_or_else(|| case.intra_jobs());
     if case.buffer == 0 {
         let demux = FuzzDemux::build(case.demux, n, k, r_prime, case.seed);
         let pps = BufferlessPps::new(case.config(), demux);
-        lockstep(case, opts, cells, armed(pps, case, intra_jobs))
+        lockstep(case, opts, cells, armed(pps, case))
     } else {
         let demux = FuzzBufferedDemux::build(case.demux, n, k, r_prime);
         let pps = BufferedPps::new(case.config(), demux);
-        lockstep(case, opts, cells, armed(pps, case, intra_jobs))
+        lockstep(case, opts, cells, armed(pps, case))
     }
 }
 

@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static SLOTS_SIMULATED: AtomicU64 = AtomicU64::new(0);
 static SLOTS_SKIPPED: AtomicU64 = AtomicU64::new(0);
-static INTRA_MERGE_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Total slots simulated by this process so far, across every engine (PPS
 /// fabric, crossbar baselines, hand-rolled `slot()` loops). Slots covered
@@ -49,20 +48,6 @@ pub fn record_slots(n: u64) {
 #[inline]
 pub fn record_skipped(n: u64) {
     SLOTS_SKIPPED.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Total wall-clock nanoseconds spent merging intra-run shard results at
-/// the slot barrier (declared-order delivery/emit merge + telemetry fold).
-/// Cumulative and monotonic; `0` until a sharded fabric runs.
-pub fn intra_merge_nanos() -> u64 {
-    INTRA_MERGE_NANOS.load(Ordering::Relaxed)
-}
-
-/// Record `n` nanoseconds of intra-run shard merge time. The fabric calls
-/// this once per merged parallel region, not per cell.
-#[inline]
-pub fn record_intra_merge(n: u64) {
-    INTRA_MERGE_NANOS.fetch_add(n, Ordering::Relaxed);
 }
 
 #[cfg(test)]

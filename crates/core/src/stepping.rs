@@ -83,10 +83,8 @@ pub fn earliest(a: Option<Slot>, b: Option<Slot>) -> Option<Slot> {
     }
 }
 
-/// Fold any number of optional next-activity slots into the earliest one —
-/// the min-reduce a sharded fabric performs over its per-shard agendas to
-/// size a joint skip-ahead jump window (every shard must be willing to
-/// sleep through the whole gap).
+/// Fold any number of optional next-activity slots into the earliest one:
+/// [`earliest`] over a whole list of components.
 #[inline]
 pub fn earliest_of(items: impl IntoIterator<Item = Option<Slot>>) -> Option<Slot> {
     items.into_iter().fold(None, earliest)

@@ -37,7 +37,7 @@
 
 use crate::ids::{CellId, PlaneId, PortId};
 use crate::time::Slot;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -514,23 +514,6 @@ pub fn record(engine: Engine, slot: Slot, kind: EventKind) {
     if level == Level::Off {
         return;
     }
-    // Intra-run shard threads divert into their shard-local capture: no
-    // shared atomics on the hot path, no scope ring. The fabric folds the
-    // capture back at the merge barrier ([`fold_shard_counts`] +
-    // [`replay_shard_events`]), in declared shard order, so the global
-    // counters and the scope's event stream end up byte-identical to the
-    // serial walk.
-    if SHARD_ACTIVE.with(Cell::get) {
-        SHARD.with(|shard| {
-            if let Some(cap) = shard.borrow_mut().as_mut() {
-                cap.counts[kind.counter_index()] += 1;
-                if level == Level::Full {
-                    cap.events.push(Event { slot, engine, kind });
-                }
-            }
-        });
-        return;
-    }
     COUNTERS[kind.counter_index()].fetch_add(1, Ordering::Relaxed);
     if level != Level::Full {
         return;
@@ -544,110 +527,6 @@ pub fn record(engine: Engine, slot: Slot, kind: EventKind) {
             }
             None => {
                 EVENTS_UNSCOPED.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Intra-run shard capture
-// ---------------------------------------------------------------------------
-
-/// Shard-local telemetry sink for one intra-run parallel region (DESIGN.md
-/// §16). While installed via [`shard_capture_into`], [`record`] on that
-/// thread appends into this capture instead of touching the process-wide
-/// counter atomics or the thread's scope ring; the fabric folds captures
-/// back on the merging thread, in declared shard order.
-#[derive(Clone, Debug, Default)]
-pub struct ShardCapture {
-    /// Events captured at [`Level::Full`], in shard-local emission order.
-    pub events: Vec<Event>,
-    /// Per-kind counter increments deferred to the barrier fold.
-    counts: [u64; KINDS],
-}
-
-thread_local! {
-    /// Fast flag checked by [`record`]; `true` only inside
-    /// [`shard_capture_into`].
-    static SHARD_ACTIVE: Cell<bool> = const { Cell::new(false) };
-    /// The capture currently installed on this thread, if any.
-    static SHARD: RefCell<Option<ShardCapture>> = const { RefCell::new(None) };
-}
-
-/// Run `f` with `cap` installed as this thread's telemetry sink and return
-/// `f`'s result. The capture is cleared on entry (its allocations are
-/// reused) and holds everything `f` recorded on exit, even if `f` panics
-/// (the capture is restored on unwind so a poisoned shard cannot leak a
-/// diversion into later slots on a pooled worker thread).
-pub fn shard_capture_into<R>(cap: &mut ShardCapture, f: impl FnOnce() -> R) -> R {
-    let mut fresh = std::mem::take(cap);
-    fresh.events.clear();
-    fresh.counts = [0; KINDS];
-    let prev = SHARD.with(|shard| shard.borrow_mut().replace(fresh));
-    let prev_active = SHARD_ACTIVE.with(|active| active.replace(true));
-
-    struct Guard<'a> {
-        cap: &'a mut ShardCapture,
-        prev: Option<ShardCapture>,
-        prev_active: bool,
-    }
-    impl Drop for Guard<'_> {
-        fn drop(&mut self) {
-            let taken = SHARD.with(|shard| {
-                let mut shard = shard.borrow_mut();
-                let taken = shard.take();
-                *shard = self.prev.take();
-                taken
-            });
-            *self.cap = taken.unwrap_or_default();
-            SHARD_ACTIVE.with(|active| active.set(self.prev_active));
-        }
-    }
-    let _guard = Guard {
-        cap,
-        prev,
-        prev_active,
-    };
-    f()
-}
-
-/// Number of events captured so far by this thread's installed shard
-/// capture (0 outside [`shard_capture_into`]). Shards bracket per-unit
-/// work with marks to attribute event runs during the ordered merge.
-pub fn shard_mark() -> usize {
-    SHARD.with(|shard| shard.borrow().as_ref().map_or(0, |cap| cap.events.len()))
-}
-
-/// Fold a capture's deferred counter increments into the process-wide
-/// registry — one atomic add per kind that fired, instead of one per
-/// event on the hot path.
-pub fn fold_shard_counts(cap: &ShardCapture) {
-    for (i, &n) in cap.counts.iter().enumerate() {
-        if n != 0 {
-            COUNTERS[i].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Replay captured events into the merging thread's active scope, exactly
-/// as if [`record`] had emitted them there: pushed in order into the scope
-/// ring (counted recorded), or counted unscoped when no scope is active.
-/// No-op below [`Level::Full`] — captures only hold events at `Full`.
-pub fn replay_shard_events(events: &[Event]) {
-    if events.is_empty() || level() != Level::Full {
-        return;
-    }
-    SCOPES.with(|scopes| {
-        let mut scopes = scopes.borrow_mut();
-        match scopes.last_mut() {
-            Some(scope) => {
-                for &ev in events {
-                    scope.ring.push(ev);
-                }
-                EVENTS_RECORDED.fetch_add(events.len() as u64, Ordering::Relaxed);
-            }
-            None => {
-                EVENTS_UNSCOPED.fetch_add(events.len() as u64, Ordering::Relaxed);
             }
         }
     });

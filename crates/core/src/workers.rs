@@ -22,9 +22,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static JOBS: AtomicUsize = AtomicUsize::new(1);
 /// Extra workers currently leased across all live parallel regions.
 static LEASED: AtomicUsize = AtomicUsize::new(0);
-/// Requested intra-run shard count (see [`set_intra_jobs`]). Engines read
-/// it once at construction, like the stepping default.
-static INTRA_JOBS: AtomicUsize = AtomicUsize::new(1);
 
 /// Set the process-wide parallelism budget: the maximum number of threads
 /// (callers + leased workers) simultaneously making progress. `n = 1`
@@ -38,21 +35,9 @@ pub fn jobs() -> usize {
     JOBS.load(Ordering::SeqCst)
 }
 
-/// Set the process-wide *intra-run* shard count: how many shards a single
-/// fabric partitions its planes and output resequencers into (`ppslab
-/// --intra-jobs`). Shards above 1 advance in parallel on workers leased
-/// from the same budget as [`set_jobs`]; results are byte-identical at any
-/// value because shard results merge at a barrier in declared order.
-/// Engines read this once at construction (a mid-run flip cannot re-shard
-/// a live fabric); per-engine setters override it.
-pub fn set_intra_jobs(n: usize) {
-    INTRA_JOBS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The current process-wide intra-run shard count (see [`set_intra_jobs`]).
-pub fn intra_jobs() -> usize {
-    INTRA_JOBS.load(Ordering::SeqCst)
-}
+/// Ignored; kept until the ROADMAP 1(a) benchmark PR drops the call.
+#[doc(hidden)]
+pub fn set_intra_jobs(_n: usize) {}
 
 /// Try to lease one extra worker from the shared budget. On success the
 /// caller owns one worker slot and must return it with

@@ -9,7 +9,6 @@
 //! ppslab --out results/   # also write every table as CSV into results/
 //! ppslab perf        # quick simulator-throughput summary
 //! ppslab --jobs 4    # worker budget (default: available parallelism; 1 = serial)
-//! ppslab --intra-jobs 4     # shard each run's planes/outputs (default: 1 = serial fabric)
 //! ppslab --stepping dense   # force the dense slot loop (default: skip-ahead)
 //! ppslab --bench-json BENCH_experiments.json   # record wall-clock + slots/sec
 //! ppslab --telemetry counters          # event counters to stderr after the run
@@ -70,8 +69,8 @@ fn perf() {
 }
 
 /// Per-experiment benchmark record:
-/// `(id, wall seconds, simulated slots, skipped slots, intra merge nanos)`.
-type BenchEntry = (&'static str, f64, u64, u64, u64);
+/// `(id, wall seconds, simulated slots, skipped slots)`.
+type BenchEntry = (&'static str, f64, u64, u64);
 
 /// Serialize the benchmark records by hand (two levels of objects — not
 /// worth a JSON dependency).
@@ -80,16 +79,12 @@ fn bench_json(jobs: usize, total_seconds: f64, entries: &[BenchEntry]) -> String
     out.push_str("  \"suite\": \"ppslab\",\n");
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!(
-        "  \"intra_jobs\": {},\n",
-        pps_core::workers::intra_jobs()
-    ));
-    out.push_str(&format!(
         "  \"stepping\": \"{}\",\n",
         pps_core::stepping::process_default().name()
     ));
     out.push_str(&format!("  \"total_wall_seconds\": {total_seconds:.3},\n"));
     out.push_str("  \"experiments\": [\n");
-    for (i, (id, secs, slots, skipped, merge_nanos)) in entries.iter().enumerate() {
+    for (i, (id, secs, slots, skipped)) in entries.iter().enumerate() {
         let rate = if *secs > 0.0 {
             *slots as f64 / secs
         } else {
@@ -97,13 +92,58 @@ fn bench_json(jobs: usize, total_seconds: f64, entries: &[BenchEntry]) -> String
         };
         out.push_str(&format!(
             "    {{\"id\": \"{id}\", \"wall_seconds\": {secs:.3}, \"slots\": {slots}, \
-             \"slots_skipped\": {skipped}, \"slots_per_sec\": {rate:.0}, \
-             \"intra_merge_nanos\": {merge_nanos}}}{}\n",
+             \"slots_skipped\": {skipped}, \"slots_per_sec\": {rate:.0}}}{}\n",
             if i + 1 < entries.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Every flag of the experiment-running path, with whether it takes a
+/// value: the one list that both skips flag values when collecting
+/// experiment ids and rejects strangers.
+const FLAGS: &[(&str, bool)] = &[
+    ("--csv", false),
+    ("--markdown", false),
+    ("--list", false),
+    ("--out", true),
+    ("--jobs", true),
+    ("--bench-json", true),
+    ("--telemetry", true),
+    ("--trace-out", true),
+    ("--stepping", true),
+    ("--workload", true),
+    ("--workload-k", true),
+    ("--workload-rprime", true),
+];
+
+/// Check every `--flag` against [`FLAGS`] (and that a value follows the
+/// ones that take one) and return the positional arguments: the wanted
+/// experiment ids.
+fn positional(args: &[String]) -> Vec<&str> {
+    let mut wanted = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            wanted.push(arg.as_str());
+            continue;
+        }
+        match FLAGS.iter().find(|(flag, _)| flag == arg) {
+            Some((_, false)) => {}
+            Some((_, true)) => {
+                if it.next().is_none() {
+                    eprintln!("error: {arg} needs a value");
+                    std::process::exit(2);
+                }
+            }
+            None => {
+                eprintln!("error: unknown flag {arg}");
+                std::process::exit(2);
+            }
+        }
+    }
+    wanted
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
@@ -146,6 +186,7 @@ fn main() {
         }
         return;
     }
+    let wanted = positional(&args);
     let csv = args.iter().any(|a| a == "--csv");
     let markdown = args.iter().any(|a| a == "--markdown");
     let out_dir = flag_value(&args, "--out").cloned();
@@ -191,21 +232,6 @@ fn main() {
         None => std::thread::available_parallelism().map_or(1, usize::from),
     };
     pps_experiments::sweep::set_jobs(jobs);
-    // Intra-run sharding: split each engine's planes and output
-    // resequencers across the same worker budget. Tables and traces are
-    // byte-identical at any value (DESIGN.md §16); the default of 1 keeps
-    // single-fabric runs serial.
-    if let Some(v) = flag_value(&args, "--intra-jobs") {
-        let n: usize = v.parse().unwrap_or_else(|e| {
-            eprintln!("error: --intra-jobs: {e}");
-            std::process::exit(2);
-        });
-        if n == 0 {
-            eprintln!("error: --intra-jobs must be at least 1");
-            std::process::exit(2);
-        }
-        pps_core::workers::set_intra_jobs(n);
-    }
     // Standalone workload report: materialize the spec and print its
     // tail-delay table across the information classes. Parsed after the
     // stepping/jobs knobs so `--stepping dense --workload ...` exercises
@@ -230,28 +256,6 @@ fn main() {
         }
         return;
     }
-    // Positional args select experiments; skip the values of value-taking
-    // flags.
-    let value_flags = [
-        "--out",
-        "--jobs",
-        "--intra-jobs",
-        "--bench-json",
-        "--telemetry",
-        "--trace-out",
-        "--stepping",
-        "--workload",
-        "--workload-k",
-        "--workload-rprime",
-    ];
-    let wanted: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--") && (*i == 0 || !value_flags.contains(&args[*i - 1].as_str()))
-        })
-        .map(|(_, a)| a)
-        .collect();
     let reg = registry();
     if args.iter().any(|a| a == "--list") {
         for (id, _) in &reg {
@@ -259,9 +263,13 @@ fn main() {
         }
         return;
     }
+    if let Some(stranger) = wanted.iter().find(|w| reg.iter().all(|(id, _)| id != *w)) {
+        eprintln!("error: unknown experiment id {stranger} (--list prints the known ids)");
+        std::process::exit(2);
+    }
     let selected: Vec<_> = reg
         .iter()
-        .filter(|(id, _)| wanted.is_empty() || wanted.iter().any(|w| w.as_str() == *id))
+        .filter(|(id, _)| wanted.is_empty() || wanted.contains(id))
         .collect();
     // Run, then print in paper order. The registry-level sweep shares the
     // one worker budget with every experiment's inner sweeps, so --jobs
@@ -278,7 +286,6 @@ fn main() {
             .map(|(id, runner)| {
                 let slots0 = pps_core::perf::slots_simulated();
                 let skipped0 = pps_core::perf::slots_skipped();
-                let merge0 = pps_core::perf::intra_merge_nanos();
                 let start = std::time::Instant::now();
                 let out = if tracing {
                     let (out, log) = pps_core::telemetry::collect(*id, runner);
@@ -293,7 +300,6 @@ fn main() {
                     secs,
                     pps_core::perf::slots_simulated() - slots0,
                     pps_core::perf::slots_skipped() - skipped0,
-                    pps_core::perf::intra_merge_nanos() - merge0,
                 ));
                 out
             })

@@ -10,29 +10,18 @@
 
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
-use pps_analysis::{compare, Table};
+use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
 use pps_switch::demux::RoundRobinDemux;
-use pps_switch::engine::BufferlessPps;
 use pps_traffic::adversary::concentration_attack;
 
 /// One scaling point: `(N, exact bound, measured delay, implied buffer)`.
 pub fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, i64, usize) {
-    point_at(n, k, r_prime, 1)
-}
-
-/// [`point`] with a pinned intra-run shard count. The sharded fabric is
-/// byte-identical to the serial walk (DESIGN.md §16), so the returned
-/// tuple must not depend on `intra_jobs` — the large-N sweep point runs
-/// sharded and its table row is pinned against the serial walk in tests.
-pub fn point_at(n: usize, k: usize, r_prime: usize, intra_jobs: usize) -> (usize, u64, i64, usize) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid point");
     let demux = RoundRobinDemux::new(n, k);
     let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let mut pps = BufferlessPps::new(cfg, demux).expect("engine");
-    pps.set_intra_jobs(intra_jobs);
-    let cmp = compare(pps, &atk.trace).expect("run");
+    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     // "Large relative queuing delays usually imply that the buffer sizes at
@@ -46,17 +35,11 @@ pub fn point_at(n: usize, k: usize, r_prime: usize, intra_jobs: usize) -> (usize
     )
 }
 
-/// Run the default sweep, in parallel across points. The largest point
-/// runs with a sharded fabric (4 intra-run shards) so the tier-1 suite
-/// exercises the sharded path on a giant-N switch; every other point
-/// stays serial. Rows are identical either way.
+/// Run the default sweep, in parallel across points.
 pub fn run() -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2
     let plan = SweepPlan::new("e12", vec![64usize, 128, 256, 512, 1024]);
-    let results = plan.run(|pt| {
-        let n = *pt.params;
-        point_at(n, k, r_prime, if n >= 1024 { 4 } else { 1 })
-    });
+    let results = plan.run(|pt| point(*pt.params, k, r_prime));
     let mut table = Table::new(
         format!("Scaling to N=1024 at K={k}, r'={r_prime}, S=2 (slope should be ~ R/r-1 = 3)"),
         &[
@@ -135,12 +118,5 @@ mod tests {
     #[test]
     fn full_run_passes() {
         assert!(run().pass);
-    }
-
-    #[test]
-    fn sharded_point_matches_serial_walk() {
-        // Pins the sharded large-N row of the sweep against the serial
-        // fabric: the whole tuple (bound, delay, plane HWM) must agree.
-        assert_eq!(point_at(512, 8, 4, 2), point_at(512, 8, 4, 1));
     }
 }

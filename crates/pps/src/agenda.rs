@@ -2,7 +2,7 @@
 //!
 //! The paper's *output constraint* — a plane→output line carries one cell
 //! every `r'` slots — bounds how far ahead a plane-service event can lie:
-//! every pending `(slot, plane, output)` entry of a band sits in
+//! every pending `(slot, plane, output)` entry sits in
 //! `[now, now + r']`. A bounded look-ahead wants a ring, not a priority
 //! queue: the wheel keeps `next_power_of_two(r' + 2)` buckets, one per
 //! slot of the window, each a bitmap indexed `plane · N + output`. Walking
@@ -21,13 +21,13 @@ struct Bucket {
     at: Slot,
     /// Entries in the bucket.
     count: u32,
-    /// No word below this index has a bit set, so a wide, sparse band pays
+    /// No word below this index has a bit set, so a wide, sparse fabric pays
     /// one pass over the bucket per drain, not one per event.
     cursor: u32,
 }
 
-/// Pending plane-service events `(slot, plane, output)` of one contiguous
-/// plane band, at most one per `(plane, output)`.
+/// Pending plane-service events `(slot, plane, output)` of one fabric, at
+/// most one per `(plane, output)`.
 ///
 /// A bucket holds the entries of exactly one slot. Slots that are a
 /// multiple of the wheel size apart share a bucket, so two *distinct*
@@ -40,8 +40,7 @@ struct Bucket {
 #[derive(Clone, Debug)]
 pub struct Agenda {
     n: u32,
-    first_plane: u32,
-    /// Bitmap words per bucket: `ceil(planes · N / 64)`.
+    /// Bitmap words per bucket: `ceil(K · N / 64)`.
     words: usize,
     /// Bucket count − 1 (the count is a power of two).
     mask: Slot,
@@ -56,19 +55,18 @@ pub struct Agenda {
 }
 
 impl Agenda {
-    /// An empty wheel for planes `first_plane .. first_plane + planes` of an
-    /// `n`-output fabric whose lines are busy `r_prime` slots per cell.
-    pub fn new(n: usize, first_plane: usize, planes: usize, r_prime: usize) -> Self {
+    /// An empty wheel for planes `0..k` of an `n`-output fabric whose lines
+    /// are busy `r_prime` slots per cell.
+    pub fn new(n: usize, k: usize, r_prime: usize) -> Self {
         assert!(
-            u32::try_from((first_plane + planes) * n).is_ok(),
+            u32::try_from(k * n).is_ok(),
             "K·N = {} does not fit the agenda's 32-bit indices",
-            (first_plane + planes) * n
+            k * n
         );
-        let words = (planes * n).div_ceil(64);
+        let words = (k * n).div_ceil(64);
         let buckets = (r_prime + 2).next_power_of_two();
         Agenda {
             n: n as u32,
-            first_plane: first_plane as u32,
             words,
             mask: buckets as Slot - 1,
             buckets: vec![
@@ -85,27 +83,6 @@ impl Agenda {
             len: 0,
             head: 0,
         }
-    }
-
-    /// Partition planes `0..k` into bands of `planes_per_band` (the last
-    /// may be shorter), one wheel each, carrying over every entry of `old`.
-    pub fn banded(
-        n: usize,
-        k: usize,
-        r_prime: usize,
-        planes_per_band: usize,
-        old: Vec<Agenda>,
-    ) -> Vec<Agenda> {
-        let mut bands: Vec<Agenda> = (0..k)
-            .step_by(planes_per_band)
-            .map(|first| Agenda::new(n, first, planes_per_band.min(k - first), r_prime))
-            .collect();
-        for mut wheel in old {
-            while let Some((at, plane, output)) = wheel.pop_due(Slot::MAX) {
-                bands[plane as usize / planes_per_band].push(at, plane as usize, output as usize);
-            }
-        }
-        bands
     }
 
     /// Pending entries.
@@ -135,7 +112,7 @@ impl Agenda {
     // more than the heap they replace.
     #[inline(always)]
     pub fn push(&mut self, at: Slot, plane: usize, output: usize) {
-        let idx = (plane - self.first_plane as usize) * self.n as usize + output;
+        let idx = plane * self.n as usize + output;
         let (word, bit) = (idx / 64, 1u64 << (idx % 64));
         if self.armed[word] & bit != 0 {
             return;
@@ -200,7 +177,7 @@ impl Agenda {
             }
         }
         let idx = word as u32 * 64 + bit;
-        Some((at, self.first_plane + idx / self.n, idx % self.n))
+        Some((at, idx / self.n, idx % self.n))
     }
 }
 
@@ -210,7 +187,7 @@ mod tests {
 
     #[test]
     fn pops_in_slot_plane_output_order() {
-        let mut a = Agenda::new(3, 0, 2, 4);
+        let mut a = Agenda::new(3, 2, 4);
         for &(at, p, j) in &[(7, 1, 2), (5, 1, 0), (5, 0, 2), (9, 0, 0), (5, 0, 1)] {
             a.push(at, p, j);
         }
@@ -230,21 +207,21 @@ mod tests {
 
     #[test]
     fn one_entry_per_line_and_the_earlier_slot_stands() {
-        let mut a = Agenda::new(2, 4, 2, 2);
-        a.push(3, 5, 1);
-        a.push(4, 5, 1);
+        let mut a = Agenda::new(2, 2, 2);
+        a.push(3, 1, 1);
+        a.push(4, 1, 1);
         assert_eq!(a.len(), 1);
-        assert_eq!(a.pop_due(10), Some((3, 5, 1)));
+        assert_eq!(a.pop_due(10), Some((3, 1, 1)));
         // Popped means disarmed: the line can be armed again.
-        a.push(4, 5, 1);
-        assert_eq!(a.pop_due(10), Some((4, 5, 1)));
+        a.push(4, 1, 1);
+        assert_eq!(a.pop_due(10), Some((4, 1, 1)));
     }
 
     #[test]
     fn a_push_below_the_drain_cursor_is_still_found() {
         // 130 lines = 3 words; drain the high word first, then arm a line
         // in word 0 of the same slot.
-        let mut a = Agenda::new(130, 0, 1, 1);
+        let mut a = Agenda::new(130, 1, 1);
         a.push(2, 0, 129);
         a.push(2, 0, 128);
         assert_eq!(a.pop_due(2), Some((2, 0, 128)));
@@ -255,7 +232,7 @@ mod tests {
 
     #[test]
     fn works_at_the_top_of_the_slot_range() {
-        let mut a = Agenda::new(4, 0, 4, 4);
+        let mut a = Agenda::new(4, 4, 4);
         let top = Slot::MAX - 4;
         a.push(top + 4, 3, 3);
         a.push(top, 0, 0);
@@ -269,7 +246,7 @@ mod tests {
     #[should_panic(expected = "agenda window exceeded")]
     fn aliasing_slots_fail_loudly() {
         // r' = 2: four buckets, so slots 1 and 5 share one.
-        let mut a = Agenda::new(2, 0, 2, 2);
+        let mut a = Agenda::new(2, 2, 2);
         a.push(1, 0, 0);
         a.push(5, 1, 1);
     }

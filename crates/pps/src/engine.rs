@@ -538,12 +538,9 @@ impl<S: InputStage> Pps<S> {
         self.stepping = mode;
     }
 
-    /// Override the intra-run shard count (the default is the process-wide
-    /// [`pps_core::workers::set_intra_jobs`] at construction time). Any
-    /// value produces byte-identical runs; see DESIGN.md §16.
-    pub fn set_intra_jobs(&mut self, n: usize) {
-        self.fabric.set_intra_shards(n);
-    }
+    /// Ignored; kept until the ROADMAP 1(a) benchmark PR drops the call.
+    #[doc(hidden)]
+    pub fn set_intra_jobs(&mut self, _n: usize) {}
 
     /// The demultiplexor (e.g. to read algorithm-specific statistics).
     pub fn demux(&self) -> &S::Demux {

@@ -7,9 +7,7 @@ use crate::agenda::Agenda;
 use crate::output::OutputMux;
 use crate::plane::Plane;
 use pps_core::prelude::*;
-use pps_core::telemetry::{self, Engine, EventKind, ShardCapture};
-use pps_core::workers::{self, WorkerLease};
-use std::time::Instant;
+use pps_core::telemetry::{self, Engine, EventKind};
 
 /// Aggregate fabric statistics for one run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -49,14 +47,8 @@ pub struct Fabric {
     /// this run; plane queues and output muxes park bare ids against it.
     pool: CellPool,
     /// Pending plane-service events, `(slot, plane, output)`, at most one
-    /// per line: one timing wheel per intra-run shard
-    /// (`agendas[p / planes_per_shard]`).
-    agendas: Vec<Agenda>,
-    /// Number of intra-run shards (DESIGN.md §16). 1 = the serial walk.
-    shards: usize,
-    /// Planes per shard: `ceil(k / shards)`; shard `s` owns planes
-    /// `[s·planes_per_shard, (s+1)·planes_per_shard)`.
-    planes_per_shard: usize,
+    /// per line.
+    agenda: Agenda,
     /// Outputs that may be able to emit (dense list + membership flags:
     /// the emit sweep compacts the list in place, no per-slot allocation).
     active_list: Vec<u32>,
@@ -72,38 +64,13 @@ pub struct Fabric {
     ///
     /// [`inject_conservation_leak`]: Self::inject_conservation_leak
     leak_budget: u32,
-    /// Per-shard service-delivery scratch, merged in `(at, plane, output)`
-    /// order at the slot barrier: `(agenda slot, plane, output, cell)`.
-    deliveries: Vec<Vec<(Slot, u32, u32, CellId)>>,
-    /// Per-emit-shard outcome scratch, drained in `active_list` order.
-    emit_results: Vec<Vec<EmitOutcome>>,
-    /// Per-emit-shard telemetry captures, folded/replayed at the barrier.
-    emit_caps: Vec<ShardCapture>,
-    /// Merge-cursor scratch (one pair per shard), reused every slot.
-    cur_a: Vec<usize>,
-    cur_b: Vec<usize>,
-}
-
-/// What one emit shard did for one entry of the shared `active_list`:
-/// recorded off-thread, applied on the merging thread in list order.
-#[derive(Clone, Copy, Debug)]
-struct EmitOutcome {
-    /// The emitted cell, if the mux released one this slot.
-    emitted: Option<CellId>,
-    /// Whether the mux still holds work (drives active-list compaction).
-    has_work: bool,
-    /// Telemetry events this mux recorded into the shard capture.
-    events: u32,
 }
 
 impl Fabric {
-    /// Build an idle fabric for `cfg` (assumed validated). The intra-run
-    /// shard count is read once here from the process-wide setting
-    /// ([`pps_core::workers::set_intra_jobs`]); use
-    /// [`set_intra_shards`](Self::set_intra_shards) to override per fabric.
+    /// Build an idle fabric for `cfg` (assumed validated).
     pub fn new(cfg: PpsConfig) -> Self {
         let (n, k) = (cfg.n, cfg.k);
-        let mut fabric = Fabric {
+        Fabric {
             cfg,
             in_links: LinkBank::new(n, k, cfg.r_prime, LinkSide::InputToPlane),
             out_links: LinkBank::new(k, n, cfg.r_prime, LinkSide::PlaneToOutput),
@@ -117,53 +84,14 @@ impl Fabric {
                 })
                 .collect(),
             pool: CellPool::new(),
-            agendas: Agenda::banded(n, k, cfg.r_prime, k, Vec::new()),
-            shards: 1,
-            planes_per_shard: k,
+            agenda: Agenda::new(n, k, cfg.r_prime),
             active_list: Vec::with_capacity(n),
             active_flag: vec![false; n],
             plane_len_live: vec![0; k * n],
             output_pending_live: vec![0; n],
             dropped: 0,
             leak_budget: 0,
-            deliveries: vec![Vec::new()],
-            emit_results: vec![Vec::new()],
-            emit_caps: vec![ShardCapture::default()],
-            cur_a: vec![0],
-            cur_b: vec![0],
-        };
-        fabric.set_intra_shards(workers::intra_jobs());
-        fabric
-    }
-
-    /// Re-partition the fabric into `requested` intra-run shards (clamped
-    /// to `[1, K]`). Outstanding agenda entries are redistributed, so this
-    /// is safe mid-run; results are byte-identical at any value because
-    /// shard results merge at the slot barrier in declared shard order.
-    pub fn set_intra_shards(&mut self, requested: usize) {
-        let (n, k) = (self.cfg.n, self.cfg.k);
-        let req = requested.clamp(1, k);
-        let pps = k.div_ceil(req);
-        let shards = k.div_ceil(pps);
-        if shards == self.shards && pps == self.planes_per_shard {
-            return;
         }
-        self.shards = shards;
-        self.planes_per_shard = pps;
-        let old = std::mem::take(&mut self.agendas);
-        self.agendas = Agenda::banded(n, k, self.cfg.r_prime, pps, old);
-        let chunk = n.div_ceil(shards);
-        let eshards = n.div_ceil(chunk);
-        self.deliveries = vec![Vec::new(); shards];
-        self.emit_results = vec![Vec::new(); eshards];
-        self.emit_caps = vec![ShardCapture::default(); eshards];
-        self.cur_a = vec![0; shards.max(eshards)];
-        self.cur_b = vec![0; shards.max(eshards)];
-    }
-
-    /// The current intra-run shard count (1 = serial walk).
-    pub fn intra_shards(&self) -> usize {
-        self.shards
     }
 
     /// The switch configuration.
@@ -254,19 +182,12 @@ impl Fabric {
     /// Arm line `(plane, output)` for service at `at` unless it already
     /// has an agenda entry.
     fn schedule(&mut self, plane: usize, output: usize, at: Slot) {
-        self.agendas[plane / self.planes_per_shard].push(at, plane, output);
+        self.agenda.push(at, plane, output);
     }
 
     /// Serve every `(plane, output)` line whose service event is due:
     /// deliver the head cell to the output multiplexor and re-arm the line
     /// after `r'` slots.
-    ///
-    /// With more than one intra-run shard, each shard drains its own
-    /// agenda band over disjoint plane/link state (possibly on leased
-    /// worker threads), deferring output delivery; deliveries then merge
-    /// on this thread in global `(slot, plane, output)` order — the exact
-    /// pop order of the serial agenda — so telemetry, the active list, and
-    /// every counter evolve byte-identically to one shard.
     ///
     /// Call it in every slot an entry is due ([`next_activity`] names the
     /// next one). Late service is drained in slot order, but only while
@@ -275,15 +196,7 @@ impl Fabric {
     ///
     /// [`next_activity`]: Self::next_activity
     pub fn service(&mut self, now: Slot) -> Result<(), ModelError> {
-        if self.shards == 1 {
-            return self.service_serial(now);
-        }
-        self.service_sharded(now)
-    }
-
-    /// The pre-sharding service loop, used verbatim when `shards == 1`.
-    fn service_serial(&mut self, now: Slot) -> Result<(), ModelError> {
-        while let Some((_, p, j)) = self.agendas[0].pop_due(now) {
+        while let Some((_, p, j)) = self.agenda.pop_due(now) {
             let (p, j) = (p as usize, j as usize);
             if self.planes[p].queue_len(j) == 0 {
                 continue; // drained in the meantime; re-armed on next push
@@ -328,118 +241,9 @@ impl Fabric {
         Ok(())
     }
 
-    /// Sharded service: drain agenda bands in parallel, merge at the
-    /// barrier. Soundness: during `service(now)` every pop is at `≤ now`
-    /// and every push lands at `> now` (`r' ≥ 1`, and a busy line's
-    /// `free_at > now`), so no shard can create work another shard should
-    /// have seen this slot; all state a shard touches (its agenda wheel,
-    /// its planes, its `out_links` rows, its `plane_len_live` band) is
-    /// plane-indexed and disjoint by construction.
-    fn service_sharded(&mut self, now: Slot) -> Result<(), ModelError> {
-        let n = self.cfg.n;
-        let pps = self.planes_per_shard;
-        let Fabric {
-            out_links,
-            planes,
-            plane_len_live,
-            agendas,
-            deliveries,
-            ..
-        } = self;
-        let mut shards: Vec<ServiceShard<'_>> = out_links
-            .split_rows_mut(pps)
-            .into_iter()
-            .zip(planes.chunks_mut(pps))
-            .zip(plane_len_live.chunks_mut(pps * n))
-            .zip(agendas.iter_mut())
-            .zip(deliveries.iter_mut())
-            .enumerate()
-            .map(
-                |(i, ((((out, planes), plane_len_live), agenda), deliveries))| {
-                    deliveries.clear();
-                    ServiceShard {
-                        base: i * pps,
-                        n,
-                        out,
-                        planes,
-                        plane_len_live,
-                        agenda,
-                        deliveries,
-                        err: None,
-                    }
-                },
-            )
-            .collect();
-        run_sharded(&mut shards, |shard| shard.run(now));
-        let folded_acq: u64 = shards.iter().map(|s| s.out.taken()).sum();
-        let first_err = shards.iter_mut().find_map(|s| s.err.take());
-        drop(shards);
-        self.out_links.add_acquisitions(folded_acq);
-        if let Some(err) = first_err {
-            return Err(err);
-        }
-
-        // Barrier merge: apply deliveries to the output muxes in the
-        // serial agenda's pop order (per-shard vecs are sorted by pop, keys
-        // are unique, so a cursor min-merge reconstructs it exactly).
-        let merge_start = Instant::now();
-        let cursors = &mut self.cur_a[..self.shards];
-        cursors.fill(0);
-        loop {
-            let mut best: Option<(usize, (Slot, u32, u32))> = None;
-            for (s, cur) in cursors.iter().enumerate() {
-                if let Some(&(at, p, j, _)) = self.deliveries[s].get(*cur) {
-                    let key = (at, p, j);
-                    if best.is_none_or(|(_, bk)| key < bk) {
-                        best = Some((s, key));
-                    }
-                }
-            }
-            let Some((s, _)) = best else { break };
-            let (_, p, j, id) = self.deliveries[s][cursors[s]];
-            cursors[s] += 1;
-            let j = j as usize;
-            if telemetry::on() {
-                telemetry::record(
-                    Engine::Pps,
-                    now,
-                    EventKind::PlaneDeliver {
-                        cell: id,
-                        plane: PlaneId(p),
-                        output: PortId(j as u32),
-                    },
-                );
-            }
-            if self.outputs[j].deliver(&self.pool, id, now) {
-                self.output_pending_live[j] += 1;
-                if !self.active_flag[j] {
-                    self.active_flag[j] = true;
-                    self.active_list.push(j as u32);
-                }
-            }
-        }
-        pps_core::perf::record_intra_merge(merge_start.elapsed().as_nanos() as u64);
-        Ok(())
-    }
-
     /// Let every output with work emit at most one cell; record departures.
-    ///
-    /// With more than one intra-run shard and at least two active outputs,
-    /// the outputs are banded by index: each shard walks the shared active
-    /// list, emits from its own muxes with telemetry diverted into a
-    /// shard-local capture, and the barrier replays outcomes in active-list
-    /// order — byte-identical to the serial sweep.
     pub fn emit(&mut self, now: Slot, log: &mut RunLog) {
         pps_core::perf::record_slots(1);
-        if self.shards == 1 || self.active_list.len() < 2 {
-            return self.emit_serial(now, log);
-        }
-        self.emit_sharded(now, log);
-    }
-
-    /// The pre-sharding emit sweep, used verbatim when `shards == 1` (and
-    /// for trivially small active lists).
-    fn emit_serial(&mut self, now: Slot, log: &mut RunLog) {
         let mut write = 0usize;
         for read in 0..self.active_list.len() {
             let j = self.active_list[read];
@@ -468,76 +272,6 @@ impl Fabric {
         self.active_list.truncate(write);
     }
 
-    /// Sharded emit sweep plus ordered barrier merge (see [`emit`]).
-    ///
-    /// [`emit`]: Self::emit
-    fn emit_sharded(&mut self, now: Slot, log: &mut RunLog) {
-        let n = self.cfg.n;
-        let chunk = n.div_ceil(self.shards);
-        let Fabric {
-            outputs,
-            active_list,
-            emit_results,
-            emit_caps,
-            pool,
-            ..
-        } = self;
-        let active: &[u32] = active_list;
-        let pool: &CellPool = pool;
-        let mut shards: Vec<EmitShard<'_>> = outputs
-            .chunks_mut(chunk)
-            .zip(emit_results.iter_mut())
-            .zip(emit_caps.iter_mut())
-            .enumerate()
-            .map(|(i, ((outputs, results), cap))| {
-                results.clear();
-                EmitShard {
-                    base: i * chunk,
-                    outputs,
-                    active,
-                    results,
-                    cap,
-                }
-            })
-            .collect();
-        run_sharded(&mut shards, |shard| shard.run(pool, now));
-        let eshards = shards.len();
-        drop(shards);
-
-        // Barrier merge: counters fold once per shard; outcomes and event
-        // runs replay in active-list order, interleaving shard captures
-        // exactly as the serial sweep would have recorded them.
-        let merge_start = Instant::now();
-        for cap in &self.emit_caps[..eshards] {
-            telemetry::fold_shard_counts(cap);
-        }
-        let (rcur, ecur) = (&mut self.cur_a, &mut self.cur_b);
-        rcur[..eshards].fill(0);
-        ecur[..eshards].fill(0);
-        let mut write = 0usize;
-        for read in 0..self.active_list.len() {
-            let j = self.active_list[read];
-            let s = j as usize / chunk;
-            let outcome = self.emit_results[s][rcur[s]];
-            rcur[s] += 1;
-            let events = outcome.events as usize;
-            telemetry::replay_shard_events(&self.emit_caps[s].events[ecur[s]..ecur[s] + events]);
-            ecur[s] += events;
-            if let Some(id) = outcome.emitted {
-                self.output_pending_live[j as usize] -= 1;
-                log.set_departure(id, now);
-            }
-            if outcome.has_work {
-                self.active_list[write] = j;
-                write += 1;
-            } else {
-                self.active_flag[j as usize] = false;
-            }
-        }
-        self.active_list.truncate(write);
-        pps_core::perf::record_intra_merge(merge_start.elapsed().as_nanos() as u64);
-    }
-
     /// The next slot strictly after `now` at which the fabric does
     /// something beyond per-slot stall accounting: a plane-service event
     /// comes due, an output emits, or a resequencer watchdog fires. `None`
@@ -550,13 +284,7 @@ impl Fabric {
         // Stale agenda entries (drained queues, busy lines) are legitimate
         // activity: the dense loop pops them at exactly this slot, so the
         // skip must stop there too to keep the agenda evolution identical.
-        // With shards, the joint jump window is the min over the per-shard
-        // agenda peeks — every shard must agree to sleep through the gap.
-        let mut min = pps_core::stepping::earliest_of(
-            self.agendas
-                .iter()
-                .map(|a| a.peek().map(|at| at.max(now + 1))),
-        );
+        let mut min = self.agenda.peek().map(|at| at.max(now + 1));
         if min == Some(now + 1) {
             return min;
         }
@@ -782,149 +510,6 @@ impl Fabric {
             output_line_uses: self.out_links.acquisitions(),
         }
     }
-}
-
-/// One plane band of a sharded [`Fabric::service`] pass: owns its agenda
-/// wheel, planes, `out_links` rows, and `plane_len_live` band (all at
-/// global indices), and defers output delivery into a sorted vec.
-struct ServiceShard<'a> {
-    base: usize,
-    n: usize,
-    out: LinkBankPart<'a>,
-    planes: &'a mut [Plane],
-    plane_len_live: &'a mut [u32],
-    agenda: &'a mut Agenda,
-    deliveries: &'a mut Vec<(Slot, u32, u32, CellId)>,
-    err: Option<ModelError>,
-}
-
-impl ServiceShard<'_> {
-    /// The serial service body over this shard's band. Telemetry and
-    /// output delivery are deferred to the barrier merge; acquisitions
-    /// tally in the [`LinkBankPart`]. An error stops this shard and is
-    /// surfaced after the barrier (lowest shard wins, deterministically).
-    fn run(&mut self, now: Slot) {
-        while let Some((at, p, j)) = self.agenda.pop_due(now) {
-            let (pu, ju) = (p as usize, j as usize);
-            let local = (pu - self.base) * self.n + ju;
-            if self.planes[pu - self.base].queue_len(ju) == 0 {
-                continue;
-            }
-            if !self.out.is_free(pu, ju, now) {
-                self.agenda.push(self.out.free_at(pu, ju), pu, ju);
-                continue;
-            }
-            let id = self.planes[pu - self.base]
-                .pop_for(ju)
-                .expect("non-empty checked");
-            if let Err(e) = self.out.acquire(pu, ju, now) {
-                self.err = Some(e);
-                return;
-            }
-            self.plane_len_live[local] -= 1;
-            // Keyed by the agenda slot `at` (the serial agenda's pop key),
-            // not `now`: the barrier merge min-reduces on it.
-            self.deliveries.push((at, p, j, id));
-            if self.planes[pu - self.base].queue_len(ju) > 0 {
-                self.agenda.push(self.out.free_at(pu, ju), pu, ju);
-            }
-        }
-    }
-}
-
-/// One output band of a sharded [`Fabric::emit`] sweep: walks the shared
-/// active list, emits from its own muxes with telemetry diverted into the
-/// shard capture, and records one [`EmitOutcome`] per owned entry.
-struct EmitShard<'a> {
-    base: usize,
-    outputs: &'a mut [OutputMux],
-    active: &'a [u32],
-    results: &'a mut Vec<EmitOutcome>,
-    cap: &'a mut ShardCapture,
-}
-
-impl EmitShard<'_> {
-    fn run(&mut self, pool: &CellPool, now: Slot) {
-        let (base, outputs, active, results) = (
-            self.base,
-            &mut *self.outputs,
-            self.active,
-            &mut *self.results,
-        );
-        telemetry::shard_capture_into(self.cap, || {
-            for &j in active {
-                let ju = j as usize;
-                if ju < base || ju >= base + outputs.len() {
-                    continue;
-                }
-                let mark = telemetry::shard_mark();
-                let mux = &mut outputs[ju - base];
-                let emitted = mux.emit(pool, now);
-                if let Some(id) = emitted {
-                    if telemetry::on() {
-                        telemetry::record(
-                            Engine::Pps,
-                            now,
-                            EventKind::Depart {
-                                cell: id,
-                                output: PortId(j),
-                            },
-                        );
-                    }
-                }
-                results.push(EmitOutcome {
-                    emitted,
-                    has_work: mux.has_work(),
-                    events: (telemetry::shard_mark() - mark) as u32,
-                });
-            }
-        });
-    }
-}
-
-/// Run `work` over every shard, leasing up to `shards.len() - 1` workers
-/// from the shared budget for the extra bands and always keeping the
-/// calling thread working. With no leasable workers (1-CPU, exhausted
-/// budget) everything runs inline — same results, same order, because
-/// shard outputs are merged by index afterwards, never by completion.
-fn run_sharded<S: Send, F: Fn(&mut S) + Sync>(shards: &mut [S], work: F) {
-    let mut leases: Vec<WorkerLease> = Vec::new();
-    while leases.len() + 1 < shards.len() {
-        match WorkerLease::try_new() {
-            Some(lease) => leases.push(lease),
-            None => break,
-        }
-    }
-    let threads = leases.len() + 1;
-    if threads == 1 {
-        for shard in shards.iter_mut() {
-            work(&mut *shard);
-        }
-        return;
-    }
-    let per = shards.len().div_ceil(threads);
-    let mut bands = shards.chunks_mut(per);
-    let mine = bands.next().expect("at least one band");
-    let work = &work;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = bands
-            .map(|band| {
-                scope.spawn(move |_| {
-                    for shard in band.iter_mut() {
-                        work(&mut *shard);
-                    }
-                })
-            })
-            .collect();
-        for shard in mine.iter_mut() {
-            work(&mut *shard);
-        }
-        for handle in handles {
-            handle.join().expect("shard worker panicked");
-        }
-    })
-    .expect("shard scope");
-    drop(leases);
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@
 //! pushes land in `[now, now + r']`, every service pass drains what is due
 //! and re-arms some of the popped lines strictly later, time advances slot
 //! by slot, by skip-ahead jumps to the next entry and by idle gaps, service
-//! sometimes runs late (within what the wheel tolerates), and the plane
-//! bands are re-partitioned mid-script. The pop sequences and the earliest
-//! pending slot must agree after every step.
+//! sometimes runs late (within what the wheel tolerates). The pop sequences
+//! and the earliest pending slot must agree exactly after every step.
 
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -49,26 +48,6 @@ impl HeapAgenda {
     }
 }
 
-/// One wheel per plane band, as `Fabric` holds them.
-struct Wheels {
-    bands: Vec<Agenda>,
-    planes_per_band: usize,
-}
-
-impl Wheels {
-    fn push(&mut self, at: Slot, plane: u32, output: u32) {
-        self.bands[plane as usize / self.planes_per_band].push(at, plane as usize, output as usize);
-    }
-
-    fn peek(&self) -> Option<Slot> {
-        self.bands.iter().filter_map(Agenda::peek).min()
-    }
-
-    fn len(&self) -> usize {
-        self.bands.iter().map(Agenda::len).sum()
-    }
-}
-
 fn lcg(state: &mut u64) -> u64 {
     *state = state
         .wrapping_mul(6364136223846793005)
@@ -77,9 +56,9 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 /// Whether — and for when — a service pass re-arms the line it just
-/// popped: a pure function of the entry, so the heap and the wheels take
-/// the same decision whatever order their bands drain in. Always `> now`,
-/// as a busy line's `free_at` and `now + r'` are in the fabric.
+/// popped: a pure function of the entry, so the heap and the wheel take
+/// the same decision. Always `> now`, as a busy line's `free_at` and
+/// `now + r'` are in the fabric.
 fn rearm(seed: u64, (at, plane, output): Entry, now: Slot, r_prime: Slot) -> Option<Slot> {
     let mut h =
         seed ^ at.rotate_left(17) ^ now ^ (u64::from(plane) << 40) ^ (u64::from(output) << 20);
@@ -93,7 +72,6 @@ fn rearm(seed: u64, (at, plane, output): Entry, now: Slot, r_prime: Slot) -> Opt
 
 const R_PRIMES: [usize; 5] = [1, 2, 4, 7, 16];
 const PLANES: [usize; 3] = [3, 8, 16];
-const SHARDS: [usize; 4] = [1, 2, 3, 5];
 const STARTS: [Slot; 4] = [0, 5, (1 << 63) - 3, Slot::MAX - (1 << 24)];
 
 proptest! {
@@ -104,16 +82,11 @@ proptest! {
         r_prime in (0usize..5).prop_map(|i| R_PRIMES[i]),
         n in 1usize..40,
         k in (0usize..3).prop_map(|i| PLANES[i]),
-        shards in (0usize..4).prop_map(|i| SHARDS[i]),
         start in (0usize..4).prop_map(|i| STARTS[i]),
         seed in 0u64..1_000_000,
         steps in 40usize..240,
     ) {
-        let band_size = |shards: usize| k.div_ceil(shards.clamp(1, k));
-        let mut wheels = Wheels {
-            planes_per_band: band_size(shards),
-            bands: Agenda::banded(n, k, r_prime, band_size(shards), Vec::new()),
-        };
+        let mut wheel = Agenda::new(n, k, r_prime);
         let mut heap = HeapAgenda::default();
         let rp = r_prime as Slot;
         // Slots service may lag by before distinct pending slots could
@@ -135,10 +108,10 @@ proptest! {
                 let plane = (lcg(&mut rng) % k as u64) as u32;
                 let output = (lcg(&mut rng) % n as u64) as u32;
                 heap.push(at, plane, output);
-                wheels.push(at, plane, output);
+                wheel.push(at, plane as usize, output as usize);
             }
-            prop_assert_eq!(wheels.peek(), heap.peek(), "peek after dispatch, step {}", step);
-            prop_assert_eq!(wheels.len(), heap.heap.len());
+            prop_assert_eq!(wheel.peek(), heap.peek(), "peek after dispatch, step {}", step);
+            prop_assert_eq!(wheel.len(), heap.heap.len());
 
             // Service — unless this slot is skipped on purpose and the
             // oldest pending entry can still wait one more slot.
@@ -153,36 +126,14 @@ proptest! {
                     }
                 }
                 let mut got = Vec::new();
-                for band in &mut wheels.bands {
-                    let from = got.len();
-                    while let Some(e) = band.pop_due(now) {
-                        got.push(e);
-                        if let Some(at) = rearm(seed, e, now, rp) {
-                            band.push(at, e.1 as usize, e.2 as usize);
-                        }
+                while let Some(e) = wheel.pop_due(now) {
+                    got.push(e);
+                    if let Some(at) = rearm(seed, e, now, rp) {
+                        wheel.push(at, e.1 as usize, e.2 as usize);
                     }
-                    prop_assert!(
-                        got[from..].windows(2).all(|w| w[0] < w[1]),
-                        "a band popped out of (slot, plane, output) order at step {}", step
-                    );
                 }
-                // The fabric's barrier merge: keys are unique, so sorting
-                // the concatenated runs is the k-way min-merge.
-                got.sort_unstable();
                 prop_assert_eq!(&got, &expect, "pop sequence, step {}", step);
-                prop_assert_eq!(wheels.peek(), heap.peek(), "peek after service, step {}", step);
-            }
-
-            // Re-partition the bands now and then, entries in flight.
-            if lcg(&mut rng).is_multiple_of(16) {
-                let per = band_size(SHARDS[(lcg(&mut rng) % 4) as usize]);
-                wheels = Wheels {
-                    planes_per_band: per,
-                    bands: Agenda::banded(n, k, r_prime, per, wheels.bands),
-                };
-                prop_assert_eq!(wheels.bands.len(), k.div_ceil(per));
-                prop_assert_eq!(wheels.peek(), heap.peek(), "peek after re-banding, step {}", step);
-                prop_assert_eq!(wheels.len(), heap.heap.len());
+                prop_assert_eq!(wheel.peek(), heap.peek(), "peek after service, step {}", step);
             }
 
             // Advance: next slot, a skip-ahead jump to the earliest entry,
@@ -195,15 +146,9 @@ proptest! {
         }
 
         // Drain: everything left comes out in heap order.
-        let mut got = Vec::new();
-        for band in &mut wheels.bands {
-            while let Some(e) = band.pop_due(Slot::MAX) {
-                got.push(e);
-            }
-        }
-        got.sort_unstable();
+        let got: Vec<Entry> = std::iter::from_fn(|| wheel.pop_due(Slot::MAX)).collect();
         let expect: Vec<Entry> = std::iter::from_fn(|| heap.pop_due(Slot::MAX)).collect();
         prop_assert_eq!(got, expect);
-        prop_assert_eq!(wheels.peek(), None);
+        prop_assert_eq!(wheel.peek(), None);
     }
 }
