@@ -2,7 +2,8 @@
 //!
 //! The benchmark harness prints one table per theorem (predicted bound vs
 //! measured value across a parameter sweep); [`Table`] does the column
-//! sizing, and [`Table::to_csv`] emits the same data for plotting.
+//! sizing, [`Table::to_csv`] emits the same data for plotting and
+//! [`Table::to_markdown`] as a pipe table.
 
 use std::fmt::Write as _;
 
@@ -105,6 +106,21 @@ impl Table {
         }
         out
     }
+
+    /// Render as a GitHub-flavoured pipe table (header, separator, data
+    /// rows; `|` inside a cell is escaped so it cannot split the cell).
+    pub fn to_markdown(&self) -> String {
+        let md_row = |cells: &[String]| -> String {
+            let cells: Vec<String> = cells.iter().map(|c| c.replace('|', "\\|")).collect();
+            format!("| {} |\n", cells.join(" | "))
+        };
+        let mut out = md_row(&self.headers);
+        let _ = writeln!(out, "|{}", "---|".repeat(self.headers.len()));
+        for row in &self.rows {
+            out.push_str(&md_row(row));
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -129,6 +145,16 @@ mod tests {
         t.row(&["hello, world".into(), "plain".into()]);
         let csv = t.to_csv();
         assert!(csv.contains("\"hello, world\",plain"));
+    }
+
+    #[test]
+    fn markdown_keeps_one_cell_per_column() {
+        let mut t = Table::new("x", &["a, b", "c"]);
+        t.row(&["hello, world".into(), "p|q".into()]);
+        assert_eq!(
+            t.to_markdown(),
+            "| a, b | c |\n|---|---|\n| hello, world | p\\|q |\n"
+        );
     }
 
     #[test]

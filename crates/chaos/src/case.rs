@@ -7,9 +7,15 @@
 //! case can always be regenerated from the two numbers printed in the
 //! report — the repro story depends on it.
 
+use pps_core::demux::{BufferedDemultiplexor, Demultiplexor};
 use pps_core::fault::FaultPlan;
 use pps_core::time::Slot;
 use pps_core::{BufferSpec, OutputDiscipline, PpsConfig, Trace};
+use pps_switch::demux::{
+    BufferedRoundRobinDemux, BufferedStaleDemux, DelayedCpaDemux, FaultAwareRoundRobinDemux,
+    HashFlowDemux, LeastLoadedLocalDemux, LeastLoadedOfDDemux, PerFlowRoundRobinDemux, RandomDemux,
+    RoundRobinDemux, TwoStageLbDemux,
+};
 use pps_traffic::gen::{BernoulliGen, OnOffGen, TrafficPattern};
 use pps_workload::{materialize, MmppGen, Phase, ZipfGen};
 use rand::rngs::StdRng;
@@ -20,11 +26,10 @@ use rand::{Rng, SeedableRng};
 const MMPP_CALM_EXIT: f64 = 0.02;
 const MMPP_BURST_EXIT: f64 = 0.08;
 
-/// Which demultiplexor the case drives the PPS with.
-///
-/// The chaos runner needs a concrete engine type, so the zoo is captured
-/// as an enum (the engine's demux parameter is a generic, not a trait
-/// object) and materialized by [`crate::fuzz_demux::FuzzDemux::build`].
+/// Which demultiplexor the case drives the PPS with: a name the case can
+/// carry and print, turned into the boxed automaton the engine runs by
+/// [`build_bufferless`](Self::build_bufferless) /
+/// [`build_buffered`](Self::build_buffered).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DemuxChoice {
     /// Plain per-input round-robin (fully distributed).
@@ -88,6 +93,58 @@ impl DemuxChoice {
             DemuxChoice::BufferedStale(u, _) => Some(u),
             DemuxChoice::DelayedCpa(u) => Some(u),
             _ => None,
+        }
+    }
+
+    /// Materialize the bufferless algorithm this choice names.
+    ///
+    /// Panics on the buffered variants: buffered cases go through
+    /// [`build_buffered`](Self::build_buffered), the bufferless engine
+    /// never sees them.
+    pub fn build_bufferless(
+        self,
+        n: usize,
+        k: usize,
+        r_prime: usize,
+        seed: u64,
+    ) -> Box<dyn Demultiplexor> {
+        match self {
+            DemuxChoice::RoundRobin => Box::new(RoundRobinDemux::new(n, k)),
+            DemuxChoice::PerFlowRoundRobin => Box::new(PerFlowRoundRobinDemux::new(n, k)),
+            DemuxChoice::Random => Box::new(RandomDemux::new(n, seed)),
+            DemuxChoice::LeastLoadedLocal => Box::new(LeastLoadedLocalDemux::new(n, k, r_prime)),
+            DemuxChoice::HashFlow => Box::new(HashFlowDemux::new(n, k)),
+            DemuxChoice::FaultAwareCentralized => {
+                Box::new(FaultAwareRoundRobinDemux::centralized(n, k))
+            }
+            DemuxChoice::FaultAwareUrt(u) => Box::new(FaultAwareRoundRobinDemux::urt(n, k, u)),
+            DemuxChoice::TwoStageLb => Box::new(TwoStageLbDemux::new(k)),
+            DemuxChoice::LeastLoadedOfD(d) => {
+                Box::new(LeastLoadedOfDDemux::new(n, k, r_prime, d, seed))
+            }
+            DemuxChoice::BufferedRoundRobin
+            | DemuxChoice::BufferedStale(..)
+            | DemuxChoice::DelayedCpa(_) => {
+                panic!("buffered choice has no bufferless materialization")
+            }
+        }
+    }
+
+    /// Materialize the buffered algorithm this choice names.
+    ///
+    /// Panics on bufferless variants: those go through
+    /// [`build_bufferless`](Self::build_bufferless).
+    pub fn build_buffered(
+        self,
+        n: usize,
+        k: usize,
+        r_prime: usize,
+    ) -> Box<dyn BufferedDemultiplexor> {
+        match self {
+            DemuxChoice::BufferedRoundRobin => Box::new(BufferedRoundRobinDemux::new(n, k)),
+            DemuxChoice::BufferedStale(u, hold) => Box::new(BufferedStaleDemux::new(n, k, u, hold)),
+            DemuxChoice::DelayedCpa(u) => Box::new(DelayedCpaDemux::new(n, k, r_prime, u)),
+            _ => panic!("bufferless choice has no buffered materialization"),
         }
     }
 }
@@ -603,6 +660,38 @@ fn random_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn build_covers_the_zoo() {
+        let choices = [
+            DemuxChoice::RoundRobin,
+            DemuxChoice::PerFlowRoundRobin,
+            DemuxChoice::Random,
+            DemuxChoice::LeastLoadedLocal,
+            DemuxChoice::HashFlow,
+            DemuxChoice::FaultAwareCentralized,
+            DemuxChoice::FaultAwareUrt(4),
+            DemuxChoice::TwoStageLb,
+            DemuxChoice::LeastLoadedOfD(2),
+        ];
+        for c in choices {
+            let d = c.build_bufferless(4, 4, 2, 99);
+            assert_eq!(d.info_class().delay(), c.info_delay(), "{}", c.name());
+        }
+    }
+
+    #[test]
+    fn build_covers_the_buffered_zoo() {
+        let choices = [
+            DemuxChoice::BufferedRoundRobin,
+            DemuxChoice::BufferedStale(4, 2),
+            DemuxChoice::DelayedCpa(3),
+        ];
+        for c in choices {
+            let d = c.build_buffered(4, 4, 2);
+            assert_eq!(d.info_class().delay(), c.info_delay(), "{}", c.name());
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

@@ -35,7 +35,6 @@
 
 pub mod case;
 pub mod cli;
-pub mod fuzz_demux;
 pub mod report;
 pub mod runner;
 pub mod shrink;

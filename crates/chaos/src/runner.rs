@@ -13,7 +13,6 @@
 //! (the chaos CLI forces the level; library callers must do the same).
 
 use crate::case::{ChaosCase, CrossbarChoice};
-use crate::fuzz_demux::{FuzzBufferedDemux, FuzzDemux};
 use pps_core::oracle::{self, ConservationLedger, OracleKind, OracleViolation};
 use pps_core::stepping::{earliest_of, SlotEngine};
 use pps_core::telemetry::{self, Event};
@@ -54,8 +53,8 @@ pub struct RunOpts {
     /// dense/skip equivalence tests; `None` in normal campaigns.
     pub force_stepping: Option<Stepping>,
     /// Pin the comparison CIOQ switch's speedup instead of the default
-    /// [`CIOQ_SPEEDUP`]. Used by the speedup × fault interaction tests;
-    /// `None` in normal campaigns.
+    /// (2). Used by the speedup × fault interaction tests; `None` in
+    /// normal campaigns.
     pub force_cioq_speedup: Option<usize>,
 }
 
@@ -147,11 +146,11 @@ fn armed<S: InputStage>(pps: EngineUnderTest<S>, case: &ChaosCase) -> EngineUnde
 fn run_engines(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, RunLog, RunLog) {
     let ChaosCase { n, k, r_prime, .. } = *case;
     if case.buffer == 0 {
-        let demux = FuzzDemux::build(case.demux, n, k, r_prime, case.seed);
+        let demux = case.demux.build_bufferless(n, k, r_prime, case.seed);
         let pps = BufferlessPps::new(case.config(), demux);
         lockstep(case, opts, cells, armed(pps, case))
     } else {
-        let demux = FuzzBufferedDemux::build(case.demux, n, k, r_prime);
+        let demux = case.demux.build_buffered(n, k, r_prime);
         let pps = BufferedPps::new(case.config(), demux);
         lockstep(case, opts, cells, armed(pps, case))
     }

@@ -34,6 +34,25 @@ fn seeded_campaign_is_violation_free() {
 }
 
 #[test]
+fn seed_42_campaign_reproduces_the_committed_report() {
+    // `ppslab chaos --seed 42 --cases 256` is the behavioural contract
+    // every PR is held to; the golden is that command's stdout.
+    let golden = include_str!("golden/seed42_256.txt");
+    for jobs in [1, 2] {
+        let report = cli::run(&ChaosOptions {
+            seed: 42,
+            cases: 256,
+            budget_slots: 256,
+            jobs: Some(jobs),
+            repro_out: temp_dir("golden"),
+            ..ChaosOptions::default()
+        })
+        .expect("campaign runs");
+        assert!(report.text == golden, "--jobs {jobs}:\n{}", report.text);
+    }
+}
+
+#[test]
 fn report_is_byte_identical_across_job_counts() {
     let base = ChaosOptions {
         seed: 1337,

@@ -19,11 +19,13 @@
 //! view at all, so the classification is enforced by construction, not by
 //! convention.
 //!
-//! All implementations must be **deterministic** given their seed, and
-//! [`Clone`]-able: the adversarial constructions of `pps-traffic` clone a
-//! demultiplexor and feed it hypothetical traffic to discover concentrating
-//! configurations — a mechanical rendition of the proof of Theorem 6, which
-//! navigates the strongly-connected configuration graph of the automaton.
+//! All implementations must be **deterministic** given their seed. The
+//! traits are the whole contract an engine drives; the adversarial
+//! constructions of `pps-traffic` additionally ask for [`Clone`]: they
+//! clone a demultiplexor and feed it hypothetical traffic to discover
+//! concentrating configurations — a mechanical rendition of the proof of
+//! Theorem 6, which navigates the strongly-connected configuration graph
+//! of the automaton.
 
 use crate::cell::Cell;
 use crate::ids::{PlaneId, PortId};
@@ -140,12 +142,23 @@ pub trait Demultiplexor: Send {
     fn next_activity(&self, _now: Slot) -> Option<Slot> {
         None
     }
+}
 
-    /// Return the automaton to its initial configuration.
-    fn reset(&mut self);
-
-    /// Short human-readable algorithm name for reports.
-    fn name(&self) -> &'static str;
+/// A boxed demultiplexor is a demultiplexor: lets a caller that picks the
+/// algorithm at run time hand the engine a `Box<dyn Demultiplexor>`.
+impl<D: Demultiplexor + ?Sized> Demultiplexor for Box<D> {
+    fn info_class(&self) -> InfoClass {
+        (**self).info_class()
+    }
+    fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
+        (**self).dispatch(cell, ctx)
+    }
+    fn on_slot(&mut self, now: Slot, global: Option<&GlobalSnapshot>) {
+        (**self).on_slot(now, global)
+    }
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        (**self).next_activity(now)
+    }
 }
 
 /// What to do with the cell arriving this slot at a buffered input.
@@ -236,121 +249,33 @@ pub trait BufferedDemultiplexor: Send {
         let _ = (input, head);
         Some(local.now + 1)
     }
-
-    /// Return the automaton to its initial configuration.
-    fn reset(&mut self);
-
-    /// Short human-readable algorithm name for reports.
-    fn name(&self) -> &'static str;
 }
 
-/// Demultiplexors whose state machines the adversary may probe.
-///
-/// The adversarial constructions of `pps-traffic` take one working copy of
-/// the automaton via [`probe_copy`](Self::probe_copy) and then drive it
-/// *forward*, recording its dispatch trajectory — they never clone per
-/// peek or per candidate plane (see `pps_traffic::adversary::alignment`).
-/// The blanket impl covers every `Demultiplexor + Clone`, so third-party
-/// demultiplexors keep working with clone-based save/restore for free.
-pub trait ExplorableDemux: Demultiplexor + Clone {
-    /// Save the automaton: a working copy the adversary may mutate while
-    /// probing, leaving `self` untouched.
-    fn probe_copy(&self) -> Self {
-        self.clone()
-    }
-
-    /// Restore a configuration previously saved with
-    /// [`probe_copy`](Self::probe_copy).
-    fn restore_from(&mut self, saved: &Self) {
-        self.clone_from(saved);
-    }
-}
-impl<T: Demultiplexor + Clone> ExplorableDemux for T {}
-
-/// Seeded sticky flow-hash demultiplexor (fully distributed).
-///
-/// Each flow starts on a *home plane* — a seeded multiplicative hash of its
-/// dense flow index, the distributed analogue of ECMP spreading — and
-/// *sticks* to the last plane that actually carried it: when the current
-/// plane's line is busy, the dispatch deviates to the next free line and
-/// the flow's pin moves with it (flowlet-style pinning, which keeps a
-/// deviated flow from hammering its congested home every slot). The pin
-/// table is per-input state indexed by the input's own flows only, so the
-/// algorithm is fully distributed by construction; being stateful, it also
-/// exercises the adversary's one-pass trajectory recording in a way the
-/// stateless hash in `pps-switch` cannot.
-#[derive(Clone, Debug)]
-pub struct FlowHashDemux {
-    n: usize,
-    k: usize,
-    seed: u64,
-    /// Current plane pin per dense flow index; `u32::MAX` = unpinned
-    /// (first dispatch uses the hashed home plane).
-    pins: Vec<u32>,
-    /// Dispatches that had to move a flow off its pinned plane.
-    repins: u64,
-}
-
-impl FlowHashDemux {
-    /// Pin sentinel: the flow has not dispatched yet.
-    const UNPINNED: u32 = u32::MAX;
-
-    /// Sticky flow hashing for an `n × n` switch over `k` planes.
-    pub fn new(n: usize, k: usize, seed: u64) -> Self {
-        FlowHashDemux {
-            n,
-            k,
-            seed,
-            pins: vec![Self::UNPINNED; n * n],
-            repins: 0,
-        }
-    }
-
-    /// The hashed home plane of flow `(input, output)` — where the flow
-    /// starts, and returns to after [`reset`](Demultiplexor::reset).
-    pub fn home_plane(&self, input: usize, output: usize) -> usize {
-        let f = (input * self.n + output) as u64 ^ self.seed;
-        ((f.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % self.k as u64) as usize
-    }
-
-    /// Dispatches that moved a flow off its pinned plane.
-    pub fn repins(&self) -> u64 {
-        self.repins
-    }
-}
-
-impl Demultiplexor for FlowHashDemux {
+/// The buffered twin of the `Box` impl above.
+impl<D: BufferedDemultiplexor + ?Sized> BufferedDemultiplexor for Box<D> {
     fn info_class(&self) -> InfoClass {
-        InfoClass::FullyDistributed
+        (**self).info_class()
     }
-
-    fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
-        let flow = cell.input.idx() * self.n + cell.output.idx();
-        let pinned = self.pins[flow];
-        let want = if pinned == Self::UNPINNED {
-            self.home_plane(cell.input.idx(), cell.output.idx())
-        } else {
-            pinned as usize
-        };
-        let p = if ctx.local.is_free(want) {
-            want
-        } else {
-            self.repins += 1;
-            ctx.local
-                .next_free_from(want)
-                .expect("valid bufferless config guarantees a free plane")
-        };
-        self.pins[flow] = p as u32;
-        PlaneId(p as u32)
+    fn slot_decision(
+        &mut self,
+        input: PortId,
+        arrival: Option<&Cell>,
+        buffer: &[Cell],
+        ctx: &DispatchCtx<'_>,
+        out: &mut BufferedDecision,
+    ) {
+        (**self).slot_decision(input, arrival, buffer, ctx, out)
     }
-
-    fn reset(&mut self) {
-        self.pins.fill(Self::UNPINNED);
-        self.repins = 0;
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        (**self).next_activity(now)
     }
-
-    fn name(&self) -> &'static str {
-        "flow-hash"
+    fn buffered_next_activity(
+        &self,
+        input: PortId,
+        head: &Cell,
+        local: &LocalView<'_>,
+    ) -> Option<Slot> {
+        (**self).buffered_next_activity(input, head, local)
     }
 }
 
@@ -425,48 +350,6 @@ mod tests {
         fn dispatch(&mut self, _c: &Cell, _ctx: &DispatchCtx<'_>) -> PlaneId {
             PlaneId(self.0)
         }
-        fn reset(&mut self) {}
-        fn name(&self) -> &'static str {
-            "fixed"
-        }
-    }
-
-    #[test]
-    fn flow_hash_sticks_until_forced_off() {
-        let mut d = FlowHashDemux::new(2, 4, 7);
-        let c = Cell {
-            id: CellId(0),
-            input: PortId(0),
-            output: PortId(1),
-            seq: 0,
-            arrival: 0,
-        };
-        let free = vec![0u64; 4];
-        let home = probe_dispatch(&mut d, &c, 0, &free).idx();
-        assert_eq!(home, d.home_plane(0, 1), "first dispatch uses the hash");
-        // Busy home line: the flow deviates and re-pins.
-        let mut busy = vec![0u64; 4];
-        busy[home] = 100;
-        let moved = probe_dispatch(&mut d, &c, 1, &busy).idx();
-        assert_ne!(moved, home);
-        assert_eq!(d.repins(), 1);
-        // Home frees up again — the flow stays on its new pin (sticky).
-        assert_eq!(probe_dispatch(&mut d, &c, 200, &free).idx(), moved);
-        assert_eq!(d.repins(), 1, "staying on the pin is not a repin");
-        // Reset returns the flow to its hashed home.
-        d.reset();
-        assert_eq!(probe_dispatch(&mut d, &c, 300, &free).idx(), home);
-    }
-
-    #[test]
-    fn flow_hash_seed_changes_homes() {
-        let a = FlowHashDemux::new(8, 8, 1);
-        let b = FlowHashDemux::new(8, 8, 2);
-        let differing = (0..8)
-            .flat_map(|i| (0..8).map(move |j| (i, j)))
-            .filter(|&(i, j)| a.home_plane(i, j) != b.home_plane(i, j))
-            .count();
-        assert!(differing > 0, "seeds must perturb the placement");
     }
 
     #[test]

@@ -8,8 +8,8 @@ pub use crate::cell::{Cell, RoutedCell};
 pub use crate::cell_pool::CellPool;
 pub use crate::config::{BufferSpec, OutputDiscipline, PpsConfig};
 pub use crate::demux::{
-    ArrivalAction, BufferedDecision, BufferedDemultiplexor, Demultiplexor, DispatchCtx,
-    ExplorableDemux, FlowHashDemux, InfoClass, LocalView,
+    ArrivalAction, BufferedDecision, BufferedDemultiplexor, Demultiplexor, DispatchCtx, InfoClass,
+    LocalView,
 };
 pub use crate::error::ModelError;
 pub use crate::fault::{FaultEvent, FaultPlan, PlaneMask};

@@ -5,12 +5,10 @@
 //! point a self-contained simulation. [`SweepPlan`] makes that structure
 //! explicit — callers declare their points as data and a closure computing
 //! one point — so execution strategy becomes the executor's business, not
-//! the runner's. The executor lived in `pps_experiments::sweep` through
-//! PR 5; it moved here (next to the [`crate::workers`] budget it drains)
-//! so crates below the experiment layer — notably the chaos harness, whose
-//! cases are exactly such a point list — can share it without a dependency
-//! cycle. `pps_experiments::sweep` re-exports everything, so experiment
-//! code is unaffected.
+//! the runner's. It sits next to the [`crate::workers`] budget it drains,
+//! below the experiment layer, so the chaos harness — whose cases are
+//! exactly such a point list — shares it; `pps_experiments::sweep`
+//! re-exports everything.
 //!
 //! ## Determinism contract
 //!
@@ -45,7 +43,7 @@
 //! make progress at any instant.
 
 use crate::telemetry::{self, EventLog};
-use crate::workers::{jobs, lease_worker, release_worker};
+use crate::workers::{jobs, WorkerLease};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -145,19 +143,20 @@ impl<P> SweepPlan<P> {
         // beyond the caller's share); skip the scope entirely when the
         // budget is exhausted so serial sweeps stay thread-free.
         let wanted = n.saturating_sub(1).min(jobs().saturating_sub(1));
-        let mut leased = 0usize;
-        while leased < wanted && lease_worker() {
-            leased += 1;
-        }
-        if leased == 0 {
+        let leases: Vec<WorkerLease> = std::iter::from_fn(WorkerLease::try_new)
+            .take(wanted)
+            .collect();
+        if leases.is_empty() {
             work(tx);
         } else {
             crossbeam::thread::scope(|scope| {
-                for _ in 0..leased {
+                for lease in leases {
                     let tx = tx.clone();
                     scope.spawn(move |_| {
+                        // Dropped when the worker ends, also by a panicking
+                        // point: the slot goes back to the budget either way.
+                        let _lease = lease;
                         work(tx);
-                        release_worker();
                     });
                 }
                 work(tx);

@@ -5,10 +5,7 @@
 //! and a [`crate::record::RunLog`] out. This module gives them a shared,
 //! slot-stamped event vocabulary ([`EventKind`]) and a recording substrate
 //! designed so that the *disabled* path costs one relaxed atomic load and
-//! a predictable branch per call site, allocates nothing, and can be
-//! compiled out entirely (build `pps-core` with `--no-default-features` to
-//! drop the `telemetry` feature; [`on`] then becomes a `const false` and
-//! the optimizer removes every recording site).
+//! a predictable branch per call site and allocates nothing.
 //!
 //! ## Recording model
 //!
@@ -38,7 +35,7 @@
 use crate::ids::{CellId, PlaneId, PortId};
 use crate::time::Slot;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
 /// How much the process records.
@@ -244,13 +241,11 @@ pub struct Event {
 
 static LEVEL: AtomicU8 = AtomicU8::new(Level::Off as u8);
 
-/// Default ring capacity per scope (events). Large enough for a full
+/// Ring capacity of every scope (events). Large enough for a full
 /// experiment point at the registry's sizes; bounded so a runaway soak run
 /// cannot exhaust memory (the ring overwrites its oldest entries and
 /// counts the overflow).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
-
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 /// Set the process-wide recording level.
 pub fn set_level(level: Level) {
@@ -268,39 +263,10 @@ pub fn level() -> Level {
 
 /// The disabled-path gate: `true` iff any recording is enabled. Call sites
 /// guard event construction behind this so the off path never builds
-/// payloads. With the `telemetry` feature disabled this is `const false`
-/// and recording sites compile out entirely.
-#[cfg(feature = "telemetry")]
+/// payloads.
 #[inline(always)]
 pub fn on() -> bool {
     LEVEL.load(Ordering::Relaxed) != 0
-}
-
-/// Compile-out stand-in: always `false`, so guarded sites are dead code.
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-pub const fn on() -> bool {
-    false
-}
-
-/// Cap (in events) of each scope's ring buffer.
-///
-/// Applies to every scope opened after the call, on any thread, *and* to
-/// the scopes currently open on the calling thread (a driver that parses
-/// `--ring-cap` after its outermost `collect` began would otherwise silently
-/// keep the default for that scope). Scopes already open on *other* threads
-/// keep their ring until they close — scope stacks are thread-local, and
-/// resizing a ring mid-record from another thread would race. Shrinking an
-/// open scope's ring below its current occupancy drops the oldest events,
-/// counted in the scope's `overflowed` tally exactly like wrap-around.
-pub fn set_ring_capacity(cap: usize) {
-    let cap = cap.max(1);
-    RING_CAPACITY.store(cap, Ordering::SeqCst);
-    SCOPES.with(|scopes| {
-        for scope in scopes.borrow_mut().iter_mut() {
-            scope.ring.set_capacity(cap);
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -398,28 +364,6 @@ impl EventRing {
             self.head = (self.head + 1) % self.cap;
             self.overwritten += 1;
         }
-    }
-
-    /// Change the ring's capacity in place, preserving the newest events.
-    /// Shrinking below the current occupancy drops the oldest entries and
-    /// counts them as overwritten, exactly like wrap-around would have.
-    pub fn set_capacity(&mut self, cap: usize) {
-        let cap = cap.max(1);
-        if cap == self.cap {
-            return;
-        }
-        // Normalize to emission order so append/overwrite positions stay
-        // coherent under the new capacity.
-        if self.head != 0 {
-            self.buf.rotate_left(self.head);
-            self.head = 0;
-        }
-        if self.buf.len() > cap {
-            let dropped = self.buf.len() - cap;
-            self.buf.drain(..dropped);
-            self.overwritten += dropped as u64;
-        }
-        self.cap = cap;
     }
 
     /// Drain into a `Vec` in emission order (oldest first).
@@ -542,7 +486,7 @@ pub fn collect<R>(label: impl Into<String>, f: impl FnOnce() -> R) -> (R, EventL
     SCOPES.with(|scopes| {
         scopes.borrow_mut().push(Scope {
             label: label.clone(),
-            ring: EventRing::new(RING_CAPACITY.load(Ordering::Relaxed)),
+            ring: EventRing::new(DEFAULT_RING_CAPACITY),
             children: Vec::new(),
         });
     });
@@ -647,42 +591,5 @@ mod tests {
         let events = ring.into_events();
         let slots: Vec<Slot> = events.iter().map(|e| e.slot).collect();
         assert_eq!(slots, vec![3, 4]);
-    }
-
-    fn push(ring: &mut EventRing, slot: Slot) {
-        let (e, s, k) = ev(slot);
-        ring.push(Event {
-            slot: s,
-            engine: e,
-            kind: k,
-        });
-    }
-
-    #[test]
-    fn ring_grows_in_place_keeping_order() {
-        let mut ring = EventRing::new(2);
-        for slot in 0..5 {
-            push(&mut ring, slot); // wrapped: holds [3, 4], head mid-buffer
-        }
-        ring.set_capacity(4);
-        push(&mut ring, 5);
-        push(&mut ring, 6);
-        assert_eq!(ring.overwritten, 3, "growing must not drop anything");
-        let slots: Vec<Slot> = ring.into_events().iter().map(|e| e.slot).collect();
-        assert_eq!(slots, vec![3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn ring_shrinks_dropping_oldest_and_counting() {
-        let mut ring = EventRing::new(4);
-        for slot in 0..4 {
-            push(&mut ring, slot);
-        }
-        ring.set_capacity(2);
-        assert_eq!(ring.overwritten, 2, "shrink drops count as overflow");
-        push(&mut ring, 9); // wrap under the new capacity
-        assert_eq!(ring.overwritten, 3);
-        let slots: Vec<Slot> = ring.into_events().iter().map(|e| e.slot).collect();
-        assert_eq!(slots, vec![3, 9]);
     }
 }

@@ -1,19 +1,13 @@
-//! Process-wide worker budget shared by every parallel component.
+//! Process-wide worker budget of the sweep executor.
 //!
 //! One budget ([`set_jobs`]) caps the *total* number of threads making
-//! progress at any instant across every concurrently running parallel
-//! region — the sweep executor in `pps-experiments`, the registry-level
-//! sweep `ppslab` runs, and the per-plane alignment scans in
-//! `pps-traffic`. Each region keeps its calling thread and leases extra
-//! workers only while it has work left, so nested parallelism (alignment
-//! scans inside an experiment inside the registry sweep) never
-//! oversubscribes.
-//!
-//! The budget lived in `pps_experiments::sweep` through PR 3; it moved
-//! here so leaf crates below the experiment layer can lease from the same
-//! pool without a dependency cycle (`pps-experiments` depends on
-//! `pps-traffic`, not the other way round). `pps_experiments::sweep`
-//! re-exports [`set_jobs`]/[`jobs`], so drivers are unaffected.
+//! progress at any instant across every concurrently running
+//! [`SweepPlan`](crate::sweep::SweepPlan) — an experiment's points, the
+//! registry-level sweep `ppslab` runs, a chaos campaign's cases. Each
+//! sweep keeps its calling thread and holds a [`WorkerLease`] per extra
+//! worker only while that worker runs, so nested sweeps (an experiment
+//! inside the registry sweep) never oversubscribe.
+//! `pps_experiments::sweep` re-exports [`set_jobs`]/[`jobs`] for drivers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -39,48 +33,27 @@ pub fn jobs() -> usize {
 #[doc(hidden)]
 pub fn set_intra_jobs(_n: usize) {}
 
-/// Try to lease one extra worker from the shared budget. On success the
-/// caller owns one worker slot and must return it with
-/// [`release_worker`] — prefer [`WorkerLease::try_new`], which releases
-/// on drop.
-pub fn lease_worker() -> bool {
-    let budget = jobs().saturating_sub(1);
-    let mut cur = LEASED.load(Ordering::SeqCst);
-    loop {
-        if cur >= budget {
-            return false;
-        }
-        match LEASED.compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(_) => return true,
-            Err(seen) => cur = seen,
-        }
-    }
-}
-
-/// Return a worker slot taken with [`lease_worker`].
-pub fn release_worker() {
-    LEASED.fetch_sub(1, Ordering::SeqCst);
-}
-
 /// RAII worker lease: holds one slot of the shared budget, released on
-/// drop (including on panic unwind out of a parallel scope).
+/// drop (including on panic unwind out of a sweep worker).
 #[derive(Debug)]
 pub struct WorkerLease(());
 
 impl WorkerLease {
     /// Try to take one worker slot; `None` when the budget is exhausted.
     pub fn try_new() -> Option<WorkerLease> {
-        if lease_worker() {
-            Some(WorkerLease(()))
-        } else {
-            None
-        }
+        let budget = jobs().saturating_sub(1);
+        LEASED
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
+                (cur < budget).then_some(cur + 1)
+            })
+            .ok()
+            .map(|_| WorkerLease(()))
     }
 }
 
 impl Drop for WorkerLease {
     fn drop(&mut self) {
-        release_worker();
+        LEASED.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -56,12 +56,6 @@ impl IslipArbiter {
         self.n
     }
 
-    /// Reset pointers to the initial configuration.
-    pub fn reset(&mut self) {
-        self.grant_ptr.fill(0);
-        self.accept_ptr.fill(0);
-    }
-
     /// The grant and accept pointer vectors, in that order — exposed so
     /// the stepping-equivalence tests can pin that dense and skip-ahead
     /// runs leave byte-identical arbiter state (pointers must not move
@@ -123,10 +117,6 @@ impl crate::scheduler::CrossbarScheduler for IslipArbiter {
         }
     }
 
-    fn reset(&mut self) {
-        IslipArbiter::reset(self);
-    }
-
     fn state_digest(&self) -> u64 {
         use pps_core::rng::SplitMix64;
         let mut d = 0x15_117u64;
@@ -134,10 +124,6 @@ impl crate::scheduler::CrossbarScheduler for IslipArbiter {
             d = SplitMix64::fold_digest(d, ((g as u64) << 32) | a as u64);
         }
         d
-    }
-
-    fn name(&self) -> &'static str {
-        "islip"
     }
 }
 

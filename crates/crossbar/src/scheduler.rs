@@ -70,17 +70,11 @@ pub trait CrossbarScheduler: Send {
         (backlog > 0).then(|| now + 1)
     }
 
-    /// Return the scheduler to its initial configuration.
-    fn reset(&mut self);
-
     /// A fingerprint of all mutable scheduler state (pointers, RNG state,
     /// window reservations). The dense/skip equivalence proptests pin this
     /// across stepping modes — logs being equal does not prove the hidden
     /// state is, and diverged hidden state is a time bomb.
     fn state_digest(&self) -> u64;
-
-    /// Short human-readable discipline name for reports.
-    fn name(&self) -> &'static str;
 }
 
 impl CrossbarScheduler for Box<dyn CrossbarScheduler> {
@@ -96,16 +90,8 @@ impl CrossbarScheduler for Box<dyn CrossbarScheduler> {
         (**self).next_activity(now, backlog)
     }
 
-    fn reset(&mut self) {
-        (**self).reset()
-    }
-
     fn state_digest(&self) -> u64 {
         (**self).state_digest()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }
 
@@ -201,18 +187,8 @@ impl CrossbarScheduler for QpsRScheduler {
         }
     }
 
-    fn reset(&mut self) {
-        // Note: reset does not rewind the RNG — a reset scheduler is a new
-        // automaton, so callers wanting bit-replay construct a fresh one.
-        self.winner.fill(NONE);
-    }
-
     fn state_digest(&self) -> u64 {
         SplitMix64::fold_digest(0x9B5, self.rng.state_fingerprint())
-    }
-
-    fn name(&self) -> &'static str {
-        "qps-r"
     }
 }
 
@@ -377,15 +353,6 @@ impl CrossbarScheduler for SwQpsScheduler {
         }
     }
 
-    fn reset(&mut self) {
-        self.ring.fill(NONE);
-        self.head = 0;
-        self.in_busy.fill(0);
-        self.out_busy.fill(0);
-        self.reserved.fill(0);
-        self.pending = 0;
-    }
-
     fn state_digest(&self) -> u64 {
         // Window order from the head, so the digest does not depend on
         // where in the ring the head happens to be.
@@ -400,10 +367,6 @@ impl CrossbarScheduler for SwQpsScheduler {
             d = SplitMix64::fold_digest(d, 0xFEED);
         }
         d
-    }
-
-    fn name(&self) -> &'static str {
-        "sw-qps"
     }
 }
 
@@ -586,7 +549,6 @@ mod tests {
     fn boxed_scheduler_forwards() {
         let mut s: Box<dyn CrossbarScheduler> = Box::new(QpsRScheduler::new(4, 1, 1));
         assert_eq!(s.n(), 4);
-        assert_eq!(s.name(), "qps-r");
         let lens = lens_of(4, &[(0, 1, 1)]);
         let out = run_sched(&mut s, &lens);
         assert_eq!(out[0], Some(1));

@@ -53,7 +53,11 @@ fn gappy_trace(n: usize, seed: u64, bursts: usize) -> Trace {
 
 /// Run `make()`'s scheduler under both modes; require identical departures
 /// and identical final hidden state.
-fn assert_equivalent<S: CrossbarScheduler, F: Fn() -> S>(t: &Trace, make: F) -> (u64, u64) {
+fn assert_equivalent<S: CrossbarScheduler, F: Fn() -> S>(
+    label: &str,
+    t: &Trace,
+    make: F,
+) -> (u64, u64) {
     let (dense_log, dense_sw) = run_crossbar_with(t, make(), Stepping::Dense);
     let (skip_log, skip_sw) = run_crossbar_with(t, make(), Stepping::SkipAhead);
     let dense: Vec<_> = dense_log
@@ -64,23 +68,13 @@ fn assert_equivalent<S: CrossbarScheduler, F: Fn() -> S>(t: &Trace, make: F) -> 
         .iter()
         .map(|(id, r)| (id, r.arrival, r.departure()))
         .collect();
-    assert_eq!(
-        dense,
-        skip,
-        "{}: logs diverged across stepping",
-        make().name()
-    );
-    assert_eq!(
-        dense_log.undelivered(),
-        0,
-        "{}: run did not drain",
-        make().name()
-    );
+    assert_eq!(dense, skip, "{label}: logs diverged across stepping");
+    assert_eq!(dense_log.undelivered(), 0, "{label}: run did not drain");
     let (d, s) = (
         dense_sw.scheduler().state_digest(),
         skip_sw.scheduler().state_digest(),
     );
-    assert_eq!(d, s, "{}: hidden scheduler state diverged", make().name());
+    assert_eq!(d, s, "{label}: hidden scheduler state diverged");
     (d, s)
 }
 
@@ -103,7 +97,7 @@ proptest! {
             dense_sw.scheduler().state_digest(),
             skip_sw.scheduler().state_digest()
         );
-        assert_equivalent(&t, || IslipArbiter::new(n, iterations));
+        assert_equivalent("islip", &t, || IslipArbiter::new(n, iterations));
     }
 
     #[test]
@@ -114,7 +108,7 @@ proptest! {
         bursts in 1usize..6,
     ) {
         let t = gappy_trace(n, seed, bursts);
-        assert_equivalent(&t, || QpsRScheduler::new(n, r, seed ^ 0xA5));
+        assert_equivalent("qps-r", &t, || QpsRScheduler::new(n, r, seed ^ 0xA5));
     }
 
     #[test]
@@ -125,7 +119,7 @@ proptest! {
         bursts in 1usize..6,
     ) {
         let t = gappy_trace(n, seed, bursts);
-        assert_equivalent(&t, || SwQpsScheduler::new(n, window, seed ^ 0x51));
+        assert_equivalent("sw-qps", &t, || SwQpsScheduler::new(n, window, seed ^ 0x51));
     }
 
     #[test]
@@ -201,7 +195,7 @@ fn sw_qps_window_survives_long_idle_gaps() {
     let n = 5;
     let t = long_gap_trace(n);
     for window in [8, 65] {
-        assert_equivalent(&t, || SwQpsScheduler::new(n, window, 77));
+        assert_equivalent("sw-qps", &t, || SwQpsScheduler::new(n, window, 77));
     }
 }
 
@@ -214,11 +208,10 @@ fn idle_slots_are_pure_noops_for_every_discipline() {
     let n = 5;
     let burst = &Trace::build(long_gap_trace(n).arrivals()[..4 * n].to_vec(), n).unwrap();
 
-    fn check<S: CrossbarScheduler>(burst: &Trace, scheduler: S) {
+    fn check<S: CrossbarScheduler>(name: &str, burst: &Trace, scheduler: S) {
         let mut sw = CrossbarSwitch::with_scheduler(scheduler);
         let n = sw.scheduler().n();
         let (mut log, end) = drive(&mut sw, burst, n, Slot::MAX, Stepping::Dense).unwrap();
-        let name = sw.scheduler().name();
         let drained = sw.scheduler().state_digest();
         for now in end..end + 100 {
             sw.slot(now, &[], &mut log);
@@ -226,10 +219,10 @@ fn idle_slots_are_pure_noops_for_every_discipline() {
         }
         assert_eq!(sw.next_activity(end + 100), None, "{name}");
     }
-    check(burst, IslipArbiter::new(n, 2));
-    check(burst, QpsRScheduler::new(n, 3, 21));
-    check(burst, SwQpsScheduler::new(n, 8, 22));
-    check(burst, SwQpsScheduler::new(n, 65, 23));
+    check("islip", burst, IslipArbiter::new(n, 2));
+    check("qps-r", burst, QpsRScheduler::new(n, 3, 21));
+    check("sw-qps T=8", burst, SwQpsScheduler::new(n, 8, 22));
+    check("sw-qps T=65", burst, SwQpsScheduler::new(n, 65, 23));
 
     // The CIOQ policies hold no pointer or RNG state; their hidden state
     // is the output-queue high-water mark and the backlog.

@@ -7,7 +7,6 @@
 //! ppslab --csv e12   # also dump each table as CSV after the text table
 //! ppslab --markdown  # emit GitHub-flavoured markdown instead of text
 //! ppslab --out results/   # also write every table as CSV into results/
-//! ppslab perf        # quick simulator-throughput summary
 //! ppslab --jobs 4    # worker budget (default: available parallelism; 1 = serial)
 //! ppslab --stepping dense   # force the dense slot loop (default: skip-ahead)
 //! ppslab --bench-json BENCH_experiments.json   # record wall-clock + slots/sec
@@ -34,39 +33,6 @@
 
 use pps_experiments::sweep::SweepPlan;
 use pps_experiments::{registry, ExperimentOutput};
-
-/// Quick simulator performance summary (a smoke reading only; measured
-/// throughput claims come from `ppsbench`, see `ppsbench/README.md`).
-fn perf() {
-    use pps_core::prelude::*;
-    use pps_switch::demux::RoundRobinDemux;
-    use pps_switch::engine::run_bufferless;
-    use pps_traffic::gen::BernoulliGen;
-    println!("simulator throughput (full-load Bernoulli, round robin, release build):");
-    for (n, k, r_prime, slots) in [
-        (16usize, 8usize, 4usize, 20_000u64),
-        (64, 16, 4, 10_000),
-        (256, 32, 4, 4_000),
-        (1024, 64, 8, 1_000),
-    ] {
-        let trace = BernoulliGen::uniform(1.0, 1).trace(n, slots);
-        let cells = trace.len();
-        let start = std::time::Instant::now();
-        let run = run_bufferless(
-            PpsConfig::bufferless(n, k, r_prime),
-            RoundRobinDemux::new(n, k),
-            &trace,
-        )
-        .expect("run");
-        let dt = start.elapsed();
-        assert_eq!(run.log.undelivered(), 0);
-        println!(
-            "  N={n:<5} K={k:<3} r'={r_prime:<2} {cells:>8} cells in {:>8.1?}  ({:>6.1} Mcells/s)",
-            dt,
-            cells as f64 / dt.as_secs_f64() / 1e6
-        );
-    }
-}
 
 /// Per-experiment benchmark record:
 /// `(id, wall seconds, simulated slots, skipped slots)`.
@@ -157,10 +123,6 @@ fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("perf") {
-        perf();
-        return;
-    }
     if args.first().map(String::as_str) == Some("custom") {
         match pps_experiments::custom::run_custom(&args[1..]) {
             Ok(report) => print!("{report}"),

@@ -82,110 +82,87 @@ fn split_param(s: &str) -> (&str, Option<&str>) {
     }
 }
 
-enum Algo {
-    Rr(RoundRobinDemux),
-    Pfr(PerFlowRoundRobinDemux),
-    Random(RandomDemux),
-    Partition(StaticPartitionDemux),
-    Ftd(FtdDemux),
-    Stale(StaleLeastLoadedDemux),
-    Lll(LeastLoadedLocalDemux),
-    Hash(HashFlowDemux),
-    Cpa(CpaDemux),
-}
-
-fn build_algo(spec: &str, n: usize, k: usize, r_prime: usize) -> Result<Algo, String> {
-    let (name, param) = split_param(spec);
-    Ok(match name {
-        "rr" => Algo::Rr(RoundRobinDemux::new(n, k)),
-        "pfr" => Algo::Pfr(PerFlowRoundRobinDemux::new(n, k)),
-        "random" => Algo::Random(RandomDemux::new(
-            n,
-            param
-                .map_or(Ok(0), str::parse)
-                .map_err(|e| format!("random seed: {e}"))?,
-        )),
-        "partition" => Algo::Partition(StaticPartitionDemux::minimal(n, k, r_prime)),
-        "ftd" => Algo::Ftd(FtdDemux::new(
-            n,
-            k,
-            r_prime,
-            param
-                .map_or(Ok(2), str::parse)
-                .map_err(|e| format!("ftd h: {e}"))?,
-        )),
-        "stale" => Algo::Stale(StaleLeastLoadedDemux::new(
-            n,
-            k,
-            param
-                .ok_or("stale needs :u")?
-                .parse()
-                .map_err(|e| format!("stale u: {e}"))?,
-        )),
-        "lll" => Algo::Lll(LeastLoadedLocalDemux::new(n, k, r_prime)),
-        "hash" => Algo::Hash(HashFlowDemux::new(n, k)),
-        "cpa" => Algo::Cpa(CpaDemux::new(n, k, r_prime)),
-        other => return Err(format!("unknown algorithm {other}")),
+/// A numeric `:param`, or `default` when the spec names none.
+fn param_or<T: std::str::FromStr>(param: Option<&str>, default: T, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    param.map_or(Ok(default), |p| {
+        p.parse().map_err(|e| format!("{what}: {e}"))
     })
 }
 
-fn build_workload(
-    spec: &str,
+/// Build the algorithm `--algo` names and hand it to [`run_with`], along
+/// with its attack probe budget in units of `8·K` cells.
+fn run_algo(args: &CustomArgs, cfg: PpsConfig) -> Result<(Trace, Comparison), String> {
+    let (name, param) = split_param(&args.algo);
+    let CustomArgs { n, k, r_prime, .. } = *args;
+    match name {
+        "rr" => run_with(args, cfg, RoundRobinDemux::new(n, k), 1),
+        "pfr" => run_with(args, cfg, PerFlowRoundRobinDemux::new(n, k), 1),
+        "random" => {
+            let seed = param_or(param, 0, "random seed")?;
+            run_with(args, cfg, RandomDemux::new(n, seed), 4)
+        }
+        "partition" => run_with(args, cfg, StaticPartitionDemux::minimal(n, k, r_prime), 1),
+        "ftd" => {
+            let h = param_or(param, 2, "ftd h")?;
+            run_with(args, cfg, FtdDemux::new(n, k, r_prime, h), 1)
+        }
+        "stale" => {
+            let u = param.ok_or("stale needs :u")?;
+            let u = u.parse().map_err(|e| format!("stale u: {e}"))?;
+            run_with(args, cfg, StaleLeastLoadedDemux::new(n, k, u), 1)
+        }
+        "lll" => run_with(args, cfg, LeastLoadedLocalDemux::new(n, k, r_prime), 1),
+        "hash" => run_with(args, cfg, HashFlowDemux::new(n, k), 1),
+        "cpa" => {
+            let cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
+            run_with(args, cfg, CpaDemux::new(n, k, r_prime), 1)
+        }
+        other => Err(format!("unknown algorithm {other}")),
+    }
+}
+
+/// The part of a custom run that depends on the algorithm's type: build
+/// the workload (the attack probes a clone of `demux`), save it if asked,
+/// and compare the PPS driven by `demux` with the shadow switch.
+fn run_with<D: Demultiplexor + Clone>(
     args: &CustomArgs,
-    algo: &Algo,
-    cfg: &PpsConfig,
-) -> Result<Trace, String> {
-    let (name, param) = split_param(spec);
+    cfg: PpsConfig,
+    demux: D,
+    attack_budget: usize,
+) -> Result<(Trace, Comparison), String> {
+    let trace = if split_param(&args.workload).0 == "attack" {
+        if demux.info_class() != InfoClass::FullyDistributed {
+            return Err("attack targets fully-distributed algorithms; use urt for stale".into());
+        }
+        let inputs: Vec<u32> = (0..args.n as u32).collect();
+        concentration_attack(&demux, &cfg, &inputs, attack_budget * 8 * args.k).trace
+    } else {
+        build_workload(args, &cfg)?
+    };
+    if let Some(path) = &args.save_trace {
+        pps_core::trace_io::save(&trace, std::path::Path::new(path))
+            .map_err(|e| format!("saving trace: {e}"))?;
+    }
+    let cmp = compare_bufferless(cfg, demux, &trace).map_err(|e| e.to_string())?;
+    Ok((trace, cmp))
+}
+
+/// Every workload but `attack`, which needs the algorithm (see [`run_with`]).
+fn build_workload(args: &CustomArgs, cfg: &PpsConfig) -> Result<Trace, String> {
+    let (name, param) = split_param(&args.workload);
     let n = args.n;
-    let inputs: Vec<u32> = (0..n as u32).collect();
     Ok(match name {
-        "attack" => {
-            let max = 8 * args.k;
-            match algo {
-                Algo::Rr(d) => concentration_attack(d, cfg, &inputs, max).trace,
-                Algo::Pfr(d) => concentration_attack(d, cfg, &inputs, max).trace,
-                Algo::Random(d) => concentration_attack(d, cfg, &inputs, 4 * max).trace,
-                Algo::Partition(d) => concentration_attack(d, cfg, &inputs, max).trace,
-                Algo::Ftd(d) => concentration_attack(d, cfg, &inputs, max).trace,
-                Algo::Lll(d) => concentration_attack(d, cfg, &inputs, max).trace,
-                Algo::Hash(d) => concentration_attack(d, cfg, &inputs, max).trace,
-                Algo::Stale(_) | Algo::Cpa(_) => {
-                    return Err(
-                        "attack targets fully-distributed algorithms; use urt for stale".into(),
-                    )
-                }
-            }
+        "urt" => urt_burst_attack(cfg, param_or(param, 1, "urt u")?).trace,
+        "bernoulli" => {
+            BernoulliGen::uniform(param_or(param, 0.9, "bernoulli load")?, 42).trace(n, args.slots)
         }
-        "urt" => {
-            urt_burst_attack(
-                cfg,
-                param
-                    .map_or(Ok(1), str::parse)
-                    .map_err(|e| format!("urt u: {e}"))?,
-            )
-            .trace
+        "onoff" => {
+            OnOffGen::uniform(12.0, param_or(param, 0.7, "onoff load")?, 42).trace(n, args.slots)
         }
-        "bernoulli" => BernoulliGen::uniform(
-            param
-                .map_or(Ok(0.9), str::parse)
-                .map_err(|e| format!("bernoulli load: {e}"))?,
-            42,
-        )
-        .trace(n, args.slots),
-        "onoff" => OnOffGen::uniform(
-            12.0,
-            param
-                .map_or(Ok(0.7), str::parse)
-                .map_err(|e| format!("onoff load: {e}"))?,
-            42,
-        )
-        .trace(n, args.slots),
-        "cbr" => CbrGen::diagonal(
-            param
-                .map_or(Ok(2), str::parse)
-                .map_err(|e| format!("cbr period: {e}"))?,
-        )
-        .trace(n, args.slots),
+        "cbr" => CbrGen::diagonal(param_or(param, 2, "cbr period")?).trace(n, args.slots),
         // Seeded stochastic families from pps-workload. Geometry comes
         // from --n/--slots: they are prepended as spec keys, so a
         // conflicting n=/horizon= inside the spec body shows up as a
@@ -203,37 +180,11 @@ fn build_workload(
             pps_workload::WorkloadSpec::parse(&full)?.trace()?
         }
         "congestion" => {
-            congestion_traffic(
-                n,
-                0,
-                param
-                    .map_or(Ok(2), str::parse)
-                    .map_err(|e| format!("congestion senders: {e}"))?,
-                args.slots,
-            )
-            .trace
+            let senders = param_or(param, 2, "congestion senders")?;
+            congestion_traffic(n, 0, senders, args.slots).trace
         }
         other => return Err(format!("unknown workload {other}")),
     })
-}
-
-fn compare(cfg: PpsConfig, algo: Algo, trace: &Trace) -> Result<Comparison, String> {
-    let run = |c: Result<Comparison, ModelError>| c.map_err(|e| e.to_string());
-    match algo {
-        Algo::Rr(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Pfr(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Random(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Partition(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Ftd(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Stale(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Lll(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Hash(d) => run(compare_bufferless(cfg, d, trace)),
-        Algo::Cpa(d) => run(compare_bufferless(
-            cfg.with_discipline(OutputDiscipline::GlobalFcfs),
-            d,
-            trace,
-        )),
-    }
 }
 
 /// Execute a custom run; returns the printable report.
@@ -241,19 +192,8 @@ pub fn run_custom(raw_args: &[String]) -> Result<String, String> {
     let args = parse_args(raw_args)?;
     let cfg = PpsConfig::bufferless(args.n, args.k, args.r_prime);
     cfg.validate().map_err(|e| e.to_string())?;
-    let algo = build_algo(&args.algo, args.n, args.k, args.r_prime)?;
-    let trace = build_workload(&args.workload, &args, &algo, &cfg)?;
-    if let Some(path) = &args.save_trace {
-        pps_core::trace_io::save(&trace, std::path::Path::new(path))
-            .map_err(|e| format!("saving trace: {e}"))?;
-    }
+    let (trace, cmp) = run_algo(&args, cfg)?;
     let b = min_burstiness(&trace, args.n).overall();
-    let cmp = compare(
-        cfg,
-        build_algo(&args.algo, args.n, args.k, args.r_prime)?,
-        &trace,
-    )?;
-    let _ = algo;
     let rd = cmp.relative_delay();
     let mut out = String::new();
     use std::fmt::Write as _;

@@ -94,16 +94,7 @@ impl ExperimentOutput {
     pub fn render_markdown(&self) -> String {
         let mut out = format!("### {}: {}\n\n", self.id, self.title);
         for t in &self.tables {
-            let csv = t.to_csv();
-            let mut lines = csv.lines();
-            if let Some(header) = lines.next() {
-                let cols = header.split(',').count();
-                out.push_str(&format!("| {} |\n", header.replace(',', " | ")));
-                out.push_str(&format!("|{}\n", "---|".repeat(cols)));
-                for line in lines {
-                    out.push_str(&format!("| {} |\n", line.replace(',', " | ")));
-                }
-            }
+            out.push_str(&t.to_markdown());
             out.push('\n');
         }
         for n in &self.notes {

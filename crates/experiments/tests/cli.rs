@@ -27,6 +27,8 @@ fn assert_rejected(args: &[&str], message: &str) {
 fn unknown_experiment_id_is_an_error_that_names_list() {
     assert_rejected(&["e99"], "unknown experiment id e99");
     assert_rejected(&["e1", "e99"], "--list");
+    // The removed subcommand is an id like any other stranger.
+    assert_rejected(&["perf"], "unknown experiment id perf");
 }
 
 #[test]
@@ -50,4 +52,28 @@ fn list_prints_every_registered_id() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(stdout.lines().count(), 27, "{stdout}");
     assert!(stdout.lines().any(|id| id == "e12"));
+}
+
+#[test]
+fn markdown_rows_have_the_headers_cell_count() {
+    // e7 has a comma in a header, e16 one in a row label.
+    let out = ppslab(&["--markdown", "e7", "e16"]);
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let pipes = |line: &str| line.replace("\\|", "").matches('|').count();
+    let (mut tables, mut header_pipes) = (0, None);
+    for line in stdout.lines() {
+        if !line.starts_with('|') {
+            header_pipes = None;
+            continue;
+        }
+        let want = *header_pipes.get_or_insert_with(|| {
+            tables += 1;
+            pipes(line)
+        });
+        assert_eq!(pipes(line), want, "{line}");
+    }
+    assert!(tables >= 2, "{stdout}");
+    assert!(stdout.contains("| bound (exact, RR) |"), "{stdout}");
+    assert!(stdout.contains("| delayed-CPA (K=16, S=2) |"), "{stdout}");
 }

@@ -167,61 +167,6 @@ fn fault_run_emits_resequencer_and_watchdog_events() {
 }
 
 #[test]
-fn ring_capacity_change_applies_to_open_scopes() {
-    use pps_core::telemetry::{Engine, EventKind, DEFAULT_RING_CAPACITY};
-    use pps_core::{CellId, PortId};
-
-    let _guard = LevelGuard::set(Level::Full);
-    // Restore the process-wide default even if an assert below panics.
-    struct CapGuard;
-    impl Drop for CapGuard {
-        fn drop(&mut self) {
-            telemetry::set_ring_capacity(DEFAULT_RING_CAPACITY);
-        }
-    }
-    let _cap = CapGuard;
-
-    let rec = |slot| {
-        telemetry::record(
-            Engine::Pps,
-            slot,
-            EventKind::Depart {
-                cell: CellId(slot),
-                output: PortId(0),
-            },
-        )
-    };
-
-    // Raising the cap mid-scope must take effect for the scope that is
-    // already open — a driver that parses `--ring-cap` after its outermost
-    // collect began would otherwise keep the stale capacity and overflow.
-    telemetry::set_ring_capacity(2);
-    let ((), grown) = telemetry::collect("grow", || {
-        rec(0);
-        telemetry::set_ring_capacity(4);
-        rec(1);
-        rec(2);
-        rec(3);
-    });
-    assert_eq!(grown.overflowed, 0, "grown ring must not overflow");
-    let slots: Vec<u64> = grown.events.iter().map(|e| e.slot).collect();
-    assert_eq!(slots, vec![0, 1, 2, 3]);
-
-    // Shrinking mid-scope drops the oldest events and counts them exactly
-    // like wrap-around overflow.
-    telemetry::set_ring_capacity(4);
-    let ((), shrunk) = telemetry::collect("shrink", || {
-        for slot in 0..4 {
-            rec(slot);
-        }
-        telemetry::set_ring_capacity(2);
-    });
-    assert_eq!(shrunk.overflowed, 2);
-    let slots: Vec<u64> = shrunk.events.iter().map(|e| e.slot).collect();
-    assert_eq!(slots, vec![2, 3]);
-}
-
-#[test]
 fn sweep_event_bundle_is_jobs_invariant() {
     let _guard = LevelGuard::set(Level::Full);
     let run_at = |jobs: usize| {

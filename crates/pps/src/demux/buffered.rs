@@ -122,14 +122,6 @@ impl BufferedDemultiplexor for BufferedRoundRobinDemux {
             .unwrap_or(local.now + 1);
         Some(earliest_free.max(local.now + 1))
     }
-
-    fn reset(&mut self) {
-        self.next.fill(0);
-    }
-
-    fn name(&self) -> &'static str {
-        "buffered-round-robin"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -264,16 +256,6 @@ impl BufferedDemultiplexor for DelayedCpaDemux {
     ) -> Option<Slot> {
         Some((head.arrival + self.u).max(local.now + 1))
     }
-
-    fn reset(&mut self) {
-        self.dt_last.fill(None);
-        self.last_reserved.fill(None);
-        self.deadline_misses = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "delayed-cpa"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,16 +382,6 @@ impl BufferedDemultiplexor for BufferedStaleDemux {
     ) -> Option<Slot> {
         Some((head.arrival + self.hold).max(local.now + 1))
     }
-
-    fn reset(&mut self) {
-        for q in &mut self.recent {
-            q.clear();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "buffered-stale-least-loaded"
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -511,14 +483,6 @@ impl BufferedDemultiplexor for ArbitratedCrossbarDemux {
         local: &LocalView<'_>,
     ) -> Option<Slot> {
         Some((head.arrival + self.u).max(local.now + 1))
-    }
-
-    fn reset(&mut self) {
-        self.recent_grants.clear();
-    }
-
-    fn name(&self) -> &'static str {
-        "arbitrated-crossbar"
     }
 }
 

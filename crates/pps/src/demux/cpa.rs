@@ -116,16 +116,6 @@ impl Demultiplexor for CpaDemux {
         };
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.dt_last.fill(None);
-        self.last_reserved.fill(None);
-        self.deadline_misses = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "cpa"
-    }
 }
 
 #[cfg(test)]

@@ -84,14 +84,6 @@ impl Demultiplexor for FaultAwareRoundRobinDemux {
         self.next[i] = (p as u32 + 1) % self.k;
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.next.fill(0);
-    }
-
-    fn name(&self) -> &'static str {
-        "fault-aware-round-robin"
-    }
 }
 
 /// Least-loaded dispatch over the planes believed up.
@@ -189,16 +181,6 @@ impl Demultiplexor for FaultAwareLeastLoadedDemux {
             .expect("valid bufferless config guarantees a free plane (K >= r')");
         self.recent[i].push_back((ctx.local.now, p as u32, j));
         PlaneId(p as u32)
-    }
-
-    fn reset(&mut self) {
-        for q in &mut self.recent {
-            q.clear();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "fault-aware-least-loaded"
     }
 }
 

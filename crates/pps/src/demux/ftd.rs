@@ -113,15 +113,6 @@ impl Demultiplexor for FtdDemux {
         state.last = p as u32;
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.flows.fill(FlowBlock::default());
-        self.violations = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "ftd"
-    }
 }
 
 #[cfg(test)]

@@ -76,14 +76,6 @@ impl Demultiplexor for TwoStageLbDemux {
             .expect("valid bufferless config guarantees a free plane");
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.deviations = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "two-stage-lb"
-    }
 }
 
 /// Power-of-`d`-choices dispatch over seeded per-input sample streams.
@@ -95,8 +87,6 @@ pub struct LeastLoadedOfDDemux {
     /// Per-input sample stream (substreams of one master seed, so an
     /// input's draws depend only on its own arrival history).
     rngs: Vec<SplitMix64>,
-    /// The master seed, kept to rebuild the streams on reset.
-    seed: u64,
     /// Per input × plane decaying own-load estimate: `(estimate, slot)`.
     est: Vec<(u64, Slot)>,
     /// Scratch: the free planes visible this dispatch.
@@ -113,7 +103,6 @@ impl LeastLoadedOfDDemux {
             d: d.clamp(1, k),
             r_prime: r_prime as u64,
             rngs: (0..n as u64).map(|i| master.derive(i)).collect(),
-            seed,
             est: vec![(0, 0); n * k],
             free: Vec::with_capacity(k),
         }
@@ -160,18 +149,6 @@ impl Demultiplexor for LeastLoadedOfDDemux {
         let cur = self.current(i, p, now);
         self.est[i * self.k + p] = (cur + self.r_prime, now);
         PlaneId(p as u32)
-    }
-
-    fn reset(&mut self) {
-        let master = SplitMix64::new(self.seed).derive(0xD0);
-        for (i, r) in self.rngs.iter_mut().enumerate() {
-            *r = master.derive(i as u64);
-        }
-        self.est.fill((0, 0));
-    }
-
-    fn name(&self) -> &'static str {
-        "least-loaded-of-d"
     }
 }
 
@@ -277,20 +254,6 @@ mod tests {
             .map(|t| probe_dispatch(&mut b, &cell(1, 3, t), t, &free).0)
             .collect();
         assert_eq!(after, fresh);
-    }
-
-    #[test]
-    fn of_d_reset_restores_the_streams() {
-        let free = vec![0u64; 8];
-        let mut d = LeastLoadedOfDDemux::new(1, 8, 2, 2, 21);
-        let first: Vec<u32> = (0..8)
-            .map(|t| probe_dispatch(&mut d, &cell(0, 0, t), t, &free).0)
-            .collect();
-        d.reset();
-        let again: Vec<u32> = (0..8)
-            .map(|t| probe_dispatch(&mut d, &cell(0, 0, t), t, &free).0)
-            .collect();
-        assert_eq!(first, again);
     }
 
     #[test]

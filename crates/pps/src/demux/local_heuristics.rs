@@ -68,14 +68,6 @@ impl Demultiplexor for HashFlowDemux {
             .expect("valid bufferless config guarantees a free plane");
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.deviations = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "hash-flow"
-    }
 }
 
 /// Locally-estimated least-loaded dispatch.
@@ -121,14 +113,6 @@ impl Demultiplexor for LeastLoadedLocalDemux {
         let cur = self.current(i, p, now);
         self.est[i * self.k + p] = (cur + self.r_prime, now);
         PlaneId(p as u32)
-    }
-
-    fn reset(&mut self) {
-        self.est.fill((0, 0));
-    }
-
-    fn name(&self) -> &'static str {
-        "least-loaded-local"
     }
 }
 

@@ -51,14 +51,6 @@ impl Demultiplexor for PerFlowRoundRobinDemux {
         self.next[f] = (p as u32 + 1) % self.k;
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.next.fill(0);
-    }
-
-    fn name(&self) -> &'static str {
-        "per-flow-round-robin"
-    }
 }
 
 #[cfg(test)]
@@ -96,14 +88,5 @@ mod tests {
             .map(|_| probe_dispatch(&mut d, &cell(0, 0), 0, &free).0)
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn reset_restores_initial_configuration() {
-        let mut d = PerFlowRoundRobinDemux::new(1, 2);
-        let free = vec![0u64; 2];
-        probe_dispatch(&mut d, &cell(0, 0), 0, &free);
-        d.reset();
-        assert_eq!(d.pointer(0, 0), 0);
     }
 }

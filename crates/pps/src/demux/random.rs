@@ -22,7 +22,6 @@ use rand::{Rng, SeedableRng};
 #[derive(Clone, Debug)]
 pub struct RandomDemux {
     rngs: Vec<StdRng>,
-    seed: u64,
 }
 
 impl RandomDemux {
@@ -33,7 +32,6 @@ impl RandomDemux {
             rngs: (0..n)
                 .map(|i| StdRng::seed_from_u64(seed ^ ((i as u64) << 32) ^ 0x9e37_79b9))
                 .collect(),
-            seed,
         }
     }
 }
@@ -57,15 +55,6 @@ impl Demultiplexor for RandomDemux {
             .nth(pick)
             .expect("pick < free_count");
         PlaneId(p as u32)
-    }
-
-    fn reset(&mut self) {
-        let n = self.rngs.len();
-        *self = RandomDemux::new(n, self.seed);
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
     }
 }
 
@@ -126,19 +115,5 @@ mod tests {
         for &c in &counts {
             assert!((800..1200).contains(&c), "skewed counts: {counts:?}");
         }
-    }
-
-    #[test]
-    fn reset_replays_the_same_sequence() {
-        let free = vec![0u64; 4];
-        let mut d = RandomDemux::new(1, 3);
-        let a: Vec<u32> = (0..16)
-            .map(|_| probe_dispatch(&mut d, &cell(0), 0, &free).0)
-            .collect();
-        d.reset();
-        let b: Vec<u32> = (0..16)
-            .map(|_| probe_dispatch(&mut d, &cell(0), 0, &free).0)
-            .collect();
-        assert_eq!(a, b);
     }
 }

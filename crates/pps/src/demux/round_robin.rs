@@ -48,14 +48,6 @@ impl Demultiplexor for RoundRobinDemux {
         self.next[i] = (p as u32 + 1) % self.k;
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.next.fill(0);
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
 }
 
 #[cfg(test)]
@@ -116,14 +108,5 @@ mod tests {
         let free = vec![0u64; 4];
         assert_eq!(probe_dispatch(&mut d, &cell(0, 3), 0, &free), PlaneId(0));
         assert_eq!(probe_dispatch(&mut d, &cell(0, 1), 1, &free), PlaneId(1));
-    }
-
-    #[test]
-    fn reset_restores_initial_configuration() {
-        let mut d = RoundRobinDemux::new(1, 3);
-        let free = vec![0u64; 3];
-        probe_dispatch(&mut d, &cell(0, 0), 0, &free);
-        d.reset();
-        assert_eq!(d.pointer(0), 0);
     }
 }

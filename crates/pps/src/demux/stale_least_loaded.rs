@@ -90,16 +90,6 @@ impl Demultiplexor for StaleLeastLoadedDemux {
         self.recent[i].push_back((ctx.local.now, p as u32, j));
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        for q in &mut self.recent {
-            q.clear();
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "stale-least-loaded"
-    }
 }
 
 #[cfg(test)]

@@ -123,15 +123,6 @@ impl Demultiplexor for StaticPartitionDemux {
             .expect("valid bufferless config guarantees a free plane");
         PlaneId(p as u32)
     }
-
-    fn reset(&mut self) {
-        self.next.fill(0);
-        self.escapes = 0;
-    }
-
-    fn name(&self) -> &'static str {
-        "static-partition"
-    }
 }
 
 #[cfg(test)]

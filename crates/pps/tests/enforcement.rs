@@ -21,10 +21,6 @@ impl Demultiplexor for BusyLineAbuser {
     fn dispatch(&mut self, _c: &Cell, _ctx: &DispatchCtx<'_>) -> PlaneId {
         PlaneId(0)
     }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "busy-line-abuser"
-    }
 }
 
 #[test]
@@ -51,10 +47,6 @@ impl Demultiplexor for OutOfRange {
     }
     fn dispatch(&mut self, _c: &Cell, _ctx: &DispatchCtx<'_>) -> PlaneId {
         PlaneId(99)
-    }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "out-of-range"
     }
 }
 
@@ -89,10 +81,6 @@ impl BufferedDemultiplexor for BadIndexReleaser {
     ) {
         out.releases.push((7, PlaneId(0)));
         out.arrival = arrival.map(|_| ArrivalAction::Enqueue);
-    }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "bad-index"
     }
 }
 
@@ -133,10 +121,6 @@ impl BufferedDemultiplexor for DoubleReleaser {
             out.arrival = arrival.map(|_| ArrivalAction::Enqueue);
         }
     }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "double-release"
-    }
 }
 
 #[test]
@@ -169,10 +153,6 @@ impl BufferedDemultiplexor for Hoarder {
         out: &mut BufferedDecision,
     ) {
         *out = BufferedDecision::hold(arrival.is_some());
-    }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "hoarder"
     }
 }
 
@@ -212,10 +192,6 @@ impl BufferedDemultiplexor for SameLineDouble {
         } else {
             *out = BufferedDecision::hold(arrival.is_some());
         }
-    }
-    fn reset(&mut self) {}
-    fn name(&self) -> &'static str {
-        "same-line-double"
     }
 }
 

@@ -34,12 +34,6 @@ impl Demultiplexor for SpyDemux {
         self.next = (p as u32 + 1) % self.k;
         PlaneId(p as u32)
     }
-    fn reset(&mut self) {
-        self.next = 0;
-    }
-    fn name(&self) -> &'static str {
-        "spy"
-    }
 }
 
 fn run_spy(class: InfoClass, slots: Slot) -> Vec<(Slot, Option<Slot>)> {
@@ -129,10 +123,6 @@ fn u_rt_snapshot_contents_lag_reality() {
             let p = ctx.local.next_free_from(0).unwrap();
             let _ = cell;
             PlaneId(p as u32)
-        }
-        fn reset(&mut self) {}
-        fn name(&self) -> &'static str {
-            "backlog-spy"
         }
     }
     let (n, k, r_prime) = (4usize, 4usize, 4usize);

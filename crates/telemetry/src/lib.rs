@@ -6,7 +6,7 @@
 //!
 //! * [`metrics`] — per-plane / per-output occupancy time series and
 //!   fixed-bucket log2 histograms of relative delay and jitter, folded
-//!   from an [`EventLog`](pps_core::telemetry::EventLog) after the run;
+//!   from an [`pps_core::telemetry::EventLog`] after the run;
 //! * [`sink`] — flat JSONL and CSV dumps, one row per event;
 //! * [`chrome`] — Chrome trace-event JSON loadable in Perfetto (planes
 //!   and outputs as tracks, cells as flow events, queue levels as

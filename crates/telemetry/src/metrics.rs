@@ -3,7 +3,7 @@
 //! Everything here is a pure fold over recorded [`Event`]s — the engines
 //! pay only for emitting events; occupancy reconstruction, delay pairing
 //! and histogramming happen offline in whatever process consumes the
-//! [`EventLog`].
+//! [`pps_core::telemetry::EventLog`].
 
 use pps_core::telemetry::{Engine, Event, EventKind};
 use pps_core::Slot;

@@ -17,8 +17,7 @@
 //! candidate plane then falls out by scanning that table: input `i` aligns
 //! to plane `k` after exactly `first_occurrence(i, k)` probe cells. No
 //! automaton state is cloned per peek, per probe, or per candidate plane —
-//! the search takes one working copy via
-//! [`ExplorableDemux::probe_copy`] and drives it forward.
+//! the search clones the automaton once and drives that copy forward.
 //!
 //! This is exact for every fully-distributed demultiplexor in the
 //! workspace (round robin, per-flow round robin, static partition,
@@ -27,15 +26,14 @@
 //! input's probes cannot perturb another's trajectory, and probing a plane
 //! never depends on which plane the adversary later commits to. The
 //! clone-per-peek reference implementation is retained under `#[cfg(test)]`
-//! ([`oracle`]) and the property tests prove plan-for-plan equality
+//! (`oracle`) and the property tests prove plan-for-plan equality
 //! against it.
 //!
-//! The driver works for any [`ExplorableDemux`] — every `Demultiplexor +
-//! Clone` qualifies via the blanket impl, including the seeded randomized
-//! one, whose RNG state rides along in the working copy.
+//! The driver works for any `Demultiplexor + Clone`, including the seeded
+//! randomized one, whose RNG state rides along in the working copy.
 
 use pps_core::cell::Cell;
-use pps_core::demux::{probe_dispatch, ExplorableDemux};
+use pps_core::demux::{probe_dispatch, Demultiplexor};
 use pps_core::ids::{CellId, PlaneId, PortId};
 use pps_core::time::Slot;
 
@@ -104,7 +102,7 @@ impl DispatchLog {
     /// lines free, recording first plane occurrences. The recording stops
     /// early for an input once all `k` planes have appeared — no later
     /// position can be a first occurrence.
-    pub fn record<D: ExplorableDemux>(
+    pub fn record<D: Demultiplexor + Clone>(
         demux: &D,
         inputs: &[u32],
         k: usize,
@@ -112,7 +110,7 @@ impl DispatchLog {
         max_probes: usize,
     ) -> Self {
         let all_free: Vec<Slot> = vec![0; k];
-        let mut sim = demux.probe_copy();
+        let mut sim = demux.clone();
         let mut first_occ = vec![NEVER; inputs.len() * k];
         for (row, &input) in inputs.iter().enumerate() {
             let cell = probe_cell(input, output);
@@ -186,71 +184,15 @@ impl DispatchLog {
         (d, std::cmp::Reverse(total))
     }
 
-    /// Score every plane into a plane-indexed vec. Tables big enough to pay
-    /// for threads fan the column scans out over workers leased from the
-    /// shared budget ([`pps_core::workers`]); scores are pure functions of
-    /// the table, so the vec — and everything reduced from it — is
-    /// identical at any budget.
-    fn plane_scores(&self) -> Vec<(usize, std::cmp::Reverse<usize>)> {
-        use pps_core::workers::WorkerLease;
-        // Below this many table cells the scan is cheaper than a thread
-        // spawn; stay on the calling thread.
-        const PAR_THRESHOLD: usize = 1 << 15;
-        let mut leases: Vec<WorkerLease> = Vec::new();
-        if self.inputs.len() * self.k >= PAR_THRESHOLD {
-            while leases.len() + 1 < self.k {
-                match WorkerLease::try_new() {
-                    Some(lease) => leases.push(lease),
-                    None => break,
-                }
-            }
-        }
-        if leases.is_empty() {
-            return (0..self.k).map(|p| self.score(p)).collect();
-        }
-        let threads = leases.len() + 1;
-        let chunk = self.k.div_ceil(threads);
-        let mut scores = vec![(0usize, std::cmp::Reverse(0usize)); self.k];
-        crossbeam::thread::scope(|scope| {
-            let mut rest = scores.as_mut_slice();
-            let mut lo = 0usize;
-            while rest.len() > chunk {
-                let (head, tail) = rest.split_at_mut(chunk);
-                rest = tail;
-                let base = lo;
-                lo += chunk;
-                scope.spawn(move |_| {
-                    for (i, slot) in head.iter_mut().enumerate() {
-                        *slot = self.score(base + i);
-                    }
-                });
-            }
-            for (i, slot) in rest.iter_mut().enumerate() {
-                *slot = self.score(lo + i);
-            }
-        })
-        .expect("alignment scoring worker panicked");
-        drop(leases);
-        scores
-    }
-
     /// The plan with the largest concentration `d` (ties: fewest total
     /// probe cells; equal on both: the highest plane, matching the old
     /// per-plane `max_by` search exactly). Only the winning plan is
-    /// materialized. Large tables score their planes on leased workers —
-    /// see [`plane_scores`](Self::plane_scores); the winner is reduced here
-    /// in plane order, keeping the last-wins tie-break byte-exact.
+    /// materialized.
     pub fn best_plan(&self) -> AlignmentPlan {
-        assert!(self.k > 0, "at least one plane");
-        let scores = self.plane_scores();
-        let mut best = 0usize;
-        let mut best_score = scores[0];
-        for (plane, &s) in scores.iter().enumerate().skip(1) {
-            if s >= best_score {
-                best = plane;
-                best_score = s;
-            }
-        }
+        // `max_by_key` keeps the last of equal maxima: the highest plane.
+        let best = (0..self.k)
+            .max_by_key(|&plane| self.score(plane))
+            .expect("at least one plane");
         self.plan_for(best as u32)
     }
 }
@@ -261,7 +203,7 @@ impl DispatchLog {
 /// This is the primitive beneath [`DispatchLog`], exposed for premises
 /// that need positions beyond the first occurrence (e.g. the Theorem 10
 /// symmetric-burst check in [`crate::adversary::urt_burst`]).
-pub fn record_trajectories<D: ExplorableDemux>(
+pub fn record_trajectories<D: Demultiplexor + Clone>(
     demux: &D,
     inputs: &[u32],
     k: usize,
@@ -269,7 +211,7 @@ pub fn record_trajectories<D: ExplorableDemux>(
     count: usize,
 ) -> Vec<PlaneId> {
     let all_free: Vec<Slot> = vec![0; k];
-    let mut sim = demux.probe_copy();
+    let mut sim = demux.clone();
     let mut out = Vec::with_capacity(inputs.len() * count);
     for &input in inputs {
         let cell = probe_cell(input, output);
@@ -285,7 +227,7 @@ pub fn record_trajectories<D: ExplorableDemux>(
 /// aligned within `max_probes` cells are omitted from the plan.
 ///
 /// `k` is the number of planes (probe contexts present all lines as free).
-pub fn plan_alignment<D: ExplorableDemux>(
+pub fn plan_alignment<D: Demultiplexor + Clone>(
     demux: &D,
     inputs: &[u32],
     k: usize,
@@ -300,7 +242,7 @@ pub fn plan_alignment<D: ExplorableDemux>(
 /// largest concentration `d` (ties: fewest total probe cells). This is how
 /// the adversary finds the plane/output pair witnessing that the algorithm
 /// is d-partitioned.
-pub fn best_alignment<D: ExplorableDemux>(
+pub fn best_alignment<D: Demultiplexor + Clone>(
     demux: &D,
     inputs: &[u32],
     k: usize,
@@ -397,12 +339,6 @@ mod tests {
             self.next[i] = (p + 1) % self.k;
             PlaneId(p)
         }
-        fn reset(&mut self) {
-            self.next.fill(0);
-        }
-        fn name(&self) -> &'static str {
-            "cycler"
-        }
     }
 
     #[test]
@@ -433,10 +369,6 @@ mod tests {
             }
             fn dispatch(&mut self, _c: &Cell, _ctx: &DispatchCtx<'_>) -> PlaneId {
                 PlaneId(0)
-            }
-            fn reset(&mut self) {}
-            fn name(&self) -> &'static str {
-                "stubborn"
             }
         }
         let plan = plan_alignment(&Stubborn, &[0, 1], 2, 0, 1, 8);
@@ -471,28 +403,18 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scoring_matches_serial_byte_for_byte() {
-        // A table past the parallel threshold (2048 × 16 = 32768 cells)
-        // with every plane achieving the same d, so the tie-break — last
-        // wins, i.e. the highest plane — is what the equality exercises.
-        let n = 2048usize;
-        let k = 16usize;
+    fn score_ties_resolve_to_the_highest_plane() {
+        // Every plane achieves the same d at the same total cost, so the
+        // tie-break — last wins, as in the oracle's `max_by` — decides.
+        let (n, k) = (64usize, 16usize);
         let demux = Cycler {
             next: (0..n).map(|i| (i % k) as u32).collect(),
             k: k as u32,
         };
         let inputs: Vec<u32> = (0..n as u32).collect();
-        let log = DispatchLog::record(&demux, &inputs, k, 0, 2 * k);
-        let serial = log.best_plan();
-        pps_core::workers::set_jobs(8);
-        let parallel = log.best_plan();
-        pps_core::workers::set_jobs(1);
-        assert_eq!(serial, parallel);
-        assert_eq!(
-            serial.plane,
-            (k - 1) as u32,
-            "ties resolve to the highest plane"
-        );
+        let plan = best_alignment(&demux, &inputs, k, 0, 2 * k);
+        assert_eq!(plan, oracle::best_alignment(&demux, &inputs, k, 0, 2 * k));
+        assert_eq!(plan.plane, (k - 1) as u32);
     }
 
     #[test]
@@ -513,16 +435,110 @@ mod tests {
     /// per-input probe counts, d — to the clone-based oracle, across every
     /// demultiplexor family the adversarial experiments probe.
     mod oracle_equality {
-        use super::super::{best_alignment, oracle, plan_alignment};
-        use pps_core::demux::FlowHashDemux;
+        use super::super::{best_alignment, oracle, plan_alignment, probe_cell};
+        use pps_core::demux::{probe_dispatch, Demultiplexor, DispatchCtx, InfoClass};
+        use pps_core::{Cell, PlaneId};
         use pps_switch::demux::{
             HashFlowDemux, PerFlowRoundRobinDemux, RandomDemux, RoundRobinDemux,
             StaticPartitionDemux,
         };
         use proptest::prelude::*;
 
+        /// Seeded sticky flow-hash demultiplexor (fully distributed): each
+        /// flow starts on a hashed *home plane* and sticks to the last
+        /// plane that carried it — when that plane's line is busy the
+        /// dispatch deviates to the next free line and the pin moves with
+        /// it. Being stateful per flow, it exercises the one-pass
+        /// trajectory recording in a way the stateless hash in `pps-switch`
+        /// cannot.
+        #[derive(Clone, Debug)]
+        struct FlowHashDemux {
+            n: usize,
+            k: usize,
+            seed: u64,
+            /// Current plane pin per dense flow index; `u32::MAX` =
+            /// unpinned (first dispatch uses the hashed home plane).
+            pins: Vec<u32>,
+            /// Dispatches that had to move a flow off its pinned plane.
+            repins: u64,
+        }
+
+        impl FlowHashDemux {
+            const UNPINNED: u32 = u32::MAX;
+
+            fn new(n: usize, k: usize, seed: u64) -> Self {
+                FlowHashDemux {
+                    n,
+                    k,
+                    seed,
+                    pins: vec![Self::UNPINNED; n * n],
+                    repins: 0,
+                }
+            }
+
+            fn home_plane(&self, input: usize, output: usize) -> usize {
+                let f = (input * self.n + output) as u64 ^ self.seed;
+                ((f.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) % self.k as u64) as usize
+            }
+        }
+
+        impl Demultiplexor for FlowHashDemux {
+            fn info_class(&self) -> InfoClass {
+                InfoClass::FullyDistributed
+            }
+
+            fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
+                let flow = cell.input.idx() * self.n + cell.output.idx();
+                let pinned = self.pins[flow];
+                let want = if pinned == Self::UNPINNED {
+                    self.home_plane(cell.input.idx(), cell.output.idx())
+                } else {
+                    pinned as usize
+                };
+                let p = if ctx.local.is_free(want) {
+                    want
+                } else {
+                    self.repins += 1;
+                    ctx.local
+                        .next_free_from(want)
+                        .expect("valid bufferless config guarantees a free plane")
+                };
+                self.pins[flow] = p as u32;
+                PlaneId(p as u32)
+            }
+        }
+
+        #[test]
+        fn flow_hash_sticks_until_forced_off() {
+            let mut d = FlowHashDemux::new(2, 4, 7);
+            let c = probe_cell(0, 1);
+            let free = vec![0u64; 4];
+            let home = probe_dispatch(&mut d, &c, 0, &free).idx();
+            assert_eq!(home, d.home_plane(0, 1), "first dispatch uses the hash");
+            // Busy home line: the flow deviates and re-pins.
+            let mut busy = vec![0u64; 4];
+            busy[home] = 100;
+            let moved = probe_dispatch(&mut d, &c, 1, &busy).idx();
+            assert_ne!(moved, home);
+            assert_eq!(d.repins, 1);
+            // Home frees up again — the flow stays on its new pin (sticky).
+            assert_eq!(probe_dispatch(&mut d, &c, 200, &free).idx(), moved);
+            assert_eq!(d.repins, 1, "staying on the pin is not a repin");
+        }
+
+        #[test]
+        fn flow_hash_seed_changes_homes() {
+            let a = FlowHashDemux::new(8, 8, 1);
+            let b = FlowHashDemux::new(8, 8, 2);
+            let differing = (0..8)
+                .flat_map(|i| (0..8).map(move |j| (i, j)))
+                .filter(|&(i, j)| a.home_plane(i, j) != b.home_plane(i, j))
+                .count();
+            assert!(differing > 0, "seeds must perturb the placement");
+        }
+
         /// Check every per-plane plan and the best plan against the oracle.
-        fn assert_matches_oracle<D: pps_core::demux::ExplorableDemux>(
+        fn assert_matches_oracle<D: Demultiplexor + Clone>(
             demux: &D,
             n: usize,
             k: usize,

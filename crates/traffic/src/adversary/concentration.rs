@@ -19,7 +19,7 @@
 
 use super::alignment::{AlignmentPlan, DispatchLog};
 use pps_core::config::PpsConfig;
-use pps_core::demux::ExplorableDemux;
+use pps_core::demux::Demultiplexor;
 use pps_core::time::Slot;
 use pps_core::trace::{Arrival, Trace};
 
@@ -68,7 +68,7 @@ pub struct ConcentrationAttack {
 /// assert!(min_burstiness(&atk.trace, 8).burst_free()); // Theorem 6 premise
 /// assert_eq!(atk.predicted_bound, (2 - 1) * 8);        // (R/r - 1) * N
 /// ```
-pub fn concentration_attack<D: ExplorableDemux>(
+pub fn concentration_attack<D: Demultiplexor + Clone>(
     demux: &D,
     cfg: &PpsConfig,
     inputs: &[u32],
@@ -80,7 +80,7 @@ pub fn concentration_attack<D: ExplorableDemux>(
 /// [`concentration_attack`] with an explicit hot output — used to compose
 /// simultaneous attacks on several outputs (the bounds are per-output, so
 /// attacks over disjoint input sets and distinct outputs superpose).
-pub fn concentration_attack_on<D: ExplorableDemux>(
+pub fn concentration_attack_on<D: Demultiplexor + Clone>(
     demux: &D,
     cfg: &PpsConfig,
     inputs: &[u32],
@@ -194,12 +194,6 @@ mod tests {
             let p = ctx.local.next_free_from(self.next[i] as usize).unwrap();
             self.next[i] = (p as u32 + 1) % self.k;
             PlaneId(p as u32)
-        }
-        fn reset(&mut self) {
-            self.next.fill(0);
-        }
-        fn name(&self) -> &'static str {
-            "rr"
         }
     }
 

@@ -20,7 +20,7 @@
 
 use super::alignment::record_trajectories;
 use pps_core::config::PpsConfig;
-use pps_core::demux::ExplorableDemux;
+use pps_core::demux::Demultiplexor;
 use pps_core::time::Slot;
 use pps_core::trace::{Arrival, Trace};
 
@@ -109,7 +109,7 @@ pub fn urt_burst_attack(cfg: &PpsConfig, u: Slot) -> UrtBurstAttack {
 /// returns, per burst position `0..u'`, the modal plane and how many of
 /// the `m` inputs chose it: a count of `m` at every position certifies the
 /// full `m`-cell concentration the bound charges.
-pub fn burst_concentration<D: ExplorableDemux>(
+pub fn burst_concentration<D: Demultiplexor + Clone>(
     demux: &D,
     cfg: &PpsConfig,
     u: Slot,

@@ -129,12 +129,6 @@ mod tests {
             self.next[i] = (p as u32 + 1) % self.k;
             PlaneId(p as u32)
         }
-        fn reset(&mut self) {
-            self.next.fill(0);
-        }
-        fn name(&self) -> &'static str {
-            "rr"
-        }
     }
 
     #[test]

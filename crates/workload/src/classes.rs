@@ -10,7 +10,7 @@
 //! always serving the lowest class with backlog.
 //!
 //! Comparing the per-class delay distributions against the plain FCFS
-//! shadow ([`pps_reference::fcfs_departure_times`]) reproduces the
+//! shadow (`pps_reference::fcfs_departure_times`) reproduces the
 //! qualitative shape of the egress priority-queueing bounds in Kogan
 //! et al. (arXiv:1207.5959): high classes buy near-zero tails, low
 //! classes absorb the queueing the high classes shed — while total work
@@ -55,7 +55,7 @@ impl ClassedTrace {
 
 /// Departure slot of every cell under a strict-priority output-queued mux
 /// (same arrival model and zero minimum transit as
-/// [`pps_reference::oq::ShadowOq`]; within a class, FCFS by arrival
+/// `pps_reference::oq::ShadowOq`; within a class, FCFS by arrival
 /// order). Returned in `trace.arrivals()` order.
 pub fn priority_departure_times(classed: &ClassedTrace, n: usize) -> Vec<Slot> {
     let arrivals = classed.trace.arrivals();

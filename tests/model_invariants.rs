@@ -251,10 +251,6 @@ proptest! {
                 out.releases.extend(releases);
                 out.arrival = arrival_action;
             }
-            fn reset(&mut self) {}
-            fn name(&self) -> &'static str {
-                "chaotic"
-            }
         }
         // Load well below capacity so "Enqueue with no room" cannot be
         // forced into an overflow by the adversarial RNG.
