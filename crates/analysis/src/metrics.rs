@@ -21,51 +21,19 @@ pub struct RelativeDelay {
     pub pps_undelivered: usize,
 }
 
-/// Compute the relative-delay distribution from two logs over the same
-/// trace (joined by cell id).
-pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
-    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
-    let mut max = i64::MIN;
-    let mut sum = 0i128;
-    let mut compared = 0usize;
-    let mut undelivered = 0usize;
-    for (p, o) in pps.records().iter().zip(oq.records().iter()) {
-        match (p.delay(), o.delay()) {
-            (Some(dp), Some(dq)) => {
-                let d = dp as i64 - dq as i64;
-                max = max.max(d);
-                sum += d as i128;
-                compared += 1;
-            }
-            (None, _) => undelivered += 1,
-            (Some(_), None) => unreachable!("the OQ reference always drains"),
-        }
-    }
-    RelativeDelay {
-        max: if compared == 0 { 0 } else { max },
-        mean: if compared == 0 {
-            0.0
-        } else {
-            sum as f64 / compared as f64
-        },
-        compared,
-        pps_undelivered: undelivered,
-    }
-}
-
-/// Relative delay restricted to the cells of one output port.
-///
-/// The paper's bounds are per-output (the concentration happens on one
-/// hot output); composite multi-output attacks are checked output by
-/// output with this.
-pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> RelativeDelay {
+/// Fold the relative delay of every cell `keep` accepts (joined by id).
+fn relative_delay_where(
+    pps: &RunLog,
+    oq: &RunLog,
+    keep: impl Fn(&CellRecord) -> bool,
+) -> RelativeDelay {
     assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
     let mut max = i64::MIN;
     let mut sum = 0i128;
     let mut compared = 0usize;
     let mut undelivered = 0usize;
     for (p, o) in pps.records().iter().zip(oq.records()) {
-        if p.output != output {
+        if !keep(p) {
             continue;
         }
         match (p.delay(), o.delay()) {
@@ -89,6 +57,21 @@ pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> R
         compared,
         pps_undelivered: undelivered,
     }
+}
+
+/// Compute the relative-delay distribution from two logs over the same
+/// trace (joined by cell id).
+pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
+    relative_delay_where(pps, oq, |_| true)
+}
+
+/// Relative delay restricted to the cells of one output port.
+///
+/// The paper's bounds are per-output (the concentration happens on one
+/// hot output); composite multi-output attacks are checked output by
+/// output with this.
+pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> RelativeDelay {
+    relative_delay_where(pps, oq, |rec| rec.output == output)
 }
 
 /// Per-flow delay jitter: the maximal difference in queuing delay between

@@ -3,7 +3,11 @@
 //! Every case drives the PPS under test, the shadow output-queued switch,
 //! the crossbar (scheduler drawn per case from the zoo — iSLIP, QPS-r or
 //! SW-QPS) and the CIOQ switch (policy drawn per case) through the *same*
-//! arrival stream slot by slot. The PPS-side conservation ledger and the cell-pool
+//! arrival stream slot by slot. The four are one [`SlotEngine`]
+//! (`Lockstep`) run by the production driver, [`stepping::drive`], in the
+//! stepping mode the case drew — so every case also fuzzes the driver's
+//! own skip-ahead arithmetic and arms its missed-wake oracle over all
+//! four engines. The PPS-side conservation ledger and the cell-pool
 //! reconciliation run every slot (so a violation is caught at the slot it
 //! happens, not at the end); the event-stream, flow-order, causality and
 //! relative-delay oracles fold over the run once it finishes.
@@ -14,9 +18,9 @@
 
 use crate::case::{ChaosCase, CrossbarChoice};
 use pps_core::oracle::{self, ConservationLedger, OracleKind, OracleViolation};
-use pps_core::stepping::{earliest_of, SlotEngine};
+use pps_core::stepping::{self, earliest_of, SlotEngine};
 use pps_core::telemetry::{self, Event};
-use pps_core::{Cell, ModelError, RunLog, Slot, Stepping};
+use pps_core::{bounds, Cell, ModelError, RunLog, Slot, Stepping, Trace};
 use pps_crossbar::{
     CioqSwitch, CrossbarScheduler, CrossbarSwitch, IslipArbiter, QpsRScheduler, SwQpsScheduler,
 };
@@ -31,7 +35,7 @@ use std::sync::Arc;
 const CROSSBAR_ITERATIONS: usize = 2;
 const CIOQ_SPEEDUP: usize = 2;
 
-/// Break the drain loop after this many slots without a single departure
+/// Stop the run after this many slots without a single departure
 /// or pending arrival anywhere — the signature of a watchdog-less PPS
 /// stalled on a cell lost to a failed plane (a legal outcome, not a
 /// violation: the backlog stays accounted for).
@@ -48,7 +52,7 @@ pub struct RunOpts {
     /// flush without accounting for it). Used to prove the harness
     /// catches and shrinks a real conservation bug; 0 in normal runs.
     pub inject_leak: u32,
-    /// Pin the lockstep loop's stepping mode instead of letting the case
+    /// Pin the driver's stepping mode instead of letting the case
     /// draw it from its seed ([`ChaosCase::stepping`]). Used by the
     /// dense/skip equivalence tests; `None` in normal campaigns.
     pub force_stepping: Option<Stepping>,
@@ -131,40 +135,40 @@ fn comparison_scheduler(case: &ChaosCase) -> Box<dyn CrossbarScheduler> {
     }
 }
 
-/// A PPS built for `case`, or the engine error that refused it.
-type EngineUnderTest<S> = Result<Pps<S>, ModelError>;
-
-/// Attach the case's fault plan to a fresh PPS.
-fn armed<S: InputStage>(pps: EngineUnderTest<S>, case: &ChaosCase) -> EngineUnderTest<S> {
-    let mut pps = pps?;
-    pps.set_fault_plan_shared(Arc::new(case.plan.clone()))?;
-    Ok(pps)
-}
-
-/// Build the engine shape the case calls for and run it in lockstep with
-/// the three comparison engines.
-fn run_engines(case: &ChaosCase, opts: RunOpts, cells: &[Cell]) -> (CaseOutcome, RunLog, RunLog) {
+/// Build the engine shape the case calls for and drive it in lockstep with
+/// the three comparison engines. `Err` when the PPS refuses the case's
+/// configuration or fault plan.
+fn run_engines(
+    case: &ChaosCase,
+    opts: RunOpts,
+    trace: &Trace,
+) -> Result<(CaseOutcome, RunLog, RunLog), ModelError> {
     let ChaosCase { n, k, r_prime, .. } = *case;
     if case.buffer == 0 {
         let demux = case.demux.build_bufferless(n, k, r_prime, case.seed);
-        let pps = BufferlessPps::new(case.config(), demux);
-        lockstep(case, opts, cells, armed(pps, case))
+        lockstep(case, opts, trace, BufferlessPps::new(case.config(), demux)?)
     } else {
         let demux = case.demux.build_buffered(n, k, r_prime);
-        let pps = BufferedPps::new(case.config(), demux);
-        lockstep(case, opts, cells, armed(pps, case))
+        lockstep(case, opts, trace, BufferedPps::new(case.config(), demux)?)
     }
 }
 
 /// Run one case through all four engines and every oracle.
 pub fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
     let trace = case.trace();
-    let cells = trace.cells(case.n);
 
-    let ((mut outcome, pps_log, oq_log), log) =
-        telemetry::collect(format!("chaos/{}", case.index), || {
-            run_engines(case, opts, &cells)
-        });
+    let (run, log) = telemetry::collect(format!("chaos/{}", case.index), || {
+        run_engines(case, opts, &trace)
+    });
+    // A refused case ran no engine: an error at slot 0 and two empty logs.
+    let (mut outcome, pps_log, oq_log) = run.unwrap_or_else(|e| {
+        let refused = CaseOutcome {
+            engine_error: Some((0, e.to_string())),
+            ..CaseOutcome::default()
+        };
+        (refused, RunLog::with_capacity(0), RunLog::with_capacity(0))
+    });
+    outcome.cells = trace.len();
 
     // Fold the stream oracles over everything the run recorded. A single
     // scope was active, so flatten() yields one chronological stream.
@@ -199,7 +203,7 @@ pub fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
     // Section 3 envelope is actually a theorem (see the eligibility doc).
     if case.relative_delay_eligible() {
         let b = min_burstiness(&trace, case.n).overall();
-        let bound = (case.r_prime as u64) * (case.n as u64 + case.k as u64 + b) + 64;
+        let bound = bounds::traffic_envelope(&case.config(), b);
         outcome
             .violations
             .extend(oracle::check_relative_delay(&pps_log, &oq_log, bound));
@@ -214,176 +218,212 @@ pub fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
     outcome
 }
 
-/// The slot loop proper. Returns the outcome skeleton plus the PPS and OQ
-/// run logs (the crossbar/CIOQ logs are checked inside and dropped — only
-/// the PPS/OQ pair feeds the relative-delay oracle).
-fn lockstep<S: InputStage>(
-    case: &ChaosCase,
-    opts: RunOpts,
-    cells: &[Cell],
-    engine: EngineUnderTest<S>,
-) -> (CaseOutcome, RunLog, RunLog) {
-    let mut outcome = CaseOutcome {
-        cells: cells.len(),
-        ..CaseOutcome::default()
-    };
+/// The four engines of one case as a single [`SlotEngine`] under
+/// [`stepping::drive`]: a slot feeds the same arrivals to the PPS, the
+/// shadow OQ, the crossbar and the CIOQ switch, in that order, then runs
+/// the per-slot oracles and the progress bookkeeping. The comparison
+/// engines are thus stepped on slots only the PPS (or the stall deadline)
+/// asked for — waking an engine early must be harmless, which is what
+/// lockstep tests and four separate runs would not.
+///
+/// The PPS writes into the driver's log; the other three logs live here.
+/// Whatever ends the run early — an engine error, a per-slot violation, a
+/// stall — latches `stopped_at`: from then on the engines are left alone
+/// and report nothing, so the driver only hands over the remaining
+/// arrivals, and each becomes an undelivered record in all four logs.
+struct Lockstep<S> {
+    pps: Pps<S>,
+    oq: ShadowOq,
+    xbar: CrossbarSwitch<Box<dyn CrossbarScheduler>>,
+    cioq: CioqSwitch,
+    oq_log: RunLog,
+    xbar_log: RunLog,
+    cioq_log: RunLog,
+    /// Cells fed to the engines so far.
+    fed: u64,
+    /// Summed backlog of the comparison engines as of the last slot.
+    other_backlog: usize,
+    /// Last slot with an arrival or a departure anywhere.
+    last_progress: Slot,
+    /// The slot that ended the run early, if one did.
+    stopped_at: Option<Slot>,
+    /// `delivered` is kept current every slot; the engine error or
+    /// per-slot violation that stops the run lands here too.
+    outcome: CaseOutcome,
+}
 
-    let mut pps_log = RunLog::with_cells(cells);
-    let mut oq_log = RunLog::with_cells(cells);
-    let mut xbar_log = RunLog::with_cells(cells);
-    let mut cioq_log = RunLog::with_cells(cells);
-
-    let mut engine = match engine {
-        Ok(e) => e,
-        Err(e) => {
-            outcome.engine_error = Some((0, e.to_string()));
-            return (outcome, pps_log, oq_log);
+impl<S: InputStage> SlotEngine for Lockstep<S> {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        for cell in arrivals {
+            self.oq_log.push(cell);
+            self.xbar_log.push(cell);
+            self.cioq_log.push(cell);
         }
-    };
-    for _ in 0..opts.inject_leak {
-        engine.inject_conservation_leak();
-    }
-    let mut oq = ShadowOq::new(case.n);
-    let mut xbar = CrossbarSwitch::with_scheduler(comparison_scheduler(case));
-    let speedup = opts.force_cioq_speedup.unwrap_or(CIOQ_SPEEDUP);
-    let mut cioq = CioqSwitch::with_policy(case.n, speedup, case.cioq_policy());
-
-    // Hard ceiling on run length: arrivals plus a full serialized drain of
-    // every cell would still finish well inside this.
-    let cap = case.horizon
-        + (cells.len() as Slot + 1) * (case.r_prime as Slot + 1)
-        + case.plan.horizon()
-        + 512;
-
-    let mut now: Slot = 0;
-    let mut next = 0usize; // cursor into cells (sorted by arrival slot)
-    let mut arrivals_so_far = 0u64;
-    let mut last_progress: Slot = 0;
-    let mut last_other_backlog = 0usize;
-    let stepping = opts.force_stepping.unwrap_or_else(|| case.stepping());
-
-    loop {
-        let start = next;
-        while next < cells.len() && cells[next].arrival == now {
-            next += 1;
+        if self.stopped_at.is_some() {
+            return Ok(());
         }
-        let scratch = &cells[start..next];
-        arrivals_so_far += scratch.len() as u64;
+        self.fed += arrivals.len() as u64;
 
-        if let Err(e) = engine.slot(now, scratch, &mut pps_log) {
-            outcome.engine_error = Some((now, e.to_string()));
-            break;
+        if let Err(e) = self.pps.slot(now, arrivals, log) {
+            self.outcome.engine_error = Some((now, e.to_string()));
+            self.stopped_at = Some(now);
+            return Ok(());
         }
-        oq.slot(now, scratch, &mut oq_log);
-        xbar.slot(now, scratch, &mut xbar_log);
-        cioq.slot(now, scratch, &mut cioq_log);
+        self.oq.slot(now, arrivals, &mut self.oq_log);
+        self.xbar.slot(now, arrivals, &mut self.xbar_log);
+        self.cioq.slot(now, arrivals, &mut self.cioq_log);
 
         // Per-slot PPS-side oracles: the conservation ledger and the cell
         // pool reconciliation. Stop at the first hit — everything after a
         // broken ledger is noise, and the shrinker wants the earliest slot.
-        let stats = engine.fabric().stats();
-        let departed = engine.fabric().departed();
+        let fabric = self.pps.fabric();
+        let (stats, departed) = (fabric.stats(), fabric.departed());
         let ledger = ConservationLedger {
-            arrivals: arrivals_so_far,
+            arrivals: self.fed,
             departures: departed,
-            backlog: engine.backlog() as u64,
+            backlog: self.pps.backlog() as u64,
             dropped: stats.dropped,
             late_dropped: stats.late_dropped,
         };
-        let pool_len = engine.fabric().pool().len() as u64;
+        let pool_len = fabric.pool().len() as u64;
         if let Some(v) = ledger
             .check(now)
-            .or_else(|| oracle::check_pool_occupancy(pool_len, arrivals_so_far, now))
+            .or_else(|| oracle::check_pool_occupancy(pool_len, self.fed, now))
         {
-            outcome.violations.push(v);
-            break;
+            self.outcome.violations.push(v);
+            self.stopped_at = Some(now);
+            return Ok(());
         }
 
-        let other_backlog = oq.backlog() + xbar.backlog() + cioq.backlog();
-        if !scratch.is_empty() || departed > outcome.delivered || other_backlog < last_other_backlog
+        let other_backlog = self.oq.backlog() + self.xbar.backlog() + self.cioq.backlog();
+        if !arrivals.is_empty()
+            || departed > self.outcome.delivered
+            || other_backlog < self.other_backlog
         {
-            last_progress = now;
+            self.last_progress = now;
         }
-        last_other_backlog = other_backlog;
-        outcome.delivered = departed;
-
-        let active = next < cells.len()
-            || engine.backlog() > 0
-            || oq.backlog() > 0
-            || xbar.backlog() > 0
-            || cioq.backlog() > 0;
-        if !active || now >= cap || now.saturating_sub(last_progress) > STALL_WINDOW {
-            break;
+        self.other_backlog = other_backlog;
+        self.outcome.delivered = departed;
+        if now - self.last_progress > STALL_WINDOW {
+            self.stopped_at = Some(now);
         }
-        now += 1;
-
-        if stepping == Stepping::SkipAhead {
-            // Jump to wherever dense would next do or decide anything: the
-            // next arrival, the earliest component activity, or the first
-            // slot at which a break condition above could fire (the cap or
-            // the stall window). Landing exactly there keeps end_slot and
-            // every per-slot check identical to the dense walk.
-            let limit = cap.min(last_progress + STALL_WINDOW + 1);
-            let next_arrival = cells.get(next).map_or(Slot::MAX, |c| c.arrival);
-            let wake = earliest_of([
-                engine.next_activity(now - 1),
-                oq.next_activity(now - 1),
-                xbar.next_activity(now - 1),
-                cioq.next_activity(now - 1),
-            ]);
-            let target = next_arrival.min(wake.unwrap_or(Slot::MAX));
-            let stop = target.min(limit);
-            if stop > now {
-                // Each engine replays (or just meters) the stretch itself.
-                engine.skip_idle(now, stop - 1);
-                oq.skip_idle(now, stop - 1);
-                xbar.skip_idle(now, stop - 1);
-                cioq.skip_idle(now, stop - 1);
-                now = stop;
-            }
-        }
+        Ok(())
     }
 
-    let stats = engine.fabric().stats();
-    outcome.delivered = engine.fabric().departed();
+    fn backlog(&self) -> usize {
+        if self.stopped_at.is_some() {
+            return 0;
+        }
+        // Asked afresh, not `other_backlog`: the driver's oracle compares
+        // this across `skip_idle`, for all four engines.
+        self.pps.backlog() + self.oq.backlog() + self.xbar.backlog() + self.cioq.backlog()
+    }
+
+    /// The earliest of the four engines' wake-ups and the stall deadline,
+    /// the first slot at which the stall check in `slot` could fire.
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        if self.stopped_at.is_some() {
+            return None;
+        }
+        earliest_of([
+            self.pps.next_activity(now),
+            self.oq.next_activity(now),
+            self.xbar.next_activity(now),
+            self.cioq.next_activity(now),
+            Some(self.last_progress + STALL_WINDOW + 1),
+        ])
+    }
+
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        if self.stopped_at.is_none() {
+            self.pps.skip_idle(from, to);
+            self.oq.skip_idle(from, to);
+            self.xbar.skip_idle(from, to);
+            self.cioq.skip_idle(from, to);
+        }
+    }
+}
+
+/// Drive the four engines over `trace` and fold the run into the outcome
+/// skeleton plus the PPS and OQ run logs (the crossbar/CIOQ logs are
+/// checked here and dropped — only the PPS/OQ pair feeds the
+/// relative-delay oracle).
+fn lockstep<S: InputStage>(
+    case: &ChaosCase,
+    opts: RunOpts,
+    trace: &Trace,
+    mut pps: Pps<S>,
+) -> Result<(CaseOutcome, RunLog, RunLog), ModelError> {
+    pps.set_fault_plan_shared(Arc::new(case.plan.clone()))?;
+    for _ in 0..opts.inject_leak {
+        pps.inject_conservation_leak();
+    }
+    let speedup = opts.force_cioq_speedup.unwrap_or(CIOQ_SPEEDUP);
+    let mut engines = Lockstep {
+        pps,
+        oq: ShadowOq::new(case.n),
+        xbar: CrossbarSwitch::with_scheduler(comparison_scheduler(case)),
+        cioq: CioqSwitch::with_policy(case.n, speedup, case.cioq_policy()),
+        oq_log: RunLog::with_capacity(trace.len()),
+        xbar_log: RunLog::with_capacity(trace.len()),
+        cioq_log: RunLog::with_capacity(trace.len()),
+        fed: 0,
+        other_backlog: 0,
+        last_progress: 0,
+        stopped_at: None,
+        outcome: CaseOutcome::default(),
+    };
+
+    // Hard ceiling on run length: arrivals plus a full serialized drain of
+    // every cell would still finish well inside this.
+    let cap = case.horizon
+        + (trace.len() as Slot + 1) * (case.r_prime as Slot + 1)
+        + case.plan.horizon()
+        + 512;
+    let stepping = opts.force_stepping.unwrap_or_else(|| case.stepping());
+    // Never `Err`: `Lockstep::slot` records an engine error and stops.
+    let (pps_log, end) = stepping::drive(&mut engines, trace, case.n, cap, stepping)?;
+
+    let mut outcome = engines.outcome;
+    let stats = engines.pps.fabric().stats();
+    outcome.delivered = engines.pps.fabric().departed();
     outcome.dropped = stats.dropped;
     outcome.skipped = stats.skipped;
     outcome.late_dropped = stats.late_dropped;
-    outcome.end_slot = now;
+    // The last executed slot: where the run was stopped, else the slot
+    // before the one the driver ended on.
+    outcome.end_slot = engines.stopped_at.unwrap_or(end.saturating_sub(1));
 
     // End-of-run conservation for the fault-free comparison engines:
     // whatever the log says was never delivered must still be queued.
     // Only meaningful when the run fed every arrival and stopped on its
     // own — a per-slot violation or engine error aborts mid-stream, and
     // the leftover cells are the abort's doing, not the engines'.
-    let clean_stop =
-        outcome.engine_error.is_none() && outcome.violations.is_empty() && next == cells.len();
-    for (name, log, backlog) in [
-        ("shadow-oq", &oq_log, oq.backlog()),
-        ("crossbar", &xbar_log, xbar.backlog()),
-        ("cioq", &cioq_log, cioq.backlog()),
-    ] {
-        if !clean_stop {
-            break;
-        }
-        if log.undelivered() != backlog {
-            outcome.violations.push(OracleViolation {
-                kind: OracleKind::Conservation,
-                slot: now,
-                detail: format!(
-                    "{name}: {} cells unaccounted (log undelivered {} vs backlog {backlog})",
-                    log.undelivered().abs_diff(backlog),
-                    log.undelivered(),
-                ),
-            });
+    if !outcome.failed() && engines.fed == trace.len() as u64 {
+        for (name, log, backlog) in [
+            ("shadow-oq", &engines.oq_log, engines.oq.backlog()),
+            ("crossbar", &engines.xbar_log, engines.xbar.backlog()),
+            ("cioq", &engines.cioq_log, engines.cioq.backlog()),
+        ] {
+            if log.undelivered() != backlog {
+                outcome.violations.push(OracleViolation {
+                    kind: OracleKind::Conservation,
+                    slot: outcome.end_slot,
+                    detail: format!(
+                        "{name}: {} cells unaccounted (log undelivered {} vs backlog {backlog})",
+                        log.undelivered().abs_diff(backlog),
+                        log.undelivered(),
+                    ),
+                });
+            }
         }
     }
-    for log in [&xbar_log, &cioq_log] {
+    for log in [&engines.xbar_log, &engines.cioq_log] {
         outcome.violations.extend(oracle::check_flow_order(log));
         outcome.violations.extend(oracle::check_causality(log));
     }
 
-    (outcome, pps_log, oq_log)
+    Ok((outcome, pps_log, engines.oq_log))
 }
 
 #[cfg(test)]

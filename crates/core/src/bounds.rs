@@ -87,6 +87,16 @@ pub fn theorem13(cfg: &PpsConfig) -> u64 {
     (cfg.r_prime as u64 - 1) * cfg.n_over_s() / cfg.r_prime as u64
 }
 
+/// The any-traffic envelope `r'·(N + K + B) + 64`, with `B` the *measured*
+/// minimal burstiness of the trace. Not a theorem of the paper: a generous
+/// ceiling over its Section 3–4 worst cases (`Θ(N·r')` for fully-distributed
+/// algorithms under burstiness `B`) plus slack, sound for any traffic — the
+/// chaos harness's relative-delay oracle and the sanity column of the
+/// stochastic-tail reports (E19, `ppslab --workload`).
+pub fn traffic_envelope(cfg: &PpsConfig, burstiness: u64) -> u64 {
+    cfg.r_prime as u64 * (cfg.n as u64 + cfg.k as u64 + burstiness) + 64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +144,12 @@ mod tests {
     fn theorem13_closed_form() {
         // N = 32, K = 8, r' = 4 (S = 2): (3/4) * 16 = 12.
         assert_eq!(theorem13(&cfg(32, 8, 4)), 12);
+    }
+
+    #[test]
+    fn traffic_envelope_closed_form() {
+        // E19's geometry with a measured burstiness of 5: 4·(16 + 8 + 5) + 64.
+        assert_eq!(traffic_envelope(&cfg(16, 8, 4), 5), 180);
     }
 
     #[test]

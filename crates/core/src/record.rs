@@ -103,7 +103,7 @@ impl RunLog {
     }
 
     /// A log holding an undeparted record for each of `cells` (the whole
-    /// trace up front; hand-written slot loops use it).
+    /// trace up front; test oracles that step an engine by hand use it).
     pub fn with_cells(cells: &[Cell]) -> Self {
         let mut log = RunLog::with_capacity(cells.len());
         for cell in cells {

@@ -109,7 +109,10 @@ pub trait SlotEngine {
     /// Replay the dense loop's per-slot effects over the idle interval
     /// `[from, to]` in closed form. Only called when no cell arrives in
     /// the interval and [`next_activity`](Self::next_activity) reported
-    /// nothing due before `to + 1`.
+    /// nothing due before `to + 1`. The replay moves no cell and loses no
+    /// pending event: in debug builds [`drive`] asserts that the backlog is
+    /// what it was and that `next_activity(to)` lies in `to + 1 ..=` the
+    /// wake-up reported before the jump.
     fn skip_idle(&mut self, from: Slot, to: Slot);
 }
 
@@ -159,7 +162,27 @@ pub fn drive<E: SlotEngine + ?Sized>(
             let wake = engine.next_activity(now - 1).unwrap_or(Slot::MAX);
             let stop = next_arrival.min(wake).min(cap + 1);
             if stop > now {
+                #[cfg(debug_assertions)]
+                let backlog = engine.backlog();
                 engine.skip_idle(now, stop - 1);
+                // Missed-wake oracle (DESIGN.md §15): the replay moved no
+                // cell, left nothing overdue, and did not push the event
+                // it was jumping towards any later (earlier is fine).
+                #[cfg(debug_assertions)]
+                {
+                    let (from, to) = (now, stop - 1);
+                    let next = engine.next_activity(to).unwrap_or(Slot::MAX);
+                    assert_eq!(
+                        engine.backlog(),
+                        backlog,
+                        "skip_idle({from}, {to}) changed the backlog"
+                    );
+                    assert!(
+                        (stop..=wake).contains(&next),
+                        "skip_idle({from}, {to}) moved the next activity to {next}, \
+                         outside {stop}..={wake}"
+                    );
+                }
                 now = stop;
             }
         }
@@ -205,6 +228,16 @@ mod tests {
         pending: std::collections::VecDeque<(Slot, crate::CellId)>,
         processed: u64,
         skipped: u64,
+        /// A deliberately wrong `skip_idle`, for the missed-wake oracle.
+        bug: Option<SkipBug>,
+    }
+
+    #[derive(Clone, Copy)]
+    enum SkipBug {
+        /// The replay forgets the queued cells.
+        DropsQueue,
+        /// The replay pushes every pending departure one slot out.
+        WakesLater,
     }
 
     impl DelayLine {
@@ -214,6 +247,7 @@ mod tests {
                 pending: Default::default(),
                 processed: 0,
                 skipped: 0,
+                bug: None,
             }
         }
     }
@@ -252,6 +286,11 @@ mod tests {
         fn skip_idle(&mut self, from: Slot, to: Slot) {
             assert!(from <= to);
             self.skipped += to - from + 1;
+            match self.bug {
+                Some(SkipBug::DropsQueue) => self.pending.clear(),
+                Some(SkipBug::WakesLater) => self.pending.iter_mut().for_each(|p| p.0 += 1),
+                None => {}
+            }
         }
     }
 
@@ -337,6 +376,30 @@ mod tests {
             2,
             "third cell of flow 0 -> 0"
         );
+    }
+
+    /// One cell through a 50-slot line whose `skip_idle` has `bug`: the
+    /// driver jumps once, from slot 1 towards the departure at slot 50.
+    #[cfg(debug_assertions)]
+    fn drive_a_buggy_line(bug: SkipBug) {
+        let mut line = DelayLine::new(50);
+        line.bug = Some(bug);
+        let trace = Trace::build(vec![crate::Arrival::new(0, 0, 0)], 4).unwrap();
+        let _ = drive(&mut line, &trace, 4, 1_000, Stepping::SkipAhead);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "changed the backlog")]
+    fn a_skip_that_drops_cells_trips_the_drivers_oracle() {
+        drive_a_buggy_line(SkipBug::DropsQueue);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "moved the next activity to 51")]
+    fn a_skip_that_delays_a_wake_up_trips_the_drivers_oracle() {
+        drive_a_buggy_line(SkipBug::WakesLater);
     }
 
     /// The driver this one replaced, kept as the oracle: materialise the

@@ -312,11 +312,6 @@ pub fn counters() -> Vec<(&'static str, u64)> {
     out
 }
 
-/// Total events ever recorded into rings (cumulative, monotonic).
-pub fn events_recorded() -> u64 {
-    EVENTS_RECORDED.load(Ordering::Relaxed)
-}
-
 // ---------------------------------------------------------------------------
 // Ring buffer and scopes
 // ---------------------------------------------------------------------------

@@ -113,8 +113,8 @@ impl Trace {
     }
 
     /// Materialize the whole trace into [`Cell`]s: [`cursor`](Self::cursor),
-    /// collected. For hand-written slot loops that want the slice; engine
-    /// runs never build it.
+    /// collected. For test oracles that step an engine by hand and want the
+    /// slice; nothing [`drive`](crate::stepping::drive) runs builds it.
     pub fn cells(&self, n: usize) -> Vec<Cell> {
         self.cursor(n).collect()
     }

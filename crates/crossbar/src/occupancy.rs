@@ -238,7 +238,6 @@ impl Occupancy {
 pub(crate) struct Voqs<T> {
     queues: Vec<VecDeque<T>>,
     occ: Occupancy,
-    max_len: usize,
 }
 
 impl<T> Voqs<T> {
@@ -246,7 +245,6 @@ impl<T> Voqs<T> {
         Voqs {
             queues: (0..n * n).map(|_| VecDeque::new()).collect(),
             occ: Occupancy::new(n),
-            max_len: 0,
         }
     }
 
@@ -254,15 +252,9 @@ impl<T> Voqs<T> {
         &self.occ
     }
 
-    /// Highest occupancy any one VOQ has reached.
-    pub(crate) fn max_len(&self) -> usize {
-        self.max_len
-    }
-
     pub(crate) fn push(&mut self, i: usize, j: usize, item: T) {
         self.queues[i * self.occ.n + j].push_back(item);
         self.occ.add(i, j, 1);
-        self.max_len = self.max_len.max(self.occ.len(i, j));
     }
 
     pub(crate) fn front(&self, i: usize, j: usize) -> Option<&T> {

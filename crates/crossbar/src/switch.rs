@@ -105,11 +105,6 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
         self.scheduler.next_activity(now, self.backlog())
     }
 
-    /// Highest VOQ occupancy reached.
-    pub fn max_voq_occupancy(&self) -> usize {
-        self.voqs.max_len()
-    }
-
     /// Total cells transmitted.
     pub fn transmitted(&self) -> u64 {
         self.transmitted

@@ -11,6 +11,7 @@
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
+use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_switch::demux::StaticPartitionDemux;
 use pps_traffic::adversary::concentration_attack;
@@ -26,8 +27,7 @@ pub fn point(n: usize, k: usize, r_prime: usize) -> (f64, u64, usize, u64, u64, 
     let atk = concentration_attack(&demux, &cfg, &all, 4 * k);
     let b = min_burstiness(&atk.trace, n).overall();
     let n_over_s = cfg.n_over_s();
-    // The theorem's statement: (R/r - 1) * N/S.
-    let theorem_bound = (r_prime as u64 - 1) * n_over_s;
+    let theorem_bound = bounds::theorem8(&cfg);
     let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);

@@ -10,6 +10,7 @@
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered, Table};
+use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
 use pps_traffic::adversary::concentration_attack;
@@ -35,11 +36,8 @@ pub fn point(n: usize, k: usize, r_prime: usize, buffer: usize) -> (u64, u64, i6
     let cmp = compare_buffered(cfg, BufferedRoundRobinDemux::new(n, k), &atk.trace).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
-    let n_over_s = cfg.n_over_s();
-    // (1 - r/R) * N/S = ((r'-1)/r') * N*r'/K = N(r'-1)/K.
-    let theorem_bound = (r_prime as u64 - 1) * n_over_s / r_prime as u64;
     (
-        theorem_bound,
+        bounds::theorem13(&cfg),
         atk.model_exact_bound,
         rd.max,
         cmp.relative_jitter(),

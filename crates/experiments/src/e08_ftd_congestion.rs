@@ -18,6 +18,7 @@ use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
+use pps_core::stepping::{self, SlotEngine};
 use pps_reference::checker::{check_work_conserving, Violation};
 use pps_reference::oq::run_oq;
 use pps_switch::demux::FtdDemux;
@@ -45,6 +46,42 @@ pub struct CongestionOutcome {
     pub shape_violation: Option<pps_core::OracleViolation>,
 }
 
+/// The PPS under test plus the Theorem-14 probe: after every slot it notes
+/// when congestion first sets in and, from then until the overload ends,
+/// samples the hot output's in-fabric occupancy.
+struct Probe {
+    pps: BufferlessPps<FtdDemux>,
+    duration: Slot,
+    congestion_start: Option<Slot>,
+    series: Vec<(Slot, u64)>,
+}
+
+impl SlotEngine for Probe {
+    fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) -> Result<(), ModelError> {
+        self.pps.slot(now, arrivals, log)?;
+        let fabric = self.pps.fabric();
+        if self.congestion_start.is_none() && fabric.all_planes_backlogged_for(0) {
+            self.congestion_start = Some(now);
+        }
+        if self.congestion_start.is_some() && now < self.duration {
+            self.series.push((now, fabric.queued_for(0) as u64));
+        }
+        Ok(())
+    }
+
+    fn backlog(&self) -> usize {
+        self.pps.backlog()
+    }
+
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
+        self.pps.next_activity(now)
+    }
+
+    fn skip_idle(&mut self, from: Slot, to: Slot) {
+        self.pps.skip_idle(from, to)
+    }
+}
+
 /// Run the congestion scenario with the extended-FTD demultiplexor.
 pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> CongestionOutcome {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
@@ -53,38 +90,17 @@ pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> Co
     // than the aggregate plane->output drain rate K/r' = S.
     let senders = k / r_prime + 1;
     let traffic = congestion_traffic(n, 0, senders, duration);
-    let cells = traffic.trace.cells(n);
-    let mut pps = BufferlessPps::new(cfg, FtdDemux::new(n, k, r_prime, h)).expect("engine");
-    let mut log = RunLog::with_cells(&cells);
-    let mut next = 0usize;
-    let mut now: Slot = 0;
-    let mut congestion_start = None;
-    let mut scratch: Vec<Cell> = Vec::new();
-    // Occupancy of the hot output inside the congested window. Theorem 14
-    // makes the output work-conserving there (one departure per slot)
-    // while the adversary offers `senders` cells per slot, so the series
-    // must ramp linearly at `senders - 1` — the executable "bound shape"
-    // the chaos oracle layer checks below.
-    let mut series: Vec<(Slot, u64)> = Vec::new();
-    let cap = duration + (cells.len() as Slot + 2) * (r_prime as Slot + 1) + 64;
-    while next < cells.len() || pps.backlog() > 0 {
-        scratch.clear();
-        while next < cells.len() && cells[next].arrival == now {
-            scratch.push(cells[next]);
-            next += 1;
-        }
-        pps.slot(now, &scratch, &mut log).expect("model-legal run");
-        if congestion_start.is_none() && pps.fabric().all_planes_backlogged_for(0) {
-            congestion_start = Some(now);
-        }
-        if congestion_start.is_some_and(|start| now >= start) && now < duration {
-            series.push((now, pps.fabric().queued_for(0) as u64));
-        }
-        now += 1;
-        if now > cap {
-            break;
-        }
-    }
+    let mut probe = Probe {
+        pps: BufferlessPps::new(cfg, FtdDemux::new(n, k, r_prime, h)).expect("engine"),
+        duration,
+        congestion_start: None,
+        series: Vec::new(),
+    };
+    let cap = duration + (traffic.trace.len() as Slot + 2) * (r_prime as Slot + 1) + 64;
+    // Dense: the probe samples every slot of the window.
+    let (log, _) = stepping::drive(&mut probe, &traffic.trace, n, cap, Stepping::Dense)
+        .expect("model-legal run");
+    let (congestion_start, series) = (probe.congestion_start, probe.series);
     let oq = run_oq(&traffic.trace, n);
     // The congested window: from observed onset to the end of the
     // overload. Cells arriving inside it are the theorem's subjects.
@@ -95,9 +111,13 @@ pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> Co
         .filter(|v| matches!(v, Violation::IdleWithBacklog { output, .. } if output.idx() == 0))
         .count();
     let deltas = metrics::rank_relative_delay(&log, &oq, PortId(0), window);
+    // Theorem 14 makes the hot output work-conserving inside the window
+    // (one departure per slot) while the adversary offers `senders` cells
+    // per slot, so the sampled occupancy must ramp linearly at
+    // `senders - 1` — the executable "bound shape" checked below.
+    let slope = senders as i64 - 1;
     // The shape tolerance covers one slot's worth of in-flight jitter on
     // either side of the ideal ramp plus the r'-slot line granularity.
-    let slope = senders as i64 - 1;
     let tolerance = 2 * senders as u64 + 2 * r_prime as u64 + 4;
     CongestionOutcome {
         congestion_start,

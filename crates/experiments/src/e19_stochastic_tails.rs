@@ -23,7 +23,8 @@
 
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, relative_delays, Table, TailQuantiles};
+use pps_analysis::{compare_bufferless, relative_delays, Comparison, Table, TailQuantiles};
+use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_switch::demux::{CpaDemux, RoundRobinDemux, StaleLeastLoadedDemux};
 use pps_traffic::min_burstiness;
@@ -55,33 +56,27 @@ pub fn families() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// A labeled comparison runner: builds its demux and runs `trace`.
-type ClassRunner = (
+/// A labeled comparison runner: builds its demux for the bufferless
+/// geometry it is handed and runs `trace` against the shadow OQ.
+pub(crate) type ClassRunner = (
     &'static str,
-    fn(&Trace) -> Result<pps_analysis::Comparison, ModelError>,
+    fn(PpsConfig, &Trace) -> Result<Comparison, ModelError>,
 );
 
-/// Information classes: one representative demux per class.
-fn classes() -> Vec<ClassRunner> {
-    vec![
-        ("fully-dist (rr)", |t| {
-            compare_bufferless(
-                PpsConfig::bufferless(N, K, R_PRIME),
-                RoundRobinDemux::new(N, K),
-                t,
-            )
+/// Information classes: one representative demux per class (also the rows
+/// of the `ppslab --workload` report).
+pub(crate) fn classes() -> [ClassRunner; 3] {
+    [
+        ("fully-dist (rr)", |cfg, t| {
+            compare_bufferless(cfg, RoundRobinDemux::new(cfg.n, cfg.k), t)
         }),
-        ("u-RT (stale:2)", |t| {
-            compare_bufferless(
-                PpsConfig::bufferless(N, K, R_PRIME),
-                StaleLeastLoadedDemux::new(N, K, 2),
-                t,
-            )
+        ("u-RT (stale:2)", |cfg, t| {
+            compare_bufferless(cfg, StaleLeastLoadedDemux::new(cfg.n, cfg.k, 2), t)
         }),
-        ("centralized (cpa)", |t| {
+        ("centralized (cpa)", |cfg, t| {
             compare_bufferless(
-                PpsConfig::bufferless(N, K, R_PRIME).with_discipline(OutputDiscipline::GlobalFcfs),
-                CpaDemux::new(N, K, R_PRIME),
+                cfg.with_discipline(OutputDiscipline::GlobalFcfs),
+                CpaDemux::new(cfg.n, cfg.k, cfg.r_prime),
                 t,
             )
         }),
@@ -108,7 +103,7 @@ pub struct TailPoint {
 impl TailPoint {
     /// The chaos-harness envelope ceiling for this point's traffic.
     pub fn envelope(&self) -> i64 {
-        ((R_PRIME as u64) * (N as u64 + K as u64 + self.burstiness) + 64) as i64
+        bounds::traffic_envelope(&PpsConfig::bufferless(N, K, R_PRIME), self.burstiness) as i64
     }
 }
 
@@ -125,7 +120,7 @@ pub fn measure() -> Vec<TailPoint> {
         let spec = WorkloadSpec::parse(&fams[f].1).expect("family spec");
         let trace = spec.trace().expect("materialize");
         let b = min_burstiness(&trace, N).overall();
-        let cmp = (cls[c].1)(&trace).expect("run");
+        let cmp = (cls[c].1)(PpsConfig::bufferless(N, K, R_PRIME), &trace).expect("run");
         let rd = cmp.relative_delay();
         let tails =
             TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq)).expect("nonempty trace");
@@ -165,7 +160,7 @@ pub fn run() -> ExperimentOutput {
         // not reach it for the distributed classes (the paper's point
         // that the worst case needs coordination).
         if p.class.starts_with("fully") {
-            pass &= p.tails.p999 < ((R_PRIME - 1) * (N - 1)) as i64;
+            pass &= p.tails.p999 < bounds::theorem6_exact(R_PRIME, N) as i64;
         }
         table.row_display(&[
             p.family.to_string(),

@@ -120,8 +120,8 @@ pub fn run() -> ExperimentOutput {
         if i > 0 {
             pass &= p.oq_mean > points[i - 1].oq_mean;
         }
-        pass &= p.bufferless.p999 < ((R_PRIME - 1) * (N - 1)) as i64;
-        pass &= p.buffered.p999 < ((R_PRIME - 1) * (N - 1)) as i64;
+        let worst_case = pps_core::bounds::theorem6_exact(R_PRIME, N) as i64;
+        pass &= p.bufferless.p999 < worst_case && p.buffered.p999 < worst_case;
         table.row_display(&[
             format!("{:.2}", p.load),
             format!("{:.2}", p.oq_mean),

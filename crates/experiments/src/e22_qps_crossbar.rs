@@ -42,7 +42,7 @@ pub fn envelope(load: f64) -> Option<f64> {
 }
 
 /// Delay tails of one scheduler run.
-fn tails(log: &RunLog) -> TailQuantiles {
+pub(crate) fn tails(log: &RunLog) -> TailQuantiles {
     let delays: Vec<i64> = log
         .records()
         .iter()

@@ -17,11 +17,10 @@
 //! the maximal-matching conflict envelope where that is a theorem
 //! (`λc = 2ρ(N−1)/N < 1`, arXiv cs/0605030; see E22).
 
-use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, N};
+use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, tails, N};
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
-use pps_core::prelude::*;
 use pps_crossbar::{run_crossbar_with, QpsRScheduler, SwQpsScheduler};
 use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;
@@ -30,15 +29,6 @@ use pps_traffic::gen::BernoulliGen;
 pub const HORIZON: u64 = 10_000;
 /// Window sizes under test.
 pub const WINDOWS: [usize; 4] = [1, 2, 4, 8];
-
-fn tails(log: &RunLog) -> TailQuantiles {
-    let delays: Vec<i64> = log
-        .records()
-        .iter()
-        .filter_map(|r| r.delay().map(|d| d as i64))
-        .collect();
-    TailQuantiles::from(&delays).expect("non-empty run")
-}
 
 /// One load point: QPS-1 reference, SW-QPS per window, OQ mean.
 #[derive(Clone, Debug)]

@@ -16,26 +16,16 @@
 //! on speedup 1; critical-first tracks OQ tighter still — the price of
 //! deadline bookkeeping is what the envelope saves you from paying.
 
-use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, N};
+use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, tails, N};
 use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
-use pps_core::prelude::*;
 use pps_crossbar::{run_cioq_policy, CioqPolicy};
 use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;
 
 /// Slots per load point.
 pub const HORIZON: u64 = 10_000;
-
-fn tails(log: &RunLog) -> TailQuantiles {
-    let delays: Vec<i64> = log
-        .records()
-        .iter()
-        .filter_map(|r| r.delay().map(|d| d as i64))
-        .collect();
-    TailQuantiles::from(&delays).expect("non-empty run")
-}
 
 /// One load point's measurements.
 #[derive(Clone, Debug)]

@@ -15,9 +15,9 @@
 //! spec can be explored without writing code — the spec string is the
 //! full reproducible name of the run.
 
-use pps_analysis::{compare_bufferless, relative_delays, TailQuantiles};
+use crate::e19_stochastic_tails;
+use pps_analysis::{relative_delays, TailQuantiles};
 use pps_core::prelude::*;
-use pps_switch::demux::{CpaDemux, RoundRobinDemux, StaleLeastLoadedDemux};
 use pps_traffic::{min_burstiness, TraceStats};
 use pps_workload::WorkloadSpec;
 
@@ -30,7 +30,8 @@ pub fn run_workload(spec_str: &str, k: usize, r_prime: usize) -> Result<String, 
         return Err(format!("workload {spec_str:?} produced no cells"));
     }
     let b = min_burstiness(&trace, n).overall();
-    let envelope = (r_prime as u64) * (n as u64 + k as u64 + b) + 64;
+    let cfg = PpsConfig::bufferless(n, k, r_prime);
+    let envelope = pps_core::bounds::traffic_envelope(&cfg, b);
 
     let mut out = String::new();
     use std::fmt::Write as _;
@@ -52,9 +53,9 @@ pub fn run_workload(spec_str: &str, k: usize, r_prime: usize) -> Result<String, 
         "class", "mean", "p99", "p999", "max", "undeliv"
     );
 
-    let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().map_err(|e| e.to_string())?;
-    let mut report_row = |label: &str, cmp: pps_analysis::Comparison| {
+    for (label, run) in e19_stochastic_tails::classes() {
+        let cmp = run(cfg, &trace).map_err(|e| e.to_string())?;
         let tails = TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq))
             .expect("trace is nonempty");
         let _ = writeln!(
@@ -66,25 +67,7 @@ pub fn run_workload(spec_str: &str, k: usize, r_prime: usize) -> Result<String, 
             tails.max,
             cmp.relative_delay().pps_undelivered
         );
-    };
-    report_row(
-        "fully-dist (rr)",
-        compare_bufferless(cfg, RoundRobinDemux::new(n, k), &trace).map_err(|e| e.to_string())?,
-    );
-    report_row(
-        "u-RT (stale:2)",
-        compare_bufferless(cfg, StaleLeastLoadedDemux::new(n, k, 2), &trace)
-            .map_err(|e| e.to_string())?,
-    );
-    report_row(
-        "centralized (cpa)",
-        compare_bufferless(
-            cfg.with_discipline(OutputDiscipline::GlobalFcfs),
-            CpaDemux::new(n, k, r_prime),
-            &trace,
-        )
-        .map_err(|e| e.to_string())?,
-    );
+    }
     Ok(out)
 }
 

@@ -27,9 +27,6 @@ use std::collections::VecDeque;
 pub struct BufferedRoundRobinDemux {
     next: Vec<u32>,
     k: u32,
-    /// Cap on releases per slot (default `k`; 1 makes the switch behave
-    /// like a paced single-line dispatcher — useful in ablations).
-    max_release: usize,
     /// Scratch: planes already used by this slot's releases.
     used: Vec<bool>,
 }
@@ -40,15 +37,8 @@ impl BufferedRoundRobinDemux {
         BufferedRoundRobinDemux {
             next: vec![0; n],
             k: k as u32,
-            max_release: k,
             used: vec![false; k],
         }
-    }
-
-    /// Restrict releases to at most `m` cells per slot.
-    pub fn with_max_release(mut self, m: usize) -> Self {
-        self.max_release = m.max(1);
-        self
     }
 }
 
@@ -68,7 +58,7 @@ impl BufferedDemultiplexor for BufferedRoundRobinDemux {
         let i = input.idx();
         self.used.fill(false);
         // Release head cells while distinct free planes remain.
-        for (idx, _cell) in buffer.iter().enumerate().take(self.max_release) {
+        for idx in 0..buffer.len() {
             let start = self.next[i] as usize;
             let k = self.k as usize;
             let found = (0..k)
@@ -85,7 +75,7 @@ impl BufferedDemultiplexor for BufferedRoundRobinDemux {
         }
         let released = out.releases.len();
         out.arrival = arrival.map(|_| {
-            if buffer.len() == released && released < self.max_release {
+            if buffer.len() == released {
                 // Buffer will be empty after releases: try to send directly.
                 let start = self.next[i] as usize;
                 let k = self.k as usize;

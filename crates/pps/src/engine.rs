@@ -331,7 +331,6 @@ pub struct InputBuffers<D> {
     /// buffered cell anywhere" without an O(N) sweep.
     buffered_cells: usize,
     capacity: usize,
-    max_occupancy: usize,
     /// Per-slot decision scratch, cleared and refilled for every input so
     /// deciding allocates nothing in the steady state.
     decision: BufferedDecision,
@@ -385,7 +384,6 @@ impl<D: BufferedDemultiplexor> InputBuffers<D> {
                 self.buffers[input].push_back(cell);
                 self.buffer_live[input] += 1;
                 self.buffered_cells += 1;
-                self.max_occupancy = self.max_occupancy.max(self.buffers[input].len());
             }
             (None, _) => {}
         }
@@ -408,7 +406,6 @@ impl<D: BufferedDemultiplexor> InputStage for InputBuffers<D> {
             buffer_live: vec![0; cfg.n],
             buffered_cells: 0,
             capacity,
-            max_occupancy: 0,
             decision: BufferedDecision::default(),
         })
     }
@@ -508,13 +505,6 @@ pub type BufferlessPps<D> = Pps<Unbuffered<D>>;
 /// An input-buffered PPS (Definition 2) driven by a
 /// [`BufferedDemultiplexor`].
 pub type BufferedPps<D> = Pps<InputBuffers<D>>;
-
-impl<D: BufferedDemultiplexor> Pps<InputBuffers<D>> {
-    /// Highest input-buffer occupancy reached.
-    pub fn max_buffer_occupancy(&self) -> usize {
-        self.stage.max_occupancy
-    }
-}
 
 impl<S: InputStage> Pps<S> {
     /// Build the switch; validates the configuration, whose buffer spec

@@ -19,6 +19,7 @@
 //! Corollary 11's `(1 − r/R)·N/S` under burstiness `N/K − 1`.
 
 use super::alignment::record_trajectories;
+use pps_core::bounds;
 use pps_core::config::PpsConfig;
 use pps_core::demux::Demultiplexor;
 use pps_core::time::Slot;
@@ -57,8 +58,8 @@ pub struct UrtBurstAttack {
 /// should pick `r' ≥ 2` and `N ≥ K`.
 pub fn urt_burst_attack(cfg: &PpsConfig, u: Slot) -> UrtBurstAttack {
     let r_prime = cfg.r_prime as Slot;
-    let u_eff = u.min(r_prime / 2).max(1);
-    let m = ((u_eff as usize) * cfg.n / cfg.k).min(cfg.n);
+    let u_eff = bounds::u_effective(cfg.r_prime, u);
+    let m = (bounds::theorem10_m(cfg, u) as usize).min(cfg.n);
     assert!(
         m >= 1,
         "need u'*N/K >= 1 (got N={}, K={}, u'={u_eff})",
@@ -84,18 +85,15 @@ pub fn urt_burst_attack(cfg: &PpsConfig, u: Slot) -> UrtBurstAttack {
         hot_output,
     ));
     let trace = Trace::build(arrivals, cfg.n).expect("one cell per (slot, input)");
-    let predicted_bound = (m as u64) * (r_prime - u_eff);
-    let model_exact_bound = (m as u64 - 1) * (r_prime - u_eff);
-    let predicted_burstiness = (u_eff * u_eff) * cfg.n as u64 / cfg.k as u64 - u_eff;
     UrtBurstAttack {
         trace,
         u_eff,
         m,
         hot_output,
         burst_start,
-        predicted_bound,
-        model_exact_bound,
-        predicted_burstiness,
+        predicted_bound: bounds::theorem10(cfg, u),
+        model_exact_bound: bounds::theorem10_exact(cfg, u),
+        predicted_burstiness: bounds::theorem10_burstiness(cfg, u),
     }
 }
 
@@ -114,9 +112,8 @@ pub fn burst_concentration<D: Demultiplexor + Clone>(
     cfg: &PpsConfig,
     u: Slot,
 ) -> Vec<(u32, usize)> {
-    let r_prime = cfg.r_prime as Slot;
-    let u_eff = u.min(r_prime / 2).max(1) as usize;
-    let m = (u_eff * cfg.n / cfg.k).min(cfg.n);
+    let u_eff = bounds::u_effective(cfg.r_prime, u) as usize;
+    let m = (bounds::theorem10_m(cfg, u) as usize).min(cfg.n);
     let inputs: Vec<u32> = (0..m as u32).collect();
     let traj = record_trajectories(demux, &inputs, cfg.k, 0, u_eff);
     (0..u_eff)

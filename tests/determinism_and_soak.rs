@@ -73,21 +73,46 @@ fn registry_tables_identical_across_job_counts() {
     // every experiment renders byte-identically. This is what lets ppslab
     // default to all cores without touching a single golden number.
     use pps_experiments::{registry, sweep};
-    let render_all = || -> String { registry().iter().map(|(_, run)| run().render()).collect() };
+    // Each experiment followed by a blank line, as `ppslab` prints them.
+    let render_all = || -> String {
+        registry()
+            .iter()
+            .map(|(_, run)| run().render() + "\n")
+            .collect()
+    };
+    let assert_same = |what: &str, ours: &str, theirs: &str| {
+        if ours != theirs {
+            let diff = ours
+                .lines()
+                .zip(theirs.lines())
+                .enumerate()
+                .find(|(_, (a, b))| a != b)
+                .map(|(i, (a, b))| {
+                    format!(
+                        "first differing line ({}):\n  jobs=1: {a}\n  {what}: {b}",
+                        i + 1
+                    )
+                })
+                .unwrap_or_else(|| "outputs differ in length only".into());
+            panic!("rendered tables differ between jobs=1 and {what}; {diff}");
+        }
+    };
     sweep::set_jobs(1);
     let serial = render_all();
     sweep::set_jobs(8);
     let parallel = render_all();
     sweep::set_jobs(1);
-    if serial != parallel {
-        let diff = serial
-            .lines()
-            .zip(parallel.lines())
-            .find(|(a, b)| a != b)
-            .map(|(a, b)| format!("first differing line:\n  jobs=1: {a}\n  jobs=8: {b}"))
-            .unwrap_or_else(|| "outputs differ in length only".into());
-        panic!("rendered tables differ between jobs=1 and jobs=8; {diff}");
-    }
+    assert_same("jobs=8", &serial, &parallel);
+
+    // The same rendering is the committed behavioural contract: the fenced
+    // block under "## Full committed output" in EXPERIMENTS.md is `ppslab`
+    // stdout, regenerated only by a PR that means to move a table.
+    let doc = include_str!("../EXPERIMENTS.md");
+    let (_, rest) = doc
+        .split_once("## Full committed output\n\n```\n")
+        .expect("EXPERIMENTS.md has a fenced block under `## Full committed output`");
+    let (committed, _) = rest.split_once("```\n").expect("the block is closed");
+    assert_same("EXPERIMENTS.md", &serial, committed);
 }
 
 #[test]
