@@ -140,103 +140,6 @@ impl TailQuantiles {
     pub fn resolvable(&self, den: usize) -> bool {
         self.count >= den
     }
-
-    /// One-line summary for tables.
-    pub fn summary(&self) -> String {
-        format!(
-            "n={} mean={:.2} p99={} p999={} max={}",
-            self.count, self.mean, self.p99, self.p999, self.max
-        )
-    }
-}
-
-/// Streaming log₂-bucketed histogram: O(1) memory however many samples,
-/// quantile estimates exact to within a factor-of-2 bucket.
-///
-/// Bucket `b ≥ 1` holds values with bit-length `b` (i.e. `2^(b−1) ≤ v <
-/// 2^b`); bucket 0 holds zeros and negatives are clamped into bucket 0
-/// (relative delays can be negative when the PPS beats the shadow, and
-/// the tail machinery only cares about the positive side). Quantile
-/// queries return the *upper edge* of the containing bucket — a
-/// conservative (never-underestimating) tail bound, which is the right
-/// direction for checking measured tails against theoretical ceilings.
-/// Use [`TailQuantiles`] when the sample fits in memory and exactness
-/// matters; use this when it doesn't.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Log2Histogram {
-    counts: [u64; 65],
-    total: u64,
-}
-
-impl Default for Log2Histogram {
-    fn default() -> Self {
-        Log2Histogram {
-            counts: [0; 65],
-            total: 0,
-        }
-    }
-}
-
-impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Log2Histogram::default()
-    }
-
-    /// Bucket index of `v`: 0 for `v ≤ 0`, else bit length of `v`.
-    fn bucket(v: i64) -> usize {
-        if v <= 0 {
-            0
-        } else {
-            64 - (v as u64).leading_zeros() as usize
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, v: i64) {
-        self.counts[Self::bucket(v)] += 1;
-        self.total += 1;
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Upper edge of the bucket containing the `num/den` lower quantile
-    /// (`None` on an empty histogram): 0 for bucket 0, else `2^b − 1`.
-    pub fn quantile_upper(&self, num: u64, den: u64) -> Option<i64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = (self.total * num).div_ceil(den).max(1);
-        let mut seen = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(if b == 0 { 0 } else { ((1u128 << b) - 1) as i64 });
-            }
-        }
-        unreachable!("rank {rank} beyond total {}", self.total)
-    }
-
-    /// Conservative p99 estimate (upper bucket edge).
-    pub fn p99(&self) -> Option<i64> {
-        self.quantile_upper(99, 100)
-    }
-
-    /// Conservative p999 estimate (upper bucket edge).
-    pub fn p999(&self) -> Option<i64> {
-        self.quantile_upper(999, 1000)
-    }
-
-    /// Merge another histogram into this one (for sharded collection).
-    pub fn merge(&mut self, other: &Log2Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
 }
 
 /// A fixed-bucket histogram over `[min, max]` with an ASCII rendering.
@@ -269,11 +172,6 @@ impl Histogram {
             out.pop();
         }
         Some(Histogram { buckets: out })
-    }
-
-    /// The `(lo, hi, count)` bins.
-    pub fn bins(&self) -> &[(i64, i64, usize)] {
-        &self.buckets
     }
 
     /// Render as an ASCII bar chart, `width` columns for the longest bar.
@@ -325,7 +223,7 @@ mod tests {
     fn histogram_counts_everything_once() {
         let v: Vec<i64> = (0..50).map(|i| i % 10).collect();
         let h = Histogram::build(&v, 5).unwrap();
-        let total: usize = h.bins().iter().map(|&(_, _, c)| c).sum();
+        let total: usize = h.buckets.iter().map(|&(_, _, c)| c).sum();
         assert_eq!(total, 50);
     }
 
@@ -339,8 +237,7 @@ mod tests {
     }
 
     /// Reference lower quantile on a sorted copy, straight from the
-    /// definition — what both TailQuantiles and Log2Histogram are pinned
-    /// against.
+    /// definition — what TailQuantiles is pinned against.
     fn ref_quantile(values: &[i64], num: usize, den: usize) -> i64 {
         let mut v = values.to_vec();
         v.sort_unstable();
@@ -416,56 +313,6 @@ mod tests {
         let t = TailQuantiles::from(&v).unwrap();
         assert_eq!((t.p99, t.p999, t.max), (991, 1000, 1001));
         assert!(t.resolvable(1000));
-    }
-
-    #[test]
-    fn log2_histogram_brackets_the_exact_quantile() {
-        let mut v: Vec<i64> = Vec::new();
-        for i in 0..5000i64 {
-            v.push((i * i) % 1000);
-        }
-        for i in 0..50i64 {
-            v.push(1 << (i % 14));
-        }
-        let mut h = Log2Histogram::new();
-        for &x in &v {
-            h.record(x);
-        }
-        assert_eq!(h.count(), v.len() as u64);
-        for (num, den) in [(50, 100), (99, 100), (999, 1000)] {
-            let exact = ref_quantile(&v, num, den).max(0);
-            let est = h.quantile_upper(num as u64, den as u64).unwrap();
-            assert!(
-                est >= exact,
-                "{num}/{den}: upper edge {est} < exact {exact}"
-            );
-            // Within one power of two: upper edge < 2·exact (for exact ≥ 1).
-            if exact >= 1 {
-                assert!(
-                    est < exact * 2,
-                    "{num}/{den}: {est} not within 2x of {exact}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn log2_histogram_edges_and_merge() {
-        let mut h = Log2Histogram::new();
-        assert!(h.p99().is_none());
-        for v in [-5, 0, 1, 2, 3, 4] {
-            h.record(v);
-        }
-        // Buckets: 0 → {-5, 0}, 1 → {1}, 2 → {2, 3}, 3 → {4}.
-        assert_eq!(h.quantile_upper(1, 6).unwrap(), 0);
-        assert_eq!(h.quantile_upper(3, 6).unwrap(), 1);
-        assert_eq!(h.quantile_upper(5, 6).unwrap(), 3);
-        assert_eq!(h.p999().unwrap(), 7);
-        let mut other = Log2Histogram::new();
-        other.record(1 << 20);
-        h.merge(&other);
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.p999().unwrap(), (1 << 21) - 1);
     }
 
     #[test]

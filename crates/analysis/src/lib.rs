@@ -11,26 +11,18 @@
 //!
 //! [`lockstep`] runs both switches and joins the per-cell logs;
 //! [`metrics`] computes the relative figures plus throughput/occupancy
-//! summaries; [`table`] renders the experiment tables and CSV series the
+//! summaries; `table` renders the experiment tables and CSV series the
 //! benchmark harness prints.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod degradation;
+mod degradation;
 pub mod distribution;
 pub mod lockstep;
 pub mod metrics;
-pub mod plot;
-pub mod table;
-pub mod timeseries;
+mod plot;
+mod table;
 
 pub use degradation::{fault_impact, FaultImpact};
-pub use distribution::{relative_delays, Histogram, Log2Histogram, Percentiles, TailQuantiles};
-pub use lockstep::{
-    compare, compare_buffered, compare_bufferless, compare_bufferless_faulted, Comparison,
-};
-pub use metrics::{flow_jitters, RelativeDelay};
+pub use distribution::{relative_delays, TailQuantiles};
+pub use lockstep::{compare_buffered, compare_bufferless, compare_bufferless_faulted, Comparison};
 pub use plot::AsciiChart;
 pub use table::Table;
-pub use timeseries::OutputSeries;

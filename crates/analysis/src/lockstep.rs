@@ -34,12 +34,6 @@ impl Comparison {
         metrics::relative_jitter(&self.pps.log, &self.oq)
     }
 
-    /// Departure-rank relative delays for one output within an
-    /// arrival window (the Theorem 14 congestion metric).
-    pub fn rank_relative_delay(&self, output: u32, window: (Slot, Slot)) -> Vec<i64> {
-        metrics::rank_relative_delay(&self.pps.log, &self.oq, PortId(output), window)
-    }
-
     /// Fabric statistics of the PPS run.
     pub fn pps_stats(&self) -> &FabricStats {
         &self.pps.stats
@@ -62,7 +56,7 @@ impl Comparison {
 /// (fault plan, stepping mode) by the caller — and through the shadow OQ
 /// switch. The shadow switch stays fault-free whatever `pps` replays:
 /// relative metrics then measure pure degradation, not a shifted baseline.
-pub fn compare<S: InputStage>(mut pps: Pps<S>, trace: &Trace) -> Result<Comparison, ModelError> {
+fn compare<S: InputStage>(mut pps: Pps<S>, trace: &Trace) -> Result<Comparison, ModelError> {
     let n = pps.fabric().cfg().n;
     let run = pps.run(trace)?;
     // Free the fabric (N² rings, the cell pool) before the shadow run

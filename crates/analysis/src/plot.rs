@@ -33,14 +33,6 @@ impl AsciiChart {
         self
     }
 
-    /// Add many points.
-    pub fn points<I: IntoIterator<Item = (f64, f64)>>(&mut self, it: I) -> &mut Self {
-        for (x, y) in it {
-            self.point(x, y);
-        }
-        self
-    }
-
     /// Render the chart. Empty charts render the title only.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -96,7 +88,9 @@ mod tests {
     #[test]
     fn renders_a_line() {
         let mut c = AsciiChart::new("linear growth", 20, 6);
-        c.points((0..10).map(|i| (i as f64, 3.0 * i as f64)));
+        for i in 0..10 {
+            c.point(i as f64, 3.0 * i as f64);
+        }
         let s = c.render();
         assert!(s.contains("linear growth"));
         assert!(s.contains('*'));

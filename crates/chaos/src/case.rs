@@ -31,7 +31,7 @@ const MMPP_BURST_EXIT: f64 = 0.08;
 /// [`build_bufferless`](Self::build_bufferless) /
 /// [`build_buffered`](Self::build_buffered).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DemuxChoice {
+pub(crate) enum DemuxChoice {
     /// Plain per-input round-robin (fully distributed).
     RoundRobin,
     /// Per-flow round-robin (fully distributed).
@@ -64,7 +64,7 @@ pub enum DemuxChoice {
 
 impl DemuxChoice {
     /// Short name used in report lines.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DemuxChoice::RoundRobin => "rr",
             DemuxChoice::PerFlowRoundRobin => "pf-rr",
@@ -86,7 +86,7 @@ impl DemuxChoice {
     /// The buffered `u`-RT automata report their honest delay, but the
     /// runner additionally gates the check on bufferless cases, so for
     /// them the value is descriptive only.
-    pub fn info_delay(self) -> Option<Slot> {
+    pub(crate) fn info_delay(self) -> Option<Slot> {
         match self {
             DemuxChoice::FaultAwareCentralized => Some(0),
             DemuxChoice::FaultAwareUrt(u) => Some(u),
@@ -101,7 +101,7 @@ impl DemuxChoice {
     /// Panics on the buffered variants: buffered cases go through
     /// [`build_buffered`](Self::build_buffered), the bufferless engine
     /// never sees them.
-    pub fn build_bufferless(
+    pub(crate) fn build_bufferless(
         self,
         n: usize,
         k: usize,
@@ -134,7 +134,7 @@ impl DemuxChoice {
     ///
     /// Panics on bufferless variants: those go through
     /// [`build_bufferless`](Self::build_bufferless).
-    pub fn build_buffered(
+    pub(crate) fn build_buffered(
         self,
         n: usize,
         k: usize,
@@ -151,7 +151,7 @@ impl DemuxChoice {
 
 /// Which scheduler the comparison crossbar runs alongside the PPS.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CrossbarChoice {
+pub(crate) enum CrossbarChoice {
     /// iSLIP at the runner's fixed iteration count.
     Islip,
     /// QPS-r with `r` accept rounds.
@@ -160,20 +160,9 @@ pub enum CrossbarChoice {
     SwQps(usize),
 }
 
-impl CrossbarChoice {
-    /// Short name used in report lines and diagnostics.
-    pub fn name(self) -> &'static str {
-        match self {
-            CrossbarChoice::Islip => "islip",
-            CrossbarChoice::QpsR(_) => "qps-r",
-            CrossbarChoice::SwQps(_) => "sw-qps",
-        }
-    }
-}
-
 /// Which traffic generator feeds the case.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TrafficChoice {
+pub(crate) enum TrafficChoice {
     /// i.i.d. Bernoulli arrivals.
     Bernoulli {
         /// Destination pattern.
@@ -213,7 +202,7 @@ pub enum TrafficChoice {
 
 impl TrafficChoice {
     /// Short name used in report lines.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TrafficChoice::Bernoulli { .. } => "bern",
             TrafficChoice::OnOff { .. } => "onoff",
@@ -231,7 +220,7 @@ impl TrafficChoice {
     }
 
     /// Pattern name for report lines.
-    pub fn pattern_name(&self) -> &'static str {
+    pub(crate) fn pattern_name(&self) -> &'static str {
         match self.pattern() {
             Some(TrafficPattern::Uniform) => "uniform",
             Some(TrafficPattern::Hotspot { .. }) => "hotspot",
@@ -248,7 +237,7 @@ impl TrafficChoice {
 
 /// One fully specified fuzzing case.
 #[derive(Clone, Debug)]
-pub struct ChaosCase {
+pub(crate) struct ChaosCase {
     /// Case index within the run (also the report ordering key).
     pub index: usize,
     /// Per-case RNG seed, derived from the master seed and the index.
@@ -282,7 +271,7 @@ pub struct ChaosCase {
 
 /// Derive the RNG seed of case `index` under `master` — a SplitMix64-style
 /// mix so neighbouring indices land far apart in seed space.
-pub fn case_seed(master: u64, index: usize) -> u64 {
+fn case_seed(master: u64, index: usize) -> u64 {
     let mut z = master ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -293,7 +282,7 @@ impl ChaosCase {
     /// Generate case `index` of a run with `master` seed and the given
     /// arrival horizon. The draw order below is part of the repro format:
     /// changing it invalidates every recorded `(seed, index)` pair.
-    pub fn generate(master: u64, index: usize, horizon: Slot) -> ChaosCase {
+    pub(crate) fn generate(master: u64, index: usize, horizon: Slot) -> ChaosCase {
         let seed = case_seed(master, index);
         let mut rng = StdRng::seed_from_u64(seed);
 
@@ -464,7 +453,7 @@ impl ChaosCase {
     }
 
     /// The engine configuration this case describes.
-    pub fn config(&self) -> PpsConfig {
+    pub(crate) fn config(&self) -> PpsConfig {
         PpsConfig {
             n: self.n,
             k: self.k,
@@ -483,7 +472,7 @@ impl ChaosCase {
     /// the full horizon and then cut at [`ChaosCase::truncate_at`], so a
     /// truncated case sees an exact prefix of the original arrivals — the
     /// property the shrinker relies on.
-    pub fn trace(&self) -> Trace {
+    pub(crate) fn trace(&self) -> Trace {
         let load = f64::from(self.load_millis) / 1000.0;
         let full = match &self.traffic {
             TrafficChoice::Bernoulli { pattern } => BernoulliGen {
@@ -555,7 +544,7 @@ impl ChaosCase {
     /// fresh RNG draw), so adding it did not change the generation draw
     /// order and every recorded `(seed, index)` repro pair stays valid.
     /// Roughly half the cases fuzz each mode.
-    pub fn stepping(&self) -> pps_core::Stepping {
+    pub(crate) fn stepping(&self) -> pps_core::Stepping {
         if self.seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63 == 0 {
             pps_core::Stepping::Dense
         } else {
@@ -569,7 +558,7 @@ impl ChaosCase {
     /// it changed no recorded `(seed, index)` repro pair. Half the cases
     /// keep iSLIP (the historical comparison engine); the rest split
     /// between the sampling schedulers with hash-drawn parameters.
-    pub fn crossbar_sched(&self) -> CrossbarChoice {
+    pub(crate) fn crossbar_sched(&self) -> CrossbarChoice {
         let h = case_seed(self.seed, 0x5CED_0CB5);
         match h >> 62 {
             0 | 1 => CrossbarChoice::Islip,
@@ -582,7 +571,7 @@ impl ChaosCase {
     /// half the cases keep the critical-cell-first EDF matching, the rest
     /// run the Cogill–Lall maximal round-robin matching. Same seed-hash
     /// idiom as [`crossbar_sched`](Self::crossbar_sched).
-    pub fn cioq_policy(&self) -> pps_crossbar::CioqPolicy {
+    pub(crate) fn cioq_policy(&self) -> pps_crossbar::CioqPolicy {
         if case_seed(self.seed, 0x0C10_90CA) >> 63 == 0 {
             pps_crossbar::CioqPolicy::CriticalFirst
         } else {
@@ -595,7 +584,7 @@ impl ChaosCase {
     /// an order-preserving discipline and no watchdog skips, and the chaos
     /// harness additionally restricts it to the deterministic spreading
     /// demuxes (random/hash placement can concentrate a flow arbitrarily).
-    pub fn relative_delay_eligible(&self) -> bool {
+    pub(crate) fn relative_delay_eligible(&self) -> bool {
         self.buffer == 0
             && self.plan.is_empty()
             && self.watchdog.is_none()
@@ -817,7 +806,12 @@ mod tests {
         let mut maximal = 0usize;
         for i in 0..512 {
             let case = ChaosCase::generate(42, i, 64);
-            *sched.entry(case.crossbar_sched().name()).or_insert(0usize) += 1;
+            let family = match case.crossbar_sched() {
+                CrossbarChoice::Islip => "islip",
+                CrossbarChoice::QpsR(_) => "qps-r",
+                CrossbarChoice::SwQps(_) => "sw-qps",
+            };
+            *sched.entry(family).or_insert(0usize) += 1;
             if case.cioq_policy() == pps_crossbar::CioqPolicy::MaximalRr {
                 maximal += 1;
             }

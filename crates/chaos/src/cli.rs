@@ -103,7 +103,7 @@ where
 }
 
 /// Parse `chaos` subcommand arguments (everything after the subcommand).
-pub fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
+fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
     let mut opts = ChaosOptions::default();
     let mut plan_path: Option<PathBuf> = None;
     let mut it = args.iter();

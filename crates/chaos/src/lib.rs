@@ -18,7 +18,7 @@
 //! * **no phantom / double / pre-arrival departures**, **output-line
 //!   constraint**, **no dispatch to a visibly-down plane**, and
 //!   **watchdog counter consistency** — folded over the telemetry event
-//!   stream ([`pps_telemetry::oracle`]);
+//!   stream ([`pps_telemetry::check_stream`]);
 //! * the paper's **relative-delay envelope** vs the shadow OQ, on the
 //!   cases where it is a theorem (fault-free, bufferless, deterministic
 //!   spreading).
@@ -30,16 +30,10 @@
 //! face; reports are byte-identical at any `--jobs` because cases fan out
 //! over [`pps_core::sweep::SweepPlan`] and merge in declared order.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
-pub mod case;
+mod case;
 pub mod cli;
-pub mod report;
-pub mod runner;
-pub mod shrink;
+mod report;
+mod runner;
+mod shrink;
 
-pub use case::{case_seed, ChaosCase, DemuxChoice, TrafficChoice};
-pub use cli::{run_chaos, ChaosError, ChaosOptions, ChaosReport};
-pub use runner::{run_case, CaseOutcome, FailureKind, RunOpts};
-pub use shrink::{shrink, ShrinkResult};
+pub use cli::run_chaos;

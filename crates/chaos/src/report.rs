@@ -16,7 +16,7 @@ use std::path::{Path, PathBuf};
 const TRACE_TAIL_SLOTS: Slot = 32;
 
 /// One line per case: parameters, counters, verdict.
-pub fn case_line(case: &ChaosCase, out: &CaseOutcome) -> String {
+pub(crate) fn case_line(case: &ChaosCase, out: &CaseOutcome) -> String {
     let verdict = if out.failed() { "FAIL" } else { "ok  " };
     let stage = if case.buffer == 0 {
         "bufferless"
@@ -54,7 +54,7 @@ pub fn case_line(case: &ChaosCase, out: &CaseOutcome) -> String {
 }
 
 /// Detail block appended under a failing case's line.
-pub fn failure_block(
+pub(crate) fn failure_block(
     out: &CaseOutcome,
     shrunk: Option<&ShrinkResult>,
     repro_dir: Option<&Path>,
@@ -86,7 +86,7 @@ pub fn failure_block(
 }
 
 /// Render the full run report.
-pub fn render(
+pub(crate) fn render(
     seed: u64,
     budget_slots: Slot,
     lines: &[String],
@@ -117,7 +117,7 @@ pub fn render(
 /// Write a minimized repro under `root/case-<idx>/`: the reduced fault
 /// plan as CSV, a human-readable `repro.txt` with the replay command, and
 /// a Chrome trace of the final slots of the failing run.
-pub fn write_repro(
+pub(crate) fn write_repro(
     root: &Path,
     master_seed: u64,
     budget_slots: Slot,

@@ -43,7 +43,7 @@ const STALL_WINDOW: Slot = 1024;
 
 /// Knobs of one [`run_case`] invocation.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct RunOpts {
+pub(crate) struct RunOpts {
     /// Keep the telemetry event stream in the outcome even when no oracle
     /// fires (the repro writer wants it; bulk fuzzing does not).
     pub keep_events: bool,
@@ -64,7 +64,7 @@ pub struct RunOpts {
 
 /// How a failed case failed — the signature the shrinker preserves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureKind {
+pub(crate) enum FailureKind {
     /// An invariant oracle fired.
     Oracle(OracleKind),
     /// The engine itself rejected the run (constraint violation, overflow).
@@ -73,7 +73,7 @@ pub enum FailureKind {
 
 /// Everything one case run produces.
 #[derive(Debug, Default)]
-pub struct CaseOutcome {
+pub(crate) struct CaseOutcome {
     /// Cells offered by the trace.
     pub cells: usize,
     /// Cells the PPS delivered.
@@ -96,13 +96,13 @@ pub struct CaseOutcome {
 
 impl CaseOutcome {
     /// Did any oracle or the engine itself object?
-    pub fn failed(&self) -> bool {
+    pub(crate) fn failed(&self) -> bool {
         self.engine_error.is_some() || !self.violations.is_empty()
     }
 
     /// The failure signature: the earliest violation's kind, or
     /// [`FailureKind::EngineError`] if the engine died first.
-    pub fn failure_kind(&self) -> Option<FailureKind> {
+    pub(crate) fn failure_kind(&self) -> Option<FailureKind> {
         match (&self.engine_error, self.violations.first()) {
             (Some((err_slot, _)), Some(v)) if v.slot <= *err_slot => {
                 Some(FailureKind::Oracle(v.kind))
@@ -114,7 +114,7 @@ impl CaseOutcome {
     }
 
     /// Slot of the first failure (violation or engine error).
-    pub fn failure_slot(&self) -> Option<Slot> {
+    pub(crate) fn failure_slot(&self) -> Option<Slot> {
         let v = self.violations.first().map(|v| v.slot);
         let e = self.engine_error.as_ref().map(|(s, _)| *s);
         match (v, e) {
@@ -154,7 +154,7 @@ fn run_engines(
 }
 
 /// Run one case through all four engines and every oracle.
-pub fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
+pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
     let trace = case.trace();
 
     let (run, log) = telemetry::collect(format!("chaos/{}", case.index), || {

@@ -19,7 +19,7 @@ use pps_core::fault::{FaultEvent, FaultPlan};
 
 /// A minimized failing case plus the bookkeeping the report shows.
 #[derive(Debug)]
-pub struct ShrinkResult {
+pub(crate) struct ShrinkResult {
     /// The minimized case (reduced plan, possibly truncated horizon).
     pub case: ChaosCase,
     /// Outcome of the minimized case (still failing, same kind).
@@ -62,7 +62,7 @@ fn reproduces(case: &ChaosCase, kind: FailureKind, opts: RunOpts) -> Option<Case
 /// candidate (used for the failure signature and the first truncation
 /// guess); `opts` must match the options of the original run, minus
 /// event retention (the shrinker re-runs without keeping streams).
-pub fn shrink(case: &ChaosCase, failed: &CaseOutcome, opts: RunOpts) -> ShrinkResult {
+pub(crate) fn shrink(case: &ChaosCase, failed: &CaseOutcome, opts: RunOpts) -> ShrinkResult {
     let kind = failed
         .failure_kind()
         .expect("shrink called on a passing case");

@@ -68,12 +68,6 @@ pub fn theorem10_burstiness(cfg: &PpsConfig, u: u64) -> u64 {
     u_eff * u_eff * cfg.n as u64 / cfg.k as u64 - u_eff
 }
 
-/// Corollary 11: any real-time distributed algorithm (`u = 1`) suffers
-/// `(1 − r/R)·N/S` under burstiness `N/K − 1`.
-pub fn corollary11(cfg: &PpsConfig) -> u64 {
-    theorem10(cfg, 1)
-}
-
 /// Theorem 12 (upper bound): an input-buffered PPS with buffers ≥ `u` and
 /// `S ≥ 2` supports a u-RT algorithm with relative delay at most `u`.
 pub fn theorem12_upper(u: u64) -> u64 {
@@ -132,12 +126,6 @@ mod tests {
         assert_eq!(theorem10_burstiness(&c, 4), 60);
         // u caps at r'/2.
         assert_eq!(theorem10(&c, 100), theorem10(&c, 4));
-    }
-
-    #[test]
-    fn corollary11_closed_form() {
-        // (1 - 1/8) * 64/S with S = 1: 56.
-        assert_eq!(corollary11(&cfg(64, 8, 8)), 56);
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Packets are fragmented into fixed-size cells outside the switch (paper,
 //! Section 1); inside the model a cell is pure metadata. The struct is kept
 //! at 32 bytes so multi-million-cell runs stay cache-friendly. Cells are
-//! minted by the trace's cursor ([`crate::Trace::cursor`]) as the run
+//! minted by the trace's cursor (`Trace::cursor`) as the run
 //! driver reaches their arrival slot — an engine is handed one slot's
 //! cells at a time, never the whole trace.
 
-use crate::ids::{CellId, FlowId, PlaneId, PortId};
+use crate::ids::{CellId, FlowId, PortId};
 use crate::time::Slot;
 use serde::{Deserialize, Serialize};
 
@@ -36,19 +36,6 @@ impl Cell {
             output: self.output,
         }
     }
-}
-
-/// A cell tagged with the plane it was dispatched through.
-///
-/// Produced by the demultiplexing stage, consumed by the planes; carried all
-/// the way to the output so the output constraint and per-plane
-/// concentration statistics can be audited after the fact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RoutedCell {
-    /// The cell itself.
-    pub cell: Cell,
-    /// Center-stage plane carrying the cell.
-    pub plane: PlaneId,
 }
 
 #[cfg(test)]

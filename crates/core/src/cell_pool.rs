@@ -19,7 +19,7 @@
 //! is reused for a fresh run.
 
 use crate::cell::Cell;
-use crate::ids::{CellId, FlowId, PortId};
+use crate::ids::{CellId, PortId};
 use crate::time::Slot;
 
 /// Parallel-array store of per-cell metadata, indexed by [`CellId`].
@@ -37,16 +37,6 @@ impl CellPool {
         Self::default()
     }
 
-    /// An empty pool with room for `cells` entries before reallocating.
-    pub fn with_capacity(cells: usize) -> Self {
-        CellPool {
-            input: Vec::with_capacity(cells),
-            output: Vec::with_capacity(cells),
-            seq: Vec::with_capacity(cells),
-            arrival: Vec::with_capacity(cells),
-        }
-    }
-
     /// Reserve room for at least `cells` total entries (run-length known up
     /// front, e.g. `Trace::len`), so the arrays grow once.
     pub fn reserve(&mut self, cells: usize) {
@@ -60,11 +50,6 @@ impl CellPool {
     /// Number of id slots the pool covers (one past the highest id seen).
     pub fn len(&self) -> usize {
         self.input.len()
-    }
-
-    /// Whether the pool holds no cells.
-    pub fn is_empty(&self) -> bool {
-        self.input.is_empty()
     }
 
     /// Record `cell`'s metadata under its id. Idempotent: re-registering a
@@ -111,19 +96,10 @@ impl CellPool {
         self.arrival[id.idx()]
     }
 
-    /// The flow the cell belongs to.
-    #[inline]
-    pub fn flow(&self, id: CellId) -> FlowId {
-        FlowId {
-            input: self.input(id),
-            output: self.output(id),
-        }
-    }
-
-    /// Reassemble the full [`Cell`] value (boundary crossings and tests;
-    /// the hot paths read single columns instead).
-    #[inline]
-    pub fn get(&self, id: CellId) -> Cell {
+    /// Reassemble the full [`Cell`] value (the tests' probe; the hot paths
+    /// read single columns instead).
+    #[cfg(test)]
+    fn get(&self, id: CellId) -> Cell {
         Cell {
             id,
             input: self.input(id),
@@ -133,9 +109,9 @@ impl CellPool {
         }
     }
 
-    /// Drop every entry but keep the allocations — the recycling path when
-    /// an engine (and its id space) restarts for a fresh run.
-    pub fn clear(&mut self) {
+    /// Drop every entry but keep the allocations.
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.input.clear();
         self.output.clear();
         self.seq.clear();
@@ -167,7 +143,6 @@ mod tests {
         assert_eq!(pool.output(CellId(0)), PortId(5));
         assert_eq!(pool.seq(CellId(0)), 7);
         assert_eq!(pool.arrival(CellId(0)), 11);
-        assert_eq!(pool.flow(CellId(0)), FlowId::new(2, 5));
     }
 
     #[test]
@@ -183,13 +158,13 @@ mod tests {
 
     #[test]
     fn clear_recycles_without_shrinking() {
-        let mut pool = CellPool::with_capacity(8);
+        let mut pool = CellPool::new();
         for i in 0..8 {
             pool.ensure(&cell(i, 0, 0, i as u32, 0));
         }
         assert_eq!(pool.len(), 8);
         pool.clear();
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         pool.ensure(&cell(0, 3, 4, 9, 9));
         assert_eq!(pool.get(CellId(0)), cell(0, 3, 4, 9, 9));
     }

@@ -73,7 +73,7 @@ pub struct LocalView<'a> {
 impl<'a> LocalView<'a> {
     /// Number of planes.
     #[inline]
-    pub fn k(&self) -> usize {
+    fn k(&self) -> usize {
         self.link_busy_until.len()
     }
 

@@ -62,23 +62,9 @@ impl PlaneMask {
         self.up[plane] = up;
     }
 
-    /// Number of planes currently down.
-    pub fn down_count(&self) -> usize {
-        self.up.iter().filter(|&&u| !u).count()
-    }
-
     /// Whether any plane is down.
     pub fn any_down(&self) -> bool {
         self.up.iter().any(|&u| !u)
-    }
-
-    /// Iterator over the planes believed up.
-    pub fn up_planes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.up
-            .iter()
-            .enumerate()
-            .filter(|(_, &u)| u)
-            .map(|(p, _)| p)
     }
 }
 
@@ -123,7 +109,7 @@ impl FaultEvent {
     }
 
     /// The plane the event concerns.
-    pub fn plane(&self) -> PlaneId {
+    fn plane(&self) -> PlaneId {
         match *self {
             FaultEvent::PlaneDown { plane, .. }
             | FaultEvent::PlaneUp { plane, .. }
@@ -238,7 +224,7 @@ impl FaultPlan {
 
 /// Serialize a fault plan as CSV (`kind,plane,input,at,until`; `input`
 /// and `until` are empty for plane events).
-pub fn write_csv<W: Write>(plan: &FaultPlan, mut w: W) -> std::io::Result<()> {
+fn write_csv<W: Write>(plan: &FaultPlan, mut w: W) -> std::io::Result<()> {
     writeln!(w, "kind,plane,input,at,until")?;
     for ev in plan.events() {
         match *ev {
@@ -256,7 +242,7 @@ pub fn write_csv<W: Write>(plan: &FaultPlan, mut w: W) -> std::io::Result<()> {
 }
 
 /// Parse a CSV fault plan (format of [`write_csv`]).
-pub fn read_csv<R: Read>(r: R) -> Result<FaultPlan, ModelError> {
+fn read_csv<R: Read>(r: R) -> Result<FaultPlan, ModelError> {
     let reader = BufReader::new(r);
     let mut plan = FaultPlan::new();
     for (lineno, line) in reader.lines().enumerate() {
@@ -462,9 +448,8 @@ mod tests {
         assert!(!m.any_down());
         m.set_up(2, false);
         assert!(m.any_down());
-        assert_eq!(m.down_count(), 1);
         assert!(!m.is_up(2));
-        assert_eq!(m.up_planes().collect::<Vec<_>>(), vec![0, 1, 3]);
+        assert!(m.is_up(3));
         assert_eq!(m.k(), 4);
     }
 }

@@ -80,8 +80,8 @@ impl FlowId {
     }
 
     /// Dense index of this flow in an `N × N` flow matrix.
-    #[inline]
-    pub fn dense(self, n: usize) -> usize {
+    #[cfg(test)]
+    fn dense(self, n: usize) -> usize {
         self.input.idx() * n + self.output.idx()
     }
 }

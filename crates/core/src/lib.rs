@@ -28,24 +28,21 @@
 //! engine — mirroring the paper's treatment of demultiplexors as standalone
 //! automata.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bounds;
 pub mod cell;
-pub mod cell_pool;
+mod cell_pool;
 pub mod config;
 pub mod demux;
-pub mod error;
+mod error;
 pub mod fault;
 pub mod ids;
 pub mod link;
 pub mod oracle;
 pub mod perf;
 pub mod prelude;
-pub mod queue;
+mod queue;
 pub mod rate;
-pub mod record;
+mod record;
 pub mod rng;
 pub mod snapshot;
 pub mod stepping;
@@ -58,17 +55,12 @@ pub mod trace_io;
 pub mod workers;
 
 pub use cell::Cell;
-pub use cell_pool::CellPool;
 pub use config::{BufferSpec, OutputDiscipline, PpsConfig};
-pub use demux::{BufferedDemultiplexor, Demultiplexor, DispatchCtx, InfoClass, LocalView};
 pub use error::ModelError;
-pub use fault::{FaultEvent, FaultPlan, PlaneMask};
-pub use ids::{CellId, FlowId, PlaneId, PortId};
-pub use link::LinkBank;
+pub use fault::FaultEvent;
+pub use ids::{CellId, PlaneId, PortId};
 pub use oracle::{OracleKind, OracleViolation};
-pub use rate::Ratio;
-pub use record::{CellRecord, RunLog};
-pub use snapshot::GlobalSnapshot;
+pub use record::RunLog;
 pub use stepping::Stepping;
 pub use time::Slot;
-pub use trace::{Arrival, Trace};
+pub use trace::Trace;

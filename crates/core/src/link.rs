@@ -113,23 +113,14 @@ impl LinkBank {
         &self.busy_until[x * self.b..(x + 1) * self.b]
     }
 
-    /// Number of far-side ports with a free line from `x` at `now`.
-    pub fn free_count(&self, x: usize, now: Slot) -> usize {
-        self.row(x).iter().filter(|&&bu| bu <= now).count()
-    }
-
     /// Total successful acquisitions since construction.
     pub fn acquisitions(&self) -> u64 {
         self.acquisitions
     }
 
-    /// Occupancy window `r'` of every line in the bank.
-    pub fn r_prime(&self) -> Slot {
-        self.r_prime
-    }
-
-    /// Reset every line to idle (for engine reuse across runs).
-    pub fn reset(&mut self) {
+    /// Reset every line to idle.
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.busy_until.fill(0);
         self.acquisitions = 0;
     }
@@ -184,8 +175,6 @@ mod tests {
         assert!(!bank.is_free(0, 0, 0));
         assert!(bank.is_free(1, 0, 0));
         assert!(bank.is_free(0, 1, 0));
-        assert_eq!(bank.free_count(0, 0), 1);
-        assert_eq!(bank.free_count(1, 0), 2);
     }
 
     #[test]

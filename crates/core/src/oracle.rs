@@ -28,7 +28,7 @@ use std::fmt;
 pub enum OracleKind {
     /// Cells in ≠ cells out + queued + dropped (the conservation ledger).
     Conservation,
-    /// [`crate::CellPool`] occupancy disagrees with registered arrivals.
+    /// [`crate::prelude::CellPool`] occupancy disagrees with registered arrivals.
     PoolAccounting,
     /// Two delivered cells of one flow departed out of arrival order.
     FlowOrder,
@@ -50,7 +50,7 @@ pub enum OracleKind {
 
 impl OracleKind {
     /// Stable short name for reports.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             OracleKind::Conservation => "conservation",
             OracleKind::PoolAccounting => "pool-accounting",
@@ -136,7 +136,7 @@ impl ConservationLedger {
     }
 }
 
-/// Reconcile [`crate::CellPool`] occupancy against registered arrivals:
+/// Reconcile [`crate::prelude::CellPool`] occupancy against registered arrivals:
 /// the pool holds metadata for exactly the cells that have entered.
 pub fn check_pool_occupancy(pool_len: u64, arrivals: u64, slot: Slot) -> Option<OracleViolation> {
     if pool_len != arrivals {
@@ -152,7 +152,7 @@ pub fn check_pool_occupancy(pool_len: u64, arrivals: u64, slot: Slot) -> Option<
 
 /// Per-flow FIFO at every output, over the **delivered** cells only.
 ///
-/// Within a flow, [`crate::Trace::cursor`] assigns ids (and seqs) in
+/// Within a flow, `Trace::cursor` assigns ids (and seqs) in
 /// arrival order, so delivered cells must depart in strictly increasing
 /// id order — strictly, because a flow's cells share one output and an
 /// output emits at most one cell per slot. Undelivered cells (lost to

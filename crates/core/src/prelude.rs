@@ -4,7 +4,7 @@
 //! switch, author traffic, implement a demultiplexing algorithm, or consume
 //! run logs.
 
-pub use crate::cell::{Cell, RoutedCell};
+pub use crate::cell::Cell;
 pub use crate::cell_pool::CellPool;
 pub use crate::config::{BufferSpec, OutputDiscipline, PpsConfig};
 pub use crate::demux::{
@@ -16,7 +16,7 @@ pub use crate::fault::{FaultEvent, FaultPlan, PlaneMask};
 pub use crate::ids::{CellId, FlowId, PlaneId, PortId};
 pub use crate::link::{LinkBank, LinkSide};
 pub use crate::queue::FifoQueue;
-pub use crate::rate::{speedup, Ratio};
+pub use crate::rate::Ratio;
 pub use crate::record::{CellRecord, RunLog};
 pub use crate::snapshot::{GlobalSnapshot, SnapshotRing};
 pub use crate::stepping::Stepping;

@@ -10,12 +10,11 @@
 
 use std::collections::VecDeque;
 
-/// A FIFO queue that tracks its high-water mark and cumulative throughput.
+/// A FIFO queue that tracks its high-water mark.
 #[derive(Clone, Debug)]
 pub struct FifoQueue<T> {
     items: VecDeque<T>,
     max_occupancy: usize,
-    total_enqueued: u64,
 }
 
 impl<T> Default for FifoQueue<T> {
@@ -30,14 +29,12 @@ impl<T> FifoQueue<T> {
         FifoQueue {
             items: VecDeque::new(),
             max_occupancy: 0,
-            total_enqueued: 0,
         }
     }
 
     /// Append an item at the tail.
     pub fn push(&mut self, item: T) {
         self.items.push_back(item);
-        self.total_enqueued += 1;
         self.max_occupancy = self.max_occupancy.max(self.items.len());
     }
 
@@ -46,19 +43,9 @@ impl<T> FifoQueue<T> {
         self.items.pop_front()
     }
 
-    /// Borrow the head item.
-    pub fn peek(&self) -> Option<&T> {
-        self.items.front()
-    }
-
     /// Current occupancy.
     pub fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Highest occupancy ever reached.
@@ -66,26 +53,11 @@ impl<T> FifoQueue<T> {
         self.max_occupancy
     }
 
-    /// Total number of items ever enqueued.
-    pub fn total_enqueued(&self) -> u64 {
-        self.total_enqueued
-    }
-
-    /// Iterate the queued items head-to-tail.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-
-    /// Drop all items but keep statistics history.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
     /// Reset both contents and statistics.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.items.clear();
         self.max_occupancy = 0;
-        self.total_enqueued = 0;
     }
 }
 
@@ -100,7 +72,6 @@ mod tests {
         q.push(2);
         q.push(3);
         assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.peek(), Some(&2));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), None);
@@ -115,7 +86,6 @@ mod tests {
         while q.pop().is_some() {}
         q.push(99);
         assert_eq!(q.max_occupancy(), 5);
-        assert_eq!(q.total_enqueued(), 6);
         assert_eq!(q.len(), 1);
     }
 
@@ -125,7 +95,6 @@ mod tests {
         q.push(1);
         q.reset();
         assert_eq!(q.max_occupancy(), 0);
-        assert_eq!(q.total_enqueued(), 0);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 }

@@ -46,11 +46,6 @@ impl Ratio {
         self.num as f64 / self.den as f64
     }
 
-    /// Exact comparison with an integer (`self >= rhs`).
-    pub fn ge_int(self, rhs: u64) -> bool {
-        self.num >= rhs.saturating_mul(self.den)
-    }
-
     /// Exact comparison with another ratio (`self >= rhs`).
     pub fn ge(self, rhs: Ratio) -> bool {
         (self.num as u128) * (rhs.den as u128) >= (rhs.num as u128) * (self.den as u128)
@@ -90,7 +85,7 @@ impl fmt::Display for Ratio {
 
 /// Speedup `S = K / r'` of a PPS with `k` planes and internal slowdown
 /// `r_prime = R/r`.
-pub fn speedup(k: usize, r_prime: usize) -> Ratio {
+pub(crate) fn speedup(k: usize, r_prime: usize) -> Ratio {
     Ratio::new(k as u64, r_prime as u64)
 }
 
@@ -111,8 +106,8 @@ mod tests {
         // 5x5 PPS with 2 planes at r = R/2 (Figure 1 flavour): S = 2/2 = 1.
         assert_eq!(speedup(2, 2), Ratio::new(1, 1));
         // K = 8, r' = 4 => S = 2, the CPA threshold.
-        assert!(speedup(8, 4).ge_int(2));
-        assert!(!speedup(7, 4).ge_int(2));
+        assert!(speedup(8, 4).ge(Ratio::new(2, 1)));
+        assert!(!speedup(7, 4).ge(Ratio::new(2, 1)));
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl RunLog {
         self.records.len()
     }
 
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Number of cells that never departed (still queued at horizon).
     pub fn undelivered(&self) -> usize {
         self.records
@@ -220,11 +215,6 @@ impl RunLog {
             .filter_map(|r| r.delay())
             .fold((0u128, 0u64), |(s, n), d| (s + d as u128, n + 1));
         (n > 0).then(|| sum as f64 / n as f64)
-    }
-
-    /// Latest departure slot in the log.
-    pub fn makespan(&self) -> Option<Slot> {
-        self.records.iter().filter_map(|r| r.departure()).max()
     }
 }
 
@@ -256,7 +246,6 @@ mod tests {
         assert_eq!(log.max_delay(), Some(3));
         assert_eq!(log.mean_delay(), Some(1.5));
         assert_eq!(log.undelivered(), 1);
-        assert_eq!(log.makespan(), Some(4));
     }
 
     #[test]

@@ -54,7 +54,7 @@ impl SplitMix64 {
 
     /// Next raw 64-bit draw.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(GAMMA);
         mix64(self.state)
     }

@@ -60,14 +60,19 @@ impl GlobalSnapshot {
     pub fn queue_len(&self, plane: usize, output: usize) -> u32 {
         self.plane_queue_len[plane * self.n + output]
     }
+}
 
+/// Whole-snapshot folds no engine reads; kept as the reference the
+/// tie-break test states the least-loaded ranking against.
+#[cfg(test)]
+impl GlobalSnapshot {
     /// Total backlog destined for `output` across all planes.
-    pub fn backlog_for_output(&self, output: usize) -> u64 {
+    fn backlog_for_output(&self, output: usize) -> u64 {
         (0..self.k).map(|p| self.queue_len(p, output) as u64).sum()
     }
 
     /// Plane with the shortest queue for `output`, lowest index on ties.
-    pub fn least_loaded_plane_for(&self, output: usize) -> usize {
+    fn least_loaded_plane_for(&self, output: usize) -> usize {
         (0..self.k)
             .min_by_key(|&p| (self.queue_len(p, output), p))
             .expect("snapshot has at least one plane")
@@ -76,7 +81,7 @@ impl GlobalSnapshot {
     /// Planes sorted by ascending queue length for `output` (stable: ties
     /// keep index order). This is the ranking a stale-information
     /// least-loaded demultiplexor works from.
-    pub fn plane_ranking_for(&self, output: usize) -> Vec<usize> {
+    fn plane_ranking_for(&self, output: usize) -> Vec<usize> {
         let mut planes: Vec<usize> = (0..self.k).collect();
         planes.sort_by_key(|&p| (self.queue_len(p, output), p));
         planes

@@ -123,7 +123,7 @@ pub trait SlotEngine {
 /// the last processed one.
 ///
 /// Arrivals stream: each slot's cells are pulled from the trace's
-/// [`cursor`](Trace::cursor) into a scratch of at most `n` entries, and
+/// `Trace::cursor` into a scratch of at most `n` entries, and
 /// each cell's record is appended to the log as the cell enters the switch
 /// — nothing O(cells) is built before slot 0 (DESIGN.md §21). The log still
 /// covers the whole trace when the cap cuts a run short: cells that never
@@ -196,6 +196,7 @@ pub fn drive<E: SlotEngine + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Arrival;
 
     #[test]
     fn parse_round_trips() {
@@ -298,7 +299,6 @@ mod tests {
     /// equal logs, equal end slots and a consistent slot split, and return
     /// `(log, end_slot, slots the skip run processed)`.
     fn both_modes(arrivals: Vec<(Slot, u32)>, delay: Slot, cap: Slot) -> (RunLog, Slot, u64) {
-        use crate::Arrival;
         let n = 4;
         let arrivals = arrivals
             .into_iter()
@@ -354,7 +354,7 @@ mod tests {
         // the slot range: no overflow in `now + 1` or the jump target.
         let at = Slot::MAX - 40;
         let mut line = DelayLine::new(5);
-        let trace = Trace::build(vec![crate::Arrival::new(at, 0, 0)], 4).unwrap();
+        let trace = Trace::build(vec![Arrival::new(at, 0, 0)], 4).unwrap();
         let (log, end) = drive(&mut line, &trace, 4, Slot::MAX, Stepping::SkipAhead).unwrap();
         assert_eq!(log.records()[0].departure(), Some(at + 5));
         assert_eq!(end, at + 6);
@@ -384,7 +384,7 @@ mod tests {
     fn drive_a_buggy_line(bug: SkipBug) {
         let mut line = DelayLine::new(50);
         line.bug = Some(bug);
-        let trace = Trace::build(vec![crate::Arrival::new(0, 0, 0)], 4).unwrap();
+        let trace = Trace::build(vec![Arrival::new(0, 0, 0)], 4).unwrap();
         let _ = drive(&mut line, &trace, 4, 1_000, Stepping::SkipAhead);
     }
 
@@ -449,7 +449,7 @@ mod tests {
             for _ in 0..1 + rng.below(6) {
                 for input in 0..n as u32 {
                     if rng.chance(load) {
-                        arrivals.push(crate::Arrival::new(slot, input, rng.below(n as u64) as u32));
+                        arrivals.push(Arrival::new(slot, input, rng.below(n as u64) as u32));
                     }
                 }
                 slot += 1;

@@ -85,11 +85,6 @@ impl<P> SweepPlan<P> {
         SweepPlan { id, points }
     }
 
-    /// The plan id.
-    pub fn id(&self) -> &'static str {
-        self.id
-    }
-
     /// The declared points, in order.
     pub fn points(&self) -> &[P] {
         &self.points

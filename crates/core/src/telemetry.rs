@@ -10,7 +10,7 @@
 //! ## Recording model
 //!
 //! Recording is **scoped**: [`collect`] installs a bounded per-thread ring
-//! buffer ([`EventRing`]) for the duration of a closure and returns the
+//! buffer (`EventRing`) for the duration of a closure and returns the
 //! events it captured as an [`EventLog`]. Because a scope is thread-local
 //! and every sweep point runs start-to-finish on one worker thread, scopes
 //! double as the per-worker ring buffers of the parallel executor: workers
@@ -245,7 +245,7 @@ static LEVEL: AtomicU8 = AtomicU8::new(Level::Off as u8);
 /// experiment point at the registry's sizes; bounded so a runaway soak run
 /// cannot exhaust memory (the ring overwrites its oldest entries and
 /// counts the overflow).
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
+const DEFAULT_RING_CAPACITY: usize = 1 << 20;
 
 /// Set the process-wide recording level.
 pub fn set_level(level: Level) {
@@ -320,7 +320,7 @@ pub fn counters() -> Vec<(&'static str, u64)> {
 /// overwriting the oldest events (counted). Draining returns events in
 /// emission order.
 #[derive(Debug)]
-pub struct EventRing {
+struct EventRing {
     buf: Vec<Event>,
     /// Next write position once `buf.len() == cap` (wrap mode).
     head: usize,
@@ -331,7 +331,7 @@ pub struct EventRing {
 
 impl EventRing {
     /// An empty ring that holds at most `cap` events.
-    pub fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         EventRing {
             buf: Vec::new(),
             head: 0,
@@ -340,18 +340,8 @@ impl EventRing {
         }
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Append an event, overwriting the oldest once full.
-    pub fn push(&mut self, ev: Event) {
+    fn push(&mut self, ev: Event) {
         if self.buf.len() < self.cap {
             self.buf.push(ev);
         } else {
@@ -362,7 +352,7 @@ impl EventRing {
     }
 
     /// Drain into a `Vec` in emission order (oldest first).
-    pub fn into_events(mut self) -> Vec<Event> {
+    fn into_events(mut self) -> Vec<Event> {
         if self.head == 0 {
             return self.buf;
         }

@@ -13,36 +13,3 @@
 /// and plane indices, which *are* easy to mix up, get real newtypes in
 /// [`crate::ids`].
 pub type Slot = u64;
-
-/// Iterator over the slots of a half-open interval `[start, end)`.
-///
-/// Convenience used by traffic generators and validators that reason about
-/// leaky-bucket windows.
-pub fn slots(start: Slot, end: Slot) -> impl Iterator<Item = Slot> {
-    start..end
-}
-
-/// Saturating distance between two slots, `|a - b|`.
-#[inline]
-pub fn slot_distance(a: Slot, b: Slot) -> Slot {
-    a.abs_diff(b)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn slot_interval_is_half_open() {
-        let v: Vec<Slot> = slots(3, 6).collect();
-        assert_eq!(v, vec![3, 4, 5]);
-        assert_eq!(slots(5, 5).count(), 0);
-    }
-
-    #[test]
-    fn distance_is_symmetric() {
-        assert_eq!(slot_distance(10, 3), 7);
-        assert_eq!(slot_distance(3, 10), 7);
-        assert_eq!(slot_distance(4, 4), 0);
-    }
-}

@@ -103,7 +103,7 @@ impl Trace {
     /// Every engine run pulls its arrivals through one of these
     /// ([`crate::stepping::drive`]), so per-cell records can be joined by
     /// [`CellId`] afterwards.
-    pub fn cursor(&self, n: usize) -> CellCursor<'_> {
+    pub(crate) fn cursor(&self, n: usize) -> CellCursor<'_> {
         CellCursor {
             arrivals: &self.arrivals,
             pos: 0,
@@ -112,7 +112,7 @@ impl Trace {
         }
     }
 
-    /// Materialize the whole trace into [`Cell`]s: [`cursor`](Self::cursor),
+    /// Materialize the whole trace into [`Cell`]s: `cursor`,
     /// collected. For test oracles that step an engine by hand and want the
     /// slice; nothing [`drive`](crate::stepping::drive) runs builds it.
     pub fn cells(&self, n: usize) -> Vec<Cell> {
@@ -135,8 +135,10 @@ impl Trace {
         self
     }
 
-    /// Shift every arrival `delta` slots later.
-    pub fn shifted(mut self, delta: Slot) -> Self {
+    /// Shift every arrival `delta` slots later (fixture builder for the
+    /// cursor tests; product code composes with [`Trace::then`]).
+    #[cfg(test)]
+    fn shifted(mut self, delta: Slot) -> Self {
         for a in &mut self.arrivals {
             a.slot += delta;
         }
@@ -161,7 +163,7 @@ impl Trace {
 
 /// Lazy cell view of a trace; see [`Trace::cursor`]. The one place ids and
 /// per-flow sequence numbers are assigned.
-pub struct CellCursor<'a> {
+pub(crate) struct CellCursor<'a> {
     arrivals: &'a [Arrival],
     pos: usize,
     n: usize,
@@ -172,7 +174,7 @@ pub struct CellCursor<'a> {
 impl CellCursor<'_> {
     /// Arrival slot of the next cell, or `None` once the trace is spent.
     #[inline]
-    pub fn peek_slot(&self) -> Option<Slot> {
+    pub(crate) fn peek_slot(&self) -> Option<Slot> {
         self.arrivals.get(self.pos).map(|a| a.slot)
     }
 
@@ -180,7 +182,7 @@ impl CellCursor<'_> {
     /// put. Called in a loop it yields exactly one slot's arrivals, in
     /// input-port order.
     #[inline]
-    pub fn next_at(&mut self, slot: Slot) -> Option<Cell> {
+    pub(crate) fn next_at(&mut self, slot: Slot) -> Option<Cell> {
         if self.peek_slot() == Some(slot) {
             self.next()
         } else {

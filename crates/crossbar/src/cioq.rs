@@ -80,12 +80,6 @@ pub struct CioqSwitch {
 }
 
 impl CioqSwitch {
-    /// An idle `n × n` CIOQ switch with fabric speedup `s ≥ 1`, scheduled
-    /// critical-cells-first.
-    pub fn new(n: usize, speedup: usize) -> Self {
-        CioqSwitch::with_policy(n, speedup, CioqPolicy::CriticalFirst)
-    }
-
     /// An idle `n × n` CIOQ switch with fabric speedup `s ≥ 1` under an
     /// explicit matching policy.
     pub fn with_policy(n: usize, speedup: usize, policy: CioqPolicy) -> Self {
@@ -102,11 +96,6 @@ impl CioqSwitch {
             out_free: vec![0; words_for(n)],
             heads: Vec::new(),
         }
-    }
-
-    /// The matching policy in force.
-    pub fn policy(&self) -> CioqPolicy {
-        self.policy
     }
 
     /// Advance one slot.
@@ -244,7 +233,7 @@ impl CioqSwitch {
     /// anything, ignoring future arrivals. The deadline oracle (`dt_last`)
     /// holds absolute slots and needs no catch-up; an empty slot is a pure
     /// no-op, so this is `now + 1` with backlog or nothing without.
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
         (self.backlog() > 0).then(|| now + 1)
     }
 

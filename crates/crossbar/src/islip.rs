@@ -51,11 +51,6 @@ impl IslipArbiter {
         }
     }
 
-    /// Number of ports.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The grant and accept pointer vectors, in that order — exposed so
     /// the stepping-equivalence tests can pin that dense and skip-ahead
     /// runs leave byte-identical arbiter state (pointers must not move

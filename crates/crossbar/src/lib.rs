@@ -43,14 +43,11 @@
 //! or rotating maximal matching under configurable speedup
 //! ([`cioq::CioqPolicy`], after Cogill & Lall, arXiv cs/0605030).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cioq;
-pub mod islip;
-pub mod occupancy;
-pub mod scheduler;
-pub mod switch;
+mod islip;
+mod occupancy;
+mod scheduler;
+mod switch;
 
 pub use cioq::{run_cioq, run_cioq_policy, CioqPolicy, CioqSwitch};
 pub use islip::IslipArbiter;

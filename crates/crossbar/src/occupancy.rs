@@ -158,54 +158,49 @@ impl Occupancy {
         occ
     }
 
-    /// Number of ports.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Words per port bitmap (`ceil(n / 64)`).
-    pub fn words(&self) -> usize {
+    pub(crate) fn words(&self) -> usize {
         self.words
     }
 
     /// Cells queued in VOQ `(i, j)`.
     #[inline]
-    pub fn len(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn len(&self, i: usize, j: usize) -> usize {
         self.lens[i * self.n + j]
     }
 
     /// Whether no VOQ holds a cell.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.backlog == 0
     }
 
     /// Cells queued at input `i`.
     #[inline]
-    pub fn row_total(&self, i: usize) -> usize {
+    pub(crate) fn row_total(&self, i: usize) -> usize {
         self.row_totals[i]
     }
 
     /// Bitmap of the outputs input `i` holds cells for.
     #[inline]
-    pub fn row(&self, i: usize) -> &[u64] {
+    pub(crate) fn row(&self, i: usize) -> &[u64] {
         &self.rows[i * self.words..(i + 1) * self.words]
     }
 
     /// Bitmap of the inputs holding cells for output `j`.
     #[inline]
-    pub fn col(&self, j: usize) -> &[u64] {
+    pub(crate) fn col(&self, j: usize) -> &[u64] {
         &self.cols[j * self.words..(j + 1) * self.words]
     }
 
     /// The outputs input `i` holds cells for, ascending.
-    pub fn row_outputs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn row_outputs(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         let row = self.row(i);
         cyclic_bits(row, row, 0)
     }
 
     /// Cells queued over the whole matrix.
     #[inline]
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.backlog
     }
 

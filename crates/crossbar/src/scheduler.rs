@@ -56,7 +56,7 @@ pub trait CrossbarScheduler: Send {
     fn n(&self) -> usize;
 
     /// Compute this slot's matching over the switch's occupancy index
-    /// (`occ.n() == self.n()`); the result is written into `out` (length
+    /// (as many ports as `self.n()`); the result is written into `out` (length
     /// `n`, pre-filled `None` by the caller) as `out[i] = Some(j)`. Every
     /// matched pair must name a non-empty VOQ, and no output may be
     /// matched twice.
@@ -123,11 +123,6 @@ impl QpsRScheduler {
             winner: vec![NONE; n],
             taken: vec![false; n],
         }
-    }
-
-    /// The configured number of accept rounds.
-    pub fn rounds(&self) -> usize {
-        self.r
     }
 }
 
@@ -247,11 +242,6 @@ impl SwQpsScheduler {
             pending: 0,
             proposals: Vec::with_capacity(n),
         }
-    }
-
-    /// The configured window length `T`.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Cells of VOQ `(i, j)` not yet reserved in the window.

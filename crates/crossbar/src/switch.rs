@@ -19,7 +19,6 @@ pub struct CrossbarSwitch<S: CrossbarScheduler = IslipArbiter> {
     scheduler: S,
     /// Scratch matching written by the scheduler each slot.
     matching: Vec<Option<usize>>,
-    transmitted: u64,
 }
 
 impl CrossbarSwitch<IslipArbiter> {
@@ -39,7 +38,6 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
             voqs: Voqs::new(n),
             scheduler,
             matching: vec![None; n],
-            transmitted: 0,
         }
     }
 
@@ -84,7 +82,6 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
                     );
                 }
                 log.set_departure(id, now);
-                self.transmitted += 1;
             }
         }
         #[cfg(debug_assertions)]
@@ -103,11 +100,6 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
     /// grants nothing, draws nothing, and moves no pointers.
     pub fn next_activity(&self, now: Slot) -> Option<Slot> {
         self.scheduler.next_activity(now, self.backlog())
-    }
-
-    /// Total cells transmitted.
-    pub fn transmitted(&self) -> u64 {
-        self.transmitted
     }
 
     /// The scheduler driving the fabric (for state-digest assertions).

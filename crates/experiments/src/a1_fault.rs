@@ -34,7 +34,7 @@ use pps_traffic::gen::BernoulliGen;
 
 /// Per-algorithm outcome: `(dropped fraction overall, worst per-input
 /// dropped fraction)`.
-pub fn point<D: Demultiplexor>(cfg: PpsConfig, demux: D, trace: &Trace) -> (f64, f64) {
+fn point<D: Demultiplexor>(cfg: PpsConfig, demux: D, trace: &Trace) -> (f64, f64) {
     let mut pps = BufferlessPps::new(cfg, demux).expect("engine");
     pps.fail_plane(0).expect("plane 0 exists");
     let run = pps.run(trace).expect("model-legal run");
@@ -74,7 +74,7 @@ pub fn recovery_point<D: Demultiplexor>(
 }
 
 /// Run the ablation.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 2);
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     let trace = BernoulliGen::uniform(0.7, 77).trace(n, 3_000);

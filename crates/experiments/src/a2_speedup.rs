@@ -12,7 +12,7 @@ use pps_switch::engine::BufferlessPps;
 use pps_traffic::gen::{BernoulliGen, TrafficPattern};
 
 /// One speedup point: `(S, max rel delay, deadline misses)`.
-pub fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (f64, i64, u64) {
+fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (f64, i64, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
     cfg.validate().expect("valid point");
     let mut pps = BufferlessPps::new(cfg, CpaDemux::new(n, k, r_prime)).expect("engine");
@@ -24,7 +24,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (f64, i64, u6
 }
 
 /// Run the sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, r_prime) = (16, 4);
     // A hot, bursty load that stresses the deadline calendar.
     let trace = BernoulliGen {

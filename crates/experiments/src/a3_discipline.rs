@@ -17,7 +17,7 @@ use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::gen::OnOffGen;
 
 /// One discipline point: `(max rel delay, mean rel delay, reorder count)`.
-pub fn point(
+fn point(
     n: usize,
     k: usize,
     r_prime: usize,
@@ -36,7 +36,7 @@ pub fn point(
 }
 
 /// Run the ablation.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4);
     let trace = OnOffGen::uniform(12.0, 0.75, 55).trace(n, 3_000);
     let mut table = Table::new(

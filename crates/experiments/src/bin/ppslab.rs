@@ -322,8 +322,20 @@ fn main() {
     }
     if telemetry_level != pps_core::telemetry::Level::Off {
         eprintln!("telemetry counters:");
+        let mut unscoped = 0;
         for (name, value) in pps_core::telemetry::counters() {
             eprintln!("  {name:<24} {value}");
+            if name == "events.unscoped" {
+                unscoped = value;
+            }
+        }
+        // Ring overflow is reported by `summarize` above, next to the
+        // figures it thins out.
+        if unscoped > 0 {
+            eprintln!(
+                "warning: {unscoped} events dropped because they were recorded outside \
+                 any telemetry scope -- they are in no trace and no summary"
+            );
         }
     }
     if failures > 0 {

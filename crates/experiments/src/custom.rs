@@ -27,7 +27,7 @@ use pps_traffic::{min_burstiness, TraceStats};
 
 /// Parsed custom-run request.
 #[derive(Clone, Debug)]
-pub struct CustomArgs {
+struct CustomArgs {
     n: usize,
     k: usize,
     r_prime: usize,
@@ -52,7 +52,7 @@ impl Default for CustomArgs {
 }
 
 /// Parse `--key value` pairs following `custom`.
-pub fn parse_args(args: &[String]) -> Result<CustomArgs, String> {
+fn parse_args(args: &[String]) -> Result<CustomArgs, String> {
     let mut out = CustomArgs::default();
     let mut it = args.iter();
     while let Some(flag) = it.next() {

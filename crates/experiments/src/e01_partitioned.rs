@@ -17,7 +17,7 @@ use pps_traffic::min_burstiness;
 
 /// Parameters of one E1 sweep point.
 #[derive(Clone, Copy, Debug)]
-pub struct Params {
+struct Params {
     /// Ports.
     pub n: usize,
     /// Planes.
@@ -45,7 +45,7 @@ fn grouped_partition(p: Params) -> StaticPartitionDemux {
 
 /// One sweep point: returns `(d_aligned, paper bound, model-exact bound,
 /// measured delay, measured jitter, burstiness)`.
-pub fn point(p: Params) -> (usize, u64, u64, i64, i64, u64) {
+fn point(p: Params) -> (usize, u64, u64, i64, i64, u64) {
     let cfg = PpsConfig::bufferless(p.n, p.k, p.r_prime);
     cfg.validate().expect("valid sweep point");
     let demux = grouped_partition(p);
@@ -67,7 +67,7 @@ pub fn point(p: Params) -> (usize, u64, u64, i64, i64, u64) {
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (32, 32, 4);
     let mut table = Table::new(
         format!("Theorem 6 sweep: N={n}, K={k}, r'={r_prime} (bound = (R/r-1)*d)"),

@@ -14,7 +14,7 @@ use pps_traffic::adversary::concentration_attack;
 use pps_traffic::min_burstiness;
 
 /// One sweep point at `n` ports over `k` planes with slowdown `r_prime`.
-pub fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, u64, i64, i64, u64) {
+fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, u64, i64, i64, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid sweep point");
     let demux = RoundRobinDemux::new(n, k);
@@ -35,7 +35,7 @@ pub fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, u64, i64, i64, 
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2, the practical regime of [15]
     let mut table = Table::new(
         format!("Corollary 7 sweep: K={k}, r'={r_prime}, S=2 (bound = (R/r-1)*N)"),

@@ -44,7 +44,7 @@ pub fn point(n: usize, k: usize, r_prime: usize) -> (f64, u64, usize, u64, u64, 
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, r_prime) = (64, 4);
     let mut table = Table::new(
         format!("Theorem 8 sweep: N={n}, r'={r_prime} (bound = (R/r-1)*N/S)"),

@@ -18,7 +18,7 @@ use pps_traffic::min_burstiness;
 
 /// One sweep point; returns `(u', m, paper bound, exact bound, measured
 /// delay, measured jitter, burstiness, premise burstiness)`.
-pub fn point(
+pub(crate) fn point(
     n: usize,
     k: usize,
     r_prime: usize,
@@ -45,7 +45,7 @@ pub fn point(
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (32, 8, 8); // S = 1
     let mut table = Table::new(
         format!("Theorem 10 sweep: N={n}, K={k}, r'={r_prime}, S=1 (bound = (1-u'r/R)*u'N/S)"),

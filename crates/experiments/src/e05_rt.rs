@@ -12,7 +12,7 @@ use crate::ExperimentOutput;
 use pps_analysis::Table;
 
 /// Run the default sweep over N.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (k, r_prime) = (8, 8); // S = 1
     let mut table = Table::new(
         format!("Corollary 11 sweep: K={k}, r'={r_prime}, u=1 (bound = (1-r/R)*N/S)"),

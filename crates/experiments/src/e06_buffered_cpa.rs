@@ -52,7 +52,7 @@ fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
 
 /// One sweep point: max relative delay of delayed CPA at information delay
 /// `u` over the given trace.
-pub fn point(n: usize, k: usize, r_prime: usize, u: Slot, trace: &Trace) -> (i64, usize, u64) {
+fn point(n: usize, k: usize, r_prime: usize, u: Slot, trace: &Trace) -> (i64, usize, u64) {
     let cfg = PpsConfig::buffered(n, k, r_prime, u as usize)
         .with_discipline(OutputDiscipline::GlobalFcfs);
     cfg.validate().expect("valid sweep point");
@@ -63,7 +63,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, u: Slot, trace: &Trace) -> (i64
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4); // S = 2, the theorem's premise
     let mut table = Table::new(
         format!("Theorem 12 sweep: N={n}, K={k}, r'={r_prime}, S=2, buffer=u (claim: delay <= u)"),

@@ -18,7 +18,7 @@ use pps_traffic::min_burstiness;
 
 /// One sweep point; returns `(theorem bound, exact bound, measured delay,
 /// measured jitter, burstiness)`.
-pub fn point(n: usize, k: usize, r_prime: usize, buffer: usize) -> (u64, u64, i64, i64, u64) {
+fn point(n: usize, k: usize, r_prime: usize, buffer: usize) -> (u64, u64, i64, i64, u64) {
     // The buffered round robin's pointer automaton coincides with the
     // bufferless round robin whenever buffers are empty — which the
     // attack's r'-spaced phases guarantee — so the alignment is planned
@@ -46,7 +46,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, buffer: usize) -> (u64, u64, i6
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (32, 8, 4); // S = 2
     let mut table = Table::new(
         format!(

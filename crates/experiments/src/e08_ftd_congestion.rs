@@ -131,7 +131,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> Co
 }
 
 /// Run the default sweep over the block parameter `h`.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime, duration) = (16, 8, 2, 800u64);
     let mut table = Table::new(
         format!(

@@ -26,7 +26,7 @@ use pps_traffic::IncrementalBurstiness;
 /// `min_burstiness(congestion_traffic(n, 0, senders, durations[i]).trace,
 /// n).overall()` (pinned by a test) because shorter traces are prefixes and
 /// the calculator's running maxima are valid at any prefix.
-pub fn duration_checkpoints(n: usize, senders: usize, durations: &[Slot]) -> Vec<u64> {
+fn duration_checkpoints(n: usize, senders: usize, durations: &[Slot]) -> Vec<u64> {
     let longest = durations.iter().copied().max().unwrap_or(0);
     let c = congestion_traffic(n, 0, senders, longest);
     // Record the single pass with the shared throughput meter: no engine
@@ -53,7 +53,7 @@ pub fn duration_checkpoints(n: usize, senders: usize, durations: &[Slot]) -> Vec
 }
 
 /// Run the duration sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let n = 16;
     let senders = 2;
     let mut table = Table::new(

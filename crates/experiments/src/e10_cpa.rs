@@ -53,7 +53,7 @@ fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
 }
 
 /// One workload: `(max relative delay, undelivered, deadline misses)`.
-pub fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (i64, usize, u64) {
+fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (i64, usize, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
     cfg.validate().expect("valid point");
     let pps =
@@ -69,7 +69,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (i64, usize, 
 }
 
 /// Run the default battery.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4); // S = 2
     let mut table = Table::new(
         format!("CPA at N={n}, K={k}, r'={r_prime}, S=2 (claim: zero relative delay)"),

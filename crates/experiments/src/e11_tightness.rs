@@ -18,7 +18,7 @@ use pps_traffic::adversary::concentration_attack;
 use pps_traffic::gen::BernoulliGen;
 
 /// Run the default sweep over N.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2 as required by [15]
     let mut table = Table::new(
         format!("Theta((R/r)N) tightness at K={k}, r'={r_prime}, S=2 (per-flow round robin)"),

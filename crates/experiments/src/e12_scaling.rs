@@ -16,7 +16,7 @@ use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;
 
 /// One scaling point: `(N, exact bound, measured delay, implied buffer)`.
-pub fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, i64, usize) {
+fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, i64, usize) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid point");
     let demux = RoundRobinDemux::new(n, k);
@@ -36,7 +36,7 @@ pub fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, i64, usize) {
 }
 
 /// Run the default sweep, in parallel across points.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2
     let plan = SweepPlan::new("e12", vec![64usize, 128, 256, 512, 1024]);
     let results = plan.run(|pt| point(*pt.params, k, r_prime));

@@ -37,7 +37,7 @@ fn stats(log: &RunLog) -> (f64, u64, usize) {
 /// One load point: `(oq, crossbar, pps_cpa, pps_rr)` as
 /// `(mean delay, max delay, undelivered)` triples.
 #[allow(clippy::type_complexity)]
-pub fn point(n: usize, k: usize, r_prime: usize, load: f64, seed: u64) -> [(f64, u64, usize); 4] {
+fn point(n: usize, k: usize, r_prime: usize, load: f64, seed: u64) -> [(f64, u64, usize); 4] {
     let trace = BernoulliGen::uniform(load, seed).trace(n, 3_000);
     let oq = run_oq(&trace, n);
     let xb = run_crossbar(&trace, n, 2);
@@ -57,7 +57,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, load: f64, seed: u64) -> [(f64,
 }
 
 /// Run the default load sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4); // S = 2
     let mut table = Table::new(
         format!("Queuing delay by architecture at N={n} (PPS: K={k}, r'={r_prime}, S=2), uniform Bernoulli"),

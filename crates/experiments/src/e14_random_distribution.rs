@@ -28,7 +28,7 @@ use pps_traffic::adversary::concentration_attack;
 /// The oblivious burst: after an idle prefix, one cell per slot for the
 /// hot output from each of the `n` inputs (no alignment phase — nothing to
 /// align without knowing the seed).
-pub fn oblivious_burst(n: usize) -> Trace {
+fn oblivious_burst(n: usize) -> Trace {
     let arrivals = (0..n as u64)
         .map(|i| Arrival::new(i, i as u32, 0))
         .collect();
@@ -37,7 +37,7 @@ pub fn oblivious_burst(n: usize) -> Trace {
 
 /// Run the oblivious attack against seed `seed`; returns
 /// `(max relative delay, concentration)`.
-pub fn oblivious_point(n: usize, k: usize, r_prime: usize, seed: u64) -> (i64, usize) {
+fn oblivious_point(n: usize, k: usize, r_prime: usize, seed: u64) -> (i64, usize) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     let cmp = compare_bufferless(cfg, RandomDemux::new(n, seed), &oblivious_burst(n)).expect("run");
     let rd = cmp.relative_delay();
@@ -47,7 +47,7 @@ pub fn oblivious_point(n: usize, k: usize, r_prime: usize, seed: u64) -> (i64, u
 
 /// Distribution summary over seeds.
 #[derive(Clone, Debug)]
-pub struct DelayDistribution {
+struct DelayDistribution {
     /// Minimum over seeds.
     pub min: i64,
     /// Mean over seeds.
@@ -61,7 +61,7 @@ pub struct DelayDistribution {
 }
 
 /// Sample the oblivious-attack delay distribution over `seeds` seeds.
-pub fn distribution(n: usize, k: usize, r_prime: usize, seeds: u64) -> DelayDistribution {
+fn distribution(n: usize, k: usize, r_prime: usize, seeds: u64) -> DelayDistribution {
     // The seeds are the literal parameters of the study (0..seeds), so the
     // distribution is unchanged by how the points are scheduled.
     let plan = SweepPlan::new("e14-dist", (0..seeds).collect());
@@ -80,7 +80,7 @@ pub fn distribution(n: usize, k: usize, r_prime: usize, seeds: u64) -> DelayDist
 }
 
 /// Run the default study.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (k, r_prime, seeds) = (8usize, 4usize, 200u64);
     let mut table = Table::new(
         format!("Relative delay of the randomized demux, oblivious N-cell burst, {seeds} seeds (K={k}, r'={r_prime})"),

@@ -20,7 +20,7 @@ use pps_traffic::adversary::concentration_attack;
 
 /// One sweep point: `(relative delay, plane HWM, output HWM, regulator
 /// buffer, regulator residual jitter)`.
-pub fn point(n: usize, k: usize, r_prime: usize) -> (i64, usize, usize, usize, u64) {
+fn point(n: usize, k: usize, r_prime: usize) -> (i64, usize, usize, usize, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     let demux = RoundRobinDemux::new(n, k);
     let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
@@ -39,7 +39,7 @@ pub fn point(n: usize, k: usize, r_prime: usize) -> (i64, usize, usize, usize, u
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2
     let mut table = Table::new(
         format!("Memory implied by the Corollary 7 delay at K={k}, r'={r_prime}"),

@@ -24,7 +24,7 @@ use pps_traffic::adversary::urt_burst_attack;
 
 /// One sweep point: max relative delay of the buffered stale demux at
 /// `hold` against the Theorem 10 burst.
-pub fn stale_point(n: usize, k: usize, r_prime: usize, u: Slot, hold: Slot) -> i64 {
+fn stale_point(n: usize, k: usize, r_prime: usize, u: Slot, hold: Slot) -> i64 {
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
     if hold == 0 {
         // Degenerate: the bufferless dispatcher.
@@ -43,7 +43,7 @@ pub fn stale_point(n: usize, k: usize, r_prime: usize, u: Slot, hold: Slot) -> i
 }
 
 /// The Theorem 12 endpoint: delayed CPA with buffer = u on the same burst.
-pub fn cpa_point(n: usize, k: usize, r_prime: usize, u: Slot) -> i64 {
+fn cpa_point(n: usize, k: usize, r_prime: usize, u: Slot) -> i64 {
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
     let cfg = PpsConfig::buffered(n, k, r_prime, u as usize)
         .with_discipline(OutputDiscipline::GlobalFcfs);
@@ -54,7 +54,7 @@ pub fn cpa_point(n: usize, k: usize, r_prime: usize, u: Slot) -> i64 {
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime, u) = (32, 8, 8, 4u64); // S = 1 for the stale family
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
     let mut table = Table::new(

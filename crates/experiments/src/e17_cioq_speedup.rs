@@ -33,7 +33,7 @@ fn fanin_trace(n: usize, slots: Slot, seed: u64) -> Trace {
 }
 
 /// One speedup point: `(max relative delay, mean relative delay)`.
-pub fn point(n: usize, speedup: usize, trace: &Trace) -> (i64, f64) {
+fn point(n: usize, speedup: usize, trace: &Trace) -> (i64, f64) {
     let oq = run_oq(trace, n);
     let cioq = run_cioq(trace, n, speedup);
     assert_eq!(cioq.undelivered(), 0, "CIOQ must drain");
@@ -42,7 +42,7 @@ pub fn point(n: usize, speedup: usize, trace: &Trace) -> (i64, f64) {
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let n = 16;
     let trace = fanin_trace(n, 3_000, 61);
     let mut table = Table::new(

@@ -32,7 +32,7 @@ fn attacked_log(n: usize, k: usize, r_prime: usize) -> RunLog {
 }
 
 /// Run the default sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let (n, k, r_prime) = (64, 8, 4);
     let log = attacked_log(n, k, r_prime);
     let target = min_feasible_delay(&log);

@@ -32,14 +32,14 @@ use pps_workload::WorkloadSpec;
 
 /// Switch geometry shared by every point: `S = K/r' = 2`, the paper's
 /// canonical speedup-2 operating point.
-pub const N: usize = 16;
+const N: usize = 16;
 /// Center-stage planes.
-pub const K: usize = 8;
+const K: usize = 8;
 /// Internal slowdown `R/r`.
-pub const R_PRIME: usize = 4;
+const R_PRIME: usize = 4;
 
 /// The three generator families under study (name, `--workload` spec).
-pub fn families() -> Vec<(&'static str, String)> {
+fn families() -> Vec<(&'static str, String)> {
     vec![
         (
             "zipf",
@@ -58,7 +58,7 @@ pub fn families() -> Vec<(&'static str, String)> {
 
 /// A labeled comparison runner: builds its demux for the bufferless
 /// geometry it is handed and runs `trace` against the shadow OQ.
-pub(crate) type ClassRunner = (
+type ClassRunner = (
     &'static str,
     fn(PpsConfig, &Trace) -> Result<Comparison, ModelError>,
 );
@@ -85,7 +85,7 @@ pub(crate) fn classes() -> [ClassRunner; 3] {
 
 /// One measured point: tail stats plus bookkeeping for the pass checks.
 #[derive(Clone, Debug)]
-pub struct TailPoint {
+struct TailPoint {
     /// Generator family label.
     pub family: &'static str,
     /// Information-class label.
@@ -102,13 +102,13 @@ pub struct TailPoint {
 
 impl TailPoint {
     /// The chaos-harness envelope ceiling for this point's traffic.
-    pub fn envelope(&self) -> i64 {
+    fn envelope(&self) -> i64 {
         bounds::traffic_envelope(&PpsConfig::bufferless(N, K, R_PRIME), self.burstiness) as i64
     }
 }
 
 /// Measure every `(family, class)` combination.
-pub fn measure() -> Vec<TailPoint> {
+fn measure() -> Vec<TailPoint> {
     let fams = families();
     let cls = classes();
     let combos: Vec<(usize, usize)> = (0..fams.len())
@@ -136,7 +136,7 @@ pub fn measure() -> Vec<TailPoint> {
 }
 
 /// Run the study.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let mut table = Table::new(
         format!(
             "Relative-delay tails under stochastic load (N={N}, K={K}, r'={R_PRIME}, S=2; \

@@ -25,25 +25,25 @@ use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
 use pps_workload::WorkloadSpec;
 
 /// Geometry: same canonical S = 2 point as E19.
-pub const N: usize = 16;
+const N: usize = 16;
 /// Center-stage planes.
-pub const K: usize = 8;
+const K: usize = 8;
 /// Internal slowdown.
-pub const R_PRIME: usize = 4;
+const R_PRIME: usize = 4;
 /// Per-input buffer of the buffered variant.
-pub const BUFFER: usize = 64;
+const BUFFER: usize = 64;
 /// Slots per load point.
-pub const HORIZON: u64 = 40_000;
+const HORIZON: u64 = 40_000;
 
 /// Geo/D/1 mean-waiting prediction for an output fed by
 /// `Binomial(N, ρ/N)` arrivals at one departure per slot.
-pub fn predicted_oq_mean(load: f64) -> f64 {
+fn predicted_oq_mean(load: f64) -> f64 {
     ((N - 1) as f64 / N as f64) * load / (2.0 * (1.0 - load))
 }
 
 /// One load point's measurements.
 #[derive(Clone, Debug)]
-pub struct LoadPoint {
+struct LoadPoint {
     /// Offered per-input load.
     pub load: f64,
     /// Measured mean queueing delay of the shadow OQ switch.
@@ -57,7 +57,7 @@ pub struct LoadPoint {
 }
 
 /// Measure one load level.
-pub fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64) -> LoadPoint {
     let spec = WorkloadSpec::parse(&format!(
         "uniform:n={N},load={load},seed={seed},horizon={HORIZON}"
     ))
@@ -84,7 +84,7 @@ pub fn measure(load: f64, seed: u64) -> LoadPoint {
 }
 
 /// Run the sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let loads = [0.6, 0.75, 0.9, 0.95, 0.98];
     let mut table = Table::new(
         format!(

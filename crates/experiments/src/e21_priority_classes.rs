@@ -23,13 +23,13 @@ use pps_reference::fcfs_departure_times;
 use pps_workload::{priority_oq_delays, ClassedTrace, WorkloadSpec};
 
 /// Ports (also the trace's geometry; this experiment is OQ-only).
-pub const N: usize = 16;
+const N: usize = 16;
 /// Service classes.
-pub const CLASSES: u8 = 3;
+const CLASSES: u8 = 3;
 
 /// Build the classed workload: Zipf flows near saturation, so hot
 /// outputs have real queues for the schedulers to disagree over.
-pub fn classed_workload(seed: u64) -> ClassedTrace {
+fn classed_workload(seed: u64) -> ClassedTrace {
     let spec = WorkloadSpec::parse(&format!(
         "zipf:n={N},load=0.95,s=1.1,flows=65536,seed={seed},horizon=20000"
     ))
@@ -38,7 +38,7 @@ pub fn classed_workload(seed: u64) -> ClassedTrace {
 }
 
 /// Per-class tails under both schedulers: `(fcfs, priority)` per class.
-pub fn per_class_tails(classed: &ClassedTrace) -> Vec<(TailQuantiles, TailQuantiles)> {
+fn per_class_tails(classed: &ClassedTrace) -> Vec<(TailQuantiles, TailQuantiles)> {
     let prio = priority_oq_delays(classed, N);
     let fcfs_departs = fcfs_departure_times(&classed.trace, N);
     let mut fcfs: Vec<Vec<i64>> = vec![Vec::new(); CLASSES as usize];
@@ -58,7 +58,7 @@ pub fn per_class_tails(classed: &ClassedTrace) -> Vec<(TailQuantiles, TailQuanti
 }
 
 /// Run the study.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let classed = classed_workload(31);
     let tails = per_class_tails(&classed);
     let mut table = Table::new(

@@ -25,18 +25,18 @@ use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;
 
 /// Ports.
-pub const N: usize = 16;
+pub(crate) const N: usize = 16;
 /// Slots per load point.
-pub const HORIZON: u64 = 10_000;
+const HORIZON: u64 = 10_000;
 
 /// The Cogill–Lall conflict load `λc = 2ρ(N−1)/N` for uniform traffic.
-pub fn conflict_load(load: f64) -> f64 {
+pub(crate) fn conflict_load(load: f64) -> f64 {
     2.0 * load * (N as f64 - 1.0) / N as f64
 }
 
 /// The conflict envelope `λc / (1 − λc)`, or `None` where it is not a
 /// theorem (`λc ≥ 1`).
-pub fn envelope(load: f64) -> Option<f64> {
+pub(crate) fn envelope(load: f64) -> Option<f64> {
     let lc = conflict_load(load);
     (lc < 1.0).then(|| lc / (1.0 - lc))
 }
@@ -53,7 +53,7 @@ pub(crate) fn tails(log: &RunLog) -> TailQuantiles {
 
 /// One load point's measurements.
 #[derive(Clone, Debug)]
-pub struct LoadPoint {
+struct LoadPoint {
     /// Offered per-input load.
     pub load: f64,
     /// Ideal OQ mean delay.
@@ -67,7 +67,7 @@ pub struct LoadPoint {
 }
 
 /// Measure one load level.
-pub fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64) -> LoadPoint {
     let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
     let mode = pps_core::stepping::process_default();
     let oq = run_oq(&trace, N);
@@ -93,7 +93,7 @@ pub fn measure(load: f64, seed: u64) -> LoadPoint {
 /// Format a tail quantile, flagging unresolved small samples with `~`
 /// (see `TailQuantiles` — for `count < den` the order statistic is the
 /// max by definition).
-pub fn fmt_p99(q: &TailQuantiles) -> String {
+pub(crate) fn fmt_p99(q: &TailQuantiles) -> String {
     if q.resolvable(100) {
         q.p99.to_string()
     } else {
@@ -102,7 +102,7 @@ pub fn fmt_p99(q: &TailQuantiles) -> String {
 }
 
 /// Run the sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let loads = [0.2, 0.35, 0.5, 0.7];
     let mut table = Table::new(
         format!(

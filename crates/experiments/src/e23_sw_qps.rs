@@ -26,13 +26,13 @@ use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;
 
 /// Slots per load point.
-pub const HORIZON: u64 = 10_000;
+const HORIZON: u64 = 10_000;
 /// Window sizes under test.
-pub const WINDOWS: [usize; 4] = [1, 2, 4, 8];
+const WINDOWS: [usize; 4] = [1, 2, 4, 8];
 
 /// One load point: QPS-1 reference, SW-QPS per window, OQ mean.
 #[derive(Clone, Debug)]
-pub struct LoadPoint {
+struct LoadPoint {
     /// Offered per-input load.
     pub load: f64,
     /// Ideal OQ mean delay.
@@ -46,7 +46,7 @@ pub struct LoadPoint {
 }
 
 /// Measure one load level.
-pub fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64) -> LoadPoint {
     let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
     let mode = pps_core::stepping::process_default();
     let oq = run_oq(&trace, N);
@@ -71,7 +71,7 @@ pub fn measure(load: f64, seed: u64) -> LoadPoint {
 }
 
 /// Run the sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let loads = [0.5, 0.75];
     let mut table = Table::new(
         format!(

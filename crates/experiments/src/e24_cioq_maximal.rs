@@ -25,11 +25,11 @@ use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;
 
 /// Slots per load point.
-pub const HORIZON: u64 = 10_000;
+const HORIZON: u64 = 10_000;
 
 /// One load point's measurements.
 #[derive(Clone, Debug)]
-pub struct LoadPoint {
+struct LoadPoint {
     /// Offered per-input load.
     pub load: f64,
     /// Ideal OQ mean delay.
@@ -45,7 +45,7 @@ pub struct LoadPoint {
 }
 
 /// Measure one load level.
-pub fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64) -> LoadPoint {
     let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
     let mode = pps_core::stepping::process_default();
     let oq = run_oq(&trace, N);
@@ -63,7 +63,7 @@ pub fn measure(load: f64, seed: u64) -> LoadPoint {
 }
 
 /// Run the sweep.
-pub fn run() -> ExperimentOutput {
+pub(crate) fn run() -> ExperimentOutput {
     let loads = [0.2, 0.35, 0.5, 0.8];
     let mut table = Table::new(
         format!(

@@ -9,65 +9,62 @@
 //!
 //! | id | paper result | module |
 //! |----|--------------|--------|
-//! | e1 | Theorem 6 — d-partitioned fully-distributed ≥ (R/r−1)·d | [`e01_partitioned`] |
-//! | e2 | Corollary 7 — unpartitioned fully-distributed ≥ (R/r−1)·N | [`e02_unpartitioned`] |
+//! | e1 | Theorem 6 — d-partitioned fully-distributed ≥ (R/r−1)·d | `e01_partitioned` |
+//! | e2 | Corollary 7 — unpartitioned fully-distributed ≥ (R/r−1)·N | `e02_unpartitioned` |
 //! | e3 | Theorem 8 — any fully-distributed ≥ (R/r−1)·N/S | [`e03_fd_general`] |
-//! | e4 | Theorem 10 — bufferless u-RT ≥ (1−u'r/R)·u'N/S | [`e04_urt`] |
-//! | e5 | Corollary 11 — real-time distributed ≥ (1−r/R)·N/S | [`e05_rt`] |
-//! | e6 | Theorem 12 — buffered u-RT, S ≥ 2: ≤ u (upper bound) | [`e06_buffered_cpa`] |
-//! | e7 | Theorem 13 — buffered fully-distributed ≥ (1−r/R)·N/S, any buffer | [`e07_buffered_fd`] |
+//! | e4 | Theorem 10 — bufferless u-RT ≥ (1−u'r/R)·u'N/S | `e04_urt` |
+//! | e5 | Corollary 11 — real-time distributed ≥ (1−r/R)·N/S | `e05_rt` |
+//! | e6 | Theorem 12 — buffered u-RT, S ≥ 2: ≤ u (upper bound) | `e06_buffered_cpa` |
+//! | e7 | Theorem 13 — buffered fully-distributed ≥ (1−r/R)·N/S, any buffer | `e07_buffered_fd` |
 //! | e8 | Theorem 14 — extended FTD: zero relative delay in congestion | [`e08_ftd_congestion`] |
-//! | e9 | Proposition 15 — congestion traffic is not leaky-bucket | [`e09_lb_violation`] |
-//! | e10 | CPA (cited \[14\]) — zero relative delay at S ≥ 2 | [`e10_cpa`] |
-//! | e11 | Iyer–McKeown (cited \[15\]) — Θ((R/r)·N) tightness | [`e11_tightness`] |
-//! | e12 | §1.2 — "the PPS does not scale": delay linear in N to 1024 | [`e12_scaling`] |
-//! | e13 | baseline: PPS vs ideal OQ vs iSLIP input-queued crossbar | [`e13_crossbar_baseline`] |
-//! | e14 | §6 open question — randomized demux delay distribution | [`e14_random_distribution`] |
-//! | e15 | §1.2/§6 — buffers implied by the delay bounds (planes, resequencer, jitter regulator) | [`e15_buffer_implications`] |
-//! | e16 | §4 small-buffer regime — holding without coordination keeps the u-RT bound | [`e16_small_buffers`] |
-//! | e17 | related work — CIOQ crossbar speedup-2 mimicking threshold | [`e17_cioq_speedup`] |
-//! | e18 | §6 — the delay bound as a jitter-regulator buffer bound | [`e18_regulator_tradeoff`] |
-//! | e19 | stochastic heavy traffic — tail relative delay across information classes | [`e19_stochastic_tails`] |
-//! | e20 | heavy-traffic regime — absolute delay diverges, relative delay stays geometric | [`e20_heavy_traffic`] |
-//! | e21 | egress priority queueing — per-class tails, strict priority vs FCFS | [`e21_priority_classes`] |
-//! | e22 | scheduler zoo — QPS-r vs the maximal-matching conflict envelope | [`e22_qps_crossbar`] |
-//! | e23 | scheduler zoo — SW-QPS sliding window: batch quality, zero batch delay | [`e23_sw_qps`] |
-//! | e24 | scheduler zoo — maximal matching with speedup (Cogill–Lall envelope) | [`e24_cioq_maximal`] |
+//! | e9 | Proposition 15 — congestion traffic is not leaky-bucket | `e09_lb_violation` |
+//! | e10 | CPA (cited \[14\]) — zero relative delay at S ≥ 2 | `e10_cpa` |
+//! | e11 | Iyer–McKeown (cited \[15\]) — Θ((R/r)·N) tightness | `e11_tightness` |
+//! | e12 | §1.2 — "the PPS does not scale": delay linear in N to 1024 | `e12_scaling` |
+//! | e13 | baseline: PPS vs ideal OQ vs iSLIP input-queued crossbar | `e13_crossbar_baseline` |
+//! | e14 | §6 open question — randomized demux delay distribution | `e14_random_distribution` |
+//! | e15 | §1.2/§6 — buffers implied by the delay bounds (planes, resequencer, jitter regulator) | `e15_buffer_implications` |
+//! | e16 | §4 small-buffer regime — holding without coordination keeps the u-RT bound | `e16_small_buffers` |
+//! | e17 | related work — CIOQ crossbar speedup-2 mimicking threshold | `e17_cioq_speedup` |
+//! | e18 | §6 — the delay bound as a jitter-regulator buffer bound | `e18_regulator_tradeoff` |
+//! | e19 | stochastic heavy traffic — tail relative delay across information classes | `e19_stochastic_tails` |
+//! | e20 | heavy-traffic regime — absolute delay diverges, relative delay stays geometric | `e20_heavy_traffic` |
+//! | e21 | egress priority queueing — per-class tails, strict priority vs FCFS | `e21_priority_classes` |
+//! | e22 | scheduler zoo — QPS-r vs the maximal-matching conflict envelope | `e22_qps_crossbar` |
+//! | e23 | scheduler zoo — SW-QPS sliding window: batch quality, zero batch delay | `e23_sw_qps` |
+//! | e24 | scheduler zoo — maximal matching with speedup (Cogill–Lall envelope) | `e24_cioq_maximal` |
 //! | a1 | §3 fault-tolerance motivation — plane failure ablation | [`a1_fault`] |
-//! | a2 | CPA speedup threshold ablation (S sweep across 2) | [`a2_speedup`] |
-//! | a3 | output-discipline ablation | [`a3_discipline`] |
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! | a2 | CPA speedup threshold ablation (S sweep across 2) | `a2_speedup` |
+//! | a3 | output-discipline ablation | `a3_discipline` |
 
 pub mod a1_fault;
-pub mod a2_speedup;
-pub mod a3_discipline;
+mod a2_speedup;
+mod a3_discipline;
 pub mod custom;
-pub mod e01_partitioned;
-pub mod e02_unpartitioned;
+mod e01_partitioned;
+mod e02_unpartitioned;
 pub mod e03_fd_general;
-pub mod e04_urt;
-pub mod e05_rt;
-pub mod e06_buffered_cpa;
-pub mod e07_buffered_fd;
+mod e04_urt;
+mod e05_rt;
+mod e06_buffered_cpa;
+mod e07_buffered_fd;
 pub mod e08_ftd_congestion;
-pub mod e09_lb_violation;
-pub mod e10_cpa;
-pub mod e11_tightness;
-pub mod e12_scaling;
-pub mod e13_crossbar_baseline;
-pub mod e14_random_distribution;
-pub mod e15_buffer_implications;
-pub mod e16_small_buffers;
-pub mod e17_cioq_speedup;
-pub mod e18_regulator_tradeoff;
-pub mod e19_stochastic_tails;
-pub mod e20_heavy_traffic;
-pub mod e21_priority_classes;
-pub mod e22_qps_crossbar;
-pub mod e23_sw_qps;
-pub mod e24_cioq_maximal;
+mod e09_lb_violation;
+mod e10_cpa;
+mod e11_tightness;
+mod e12_scaling;
+mod e13_crossbar_baseline;
+mod e14_random_distribution;
+mod e15_buffer_implications;
+mod e16_small_buffers;
+mod e17_cioq_speedup;
+mod e18_regulator_tradeoff;
+mod e19_stochastic_tails;
+mod e20_heavy_traffic;
+mod e21_priority_classes;
+mod e22_qps_crossbar;
+mod e23_sw_qps;
+mod e24_cioq_maximal;
 pub mod sweep;
 pub mod workload_cli;
 

@@ -77,3 +77,45 @@ fn markdown_rows_have_the_headers_cell_count() {
     assert!(stdout.contains("| bound (exact, RR) |"), "{stdout}");
     assert!(stdout.contains("| delayed-CPA (K=16, S=2) |"), "{stdout}");
 }
+
+/// Every flag README.md's `ppslab` flag table documents is one the binary
+/// knows. Value flags get a scratch path as their value: whatever the flag
+/// then makes of it (`--jobs` refuses it, `--out` creates it), the
+/// complaint must not be `unknown flag`; `--list` ends the run before any
+/// experiment starts.
+#[test]
+fn every_flag_in_the_readme_table_is_accepted() {
+    let readme = include_str!("../../../README.md");
+    let rows: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("| flag | effect |"))
+        .skip(2)
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    assert!(rows.len() >= 10, "flag table not found: {rows:?}");
+    let scratch = std::env::temp_dir().join(format!("ppslab-cli-{}", std::process::id()));
+    let mut flags = 0;
+    for row in rows {
+        // First cell; `\|` is an escaped pipe inside a code span.
+        let cell = row.replace("\\|", "/");
+        let cell = cell.split('|').nth(1).expect("row has a first cell");
+        // Odd pieces of a split on backticks are the code spans.
+        for span in cell.split('`').skip(1).step_by(2) {
+            let mut words = span.split_whitespace();
+            let flag = words.next().expect("code span names a flag");
+            assert!(flag.starts_with("--"), "{row}");
+            let mut args = vec![flag];
+            if words.next().is_some() {
+                args.push(scratch.to_str().expect("utf-8 temp dir"));
+            }
+            args.push("--list");
+            let out = ppslab(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!stderr.contains("unknown flag"), "{flag}: {stderr}");
+            assert!(out.status.code().is_some(), "{flag}: killed by a signal");
+            flags += 1;
+        }
+    }
+    assert!(flags >= 12, "only {flags} flags parsed out of the table");
+    let _ = std::fs::remove_dir_all(&scratch);
+}

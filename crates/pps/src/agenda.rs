@@ -90,11 +90,6 @@ impl Agenda {
         self.len
     }
 
-    /// Whether nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// The earliest pending slot, if any. O(1).
     #[inline]
     pub fn peek(&self) -> Option<Slot> {
@@ -201,7 +196,7 @@ mod tests {
         assert_eq!(got, [(5, 0, 1), (5, 0, 2), (5, 1, 0), (7, 1, 2)]);
         assert_eq!(a.peek(), Some(9));
         assert_eq!(a.pop_due(9), Some((9, 0, 0)));
-        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
         assert_eq!(a.peek(), None);
     }
 

@@ -134,7 +134,6 @@ pub struct DelayedCpaDemux {
     r_prime: Slot,
     dt_last: Vec<Option<Slot>>,
     last_reserved: Vec<Option<Slot>>,
-    deadline_misses: u64,
 }
 
 impl DelayedCpaDemux {
@@ -148,18 +147,7 @@ impl DelayedCpaDemux {
             r_prime: r_prime as Slot,
             dt_last: vec![None; n],
             last_reserved: vec![None; k * n],
-            deadline_misses: 0,
         }
-    }
-
-    /// The information delay `u`.
-    pub fn u(&self) -> Slot {
-        self.u
-    }
-
-    /// Deadline misses (stays 0 for `S ≥ 2`).
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses
     }
 
     /// Assign a ripe cell to a plane, or `None` when **no** input line is
@@ -189,7 +177,6 @@ impl DelayedCpaDemux {
                 PlaneId(p as u32)
             }
             None => {
-                self.deadline_misses += 1;
                 let p = (0..self.k)
                     .filter(|&p| ctx.local.is_free(p))
                     .min_by_key(|&p| (self.last_reserved[p * self.n + j], p))
@@ -289,11 +276,6 @@ impl BufferedStaleDemux {
             k,
             recent: (0..n).map(|_| VecDeque::new()).collect(),
         }
-    }
-
-    /// The configured hold time.
-    pub fn hold(&self) -> Slot {
-        self.hold
     }
 
     /// Pick a plane for a ripe cell, or `None` when no input line is free

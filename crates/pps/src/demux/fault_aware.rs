@@ -11,13 +11,12 @@
 //! no bus) never learns at all — exactly the gradient the A1 fail→recover
 //! ablation measures.
 //!
-//! Both variants degrade gracefully: if every believed-up plane is busy,
-//! they fall back to any free plane (a bufferless input must dispatch
-//! *somewhere*), and with no snapshot yet (`now < u`) they behave like
-//! their fault-blind counterparts.
+//! Both variants (centralized and `u`-RT) degrade gracefully: if every
+//! believed-up plane is busy, they fall back to any free plane (a
+//! bufferless input must dispatch *somewhere*), and with no snapshot yet
+//! (`now < u`) they behave like their fault-blind counterpart.
 
 use pps_core::prelude::*;
-use std::collections::VecDeque;
 
 /// Whether the observer's snapshot (if any) believes `plane` is up.
 fn believed_up(global: Option<&GlobalSnapshot>, plane: usize) -> bool {
@@ -58,11 +57,6 @@ impl FaultAwareRoundRobinDemux {
             class: InfoClass::RealTimeDistributed { u },
         }
     }
-
-    /// The current pointer of `input`'s automaton.
-    pub fn pointer(&self, input: usize) -> u32 {
-        self.next[input]
-    }
 }
 
 impl Demultiplexor for FaultAwareRoundRobinDemux {
@@ -82,104 +76,6 @@ impl Demultiplexor for FaultAwareRoundRobinDemux {
             .or_else(|| ctx.local.next_free_from(start))
             .expect("valid bufferless config guarantees a free plane (K >= r')");
         self.next[i] = (p as u32 + 1) % self.k;
-        PlaneId(p as u32)
-    }
-}
-
-/// Least-loaded dispatch over the planes believed up.
-///
-/// The ranking of [`super::StaleLeastLoadedDemux`] (stale queue length
-/// corrected by own unseen sends), with believed-down planes demoted below
-/// every believed-up one instead of filtered out — so the fallback when
-/// all believed-up planes are busy needs no special case.
-#[derive(Clone, Debug)]
-pub struct FaultAwareLeastLoadedDemux {
-    k: usize,
-    class: InfoClass,
-    /// Per input: recent own dispatches `(slot, plane, output)` not yet
-    /// reflected in the observer's snapshot.
-    recent: Vec<VecDeque<(Slot, u32, u32)>>,
-}
-
-impl FaultAwareLeastLoadedDemux {
-    /// A centralized fault-aware least-loaded demultiplexor.
-    pub fn centralized(n: usize, k: usize) -> Self {
-        FaultAwareLeastLoadedDemux {
-            k,
-            class: InfoClass::Centralized,
-            recent: (0..n).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    /// A `u`-RT fault-aware least-loaded demultiplexor.
-    ///
-    /// # Panics
-    /// Panics if `u == 0` (that would be centralized).
-    pub fn urt(n: usize, k: usize, u: Slot) -> Self {
-        assert!(u >= 1, "u-RT requires u >= 1");
-        FaultAwareLeastLoadedDemux {
-            k,
-            class: InfoClass::RealTimeDistributed { u },
-            recent: (0..n).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    /// Last slot whose dispatches the snapshot already reflects. A `u`-RT
-    /// snapshot is taken at *end* of its slot, a centralized one at the
-    /// *start* (so same-slot own sends are still unseen).
-    fn reflected_through(&self, snap: &GlobalSnapshot) -> Slot {
-        match self.class {
-            InfoClass::Centralized => snap.taken_at.saturating_sub(1),
-            _ => snap.taken_at,
-        }
-    }
-
-    /// Estimated queue length of `plane` for `output` from `input`'s
-    /// standpoint: snapshot value plus own unseen dispatches.
-    fn estimate(
-        &self,
-        input: usize,
-        plane: usize,
-        output: u32,
-        snap: Option<&GlobalSnapshot>,
-    ) -> u64 {
-        let base = snap.map_or(0, |s| s.queue_len(plane, output as usize) as u64);
-        let horizon = snap.map_or(0, |s| self.reflected_through(s));
-        let own = self.recent[input]
-            .iter()
-            .filter(|&&(slot, p, j)| slot > horizon && p as usize == plane && j == output)
-            .count() as u64;
-        base + own
-    }
-}
-
-impl Demultiplexor for FaultAwareLeastLoadedDemux {
-    fn info_class(&self) -> InfoClass {
-        self.class
-    }
-
-    fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
-        let i = cell.input.idx();
-        let j = cell.output.0;
-        let horizon = ctx.global.map_or(0, |s| self.reflected_through(s));
-        while let Some(&(slot, _, _)) = self.recent[i].front() {
-            if slot <= horizon {
-                self.recent[i].pop_front();
-            } else {
-                break;
-            }
-        }
-        let p = (0..self.k)
-            .filter(|&p| ctx.local.is_free(p))
-            .min_by_key(|&p| {
-                (
-                    !believed_up(ctx.global, p), // up planes rank first
-                    self.estimate(i, p, j, ctx.global),
-                    p,
-                )
-            })
-            .expect("valid bufferless config guarantees a free plane (K >= r')");
-        self.recent[i].push_back((ctx.local.now, p as u32, j));
         PlaneId(p as u32)
     }
 }
@@ -262,56 +158,5 @@ mod tests {
         // now < u: no view yet; behaves like plain round robin.
         assert_eq!(d.dispatch(&cell(0, 0), &ctx(0, &free, None)), PlaneId(0));
         assert_eq!(d.dispatch(&cell(0, 0), &ctx(1, &free, None)), PlaneId(1));
-    }
-
-    #[test]
-    fn least_loaded_demotes_masked_planes() {
-        let mut d = FaultAwareLeastLoadedDemux::centralized(1, 2);
-        // Plane 0 is empty but masked down; plane 1 is loaded but up.
-        let mut s = snap_with_down(1, 2, 0, &[0]);
-        s.plane_queue_len.copy_from_slice(&[0, 9]);
-        let free = vec![0u64; 2];
-        assert_eq!(
-            d.dispatch(&cell(0, 0), &ctx(0, &free, Some(&s))),
-            PlaneId(1)
-        );
-        // If plane 1's line is busy, the masked plane is still usable.
-        let busy = vec![0u64, 10];
-        assert_eq!(
-            d.dispatch(&cell(0, 0), &ctx(0, &busy, Some(&s))),
-            PlaneId(0)
-        );
-    }
-
-    #[test]
-    fn centralized_least_loaded_counts_same_slot_sends() {
-        let mut d = FaultAwareLeastLoadedDemux::centralized(1, 2);
-        let s = snap_with_down(1, 2, 5, &[]);
-        let free = vec![0u64; 2];
-        // Two same-slot dispatches: the second must see the first (it is
-        // not in the start-of-slot snapshot) and alternate.
-        assert_eq!(
-            d.dispatch(&cell(0, 0), &ctx(5, &free, Some(&s))),
-            PlaneId(0)
-        );
-        assert_eq!(
-            d.dispatch(&cell(0, 0), &ctx(5, &free, Some(&s))),
-            PlaneId(1)
-        );
-    }
-
-    #[test]
-    fn urt_least_loaded_class_and_pruning() {
-        let mut d = FaultAwareLeastLoadedDemux::urt(1, 2, 2);
-        assert_eq!(d.info_class(), InfoClass::RealTimeDistributed { u: 2 });
-        let s0 = snap_with_down(1, 2, 0, &[]);
-        let free = vec![0u64; 2];
-        d.dispatch(&cell(0, 0), &ctx(1, &free, Some(&s0)));
-        assert_eq!(d.recent[0].len(), 1);
-        // A snapshot covering through slot 3 prunes the slot-1 entry.
-        let s3 = snap_with_down(1, 2, 3, &[]);
-        d.dispatch(&cell(0, 0), &ctx(5, &free, Some(&s3)));
-        assert_eq!(d.recent[0].len(), 1);
-        assert_eq!(d.recent[0][0].0, 5);
     }
 }

@@ -62,11 +62,6 @@ impl FtdDemux {
         }
     }
 
-    /// The configured block size `h·r'`.
-    pub fn block_size(&self) -> u32 {
-        self.block_size
-    }
-
     /// Block-distinctness violations forced by busy lines (0 in legal
     /// operation).
     pub fn violations(&self) -> u64 {

@@ -31,19 +31,17 @@ use pps_core::rng::{mix64, SplitMix64};
 #[derive(Clone, Debug)]
 pub struct TwoStageLbDemux {
     k: usize,
-    /// Dispatches forced off the two-stage plane by a busy line.
-    deviations: u64,
 }
 
 impl TwoStageLbDemux {
     /// Two-stage balanced dispatch over `k` planes.
     pub fn new(k: usize) -> Self {
-        TwoStageLbDemux { k, deviations: 0 }
+        TwoStageLbDemux { k }
     }
 
     /// The plane the two stages nominate for a cell of `(input, output)`
     /// arriving at `now`, before busy-line deviation.
-    pub fn nominal_plane(&self, now: Slot, input: usize, output: usize) -> usize {
+    fn nominal_plane(&self, now: Slot, input: usize, output: usize) -> usize {
         let k = self.k as u64;
         // Stage 1: slot-synchronous rotation, desynchronized per input.
         let stage1 = (now + input as u64) % k;
@@ -51,11 +49,6 @@ impl TwoStageLbDemux {
         // do not land on adjacent planes).
         let stage2 = mix64(output as u64) % k;
         ((stage1 + stage2) % k) as usize
-    }
-
-    /// Dispatches that could not use the nominated plane.
-    pub fn deviations(&self) -> u64 {
-        self.deviations
     }
 }
 
@@ -69,7 +62,6 @@ impl Demultiplexor for TwoStageLbDemux {
         if ctx.local.is_free(want) {
             return PlaneId(want as u32);
         }
-        self.deviations += 1;
         let p = ctx
             .local
             .next_free_from(want)
@@ -106,11 +98,6 @@ impl LeastLoadedOfDDemux {
             est: vec![(0, 0); n * k],
             free: Vec::with_capacity(k),
         }
-    }
-
-    /// The number of candidate planes sampled per dispatch.
-    pub fn d(&self) -> usize {
-        self.d
     }
 
     fn current(&self, input: usize, plane: usize, now: Slot) -> u64 {
@@ -180,7 +167,6 @@ mod tests {
             4,
             "stage 1 must cycle all planes: {picks:?}"
         );
-        assert_eq!(d.deviations(), 0);
     }
 
     #[test]
@@ -209,7 +195,6 @@ mod tests {
         };
         let p = d.dispatch(&cell(0, 0, 0), &ctx);
         assert_ne!(p.idx(), want);
-        assert_eq!(d.deviations(), 1);
     }
 
     #[test]
@@ -259,6 +244,6 @@ mod tests {
     #[test]
     fn of_d_clamps_d_to_k() {
         let d = LeastLoadedOfDDemux::new(1, 3, 2, 100, 1);
-        assert_eq!(d.d(), 3);
+        assert_eq!(d.d, 3);
     }
 }

@@ -30,11 +30,6 @@ impl PerFlowRoundRobinDemux {
             k: k as u32,
         }
     }
-
-    /// The pointer of flow `(input, output)`.
-    pub fn pointer(&self, input: usize, output: usize) -> u32 {
-        self.next[input * self.n + output]
-    }
 }
 
 impl Demultiplexor for PerFlowRoundRobinDemux {
@@ -75,9 +70,9 @@ mod tests {
         assert_eq!(probe_dispatch(&mut d, &cell(0, 0), 0, &free), PlaneId(0));
         assert_eq!(probe_dispatch(&mut d, &cell(0, 1), 1, &free), PlaneId(0));
         assert_eq!(probe_dispatch(&mut d, &cell(0, 0), 2, &free), PlaneId(1));
-        assert_eq!(d.pointer(0, 0), 2);
-        assert_eq!(d.pointer(0, 1), 1);
-        assert_eq!(d.pointer(1, 0), 0);
+        assert_eq!(d.next[0], 2);
+        assert_eq!(d.next[1], 1);
+        assert_eq!(d.next[2], 0);
     }
 
     #[test]

@@ -26,12 +26,6 @@ impl RoundRobinDemux {
             k: k as u32,
         }
     }
-
-    /// The current pointer of `input`'s automaton (exposed for tests and
-    /// for the adversary's state probing assertions).
-    pub fn pointer(&self, input: usize) -> u32 {
-        self.next[input]
-    }
 }
 
 impl Demultiplexor for RoundRobinDemux {
@@ -88,7 +82,7 @@ mod tests {
             global: None,
         };
         assert_eq!(d.dispatch(&cell(0, 0), &ctx), PlaneId(1));
-        assert_eq!(d.pointer(0), 2);
+        assert_eq!(d.next[0], 2);
     }
 
     #[test]
@@ -98,8 +92,8 @@ mod tests {
         let free = vec![0u64; 4];
         probe_dispatch(&mut d, &cell(0, 0), 0, &free);
         probe_dispatch(&mut d, &cell(0, 0), 1, &free);
-        assert_eq!(d.pointer(0), 2);
-        assert_eq!(d.pointer(1), 0);
+        assert_eq!(d.next[0], 2);
+        assert_eq!(d.next[1], 0);
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl StaleLeastLoadedDemux {
         }
     }
 
-    /// The configured information delay `u`.
-    pub fn u(&self) -> Slot {
-        self.u
-    }
-
     /// Estimated queue length of `plane` for `output` from `input`'s
     /// standpoint: stale global value plus own unseen dispatches.
     fn estimate(

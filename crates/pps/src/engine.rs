@@ -548,11 +548,6 @@ impl<S: InputStage> Pps<S> {
         self.fabric.fail_plane(plane)
     }
 
-    /// Fault-injection: bring a failed plane back into service.
-    pub fn recover_plane(&mut self, plane: usize) -> Result<(), ModelError> {
-        self.fabric.recover_plane(plane)
-    }
-
     /// Test-only chaos hook; see `Fabric::inject_conservation_leak`.
     #[doc(hidden)]
     pub fn inject_conservation_leak(&mut self) {

@@ -342,7 +342,7 @@ impl Fabric {
     /// an intentional conservation bug the chaos harness must catch and
     /// shrink. Never called outside the oracle-validation tests.
     #[doc(hidden)]
-    pub fn inject_conservation_leak(&mut self) {
+    pub(crate) fn inject_conservation_leak(&mut self) {
         self.leak_budget += 1;
     }
 
@@ -435,24 +435,12 @@ impl Fabric {
         }
     }
 
-    /// Current up/down state of the planes, as observable by the
-    /// information bus.
-    pub fn plane_mask(&self) -> PlaneMask {
-        let mut mask = PlaneMask::all_up(self.cfg.k);
-        for (p, plane) in self.planes.iter().enumerate() {
-            if plane.is_failed() {
-                mask.set_up(p, false);
-            }
-        }
-        mask
-    }
-
     /// Build the observable global snapshot at `taken_at`.
     ///
     /// Thin allocating wrapper over [`snapshot_into`](Self::snapshot_into)
     /// for external callers; the engines' per-slot paths reuse buffers
     /// through `snapshot_into` instead.
-    pub fn snapshot(&self, taken_at: Slot, input_buffer_len: &[u32]) -> GlobalSnapshot {
+    pub(crate) fn snapshot(&self, taken_at: Slot, input_buffer_len: &[u32]) -> GlobalSnapshot {
         let mut out = GlobalSnapshot::empty(self.cfg.n, self.cfg.k, taken_at);
         self.snapshot_into(taken_at, input_buffer_len, &mut out);
         out
@@ -461,7 +449,7 @@ impl Fabric {
     /// Fill `out` with the observable global snapshot at `taken_at`,
     /// reusing its buffers when the geometry matches (the per-slot case)
     /// and reallocating only on a geometry change.
-    pub fn snapshot_into(
+    pub(crate) fn snapshot_into(
         &self,
         taken_at: Slot,
         input_buffer_len: &[u32],

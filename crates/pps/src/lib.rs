@@ -14,7 +14,7 @@
 //!   randomized, static partition, FTD), `u`-RT (stale least-loaded,
 //!   arbitrated crossbar), centralized (CPA), and the Theorem 12 delayed
 //!   CPA.
-//! * [`plane`], [`output`], [`fabric`], [`agenda`] — the switching fabric
+//! * `plane`, [`output`], [`fabric`], [`agenda`] — the switching fabric
 //!   internals.
 //!
 //! ## Quick example
@@ -34,17 +34,11 @@
 //! assert_eq!(run.log.undelivered(), 0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod agenda;
 pub mod demux;
 pub mod engine;
 pub mod fabric;
 pub mod output;
-pub mod plane;
+mod plane;
 
-pub use engine::{
-    run_buffered, run_bufferless, BufferedPps, BufferlessPps, InputStage, Pps, PpsRun,
-};
-pub use fabric::{Fabric, FabricStats};
+pub use engine::{BufferedPps, BufferlessPps, InputStage, Pps};

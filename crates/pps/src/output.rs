@@ -11,9 +11,9 @@
 //!
 //! The mux holds bare [`CellId`]s — metadata lives in the fabric's
 //! [`CellPool`] — and FlowFifo deliveries are *batched per slot*: each
-//! [`deliver`](OutputMux::deliver) classifies its cell (so per-cell
+//! `deliver` classifies its cell (so per-cell
 //! telemetry keeps the exact delivery order) but defers the heap push and
-//! the gap-timer refresh to [`flush_batch`](OutputMux::flush_batch), which
+//! the gap-timer refresh to `flush_batch`, which
 //! pushes every newly-eligible cell in one heap extend and refreshes each
 //! touched input's gap timer once. Deferral is sound because all of a
 //! slot's refreshes share the same `now`: the timer's end-of-slot state
@@ -215,14 +215,14 @@ impl OutputMux {
 
     /// Tell the mux which output port it serves, so its telemetry events
     /// land on the right track.
-    pub fn set_port(&mut self, port: PortId) {
+    pub(crate) fn set_port(&mut self, port: PortId) {
         self.port = port;
     }
 
     /// GlobalFcfs only: register that `id` has entered the switch bound for
     /// this output (called by the engine at dispatch time, so the mux knows
     /// whether an earlier cell is still in transit).
-    pub fn register_in_flight(&mut self, id: CellId) {
+    pub(crate) fn register_in_flight(&mut self, id: CellId) {
         if self.discipline == OutputDiscipline::GlobalFcfs {
             match self.in_flight.back() {
                 Some(&last) if last >= id => {
@@ -241,7 +241,7 @@ impl OutputMux {
     /// [`register_in_flight`](Self::register_in_flight) for a cell that
     /// will never arrive (lost to a failed plane), so the mux does not wait
     /// for it forever.
-    pub fn unregister_in_flight(&mut self, id: CellId) {
+    pub(crate) fn unregister_in_flight(&mut self, id: CellId) {
         if let Ok(pos) = self.in_flight.binary_search(&id) {
             self.in_flight.remove(pos);
         }
@@ -256,7 +256,7 @@ impl OutputMux {
     /// FlowFifo heap pushes and gap-timer refreshes are deferred to
     /// [`flush_batch`](Self::flush_batch); [`emit`](Self::emit) flushes
     /// implicitly, so deliver/emit sequences need no explicit flush.
-    pub fn deliver(&mut self, pool: &CellPool, id: CellId, now: Slot) -> bool {
+    pub(crate) fn deliver(&mut self, pool: &CellPool, id: CellId, now: Slot) -> bool {
         match self.discipline {
             OutputDiscipline::FlowFifo => {
                 let i = pool.input(id).idx();
@@ -320,7 +320,7 @@ impl OutputMux {
     /// Deliver a whole slot's arrivals for this output in one call. Cells
     /// are classified in order — the per-cell telemetry
     /// (`ReseqHold`, late drops) is identical to calling
-    /// [`deliver`](Self::deliver) per cell — and then the batch is flushed:
+    /// `deliver` per cell — and then the batch is flushed:
     /// every newly-eligible cell lands in the heap via one extend and each
     /// touched input's gap timer is refreshed once. Returns how many cells
     /// were accepted (not late-dropped).
@@ -339,7 +339,7 @@ impl OutputMux {
     /// extend for all pending eligible cells, one gap-timer refresh per
     /// touched input. Idempotent; called automatically at the start of
     /// [`emit`](Self::emit).
-    pub fn flush_batch(&mut self, now: Slot) {
+    fn flush_batch(&mut self, now: Slot) {
         if !self.pending.is_empty() {
             self.eligible.extend(self.pending.drain(..).map(Reverse));
         }
@@ -525,7 +525,7 @@ impl OutputMux {
     /// cell without watchdog help: FlowFifo/Greedy need an eligible (or
     /// batch-pending) cell, GlobalFcfs needs the oldest present cell to be
     /// the oldest still registered in flight.
-    pub fn can_emit(&self) -> bool {
+    fn can_emit(&self) -> bool {
         match self.discipline {
             OutputDiscipline::FlowFifo | OutputDiscipline::Greedy => {
                 !self.eligible.is_empty() || !self.pending.is_empty()
@@ -544,7 +544,7 @@ impl OutputMux {
     ///
     /// Used by skip-ahead stepping: slots in between are replayed in
     /// closed form by [`skip_idle`](Self::skip_idle).
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
+    pub(crate) fn next_activity(&self, now: Slot) -> Option<Slot> {
         if self.held == 0 {
             return None;
         }
@@ -580,7 +580,7 @@ impl OutputMux {
     /// but emitted nothing and fired no watchdog — which is exactly what
     /// [`next_activity`](Self::next_activity) guarantees for slots before
     /// the one it reports.
-    pub fn skip_idle(&mut self, from: Slot, to: Slot) {
+    pub(crate) fn skip_idle(&mut self, from: Slot, to: Slot) {
         debug_assert!(self.held > 0 && !self.can_emit(), "skipped a live slot");
         self.stalled_slots += to - from + 1;
         // Dense `emit` starts the whole-mux stall clock at the first
@@ -597,12 +597,12 @@ impl OutputMux {
 
     /// Whether the mux could possibly emit this slot (cheap pre-check used
     /// by the engine's active-output tracking).
-    pub fn has_work(&self) -> bool {
+    pub(crate) fn has_work(&self) -> bool {
         self.held > 0
     }
 
     /// High-water mark of held cells — the output-side buffer requirement.
-    pub fn max_held(&self) -> usize {
+    pub(crate) fn max_held(&self) -> usize {
         self.max_held
     }
 

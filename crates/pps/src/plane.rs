@@ -16,7 +16,7 @@ use pps_core::prelude::*;
 
 /// One center-stage plane: per-output FIFO buffers plus carry statistics.
 #[derive(Clone, Debug)]
-pub struct Plane {
+pub(crate) struct Plane {
     /// Per-destination FIFO queues of cell ids.
     queues: Vec<FifoQueue<CellId>>,
     /// Cells ever accepted by this plane.
@@ -28,7 +28,7 @@ pub struct Plane {
 
 impl Plane {
     /// An idle plane for an `n`-port switch.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Plane {
             queues: (0..n).map(|_| FifoQueue::new()).collect(),
             carried: 0,
@@ -38,7 +38,7 @@ impl Plane {
 
     /// Accept cell `id` for destination queue `output`. Returns `false` if
     /// the plane has failed and the cell was lost.
-    pub fn accept(&mut self, id: CellId, output: usize) -> bool {
+    pub(crate) fn accept(&mut self, id: CellId, output: usize) -> bool {
         if self.failed {
             return false;
         }
@@ -48,33 +48,28 @@ impl Plane {
     }
 
     /// Pop the head cell queued for `output`.
-    pub fn pop_for(&mut self, output: usize) -> Option<CellId> {
+    pub(crate) fn pop_for(&mut self, output: usize) -> Option<CellId> {
         self.queues[output].pop()
     }
 
     /// Occupancy of the queue for `output`.
-    pub fn queue_len(&self, output: usize) -> usize {
+    pub(crate) fn queue_len(&self, output: usize) -> usize {
         self.queues[output].len()
     }
 
-    /// Whether any cell is queued anywhere in the plane.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
-    }
-
     /// Total queued cells across outputs.
-    pub fn backlog(&self) -> usize {
+    pub(crate) fn backlog(&self) -> usize {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
     /// Cells ever accepted.
-    pub fn carried(&self) -> u64 {
+    pub(crate) fn carried(&self) -> u64 {
         self.carried
     }
 
     /// Highest occupancy any destination queue ever reached — the buffer
     /// provisioning the paper ties to relative queuing delay.
-    pub fn max_queue_occupancy(&self) -> usize {
+    pub(crate) fn max_queue_occupancy(&self) -> usize {
         self.queues
             .iter()
             .map(|q| q.max_occupancy())
@@ -86,7 +81,7 @@ impl Plane {
     /// Cells already queued inside the plane are lost with it — they are
     /// drained and returned so the fabric can account for them (live
     /// counters, straggler registrations, drop statistics).
-    pub fn fail(&mut self) -> Vec<CellId> {
+    pub(crate) fn fail(&mut self) -> Vec<CellId> {
         self.failed = true;
         let mut flushed = Vec::new();
         for q in &mut self.queues {
@@ -99,12 +94,12 @@ impl Plane {
 
     /// Bring a failed plane back into service (fault-injection recovery).
     /// It restarts empty — the flushed cells are gone, not restored.
-    pub fn recover(&mut self) {
+    pub(crate) fn recover(&mut self) {
         self.failed = false;
     }
 
     /// Whether the plane is failed.
-    pub fn is_failed(&self) -> bool {
+    pub(crate) fn is_failed(&self) -> bool {
         self.failed
     }
 }
@@ -132,7 +127,7 @@ mod tests {
         let mut p = Plane::new(1);
         assert!(p.fail().is_empty());
         assert!(!p.accept(CellId(0), 0));
-        assert!(p.is_empty());
+        assert_eq!(p.backlog(), 0);
         assert_eq!(p.carried(), 0);
     }
 
@@ -143,7 +138,7 @@ mod tests {
         assert!(p.accept(CellId(1), 1));
         let flushed = p.fail();
         assert_eq!(flushed.len(), 2);
-        assert!(p.is_empty());
+        assert_eq!(p.backlog(), 0);
         assert!(p.is_failed());
         p.recover();
         assert!(!p.is_failed());

@@ -14,7 +14,6 @@ use pps_core::stepping::{self, SlotEngine};
 /// the same trace.
 #[derive(Clone, Debug)]
 pub struct ShadowOq {
-    n: usize,
     /// Per-output FIFO queues of bare cell ids — departures only need the
     /// id (the `RunLog` keyed by it holds the metadata), so the queues
     /// never park whole `Cell` values.
@@ -25,14 +24,8 @@ impl ShadowOq {
     /// An idle `n × n` OQ switch.
     pub fn new(n: usize) -> Self {
         ShadowOq {
-            n,
             queues: (0..n).map(|_| FifoQueue::new()).collect(),
         }
-    }
-
-    /// Number of ports.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Advance one slot: accept this slot's arrivals, then let every output
@@ -82,13 +75,8 @@ impl ShadowOq {
     /// anything, ignoring future arrivals. An OQ switch is work-conserving
     /// — any backlog emits next slot — and an empty one is a pure no-op
     /// until a cell arrives, so this is `now + 1` or nothing.
-    pub fn next_activity(&self, now: Slot) -> Option<Slot> {
+    fn next_activity(&self, now: Slot) -> Option<Slot> {
         (self.backlog() > 0).then(|| now + 1)
-    }
-
-    /// Cells queued for a specific output.
-    pub fn backlog_at(&self, output: usize) -> usize {
-        self.queues[output].len()
     }
 
     /// Highest queue occupancy any output ever reached — the paper notes
@@ -227,7 +215,7 @@ mod tests {
         let cells = t.cells(5);
         let mut log = RunLog::with_cells(&cells);
         oq.slot(0, &cells, &mut log);
-        assert_eq!(oq.backlog_at(0), 4);
+        assert_eq!(oq.backlog(), 4);
         assert_eq!(oq.max_occupancy(), 5); // before the departure, 5 were queued
         for now in 1..5 {
             oq.slot(now, &[], &mut log);

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 /// with no saturation, so recording is a branch-free `leading_zeros`
 /// and an increment — cheap enough for per-cell use.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Log2Histogram {
+pub(crate) struct Log2Histogram {
     buckets: [u64; 65],
     count: u64,
     sum: u128,
@@ -37,19 +37,14 @@ impl Default for Log2Histogram {
 }
 
 impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Bucket index of `value`: its number of significant bits.
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         (64 - value.leading_zeros()) as usize
     }
 
     /// Inclusive value range of bucket `i`.
-    pub fn bucket_range(i: usize) -> (u64, u64) {
+    fn bucket_range(i: usize) -> (u64, u64) {
         match i {
             0 => (0, 0),
             _ => (1u64 << (i - 1), (1u64 << (i - 1)) + ((1u64 << (i - 1)) - 1)),
@@ -58,7 +53,7 @@ impl Log2Histogram {
 
     /// Record one sample.
     #[inline]
-    pub fn record(&mut self, value: u64) {
+    fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_of(value)] += 1;
         self.count += 1;
         self.sum += u128::from(value);
@@ -66,17 +61,17 @@ impl Log2Histogram {
     }
 
     /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.count
     }
 
     /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
+    fn max(&self) -> u64 {
         self.max
     }
 
     /// Mean of the recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
+    fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -86,7 +81,7 @@ impl Log2Histogram {
 
     /// Upper edge of the bucket containing quantile `q` (0 ≤ q ≤ 1) — a
     /// conservative (rounded-up) quantile estimate at log2 resolution.
-    pub fn quantile_upper(&self, q: f64) -> u64 {
+    fn quantile_upper(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -100,26 +95,13 @@ impl Log2Histogram {
         }
         self.max
     }
-
-    /// Occupied buckets as `(low, high, count)` triples, low to high.
-    pub fn occupied(&self) -> Vec<(u64, u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = Self::bucket_range(i);
-                (lo, hi, c)
-            })
-            .collect()
-    }
 }
 
 /// A step function over slots: occupancy transitions `(slot, level)`,
 /// recorded only when the level changes. Reconstructed per plane and per
 /// output from enqueue/deliver/depart event pairs.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct OccupancySeries {
+pub(crate) struct OccupancySeries {
     /// `(slot, occupancy-after-slot)` at each change, in slot order.
     pub steps: Vec<(Slot, u64)>,
     /// Highest level ever reached.
@@ -136,19 +118,11 @@ impl OccupancySeries {
             _ => self.steps.push((slot, level)),
         }
     }
-
-    /// Occupancy after the last change at or before `slot` (0 before any).
-    pub fn at(&self, slot: Slot) -> u64 {
-        match self.steps.partition_point(|(s, _)| *s <= slot) {
-            0 => 0,
-            i => self.steps[i - 1].1,
-        }
-    }
 }
 
 /// Everything the metrics layer derives from one engine's events.
 #[derive(Clone, Debug, Default)]
-pub struct MetricsReport {
+pub(crate) struct MetricsReport {
     /// The engine these metrics describe.
     pub engine: Option<Engine>,
     /// Per-plane queue occupancy over time (PPS only), indexed by plane.
@@ -170,7 +144,7 @@ pub struct MetricsReport {
 
 impl MetricsReport {
     /// Fold `events` (one engine's slice of a log) into a report.
-    pub fn from_events(events: &[Event]) -> MetricsReport {
+    fn from_events(events: &[Event]) -> MetricsReport {
         let mut r = MetricsReport::default();
         let mut plane_live: Vec<i64> = Vec::new();
         let mut output_live: Vec<i64> = Vec::new();
@@ -233,7 +207,7 @@ impl MetricsReport {
 
     /// Split `events` by engine and fold each slice — lockstep logs carry
     /// several engines' streams interleaved in slot order.
-    pub fn per_engine(events: &[Event]) -> Vec<MetricsReport> {
+    pub(crate) fn per_engine(events: &[Event]) -> Vec<MetricsReport> {
         let mut by_engine: Vec<(Engine, Vec<Event>)> = Vec::new();
         for ev in events {
             match by_engine.iter_mut().find(|(e, _)| *e == ev.engine) {
@@ -248,7 +222,7 @@ impl MetricsReport {
     }
 
     /// Human-readable one-engine summary (for stderr reporting).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut s = String::new();
         let name = self.engine.map_or("(no events)", Engine::name);
         let _ = writeln!(s, "engine {name}:");
@@ -317,7 +291,7 @@ mod tests {
 
     #[test]
     fn histogram_stats() {
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         for v in [0u64, 1, 2, 3, 4, 100] {
             h.record(v);
         }
@@ -364,10 +338,8 @@ mod tests {
         let r = MetricsReport::from_events(&events);
         let occ = &r.plane_occupancy[0];
         assert_eq!(occ.peak, 2);
-        assert_eq!(occ.at(0), 2);
-        assert_eq!(occ.at(3), 2);
-        assert_eq!(occ.at(4), 1);
-        assert_eq!(r.output_occupancy[0].at(4), 1);
+        assert_eq!(occ.steps, [(0, 2), (4, 1)]);
+        assert_eq!(r.output_occupancy[0].steps, [(4, 1)]);
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub(crate) fn escape_json(s: &str) -> String {
 
 /// Write an [`EventLog`] tree as JSON Lines: one event object per line,
 /// depth-first in declared order.
-pub fn write_jsonl<W: Write>(log: &EventLog, w: &mut W) -> std::io::Result<()> {
+pub(crate) fn write_jsonl<W: Write>(log: &EventLog, w: &mut W) -> std::io::Result<()> {
     for (scope, events) in log.flatten() {
         for ev in events {
             write_row_json(w, &scope, ev)?;
@@ -121,7 +121,7 @@ pub fn write_jsonl<W: Write>(log: &EventLog, w: &mut W) -> std::io::Result<()> {
 
 /// Write an [`EventLog`] tree as CSV with a fixed header. Empty cells mark
 /// columns a kind does not carry.
-pub fn write_csv<W: Write>(log: &EventLog, w: &mut W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: Write>(log: &EventLog, w: &mut W) -> std::io::Result<()> {
     writeln!(
         w,
         "scope,slot,engine,kind,cell,input,output,plane,count,detail"

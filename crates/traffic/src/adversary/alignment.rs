@@ -34,7 +34,9 @@
 
 use pps_core::cell::Cell;
 use pps_core::demux::{probe_dispatch, Demultiplexor};
-use pps_core::ids::{CellId, PlaneId, PortId};
+#[cfg(test)]
+use pps_core::ids::PlaneId;
+use pps_core::ids::{CellId, PortId};
 use pps_core::time::Slot;
 
 /// Result of steering a set of inputs toward `(output, plane)`.
@@ -52,12 +54,12 @@ pub struct AlignmentPlan {
 
 impl AlignmentPlan {
     /// Number of aligned inputs — the concentration `d` of Theorem 6.
-    pub fn d(&self) -> usize {
+    pub(crate) fn d(&self) -> usize {
         self.probes.len()
     }
 
     /// Total alignment cells across inputs.
-    pub fn total_probes(&self) -> usize {
+    pub(crate) fn total_probes(&self) -> usize {
         self.probes.iter().map(|&(_, c)| c).sum()
     }
 }
@@ -85,7 +87,7 @@ const NEVER: u32 = u32::MAX;
 /// table scan. Compare the previous search, which re-ran the automaton per
 /// candidate plane and deep-cloned it per peek.
 #[derive(Clone, Debug)]
-pub struct DispatchLog {
+pub(crate) struct DispatchLog {
     /// `first_occ[row * k + plane]`, [`NEVER`] when unreached.
     first_occ: Vec<u32>,
     /// The probed inputs (table rows, in caller order).
@@ -102,7 +104,7 @@ impl DispatchLog {
     /// lines free, recording first plane occurrences. The recording stops
     /// early for an input once all `k` planes have appeared — no later
     /// position can be a first occurrence.
-    pub fn record<D: Demultiplexor + Clone>(
+    pub(crate) fn record<D: Demultiplexor + Clone>(
         demux: &D,
         inputs: &[u32],
         k: usize,
@@ -135,19 +137,9 @@ impl DispatchLog {
         }
     }
 
-    /// Number of planes (table columns).
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The probed inputs, in caller order.
-    pub fn inputs(&self) -> &[u32] {
-        &self.inputs
-    }
-
     /// First position at which `input` (by row index) dispatches to
     /// `plane`, or `None` if it never did within the probe budget.
-    pub fn first_occurrence(&self, row: usize, plane: u32) -> Option<usize> {
+    fn first_occurrence(&self, row: usize, plane: u32) -> Option<usize> {
         match self.first_occ[row * self.k + plane as usize] {
             NEVER => None,
             pos => Some(pos as usize),
@@ -156,7 +148,7 @@ impl DispatchLog {
 
     /// The alignment plan for one candidate plane: every input whose
     /// trajectory reaches `plane`, with its probe-cell cost.
-    pub fn plan_for(&self, plane: u32) -> AlignmentPlan {
+    fn plan_for(&self, plane: u32) -> AlignmentPlan {
         let probes = self
             .inputs
             .iter()
@@ -188,7 +180,7 @@ impl DispatchLog {
     /// probe cells; equal on both: the highest plane, matching the old
     /// per-plane `max_by` search exactly). Only the winning plan is
     /// materialized.
-    pub fn best_plan(&self) -> AlignmentPlan {
+    pub(crate) fn best_plan(&self) -> AlignmentPlan {
         // `max_by_key` keeps the last of equal maxima: the highest plane.
         let best = (0..self.k)
             .max_by_key(|&plane| self.score(plane))
@@ -200,10 +192,11 @@ impl DispatchLog {
 /// Record the raw forward dispatch trajectories of `inputs`: for each, the
 /// planes its automaton picks for `count` consecutive cells destined to
 /// `output`, with all lines free. Row-major, `count` entries per input.
-/// This is the primitive beneath [`DispatchLog`], exposed for premises
-/// that need positions beyond the first occurrence (e.g. the Theorem 10
-/// symmetric-burst check in [`crate::adversary::urt_burst`]).
-pub fn record_trajectories<D: Demultiplexor + Clone>(
+/// Test-only: the Theorem 10 symmetric-burst check in
+/// [`crate::adversary::urt_burst`] needs positions beyond the first
+/// occurrence, which [`DispatchLog`] does not keep.
+#[cfg(test)]
+pub(crate) fn record_trajectories<D: Demultiplexor + Clone>(
     demux: &D,
     inputs: &[u32],
     k: usize,
@@ -222,47 +215,17 @@ pub fn record_trajectories<D: Demultiplexor + Clone>(
     out
 }
 
-/// Steer every input in `inputs` of a working copy of `demux` toward
-/// dispatching its next `output`-cell to `plane`. Inputs that cannot be
-/// aligned within `max_probes` cells are omitted from the plan.
-///
-/// `k` is the number of planes (probe contexts present all lines as free).
-pub fn plan_alignment<D: Demultiplexor + Clone>(
-    demux: &D,
-    inputs: &[u32],
-    k: usize,
-    output: u32,
-    plane: u32,
-    max_probes: usize,
-) -> AlignmentPlan {
-    DispatchLog::record(demux, inputs, k, output, max_probes).plan_for(plane)
-}
-
-/// Search all `(output, plane)` targets and return the plan with the
-/// largest concentration `d` (ties: fewest total probe cells). This is how
-/// the adversary finds the plane/output pair witnessing that the algorithm
-/// is d-partitioned.
-pub fn best_alignment<D: Demultiplexor + Clone>(
-    demux: &D,
-    inputs: &[u32],
-    k: usize,
-    output: u32,
-    max_probes: usize,
-) -> AlignmentPlan {
-    DispatchLog::record(demux, inputs, k, output, max_probes).best_plan()
-}
-
 /// The pre-optimization clone-based search, retained verbatim as the
 /// reference oracle: the one-pass [`DispatchLog`] must produce exactly the
 /// plans this produces (see the property tests below). Test-only — the
 /// shipping path never clones automaton state per peek.
 #[cfg(test)]
-pub(crate) mod oracle {
+mod oracle {
     use super::*;
     use pps_core::demux::Demultiplexor;
 
-    /// Clone-per-peek rendition of [`super::plan_alignment`].
-    pub fn plan_alignment<D: Demultiplexor + Clone>(
+    /// Clone-per-peek rendition of [`DispatchLog::plan_for`].
+    pub(crate) fn plan_alignment<D: Demultiplexor + Clone>(
         demux: &D,
         inputs: &[u32],
         k: usize,
@@ -300,8 +263,8 @@ pub(crate) mod oracle {
         }
     }
 
-    /// Clone-based rendition of [`super::best_alignment`].
-    pub fn best_alignment<D: Demultiplexor + Clone>(
+    /// Clone-based rendition of [`DispatchLog::best_plan`].
+    pub(crate) fn best_alignment<D: Demultiplexor + Clone>(
         demux: &D,
         inputs: &[u32],
         k: usize,
@@ -347,7 +310,7 @@ mod tests {
             next: vec![0, 1, 2, 3],
             k: 4,
         };
-        let plan = plan_alignment(&demux, &[0, 1, 2, 3], 4, 0, 2, 8);
+        let plan = DispatchLog::record(&demux, &[0, 1, 2, 3], 4, 0, 8).plan_for(2);
         assert_eq!(plan.d(), 4);
         // Input 0 needs 2 probes (0,1 consumed), input 2 needs 0, etc.
         let by_input: std::collections::BTreeMap<u32, usize> =
@@ -371,9 +334,9 @@ mod tests {
                 PlaneId(0)
             }
         }
-        let plan = plan_alignment(&Stubborn, &[0, 1], 2, 0, 1, 8);
-        assert_eq!(plan.d(), 0);
-        let plan0 = plan_alignment(&Stubborn, &[0, 1], 2, 0, 0, 8);
+        let log = DispatchLog::record(&Stubborn, &[0, 1], 2, 0, 8);
+        assert_eq!(log.plan_for(1).d(), 0);
+        let plan0 = log.plan_for(0);
         assert_eq!(plan0.d(), 2);
         assert_eq!(plan0.total_probes(), 0);
     }
@@ -384,7 +347,7 @@ mod tests {
             next: vec![1, 1, 1],
             k: 3,
         };
-        let plan = best_alignment(&demux, &[0, 1, 2], 3, 0, 8);
+        let plan = DispatchLog::record(&demux, &[0, 1, 2], 3, 0, 8).best_plan();
         assert_eq!(plan.d(), 3);
         // All at phase 1: plane 1 costs zero probes and must be chosen.
         assert_eq!(plan.plane, 1);
@@ -412,7 +375,7 @@ mod tests {
             k: k as u32,
         };
         let inputs: Vec<u32> = (0..n as u32).collect();
-        let plan = best_alignment(&demux, &inputs, k, 0, 2 * k);
+        let plan = DispatchLog::record(&demux, &inputs, k, 0, 2 * k).best_plan();
         assert_eq!(plan, oracle::best_alignment(&demux, &inputs, k, 0, 2 * k));
         assert_eq!(plan.plane, (k - 1) as u32);
     }
@@ -435,7 +398,7 @@ mod tests {
     /// per-input probe counts, d — to the clone-based oracle, across every
     /// demultiplexor family the adversarial experiments probe.
     mod oracle_equality {
-        use super::super::{best_alignment, oracle, plan_alignment, probe_cell};
+        use super::super::{oracle, probe_cell, DispatchLog};
         use pps_core::demux::{probe_dispatch, Demultiplexor, DispatchCtx, InfoClass};
         use pps_core::{Cell, PlaneId};
         use pps_switch::demux::{
@@ -545,12 +508,13 @@ mod tests {
             max_probes: usize,
         ) {
             let inputs: Vec<u32> = (0..n as u32).collect();
+            let log = DispatchLog::record(demux, &inputs, k, 0, max_probes);
             for plane in 0..k as u32 {
-                let fast = plan_alignment(demux, &inputs, k, 0, plane, max_probes);
+                let fast = log.plan_for(plane);
                 let slow = oracle::plan_alignment(demux, &inputs, k, 0, plane, max_probes);
                 assert_eq!(fast, slow, "plane {plane} plan diverged");
             }
-            let fast = best_alignment(demux, &inputs, k, 0, max_probes);
+            let fast = log.best_plan();
             let slow = oracle::best_alignment(demux, &inputs, k, 0, max_probes);
             assert_eq!(fast, slow, "best plan diverged");
         }

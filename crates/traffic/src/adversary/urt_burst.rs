@@ -18,10 +18,8 @@
 //! With `u = 1` (any real-time distributed algorithm) this specializes to
 //! Corollary 11's `(1 − r/R)·N/S` under burstiness `N/K − 1`.
 
-use super::alignment::record_trajectories;
 use pps_core::bounds;
 use pps_core::config::PpsConfig;
-use pps_core::demux::Demultiplexor;
 use pps_core::time::Slot;
 use pps_core::trace::{Arrival, Trace};
 
@@ -103,11 +101,14 @@ pub fn urt_burst_attack(cfg: &PpsConfig, u: Slot) -> UrtBurstAttack {
 /// (pre-burst, empty) global view and its own all-free lines, so the `m`
 /// symmetric automata should make *identical* plane choices at every burst
 /// position. This records each input's forward trajectory with the
-/// one-pass recorder ([`record_trajectories`] — no automaton clones) and
+/// one-pass recorder (`record_trajectories` — no automaton clones) and
 /// returns, per burst position `0..u'`, the modal plane and how many of
 /// the `m` inputs chose it: a count of `m` at every position certifies the
-/// full `m`-cell concentration the bound charges.
-pub fn burst_concentration<D: Demultiplexor + Clone>(
+/// full `m`-cell concentration the bound charges. Test-only: no experiment
+/// reads the profile; the unit test holds the real round-robin automaton
+/// to the premise with it.
+#[cfg(test)]
+fn burst_concentration<D: pps_core::demux::Demultiplexor + Clone>(
     demux: &D,
     cfg: &PpsConfig,
     u: Slot,
@@ -115,7 +116,7 @@ pub fn burst_concentration<D: Demultiplexor + Clone>(
     let u_eff = bounds::u_effective(cfg.r_prime, u) as usize;
     let m = (bounds::theorem10_m(cfg, u) as usize).min(cfg.n);
     let inputs: Vec<u32> = (0..m as u32).collect();
-    let traj = record_trajectories(demux, &inputs, cfg.k, 0, u_eff);
+    let traj = super::alignment::record_trajectories(demux, &inputs, cfg.k, 0, u_eff);
     (0..u_eff)
         .map(|pos| {
             let mut counts = vec![0usize; cfg.k];

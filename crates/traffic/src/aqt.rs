@@ -15,13 +15,16 @@
 //!   window length `w` — which is why the Theorem 6/8/13 attack traffics
 //!   satisfy the AQT restriction too;
 //! * `(R, B)` leaky-bucket ⟹ `(w, 1)`-admissible for every `w ≥ B/(1−ρ)`
-//!   style bounds; the checker computes the exact per-window maxima so
-//!   experiments can report them directly.
+//!   style bounds; the checker computes the exact per-window maxima.
+//!
+//! Test-only (`#[cfg(test)]` in `lib.rs`): no experiment reports AQT
+//! numbers; the module is the independent model the unit tests below hold
+//! the attack constructions and the leaky-bucket validator to.
 
 use pps_core::prelude::*;
 
 /// Exact maximum number of same-output cells in any `w`-slot window.
-pub fn max_window_load(trace: &Trace, n: usize, w: Slot) -> u64 {
+fn max_window_load(trace: &Trace, n: usize, w: Slot) -> u64 {
     assert!(w >= 1, "window length must be positive");
     // Sliding window per output over the (sparse) arrival sequence.
     let mut best = 0u64;
@@ -45,7 +48,7 @@ pub fn max_window_load(trace: &Trace, n: usize, w: Slot) -> u64 {
 
 /// Is `trace` `(w, ρ)`-admissible with `ρ = rho_num/rho_den`? (Every
 /// `w`-window carries at most `⌈ρ·w⌉` cells per output.)
-pub fn is_aqt_admissible(trace: &Trace, n: usize, w: Slot, rho: Ratio) -> bool {
+fn is_aqt_admissible(trace: &Trace, n: usize, w: Slot, rho: Ratio) -> bool {
     let cap = (rho.num() as u128 * w as u128).div_ceil(rho.den() as u128) as u64;
     max_window_load(trace, n, w) <= cap
 }
@@ -53,7 +56,7 @@ pub fn is_aqt_admissible(trace: &Trace, n: usize, w: Slot, rho: Ratio) -> bool {
 /// The smallest window length at which the trace becomes `(w, 1)`-
 /// admissible, or `None` if it never does within the trace horizon
 /// (sustained overload — the congestion traffic of Proposition 15).
-pub fn admissibility_horizon(trace: &Trace, n: usize) -> Option<Slot> {
+fn admissibility_horizon(trace: &Trace, n: usize) -> Option<Slot> {
     let horizon = trace.horizon() + 1;
     let one = Ratio::new(1, 1);
     (1..=horizon).find(|&w| {

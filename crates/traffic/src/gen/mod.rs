@@ -13,9 +13,9 @@
 //! of traffic aimed at one output), a fixed permutation, or diagonal
 //! (input `i` → output `i`, the zero-contention baseline).
 
-pub mod bernoulli;
-pub mod cbr;
-pub mod onoff;
+mod bernoulli;
+mod cbr;
+mod onoff;
 
 pub use bernoulli::BernoulliGen;
 pub use cbr::CbrGen;
@@ -47,7 +47,7 @@ pub enum TrafficPattern {
 
 impl TrafficPattern {
     /// Sample a destination for a cell from `input` in an `n`-port switch.
-    pub fn destination(&self, input: usize, n: usize, rng: &mut StdRng) -> u32 {
+    fn destination(&self, input: usize, n: usize, rng: &mut StdRng) -> u32 {
         match self {
             TrafficPattern::Uniform => rng.random_range(0..n as u32),
             TrafficPattern::Hotspot { target, hot } => {

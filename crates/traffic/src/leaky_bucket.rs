@@ -127,7 +127,7 @@ impl Lane {
 /// their per-duration checkpoints from a single scan instead of re-running
 /// [`min_burstiness`] per duration (quadratic over sweep points).
 ///
-/// A full pass followed by [`report`](Self::report) is exactly equivalent
+/// A full pass followed by `report` (test-only) is exactly equivalent
 /// to the one-shot [`min_burstiness`] scan (pinned by tests).
 #[derive(Clone, Debug)]
 pub struct IncrementalBurstiness {
@@ -172,16 +172,17 @@ impl IncrementalBurstiness {
         }
     }
 
-    /// Burstiness report of the prefix observed so far.
-    pub fn report(&self) -> BurstinessReport {
+    /// Burstiness report of the prefix observed so far (what the tests
+    /// compare with the one-shot [`min_burstiness`], lane by lane).
+    #[cfg(test)]
+    fn report(&self) -> BurstinessReport {
         BurstinessReport {
             per_input: self.lane_in.max.clone(),
             per_output: self.lane_out.max.clone(),
         }
     }
 
-    /// Overall minimal `B` of the prefix observed so far (cheaper than
-    /// cloning a full [`report`](Self::report) at every checkpoint).
+    /// Overall minimal `B` of the prefix observed so far.
     pub fn overall(&self) -> u64 {
         self.lane_in
             .max

@@ -3,7 +3,7 @@
 //! Three families of traffic, all emitted as validated
 //! [`pps_core::Trace`]s:
 //!
-//! * [`leaky_bucket`] — the paper's admissibility model (Definition 3):
+//! * `leaky_bucket` — the paper's admissibility model (Definition 3):
 //!   `(R, B)` leaky-bucket constrained flows, with an exact minimal-
 //!   burstiness calculator, a conformance validator, and a greedy shaper.
 //! * [`gen`] — stochastic workload generators (Bernoulli i.i.d., bursty
@@ -17,14 +17,12 @@
 //!   demultiplexor state machines through [`pps_core::demux::Demultiplexor`]
 //!   clones, mirroring the proofs' navigation of the configuration graph.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod adversary;
-pub mod aqt;
+#[cfg(test)]
+mod aqt;
 pub mod gen;
-pub mod leaky_bucket;
-pub mod stats;
+mod leaky_bucket;
+mod stats;
 
 pub use leaky_bucket::{
     is_leaky_bucket, min_burstiness, shape, BurstinessReport, IncrementalBurstiness,

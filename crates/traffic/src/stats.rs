@@ -53,7 +53,7 @@ impl TraceStats {
     }
 
     /// Mean offered load per input (cells per slot per port).
-    pub fn offered_load(&self) -> f64 {
+    fn offered_load(&self) -> f64 {
         if self.duration == 0 {
             return 0.0;
         }
@@ -62,7 +62,7 @@ impl TraceStats {
 
     /// Highest per-output arrival rate (cells per slot) — above 1.0 the
     /// traffic is inadmissible over its duration (congestion regime).
-    pub fn hottest_output_rate(&self) -> f64 {
+    fn hottest_output_rate(&self) -> f64 {
         if self.duration == 0 {
             return 0.0;
         }

@@ -57,7 +57,7 @@ impl ClassedTrace {
 /// (same arrival model and zero minimum transit as
 /// `pps_reference::oq::ShadowOq`; within a class, FCFS by arrival
 /// order). Returned in `trace.arrivals()` order.
-pub fn priority_departure_times(classed: &ClassedTrace, n: usize) -> Vec<Slot> {
+fn priority_departure_times(classed: &ClassedTrace, n: usize) -> Vec<Slot> {
     let arrivals = classed.trace.arrivals();
     let nc = classed.n_classes as usize;
     // queues[output][class] holds indices into `arrivals`.

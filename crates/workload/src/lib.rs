@@ -19,37 +19,32 @@
 //! * [`UniformGen`] / [`Shaped`] — memoryless baseline, and leaky-bucket
 //!   policing that makes any stream *admissible by construction*
 //!   ([`LbContract`], integer-exact over [`pps_core::rate::Ratio`]).
-//! * [`ReplayStream`] — recorded/CSV traces through the same pipe.
-//! * [`classes`] — multi-class tagging and the strict-priority output mux
+//! * `ReplayStream` — recorded/CSV traces through the same pipe.
+//! * `classes` — multi-class tagging and the strict-priority output mux
 //!   for per-class tail comparisons.
 //!
 //! Determinism is the design axis: every generator draws from per-input
-//! [`SplitMix64`] substreams derived from one master seed
-//! ([`SplitMix64::derive`]), so a `(spec, seed)` pair is a replayable
-//! name for a trace — byte-identical across machines, `--jobs` widths,
-//! and dense vs skip-ahead walks (property-tested in
-//! `tests/property.rs`).
+//! [`SplitMix64`](pps_core::rng::SplitMix64) substreams derived from one
+//! master seed ([`derive`](pps_core::rng::SplitMix64::derive)), so a
+//! `(spec, seed)` pair is a replayable name for a trace — byte-identical
+//! across machines, `--jobs` widths, and dense vs skip-ahead walks
+//! (property-tested in `tests/property.rs`).
 //!
 //! [`WorkloadSpec`] is the textual surface: `ppslab --workload
 //! "zipf:n=8,load=0.85,s=1.1,flows=1048576,seed=7"` parses here, as do
 //! the chaos harness's stochastic corpus draws.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+mod classes;
+mod mmpp;
+mod replay;
+mod shaped;
+mod spec;
+mod stream;
+mod zipf;
 
-pub mod classes;
-pub mod mmpp;
-pub mod replay;
-pub mod shaped;
-pub mod spec;
-pub mod stream;
-pub mod zipf;
-
-pub use classes::{priority_departure_times, priority_oq_delays, ClassedTrace};
+pub use classes::{priority_oq_delays, ClassedTrace};
 pub use mmpp::{MmppGen, OnOffBurstGen, Phase};
-pub use pps_core::rng::{mix64, SplitMix64};
-pub use replay::ReplayStream;
 pub use shaped::{Shaped, UniformGen};
 pub use spec::WorkloadSpec;
 pub use stream::{materialize, materialize_dense, ArrivalStream, LbContract};
-pub use zipf::{ZipfGen, ZipfSampler};
+pub use zipf::ZipfGen;

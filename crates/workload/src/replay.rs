@@ -13,21 +13,16 @@ use pps_core::prelude::*;
 
 /// Replays the arrivals of a recorded trace, optionally tiled end-to-end
 /// `repeat` times (each repetition shifted past the previous horizon).
-pub struct ReplayStream {
+pub(crate) struct ReplayStream {
     n: usize,
     arrivals: Vec<Arrival>,
     cursor: usize,
 }
 
 impl ReplayStream {
-    /// Replay `trace` for an `n`-port switch once.
-    pub fn new(trace: &Trace, n: usize) -> Self {
-        Self::repeated(trace, n, 1)
-    }
-
     /// Replay `trace` tiled `repeat` times: repetition `k` is shifted by
     /// `k · (horizon + 1)` so repetitions never collide on `(slot, input)`.
-    pub fn repeated(trace: &Trace, n: usize, repeat: u64) -> Self {
+    pub(crate) fn repeated(trace: &Trace, n: usize, repeat: u64) -> Self {
         let period = trace.horizon() + 1;
         let mut arrivals = Vec::with_capacity(trace.len() * repeat as usize);
         for k in 0..repeat {
@@ -85,15 +80,15 @@ mod tests {
     #[test]
     fn replay_round_trips_the_trace() {
         let t = sample();
-        let out = materialize(&mut ReplayStream::new(&t, 2), t.horizon() + 1);
+        let out = materialize(&mut ReplayStream::repeated(&t, 2, 1), t.horizon() + 1);
         assert_eq!(out, t);
     }
 
     #[test]
     fn skip_and_dense_walks_agree() {
         let t = sample();
-        let a = materialize(&mut ReplayStream::new(&t, 2), 50);
-        let b = materialize_dense(&mut ReplayStream::new(&t, 2), 50);
+        let a = materialize(&mut ReplayStream::repeated(&t, 2, 1), 50);
+        let b = materialize_dense(&mut ReplayStream::repeated(&t, 2, 1), 50);
         assert_eq!(a, b);
         assert_eq!(a.len(), 3, "horizon 50 truncates the slot-100 cell");
     }
@@ -113,7 +108,7 @@ mod tests {
         let mut buf = Vec::new();
         pps_core::trace_io::write_csv(&t, &mut buf).unwrap();
         let back = pps_core::trace_io::read_csv(&buf[..], 2).unwrap();
-        let out = materialize(&mut ReplayStream::new(&back, 2), 200);
+        let out = materialize(&mut ReplayStream::repeated(&back, 2, 1), 200);
         assert_eq!(out, t);
     }
 }

@@ -103,12 +103,6 @@ impl<S: ArrivalStream> Shaped<S> {
             scratch: Vec::new(),
         }
     }
-
-    /// The shaping contract (also exposed through
-    /// [`ArrivalStream::contract`]).
-    pub fn lb(&self) -> LbContract {
-        self.contract
-    }
 }
 
 impl<S: ArrivalStream> ArrivalStream for Shaped<S> {
@@ -160,7 +154,7 @@ mod tests {
     fn emitted_trace_satisfies_its_own_contract() {
         for seed in 0..20 {
             let mut g = shaped(seed);
-            let c = g.lb();
+            let c = g.contract().expect("shaped streams carry their contract");
             let t = materialize(&mut g, 3_000);
             assert!(
                 c.admits(&t, 4),

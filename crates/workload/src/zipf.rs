@@ -23,7 +23,7 @@ use pps_core::rng::{mix64, SplitMix64};
 
 /// O(1) sampler for `P(k) ∝ 1/k^s`, `k ∈ 1..=n`, by rejection-inversion.
 #[derive(Clone, Copy, Debug)]
-pub struct ZipfSampler {
+struct ZipfSampler {
     n: u64,
     s: f64,
     h_x1: f64,
@@ -53,7 +53,7 @@ impl ZipfSampler {
     /// Sampler over ranks `1..=n` with exponent `s > 0` (any `s`,
     /// including the harmonic point `s = 1`, via the `expm1`/`log1p`
     /// helpers).
-    pub fn new(n: u64, s: f64) -> Self {
+    fn new(n: u64, s: f64) -> Self {
         assert!(n >= 1, "Zipf population must be non-empty");
         assert!(s > 0.0 && s.is_finite(), "Zipf exponent must be positive");
         let mut z = ZipfSampler {
@@ -86,13 +86,8 @@ impl ZipfSampler {
         (helper1(t) * x).exp()
     }
 
-    /// Population size `n`.
-    pub fn population(&self) -> u64 {
-        self.n
-    }
-
     /// Draw a rank in `1..=n`; expected iterations < 2 for any `s`.
-    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+    fn sample(&self, rng: &mut SplitMix64) -> u64 {
         loop {
             let u = self.h_n + rng.next_f64() * (self.h_x1 - self.h_n);
             let x = self.h_integral_inverse(u);
@@ -155,13 +150,6 @@ impl ZipfGen {
         }
     }
 
-    /// The output all cells of `flow` are destined to — a pure function
-    /// of `(flow, seed)`, shared across inputs and across chaos cases so
-    /// flow-id reuse really does revisit the same output rings.
-    pub fn output_of(&self, flow: u64) -> u32 {
-        (mix64(flow ^ self.flow_salt) % self.n as u64) as u32
-    }
-
     /// Pin the flow→output hash salt instead of deriving it from the
     /// seed. Two generators sharing a salt map every flow id to the same
     /// output even when their arrival processes differ — the chaos
@@ -174,6 +162,13 @@ impl ZipfGen {
     }
 }
 
+/// The output all cells of `flow` are destined to — a pure function of
+/// `(flow, salt)`, shared across inputs and across chaos cases so flow-id
+/// reuse really does revisit the same output rings.
+fn flow_output(flow: u64, salt: u64, n: usize) -> u32 {
+    (mix64(flow ^ salt) % n as u64) as u32
+}
+
 impl ArrivalStream for ZipfGen {
     fn ports(&self) -> usize {
         self.n
@@ -184,12 +179,13 @@ impl ArrivalStream for ZipfGen {
     }
 
     fn emit(&mut self, slot: Slot, out: &mut Vec<Arrival>) {
+        let (salt, n) = (self.flow_salt, self.n);
         for (i, st) in self.inputs.iter_mut().enumerate() {
             if st.next != slot {
                 continue;
             }
             let flow = self.sampler.sample(&mut st.flows);
-            let output = (mix64(flow ^ self.flow_salt) % self.n as u64) as u32;
+            let output = flow_output(flow, salt, n);
             out.push(Arrival::new(slot, i as u32, output));
             let gap = st.gaps.geometric(self.load);
             st.next = slot.saturating_add(1).saturating_add(gap);
@@ -264,8 +260,9 @@ mod tests {
         let b = ZipfGen::new(2, 8, 0.5, 1.2, 1000).with_flow_salt(77);
         let c = ZipfGen::new(1, 8, 0.5, 1.2, 1000);
         let d = ZipfGen::new(2, 8, 0.5, 1.2, 1000);
-        assert!((1..200).all(|f| a.output_of(f) == b.output_of(f)));
-        assert!((1..200).any(|f| c.output_of(f) != d.output_of(f)));
+        let out = |g: &ZipfGen, f| flow_output(f, g.flow_salt, g.n);
+        assert!((1..200).all(|f| out(&a, f) == out(&b, f)));
+        assert!((1..200).any(|f| out(&c, f) != out(&d, f)));
     }
 
     #[test]
@@ -273,7 +270,10 @@ mod tests {
         let g = ZipfGen::new(42, 8, 0.5, 1.2, 1000);
         let h = ZipfGen::new(42, 8, 0.5, 1.2, 1000);
         for flow in 1..100 {
-            assert_eq!(g.output_of(flow), h.output_of(flow));
+            assert_eq!(
+                flow_output(flow, g.flow_salt, g.n),
+                flow_output(flow, h.flow_salt, h.n)
+            );
         }
     }
 }
