@@ -376,8 +376,9 @@ impl ChaosCase {
         };
 
         // 7. Stochastic upgrade. A seed-derived hash — the same idiom as
-        //    [`stepping`](Self::stepping), *not* a fresh RNG draw, so the
-        //    draw order above is untouched — swaps the classic generator
+        //    [`crossbar_sched`](Self::crossbar_sched), *not* a fresh RNG
+        //    draw, so the draw order above is untouched — swaps the classic
+        //    generator
         //    for a pps-workload stochastic one in a quarter of cases: an
         //    eighth Zipf flow populations, an eighth correlated MMPP
         //    bursts. Parameters are further pure
@@ -539,25 +540,11 @@ impl ChaosCase {
         }
     }
 
-    /// The slot-stepping mode this case runs its engines with. Derived
-    /// from the already-drawn `seed` (a multiply-and-shift hash, *not* a
-    /// fresh RNG draw), so adding it did not change the generation draw
-    /// order and every recorded `(seed, index)` repro pair stays valid.
-    /// Roughly half the cases fuzz each mode.
-    pub(crate) fn stepping(&self) -> pps_core::Stepping {
-        if self.seed.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63 == 0 {
-            pps_core::Stepping::Dense
-        } else {
-            pps_core::Stepping::SkipAhead
-        }
-    }
-
     /// The scheduler the comparison crossbar runs for this case. Derived
-    /// from the already-drawn `seed` by the same hash idiom as
-    /// [`stepping`](Self::stepping) — *not* a fresh RNG draw — so adding
-    /// it changed no recorded `(seed, index)` repro pair. Half the cases
-    /// keep iSLIP (the historical comparison engine); the rest split
-    /// between the sampling schedulers with hash-drawn parameters.
+    /// from the already-drawn `seed` by a hash — *not* a fresh RNG draw —
+    /// so adding it changed no recorded `(seed, index)` repro pair. Half
+    /// the cases keep iSLIP (the historical comparison engine); the rest
+    /// split between the sampling schedulers with hash-drawn parameters.
     pub(crate) fn crossbar_sched(&self) -> CrossbarChoice {
         let h = case_seed(self.seed, 0x5CED_0CB5);
         match h >> 62 {

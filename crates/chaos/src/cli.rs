@@ -1,9 +1,10 @@
-//! `ppslab chaos` — argument parsing and the fuzzing driver.
+//! `ppslab chaos` — the campaign flags and the fuzzing driver.
 //!
 //! Lives here (not in the driver binary) so the harness tests exercise
-//! the exact code path the CLI runs, flag parsing included. All errors
-//! are typed: the driver prints them and exits nonzero instead of
-//! panicking on a bad flag or an unwritable repro directory.
+//! the exact code path the CLI runs, flag parsing included: `ppslab`'s one
+//! argv pass keeps `--jobs` / `--telemetry` and hands [`parse`] the rest.
+//! All errors are typed: the driver prints them and exits nonzero instead
+//! of panicking on a bad flag or an unwritable repro directory.
 
 use crate::case::ChaosCase;
 use crate::report::{case_line, failure_block, render, write_repro};
@@ -50,7 +51,7 @@ impl fmt::Display for ChaosError {
 impl std::error::Error for ChaosError {}
 
 /// Parsed `ppslab chaos` options.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosOptions {
     /// Master seed; every case seed derives from it.
     pub seed: u64,
@@ -58,7 +59,7 @@ pub struct ChaosOptions {
     pub cases: usize,
     /// Arrival horizon per case, in slots.
     pub budget_slots: Slot,
-    /// Worker budget override (`None` keeps the process-wide setting).
+    /// Worker budget override for the harness tests (`None`: as `--jobs` set it).
     pub jobs: Option<usize>,
     /// Where minimized repros are written.
     pub repro_out: PathBuf,
@@ -71,8 +72,8 @@ pub struct ChaosOptions {
     pub truncate_at: Option<Slot>,
     /// Arm the test-only conservation-leak hook this many times per case.
     pub inject_leak: u32,
-    /// Pin every case to one stepping mode instead of the per-case draw
-    /// (`--stepping dense|skip`). Reports are byte-identical either way.
+    /// Run every case in this stepping mode instead of skip-ahead: set by
+    /// the harness's dense ≡ skip test, by no flag.
     pub force_stepping: Option<pps_core::Stepping>,
 }
 
@@ -102,8 +103,8 @@ where
         .map_err(|e| ChaosError::InvalidFlag(format!("{flag} {value}: {e}")))
 }
 
-/// Parse `chaos` subcommand arguments (everything after the subcommand).
-fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
+/// Parse the campaign flags of `ppslab chaos` (`--flag value` pairs).
+pub fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
     let mut opts = ChaosOptions::default();
     let mut plan_path: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -116,18 +117,11 @@ fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
             "--seed" => opts.seed = parse_num(flag, value()?)?,
             "--cases" => opts.cases = parse_num(flag, value()?)?,
             "--budget-slots" => opts.budget_slots = parse_num(flag, value()?)?,
-            "--jobs" => opts.jobs = Some(parse_num(flag, value()?)?),
             "--repro-out" => opts.repro_out = PathBuf::from(value()?),
             "--case" => opts.only_case = Some(parse_num(flag, value()?)?),
             "--plan" => plan_path = Some(PathBuf::from(value()?)),
             "--truncate-at" => opts.truncate_at = Some(parse_num(flag, value()?)?),
             "--inject-leak" => opts.inject_leak = parse_num(flag, value()?)?,
-            "--stepping" => {
-                let v = value()?;
-                opts.force_stepping = Some(pps_core::Stepping::parse(v).ok_or_else(|| {
-                    ChaosError::InvalidFlag(format!("--stepping {v}: expected dense or skip"))
-                })?);
-            }
             other => {
                 return Err(ChaosError::InvalidFlag(format!("unknown flag {other}")));
             }
@@ -251,11 +245,6 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
         text: render(seed, budget, &lines, failed, cells, fault_events),
         failed,
     })
-}
-
-/// Parse-and-run convenience used by the `ppslab chaos` subcommand.
-pub fn run_chaos(args: &[String]) -> Result<ChaosReport, ChaosError> {
-    run(&parse(args)?)
 }
 
 #[cfg(test)]

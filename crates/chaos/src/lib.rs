@@ -35,5 +35,3 @@ pub mod cli;
 mod report;
 mod runner;
 mod shrink;
-
-pub use cli::run_chaos;

@@ -4,10 +4,10 @@
 //! the crossbar (scheduler drawn per case from the zoo — iSLIP, QPS-r or
 //! SW-QPS) and the CIOQ switch (policy drawn per case) through the *same*
 //! arrival stream slot by slot. The four are one [`SlotEngine`]
-//! (`Lockstep`) run by the production driver, [`stepping::drive`], in the
-//! stepping mode the case drew — so every case also fuzzes the driver's
-//! own skip-ahead arithmetic and arms its missed-wake oracle over all
-//! four engines. The PPS-side conservation ledger and the cell-pool
+//! (`Lockstep`) run by the production driver, [`stepping::drive`], in its
+//! product mode (skip-ahead) — so every case also fuzzes the driver's own
+//! skip-ahead arithmetic and arms its missed-wake oracle over all four
+//! engines. The PPS-side conservation ledger and the cell-pool
 //! reconciliation run every slot (so a violation is caught at the slot it
 //! happens, not at the end); the event-stream, flow-order, causality and
 //! relative-delay oracles fold over the run once it finishes.
@@ -28,7 +28,6 @@ use pps_reference::ShadowOq;
 use pps_switch::{BufferedPps, BufferlessPps, InputStage, Pps};
 use pps_telemetry::{check_stream, StreamOracleConfig};
 use pps_traffic::min_burstiness;
-use std::sync::Arc;
 
 /// iSLIP iteration count / CIOQ speedup for the comparison engines (the
 /// scheduler and matching policy themselves are per-case draws).
@@ -52,9 +51,9 @@ pub(crate) struct RunOpts {
     /// flush without accounting for it). Used to prove the harness
     /// catches and shrinks a real conservation bug; 0 in normal runs.
     pub inject_leak: u32,
-    /// Pin the driver's stepping mode instead of letting the case
-    /// draw it from its seed ([`ChaosCase::stepping`]). Used by the
-    /// dense/skip equivalence tests; `None` in normal campaigns.
+    /// Run the driver in this stepping mode instead of the product loop
+    /// (skip-ahead). Used by the dense/skip equivalence tests; `None` in
+    /// normal campaigns.
     pub force_stepping: Option<Stepping>,
     /// Pin the comparison CIOQ switch's speedup instead of the default
     /// (2). Used by the speedup × fault interaction tests; `None` in
@@ -354,7 +353,7 @@ fn lockstep<S: InputStage>(
     trace: &Trace,
     mut pps: Pps<S>,
 ) -> Result<(CaseOutcome, RunLog, RunLog), ModelError> {
-    pps.set_fault_plan_shared(Arc::new(case.plan.clone()))?;
+    pps.set_fault_plan(&case.plan)?;
     for _ in 0..opts.inject_leak {
         pps.inject_conservation_leak();
     }
@@ -380,7 +379,7 @@ fn lockstep<S: InputStage>(
         + (trace.len() as Slot + 1) * (case.r_prime as Slot + 1)
         + case.plan.horizon()
         + 512;
-    let stepping = opts.force_stepping.unwrap_or_else(|| case.stepping());
+    let stepping = opts.force_stepping.unwrap_or(Stepping::SkipAhead);
     // Never `Err`: `Lockstep::slot` records an engine error and stops.
     let (pps_log, end) = stepping::drive(&mut engines, trace, case.n, cap, stepping)?;
 

@@ -95,28 +95,6 @@ impl CellPool {
     pub fn arrival(&self, id: CellId) -> Slot {
         self.arrival[id.idx()]
     }
-
-    /// Reassemble the full [`Cell`] value (the tests' probe; the hot paths
-    /// read single columns instead).
-    #[cfg(test)]
-    fn get(&self, id: CellId) -> Cell {
-        Cell {
-            id,
-            input: self.input(id),
-            output: self.output(id),
-            seq: self.seq(id),
-            arrival: self.arrival(id),
-        }
-    }
-
-    /// Drop every entry but keep the allocations.
-    #[cfg(test)]
-    fn clear(&mut self) {
-        self.input.clear();
-        self.output.clear();
-        self.seq.clear();
-        self.arrival.clear();
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +116,6 @@ mod tests {
         let mut pool = CellPool::new();
         let c = cell(0, 2, 5, 7, 11);
         pool.ensure(&c);
-        assert_eq!(pool.get(CellId(0)), c);
         assert_eq!(pool.input(CellId(0)), PortId(2));
         assert_eq!(pool.output(CellId(0)), PortId(5));
         assert_eq!(pool.seq(CellId(0)), 7);
@@ -152,20 +129,14 @@ mod tests {
         assert_eq!(pool.len(), 4);
         pool.ensure(&cell(1, 0, 2, 5, 2)); // straggler fills its own slot
         pool.ensure(&cell(1, 0, 2, 5, 2)); // re-registration is a no-op
-        assert_eq!(pool.get(CellId(1)), cell(1, 0, 2, 5, 2));
-        assert_eq!(pool.get(CellId(3)), cell(3, 1, 1, 0, 4));
-    }
-
-    #[test]
-    fn clear_recycles_without_shrinking() {
-        let mut pool = CellPool::new();
-        for i in 0..8 {
-            pool.ensure(&cell(i, 0, 0, i as u32, 0));
-        }
-        assert_eq!(pool.len(), 8);
-        pool.clear();
-        assert_eq!(pool.len(), 0);
-        pool.ensure(&cell(0, 3, 4, 9, 9));
-        assert_eq!(pool.get(CellId(0)), cell(0, 3, 4, 9, 9));
+        assert_eq!(pool.len(), 4);
+        assert_eq!(
+            (pool.output(CellId(1)), pool.seq(CellId(1))),
+            (PortId(2), 5)
+        );
+        assert_eq!(
+            (pool.input(CellId(3)), pool.arrival(CellId(3))),
+            (PortId(1), 4)
+        );
     }
 }

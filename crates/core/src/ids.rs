@@ -78,12 +78,6 @@ impl FlowId {
             output: PortId(output),
         }
     }
-
-    /// Dense index of this flow in an `N × N` flow matrix.
-    #[cfg(test)]
-    fn dense(self, n: usize) -> usize {
-        self.input.idx() * n + self.output.idx()
-    }
 }
 
 impl fmt::Debug for PortId {
@@ -125,19 +119,6 @@ impl fmt::Debug for FlowId {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dense_flow_index_round_trips() {
-        let n = 8;
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..n as u32 {
-            for j in 0..n as u32 {
-                assert!(seen.insert(FlowId::new(i, j).dense(n)));
-            }
-        }
-        assert_eq!(seen.len(), n * n);
-        assert_eq!(*seen.iter().max().unwrap(), n * n - 1);
-    }
 
     #[test]
     fn cell_ids_order_like_their_numbers() {

@@ -118,13 +118,6 @@ impl LinkBank {
         self.acquisitions
     }
 
-    /// Reset every line to idle.
-    #[cfg(test)]
-    fn reset(&mut self) {
-        self.busy_until.fill(0);
-        self.acquisitions = 0;
-    }
-
     /// Fault-injection: force line `(x, y)` busy through slot `until`
     /// (exclusive), never shortening an existing occupancy. The line
     /// simply looks busy to its owner's local view — exactly how a
@@ -209,15 +202,6 @@ mod tests {
         assert!(bank.acquire(0, 0, 5).is_err());
         bank.degrade(0, 0, 3); // never shortens an occupancy
         assert!(!bank.is_free(0, 0, 9));
-        assert_eq!(bank.acquisitions(), 0);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut bank = LinkBank::new(1, 2, 3, LinkSide::InputToPlane);
-        bank.acquire(0, 1, 2).unwrap();
-        bank.reset();
-        assert!(bank.is_free(0, 1, 0));
         assert_eq!(bank.acquisitions(), 0);
     }
 }

@@ -52,13 +52,6 @@ impl<T> FifoQueue<T> {
     pub fn max_occupancy(&self) -> usize {
         self.max_occupancy
     }
-
-    /// Reset both contents and statistics.
-    #[cfg(test)]
-    fn reset(&mut self) {
-        self.items.clear();
-        self.max_occupancy = 0;
-    }
 }
 
 #[cfg(test)]
@@ -87,14 +80,5 @@ mod tests {
         q.push(99);
         assert_eq!(q.max_occupancy(), 5);
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn reset_clears_statistics() {
-        let mut q = FifoQueue::new();
-        q.push(1);
-        q.reset();
-        assert_eq!(q.max_occupancy(), 0);
-        assert_eq!(q.len(), 0);
     }
 }

@@ -62,32 +62,6 @@ impl GlobalSnapshot {
     }
 }
 
-/// Whole-snapshot folds no engine reads; kept as the reference the
-/// tie-break test states the least-loaded ranking against.
-#[cfg(test)]
-impl GlobalSnapshot {
-    /// Total backlog destined for `output` across all planes.
-    fn backlog_for_output(&self, output: usize) -> u64 {
-        (0..self.k).map(|p| self.queue_len(p, output) as u64).sum()
-    }
-
-    /// Plane with the shortest queue for `output`, lowest index on ties.
-    fn least_loaded_plane_for(&self, output: usize) -> usize {
-        (0..self.k)
-            .min_by_key(|&p| (self.queue_len(p, output), p))
-            .expect("snapshot has at least one plane")
-    }
-
-    /// Planes sorted by ascending queue length for `output` (stable: ties
-    /// keep index order). This is the ranking a stale-information
-    /// least-loaded demultiplexor works from.
-    fn plane_ranking_for(&self, output: usize) -> Vec<usize> {
-        let mut planes: Vec<usize> = (0..self.k).collect();
-        planes.sort_by_key(|&p| (self.queue_len(p, output), p));
-        planes
-    }
-}
-
 /// Ring of recent snapshots implementing the `u`-slot information delay.
 #[derive(Clone, Debug)]
 pub struct SnapshotRing {
@@ -156,16 +130,6 @@ mod tests {
         let mut s = GlobalSnapshot::empty(2, 2, t);
         s.plane_queue_len.copy_from_slice(lens);
         s
-    }
-
-    #[test]
-    fn least_loaded_breaks_ties_by_index() {
-        // k=2, n=2; output 1 queue lens: plane0 -> 5, plane1 -> 5.
-        let s = snap(0, &[0, 5, 9, 5]);
-        assert_eq!(s.least_loaded_plane_for(1), 0);
-        assert_eq!(s.least_loaded_plane_for(0), 0);
-        assert_eq!(s.plane_ranking_for(0), vec![0, 1]);
-        assert_eq!(s.backlog_for_output(1), 10);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! verdicts); they differ only in wall clock and in how the
 //! [`crate::perf`] meters split slots between `simulated` and `skipped`.
 //!
-//! The process-wide default is [`Stepping::SkipAhead`]; the dense loop
-//! stays available behind `ppslab --stepping dense` (and per-engine
-//! setters) for paranoia runs and for the equivalence harness that pits
-//! the two against each other.
+//! [`Stepping::SkipAhead`] is the product loop. The dense loop is the test
+//! oracle: no command-line flag selects it, and the equivalence suites
+//! reach it through the per-engine setters, [`drive`]'s `mode` argument and
+//! [`set_process_default`].
 
 use crate::{Cell, ModelError, RunLog, Slot, Trace};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,16 +34,7 @@ pub enum Stepping {
 }
 
 impl Stepping {
-    /// Parse a CLI spelling (`dense`, `skip` / `skip-ahead`).
-    pub fn parse(s: &str) -> Option<Stepping> {
-        match s {
-            "dense" => Some(Stepping::Dense),
-            "skip" | "skip-ahead" | "skipahead" => Some(Stepping::SkipAhead),
-            _ => None,
-        }
-    }
-
-    /// Short stable name (report lines, bench ids).
+    /// Short stable name (test labels).
     pub fn name(self) -> &'static str {
         match self {
             Stepping::Dense => "dense",
@@ -57,8 +48,8 @@ static DEFAULT_DENSE: AtomicBool = AtomicBool::new(false);
 
 /// Set the process-wide default stepping mode. Engines read it once at
 /// construction (so a mid-run flip cannot desynchronize a run); per-engine
-/// setters override it. Drivers (`ppslab --stepping`) call this before
-/// building anything.
+/// setters override it. The equivalence suites and `ppsbench` call this
+/// before building anything; `ppslab` never does.
 pub fn set_process_default(mode: Stepping) {
     DEFAULT_DENSE.store(mode == Stepping::Dense, Ordering::Relaxed);
 }
@@ -197,15 +188,6 @@ pub fn drive<E: SlotEngine + ?Sized>(
 mod tests {
     use super::*;
     use crate::trace::Arrival;
-
-    #[test]
-    fn parse_round_trips() {
-        assert_eq!(Stepping::parse("dense"), Some(Stepping::Dense));
-        assert_eq!(Stepping::parse("skip"), Some(Stepping::SkipAhead));
-        assert_eq!(Stepping::parse("skip-ahead"), Some(Stepping::SkipAhead));
-        assert_eq!(Stepping::parse("bogus"), None);
-        assert_eq!(Stepping::default(), Stepping::SkipAhead);
-    }
 
     #[test]
     fn earliest_folds_options() {

@@ -7,8 +7,7 @@
 //! one point — so execution strategy becomes the executor's business, not
 //! the runner's. It sits next to the [`crate::workers`] budget it drains,
 //! below the experiment layer, so the chaos harness — whose cases are
-//! exactly such a point list — shares it; `pps_experiments::sweep`
-//! re-exports everything.
+//! exactly such a point list — shares it.
 //!
 //! ## Determinism contract
 //!

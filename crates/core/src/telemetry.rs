@@ -50,18 +50,6 @@ pub enum Level {
     Full = 2,
 }
 
-impl Level {
-    /// Parse a CLI spelling (`off`, `counters`, `full`).
-    pub fn parse(s: &str) -> Option<Level> {
-        match s {
-            "off" => Some(Level::Off),
-            "counters" => Some(Level::Counters),
-            "full" => Some(Level::Full),
-            _ => None,
-        }
-    }
-}
-
 /// Which engine emitted an event — the track axis of every sink, so
 /// lockstep runs (PPS vs shadow on the same trace) render side by side.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]

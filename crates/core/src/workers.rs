@@ -7,7 +7,6 @@
 //! sweep keeps its calling thread and holds a [`WorkerLease`] per extra
 //! worker only while that worker runs, so nested sweeps (an experiment
 //! inside the registry sweep) never oversubscribe.
-//! `pps_experiments::sweep` re-exports [`set_jobs`]/[`jobs`] for drivers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

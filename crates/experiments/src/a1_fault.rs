@@ -22,10 +22,10 @@
 //! `centralized < u-RT < fully-distributed` is the information hierarchy
 //! of the paper made visible through faults instead of delay.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless_faulted, fault_impact, FaultImpact, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{
     FaultAwareRoundRobinDemux, FtdDemux, RoundRobinDemux, StaticPartitionDemux,
 };

@@ -3,10 +3,10 @@
 //! Sweeping `S` across the threshold shows the crossover: deadline misses
 //! and relative delay appear exactly when `S < 2`.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{lockstep::Comparison, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::CpaDemux;
 use pps_switch::engine::BufferlessPps;
 use pps_traffic::gen::{BernoulliGen, TrafficPattern};

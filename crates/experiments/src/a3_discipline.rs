@@ -8,10 +8,10 @@
 //! * `Greedy` — maximal output utilization, may reorder flows (model
 //!   violation; quantified via the order checker).
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_reference::checker::check_flow_order;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::gen::OnOffGen;

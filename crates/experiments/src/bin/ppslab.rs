@@ -8,18 +8,23 @@
 //! ppslab --markdown  # emit GitHub-flavoured markdown instead of text
 //! ppslab --out results/   # also write every table as CSV into results/
 //! ppslab --jobs 4    # worker budget (default: available parallelism; 1 = serial)
-//! ppslab --stepping dense   # force the dense slot loop (default: skip-ahead)
 //! ppslab --bench-json BENCH_experiments.json   # record wall-clock + slots/sec
 //! ppslab --telemetry counters          # event counters to stderr after the run
 //! ppslab --telemetry full --trace-out trace.json e3   # Perfetto-loadable trace
-//! ppslab custom --n 32 --k 8 --rprime 4 --algo rr --workload attack
-//! ppslab chaos --seed 42 --cases 256 --budget-slots 256   # fuzz with oracles
 //! ppslab --workload "zipf:n=16,load=0.85,s=1.1,seed=7"   # stochastic tail report
 //! ppslab --workload "mmpp:n=8" --workload-k 8 --workload-rprime 4
+//! ppslab custom --n 32 --k 8 --rprime 4 --algo rr --workload attack
+//! ppslab custom --algo stale:2 --workload urt --slots 2000 --save-trace t.csv
+//! ppslab chaos --seed 42 --cases 256 --budget-slots 256   # fuzz with oracles
+//! ppslab chaos --inject-leak 1 --repro-out repros/   # prove the oracles bite
+//! ppslab chaos --seed 42 --cases 1 --case 1 --plan plan.csv --truncate-at 83   # replay a repro
 //! ```
 //!
+//! argv is parsed once, by `pps_experiments::cli::parse`, whose flag table
+//! the block above is pinned against.
+//!
 //! Whatever `--jobs` says, the printed tables are byte-identical: the sweep
-//! executor merges results in declared order (see `pps_experiments::sweep`).
+//! executor merges results in declared order (see `pps_core::sweep`).
 //! `--bench-json` times experiments one at a time (their inner sweeps still
 //! use the worker budget) so the per-experiment numbers are attributable,
 //! and writes them as JSON.
@@ -31,8 +36,14 @@
 //! is a Chrome trace-event file (open in Perfetto), `.csv` a flat table,
 //! anything else JSONL.
 
-use pps_experiments::sweep::SweepPlan;
+use pps_core::sweep::SweepPlan;
+use pps_core::telemetry::{self, Level};
+use pps_experiments::cli::{self, CliError, ExperimentArgs, Mode, Settings};
+use pps_experiments::custom::run_custom;
+use pps_experiments::workload_cli::run_workload;
 use pps_experiments::{registry, ExperimentOutput};
+use std::path::Path;
+use std::process::ExitCode;
 
 /// Per-experiment benchmark record:
 /// `(id, wall seconds, simulated slots, skipped slots)`.
@@ -40,14 +51,10 @@ type BenchEntry = (&'static str, f64, u64, u64);
 
 /// Serialize the benchmark records by hand (two levels of objects — not
 /// worth a JSON dependency).
-fn bench_json(jobs: usize, total_seconds: f64, entries: &[BenchEntry]) -> String {
+fn bench_json(total_seconds: f64, entries: &[BenchEntry]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"suite\": \"ppslab\",\n");
-    out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    out.push_str(&format!(
-        "  \"stepping\": \"{}\",\n",
-        pps_core::stepping::process_default().name()
-    ));
+    out.push_str(&format!("  \"jobs\": {},\n", pps_core::workers::jobs()));
     out.push_str(&format!("  \"total_wall_seconds\": {total_seconds:.3},\n"));
     out.push_str("  \"experiments\": [\n");
     for (i, (id, secs, slots, skipped)) in entries.iter().enumerate() {
@@ -66,196 +73,56 @@ fn bench_json(jobs: usize, total_seconds: f64, entries: &[BenchEntry]) -> String
     out
 }
 
-/// Every flag of the experiment-running path, with whether it takes a
-/// value: the one list that both skips flag values when collecting
-/// experiment ids and rejects strangers.
-const FLAGS: &[(&str, bool)] = &[
-    ("--csv", false),
-    ("--markdown", false),
-    ("--list", false),
-    ("--out", true),
-    ("--jobs", true),
-    ("--bench-json", true),
-    ("--telemetry", true),
-    ("--trace-out", true),
-    ("--stepping", true),
-    ("--workload", true),
-    ("--workload-k", true),
-    ("--workload-rprime", true),
-];
-
-/// Check every `--flag` against [`FLAGS`] (and that a value follows the
-/// ones that take one) and return the positional arguments: the wanted
-/// experiment ids.
-fn positional(args: &[String]) -> Vec<&str> {
-    let mut wanted = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if !arg.starts_with("--") {
-            wanted.push(arg.as_str());
-            continue;
-        }
-        match FLAGS.iter().find(|(flag, _)| flag == arg) {
-            Some((_, false)) => {}
-            Some((_, true)) => {
-                if it.next().is_none() {
-                    eprintln!("error: {arg} needs a value");
-                    std::process::exit(2);
-                }
-            }
-            None => {
-                eprintln!("error: unknown flag {arg}");
-                std::process::exit(2);
-            }
-        }
-    }
-    wanted
-}
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1).unwrap_or_else(|| {
-            eprintln!("error: {flag} needs a value");
-            std::process::exit(2);
-        })
-    })
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("custom") {
-        match pps_experiments::custom::run_custom(&args[1..]) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("chaos") {
-        match pps_chaos::run_chaos(&args[1..]) {
-            Ok(report) => {
-                print!("{}", report.text);
-                if report.failed > 0 {
-                    std::process::exit(1);
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    let wanted = positional(&args);
-    let csv = args.iter().any(|a| a == "--csv");
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let out_dir = flag_value(&args, "--out").cloned();
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-            eprintln!("error: --out {dir}: {e}");
-            std::process::exit(2);
-        });
-    }
-    let bench_path = flag_value(&args, "--bench-json").cloned();
-    // Slot-loop mode for every engine constructed from here on. Tables
-    // and traces are byte-identical either way (tested); `dense` exists
-    // to demonstrate that and as the escape hatch.
-    if let Some(v) = flag_value(&args, "--stepping") {
-        match pps_core::Stepping::parse(v) {
-            Some(mode) => pps_core::stepping::set_process_default(mode),
-            None => {
-                eprintln!("error: --stepping must be dense or skip (got {v:?})");
-                std::process::exit(2);
-            }
-        }
-    }
-    let telemetry_level = match flag_value(&args, "--telemetry") {
-        Some(v) => pps_core::telemetry::Level::parse(v).unwrap_or_else(|| {
-            eprintln!("error: --telemetry must be off, counters, or full (got {v:?})");
-            std::process::exit(2);
-        }),
-        None => pps_core::telemetry::Level::Off,
-    };
-    pps_core::telemetry::set_level(telemetry_level);
-    let trace_out = flag_value(&args, "--trace-out").cloned();
-    if trace_out.is_some() && telemetry_level != pps_core::telemetry::Level::Full {
+/// Set the process knobs — the only place the binary does. Tables and
+/// reports are byte-identical at any worker budget (the sweep executor's
+/// contract), so the default is every core.
+fn apply(settings: &Settings) {
+    let cores = || std::thread::available_parallelism().map_or(1, usize::from);
+    pps_core::workers::set_jobs(settings.jobs.unwrap_or_else(cores));
+    telemetry::set_level(settings.telemetry);
+    if settings.trace_out.is_some() && settings.telemetry != Level::Full {
         eprintln!("warning: --trace-out needs --telemetry full to have events to write");
     }
-    // Worker budget: explicit --jobs wins; otherwise use every core.
-    // Tables come out byte-identical either way — see the sweep
-    // executor's contract.
-    let jobs: usize = match flag_value(&args, "--jobs") {
-        Some(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("error: --jobs: {e}");
-            std::process::exit(2);
-        }),
-        None => std::thread::available_parallelism().map_or(1, usize::from),
-    };
-    pps_experiments::sweep::set_jobs(jobs);
-    // Standalone workload report: materialize the spec and print its
-    // tail-delay table across the information classes. Parsed after the
-    // stepping/jobs knobs so `--stepping dense --workload ...` exercises
-    // the dense path (the report is byte-identical either way).
-    if let Some(spec) = flag_value(&args, "--workload") {
-        let parse_dim = |flag: &str, default: usize| -> usize {
-            flag_value(&args, flag).map_or(default, |v| {
-                v.parse().unwrap_or_else(|e| {
-                    eprintln!("error: {flag}: {e}");
-                    std::process::exit(2);
-                })
-            })
-        };
-        let k = parse_dim("--workload-k", 8);
-        let r_prime = parse_dim("--workload-rprime", 4);
-        match pps_experiments::workload_cli::run_workload(spec, k, r_prime) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
+}
+
+/// Run `f`; at `--telemetry full`, in a recording scope of its own whose
+/// log joins the bundle the epilogue drains (as a sweep's points do).
+fn scoped<R>(tracing: bool, label: &str, f: impl FnOnce() -> R) -> R {
+    if !tracing {
+        return f();
     }
-    let reg = registry();
-    if args.iter().any(|a| a == "--list") {
-        for (id, _) in &reg {
-            println!("{id}");
-        }
-        return;
+    let (result, log) = telemetry::collect(label, f);
+    telemetry::absorb(log);
+    result
+}
+
+fn io_error<'a>(flag: &'a str, path: &'a Path) -> impl FnOnce(std::io::Error) -> CliError + 'a {
+    move |source| CliError::Io(format!("{flag} {}", path.display()), source)
+}
+
+/// Run the selected experiments and print them in paper order; `Ok(false)`
+/// when a verdict was not PASS.
+fn run_experiments(args: &ExperimentArgs, tracing: bool) -> Result<bool, CliError> {
+    if let Some(dir) = &args.out {
+        std::fs::create_dir_all(dir).map_err(io_error("--out", dir))?;
     }
-    if let Some(stranger) = wanted.iter().find(|w| reg.iter().all(|(id, _)| id != *w)) {
-        eprintln!("error: unknown experiment id {stranger} (--list prints the known ids)");
-        std::process::exit(2);
-    }
-    let selected: Vec<_> = reg
-        .iter()
-        .filter(|(id, _)| wanted.is_empty() || wanted.contains(id))
-        .collect();
-    // Run, then print in paper order. The registry-level sweep shares the
-    // one worker budget with every experiment's inner sweeps, so --jobs
-    // bounds total threads whatever the nesting. Benchmarking instead
-    // times experiments one at a time so wall-clock and simulated-slot
-    // deltas attribute to a single experiment (inner sweeps still use the
-    // budget).
-    let suite_start = std::time::Instant::now();
-    let mut bench: Vec<BenchEntry> = Vec::new();
-    let tracing = telemetry_level == pps_core::telemetry::Level::Full;
-    let outputs: Vec<ExperimentOutput> = if bench_path.is_some() {
-        selected
+    let mut selected = registry();
+    selected.retain(|(id, _)| args.ids.contains(id));
+    // The registry-level sweep shares the one worker budget with every
+    // experiment's inner sweeps, so --jobs bounds total threads whatever
+    // the nesting. Benchmarking instead times experiments one at a time so
+    // wall-clock and simulated-slot deltas attribute to a single
+    // experiment (inner sweeps still use the budget).
+    let outputs: Vec<ExperimentOutput> = if let Some(path) = &args.bench_json {
+        let suite_start = std::time::Instant::now();
+        let mut bench: Vec<BenchEntry> = Vec::new();
+        let outputs = selected
             .iter()
             .map(|(id, runner)| {
                 let slots0 = pps_core::perf::slots_simulated();
                 let skipped0 = pps_core::perf::slots_skipped();
                 let start = std::time::Instant::now();
-                let out = if tracing {
-                    let (out, log) = pps_core::telemetry::collect(*id, runner);
-                    pps_core::telemetry::absorb(log);
-                    out
-                } else {
-                    runner()
-                };
+                let out = scoped(tracing, id, runner);
                 let secs = start.elapsed().as_secs_f64();
                 bench.push((
                     id,
@@ -265,38 +132,31 @@ fn main() {
                 ));
                 out
             })
-            .collect()
+            .collect();
+        let json = bench_json(suite_start.elapsed().as_secs_f64(), &bench);
+        std::fs::write(path, json).map_err(io_error("--bench-json", path))?;
+        outputs
     } else {
         let plan = SweepPlan::new("registry", (0..selected.len()).collect());
         plan.run(|pt| (selected[*pt.params].1)())
     };
-    if let Some(path) = &bench_path {
-        let json = bench_json(jobs, suite_start.elapsed().as_secs_f64(), &bench);
-        std::fs::write(path, json).unwrap_or_else(|e| {
-            eprintln!("error: --bench-json {path}: {e}");
-            std::process::exit(2);
-        });
-    }
     let mut failures = 0usize;
     for out in outputs {
-        if markdown {
+        if args.markdown {
             print!("{}", out.render_markdown());
         } else {
             print!("{}", out.render());
         }
-        if csv {
+        if args.csv {
             for t in &out.tables {
                 println!("--- csv ---");
                 print!("{}", t.to_csv());
             }
         }
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = &args.out {
             for (i, t) in out.tables.iter().enumerate() {
-                let path = std::path::Path::new(dir).join(format!("{}_{i}.csv", out.id));
-                std::fs::write(&path, t.to_csv()).unwrap_or_else(|e| {
-                    eprintln!("error: --out {}: {e}", path.display());
-                    std::process::exit(2);
-                });
+                let path = dir.join(format!("{}_{i}.csv", out.id));
+                std::fs::write(&path, t.to_csv()).map_err(io_error("--out", &path))?;
             }
         }
         println!();
@@ -304,26 +164,55 @@ fn main() {
             failures += 1;
         }
     }
-    if tracing {
-        let root = pps_core::telemetry::EventLog {
+    if failures > 0 {
+        eprintln!("{failures} experiment(s) FAILED");
+    }
+    Ok(failures == 0)
+}
+
+/// Run what `mode` names and print its report; `Ok(false)` when the run
+/// completed but found a failure (a verdict, a chaos violation).
+fn dispatch(mode: &Mode, tracing: bool) -> Result<bool, CliError> {
+    let report = match mode {
+        Mode::List => Ok(registry().iter().map(|(id, _)| format!("{id}\n")).collect()),
+        Mode::Experiments(args) => return run_experiments(args, tracing),
+        Mode::Custom(args) => scoped(tracing, "custom", || run_custom(args)),
+        Mode::Workload { spec, k, r_prime } => {
+            scoped(tracing, "workload", || run_workload(spec, *k, *r_prime))
+        }
+        // A campaign records at `full` for its own oracles and keeps no
+        // events: there is nothing to scope.
+        Mode::Chaos(opts) => {
+            let report = pps_chaos::cli::run(opts).map_err(|e| CliError::Refused(e.to_string()))?;
+            print!("{}", report.text);
+            return Ok(report.failed == 0);
+        }
+    };
+    print!("{}", report.map_err(CliError::Refused)?);
+    Ok(true)
+}
+
+/// What `--telemetry` asked to see once the run is over: the summary and
+/// the `--trace-out` file at `full`, the counters at `counters` and up.
+fn telemetry_epilogue(settings: &Settings) -> Result<(), CliError> {
+    if settings.telemetry == Level::Full {
+        let root = telemetry::EventLog {
             label: "ppslab".into(),
             events: Vec::new(),
             overflowed: 0,
-            children: pps_core::telemetry::take_absorbed(),
+            children: telemetry::take_absorbed(),
         };
         eprint!("{}", pps_telemetry::summarize(&root));
-        if let Some(path) = &trace_out {
-            pps_telemetry::dump(&root, std::path::Path::new(path)).unwrap_or_else(|e| {
-                eprintln!("error: --trace-out {path}: {e}");
-                std::process::exit(2);
-            });
-            eprintln!("telemetry: {} events -> {path}", root.total_events());
+        if let Some(path) = &settings.trace_out {
+            pps_telemetry::dump(&root, path).map_err(io_error("--trace-out", path))?;
+            let events = root.total_events();
+            eprintln!("telemetry: {events} events -> {}", path.display());
         }
     }
-    if telemetry_level != pps_core::telemetry::Level::Off {
+    if settings.telemetry != Level::Off {
         eprintln!("telemetry counters:");
         let mut unscoped = 0;
-        for (name, value) in pps_core::telemetry::counters() {
+        for (name, value) in telemetry::counters() {
             eprintln!("  {name:<24} {value}");
             if name == "events.unscoped" {
                 unscoped = value;
@@ -338,8 +227,26 @@ fn main() {
             );
         }
     }
-    if failures > 0 {
-        eprintln!("{failures} experiment(s) FAILED");
-        std::process::exit(1);
+    Ok(())
+}
+
+/// Parse, set the process knobs, run, report what telemetry saw. Exit 0
+/// when everything passed, 1 when an experiment or a chaos case failed, 2
+/// when the command line or its input was refused.
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = cli::parse(&args).and_then(|inv| {
+        apply(&inv.settings);
+        let passed = dispatch(&inv.mode, inv.settings.telemetry == Level::Full)?;
+        telemetry_epilogue(&inv.settings)?;
+        Ok(passed)
+    });
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::from(1),
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(2)
+        }
     }
 }

@@ -1,0 +1,554 @@
+//! `ppslab`'s command line, parsed once.
+//!
+//! [`parse`] makes one left-to-right pass over argv against one flag table
+//! and returns a typed [`Invocation`]: the process [`Settings`] every mode
+//! shares plus the [`Mode`] to run. Nothing else reads argv, so a token
+//! consumed as a flag's value is never read again as a flag, an id or a
+//! subcommand. Flags come in any order, before or after the subcommand
+//! word; the tokens that do not start with `--` are either the one word
+//! `custom` / `chaos` or experiment ids. `chaos`'s campaign flags are in
+//! the table (the pass must know their names and that each takes a value)
+//! but their values are parsed by `pps_chaos::cli::parse`, next to the
+//! options struct the harness tests drive.
+
+use crate::custom::CustomArgs;
+use pps_chaos::cli::ChaosOptions;
+use pps_core::telemetry::Level;
+use std::fmt;
+use std::path::PathBuf;
+use std::str::FromStr;
+
+/// The modes of a command line; a flag's scope is a set of them (the
+/// empty set: every mode).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    List,
+    Experiments,
+    Workload,
+    Custom,
+    Chaos,
+}
+
+/// Every flag `ppslab` has: name, whether the next token is its value, the
+/// modes it applies to. README.md's flag table and the usage block at the
+/// top of `bin/ppslab.rs` are pinned against it (tests below).
+const FLAGS: &[(&str, bool, &[Kind])] = &[
+    // The process settings: every mode, any position.
+    ("--jobs", true, &[]),
+    ("--telemetry", true, &[]),
+    ("--trace-out", true, &[]),
+    ("--list", false, &[Kind::List]),
+    ("--csv", false, &[Kind::Experiments]),
+    ("--markdown", false, &[Kind::Experiments]),
+    ("--out", true, &[Kind::Experiments]),
+    ("--bench-json", true, &[Kind::Experiments]),
+    // Without a subcommand `--workload` selects the tail report; `custom`
+    // has a workload of its own.
+    ("--workload", true, &[Kind::Workload, Kind::Custom]),
+    ("--workload-k", true, &[Kind::Workload]),
+    ("--workload-rprime", true, &[Kind::Workload]),
+    ("--n", true, &[Kind::Custom]),
+    ("--k", true, &[Kind::Custom]),
+    ("--rprime", true, &[Kind::Custom]),
+    ("--algo", true, &[Kind::Custom]),
+    ("--slots", true, &[Kind::Custom]),
+    ("--save-trace", true, &[Kind::Custom]),
+    // The campaign flags: values parsed by `pps_chaos::cli::parse`.
+    ("--seed", true, &[Kind::Chaos]),
+    ("--cases", true, &[Kind::Chaos]),
+    ("--budget-slots", true, &[Kind::Chaos]),
+    ("--repro-out", true, &[Kind::Chaos]),
+    ("--case", true, &[Kind::Chaos]),
+    ("--plan", true, &[Kind::Chaos]),
+    ("--truncate-at", true, &[Kind::Chaos]),
+    ("--inject-leak", true, &[Kind::Chaos]),
+];
+
+fn index_of(name: &str) -> Option<usize> {
+    FLAGS.iter().position(|f| f.0 == name)
+}
+
+/// The process-wide knobs: the same three flags in every mode.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Settings {
+    /// `--jobs`: the worker budget (`None`: every available core).
+    pub jobs: Option<usize>,
+    /// `--telemetry`: the recording level (default off).
+    pub telemetry: Level,
+    /// `--trace-out`: where the merged event stream goes.
+    pub trace_out: Option<PathBuf>,
+}
+
+/// Which experiments to run and how to print them.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExperimentArgs {
+    /// The selected ids, in registry order (no ids on argv: all).
+    pub ids: Vec<&'static str>,
+    /// `--csv`: also print each table as CSV.
+    pub csv: bool,
+    /// `--markdown`: print pipe tables instead of text.
+    pub markdown: bool,
+    /// `--out`: also write each table as a CSV file into this directory.
+    pub out: Option<PathBuf>,
+    /// `--bench-json`: time experiments one by one, record them here.
+    pub bench_json: Option<PathBuf>,
+}
+
+/// What to run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Mode {
+    /// `--list`: print the registered experiment ids.
+    List,
+    /// Run experiments and print their tables.
+    Experiments(ExperimentArgs),
+    /// `custom`: one (geometry, algorithm, workload) comparison.
+    Custom(CustomArgs),
+    /// `--workload`: the tail-delay report of one workload spec.
+    Workload {
+        /// The spec string.
+        spec: String,
+        /// `--workload-k` (default 8).
+        k: usize,
+        /// `--workload-rprime` (default 4).
+        r_prime: usize,
+    },
+    /// `chaos`: a fuzzing campaign.
+    Chaos(ChaosOptions),
+}
+
+/// A parsed command line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Invocation {
+    /// What the three settings flags say, whatever the mode.
+    pub settings: Settings,
+    /// The mode and its own arguments.
+    pub mode: Mode,
+}
+
+/// Why `ppslab` stops with exit code 2.
+#[derive(Debug)]
+pub enum CliError {
+    /// argv is not a command line of `ppslab`, or the run refused the
+    /// input it names (a bad spec, an impossible geometry).
+    Refused(String),
+    /// Writing what a flag asked for failed: the flag and its path, the
+    /// underlying error.
+    Io(String, std::io::Error),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::Refused(msg) => f.write_str(msg),
+            CliError::Io(what, source) => write!(f, "{what}: {source}"),
+        }
+    }
+}
+
+/// The flags argv gave, indexed like [`FLAGS`] (a switch holds `""`).
+struct Given<'a>(Vec<Option<&'a str>>);
+
+impl<'a> Given<'a> {
+    fn text(&self, name: &str) -> Option<&'a str> {
+        self.0[index_of(name).expect("a flag of the table")]
+    }
+
+    fn number<T: FromStr<Err: fmt::Display>>(&self, name: &str) -> Result<Option<T>, CliError> {
+        let parsed = self.text(name).map(str::parse).transpose();
+        parsed.map_err(|e| CliError::Refused(format!("{name}: {e}")))
+    }
+}
+
+fn usage<T>(msg: String) -> Result<T, CliError> {
+    Err(CliError::Refused(msg))
+}
+
+/// Parse `ppslab`'s arguments (argv without the program name).
+pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
+    // The one pass: every token is a flag, a flag's value, or a word.
+    let mut given = Given(vec![None; FLAGS.len()]);
+    let mut words: Vec<&str> = Vec::new();
+    let mut it = args.iter().map(String::as_str);
+    while let Some(arg) = it.next() {
+        if !arg.starts_with("--") {
+            words.push(arg);
+            continue;
+        }
+        let Some(i) = index_of(arg) else {
+            return usage(format!("unknown flag {arg}"));
+        };
+        if given.0[i].is_some() {
+            return usage(format!("{arg} is given twice"));
+        }
+        let value = if FLAGS[i].1 { it.next() } else { Some("") };
+        given.0[i] = match value {
+            None => return usage(format!("{arg} needs a value")),
+            Some(v) if index_of(v).is_some() => {
+                return usage(format!(
+                    "{arg} needs a value ({v}, which follows, is a flag)"
+                ));
+            }
+            value => value,
+        };
+    }
+
+    let kind = match words.as_slice() {
+        ["custom"] => Kind::Custom,
+        ["chaos"] => Kind::Chaos,
+        _ if words.iter().any(|w| matches!(*w, "custom" | "chaos")) => {
+            return usage("a subcommand takes flags only: no ids, no second subcommand".into());
+        }
+        _ if given.text("--list").is_some() => Kind::List,
+        _ if given.text("--workload").is_some() => Kind::Workload,
+        _ => Kind::Experiments,
+    };
+    for ((name, _, modes), _) in FLAGS.iter().zip(&given.0).filter(|(_, v)| v.is_some()) {
+        if !modes.is_empty() && !modes.contains(&kind) {
+            return usage(format!(
+                "{name} does not apply in {kind:?} mode (it is a flag of {modes:?})"
+            ));
+        }
+    }
+    if matches!(kind, Kind::List | Kind::Workload) && !words.is_empty() {
+        return usage(format!(
+            "experiment ids ({}) do not apply in {kind:?} mode",
+            words.join(" ")
+        ));
+    }
+
+    let settings = Settings {
+        jobs: given.number("--jobs")?,
+        telemetry: match given.text("--telemetry") {
+            None | Some("off") => Level::Off,
+            Some("counters") => Level::Counters,
+            Some("full") => Level::Full,
+            Some(v) => {
+                return usage(format!(
+                    "--telemetry must be off, counters, or full (got {v:?})"
+                ))
+            }
+        },
+        trace_out: given.text("--trace-out").map(PathBuf::from),
+    };
+    let mode = match kind {
+        Kind::List => Mode::List,
+        Kind::Experiments => Mode::Experiments(ExperimentArgs {
+            ids: select(&words)?,
+            csv: given.text("--csv").is_some(),
+            markdown: given.text("--markdown").is_some(),
+            out: given.text("--out").map(PathBuf::from),
+            bench_json: given.text("--bench-json").map(PathBuf::from),
+        }),
+        Kind::Workload => Mode::Workload {
+            spec: given.text("--workload").unwrap_or_default().to_string(),
+            k: given.number("--workload-k")?.unwrap_or(8),
+            r_prime: given.number("--workload-rprime")?.unwrap_or(4),
+        },
+        Kind::Custom => Mode::Custom(CustomArgs {
+            n: given.number("--n")?.unwrap_or(16),
+            k: given.number("--k")?.unwrap_or(8),
+            r_prime: given.number("--rprime")?.unwrap_or(4),
+            algo: given.text("--algo").unwrap_or("rr").into(),
+            workload: given.text("--workload").unwrap_or("bernoulli:0.9").into(),
+            slots: given.number("--slots")?.unwrap_or(2_000),
+            save_trace: given.text("--save-trace").map(String::from),
+        }),
+        Kind::Chaos => {
+            let campaign: Vec<String> = FLAGS
+                .iter()
+                .zip(&given.0)
+                .filter(|((_, _, modes), _)| *modes == [Kind::Chaos])
+                .filter_map(|((name, ..), v)| v.map(|v| [name.to_string(), v.to_string()]))
+                .flatten()
+                .collect();
+            let opts = pps_chaos::cli::parse(&campaign);
+            Mode::Chaos(opts.map_err(|e| CliError::Refused(e.to_string()))?)
+        }
+    };
+    Ok(Invocation { settings, mode })
+}
+
+/// The registry's ids that `words` names, in registry order; all of them
+/// when `words` is empty.
+fn select(words: &[&str]) -> Result<Vec<&'static str>, CliError> {
+    let known: Vec<&'static str> = crate::registry().iter().map(|(id, _)| *id).collect();
+    if let Some(stranger) = words.iter().find(|w| !known.contains(w)) {
+        return usage(format!(
+            "unknown experiment id {stranger} (--list prints the known ids)"
+        ));
+    }
+    Ok(known
+        .into_iter()
+        .filter(|id| words.is_empty() || words.contains(id))
+        .collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pps_core::rng::SplitMix64;
+    use std::collections::BTreeSet;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    fn ok(words: &[&str]) -> Invocation {
+        parse(&argv(words)).unwrap_or_else(|e| panic!("{words:?}: {e}"))
+    }
+
+    /// `words` is refused as a usage error whose message contains `needle`.
+    fn refused(words: &[&str], needle: &str) {
+        match parse(&argv(words)) {
+            Err(CliError::Refused(msg)) => assert!(msg.contains(needle), "{words:?}: {msg}"),
+            other => panic!("{words:?} parsed to {other:?}"),
+        }
+    }
+
+    // One test per misparse class the hand-rolled scanners had; each of
+    // these command lines was accepted (or died elsewhere) before.
+
+    #[test]
+    fn a_flag_is_never_consumed_as_a_value() {
+        // Used to create a directory called `--csv` *and* turn CSV on.
+        refused(&["--out", "--csv", "e1"], "--out needs a value");
+        refused(&["custom", "--algo", "--n", "8"], "--algo needs a value");
+        // A consumed value is not read again: `custom` here is a path.
+        let inv = ok(&["--out", "custom", "e1"]);
+        assert!(matches!(inv.mode, Mode::Experiments(e) if e.out == Some("custom".into())));
+    }
+
+    #[test]
+    fn a_repeated_flag_is_refused() {
+        // Used to keep `full` silently.
+        refused(
+            &["--telemetry", "full", "--telemetry", "off"],
+            "--telemetry is given twice",
+        );
+        refused(&["--csv", "e1", "--csv"], "--csv is given twice");
+        refused(&["chaos", "--seed", "1", "--seed", "2"], "given twice");
+    }
+
+    #[test]
+    fn a_flag_of_another_mode_is_refused() {
+        // Used to be accepted and ignored.
+        refused(&["--workload-k", "8", "e1"], "--workload-k does not apply");
+        refused(&["custom", "--csv"], "--csv does not apply in Custom mode");
+        refused(
+            &["chaos", "--algo", "rr"],
+            "--algo does not apply in Chaos mode",
+        );
+        refused(
+            &["--list", "--markdown"],
+            "--markdown does not apply in List mode",
+        );
+        refused(
+            &["--seed", "3"],
+            "--seed does not apply in Experiments mode",
+        );
+        refused(
+            &["--workload", "uniform:n=8", "e1"],
+            "experiment ids (e1) do not",
+        );
+        refused(&["custom", "e1"], "a subcommand takes flags only");
+    }
+
+    #[test]
+    fn settings_are_read_in_every_mode_and_position() {
+        // `--jobs 2 chaos --cases 2` used to die on "unknown flag --cases".
+        let before = ok(&["--jobs", "2", "chaos", "--cases", "2"]);
+        let after = ok(&["chaos", "--cases", "2", "--jobs", "2"]);
+        assert_eq!(before, after);
+        assert_eq!(before.settings.jobs, Some(2));
+        assert!(matches!(&before.mode, Mode::Chaos(o) if o.cases == 2 && o.jobs.is_none()));
+        // `custom ... --telemetry full` used to be an unknown flag.
+        let inv = ok(&[
+            "--trace-out",
+            "t.json",
+            "custom",
+            "--algo",
+            "pfr",
+            "--telemetry",
+            "full",
+        ]);
+        assert_eq!(inv.settings.telemetry, Level::Full);
+        assert_eq!(inv.settings.trace_out, Some(PathBuf::from("t.json")));
+        assert!(matches!(&inv.mode, Mode::Custom(c) if c.algo == "pfr" && c.n == 16));
+    }
+
+    #[test]
+    fn stepping_is_not_a_flag_of_either_grammar() {
+        refused(&["--stepping", "dense", "e1"], "unknown flag --stepping");
+        refused(&["chaos", "--stepping", "skip"], "unknown flag --stepping");
+    }
+
+    #[test]
+    fn numbers_and_ids_are_checked() {
+        refused(&["--jobs", "banana"], "--jobs: invalid digit");
+        refused(
+            &["--workload", "uniform:n=8", "--workload-k", "-1"],
+            "--workload-k:",
+        );
+        refused(&["custom", "--slots", "many"], "--slots:");
+        refused(&["e1", "e99"], "unknown experiment id e99 (--list");
+        refused(&["chaos", "--cases", "many"], "--cases many: invalid digit");
+        // Ids select in registry order, whatever order argv names them in.
+        let inv = ok(&["e12", "--csv", "e2", "e12"]);
+        assert!(matches!(&inv.mode, Mode::Experiments(e) if e.csv && e.ids == ["e2", "e12"]));
+        assert!(matches!(ok(&[]).mode, Mode::Experiments(e) if e.ids.len() == 27));
+    }
+
+    /// Split `args` where the pass does: a value flag and its value are
+    /// one unit, everything else a unit of its own.
+    fn units(args: &[String]) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let mut unit = vec![arg.clone()];
+            if index_of(arg).is_some_and(|i| FLAGS[i].1) {
+                unit.extend(it.next().cloned());
+            }
+            out.push(unit);
+        }
+        out
+    }
+
+    #[test]
+    fn parse_never_panics_and_is_position_independent() {
+        const PLAN: &str = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../chaos-repros/case-001/plan.csv"
+        );
+        let values = [
+            "1",
+            "2",
+            "8",
+            "0",
+            "83",
+            "full",
+            "off",
+            "counters",
+            "rr",
+            "ftd:3",
+            "stale:0",
+            "attack",
+            "uniform:n=8",
+            "t.json",
+            "out",
+            PLAN,
+            "banana",
+            "-3",
+            "",
+            "18446744073709551616",
+            "custom",
+            "chaos",
+            "e1",
+            "--",
+            "--csv",
+            "--seed",
+        ];
+        let words = [
+            "e1",
+            "e12",
+            "a3",
+            "e99",
+            "custom",
+            "chaos",
+            "perf",
+            "-x",
+            "",
+            "--bogus",
+            "--stepping",
+            "--jobs=2",
+            "--",
+        ];
+        let mut rng = SplitMix64::new(0x00C1_1F22);
+        let pick = |rng: &mut SplitMix64, n: usize| rng.below(n as u64) as usize;
+        let (mut accepted, mut modes) = (0, std::collections::HashSet::new());
+        for _ in 0..10_000 {
+            // Most argvs lean towards one mode so that many of them parse.
+            let lean = [None, Some(Kind::Custom), Some(Kind::Chaos)][pick(&mut rng, 3)];
+            let mut args: Vec<String> = lean
+                .iter()
+                .map(|k| format!("{k:?}").to_lowercase())
+                .filter(|_| rng.below(8) > 0)
+                .collect();
+            for _ in 0..pick(&mut rng, 6) {
+                match rng.below(10) {
+                    0..=6 => {
+                        let (name, takes_value, modes) = FLAGS[pick(&mut rng, FLAGS.len())];
+                        if lean.is_some_and(|k| !modes.contains(&k)) && rng.below(8) > 0 {
+                            continue;
+                        }
+                        args.push(name.to_string());
+                        if takes_value && rng.below(16) > 0 {
+                            args.push(values[pick(&mut rng, values.len())].to_string());
+                        }
+                    }
+                    7..=8 => args.push(words[pick(&mut rng, words.len())].to_string()),
+                    _ => args.push(values[pick(&mut rng, values.len())].to_string()),
+                }
+            }
+            let Ok(first) = parse(&args) else { continue };
+            accepted += 1;
+            modes.insert(std::mem::discriminant(&first.mode));
+            let mut shuffled = units(&args);
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, pick(&mut rng, i + 1));
+            }
+            let shuffled: Vec<String> = shuffled.into_iter().flatten().collect();
+            let again =
+                parse(&shuffled).unwrap_or_else(|e| panic!("{args:?} -> {shuffled:?}: {e}"));
+            assert_eq!(again, first, "{args:?} -> {shuffled:?}");
+        }
+        assert!(accepted >= 1_000, "only {accepted} argvs parsed");
+        assert_eq!(modes.len(), 5, "some mode never parsed");
+    }
+
+    /// The `--flag` tokens of `text`.
+    fn flags_in(text: &str) -> BTreeSet<&str> {
+        text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|t| t.starts_with("--") && t.len() > 2)
+            .collect()
+    }
+
+    #[test]
+    fn readme_documents_exactly_the_flag_table() {
+        let readme = include_str!("../../../README.md");
+        let mut documented = BTreeSet::new();
+        for row in readme
+            .lines()
+            .skip_while(|l| !l.starts_with("| flag | effect |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+        {
+            // First cell; `\|` is an escaped pipe inside a code span.
+            let cell = row.replace("\\|", "/");
+            let cell = cell.split('|').nth(1).expect("row has a first cell");
+            // Odd pieces of a split on backticks are the code spans.
+            for span in cell.split('`').skip(1).step_by(2) {
+                let mut parts = span.split_whitespace();
+                let name = parts.next().expect("code span names a flag");
+                let i = index_of(name).unwrap_or_else(|| panic!("README documents {name}"));
+                assert_eq!(parts.next().is_some(), FLAGS[i].1, "{name}");
+                documented.insert(FLAGS[i].0);
+            }
+        }
+        let table: BTreeSet<&str> = FLAGS.iter().map(|f| f.0).collect();
+        assert_eq!(documented, table);
+    }
+
+    #[test]
+    fn usage_block_names_exactly_the_flag_table() {
+        let source = include_str!("bin/ppslab.rs");
+        let usage: String = source
+            .lines()
+            .skip_while(|l| !l.starts_with("//! ```text"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("//! ```"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let table: BTreeSet<&str> = FLAGS.iter().map(|f| f.0).collect();
+        assert_eq!(flags_in(&usage), table);
+    }
+}

@@ -25,54 +25,17 @@ use pps_traffic::adversary::{concentration_attack, congestion_traffic, urt_burst
 use pps_traffic::gen::{BernoulliGen, CbrGen, OnOffGen};
 use pps_traffic::{min_burstiness, TraceStats};
 
-/// Parsed custom-run request.
-#[derive(Clone, Debug)]
-struct CustomArgs {
-    n: usize,
-    k: usize,
-    r_prime: usize,
-    algo: String,
-    workload: String,
-    slots: Slot,
-    save_trace: Option<String>,
-}
-
-impl Default for CustomArgs {
-    fn default() -> Self {
-        CustomArgs {
-            n: 16,
-            k: 8,
-            r_prime: 4,
-            algo: "rr".into(),
-            workload: "bernoulli:0.9".into(),
-            slots: 2_000,
-            save_trace: None,
-        }
-    }
-}
-
-/// Parse `--key value` pairs following `custom`.
-fn parse_args(args: &[String]) -> Result<CustomArgs, String> {
-    let mut out = CustomArgs::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut val = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--n" => out.n = val()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--k" => out.k = val()?.parse().map_err(|e| format!("--k: {e}"))?,
-            "--rprime" => out.r_prime = val()?.parse().map_err(|e| format!("--rprime: {e}"))?,
-            "--algo" => out.algo = val()?,
-            "--workload" => out.workload = val()?,
-            "--slots" => out.slots = val()?.parse().map_err(|e| format!("--slots: {e}"))?,
-            "--save-trace" => out.save_trace = Some(val()?),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(out)
+/// A custom-run request, one field per `custom` flag; `crate::cli::parse`
+/// fills it in (and holds the defaults).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CustomArgs {
+    pub(crate) n: usize,
+    pub(crate) k: usize,
+    pub(crate) r_prime: usize,
+    pub(crate) algo: String,
+    pub(crate) workload: String,
+    pub(crate) slots: Slot,
+    pub(crate) save_trace: Option<String>,
 }
 
 fn split_param(s: &str) -> (&str, Option<&str>) {
@@ -93,10 +56,14 @@ where
 }
 
 /// Build the algorithm `--algo` names and hand it to [`run_with`], along
-/// with its attack probe budget in units of `8·K` cells.
+/// with its attack probe budget in units of `8·K` cells. What a constructor
+/// `assert!`s about its `:param` is checked first: no `--algo` can panic.
 fn run_algo(args: &CustomArgs, cfg: PpsConfig) -> Result<(Trace, Comparison), String> {
     let (name, param) = split_param(&args.algo);
     let CustomArgs { n, k, r_prime, .. } = *args;
+    if param.is_some() && !matches!(name, "random" | "ftd" | "stale") {
+        return Err(format!("algorithm {name} takes no :parameter"));
+    }
     match name {
         "rr" => run_with(args, cfg, RoundRobinDemux::new(n, k), 1),
         "pfr" => run_with(args, cfg, PerFlowRoundRobinDemux::new(n, k), 1),
@@ -106,12 +73,20 @@ fn run_algo(args: &CustomArgs, cfg: PpsConfig) -> Result<(Trace, Comparison), St
         }
         "partition" => run_with(args, cfg, StaticPartitionDemux::minimal(n, k, r_prime), 1),
         "ftd" => {
-            let h = param_or(param, 2, "ftd h")?;
+            let h: usize = param_or(param, 2, "ftd h")?;
+            if h < 2 || k > 128 || h.checked_mul(r_prime).is_none_or(|block| block > k) {
+                return Err(format!(
+                    "ftd:{h} needs h >= 2 and h*r' <= K <= 128 (got r' = {r_prime}, K = {k})"
+                ));
+            }
             run_with(args, cfg, FtdDemux::new(n, k, r_prime, h), 1)
         }
         "stale" => {
             let u = param.ok_or("stale needs :u")?;
-            let u = u.parse().map_err(|e| format!("stale u: {e}"))?;
+            let u: Slot = u.parse().map_err(|e| format!("stale u: {e}"))?;
+            if u == 0 {
+                return Err("stale u: must be at least 1".into());
+            }
             run_with(args, cfg, StaleLeastLoadedDemux::new(n, k, u), 1)
         }
         "lll" => run_with(args, cfg, LeastLoadedLocalDemux::new(n, k, r_prime), 1),
@@ -188,11 +163,10 @@ fn build_workload(args: &CustomArgs, cfg: &PpsConfig) -> Result<Trace, String> {
 }
 
 /// Execute a custom run; returns the printable report.
-pub fn run_custom(raw_args: &[String]) -> Result<String, String> {
-    let args = parse_args(raw_args)?;
+pub fn run_custom(args: &CustomArgs) -> Result<String, String> {
     let cfg = PpsConfig::bufferless(args.n, args.k, args.r_prime);
     cfg.validate().map_err(|e| e.to_string())?;
-    let (trace, cmp) = run_algo(&args, cfg)?;
+    let (trace, cmp) = run_algo(args, cfg)?;
     let b = min_burstiness(&trace, args.n).overall();
     let rd = cmp.relative_delay();
     let mut out = String::new();
@@ -225,21 +199,27 @@ pub fn run_custom(raw_args: &[String]) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
+    /// Parse `custom` + `flags` the way `ppslab` does, then run.
+    fn run_custom(flags: &[&str]) -> Result<String, String> {
+        let argv: Vec<String> = std::iter::once("custom")
+            .chain(flags.iter().copied())
+            .map(String::from)
+            .collect();
+        match crate::cli::parse(&argv).map_err(|e| e.to_string())?.mode {
+            crate::cli::Mode::Custom(args) => super::run_custom(&args),
+            other => panic!("custom argv parsed to {other:?}"),
+        }
     }
 
     #[test]
     fn default_custom_run_works() {
-        let out = run_custom(&strs(&["--slots", "300"])).unwrap();
+        let out = run_custom(&["--slots", "300"]).unwrap();
         assert!(out.contains("relative delay (max)"), "{out}");
     }
 
     #[test]
     fn attack_workload_matches_library_numbers() {
-        let out = run_custom(&strs(&[
+        let out = run_custom(&[
             "--n",
             "16",
             "--k",
@@ -250,7 +230,7 @@ mod tests {
             "rr",
             "--workload",
             "attack",
-        ]))
+        ])
         .unwrap();
         // (r'-1)(N-1) = 45.
         assert!(out.contains("relative delay (max) : 45"), "{out}");
@@ -270,7 +250,7 @@ mod tests {
             "hash",
             "cpa",
         ] {
-            let out = run_custom(&strs(&[
+            let out = run_custom(&[
                 "--n",
                 "8",
                 "--k",
@@ -283,7 +263,7 @@ mod tests {
                 "bernoulli:0.8",
                 "--slots",
                 "200",
-            ]))
+            ])
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
             assert!(out.contains("undelivered          : 0"), "{algo}: {out}");
         }
@@ -291,9 +271,9 @@ mod tests {
 
     #[test]
     fn bad_flags_are_reported() {
-        assert!(run_custom(&strs(&["--bogus", "1"])).is_err());
-        assert!(run_custom(&strs(&["--algo", "quantum"])).is_err());
-        assert!(run_custom(&strs(&["--algo", "cpa", "--workload", "attack"])).is_err());
+        assert!(run_custom(&["--bogus", "1"]).is_err());
+        assert!(run_custom(&["--algo", "quantum"]).is_err());
+        assert!(run_custom(&["--algo", "cpa", "--workload", "attack"]).is_err());
     }
 
     #[test]
@@ -304,7 +284,7 @@ mod tests {
             "uniform:load=0.6",
             "shaped:load=0.9,num=1,den=2,burst=4",
         ] {
-            let out = run_custom(&strs(&[
+            let out = run_custom(&[
                 "--n",
                 "8",
                 "--k",
@@ -315,7 +295,7 @@ mod tests {
                 wl,
                 "--slots",
                 "500",
-            ]))
+            ])
             .unwrap_or_else(|e| panic!("{wl}: {e}"));
             assert!(out.contains("relative delay (max)"), "{wl}: {out}");
         }
@@ -325,8 +305,8 @@ mod tests {
     fn stochastic_spec_geometry_is_single_source() {
         // n/horizon come from --n/--slots; a conflicting key in the spec
         // body is a duplicate and must be rejected, not silently ignored.
-        assert!(run_custom(&strs(&["--workload", "zipf:n=4"])).is_err());
-        assert!(run_custom(&strs(&["--workload", "uniform:horizon=99"])).is_err());
+        assert!(run_custom(&["--workload", "zipf:n=4"]).is_err());
+        assert!(run_custom(&["--workload", "uniform:horizon=99"]).is_err());
     }
 
     #[test]
@@ -334,7 +314,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ppslab_custom_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
-        run_custom(&strs(&[
+        run_custom(&[
             "--n",
             "8",
             "--k",
@@ -347,7 +327,7 @@ mod tests {
             "50",
             "--save-trace",
             path.to_str().unwrap(),
-        ]))
+        ])
         .unwrap();
         let loaded = pps_core::trace_io::load(&path, 8).unwrap();
         assert!(!loaded.is_empty());

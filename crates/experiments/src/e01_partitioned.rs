@@ -7,10 +7,10 @@
 //! groups of size `d` that share an `r'`-plane subset. The adversary then
 //! aligns one group and fires the Figure 2 burst.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::StaticPartitionDemux;
 use pps_traffic::adversary::concentration_attack;
 use pps_traffic::min_burstiness;

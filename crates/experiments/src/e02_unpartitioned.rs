@@ -5,10 +5,10 @@
 //!
 //! Victim: the per-input round robin. Sweep: `N`.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;
 use pps_traffic::min_burstiness;

@@ -8,11 +8,11 @@
 //! exactly `r'` planes) — the algorithm that concentrates least among
 //! legal fully-distributed ones. Sweep: the speedup `S` via `K`.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::bounds;
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::StaticPartitionDemux;
 use pps_traffic::adversary::concentration_attack;
 use pps_traffic::min_burstiness;

@@ -8,10 +8,10 @@
 //! identical plane sequences and concentrate `m = u'·N/K` cells per plane.
 //! Sweep: the information delay `u`.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::StaleLeastLoadedDemux;
 use pps_traffic::adversary::urt_burst_attack;
 use pps_traffic::min_burstiness;

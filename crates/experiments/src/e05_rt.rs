@@ -7,9 +7,9 @@
 //! even one slot of information lag is enough for the bound.
 
 use crate::e04_urt;
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::Table;
+use pps_core::sweep::SweepPlan;
 
 /// Run the default sweep over N.
 pub(crate) fn run() -> ExperimentOutput {

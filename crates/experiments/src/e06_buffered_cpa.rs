@@ -8,10 +8,10 @@
 //! including the very attack traffics that defeat the distributed
 //! algorithms. Sweep: `u` (buffer = `u`).
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{DelayedCpaDemux, RoundRobinDemux};
 use pps_traffic::adversary::concentration_attack;
 use pps_traffic::gen::{BernoulliGen, OnOffGen, TrafficPattern};

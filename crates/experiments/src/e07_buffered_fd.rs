@@ -7,11 +7,11 @@
 //! the concentration — it can only add delay. Victim: buffered round
 //! robin. Sweep: the buffer size.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered, Table};
 use pps_core::bounds;
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
 use pps_traffic::adversary::concentration_attack;
 use pps_traffic::min_burstiness;

@@ -14,11 +14,11 @@
 //! the window (expected 0 — both switches emit the `k`-th congested cell
 //! in the same slot).
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
+use pps_core::sweep::SweepPlan;
 use pps_reference::checker::{check_work_conserving, Violation};
 use pps_reference::oq::run_oq;
 use pps_switch::demux::FtdDemux;

@@ -14,9 +14,9 @@
 //! longest duration, where rescanning per point was quadratic over the
 //! sweep.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::Table;
+use pps_core::sweep::SweepPlan;
 use pps_core::time::Slot;
 use pps_traffic::adversary::congestion_traffic;
 use pps_traffic::IncrementalBurstiness;

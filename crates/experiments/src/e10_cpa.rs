@@ -7,10 +7,10 @@
 //! dissolves the Ω(N) delays entirely — which is exactly why the paper's
 //! taxonomy (centralized / u-RT / fully-distributed) is the story.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::Table;
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{CpaDemux, RoundRobinDemux};
 use pps_traffic::adversary::{concentration_attack, urt_burst_attack};
 use pps_traffic::gen::{BernoulliGen, OnOffGen, TrafficPattern};

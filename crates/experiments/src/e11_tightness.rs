@@ -9,10 +9,10 @@
 //! and under heavy admissible loads (typical side), and check everything
 //! sits inside the `[(R/r−1)(N−1), (R/r)·N]` window.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::PerFlowRoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;
 use pps_traffic::gen::BernoulliGen;

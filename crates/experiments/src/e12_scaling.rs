@@ -8,10 +8,10 @@
 //! confirming the linear-in-N wall. Points run in parallel (they are
 //! independent simulations).
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;
 

@@ -16,10 +16,10 @@
 //! a small typical-case penalty — its Θ(N) cost is a *worst-case* story
 //! (E2), which is the paper's point.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::Table;
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_crossbar::run_crossbar;
 use pps_reference::oq::run_oq;
 use pps_switch::demux::{CpaDemux, RoundRobinDemux};

@@ -18,10 +18,10 @@
 //! min/mean/p95/max, next to the balls-in-bins mean prediction and the
 //! seed-aware (= deterministic) ceiling.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RandomDemux;
 use pps_traffic::adversary::concentration_attack;
 

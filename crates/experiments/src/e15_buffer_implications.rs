@@ -10,10 +10,10 @@
 //! regulator needs to flatten the run to constant delay. All three grow
 //! linearly with `N` — the delay bound priced in memory.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_reference::regulator::{min_feasible_delay, regulate};
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;

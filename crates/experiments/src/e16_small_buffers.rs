@@ -14,10 +14,10 @@
 //! `u` slots old) and assigns conflict-free deadlines — final row of the
 //! table.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered, compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::buffered::BufferedStaleDemux;
 use pps_switch::demux::{DelayedCpaDemux, StaleLeastLoadedDemux};
 use pps_traffic::adversary::urt_burst_attack;

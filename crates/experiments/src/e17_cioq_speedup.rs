@@ -12,10 +12,10 @@
 //! `s = 2` (our scheduler is greedy EDF, not the exact
 //! critical-cells-first of the theorem), and clean mimicking from `s = 3`.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_crossbar::run_cioq;
 use pps_reference::oq::run_oq;
 use pps_traffic::gen::{BernoulliGen, TrafficPattern};

@@ -14,10 +14,10 @@
 //! with `o(N)` regulator memory: the delay lower bound *is* a buffer lower
 //! bound.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, Table};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_reference::regulator::{min_feasible_delay, regulate, regulate_online};
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;

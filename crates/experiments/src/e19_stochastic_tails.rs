@@ -21,11 +21,11 @@
 //! never produces (the paper's §6 closing point, here quantified in the
 //! tail rather than the max).
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless, relative_delays, Comparison, Table, TailQuantiles};
 use pps_core::bounds;
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{CpaDemux, RoundRobinDemux, StaleLeastLoadedDemux};
 use pps_traffic::min_burstiness;
 use pps_workload::WorkloadSpec;

@@ -17,10 +17,10 @@
 //! term (`Θ(N/S)` worst-case, near zero typically), not a multiplicative
 //! degradation, exactly as the paper's bounds say.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered, compare_bufferless, relative_delays, Table, TailQuantiles};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
 use pps_workload::WorkloadSpec;
 

@@ -16,10 +16,10 @@
 //! `ρ < N / (2(N−1)) ≈ 0.53`); the high-load rows chart the unprovable
 //! region — QPS-r keeps draining, the bound column just goes blank.
 
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
 use pps_core::prelude::*;
+use pps_core::sweep::SweepPlan;
 use pps_crossbar::{run_crossbar_with, QpsRScheduler};
 use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;

@@ -18,9 +18,9 @@
 //! (`λc = 2ρ(N−1)/N < 1`, arXiv cs/0605030; see E22).
 
 use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, tails, N};
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
+use pps_core::sweep::SweepPlan;
 use pps_crossbar::{run_crossbar_with, QpsRScheduler, SwQpsScheduler};
 use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;

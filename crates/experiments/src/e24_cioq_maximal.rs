@@ -17,9 +17,9 @@
 //! deadline bookkeeping is what the envelope saves you from paying.
 
 use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, tails, N};
-use crate::sweep::SweepPlan;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
+use pps_core::sweep::SweepPlan;
 use pps_crossbar::{run_cioq_policy, CioqPolicy};
 use pps_reference::oq::run_oq;
 use pps_traffic::gen::BernoulliGen;

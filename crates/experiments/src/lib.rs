@@ -40,6 +40,7 @@
 pub mod a1_fault;
 mod a2_speedup;
 mod a3_discipline;
+pub mod cli;
 pub mod custom;
 mod e01_partitioned;
 mod e02_unpartitioned;
@@ -65,7 +66,6 @@ mod e21_priority_classes;
 mod e22_qps_crossbar;
 mod e23_sw_qps;
 mod e24_cioq_maximal;
-pub mod sweep;
 pub mod workload_cli;
 
 use pps_analysis::Table;

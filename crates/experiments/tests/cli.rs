@@ -45,6 +45,86 @@ fn value_flag_without_a_value_is_an_error() {
     assert_rejected(&["e1", "--trace-out"], "--trace-out needs a value");
 }
 
+/// The command lines the hand-rolled scanners misread — each was accepted
+/// (or died on the wrong complaint) before argv was parsed once.
+#[test]
+fn misparses_are_refused_at_the_surface() {
+    // Created a directory called `--csv` *and* turned CSV on.
+    assert_rejected(&["--out", "--csv", "e1"], "--out needs a value");
+    // Kept `full` silently.
+    let twice = ["--telemetry", "full", "--telemetry", "off", "e1"];
+    assert_rejected(&twice, "--telemetry is given twice");
+    // Accepted and ignored.
+    assert_rejected(&["--workload-k", "8", "e1"], "--workload-k does not apply");
+    assert_rejected(&["custom", "--csv"], "--csv does not apply in Custom mode");
+    // The flag that could not change a byte of output is gone, both places.
+    assert_rejected(&["--stepping", "dense", "e1"], "unknown flag --stepping");
+    assert_rejected(&["chaos", "--stepping", "dense"], "unknown flag --stepping");
+    // I/O failures are refusals like any other.
+    assert_rejected(
+        &["--out", "/proc/no/such/dir", "e1"],
+        "--out /proc/no/such/dir",
+    );
+}
+
+/// `--jobs` / `--telemetry` are read before the mode is dispatched: they
+/// work with a subcommand, on either side of it.
+#[test]
+fn settings_work_in_every_mode_and_position() {
+    let chaos = ["--seed", "42", "--cases", "2", "--budget-slots", "64"];
+    let before = ppslab(&[&["--jobs", "2", "chaos"][..], &chaos[..]].concat());
+    let after = ppslab(&[&["chaos"][..], &chaos[..], &["--jobs", "1"][..]].concat());
+    assert_eq!(before.status.code(), Some(0), "{before:?}");
+    assert_eq!(before.stdout, after.stdout);
+    let custom = ["custom", "--algo", "rr", "--workload", "attack"];
+    let out = ppslab(&[&custom[..], &["--telemetry", "counters"][..]].concat());
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("telemetry counters:"), "{stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("relative delay (max) : 45"));
+}
+
+/// `custom` refuses what it cannot run — a `:param` a constructor would
+/// `assert!` on, a geometry too small for the family — with `error:` and
+/// exit 2, never a panic. One row per `--algo` family.
+#[test]
+fn custom_never_panics_on_its_own_input() {
+    // (a spelling that runs on the default geometry, one that must not)
+    let families = [
+        ("rr", "rr:3"),
+        ("pfr", "pfr:x"),
+        ("random:7", "random:banana"),
+        ("partition", "partition:2"),
+        ("ftd:2", "ftd:1"),
+        ("ftd:2", "ftd:3"), // h*r' = 12 > K = 8
+        ("ftd:2", "ftd:18446744073709551615"),
+        ("stale:2", "stale:0"),
+        ("stale:2", "stale"),
+        ("lll", "lll:1"),
+        ("hash", "hash:1"),
+        ("cpa", "cpa:1"),
+    ];
+    for (good, bad_param) in families {
+        let cases = [
+            ["custom", "--algo", bad_param, "--slots", "50"].to_vec(),
+            // K < r': no bufferless PPS exists, whatever the algorithm.
+            ["custom", "--algo", good, "--k", "2", "--rprime", "4"].to_vec(),
+            ["custom", "--algo", good, "--n", "0"].to_vec(),
+        ];
+        for args in cases {
+            let out = ppslab(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        }
+    }
+    // FTD's plane sets are 128-bit masks.
+    let wide = ["custom", "--algo", "ftd", "--k", "256", "--rprime", "2"];
+    assert_rejected(&wide, "<= K <= 128");
+}
+
 #[test]
 fn list_prints_every_registered_id() {
     let out = ppslab(&["--list"]);

@@ -8,8 +8,8 @@
 //! test in this file, runs each configuration to completion before
 //! flipping the knobs, and restores both on exit.
 
+use pps_core::workers::set_jobs;
 use pps_experiments::registry;
-use pps_experiments::sweep::set_jobs;
 
 /// Cheap experiments that still cover both engines, the shadow OQ, the
 /// crossbar baselines, faults, and the watchdog paths — plus the three

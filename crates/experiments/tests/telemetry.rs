@@ -11,9 +11,10 @@
 //! takes `TELEMETRY_LOCK` and restores `Level::Off` on exit (panic
 //! included) via `LevelGuard`.
 
+use pps_core::sweep::SweepPlan;
 use pps_core::telemetry::{self, Level};
+use pps_core::workers::set_jobs;
 use pps_experiments::e03_fd_general;
-use pps_experiments::sweep::{set_jobs, SweepPlan};
 use std::sync::Mutex;
 
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());

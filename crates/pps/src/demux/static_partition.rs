@@ -61,30 +61,9 @@ impl StaticPartitionDemux {
         StaticPartitionDemux::new(partition)
     }
 
-    /// Partition where every input uses the same `d`-plane subset
-    /// (`planes 0..d`) — the maximally concentrated d-partitioned case used
-    /// the concentration tests state `d` against.
-    #[cfg(test)]
-    fn shared(n: usize, d: usize) -> Self {
-        StaticPartitionDemux::new(vec![(0..d as u32).collect(); n])
-    }
-
     /// The subset of input `i`.
     pub fn planes_of(&self, input: usize) -> &[u32] {
         &self.partition[input]
-    }
-
-    /// Maximum number of inputs sharing any single plane — the `d` for
-    /// which this instance is d-partitioned (the tests' geometry probe).
-    #[cfg(test)]
-    fn concentration(&self, k: usize) -> usize {
-        let mut users = vec![0usize; k];
-        for subset in &self.partition {
-            for &p in subset {
-                users[p as usize] += 1;
-            }
-        }
-        users.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -148,13 +127,9 @@ mod tests {
         assert_eq!(d.planes_of(0), &[0, 1]);
         assert_eq!(d.planes_of(1), &[2, 3]);
         assert_eq!(d.planes_of(2), &[0, 1]);
-        assert_eq!(d.concentration(4), 4); // = N/S = 8/(4/2)
-    }
-
-    #[test]
-    fn shared_partition_concentrates_everyone() {
-        let d = StaticPartitionDemux::shared(6, 2);
-        assert_eq!(d.concentration(4), 6);
+        // Each plane is shared by N/S = 8/(4/2) inputs.
+        let sharing_plane_0 = (0..8).filter(|&i| d.planes_of(i).contains(&0)).count();
+        assert_eq!(sharing_plane_0, 4);
     }
 
     #[test]

@@ -31,7 +31,6 @@ use pps_core::prelude::*;
 use pps_core::stepping::{self, earliest, SlotEngine};
 use pps_core::telemetry::{self, Engine, EventKind, FaultKind};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Outcome of a complete PPS run.
 #[derive(Clone, Debug)]
@@ -126,32 +125,21 @@ impl InfoBus {
 /// fully-distributed one never.
 #[derive(Clone, Debug, Default)]
 struct FaultSchedule {
-    /// The plan being replayed, shared rather than copied: replaying one
-    /// plan against many runs (the fault experiments' inner loops) clones
-    /// a pointer, not the event vec.
-    plan: Option<Arc<FaultPlan>>,
+    /// The plan being replayed (empty until one is set).
+    plan: FaultPlan,
     next: usize,
 }
 
 impl FaultSchedule {
-    fn set(&mut self, plan: Arc<FaultPlan>) {
-        self.plan = Some(plan);
-        self.next = 0;
-    }
-
-    fn events(&self) -> &[FaultEvent] {
-        self.plan.as_deref().map_or(&[], FaultPlan::events)
-    }
-
     /// Activation slot of the next unapplied scripted event, if any.
     /// Always strictly after the last slot [`apply_due`](Self::apply_due)
     /// ran for, since that consumed everything due.
     fn next_activity(&self) -> Option<Slot> {
-        self.events().get(self.next).map(|e| e.activates_at())
+        self.plan.events().get(self.next).map(|e| e.activates_at())
     }
 
     fn apply_due(&mut self, now: Slot, fabric: &mut Fabric) -> Result<(), ModelError> {
-        while let Some(&ev) = self.events().get(self.next) {
+        while let Some(&ev) = self.plan.events().get(self.next) {
             if ev.activates_at() > now {
                 break;
             }
@@ -558,15 +546,11 @@ impl<S: InputStage> Pps<S> {
     /// effect at the start of its slot. Validates the plan against the
     /// switch geometry.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), ModelError> {
-        self.set_fault_plan_shared(Arc::new(plan.clone()))
-    }
-
-    /// Like [`set_fault_plan`](Self::set_fault_plan), but shares the plan
-    /// instead of copying it — the cheap path when one plan is replayed
-    /// against many runs.
-    pub fn set_fault_plan_shared(&mut self, plan: Arc<FaultPlan>) -> Result<(), ModelError> {
         plan.validate(self.fabric.cfg())?;
-        self.faults.set(plan);
+        self.faults = FaultSchedule {
+            plan: plan.clone(),
+            next: 0,
+        };
         Ok(())
     }
 

@@ -1,0 +1,71 @@
+#!/bin/sh
+# census.sh — the numbers every `simplicity` PR reports, from one script.
+#
+#   sh scripts/census.sh [REPO_ROOT]        (sh + awk + grep; no network)
+#
+# Rules, so that two trees' counts can be compared:
+#
+# * non-test LoC: every line (blank and comment lines included) of each
+#   crates/*/src/**/*.rs file that comes before the file's unit-test
+#   module — the first `#[cfg(test)]` line that is directly followed by a
+#   column-0 `mod name {`. A `#[cfg(test)]`-gated item in the middle of a
+#   file therefore still counts as product code (PR 21's rule).
+# * pub sites: non-test lines whose first token is `pub` (not `pub(...)`).
+# * process statics: non-test `static` items, `thread_local!` ones included.
+# * ppslab flags: distinct `"--name"` string literals in the non-test part
+#   of the files that parse argv — the one pass (crates/experiments/src/
+#   cli.rs; bin/ppslab.rs + custom.rs before it existed) and the campaign
+#   flags (crates/chaos/src/cli.rs). A spelling counts once however many
+#   grammars accept it.
+# * argv parsers: non-test functions that walk an argv iterator
+#   (`while let Some(..) = it.next()`), plus closures over `flag_value`.
+# * exit sites: `process::exit` calls in bin/ppslab.rs.
+root=${1:-$(dirname "$0")/..}
+cd "$root" || exit 1
+
+# Print the non-test part of each file given, prefixed `path:`.
+nontest() {
+    awk '
+        FNR == 1 { cut = 0; held = "" }
+        cut { next }
+        held != "" {
+            if ($0 ~ /^mod [a-z_0-9]+ \{/) { cut = 1; held = ""; next }
+            print FILENAME ":" held; held = ""
+        }
+        /^#\[cfg\(test\)\]$/ { held = $0; next }
+        { print FILENAME ":" $0 }
+    ' "$@"
+}
+
+files=$(find crates -path '*/src/*' -name '*.rs' | sort)
+
+echo "non-test LoC (crates/*/src)"
+# shellcheck disable=SC2086
+nontest $files | awk -F/ '
+    { n[$2]++; total++ }
+    END {
+        for (c in n) printf "  %-12s %6d\n", c, n[c] | "sort"
+        close("sort")
+        printf "  %-12s %6d\n", "total", total
+    }'
+
+# shellcheck disable=SC2086
+pubs=$(nontest $files | grep -cE '^[^:]+:[[:space:]]*pub ')
+# shellcheck disable=SC2086
+statics=$(nontest $files | grep -cE '^[^:]+:[[:space:]]*(pub(\([a-z]+\))? )?static [A-Z_]+:')
+echo "pub sites            $pubs"
+echo "process statics      $statics"
+
+flag_files="crates/chaos/src/cli.rs"
+if [ -f crates/experiments/src/cli.rs ]; then
+    flag_files="crates/experiments/src/cli.rs $flag_files"
+else
+    flag_files="crates/experiments/src/bin/ppslab.rs crates/experiments/src/custom.rs $flag_files"
+fi
+# shellcheck disable=SC2086
+flags=$(nontest $flag_files | grep -oE '"--[a-z][a-z-]*"' | sort -u | wc -l)
+# shellcheck disable=SC2086
+parsers=$(nontest $flag_files | grep -cE 'while let Some\(.*\) = it\.next\(\)|let parse_dim = ')
+echo "ppslab flags         $flags"
+echo "argv parsers         $parsers"
+echo "ppslab exit sites    $(grep -c 'process::exit' crates/experiments/src/bin/ppslab.rs)"

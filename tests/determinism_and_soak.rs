@@ -72,7 +72,8 @@ fn registry_tables_identical_across_job_counts() {
     // The sweep executor's whole contract: whatever the worker budget,
     // every experiment renders byte-identically. This is what lets ppslab
     // default to all cores without touching a single golden number.
-    use pps_experiments::{registry, sweep};
+    use pps_core::workers::set_jobs;
+    use pps_experiments::registry;
     // Each experiment followed by a blank line, as `ppslab` prints them.
     let render_all = || -> String {
         registry()
@@ -97,11 +98,11 @@ fn registry_tables_identical_across_job_counts() {
             panic!("rendered tables differ between jobs=1 and {what}; {diff}");
         }
     };
-    sweep::set_jobs(1);
+    set_jobs(1);
     let serial = render_all();
-    sweep::set_jobs(8);
+    set_jobs(8);
     let parallel = render_all();
-    sweep::set_jobs(1);
+    set_jobs(1);
     assert_same("jobs=8", &serial, &parallel);
 
     // The same rendering is the committed behavioural contract: the fenced
