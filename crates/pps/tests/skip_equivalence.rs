@@ -20,7 +20,10 @@ use std::sync::Mutex;
 use pps_core::fault::FaultPlan;
 use pps_core::prelude::*;
 use pps_core::Stepping;
-use pps_switch::demux::{BufferedRoundRobinDemux, CpaDemux, RoundRobinDemux};
+use pps_switch::demux::{
+    ArbitratedCrossbarDemux, BufferedRoundRobinDemux, BufferedStaleDemux, CpaDemux,
+    DelayedCpaDemux, RoundRobinDemux,
+};
 use pps_switch::engine::{BufferedPps, BufferlessPps, PpsRun};
 
 /// Assert two runs are observably identical (log, stats, end slot).
@@ -53,10 +56,14 @@ fn bufferless_pair<D: pps_core::demux::Demultiplexor>(
 }
 
 /// Run one buffered configuration under both modes.
-fn buffered_pair(cfg: PpsConfig, trace: &Trace, plan: Option<&FaultPlan>) -> (PpsRun, PpsRun) {
-    let (n, k) = (cfg.n, cfg.k);
+fn buffered_pair<D: pps_core::demux::BufferedDemultiplexor>(
+    cfg: PpsConfig,
+    mk: impl Fn() -> D,
+    trace: &Trace,
+    plan: Option<&FaultPlan>,
+) -> (PpsRun, PpsRun) {
     let run = |mode: Stepping| {
-        let mut pps = BufferedPps::new(cfg, BufferedRoundRobinDemux::new(n, k)).expect("engine");
+        let mut pps = BufferedPps::new(cfg, mk()).expect("engine");
         if let Some(p) = plan {
             pps.set_fault_plan(p).expect("plan");
         }
@@ -146,6 +153,8 @@ proptest! {
         size in 1usize..6,
         watchdog in (0u64..13).prop_map(|w| (w > 0).then_some(w)),
         pulses in proptest::collection::vec((0u32..4, 0u64..20_000, 1u64..6_000), 0..3),
+        blackout in (0u32..4, 0u64..4, 1u64..40),
+        u in 1u64..5,
     ) {
         let (n, k, r_prime) = (4usize, 4usize, 2usize);
         let mut cfg = PpsConfig::buffered(n, k, r_prime, size);
@@ -156,8 +165,32 @@ proptest! {
         let plan = pulse_plan(&pulses);
         prop_assume!(plan.validate(&cfg).is_ok());
 
-        let (d, s) = buffered_pair(cfg, &trace, Some(&plan));
+        let (d, s) = buffered_pair(cfg, || BufferedRoundRobinDemux::new(n, k), &trace, Some(&plan));
         assert_same(&d, &s, "buffered/rr");
+
+        // The hold-then-dispatch demuxes: besides the plane pulses, black
+        // out every line of one input around the first burst, so heads
+        // ripen with no line free and are released late. They keep up to
+        // `u` cells per input (more across the blackout): give them room,
+        // whatever `size` drew.
+        let (input, lead, len) = blackout;
+        let from = bursts[0].0 + lead;
+        let plan = (0..k as u32).fold(plan, |plan, p| {
+            plan.link_degraded(input, p, from, from + len)
+        });
+        let roomy = PpsConfig { buffer: BufferSpec::Buffered { size: 64 }, ..cfg };
+        let (d, s) = buffered_pair(roomy, || ArbitratedCrossbarDemux::new(k, u), &trace, Some(&plan));
+        assert_same(&d, &s, "buffered/arbitrated");
+        let (d, s) =
+            buffered_pair(roomy, || BufferedStaleDemux::new(n, k, u, u / 2), &trace, Some(&plan));
+        assert_same(&d, &s, "buffered/stale");
+        let (d, s) = buffered_pair(
+            roomy.with_discipline(OutputDiscipline::GlobalFcfs),
+            || DelayedCpaDemux::new(n, k, r_prime, u),
+            &trace,
+            Some(&plan),
+        );
+        assert_same(&d, &s, "buffered/delayed-cpa");
     }
 }
 

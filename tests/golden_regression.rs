@@ -4,14 +4,18 @@
 //! must be a deliberate, documented decision (recorded in EXPERIMENTS.md's
 //! "Deviations" list), never drift.
 
+use pps_analysis::metrics::relative_delay;
 use pps_analysis::{
     compare_buffered, compare_bufferless, compare_bufferless_faulted, fault_impact,
 };
 use pps_core::bounds;
 use pps_core::prelude::*;
+use pps_reference::oq::run_oq;
 use pps_switch::demux::{
-    CpaDemux, DelayedCpaDemux, FaultAwareRoundRobinDemux, RoundRobinDemux, StaleLeastLoadedDemux,
+    ArbitratedCrossbarDemux, CpaDemux, DelayedCpaDemux, FaultAwareRoundRobinDemux, RoundRobinDemux,
+    StaleLeastLoadedDemux,
 };
+use pps_switch::BufferedPps;
 use pps_traffic::adversary::{concentration_attack, urt_burst_attack};
 use pps_traffic::gen::BernoulliGen;
 use pps_traffic::min_burstiness;
@@ -168,5 +172,138 @@ fn cpa_and_delayed_cpa_exactness_pinned() {
         cmp.relative_delay().max,
         bounds::theorem12_upper(u) as i64,
         "delayed CPA should sit exactly at u under saturation"
+    );
+}
+
+/// What one buffered run is pinned by: max and total relative delay, an
+/// FNV-1a fold of every cell's `(departure, plane)`, and the fabric
+/// statistics that are not the same in all four runs below.
+#[derive(Debug, PartialEq)]
+struct BufferedPin {
+    max: i64,
+    total: i64,
+    digest: u64,
+    plane_carried: [u64; 4],
+    max_plane_queue: usize,
+    max_output_held: usize,
+    stalled_slots: u64,
+}
+
+fn buffered_pin<D: BufferedDemultiplexor>(
+    cfg: PpsConfig,
+    demux: D,
+    trace: &Trace,
+    plan: Option<&FaultPlan>,
+) -> BufferedPin {
+    let mut pps = BufferedPps::new(cfg, demux).unwrap();
+    if let Some(plan) = plan {
+        pps.set_fault_plan(plan).unwrap();
+    }
+    let run = pps.run(trace).unwrap();
+    let rd = relative_delay(&run.log, &run_oq(trace, cfg.n));
+    assert_eq!(rd.pps_undelivered, 0);
+    let digest = run
+        .log
+        .records()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, r| {
+            let word = r.departure().unwrap() << 8 | r.plane().unwrap().0 as u64;
+            (h ^ word).wrapping_mul(0x0100_0000_01b3)
+        });
+    let stats = run.stats;
+    let cells = trace.len() as u64;
+    assert_eq!(
+        (stats.input_line_uses, stats.output_line_uses),
+        (cells, cells)
+    );
+    assert_eq!(
+        (stats.dropped, stats.skipped, stats.late_dropped),
+        (0, 0, 0)
+    );
+    BufferedPin {
+        max: rd.max,
+        total: (rd.mean * rd.compared as f64).round() as i64,
+        digest,
+        plane_carried: stats.plane_carried.try_into().unwrap(),
+        max_plane_queue: stats.max_plane_queue,
+        max_output_held: stats.max_output_held,
+        stalled_slots: stats.stalled_slots,
+    }
+}
+
+#[test]
+fn hold_then_dispatch_demuxes_pinned_fault_free_and_late_release() {
+    // The arbiter and delayed CPA, slot-exact, on one Bernoulli trace —
+    // fault-free, and under a plan that blacks out every line of input 0
+    // over [100, 130) (and of input 5 over [300, 306)), then leaves input 0
+    // a single line until 190: heads that ripen inside a window are
+    // released late, and the backlog drains through one plane, missing CPA
+    // deadlines. Delayed CPA must book such a head at `arrival + u`, not at
+    // the slot it finally leaves the buffer — which deadline a late head
+    // misses, and so every later reservation, depends on it (booking at
+    // the release slot moves the last digest below).
+    let (n, k, r_prime, u) = (8, 4, 2, 3u64);
+    let trace = BernoulliGen::uniform(0.7, 20_261_004).trace(n, 600);
+    assert_eq!(trace.len(), 3312, "generator output drifted");
+    let mut plan = FaultPlan::new();
+    for p in 0..k as u32 {
+        let until = if p + 1 < k as u32 { 190 } else { 130 };
+        plan = plan
+            .link_degraded(0, p, 100, until)
+            .link_degraded(5, p, 300, 306);
+    }
+    let cfg = PpsConfig::buffered(n, k, r_prime, 64);
+    let fcfs = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
+
+    let arb = |plan| buffered_pin(cfg, ArbitratedCrossbarDemux::new(k, u), &trace, plan);
+    assert_eq!(
+        arb(None),
+        BufferedPin {
+            max: 4,
+            total: 9_944,
+            digest: 2_898_792_441_924_745_679,
+            plane_carried: [1192, 983, 716, 421],
+            max_plane_queue: 2,
+            max_output_held: 8,
+            stalled_slots: 1,
+        }
+    );
+    assert_eq!(
+        arb(Some(&plan)),
+        BufferedPin {
+            max: 49,
+            total: 13_840,
+            digest: 1_992_176_032_127_538_833,
+            plane_carried: [1179, 978, 705, 450],
+            max_plane_queue: 2,
+            max_output_held: 8,
+            stalled_slots: 1,
+        }
+    );
+
+    let dcpa = |plan| buffered_pin(fcfs, DelayedCpaDemux::new(n, k, r_prime, u), &trace, plan);
+    assert_eq!(
+        dcpa(None),
+        BufferedPin {
+            max: bounds::theorem12_upper(u) as i64,
+            total: 3 * 3_312,
+            digest: 10_630_103_895_134_710_532,
+            plane_carried: [830, 833, 825, 824],
+            max_plane_queue: 2,
+            max_output_held: 8,
+            stalled_slots: 0,
+        }
+    );
+    assert_eq!(
+        dcpa(Some(&plan)),
+        BufferedPin {
+            max: 49,
+            total: 38_896,
+            digest: 2_168_361_489_938_051_125,
+            plane_carried: [820, 831, 816, 845],
+            max_plane_queue: 2,
+            max_output_held: 36,
+            stalled_slots: 526,
+        }
     );
 }

@@ -7,8 +7,8 @@
 use pps_analysis::{compare_buffered, compare_bufferless};
 use pps_core::prelude::*;
 use pps_switch::demux::{
-    ArbitratedCrossbarDemux, BufferedRoundRobinDemux, CpaDemux, DelayedCpaDemux,
-    PerFlowRoundRobinDemux, RandomDemux, RoundRobinDemux, StaleLeastLoadedDemux,
+    ArbitratedCrossbarDemux, BufferedRoundRobinDemux, BufferedStaleDemux, CpaDemux,
+    DelayedCpaDemux, PerFlowRoundRobinDemux, RandomDemux, RoundRobinDemux, StaleLeastLoadedDemux,
     StaticPartitionDemux,
 };
 use pps_traffic::adversary::{concentration_attack, urt_burst_attack};
@@ -109,6 +109,66 @@ fn theorem12_upper_bound_with_odd_u() {
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     assert!(rd.max <= u as i64, "relative delay {} > u = {u}", rd.max);
+}
+
+#[test]
+fn theorem12_is_an_identity_delayed_cpa_is_cpa_shifted_by_u() {
+    // Fault-free, S >= 2, global FCFS: holding every cell u slots and then
+    // running CPA on what is by then legal information reproduces the CPA
+    // run cell for cell — same plane, departure exactly u slots later.
+    let (n, k, r_prime) = (8, 8, 4);
+    let fcfs = |cfg: PpsConfig| cfg.with_discipline(OutputDiscipline::GlobalFcfs);
+    for seed in [3, 17, 41] {
+        let trace = BernoulliGen::uniform(0.9, seed).trace(n, 400);
+        let cpa = compare_bufferless(
+            fcfs(PpsConfig::bufferless(n, k, r_prime)),
+            CpaDemux::new(n, k, r_prime),
+            &trace,
+        )
+        .unwrap();
+        for u in [1u64, 3, 8] {
+            let held = compare_buffered(
+                fcfs(PpsConfig::buffered(n, k, r_prime, u as usize)),
+                DelayedCpaDemux::new(n, k, r_prime, u),
+                &trace,
+            )
+            .unwrap();
+            for ((id, c), h) in cpa.pps.log.iter().zip(held.pps.log.records()) {
+                let at = (h.plane(), h.departure());
+                let want = (c.plane(), c.departure().map(|d| d + u));
+                assert_eq!(at, want, "seed {seed} u {u} {id:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn zero_hold_buffered_stale_is_bufferless_stale_least_loaded() {
+    // The hold rule at hold = 0 dispatches every arrival directly: the
+    // buffered engine then runs the bufferless u-RT policy log for log.
+    let (n, k, r_prime) = (8, 8, 4);
+    for seed in [3, 17, 41] {
+        let trace = BernoulliGen::uniform(0.9, seed).trace(n, 400);
+        for u in [1u64, 3, 8] {
+            let bufferless = compare_bufferless(
+                PpsConfig::bufferless(n, k, r_prime),
+                StaleLeastLoadedDemux::new(n, k, u),
+                &trace,
+            )
+            .unwrap();
+            let buffered = compare_buffered(
+                PpsConfig::buffered(n, k, r_prime, 1),
+                BufferedStaleDemux::new(n, k, u, 0),
+                &trace,
+            )
+            .unwrap();
+            assert_eq!(
+                buffered.pps.log.records(),
+                bufferless.pps.log.records(),
+                "seed {seed} u {u}"
+            );
+        }
+    }
 }
 
 #[test]
