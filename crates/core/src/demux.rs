@@ -96,10 +96,19 @@ impl<'a> LocalView<'a> {
     /// First free plane at or after `start`, scanning cyclically. The
     /// building block of every round-robin-style algorithm.
     pub fn next_free_from(&self, start: usize) -> Option<usize> {
+        self.next_free_where(start, |_| true)
+    }
+
+    /// First free plane at or after `start`, scanning cyclically, that
+    /// `ok` also accepts — the one rotating scan: a round robin that must
+    /// skip planes it has used this slot, or believes down, narrows it
+    /// here instead of writing its own.
+    #[inline]
+    pub fn next_free_where(&self, start: usize, ok: impl Fn(usize) -> bool) -> Option<usize> {
         let k = self.k();
         (0..k)
             .map(|off| (start + off) % k)
-            .find(|&p| self.is_free(p))
+            .find(|&p| self.is_free(p) && ok(p))
     }
 }
 
@@ -320,6 +329,8 @@ mod tests {
         assert_eq!(free, vec![0, 2]);
         assert_eq!(v.next_free_from(1), Some(2));
         assert_eq!(v.next_free_from(3), Some(0));
+        assert_eq!(v.next_free_where(1, |p| p != 2), Some(0));
+        assert_eq!(v.next_free_where(0, |p| p % 2 == 1), None);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub trait CrossbarScheduler: Send {
     fn state_digest(&self) -> u64;
 }
 
-impl CrossbarScheduler for Box<dyn CrossbarScheduler> {
+impl<S: CrossbarScheduler + ?Sized> CrossbarScheduler for Box<S> {
     fn n(&self) -> usize {
         (**self).n()
     }

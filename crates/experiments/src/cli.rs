@@ -505,6 +505,75 @@ mod tests {
         assert_eq!(modes.len(), 5, "some mode never parsed");
     }
 
+    /// ROADMAP 7(iii), the workload half: a spec value its generator would
+    /// `assert!` on is an `Err` from the mode's entry point — drawn, like
+    /// the argvs above, from the chaos RNG; a panic fails the test.
+    #[test]
+    fn out_of_range_workload_values_are_errors_not_panics() {
+        const P: &[&str] = &["-0.5", "1.0001", "2", "nan", "-inf"];
+        const RATE: &[&str] = &["0", "-0.5", "1.0001", "2", "nan", "inf"];
+        let keyed: &[(&str, &str, &[&str])] = &[
+            ("uniform", "load", P),
+            ("zipf", "load", P),
+            ("zipf", "flows", &["0"]),
+            ("zipf", "s", &["0", "-2", "nan", "inf"]),
+            ("mmpp", "calm", P),
+            ("mmpp", "burst", P),
+            ("mmpp", "calm_exit", RATE),
+            ("mmpp", "burst_exit", RATE),
+            ("onoff", "on", RATE),
+            ("onoff", "off", RATE),
+            ("shaped", "load", P),
+            ("shaped", "den", &["0"]),
+            ("shaped", "burst", &["0"]),
+        ];
+        let positional: &[(&str, &[&str])] = &[
+            ("cbr", &["0"]),
+            ("bernoulli", P),
+            ("onoff", &["1", "1.5", "-0.5", "nan"]),
+            ("congestion", &["0", "1", "17", "99"]),
+        ];
+        let mut rng = SplitMix64::new(0x0BAD_5BEC);
+        let pick = |rng: &mut SplitMix64, n: usize| rng.below(n as u64) as usize;
+        for _ in 0..2_000 {
+            let via_custom = rng.below(2) == 0;
+            let (spec, key) = if via_custom && rng.below(2) == 0 {
+                let (family, bad) = positional[pick(&mut rng, positional.len())];
+                (
+                    format!("{family}:{}", bad[pick(&mut rng, bad.len())]),
+                    family,
+                )
+            } else {
+                let (family, key, bad) = keyed[pick(&mut rng, keyed.len())];
+                // custom's `onoff:LOAD` is the positional family above.
+                if via_custom && family == "onoff" {
+                    continue;
+                }
+                let mut kvs = vec![format!("{key}={}", bad[pick(&mut rng, bad.len())])];
+                if rng.below(2) == 0 {
+                    kvs.insert(pick(&mut rng, 2), format!("seed={}", rng.below(99)));
+                }
+                (format!("{family}:{}", kvs.join(",")), key)
+            };
+            let mut args = argv(&["--workload", &spec]);
+            if via_custom {
+                args.insert(pick(&mut rng, 2) * 2, "custom".into());
+            }
+            let refusal = match parse(&args)
+                .unwrap_or_else(|e| panic!("{args:?}: {e}"))
+                .mode
+            {
+                Mode::Workload { spec, k, r_prime } => {
+                    crate::workload_cli::run_workload(&spec, k, r_prime)
+                }
+                Mode::Custom(custom) => crate::custom::run_custom(&custom),
+                other => panic!("{args:?} parsed to {other:?}"),
+            };
+            let msg = refusal.expect_err(&spec);
+            assert!(msg.contains(key), "{spec}: {msg}");
+        }
+    }
+
     /// The `--flag` tokens of `text`.
     fn flags_in(text: &str) -> BTreeSet<&str> {
         text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))

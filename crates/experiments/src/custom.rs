@@ -55,6 +55,22 @@ where
     })
 }
 
+/// [`param_or`], refused outside `range`: what a generator `assert!`s about
+/// its parameter is checked here first, so no `--workload` can panic either.
+fn param_in<T, R>(param: Option<&str>, default: T, what: &str, range: R) -> Result<T, String>
+where
+    T: std::str::FromStr + std::fmt::Display + PartialOrd,
+    T::Err: std::fmt::Display,
+    R: std::ops::RangeBounds<T> + std::fmt::Debug,
+{
+    let v = param_or(param, default, what)?;
+    if range.contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("{what} must be in {range:?}, got {v}"))
+    }
+}
+
 /// Build the algorithm `--algo` names and hand it to [`run_with`], along
 /// with its attack probe budget in units of `8·K` cells. What a constructor
 /// `assert!`s about its `:param` is checked first: no `--algo` can panic.
@@ -132,12 +148,14 @@ fn build_workload(args: &CustomArgs, cfg: &PpsConfig) -> Result<Trace, String> {
     Ok(match name {
         "urt" => urt_burst_attack(cfg, param_or(param, 1, "urt u")?).trace,
         "bernoulli" => {
-            BernoulliGen::uniform(param_or(param, 0.9, "bernoulli load")?, 42).trace(n, args.slots)
+            let load = param_in(param, 0.9, "bernoulli load", 0.0..=1.0)?;
+            BernoulliGen::uniform(load, 42).trace(n, args.slots)
         }
         "onoff" => {
-            OnOffGen::uniform(12.0, param_or(param, 0.7, "onoff load")?, 42).trace(n, args.slots)
+            let load = param_in(param, 0.7, "onoff load", 0.0..1.0)?;
+            OnOffGen::uniform(12.0, load, 42).trace(n, args.slots)
         }
-        "cbr" => CbrGen::diagonal(param_or(param, 2, "cbr period")?).trace(n, args.slots),
+        "cbr" => CbrGen::diagonal(param_in(param, 2, "cbr period", 1..)?).trace(n, args.slots),
         // Seeded stochastic families from pps-workload. Geometry comes
         // from --n/--slots: they are prepended as spec keys, so a
         // conflicting n=/horizon= inside the spec body shows up as a
@@ -155,7 +173,7 @@ fn build_workload(args: &CustomArgs, cfg: &PpsConfig) -> Result<Trace, String> {
             pps_workload::WorkloadSpec::parse(&full)?.trace()?
         }
         "congestion" => {
-            let senders = param_or(param, 2, "congestion senders")?;
+            let senders = param_in(param, 2, "congestion senders (at most --n)", 2..=n)?;
             congestion_traffic(n, 0, senders, args.slots).trace
         }
         other => return Err(format!("unknown workload {other}")),

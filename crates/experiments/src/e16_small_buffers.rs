@@ -18,8 +18,7 @@ use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered, compare_bufferless, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_switch::demux::buffered::BufferedStaleDemux;
-use pps_switch::demux::{DelayedCpaDemux, StaleLeastLoadedDemux};
+use pps_switch::demux::{BufferedStaleDemux, DelayedCpaDemux, StaleLeastLoadedDemux};
 use pps_traffic::adversary::urt_burst_attack;
 
 /// One sweep point: max relative delay of the buffered stale demux at

@@ -4,15 +4,19 @@
 //!   algorithm: hold cells while preferred lines are busy, release head
 //!   cells round-robin. Theorem 13's `(1 − r/R)·N/S` lower bound applies to
 //!   it for *any* buffer size (experiment E7).
-//! * [`DelayedCpaDemux`] — the constructive side of Theorem 12: a `u`-RT
-//!   algorithm with buffers of size `u` and speedup `S ≥ 2` that simulates
-//!   CPA shifted by `u` slots, achieving relative queuing delay ≤ `u`.
-//! * [`ArbitratedCrossbarDemux`] — the paper's practical `u`-RT example
-//!   (Section 1.3): cells wait in the input buffer for a grant computed by
-//!   an arbiter whose view of the switch is `u` slots old.
+//! * [`HoldThen`] — the paper's buffered `u`-RT algorithms are a *hold
+//!   rule* over a bufferless policy: keep every cell `hold` slots, then
+//!   dispatch it by the policy on what is by then legal information. The
+//!   zoo is three instantiations, policy × hold:
+//!
+//!   | | policy | hold |
+//!   |---|---|---|
+//!   | [`DelayedCpaDemux`] (Theorem 12) | [`CpaDemux`]'s reservation, deadlines counted from `arrival + u` | `u` |
+//!   | [`BufferedStaleDemux`] (small buffers, E16) | [`StaleLeastLoadedDemux`]'s pick, one history lane per input | `0 ..= u` |
+//!   | [`ArbitratedCrossbarDemux`] (Section 1.3) | the same pick, one lane shared by the arbiter | `u` |
 
+use super::{CpaDemux, StaleLeastLoadedDemux};
 use pps_core::prelude::*;
-use std::collections::VecDeque;
 
 // ---------------------------------------------------------------------------
 // Buffered round robin
@@ -40,6 +44,16 @@ impl BufferedRoundRobinDemux {
             used: vec![false; k],
         }
     }
+
+    /// Claim the next free plane from input `i`'s pointer that this slot
+    /// has not used yet, advancing the pointer past it.
+    #[inline]
+    fn claim(&mut self, i: usize, local: &LocalView<'_>) -> Option<PlaneId> {
+        let p = local.next_free_where(self.next[i] as usize, |p| !self.used[p])?;
+        self.used[p] = true;
+        self.next[i] = (p as u32 + 1) % self.k;
+        Some(PlaneId(p as u32))
+    }
 }
 
 impl BufferedDemultiplexor for BufferedRoundRobinDemux {
@@ -59,37 +73,16 @@ impl BufferedDemultiplexor for BufferedRoundRobinDemux {
         self.used.fill(false);
         // Release head cells while distinct free planes remain.
         for idx in 0..buffer.len() {
-            let start = self.next[i] as usize;
-            let k = self.k as usize;
-            let found = (0..k)
-                .map(|off| (start + off) % k)
-                .find(|&p| ctx.local.is_free(p) && !self.used[p]);
-            match found {
-                Some(p) => {
-                    self.used[p] = true;
-                    self.next[i] = (p as u32 + 1) % self.k;
-                    out.releases.push((idx, PlaneId(p as u32)));
-                }
-                None => break,
-            }
+            let Some(plane) = self.claim(i, &ctx.local) else {
+                break;
+            };
+            out.releases.push((idx, plane));
         }
-        let released = out.releases.len();
+        // Buffer empty after the releases: try to send the arrival directly.
+        let drained = buffer.len() == out.releases.len();
         out.arrival = arrival.map(|_| {
-            if buffer.len() == released {
-                // Buffer will be empty after releases: try to send directly.
-                let start = self.next[i] as usize;
-                let k = self.k as usize;
-                if let Some(p) = (0..k)
-                    .map(|off| (start + off) % k)
-                    .find(|&p| ctx.local.is_free(p) && !self.used[p])
-                {
-                    self.next[i] = (p as u32 + 1) % self.k;
-                    return ArrivalAction::Dispatch(PlaneId(p as u32));
-                }
-                ArrivalAction::Enqueue
-            } else {
-                ArrivalAction::Enqueue
-            }
+            let direct = drained.then(|| self.claim(i, &ctx.local)).flatten();
+            direct.map_or(ArrivalAction::Enqueue, ArrivalAction::Dispatch)
         });
     }
 
@@ -115,237 +108,77 @@ impl BufferedDemultiplexor for BufferedRoundRobinDemux {
 }
 
 // ---------------------------------------------------------------------------
-// Delayed CPA (Theorem 12)
+// The hold rule
 // ---------------------------------------------------------------------------
 
-/// The Theorem 12 algorithm: hold every cell exactly `u` slots, then run
-/// CPA with all global information up to the cell's arrival slot (legally
-/// available to a `u`-RT algorithm at decision time). Every deadline is the
-/// cell's FCFS-OQ departure time plus `u`, so the relative queuing delay is
-/// at most `u`.
+/// What a hold rule dispatches a ripe cell by: the one step it asks of a
+/// bufferless policy.
+trait HeldPolicy: Send {
+    /// Choose a plane for `cell`, which ripened at slot `ripe` — never
+    /// later than the release slot `ctx.local.now`, and earlier when faults
+    /// kept every line busy. `ctx.local` shows a free line.
+    fn assign(&mut self, cell: &Cell, ripe: Slot, ctx: &DispatchCtx<'_>) -> PlaneId;
+}
+
+/// A buffered `u`-RT demultiplexor: hold every cell `hold` slots in the
+/// input buffer, then dispatch it by the bufferless policy `P`.
 ///
-/// Requires buffer size ≥ `u` and speedup `S ≥ 2`; run with
-/// [`OutputDiscipline::GlobalFcfs`].
+/// Buffers are FIFO and at most one cell arrives per slot, so at most one
+/// cell ripens per slot and it sits at the head: one release per slot
+/// suffices (and uses a single input line). The policy runs only on an
+/// actual dispatch — an unripe head, or (under faults, where a degraded
+/// link stretches `busy_until`) a ripe head with no line free, is a
+/// state-neutral hold, which is what lets the engine sleep until
+/// `arrival + hold`.
 #[derive(Clone, Debug)]
-pub struct DelayedCpaDemux {
-    u: Slot,
-    n: usize,
-    k: usize,
-    r_prime: Slot,
-    dt_last: Vec<Option<Slot>>,
-    last_reserved: Vec<Option<Slot>>,
-}
-
-impl DelayedCpaDemux {
-    /// Delayed CPA with information delay `u ≥ 1`.
-    pub fn new(n: usize, k: usize, r_prime: usize, u: Slot) -> Self {
-        assert!(u >= 1, "u-RT requires u >= 1");
-        DelayedCpaDemux {
-            u,
-            n,
-            k,
-            r_prime: r_prime as Slot,
-            dt_last: vec![None; n],
-            last_reserved: vec![None; k * n],
-        }
-    }
-
-    /// Assign a ripe cell to a plane, or `None` when **no** input line is
-    /// free this slot — possible under faults (a degraded link stretches
-    /// `busy_until` past the one-release-per-slot invariant), in which
-    /// case the cell is held without touching the deadline oracle.
-    fn assign(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> Option<PlaneId> {
-        ctx.local.free_planes().next()?;
-        let j = cell.output.idx();
-        // FCFS-OQ deadline from the *arrival* slot, shifted by u.
-        let dt = match self.dt_last[j] {
-            Some(prev) => cell.arrival.max(prev + 1),
-            None => cell.arrival,
-        };
-        self.dt_last[j] = Some(dt);
-        let target = dt + self.u; // PPS departure goal
-        let feasible = (0..self.k)
-            .filter(|&p| ctx.local.is_free(p))
-            .filter(|&p| match self.last_reserved[p * self.n + j] {
-                Some(last) => last + self.r_prime <= target,
-                None => true,
-            })
-            .min_by_key(|&p| (self.last_reserved[p * self.n + j], p));
-        Some(match feasible {
-            Some(p) => {
-                self.last_reserved[p * self.n + j] = Some(target);
-                PlaneId(p as u32)
-            }
-            None => {
-                let p = (0..self.k)
-                    .filter(|&p| ctx.local.is_free(p))
-                    .min_by_key(|&p| (self.last_reserved[p * self.n + j], p))
-                    .expect("a free plane exists past the guard above");
-                let idx = p * self.n + j;
-                let at = match self.last_reserved[idx] {
-                    Some(last) => target.max(last + self.r_prime),
-                    None => target,
-                };
-                self.last_reserved[idx] = Some(at);
-                PlaneId(p as u32)
-            }
-        })
-    }
-}
-
-impl BufferedDemultiplexor for DelayedCpaDemux {
-    fn info_class(&self) -> InfoClass {
-        InfoClass::RealTimeDistributed { u: self.u }
-    }
-
-    fn slot_decision(
-        &mut self,
-        _input: PortId,
-        arrival: Option<&Cell>,
-        buffer: &[Cell],
-        ctx: &DispatchCtx<'_>,
-        out: &mut BufferedDecision,
-    ) {
-        let now = ctx.local.now;
-        // Buffers are FIFO: ripe cells (held >= u slots) sit at the head.
-        // At one arrival per slot at most one cell ripens per slot, so a
-        // single release suffices (and uses a single input line). Under
-        // faults every line may be busy; then the ripe head waits a slot.
-        if let Some(head) = buffer.first() {
-            if head.arrival + self.u <= now {
-                if let Some(plane) = self.assign(head, ctx) {
-                    out.releases.push((0, plane));
-                }
-            }
-        }
-        out.arrival = arrival.map(|_| ArrivalAction::Enqueue);
-    }
-
-    /// Delayed CPA touches a buffered cell only when it ripens at
-    /// `arrival + u`; every earlier `slot_decision` is a state-neutral
-    /// hold (`assign` runs only on release), so the engine may sleep
-    /// until exactly that slot.
-    fn buffered_next_activity(
-        &self,
-        _input: PortId,
-        head: &Cell,
-        local: &LocalView<'_>,
-    ) -> Option<Slot> {
-        Some((head.arrival + self.u).max(local.now + 1))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Buffered stale least-loaded (the small-buffer regime of Section 4)
-// ---------------------------------------------------------------------------
-
-/// A `u`-RT buffered demultiplexor whose buffer lets it wait only
-/// `hold ≤ u` slots before dispatching by (still `u`-stale) least-loaded
-/// information.
-///
-/// This is the knife edge the paper draws in Section 4: with buffers of
-/// size ≥ `u` a `u`-RT algorithm can wait out its information lag and
-/// emulate CPA (Theorem 12, [`DelayedCpaDemux`]); *"when buffers are
-/// smaller than u"* the waiting does not close the blind spot and the
-/// `(1 − r/R)·N/S` lower bound persists. Sweeping `hold` from `0` to `u`
-/// (experiment E16) shows the transition: for `hold < u` the decision
-/// uses information from `t − u < t_arrival`, so the coordinated burst
-/// still concentrates; at `hold = u` the information covers the arrival
-/// and the concentration dissolves.
-#[derive(Clone, Debug)]
-pub struct BufferedStaleDemux {
+pub struct HoldThen<P> {
     u: Slot,
     hold: Slot,
-    k: usize,
-    /// Own dispatches not yet visible in the stale view: `(slot, plane,
-    /// output)`, shared bookkeeping across inputs is *not* allowed — the
-    /// per-input histories live in this per-input vector.
-    recent: Vec<VecDeque<(Slot, u32, u32)>>,
+    policy: P,
 }
 
-impl BufferedStaleDemux {
-    /// A `u`-RT buffered demultiplexor that holds each cell `hold ≤ u`
-    /// slots (`hold = 0` degenerates to the bufferless stale-least-loaded
-    /// dispatcher).
-    pub fn new(n: usize, k: usize, u: Slot, hold: Slot) -> Self {
+impl<P> HoldThen<P> {
+    fn over(policy: P, u: Slot, hold: Slot) -> Self {
         assert!(u >= 1, "u-RT requires u >= 1");
-        assert!(hold <= u, "holding beyond u is DelayedCpa territory");
-        BufferedStaleDemux {
-            u,
-            hold,
-            k,
-            recent: (0..n).map(|_| VecDeque::new()).collect(),
-        }
-    }
-
-    /// Pick a plane for a ripe cell, or `None` when no input line is free
-    /// (possible under faults) — a state-neutral hold: the history prune
-    /// and append happen only on an actual pick.
-    fn pick(&mut self, input: usize, output: u32, ctx: &DispatchCtx<'_>) -> Option<PlaneId> {
-        ctx.local.free_planes().next()?;
-        let horizon = ctx.global.map_or(0, |s| s.taken_at);
-        while let Some(&(slot, _, _)) = self.recent[input].front() {
-            if slot <= horizon {
-                self.recent[input].pop_front();
-            } else {
-                break;
-            }
-        }
-        let estimate = |p: usize| -> u64 {
-            let base = ctx
-                .global
-                .map_or(0, |s| s.queue_len(p, output as usize) as u64);
-            let own = self.recent[input]
-                .iter()
-                .filter(|&&(_, gp, gj)| gp as usize == p && gj == output)
-                .count() as u64;
-            base + own
-        };
-        let p = (0..self.k)
-            .filter(|&p| ctx.local.is_free(p))
-            .min_by_key(|&p| (estimate(p), p))
-            .expect("a free plane exists past the guard above");
-        self.recent[input].push_back((ctx.local.now, p as u32, output));
-        Some(PlaneId(p as u32))
+        HoldThen { u, hold, policy }
     }
 }
 
-impl BufferedDemultiplexor for BufferedStaleDemux {
+impl<P: HeldPolicy> BufferedDemultiplexor for HoldThen<P> {
     fn info_class(&self) -> InfoClass {
         InfoClass::RealTimeDistributed { u: self.u }
     }
 
     fn slot_decision(
         &mut self,
-        input: PortId,
+        _input: PortId,
         arrival: Option<&Cell>,
         buffer: &[Cell],
         ctx: &DispatchCtx<'_>,
         out: &mut BufferedDecision,
     ) {
-        let now = ctx.local.now;
+        let (hold, policy) = (self.hold, &mut self.policy);
+        // Dispatch a ripe cell by the policy, or `None` — policy state
+        // untouched — when no input line is free this slot.
+        let mut dispatch = |cell: &Cell| {
+            ctx.local.free_planes().next()?;
+            Some(policy.assign(cell, cell.arrival + hold, ctx))
+        };
         if let Some(head) = buffer.first() {
-            if head.arrival + self.hold <= now {
-                if let Some(plane) = self.pick(input.idx(), head.output.0, ctx) {
+            if head.arrival + hold <= ctx.local.now {
+                if let Some(plane) = dispatch(head) {
                     out.releases.push((0, plane));
                 }
             }
         }
-        let released_none = out.releases.is_empty();
+        // `hold = 0` with nothing queued ahead: the arrival is already ripe.
+        let ripe_on_arrival = hold == 0 && buffer.is_empty();
         out.arrival = arrival.map(|cell| {
-            if self.hold == 0 && released_none && buffer.is_empty() {
-                match self.pick(input.idx(), cell.output.0, ctx) {
-                    Some(plane) => ArrivalAction::Dispatch(plane),
-                    None => ArrivalAction::Enqueue,
-                }
-            } else {
-                ArrivalAction::Enqueue
-            }
+            let direct = ripe_on_arrival.then(|| dispatch(cell)).flatten();
+            direct.map_or(ArrivalAction::Enqueue, ArrivalAction::Dispatch)
         });
     }
 
-    /// The head ripens at `arrival + hold`; until then `slot_decision`
-    /// holds without touching `recent` (`pick` runs only on release).
     fn buffered_next_activity(
         &self,
         _input: PortId,
@@ -356,9 +189,60 @@ impl BufferedDemultiplexor for BufferedStaleDemux {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Arbitrated crossbar
-// ---------------------------------------------------------------------------
+/// The Theorem 12 algorithm: hold every cell exactly `u` slots, then run
+/// CPA with all global information up to the cell's arrival slot (legally
+/// available to a `u`-RT algorithm at decision time). Every deadline is the
+/// cell's FCFS-OQ departure time plus `u`, so the relative queuing delay is
+/// at most `u` — fault-free it is CPA's run shifted by `u`, cell for cell.
+///
+/// Requires buffer size ≥ `u` and speedup `S ≥ 2`; run with
+/// [`OutputDiscipline::GlobalFcfs`].
+pub type DelayedCpaDemux = HoldThen<CpaDemux>;
+
+impl DelayedCpaDemux {
+    /// Delayed CPA with information delay `u ≥ 1`.
+    pub fn new(n: usize, k: usize, r_prime: usize, u: Slot) -> Self {
+        HoldThen::over(CpaDemux::new(n, k, r_prime), u, u)
+    }
+}
+
+impl HeldPolicy for CpaDemux {
+    /// Deadlines count from the slot the cell ripened, not the slot it
+    /// leaves the buffer.
+    fn assign(&mut self, cell: &Cell, ripe: Slot, ctx: &DispatchCtx<'_>) -> PlaneId {
+        self.reserve(cell.output.idx(), ripe, &ctx.local)
+    }
+}
+
+/// A `u`-RT buffered demultiplexor whose buffer lets it wait only
+/// `hold ≤ u` slots before dispatching by (still `u`-stale) least-loaded
+/// information, each input correcting the stale view by its own sends.
+///
+/// This is the knife edge the paper draws in Section 4: with buffers of
+/// size ≥ `u` a `u`-RT algorithm can wait out its information lag and
+/// emulate CPA (Theorem 12, [`DelayedCpaDemux`]); *"when buffers are
+/// smaller than u"* the waiting does not close the blind spot and the
+/// `(1 − r/R)·N/S` lower bound persists. Sweeping `hold` from `0` to `u`
+/// (experiment E16) shows the transition: for `hold < u` the decision
+/// uses information from `t − u < t_arrival`, so the coordinated burst
+/// still concentrates; at `hold = u` the information covers the arrival
+/// and the concentration dissolves.
+pub type BufferedStaleDemux = HoldThen<StaleLeastLoadedDemux>;
+
+impl BufferedStaleDemux {
+    /// A `u`-RT buffered demultiplexor that holds each cell `hold ≤ u`
+    /// slots (`hold = 0` is the bufferless stale-least-loaded dispatcher).
+    pub fn new(n: usize, k: usize, u: Slot, hold: Slot) -> Self {
+        assert!(hold <= u, "holding beyond u is DelayedCpa territory");
+        HoldThen::over(StaleLeastLoadedDemux::new(n, k, u), u, hold)
+    }
+}
+
+impl HeldPolicy for StaleLeastLoadedDemux {
+    fn assign(&mut self, cell: &Cell, _ripe: Slot, ctx: &DispatchCtx<'_>) -> PlaneId {
+        self.pick(cell.input.idx(), cell.output.0, ctx)
+    }
+}
 
 /// Request/grant arbitrated dispatch with a `u`-slot round trip.
 ///
@@ -369,92 +253,23 @@ impl BufferedDemultiplexor for BufferedStaleDemux {
 /// the grants it has itself issued since (the arbiter knows its own
 /// grants). The paper cites Tamir & Chi's arbitrated crossbars as the
 /// canonical `u`-RT hardware.
-#[derive(Clone, Debug)]
-pub struct ArbitratedCrossbarDemux {
-    u: Slot,
-    k: usize,
-    /// Grants issued since the snapshot horizon: `(slot, plane, output)`.
-    recent_grants: VecDeque<(Slot, u32, u32)>,
-}
+pub type ArbitratedCrossbarDemux = HoldThen<SharedLane>;
 
 impl ArbitratedCrossbarDemux {
     /// Arbitrated dispatch with grant latency `u ≥ 1` over `k` planes.
     pub fn new(k: usize, u: Slot) -> Self {
-        assert!(u >= 1, "u-RT requires u >= 1");
-        ArbitratedCrossbarDemux {
-            u,
-            k,
-            recent_grants: VecDeque::new(),
-        }
-    }
-
-    /// Compute the grant for a ripe cell, or `None` when no input line is
-    /// free (possible under faults) — the grant is then retried next slot
-    /// with the arbiter state untouched.
-    fn grant(&mut self, output: u32, ctx: &DispatchCtx<'_>) -> Option<PlaneId> {
-        ctx.local.free_planes().next()?;
-        let horizon = ctx.global.map_or(0, |s| s.taken_at);
-        while let Some(&(slot, _, _)) = self.recent_grants.front() {
-            if slot <= horizon {
-                self.recent_grants.pop_front();
-            } else {
-                break;
-            }
-        }
-        let estimate = |p: usize| -> u64 {
-            let base = ctx
-                .global
-                .map_or(0, |s| s.queue_len(p, output as usize) as u64);
-            let own = self
-                .recent_grants
-                .iter()
-                .filter(|&&(_, gp, gj)| gp as usize == p && gj == output)
-                .count() as u64;
-            base + own
-        };
-        let p = (0..self.k)
-            .filter(|&p| ctx.local.is_free(p))
-            .min_by_key(|&p| (estimate(p), p))
-            .expect("a free plane exists past the guard above");
-        self.recent_grants
-            .push_back((ctx.local.now, p as u32, output));
-        Some(PlaneId(p as u32))
+        HoldThen::over(SharedLane(StaleLeastLoadedDemux::new(1, k, u)), u, u)
     }
 }
 
-impl BufferedDemultiplexor for ArbitratedCrossbarDemux {
-    fn info_class(&self) -> InfoClass {
-        InfoClass::RealTimeDistributed { u: self.u }
-    }
+/// The stale-least-loaded pick with one history lane for every input: the
+/// arbiter's memory of its own grants.
+#[derive(Clone, Debug)]
+pub struct SharedLane(StaleLeastLoadedDemux);
 
-    fn slot_decision(
-        &mut self,
-        _input: PortId,
-        arrival: Option<&Cell>,
-        buffer: &[Cell],
-        ctx: &DispatchCtx<'_>,
-        out: &mut BufferedDecision,
-    ) {
-        let now = ctx.local.now;
-        if let Some(head) = buffer.first() {
-            if head.arrival + self.u <= now {
-                if let Some(plane) = self.grant(head.output.0, ctx) {
-                    out.releases.push((0, plane));
-                }
-            }
-        }
-        out.arrival = arrival.map(|_| ArrivalAction::Enqueue);
-    }
-
-    /// The grant for the head arrives at `arrival + u`; earlier slots are
-    /// state-neutral holds (`grant` runs only on release).
-    fn buffered_next_activity(
-        &self,
-        _input: PortId,
-        head: &Cell,
-        local: &LocalView<'_>,
-    ) -> Option<Slot> {
-        Some((head.arrival + self.u).max(local.now + 1))
+impl HeldPolicy for SharedLane {
+    fn assign(&mut self, cell: &Cell, _ripe: Slot, ctx: &DispatchCtx<'_>) -> PlaneId {
+        self.0.pick(0, cell.output.0, ctx)
     }
 }
 

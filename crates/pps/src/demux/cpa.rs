@@ -31,7 +31,6 @@ use pps_core::prelude::*;
 #[derive(Clone, Debug)]
 pub struct CpaDemux {
     n: usize,
-    k: usize,
     r_prime: Slot,
     /// Last FCFS-OQ departure deadline issued per output.
     dt_last: Vec<Option<Slot>>,
@@ -47,7 +46,6 @@ impl CpaDemux {
     pub fn new(n: usize, k: usize, r_prime: usize) -> Self {
         CpaDemux {
             n,
-            k,
             r_prime: r_prime as Slot,
             dt_last: vec![None; n],
             last_reserved: vec![None; k * n],
@@ -61,8 +59,38 @@ impl CpaDemux {
         self.deadline_misses
     }
 
-    fn reserve_idx(&self, plane: usize, output: usize) -> usize {
-        plane * self.n + output
+    /// The reservation step: book a plane for a cell to `output` whose
+    /// FCFS-OQ deadline counts from `base` — `now` for CPA proper,
+    /// `arrival + u` under the Theorem 12 hold rule, where a head released
+    /// late must still book the slot it ripened in. `local` must show a
+    /// free line.
+    pub(super) fn reserve(&mut self, output: usize, base: Slot, local: &LocalView<'_>) -> PlaneId {
+        let dt = match self.dt_last[output] {
+            Some(prev) => base.max(prev + 1),
+            None => base,
+        };
+        self.dt_last[output] = Some(dt);
+
+        // Among the free input lines, the plane whose line to `output` has
+        // been idle the longest: it spreads reservations evenly, and if
+        // even its last reservation is within r' of `dt`, no free plane is
+        // feasible.
+        let n = self.n;
+        let line = |p: usize| p * n + output;
+        let p = local
+            .free_planes()
+            .min_by_key(|&p| (self.last_reserved[line(p)], p))
+            .expect("the caller guarantees a free plane");
+        let at = match self.last_reserved[line(p)] {
+            // S < 2 degradation path: push the reservation late.
+            Some(last) if last + self.r_prime > dt => {
+                self.deadline_misses += 1;
+                last + self.r_prime
+            }
+            _ => dt,
+        };
+        self.last_reserved[line(p)] = Some(at);
+        PlaneId(p as u32)
     }
 }
 
@@ -72,49 +100,7 @@ impl Demultiplexor for CpaDemux {
     }
 
     fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
-        let j = cell.output.idx();
-        let now = ctx.local.now;
-        let dt = match self.dt_last[j] {
-            Some(prev) => now.max(prev + 1),
-            None => now,
-        };
-        self.dt_last[j] = Some(dt);
-
-        // Feasible: input line free and output line reservation slack >= r'.
-        let feasible = (0..self.k)
-            .filter(|&p| ctx.local.is_free(p))
-            .filter(|&p| match self.last_reserved[self.reserve_idx(p, j)] {
-                Some(last) => last + self.r_prime <= dt,
-                None => true,
-            })
-            // Prefer the line that has been idle towards j the longest,
-            // spreading reservations evenly.
-            .min_by_key(|&p| (self.last_reserved[self.reserve_idx(p, j)], p));
-
-        let p = match feasible {
-            Some(p) => {
-                let idx = self.reserve_idx(p, j);
-                self.last_reserved[idx] = Some(dt);
-                p
-            }
-            None => {
-                // S < 2 degradation path: take the free plane whose line to
-                // j frees up soonest and push the reservation late.
-                self.deadline_misses += 1;
-                let p = (0..self.k)
-                    .filter(|&p| ctx.local.is_free(p))
-                    .min_by_key(|&p| (self.last_reserved[self.reserve_idx(p, j)], p))
-                    .expect("valid bufferless config guarantees a free plane");
-                let idx = self.reserve_idx(p, j);
-                let at = match self.last_reserved[idx] {
-                    Some(last) => dt.max(last + self.r_prime),
-                    None => dt,
-                };
-                self.last_reserved[idx] = Some(at);
-                p
-            }
-        };
-        PlaneId(p as u32)
+        self.reserve(cell.output.idx(), ctx.local.now, &ctx.local)
     }
 }
 

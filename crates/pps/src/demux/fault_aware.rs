@@ -66,11 +66,10 @@ impl Demultiplexor for FaultAwareRoundRobinDemux {
 
     fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
         let i = cell.input.idx();
-        let k = self.k as usize;
         let start = self.next[i] as usize;
-        let p = (0..k)
-            .map(|off| (start + off) % k)
-            .find(|&p| ctx.local.is_free(p) && believed_up(ctx.global, p))
+        let p = ctx
+            .local
+            .next_free_where(start, |p| believed_up(ctx.global, p))
             // Every believed-up plane is busy: dispatch to any free plane
             // rather than drop — the belief may be stale anyway.
             .or_else(|| ctx.local.next_free_from(start))

@@ -13,7 +13,7 @@
 //! * [`LeastLoadedOfDDemux`] — power-of-`d`-choices dispatch (Mitzenmacher
 //!   et al.): sample `d` free planes from a seeded per-input stream and
 //!   send to the least-loaded of the `d` by the input's own decaying load
-//!   estimate (the same estimator as
+//!   estimate (`OwnLoad`, the estimator of
 //!   [`LeastLoadedLocalDemux`](super::LeastLoadedLocalDemux), sampled
 //!   instead of scanned). Draws happen **only on dispatch**, so skipped
 //!   idle slots consume no randomness and dense/skip runs stay
@@ -24,6 +24,7 @@
 //! fully-distributed family, just with better constants under benign
 //! traffic.
 
+use super::local_heuristics::OwnLoad;
 use pps_core::prelude::*;
 use pps_core::rng::{mix64, SplitMix64};
 
@@ -59,9 +60,6 @@ impl Demultiplexor for TwoStageLbDemux {
 
     fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
         let want = self.nominal_plane(ctx.local.now, cell.input.idx(), cell.output.idx());
-        if ctx.local.is_free(want) {
-            return PlaneId(want as u32);
-        }
         let p = ctx
             .local
             .next_free_from(want)
@@ -73,14 +71,11 @@ impl Demultiplexor for TwoStageLbDemux {
 /// Power-of-`d`-choices dispatch over seeded per-input sample streams.
 #[derive(Clone, Debug)]
 pub struct LeastLoadedOfDDemux {
-    k: usize,
     d: usize,
-    r_prime: u64,
     /// Per-input sample stream (substreams of one master seed, so an
     /// input's draws depend only on its own arrival history).
     rngs: Vec<SplitMix64>,
-    /// Per input × plane decaying own-load estimate: `(estimate, slot)`.
-    est: Vec<(u64, Slot)>,
+    load: OwnLoad,
     /// Scratch: the free planes visible this dispatch.
     free: Vec<usize>,
 }
@@ -91,18 +86,11 @@ impl LeastLoadedOfDDemux {
     pub fn new(n: usize, k: usize, r_prime: usize, d: usize, seed: u64) -> Self {
         let master = SplitMix64::new(seed).derive(0xD0);
         LeastLoadedOfDDemux {
-            k,
             d: d.clamp(1, k),
-            r_prime: r_prime as u64,
             rngs: (0..n as u64).map(|i| master.derive(i)).collect(),
-            est: vec![(0, 0); n * k],
+            load: OwnLoad::new(n, k, r_prime),
             free: Vec::with_capacity(k),
         }
-    }
-
-    fn current(&self, input: usize, plane: usize, now: Slot) -> u64 {
-        let (e, t) = self.est[input * self.k + plane];
-        e.saturating_sub(now.saturating_sub(t))
     }
 }
 
@@ -113,7 +101,6 @@ impl Demultiplexor for LeastLoadedOfDDemux {
 
     fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
         let i = cell.input.idx();
-        let now = ctx.local.now;
         self.free.clear();
         self.free.extend(ctx.local.free_planes());
         debug_assert!(
@@ -128,13 +115,10 @@ impl Demultiplexor for LeastLoadedOfDDemux {
             let j = s + self.rngs[i].below((self.free.len() - s) as u64) as usize;
             self.free.swap(s, j);
         }
-        let p = self.free[..picks]
-            .iter()
-            .copied()
-            .min_by_key(|&p| (self.current(i, p, now), p))
+        let p = self
+            .load
+            .take_least(i, ctx.local.now, self.free[..picks].iter().copied())
             .expect("picks >= 1");
-        let cur = self.current(i, p, now);
-        self.est[i * self.k + p] = (cur + self.r_prime, now);
         PlaneId(p as u32)
     }
 }

@@ -11,8 +11,8 @@
 //!   plane share it), and at full per-flow rate it thrashes against the
 //!   input constraint.
 //! * [`LeastLoadedLocalDemux`] — tracks, per input, a decaying estimate of
-//!   how much *it itself* has recently sent to each plane, and picks the
-//!   free plane with the smallest estimate. The best one can do with
+//!   how much *it itself* has recently sent to each plane (`OwnLoad`),
+//!   and picks the free plane with the smallest estimate. The best one can do with
 //!   purely local knowledge — and still Ω((R/r − 1)·N/S), because other
 //!   inputs' contributions are invisible.
 
@@ -47,9 +47,6 @@ impl Demultiplexor for HashFlowDemux {
 
     fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
         let home = self.home_plane(cell.input.idx(), cell.output.idx());
-        if ctx.local.is_free(home) {
-            return PlaneId(home as u32);
-        }
         let p = ctx
             .local
             .next_free_from(home)
@@ -58,22 +55,22 @@ impl Demultiplexor for HashFlowDemux {
     }
 }
 
-/// Locally-estimated least-loaded dispatch.
+/// Per input × plane, a decaying estimate of how much the input itself
+/// has recently sent to the plane: each own dispatch charges `r'` (the
+/// slots the cell occupies a plane→output line) and the estimate decays
+/// one unit per elapsed slot. All a fully-distributed algorithm can know
+/// about load.
 #[derive(Clone, Debug)]
-pub struct LeastLoadedLocalDemux {
+pub(super) struct OwnLoad {
     k: usize,
     r_prime: u64,
-    /// Per input × plane: `(estimate, last_update_slot)`. The estimate
-    /// charges `r'` per own dispatch (the slots the cell occupies a
-    /// plane→output line) and decays one unit per elapsed slot.
+    /// `(estimate, last_update_slot)` per input × plane.
     est: Vec<(u64, Slot)>,
 }
 
-impl LeastLoadedLocalDemux {
-    /// Local least-loaded dispatch for `n` inputs over `k` planes with
-    /// slowdown `r_prime`.
-    pub fn new(n: usize, k: usize, r_prime: usize) -> Self {
-        LeastLoadedLocalDemux {
+impl OwnLoad {
+    pub(super) fn new(n: usize, k: usize, r_prime: usize) -> Self {
+        OwnLoad {
             k,
             r_prime: r_prime as u64,
             est: vec![(0, 0); n * k],
@@ -84,6 +81,36 @@ impl LeastLoadedLocalDemux {
         let (e, t) = self.est[input * self.k + plane];
         e.saturating_sub(now.saturating_sub(t))
     }
+
+    /// The least-loaded of `candidates` by `input`'s estimate at `now`
+    /// (lowest plane on ties), charged for the dispatch it is about to
+    /// carry. `None` iff there are no candidates.
+    pub(super) fn take_least(
+        &mut self,
+        input: usize,
+        now: Slot,
+        candidates: impl Iterator<Item = usize>,
+    ) -> Option<usize> {
+        let (cur, p) = candidates.map(|p| (self.current(input, p, now), p)).min()?;
+        self.est[input * self.k + p] = (cur + self.r_prime, now);
+        Some(p)
+    }
+}
+
+/// Locally-estimated least-loaded dispatch.
+#[derive(Clone, Debug)]
+pub struct LeastLoadedLocalDemux {
+    load: OwnLoad,
+}
+
+impl LeastLoadedLocalDemux {
+    /// Local least-loaded dispatch for `n` inputs over `k` planes with
+    /// slowdown `r_prime`.
+    pub fn new(n: usize, k: usize, r_prime: usize) -> Self {
+        LeastLoadedLocalDemux {
+            load: OwnLoad::new(n, k, r_prime),
+        }
+    }
 }
 
 impl Demultiplexor for LeastLoadedLocalDemux {
@@ -92,14 +119,10 @@ impl Demultiplexor for LeastLoadedLocalDemux {
     }
 
     fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
-        let i = cell.input.idx();
-        let now = ctx.local.now;
-        let p = (0..self.k)
-            .filter(|&p| ctx.local.is_free(p))
-            .min_by_key(|&p| (self.current(i, p, now), p))
+        let p = self
+            .load
+            .take_least(cell.input.idx(), ctx.local.now, ctx.local.free_planes())
             .expect("valid bufferless config guarantees a free plane");
-        let cur = self.current(i, p, now);
-        self.est[i * self.k + p] = (cur + self.r_prime, now);
         PlaneId(p as u32)
     }
 }

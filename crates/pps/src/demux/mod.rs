@@ -11,12 +11,12 @@
 //! | `ftd` | fractional traffic dispatch | fully distributed | Khotimsky–Krishnan \[17\] + the Section 5 extension (Theorem 14) |
 //! | `stale_least_loaded` | least-loaded by `u`-old info | `u`-RT | Theorem 10 / Corollary 11 victim |
 //! | `cpa` | centralized plane assignment | centralized | Iyer et al. \[14\] zero-delay upper bound (S ≥ 2) |
-//! | [`buffered`] | buffered RR, delayed CPA, arbitrated crossbar | input-buffered | Section 4: Theorems 12 & 13 |
-//! | `local_heuristics` | per-flow hashing, local least-loaded | fully distributed | ablation victims for Theorem 8's universality |
+//! | `buffered` | buffered RR; the hold rule `HoldThen` (hold, then dispatch by a bufferless policy) over `cpa` and `stale_least_loaded`: delayed CPA, buffered stale, arbitrated crossbar | input-buffered | Section 4: Theorems 12 & 13, the small-buffer regime |
+//! | `local_heuristics` | per-flow hashing, local least-loaded (the `OwnLoad` estimator) | fully distributed | ablation victims for Theorem 8's universality |
 //! | `load_balanced` | two-stage LB rotation, power-of-`d` sampling | fully distributed | literature transplants (Chang–Lee; Mitzenmacher) still bound by Theorem 8 |
 //! | `fault_aware` | mask-aware round robin | centralized / `u`-RT | fail→recover ablation: reroute around planes believed down |
 
-pub mod buffered;
+mod buffered;
 mod cpa;
 mod fault_aware;
 mod ftd;

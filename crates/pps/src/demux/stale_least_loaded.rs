@@ -22,8 +22,8 @@ use std::collections::VecDeque;
 pub struct StaleLeastLoadedDemux {
     u: Slot,
     k: usize,
-    /// Per input: recent own dispatches `(slot, plane, output)` not yet
-    /// reflected in the stale snapshot.
+    /// Per history lane (one per input): own dispatches `(slot, plane,
+    /// output)` not yet reflected in the stale snapshot.
     recent: Vec<VecDeque<(Slot, u32, u32)>>,
 }
 
@@ -42,22 +42,34 @@ impl StaleLeastLoadedDemux {
         }
     }
 
-    /// Estimated queue length of `plane` for `output` from `input`'s
-    /// standpoint: stale global value plus own unseen dispatches.
-    fn estimate(
-        &self,
-        input: usize,
-        plane: usize,
-        output: u32,
-        snap: Option<&GlobalSnapshot>,
-    ) -> u64 {
-        let base = snap.map_or(0, |s| s.queue_len(plane, output as usize) as u64);
-        let horizon = snap.map_or(0, |s| s.taken_at);
-        let own = self.recent[input]
-            .iter()
-            .filter(|&&(slot, p, j)| slot > horizon && p as usize == plane && j == output)
-            .count() as u64;
-        base + own
+    /// One pick on history lane `lane`: forget the lane's dispatches the
+    /// snapshot has caught up with, rank the free planes by stale queue
+    /// length for `output` plus the lane's own unseen dispatches, take the
+    /// least loaded and remember it. A lane is whatever shares one memory
+    /// — an input port here, the whole arbiter under a grant rule.
+    /// `ctx.local` must show a free line.
+    pub(super) fn pick(&mut self, lane: usize, output: u32, ctx: &DispatchCtx<'_>) -> PlaneId {
+        let recent = &mut self.recent[lane];
+        let horizon = ctx.global.map_or(0, |s| s.taken_at);
+        while recent.front().is_some_and(|&(slot, _, _)| slot <= horizon) {
+            recent.pop_front();
+        }
+        let estimate = |p: usize| -> u64 {
+            let base = ctx
+                .global
+                .map_or(0, |s| s.queue_len(p, output as usize) as u64);
+            let own = recent
+                .iter()
+                .filter(|&&(_, gp, gj)| gp as usize == p && gj == output)
+                .count() as u64;
+            base + own
+        };
+        let p = (0..self.k)
+            .filter(|&p| ctx.local.is_free(p))
+            .min_by_key(|&p| (estimate(p), p))
+            .expect("the caller guarantees a free plane");
+        recent.push_back((ctx.local.now, p as u32, output));
+        PlaneId(p as u32)
     }
 }
 
@@ -67,23 +79,7 @@ impl Demultiplexor for StaleLeastLoadedDemux {
     }
 
     fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
-        let i = cell.input.idx();
-        let j = cell.output.0;
-        // Prune own history that the snapshot has caught up with.
-        let horizon = ctx.global.map_or(0, |s| s.taken_at);
-        while let Some(&(slot, _, _)) = self.recent[i].front() {
-            if slot <= horizon {
-                self.recent[i].pop_front();
-            } else {
-                break;
-            }
-        }
-        let p = (0..self.k)
-            .filter(|&p| ctx.local.is_free(p))
-            .min_by_key(|&p| (self.estimate(i, p, j, ctx.global), p))
-            .expect("valid bufferless config guarantees a free plane");
-        self.recent[i].push_back((ctx.local.now, p as u32, j));
-        PlaneId(p as u32)
+        self.pick(cell.input.idx(), cell.output.0, ctx)
     }
 }
 

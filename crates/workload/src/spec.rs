@@ -135,6 +135,38 @@ impl<'a> Fields<'a> {
         }
     }
 
+    /// [`num`](Self::num), refused unless `ok` accepts it: the generators
+    /// `assert!` these ranges, and a spec is typed by a user.
+    fn num_where<T: std::str::FromStr + std::fmt::Display>(
+        &mut self,
+        key: &str,
+        default: T,
+        want: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<T, String> {
+        let v = self.num(key, default)?;
+        if ok(&v) {
+            Ok(v)
+        } else {
+            Err(format!("{}: {key} must be {want}, got {v}", self.family))
+        }
+    }
+
+    /// A probability in `[0, 1]` (NaN is in no range).
+    fn prob(&mut self, key: &str, default: f64) -> Result<f64, String> {
+        self.num_where(key, default, "in [0, 1]", |p| (0.0..=1.0).contains(p))
+    }
+
+    /// A per-slot transition probability in `(0, 1]`: at 0 the chain is stuck.
+    fn rate(&mut self, key: &str, default: f64) -> Result<f64, String> {
+        self.num_where(key, default, "in (0, 1]", |&p| p > 0.0 && p <= 1.0)
+    }
+
+    /// A count of at least one.
+    fn count(&mut self, key: &str, default: u64) -> Result<u64, String> {
+        self.num_where(key, default, "at least 1", |&c| c >= 1)
+    }
+
     fn finish(self) -> Result<(), String> {
         if let Some((k, _)) = self.kvs.first() {
             return Err(format!("{}: unknown key {k:?}", self.family));
@@ -154,45 +186,47 @@ impl WorkloadSpec {
         let parsed = match family {
             "zipf" => WorkloadSpec::Zipf {
                 n: f.num("n", 8)?,
-                load: f.num("load", 0.8)?,
-                s: f.num("s", 1.1)?,
-                flows: f.num("flows", 1 << 20)?,
+                load: f.prob("load", 0.8)?,
+                s: f.num_where("s", 1.1, "positive and finite", |&s: &f64| {
+                    s > 0.0 && s.is_finite()
+                })?,
+                flows: f.count("flows", 1 << 20)?,
                 seed: f.num("seed", 1)?,
                 horizon: f.num("horizon", 20_000)?,
             },
             "mmpp" => WorkloadSpec::Mmpp {
                 n: f.num("n", 8)?,
                 calm: Phase {
-                    arrival_p: f.num("calm", 0.05)?,
-                    exit_p: f.num("calm_exit", 0.01)?,
+                    arrival_p: f.prob("calm", 0.05)?,
+                    exit_p: f.rate("calm_exit", 0.01)?,
                 },
                 burst: Phase {
-                    arrival_p: f.num("burst", 0.9)?,
-                    exit_p: f.num("burst_exit", 0.05)?,
+                    arrival_p: f.prob("burst", 0.9)?,
+                    exit_p: f.rate("burst_exit", 0.05)?,
                 },
                 seed: f.num("seed", 1)?,
                 horizon: f.num("horizon", 20_000)?,
             },
             "onoff" => WorkloadSpec::OnOff {
                 n: f.num("n", 8)?,
-                on_p: f.num("on", 0.02)?,
-                off_p: f.num("off", 0.2)?,
+                on_p: f.rate("on", 0.02)?,
+                off_p: f.rate("off", 0.2)?,
                 seed: f.num("seed", 1)?,
                 horizon: f.num("horizon", 20_000)?,
             },
             "uniform" => WorkloadSpec::Uniform {
                 n: f.num("n", 8)?,
-                load: f.num("load", 0.8)?,
+                load: f.prob("load", 0.8)?,
                 seed: f.num("seed", 1)?,
                 horizon: f.num("horizon", 20_000)?,
             },
             "shaped" => WorkloadSpec::Shaped {
                 n: f.num("n", 8)?,
-                load: f.num("load", 0.9)?,
+                load: f.prob("load", 0.9)?,
                 contract: LbContract::new(
                     f.num("num", 3)?,
-                    f.num("den", 4)?,
-                    f.num("burst", 8)?,
+                    f.count("den", 4)?,
+                    f.count("burst", 8)?,
                 ),
                 seed: f.num("seed", 1)?,
                 horizon: f.num("horizon", 20_000)?,
@@ -333,6 +367,30 @@ mod tests {
             WorkloadSpec::parse("replay:n=4").is_err(),
             "replay needs path"
         );
+    }
+
+    #[test]
+    fn rejects_values_the_generators_would_assert_on() {
+        for spec in [
+            "uniform:load=2",
+            "uniform:load=nan",
+            "zipf:flows=0",
+            "zipf:s=0",
+            "zipf:load=-1",
+            "mmpp:calm=2",
+            "mmpp:calm_exit=0",
+            "onoff:on=2",
+            "onoff:off=0",
+            "shaped:den=0",
+            "shaped:burst=0",
+        ] {
+            let err = WorkloadSpec::parse(spec).expect_err(spec);
+            assert!(err.contains("must be"), "{spec}: {err}");
+        }
+        // The closed ends stay legal.
+        for spec in ["uniform:load=1", "mmpp:calm=0,burst_exit=1", "zipf:flows=1"] {
+            assert!(WorkloadSpec::parse(spec).is_ok(), "{spec}");
+        }
     }
 
     #[test]

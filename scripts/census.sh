@@ -11,6 +11,8 @@
 #   column-0 `mod name {`. A `#[cfg(test)]`-gated item in the middle of a
 #   file therefore still counts as product code (PR 21's rule).
 # * pub sites: non-test lines whose first token is `pub` (not `pub(...)`).
+# * unwrap/expect sites: `.unwrap(` and `.expect(` calls in non-test code
+#   (ROADMAP item 7 iii classifies them: invariant, or input-reachable).
 # * process statics: non-test `static` items, `thread_local!` ones included.
 # * ppslab flags: distinct `"--name"` string literals in the non-test part
 #   of the files that parse argv — the one pass (crates/experiments/src/
@@ -53,7 +55,10 @@ nontest $files | awk -F/ '
 pubs=$(nontest $files | grep -cE '^[^:]+:[[:space:]]*pub ')
 # shellcheck disable=SC2086
 statics=$(nontest $files | grep -cE '^[^:]+:[[:space:]]*(pub(\([a-z]+\))? )?static [A-Z_]+:')
+# shellcheck disable=SC2086
+unwraps=$(nontest $files | grep -oE '\.(unwrap|expect)\(' | wc -l)
 echo "pub sites            $pubs"
+echo "unwrap/expect sites  $unwraps"
 echo "process statics      $statics"
 
 flag_files="crates/chaos/src/cli.rs"
