@@ -8,6 +8,7 @@
 //! the loss fell across inputs, and how long after the fault cleared the
 //! relative delay returned to its pre-fault level.
 
+use crate::metrics::{joined, relative};
 use pps_core::prelude::*;
 
 /// Degradation summary of one faulted PPS run against its shadow switch.
@@ -61,30 +62,28 @@ pub fn fault_impact(
     n: usize,
     fault_window: (Slot, Slot),
 ) -> FaultImpact {
-    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
     let (from, until) = fault_window;
     let mut loss_by_input = vec![0usize; n];
     let mut phase_max = [i64::MIN; 3]; // pre / during / post
     let mut last_bad: Option<Slot> = None;
     let mut last_post_arrival: Option<Slot> = None;
-    for (p, o) in pps.records().iter().zip(oq.records().iter()) {
-        let phase = if p.arrival < from {
+    for (a, p, q) in joined(pps, oq) {
+        let phase = if a.slot < from {
             0
-        } else if p.arrival < until {
+        } else if a.slot < until {
             1
         } else {
             2
         };
         if phase == 2 {
-            last_post_arrival = Some(last_post_arrival.map_or(p.arrival, |a| a.max(p.arrival)));
+            last_post_arrival = Some(last_post_arrival.map_or(a.slot, |l| l.max(a.slot)));
         }
-        match (p.delay(), o.delay()) {
-            (Some(dp), Some(dq)) => {
-                let rd = dp as i64 - dq as i64;
-                phase_max[phase] = phase_max[phase].max(rd);
+        match (p, q) {
+            (Some(p), Some(q)) => {
+                phase_max[phase] = phase_max[phase].max(relative(p, q));
             }
             (None, _) => {
-                loss_by_input[p.input.idx()] += 1;
+                loss_by_input[a.input.idx()] += 1;
             }
             (Some(_), None) => unreachable!("the OQ reference always drains"),
         }
@@ -96,17 +95,17 @@ pub fn fault_impact(
     };
     // Second pass for recovery: a post-fault arrival is "bad" if it was
     // lost or delivered worse than the pre-fault baseline.
-    for (p, o) in pps.records().iter().zip(oq.records().iter()) {
-        if p.arrival < until {
+    for (a, p, q) in joined(pps, oq) {
+        if a.slot < until {
             continue;
         }
-        let bad = match (p.delay(), o.delay()) {
-            (Some(dp), Some(dq)) => (dp as i64 - dq as i64) > pre_baseline,
+        let bad = match (p, q) {
+            (Some(p), Some(q)) => relative(p, q) > pre_baseline,
             (None, _) => true,
             (Some(_), None) => unreachable!("the OQ reference always drains"),
         };
         if bad {
-            last_bad = Some(last_bad.map_or(p.arrival, |a| a.max(p.arrival)));
+            last_bad = Some(last_bad.map_or(a.slot, |l| l.max(a.slot)));
         }
     }
     let recovery_slot = match (last_post_arrival, last_bad) {

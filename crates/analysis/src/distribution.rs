@@ -5,19 +5,14 @@
 //! of the randomized demultiplexor, or quantifying how rare the Θ(N)
 //! worst case is under benign load.
 
+use crate::metrics::{joined, relative};
 use pps_core::prelude::*;
 
 /// Per-cell relative delays (`delay_PPS − delay_OQ`), one entry per cell
 /// delivered by both switches, in cell-id order.
 pub fn relative_delays(pps: &RunLog, oq: &RunLog) -> Vec<i64> {
-    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
-    pps.records()
-        .iter()
-        .zip(oq.records())
-        .filter_map(|(p, o)| match (p.delay(), o.delay()) {
-            (Some(dp), Some(dq)) => Some(dp as i64 - dq as i64),
-            _ => None,
-        })
+    joined(pps, oq)
+        .filter_map(|(_, p, q)| Some(relative(p?, q?)))
         .collect()
 }
 
@@ -41,22 +36,20 @@ pub struct Percentiles {
 }
 
 impl Percentiles {
-    /// Compute order statistics (sorts a copy; `None` for empty input).
+    /// Compute exact order statistics (`None` for empty input): counted
+    /// when the sample's range is no wider than the sample, else from a
+    /// sorted copy.
     pub fn from(values: &[i64]) -> Option<Percentiles> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut v = values.to_vec();
-        v.sort_unstable();
-        let at = |q: usize| v[(v.len().saturating_sub(1)) * q / 100];
+        let v = OrderStats::of(values)?;
+        let at = |q: usize| v.nth((values.len() - 1) * q / 100);
         Some(Percentiles {
-            count: v.len(),
-            min: v[0],
+            count: values.len(),
+            min: v.min,
             p50: at(50),
             p95: at(95),
             p99: at(99),
-            max: *v.last().unwrap(),
-            mean: v.iter().sum::<i64>() as f64 / v.len() as f64,
+            max: v.max,
+            mean: mean(values),
         })
     }
 
@@ -110,26 +103,20 @@ pub struct TailQuantiles {
 }
 
 impl TailQuantiles {
-    /// Compute exact tail quantiles (sorts a copy; `None` for empty input).
+    /// Compute exact tail quantiles (`None` for empty input): counted when
+    /// the sample's range is no wider than the sample, else from a sorted
+    /// copy.
     pub fn from(values: &[i64]) -> Option<TailQuantiles> {
-        if values.is_empty() {
-            return None;
-        }
-        let mut v = values.to_vec();
-        v.sort_unstable();
+        let v = OrderStats::of(values)?;
+        // Lower quantile `num/den`: the `ceil(f·n)`-th order statistic.
+        let at = |num: usize, den: usize| v.nth((values.len() * num).div_ceil(den).max(1) - 1);
         Some(TailQuantiles {
-            count: v.len(),
-            mean: v.iter().sum::<i64>() as f64 / v.len() as f64,
-            p99: Self::order_stat(&v, 99, 100),
-            p999: Self::order_stat(&v, 999, 1000),
-            max: *v.last().unwrap(),
+            count: values.len(),
+            mean: mean(values),
+            p99: at(99, 100),
+            p999: at(999, 1000),
+            max: v.max,
         })
-    }
-
-    /// Lower quantile `num/den` of a sorted sample: `v[ceil(f·n) − 1]`.
-    fn order_stat(sorted: &[i64], num: usize, den: usize) -> i64 {
-        let rank = (sorted.len() * num).div_ceil(den).max(1) - 1;
-        sorted[rank]
     }
 
     /// Whether a `1 − 1/den` tail quantile of this sample is resolvable —
@@ -139,6 +126,68 @@ impl TailQuantiles {
     /// it as such (see the struct-level small-sample rule).
     pub fn resolvable(&self, den: usize) -> bool {
         self.count >= den
+    }
+}
+
+/// Arithmetic mean of a non-empty sample.
+fn mean(values: &[i64]) -> f64 {
+    values.iter().sum::<i64>() as f64 / values.len() as f64
+}
+
+/// Exact order statistics of a non-empty sample. When the values span no
+/// more distinct integers than there are values (`max − min + 1 ≤ len`, as
+/// for relative delays and queuing delays) they are counted, so the count
+/// array is never larger than the sorted copy it replaces and no sort
+/// runs; otherwise a sorted copy answers.
+struct OrderStats {
+    min: i64,
+    max: i64,
+    ranked: Ranked,
+}
+
+enum Ranked {
+    /// `counts[i]` values equal `min + i`.
+    Counted(Vec<usize>),
+    /// The sample, sorted.
+    Sorted(Vec<i64>),
+}
+
+impl OrderStats {
+    /// `None` for an empty sample.
+    fn of(values: &[i64]) -> Option<Self> {
+        let (&first, rest) = values.split_first()?;
+        let (min, max) = rest
+            .iter()
+            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let ranked = if max.abs_diff(min) < values.len() as u64 {
+            let mut counts = vec![0usize; max.abs_diff(min) as usize + 1];
+            for &v in values {
+                counts[v.abs_diff(min) as usize] += 1;
+            }
+            Ranked::Counted(counts)
+        } else {
+            let mut sorted = values.to_vec();
+            sorted.sort_unstable();
+            Ranked::Sorted(sorted)
+        };
+        Some(OrderStats { min, max, ranked })
+    }
+
+    /// The `rank`-th smallest value (0-based), `rank < len`.
+    fn nth(&self, rank: usize) -> i64 {
+        match &self.ranked {
+            Ranked::Sorted(sorted) => sorted[rank],
+            Ranked::Counted(counts) => {
+                let mut below = 0;
+                for (i, &c) in counts.iter().enumerate() {
+                    below += c;
+                    if below > rank {
+                        return self.min + i as i64;
+                    }
+                }
+                unreachable!("rank {rank} is past the sample")
+            }
+        }
     }
 }
 
@@ -247,18 +296,52 @@ mod tests {
     #[test]
     fn tail_quantiles_match_sorted_reference() {
         // A deliberately lumpy sample: heavy head, thin geometric tail.
-        let mut v: Vec<i64> = Vec::new();
+        let mut lumpy: Vec<i64> = Vec::new();
         for i in 0..10_000i64 {
-            v.push(i % 7);
+            lumpy.push(i % 7);
         }
         for i in 0..100i64 {
-            v.push(100 + i * i);
+            lumpy.push(100 + i * i);
         }
-        let t = TailQuantiles::from(&v).unwrap();
-        assert_eq!(t.p99, ref_quantile(&v, 99, 100));
-        assert_eq!(t.p999, ref_quantile(&v, 999, 1000));
-        assert_eq!(t.max, *v.iter().max().unwrap());
-        assert_eq!(t.count, v.len());
+        // Relative delays: negative as well as positive, range ≪ count.
+        let signed: Vec<i64> = (0..5_000i64).map(|i| (i * 7919) % 61 - 30).collect();
+        // Range ≫ count: the sorted-copy path.
+        let wide: Vec<i64> = (0..300i64)
+            .map(|i| (i * 1_000_003) % 7_919 - 4_000)
+            .chain([-(1 << 40), 1 << 40, -1, 0])
+            .collect();
+        // Range exactly the count: the widest sample that is counted.
+        let edge: Vec<i64> = (-50..50).rev().collect();
+        let samples = [
+            (lumpy, true),
+            (signed, true),
+            (wide, false),
+            (edge, true),
+            (vec![-3], true),
+            (vec![9; 2_000], true),
+        ];
+        for (v, counted) in samples {
+            let ranked = OrderStats::of(&v).unwrap().ranked;
+            assert_eq!(
+                matches!(ranked, Ranked::Counted(_)),
+                counted,
+                "{:?}",
+                &v[..1]
+            );
+            let t = TailQuantiles::from(&v).unwrap();
+            assert_eq!(t.p99, ref_quantile(&v, 99, 100));
+            assert_eq!(t.p999, ref_quantile(&v, 999, 1000));
+            assert_eq!(t.max, *v.iter().max().unwrap());
+            assert_eq!(t.count, v.len());
+            let p = Percentiles::from(&v).unwrap();
+            let mut sorted = v.clone();
+            sorted.sort_unstable();
+            let at = |q: usize| sorted[(sorted.len() - 1) * q / 100];
+            assert_eq!(
+                (p.min, p.p50, p.p95, p.p99, p.max),
+                (sorted[0], at(50), at(95), at(99), *sorted.last().unwrap())
+            );
+        }
     }
 
     #[test]

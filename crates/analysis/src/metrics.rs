@@ -21,24 +21,53 @@ pub struct RelativeDelay {
     pub pps_undelivered: usize,
 }
 
-/// Fold the relative delay of every cell `keep` accepts (joined by id).
+/// `delay_PPS − delay_OQ` of one cell from its two departure slots (the
+/// shared arrival cancels). The difference is taken in `u64` before the
+/// sign goes on, so it is exact anywhere in `Slot`'s range — a trace parked
+/// near `Slot::MAX` included.
+#[inline]
+pub(crate) fn relative(pps_departure: Slot, oq_departure: Slot) -> i64 {
+    if pps_departure >= oq_departure {
+        (pps_departure - oq_departure) as i64
+    } else {
+        -((oq_departure - pps_departure) as i64)
+    }
+}
+
+/// Per cell of two logs over one trace, in id order: its arrival, its PPS
+/// departure and its OQ departure — the columns every join streams.
+///
+/// # Panics
+/// Panics if the logs do not cover the same cells.
+pub(crate) fn joined<'a>(
+    pps: &'a RunLog,
+    oq: &'a RunLog,
+) -> impl Iterator<Item = (&'a Arrival, Option<Slot>, Option<Slot>)> + 'a {
+    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
+    pps.arrivals()
+        .iter()
+        .zip(pps.departures().zip(oq.departures()))
+        .map(|(a, (p, q))| (a, p, q))
+}
+
+/// Fold the relative delay of every cell whose arrival `keep` accepts
+/// (joined by id).
 fn relative_delay_where(
     pps: &RunLog,
     oq: &RunLog,
-    keep: impl Fn(&CellRecord) -> bool,
+    keep: impl Fn(&Arrival) -> bool,
 ) -> RelativeDelay {
-    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
     let mut max = i64::MIN;
     let mut sum = 0i128;
     let mut compared = 0usize;
     let mut undelivered = 0usize;
-    for (p, o) in pps.records().iter().zip(oq.records()) {
-        if !keep(p) {
+    for (a, p, q) in joined(pps, oq) {
+        if !keep(a) {
             continue;
         }
-        match (p.delay(), o.delay()) {
-            (Some(dp), Some(dq)) => {
-                let d = dp as i64 - dq as i64;
+        match (p, q) {
+            (Some(p), Some(q)) => {
+                let d = relative(p, q);
                 max = max.max(d);
                 sum += d as i128;
                 compared += 1;
@@ -71,7 +100,7 @@ pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
 /// hot output); composite multi-output attacks are checked output by
 /// output with this.
 pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> RelativeDelay {
-    relative_delay_where(pps, oq, |rec| rec.output == output)
+    relative_delay_where(pps, oq, |a| a.output == output)
 }
 
 /// Per-flow delay jitter: the maximal difference in queuing delay between
@@ -79,10 +108,13 @@ pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> R
 /// delivered cells).
 pub fn flow_jitters(log: &RunLog) -> BTreeMap<FlowId, u64> {
     let mut minmax: BTreeMap<FlowId, (Slot, Slot)> = BTreeMap::new();
-    for rec in log.records() {
-        if let Some(d) = rec.delay() {
+    for (a, d) in log.arrivals().iter().zip(log.delays()) {
+        if let Some(d) = d {
             minmax
-                .entry(rec.flow())
+                .entry(FlowId {
+                    input: a.input,
+                    output: a.output,
+                })
                 .and_modify(|(lo, hi)| {
                     *lo = (*lo).min(d);
                     *hi = (*hi).max(d);
@@ -126,10 +158,11 @@ pub fn rank_relative_delay(
 ) -> Vec<i64> {
     let departures = |log: &RunLog| -> Vec<Slot> {
         let mut d: Vec<Slot> = log
-            .records()
+            .arrivals()
             .iter()
-            .filter(|r| r.output == output && r.arrival >= window.0 && r.arrival < window.1)
-            .filter_map(|r| r.departure())
+            .zip(log.departures())
+            .filter(|(a, _)| a.output == output && a.slot >= window.0 && a.slot < window.1)
+            .filter_map(|(_, d)| d)
             .collect();
         d.sort_unstable();
         d

@@ -165,7 +165,7 @@ pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
             engine_error: Some((0, e.to_string())),
             ..CaseOutcome::default()
         };
-        (refused, RunLog::with_capacity(0), RunLog::with_capacity(0))
+        (refused, RunLog::default(), RunLog::default())
     });
     outcome.cells = trace.len();
 
@@ -363,9 +363,9 @@ fn lockstep<S: InputStage>(
         oq: ShadowOq::new(case.n),
         xbar: CrossbarSwitch::with_scheduler(comparison_scheduler(case)),
         cioq: CioqSwitch::with_policy(case.n, speedup, case.cioq_policy()),
-        oq_log: RunLog::with_capacity(trace.len()),
-        xbar_log: RunLog::with_capacity(trace.len()),
-        cioq_log: RunLog::with_capacity(trace.len()),
+        oq_log: RunLog::new(trace),
+        xbar_log: RunLog::new(trace),
+        cioq_log: RunLog::new(trace),
         fed: 0,
         other_backlog: 0,
         last_progress: 0,

@@ -152,7 +152,7 @@ pub fn check_pool_occupancy(pool_len: u64, arrivals: u64, slot: Slot) -> Option<
 
 /// Per-flow FIFO at every output, over the **delivered** cells only.
 ///
-/// Within a flow, `Trace::cursor` assigns ids (and seqs) in
+/// Within a flow, the trace numbers ids (and seqs) in
 /// arrival order, so delivered cells must depart in strictly increasing
 /// id order — strictly, because a flow's cells share one output and an
 /// output emits at most one cell per slot. Undelivered cells (lost to

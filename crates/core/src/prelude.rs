@@ -17,7 +17,7 @@ pub use crate::ids::{CellId, FlowId, PlaneId, PortId};
 pub use crate::link::{LinkBank, LinkSide};
 pub use crate::queue::FifoQueue;
 pub use crate::rate::Ratio;
-pub use crate::record::{CellRecord, RunLog};
+pub use crate::record::{CellRecord, Records, RunLog};
 pub use crate::snapshot::{GlobalSnapshot, SnapshotRing};
 pub use crate::stepping::Stepping;
 pub use crate::time::Slot;

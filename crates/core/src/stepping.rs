@@ -4,8 +4,8 @@
 //! contract — process one slot, report its backlog, name its next
 //! activity, replay an idle interval in closed form — and [`drive`] is the
 //! only loop that runs one over a trace: it streams each slot's arrivals
-//! out of the [`Trace`] and appends their records to the log, enforces the
-//! livelock cap and, under [`Stepping::SkipAhead`]
+//! out of the [`Trace`] and appends their entries to a log that shares the
+//! trace's cell table (DESIGN.md §21), enforces the livelock cap and, under [`Stepping::SkipAhead`]
 //! (DESIGN.md §15), jumps `now` to the earlier of the next arrival and the
 //! engine's next activity. The two modes are **byte-identical** in
 //! everything observable (run logs, statistics, telemetry traces, oracle
@@ -114,12 +114,13 @@ pub trait SlotEngine {
 /// the last processed one.
 ///
 /// Arrivals stream: each slot's cells are pulled from the trace's
-/// `Trace::cursor` into a scratch of at most `n` entries, and
-/// each cell's record is appended to the log as the cell enters the switch
-/// — nothing O(cells) is built before slot 0 (DESIGN.md §21). The log still
-/// covers the whole trace when the cap cuts a run short: cells that never
-/// entered are appended as undelivered records, so `log.len() ==
-/// trace.len()` always and two logs of one trace join by id.
+/// `Trace::cursor` into a scratch of at most `n` entries, and each cell's
+/// departure entry is appended to the log as the cell enters the switch —
+/// the log shares the trace's cell table, so nothing else O(cells) is built
+/// and nothing is counted per run (DESIGN.md §21). The log still covers the
+/// whole trace when the cap cuts a run short: cells that never entered are
+/// appended as undelivered entries, so `log.len() == trace.len()` always
+/// and two logs of one trace join by id.
 ///
 /// Callers compute `cap` with saturating arithmetic (a trace may sit
 /// anywhere in `Slot`'s range); it is clamped below `Slot::MAX` here so
@@ -132,8 +133,8 @@ pub fn drive<E: SlotEngine + ?Sized>(
     mode: Stepping,
 ) -> Result<(RunLog, Slot), ModelError> {
     let cap = cap.min(Slot::MAX - 1);
-    let mut cursor = trace.cursor(n);
-    let mut log = RunLog::with_capacity(trace.len());
+    let mut cursor = trace.cursor();
+    let mut log = RunLog::new(trace);
     let mut arrivals: Vec<Cell> = Vec::with_capacity(n);
     let mut now: Slot = 0;
     let mut more = cursor.peek_slot().is_some() || engine.backlog() > 0;
@@ -338,7 +339,7 @@ mod tests {
         let mut line = DelayLine::new(5);
         let trace = Trace::build(vec![Arrival::new(at, 0, 0)], 4).unwrap();
         let (log, end) = drive(&mut line, &trace, 4, Slot::MAX, Stepping::SkipAhead).unwrap();
-        assert_eq!(log.records()[0].departure(), Some(at + 5));
+        assert_eq!(log.get(crate::CellId(0)).departure(), Some(at + 5));
         assert_eq!(end, at + 6);
     }
 

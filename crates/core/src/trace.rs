@@ -8,12 +8,19 @@
 //!
 //! The arrival model is enforced structurally: arrivals are kept sorted by
 //! slot and at most one cell may arrive per `(slot, input)` pair.
+//!
+//! A trace *is* its cell table: the arrivals plus each cell's per-flow
+//! sequence number, numbered once when the trace is built and kept behind
+//! an `Arc`. Every [`RunLog`](crate::RunLog) of the trace holds a handle to
+//! that one table and stores only what its switch decided (DESIGN.md §21),
+//! and every run's cursor reads the numbers instead of recounting them.
 
 use crate::cell::Cell;
 use crate::error::ModelError;
 use crate::ids::{CellId, PortId};
 use crate::time::Slot;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One cell arrival: at `slot`, a cell destined for `output` arrives on
 /// `input`.
@@ -38,10 +45,63 @@ impl Arrival {
     }
 }
 
+/// What a trace's cells are, by [`CellId`]: 16 bytes of arrival plus a
+/// 4-byte per-flow sequence number each. Shared by the [`Trace`] and every
+/// log of it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct CellTable {
+    /// Arrivals in id order, i.e. sorted by `(slot, input)`.
+    pub(crate) arrivals: Vec<Arrival>,
+    /// Per-flow sequence number of each cell.
+    pub(crate) seq: Vec<u32>,
+}
+
+impl CellTable {
+    /// Number sorted `arrivals` within their flows: the one place per-flow
+    /// sequence numbers are assigned. The counter has one slot per flow of
+    /// the port range the arrivals use, and lives for this call only.
+    fn number(arrivals: Vec<Arrival>) -> Self {
+        let ports = arrivals
+            .iter()
+            .map(|a| a.input.idx().max(a.output.idx()) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut count = vec![0u32; ports * ports];
+        let seq = arrivals
+            .iter()
+            .map(|a| {
+                let count = &mut count[a.input.idx() * ports + a.output.idx()];
+                *count += 1;
+                *count - 1
+            })
+            .collect();
+        CellTable { arrivals, seq }
+    }
+
+    /// Number of cells.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.arrivals.len()
+    }
+
+    /// The cell with id `i`.
+    #[inline]
+    pub(crate) fn cell(&self, i: usize) -> Cell {
+        let a = self.arrivals[i];
+        Cell {
+            id: CellId(i as u64),
+            input: a.input,
+            output: a.output,
+            seq: self.seq[i],
+            arrival: a.slot,
+        }
+    }
+}
+
 /// A validated arrival sequence for an `N × N` switch.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
-    arrivals: Vec<Arrival>,
+    cells: Arc<CellTable>,
 }
 
 impl Trace {
@@ -69,7 +129,14 @@ impl Trace {
                 });
             }
         }
-        Ok(Trace { arrivals })
+        Ok(Trace::numbered(arrivals))
+    }
+
+    /// The trace of sorted, validated `arrivals`.
+    fn numbered(arrivals: Vec<Arrival>) -> Self {
+        Trace {
+            cells: Arc::new(CellTable::number(arrivals)),
+        }
     }
 
     /// An empty trace.
@@ -79,103 +146,109 @@ impl Trace {
 
     /// Number of cells in the trace.
     pub fn len(&self) -> usize {
-        self.arrivals.len()
+        self.cells.len()
     }
 
     /// Whether the trace carries no cells.
     pub fn is_empty(&self) -> bool {
-        self.arrivals.is_empty()
+        self.cells.arrivals.is_empty()
     }
 
     /// The arrivals, sorted by `(slot, input)`.
     pub fn arrivals(&self) -> &[Arrival] {
-        &self.arrivals
+        &self.cells.arrivals
     }
 
     /// Slot of the last arrival (0 for an empty trace).
     pub fn horizon(&self) -> Slot {
-        self.arrivals.last().map_or(0, |a| a.slot)
+        self.cells.arrivals.last().map_or(0, |a| a.slot)
+    }
+
+    /// A handle to the cell table, for a log of this trace.
+    pub(crate) fn table(&self) -> Arc<CellTable> {
+        Arc::clone(&self.cells)
     }
 
     /// Walk the trace as [`Cell`]s, lazily: global ids in arrival order and
-    /// per-flow sequence numbers, one cell at a time.
+    /// the per-flow sequence numbers the build assigned, one cell at a time.
     ///
     /// Every engine run pulls its arrivals through one of these
     /// ([`crate::stepping::drive`]), so per-cell records can be joined by
     /// [`CellId`] afterwards.
-    pub(crate) fn cursor(&self, n: usize) -> CellCursor<'_> {
+    pub(crate) fn cursor(&self) -> CellCursor<'_> {
         CellCursor {
-            arrivals: &self.arrivals,
+            cells: &self.cells,
             pos: 0,
-            n,
-            seq: vec![0u32; n * n],
         }
     }
 
-    /// Materialize the whole trace into [`Cell`]s: `cursor`,
-    /// collected. For test oracles that step an engine by hand and want the
-    /// slice; nothing [`drive`](crate::stepping::drive) runs builds it.
+    /// Materialize the whole trace into [`Cell`]s for an `n`-port switch:
+    /// `cursor`, collected. For test oracles that step an engine by hand
+    /// and want the slice; nothing [`drive`](crate::stepping::drive) runs
+    /// builds it. The cells do not depend on `n`: the build numbered them.
     pub fn cells(&self, n: usize) -> Vec<Cell> {
-        self.cursor(n).collect()
+        debug_assert!(self
+            .arrivals()
+            .iter()
+            .all(|a| a.input.idx().max(a.output.idx()) < n));
+        self.cursor().collect()
     }
 
     /// Concatenate `other` onto this trace, shifting it to start `gap` slots
     /// after this trace's horizon. Used by the adversary to compose the
     /// alignment, quiescence and burst phases of Figure 2.
-    pub fn then(mut self, other: &Trace, gap: Slot) -> Self {
-        let base = if self.arrivals.is_empty() {
+    pub fn then(self, other: &Trace, gap: Slot) -> Self {
+        let base = if self.is_empty() {
             0
         } else {
             self.horizon() + 1 + gap
         };
-        self.arrivals.extend(other.arrivals.iter().map(|a| Arrival {
+        let mut arrivals = Arc::unwrap_or_clone(self.cells).arrivals;
+        arrivals.extend(other.arrivals().iter().map(|a| Arrival {
             slot: a.slot + base,
             ..*a
         }));
-        self
+        Trace::numbered(arrivals)
     }
 
     /// Shift every arrival `delta` slots later (fixture builder for the
     /// cursor tests; product code composes with [`Trace::then`]).
     #[cfg(test)]
-    fn shifted(mut self, delta: Slot) -> Self {
-        for a in &mut self.arrivals {
+    fn shifted(self, delta: Slot) -> Self {
+        let mut arrivals = Arc::unwrap_or_clone(self.cells).arrivals;
+        for a in &mut arrivals {
             a.slot += delta;
         }
-        self
+        Trace::numbered(arrivals)
     }
 
     /// Merge two traces that are already disjoint in `(slot, input)`.
     pub fn merge(self, other: Trace, n: usize) -> Result<Self, ModelError> {
-        let mut all = self.arrivals;
-        all.extend(other.arrivals);
+        let mut all = Arc::unwrap_or_clone(self.cells).arrivals;
+        all.extend_from_slice(other.arrivals());
         Trace::build(all, n)
     }
 
     /// Group arrivals by slot: yields `(slot, &[Arrival])` in slot order.
     pub fn by_slot(&self) -> BySlot<'_> {
         BySlot {
-            arrivals: &self.arrivals,
+            arrivals: self.arrivals(),
             pos: 0,
         }
     }
 }
 
-/// Lazy cell view of a trace; see [`Trace::cursor`]. The one place ids and
-/// per-flow sequence numbers are assigned.
+/// Lazy cell view of a trace; see [`Trace::cursor`].
 pub(crate) struct CellCursor<'a> {
-    arrivals: &'a [Arrival],
+    cells: &'a CellTable,
     pos: usize,
-    n: usize,
-    /// Next sequence number of each flow, indexed `input * n + output`.
-    seq: Vec<u32>,
 }
 
 impl CellCursor<'_> {
     /// Arrival slot of the next cell, or `None` once the trace is spent.
     #[inline]
     pub(crate) fn peek_slot(&self) -> Option<Slot> {
-        self.arrivals.get(self.pos).map(|a| a.slot)
+        self.cells.arrivals.get(self.pos).map(|a| a.slot)
     }
 
     /// The next cell if it arrives in `slot`; otherwise the cursor stays
@@ -196,23 +269,15 @@ impl Iterator for CellCursor<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<Cell> {
-        let a = self.arrivals.get(self.pos)?;
-        let id = CellId(self.pos as u64);
+        if self.pos == self.cells.len() {
+            return None;
+        }
         self.pos += 1;
-        let next_seq = &mut self.seq[a.input.idx() * self.n + a.output.idx()];
-        let seq = *next_seq;
-        *next_seq += 1;
-        Some(Cell {
-            id,
-            input: a.input,
-            output: a.output,
-            seq,
-            arrival: a.slot,
-        })
+        Some(self.cells.cell(self.pos - 1))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.arrivals.len() - self.pos;
+        let left = self.cells.len() - self.pos;
         (left, Some(left))
     }
 }
@@ -292,16 +357,17 @@ mod tests {
         assert_eq!(cells[3].id, CellId(3));
     }
 
-    /// `Trace::cells` as it was before the cursor: one eager pass.
-    fn eager_cells(t: &Trace, n: usize) -> Vec<Cell> {
-        let mut seq = vec![0u32; n * n];
+    /// `Trace::cells` from the definition: one eager pass, each flow's
+    /// cells counted in a map.
+    fn eager_cells(t: &Trace) -> Vec<Cell> {
+        let mut seq = std::collections::BTreeMap::new();
         t.arrivals()
             .iter()
             .enumerate()
             .map(|(i, a)| {
-                let f = a.input.idx() * n + a.output.idx();
-                let s = seq[f];
-                seq[f] += 1;
+                let next = seq.entry((a.input, a.output)).or_insert(0u32);
+                let s = *next;
+                *next += 1;
                 Cell {
                     id: CellId(i as u64),
                     input: a.input,
@@ -339,10 +405,10 @@ mod tests {
             base.clone().shifted(1 << 40),
             merged,
         ] {
-            let want = eager_cells(&t, n);
+            let want = eager_cells(&t);
             assert_eq!(t.cells(n), want);
             // Slot by slot, the way the driver pulls them.
-            let mut cursor = t.cursor(n);
+            let mut cursor = t.cursor();
             let mut got = Vec::new();
             while let Some(slot) = cursor.peek_slot() {
                 assert_eq!(cursor.next_at(slot + 1), None, "not that slot's cell");

@@ -347,7 +347,6 @@ mod tests {
         assert_eq!(cioq.undelivered(), 0);
         let worst = cioq
             .records()
-            .iter()
             .zip(oq.records())
             .map(|(a, b)| a.departure().unwrap() as i64 - b.departure().unwrap() as i64)
             .max()
@@ -392,12 +391,7 @@ mod tests {
         let log = run_cioq_policy(&t, n, 1, CioqPolicy::MaximalRr, pps_core::Stepping::Dense);
         assert_eq!(log.undelivered(), 0);
         // Perfect per-slot service ⇒ drain ends by horizon + small slack.
-        let last = log
-            .records()
-            .iter()
-            .filter_map(|r| r.departure())
-            .max()
-            .unwrap();
+        let last = log.records().filter_map(|r| r.departure()).max().unwrap();
         assert!(
             last <= 100 + n as u64,
             "maximal matching drained late: {last}"

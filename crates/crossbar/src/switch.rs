@@ -195,7 +195,6 @@ mod tests {
         assert_eq!(log.undelivered(), 0);
         let late: Vec<_> = log
             .records()
-            .iter()
             .filter(|r| r.arrival > 20 && r.delay().unwrap() > 0)
             .collect();
         assert!(

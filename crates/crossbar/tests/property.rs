@@ -83,7 +83,6 @@ proptest! {
             prop_assert!(check_flow_order(&log).is_empty());
             let worst = log
                 .records()
-                .iter()
                 .zip(oq.records())
                 .map(|(a, b)| a.departure().unwrap() as i64 - b.departure().unwrap() as i64)
                 .max()

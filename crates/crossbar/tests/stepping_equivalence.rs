@@ -165,8 +165,8 @@ fn islip_pointer_freeze_regression() {
         dense_sw.scheduler().pointers(),
         skip_sw.scheduler().pointers()
     );
-    let d: Vec<_> = dense_log.records().iter().map(|r| r.departure()).collect();
-    let s: Vec<_> = skip_log.records().iter().map(|r| r.departure()).collect();
+    let d: Vec<_> = dense_log.records().map(|r| r.departure()).collect();
+    let s: Vec<_> = skip_log.records().map(|r| r.departure()).collect();
     assert_eq!(d, s);
 }
 

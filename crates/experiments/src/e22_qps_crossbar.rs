@@ -43,11 +43,7 @@ pub(crate) fn envelope(load: f64) -> Option<f64> {
 
 /// Delay tails of one scheduler run.
 pub(crate) fn tails(log: &RunLog) -> TailQuantiles {
-    let delays: Vec<i64> = log
-        .records()
-        .iter()
-        .filter_map(|r| r.delay().map(|d| d as i64))
-        .collect();
+    let delays: Vec<i64> = log.delays().flatten().map(|d| d as i64).collect();
     TailQuantiles::from(&delays).expect("non-empty run")
 }
 

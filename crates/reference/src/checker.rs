@@ -91,7 +91,7 @@ pub fn check_work_conserving(log: &RunLog, within: Option<(Slot, Slot)>) -> Vec<
 /// cell departed.
 pub fn check_flow_order(log: &RunLog) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let mut flows: std::collections::BTreeMap<FlowId, Vec<(CellId, &CellRecord)>> =
+    let mut flows: std::collections::BTreeMap<FlowId, Vec<(CellId, CellRecord)>> =
         std::collections::BTreeMap::new();
     for (id, rec) in log.iter() {
         if rec.departure().is_none() {

@@ -175,7 +175,6 @@ mod tests {
         // The trace orders same-slot arrivals by input.
         let mut by_input: Vec<(u32, Slot)> = log
             .records()
-            .iter()
             .map(|r| (r.input.0, r.departure().unwrap()))
             .collect();
         by_input.sort();

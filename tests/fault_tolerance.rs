@@ -149,7 +149,6 @@ fn buffered_switch_survives_a_fail_recover_cycle() {
     let after_recovery = run
         .log
         .records()
-        .iter()
         .filter(|r| r.plane() == Some(PlaneId(0)) && r.departure().is_some() && r.arrival >= 700)
         .count();
     assert!(after_recovery > 0, "plane 0 must carry cells after PlaneUp");
@@ -170,13 +169,11 @@ fn global_fcfs_mux_does_not_deadlock_on_lost_cells() {
     let alive = run
         .log
         .records()
-        .iter()
         .filter(|r| r.plane().is_some() && r.plane() != Some(PlaneId(1)))
         .count();
     let delivered = run
         .log
         .records()
-        .iter()
         .filter(|r| r.departure().is_some())
         .count();
     assert_eq!(alive, delivered, "healthy-plane cells must all depart");

@@ -174,7 +174,6 @@ fn drive_matches_the_materialising_driver_on_the_real_engines() {
 fn offsets(name: &str, log: &RunLog, base: Slot) -> Vec<Slot> {
     assert_eq!(log.undelivered(), 0, "{name}: undelivered cells at {base}");
     log.records()
-        .iter()
         .map(|r| r.departure().unwrap() - base)
         .collect()
 }
