@@ -59,9 +59,8 @@ impl Comparison {
 fn compare<S: InputStage>(mut pps: Pps<S>, trace: &Trace) -> Result<Comparison, ModelError> {
     let n = pps.fabric().cfg().n;
     let run = pps.run(trace)?;
-    // Free the fabric (N² rings, the cell pool) before the shadow run
-    // allocates its log: the two never need to coexist, and on wide
-    // switches holding both is a fifth of the process's peak memory.
+    // Free the fabric (K·N plane queues, N² flow states) before the
+    // shadow run allocates its log: the two never need to coexist.
     drop(pps);
     let oq = run_oq(trace, n);
     Ok(Comparison { pps: run, oq, n })

@@ -13,7 +13,7 @@
 //! invariant oracle armed:
 //!
 //! * **cell conservation** — arrivals = departures + backlog + drops,
-//!   reconciled every slot against the cell pool ([`pps_core::oracle`]);
+//!   checked every slot ([`pps_core::oracle`]);
 //! * **per-flow FIFO** and **causality** on every engine's run log;
 //! * **no phantom / double / pre-arrival departures**, **output-line
 //!   constraint**, **no dispatch to a visibly-down plane**, and

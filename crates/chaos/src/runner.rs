@@ -7,9 +7,9 @@
 //! (`Lockstep`) run by the production driver, [`stepping::drive`], in its
 //! product mode (skip-ahead) — so every case also fuzzes the driver's own
 //! skip-ahead arithmetic and arms its missed-wake oracle over all four
-//! engines. The PPS-side conservation ledger and the cell-pool
-//! reconciliation run every slot (so a violation is caught at the slot it
-//! happens, not at the end); the event-stream, flow-order, causality and
+//! engines. The PPS-side conservation ledger runs every slot (so a
+//! violation is caught at the slot it happens, not at the end); the
+//! event-stream, flow-order, causality and
 //! relative-delay oracles fold over the run once it finishes.
 //!
 //! Record at [`telemetry::Level::Full`] when running cases — the stream
@@ -272,9 +272,9 @@ impl<S: InputStage> SlotEngine for Lockstep<S> {
         self.xbar.slot(now, arrivals, &mut self.xbar_log);
         self.cioq.slot(now, arrivals, &mut self.cioq_log);
 
-        // Per-slot PPS-side oracles: the conservation ledger and the cell
-        // pool reconciliation. Stop at the first hit — everything after a
-        // broken ledger is noise, and the shrinker wants the earliest slot.
+        // The per-slot PPS-side oracle: the conservation ledger. Stop at
+        // the first hit — everything after a broken ledger is noise, and
+        // the shrinker wants the earliest slot.
         let fabric = self.pps.fabric();
         let (stats, departed) = (fabric.stats(), fabric.departed());
         let ledger = ConservationLedger {
@@ -284,11 +284,7 @@ impl<S: InputStage> SlotEngine for Lockstep<S> {
             dropped: stats.dropped,
             late_dropped: stats.late_dropped,
         };
-        let pool_len = fabric.pool().len() as u64;
-        if let Some(v) = ledger
-            .check(now)
-            .or_else(|| oracle::check_pool_occupancy(pool_len, self.fed, now))
-        {
+        if let Some(v) = ledger.check(now) {
             self.outcome.violations.push(v);
             self.stopped_at = Some(now);
             return Ok(());

@@ -30,7 +30,6 @@
 
 pub mod bounds;
 pub mod cell;
-mod cell_pool;
 pub mod config;
 pub mod demux;
 mod error;

@@ -28,8 +28,6 @@ use std::fmt;
 pub enum OracleKind {
     /// Cells in ≠ cells out + queued + dropped (the conservation ledger).
     Conservation,
-    /// [`crate::prelude::CellPool`] occupancy disagrees with registered arrivals.
-    PoolAccounting,
     /// Two delivered cells of one flow departed out of arrival order.
     FlowOrder,
     /// A cell departed before it arrived (or twice).
@@ -53,7 +51,6 @@ impl OracleKind {
     fn name(&self) -> &'static str {
         match self {
             OracleKind::Conservation => "conservation",
-            OracleKind::PoolAccounting => "pool-accounting",
             OracleKind::FlowOrder => "flow-order",
             OracleKind::Causality => "causality",
             OracleKind::PhantomDeparture => "phantom-departure",
@@ -133,20 +130,6 @@ impl ConservationLedger {
         } else {
             None
         }
-    }
-}
-
-/// Reconcile [`crate::prelude::CellPool`] occupancy against registered arrivals:
-/// the pool holds metadata for exactly the cells that have entered.
-pub fn check_pool_occupancy(pool_len: u64, arrivals: u64, slot: Slot) -> Option<OracleViolation> {
-    if pool_len != arrivals {
-        Some(OracleViolation {
-            kind: OracleKind::PoolAccounting,
-            slot,
-            detail: format!("cell pool holds {pool_len} cells, {arrivals} arrived"),
-        })
-    } else {
-        None
     }
 }
 
@@ -319,13 +302,6 @@ mod tests {
         let v = leak.check(5).expect("one cell unaccounted");
         assert_eq!(v.kind, OracleKind::Conservation);
         assert_eq!(v.slot, 5);
-    }
-
-    #[test]
-    fn pool_reconciliation() {
-        assert!(check_pool_occupancy(7, 7, 3).is_none());
-        let v = check_pool_occupancy(6, 7, 3).expect("leaked metadata");
-        assert_eq!(v.kind, OracleKind::PoolAccounting);
     }
 
     #[test]

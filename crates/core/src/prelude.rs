@@ -5,7 +5,6 @@
 //! run logs.
 
 pub use crate::cell::Cell;
-pub use crate::cell_pool::CellPool;
 pub use crate::config::{BufferSpec, OutputDiscipline, PpsConfig};
 pub use crate::demux::{
     ArrivalAction, BufferedDecision, BufferedDemultiplexor, Demultiplexor, DispatchCtx, InfoClass,
@@ -21,4 +20,4 @@ pub use crate::record::{CellRecord, Records, RunLog};
 pub use crate::snapshot::{GlobalSnapshot, SnapshotRing};
 pub use crate::stepping::Stepping;
 pub use crate::time::Slot;
-pub use crate::trace::{Arrival, Trace};
+pub use crate::trace::{Arrival, CellTable, Trace};

@@ -174,7 +174,7 @@ impl RunLog {
         );
         debug_assert_eq!(
             *cell,
-            self.cells.cell(i),
+            self.cells.cell(cell.id),
             "cell pushed into another trace's log"
         );
         self.departure.push(NO_DEPARTURE);
@@ -256,6 +256,12 @@ impl RunLog {
     /// The record of a specific cell.
     pub fn get(&self, id: CellId) -> CellRecord {
         self.record(id.idx())
+    }
+
+    /// The cell table the log reads its cells from: the trace's, shared
+    /// (the PPS fabric reads a dispatched cell's facts from it).
+    pub fn table(&self) -> &Arc<CellTable> {
+        &self.cells
     }
 
     /// The arrival column of the logged cells, in id order (the trace's).

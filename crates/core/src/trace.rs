@@ -46,10 +46,12 @@ impl Arrival {
 }
 
 /// What a trace's cells are, by [`CellId`]: 16 bytes of arrival plus a
-/// 4-byte per-flow sequence number each. Shared by the [`Trace`] and every
-/// log of it.
+/// 4-byte per-flow sequence number each. Shared, read-only, by the
+/// [`Trace`], every log of it ([`RunLog::table`](crate::RunLog::table))
+/// and the PPS fabric, whose queues hold bare ids and read a cell's facts
+/// here.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct CellTable {
+pub struct CellTable {
     /// Arrivals in id order, i.e. sorted by `(slot, input)`.
     pub(crate) arrivals: Vec<Arrival>,
     /// Per-flow sequence number of each cell.
@@ -84,15 +86,39 @@ impl CellTable {
         self.arrivals.len()
     }
 
-    /// The cell with id `i`.
+    /// Input port the cell arrived on.
     #[inline]
-    pub(crate) fn cell(&self, i: usize) -> Cell {
-        let a = self.arrivals[i];
+    pub fn input(&self, id: CellId) -> PortId {
+        self.arrivals[id.idx()].input
+    }
+
+    /// Output port the cell is destined for.
+    #[inline]
+    pub fn output(&self, id: CellId) -> PortId {
+        self.arrivals[id.idx()].output
+    }
+
+    /// Per-flow sequence number.
+    #[inline]
+    pub fn seq(&self, id: CellId) -> u32 {
+        self.seq[id.idx()]
+    }
+
+    /// Slot in which the cell arrived to the switch.
+    #[inline]
+    pub fn arrival(&self, id: CellId) -> Slot {
+        self.arrivals[id.idx()].slot
+    }
+
+    /// The cell with id `id`, whole.
+    #[inline]
+    pub fn cell(&self, id: CellId) -> Cell {
+        let a = self.arrivals[id.idx()];
         Cell {
-            id: CellId(i as u64),
+            id,
             input: a.input,
             output: a.output,
-            seq: self.seq[i],
+            seq: self.seq[id.idx()],
             arrival: a.slot,
         }
     }
@@ -273,7 +299,7 @@ impl Iterator for CellCursor<'_> {
             return None;
         }
         self.pos += 1;
-        Some(self.cells.cell(self.pos - 1))
+        Some(self.cells.cell(CellId(self.pos as u64 - 1)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -421,6 +447,30 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(cursor.next(), None);
         }
+    }
+
+    #[test]
+    fn table_accessors_round_trip_cells() {
+        let t = Trace::build(
+            vec![
+                Arrival::new(11, 2, 5),
+                Arrival::new(3, 0, 1),
+                Arrival::new(11, 0, 1),
+            ],
+            6,
+        )
+        .unwrap();
+        let table = t.table();
+        for c in t.cells(6) {
+            let read = (
+                table.input(c.id),
+                table.output(c.id),
+                table.seq(c.id),
+                table.arrival(c.id),
+            );
+            assert_eq!(read, (c.input, c.output, c.seq, c.arrival));
+        }
+        assert_eq!(table.seq(CellId(1)), 1, "second cell of flow 0 -> 1");
     }
 
     #[test]

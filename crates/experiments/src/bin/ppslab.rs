@@ -27,7 +27,8 @@
 //! executor merges results in declared order (see `pps_core::sweep`).
 //! `--bench-json` times experiments one at a time (their inner sweeps still
 //! use the worker budget) so the per-experiment numbers are attributable,
-//! and writes them as JSON.
+//! and writes them as JSON. An experiment that metered no slot at all gets
+//! a `warning:` line on stderr: its engine is off the slot meter.
 //!
 //! Telemetry rides the same determinism contract: at `--telemetry full`
 //! every sweep point records into its own scope and the event bundle is
@@ -135,6 +136,15 @@ fn run_experiments(args: &ExperimentArgs, tracing: bool) -> Result<bool, CliErro
             .collect();
         let json = bench_json(suite_start.elapsed().as_secs_f64(), &bench);
         std::fs::write(path, json).map_err(io_error("--bench-json", path))?;
+        for (id, ..) in bench
+            .iter()
+            .filter(|(_, _, slots, skipped)| slots + skipped == 0)
+        {
+            eprintln!(
+                "warning: {id} metered 0 simulated and 0 skipped slots -- its engine is off \
+                 the slot meter, so its slots_per_sec reads 0"
+            );
+        }
         outputs
     } else {
         let plan = SweepPlan::new("registry", (0..selected.len()).collect());

@@ -125,6 +125,26 @@ fn custom_never_panics_on_its_own_input() {
     assert_rejected(&wide, "<= K <= 128");
 }
 
+/// `--bench-json` names every experiment whose engine the slot meter never
+/// saw (e21's egress mux today), and only those; the tables do not move.
+#[test]
+fn bench_json_warns_about_experiments_off_the_slot_meter() {
+    let json = std::env::temp_dir().join(format!("ppslab-bench-{}.json", std::process::id()));
+    let path = json.to_str().expect("utf-8 temp dir");
+    let out = ppslab(&["--jobs", "1", "--bench-json", path, "e20", "e21"]);
+    let _ = std::fs::remove_file(&json);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.starts_with("warning:"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].starts_with("warning: e21 metered 0 simulated and 0 skipped slots"));
+    assert!(warnings[0].contains("off the slot meter"), "{stderr}");
+    assert_eq!(out.stdout, ppslab(&["--jobs", "1", "e20", "e21"]).stdout);
+}
+
 #[test]
 fn list_prints_every_registered_id() {
     let out = ppslab(&["--list"]);

@@ -607,7 +607,6 @@ impl<S: InputStage> Pps<S> {
     /// engine's stepping mode.
     pub fn run(&mut self, trace: &Trace) -> Result<PpsRun, ModelError> {
         let cfg = *self.fabric.cfg();
-        self.fabric.reserve_cells(trace.len());
         // Generous bound on how long draining can take: every cell
         // serialized through one line plus slack. Saturating, so a trace
         // parked near `Slot::MAX` gets an unreachable cap, not a wrapped

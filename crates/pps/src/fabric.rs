@@ -8,6 +8,7 @@ use crate::output::OutputMux;
 use crate::plane::Plane;
 use pps_core::prelude::*;
 use pps_core::telemetry::{self, Engine, EventKind};
+use std::sync::Arc;
 
 /// Aggregate fabric statistics for one run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -43,9 +44,10 @@ pub struct Fabric {
     out_links: LinkBank,
     planes: Vec<Plane>,
     outputs: Vec<OutputMux>,
-    /// Structure-of-arrays metadata for every cell that entered the switch
-    /// this run; plane queues and output muxes park bare ids against it.
-    pool: CellPool,
+    /// The cell table of the log cells are dispatched into (adopted by
+    /// [`dispatch`](Self::dispatch)); plane queues and output muxes park
+    /// bare ids and read a cell's facts here. The fabric stores none.
+    cells: Arc<CellTable>,
     /// Pending plane-service events, `(slot, plane, output)`, at most one
     /// per line.
     agenda: Agenda,
@@ -83,7 +85,7 @@ impl Fabric {
                     mux
                 })
                 .collect(),
-            pool: CellPool::new(),
+            cells: Arc::default(),
             agenda: Agenda::new(n, k, cfg.r_prime),
             active_list: Vec::with_capacity(n),
             active_flag: vec![false; n],
@@ -109,31 +111,25 @@ impl Fabric {
         }
     }
 
-    /// The fabric's cell-metadata pool (read-only; populated by
-    /// [`register_arrival`](Self::register_arrival) and
-    /// [`dispatch`](Self::dispatch)).
-    pub fn pool(&self) -> &CellPool {
-        &self.pool
-    }
+    /// Ignored: the fabric stores no per-cell state to pre-size. Kept until
+    /// the ROADMAP 1(a) benchmark PR drops the call.
+    #[doc(hidden)]
+    pub fn reserve_cells(&mut self, _cells: usize) {}
 
-    /// Pre-size the cell pool for a run of `cells` cells, so the metadata
-    /// arrays are allocated once instead of growing along the run.
-    pub fn reserve_cells(&mut self, cells: usize) {
-        self.pool.reserve(cells);
-    }
-
-    /// Register a cell as inside the switch, bound for its output: its
-    /// metadata enters the pool, and the GlobalFcfs discipline records it
-    /// for straggler detection. Engines call this at *switch arrival* so
-    /// buffered cells count too.
+    /// Register a cell as inside the switch, bound for its output: the
+    /// GlobalFcfs discipline records it for straggler detection. Engines
+    /// call this at *switch arrival* so buffered cells count too.
     pub fn register_arrival(&mut self, cell: &Cell) {
-        self.pool.ensure(cell);
         self.outputs[cell.output.idx()].register_in_flight(cell.id);
     }
 
     /// Dispatch `cell` onto plane `plane` at `now`, acquiring the input
     /// line. Fails if the line is busy or the plane index is out of range —
     /// both are demultiplexor bugs under the model.
+    ///
+    /// The fabric reads every cell it holds from `log`'s cell table, so
+    /// all cells in flight at once must be dispatched into logs of one
+    /// table; `cell` must be its row there (debug builds check it).
     pub fn dispatch(
         &mut self,
         cell: Cell,
@@ -151,7 +147,14 @@ impl Fabric {
         self.in_links.acquire(i, p, now)?;
         log.set_plane(cell.id, plane);
         let id = cell.id;
-        self.pool.ensure(&cell);
+        if !Arc::ptr_eq(&self.cells, log.table()) {
+            self.cells = Arc::clone(log.table());
+        }
+        debug_assert_eq!(
+            cell,
+            self.cells.cell(id),
+            "cell {id:?} is not its row of the log's table"
+        );
         if self.planes[p].accept(id, j) {
             if telemetry::on() {
                 telemetry::record(
@@ -224,7 +227,7 @@ impl Fabric {
             // Classification is per cell (telemetry order preserved); heap
             // pushes and gap refreshes are batched inside the mux and
             // flushed by its `emit` this same slot.
-            if self.outputs[j].deliver(&self.pool, id, now) {
+            if self.outputs[j].deliver(&self.cells, id, now) {
                 self.output_pending_live[j] += 1;
                 if !self.active_flag[j] {
                     self.active_flag[j] = true;
@@ -248,7 +251,7 @@ impl Fabric {
         for read in 0..self.active_list.len() {
             let j = self.active_list[read];
             let mux = &mut self.outputs[j as usize];
-            if let Some(id) = mux.emit(&self.pool, now) {
+            if let Some(id) = mux.emit(&self.cells, now) {
                 self.output_pending_live[j as usize] -= 1;
                 if telemetry::on() {
                     telemetry::record(
@@ -371,8 +374,7 @@ impl Fabric {
     /// faulted run and needs a re-bless.
     pub fn fail_plane(&mut self, plane: usize) -> Result<(), ModelError> {
         self.check_plane(plane)?;
-        for id in self.planes[plane].fail() {
-            let j = self.pool.output(id).idx();
+        for (j, id) in self.planes[plane].fail() {
             self.plane_len_live[plane * self.cfg.n + j] -= 1;
             if self.leak_budget > 0 {
                 // Injected bug (test-only, see `inject_conservation_leak`):
@@ -504,7 +506,7 @@ impl Fabric {
 mod tests {
     use super::*;
 
-    fn cell(id: u64, input: u32, output: u32, arrival: Slot) -> Cell {
+    const fn cell(id: u64, input: u32, output: u32, arrival: Slot) -> Cell {
         Cell {
             id: CellId(id),
             input: PortId(input),
@@ -514,19 +516,20 @@ mod tests {
         }
     }
 
-    fn setup(n: usize, k: usize, rp: usize) -> (Fabric, RunLog) {
-        let cfg = PpsConfig::bufferless(n, k, rp);
-        let fabric = Fabric::new(cfg);
-        let cells: Vec<Cell> = (0..16).map(|i| cell(i, 0, 0, 0)).collect();
-        let log = RunLog::with_cells(&cells);
-        (fabric, log)
+    /// An idle fabric and a log whose table holds exactly the cells the
+    /// test dispatches (`cells[i].id == i`): the fabric reads them there.
+    fn setup(n: usize, k: usize, rp: usize, cells: &[Cell]) -> (Fabric, RunLog) {
+        let fabric = Fabric::new(PpsConfig::bufferless(n, k, rp));
+        (fabric, RunLog::with_cells(cells))
     }
+
+    /// Cell 0 on input 0 and cell 1 on input 1, both for output 0 in slot 0.
+    const TWO: [Cell; 2] = [cell(0, 0, 0, 0), cell(1, 1, 0, 0)];
 
     #[test]
     fn same_slot_passthrough() {
-        let (mut f, mut log) = setup(2, 2, 2);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
+        let (mut f, mut log) = setup(2, 2, 2, &TWO[..1]);
+        f.dispatch(TWO[0], PlaneId(0), 0, &mut log).unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
         assert_eq!(log.get(CellId(0)).departure(), Some(0));
@@ -538,11 +541,9 @@ mod tests {
     fn plane_drains_one_cell_per_r_prime_slots() {
         // Two cells to the same output through the same plane: second
         // delivery waits r' slots — the concentration bottleneck of Lemma 4.
-        let (mut f, mut log) = setup(2, 2, 3);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
-        f.dispatch(cell(1, 1, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
+        let (mut f, mut log) = setup(2, 2, 3, &TWO);
+        f.dispatch(TWO[0], PlaneId(0), 0, &mut log).unwrap();
+        f.dispatch(TWO[1], PlaneId(0), 0, &mut log).unwrap();
         for now in 0..=3 {
             f.service(now).unwrap();
             f.emit(now, &mut log);
@@ -553,34 +554,29 @@ mod tests {
 
     #[test]
     fn input_constraint_is_enforced() {
-        let (mut f, mut log) = setup(2, 2, 2);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
-        let err = f
-            .dispatch(cell(1, 0, 1, 1), PlaneId(0), 1, &mut log)
-            .unwrap_err();
+        // Input 0 offers a cell in slot 0 and another in slot 1, while its
+        // line to plane 0 is still busy (r' = 2).
+        let c = [cell(0, 0, 0, 0), cell(1, 0, 1, 1)];
+        let (mut f, mut log) = setup(2, 2, 2, &c);
+        f.dispatch(c[0], PlaneId(0), 0, &mut log).unwrap();
+        let err = f.dispatch(c[1], PlaneId(0), 1, &mut log).unwrap_err();
         assert!(matches!(err, ModelError::InputConstraintViolation { .. }));
         // A different plane is fine.
-        f.dispatch(cell(2, 0, 1, 1), PlaneId(1), 1, &mut log)
-            .unwrap();
+        f.dispatch(c[1], PlaneId(1), 1, &mut log).unwrap();
     }
 
     #[test]
     fn plane_out_of_range_is_reported() {
-        let (mut f, mut log) = setup(2, 2, 2);
-        let err = f
-            .dispatch(cell(0, 0, 0, 0), PlaneId(5), 0, &mut log)
-            .unwrap_err();
+        let (mut f, mut log) = setup(2, 2, 2, &TWO[..1]);
+        let err = f.dispatch(TWO[0], PlaneId(5), 0, &mut log).unwrap_err();
         assert!(matches!(err, ModelError::PlaneOutOfRange { k: 2, .. }));
     }
 
     #[test]
     fn two_planes_drain_in_parallel() {
-        let (mut f, mut log) = setup(2, 2, 2);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
-        f.dispatch(cell(1, 1, 0, 0), PlaneId(1), 0, &mut log)
-            .unwrap();
+        let (mut f, mut log) = setup(2, 2, 2, &TWO);
+        f.dispatch(TWO[0], PlaneId(0), 0, &mut log).unwrap();
+        f.dispatch(TWO[1], PlaneId(1), 0, &mut log).unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
         f.service(1).unwrap();
@@ -593,10 +589,9 @@ mod tests {
 
     #[test]
     fn failed_plane_drops_and_counts() {
-        let (mut f, mut log) = setup(2, 2, 2);
+        let (mut f, mut log) = setup(2, 2, 2, &TWO[..1]);
         f.fail_plane(1).unwrap();
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(1), 0, &mut log)
-            .unwrap();
+        f.dispatch(TWO[0], PlaneId(1), 0, &mut log).unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
         assert_eq!(log.get(CellId(0)).departure(), None);
@@ -606,7 +601,7 @@ mod tests {
 
     #[test]
     fn fail_plane_out_of_range_is_an_error_not_a_panic() {
-        let (mut f, _) = setup(2, 2, 2);
+        let (mut f, _) = setup(2, 2, 2, &[]);
         assert!(matches!(
             f.fail_plane(2),
             Err(ModelError::InvalidConfig { .. })
@@ -623,11 +618,9 @@ mod tests {
         // Two cells queued behind each other in plane 0 for output 0; fail
         // the plane after the first has been delivered but before the
         // second can be (r' = 3 holds the line).
-        let (mut f, mut log) = setup(2, 2, 3);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
-        f.dispatch(cell(1, 1, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
+        let (mut f, mut log) = setup(2, 2, 3, &TWO);
+        f.dispatch(TWO[0], PlaneId(0), 0, &mut log).unwrap();
+        f.dispatch(TWO[1], PlaneId(0), 0, &mut log).unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
         assert_eq!(log.get(CellId(0)).departure(), Some(0));
@@ -643,11 +636,10 @@ mod tests {
 
     #[test]
     fn failed_planes_agenda_entry_stays_armed_and_pops_stale() {
-        let (mut f, mut log) = setup(2, 2, 3);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
-        f.dispatch(cell(1, 1, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
+        let c = [TWO[0], TWO[1], cell(2, 1, 0, 5)];
+        let (mut f, mut log) = setup(2, 2, 3, &c);
+        f.dispatch(c[0], PlaneId(0), 0, &mut log).unwrap();
+        f.dispatch(c[1], PlaneId(0), 0, &mut log).unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
         assert_eq!(f.next_activity(0), Some(3), "line (0, 0) re-armed");
@@ -664,8 +656,7 @@ mod tests {
         assert_eq!(f.next_activity(3), None);
         // Recovery plus a dispatch arms the line as on a fresh fabric.
         f.recover_plane(0).unwrap();
-        f.dispatch(cell(2, 1, 0, 5), PlaneId(0), 5, &mut log)
-            .unwrap();
+        f.dispatch(c[2], PlaneId(0), 5, &mut log).unwrap();
         assert_eq!(f.next_activity(4), Some(5));
         f.service(5).unwrap();
         f.emit(5, &mut log);
@@ -677,15 +668,22 @@ mod tests {
     #[test]
     #[should_panic(expected = "jumps fabric activity")]
     fn skipping_across_a_pending_service_event_panics() {
-        let (mut f, mut log) = setup(2, 2, 3);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
-        f.dispatch(cell(1, 1, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
+        let (mut f, mut log) = setup(2, 2, 3, &TWO);
+        f.dispatch(TWO[0], PlaneId(0), 0, &mut log).unwrap();
+        f.dispatch(TWO[1], PlaneId(0), 0, &mut log).unwrap();
         f.service(0).unwrap();
         f.emit(0, &mut log);
         // Cell 1's service event is due at slot 3.
         f.skip_idle_slots(1, 3);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "is not its row of the log's table")]
+    fn dispatching_a_cell_the_log_does_not_hold_panics() {
+        let (mut f, mut log) = setup(2, 2, 2, &TWO);
+        // Cell 1 of the table arrives on input 1, not 0.
+        let _ = f.dispatch(cell(1, 0, 0, 0), PlaneId(0), 0, &mut log);
     }
 
     /// Dispatch a fixed script (four cells a slot for ten slots, squeezed
@@ -748,14 +746,10 @@ mod tests {
 
     #[test]
     fn line_occupancy_past_the_last_slot_is_a_typed_error() {
-        let (mut f, mut log) = setup(2, 2, 3);
+        let late = cell(0, 0, 0, Slot::MAX - 2);
+        let (mut f, mut log) = setup(2, 2, 3, &[late]);
         let err = f
-            .dispatch(
-                cell(0, 0, 0, Slot::MAX - 2),
-                PlaneId(0),
-                Slot::MAX - 2,
-                &mut log,
-            )
+            .dispatch(late, PlaneId(0), Slot::MAX - 2, &mut log)
             .unwrap_err();
         assert_eq!(
             err,
@@ -768,14 +762,13 @@ mod tests {
 
     #[test]
     fn recovered_plane_carries_again() {
-        let (mut f, mut log) = setup(2, 2, 2);
+        let c = [cell(0, 0, 0, 0), cell(1, 0, 0, 2)];
+        let (mut f, mut log) = setup(2, 2, 2, &c);
         f.fail_plane(0).unwrap();
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
+        f.dispatch(c[0], PlaneId(0), 0, &mut log).unwrap();
         f.recover_plane(0).unwrap();
         // The input line is still occupied by the (lost) slot-0 dispatch.
-        f.dispatch(cell(1, 0, 0, 2), PlaneId(0), 2, &mut log)
-            .unwrap();
+        f.dispatch(c[1], PlaneId(0), 2, &mut log).unwrap();
         f.service(2).unwrap();
         f.emit(2, &mut log);
         assert_eq!(log.get(CellId(0)).departure(), None);
@@ -785,19 +778,18 @@ mod tests {
 
     #[test]
     fn degraded_link_rejects_dispatch_and_shows_busy() {
-        let (mut f, mut log) = setup(2, 2, 2);
+        let c = cell(0, 0, 0, 5);
+        let (mut f, mut log) = setup(2, 2, 2, &[c]);
         f.degrade_link(0, 1, 10).unwrap();
         assert!(!f.local_view(PortId(0), 5).is_free(1));
-        assert!(f
-            .dispatch(cell(0, 0, 0, 5), PlaneId(1), 5, &mut log)
-            .is_err());
+        assert!(f.dispatch(c, PlaneId(1), 5, &mut log).is_err());
         assert!(f.degrade_link(0, 9, 10).is_err());
         assert!(f.degrade_link(9, 0, 10).is_err());
     }
 
     #[test]
     fn snapshot_reports_plane_mask() {
-        let (mut f, _) = setup(2, 2, 2);
+        let (mut f, _) = setup(2, 2, 2, &[]);
         assert!(!f.snapshot(0, &[0, 0]).plane_mask.any_down());
         f.fail_plane(1).unwrap();
         let snap = f.snapshot(1, &[0, 0]);
@@ -809,9 +801,8 @@ mod tests {
 
     #[test]
     fn snapshot_into_matches_allocating_snapshot() {
-        let (mut f, mut log) = setup(2, 2, 2);
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
+        let (mut f, mut log) = setup(2, 2, 2, &TWO[..1]);
+        f.dispatch(TWO[0], PlaneId(0), 0, &mut log).unwrap();
         f.fail_plane(1).unwrap();
         let fresh = f.snapshot(3, &[1, 2]);
         // Filling a snapshot of the wrong geometry must rebuild it; a
@@ -827,12 +818,10 @@ mod tests {
 
     #[test]
     fn congestion_predicate() {
-        let (mut f, mut log) = setup(2, 2, 2);
+        let (mut f, mut log) = setup(2, 2, 2, &TWO);
         assert!(!f.all_planes_backlogged_for(0));
-        f.dispatch(cell(0, 0, 0, 0), PlaneId(0), 0, &mut log)
-            .unwrap();
-        f.dispatch(cell(1, 1, 0, 0), PlaneId(1), 0, &mut log)
-            .unwrap();
+        f.dispatch(TWO[0], PlaneId(0), 0, &mut log).unwrap();
+        f.dispatch(TWO[1], PlaneId(1), 0, &mut log).unwrap();
         assert!(f.all_planes_backlogged_for(0));
     }
 }

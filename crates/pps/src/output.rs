@@ -9,8 +9,13 @@
 //! global FCFS (exact mimicking of a FCFS output-queued switch, footnote 3
 //! of the paper), and unordered greedy (ablation only).
 //!
-//! The mux holds bare [`CellId`]s — metadata lives in the fabric's
-//! [`CellPool`] — and FlowFifo deliveries are *batched per slot*: each
+//! The mux holds bare [`CellId`]s and reads what a cell is from the trace's
+//! [`CellTable`]. FlowFifo state costs three `u32`s per input (`Flow`);
+//! a flow that parks an out-of-order cell takes a `SeqRing`, with its
+//! gap timer, from a per-mux slab and hands it back when the ring empties,
+//! so a mux holds rings only for the flows that have a gap right now.
+//!
+//! FlowFifo deliveries are *batched per slot*: each
 //! `deliver` classifies its cell (so per-cell
 //! telemetry keeps the exact delivery order) but defers the heap push and
 //! the gap-timer refresh to `flush_batch`, which
@@ -39,7 +44,9 @@ type EmitKey = (Slot, CellId);
 /// masquerade as a hit). Insert, remove-min, and min queries are O(1)
 /// amortized — the resequencer's whole hot path, which previously walked a
 /// `BTreeMap` per delivery and per emission. Slots store `(seq, id)` — two
-/// words — instead of a whole `Cell`.
+/// words — instead of a whole `Cell`. An emptied ring has every slot
+/// vacant, so a flow that takes it from the slab starts clean and keeps
+/// only its capacity.
 #[derive(Clone, Debug, Default)]
 struct SeqRing {
     /// Power-of-two slot array (empty until the first insert).
@@ -120,6 +127,39 @@ impl SeqRing {
     }
 }
 
+/// [`Flow::ring`] of a flow with no cell parked.
+const NO_RING: u32 = u32::MAX;
+
+/// FlowFifo state of one input's flow to this output.
+#[derive(Clone, Copy, Debug)]
+struct Flow {
+    /// Next expected sequence number.
+    next_seq: u32,
+    /// Cells of the flow in `eligible` or `pending` (a flow with an
+    /// eligible cell is progressing, not gap-blocked).
+    eligible: u32,
+    /// Slab index of the flow's [`Gap`] while it has cells parked;
+    /// [`NO_RING`] otherwise.
+    ring: u32,
+}
+
+impl Flow {
+    const IDLE: Flow = Flow {
+        next_seq: 0,
+        eligible: 0,
+        ring: NO_RING,
+    };
+}
+
+/// What a flow holds only while it has cells parked: the ring they wait
+/// in, and the slot since which the flow has been gap-blocked (cells
+/// parked, none eligible) — the watchdog's per-flow timer.
+#[derive(Clone, Debug, Default)]
+struct Gap {
+    ring: SeqRing,
+    blocked_since: Option<Slot>,
+}
+
 /// One output port's multiplexor.
 #[derive(Clone, Debug)]
 pub struct OutputMux {
@@ -137,17 +177,13 @@ pub struct OutputMux {
     /// FlowFifo: inputs that received a delivery this slot and need one
     /// gap-timer refresh at flush (deduplicated; at most K entries).
     touched: Vec<u32>,
-    /// FlowFifo: cells waiting for earlier cells of their flow, per input
-    /// (seq-indexed rings — O(1) park/unpark, see [`SeqRing`]).
-    reorder: Vec<SeqRing>,
-    /// FlowFifo: next expected sequence number per input.
-    next_seq: Vec<u32>,
-    /// FlowFifo: cells of each input currently in `eligible` or `pending`
-    /// (a flow with an eligible cell is progressing, not gap-blocked).
-    eligible_count: Vec<u32>,
-    /// FlowFifo: slot since which each input's flow has been gap-blocked
-    /// (cells in reorder, none eligible) — the watchdog's per-flow timer.
-    blocked_since: Vec<Option<Slot>>,
+    /// FlowFifo: each input's flow.
+    flows: Vec<Flow>,
+    /// FlowFifo: the slab of rings, one per flow with cells waiting for
+    /// earlier cells of their flow (O(1) park/unpark, see [`SeqRing`]),
+    /// plus the released ones listed in `free`: empty, with no timer.
+    gaps: Vec<Gap>,
+    free: Vec<u32>,
     /// GlobalFcfs: ids of cells bound for this output that are inside the
     /// switch but have not yet been emitted (registered at dispatch time).
     /// Kept sorted; the bufferless engine registers in increasing id order
@@ -187,10 +223,9 @@ impl OutputMux {
             eligible: BinaryHeap::new(),
             pending: Vec::new(),
             touched: Vec::new(),
-            reorder: (0..n).map(|_| SeqRing::default()).collect(),
-            next_seq: vec![0; n],
-            eligible_count: vec![0; n],
-            blocked_since: vec![None; n],
+            flows: vec![Flow::IDLE; n],
+            gaps: Vec::new(),
+            free: Vec::new(),
             in_flight: VecDeque::new(),
             present: BinaryHeap::new(),
             held: 0,
@@ -256,20 +291,21 @@ impl OutputMux {
     /// FlowFifo heap pushes and gap-timer refreshes are deferred to
     /// [`flush_batch`](Self::flush_batch); [`emit`](Self::emit) flushes
     /// implicitly, so deliver/emit sequences need no explicit flush.
-    pub(crate) fn deliver(&mut self, pool: &CellPool, id: CellId, now: Slot) -> bool {
+    pub(crate) fn deliver(&mut self, cells: &CellTable, id: CellId, now: Slot) -> bool {
         match self.discipline {
             OutputDiscipline::FlowFifo => {
-                let i = pool.input(id).idx();
-                let seq = pool.seq(id);
-                if seq < self.next_seq[i] {
+                let i = cells.input(id).idx();
+                let seq = cells.seq(id);
+                let flow = &mut self.flows[i];
+                if seq < flow.next_seq {
                     self.late_dropped += 1;
                     return false;
                 }
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
-                if seq == self.next_seq[i] {
-                    self.eligible_count[i] += 1;
-                    self.pending.push((pool.arrival(id), id));
+                if seq == flow.next_seq {
+                    flow.eligible += 1;
+                    self.pending.push((cells.arrival(id), id));
                 } else {
                     if telemetry::on() {
                         telemetry::record(
@@ -281,7 +317,7 @@ impl OutputMux {
                             },
                         );
                     }
-                    self.reorder[i].insert(seq, id);
+                    self.park(i, seq, id);
                 }
                 let i = i as u32;
                 if !self.touched.contains(&i) {
@@ -311,7 +347,7 @@ impl OutputMux {
             OutputDiscipline::Greedy => {
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
-                self.eligible.push(Reverse((pool.arrival(id), id)));
+                self.eligible.push(Reverse((cells.arrival(id), id)));
             }
         }
         true
@@ -324,10 +360,10 @@ impl OutputMux {
     /// every newly-eligible cell lands in the heap via one extend and each
     /// touched input's gap timer is refreshed once. Returns how many cells
     /// were accepted (not late-dropped).
-    pub fn deliver_batch(&mut self, pool: &CellPool, ids: &[CellId], now: Slot) -> usize {
+    pub fn deliver_batch(&mut self, cells: &CellTable, ids: &[CellId], now: Slot) -> usize {
         let mut accepted = 0usize;
         for &id in ids {
-            if self.deliver(pool, id, now) {
+            if self.deliver(cells, id, now) {
                 accepted += 1;
             }
         }
@@ -350,19 +386,55 @@ impl OutputMux {
         self.touched.clear();
     }
 
-    fn push_eligible(&mut self, pool: &CellPool, id: CellId) {
-        self.eligible_count[pool.input(id).idx()] += 1;
-        self.eligible.push(Reverse((pool.arrival(id), id)));
+    fn push_eligible(&mut self, cells: &CellTable, id: CellId) {
+        self.flows[cells.input(id).idx()].eligible += 1;
+        self.eligible.push(Reverse((cells.arrival(id), id)));
+    }
+
+    /// Park cell `id` under `seq` in input `i`'s ring, taking one from the
+    /// slab if the flow has none.
+    fn park(&mut self, i: usize, seq: u32, id: CellId) {
+        let flow = &mut self.flows[i];
+        if flow.ring == NO_RING {
+            flow.ring = self.free.pop().unwrap_or_else(|| {
+                self.gaps.push(Gap::default());
+                (self.gaps.len() - 1) as u32
+            });
+        }
+        self.gaps[flow.ring as usize].ring.insert(seq, id);
+    }
+
+    /// Take the cell parked under `seq` in input `i`'s ring, if present. A
+    /// ring left empty goes back to the slab, its timer cleared.
+    fn unpark(&mut self, i: usize, seq: u32) -> Option<CellId> {
+        let flow = &mut self.flows[i];
+        if flow.ring == NO_RING {
+            return None;
+        }
+        let gap = &mut self.gaps[flow.ring as usize];
+        let id = gap.ring.remove(seq)?;
+        if gap.ring.is_empty() {
+            gap.blocked_since = None;
+            self.free.push(flow.ring);
+            flow.ring = NO_RING;
+        }
+        Some(id)
     }
 
     /// Restart or clear input `i`'s gap timer: the flow is gap-blocked iff
-    /// it has cells waiting in reorder and none eligible (an eligible cell
-    /// means the flow is progressing — it will emit and advance `next_seq`).
+    /// it has cells parked and none eligible (an eligible cell means the
+    /// flow is progressing — it will emit and advance `next_seq`). A flow
+    /// with nothing parked holds no ring, and so no timer.
     fn refresh_gap(&mut self, i: usize, now: Slot) {
-        if self.reorder[i].is_empty() || self.eligible_count[i] > 0 {
-            self.blocked_since[i] = None;
-        } else if self.blocked_since[i].is_none() {
-            self.blocked_since[i] = Some(now);
+        let flow = self.flows[i];
+        if flow.ring == NO_RING {
+            return;
+        }
+        let since = &mut self.gaps[flow.ring as usize].blocked_since;
+        if flow.eligible > 0 {
+            *since = None;
+        } else if since.is_none() {
+            *since = Some(now);
         }
     }
 
@@ -372,12 +444,12 @@ impl OutputMux {
     /// per-flow for FlowFifo (a gap must not wait behind other flows'
     /// emissions), whole-mux for GlobalFcfs (where a straggler blocks
     /// everything by definition).
-    pub fn emit(&mut self, pool: &CellPool, now: Slot) -> Option<CellId> {
+    pub fn emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
         self.flush_batch(now);
         if self.watchdog.is_some() && self.discipline == OutputDiscipline::FlowFifo {
-            self.expire_gaps(pool, now);
+            self.expire_gaps(cells, now);
         }
-        if let Some(id) = self.try_emit(pool, now) {
+        if let Some(id) = self.try_emit(cells, now) {
             self.stalled_since = None;
             return Some(id);
         }
@@ -390,7 +462,7 @@ impl OutputMux {
             if self.discipline == OutputDiscipline::GlobalFcfs && now - since + 1 >= limit {
                 self.skip_stragglers(now);
                 self.stalled_since = None;
-                if let Some(id) = self.try_emit(pool, now) {
+                if let Some(id) = self.try_emit(cells, now) {
                     // The skip unblocked an emission, so by definition
                     // ("held cells but emitted nothing") this slot is not
                     // stalled — it must not be counted below.
@@ -403,24 +475,28 @@ impl OutputMux {
     }
 
     /// FlowFifo watchdog: skip past the gap of every flow that has been
-    /// blocked for the timeout, making its waiting head eligible.
-    fn expire_gaps(&mut self, pool: &CellPool, now: Slot) {
+    /// blocked for the timeout, making its waiting head eligible. Flows
+    /// are visited in input order, which fixes the telemetry order.
+    fn expire_gaps(&mut self, cells: &CellTable, now: Slot) {
         let limit = self.watchdog.expect("caller checked");
-        for i in 0..self.blocked_since.len() {
-            let Some(since) = self.blocked_since[i] else {
+        for i in 0..self.flows.len() {
+            let flow = self.flows[i];
+            if flow.ring == NO_RING {
+                continue;
+            }
+            let gap = &self.gaps[flow.ring as usize];
+            let Some(since) = gap.blocked_since else {
                 continue;
             };
             if now - since + 1 < limit {
                 continue;
             }
-            let seq = self.reorder[i]
-                .min_seq()
-                .expect("blocked flows have waiting cells");
+            let seq = gap.ring.min_seq().expect("a blocked flow parks a cell");
             // The gap [next_seq, seq) is declared lost.
-            let lost = seq - self.next_seq[i];
+            let lost = seq - flow.next_seq;
             self.skipped += u64::from(lost);
-            self.next_seq[i] = seq;
-            let head = self.reorder[i].remove(seq).expect("min seq is present");
+            self.flows[i].next_seq = seq;
+            let head = self.unpark(i, seq).expect("min seq is present");
             if telemetry::on() {
                 telemetry::record(
                     Engine::Pps,
@@ -439,20 +515,22 @@ impl OutputMux {
                     },
                 );
             }
-            self.push_eligible(pool, head);
+            self.push_eligible(cells, head);
             self.refresh_gap(i, now);
         }
     }
 
-    fn try_emit(&mut self, pool: &CellPool, now: Slot) -> Option<CellId> {
+    fn try_emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
         let id = match self.discipline {
             OutputDiscipline::FlowFifo => {
                 let Reverse((_, id)) = self.eligible.pop()?;
-                let i = pool.input(id).idx();
-                self.eligible_count[i] -= 1;
-                self.next_seq[i] = pool.seq(id) + 1;
+                let i = cells.input(id).idx();
+                let next_seq = cells.seq(id) + 1;
+                let flow = &mut self.flows[i];
+                flow.eligible -= 1;
+                flow.next_seq = next_seq;
                 // The successor may now be eligible.
-                if let Some(next) = self.reorder[i].remove(self.next_seq[i]) {
+                if let Some(next) = self.unpark(i, next_seq) {
                     if telemetry::on() {
                         telemetry::record(
                             Engine::Pps,
@@ -463,7 +541,7 @@ impl OutputMux {
                             },
                         );
                     }
-                    self.push_eligible(pool, next);
+                    self.push_eligible(cells, next);
                 }
                 self.refresh_gap(i, now);
                 id
@@ -558,12 +636,12 @@ impl OutputMux {
         // wrapped one in the past.
         let fires = |since: Slot| since.saturating_add(limit - 1).max(now + 1);
         match self.discipline {
-            // Per-flow gap clocks: the earliest one.
+            // The earliest per-flow gap clock (only flows with a ring run one).
             OutputDiscipline::FlowFifo => self
-                .blocked_since
+                .gaps
                 .iter()
-                .flatten()
-                .map(|&since| fires(since))
+                .filter_map(|gap| gap.blocked_since)
+                .map(fires)
                 .min(),
             // Whole-mux stall clock; if it has not started yet, dense would
             // start it at the next stalled slot (`now + 1`).
@@ -642,32 +720,44 @@ mod tests {
         }
     }
 
-    /// Pool-backed test harness: mirrors the fabric's pool bookkeeping so
-    /// test bodies read like the pre-pool API.
+    /// Test harness: a mux plus a table of every cell handed to it (ids
+    /// the test never uses hold filler rows), so test bodies deliver
+    /// `Cell`s.
     struct Rig {
-        pool: CellPool,
+        rows: Vec<Cell>,
+        log: RunLog,
         m: OutputMux,
     }
 
     impl Rig {
         fn new(n: usize, discipline: OutputDiscipline) -> Self {
             Rig {
-                pool: CellPool::new(),
+                rows: Vec::new(),
+                log: RunLog::default(),
                 m: OutputMux::new(n, discipline),
             }
         }
 
+        /// Enter `c` as its id's row of the table.
+        fn add(&mut self, c: Cell) {
+            while self.rows.len() <= c.id.idx() {
+                self.rows.push(cell(self.rows.len() as u64, 0, 0, 0));
+            }
+            self.rows[c.id.idx()] = c;
+            self.log = RunLog::with_cells(&self.rows);
+        }
+
         fn deliver(&mut self, c: Cell, now: Slot) -> bool {
-            self.pool.ensure(&c);
-            self.m.deliver(&self.pool, c.id, now)
+            self.add(c);
+            self.m.deliver(self.log.table(), c.id, now)
         }
 
         fn emit(&mut self, now: Slot) -> Option<CellId> {
-            self.m.emit(&self.pool, now)
+            self.m.emit(self.log.table(), now)
         }
 
         fn emit_seq(&mut self, now: Slot) -> Option<u32> {
-            self.emit(now).map(|id| self.pool.seq(id))
+            self.emit(now).map(|id| self.log.table().seq(id))
         }
     }
 
@@ -744,11 +834,11 @@ mod tests {
             cell(3, 0, 0, 3), // fills input 0's gap
         ];
         let mut batched = Rig::new(2, OutputDiscipline::FlowFifo);
-        for c in &cells {
-            batched.pool.ensure(c);
+        for c in cells {
+            batched.add(c);
         }
         let ids: Vec<CellId> = cells.iter().map(|c| c.id).collect();
-        assert_eq!(batched.m.deliver_batch(&batched.pool, &ids, 5), 3);
+        assert_eq!(batched.m.deliver_batch(batched.log.table(), &ids, 5), 3);
         let mut single = Rig::new(2, OutputDiscipline::FlowFifo);
         for c in &cells {
             assert!(single.deliver(*c, 5));
@@ -1043,5 +1133,65 @@ mod tests {
             m.m.flush_batch(7);
             assert_eq!(m.m.next_activity(7), Some(8), "{d:?}: emittable");
         }
+    }
+
+    /// Rings in the slab, and how many of them flows hold right now.
+    fn rings(m: &OutputMux) -> (usize, usize) {
+        (m.gaps.len(), m.gaps.len() - m.free.len())
+    }
+
+    #[test]
+    fn the_slab_holds_no_more_rings_than_flows_ever_had_gaps_at_once() {
+        let mut m = Rig::new(64, OutputDiscipline::FlowFifo);
+        assert_eq!(rings(&m.m), (0, 0), "a new mux holds no ring");
+        let (mut id, mut now, mut peak) = (0, 0, 0);
+        // Each round gives fresh flows a gap at once (seq 1 before seq 0),
+        // then fills the gaps and drains.
+        for flows in [0..4u32, 40..43, 10..16, 60..62] {
+            for seq in [1, 0] {
+                for input in flows.clone() {
+                    m.deliver(cell(id, input, seq, 0), now);
+                    id += 1;
+                }
+                if seq == 1 {
+                    peak = peak.max(flows.len());
+                    assert_eq!(rings(&m.m), (peak, flows.len()));
+                }
+                now += 1;
+            }
+            while m.m.held() > 0 {
+                assert!(m.emit(now).is_some());
+                now += 1;
+            }
+            assert_eq!(rings(&m.m), (peak, 0), "every emptied ring went back");
+        }
+        assert_eq!(peak, 6);
+    }
+
+    #[test]
+    fn a_recycled_ring_carries_no_stale_seq_or_timer() {
+        let mut m = Rig::new(2, OutputDiscipline::FlowFifo);
+        m.m.set_watchdog(Some(4));
+        // Input 0 parks seq 5 in slot 0; its gap expires in slot 3 and the
+        // emptied ring goes back to the slab.
+        m.deliver(cell(0, 0, 5, 0), 0);
+        for now in 0..3 {
+            assert_eq!(m.emit(now), None);
+        }
+        assert_eq!(m.emit_seq(3), Some(5));
+        assert_eq!(rings(&m.m), (1, 0));
+        let gap = &m.m.gaps[0];
+        assert!(gap.ring.is_empty() && gap.ring.slots.iter().all(Option::is_none));
+        assert_eq!(gap.blocked_since, None);
+        // Input 1 takes the same ring in slot 10 for seq 2: its gap is
+        // timed from slot 10 and covers seqs 0 and 1 only.
+        m.deliver(cell(1, 1, 2, 10), 10);
+        assert_eq!(m.emit(10), None);
+        assert_eq!(rings(&m.m), (1, 1));
+        assert_eq!(m.m.gaps[0].ring.min_seq(), Some(2));
+        assert_eq!(m.m.next_activity(10), Some(13));
+        m.m.skip_idle(11, 12);
+        assert_eq!(m.emit(13), Some(CellId(1)));
+        assert_eq!(m.m.skipped(), 5 + 2);
     }
 }

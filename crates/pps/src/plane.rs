@@ -9,8 +9,8 @@
 //! allows to be *optimal*: the lower bounds do not depend on plane
 //! scheduling, only on the line-rate bottleneck.
 //!
-//! Queues hold bare [`CellId`]s; the metadata lives in the fabric's
-//! [`CellPool`], so a plane hop moves one word, not a whole `Cell`.
+//! Queues hold bare [`CellId`]s; what a cell is lives in the trace's
+//! [`CellTable`], so a plane hop moves one word, not a whole `Cell`.
 
 use pps_core::prelude::*;
 
@@ -79,14 +79,15 @@ impl Plane {
 
     /// Mark the plane failed (fault-injection); subsequent cells are lost.
     /// Cells already queued inside the plane are lost with it — they are
-    /// drained and returned so the fabric can account for them (live
-    /// counters, straggler registrations, drop statistics).
-    pub(crate) fn fail(&mut self) -> Vec<CellId> {
+    /// drained and returned as `(output, id)`, output by output, so the
+    /// fabric can account for them (live counters, straggler
+    /// registrations, drop statistics).
+    pub(crate) fn fail(&mut self) -> Vec<(usize, CellId)> {
         self.failed = true;
         let mut flushed = Vec::new();
-        for q in &mut self.queues {
+        for (output, q) in self.queues.iter_mut().enumerate() {
             while let Some(id) = q.pop() {
-                flushed.push(id);
+                flushed.push((output, id));
             }
         }
         flushed
@@ -137,7 +138,7 @@ mod tests {
         assert!(p.accept(CellId(0), 0));
         assert!(p.accept(CellId(1), 1));
         let flushed = p.fail();
-        assert_eq!(flushed.len(), 2);
+        assert_eq!(flushed, vec![(0, CellId(0)), (1, CellId(1))]);
         assert_eq!(p.backlog(), 0);
         assert!(p.is_failed());
         p.recover();

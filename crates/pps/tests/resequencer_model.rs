@@ -1,14 +1,17 @@
 //! Model-based property test for the FlowFifo resequencer.
 //!
-//! The production path — `CellPool` + `SeqRing` + the batched
-//! `deliver_batch`/`emit` hot path of [`OutputMux`] — is checked against a
-//! deliberately naive reference model built on `BTreeMap`/`BTreeSet`, which
-//! transcribes the DESIGN.md semantics directly: per-flow reorder maps, an
-//! eligible set ordered by `(arrival, id)`, per-flow gap timers that fire
+//! The production path — cells read from a `CellTable`, `SeqRing`s taken
+//! from and returned to a per-mux slab, the batched `deliver_batch`/`emit`
+//! hot path of [`OutputMux`] — is checked against a deliberately naive
+//! reference model built on `BTreeMap`/`BTreeSet`, which transcribes the
+//! DESIGN.md semantics directly: a reorder map and a gap timer for every
+//! input, an eligible set ordered by `(arrival, id)`, timers that fire
 //! during the limit-th consecutive blocked slot. Random per-plane delivery
 //! delays produce reordered arrivals, watchdog skips, and late stragglers;
 //! the emission sequence and every counter must match exactly, slot by
-//! slot.
+//! slot. Muxes have up to 64 inputs of which a few carry flows, each long
+//! enough to open and close several gaps, so rings are released and taken
+//! again by other flows.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -191,18 +194,22 @@ proptest! {
 
     #[test]
     fn flow_fifo_matches_naive_reference_model(
-        lens in proptest::collection::vec(0usize..10, 1usize..4),
+        n in 1usize..=64,
+        flows in proptest::collection::vec((0usize..64, 0usize..16), 1usize..5),
         seed in 0u64..10_000,
         max_delay in 0u64..9,
         watchdog in (0u64..5).prop_map(|w| (w > 0).then_some(w)),
     ) {
-        let (cells, schedule) = build_run(&lens, seed, max_delay);
-        let n = lens.len();
-
-        let mut pool = CellPool::new();
-        for c in &cells {
-            pool.ensure(c);
+        // `flows` names a few active inputs (folded into 0..n) and their
+        // lengths; every other input stays idle.
+        let mut lens = vec![0; n];
+        for (input, len) in flows {
+            lens[input % n] = len;
         }
+        let (cells, schedule) = build_run(&lens, seed, max_delay);
+        let log = RunLog::with_cells(&cells);
+        let table = log.table();
+
         let mut real = OutputMux::new(n, OutputDiscipline::FlowFifo);
         real.set_watchdog(watchdog);
         let mut model = ModelMux::new(n, watchdog);
@@ -216,14 +223,14 @@ proptest! {
         for now in 0..=horizon {
             if let Some(batch) = schedule.get(&now) {
                 let model_accepted = model.deliver_batch(&cells, batch, now);
-                let real_accepted = real.deliver_batch(&pool, batch, now);
+                let real_accepted = real.deliver_batch(table, batch, now);
                 prop_assert_eq!(
                     real_accepted,
                     model_accepted.iter().filter(|&&a| a).count(),
                     "accepted count diverged in slot {}", now
                 );
             }
-            let r = real.emit(&pool, now);
+            let r = real.emit(table, now);
             let m = model.emit(&cells, now);
             prop_assert_eq!(r, m, "emission diverged in slot {}", now);
             if let Some(id) = r {
