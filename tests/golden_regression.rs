@@ -14,8 +14,8 @@ use pps_core::stepping::drive;
 use pps_crossbar::{run_cioq_policy, run_crossbar_with, CioqPolicy, IslipArbiter};
 use pps_reference::oq::run_oq;
 use pps_switch::demux::{
-    ArbitratedCrossbarDemux, CpaDemux, DelayedCpaDemux, FaultAwareRoundRobinDemux, RoundRobinDemux,
-    StaleLeastLoadedDemux,
+    ArbitratedCrossbarDemux, BufferedRoundRobinDemux, CpaDemux, DelayedCpaDemux,
+    FaultAwareRoundRobinDemux, RoundRobinDemux, StaleLeastLoadedDemux,
 };
 use pps_switch::{BufferedPps, BufferlessPps};
 use pps_traffic::adversary::{concentration_attack, urt_burst_attack};
@@ -366,4 +366,31 @@ fn run_logs_pinned_record_by_record() {
         (islip.digest(), cioq.digest()),
         (2_118_753_898_183_900_666, 2_052_834_561_015_913_874)
     );
+}
+
+/// A buffered run whose first cell waits out a 2³³-slot outage of both of
+/// its input's lines: a delay no 32-bit count holds, pinned exactly.
+#[test]
+fn a_delay_past_32_bits_is_logged_exactly() {
+    let (n, k) = (2, 2);
+    let trace = Trace::build(
+        vec![
+            Arrival::new(0, 0, 0),
+            Arrival::new(0, 1, 1),
+            Arrival::new(3, 1, 0),
+        ],
+        n,
+    )
+    .unwrap();
+    let mut plan = FaultPlan::new();
+    for p in 0..k as u32 {
+        plan = plan.link_degraded(0, p, 0, 1 << 33);
+    }
+    let cfg = PpsConfig::buffered(n, k, 2, 4);
+    let mut pps = BufferedPps::new(cfg, BufferedRoundRobinDemux::new(n, k)).unwrap();
+    pps.set_fault_plan(&plan).unwrap();
+    let (log, _) = drive(&mut pps, &trace, n, Slot::MAX, Stepping::SkipAhead).unwrap();
+    assert_eq!(log.get(CellId(0)).departure(), Some(8_589_934_592));
+    assert_eq!(log.undelivered(), 0);
+    assert_eq!(log.digest(), 1_796_082_664_204_833_447);
 }
