@@ -8,12 +8,90 @@
 use crate::metrics::{joined, relative};
 use pps_core::prelude::*;
 
-/// Per-cell relative delays (`delay_PPS − delay_OQ`), one entry per cell
-/// delivered by both switches, in cell-id order.
-pub fn relative_delays(pps: &RunLog, oq: &RunLog) -> Vec<i64> {
-    joined(pps, oq)
-        .filter_map(|(_, p, q)| Some(relative(p?, q?)))
-        .collect()
+/// Per-cell relative delays (`delay_PPS − delay_OQ`) of two logs over one
+/// trace, one value per cell delivered by both switches, in cell-id order.
+///
+/// # Panics
+/// Panics if the logs do not cover the same cells.
+pub fn relative_delays<'a>(pps: &'a RunLog, oq: &'a RunLog) -> RelativeDelays<'a> {
+    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
+    RelativeDelays { pps, oq }
+}
+
+/// The relative delays of two logs ([`relative_delays`]): a view that
+/// stores nothing per cell. Each walk streams the two delay columns again.
+#[derive(Clone, Copy)]
+pub struct RelativeDelays<'a> {
+    pps: &'a RunLog,
+    oq: &'a RunLog,
+}
+
+impl<'a> RelativeDelays<'a> {
+    /// The values, in cell-id order.
+    pub fn iter(&self) -> impl Iterator<Item = i64> + 'a {
+        joined(self.pps, self.oq).filter_map(|(_, p, q)| Some(relative(p?, q?)))
+    }
+}
+
+/// A sample the order statistics read in two passes ([`Percentiles`],
+/// [`TailQuantiles`], [`Histogram`]): a slice or vector of values,
+/// or a [`RelativeDelays`] view over two logs.
+pub trait Sample {
+    /// The values, in order; every call walks the whole sample again.
+    fn values(&self) -> impl Iterator<Item = i64> + '_;
+}
+
+impl Sample for [i64] {
+    fn values(&self) -> impl Iterator<Item = i64> + '_ {
+        self.iter().copied()
+    }
+}
+
+impl Sample for Vec<i64> {
+    fn values(&self) -> impl Iterator<Item = i64> + '_ {
+        self.iter().copied()
+    }
+}
+
+impl Sample for RelativeDelays<'_> {
+    fn values(&self) -> impl Iterator<Item = i64> + '_ {
+        self.iter()
+    }
+}
+
+/// What one pass over a non-empty sample gives.
+struct Summary {
+    count: usize,
+    min: i64,
+    max: i64,
+    sum: i64,
+}
+
+impl Summary {
+    /// `None` for an empty sample.
+    fn of<S: Sample + ?Sized>(sample: &S) -> Option<Self> {
+        let mut values = sample.values();
+        let first = values.next()?;
+        Some(values.fold(
+            Summary {
+                count: 1,
+                min: first,
+                max: first,
+                sum: first,
+            },
+            |s, v| Summary {
+                count: s.count + 1,
+                min: s.min.min(v),
+                max: s.max.max(v),
+                sum: s.sum + v,
+            },
+        ))
+    }
+
+    /// Arithmetic mean.
+    fn mean(&self) -> f64 {
+        self.sum as f64 / self.count as f64
+    }
 }
 
 /// Order statistics of a sample.
@@ -39,17 +117,17 @@ impl Percentiles {
     /// Compute exact order statistics (`None` for empty input): counted
     /// when the sample's range is no wider than the sample, else from a
     /// sorted copy.
-    pub fn from(values: &[i64]) -> Option<Percentiles> {
+    pub fn from<S: Sample + ?Sized>(values: &S) -> Option<Percentiles> {
         let v = OrderStats::of(values)?;
-        let at = |q: usize| v.nth((values.len() - 1) * q / 100);
+        let at = |q: usize| v.nth((v.summary.count - 1) * q / 100);
         Some(Percentiles {
-            count: values.len(),
-            min: v.min,
+            count: v.summary.count,
+            min: v.summary.min,
             p50: at(50),
             p95: at(95),
             p99: at(99),
-            max: v.max,
-            mean: mean(values),
+            max: v.summary.max,
+            mean: v.summary.mean(),
         })
     }
 
@@ -106,16 +184,17 @@ impl TailQuantiles {
     /// Compute exact tail quantiles (`None` for empty input): counted when
     /// the sample's range is no wider than the sample, else from a sorted
     /// copy.
-    pub fn from(values: &[i64]) -> Option<TailQuantiles> {
+    pub fn from<S: Sample + ?Sized>(values: &S) -> Option<TailQuantiles> {
         let v = OrderStats::of(values)?;
+        let n = v.summary.count;
         // Lower quantile `num/den`: the `ceil(f·n)`-th order statistic.
-        let at = |num: usize, den: usize| v.nth((values.len() * num).div_ceil(den).max(1) - 1);
+        let at = |num: usize, den: usize| v.nth((n * num).div_ceil(den).max(1) - 1);
         Some(TailQuantiles {
-            count: values.len(),
-            mean: mean(values),
+            count: n,
+            mean: v.summary.mean(),
             p99: at(99, 100),
             p999: at(999, 1000),
-            max: v.max,
+            max: v.summary.max,
         })
     }
 
@@ -129,19 +208,14 @@ impl TailQuantiles {
     }
 }
 
-/// Arithmetic mean of a non-empty sample.
-fn mean(values: &[i64]) -> f64 {
-    values.iter().sum::<i64>() as f64 / values.len() as f64
-}
-
-/// Exact order statistics of a non-empty sample. When the values span no
-/// more distinct integers than there are values (`max − min + 1 ≤ len`, as
-/// for relative delays and queuing delays) they are counted, so the count
-/// array is never larger than the sorted copy it replaces and no sort
-/// runs; otherwise a sorted copy answers.
+/// Exact order statistics of a non-empty sample, in two passes: the first
+/// is the [`Summary`]. When the values span no more distinct integers than
+/// there are values (`max − min + 1 ≤ len`, as for relative delays and
+/// queuing delays) the second pass counts them, so the count array is never
+/// larger than the sorted copy it replaces, no sort runs and no per-value
+/// copy is made; otherwise the second pass collects a sorted copy.
 struct OrderStats {
-    min: i64,
-    max: i64,
+    summary: Summary,
     ranked: Ranked,
 }
 
@@ -154,23 +228,21 @@ enum Ranked {
 
 impl OrderStats {
     /// `None` for an empty sample.
-    fn of(values: &[i64]) -> Option<Self> {
-        let (&first, rest) = values.split_first()?;
-        let (min, max) = rest
-            .iter()
-            .fold((first, first), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-        let ranked = if max.abs_diff(min) < values.len() as u64 {
+    fn of<S: Sample + ?Sized>(values: &S) -> Option<Self> {
+        let summary = Summary::of(values)?;
+        let (min, max) = (summary.min, summary.max);
+        let ranked = if max.abs_diff(min) < summary.count as u64 {
             let mut counts = vec![0usize; max.abs_diff(min) as usize + 1];
-            for &v in values {
+            for v in values.values() {
                 counts[v.abs_diff(min) as usize] += 1;
             }
             Ranked::Counted(counts)
         } else {
-            let mut sorted = values.to_vec();
+            let mut sorted: Vec<i64> = values.values().collect();
             sorted.sort_unstable();
             Ranked::Sorted(sorted)
         };
-        Some(OrderStats { min, max, ranked })
+        Some(OrderStats { summary, ranked })
     }
 
     /// The `rank`-th smallest value (0-based), `rank < len`.
@@ -182,7 +254,7 @@ impl OrderStats {
                 for (i, &c) in counts.iter().enumerate() {
                     below += c;
                     if below > rank {
-                        return self.min + i as i64;
+                        return self.summary.min + i as i64;
                     }
                 }
                 unreachable!("rank {rank} is past the sample")
@@ -199,12 +271,11 @@ pub struct Histogram {
 
 impl Histogram {
     /// Bucket `values` into `buckets` equal-width bins (`None` if empty).
-    pub fn build(values: &[i64], buckets: usize) -> Option<Histogram> {
-        if values.is_empty() || buckets == 0 {
+    pub fn build<S: Sample + ?Sized>(values: &S, buckets: usize) -> Option<Histogram> {
+        if buckets == 0 {
             return None;
         }
-        let min = *values.iter().min().unwrap();
-        let max = *values.iter().max().unwrap();
+        let Summary { min, max, .. } = Summary::of(values)?;
         let width = (((max - min) as u64 / buckets as u64) + 1) as i64;
         let mut out: Vec<(i64, i64, usize)> = (0..buckets)
             .map(|b| {
@@ -212,7 +283,7 @@ impl Histogram {
                 (lo, lo + width, 0)
             })
             .collect();
-        for &v in values {
+        for v in values.values() {
             let idx = (((v - min) / width) as usize).min(buckets - 1);
             out[idx].2 += 1;
         }
@@ -258,13 +329,13 @@ mod tests {
 
     #[test]
     fn empty_sample_is_none() {
-        assert!(Percentiles::from(&[]).is_none());
-        assert!(Histogram::build(&[], 4).is_none());
+        assert!(Percentiles::from(&[][..]).is_none());
+        assert!(Histogram::build(&[][..], 4).is_none());
     }
 
     #[test]
     fn single_value_sample() {
-        let p = Percentiles::from(&[7]).unwrap();
+        let p = Percentiles::from(&[7][..]).unwrap();
         assert_eq!((p.min, p.p50, p.max), (7, 7, 7));
     }
 
@@ -354,9 +425,9 @@ mod tests {
         assert_eq!(t.p999, 999);
         assert_eq!(t.max, 1000);
         // Degenerate single sample: every quantile is the value.
-        let one = TailQuantiles::from(&[42]).unwrap();
+        let one = TailQuantiles::from(&[42][..]).unwrap();
         assert_eq!((one.p99, one.p999, one.max), (42, 42, 42));
-        assert!(TailQuantiles::from(&[]).is_none());
+        assert!(TailQuantiles::from(&[][..]).is_none());
     }
 
     #[test]
@@ -365,7 +436,7 @@ mod tests {
         // Samples are 1..=n so the i-th order statistic is just i.
 
         // n = 1: every quantile is the value; nothing is resolvable.
-        let t = TailQuantiles::from(&[42]).unwrap();
+        let t = TailQuantiles::from(&[42][..]).unwrap();
         assert_eq!((t.p99, t.p999, t.max), (42, 42, 42));
         assert!(!t.resolvable(100) && !t.resolvable(1000));
 
@@ -409,6 +480,57 @@ mod tests {
         pps.set_departure(CellId(1), 5);
         oq.set_departure(CellId(0), 0);
         oq.set_departure(CellId(1), 1);
-        assert_eq!(relative_delays(&pps, &oq), vec![4, 4]);
+        assert_eq!(
+            relative_delays(&pps, &oq).iter().collect::<Vec<_>>(),
+            vec![4, 4]
+        );
+    }
+
+    /// Two logs of one trace with a PPS delay of `pps_delay(i)` and an OQ
+    /// delay of `i % 3` for cell `i`; `None` leaves the PPS cell queued.
+    fn join(cells: u64, pps_delay: impl Fn(u64) -> Option<Slot>) -> (RunLog, RunLog) {
+        let t = Trace::build((0..cells).map(|s| Arrival::new(s, 0, 0)).collect(), 1).unwrap();
+        let cells = t.cells(1);
+        let mut pps = RunLog::with_cells(&cells);
+        let mut oq = RunLog::with_cells(&cells);
+        for c in &cells {
+            if let Some(d) = pps_delay(c.id.0) {
+                pps.set_departure(c.id, c.arrival + d);
+            }
+            oq.set_departure(c.id, c.arrival + c.id.0 % 3);
+        }
+        (pps, oq)
+    }
+
+    /// The relative delays as a collected vector, from the decoded records:
+    /// a reference for the view that shares none of its code.
+    fn collected(pps: &RunLog, oq: &RunLog) -> Vec<i64> {
+        pps.records()
+            .zip(oq.records())
+            .filter_map(|(p, q)| Some(p.departure()? as i64 - q.departure()? as i64))
+            .collect()
+    }
+
+    #[test]
+    fn the_view_reads_what_the_collected_vector_held() {
+        let narrow = join(2_000, |i| (i % 97 != 5).then_some(i % 11));
+        let wide = join(40, |i| (i != 7).then_some(i * i * 1_000));
+        for (paths, (pps, oq)) in [("counted", narrow), ("sorted", wide)] {
+            let view = relative_delays(&pps, &oq);
+            let vec = collected(&pps, &oq);
+            assert_eq!(view.iter().collect::<Vec<_>>(), vec, "{paths}");
+            assert!(vec.len() < pps.len(), "a PPS cell is undelivered");
+            let ranked = OrderStats::of(&view).unwrap().ranked;
+            assert_eq!(matches!(ranked, Ranked::Counted(_)), paths == "counted");
+            assert_eq!(TailQuantiles::from(&view), TailQuantiles::from(&vec));
+            assert_eq!(Percentiles::from(&view), Percentiles::from(&vec));
+            let (h, hv) = (
+                Histogram::build(&view, 7).unwrap(),
+                Histogram::build(&vec, 7).unwrap(),
+            );
+            assert_eq!(h.buckets, hv.buckets, "{paths}");
+        }
+        let (pps, oq) = join(3, |_| None);
+        assert!(TailQuantiles::from(&relative_delays(&pps, &oq)).is_none());
     }
 }

@@ -21,21 +21,23 @@ pub struct RelativeDelay {
     pub pps_undelivered: usize,
 }
 
-/// `delay_PPS − delay_OQ` of one cell from its two departure slots (the
-/// shared arrival cancels). The difference is taken in `u64` before the
-/// sign goes on, so it is exact anywhere in `Slot`'s range — a trace parked
-/// near `Slot::MAX` included.
+/// `a − b` of two slot counts, signed: `delay_PPS − delay_OQ` of one cell
+/// from its two delays, or the gap between two departure slots. The
+/// difference is taken in `u64` before the sign goes on, so it is exact
+/// anywhere in `Slot`'s range — departures on both sides of 2⁶³ included.
 #[inline]
-pub(crate) fn relative(pps_departure: Slot, oq_departure: Slot) -> i64 {
-    if pps_departure >= oq_departure {
-        (pps_departure - oq_departure) as i64
+pub(crate) fn relative(a: Slot, b: Slot) -> i64 {
+    if a >= b {
+        (a - b) as i64
     } else {
-        -((oq_departure - pps_departure) as i64)
+        -((b - a) as i64)
     }
 }
 
 /// Per cell of two logs over one trace, in id order: its arrival, its PPS
-/// departure and its OQ departure — the columns every join streams.
+/// delay and its OQ delay — the columns every join streams. The shared
+/// arrival cancels, so a cell's relative delay is the difference of its
+/// two delays.
 ///
 /// # Panics
 /// Panics if the logs do not cover the same cells.
@@ -46,7 +48,7 @@ pub(crate) fn joined<'a>(
     assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
     pps.arrivals()
         .iter()
-        .zip(pps.departures().zip(oq.departures()))
+        .zip(pps.delays().zip(oq.delays()))
         .map(|(a, (p, q))| (a, p, q))
 }
 
@@ -171,7 +173,7 @@ pub fn rank_relative_delay(
     let dq = departures(oq);
     dp.iter()
         .zip(dq.iter())
-        .map(|(&a, &b)| a as i64 - b as i64)
+        .map(|(&a, &b)| relative(a, b))
         .collect()
 }
 
@@ -273,5 +275,24 @@ mod tests {
         let oq = log_with(&[(0, 0, Some(0), 0, 0, 0), (1, 0, Some(1), 1, 0, 0)]);
         let ranks = rank_relative_delay(&pps, &oq, PortId(0), (0, 10));
         assert_eq!(ranks, vec![0, 0]);
+    }
+
+    #[test]
+    fn rank_relative_delay_is_exact_across_2_pow_63() {
+        // Two cells arriving just below 2⁶³: the PPS departs them past it,
+        // the OQ below it, so `as i64` on either slot would overflow.
+        let a = (1 << 63) - 2;
+        let pps = log_with(&[(0, a, Some(a + 5), 0, 0, 0), (1, a, Some(a + 6), 1, 0, 0)]);
+        let oq = log_with(&[(0, a, Some(a), 0, 0, 0), (1, a, Some(a + 1), 1, 0, 0)]);
+        let window = (a, a + 1);
+        assert_eq!(
+            rank_relative_delay(&pps, &oq, PortId(0), window),
+            vec![5, 5]
+        );
+        assert_eq!(
+            rank_relative_delay(&oq, &pps, PortId(0), window),
+            vec![-5, -5]
+        );
+        assert_eq!(relative_delay(&pps, &oq).max, 5);
     }
 }

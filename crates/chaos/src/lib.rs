@@ -14,7 +14,8 @@
 //!
 //! * **cell conservation** — arrivals = departures + backlog + drops,
 //!   checked every slot ([`pps_core::oracle`]);
-//! * **per-flow FIFO** and **causality** on every engine's run log;
+//! * **per-flow FIFO** on every engine's run log (which refuses a double
+//!   or pre-arrival departure outright);
 //! * **no phantom / double / pre-arrival departures**, **output-line
 //!   constraint**, **no dispatch to a visibly-down plane**, and
 //!   **watchdog counter consistency** — folded over the telemetry event

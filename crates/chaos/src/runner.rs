@@ -9,7 +9,7 @@
 //! skip-ahead arithmetic and arms its missed-wake oracle over all four
 //! engines. The PPS-side conservation ledger runs every slot (so a
 //! violation is caught at the slot it happens, not at the end); the
-//! event-stream, flow-order, causality and
+//! event-stream, flow-order and
 //! relative-delay oracles fold over the run once it finishes.
 //!
 //! Record at [`telemetry::Level::Full`] when running cases — the stream
@@ -192,10 +192,12 @@ pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
     };
     outcome.violations.extend(check_stream(&events, &cfg));
 
-    // Per-flow order and causality on every engine's run log.
+    // Per-flow order on every engine's run log. A log cannot hold a
+    // departure before its cell's arrival, nor a second one: recording it
+    // panics (`RunLog::set_departure`), and the stream oracle above
+    // re-checks both over the events.
     for log in [&pps_log, &oq_log] {
         outcome.violations.extend(oracle::check_flow_order(log));
-        outcome.violations.extend(oracle::check_causality(log));
     }
 
     // Paper bound: relative delay vs the shadow OQ, for cases where the
@@ -415,7 +417,6 @@ fn lockstep<S: InputStage>(
     }
     for log in [&engines.xbar_log, &engines.cioq_log] {
         outcome.violations.extend(oracle::check_flow_order(log));
-        outcome.violations.extend(oracle::check_causality(log));
     }
 
     Ok((outcome, pps_log, engines.oq_log))

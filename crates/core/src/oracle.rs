@@ -166,26 +166,6 @@ pub fn check_flow_order(log: &RunLog) -> Vec<OracleViolation> {
     violations
 }
 
-/// No pre-arrival departures: every delivered cell leaves at or after its
-/// arrival slot. (Double departures are impossible by construction —
-/// [`RunLog::set_departure`] panics — and re-checked over the event stream
-/// by `pps_telemetry::oracle`.)
-pub fn check_causality(log: &RunLog) -> Vec<OracleViolation> {
-    log.iter()
-        .filter_map(|(id, rec)| {
-            let dep = rec.departure()?;
-            (dep < rec.arrival).then(|| OracleViolation {
-                kind: OracleKind::Causality,
-                slot: dep,
-                detail: format!(
-                    "cell {} departed at {} before arriving at {}",
-                    id.0, dep, rec.arrival
-                ),
-            })
-        })
-        .collect()
-}
-
 /// Relative-delay envelope versus the shadow OQ switch: every cell
 /// delivered by both switches satisfies
 /// `delay_pps(c) - delay_oq(c) <= bound`.
@@ -320,16 +300,6 @@ mod tests {
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].kind, OracleKind::FlowOrder);
         assert_eq!(vs[0].slot, 6);
-    }
-
-    #[test]
-    fn causality_flags_time_travel() {
-        let cells = [cell(0, 0, 0, 4)];
-        let mut log = RunLog::with_cells(&cells);
-        log.set_departure(CellId(0), 2);
-        let vs = check_causality(&log);
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].kind, OracleKind::Causality);
     }
 
     #[test]
