@@ -5,7 +5,7 @@
 //! of the randomized demultiplexor, or quantifying how rare the Θ(N)
 //! worst case is under benign load.
 
-use crate::metrics::{joined, relative};
+use crate::metrics::{delay_pairs, relative};
 use pps_core::prelude::*;
 
 /// Per-cell relative delays (`delay_PPS − delay_OQ`) of two logs over one
@@ -29,7 +29,7 @@ pub struct RelativeDelays<'a> {
 impl<'a> RelativeDelays<'a> {
     /// The values, in cell-id order.
     pub fn iter(&self) -> impl Iterator<Item = i64> + 'a {
-        joined(self.pps, self.oq).filter_map(|(_, p, q)| Some(relative(p?, q?)))
+        delay_pairs(self.pps, self.oq).filter_map(|(p, q)| Some(relative(p?, q?)))
     }
 }
 

@@ -34,39 +34,38 @@ pub(crate) fn relative(a: Slot, b: Slot) -> i64 {
     }
 }
 
-/// Per cell of two logs over one trace, in id order: its arrival, its PPS
-/// delay and its OQ delay — the columns every join streams. The shared
-/// arrival cancels, so a cell's relative delay is the difference of its
-/// two delays.
+/// Per cell of two logs over one trace, in id order: its PPS delay and
+/// its OQ delay — the columns every join streams. The shared arrival
+/// cancels, so a cell's relative delay is the difference of its two
+/// delays, and a join that does not select cells reads no arrival.
 ///
 /// # Panics
 /// Panics if the logs do not cover the same cells.
+pub(crate) fn delay_pairs<'a>(
+    pps: &'a RunLog,
+    oq: &'a RunLog,
+) -> impl Iterator<Item = (Option<Slot>, Option<Slot>)> + 'a {
+    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
+    pps.delays().zip(oq.delays())
+}
+
+/// [`delay_pairs`] beside each cell's arrival, for a join that selects or
+/// groups cells by it.
 pub(crate) fn joined<'a>(
     pps: &'a RunLog,
     oq: &'a RunLog,
-) -> impl Iterator<Item = (&'a Arrival, Option<Slot>, Option<Slot>)> + 'a {
-    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
-    pps.arrivals()
-        .iter()
-        .zip(pps.delays().zip(oq.delays()))
-        .map(|(a, (p, q))| (a, p, q))
+) -> impl Iterator<Item = (Arrival, Option<Slot>, Option<Slot>)> + 'a {
+    let pairs = delay_pairs(pps, oq);
+    pps.arrivals().zip(pairs).map(|(a, (p, q))| (a, p, q))
 }
 
-/// Fold the relative delay of every cell whose arrival `keep` accepts
-/// (joined by id).
-fn relative_delay_where(
-    pps: &RunLog,
-    oq: &RunLog,
-    keep: impl Fn(&Arrival) -> bool,
-) -> RelativeDelay {
+/// Fold the relative delay of each cell of `pairs` (its PPS and OQ delay).
+fn fold_relative(pairs: impl Iterator<Item = (Option<Slot>, Option<Slot>)>) -> RelativeDelay {
     let mut max = i64::MIN;
     let mut sum = 0i128;
     let mut compared = 0usize;
     let mut undelivered = 0usize;
-    for (a, p, q) in joined(pps, oq) {
-        if !keep(a) {
-            continue;
-        }
+    for (p, q) in pairs {
         match (p, q) {
             (Some(p), Some(q)) => {
                 let d = relative(p, q);
@@ -93,7 +92,7 @@ fn relative_delay_where(
 /// Compute the relative-delay distribution from two logs over the same
 /// trace (joined by cell id).
 pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
-    relative_delay_where(pps, oq, |_| true)
+    fold_relative(delay_pairs(pps, oq))
 }
 
 /// Relative delay restricted to the cells of one output port.
@@ -102,7 +101,8 @@ pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
 /// hot output); composite multi-output attacks are checked output by
 /// output with this.
 pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> RelativeDelay {
-    relative_delay_where(pps, oq, |a| a.output == output)
+    let cells = joined(pps, oq).filter(|(a, ..)| a.output == output);
+    fold_relative(cells.map(|(_, p, q)| (p, q)))
 }
 
 /// Per-flow delay jitter: the maximal difference in queuing delay between
@@ -110,7 +110,7 @@ pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> R
 /// delivered cells).
 pub fn flow_jitters(log: &RunLog) -> BTreeMap<FlowId, u64> {
     let mut minmax: BTreeMap<FlowId, (Slot, Slot)> = BTreeMap::new();
-    for (a, d) in log.arrivals().iter().zip(log.delays()) {
+    for (a, d) in log.arrivals().zip(log.delays()) {
         if let Some(d) = d {
             minmax
                 .entry(FlowId {
@@ -161,7 +161,6 @@ pub fn rank_relative_delay(
     let departures = |log: &RunLog| -> Vec<Slot> {
         let mut d: Vec<Slot> = log
             .arrivals()
-            .iter()
             .zip(log.departures())
             .filter(|(a, _)| a.output == output && a.slot >= window.0 && a.slot < window.1)
             .filter_map(|(_, d)| d)

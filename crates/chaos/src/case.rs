@@ -529,12 +529,7 @@ impl ChaosCase {
         match self.truncate_at {
             None => full,
             Some(t) => {
-                let kept: Vec<_> = full
-                    .arrivals()
-                    .iter()
-                    .copied()
-                    .filter(|a| a.slot <= t)
-                    .collect();
+                let kept: Vec<_> = full.arrivals().filter(|a| a.slot <= t).collect();
                 Trace::build(kept, self.n).expect("prefix of a valid trace is valid")
             }
         }
@@ -677,7 +672,7 @@ mod tests {
         assert_eq!(a.n, b.n);
         assert_eq!(a.demux, b.demux);
         assert_eq!(a.plan.events(), b.plan.events());
-        assert_eq!(a.trace().arrivals(), b.trace().arrivals());
+        assert_eq!(a.trace(), b.trace());
     }
 
     #[test]
@@ -693,13 +688,8 @@ mod tests {
         let full = case.trace();
         case.truncate_at = Some(100);
         let cut = case.trace();
-        let expect: Vec<_> = full
-            .arrivals()
-            .iter()
-            .copied()
-            .filter(|a| a.slot <= 100)
-            .collect();
-        assert_eq!(cut.arrivals(), expect.as_slice());
+        let expect: Vec<_> = full.arrivals().filter(|a| a.slot <= 100).collect();
+        assert_eq!(cut.arrivals().collect::<Vec<_>>(), expect);
     }
 
     #[test]
@@ -882,16 +872,11 @@ mod tests {
                 continue;
             }
             let full = case.trace();
-            assert_eq!(full.arrivals(), case.trace().arrivals());
+            assert_eq!(full, case.trace());
             case.truncate_at = Some(64);
             let cut = case.trace();
-            let expect: Vec<_> = full
-                .arrivals()
-                .iter()
-                .copied()
-                .filter(|a| a.slot <= 64)
-                .collect();
-            assert_eq!(cut.arrivals(), expect.as_slice());
+            let expect: Vec<_> = full.arrivals().filter(|a| a.slot <= 64).collect();
+            assert_eq!(cut.arrivals().collect::<Vec<_>>(), expect);
             if found.0 && found.1 {
                 return;
             }

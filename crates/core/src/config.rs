@@ -3,7 +3,12 @@
 use crate::error::ModelError;
 use crate::rate::{speedup, Ratio};
 use crate::time::Slot;
+use crate::trace::MAX_PORTS;
 use serde::{Deserialize, Serialize};
+
+/// Planes a switch can have: a run log stores a plane in 16 bits, one
+/// value of which means "no plane" (`K ≤ 65535`).
+pub const MAX_PLANES: usize = crate::record::NO_PLANE as usize;
 
 /// First-stage buffering model.
 ///
@@ -129,6 +134,9 @@ impl PpsConfig {
 
     /// Validate the configuration against the model's domain.
     ///
+    /// `N` and `K` must fit the narrow columns of traces and logs
+    /// ([`MAX_PORTS`], [`MAX_PLANES`]).
+    ///
     /// Beyond positivity, a *bufferless* switch needs `K ≥ r'`: with one
     /// arrival per slot, up to `r'` cells may need distinct free input lines
     /// within any `r'`-slot window, and a bufferless input has nowhere to
@@ -144,8 +152,17 @@ impl PpsConfig {
         if self.r_prime == 0 {
             return fail("r' = R/r must be positive".into());
         }
-        if self.n > u32::MAX as usize || self.k > u32::MAX as usize {
-            return fail("port/plane counts must fit in u32".into());
+        if self.n > MAX_PORTS {
+            return fail(format!(
+                "N must be at most {MAX_PORTS} (got N = {}): a trace stores a port in 16 bits",
+                self.n
+            ));
+        }
+        if self.k > MAX_PLANES {
+            return fail(format!(
+                "K must be at most {MAX_PLANES} (got K = {}): a run log stores a plane in 16 bits",
+                self.k
+            ));
         }
         if matches!(self.buffer, BufferSpec::Bufferless) && self.k < self.r_prime {
             return fail(format!(
@@ -197,6 +214,20 @@ mod tests {
         assert!(PpsConfig::bufferless(2, 0, 1).validate().is_err());
         assert!(PpsConfig::bufferless(2, 2, 0).validate().is_err());
         assert!(PpsConfig::buffered(2, 2, 1, 0).validate().is_err());
+    }
+
+    #[test]
+    fn geometry_past_the_narrow_columns_is_rejected() {
+        let refused = |cfg: PpsConfig| match cfg.validate() {
+            Err(ModelError::InvalidConfig { reason }) => reason,
+            other => panic!("{cfg:?} validated as {other:?}"),
+        };
+        assert!(PpsConfig::bufferless(65_536, 65_535, 1).validate().is_ok());
+        let n = refused(PpsConfig::bufferless(65_537, 8, 1));
+        assert!(n.contains("N must be at most 65536"), "{n}");
+        let k = refused(PpsConfig::buffered(16, 65_536, 1, 4));
+        assert!(k.contains("K must be at most 65535"), "{k}");
+        refused(PpsConfig::bufferless(70_000, 70_000, 4));
     }
 
     #[test]

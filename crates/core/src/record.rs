@@ -9,10 +9,10 @@
 //!
 //! | column | bytes per cell | stored by |
 //! |---|---|---|
-//! | arrival, input, output | 16 | the trace, once |
+//! | arrival, input, output | 4 + 2 + 2 | the trace, once (the arrival's high word once per run) |
 //! | seq | 4 | the trace, once |
 //! | delay | 4 | every log (a delay of 2³²−2 slots or more in a side map) |
-//! | plane | 4 | a log whose engine records one (allocated on the first [`RunLog::set_plane`]) |
+//! | plane | 2 | a log whose engine records one (allocated on the first [`RunLog::set_plane`]) |
 //!
 //! A log stores a cell's *delay*, `departure − arrival`, not its departure
 //! slot: the arrival is the table's, and a delay fits 32 bits where a slot
@@ -23,7 +23,7 @@
 //! ([`crate::stepping::drive`] pushes each slot's arrivals before it hands
 //! them to the engine), so the log grows in [`CellId`] order and a cell's id
 //! *is* its index. The two `Option`s a record reports are stored as
-//! sentinel values, and the setters refuse the two values that would alias
+//! sentinel values, and the setters refuse the values that would alias
 //! "none".
 //!
 //! A [`CellRecord`] is the value a reader sees, assembled from the columns
@@ -35,7 +35,7 @@
 use crate::cell::Cell;
 use crate::ids::{CellId, FlowId, PlaneId, PortId};
 use crate::time::Slot;
-use crate::trace::{Arrival, CellTable, Trace};
+use crate::trace::{Arrivals, CellTable, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -49,8 +49,9 @@ const NOT_DEPARTED: u32 = u32::MAX;
 /// Stored delay of a cell whose delay is 2³²−2 slots or more; the exact
 /// value is in [`RunLog::long_delay`].
 const ESCAPED: u32 = u32::MAX - 1;
-/// Stored `plane` of a cell no plane was recorded for.
-const NO_PLANE: u32 = u32::MAX;
+/// Stored `plane` of a cell no plane was recorded for; planes are
+/// `0..NO_PLANE`, so a switch has at most 65535 of them.
+pub(crate) const NO_PLANE: u16 = u16::MAX;
 
 /// The fate of one cell in one switch. Its id is its index in the
 /// [`RunLog`] ([`RunLog::get`], [`RunLog::iter`]).
@@ -67,7 +68,7 @@ pub struct CellRecord {
     /// Per-flow sequence number.
     pub seq: u32,
     /// Plane index; [`NO_PLANE`] until one is recorded.
-    plane: u32,
+    plane: u16,
 }
 
 impl CellRecord {
@@ -81,7 +82,7 @@ impl CellRecord {
     /// Plane the cell traversed (PPS only; `None` in shadow-switch logs).
     #[inline]
     pub fn plane(&self) -> Option<PlaneId> {
-        (self.plane != NO_PLANE).then_some(PlaneId(self.plane))
+        (self.plane != NO_PLANE).then_some(PlaneId(self.plane.into()))
     }
 
     /// Queuing delay in slots (`departure − arrival`), if the cell departed.
@@ -131,7 +132,7 @@ pub struct RunLog {
     long_delay: BTreeMap<usize, Slot>,
     /// Plane of every cell of the table, [`NO_PLANE`] where none was
     /// recorded; empty until the engine records its first plane.
-    plane: Vec<u32>,
+    plane: Vec<u16>,
 }
 
 impl RunLog {
@@ -149,17 +150,10 @@ impl RunLog {
     /// `cells[i].id == i` (the whole trace up front, in a table of the log's
     /// own; test oracles that step an engine by hand use it).
     pub fn with_cells(cells: &[Cell]) -> Self {
-        let table = CellTable {
-            arrivals: cells
-                .iter()
-                .map(|c| Arrival {
-                    slot: c.arrival,
-                    input: c.input,
-                    output: c.output,
-                })
-                .collect(),
-            seq: cells.iter().map(|c| c.seq).collect(),
-        };
+        let mut table = CellTable::default();
+        for c in cells {
+            table.push(c.arrival, c.input, c.output, c.seq);
+        }
         let mut log = RunLog {
             cells: Arc::new(table),
             delay: Vec::with_capacity(cells.len()),
@@ -198,12 +192,12 @@ impl RunLog {
     /// plane column.
     ///
     /// # Panics
-    /// Panics on `PlaneId(u32::MAX)`, which the record cannot tell from
-    /// "no plane", and on a cell that has not entered the switch.
+    /// Panics on a plane of 65535 or more, which the 2-byte column cannot
+    /// tell from "no plane", and on a cell that has not entered the switch.
     #[inline]
     pub fn set_plane(&mut self, id: CellId, plane: PlaneId) {
         assert!(
-            plane.0 != NO_PLANE,
+            plane.0 < NO_PLANE.into(),
             "plane {plane:?} of cell {id:?} is not representable in a record"
         );
         assert!(
@@ -213,7 +207,7 @@ impl RunLog {
         if self.plane.is_empty() {
             self.plane = vec![NO_PLANE; self.cells.len()];
         }
-        self.plane[id.idx()] = plane.0;
+        self.plane[id.idx()] = plane.0 as u16;
     }
 
     /// Record the departure slot of a cell; the log stores its delay.
@@ -235,7 +229,7 @@ impl RunLog {
             "cell {id:?} departed twice (slots {:?} and {slot})",
             self.departure(i)
         );
-        let arrival = self.cells.arrivals[i].slot;
+        let arrival = self.cells.slot(i);
         assert!(
             slot >= arrival,
             "cell {id:?} departs in slot {slot}, before its arrival in slot {arrival}"
@@ -264,19 +258,19 @@ impl RunLog {
     #[inline]
     fn departure(&self, i: usize) -> Option<Slot> {
         self.decode(i, self.delay[i])
-            .map(|d| self.cells.arrivals[i].slot + d)
+            .map(|d| self.cells.slot(i) + d)
     }
 
     /// The record of cell `i`, assembled from the columns.
     #[inline]
     fn record(&self, i: usize) -> CellRecord {
-        let a = self.cells.arrivals[i];
+        let c = self.cells.cell(CellId(i as u64));
         CellRecord {
-            arrival: a.slot,
+            arrival: c.arrival,
             departure: self.departure(i).unwrap_or(NO_DEPARTURE),
-            input: a.input,
-            output: a.output,
-            seq: self.cells.seq[i],
+            input: c.input,
+            output: c.output,
+            seq: c.seq,
             plane: self.plane.get(i).copied().unwrap_or(NO_PLANE),
         }
     }
@@ -308,16 +302,15 @@ impl RunLog {
         &self.cells
     }
 
-    /// The arrival column of the logged cells, in id order (the trace's).
-    pub fn arrivals(&self) -> &[Arrival] {
-        &self.cells.arrivals[..self.len()]
+    /// The arrivals of the logged cells, in id order (the trace's).
+    pub fn arrivals(&self) -> Arrivals<'_> {
+        self.cells.arrivals(0..self.len())
     }
 
     /// The departure slot of each logged cell (its arrival plus its delay),
     /// in id order: `None` for a cell still queued.
     pub fn departures(&self) -> impl ExactSizeIterator<Item = Option<Slot>> + '_ {
         self.arrivals()
-            .iter()
             .zip(self.delays())
             .map(|(a, d)| d.map(|d| a.slot + d))
     }
@@ -593,7 +586,7 @@ mod tests {
         let mut log = RunLog::with_cells(&t.cells(6));
         for (i, d) in delays.iter().enumerate() {
             if let Some(d) = d {
-                log.set_departure(CellId(i as u64), t.arrivals()[i].slot + d);
+                log.set_departure(CellId(i as u64), t.arrival(i).slot + d);
             }
         }
         let departures: Vec<Option<Slot>> = delays
@@ -630,5 +623,13 @@ mod tests {
     #[should_panic(expected = "is not representable")]
     fn plane_at_the_sentinel_index_is_refused() {
         demo_log().set_plane(CellId(0), PlaneId(u32::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "is not representable")]
+    fn plane_past_the_two_byte_column_is_refused() {
+        let mut log = demo_log();
+        log.set_plane(CellId(0), PlaneId(65_534));
+        log.set_plane(CellId(1), PlaneId(65_535));
     }
 }

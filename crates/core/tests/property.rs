@@ -111,7 +111,7 @@ proptest! {
         if !a.is_empty() && !b.is_empty() {
             // The composed second part starts strictly after the first's
             // horizon plus the gap.
-            let second_start = c.arrivals()[a.len()].slot;
+            let second_start = c.arrival(a.len()).slot;
             prop_assert_eq!(second_start, a.horizon() + 1 + gap);
         }
     }

@@ -206,7 +206,7 @@ fn sw_qps_window_survives_long_idle_gaps() {
 #[test]
 fn idle_slots_are_pure_noops_for_every_discipline() {
     let n = 5;
-    let burst = &Trace::build(long_gap_trace(n).arrivals()[..4 * n].to_vec(), n).unwrap();
+    let burst = &Trace::build(long_gap_trace(n).arrivals().take(4 * n).collect(), n).unwrap();
 
     fn check<S: CrossbarScheduler>(name: &str, burst: &Trace, scheduler: S) {
         let mut sw = CrossbarSwitch::with_scheduler(scheduler);

@@ -42,7 +42,7 @@ fn per_class_tails(classed: &ClassedTrace) -> Vec<(TailQuantiles, TailQuantiles)
     let prio = priority_oq_delays(classed, N);
     let fcfs_departs = fcfs_departure_times(&classed.trace, N);
     let mut fcfs: Vec<Vec<i64>> = vec![Vec::new(); CLASSES as usize];
-    for (i, a) in classed.trace.arrivals().iter().enumerate() {
+    for (i, a) in classed.trace.arrivals().enumerate() {
         fcfs[classed.classes[i] as usize].push((fcfs_departs[i] - a.slot) as i64);
     }
     fcfs.iter()

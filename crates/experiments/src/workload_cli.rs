@@ -25,12 +25,13 @@ use pps_workload::WorkloadSpec;
 pub fn run_workload(spec_str: &str, k: usize, r_prime: usize) -> Result<String, String> {
     let spec = WorkloadSpec::parse(spec_str)?;
     let n = spec.ports();
+    let cfg = PpsConfig::bufferless(n, k, r_prime);
+    cfg.validate().map_err(|e| e.to_string())?;
     let trace = spec.trace()?;
     if trace.is_empty() {
         return Err(format!("workload {spec_str:?} produced no cells"));
     }
     let b = min_burstiness(&trace, n).overall();
-    let cfg = PpsConfig::bufferless(n, k, r_prime);
     let envelope = pps_core::bounds::traffic_envelope(&cfg, b);
 
     let mut out = String::new();
@@ -53,7 +54,6 @@ pub fn run_workload(spec_str: &str, k: usize, r_prime: usize) -> Result<String, 
         "class", "mean", "p99", "p999", "max", "undeliv"
     );
 
-    cfg.validate().map_err(|e| e.to_string())?;
     for (label, run) in e19_stochastic_tails::classes() {
         let cmp = run(cfg, &trace).map_err(|e| e.to_string())?;
         let tails = TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq))

@@ -125,6 +125,20 @@ fn custom_never_panics_on_its_own_input() {
     assert_rejected(&wide, "<= K <= 128");
 }
 
+/// A geometry past the 16-bit port and plane columns is refused with
+/// `error:` and exit 2 before any trace is built.
+#[test]
+fn geometry_past_sixteen_bits_is_refused() {
+    assert_rejected(&["custom", "--n", "70000"], "N must be at most 65536");
+    assert_rejected(&["custom", "--k", "70000"], "K must be at most 65535");
+    assert_rejected(
+        &["--workload", "uniform:n=70000"],
+        "n must be at most 65536, got 70000",
+    );
+    let k = ["--workload", "uniform:n=8", "--workload-k", "70000"];
+    assert_rejected(&k, "K must be at most 65535");
+}
+
 /// `--bench-json` names every experiment whose engine the slot meter never
 /// saw (e21's egress mux today), and only those; the tables do not move.
 #[test]

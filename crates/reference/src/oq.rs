@@ -130,7 +130,6 @@ pub fn fcfs_departure_times(trace: &Trace, n: usize) -> Vec<Slot> {
     let mut last: Vec<Option<Slot>> = vec![None; n];
     trace
         .arrivals()
-        .iter()
         .map(|a| {
             let j = a.output.idx();
             let dt = match last[j] {

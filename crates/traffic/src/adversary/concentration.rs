@@ -227,7 +227,6 @@ mod tests {
         let burst: Vec<_> = atk
             .trace
             .arrivals()
-            .iter()
             .filter(|a| a.slot >= atk.burst_start && a.slot < atk.burst_start + atk.d as Slot)
             .collect();
         assert_eq!(burst.len(), atk.d);

@@ -73,7 +73,7 @@ mod tests {
         assert_eq!(c.trace.len(), 100);
         for (slot, group) in c.trace.by_slot() {
             assert_eq!(group.len(), 2, "slot {slot}");
-            assert!(group.iter().all(|a| a.output.0 == 3));
+            assert!(group.clone().all(|a| a.output.0 == 3));
         }
     }
 
@@ -93,7 +93,8 @@ mod tests {
     fn no_input_sends_twice_per_slot() {
         let c = congestion_traffic(4, 0, 4, 20);
         for (_, group) in c.trace.by_slot() {
-            let inputs: std::collections::BTreeSet<u32> = group.iter().map(|a| a.input.0).collect();
+            let inputs: std::collections::BTreeSet<u32> =
+                group.clone().map(|a| a.input.0).collect();
             assert_eq!(inputs.len(), group.len());
         }
     }

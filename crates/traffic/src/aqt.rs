@@ -31,7 +31,6 @@ fn max_window_load(trace: &Trace, n: usize, w: Slot) -> u64 {
     for j in 0..n as u32 {
         let slots: Vec<Slot> = trace
             .arrivals()
-            .iter()
             .filter(|a| a.output.0 == j)
             .map(|a| a.slot)
             .collect();

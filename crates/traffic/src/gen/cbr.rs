@@ -69,14 +69,12 @@ mod tests {
         let t = CbrGen::diagonal(4).trace(2, 16);
         let slots0: Vec<Slot> = t
             .arrivals()
-            .iter()
             .filter(|a| a.input == PortId(0))
             .map(|a| a.slot)
             .collect();
         assert_eq!(slots0, vec![0, 4, 8, 12]);
         let slots1: Vec<Slot> = t
             .arrivals()
-            .iter()
             .filter(|a| a.input == PortId(1))
             .map(|a| a.slot)
             .collect();

@@ -92,11 +92,10 @@ mod tests {
         // cells on the single input; should be well above 1 (i.i.d. would
         // give ~1 at load 0.5 with uniform dests over 1 output... use run
         // structure instead: consecutive slots).
-        let arr = t.arrivals();
         let mut runs = 0u64;
         let mut cells = 0u64;
-        let mut prev: Option<&Arrival> = None;
-        for a in arr {
+        let mut prev: Option<Arrival> = None;
+        for a in t.arrivals() {
             cells += 1;
             let continues = prev.is_some_and(|p| p.slot + 1 == a.slot && p.output == a.output);
             if !continues {

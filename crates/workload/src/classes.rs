@@ -39,7 +39,6 @@ impl ClassedTrace {
         let salt = mix64(seed ^ 0x0C1A_55E5);
         let classes = trace
             .arrivals()
-            .iter()
             .map(|a| {
                 let flow = ((a.input.idx() as u64) << 32) | a.output.idx() as u64;
                 (mix64(flow ^ salt) % n_classes as u64) as u8
@@ -58,12 +57,11 @@ impl ClassedTrace {
 /// `pps_reference::oq::ShadowOq`; within a class, FCFS by arrival
 /// order). Returned in `trace.arrivals()` order.
 fn priority_departure_times(classed: &ClassedTrace, n: usize) -> Vec<Slot> {
-    let arrivals = classed.trace.arrivals();
     let nc = classed.n_classes as usize;
-    // queues[output][class] holds indices into `arrivals`.
+    // queues[output][class] holds cell indices.
     let mut queues: Vec<Vec<VecDeque<usize>>> = vec![vec![VecDeque::new(); nc]; n];
     let mut backlog = 0usize;
-    let mut departs = vec![0 as Slot; arrivals.len()];
+    let mut departs = vec![0 as Slot; classed.trace.len()];
     let mut now: Slot = 0;
 
     let depart_one_slot = |queues: &mut Vec<Vec<VecDeque<usize>>>,
@@ -87,8 +85,8 @@ fn priority_departure_times(classed: &ClassedTrace, n: usize) -> Vec<Slot> {
             now += 1;
         }
         now = slot;
-        // by_slot yields consecutive slices of `arrivals`, so the running
-        // index identifies each cell.
+        // by_slot yields consecutive runs of the trace's cells, so the
+        // running index identifies each cell.
         for a in group {
             let idx = next_idx;
             next_idx += 1;
@@ -113,7 +111,7 @@ fn priority_departure_times(classed: &ClassedTrace, n: usize) -> Vec<Slot> {
 pub fn priority_oq_delays(classed: &ClassedTrace, n: usize) -> Vec<Vec<u64>> {
     let departs = priority_departure_times(classed, n);
     let mut per_class = vec![Vec::new(); classed.n_classes as usize];
-    for (i, a) in classed.trace.arrivals().iter().enumerate() {
+    for (i, a) in classed.trace.arrivals().enumerate() {
         per_class[classed.classes[i] as usize].push(departs[i] - a.slot);
     }
     per_class

@@ -305,7 +305,7 @@ mod tests {
         let t = materialize(&mut OnOffBurstGen::new(8, 2, 0.05, 0.1), 2_000);
         // Within any run of consecutive slots on one input, the output is
         // constant; count destination changes vs gaps on input 0.
-        let cells: Vec<_> = t.arrivals().iter().filter(|a| a.input.idx() == 0).collect();
+        let cells: Vec<_> = t.arrivals().filter(|a| a.input.idx() == 0).collect();
         assert!(cells.len() > 10);
         for w in cells.windows(2) {
             if w[1].slot == w[0].slot + 1 {
@@ -321,6 +321,6 @@ mod tests {
         let g = OnOffBurstGen::new(5, 2, 0.0005, 0.5);
         let first = g.next_activity(0).unwrap();
         let t = materialize(&mut OnOffBurstGen::new(5, 2, 0.0005, 0.5), first + 10);
-        assert!(t.arrivals().iter().any(|a| a.slot == first));
+        assert!(t.arrivals().any(|a| a.slot == first));
     }
 }

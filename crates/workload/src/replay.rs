@@ -4,39 +4,50 @@
 //! `pps_core::trace_io`, as written by `ppslab --trace-out`) through the
 //! same streaming interface the stochastic generators use, so captured or
 //! externally produced workloads run through exactly the same
-//! materialize → lockstep → distribution pipeline. `next_activity` is an
-//! O(log cells) cursor lookup, so replaying a sparse capture skips its
+//! materialize → lockstep → distribution pipeline. `next_activity` reads
+//! the cursor's next arrival, so replaying a sparse capture skips its
 //! silences like any other stream.
 
 use crate::stream::ArrivalStream;
 use pps_core::prelude::*;
 
 /// Replays the arrivals of a recorded trace, optionally tiled end-to-end
-/// `repeat` times (each repetition shifted past the previous horizon).
+/// `repeat` times (each repetition shifted past the previous horizon). It
+/// reads the trace's own table through a cursor; nothing is copied.
 pub(crate) struct ReplayStream {
     n: usize,
-    arrivals: Vec<Arrival>,
-    cursor: usize,
+    trace: Trace,
+    /// Slots per repetition: the trace's horizon + 1.
+    period: Slot,
+    repeat: u64,
+    /// The next arrival to emit: the `pos`-th cell of repetition `tile`.
+    tile: u64,
+    pos: usize,
 }
 
 impl ReplayStream {
     /// Replay `trace` tiled `repeat` times: repetition `k` is shifted by
     /// `k · (horizon + 1)` so repetitions never collide on `(slot, input)`.
     pub(crate) fn repeated(trace: &Trace, n: usize, repeat: u64) -> Self {
-        let period = trace.horizon() + 1;
-        let mut arrivals = Vec::with_capacity(trace.len() * repeat as usize);
-        for k in 0..repeat {
-            let base = k * period;
-            arrivals.extend(trace.arrivals().iter().map(|a| Arrival {
-                slot: a.slot + base,
-                ..*a
-            }));
-        }
         ReplayStream {
             n,
-            arrivals,
-            cursor: 0,
+            trace: trace.clone(),
+            period: trace.horizon() + 1,
+            repeat,
+            tile: 0,
+            pos: 0,
         }
+    }
+
+    /// The next arrival to emit, shifted into its repetition.
+    fn peek(&self) -> Option<Arrival> {
+        (self.tile < self.repeat && self.pos < self.trace.len()).then(|| {
+            let a = self.trace.arrival(self.pos);
+            Arrival {
+                slot: a.slot + self.tile * self.period,
+                ..a
+            }
+        })
     }
 }
 
@@ -46,15 +57,16 @@ impl ArrivalStream for ReplayStream {
     }
 
     fn next_activity(&self, from: Slot) -> Option<Slot> {
-        let rest = &self.arrivals[self.cursor..];
-        let i = rest.partition_point(|a| a.slot < from);
-        rest.get(i).map(|a| a.slot)
+        self.peek().map(|a| a.slot.max(from))
     }
 
     fn emit(&mut self, slot: Slot, out: &mut Vec<Arrival>) {
-        while self.cursor < self.arrivals.len() && self.arrivals[self.cursor].slot == slot {
-            out.push(self.arrivals[self.cursor]);
-            self.cursor += 1;
+        while let Some(a) = self.peek().filter(|a| a.slot == slot) {
+            out.push(a);
+            self.pos += 1;
+            if self.pos == self.trace.len() {
+                (self.tile, self.pos) = (self.tile + 1, 0);
+            }
         }
     }
 }
@@ -99,7 +111,7 @@ mod tests {
         let out = materialize(&mut ReplayStream::repeated(&t, 2, 3), 10_000);
         assert_eq!(out.len(), 3 * t.len());
         // Second repetition starts at horizon+1 = 101.
-        assert!(out.arrivals().iter().any(|a| a.slot == 101));
+        assert!(out.arrivals().any(|a| a.slot == 101));
     }
 
     #[test]

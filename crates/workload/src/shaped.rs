@@ -198,7 +198,6 @@ mod tests {
         assert!(cut.len() < raw.len());
         let set: std::collections::HashSet<_> = raw
             .arrivals()
-            .iter()
             .map(|a| (a.slot, a.input, a.output))
             .collect();
         for a in cut.arrivals() {

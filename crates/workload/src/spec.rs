@@ -21,6 +21,7 @@ use crate::shaped::{Shaped, UniformGen};
 use crate::stream::{materialize, ArrivalStream, LbContract};
 use crate::zipf::ZipfGen;
 use pps_core::prelude::*;
+use pps_core::trace::MAX_PORTS;
 
 /// A parsed `--workload` specification; build streams with
 /// [`WorkloadSpec::stream`] or go straight to a trace with
@@ -162,6 +163,12 @@ impl<'a> Fields<'a> {
         self.num_where(key, default, "in (0, 1]", |&p| p > 0.0 && p <= 1.0)
     }
 
+    /// Switch ports, `n`: a trace names at most [`MAX_PORTS`] of them.
+    fn ports(&mut self) -> Result<usize, String> {
+        let want = format!("at most {MAX_PORTS}");
+        self.num_where("n", 8, &want, |&n| n <= MAX_PORTS)
+    }
+
     /// A count of at least one.
     fn count(&mut self, key: &str, default: u64) -> Result<u64, String> {
         self.num_where(key, default, "at least 1", |&c| c >= 1)
@@ -185,7 +192,7 @@ impl WorkloadSpec {
         };
         let parsed = match family {
             "zipf" => WorkloadSpec::Zipf {
-                n: f.num("n", 8)?,
+                n: f.ports()?,
                 load: f.prob("load", 0.8)?,
                 s: f.num_where("s", 1.1, "positive and finite", |&s: &f64| {
                     s > 0.0 && s.is_finite()
@@ -195,7 +202,7 @@ impl WorkloadSpec {
                 horizon: f.num("horizon", 20_000)?,
             },
             "mmpp" => WorkloadSpec::Mmpp {
-                n: f.num("n", 8)?,
+                n: f.ports()?,
                 calm: Phase {
                     arrival_p: f.prob("calm", 0.05)?,
                     exit_p: f.rate("calm_exit", 0.01)?,
@@ -208,20 +215,20 @@ impl WorkloadSpec {
                 horizon: f.num("horizon", 20_000)?,
             },
             "onoff" => WorkloadSpec::OnOff {
-                n: f.num("n", 8)?,
+                n: f.ports()?,
                 on_p: f.rate("on", 0.02)?,
                 off_p: f.rate("off", 0.2)?,
                 seed: f.num("seed", 1)?,
                 horizon: f.num("horizon", 20_000)?,
             },
             "uniform" => WorkloadSpec::Uniform {
-                n: f.num("n", 8)?,
+                n: f.ports()?,
                 load: f.prob("load", 0.8)?,
                 seed: f.num("seed", 1)?,
                 horizon: f.num("horizon", 20_000)?,
             },
             "shaped" => WorkloadSpec::Shaped {
-                n: f.num("n", 8)?,
+                n: f.ports()?,
                 load: f.prob("load", 0.9)?,
                 contract: LbContract::new(
                     f.num("num", 3)?,
@@ -238,7 +245,7 @@ impl WorkloadSpec {
                     .to_string();
                 WorkloadSpec::Replay {
                     path,
-                    n: f.num("n", 8)?,
+                    n: f.ports()?,
                     repeat: f.num("repeat", 1)?,
                 }
             }
@@ -383,12 +390,19 @@ mod tests {
             "onoff:off=0",
             "shaped:den=0",
             "shaped:burst=0",
+            "uniform:n=65537",
+            "replay:path=t.csv,n=70000",
         ] {
             let err = WorkloadSpec::parse(spec).expect_err(spec);
             assert!(err.contains("must be"), "{spec}: {err}");
         }
         // The closed ends stay legal.
-        for spec in ["uniform:load=1", "mmpp:calm=0,burst_exit=1", "zipf:flows=1"] {
+        for spec in [
+            "uniform:load=1",
+            "mmpp:calm=0,burst_exit=1",
+            "zipf:flows=1",
+            "onoff:n=65536",
+        ] {
             assert!(WorkloadSpec::parse(spec).is_ok(), "{spec}");
         }
     }

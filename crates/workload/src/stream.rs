@@ -17,6 +17,7 @@
 
 use pps_core::prelude::*;
 use pps_core::rate::Ratio;
+use pps_core::trace::TraceBuilder;
 
 /// A leaky-bucket contract a stream claims for its emissions: for every
 /// output `j` and every window of `τ` slots, the cells destined to `j`
@@ -102,18 +103,21 @@ pub trait ArrivalStream {
 
 /// Materialize `horizon` slots of `stream` into a validated [`Trace`],
 /// jumping between activity slots — `O(cells)` for any horizon.
+///
+/// Each slot's arrivals go straight into the trace's table: the whole
+/// trace is never staged as a vector of arrivals.
+///
+/// # Panics
+/// Panics, with the error [`Trace::build`] would give, if the stream
+/// breaks its contract: two cells on one `(slot, input)`, a port outside
+/// `0..ports()`, or a slot emitted after a later one.
 pub fn materialize<S: ArrivalStream + ?Sized>(stream: &mut S, horizon: Slot) -> Trace {
-    let n = stream.ports();
-    let mut arrivals = Vec::new();
     let mut now = 0;
-    while let Some(next) = stream.next_activity(now) {
-        if next >= horizon {
-            break;
-        }
-        stream.emit(next, &mut arrivals);
+    append_slots(stream, |s| {
+        let next = s.next_activity(now).filter(|&next| next < horizon)?;
         now = next + 1;
-    }
-    Trace::build(arrivals, n).expect("ArrivalStream emits at most one cell per (slot, input)")
+        Some(next)
+    })
 }
 
 /// Materialize `stream` by visiting *every* slot of the horizon — the
@@ -121,12 +125,25 @@ pub fn materialize<S: ArrivalStream + ?Sized>(stream: &mut S, horizon: Slot) -> 
 /// stream, [`materialize`] and `materialize_dense` must produce identical
 /// traces (a generator whose `next_activity` lies would diverge here).
 pub fn materialize_dense<S: ArrivalStream + ?Sized>(stream: &mut S, horizon: Slot) -> Trace {
-    let n = stream.ports();
+    let mut slots = 0..horizon;
+    append_slots(stream, |_| slots.next())
+}
+
+/// Emit each slot `next` yields and append its arrivals to a trace.
+fn append_slots<S: ArrivalStream + ?Sized>(
+    stream: &mut S,
+    mut next: impl FnMut(&S) -> Option<Slot>,
+) -> Trace {
+    let mut trace = TraceBuilder::new(stream.ports());
     let mut arrivals = Vec::new();
-    for slot in 0..horizon {
+    while let Some(slot) = next(stream) {
         stream.emit(slot, &mut arrivals);
+        if let Err(e) = trace.append(&mut arrivals) {
+            panic!("ArrivalStream broke its contract: {e}");
+        }
+        arrivals.clear();
     }
-    Trace::build(arrivals, n).expect("ArrivalStream emits at most one cell per (slot, input)")
+    trace.finish()
 }
 
 #[cfg(test)]

@@ -328,10 +328,9 @@ fn run_logs_pinned_record_by_record() {
     let parked = Trace::build(
         short
             .arrivals()
-            .iter()
             .map(|a| Arrival {
                 slot: a.slot + late,
-                ..*a
+                ..a
             })
             .collect(),
         4,

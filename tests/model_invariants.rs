@@ -297,7 +297,7 @@ proptest! {
         let want: Vec<Arrival> = pps_traffic::gen::BernoulliGen::uniform(0.9, seed)
             .trace(n, 40)
             .arrivals()
-            .to_vec();
+            .collect();
         let shaped = pps_traffic::shape(want, n, b);
         prop_assert!(pps_traffic::is_leaky_bucket(&shaped, n, b),
             "shaper output exceeds B = {}: report {:?}", b,
