@@ -11,10 +11,9 @@
 //! ppslab --bench-json BENCH_experiments.json   # record wall-clock + slots/sec
 //! ppslab --telemetry counters          # event counters to stderr after the run
 //! ppslab --telemetry full --trace-out trace.json e3   # Perfetto-loadable trace
-//! ppslab --workload "zipf:n=16,load=0.85,s=1.1,seed=7"   # stochastic tail report
-//! ppslab --workload "mmpp:n=8" --workload-k 8 --workload-rprime 4
-//! ppslab custom --n 32 --k 8 --rprime 4 --algo rr --workload attack
-//! ppslab custom --algo stale:2 --workload urt --slots 2000 --save-trace t.csv
+//! ppslab run --workload "zipf:n=16,load=0.85,s=1.1,seed=7"   # tails of the three information classes
+//! ppslab run --workload attack:n=32 --k 8 --rprime 4 --algo rr   # one algorithm, one row
+//! ppslab run --workload urt:n=16,u=2 --algo stale:2 --save-trace t.csv
 //! ppslab chaos --seed 42 --cases 256 --budget-slots 256   # fuzz with oracles
 //! ppslab chaos --inject-leak 1 --repro-out repros/   # prove the oracles bite
 //! ppslab chaos --seed 42 --cases 1 --case 1 --plan plan.csv --truncate-at 83   # replay a repro
@@ -40,8 +39,6 @@
 use pps_core::sweep::SweepPlan;
 use pps_core::telemetry::{self, Level};
 use pps_experiments::cli::{self, CliError, ExperimentArgs, Mode, Settings};
-use pps_experiments::custom::run_custom;
-use pps_experiments::workload_cli::run_workload;
 use pps_experiments::{registry, ExperimentOutput};
 use std::path::Path;
 use std::process::ExitCode;
@@ -186,10 +183,7 @@ fn dispatch(mode: &Mode, tracing: bool) -> Result<bool, CliError> {
     let report = match mode {
         Mode::List => Ok(registry().iter().map(|(id, _)| format!("{id}\n")).collect()),
         Mode::Experiments(args) => return run_experiments(args, tracing),
-        Mode::Custom(args) => scoped(tracing, "custom", || run_custom(args)),
-        Mode::Workload { spec, k, r_prime } => {
-            scoped(tracing, "workload", || run_workload(spec, *k, *r_prime))
-        }
+        Mode::Run(args) => scoped(tracing, "run", || pps_experiments::run::run(args)),
         // A campaign records at `full` for its own oracles and keeps no
         // events: there is nothing to scope.
         Mode::Chaos(opts) => {

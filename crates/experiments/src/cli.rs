@@ -6,12 +6,12 @@
 //! consumed as a flag's value is never read again as a flag, an id or a
 //! subcommand. Flags come in any order, before or after the subcommand
 //! word; the tokens that do not start with `--` are either the one word
-//! `custom` / `chaos` or experiment ids. `chaos`'s campaign flags are in
+//! `run` / `chaos` or experiment ids. `chaos`'s campaign flags are in
 //! the table (the pass must know their names and that each takes a value)
 //! but their values are parsed by `pps_chaos::cli::parse`, next to the
 //! options struct the harness tests drive.
 
-use crate::custom::CustomArgs;
+use crate::run::RunArgs;
 use pps_chaos::cli::ChaosOptions;
 use pps_core::telemetry::Level;
 use std::fmt;
@@ -24,8 +24,7 @@ use std::str::FromStr;
 enum Kind {
     List,
     Experiments,
-    Workload,
-    Custom,
+    Run,
     Chaos,
 }
 
@@ -42,17 +41,11 @@ const FLAGS: &[(&str, bool, &[Kind])] = &[
     ("--markdown", false, &[Kind::Experiments]),
     ("--out", true, &[Kind::Experiments]),
     ("--bench-json", true, &[Kind::Experiments]),
-    // Without a subcommand `--workload` selects the tail report; `custom`
-    // has a workload of its own.
-    ("--workload", true, &[Kind::Workload, Kind::Custom]),
-    ("--workload-k", true, &[Kind::Workload]),
-    ("--workload-rprime", true, &[Kind::Workload]),
-    ("--n", true, &[Kind::Custom]),
-    ("--k", true, &[Kind::Custom]),
-    ("--rprime", true, &[Kind::Custom]),
-    ("--algo", true, &[Kind::Custom]),
-    ("--slots", true, &[Kind::Custom]),
-    ("--save-trace", true, &[Kind::Custom]),
+    ("--workload", true, &[Kind::Run]),
+    ("--k", true, &[Kind::Run]),
+    ("--rprime", true, &[Kind::Run]),
+    ("--algo", true, &[Kind::Run]),
+    ("--save-trace", true, &[Kind::Run]),
     // The campaign flags: values parsed by `pps_chaos::cli::parse`.
     ("--seed", true, &[Kind::Chaos]),
     ("--cases", true, &[Kind::Chaos]),
@@ -101,17 +94,8 @@ pub enum Mode {
     List,
     /// Run experiments and print their tables.
     Experiments(ExperimentArgs),
-    /// `custom`: one (geometry, algorithm, workload) comparison.
-    Custom(CustomArgs),
-    /// `--workload`: the tail-delay report of one workload spec.
-    Workload {
-        /// The spec string.
-        spec: String,
-        /// `--workload-k` (default 8).
-        k: usize,
-        /// `--workload-rprime` (default 4).
-        r_prime: usize,
-    },
+    /// `run`: one workload through one geometry, against the shadow switch.
+    Run(RunArgs),
     /// `chaos`: a fuzzing campaign.
     Chaos(ChaosOptions),
 }
@@ -193,13 +177,12 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
     }
 
     let kind = match words.as_slice() {
-        ["custom"] => Kind::Custom,
+        ["run"] => Kind::Run,
         ["chaos"] => Kind::Chaos,
-        _ if words.iter().any(|w| matches!(*w, "custom" | "chaos")) => {
+        _ if words.iter().any(|w| matches!(*w, "run" | "chaos")) => {
             return usage("a subcommand takes flags only: no ids, no second subcommand".into());
         }
         _ if given.text("--list").is_some() => Kind::List,
-        _ if given.text("--workload").is_some() => Kind::Workload,
         _ => Kind::Experiments,
     };
     for ((name, _, modes), _) in FLAGS.iter().zip(&given.0).filter(|(_, v)| v.is_some()) {
@@ -209,7 +192,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
             ));
         }
     }
-    if matches!(kind, Kind::List | Kind::Workload) && !words.is_empty() {
+    if kind == Kind::List && !words.is_empty() {
         return usage(format!(
             "experiment ids ({}) do not apply in {kind:?} mode",
             words.join(" ")
@@ -239,19 +222,15 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
             out: given.text("--out").map(PathBuf::from),
             bench_json: given.text("--bench-json").map(PathBuf::from),
         }),
-        Kind::Workload => Mode::Workload {
-            spec: given.text("--workload").unwrap_or_default().to_string(),
-            k: given.number("--workload-k")?.unwrap_or(8),
-            r_prime: given.number("--workload-rprime")?.unwrap_or(4),
-        },
-        Kind::Custom => Mode::Custom(CustomArgs {
-            n: given.number("--n")?.unwrap_or(16),
+        Kind::Run => Mode::Run(RunArgs {
+            workload: match given.text("--workload") {
+                Some(spec) => spec.into(),
+                None => return usage("run needs --workload SPEC".into()),
+            },
             k: given.number("--k")?.unwrap_or(8),
             r_prime: given.number("--rprime")?.unwrap_or(4),
-            algo: given.text("--algo").unwrap_or("rr").into(),
-            workload: given.text("--workload").unwrap_or("bernoulli:0.9").into(),
-            slots: given.number("--slots")?.unwrap_or(2_000),
-            save_trace: given.text("--save-trace").map(String::from),
+            algo: given.text("--algo").map(String::from),
+            save_trace: given.text("--save-trace").map(PathBuf::from),
         }),
         Kind::Chaos => {
             let campaign: Vec<String> = FLAGS
@@ -312,10 +291,10 @@ mod tests {
     fn a_flag_is_never_consumed_as_a_value() {
         // Used to create a directory called `--csv` *and* turn CSV on.
         refused(&["--out", "--csv", "e1"], "--out needs a value");
-        refused(&["custom", "--algo", "--n", "8"], "--algo needs a value");
-        // A consumed value is not read again: `custom` here is a path.
-        let inv = ok(&["--out", "custom", "e1"]);
-        assert!(matches!(inv.mode, Mode::Experiments(e) if e.out == Some("custom".into())));
+        refused(&["run", "--algo", "--k", "8"], "--algo needs a value");
+        // A consumed value is not read again: `run` here is a path.
+        let inv = ok(&["--out", "run", "e1"]);
+        assert!(matches!(inv.mode, Mode::Experiments(e) if e.out == Some("run".into())));
     }
 
     #[test]
@@ -332,8 +311,8 @@ mod tests {
     #[test]
     fn a_flag_of_another_mode_is_refused() {
         // Used to be accepted and ignored.
-        refused(&["--workload-k", "8", "e1"], "--workload-k does not apply");
-        refused(&["custom", "--csv"], "--csv does not apply in Custom mode");
+        refused(&["--k", "8", "e1"], "--k does not apply");
+        refused(&["run", "--csv"], "--csv does not apply in Run mode");
         refused(
             &["chaos", "--algo", "rr"],
             "--algo does not apply in Chaos mode",
@@ -348,9 +327,22 @@ mod tests {
         );
         refused(
             &["--workload", "uniform:n=8", "e1"],
-            "experiment ids (e1) do not",
+            "--workload does not apply in Experiments mode",
         );
-        refused(&["custom", "e1"], "a subcommand takes flags only");
+        refused(&["run", "e1"], "a subcommand takes flags only");
+        refused(&["run", "--k", "8"], "run needs --workload SPEC");
+    }
+
+    /// The two ad-hoc modes `run` replaced are refused rather than read as
+    /// something else (the flags only they had are unknown flags now).
+    #[test]
+    fn the_old_ad_hoc_spellings_are_refused() {
+        refused(&["custom"], "unknown experiment id custom");
+        refused(&["custom", "--algo", "rr"], "--algo does not apply");
+        refused(
+            &["--workload", "uniform:n=8"],
+            "--workload does not apply in Experiments mode",
+        );
     }
 
     #[test]
@@ -361,11 +353,13 @@ mod tests {
         assert_eq!(before, after);
         assert_eq!(before.settings.jobs, Some(2));
         assert!(matches!(&before.mode, Mode::Chaos(o) if o.cases == 2 && o.jobs.is_none()));
-        // `custom ... --telemetry full` used to be an unknown flag.
+        // A subcommand's `... --telemetry full` used to be an unknown flag.
         let inv = ok(&[
             "--trace-out",
             "t.json",
-            "custom",
+            "run",
+            "--workload",
+            "attack",
             "--algo",
             "pfr",
             "--telemetry",
@@ -373,7 +367,8 @@ mod tests {
         ]);
         assert_eq!(inv.settings.telemetry, Level::Full);
         assert_eq!(inv.settings.trace_out, Some(PathBuf::from("t.json")));
-        assert!(matches!(&inv.mode, Mode::Custom(c) if c.algo == "pfr" && c.n == 16));
+        let pfr = Some("pfr".to_string());
+        assert!(matches!(&inv.mode, Mode::Run(r) if r.algo == pfr && (r.k, r.r_prime) == (8, 4)));
     }
 
     #[test]
@@ -385,11 +380,11 @@ mod tests {
     #[test]
     fn numbers_and_ids_are_checked() {
         refused(&["--jobs", "banana"], "--jobs: invalid digit");
+        refused(&["run", "--workload", "uniform:n=8", "--k", "-1"], "--k:");
         refused(
-            &["--workload", "uniform:n=8", "--workload-k", "-1"],
-            "--workload-k:",
+            &["run", "--workload", "attack", "--rprime", "many"],
+            "--rprime:",
         );
-        refused(&["custom", "--slots", "many"], "--slots:");
         refused(&["e1", "e99"], "unknown experiment id e99 (--list");
         refused(&["chaos", "--cases", "many"], "--cases many: invalid digit");
         // Ids select in registry order, whatever order argv names them in.
@@ -440,7 +435,7 @@ mod tests {
             "-3",
             "",
             "18446744073709551616",
-            "custom",
+            "run",
             "chaos",
             "e1",
             "--",
@@ -452,7 +447,7 @@ mod tests {
             "e12",
             "a3",
             "e99",
-            "custom",
+            "run",
             "chaos",
             "perf",
             "-x",
@@ -467,7 +462,7 @@ mod tests {
         let (mut accepted, mut modes) = (0, std::collections::HashSet::new());
         for _ in 0..10_000 {
             // Most argvs lean towards one mode so that many of them parse.
-            let lean = [None, Some(Kind::Custom), Some(Kind::Chaos)][pick(&mut rng, 3)];
+            let lean = [None, Some(Kind::Run), Some(Kind::Chaos)][pick(&mut rng, 3)];
             let mut args: Vec<String> = lean
                 .iter()
                 .map(|k| format!("{k:?}").to_lowercase())
@@ -502,12 +497,13 @@ mod tests {
             assert_eq!(again, first, "{args:?} -> {shuffled:?}");
         }
         assert!(accepted >= 1_000, "only {accepted} argvs parsed");
-        assert_eq!(modes.len(), 5, "some mode never parsed");
+        assert_eq!(modes.len(), 4, "some mode never parsed");
     }
 
     /// ROADMAP 7(iii), the workload half: a spec value its generator would
-    /// `assert!` on is an `Err` from the mode's entry point — drawn, like
-    /// the argvs above, from the chaos RNG; a panic fails the test.
+    /// `assert!` on, a key no family has, a geometry too small for the
+    /// Theorem 10 burst — each is an `Err` from `run`, drawn, like the
+    /// argvs above, from the chaos RNG; a panic fails the test.
     #[test]
     fn out_of_range_workload_values_are_errors_not_panics() {
         const P: &[&str] = &["-0.5", "1.0001", "2", "nan", "-inf"];
@@ -526,29 +522,30 @@ mod tests {
             ("shaped", "load", P),
             ("shaped", "den", &["0"]),
             ("shaped", "burst", &["0"]),
+            ("cbr", "period", &["0", "-1"]),
+            ("congestion", "senders", &["0", "1", "9", "99"]),
+            ("urt", "u", &["0", "-1", "4611686018427387905"]),
         ];
-        let positional: &[(&str, &[&str])] = &[
-            ("cbr", &["0"]),
-            ("bernoulli", P),
-            ("onoff", &["1", "1.5", "-0.5", "nan"]),
-            ("congestion", &["0", "1", "17", "99"]),
+        // Whole specs: (spec, what the refusal names).
+        let whole: &[(&str, &str)] = &[
+            ("congestion:n=4,senders=5", "senders"),
+            ("congestion:n=1", "senders"),
+            // N < K = 8: u'*N/K rounds down to no coordinated input.
+            ("urt:n=4", "u'*N/K"),
+            ("urt:n=3,u=2", "u'*N/K"),
+            // Each of these was accepted and ignored.
+            ("attack:seed=3", "seed"),
+            ("attack:zz", "zz"),
+            ("urt:u=1,horizon=9", "horizon"),
         ];
         let mut rng = SplitMix64::new(0x0BAD_5BEC);
         let pick = |rng: &mut SplitMix64, n: usize| rng.below(n as u64) as usize;
         for _ in 0..2_000 {
-            let via_custom = rng.below(2) == 0;
-            let (spec, key) = if via_custom && rng.below(2) == 0 {
-                let (family, bad) = positional[pick(&mut rng, positional.len())];
-                (
-                    format!("{family}:{}", bad[pick(&mut rng, bad.len())]),
-                    family,
-                )
+            let (spec, key) = if rng.below(4) == 0 {
+                let (spec, key) = whole[pick(&mut rng, whole.len())];
+                (spec.to_string(), key)
             } else {
                 let (family, key, bad) = keyed[pick(&mut rng, keyed.len())];
-                // custom's `onoff:LOAD` is the positional family above.
-                if via_custom && family == "onoff" {
-                    continue;
-                }
                 let mut kvs = vec![format!("{key}={}", bad[pick(&mut rng, bad.len())])];
                 if rng.below(2) == 0 {
                     kvs.insert(pick(&mut rng, 2), format!("seed={}", rng.below(99)));
@@ -556,17 +553,15 @@ mod tests {
                 (format!("{family}:{}", kvs.join(",")), key)
             };
             let mut args = argv(&["--workload", &spec]);
-            if via_custom {
-                args.insert(pick(&mut rng, 2) * 2, "custom".into());
+            if rng.below(2) == 0 {
+                args.extend(argv(&["--algo", "rr"]));
             }
+            args.insert(pick(&mut rng, args.len() / 2 + 1) * 2, "run".into());
             let refusal = match parse(&args)
                 .unwrap_or_else(|e| panic!("{args:?}: {e}"))
                 .mode
             {
-                Mode::Workload { spec, k, r_prime } => {
-                    crate::workload_cli::run_workload(&spec, k, r_prime)
-                }
-                Mode::Custom(custom) => crate::custom::run_custom(&custom),
+                Mode::Run(run) => crate::run::run(&run),
                 other => panic!("{args:?} parsed to {other:?}"),
             };
             let msg = refusal.expect_err(&spec);
@@ -605,6 +600,73 @@ mod tests {
         }
         let table: BTreeSet<&str> = FLAGS.iter().map(|f| f.0).collect();
         assert_eq!(documented, table);
+    }
+
+    /// The `ppslab` command lines in the fenced blocks of `doc` — `ppslab`
+    /// or a path to it first on the line, after `cargo run … --bin`, or
+    /// after a report's `key :` — as the words after `ppslab` (and after
+    /// cargo's `--`), with `\` continuations joined, a trailing `# comment`
+    /// dropped and `"…"` quotes taken off.
+    fn command_lines(doc: &str) -> Vec<Vec<String>> {
+        let (mut lines, mut fenced, mut open) = (Vec::new(), false, None::<String>);
+        for line in doc.lines() {
+            if line.trim_start().starts_with("```") {
+                fenced = !fenced;
+                continue;
+            }
+            let text = line.split(" #").next().unwrap_or_default().to_string() + " ";
+            let head = match open.take() {
+                Some(head) => head + " " + &text,
+                None if fenced => match text.split_once("ppslab ") {
+                    Some((before, rest))
+                        if before.trim().is_empty()
+                            || before.ends_with('/')
+                            || [":", "--bin"]
+                                .iter()
+                                .any(|t| before.trim_end().ends_with(t)) =>
+                    {
+                        rest.to_string()
+                    }
+                    _ => continue,
+                },
+                None => continue,
+            };
+            match head.trim_end().strip_suffix('\\') {
+                Some(more) => open = Some(more.to_string()),
+                None => lines.push(head),
+            }
+        }
+        lines
+            .iter()
+            .map(|l| {
+                let words = l
+                    .split_whitespace()
+                    .map(|w| w.trim_matches('"').to_string());
+                words.skip_while(|w| w == "--").collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        // A relative path in the docs is relative to the repository root.
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+        let mut checked = 0;
+        for doc in [
+            include_str!("../../../README.md"),
+            include_str!("../../../EXPERIMENTS.md"),
+        ] {
+            for mut args in command_lines(doc) {
+                if let Some(i) = args.iter().position(|a| a == "--plan") {
+                    args[i + 1] = format!("{root}{}", args[i + 1]);
+                }
+                if let Err(e) = parse(&args) {
+                    panic!("a documented command line is refused: ppslab {args:?}: {e}");
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked >= 20, "only {checked} command lines found");
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod a1_fault;
 mod a2_speedup;
 mod a3_discipline;
 pub mod cli;
-pub mod custom;
 mod e01_partitioned;
 mod e02_unpartitioned;
 pub mod e03_fd_general;
@@ -66,7 +65,7 @@ mod e21_priority_classes;
 mod e22_qps_crossbar;
 mod e23_sw_qps;
 mod e24_cioq_maximal;
-pub mod workload_cli;
+pub mod run;
 
 use pps_analysis::Table;
 

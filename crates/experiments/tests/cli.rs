@@ -55,8 +55,8 @@ fn misparses_are_refused_at_the_surface() {
     let twice = ["--telemetry", "full", "--telemetry", "off", "e1"];
     assert_rejected(&twice, "--telemetry is given twice");
     // Accepted and ignored.
-    assert_rejected(&["--workload-k", "8", "e1"], "--workload-k does not apply");
-    assert_rejected(&["custom", "--csv"], "--csv does not apply in Custom mode");
+    assert_rejected(&["--k", "8", "e1"], "--k does not apply");
+    assert_rejected(&["run", "--csv"], "--csv does not apply in Run mode");
     // The flag that could not change a byte of output is gone, both places.
     assert_rejected(&["--stepping", "dense", "e1"], "unknown flag --stepping");
     assert_rejected(&["chaos", "--stepping", "dense"], "unknown flag --stepping");
@@ -76,19 +76,51 @@ fn settings_work_in_every_mode_and_position() {
     let after = ppslab(&[&["chaos"][..], &chaos[..], &["--jobs", "1"][..]].concat());
     assert_eq!(before.status.code(), Some(0), "{before:?}");
     assert_eq!(before.stdout, after.stdout);
-    let custom = ["custom", "--algo", "rr", "--workload", "attack"];
-    let out = ppslab(&[&custom[..], &["--telemetry", "counters"][..]].concat());
+    let run = ["run", "--algo", "rr", "--workload", "attack:n=16"];
+    let out = ppslab(&[&run[..], &["--telemetry", "counters"][..]].concat());
     assert_eq!(out.status.code(), Some(0), "{out:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("telemetry counters:"), "{stderr}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("relative delay (max) : 45"));
+    // The max column of the one row: (r'-1)(N-1) = 45.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with("rr "))
+        .expect("an rr row");
+    assert_eq!(row.split_whitespace().nth(4), Some("45"), "{stdout}");
 }
 
-/// `custom` refuses what it cannot run — a `:param` a constructor would
+/// The two ad-hoc modes `run` replaced exit 2 with `error:` instead of
+/// running something else.
+#[test]
+fn the_old_ad_hoc_spellings_are_refused() {
+    assert_rejected(&["custom"], "unknown experiment id custom");
+    let custom = ["custom", "--algo", "rr", "--workload", "attack"];
+    assert_rejected(&custom, "does not apply in Experiments mode");
+    assert_rejected(
+        &["--workload", "uniform:n=8"],
+        "--workload does not apply in Experiments mode",
+    );
+}
+
+/// Theorem 10's burst needs `m = u'*N/K >= 1` coordinated inputs: below
+/// that (any N < K at u' = 1) the spec is refused, not a panic in the
+/// attack's constructor.
+#[test]
+fn urt_without_a_coordinated_input_is_refused() {
+    assert_rejected(&["run", "--workload", "urt:n=4"], "u'*N/K >= 1");
+    let one = ["run", "--workload", "urt:n=7,u=1", "--algo", "stale:2"];
+    assert_rejected(&one, "(got N = 7, K = 8, u' = 1)");
+    // At N = K the burst has one input and runs.
+    let out = ppslab(&["run", "--workload", "urt:n=8", "--algo", "stale:2"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+/// `run` refuses what it cannot run — a `:param` a constructor would
 /// `assert!` on, a geometry too small for the family — with `error:` and
 /// exit 2, never a panic. One row per `--algo` family.
 #[test]
-fn custom_never_panics_on_its_own_input() {
+fn run_never_panics_on_its_own_input() {
     // (a spelling that runs on the default geometry, one that must not)
     let families = [
         ("rr", "rr:3"),
@@ -105,11 +137,12 @@ fn custom_never_panics_on_its_own_input() {
         ("cpa", "cpa:1"),
     ];
     for (good, bad_param) in families {
+        let spec = ["run", "--workload", "uniform:n=16,horizon=50", "--algo"];
         let cases = [
-            ["custom", "--algo", bad_param, "--slots", "50"].to_vec(),
+            [&spec[..], &[bad_param]].concat(),
             // K < r': no bufferless PPS exists, whatever the algorithm.
-            ["custom", "--algo", good, "--k", "2", "--rprime", "4"].to_vec(),
-            ["custom", "--algo", good, "--n", "0"].to_vec(),
+            [&spec[..], &[good, "--k", "2", "--rprime", "4"]].concat(),
+            ["run", "--workload", "uniform:n=0", "--algo", good].to_vec(),
         ];
         for args in cases {
             let out = ppslab(&args);
@@ -121,7 +154,17 @@ fn custom_never_panics_on_its_own_input() {
         }
     }
     // FTD's plane sets are 128-bit masks.
-    let wide = ["custom", "--algo", "ftd", "--k", "256", "--rprime", "2"];
+    let wide = [
+        "run",
+        "--workload",
+        "uniform:horizon=50",
+        "--algo",
+        "ftd",
+        "--k",
+        "256",
+        "--rprime",
+        "2",
+    ];
     assert_rejected(&wide, "<= K <= 128");
 }
 
@@ -129,13 +172,13 @@ fn custom_never_panics_on_its_own_input() {
 /// `error:` and exit 2 before any trace is built.
 #[test]
 fn geometry_past_sixteen_bits_is_refused() {
-    assert_rejected(&["custom", "--n", "70000"], "N must be at most 65536");
-    assert_rejected(&["custom", "--k", "70000"], "K must be at most 65535");
     assert_rejected(
-        &["--workload", "uniform:n=70000"],
+        &["run", "--workload", "uniform:n=70000"],
         "n must be at most 65536, got 70000",
     );
-    let k = ["--workload", "uniform:n=8", "--workload-k", "70000"];
+    let attack = ["run", "--workload", "attack:n=70000", "--algo", "rr"];
+    assert_rejected(&attack, "n must be at most 65536, got 70000");
+    let k = ["run", "--workload", "uniform:n=8", "--k", "70000"];
     assert_rejected(&k, "K must be at most 65535");
 }
 

@@ -6,19 +6,16 @@
 //!
 //! * [`bernoulli::BernoulliGen`] — i.i.d. Bernoulli arrivals at load `ρ`;
 //! * [`onoff::OnOffGen`] — bursty on/off (geometric burst lengths), the
-//!   classic stress for output contention;
-//! * [`cbr::CbrGen`] — constant-bit-rate, perfectly smooth flows.
+//!   classic stress for output contention.
 //!
 //! Destinations follow a [`TrafficPattern`]: uniform, hotspot (a fraction
 //! of traffic aimed at one output), a fixed permutation, or diagonal
 //! (input `i` → output `i`, the zero-contention baseline).
 
 mod bernoulli;
-mod cbr;
 mod onoff;
 
 pub use bernoulli::BernoulliGen;
-pub use cbr::CbrGen;
 pub use onoff::OnOffGen;
 
 use rand::rngs::StdRng;

@@ -7,8 +7,8 @@
 //!   `(R, B)` leaky-bucket constrained flows, with an exact minimal-
 //!   burstiness calculator, a conformance validator, and a greedy shaper.
 //! * [`gen`] — stochastic workload generators (Bernoulli i.i.d., bursty
-//!   on/off, CBR, with uniform / hotspot / permutation / diagonal
-//!   destination patterns) for the throughput/latency experiments.
+//!   on/off, with uniform / hotspot / permutation / diagonal destination
+//!   patterns) for the throughput/latency experiments.
 //! * [`adversary`] — the executable lower-bound constructions: the
 //!   alignment + quiescence + concentration traffic of Theorem 6 /
 //!   Corollary 7 / Theorem 8 / Theorem 13 (Figure 2), the hidden-window

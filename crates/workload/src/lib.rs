@@ -20,6 +20,8 @@
 //!   policing that makes any stream *admissible by construction*
 //!   ([`LbContract`], integer-exact over [`pps_core::rate::Ratio`]).
 //! * `ReplayStream` — recorded/CSV traces through the same pipe.
+//! * `DiagonalCbr` — constant-bit-rate control traffic, one cell per
+//!   period per input, input `i` to output `i`.
 //! * `classes` — multi-class tagging and the strict-priority output mux
 //!   for per-class tail comparisons.
 //!
@@ -30,10 +32,11 @@
 //! across machines, `--jobs` widths, and dense vs skip-ahead walks
 //! (property-tested in `tests/property.rs`).
 //!
-//! [`WorkloadSpec`] is the textual surface: `ppslab --workload
+//! [`WorkloadSpec`] is the textual surface: `ppslab run --workload
 //! "zipf:n=8,load=0.85,s=1.1,flows=1048576,seed=7"` parses here, as do
 //! the chaos harness's stochastic corpus draws.
 
+mod cbr;
 mod classes;
 mod mmpp;
 mod replay;
@@ -45,6 +48,6 @@ mod zipf;
 pub use classes::{priority_oq_delays, ClassedTrace};
 pub use mmpp::{MmppGen, OnOffBurstGen, Phase};
 pub use shaped::{Shaped, UniformGen};
-pub use spec::WorkloadSpec;
+pub use spec::{SpecKeys, WorkloadSpec};
 pub use stream::{materialize, materialize_dense, ArrivalStream, LbContract};
 pub use zipf::ZipfGen;

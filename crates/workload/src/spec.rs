@@ -11,10 +11,20 @@
 //! | `uniform`| `n=8` `load=0.8` `seed=1` `horizon=20000`                              |
 //! | `shaped` | `n=8` `load=0.9` `num=3` `den=4` `burst=8` `seed=1` `horizon=20000`    |
 //! | `replay` | `path=<csv>` `n=8` `repeat=1`                                          |
+//! | `cbr`    | `n=8` `period=2` `horizon=20000`                                       |
+//! | `congestion` | `n=8` `senders=2` `horizon=20000`                                  |
+//!
+//! `cbr` is diagonal constant-bit-rate traffic (input `i` sends to output
+//! `i` every `period` slots, phases staggered) and `congestion` is the
+//! Theorem 14 overload of output 0 at `senders` cells per slot
+//! (`pps_traffic::adversary::congestion_traffic`); neither draws a random
+//! number. [`SpecKeys`] is the grammar itself, for spec words that need
+//! more than a trace to build.
 //!
 //! The spec string is the unit of reproducibility: report it, and anyone
 //! can regenerate the identical trace.
 
+use crate::cbr::DiagonalCbr;
 use crate::mmpp::{MmppGen, OnOffBurstGen, Phase};
 use crate::replay::ReplayStream;
 use crate::shaped::{Shaped, UniformGen};
@@ -22,6 +32,7 @@ use crate::stream::{materialize, ArrivalStream, LbContract};
 use crate::zipf::ZipfGen;
 use pps_core::prelude::*;
 use pps_core::trace::MAX_PORTS;
+use pps_traffic::adversary::congestion_traffic;
 
 /// A parsed `--workload` specification; build streams with
 /// [`WorkloadSpec::stream`] or go straight to a trace with
@@ -102,26 +113,54 @@ pub enum WorkloadSpec {
         /// Times to tile the trace end-to-end.
         repeat: u64,
     },
+    /// Diagonal constant-bit-rate traffic (`cbr:`).
+    Cbr {
+        /// Switch ports.
+        n: usize,
+        /// One cell per `period` slots per input.
+        period: Slot,
+        /// Slots to generate.
+        horizon: Slot,
+    },
+    /// Overload of output 0 (`congestion:`).
+    Congestion {
+        /// Switch ports.
+        n: usize,
+        /// Cells per slot offered to output 0, from rotating inputs.
+        senders: usize,
+        /// Slots to generate.
+        horizon: Slot,
+    },
 }
 
-fn parse_kvs(body: &str) -> Result<Vec<(&str, &str)>, String> {
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|kv| {
-            kv.split_once('=')
-                .ok_or_else(|| format!("expected key=value, got {kv:?}"))
-        })
-        .collect()
-}
-
-struct Fields<'a> {
-    kvs: Vec<(&'a str, &'a str)>,
+/// The keyed grammar every spec is written in: `family:key=value,…`. Each
+/// key is taken once, with a range check where a generator would
+/// `assert!`; [`finish`](Self::finish) refuses whatever key is left.
+pub struct SpecKeys<'a> {
     family: &'a str,
+    kvs: Vec<(&'a str, &'a str)>,
 }
 
-impl<'a> Fields<'a> {
+impl<'a> SpecKeys<'a> {
+    /// Split `spec` into its family word and its `key=value` pairs.
+    pub fn parse(spec: &'a str) -> Result<Self, String> {
+        let (family, body) = spec.split_once(':').unwrap_or((spec, ""));
+        let pair = |kv: &'a str| {
+            kv.split_once('=')
+                .ok_or_else(|| format!("{family}: expected key=value, got {kv:?}"))
+        };
+        let kvs = match body {
+            "" => Vec::new(),
+            _ => body.split(',').map(pair).collect::<Result<_, _>>()?,
+        };
+        Ok(SpecKeys { family, kvs })
+    }
+
+    /// The word before the `:`.
+    pub fn family(&self) -> &'a str {
+        self.family
+    }
+
     fn take(&mut self, key: &str) -> Option<&'a str> {
         let i = self.kvs.iter().position(|(k, _)| *k == key)?;
         Some(self.kvs.remove(i).1)
@@ -136,9 +175,10 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// [`num`](Self::num), refused unless `ok` accepts it: the generators
-    /// `assert!` these ranges, and a spec is typed by a user.
-    fn num_where<T: std::str::FromStr + std::fmt::Display>(
+    /// The number under `key` (`default` when absent), refused unless `ok`
+    /// accepts it: the generators `assert!` these ranges, and a spec is
+    /// typed by a user.
+    pub fn num_where<T: std::str::FromStr + std::fmt::Display>(
         &mut self,
         key: &str,
         default: T,
@@ -163,8 +203,8 @@ impl<'a> Fields<'a> {
         self.num_where(key, default, "in (0, 1]", |&p| p > 0.0 && p <= 1.0)
     }
 
-    /// Switch ports, `n`: a trace names at most [`MAX_PORTS`] of them.
-    fn ports(&mut self) -> Result<usize, String> {
+    /// Switch ports, `n` (default 8): a trace names at most [`MAX_PORTS`].
+    pub fn ports(&mut self) -> Result<usize, String> {
         let want = format!("at most {MAX_PORTS}");
         self.num_where("n", 8, &want, |&n| n <= MAX_PORTS)
     }
@@ -174,7 +214,12 @@ impl<'a> Fields<'a> {
         self.num_where(key, default, "at least 1", |&c| c >= 1)
     }
 
-    fn finish(self) -> Result<(), String> {
+    fn horizon(&mut self) -> Result<Slot, String> {
+        self.num("horizon", 20_000)
+    }
+
+    /// Refuse the spec if a key is left that nothing took.
+    pub fn finish(self) -> Result<(), String> {
         if let Some((k, _)) = self.kvs.first() {
             return Err(format!("{}: unknown key {k:?}", self.family));
         }
@@ -185,12 +230,8 @@ impl<'a> Fields<'a> {
 impl WorkloadSpec {
     /// Parse `family:key=value,…`.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let (family, body) = spec.split_once(':').unwrap_or((spec, ""));
-        let mut f = Fields {
-            kvs: parse_kvs(body)?,
-            family,
-        };
-        let parsed = match family {
+        let mut f = SpecKeys::parse(spec)?;
+        let parsed = match f.family() {
             "zipf" => WorkloadSpec::Zipf {
                 n: f.ports()?,
                 load: f.prob("load", 0.8)?,
@@ -199,7 +240,7 @@ impl WorkloadSpec {
                 })?,
                 flows: f.count("flows", 1 << 20)?,
                 seed: f.num("seed", 1)?,
-                horizon: f.num("horizon", 20_000)?,
+                horizon: f.horizon()?,
             },
             "mmpp" => WorkloadSpec::Mmpp {
                 n: f.ports()?,
@@ -212,20 +253,20 @@ impl WorkloadSpec {
                     exit_p: f.rate("burst_exit", 0.05)?,
                 },
                 seed: f.num("seed", 1)?,
-                horizon: f.num("horizon", 20_000)?,
+                horizon: f.horizon()?,
             },
             "onoff" => WorkloadSpec::OnOff {
                 n: f.ports()?,
                 on_p: f.rate("on", 0.02)?,
                 off_p: f.rate("off", 0.2)?,
                 seed: f.num("seed", 1)?,
-                horizon: f.num("horizon", 20_000)?,
+                horizon: f.horizon()?,
             },
             "uniform" => WorkloadSpec::Uniform {
                 n: f.ports()?,
                 load: f.prob("load", 0.8)?,
                 seed: f.num("seed", 1)?,
-                horizon: f.num("horizon", 20_000)?,
+                horizon: f.horizon()?,
             },
             "shaped" => WorkloadSpec::Shaped {
                 n: f.ports()?,
@@ -236,7 +277,7 @@ impl WorkloadSpec {
                     f.count("burst", 8)?,
                 ),
                 seed: f.num("seed", 1)?,
-                horizon: f.num("horizon", 20_000)?,
+                horizon: f.horizon()?,
             },
             "replay" => {
                 let path = f
@@ -249,9 +290,24 @@ impl WorkloadSpec {
                     repeat: f.num("repeat", 1)?,
                 }
             }
+            "cbr" => WorkloadSpec::Cbr {
+                n: f.ports()?,
+                period: f.count("period", 2)?,
+                horizon: f.horizon()?,
+            },
+            "congestion" => {
+                let n = f.ports()?;
+                let want = format!("in [2, n = {n}]");
+                WorkloadSpec::Congestion {
+                    n,
+                    senders: f.num_where("senders", 2, &want, |s| (2..=n).contains(s))?,
+                    horizon: f.horizon()?,
+                }
+            }
             other => {
                 return Err(format!(
-                    "unknown workload family {other:?} (expected zipf|mmpp|onoff|uniform|shaped|replay)"
+                    "unknown workload family {other:?} \
+                     (expected zipf|mmpp|onoff|uniform|shaped|replay|cbr|congestion)"
                 ))
             }
         };
@@ -267,19 +323,9 @@ impl WorkloadSpec {
             | WorkloadSpec::OnOff { n, .. }
             | WorkloadSpec::Uniform { n, .. }
             | WorkloadSpec::Shaped { n, .. }
-            | WorkloadSpec::Replay { n, .. } => n,
-        }
-    }
-
-    /// The family keyword (for labeling outputs).
-    pub fn family(&self) -> &'static str {
-        match self {
-            WorkloadSpec::Zipf { .. } => "zipf",
-            WorkloadSpec::Mmpp { .. } => "mmpp",
-            WorkloadSpec::OnOff { .. } => "onoff",
-            WorkloadSpec::Uniform { .. } => "uniform",
-            WorkloadSpec::Shaped { .. } => "shaped",
-            WorkloadSpec::Replay { .. } => "replay",
+            | WorkloadSpec::Replay { n, .. }
+            | WorkloadSpec::Cbr { n, .. }
+            | WorkloadSpec::Congestion { n, .. } => n,
         }
     }
 
@@ -324,6 +370,15 @@ impl WorkloadSpec {
                     .map_err(|e| format!("replay: {e}"))?;
                 Box::new(ReplayStream::repeated(&trace, *n, *repeat))
             }
+            &WorkloadSpec::Cbr { n, period, .. } => Box::new(DiagonalCbr { n, period }),
+            &WorkloadSpec::Congestion {
+                n,
+                senders,
+                horizon,
+            } => {
+                let trace = congestion_traffic(n, 0, senders, horizon).trace;
+                Box::new(ReplayStream::repeated(&trace, n, 1))
+            }
         })
     }
 
@@ -336,7 +391,9 @@ impl WorkloadSpec {
             | WorkloadSpec::Mmpp { horizon, .. }
             | WorkloadSpec::OnOff { horizon, .. }
             | WorkloadSpec::Uniform { horizon, .. }
-            | WorkloadSpec::Shaped { horizon, .. } => horizon,
+            | WorkloadSpec::Shaped { horizon, .. }
+            | WorkloadSpec::Cbr { horizon, .. }
+            | WorkloadSpec::Congestion { horizon, .. } => horizon,
             // Replay everything: the stream knows its own end.
             WorkloadSpec::Replay { .. } => Slot::MAX,
         };
@@ -392,6 +449,9 @@ mod tests {
             "shaped:burst=0",
             "uniform:n=65537",
             "replay:path=t.csv,n=70000",
+            "cbr:period=0",
+            "congestion:senders=1",
+            "congestion:n=4,senders=5",
         ] {
             let err = WorkloadSpec::parse(spec).expect_err(spec);
             assert!(err.contains("must be"), "{spec}: {err}");
@@ -402,6 +462,8 @@ mod tests {
             "mmpp:calm=0,burst_exit=1",
             "zipf:flows=1",
             "onoff:n=65536",
+            "cbr:period=1",
+            "congestion:n=4,senders=4",
         ] {
             assert!(WorkloadSpec::parse(spec).is_ok(), "{spec}");
         }

@@ -130,7 +130,7 @@ proptest! {
         if let WorkloadSpec::Replay { path, .. } = &spec {
             let _ = std::fs::remove_file(path);
         }
-        prop_assert_eq!(&streamed, &built.unwrap(), "{}", spec.family());
+        prop_assert_eq!(&streamed, &built.unwrap(), "{:?}", spec);
         prop_assert!(!streamed.is_empty());
     }
 
@@ -144,7 +144,7 @@ proptest! {
         let spec = WorkloadSpec::parse(&spec_string(family, n, seed, pct)).unwrap();
         let skip = materialize(spec.stream().unwrap().as_mut(), HORIZON);
         let dense = materialize_dense(spec.stream().unwrap().as_mut(), HORIZON);
-        prop_assert_eq!(&skip, &dense, "skip/dense diverge for {}", spec.family());
+        prop_assert_eq!(&skip, &dense, "skip/dense diverge for {:?}", spec);
         // Two independently built streams from one spec: the same cells —
         // the seed is the whole story, construction order is not.
         let again = materialize(spec.stream().unwrap().as_mut(), HORIZON);

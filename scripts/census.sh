@@ -16,9 +16,11 @@
 # * process statics: non-test `static` items, `thread_local!` ones included.
 # * ppslab flags: distinct `"--name"` string literals in the non-test part
 #   of the files that parse argv — the one pass (crates/experiments/src/
-#   cli.rs; bin/ppslab.rs + custom.rs before it existed) and the campaign
-#   flags (crates/chaos/src/cli.rs). A spelling counts once however many
-#   grammars accept it.
+#   cli.rs; bin/ppslab.rs + the old ad-hoc mode's custom.rs before it
+#   existed) and the campaign flags (crates/chaos/src/cli.rs). A spelling
+#   counts once however many grammars accept it.
+# * ppslab modes: the variants of `cli::Mode` (the `pub enum Mode` block
+#   of crates/experiments/src/cli.rs; 0 before that file existed).
 # * argv parsers: non-test functions that walk an argv iterator
 #   (`while let Some(..) = it.next()`), plus closures over `flag_value`.
 # * exit sites: `process::exit` calls in bin/ppslab.rs.
@@ -71,6 +73,16 @@ fi
 flags=$(nontest $flag_files | grep -oE '"--[a-z][a-z-]*"' | sort -u | wc -l)
 # shellcheck disable=SC2086
 parsers=$(nontest $flag_files | grep -cE 'while let Some\(.*\) = it\.next\(\)|let parse_dim = ')
+modes=0
+if [ -f crates/experiments/src/cli.rs ]; then
+    modes=$(awk '
+        /^pub enum Mode \{/ { inside = 1; next }
+        inside && /^\}/ { exit }
+        inside && /^    [A-Z][A-Za-z]*( \{|[,(])/ { n++ }
+        END { print n + 0 }
+    ' crates/experiments/src/cli.rs)
+fi
 echo "ppslab flags         $flags"
+echo "ppslab modes         $modes"
 echo "argv parsers         $parsers"
 echo "ppslab exit sites    $(grep -c 'process::exit' crates/experiments/src/bin/ppslab.rs)"
