@@ -23,6 +23,9 @@ mod table;
 
 pub use degradation::{fault_impact, FaultImpact};
 pub use distribution::{relative_delays, TailQuantiles};
-pub use lockstep::{compare_buffered, compare_bufferless, compare_bufferless_faulted, Comparison};
+pub use lockstep::{
+    compare_buffered, compare_buffered_in, compare_bufferless, compare_bufferless_faulted,
+    compare_bufferless_faulted_in, compare_bufferless_in, Comparison,
+};
 pub use plot::AsciiChart;
 pub use table::Table;

@@ -8,7 +8,8 @@
 
 use crate::metrics::{self, RelativeDelay};
 use pps_core::prelude::*;
-use pps_reference::oq::run_oq;
+use pps_core::process;
+use pps_reference::oq::run_oq_in;
 use pps_switch::engine::{BufferedPps, BufferlessPps, InputStage, Pps, PpsRun};
 use pps_switch::fabric::FabricStats;
 
@@ -52,31 +53,37 @@ impl Comparison {
     }
 }
 
-/// The one lockstep: run `trace` through `pps` — built and configured
-/// (fault plan, stepping mode) by the caller — and through the shadow OQ
-/// switch. The shadow switch stays fault-free whatever `pps` replays:
-/// relative metrics then measure pure degradation, not a shifted baseline.
-fn compare<S: InputStage>(mut pps: Pps<S>, trace: &Trace) -> Result<Comparison, ModelError> {
+/// The one lockstep: run `trace` through `pps` — built in the run `sink`
+/// records and configured (fault plan) by the caller — and through the
+/// shadow OQ switch. The shadow switch stays fault-free whatever `pps`
+/// replays: relative metrics then measure pure degradation, not a shifted
+/// baseline.
+fn compare<S: InputStage>(
+    mut pps: Pps<S>,
+    trace: &Trace,
+    sink: &Sink,
+) -> Result<Comparison, ModelError> {
     let n = pps.fabric().cfg().n;
     let run = pps.run(trace)?;
     // Free the fabric (K·N plane queues, N² flow states) before the
     // shadow run allocates its log: the two never need to coexist.
     drop(pps);
-    let oq = run_oq(trace, n);
+    let oq = run_oq_in(trace, n, sink);
     Ok(Comparison { pps: run, oq, n })
 }
 
 /// Run `trace` through a bufferless PPS with `demux` and through the shadow
-/// OQ switch.
+/// OQ switch, in the run `sink` records.
 ///
 /// ```
 /// use pps_core::prelude::*;
+/// use pps_core::run::Sink;
 /// use pps_switch::demux::RoundRobinDemux;
-/// use pps_analysis::compare_bufferless;
+/// use pps_analysis::compare_bufferless_in;
 ///
 /// let cfg = PpsConfig::bufferless(4, 4, 2);
 /// let trace = Trace::build(vec![Arrival::new(0, 0, 1), Arrival::new(0, 1, 1)], 4)?;
-/// let cmp = compare_bufferless(cfg, RoundRobinDemux::new(4, 4), &trace)?;
+/// let cmp = compare_bufferless_in(cfg, RoundRobinDemux::new(4, 4), &trace, &Sink::default())?;
 /// // Both round-robin pointers start at plane 0, so the two same-slot
 /// // cells concentrate on it — a miniature Corollary 7: the second cell
 /// // leaves one slot later than in the reference switch.
@@ -84,41 +91,79 @@ fn compare<S: InputStage>(mut pps: Pps<S>, trace: &Trace) -> Result<Comparison, 
 /// assert_eq!(cmp.max_concentration(), 2);
 /// # Ok::<(), pps_core::ModelError>(())
 /// ```
+pub fn compare_bufferless_in<D: Demultiplexor>(
+    cfg: PpsConfig,
+    demux: D,
+    trace: &Trace,
+    sink: &Sink,
+) -> Result<Comparison, ModelError> {
+    compare(BufferlessPps::new_in(cfg, demux, sink)?, trace, sink)
+}
+
+/// Run `trace` through an input-buffered PPS with `demux` and through the
+/// shadow OQ switch, in the run `sink` records.
+pub fn compare_buffered_in<D: BufferedDemultiplexor>(
+    cfg: PpsConfig,
+    demux: D,
+    trace: &Trace,
+    sink: &Sink,
+) -> Result<Comparison, ModelError> {
+    compare(BufferedPps::new_in(cfg, demux, sink)?, trace, sink)
+}
+
+/// Like [`compare_bufferless_in`], but the PPS replays the scripted
+/// `faults` mid-run.
+pub fn compare_bufferless_faulted_in<D: Demultiplexor>(
+    cfg: PpsConfig,
+    demux: D,
+    trace: &Trace,
+    faults: &FaultPlan,
+    sink: &Sink,
+) -> Result<Comparison, ModelError> {
+    let mut pps = BufferlessPps::new_in(cfg, demux, sink)?;
+    pps.set_fault_plan(faults)?;
+    compare(pps, trace, sink)
+}
+
+/// [`compare_bufferless_in`] on the process default: a shim of the
+/// benchmark seam (DESIGN.md, "The benchmark's surface").
 pub fn compare_bufferless<D: Demultiplexor>(
     cfg: PpsConfig,
     demux: D,
     trace: &Trace,
 ) -> Result<Comparison, ModelError> {
-    compare(BufferlessPps::new(cfg, demux)?, trace)
+    compare_bufferless_in(cfg, demux, trace, &process::sink())
 }
 
-/// Run `trace` through an input-buffered PPS with `demux` and through the
-/// shadow OQ switch.
+/// [`compare_buffered_in`] on the process default: a shim of the
+/// benchmark seam.
 pub fn compare_buffered<D: BufferedDemultiplexor>(
     cfg: PpsConfig,
     demux: D,
     trace: &Trace,
 ) -> Result<Comparison, ModelError> {
-    compare(BufferedPps::new(cfg, demux)?, trace)
+    compare_buffered_in(cfg, demux, trace, &process::sink())
 }
 
-/// Like [`compare_bufferless`], but the PPS replays the scripted `faults`
-/// mid-run.
+/// [`compare_bufferless_faulted_in`] on the process default: a shim of the
+/// benchmark seam.
 pub fn compare_bufferless_faulted<D: Demultiplexor>(
     cfg: PpsConfig,
     demux: D,
     trace: &Trace,
     faults: &FaultPlan,
 ) -> Result<Comparison, ModelError> {
-    let mut pps = BufferlessPps::new(cfg, demux)?;
-    pps.set_fault_plan(faults)?;
-    compare(pps, trace)
+    compare_bufferless_faulted_in(cfg, demux, trace, faults, &process::sink())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
+
+    fn sink() -> Sink {
+        Sink::default()
+    }
 
     fn diag_trace(n: usize, slots: Slot) -> Trace {
         let mut v = Vec::new();
@@ -135,7 +180,9 @@ mod tests {
         // One flow per output: no contention anywhere, both switches are
         // pass-through.
         let cfg = PpsConfig::bufferless(4, 4, 2);
-        let cmp = compare_bufferless(cfg, RoundRobinDemux::new(4, 4), &diag_trace(4, 64)).unwrap();
+        let cmp =
+            compare_bufferless_in(cfg, RoundRobinDemux::new(4, 4), &diag_trace(4, 64), &sink())
+                .unwrap();
         let rd = cmp.relative_delay();
         assert_eq!(rd.pps_undelivered, 0);
         assert_eq!(rd.max, 0, "diagonal traffic must be pass-through");
@@ -145,8 +192,13 @@ mod tests {
     #[test]
     fn buffered_engine_compares_too() {
         let cfg = PpsConfig::buffered(4, 4, 2, 8);
-        let cmp =
-            compare_buffered(cfg, BufferedRoundRobinDemux::new(4, 4), &diag_trace(4, 32)).unwrap();
+        let cmp = compare_buffered_in(
+            cfg,
+            BufferedRoundRobinDemux::new(4, 4),
+            &diag_trace(4, 32),
+            &sink(),
+        )
+        .unwrap();
         assert_eq!(cmp.relative_delay().pps_undelivered, 0);
         assert!(cmp.relative_delay().max <= 1);
     }
@@ -161,7 +213,7 @@ mod tests {
             2,
         )
         .unwrap();
-        let cmp = compare_bufferless(cfg, RoundRobinDemux::new(2, 2), &t).unwrap();
+        let cmp = compare_bufferless_in(cfg, RoundRobinDemux::new(2, 2), &t, &sink()).unwrap();
         assert!(cmp.max_concentration() >= 4);
     }
 }

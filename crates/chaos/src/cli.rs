@@ -2,7 +2,8 @@
 //!
 //! Lives here (not in the driver binary) so the harness tests exercise
 //! the exact code path the CLI runs, flag parsing included: `ppslab`'s one
-//! argv pass keeps `--jobs` / `--telemetry` and hands [`parse`] the rest.
+//! argv pass turns `--jobs` / `--telemetry` into the [`RunSpec`] it hands
+//! [`run`], and hands [`parse`] the rest.
 //! All errors are typed: the driver prints them and exits nonzero instead
 //! of panicking on a bad flag or an unwritable repro directory.
 
@@ -11,13 +12,12 @@ use crate::report::{case_line, failure_block, render, write_repro};
 use crate::runner::{run_case, CaseOutcome, RunOpts};
 use crate::shrink::{shrink, ShrinkResult};
 use pps_core::fault::FaultPlan;
+use pps_core::run::RunSpec;
 use pps_core::sweep::SweepPlan;
-use pps_core::telemetry::{self, Level};
+use pps_core::telemetry::{Level, Meters};
 use pps_core::time::Slot;
-use pps_core::workers;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
 
 /// A user-facing chaos-driver error. Every variant maps to a message and
 /// a nonzero exit, never a panic.
@@ -59,8 +59,6 @@ pub struct ChaosOptions {
     pub cases: usize,
     /// Arrival horizon per case, in slots.
     pub budget_slots: Slot,
-    /// Worker budget override for the harness tests (`None`: as `--jobs` set it).
-    pub jobs: Option<usize>,
     /// Where minimized repros are written.
     pub repro_out: PathBuf,
     /// Run only this case index (repro replay).
@@ -72,9 +70,6 @@ pub struct ChaosOptions {
     pub truncate_at: Option<Slot>,
     /// Arm the test-only conservation-leak hook this many times per case.
     pub inject_leak: u32,
-    /// Run every case in this stepping mode instead of skip-ahead: set by
-    /// the harness's dense ≡ skip test, by no flag.
-    pub force_stepping: Option<pps_core::Stepping>,
 }
 
 impl Default for ChaosOptions {
@@ -83,13 +78,11 @@ impl Default for ChaosOptions {
             seed: 42,
             cases: 64,
             budget_slots: 256,
-            jobs: None,
             repro_out: PathBuf::from("chaos-repros"),
             only_case: None,
             plan_override: None,
             truncate_at: None,
             inject_leak: 0,
-            force_stepping: None,
         }
     }
 }
@@ -147,35 +140,29 @@ pub fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
     Ok(opts)
 }
 
-/// A finished chaos run: the rendered report and the failure count.
+/// A finished chaos run: the rendered report, the failure count and what
+/// the campaign metered.
 #[derive(Debug)]
 pub struct ChaosReport {
     /// The full deterministic report (byte-identical at any job count).
     pub text: String,
     /// Number of failing cases (0 means the run is green).
     pub failed: usize,
+    /// Slots and events of every case run, shrinking included.
+    pub meters: Meters,
 }
 
-/// Run a chaos campaign. The report bytes depend only on the options —
-/// cases fan out over the worker budget via the deterministic sweep
-/// executor, results merge in case order, and repros are written from
-/// this thread in that same order.
-pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
-    // A campaign sets two process-wide knobs (the worker budget, the
-    // telemetry level) and restores the level when its cases are done;
-    // a second campaign in the same process — sibling harness tests —
-    // restoring `Off` mid-flight would blind this one's stream oracles.
-    // Campaigns therefore take turns. The lock guards no data, so a
-    // poisoned one (a sibling campaign panicked) is taken all the same.
-    static CAMPAIGN: Mutex<()> = Mutex::new(());
-    let campaign = CAMPAIGN.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(jobs) = opts.jobs {
-        workers::set_jobs(jobs);
-    }
-    // The stream oracles fold over the telemetry event log: recording must
-    // be on for the duration of the campaign.
-    let prev_level = telemetry::level();
-    telemetry::set_level(Level::Full);
+/// Run a chaos campaign on `spec`'s worker budget and stepping mode. The
+/// report bytes depend only on the options — cases fan out over the
+/// worker budget via the deterministic sweep executor, results merge in
+/// case order, and repros are written from this thread in that same
+/// order. The campaign records at `full` whatever `spec` says: its stream
+/// oracles fold over each case's event log.
+pub fn run(opts: &ChaosOptions, spec: &RunSpec) -> Result<ChaosReport, ChaosError> {
+    let campaign = RunSpec {
+        telemetry: Level::Full,
+        ..*spec
+    };
 
     let indices: Vec<usize> = match opts.only_case {
         Some(i) => vec![i],
@@ -184,7 +171,6 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
     let run_opts = RunOpts {
         keep_events: false,
         inject_leak: opts.inject_leak,
-        force_stepping: opts.force_stepping,
         force_cioq_speedup: None,
     };
     let seed = opts.seed;
@@ -192,8 +178,8 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
     let plan_override = opts.plan_override.clone();
     let truncate_at = opts.truncate_at;
 
-    let results: Vec<(ChaosCase, CaseOutcome, Option<ShrinkResult>)> =
-        SweepPlan::new("chaos", indices).run(|pt| {
+    let report = pps_core::run::run(&campaign, "chaos", |sink| {
+        SweepPlan::new_in("chaos", indices, sink).run(|pt| {
             let mut case = ChaosCase::generate(seed, *pt.params, budget);
             if let Some(p) = &plan_override {
                 case.plan = p.clone();
@@ -201,13 +187,12 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
             if let Some(t) = truncate_at {
                 case.truncate_at = Some(t);
             }
-            let out = run_case(&case, run_opts);
-            let shrunk = out.failed().then(|| shrink(&case, &out, run_opts));
+            let out = run_case(&case, run_opts, pt.sink);
+            let shrunk = out.failed().then(|| shrink(&case, &out, run_opts, pt.sink));
             (case, out, shrunk)
-        });
-
-    telemetry::set_level(prev_level);
-    drop(campaign);
+        })
+    });
+    let results: Vec<(ChaosCase, CaseOutcome, Option<ShrinkResult>)> = report.output;
 
     let mut lines = Vec::with_capacity(results.len());
     let mut failed = 0usize;
@@ -244,6 +229,7 @@ pub fn run(opts: &ChaosOptions) -> Result<ChaosReport, ChaosError> {
     Ok(ChaosReport {
         text: render(seed, budget, &lines, failed, cells, fault_events),
         failed,
+        meters: report.meters,
     })
 }
 

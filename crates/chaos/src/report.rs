@@ -209,9 +209,10 @@ mod tests {
     #[test]
     fn case_lines_are_stable() {
         let case = ChaosCase::generate(42, 5, 64);
-        let out = run_case(&case, RunOpts::default());
+        let sink = pps_core::run::Sink::default();
+        let out = run_case(&case, RunOpts::default(), &sink);
         let a = case_line(&case, &out);
-        let out2 = run_case(&case, RunOpts::default());
+        let out2 = run_case(&case, RunOpts::default(), &sink);
         let b = case_line(&case, &out2);
         assert_eq!(a, b);
         assert!(a.starts_with("case 005 "));

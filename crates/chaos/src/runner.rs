@@ -12,15 +12,16 @@
 //! event-stream, flow-order and
 //! relative-delay oracles fold over the run once it finishes.
 //!
-//! Record at [`telemetry::Level::Full`] when running cases — the stream
-//! oracles fold over the telemetry event log and see nothing otherwise
-//! (the chaos CLI forces the level; library callers must do the same).
+//! Run cases on a sink at [`Level::Full`](pps_core::telemetry::Level::Full)
+//! — the stream oracles fold over the case's event log and see nothing
+//! otherwise (a campaign records at `full` whatever its caller's level).
 
 use crate::case::{ChaosCase, CrossbarChoice};
 use pps_core::oracle::{self, ConservationLedger, OracleKind, OracleViolation};
+use pps_core::run::Sink;
 use pps_core::stepping::{self, earliest_of, SlotEngine};
-use pps_core::telemetry::{self, Event};
-use pps_core::{bounds, Cell, ModelError, RunLog, Slot, Stepping, Trace};
+use pps_core::telemetry::Event;
+use pps_core::{bounds, Cell, ModelError, RunLog, Slot, Trace};
 use pps_crossbar::{
     CioqSwitch, CrossbarScheduler, CrossbarSwitch, IslipArbiter, QpsRScheduler, SwQpsScheduler,
 };
@@ -51,10 +52,6 @@ pub(crate) struct RunOpts {
     /// flush without accounting for it). Used to prove the harness
     /// catches and shrinks a real conservation bug; 0 in normal runs.
     pub inject_leak: u32,
-    /// Run the driver in this stepping mode instead of the product loop
-    /// (skip-ahead). Used by the dense/skip equivalence tests; `None` in
-    /// normal campaigns.
-    pub force_stepping: Option<Stepping>,
     /// Pin the comparison CIOQ switch's speedup instead of the default
     /// (2). Used by the speedup × fault interaction tests; `None` in
     /// normal campaigns.
@@ -141,24 +138,30 @@ fn run_engines(
     case: &ChaosCase,
     opts: RunOpts,
     trace: &Trace,
+    sink: &Sink,
 ) -> Result<(CaseOutcome, RunLog, RunLog), ModelError> {
     let ChaosCase { n, k, r_prime, .. } = *case;
     if case.buffer == 0 {
         let demux = case.demux.build_bufferless(n, k, r_prime, case.seed);
-        lockstep(case, opts, trace, BufferlessPps::new(case.config(), demux)?)
+        let pps = BufferlessPps::new_in(case.config(), demux, sink)?;
+        lockstep(case, opts, trace, pps, sink)
     } else {
         let demux = case.demux.build_buffered(n, k, r_prime);
-        lockstep(case, opts, trace, BufferedPps::new(case.config(), demux)?)
+        let pps = BufferedPps::new_in(case.config(), demux, sink)?;
+        lockstep(case, opts, trace, pps, sink)
     }
 }
 
-/// Run one case through all four engines and every oracle.
-pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
+/// Run one case through all four engines and every oracle, as a part of
+/// the run `sink` records (its stepping mode; its level, which must be
+/// `full` for the stream oracles to see anything).
+pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts, sink: &Sink) -> CaseOutcome {
     let trace = case.trace();
 
-    let (run, log) = telemetry::collect(format!("chaos/{}", case.index), || {
-        run_engines(case, opts, &trace)
-    });
+    let (run, log) = sink.scope(
+        || format!("chaos/{}", case.index),
+        |sink| run_engines(case, opts, &trace, sink),
+    );
     // A refused case ran no engine: an error at slot 0 and two empty logs.
     let (mut outcome, pps_log, oq_log) = run.unwrap_or_else(|e| {
         let refused = CaseOutcome {
@@ -169,8 +172,9 @@ pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts) -> CaseOutcome {
     });
     outcome.cells = trace.len();
 
-    // Fold the stream oracles over everything the run recorded. A single
-    // scope was active, so flatten() yields one chronological stream.
+    // Fold the stream oracles over everything the run recorded. The four
+    // engines shared one ring, so flatten() yields one chronological
+    // stream.
     let events: Vec<Event> = log
         .flatten()
         .iter()
@@ -350,6 +354,7 @@ fn lockstep<S: InputStage>(
     opts: RunOpts,
     trace: &Trace,
     mut pps: Pps<S>,
+    sink: &Sink,
 ) -> Result<(CaseOutcome, RunLog, RunLog), ModelError> {
     pps.set_fault_plan(&case.plan)?;
     for _ in 0..opts.inject_leak {
@@ -358,9 +363,9 @@ fn lockstep<S: InputStage>(
     let speedup = opts.force_cioq_speedup.unwrap_or(CIOQ_SPEEDUP);
     let mut engines = Lockstep {
         pps,
-        oq: ShadowOq::new(case.n),
-        xbar: CrossbarSwitch::with_scheduler(comparison_scheduler(case)),
-        cioq: CioqSwitch::with_policy(case.n, speedup, case.cioq_policy()),
+        oq: ShadowOq::new_in(case.n, sink),
+        xbar: CrossbarSwitch::with_scheduler(comparison_scheduler(case), sink),
+        cioq: CioqSwitch::with_policy(case.n, speedup, case.cioq_policy(), sink),
         oq_log: RunLog::new(trace),
         xbar_log: RunLog::new(trace),
         cioq_log: RunLog::new(trace),
@@ -377,9 +382,9 @@ fn lockstep<S: InputStage>(
         + (trace.len() as Slot + 1) * (case.r_prime as Slot + 1)
         + case.plan.horizon()
         + 512;
-    let stepping = opts.force_stepping.unwrap_or(Stepping::SkipAhead);
     // Never `Err`: `Lockstep::slot` records an engine error and stops.
-    let (pps_log, end) = stepping::drive(&mut engines, trace, case.n, cap, stepping)?;
+    let mode = sink.spec().stepping;
+    let (pps_log, end) = stepping::drive(&mut engines, trace, case.n, cap, mode)?;
 
     let mut outcome = engines.outcome;
     let stats = engines.pps.fabric().stats();
@@ -426,11 +431,13 @@ fn lockstep<S: InputStage>(
 mod tests {
     use super::*;
     use crate::case::ChaosCase;
+    use pps_core::run::RunSpec;
+    use pps_core::Stepping;
 
     #[test]
     fn clean_case_has_no_violations() {
         let case = ChaosCase::generate(42, 0, 64);
-        let out = run_case(&case, RunOpts::default());
+        let out = run_case(&case, RunOpts::default(), &Sink::default());
         assert_eq!(out.engine_error, None);
         assert!(
             out.violations.is_empty(),
@@ -457,7 +464,7 @@ mod tests {
                 _ => continue,
             };
             *slot = true;
-            let out = run_case(&case, RunOpts::default());
+            let out = run_case(&case, RunOpts::default(), &Sink::default());
             assert_eq!(out.engine_error, None, "case {i}");
             assert!(out.violations.is_empty(), "case {i}: {:?}", out.violations);
             assert!(out.cells > 0, "case {i} generated no cells");
@@ -517,14 +524,15 @@ mod tests {
             for speedup in [1usize, 2] {
                 let mut tallies = Vec::new();
                 for stepping in [Stepping::Dense, Stepping::SkipAhead] {
-                    let out = run_case(
-                        &case,
-                        RunOpts {
-                            force_cioq_speedup: Some(speedup),
-                            force_stepping: Some(stepping),
-                            ..RunOpts::default()
-                        },
-                    );
+                    let sink = Sink::new(RunSpec {
+                        stepping,
+                        ..RunSpec::default()
+                    });
+                    let opts = RunOpts {
+                        force_cioq_speedup: Some(speedup),
+                        ..RunOpts::default()
+                    };
+                    let out = run_case(&case, opts, &sink);
                     assert_eq!(out.engine_error, None, "{policy:?} s={speedup}");
                     assert!(
                         out.violations.is_empty(),
@@ -570,7 +578,7 @@ mod tests {
                 crate::case::DemuxChoice::DelayedCpa(_) => seen.1 += 1,
                 _ => continue,
             }
-            let out = run_case(&case, RunOpts::default());
+            let out = run_case(&case, RunOpts::default(), &Sink::default());
             assert_eq!(out.engine_error, None, "case {i} ({})", case.demux.name());
             assert!(
                 out.violations.is_empty(),
@@ -602,13 +610,11 @@ mod tests {
             })
             .take(16)
             .any(|case| {
-                let out = run_case(
-                    &case,
-                    RunOpts {
-                        inject_leak: 1,
-                        ..RunOpts::default()
-                    },
-                );
+                let opts = RunOpts {
+                    inject_leak: 1,
+                    ..RunOpts::default()
+                };
+                let out = run_case(&case, opts, &Sink::default());
                 out.failure_kind() == Some(FailureKind::Oracle(OracleKind::Conservation))
             });
         assert!(tripped, "no scanned case tripped the injected leak");

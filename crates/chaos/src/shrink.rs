@@ -16,6 +16,7 @@
 use crate::case::ChaosCase;
 use crate::runner::{run_case, CaseOutcome, FailureKind, RunOpts};
 use pps_core::fault::{FaultEvent, FaultPlan};
+use pps_core::run::Sink;
 
 /// A minimized failing case plus the bookkeeping the report shows.
 #[derive(Debug)]
@@ -53,16 +54,27 @@ fn plan_from(events: &[FaultEvent]) -> FaultPlan {
 }
 
 /// Does `case` still fail the same way? Returns the outcome if so.
-fn reproduces(case: &ChaosCase, kind: FailureKind, opts: RunOpts) -> Option<CaseOutcome> {
-    let out = run_case(case, opts);
+fn reproduces(
+    case: &ChaosCase,
+    kind: FailureKind,
+    opts: RunOpts,
+    sink: &Sink,
+) -> Option<CaseOutcome> {
+    let out = run_case(case, opts, sink);
     (out.failure_kind() == Some(kind)).then_some(out)
 }
 
 /// Shrink a failing case. `failed` is the outcome that made it a
 /// candidate (used for the failure signature and the first truncation
-/// guess); `opts` must match the options of the original run, minus
-/// event retention (the shrinker re-runs without keeping streams).
-pub(crate) fn shrink(case: &ChaosCase, failed: &CaseOutcome, opts: RunOpts) -> ShrinkResult {
+/// guess); `opts` and `sink` must match the options and the run of the
+/// original, minus event retention (the shrinker re-runs without keeping
+/// streams).
+pub(crate) fn shrink(
+    case: &ChaosCase,
+    failed: &CaseOutcome,
+    opts: RunOpts,
+    sink: &Sink,
+) -> ShrinkResult {
     let kind = failed
         .failure_kind()
         .expect("shrink called on a passing case");
@@ -83,7 +95,7 @@ pub(crate) fn shrink(case: &ChaosCase, failed: &CaseOutcome, opts: RunOpts) -> S
             let mut candidate = best.clone();
             candidate.truncate_at = Some(at + 1);
             attempts += 1;
-            if let Some(out) = reproduces(&candidate, kind, run_opts) {
+            if let Some(out) = reproduces(&candidate, kind, run_opts, sink) {
                 best = candidate;
                 best_out = Some(out);
             }
@@ -108,7 +120,7 @@ pub(crate) fn shrink(case: &ChaosCase, failed: &CaseOutcome, opts: RunOpts) -> S
             let mut candidate = best.clone();
             candidate.plan = plan_from(&candidate_events);
             attempts += 1;
-            if let Some(out) = reproduces(&candidate, kind, run_opts) {
+            if let Some(out) = reproduces(&candidate, kind, run_opts, sink) {
                 events = candidate_events;
                 best = candidate;
                 best_out = Some(out);
@@ -136,7 +148,7 @@ pub(crate) fn shrink(case: &ChaosCase, failed: &CaseOutcome, opts: RunOpts) -> S
         .map(|o| (o.failure_slot(), o))
         .unwrap_or_else(|| {
             attempts += 1;
-            let o = run_case(&best, run_opts);
+            let o = run_case(&best, run_opts, sink);
             (o.failure_slot(), o)
         });
     let (slot, mut out) = current;
@@ -149,7 +161,7 @@ pub(crate) fn shrink(case: &ChaosCase, failed: &CaseOutcome, opts: RunOpts) -> S
             let mut candidate = best.clone();
             candidate.truncate_at = Some(tighter);
             attempts += 1;
-            if let Some(o) = reproduces(&candidate, kind, run_opts) {
+            if let Some(o) = reproduces(&candidate, kind, run_opts, sink) {
                 best = candidate;
                 out = o;
             }
@@ -186,13 +198,13 @@ mod tests {
             .filter(|c| c.buffer == 0 && c.plan.len() >= 4)
             .take(24)
             .find_map(|case| {
-                let out = run_case(&case, opts);
+                let out = run_case(&case, opts, &Sink::default());
                 (out.failure_kind()
                     == Some(crate::runner::FailureKind::Oracle(OracleKind::Conservation)))
                 .then_some((case, out))
             });
         let (case, out) = found.expect("no scanned case tripped the injected leak");
-        let shrunk = shrink(&case, &out, opts);
+        let shrunk = shrink(&case, &out, opts, &Sink::default());
         assert!(shrunk.outcome.failed());
         assert!(
             shrunk.kept_events <= 8,

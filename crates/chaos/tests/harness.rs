@@ -8,10 +8,21 @@
 //!
 //! The tests drive [`pps_chaos::cli`] — the exact code path behind
 //! `ppslab chaos` — so flag parsing, fan-out, shrinking and repro
-//! emission are all under test.
+//! emission are all under test. Each campaign runs on its own
+//! [`RunSpec`], so the tests share nothing and run in parallel.
 
 use pps_chaos::cli::{self, ChaosOptions};
+use pps_core::run::RunSpec;
+use pps_core::Stepping;
 use std::path::PathBuf;
+
+fn spec(jobs: usize, stepping: Stepping) -> RunSpec {
+    RunSpec {
+        jobs,
+        stepping,
+        ..RunSpec::default()
+    }
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pps-chaos-{tag}-{}", std::process::id()));
@@ -21,13 +32,16 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn seeded_campaign_is_violation_free() {
-    let report = cli::run(&ChaosOptions {
-        seed: 42,
-        cases: 48,
-        budget_slots: 128,
-        repro_out: temp_dir("smoke"),
-        ..ChaosOptions::default()
-    })
+    let report = cli::run(
+        &ChaosOptions {
+            seed: 42,
+            cases: 48,
+            budget_slots: 128,
+            repro_out: temp_dir("smoke"),
+            ..ChaosOptions::default()
+        },
+        &RunSpec::default(),
+    )
     .expect("campaign runs");
     assert_eq!(report.failed, 0, "report:\n{}", report.text);
     assert!(report.text.contains("chaos: 48 cases, 0 failed"));
@@ -39,15 +53,14 @@ fn seed_42_campaign_reproduces_the_committed_report() {
     // every PR is held to; the golden is that command's stdout.
     let golden = include_str!("golden/seed42_256.txt");
     for jobs in [1, 2] {
-        let report = cli::run(&ChaosOptions {
+        let opts = ChaosOptions {
             seed: 42,
             cases: 256,
             budget_slots: 256,
-            jobs: Some(jobs),
             repro_out: temp_dir("golden"),
             ..ChaosOptions::default()
-        })
-        .expect("campaign runs");
+        };
+        let report = cli::run(&opts, &spec(jobs, Stepping::SkipAhead)).expect("campaign runs");
         assert!(report.text == golden, "--jobs {jobs}:\n{}", report.text);
     }
 }
@@ -61,16 +74,8 @@ fn report_is_byte_identical_across_job_counts() {
         repro_out: temp_dir("jobs"),
         ..ChaosOptions::default()
     };
-    let serial = cli::run(&ChaosOptions {
-        jobs: Some(1),
-        ..base.clone()
-    })
-    .expect("serial run");
-    let parallel = cli::run(&ChaosOptions {
-        jobs: Some(4),
-        ..base
-    })
-    .expect("parallel run");
+    let serial = cli::run(&base, &spec(1, Stepping::SkipAhead)).expect("serial run");
+    let parallel = cli::run(&base, &spec(4, Stepping::SkipAhead)).expect("parallel run");
     assert_eq!(serial.text, parallel.text);
 }
 
@@ -86,16 +91,8 @@ fn report_is_byte_identical_dense_vs_skip() {
         repro_out: temp_dir("stepping"),
         ..ChaosOptions::default()
     };
-    let dense = cli::run(&ChaosOptions {
-        force_stepping: Some(pps_core::Stepping::Dense),
-        ..base.clone()
-    })
-    .expect("dense run");
-    let skip = cli::run(&ChaosOptions {
-        force_stepping: Some(pps_core::Stepping::SkipAhead),
-        ..base
-    })
-    .expect("skip run");
+    let dense = cli::run(&base, &spec(1, Stepping::Dense)).expect("dense run");
+    let skip = cli::run(&base, &spec(1, Stepping::SkipAhead)).expect("skip run");
     assert_eq!(dense.failed, 0, "{}", dense.text);
     assert_eq!(dense.text, skip.text);
 }
@@ -106,14 +103,17 @@ fn injected_bug_is_caught_and_shrunk() {
     // Arm the conservation-leak hook on every case: any case whose plan
     // downs a loaded plane now leaks one cell past the accounting. The
     // campaign must flag at least one case, shrink it, and write a repro.
-    let report = cli::run(&ChaosOptions {
-        seed: 42,
-        cases: 32,
-        budget_slots: 128,
-        repro_out: repro_root.clone(),
-        inject_leak: 1,
-        ..ChaosOptions::default()
-    })
+    let report = cli::run(
+        &ChaosOptions {
+            seed: 42,
+            cases: 32,
+            budget_slots: 128,
+            repro_out: repro_root.clone(),
+            inject_leak: 1,
+            ..ChaosOptions::default()
+        },
+        &RunSpec::default(),
+    )
     .expect("campaign runs");
     assert!(report.failed > 0, "leak went undetected:\n{}", report.text);
     assert!(
@@ -160,14 +160,17 @@ fn injected_bug_is_caught_and_shrunk() {
 fn single_case_replay_matches_campaign_verdict() {
     // Case 3 of the smoke seed, replayed alone, must still pass — the
     // repro path regenerates a case bit-identically from (seed, index).
-    let report = cli::run(&ChaosOptions {
-        seed: 42,
-        cases: 1,
-        budget_slots: 128,
-        only_case: Some(3),
-        repro_out: temp_dir("replay"),
-        ..ChaosOptions::default()
-    })
+    let report = cli::run(
+        &ChaosOptions {
+            seed: 42,
+            cases: 1,
+            budget_slots: 128,
+            only_case: Some(3),
+            repro_out: temp_dir("replay"),
+            ..ChaosOptions::default()
+        },
+        &RunSpec::default(),
+    )
     .expect("replay runs");
     assert_eq!(report.failed, 0, "{}", report.text);
     assert!(report.text.contains("case 003 "));

@@ -39,10 +39,12 @@ pub mod link;
 pub mod oracle;
 pub mod perf;
 pub mod prelude;
+pub mod process;
 mod queue;
 pub mod rate;
 mod record;
 pub mod rng;
+pub mod run;
 pub mod snapshot;
 pub mod stepping;
 pub mod sweep;

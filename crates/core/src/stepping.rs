@@ -9,16 +9,16 @@
 //! (DESIGN.md §15), jumps `now` to the earlier of the next arrival and the
 //! engine's next activity. The two modes are **byte-identical** in
 //! everything observable (run logs, statistics, telemetry traces, oracle
-//! verdicts); they differ only in wall clock and in how the
-//! [`crate::perf`] meters split slots between `simulated` and `skipped`.
+//! verdicts); they differ only in wall clock and in how a run's
+//! [`crate::telemetry::Meters`] split slots between `simulated` and
+//! `skipped`.
 //!
 //! [`Stepping::SkipAhead`] is the product loop. The dense loop is the test
 //! oracle: no command-line flag selects it, and the equivalence suites
-//! reach it through the per-engine setters, [`drive`]'s `mode` argument and
-//! [`set_process_default`].
+//! reach it through [`RunSpec::stepping`](crate::run::RunSpec::stepping)
+//! and [`drive`]'s `mode` argument.
 
 use crate::{Cell, ModelError, RunLog, Slot, Trace};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// How an engine's run loop advances time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -43,24 +43,10 @@ impl Stepping {
     }
 }
 
-/// `true` while the process default is [`Stepping::Dense`].
-static DEFAULT_DENSE: AtomicBool = AtomicBool::new(false);
-
-/// Set the process-wide default stepping mode. Engines read it once at
-/// construction (so a mid-run flip cannot desynchronize a run); per-engine
-/// setters override it. The equivalence suites and `ppsbench` call this
-/// before building anything; `ppslab` never does.
+/// Set the process default's stepping mode: a shim of the benchmark seam
+/// (DESIGN.md, "The benchmark's surface").
 pub fn set_process_default(mode: Stepping) {
-    DEFAULT_DENSE.store(mode == Stepping::Dense, Ordering::Relaxed);
-}
-
-/// The process-wide default stepping mode (see [`set_process_default`]).
-pub fn process_default() -> Stepping {
-    if DEFAULT_DENSE.load(Ordering::Relaxed) {
-        Stepping::Dense
-    } else {
-        Stepping::SkipAhead
-    }
+    crate::process::update(|spec| spec.stepping = mode);
 }
 
 /// Fold two optional next-activity slots into the earlier one — the

@@ -5,7 +5,7 @@
 //! point a self-contained simulation. [`SweepPlan`] makes that structure
 //! explicit — callers declare their points as data and a closure computing
 //! one point — so execution strategy becomes the executor's business, not
-//! the runner's. It sits next to the [`crate::workers`] budget it drains,
+//! the runner's. It sits next to the [`crate::run`] sinks it records into,
 //! below the experiment layer, so the chaos harness — whose cases are
 //! exactly such a point list — shares it.
 //!
@@ -32,17 +32,28 @@
 //!
 //! ## Job budget
 //!
-//! One process-wide budget ([`crate::workers::set_jobs`]) caps the *total*
-//! number of worker threads across every concurrently running sweep,
-//! including the registry-level sweep `ppslab` itself uses to run whole
-//! experiments in parallel. Each executor keeps the calling thread and
-//! leases extra workers from the shared budget only while it has points
-//! left, so nested sweeps (experiments inside the registry sweep, chaos
-//! cases inside a chaos run) never oversubscribe: at most `jobs` threads
-//! make progress at any instant.
+//! A plan runs on a [`Sink`], and the run's budget
+//! ([`RunSpec::jobs`](crate::run::RunSpec::jobs)) caps the *total* number
+//! of worker threads across every sweep of the run, including the
+//! registry-level sweep `ppslab` uses to run whole experiments in
+//! parallel. Each executor keeps the calling thread and leases extra
+//! workers from the run's budget only while it has points left, so nested
+//! sweeps (experiments inside the registry sweep, chaos cases inside a
+//! campaign) never oversubscribe: at most `jobs` threads make progress at
+//! any instant.
+//!
+//! ## Telemetry
+//!
+//! Every point runs on a child sink of the plan's ([`SweepPoint::sink`]):
+//! its own meters and, at `--telemetry full`, its own event ring on
+//! whichever worker computes it. The children travel back through the
+//! result channel and are merged *in declared point order*, so the run's
+//! meters and event bundle — like the tables — are the same at any job
+//! count.
 
-use crate::telemetry::{self, EventLog};
-use crate::workers::{jobs, WorkerLease};
+use crate::run::Sink;
+use crate::telemetry::{EventLog, Meters};
+use crate::workers::WorkerLease;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
@@ -68,20 +79,34 @@ pub struct SweepPoint<'a, P> {
     pub seed: u64,
     /// The declared parameters of this point.
     pub params: &'a P,
+    /// The point's own sink: build its engines on it.
+    pub sink: &'a Sink,
 }
 
-/// A declared sweep: an id (for seed derivation and diagnostics) plus the
-/// ordered list of parameter points.
+/// A declared sweep: an id (for seed derivation and diagnostics), the
+/// ordered list of parameter points and the sink of the run it is part of.
 #[derive(Clone, Debug)]
 pub struct SweepPlan<P> {
     id: &'static str,
     points: Vec<P>,
+    sink: Sink,
 }
 
 impl<P> SweepPlan<P> {
-    /// Declare a sweep over `points`, in the order results are wanted.
+    /// Declare a sweep over `points` on the process default: a shim of the
+    /// benchmark seam (DESIGN.md, "The benchmark's surface").
     pub fn new(id: &'static str, points: Vec<P>) -> Self {
-        SweepPlan { id, points }
+        SweepPlan::new_in(id, points, &crate::process::sink())
+    }
+
+    /// Declare a sweep over `points`, in the order results are wanted, as
+    /// part of the run `sink` records.
+    pub fn new_in(id: &'static str, points: Vec<P>, sink: &Sink) -> Self {
+        SweepPlan {
+            id,
+            points,
+            sink: sink.clone(),
+        }
     }
 
     /// The declared points, in order.
@@ -91,10 +116,10 @@ impl<P> SweepPlan<P> {
 
     /// Execute every point and return the results in declared order.
     ///
-    /// The calling thread always participates; up to `jobs() - 1` extra
-    /// workers are leased from the process-wide budget while points
-    /// remain. `f` must compute a point from its [`SweepPoint`] alone —
-    /// see the module docs for the determinism contract.
+    /// The calling thread always participates; up to `jobs - 1` extra
+    /// workers are leased from the run's budget while points remain. `f`
+    /// must compute a point from its [`SweepPoint`] alone — see the module
+    /// docs for the determinism contract.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         P: Sync,
@@ -105,39 +130,32 @@ impl<P> SweepPlan<P> {
         if n == 0 {
             return Vec::new();
         }
-        // At `--telemetry full`, every point gets its own recording scope
-        // on whichever worker computes it; the captured logs travel back
-        // through the result channel and are absorbed *in declared point
-        // order* below, so the merged event bundle — like the tables — is
-        // byte-identical at any job count.
-        let tracing = telemetry::level() == telemetry::Level::Full;
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R, Option<EventLog>)>();
-        let work = |tx: mpsc::Sender<(usize, R, Option<EventLog>)>| loop {
+        let (tx, rx) = mpsc::channel::<(usize, R, Meters, EventLog)>();
+        let work = |tx: mpsc::Sender<(usize, R, Meters, EventLog)>| loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            let point = SweepPoint {
+            let sink = self.sink.child(|| format!("{}/{i}", self.id));
+            let r = f(SweepPoint {
                 index: i,
                 seed: point_seed(self.id, i),
                 params: &self.points[i],
-            };
-            let (r, log) = if tracing {
-                let (r, log) = telemetry::collect(format!("{}/{i}", self.id), || f(point));
-                (r, Some(log))
-            } else {
-                (f(point), None)
-            };
-            if tx.send((i, r, log)).is_err() {
+                sink: &sink,
+            });
+            let (meters, log) = sink.rec.finish();
+            if tx.send((i, r, meters, log)).is_err() {
                 break;
             }
         };
         // Lease extra workers up front (never more than there are points
         // beyond the caller's share); skip the scope entirely when the
         // budget is exhausted so serial sweeps stay thread-free.
-        let wanted = n.saturating_sub(1).min(jobs().saturating_sub(1));
-        let leases: Vec<WorkerLease> = std::iter::from_fn(WorkerLease::try_new)
+        let wanted = n
+            .saturating_sub(1)
+            .min(self.sink.spec.jobs.saturating_sub(1));
+        let leases: Vec<WorkerLease> = std::iter::from_fn(|| self.sink.lease())
             .take(wanted)
             .collect();
         if leases.is_empty() {
@@ -157,22 +175,19 @@ impl<P> SweepPlan<P> {
             })
             .expect("sweep worker panicked");
         }
-        // Merge in declared order; every index is sent exactly once. Event
-        // logs are absorbed on this thread in the same order, so they land
-        // in the enclosing scope (nested sweeps) or the process bundle
-        // independent of which worker recorded them.
-        let mut slots: Vec<Option<(R, Option<EventLog>)>> = (0..n).map(|_| None).collect();
-        for (i, r, log) in rx {
+        // Merge in declared order; every index is sent exactly once. The
+        // points' sinks are absorbed on this thread in the same order, so
+        // the plan's sink sees them independent of which worker ran them.
+        let mut slots: Vec<Option<(R, Meters, EventLog)>> = (0..n).map(|_| None).collect();
+        for (i, r, meters, log) in rx {
             debug_assert!(slots[i].is_none(), "point {i} computed twice");
-            slots[i] = Some((r, log));
+            slots[i] = Some((r, meters, log));
         }
         slots
             .into_iter()
             .map(|s| {
-                let (r, log) = s.expect("every sweep point yields a result");
-                if let Some(log) = log {
-                    telemetry::absorb(log);
-                }
+                let (r, meters, log) = s.expect("every sweep point yields a result");
+                self.sink.absorb(&meters, log);
                 r
             })
             .collect()
@@ -182,11 +197,18 @@ impl<P> SweepPlan<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workers::set_jobs;
+    use crate::run::RunSpec;
+
+    fn sink(jobs: usize) -> Sink {
+        Sink::new(RunSpec {
+            jobs,
+            ..RunSpec::default()
+        })
+    }
 
     #[test]
     fn results_come_back_in_declared_order() {
-        let plan = SweepPlan::new("test-order", (0..64).collect::<Vec<usize>>());
+        let plan = SweepPlan::new_in("test-order", (0..64).collect::<Vec<usize>>(), &sink(1));
         let out = plan.run(|pt| *pt.params * 2);
         assert_eq!(out, (0..64).map(|x| x * 2).collect::<Vec<_>>());
     }
@@ -203,34 +225,43 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let plan = SweepPlan::new("test-agree", (0..40usize).collect::<Vec<_>>());
+        let points: Vec<usize> = (0..40).collect();
         let compute = |pt: SweepPoint<'_, usize>| (pt.index, pt.seed, pt.params * 3);
-        set_jobs(1);
-        let serial = plan.run(compute);
-        set_jobs(8);
-        let parallel = plan.run(compute);
-        set_jobs(1);
+        let serial = SweepPlan::new_in("test-agree", points.clone(), &sink(1)).run(compute);
+        let parallel = SweepPlan::new_in("test-agree", points, &sink(8)).run(compute);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_plan_is_fine() {
-        let plan: SweepPlan<u32> = SweepPlan::new("test-empty", vec![]);
+        let plan: SweepPlan<u32> = SweepPlan::new_in("test-empty", vec![], &sink(1));
         assert!(plan.run(|pt| *pt.params).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_point_returns_its_workers_lease() {
+        let jobs = 3;
+        let sink = sink(jobs);
+        // Every point panics, so each of the two leased workers (and the
+        // calling thread) unwinds out of its first point.
+        let plan = SweepPlan::new_in("lease-leak", (0..8usize).collect(), &sink);
+        let swept =
+            std::panic::catch_unwind(|| plan.run(|pt| -> usize { panic!("point {}", pt.index) }));
+        assert!(swept.is_err(), "the panic reaches the caller");
+        let leases: Vec<WorkerLease> = std::iter::from_fn(|| sink.lease()).collect();
+        assert_eq!(leases.len(), jobs - 1, "every slot is back in the budget");
     }
 
     #[test]
     fn nested_sweeps_share_the_budget() {
         // An outer sweep whose points each run an inner sweep: with any
         // budget, all 6 × 5 points are computed and ordered correctly.
-        set_jobs(4);
-        let outer = SweepPlan::new("test-outer", (0..6u64).collect::<Vec<_>>());
+        let outer = SweepPlan::new_in("test-outer", (0..6u64).collect::<Vec<_>>(), &sink(4));
         let sums = outer.run(|pt| {
             let base = *pt.params;
-            let inner = SweepPlan::new("test-inner", (0..5u64).collect::<Vec<_>>());
+            let inner = SweepPlan::new_in("test-inner", (0..5u64).collect::<Vec<_>>(), pt.sink);
             inner.run(|q| base * 10 + *q.params).iter().sum::<u64>()
         });
-        set_jobs(1);
         let expect: Vec<u64> = (0..6u64)
             .map(|b| (0..5).map(|q| b * 10 + q).sum())
             .collect();

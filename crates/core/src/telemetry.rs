@@ -3,50 +3,42 @@
 //! The engines in this workspace — the PPS fabric, the shadow OQ switch,
 //! and the crossbar/CIOQ baselines — are black boxes between a trace in
 //! and a [`crate::record::RunLog`] out. This module gives them a shared,
-//! slot-stamped event vocabulary ([`EventKind`]) and a recording substrate
-//! designed so that the *disabled* path costs one relaxed atomic load and
-//! a predictable branch per call site and allocates nothing.
+//! slot-stamped event vocabulary ([`EventKind`]) recorded through the
+//! [`Sink`](crate::run::Sink) each engine is built with. The sink carries
+//! its run's [`Level`], so the *disabled* path is one load of an engine
+//! field and a predictable branch per call site, and allocates nothing.
 //!
 //! ## Recording model
 //!
-//! Recording is **scoped**: [`collect`] installs a bounded per-thread ring
-//! buffer (`EventRing`) for the duration of a closure and returns the
-//! events it captured as an [`EventLog`]. Because a scope is thread-local
-//! and every sweep point runs start-to-finish on one worker thread, scopes
-//! double as the per-worker ring buffers of the parallel executor: workers
-//! never contend on a shared event sink, and the sweep merge loop absorbs
-//! per-point logs in **declared point order**, preserving the determinism
-//! contract (DESIGN.md §10) — the final bundle is identical at any
-//! `--jobs`.
-//!
-//! Events emitted while no scope is active (and the level is
-//! [`Level::Full`]) are counted in `events_unscoped` and discarded; they
-//! are never buffered globally, so library users cannot leak memory by
-//! enabling telemetry without collecting.
+//! Recording belongs to a run ([`crate::run`]): every engine of a run
+//! feeds that run's sink — its [`Meters`] and, at [`Level::Full`], its
+//! bounded event ring. A sweep gives each point a child sink and merges
+//! the children's logs in **declared point order**, preserving the
+//! determinism contract (DESIGN.md §10): the final bundle is identical at
+//! any `--jobs`. Engines that run in lockstep on one sink (the chaos
+//! harness's four) share its ring, so their events interleave in emission
+//! order.
 //!
 //! ## Counters
 //!
-//! Independent of ring buffers, every recorded event bumps a per-kind
-//! process-wide counter at [`Level::Counters`] and above. The registry is
-//! folded into the [`crate::perf`] meters: [`counters`] reports the event
-//! counters alongside `perf.slots_simulated`, so one snapshot captures
-//! both the slot meter and the event mix.
+//! Independent of the ring, every recorded event bumps a per-kind counter
+//! of the run's [`Meters`] at [`Level::Counters`] and above, next to the
+//! slot meters every engine feeds at any level.
 
 use crate::ids::{CellId, PlaneId, PortId};
 use crate::time::Slot;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-/// How much the process records.
+/// How much a run records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Level {
-    /// Nothing: the fast path is one relaxed load + branch per site.
+    /// Nothing: the fast path is one load + branch per site.
     Off = 0,
-    /// Per-kind event counters only (process-wide atomics, no buffers).
+    /// Per-kind event counters only (no buffers).
     Counters = 1,
-    /// Counters plus full event streams into the active scope's ring.
+    /// Counters plus full event streams into the run's ring.
     Full = 2,
 }
 
@@ -223,51 +215,11 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-// ---------------------------------------------------------------------------
-// Level gate
-// ---------------------------------------------------------------------------
-
-static LEVEL: AtomicU8 = AtomicU8::new(Level::Off as u8);
-
-/// Ring capacity of every scope (events). Large enough for a full
-/// experiment point at the registry's sizes; bounded so a runaway soak run
-/// cannot exhaust memory (the ring overwrites its oldest entries and
-/// counts the overflow).
-const DEFAULT_RING_CAPACITY: usize = 1 << 20;
-
-/// Set the process-wide recording level.
-pub fn set_level(level: Level) {
-    LEVEL.store(level as u8, Ordering::SeqCst);
-}
-
-/// The current recording level.
-pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Off,
-        1 => Level::Counters,
-        _ => Level::Full,
-    }
-}
-
-/// The disabled-path gate: `true` iff any recording is enabled. Call sites
-/// guard event construction behind this so the off path never builds
-/// payloads.
-#[inline(always)]
-pub fn on() -> bool {
-    LEVEL.load(Ordering::Relaxed) != 0
-}
-
-// ---------------------------------------------------------------------------
-// Counter registry (folded into the perf meters)
-// ---------------------------------------------------------------------------
-
-static COUNTERS: [AtomicU64; KINDS] = [const { AtomicU64::new(0) }; KINDS];
-/// Events recorded into some ring.
-static EVENTS_RECORDED: AtomicU64 = AtomicU64::new(0);
-/// Events emitted at `Full` with no scope active (discarded).
-static EVENTS_UNSCOPED: AtomicU64 = AtomicU64::new(0);
-/// Events overwritten by ring overflow.
-static EVENTS_OVERFLOWED: AtomicU64 = AtomicU64::new(0);
+/// Ring capacity of every run and sweep point (events). Large enough for a
+/// full experiment point at the registry's sizes; bounded so a runaway
+/// soak run cannot exhaust memory (the ring overwrites its oldest entries
+/// and counts the overflow).
+const RING_CAPACITY: usize = 1 << 20;
 
 const COUNTER_NAMES: [&str; KINDS] = [
     "arrival",
@@ -281,23 +233,164 @@ const COUNTER_NAMES: [&str; KINDS] = [
     "watchdog-drop",
 ];
 
-/// A named-counter snapshot: the telemetry event registry folded together
-/// with the `perf` slot meter. Cumulative and monotonic, like
-/// [`crate::perf::slots_simulated`].
-pub fn counters() -> Vec<(&'static str, u64)> {
-    let mut out = Vec::with_capacity(KINDS + 5);
-    out.push(("perf.slots_simulated", crate::perf::slots_simulated()));
-    out.push(("perf.slots_skipped", crate::perf::slots_skipped()));
-    for (i, name) in COUNTER_NAMES.iter().enumerate() {
-        out.push((*name, COUNTERS[i].load(Ordering::Relaxed)));
+/// What one run (or everything a sink absorbed) metered: slots, and the
+/// events of each kind.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Meters {
+    /// Slots the engines processed one by one (every level).
+    pub slots_simulated: u64,
+    /// Slots covered by skip-ahead jumps instead (every level): the sum of
+    /// the two is the span an equivalent dense run would have walked.
+    pub slots_skipped: u64,
+    /// Events per [`EventKind`], in declaration order
+    /// ([`Level::Counters`] and up).
+    events: [u64; KINDS],
+    /// Events written into a ring ([`Level::Full`]).
+    recorded: u64,
+    /// Events a full ring overwrote.
+    overflowed: u64,
+}
+
+impl Meters {
+    /// The meters as `(name, value)` pairs, in the order `ppslab
+    /// --telemetry counters` prints them.
+    pub fn named(&self) -> Vec<(&'static str, u64)> {
+        let mut out = Vec::with_capacity(KINDS + 4);
+        out.push(("perf.slots_simulated", self.slots_simulated));
+        out.push(("perf.slots_skipped", self.slots_skipped));
+        out.extend(COUNTER_NAMES.iter().copied().zip(self.events));
+        out.push(("events.recorded", self.recorded));
+        out.push(("events.overflowed", self.overflowed));
+        out
     }
-    out.push(("events.recorded", EVENTS_RECORDED.load(Ordering::Relaxed)));
-    out.push(("events.unscoped", EVENTS_UNSCOPED.load(Ordering::Relaxed)));
-    out.push((
-        "events.overflowed",
-        EVENTS_OVERFLOWED.load(Ordering::Relaxed),
-    ));
-    out
+
+    /// Add `other`'s meters to these.
+    pub fn add(&mut self, other: &Meters) {
+        self.slots_simulated += other.slots_simulated;
+        self.slots_skipped += other.slots_skipped;
+        for (a, b) in self.events.iter_mut().zip(other.events) {
+            *a += b;
+        }
+        self.recorded += other.recorded;
+        self.overflowed += other.overflowed;
+    }
+}
+
+/// A run's recording state, shared by the handles on its sink its engines
+/// hold: the meters, and at [`Level::Full`] the event ring plus the logs
+/// of the sweep points it absorbed.
+#[derive(Debug, Default)]
+pub(crate) struct Recorder {
+    slots: AtomicU64,
+    skipped: AtomicU64,
+    events: [AtomicU64; KINDS],
+    log: Mutex<Scope>,
+}
+
+impl Recorder {
+    pub(crate) fn new(label: String) -> Recorder {
+        Recorder {
+            log: Mutex::new(Scope {
+                label,
+                ..Scope::default()
+            }),
+            ..Recorder::default()
+        }
+    }
+
+    fn scope(&self) -> std::sync::MutexGuard<'_, Scope> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Count `event` at any level above `Off`; ring it at `Full`.
+    #[inline]
+    pub(crate) fn record(&self, level: Level, event: Event) {
+        self.events[event.kind.counter_index()].fetch_add(1, Ordering::Relaxed);
+        if level == Level::Full {
+            let mut scope = self.scope();
+            scope.ring.push(event);
+            scope.recorded += 1;
+        }
+    }
+
+    /// Meter `n` processed slots, or `n` skipped ones.
+    #[inline]
+    pub(crate) fn meter(&self, n: u64, skipped: bool) {
+        let meter = if skipped { &self.skipped } else { &self.slots };
+        meter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Fold a finished child's meters in, and at `Full` its log.
+    pub(crate) fn absorb(&self, meters: &Meters, log: Option<EventLog>) {
+        let mut scope = self.scope();
+        scope.absorbed.add(meters);
+        scope.children.extend(log);
+    }
+
+    /// The meters so far.
+    pub(crate) fn meters(&self) -> Meters {
+        let scope = self.scope();
+        let mut meters = scope.absorbed;
+        meters.add(&Meters {
+            slots_simulated: self.slots.load(Ordering::Relaxed),
+            slots_skipped: self.skipped.load(Ordering::Relaxed),
+            events: std::array::from_fn(|i| self.events[i].load(Ordering::Relaxed)),
+            recorded: scope.recorded,
+            overflowed: scope.ring.overwritten,
+        });
+        meters
+    }
+
+    /// Drain the log: the ring's events and the absorbed child logs. The
+    /// meters keep counting what was drained.
+    pub(crate) fn take_log(&self) -> EventLog {
+        let mut scope = self.scope();
+        let ring = std::mem::take(&mut scope.ring);
+        scope.absorbed.overflowed += ring.overwritten;
+        EventLog {
+            label: scope.label.clone(),
+            overflowed: ring.overwritten,
+            events: ring.into_events(),
+            children: std::mem::take(&mut scope.children),
+        }
+    }
+
+    /// The log and the meters of a finished run.
+    pub(crate) fn finish(&self) -> (Meters, EventLog) {
+        let log = self.take_log();
+        (self.meters(), log)
+    }
+}
+
+/// Set the process default's recording level: a shim of the benchmark
+/// seam (DESIGN.md, "The benchmark's surface").
+pub fn set_level(level: Level) {
+    crate::process::update(|spec| spec.telemetry = level);
+}
+
+/// The process meters as named counters: a shim of the benchmark seam.
+/// Cumulative over every run on the process default.
+pub fn counters() -> Vec<(&'static str, u64)> {
+    crate::process::meters().named()
+}
+
+/// Run `f` and return, with its result, the events the process default
+/// recorded meanwhile: a shim of the benchmark seam.
+pub fn collect<R>(label: impl Into<String>, f: impl FnOnce() -> R) -> (R, EventLog) {
+    let result = f();
+    (
+        result,
+        EventLog {
+            label: label.into(),
+            ..crate::process::take_log()
+        },
+    )
+}
+
+/// Drain the sweep-point logs the process default absorbed: a shim of the
+/// benchmark seam.
+pub fn take_absorbed() -> Vec<EventLog> {
+    crate::process::take_log().children
 }
 
 // ---------------------------------------------------------------------------
@@ -315,6 +408,12 @@ struct EventRing {
     cap: usize,
     /// Events overwritten after the ring filled.
     pub overwritten: u64,
+}
+
+impl Default for EventRing {
+    fn default() -> Self {
+        EventRing::new(RING_CAPACITY)
+    }
 }
 
 impl EventRing {
@@ -398,129 +497,16 @@ impl EventLog {
     }
 }
 
+/// The log half of a [`Recorder`].
+#[derive(Debug, Default)]
 struct Scope {
     label: String,
     ring: EventRing,
     children: Vec<EventLog>,
-}
-
-thread_local! {
-    static SCOPES: RefCell<Vec<Scope>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Logs absorbed outside any scope — the process-level bundle a driver
-/// (e.g. `ppslab`) drains once at the end with [`take_absorbed`].
-static ABSORBED: Mutex<Vec<EventLog>> = Mutex::new(Vec::new());
-
-/// Record one event. Call sites must guard with [`on`] so the disabled
-/// path never constructs payloads:
-///
-/// ```
-/// use pps_core::telemetry::{self, Engine, EventKind};
-/// use pps_core::{CellId, PortId};
-/// if telemetry::on() {
-///     telemetry::record(Engine::Pps, 7, EventKind::Depart {
-///         cell: CellId(0),
-///         output: PortId(3),
-///     });
-/// }
-/// ```
-#[inline]
-pub fn record(engine: Engine, slot: Slot, kind: EventKind) {
-    let level = level();
-    if level == Level::Off {
-        return;
-    }
-    COUNTERS[kind.counter_index()].fetch_add(1, Ordering::Relaxed);
-    if level != Level::Full {
-        return;
-    }
-    SCOPES.with(|scopes| {
-        let mut scopes = scopes.borrow_mut();
-        match scopes.last_mut() {
-            Some(scope) => {
-                scope.ring.push(Event { slot, engine, kind });
-                EVENTS_RECORDED.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {
-                EVENTS_UNSCOPED.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    });
-}
-
-/// Run `f` with a fresh recording scope installed on this thread and
-/// return its result together with the captured [`EventLog`]. Scopes nest:
-/// an inner `collect` captures its own events, and its log lands in the
-/// *parent's* `children` only when routed there with [`absorb`] — the
-/// sweep executor does exactly that, in declared point order.
-pub fn collect<R>(label: impl Into<String>, f: impl FnOnce() -> R) -> (R, EventLog) {
-    let label = label.into();
-    SCOPES.with(|scopes| {
-        scopes.borrow_mut().push(Scope {
-            label: label.clone(),
-            ring: EventRing::new(DEFAULT_RING_CAPACITY),
-            children: Vec::new(),
-        });
-    });
-    // Pop the scope even if `f` panics, so a failed point cannot poison
-    // the thread for subsequent points.
-    struct PopGuard;
-    impl Drop for PopGuard {
-        fn drop(&mut self) {
-            SCOPES.with(|scopes| {
-                scopes.borrow_mut().pop();
-            });
-        }
-    }
-    let result = {
-        let _guard = PopGuard;
-        let result = f();
-        // Take the scope contents before the guard pops it.
-        let log = SCOPES.with(|scopes| {
-            let mut scopes = scopes.borrow_mut();
-            let scope = scopes.last_mut().expect("collect scope present");
-            let ring = std::mem::replace(&mut scope.ring, EventRing::new(1));
-            let children = std::mem::take(&mut scope.children);
-            let overflowed = ring.overwritten;
-            EVENTS_OVERFLOWED.fetch_add(overflowed, Ordering::Relaxed);
-            EventLog {
-                label: scope.label.clone(),
-                events: ring.into_events(),
-                overflowed,
-                children,
-            }
-        });
-        (result, log)
-    };
-    result
-}
-
-/// Route a finished [`EventLog`] to its destination: the enclosing scope
-/// on this thread if one is active (nested sweeps), else the process-level
-/// bundle. The sweep executor calls this from its merge loop, in declared
-/// point order, which is what makes the final bundle independent of the
-/// worker schedule.
-pub fn absorb(log: EventLog) {
-    let unrouted = SCOPES.with(|scopes| {
-        let mut scopes = scopes.borrow_mut();
-        match scopes.last_mut() {
-            Some(scope) => {
-                scope.children.push(log);
-                None
-            }
-            None => Some(log),
-        }
-    });
-    if let Some(log) = unrouted {
-        ABSORBED.lock().expect("telemetry bundle lock").push(log);
-    }
-}
-
-/// Drain every log absorbed at process level (outside any scope), in
-/// absorption order.
-pub fn take_absorbed() -> Vec<EventLog> {
-    std::mem::take(&mut ABSORBED.lock().expect("telemetry bundle lock"))
+    /// Events pushed into `ring`.
+    recorded: u64,
+    /// Meters of the children folded in.
+    absorbed: Meters,
 }
 
 #[cfg(test)]
@@ -540,13 +526,14 @@ mod tests {
 
     #[test]
     fn off_by_default_records_nothing() {
-        let ((), log) = collect("idle", || {
+        let report = crate::run::run(&crate::run::RunSpec::default(), "idle", |sink| {
             let (e, s, k) = ev(1);
-            if on() {
-                record(e, s, k);
+            if sink.on() {
+                sink.record(e, s, k);
             }
         });
-        assert_eq!(log.events.len(), 0);
+        assert_eq!(report.log.events.len(), 0);
+        assert_eq!(report.meters, Meters::default());
     }
 
     #[test]

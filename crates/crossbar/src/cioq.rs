@@ -18,6 +18,7 @@
 use crate::occupancy::{clear_bit, cyclic_bits, fill_ones, test_bit, words_for, Voqs};
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
+use pps_core::telemetry::{Engine, EventKind};
 use std::collections::BTreeSet;
 
 /// The matching discipline a [`CioqSwitch`] runs in each fabric phase.
@@ -77,12 +78,14 @@ pub struct CioqSwitch {
     /// Scratch: the VOQ heads of a critical-first phase, as
     /// `(deadline, id, input, output)`.
     heads: Vec<(Slot, CellId, usize, usize)>,
+    /// The run's telemetry gate and meters.
+    sink: Sink,
 }
 
 impl CioqSwitch {
     /// An idle `n × n` CIOQ switch with fabric speedup `s ≥ 1` under an
-    /// explicit matching policy.
-    pub fn with_policy(n: usize, speedup: usize, policy: CioqPolicy) -> Self {
+    /// explicit matching policy, recording into `sink`.
+    pub fn with_policy(n: usize, speedup: usize, policy: CioqPolicy, sink: &Sink) -> Self {
         CioqSwitch {
             n,
             speedup: speedup.max(1),
@@ -95,17 +98,17 @@ impl CioqSwitch {
             in_free: vec![0; words_for(n)],
             out_free: vec![0; words_for(n)],
             heads: Vec::new(),
+            sink: sink.clone(),
         }
     }
 
     /// Advance one slot.
     pub fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) {
-        use pps_core::telemetry::{self, Engine, EventKind};
-        pps_core::perf::record_slots(1);
+        self.sink.slots(1);
         for cell in arrivals {
             debug_assert_eq!(cell.arrival, now);
-            if telemetry::on() {
-                telemetry::record(
+            if self.sink.on() {
+                self.sink.record(
                     Engine::Cioq,
                     now,
                     EventKind::Arrival {
@@ -187,8 +190,8 @@ impl CioqSwitch {
             self.max_outq = self.max_outq.max(self.outq[j].len());
             if let Some((_dt, id)) = self.outq[j].pop_first() {
                 self.parked -= 1;
-                if telemetry::on() {
-                    telemetry::record(
+                if self.sink.on() {
+                    self.sink.record(
                         Engine::Cioq,
                         now,
                         EventKind::Depart {
@@ -207,11 +210,10 @@ impl CioqSwitch {
     /// Move the head of VOQ `(i, j)` across the fabric into output `j`'s
     /// buffer.
     fn transfer(&mut self, now: Slot, i: usize, j: usize) {
-        use pps_core::telemetry::{self, Engine, EventKind};
         let (dt, id) = self.voqs.pop(i, j).expect("head exists");
-        if telemetry::on() {
+        if self.sink.on() {
             // Parked at the output buffer awaiting its deadline turn.
-            telemetry::record(
+            self.sink.record(
                 Engine::Cioq,
                 now,
                 EventKind::ReseqHold {
@@ -260,19 +262,13 @@ impl SlotEngine for CioqSwitch {
     /// An empty CIOQ slot moves no state, so an idle stretch is only
     /// metered: as skipped instead of simulated.
     fn skip_idle(&mut self, from: Slot, to: Slot) {
-        pps_core::perf::record_skipped(to - from + 1);
+        self.sink.skipped(to - from + 1);
     }
 }
 
-/// Run a trace through a fresh critical-cells-first CIOQ switch until it
-/// drains. Uses the process-default stepping mode.
-pub fn run_cioq(trace: &Trace, n: usize, speedup: usize) -> RunLog {
-    let mode = stepping::process_default();
-    run_cioq_policy(trace, n, speedup, CioqPolicy::CriticalFirst, mode)
-}
-
-/// [`run_cioq`] under an explicit matching policy and stepping mode
-/// (identical logs either way).
+/// [`run_cioq_in`] under an explicit stepping mode, on the process
+/// default: a shim of the benchmark seam (DESIGN.md, "The benchmark's
+/// surface").
 pub fn run_cioq_policy(
     trace: &Trace,
     n: usize,
@@ -280,7 +276,25 @@ pub fn run_cioq_policy(
     policy: CioqPolicy,
     mode: Stepping,
 ) -> RunLog {
-    let mut sw = CioqSwitch::with_policy(n, speedup, policy);
+    let sw = CioqSwitch::with_policy(n, speedup, policy, &pps_core::process::sink());
+    run(sw, trace, mode)
+}
+
+/// Run a trace through a fresh CIOQ switch of the run `sink` records until
+/// it drains (identical logs in either stepping mode).
+pub fn run_cioq_in(
+    trace: &Trace,
+    n: usize,
+    speedup: usize,
+    policy: CioqPolicy,
+    sink: &Sink,
+) -> RunLog {
+    let sw = CioqSwitch::with_policy(n, speedup, policy, sink);
+    run(sw, trace, sink.spec().stepping)
+}
+
+fn run(mut sw: CioqSwitch, trace: &Trace, mode: Stepping) -> RunLog {
+    let n = sw.n;
     let cap = crate::switch::drain_cap(trace, n);
     let (log, _) = stepping::drive(&mut sw, trace, n, cap, mode).expect("a CIOQ slot cannot fail");
     log
@@ -289,7 +303,8 @@ pub fn run_cioq_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pps_reference::oq::run_oq;
+    use pps_core::run::RunSpec;
+    use pps_reference::oq::run_oq_in;
 
     fn trace(v: Vec<Arrival>, n: usize) -> Trace {
         Trace::build(v, n).unwrap()
@@ -298,7 +313,7 @@ mod tests {
     #[test]
     fn lone_cell_is_passthrough() {
         let t = trace(vec![Arrival::new(2, 0, 1)], 2);
-        let log = run_cioq(&t, 2, 2);
+        let log = run_cioq_in(&t, 2, 2, CioqPolicy::CriticalFirst, &Sink::default());
         assert_eq!(log.get(CellId(0)).delay(), Some(0));
     }
 
@@ -319,8 +334,8 @@ mod tests {
             }
         }
         let t = trace(v, n);
-        let oq = run_oq(&t, n);
-        let cioq = run_cioq(&t, n, 2);
+        let oq = run_oq_in(&t, n, &Sink::default());
+        let cioq = run_cioq_in(&t, n, 2, CioqPolicy::CriticalFirst, &Sink::default());
         assert_eq!(cioq.undelivered(), 0);
         for ((id, a), b) in cioq.iter().zip(oq.records()) {
             let rel = a.departure().unwrap() as i64 - b.departure().unwrap() as i64;
@@ -342,8 +357,8 @@ mod tests {
             }
         }
         let t = trace(v, n);
-        let oq = run_oq(&t, n);
-        let cioq = run_cioq(&t, n, 1);
+        let oq = run_oq_in(&t, n, &Sink::default());
+        let cioq = run_cioq_in(&t, n, 1, CioqPolicy::CriticalFirst, &Sink::default());
         assert_eq!(cioq.undelivered(), 0);
         let worst = cioq
             .records()
@@ -358,7 +373,7 @@ mod tests {
     fn flow_order_is_preserved() {
         let n = 4;
         let t = pps_traffic::gen::OnOffGen::uniform(8.0, 0.8, 3).trace(n, 400);
-        let log = run_cioq(&t, n, 2);
+        let log = run_cioq_in(&t, n, 2, CioqPolicy::CriticalFirst, &Sink::default());
         assert_eq!(log.undelivered(), 0);
         assert!(pps_reference::checker::check_flow_order(&log).is_empty());
     }
@@ -368,7 +383,13 @@ mod tests {
         let n = 4;
         let t = pps_traffic::gen::OnOffGen::uniform(8.0, 0.8, 7).trace(n, 400);
         for s in [1, 2] {
-            let log = run_cioq_policy(&t, n, s, CioqPolicy::MaximalRr, pps_core::Stepping::Dense);
+            let log = run_cioq_in(
+                &t,
+                n,
+                s,
+                CioqPolicy::MaximalRr,
+                &stepped(pps_core::Stepping::Dense),
+            );
             assert_eq!(log.undelivered(), 0);
             assert!(pps_reference::checker::check_flow_order(&log).is_empty());
         }
@@ -388,7 +409,13 @@ mod tests {
             }
         }
         let t = trace(v, n);
-        let log = run_cioq_policy(&t, n, 1, CioqPolicy::MaximalRr, pps_core::Stepping::Dense);
+        let log = run_cioq_in(
+            &t,
+            n,
+            1,
+            CioqPolicy::MaximalRr,
+            &stepped(pps_core::Stepping::Dense),
+        );
         assert_eq!(log.undelivered(), 0);
         // Perfect per-slot service ⇒ drain ends by horizon + small slack.
         let last = log.records().filter_map(|r| r.departure()).max().unwrap();
@@ -404,10 +431,16 @@ mod tests {
         // mean delay within a constant envelope of OQ at moderate load.
         let n = 8;
         let t = pps_traffic::gen::BernoulliGen::uniform(0.45, 17).trace(n, 2_000);
-        let oq = run_oq(&t, n).mean_delay().unwrap();
-        let mm = run_cioq_policy(&t, n, 2, CioqPolicy::MaximalRr, pps_core::Stepping::Dense)
-            .mean_delay()
-            .unwrap();
+        let oq = run_oq_in(&t, n, &Sink::default()).mean_delay().unwrap();
+        let mm = run_cioq_in(
+            &t,
+            n,
+            2,
+            CioqPolicy::MaximalRr,
+            &stepped(pps_core::Stepping::Dense),
+        )
+        .mean_delay()
+        .unwrap();
         // λc = 2ρ(N−1)/N = 0.7875 ⇒ envelope λc/(1−λc) ≈ 3.7 slots.
         assert!(mm <= oq + 3.8, "maximal-rr {mm} vs oq {oq}");
     }
@@ -416,10 +449,24 @@ mod tests {
     fn higher_speedup_never_hurts() {
         let n = 8;
         let t = pps_traffic::gen::BernoulliGen::uniform(0.95, 9).trace(n, 800);
-        let d1 = run_cioq(&t, n, 1).mean_delay().unwrap();
-        let d2 = run_cioq(&t, n, 2).mean_delay().unwrap();
-        let d3 = run_cioq(&t, n, 3).mean_delay().unwrap();
+        let d1 = run_cioq_in(&t, n, 1, CioqPolicy::CriticalFirst, &Sink::default())
+            .mean_delay()
+            .unwrap();
+        let d2 = run_cioq_in(&t, n, 2, CioqPolicy::CriticalFirst, &Sink::default())
+            .mean_delay()
+            .unwrap();
+        let d3 = run_cioq_in(&t, n, 3, CioqPolicy::CriticalFirst, &Sink::default())
+            .mean_delay()
+            .unwrap();
         assert!(d2 <= d1 + 1e-9);
         assert!(d3 <= d2 + 1e-9);
+    }
+
+    /// A sink whose runs step in `mode`.
+    fn stepped(mode: Stepping) -> Sink {
+        Sink::new(RunSpec {
+            stepping: mode,
+            ..RunSpec::default()
+        })
     }
 }

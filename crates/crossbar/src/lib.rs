@@ -49,8 +49,8 @@ mod occupancy;
 mod scheduler;
 mod switch;
 
-pub use cioq::{run_cioq, run_cioq_policy, CioqPolicy, CioqSwitch};
+pub use cioq::{run_cioq_in, run_cioq_policy, CioqPolicy, CioqSwitch};
 pub use islip::IslipArbiter;
 pub use occupancy::Occupancy;
 pub use scheduler::{CrossbarScheduler, QpsRScheduler, SwQpsScheduler};
-pub use switch::{run_crossbar, run_crossbar_with, CrossbarSwitch};
+pub use switch::{run_crossbar_in, run_crossbar_with, CrossbarSwitch};

@@ -5,6 +5,7 @@ use crate::occupancy::Voqs;
 use crate::scheduler::CrossbarScheduler;
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
+use pps_core::telemetry::{Engine, EventKind};
 
 /// An `N × N` input-queued crossbar with per-input VOQs and a pluggable
 /// matching scheduler (iSLIP by default), running at the external rate `R`
@@ -19,25 +20,29 @@ pub struct CrossbarSwitch<S: CrossbarScheduler = IslipArbiter> {
     scheduler: S,
     /// Scratch matching written by the scheduler each slot.
     matching: Vec<Option<usize>>,
+    /// The run's telemetry gate and meters.
+    sink: Sink,
 }
 
 impl CrossbarSwitch<IslipArbiter> {
-    /// An idle `n × n` crossbar with an `iterations`-round iSLIP arbiter.
-    pub fn new(n: usize, iterations: usize) -> Self {
-        CrossbarSwitch::with_scheduler(IslipArbiter::new(n, iterations))
+    /// An idle `n × n` crossbar with an `iterations`-round iSLIP arbiter,
+    /// recording into `sink`.
+    pub fn new(n: usize, iterations: usize, sink: &Sink) -> Self {
+        CrossbarSwitch::with_scheduler(IslipArbiter::new(n, iterations), sink)
     }
 }
 
 impl<S: CrossbarScheduler> CrossbarSwitch<S> {
     /// An idle crossbar driven by `scheduler`, with as many ports as it
-    /// schedules.
-    pub fn with_scheduler(scheduler: S) -> Self {
+    /// schedules, recording into `sink`.
+    pub fn with_scheduler(scheduler: S, sink: &Sink) -> Self {
         let n = scheduler.n();
         CrossbarSwitch {
             n,
             voqs: Voqs::new(n),
             scheduler,
             matching: vec![None; n],
+            sink: sink.clone(),
         }
     }
 
@@ -45,12 +50,11 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
     /// matching, and transfer matched head cells (which depart this slot —
     /// the crossbar is output-unbuffered at speedup 1).
     pub fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) {
-        use pps_core::telemetry::{self, Engine, EventKind};
-        pps_core::perf::record_slots(1);
+        self.sink.slots(1);
         for cell in arrivals {
             debug_assert_eq!(cell.arrival, now);
-            if telemetry::on() {
-                telemetry::record(
+            if self.sink.on() {
+                self.sink.record(
                     Engine::Crossbar,
                     now,
                     EventKind::Arrival {
@@ -71,8 +75,8 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
                     .voqs
                     .pop(i, j)
                     .expect("scheduler only matches occupied VOQs");
-                if telemetry::on() {
-                    telemetry::record(
+                if self.sink.on() {
+                    self.sink.record(
                         Engine::Crossbar,
                         now,
                         EventKind::Depart {
@@ -125,7 +129,7 @@ impl<S: CrossbarScheduler> SlotEngine for CrossbarSwitch<S> {
     /// An empty crossbar slot moves no state, so an idle stretch is only
     /// metered: as skipped instead of simulated.
     fn skip_idle(&mut self, from: Slot, to: Slot) {
-        pps_core::perf::record_skipped(to - from + 1);
+        self.sink.skipped(to - from + 1);
     }
 }
 
@@ -139,26 +143,39 @@ pub(crate) fn drain_cap(trace: &Trace, n: usize) -> Slot {
         .saturating_add(64)
 }
 
-/// Run a trace through a fresh iSLIP crossbar until it drains; returns the
-/// log. Uses the process-default stepping mode.
-pub fn run_crossbar(trace: &Trace, n: usize, iterations: usize) -> RunLog {
-    let mode = stepping::process_default();
-    run_crossbar_with(trace, IslipArbiter::new(n, iterations), mode).0
-}
-
-/// Run a trace through a fresh crossbar driven by `scheduler` until it
-/// drains, under an explicit stepping mode (identical logs either way).
-/// Returns the log plus the drained switch, so callers can inspect final
-/// scheduler state (the stepping-equivalence tests compare
-/// [`CrossbarScheduler::state_digest`] across modes — identical logs with
-/// diverged hidden state would still be a bug).
+/// [`run_crossbar_in`] under an explicit stepping mode, on the process
+/// default: a shim of the benchmark seam (DESIGN.md, "The benchmark's
+/// surface").
 pub fn run_crossbar_with<S: CrossbarScheduler>(
     trace: &Trace,
     scheduler: S,
     mode: Stepping,
 ) -> (RunLog, CrossbarSwitch<S>) {
+    run(trace, scheduler, mode, &pps_core::process::sink())
+}
+
+/// Run a trace through a fresh crossbar driven by `scheduler` until it
+/// drains, in the run `sink` records (identical logs in either stepping
+/// mode). Returns the log plus the drained switch, so callers can inspect
+/// final scheduler state (the stepping-equivalence tests compare
+/// [`CrossbarScheduler::state_digest`] across modes — identical logs with
+/// diverged hidden state would still be a bug).
+pub fn run_crossbar_in<S: CrossbarScheduler>(
+    trace: &Trace,
+    scheduler: S,
+    sink: &Sink,
+) -> (RunLog, CrossbarSwitch<S>) {
+    run(trace, scheduler, sink.spec().stepping, sink)
+}
+
+fn run<S: CrossbarScheduler>(
+    trace: &Trace,
+    scheduler: S,
+    mode: Stepping,
+    sink: &Sink,
+) -> (RunLog, CrossbarSwitch<S>) {
     let n = scheduler.n();
-    let mut xb = CrossbarSwitch::with_scheduler(scheduler);
+    let mut xb = CrossbarSwitch::with_scheduler(scheduler, sink);
     let (log, _) = stepping::drive(&mut xb, trace, n, drain_cap(trace, n), mode)
         .expect("a crossbar slot cannot fail");
     (log, xb)
@@ -176,7 +193,7 @@ mod tests {
     #[test]
     fn lone_cell_departs_immediately() {
         let t = trace(vec![Arrival::new(3, 1, 2)], 4);
-        let log = run_crossbar(&t, 4, 1);
+        let log = run_crossbar_in(&t, IslipArbiter::new(4, 1), &Sink::default()).0;
         assert_eq!(log.get(CellId(0)).delay(), Some(0));
     }
 
@@ -191,7 +208,7 @@ mod tests {
                 v.push(Arrival::new(s, i, (i + 1) % n as u32));
             }
         }
-        let log = run_crossbar(&trace(v, n), n, 1);
+        let log = run_crossbar_in(&trace(v, n), IslipArbiter::new(n, 1), &Sink::default()).0;
         assert_eq!(log.undelivered(), 0);
         let late: Vec<_> = log
             .records()
@@ -215,7 +232,7 @@ mod tests {
             }
             trace(v, n)
         };
-        let log = run_crossbar(&t, n, 2);
+        let log = run_crossbar_in(&t, IslipArbiter::new(n, 2), &Sink::default()).0;
         assert_eq!(log.undelivered(), 0);
         assert!(check_flow_order(&log).is_empty());
     }
@@ -234,8 +251,8 @@ mod tests {
             }
         }
         let t = trace(v, n);
-        let xb = run_crossbar(&t, n, 1);
-        let oq = pps_reference::oq::run_oq(&t, n);
+        let xb = run_crossbar_in(&t, IslipArbiter::new(n, 1), &Sink::default()).0;
+        let oq = pps_reference::oq::run_oq_in(&t, n, &Sink::default());
         assert_eq!(xb.undelivered(), 0);
         let max_xb = xb.max_delay().unwrap();
         let max_oq = oq.max_delay().unwrap();
@@ -248,7 +265,7 @@ mod tests {
         // the matching), but under uniform load it sustains throughput.
         let n = 8;
         let t = pps_traffic::gen::BernoulliGen::uniform(0.95, 3).trace(n, 2_000);
-        let log = run_crossbar(&t, n, 3);
+        let log = run_crossbar_in(&t, IslipArbiter::new(n, 3), &Sink::default()).0;
         assert_eq!(log.undelivered(), 0);
         // Work-conservation violations may exist; just quantify they are
         // not catastrophic (fewer than 10% of busy slots).

@@ -562,7 +562,7 @@ proptest! {
             for iterations in [1usize, 2, 4] {
                 lockstep(
                     &format!("islip-{iterations} n={n} seed={seed}"),
-                    CrossbarSwitch::with_scheduler(IslipArbiter::new(n, iterations)),
+                    CrossbarSwitch::with_scheduler(IslipArbiter::new(n, iterations), &Sink::default()),
                     DenseCrossbar::new(n, DenseIslip::new(n, iterations)),
                     &cells,
                     2 * slots,
@@ -579,7 +579,7 @@ proptest! {
             for r in [1usize, 3] {
                 lockstep(
                     &format!("qps-{r} n={n} seed={seed}"),
-                    CrossbarSwitch::with_scheduler(QpsRScheduler::new(n, r, seed ^ 0x9B5)),
+                    CrossbarSwitch::with_scheduler(QpsRScheduler::new(n, r, seed ^ 0x9B5), &Sink::default()),
                     DenseCrossbar::new(n, DenseQpsR::new(n, r, seed ^ 0x9B5)),
                     &cells,
                     2 * slots,
@@ -596,7 +596,7 @@ proptest! {
                 let cells = script(n, seed ^ window as u64, slots);
                 lockstep(
                     &format!("sw-qps-{window} n={n} seed={seed}"),
-                    CrossbarSwitch::with_scheduler(SwQpsScheduler::new(n, window, seed ^ 0x5109)),
+                    CrossbarSwitch::with_scheduler(SwQpsScheduler::new(n, window, seed ^ 0x5109), &Sink::default()),
                     DenseCrossbar::new(n, DenseSwQps::new(n, window, seed ^ 0x5109)),
                     &cells,
                     2 * slots,
@@ -614,7 +614,7 @@ proptest! {
                 for speedup in [1usize, 2, 3] {
                     lockstep(
                         &format!("cioq {} s={speedup} n={n} seed={seed}", policy.name()),
-                        CioqSwitch::with_policy(n, speedup, policy),
+                        CioqSwitch::with_policy(n, speedup, policy, &Sink::default()),
                         DenseCioq::new(n, speedup, policy),
                         &cells,
                         2 * slots,

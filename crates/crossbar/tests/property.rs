@@ -1,10 +1,13 @@
 //! Property tests for the crossbar substrates.
 
+use pps_core::run::Sink;
 use proptest::prelude::*;
 
-use pps_crossbar::{run_cioq, run_crossbar, CrossbarScheduler, IslipArbiter, Occupancy};
+use pps_crossbar::{
+    run_cioq_in, run_crossbar_in, CioqPolicy, CrossbarScheduler, IslipArbiter, Occupancy,
+};
 use pps_reference::checker::check_flow_order;
-use pps_reference::oq::run_oq;
+use pps_reference::oq::run_oq_in;
 use pps_traffic::gen::BernoulliGen;
 
 proptest! {
@@ -59,7 +62,7 @@ proptest! {
     #[test]
     fn crossbar_obligations(n in 2usize..8, seed in 0u64..200) {
         let trace = BernoulliGen::uniform(0.8, seed).trace(n, 60);
-        let log = run_crossbar(&trace, n, 2);
+        let log = run_crossbar_in(&trace, IslipArbiter::new(n, 2), &Sink::default()).0;
         prop_assert_eq!(log.undelivered(), 0);
         prop_assert!(check_flow_order(&log).is_empty());
         // One departure per output per slot.
@@ -75,10 +78,10 @@ proptest! {
     #[test]
     fn cioq_obligations_and_monotone_speedup(n in 2usize..7, seed in 0u64..200) {
         let trace = BernoulliGen::uniform(0.9, seed).trace(n, 60);
-        let oq = run_oq(&trace, n);
+        let oq = run_oq_in(&trace, n, &Sink::default());
         let mut prev_worst = i64::MAX;
         for s in [1usize, 2, 3] {
-            let log = run_cioq(&trace, n, s);
+            let log = run_cioq_in(&trace, n, s, CioqPolicy::CriticalFirst, &Sink::default());
             prop_assert_eq!(log.undelivered(), 0, "speedup {}", s);
             prop_assert!(check_flow_order(&log).is_empty());
             let worst = log

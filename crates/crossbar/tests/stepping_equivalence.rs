@@ -14,11 +14,12 @@
 //! CIOQ switch under both matching policies for good measure.
 
 use pps_core::rng::SplitMix64;
+use pps_core::run::{RunSpec, Sink};
 use pps_core::stepping::drive;
 use pps_core::trace::{Arrival, Trace};
 use pps_core::{Slot, Stepping};
 use pps_crossbar::{
-    run_cioq_policy, run_crossbar_with, CioqPolicy, CioqSwitch, CrossbarScheduler, CrossbarSwitch,
+    run_cioq_in, run_crossbar_in, CioqPolicy, CioqSwitch, CrossbarScheduler, CrossbarSwitch,
     IslipArbiter, QpsRScheduler, SwQpsScheduler,
 };
 use proptest::prelude::*;
@@ -58,8 +59,8 @@ fn assert_equivalent<S: CrossbarScheduler, F: Fn() -> S>(
     t: &Trace,
     make: F,
 ) -> (u64, u64) {
-    let (dense_log, dense_sw) = run_crossbar_with(t, make(), Stepping::Dense);
-    let (skip_log, skip_sw) = run_crossbar_with(t, make(), Stepping::SkipAhead);
+    let (dense_log, dense_sw) = run_crossbar_in(t, make(), &stepped(Stepping::Dense));
+    let (skip_log, skip_sw) = run_crossbar_in(t, make(), &Sink::default());
     let dense: Vec<_> = dense_log
         .iter()
         .map(|(id, r)| (id, r.arrival, r.departure()))
@@ -89,8 +90,8 @@ proptest! {
         bursts in 1usize..6,
     ) {
         let t = gappy_trace(n, seed, bursts);
-        let (_, dense_sw) = run_crossbar_with(&t, IslipArbiter::new(n, iterations), Stepping::Dense);
-        let (_, skip_sw) = run_crossbar_with(&t, IslipArbiter::new(n, iterations), Stepping::SkipAhead);
+        let (_, dense_sw) = run_crossbar_in(&t, IslipArbiter::new(n, iterations), &stepped(Stepping::Dense));
+        let (_, skip_sw) = run_crossbar_in(&t, IslipArbiter::new(n, iterations), &Sink::default());
         // Byte-identical pointer vectors, not just equal digests.
         prop_assert_eq!(dense_sw.scheduler().pointers(), skip_sw.scheduler().pointers());
         prop_assert_eq!(
@@ -131,8 +132,8 @@ proptest! {
     ) {
         let t = gappy_trace(n, seed, bursts);
         for policy in [CioqPolicy::CriticalFirst, CioqPolicy::MaximalRr] {
-            let dense = run_cioq_policy(&t, n, speedup, policy, Stepping::Dense);
-            let skip = run_cioq_policy(&t, n, speedup, policy, Stepping::SkipAhead);
+            let dense = run_cioq_in(&t, n, speedup, policy, &stepped(Stepping::Dense));
+            let skip = run_cioq_in(&t, n, speedup, policy, &Sink::default());
             let d: Vec<_> = dense.iter().map(|(id, r)| (id, r.departure())).collect();
             let s: Vec<_> = skip.iter().map(|(id, r)| (id, r.departure())).collect();
             prop_assert_eq!(d, s, "policy {} diverged", policy.name());
@@ -159,8 +160,9 @@ fn islip_pointer_freeze_regression() {
         v.push(Arrival::new(1100 + i as u64, i, (i + 1) % n as u32));
     }
     let t = Trace::build(v, n).unwrap();
-    let (dense_log, dense_sw) = run_crossbar_with(&t, IslipArbiter::new(n, 1), Stepping::Dense);
-    let (skip_log, skip_sw) = run_crossbar_with(&t, IslipArbiter::new(n, 1), Stepping::SkipAhead);
+    let (dense_log, dense_sw) =
+        run_crossbar_in(&t, IslipArbiter::new(n, 1), &stepped(Stepping::Dense));
+    let (skip_log, skip_sw) = run_crossbar_in(&t, IslipArbiter::new(n, 1), &Sink::default());
     assert_eq!(
         dense_sw.scheduler().pointers(),
         skip_sw.scheduler().pointers()
@@ -209,7 +211,7 @@ fn idle_slots_are_pure_noops_for_every_discipline() {
     let burst = &Trace::build(long_gap_trace(n).arrivals().take(4 * n).collect(), n).unwrap();
 
     fn check<S: CrossbarScheduler>(name: &str, burst: &Trace, scheduler: S) {
-        let mut sw = CrossbarSwitch::with_scheduler(scheduler);
+        let mut sw = CrossbarSwitch::with_scheduler(scheduler, &Sink::default());
         let n = sw.scheduler().n();
         let (mut log, end) = drive(&mut sw, burst, n, Slot::MAX, Stepping::Dense).unwrap();
         let drained = sw.scheduler().state_digest();
@@ -227,7 +229,7 @@ fn idle_slots_are_pure_noops_for_every_discipline() {
     // The CIOQ policies hold no pointer or RNG state; their hidden state
     // is the output-queue high-water mark and the backlog.
     for policy in [CioqPolicy::CriticalFirst, CioqPolicy::MaximalRr] {
-        let mut sw = CioqSwitch::with_policy(n, 2, policy);
+        let mut sw = CioqSwitch::with_policy(n, 2, policy, &Sink::default());
         let (mut log, end) = drive(&mut sw, burst, n, Slot::MAX, Stepping::Dense).unwrap();
         let (high_water, delivered) = (sw.max_output_queue(), log.clone());
         for now in end..end + 100 {
@@ -237,4 +239,12 @@ fn idle_slots_are_pure_noops_for_every_discipline() {
         assert_eq!(sw.max_output_queue(), high_water, "{}", policy.name());
         assert_eq!(log.records(), delivered.records(), "{}", policy.name());
     }
+}
+
+/// A sink whose runs step in `mode`.
+fn stepped(mode: Stepping) -> Sink {
+    Sink::new(RunSpec {
+        stepping: mode,
+        ..RunSpec::default()
+    })
 }

@@ -23,7 +23,7 @@
 //! of the paper made visible through faults instead of delay.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless_faulted, fault_impact, FaultImpact, Table};
+use pps_analysis::{compare_bufferless_faulted_in, fault_impact, FaultImpact, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{
@@ -34,8 +34,8 @@ use pps_traffic::gen::BernoulliGen;
 
 /// Per-algorithm outcome: `(dropped fraction overall, worst per-input
 /// dropped fraction)`.
-fn point<D: Demultiplexor>(cfg: PpsConfig, demux: D, trace: &Trace) -> (f64, f64) {
-    let mut pps = BufferlessPps::new(cfg, demux).expect("engine");
+fn point<D: Demultiplexor>(cfg: PpsConfig, demux: D, trace: &Trace, sink: &Sink) -> (f64, f64) {
+    let mut pps = BufferlessPps::new_in(cfg, demux, sink).expect("engine");
     pps.fail_plane(0).expect("plane 0 exists");
     let run = pps.run(trace).expect("model-legal run");
     let total = run.log.len() as f64;
@@ -68,13 +68,15 @@ pub fn recovery_point<D: Demultiplexor>(
     trace: &Trace,
     plan: &FaultPlan,
     window: (Slot, Slot),
+    sink: &Sink,
 ) -> FaultImpact {
-    let cmp = compare_bufferless_faulted(cfg, demux, trace, plan).expect("model-legal run");
+    let cmp =
+        compare_bufferless_faulted_in(cfg, demux, trace, plan, sink).expect("model-legal run");
     fault_impact(&cmp.pps.log, &cmp.oq, cfg.n, window)
 }
 
 /// Run the ablation.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 2);
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     let trace = BernoulliGen::uniform(0.7, 77).trace(n, 3_000);
@@ -82,11 +84,16 @@ pub(crate) fn run() -> ExperimentOutput {
         format!("Plane-0 failure at N={n}, K={k}, r'={r_prime}, Bernoulli load 0.7"),
         &["algorithm", "aggregate loss", "worst per-input loss"],
     );
-    let static_plan = SweepPlan::new("a1-static", vec![0usize, 1, 2]);
+    let static_plan = SweepPlan::new_in("a1-static", vec![0usize, 1, 2], sink);
     let static_results = static_plan.run(|pt| match pt.params {
-        0 => point(cfg, RoundRobinDemux::new(n, k), &trace),
-        1 => point(cfg, StaticPartitionDemux::minimal(n, k, r_prime), &trace),
-        _ => point(cfg, FtdDemux::new(n, k, r_prime, 2), &trace),
+        0 => point(cfg, RoundRobinDemux::new(n, k), &trace, pt.sink),
+        1 => point(
+            cfg,
+            StaticPartitionDemux::minimal(n, k, r_prime),
+            &trace,
+            pt.sink,
+        ),
+        _ => point(cfg, FtdDemux::new(n, k, r_prime, 2), &trace, pt.sink),
     });
     let (rr, sp, ftd) = (static_results[0], static_results[1], static_results[2]);
     for (name, (agg, worst)) in [("round-robin", rr), ("static-partition", sp), ("ftd", ftd)] {
@@ -108,15 +115,23 @@ pub(crate) fn run() -> ExperimentOutput {
         .plane_up(0, window.1);
     let fcfg = cfg.with_watchdog(32);
     let u = 32;
-    let recovery_plan = SweepPlan::new("a1-recover", vec![0usize, 1, 2]);
+    let recovery_plan = SweepPlan::new_in("a1-recover", vec![0usize, 1, 2], sink);
     let recovery_results = recovery_plan.run(|pt| match pt.params {
-        0 => recovery_point(fcfg, RoundRobinDemux::new(n, k), &trace, &plan, window),
+        0 => recovery_point(
+            fcfg,
+            RoundRobinDemux::new(n, k),
+            &trace,
+            &plan,
+            window,
+            pt.sink,
+        ),
         1 => recovery_point(
             fcfg,
             FaultAwareRoundRobinDemux::urt(n, k, u),
             &trace,
             &plan,
             window,
+            pt.sink,
         ),
         _ => recovery_point(
             fcfg,
@@ -124,6 +139,7 @@ pub(crate) fn run() -> ExperimentOutput {
             &trace,
             &plan,
             window,
+            pt.sink,
         ),
     });
     let [fd, urt, cent]: [FaultImpact; 3] = recovery_results.try_into().expect("three classes");
@@ -181,8 +197,13 @@ mod tests {
         let (n, k, r) = (8, 4, 2);
         let cfg = PpsConfig::bufferless(n, k, r);
         let trace = BernoulliGen::uniform(0.6, 5).trace(n, 1_000);
-        let (agg_sp, worst_sp) = point(cfg, StaticPartitionDemux::minimal(n, k, r), &trace);
-        let (agg_rr, worst_rr) = point(cfg, RoundRobinDemux::new(n, k), &trace);
+        let (agg_sp, worst_sp) = point(
+            cfg,
+            StaticPartitionDemux::minimal(n, k, r),
+            &trace,
+            &Sink::default(),
+        );
+        let (agg_rr, worst_rr) = point(cfg, RoundRobinDemux::new(n, k), &trace, &Sink::default());
         assert!(agg_sp > 0.0 && agg_rr > 0.0);
         assert!(
             worst_sp > worst_rr,
@@ -193,7 +214,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]
@@ -205,13 +226,21 @@ mod tests {
         let plan = FaultPlan::new()
             .plane_down(0, window.0)
             .plane_up(0, window.1);
-        let fd = recovery_point(cfg, RoundRobinDemux::new(n, k), &trace, &plan, window);
+        let fd = recovery_point(
+            cfg,
+            RoundRobinDemux::new(n, k),
+            &trace,
+            &plan,
+            window,
+            &Sink::default(),
+        );
         let urt = recovery_point(
             cfg,
             FaultAwareRoundRobinDemux::urt(n, k, 16),
             &trace,
             &plan,
             window,
+            &Sink::default(),
         );
         let cent = recovery_point(
             cfg,
@@ -219,6 +248,7 @@ mod tests {
             &trace,
             &plan,
             window,
+            &Sink::default(),
         );
         assert!(
             cent.lost <= urt.lost && urt.lost < fd.lost,

@@ -12,19 +12,19 @@ use pps_switch::engine::BufferlessPps;
 use pps_traffic::gen::{BernoulliGen, TrafficPattern};
 
 /// One speedup point: `(S, max rel delay, deadline misses)`.
-fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (f64, i64, u64) {
+fn point(n: usize, k: usize, r_prime: usize, trace: &Trace, sink: &Sink) -> (f64, i64, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
     cfg.validate().expect("valid point");
-    let mut pps = BufferlessPps::new(cfg, CpaDemux::new(n, k, r_prime)).expect("engine");
+    let mut pps = BufferlessPps::new_in(cfg, CpaDemux::new(n, k, r_prime), sink).expect("engine");
     let run = pps.run(trace).expect("model-legal run");
     let misses = pps.demux().deadline_misses();
-    let oq = pps_reference::oq::run_oq(trace, n);
+    let oq = pps_reference::oq::run_oq_in(trace, n, sink);
     let cmp = Comparison { pps: run, oq, n };
     (cfg.speedup().to_f64(), cmp.relative_delay().max, misses)
 }
 
 /// Run the sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, r_prime) = (16, 4);
     // A hot, bursty load that stresses the deadline calendar.
     let trace = BernoulliGen {
@@ -43,8 +43,8 @@ pub(crate) fn run() -> ExperimentOutput {
     let mut pass = true;
     let mut at_or_above_ok = true;
     let mut below_degrades = false;
-    let plan = SweepPlan::new("a2", vec![4usize, 6, 8, 12, 16]);
-    let results = plan.run(|pt| point(n, *pt.params, r_prime, &trace));
+    let plan = SweepPlan::new_in("a2", vec![4usize, 6, 8, 12, 16], sink);
+    let results = plan.run(|pt| point(n, *pt.params, r_prime, &trace, pt.sink));
     for (&k, (s, max_rd, misses)) in plan.points().iter().zip(results) {
         if s >= 2.0 {
             at_or_above_ok &= max_rd <= 0 && misses == 0;
@@ -88,9 +88,9 @@ mod tests {
             seed: 3,
         }
         .trace(8, 1_200);
-        let (_s, rd_hi, miss_hi) = point(8, 8, 4, &trace); // S = 2
+        let (_s, rd_hi, miss_hi) = point(8, 8, 4, &trace, &Sink::default()); // S = 2
         assert_eq!((rd_hi <= 0, miss_hi), (true, 0));
-        let (_s, rd_lo, miss_lo) = point(8, 4, 4, &trace); // S = 1
+        let (_s, rd_lo, miss_lo) = point(8, 4, 4, &trace, &Sink::default()); // S = 1
         assert!(
             miss_lo > 0 || rd_lo > 0,
             "S = 1 should degrade: rd {rd_lo}, misses {miss_lo}"
@@ -99,6 +99,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

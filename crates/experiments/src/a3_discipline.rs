@@ -9,7 +9,7 @@
 //!   violation; quantified via the order checker).
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_reference::checker::check_flow_order;
@@ -23,9 +23,10 @@ fn point(
     r_prime: usize,
     d: OutputDiscipline,
     trace: &Trace,
+    sink: &Sink,
 ) -> (i64, f64, usize) {
     let cfg = PpsConfig::bufferless(n, k, r_prime).with_discipline(d);
-    let cmp = compare_bufferless(cfg, RoundRobinDemux::new(n, k), trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, RoundRobinDemux::new(n, k), trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     let reorders = check_flow_order(&cmp.pps.log)
@@ -36,7 +37,7 @@ fn point(
 }
 
 /// Run the ablation.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4);
     let trace = OnOffGen::uniform(12.0, 0.75, 55).trace(n, 3_000);
     let mut table = Table::new(
@@ -48,15 +49,16 @@ pub(crate) fn run() -> ExperimentOutput {
             "flow reorders",
         ],
     );
-    let plan = SweepPlan::new(
+    let plan = SweepPlan::new_in(
         "a3",
         vec![
             OutputDiscipline::FlowFifo,
             OutputDiscipline::GlobalFcfs,
             OutputDiscipline::Greedy,
         ],
+        sink,
     );
-    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, &trace));
+    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, &trace, pt.sink));
     let (ff, gf, gr) = (results[0], results[1], results[2]);
     for (name, (max, mean, reorders)) in [("flow-fifo", ff), ("global-fcfs", gf), ("greedy", gr)] {
         table.row_display(&[
@@ -89,21 +91,42 @@ mod tests {
     #[test]
     fn order_preserving_disciplines_do_not_reorder() {
         let trace = OnOffGen::uniform(8.0, 0.7, 2).trace(8, 800);
-        let (_, _, r_ff) = point(8, 8, 4, OutputDiscipline::FlowFifo, &trace);
-        let (_, _, r_gf) = point(8, 8, 4, OutputDiscipline::GlobalFcfs, &trace);
+        let (_, _, r_ff) = point(
+            8,
+            8,
+            4,
+            OutputDiscipline::FlowFifo,
+            &trace,
+            &Sink::default(),
+        );
+        let (_, _, r_gf) = point(
+            8,
+            8,
+            4,
+            OutputDiscipline::GlobalFcfs,
+            &trace,
+            &Sink::default(),
+        );
         assert_eq!((r_ff, r_gf), (0, 0));
     }
 
     #[test]
     fn global_fcfs_never_beats_greedy_on_delay() {
         let trace = OnOffGen::uniform(8.0, 0.7, 2).trace(8, 800);
-        let (d_gf, ..) = point(8, 8, 4, OutputDiscipline::GlobalFcfs, &trace);
-        let (d_gr, ..) = point(8, 8, 4, OutputDiscipline::Greedy, &trace);
+        let (d_gf, ..) = point(
+            8,
+            8,
+            4,
+            OutputDiscipline::GlobalFcfs,
+            &trace,
+            &Sink::default(),
+        );
+        let (d_gr, ..) = point(8, 8, 4, OutputDiscipline::Greedy, &trace, &Sink::default());
         assert!(d_gr <= d_gf, "greedy {d_gr} vs global-fcfs {d_gf}");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -20,26 +20,31 @@
 //! ```
 //!
 //! argv is parsed once, by `pps_experiments::cli::parse`, whose flag table
-//! the block above is pinned against.
+//! the block above is pinned against, and the three settings flags become
+//! the one [`RunSpec`] every mode runs on (`cli::Settings::spec`). Nothing
+//! here, and nothing the modes call, reads process state: a mode's output
+//! depends on its arguments and its spec only.
 //!
 //! Whatever `--jobs` says, the printed tables are byte-identical: the sweep
 //! executor merges results in declared order (see `pps_core::sweep`).
-//! `--bench-json` times experiments one at a time (their inner sweeps still
-//! use the worker budget) so the per-experiment numbers are attributable,
-//! and writes them as JSON. An experiment that metered no slot at all gets
-//! a `warning:` line on stderr: its engine is off the slot meter.
+//! `--bench-json` runs experiments one at a time (their inner sweeps still
+//! use the worker budget), each as a run of its own, and writes each one's
+//! wall clock and the slots its `RunReport` metered as JSON. An experiment
+//! that metered no slot at all gets a `warning:` line on stderr: its engine
+//! is off the slot meter.
 //!
 //! Telemetry rides the same determinism contract: at `--telemetry full`
-//! every sweep point records into its own scope and the event bundle is
-//! absorbed in declared order, so `--trace-out` files are identical at any
-//! `--jobs`. The sink is picked from the `--trace-out` extension: `.json`
+//! every sweep point records into a sink of its own and the event bundle is
+//! merged in declared order, so `--trace-out` files are identical at any
+//! `--jobs`. The format is picked from the `--trace-out` extension: `.json`
 //! is a Chrome trace-event file (open in Perfetto), `.csv` a flat table,
 //! anything else JSONL.
 
+use pps_core::run::{self, RunSpec};
 use pps_core::sweep::SweepPlan;
-use pps_core::telemetry::{self, Level};
+use pps_core::telemetry::{EventLog, Level, Meters};
 use pps_experiments::cli::{self, CliError, ExperimentArgs, Mode, Settings};
-use pps_experiments::{registry, ExperimentOutput};
+use pps_experiments::{ExperimentOutput, EXPERIMENTS};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -49,10 +54,10 @@ type BenchEntry = (&'static str, f64, u64, u64);
 
 /// Serialize the benchmark records by hand (two levels of objects — not
 /// worth a JSON dependency).
-fn bench_json(total_seconds: f64, entries: &[BenchEntry]) -> String {
+fn bench_json(jobs: usize, total_seconds: f64, entries: &[BenchEntry]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"suite\": \"ppslab\",\n");
-    out.push_str(&format!("  \"jobs\": {},\n", pps_core::workers::jobs()));
+    out.push_str(&format!("  \"jobs\": {jobs},\n"));
     out.push_str(&format!("  \"total_wall_seconds\": {total_seconds:.3},\n"));
     out.push_str("  \"experiments\": [\n");
     for (i, (id, secs, slots, skipped)) in entries.iter().enumerate() {
@@ -71,27 +76,20 @@ fn bench_json(total_seconds: f64, entries: &[BenchEntry]) -> String {
     out
 }
 
-/// Set the process knobs — the only place the binary does. Tables and
-/// reports are byte-identical at any worker budget (the sweep executor's
-/// contract), so the default is every core.
-fn apply(settings: &Settings) {
-    let cores = || std::thread::available_parallelism().map_or(1, usize::from);
-    pps_core::workers::set_jobs(settings.jobs.unwrap_or_else(cores));
-    telemetry::set_level(settings.telemetry);
-    if settings.trace_out.is_some() && settings.telemetry != Level::Full {
-        eprintln!("warning: --trace-out needs --telemetry full to have events to write");
-    }
+/// What telemetry saw of a mode: the meters of its runs and, at `full`,
+/// their event logs (the children of the `--trace-out` bundle).
+#[derive(Default)]
+struct Seen {
+    meters: Meters,
+    logs: Vec<EventLog>,
 }
 
-/// Run `f`; at `--telemetry full`, in a recording scope of its own whose
-/// log joins the bundle the epilogue drains (as a sweep's points do).
-fn scoped<R>(tracing: bool, label: &str, f: impl FnOnce() -> R) -> R {
-    if !tracing {
-        return f();
+impl Seen {
+    fn add<T>(&mut self, report: run::RunReport<T>) -> T {
+        self.meters.add(&report.meters);
+        self.logs.push(report.log);
+        report.output
     }
-    let (result, log) = telemetry::collect(label, f);
-    telemetry::absorb(log);
-    result
 }
 
 fn io_error<'a>(flag: &'a str, path: &'a Path) -> impl FnOnce(std::io::Error) -> CliError + 'a {
@@ -100,38 +98,40 @@ fn io_error<'a>(flag: &'a str, path: &'a Path) -> impl FnOnce(std::io::Error) ->
 
 /// Run the selected experiments and print them in paper order; `Ok(false)`
 /// when a verdict was not PASS.
-fn run_experiments(args: &ExperimentArgs, tracing: bool) -> Result<bool, CliError> {
+fn run_experiments(
+    args: &ExperimentArgs,
+    spec: &RunSpec,
+    seen: &mut Seen,
+) -> Result<bool, CliError> {
     if let Some(dir) = &args.out {
         std::fs::create_dir_all(dir).map_err(io_error("--out", dir))?;
     }
-    let mut selected = registry();
+    let mut selected = EXPERIMENTS.to_vec();
     selected.retain(|(id, _)| args.ids.contains(id));
-    // The registry-level sweep shares the one worker budget with every
+    // The registry-level sweep shares the run's worker budget with every
     // experiment's inner sweeps, so --jobs bounds total threads whatever
-    // the nesting. Benchmarking instead times experiments one at a time so
-    // wall-clock and simulated-slot deltas attribute to a single
-    // experiment (inner sweeps still use the budget).
+    // the nesting. Benchmarking instead runs experiments one at a time,
+    // each a run of its own, so wall clock and metered slots attribute to
+    // a single experiment (inner sweeps still use the budget).
     let outputs: Vec<ExperimentOutput> = if let Some(path) = &args.bench_json {
         let suite_start = std::time::Instant::now();
         let mut bench: Vec<BenchEntry> = Vec::new();
         let outputs = selected
             .iter()
-            .map(|(id, runner)| {
-                let slots0 = pps_core::perf::slots_simulated();
-                let skipped0 = pps_core::perf::slots_skipped();
+            .map(|&(id, experiment)| {
                 let start = std::time::Instant::now();
-                let out = scoped(tracing, id, runner);
+                let report = run::run(spec, id, experiment);
                 let secs = start.elapsed().as_secs_f64();
-                bench.push((
-                    id,
-                    secs,
-                    pps_core::perf::slots_simulated() - slots0,
-                    pps_core::perf::slots_skipped() - skipped0,
-                ));
-                out
+                let Meters {
+                    slots_simulated,
+                    slots_skipped,
+                    ..
+                } = report.meters;
+                bench.push((id, secs, slots_simulated, slots_skipped));
+                seen.add(report)
             })
             .collect();
-        let json = bench_json(suite_start.elapsed().as_secs_f64(), &bench);
+        let json = bench_json(spec.jobs, suite_start.elapsed().as_secs_f64(), &bench);
         std::fs::write(path, json).map_err(io_error("--bench-json", path))?;
         for (id, ..) in bench
             .iter()
@@ -144,8 +144,13 @@ fn run_experiments(args: &ExperimentArgs, tracing: bool) -> Result<bool, CliErro
         }
         outputs
     } else {
-        let plan = SweepPlan::new("registry", (0..selected.len()).collect());
-        plan.run(|pt| (selected[*pt.params].1)())
+        let report = run::run(spec, "ppslab", |sink| {
+            let plan = SweepPlan::new_in("registry", (0..selected.len()).collect(), sink);
+            plan.run(|pt| (selected[*pt.params].1)(pt.sink))
+        });
+        seen.meters.add(&report.meters);
+        seen.logs.extend(report.log.children);
+        report.output
     };
     let mut failures = 0usize;
     for out in outputs {
@@ -177,17 +182,24 @@ fn run_experiments(args: &ExperimentArgs, tracing: bool) -> Result<bool, CliErro
     Ok(failures == 0)
 }
 
-/// Run what `mode` names and print its report; `Ok(false)` when the run
-/// completed but found a failure (a verdict, a chaos violation).
-fn dispatch(mode: &Mode, tracing: bool) -> Result<bool, CliError> {
+/// Run what `mode` names on `spec` and print its report; `Ok(false)` when
+/// the run completed but found a failure (a verdict, a chaos violation).
+fn dispatch(mode: &Mode, spec: &RunSpec, seen: &mut Seen) -> Result<bool, CliError> {
     let report = match mode {
-        Mode::List => Ok(registry().iter().map(|(id, _)| format!("{id}\n")).collect()),
-        Mode::Experiments(args) => return run_experiments(args, tracing),
-        Mode::Run(args) => scoped(tracing, "run", || pps_experiments::run::run(args)),
+        Mode::List => Ok(EXPERIMENTS
+            .iter()
+            .map(|(id, _)| format!("{id}\n"))
+            .collect()),
+        Mode::Experiments(args) => return run_experiments(args, spec, seen),
+        Mode::Run(args) => seen.add(run::run(spec, "run", |sink| {
+            pps_experiments::run::run(args, sink)
+        })),
         // A campaign records at `full` for its own oracles and keeps no
-        // events: there is nothing to scope.
+        // events: only its meters are reported.
         Mode::Chaos(opts) => {
-            let report = pps_chaos::cli::run(opts).map_err(|e| CliError::Refused(e.to_string()))?;
+            let report =
+                pps_chaos::cli::run(opts, spec).map_err(|e| CliError::Refused(e.to_string()))?;
+            seen.meters.add(&report.meters);
             print!("{}", report.text);
             return Ok(report.failed == 0);
         }
@@ -198,13 +210,13 @@ fn dispatch(mode: &Mode, tracing: bool) -> Result<bool, CliError> {
 
 /// What `--telemetry` asked to see once the run is over: the summary and
 /// the `--trace-out` file at `full`, the counters at `counters` and up.
-fn telemetry_epilogue(settings: &Settings) -> Result<(), CliError> {
+fn telemetry_epilogue(settings: &Settings, seen: Seen) -> Result<(), CliError> {
     if settings.telemetry == Level::Full {
-        let root = telemetry::EventLog {
+        let root = EventLog {
             label: "ppslab".into(),
             events: Vec::new(),
             overflowed: 0,
-            children: telemetry::take_absorbed(),
+            children: seen.logs,
         };
         eprint!("{}", pps_telemetry::summarize(&root));
         if let Some(path) = &settings.trace_out {
@@ -213,36 +225,30 @@ fn telemetry_epilogue(settings: &Settings) -> Result<(), CliError> {
             eprintln!("telemetry: {events} events -> {}", path.display());
         }
     }
+    // Ring overflow is reported by `summarize` above, next to the figures
+    // it thins out.
     if settings.telemetry != Level::Off {
         eprintln!("telemetry counters:");
-        let mut unscoped = 0;
-        for (name, value) in telemetry::counters() {
+        for (name, value) in seen.meters.named() {
             eprintln!("  {name:<24} {value}");
-            if name == "events.unscoped" {
-                unscoped = value;
-            }
-        }
-        // Ring overflow is reported by `summarize` above, next to the
-        // figures it thins out.
-        if unscoped > 0 {
-            eprintln!(
-                "warning: {unscoped} events dropped because they were recorded outside \
-                 any telemetry scope -- they are in no trace and no summary"
-            );
         }
     }
     Ok(())
 }
 
-/// Parse, set the process knobs, run, report what telemetry saw. Exit 0
+/// Parse, build the run's spec, run, report what telemetry saw. Exit 0
 /// when everything passed, 1 when an experiment or a chaos case failed, 2
 /// when the command line or its input was refused.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = cli::parse(&args).and_then(|inv| {
-        apply(&inv.settings);
-        let passed = dispatch(&inv.mode, inv.settings.telemetry == Level::Full)?;
-        telemetry_epilogue(&inv.settings)?;
+        let spec = inv.settings.spec();
+        if inv.settings.trace_out.is_some() && spec.telemetry != Level::Full {
+            eprintln!("warning: --trace-out needs --telemetry full to have events to write");
+        }
+        let mut seen = Seen::default();
+        let passed = dispatch(&inv.mode, &spec, &mut seen)?;
+        telemetry_epilogue(&inv.settings, seen)?;
         Ok(passed)
     });
     match outcome {

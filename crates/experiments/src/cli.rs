@@ -1,8 +1,8 @@
 //! `ppslab`'s command line, parsed once.
 //!
 //! [`parse`] makes one left-to-right pass over argv against one flag table
-//! and returns a typed [`Invocation`]: the process [`Settings`] every mode
-//! shares plus the [`Mode`] to run. Nothing else reads argv, so a token
+//! and returns a typed [`Invocation`]: the [`Settings`] every mode shares
+//! (and the [`RunSpec`] they make) plus the [`Mode`] to run. Nothing else reads argv, so a token
 //! consumed as a flag's value is never read again as a flag, an id or a
 //! subcommand. Flags come in any order, before or after the subcommand
 //! word; the tokens that do not start with `--` are either the one word
@@ -13,6 +13,7 @@
 
 use crate::run::RunArgs;
 use pps_chaos::cli::ChaosOptions;
+use pps_core::run::RunSpec;
 use pps_core::telemetry::Level;
 use std::fmt;
 use std::path::PathBuf;
@@ -61,7 +62,7 @@ fn index_of(name: &str) -> Option<usize> {
     FLAGS.iter().position(|f| f.0 == name)
 }
 
-/// The process-wide knobs: the same three flags in every mode.
+/// The run's knobs: the same three flags in every mode.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Settings {
     /// `--jobs`: the worker budget (`None`: every available core).
@@ -70,6 +71,21 @@ pub struct Settings {
     pub telemetry: Level,
     /// `--trace-out`: where the merged event stream goes.
     pub trace_out: Option<PathBuf>,
+}
+
+impl Settings {
+    /// The [`RunSpec`] these flags configure — the only place `ppslab`
+    /// makes one. Tables and reports are byte-identical at any worker
+    /// budget (the sweep executor's contract), so the default is every
+    /// core; stepping is always the product's skip-ahead.
+    pub fn spec(&self) -> RunSpec {
+        let cores = || std::thread::available_parallelism().map_or(1, usize::from);
+        RunSpec {
+            jobs: self.jobs.unwrap_or_else(cores),
+            telemetry: self.telemetry,
+            ..RunSpec::default()
+        }
+    }
 }
 
 /// Which experiments to run and how to print them.
@@ -250,7 +266,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
 /// The registry's ids that `words` names, in registry order; all of them
 /// when `words` is empty.
 fn select(words: &[&str]) -> Result<Vec<&'static str>, CliError> {
-    let known: Vec<&'static str> = crate::registry().iter().map(|(id, _)| *id).collect();
+    let known: Vec<&'static str> = crate::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
     if let Some(stranger) = words.iter().find(|w| !known.contains(w)) {
         return usage(format!(
             "unknown experiment id {stranger} (--list prints the known ids)"
@@ -352,7 +368,7 @@ mod tests {
         let after = ok(&["chaos", "--cases", "2", "--jobs", "2"]);
         assert_eq!(before, after);
         assert_eq!(before.settings.jobs, Some(2));
-        assert!(matches!(&before.mode, Mode::Chaos(o) if o.cases == 2 && o.jobs.is_none()));
+        assert!(matches!(&before.mode, Mode::Chaos(o) if o.cases == 2));
         // A subcommand's `... --telemetry full` used to be an unknown flag.
         let inv = ok(&[
             "--trace-out",
@@ -561,7 +577,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{args:?}: {e}"))
                 .mode
             {
-                Mode::Run(run) => crate::run::run(&run),
+                Mode::Run(run) => crate::run::run(&run, &pps_core::run::Sink::default()),
                 other => panic!("{args:?} parsed to {other:?}"),
             };
             let msg = refusal.expect_err(&spec);

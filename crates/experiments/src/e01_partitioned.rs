@@ -8,7 +8,7 @@
 //! aligns one group and fires the Figure 2 burst.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::StaticPartitionDemux;
@@ -45,7 +45,7 @@ fn grouped_partition(p: Params) -> StaticPartitionDemux {
 
 /// One sweep point: returns `(d_aligned, paper bound, model-exact bound,
 /// measured delay, measured jitter, burstiness)`.
-fn point(p: Params) -> (usize, u64, u64, i64, i64, u64) {
+fn point(p: Params, sink: &Sink) -> (usize, u64, u64, i64, i64, u64) {
     let cfg = PpsConfig::bufferless(p.n, p.k, p.r_prime);
     cfg.validate().expect("valid sweep point");
     let demux = grouped_partition(p);
@@ -53,7 +53,7 @@ fn point(p: Params) -> (usize, u64, u64, i64, i64, u64) {
     let group: Vec<u32> = (0..p.d as u32).collect();
     let atk = concentration_attack(&demux, &cfg, &group, 4 * p.k);
     let b = min_burstiness(&atk.trace, p.n).overall();
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0, "attack must not wedge the switch");
     (
@@ -67,7 +67,7 @@ fn point(p: Params) -> (usize, u64, u64, i64, i64, u64) {
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (32, 32, 4);
     let mut table = Table::new(
         format!("Theorem 6 sweep: N={n}, K={k}, r'={r_prime} (bound = (R/r-1)*d)"),
@@ -82,14 +82,15 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new(
+    let plan = SweepPlan::new_in(
         "e1",
         [2usize, 4, 8, 16, 32]
             .into_iter()
             .map(|d| Params { n, k, r_prime, d })
             .collect(),
+        sink,
     );
-    let results = plan.run(|pt| point(*pt.params));
+    let results = plan.run(|pt| point(*pt.params, pt.sink));
     for (p, (aligned, paper, exact, delay, jitter, b)) in plan.points().iter().zip(results) {
         pass &= delay as u64 >= exact && jitter as u64 >= exact && b == 0;
         table.row_display(&[
@@ -122,12 +123,15 @@ mod tests {
 
     #[test]
     fn small_point_beats_the_exact_bound() {
-        let (aligned, _paper, exact, delay, jitter, b) = point(Params {
-            n: 8,
-            k: 8,
-            r_prime: 2,
-            d: 4,
-        });
+        let (aligned, _paper, exact, delay, jitter, b) = point(
+            Params {
+                n: 8,
+                k: 8,
+                r_prime: 2,
+                d: 4,
+            },
+            &Sink::default(),
+        );
         assert_eq!(aligned, 4);
         assert_eq!(b, 0, "premise: burst-free");
         assert!(delay as u64 >= exact, "delay {delay} < exact bound {exact}");
@@ -137,12 +141,15 @@ mod tests {
     #[test]
     fn bound_scales_with_d() {
         let f = |d| {
-            point(Params {
-                n: 16,
-                k: 16,
-                r_prime: 2,
-                d,
-            })
+            point(
+                Params {
+                    n: 16,
+                    k: 16,
+                    r_prime: 2,
+                    d,
+                },
+                &Sink::default(),
+            )
             .3
         };
         let d4 = f(4);
@@ -152,6 +159,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -6,7 +6,7 @@
 //! Victim: the per-input round robin. Sweep: `N`.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RoundRobinDemux;
@@ -14,14 +14,14 @@ use pps_traffic::adversary::concentration_attack;
 use pps_traffic::min_burstiness;
 
 /// One sweep point at `n` ports over `k` planes with slowdown `r_prime`.
-fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, u64, i64, i64, u64) {
+fn point(n: usize, k: usize, r_prime: usize, sink: &Sink) -> (usize, u64, u64, i64, i64, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid sweep point");
     let demux = RoundRobinDemux::new(n, k);
     let all: Vec<u32> = (0..n as u32).collect();
     let atk = concentration_attack(&demux, &cfg, &all, 4 * k);
     let b = min_burstiness(&atk.trace, n).overall();
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     (
@@ -35,7 +35,7 @@ fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, u64, i64, i64, u64)
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2, the practical regime of [15]
     let mut table = Table::new(
         format!("Corollary 7 sweep: K={k}, r'={r_prime}, S=2 (bound = (R/r-1)*N)"),
@@ -50,8 +50,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e2", vec![8usize, 16, 32, 64, 128]);
-    let results = plan.run(|pt| point(*pt.params, k, r_prime));
+    let plan = SweepPlan::new_in("e2", vec![8usize, 16, 32, 64, 128], sink);
+    let results = plan.run(|pt| point(*pt.params, k, r_prime, pt.sink));
     for (&n, (d, paper, exact, delay, jitter, b)) in plan.points().iter().zip(results) {
         pass &= d == n && delay as u64 >= exact && jitter as u64 >= exact && b == 0;
         table.row_display(&[
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn all_inputs_align_and_bound_holds() {
-        let (d, _paper, exact, delay, jitter, b) = point(16, 8, 4);
+        let (d, _paper, exact, delay, jitter, b) = point(16, 8, 4, &Sink::default());
         assert_eq!(d, 16);
         assert_eq!(b, 0);
         assert!(delay as u64 >= exact);
@@ -92,8 +92,8 @@ mod tests {
 
     #[test]
     fn delay_grows_linearly_with_n() {
-        let d8 = point(8, 8, 4).3;
-        let d32 = point(32, 8, 4).3;
+        let d8 = point(8, 8, 4, &Sink::default()).3;
+        let d32 = point(32, 8, 4, &Sink::default()).3;
         // 4x the ports => ~4x the relative delay (slope (r'-1) = 3).
         let ratio = d32 as f64 / d8 as f64;
         assert!((3.0..5.5).contains(&ratio), "ratio {ratio}");
@@ -101,6 +101,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

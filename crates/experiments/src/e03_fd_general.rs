@@ -9,7 +9,7 @@
 //! legal fully-distributed ones. Sweep: the speedup `S` via `K`.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
@@ -19,7 +19,12 @@ use pps_traffic::min_burstiness;
 
 /// One sweep point; returns `(S, N/S, d aligned, paper bound, exact bound,
 /// measured delay, measured jitter, burstiness)`.
-pub fn point(n: usize, k: usize, r_prime: usize) -> (f64, u64, usize, u64, u64, i64, i64, u64) {
+pub fn point(
+    n: usize,
+    k: usize,
+    r_prime: usize,
+    sink: &Sink,
+) -> (f64, u64, usize, u64, u64, i64, i64, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid sweep point");
     let demux = StaticPartitionDemux::minimal(n, k, r_prime);
@@ -28,7 +33,7 @@ pub fn point(n: usize, k: usize, r_prime: usize) -> (f64, u64, usize, u64, u64, 
     let b = min_burstiness(&atk.trace, n).overall();
     let n_over_s = cfg.n_over_s();
     let theorem_bound = bounds::theorem8(&cfg);
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     (
@@ -44,7 +49,7 @@ pub fn point(n: usize, k: usize, r_prime: usize) -> (f64, u64, usize, u64, u64, 
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, r_prime) = (64, 4);
     let mut table = Table::new(
         format!("Theorem 8 sweep: N={n}, r'={r_prime} (bound = (R/r-1)*N/S)"),
@@ -61,8 +66,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e3", vec![4usize, 8, 16, 32, 64]);
-    let results = plan.run(|pt| point(n, *pt.params, r_prime));
+    let plan = SweepPlan::new_in("e3", vec![4usize, 8, 16, 32, 64], sink);
+    let results = plan.run(|pt| point(n, *pt.params, r_prime, pt.sink));
     for (&k, (s, n_over_s, d, paper, exact, delay, jitter, b)) in plan.points().iter().zip(results)
     {
         // The minimal partition concentrates at least N/S inputs on some
@@ -102,7 +107,8 @@ mod tests {
 
     #[test]
     fn concentration_at_least_n_over_s() {
-        let (_s, n_over_s, d, _paper, _exact, delay, _jitter, b) = point(16, 8, 4);
+        let (_s, n_over_s, d, _paper, _exact, delay, _jitter, b) =
+            point(16, 8, 4, &Sink::default());
         assert!(d as u64 >= n_over_s, "d {d} < N/S {n_over_s}");
         assert_eq!(b, 0);
         assert!(delay > 0);
@@ -110,8 +116,8 @@ mod tests {
 
     #[test]
     fn higher_speedup_weakens_the_bound() {
-        let low_s = point(32, 8, 4).5; // S = 2
-        let high_s = point(32, 32, 4).5; // S = 8
+        let low_s = point(32, 8, 4, &Sink::default()).5; // S = 2
+        let high_s = point(32, 32, 4, &Sink::default()).5; // S = 8
         assert!(
             low_s > high_s,
             "more parallel capacity should reduce the forced delay: {low_s} !> {high_s}"
@@ -120,6 +126,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -9,7 +9,7 @@
 //! Sweep: the information delay `u`.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::StaleLeastLoadedDemux;
@@ -23,13 +23,14 @@ pub(crate) fn point(
     k: usize,
     r_prime: usize,
     u: Slot,
+    sink: &Sink,
 ) -> (Slot, usize, u64, u64, i64, i64, u64, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid sweep point");
     let atk = urt_burst_attack(&cfg, u);
     let b = min_burstiness(&atk.trace, n).overall();
     let demux = StaleLeastLoadedDemux::new(n, k, u);
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     (
@@ -45,7 +46,7 @@ pub(crate) fn point(
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (32, 8, 8); // S = 1
     let mut table = Table::new(
         format!("Theorem 10 sweep: N={n}, K={k}, r'={r_prime}, S=1 (bound = (1-u'r/R)*u'N/S)"),
@@ -62,8 +63,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e4", vec![1u64, 2, 3, 4, 8]);
-    let results = plan.run(|pt| point(n, k, r_prime, *pt.params));
+    let plan = SweepPlan::new_in("e4", vec![1u64, 2, 3, 4, 8], sink);
+    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, pt.sink));
     for (&u, (u_eff, m, paper, exact, delay, jitter, b, premise)) in
         plan.points().iter().zip(results)
     {
@@ -99,7 +100,8 @@ mod tests {
 
     #[test]
     fn blind_spot_forces_concentration() {
-        let (_u_eff, m, _paper, exact, delay, jitter, b, premise) = point(32, 8, 8, 4);
+        let (_u_eff, m, _paper, exact, delay, jitter, b, premise) =
+            point(32, 8, 8, 4, &Sink::default());
         assert_eq!(m, 16);
         assert!(b <= premise, "traffic burstier than the theorem allows");
         assert!(delay as u64 >= exact, "delay {delay} < exact {exact}");
@@ -108,15 +110,15 @@ mod tests {
 
     #[test]
     fn larger_u_hurts_until_the_cap() {
-        let d1 = point(32, 8, 8, 1).4;
-        let d4 = point(32, 8, 8, 4).4;
-        let d8 = point(32, 8, 8, 8).4; // capped at u' = 4
+        let d1 = point(32, 8, 8, 1, &Sink::default()).4;
+        let d4 = point(32, 8, 8, 4, &Sink::default()).4;
+        let d8 = point(32, 8, 8, 8, &Sink::default()).4; // capped at u' = 4
         assert!(d4 > d1, "more staleness, more concentration: {d1} !< {d4}");
         assert_eq!(d4, d8, "u' caps at r'/2");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -9,10 +9,11 @@
 use crate::e04_urt;
 use crate::ExperimentOutput;
 use pps_analysis::Table;
+use pps_core::run::Sink;
 use pps_core::sweep::SweepPlan;
 
 /// Run the default sweep over N.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (k, r_prime) = (8, 8); // S = 1
     let mut table = Table::new(
         format!("Corollary 11 sweep: K={k}, r'={r_prime}, u=1 (bound = (1-r/R)*N/S)"),
@@ -28,8 +29,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e5", vec![16usize, 32, 64, 128]);
-    let results = plan.run(|pt| e04_urt::point(*pt.params, k, r_prime, 1));
+    let plan = SweepPlan::new_in("e5", vec![16usize, 32, 64, 128], sink);
+    let results = plan.run(|pt| e04_urt::point(*pt.params, k, r_prime, 1, pt.sink));
     for (&n, (_u_eff, m, paper, exact, delay, jitter, b, premise)) in
         plan.points().iter().zip(results)
     {
@@ -64,7 +65,8 @@ mod tests {
 
     #[test]
     fn bound_holds_at_u_equals_one() {
-        let (_u, m, paper, exact, delay, jitter, b, premise) = e04_urt::point(64, 8, 8, 1);
+        let (_u, m, paper, exact, delay, jitter, b, premise) =
+            e04_urt::point(64, 8, 8, 1, &Sink::default());
         assert_eq!(m, 8);
         assert!(b <= premise);
         assert!(delay as u64 >= exact, "{delay} < {exact}");
@@ -75,6 +77,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -9,7 +9,7 @@
 //! algorithms. Sweep: `u` (buffer = `u`).
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_buffered, Table};
+use pps_analysis::{compare_buffered_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{DelayedCpaDemux, RoundRobinDemux};
@@ -52,18 +52,25 @@ fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
 
 /// One sweep point: max relative delay of delayed CPA at information delay
 /// `u` over the given trace.
-fn point(n: usize, k: usize, r_prime: usize, u: Slot, trace: &Trace) -> (i64, usize, u64) {
+fn point(
+    n: usize,
+    k: usize,
+    r_prime: usize,
+    u: Slot,
+    trace: &Trace,
+    sink: &Sink,
+) -> (i64, usize, u64) {
     let cfg = PpsConfig::buffered(n, k, r_prime, u as usize)
         .with_discipline(OutputDiscipline::GlobalFcfs);
     cfg.validate().expect("valid sweep point");
     let demux = DelayedCpaDemux::new(n, k, r_prime, u);
-    let cmp = compare_buffered(cfg, demux, trace).expect("run");
+    let cmp = compare_buffered_in(cfg, demux, trace, sink).expect("run");
     let rd = cmp.relative_delay();
     (rd.max, rd.pps_undelivered, cmp.pps_stats().dropped)
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4); // S = 2, the theorem's premise
     let mut table = Table::new(
         format!("Theorem 12 sweep: N={n}, K={k}, r'={r_prime}, S=2, buffer=u (claim: delay <= u)"),
@@ -71,16 +78,17 @@ pub(crate) fn run() -> ExperimentOutput {
     );
     let mut pass = true;
     let loads = workloads(n, k, r_prime);
-    let plan = SweepPlan::new(
+    let plan = SweepPlan::new_in(
         "e6",
         [1u64, 2, 4, 8]
             .into_iter()
             .flat_map(|u| (0..loads.len()).map(move |w| (u, w)))
             .collect(),
+        sink,
     );
     let results = plan.run(|pt| {
         let (u, w) = *pt.params;
-        point(n, k, r_prime, u, &loads[w].1)
+        point(n, k, r_prime, u, &loads[w].1, pt.sink)
     });
     for (&(u, w), (max_rd, undelivered, dropped)) in plan.points().iter().zip(results) {
         let ok = max_rd <= u as i64 && undelivered == 0 && dropped == 0;
@@ -123,7 +131,7 @@ mod tests {
         )
         .trace;
         for u in [1u64, 3] {
-            let (max_rd, undelivered, _) = point(n, k, r, u, &attack);
+            let (max_rd, undelivered, _) = point(n, k, r, u, &attack, &Sink::default());
             assert_eq!(undelivered, 0);
             assert!(max_rd <= u as i64, "u={u}: {max_rd}");
         }
@@ -132,13 +140,13 @@ mod tests {
     #[test]
     fn delay_bounded_under_stochastic_load() {
         let t = BernoulliGen::uniform(0.9, 7).trace(8, 800);
-        let (max_rd, undelivered, _) = point(8, 8, 4, 2, &t);
+        let (max_rd, undelivered, _) = point(8, 8, 4, 2, &t, &Sink::default());
         assert_eq!(undelivered, 0);
         assert!(max_rd <= 2, "{max_rd}");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -8,7 +8,7 @@
 //! robin. Sweep: the buffer size.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_buffered, Table};
+use pps_analysis::{compare_buffered_in, Table};
 use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
@@ -18,7 +18,13 @@ use pps_traffic::min_burstiness;
 
 /// One sweep point; returns `(theorem bound, exact bound, measured delay,
 /// measured jitter, burstiness)`.
-fn point(n: usize, k: usize, r_prime: usize, buffer: usize) -> (u64, u64, i64, i64, u64) {
+fn point(
+    n: usize,
+    k: usize,
+    r_prime: usize,
+    buffer: usize,
+    sink: &Sink,
+) -> (u64, u64, i64, i64, u64) {
     // The buffered round robin's pointer automaton coincides with the
     // bufferless round robin whenever buffers are empty — which the
     // attack's r'-spaced phases guarantee — so the alignment is planned
@@ -33,7 +39,8 @@ fn point(n: usize, k: usize, r_prime: usize, buffer: usize) -> (u64, u64, i64, i
     let b = min_burstiness(&atk.trace, n).overall();
     let cfg = PpsConfig::buffered(n, k, r_prime, buffer);
     cfg.validate().expect("valid sweep point");
-    let cmp = compare_buffered(cfg, BufferedRoundRobinDemux::new(n, k), &atk.trace).expect("run");
+    let cmp = compare_buffered_in(cfg, BufferedRoundRobinDemux::new(n, k), &atk.trace, sink)
+        .expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     (
@@ -46,7 +53,7 @@ fn point(n: usize, k: usize, r_prime: usize, buffer: usize) -> (u64, u64, i64, i
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (32, 8, 4); // S = 2
     let mut table = Table::new(
         format!(
@@ -62,8 +69,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e7", vec![1usize, 4, 16, 64, 256]);
-    let results = plan.run(|pt| point(n, k, r_prime, *pt.params));
+    let plan = SweepPlan::new_in("e7", vec![1usize, 4, 16, 64, 256], sink);
+    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, pt.sink));
     for (&buffer, (paper, exact, delay, jitter, b)) in plan.points().iter().zip(results) {
         pass &= delay as u64 >= paper && delay as u64 >= exact && jitter as u64 >= paper && b == 0;
         table.row_display(&[
@@ -99,7 +106,7 @@ mod tests {
     #[test]
     fn bound_holds_for_small_and_large_buffers() {
         for buffer in [1usize, 32] {
-            let (paper, _exact, delay, jitter, b) = point(8, 8, 4, buffer);
+            let (paper, _exact, delay, jitter, b) = point(8, 8, 4, buffer, &Sink::default());
             assert_eq!(b, 0);
             assert!(delay as u64 >= paper, "buffer {buffer}: {delay} < {paper}");
             assert!(jitter as u64 >= paper);
@@ -108,13 +115,13 @@ mod tests {
 
     #[test]
     fn buffers_do_not_rescue_a_distributed_algorithm() {
-        let small = point(16, 8, 4, 1).2;
-        let large = point(16, 8, 4, 128).2;
+        let small = point(16, 8, 4, 1, &Sink::default()).2;
+        let large = point(16, 8, 4, 128, &Sink::default()).2;
         assert_eq!(small, large, "delay must not improve with buffer size");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

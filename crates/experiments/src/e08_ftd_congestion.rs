@@ -20,7 +20,7 @@ use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
 use pps_core::sweep::SweepPlan;
 use pps_reference::checker::{check_work_conserving, Violation};
-use pps_reference::oq::run_oq;
+use pps_reference::oq::run_oq_in;
 use pps_switch::demux::FtdDemux;
 use pps_switch::engine::BufferlessPps;
 use pps_traffic::adversary::congestion_traffic;
@@ -83,7 +83,14 @@ impl SlotEngine for Probe {
 }
 
 /// Run the congestion scenario with the extended-FTD demultiplexor.
-pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> CongestionOutcome {
+pub fn point(
+    n: usize,
+    k: usize,
+    r_prime: usize,
+    h: usize,
+    duration: Slot,
+    sink: &Sink,
+) -> CongestionOutcome {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid sweep point");
     // Congestion requires overdriving the *planes*, i.e. offering more
@@ -91,7 +98,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> Co
     let senders = k / r_prime + 1;
     let traffic = congestion_traffic(n, 0, senders, duration);
     let mut probe = Probe {
-        pps: BufferlessPps::new(cfg, FtdDemux::new(n, k, r_prime, h)).expect("engine"),
+        pps: BufferlessPps::new_in(cfg, FtdDemux::new(n, k, r_prime, h), sink).expect("engine"),
         duration,
         congestion_start: None,
         series: Vec::new(),
@@ -101,7 +108,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> Co
     let (log, _) = stepping::drive(&mut probe, &traffic.trace, n, cap, Stepping::Dense)
         .expect("model-legal run");
     let (congestion_start, series) = (probe.congestion_start, probe.series);
-    let oq = run_oq(&traffic.trace, n);
+    let oq = run_oq_in(&traffic.trace, n, sink);
     // The congested window: from observed onset to the end of the
     // overload. Cells arriving inside it are the theorem's subjects.
     let window = (congestion_start.unwrap_or(duration), duration);
@@ -131,7 +138,7 @@ pub fn point(n: usize, k: usize, r_prime: usize, h: usize, duration: Slot) -> Co
 }
 
 /// Run the default sweep over the block parameter `h`.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime, duration) = (16, 8, 2, 800u64);
     let mut table = Table::new(
         format!(
@@ -148,8 +155,8 @@ pub(crate) fn run() -> ExperimentOutput {
     );
     let mut pass = true;
     let mut warmups = Vec::new();
-    let plan = SweepPlan::new("e8", vec![2usize, 3, 4]);
-    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, duration));
+    let plan = SweepPlan::new_in("e8", vec![2usize, 3, 4], sink);
+    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, duration, pt.sink));
     for (&h, out) in plan.points().iter().zip(results) {
         let warm = out.congestion_start;
         warmups.push((h, warm));
@@ -200,7 +207,7 @@ mod tests {
 
     #[test]
     fn congestion_sets_in_and_output_never_idles() {
-        let out = point(8, 8, 2, 2, 400);
+        let out = point(8, 8, 2, 2, 400, &Sink::default());
         assert!(out.congestion_start.is_some(), "congestion must set in");
         assert_eq!(out.wc_violations, 0, "output idled during congestion");
         assert!(
@@ -220,6 +227,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -16,6 +16,7 @@
 
 use crate::ExperimentOutput;
 use pps_analysis::Table;
+use pps_core::run::Sink;
 use pps_core::sweep::SweepPlan;
 use pps_core::time::Slot;
 use pps_traffic::adversary::congestion_traffic;
@@ -26,13 +27,13 @@ use pps_traffic::IncrementalBurstiness;
 /// `min_burstiness(congestion_traffic(n, 0, senders, durations[i]).trace,
 /// n).overall()` (pinned by a test) because shorter traces are prefixes and
 /// the calculator's running maxima are valid at any prefix.
-fn duration_checkpoints(n: usize, senders: usize, durations: &[Slot]) -> Vec<u64> {
+fn duration_checkpoints(n: usize, senders: usize, durations: &[Slot], sink: &Sink) -> Vec<u64> {
     let longest = durations.iter().copied().max().unwrap_or(0);
     let c = congestion_traffic(n, 0, senders, longest);
-    // Record the single pass with the shared throughput meter: no engine
-    // runs in e9 — the experiment *is* the trace validation — so this is
-    // what keeps --bench-json from reporting a bogus 0 slots.
-    pps_core::perf::record_slots(c.trace.horizon());
+    // Meter the single pass as the run's slots: no engine runs in e9 —
+    // the experiment *is* the trace validation — so this is what keeps
+    // --bench-json from reporting a bogus 0 slots.
+    sink.slots(c.trace.horizon());
     // Checkpoint order must follow each duration's boundary, so walk the
     // durations smallest-first but write results back in declared order.
     let mut order: Vec<usize> = (0..durations.len()).collect();
@@ -53,7 +54,7 @@ fn duration_checkpoints(n: usize, senders: usize, durations: &[Slot]) -> Vec<u64
 }
 
 /// Run the duration sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let n = 16;
     let senders = 2;
     let mut table = Table::new(
@@ -66,8 +67,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e9", vec![50u64, 100, 200, 400, 800]);
-    let checkpoints = duration_checkpoints(n, senders, plan.points());
+    let plan = SweepPlan::new_in("e9", vec![50u64, 100, 200, 400, 800], sink);
+    let checkpoints = duration_checkpoints(n, senders, plan.points(), sink);
     let results = plan.run(|pt| {
         let duration = *pt.params;
         let expected = (senders as u64 - 1) * duration;
@@ -105,7 +106,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]
@@ -114,7 +115,7 @@ mod tests {
         // fresh full scan of that duration's own trace.
         let n = 8;
         let durations = [40u64, 10, 25, 25, 60];
-        let got = duration_checkpoints(n, 3, &durations);
+        let got = duration_checkpoints(n, 3, &durations, &Sink::default());
         for (&d, &b) in durations.iter().zip(&got) {
             let c = congestion_traffic(n, 0, 3, d);
             assert_eq!(

@@ -53,23 +53,23 @@ fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
 }
 
 /// One workload: `(max relative delay, undelivered, deadline misses)`.
-fn point(n: usize, k: usize, r_prime: usize, trace: &Trace) -> (i64, usize, u64) {
+fn point(n: usize, k: usize, r_prime: usize, trace: &Trace, sink: &Sink) -> (i64, usize, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
     cfg.validate().expect("valid point");
-    let pps =
-        pps_switch::engine::BufferlessPps::new(cfg, CpaDemux::new(n, k, r_prime)).expect("engine");
+    let pps = pps_switch::engine::BufferlessPps::new_in(cfg, CpaDemux::new(n, k, r_prime), sink)
+        .expect("engine");
     // Run manually to read the demux statistic afterwards.
     let mut pps = pps;
     let run = pps.run(trace).expect("model-legal run");
     let misses = pps.demux().deadline_misses();
-    let oq = pps_reference::oq::run_oq(trace, n);
+    let oq = pps_reference::oq::run_oq_in(trace, n, sink);
     let cmp = pps_analysis::lockstep::Comparison { pps: run, oq, n };
     let rd = cmp.relative_delay();
     (rd.max, rd.pps_undelivered, misses)
 }
 
 /// Run the default battery.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4); // S = 2
     let mut table = Table::new(
         format!("CPA at N={n}, K={k}, r'={r_prime}, S=2 (claim: zero relative delay)"),
@@ -82,8 +82,8 @@ pub(crate) fn run() -> ExperimentOutput {
     );
     let mut pass = true;
     let loads = workloads(n, k, r_prime);
-    let plan = SweepPlan::new("e10", (0..loads.len()).collect());
-    let results = plan.run(|pt| point(n, k, r_prime, &loads[*pt.params].1));
+    let plan = SweepPlan::new_in("e10", (0..loads.len()).collect(), sink);
+    let results = plan.run(|pt| point(n, k, r_prime, &loads[*pt.params].1, pt.sink));
     for (&w, (max_rd, undelivered, misses)) in plan.points().iter().zip(results) {
         pass &= max_rd <= 0 && undelivered == 0 && misses == 0;
         table.row_display(&[
@@ -120,7 +120,7 @@ mod tests {
             32,
         )
         .trace;
-        let (max_rd, undelivered, misses) = point(8, 8, 4, &attack);
+        let (max_rd, undelivered, misses) = point(8, 8, 4, &attack, &Sink::default());
         assert_eq!(undelivered, 0);
         assert_eq!(misses, 0, "S = 2 must never miss a deadline");
         assert!(max_rd <= 0, "CPA must mimic the OQ switch: {max_rd}");
@@ -129,13 +129,13 @@ mod tests {
     #[test]
     fn zero_relative_delay_under_saturation() {
         let t = BernoulliGen::uniform(1.0, 5).trace(8, 500);
-        let (max_rd, undelivered, misses) = point(8, 8, 4, &t);
+        let (max_rd, undelivered, misses) = point(8, 8, 4, &t, &Sink::default());
         assert_eq!((undelivered, misses), (0, 0));
         assert!(max_rd <= 0, "{max_rd}");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

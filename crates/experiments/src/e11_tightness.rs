@@ -10,7 +10,7 @@
 //! sits inside the `[(R/r−1)(N−1), (R/r)·N]` window.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::PerFlowRoundRobinDemux;
@@ -18,7 +18,7 @@ use pps_traffic::adversary::concentration_attack;
 use pps_traffic::gen::BernoulliGen;
 
 /// Run the default sweep over N.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2 as required by [15]
     let mut table = Table::new(
         format!("Theta((R/r)N) tightness at K={k}, r'={r_prime}, S=2 (per-flow round robin)"),
@@ -32,15 +32,16 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e11", vec![8usize, 16, 32, 64]);
+    let plan = SweepPlan::new_in("e11", vec![8usize, 16, 32, 64], sink);
     let results = plan.run(|pt| {
         let n = *pt.params;
         let cfg = PpsConfig::bufferless(n, k, r_prime);
         let demux = PerFlowRoundRobinDemux::new(n, k);
         let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-        let attack_cmp = compare_bufferless(cfg, demux.clone(), &atk.trace).expect("run");
+        let attack_cmp =
+            compare_bufferless_in(cfg, demux.clone(), &atk.trace, pt.sink).expect("run");
         let bern = BernoulliGen::uniform(0.9, 31).trace(n, 1_500);
-        let bern_cmp = compare_bufferless(cfg, demux, &bern).expect("run");
+        let bern_cmp = compare_bufferless_in(cfg, demux, &bern, pt.sink).expect("run");
         (
             atk.model_exact_bound,
             attack_cmp.relative_delay().max,
@@ -93,7 +94,7 @@ mod tests {
         let demux = PerFlowRoundRobinDemux::new(n, 8);
         let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 32);
         assert_eq!(atk.d, n, "per-flow RR is unpartitioned: all inputs align");
-        let cmp = compare_bufferless(cfg, demux, &atk.trace).unwrap();
+        let cmp = compare_bufferless_in(cfg, demux, &atk.trace, &Sink::default()).unwrap();
         let d = cmp.relative_delay().max;
         assert!(d as u64 >= atk.model_exact_bound);
         assert!(d <= (n * 4) as i64, "upper bound violated: {d}");
@@ -101,6 +102,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

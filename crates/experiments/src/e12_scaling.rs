@@ -9,19 +9,19 @@
 //! independent simulations).
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;
 
 /// One scaling point: `(N, exact bound, measured delay, implied buffer)`.
-fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, i64, usize) {
+fn point(n: usize, k: usize, r_prime: usize, sink: &Sink) -> (usize, u64, i64, usize) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     cfg.validate().expect("valid point");
     let demux = RoundRobinDemux::new(n, k);
     let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     // "Large relative queuing delays usually imply that the buffer sizes at
@@ -36,10 +36,10 @@ fn point(n: usize, k: usize, r_prime: usize) -> (usize, u64, i64, usize) {
 }
 
 /// Run the default sweep, in parallel across points.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2
-    let plan = SweepPlan::new("e12", vec![64usize, 128, 256, 512, 1024]);
-    let results = plan.run(|pt| point(*pt.params, k, r_prime));
+    let plan = SweepPlan::new_in("e12", vec![64usize, 128, 256, 512, 1024], sink);
+    let results = plan.run(|pt| point(*pt.params, k, r_prime, pt.sink));
     let mut table = Table::new(
         format!("Scaling to N=1024 at K={k}, r'={r_prime}, S=2 (slope should be ~ R/r-1 = 3)"),
         &[
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn n_512_behaves_like_the_paper_warns() {
-        let (_n, bound, delay, hwm) = point(512, 8, 4);
+        let (_n, bound, delay, hwm) = point(512, 8, 4, &Sink::default());
         assert!(delay as u64 >= bound);
         // The concentration fills one plane queue with ~N(1 - 1/r') cells
         // (it drains one cell per r' slots while the burst arrives).
@@ -105,7 +105,7 @@ mod tests {
         let pts: Vec<(usize, i64)> = [64usize, 128, 256]
             .iter()
             .map(|&n| {
-                let (_, _, d, _) = point(n, 8, 4);
+                let (_, _, d, _) = point(n, 8, 4, &Sink::default());
                 (n, d)
             })
             .collect();
@@ -117,6 +117,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

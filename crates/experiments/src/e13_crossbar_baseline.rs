@@ -20,10 +20,10 @@ use crate::ExperimentOutput;
 use pps_analysis::Table;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_crossbar::run_crossbar;
-use pps_reference::oq::run_oq;
+use pps_crossbar::{run_crossbar_in, IslipArbiter};
+use pps_reference::oq::run_oq_in;
 use pps_switch::demux::{CpaDemux, RoundRobinDemux};
-use pps_switch::engine::run_bufferless;
+use pps_switch::BufferlessPps;
 use pps_traffic::gen::BernoulliGen;
 
 fn stats(log: &RunLog) -> (f64, u64, usize) {
@@ -37,27 +37,33 @@ fn stats(log: &RunLog) -> (f64, u64, usize) {
 /// One load point: `(oq, crossbar, pps_cpa, pps_rr)` as
 /// `(mean delay, max delay, undelivered)` triples.
 #[allow(clippy::type_complexity)]
-fn point(n: usize, k: usize, r_prime: usize, load: f64, seed: u64) -> [(f64, u64, usize); 4] {
+fn point(
+    n: usize,
+    k: usize,
+    r_prime: usize,
+    load: f64,
+    seed: u64,
+    sink: &Sink,
+) -> [(f64, u64, usize); 4] {
     let trace = BernoulliGen::uniform(load, seed).trace(n, 3_000);
-    let oq = run_oq(&trace, n);
-    let xb = run_crossbar(&trace, n, 2);
+    let oq = run_oq_in(&trace, n, sink);
+    let xb = run_crossbar_in(&trace, IslipArbiter::new(n, 2), sink).0;
     let cpa_cfg =
         PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
-    let cpa = run_bufferless(cpa_cfg, CpaDemux::new(n, k, r_prime), &trace)
+    let cpa = BufferlessPps::new_in(cpa_cfg, CpaDemux::new(n, k, r_prime), sink)
+        .and_then(|mut pps| pps.run(&trace))
         .expect("run")
         .log;
-    let rr = run_bufferless(
-        PpsConfig::bufferless(n, k, r_prime),
-        RoundRobinDemux::new(n, k),
-        &trace,
-    )
-    .expect("run")
-    .log;
+    let rr_cfg = PpsConfig::bufferless(n, k, r_prime);
+    let rr = BufferlessPps::new_in(rr_cfg, RoundRobinDemux::new(n, k), sink)
+        .and_then(|mut pps| pps.run(&trace))
+        .expect("run")
+        .log;
     [stats(&oq), stats(&xb), stats(&cpa), stats(&rr)]
 }
 
 /// Run the default load sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (16, 8, 4); // S = 2
     let mut table = Table::new(
         format!("Queuing delay by architecture at N={n} (PPS: K={k}, r'={r_prime}, S=2), uniform Bernoulli"),
@@ -70,8 +76,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e13", vec![0.5f64, 0.7, 0.9, 0.99]);
-    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, 77));
+    let plan = SweepPlan::new_in("e13", vec![0.5f64, 0.7, 0.9, 0.99], sink);
+    let results = plan.run(|pt| point(n, k, r_prime, *pt.params, 77, pt.sink));
     for (&load, [oq, xb, cpa, rr]) in plan.points().iter().zip(results) {
         // Sanity: everything drains; the ideal OQ is never beaten on mean.
         pass &= oq.2 == 0 && xb.2 == 0 && cpa.2 == 0 && rr.2 == 0;
@@ -101,7 +107,7 @@ mod tests {
 
     #[test]
     fn all_architectures_drain_and_respect_the_ideal() {
-        let [oq, xb, cpa, rr] = point(8, 8, 4, 0.8, 3);
+        let [oq, xb, cpa, rr] = point(8, 8, 4, 0.8, 3, &Sink::default());
         for (mean, _max, undelivered) in [oq, xb, cpa, rr] {
             assert_eq!(undelivered, 0);
             assert!(mean >= 0.0);
@@ -123,8 +129,8 @@ mod tests {
             seed: 5,
         }
         .trace(n, 2_000);
-        let oq = run_oq(&trace, n);
-        let xb = run_crossbar(&trace, n, 2);
+        let oq = run_oq_in(&trace, n, &Sink::default());
+        let xb = run_crossbar_in(&trace, IslipArbiter::new(n, 2), &Sink::default()).0;
         assert_eq!(xb.undelivered(), 0);
         // Input-queued matching cannot beat the ideal on the hot output.
         assert!(xb.mean_delay().unwrap() >= oq.mean_delay().unwrap() - 1e-9);
@@ -132,6 +138,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

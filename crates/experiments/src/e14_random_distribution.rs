@@ -19,7 +19,7 @@
 //! seed-aware (= deterministic) ceiling.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RandomDemux;
@@ -37,9 +37,10 @@ fn oblivious_burst(n: usize) -> Trace {
 
 /// Run the oblivious attack against seed `seed`; returns
 /// `(max relative delay, concentration)`.
-fn oblivious_point(n: usize, k: usize, r_prime: usize, seed: u64) -> (i64, usize) {
+fn oblivious_point(n: usize, k: usize, r_prime: usize, seed: u64, sink: &Sink) -> (i64, usize) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
-    let cmp = compare_bufferless(cfg, RandomDemux::new(n, seed), &oblivious_burst(n)).expect("run");
+    let cmp = compare_bufferless_in(cfg, RandomDemux::new(n, seed), &oblivious_burst(n), sink)
+        .expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     (rd.max, cmp.max_concentration())
@@ -61,11 +62,11 @@ struct DelayDistribution {
 }
 
 /// Sample the oblivious-attack delay distribution over `seeds` seeds.
-fn distribution(n: usize, k: usize, r_prime: usize, seeds: u64) -> DelayDistribution {
+fn distribution(n: usize, k: usize, r_prime: usize, seeds: u64, sink: &Sink) -> DelayDistribution {
     // The seeds are the literal parameters of the study (0..seeds), so the
     // distribution is unchanged by how the points are scheduled.
-    let plan = SweepPlan::new("e14-dist", (0..seeds).collect());
-    let samples = plan.run(|pt| oblivious_point(n, k, r_prime, *pt.params));
+    let plan = SweepPlan::new_in("e14-dist", (0..seeds).collect(), sink);
+    let samples = plan.run(|pt| oblivious_point(n, k, r_prime, *pt.params, pt.sink));
     let mut delays: Vec<i64> = samples.iter().map(|&(d, _)| d).collect();
     let conc_sum: usize = samples.iter().map(|&(_, c)| c).sum();
     delays.sort_unstable();
@@ -80,7 +81,7 @@ fn distribution(n: usize, k: usize, r_prime: usize, seeds: u64) -> DelayDistribu
 }
 
 /// Run the default study.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (k, r_prime, seeds) = (8usize, 4usize, 200u64);
     let mut table = Table::new(
         format!("Relative delay of the randomized demux, oblivious N-cell burst, {seeds} seeds (K={k}, r'={r_prime})"),
@@ -96,15 +97,15 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e14", vec![16usize, 32, 64]);
+    let plan = SweepPlan::new_in("e14", vec![16usize, 32, 64], sink);
     let results = plan.run(|pt| {
         let n = *pt.params;
-        let dist = distribution(n, k, r_prime, seeds);
+        let dist = distribution(n, k, r_prime, seeds, pt.sink);
         // Seed-aware adversary reaches the deterministic ceiling.
         let demux = RandomDemux::new(n, 424_242);
         let cfg = PpsConfig::bufferless(n, k, r_prime);
         let aware = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 32 * k);
-        let aware_cmp = compare_bufferless(cfg, demux, &aware.trace).expect("run");
+        let aware_cmp = compare_bufferless_in(cfg, demux, &aware.trace, pt.sink).expect("run");
         (
             dist,
             aware.model_exact_bound,
@@ -159,7 +160,7 @@ mod tests {
 
     #[test]
     fn oblivious_distribution_sits_below_the_deterministic_ceiling() {
-        let dist = distribution(16, 8, 4, 40);
+        let dist = distribution(16, 8, 4, 40, &Sink::default());
         let deterministic = 3 * 15; // (r'-1)(N-1)
         assert!(dist.max <= deterministic);
         assert!(dist.min >= 0);
@@ -169,7 +170,7 @@ mod tests {
 
     #[test]
     fn concentration_tracks_balls_in_bins() {
-        let dist = distribution(64, 8, 4, 40);
+        let dist = distribution(64, 8, 4, 40, &Sink::default());
         let lam = 8.0;
         assert!(
             dist.mean_concentration > lam && dist.mean_concentration < 3.0 * lam,
@@ -180,6 +181,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -11,7 +11,7 @@
 //! linearly with `N` — the delay bound priced in memory.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_reference::regulator::{min_feasible_delay, regulate};
@@ -20,11 +20,11 @@ use pps_traffic::adversary::concentration_attack;
 
 /// One sweep point: `(relative delay, plane HWM, output HWM, regulator
 /// buffer, regulator residual jitter)`.
-fn point(n: usize, k: usize, r_prime: usize) -> (i64, usize, usize, usize, u64) {
+fn point(n: usize, k: usize, r_prime: usize, sink: &Sink) -> (i64, usize, usize, usize, u64) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     let demux = RoundRobinDemux::new(n, k);
     let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     let d = min_feasible_delay(&cmp.pps.log);
@@ -39,7 +39,7 @@ fn point(n: usize, k: usize, r_prime: usize) -> (i64, usize, usize, usize, u64) 
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (k, r_prime) = (8, 4); // S = 2
     let mut table = Table::new(
         format!("Memory implied by the Corollary 7 delay at K={k}, r'={r_prime}"),
@@ -54,8 +54,8 @@ pub(crate) fn run() -> ExperimentOutput {
     );
     let mut pass = true;
     let mut prev: Option<(usize, i64, usize)> = None;
-    let plan = SweepPlan::new("e15", vec![32usize, 64, 128, 256]);
-    let results = plan.run(|pt| point(*pt.params, k, r_prime));
+    let plan = SweepPlan::new_in("e15", vec![32usize, 64, 128, 256], sink);
+    let results = plan.run(|pt| point(*pt.params, k, r_prime, pt.sink));
     // The doubling checks compare adjacent points, so they run post-merge
     // over the ordered results.
     for (&n, (delay, plane_hwm, out_hwm, reg_buf, resid)) in plan.points().iter().zip(results) {
@@ -101,8 +101,8 @@ mod tests {
 
     #[test]
     fn regulator_buffer_scales_with_the_concentration() {
-        let (delay, plane_hwm, _out, reg_small, _r) = point(16, 8, 4);
-        let (_d2, _p2, _o2, reg_large, _r2) = point(64, 8, 4);
+        let (delay, plane_hwm, _out, reg_small, _r) = point(16, 8, 4, &Sink::default());
+        let (_d2, _p2, _o2, reg_large, _r2) = point(64, 8, 4, &Sink::default());
         assert!(delay > 0);
         assert!(plane_hwm >= 8);
         assert!(
@@ -113,6 +113,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

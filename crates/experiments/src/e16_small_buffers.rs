@@ -15,7 +15,7 @@
 //! table.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_buffered, compare_bufferless, Table};
+use pps_analysis::{compare_buffered_in, compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{BufferedStaleDemux, DelayedCpaDemux, StaleLeastLoadedDemux};
@@ -23,37 +23,47 @@ use pps_traffic::adversary::urt_burst_attack;
 
 /// One sweep point: max relative delay of the buffered stale demux at
 /// `hold` against the Theorem 10 burst.
-fn stale_point(n: usize, k: usize, r_prime: usize, u: Slot, hold: Slot) -> i64 {
+fn stale_point(n: usize, k: usize, r_prime: usize, u: Slot, hold: Slot, sink: &Sink) -> i64 {
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
     if hold == 0 {
         // Degenerate: the bufferless dispatcher.
         let cfg = PpsConfig::bufferless(n, k, r_prime);
-        let cmp =
-            compare_bufferless(cfg, StaleLeastLoadedDemux::new(n, k, u), &atk.trace).expect("run");
+        let cmp = compare_bufferless_in(cfg, StaleLeastLoadedDemux::new(n, k, u), &atk.trace, sink)
+            .expect("run");
         assert_eq!(cmp.relative_delay().pps_undelivered, 0);
         cmp.relative_delay().max
     } else {
         let cfg = PpsConfig::buffered(n, k, r_prime, (hold as usize) + 1);
-        let cmp =
-            compare_buffered(cfg, BufferedStaleDemux::new(n, k, u, hold), &atk.trace).expect("run");
+        let cmp = compare_buffered_in(
+            cfg,
+            BufferedStaleDemux::new(n, k, u, hold),
+            &atk.trace,
+            sink,
+        )
+        .expect("run");
         assert_eq!(cmp.relative_delay().pps_undelivered, 0);
         cmp.relative_delay().max
     }
 }
 
 /// The Theorem 12 endpoint: delayed CPA with buffer = u on the same burst.
-fn cpa_point(n: usize, k: usize, r_prime: usize, u: Slot) -> i64 {
+fn cpa_point(n: usize, k: usize, r_prime: usize, u: Slot, sink: &Sink) -> i64 {
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
     let cfg = PpsConfig::buffered(n, k, r_prime, u as usize)
         .with_discipline(OutputDiscipline::GlobalFcfs);
-    let cmp =
-        compare_buffered(cfg, DelayedCpaDemux::new(n, k, r_prime, u), &atk.trace).expect("run");
+    let cmp = compare_buffered_in(
+        cfg,
+        DelayedCpaDemux::new(n, k, r_prime, u),
+        &atk.trace,
+        sink,
+    )
+    .expect("run");
     assert_eq!(cmp.relative_delay().pps_undelivered, 0);
     cmp.relative_delay().max
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime, u) = (32, 8, 8, 4u64); // S = 1 for the stale family
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
     let mut table = Table::new(
@@ -70,8 +80,8 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e16", (0..=u).collect());
-    let stale_delays = plan.run(|pt| stale_point(n, k, r_prime, u, *pt.params));
+    let plan = SweepPlan::new_in("e16", (0..=u).collect(), sink);
+    let stale_delays = plan.run(|pt| stale_point(n, k, r_prime, u, *pt.params, pt.sink));
     for (&hold, &d) in plan.points().iter().zip(stale_delays.iter()) {
         let holds = d as u64 >= atk.model_exact_bound;
         pass &= holds;
@@ -86,7 +96,7 @@ pub(crate) fn run() -> ExperimentOutput {
     pass &= stale_delays.windows(2).all(|w| w[1] >= w[0]);
     // The CPA endpoint needs S >= 2: use K = 2r' for it.
     let k_cpa = 2 * r_prime;
-    let d_cpa = cpa_point(n, k_cpa, r_prime, u);
+    let d_cpa = cpa_point(n, k_cpa, r_prime, u, sink);
     let ok = d_cpa <= u as i64;
     pass &= ok;
     table.row_display(&[
@@ -126,7 +136,7 @@ mod tests {
         let (n, k, r_prime, u) = (32, 8, 8, 2u64);
         let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
         for hold in [0u64, 1, 2] {
-            let d = stale_point(n, k, r_prime, u, hold);
+            let d = stale_point(n, k, r_prime, u, hold, &Sink::default());
             assert!(
                 d as u64 >= atk.model_exact_bound,
                 "hold={hold}: {d} < {}",
@@ -137,12 +147,12 @@ mod tests {
 
     #[test]
     fn coordination_at_buffer_u_collapses_the_delay() {
-        let d = cpa_point(16, 8, 4, 3);
+        let d = cpa_point(16, 8, 4, 3, &Sink::default());
         assert!(d <= 3, "delayed CPA must stay within u: {d}");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

@@ -16,8 +16,8 @@ use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_crossbar::run_cioq;
-use pps_reference::oq::run_oq;
+use pps_crossbar::{run_cioq_in, CioqPolicy};
+use pps_reference::oq::run_oq_in;
 use pps_traffic::gen::{BernoulliGen, TrafficPattern};
 
 fn fanin_trace(n: usize, slots: Slot, seed: u64) -> Trace {
@@ -33,16 +33,16 @@ fn fanin_trace(n: usize, slots: Slot, seed: u64) -> Trace {
 }
 
 /// One speedup point: `(max relative delay, mean relative delay)`.
-fn point(n: usize, speedup: usize, trace: &Trace) -> (i64, f64) {
-    let oq = run_oq(trace, n);
-    let cioq = run_cioq(trace, n, speedup);
+fn point(n: usize, speedup: usize, trace: &Trace, sink: &Sink) -> (i64, f64) {
+    let oq = run_oq_in(trace, n, sink);
+    let cioq = run_cioq_in(trace, n, speedup, CioqPolicy::CriticalFirst, sink);
     assert_eq!(cioq.undelivered(), 0, "CIOQ must drain");
     let rd = metrics::relative_delay(&cioq, &oq);
     (rd.max, rd.mean)
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let n = 16;
     let trace = fanin_trace(n, 3_000, 61);
     let mut table = Table::new(
@@ -50,8 +50,8 @@ pub(crate) fn run() -> ExperimentOutput {
         &["speedup s", "max rel delay", "mean rel delay"],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e17", vec![1usize, 2, 3, 4]);
-    let results = plan.run(|pt| point(n, *pt.params, &trace));
+    let plan = SweepPlan::new_in("e17", vec![1usize, 2, 3, 4], sink);
+    let results = plan.run(|pt| point(n, *pt.params, &trace, pt.sink));
     for (&s, &(max_rd, mean_rd)) in plan.points().iter().zip(results.iter()) {
         table.row_display(&[s.to_string(), max_rd.to_string(), format!("{mean_rd:.3}")]);
     }
@@ -83,9 +83,9 @@ mod tests {
     #[test]
     fn threshold_shape_at_small_n() {
         let trace = fanin_trace(8, 1_500, 7);
-        let (d1, _) = point(8, 1, &trace);
-        let (d2, _) = point(8, 2, &trace);
-        let (d4, _) = point(8, 4, &trace);
+        let (d1, _) = point(8, 1, &trace, &Sink::default());
+        let (d2, _) = point(8, 2, &trace, &Sink::default());
+        let (d4, _) = point(8, 4, &trace, &Sink::default());
         assert!(d1 > d2, "speedup must help: {d1} !> {d2}");
         assert!(d2 <= 1, "s=2 should mimic within a slot: {d2}");
         assert!(d4 <= d2);
@@ -93,6 +93,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

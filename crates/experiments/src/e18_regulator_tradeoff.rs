@@ -15,7 +15,7 @@
 //! bound.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, Table};
+use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_reference::regulator::{min_feasible_delay, regulate, regulate_online};
@@ -23,18 +23,18 @@ use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;
 
 /// The attacked run to regulate: Corollary 7 on round robin.
-fn attacked_log(n: usize, k: usize, r_prime: usize) -> RunLog {
+fn attacked_log(n: usize, k: usize, r_prime: usize, sink: &Sink) -> RunLog {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     let demux = RoundRobinDemux::new(n, k);
     let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
     cmp.pps.log
 }
 
 /// Run the default sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime) = (64, 8, 4);
-    let log = attacked_log(n, k, r_prime);
+    let log = attacked_log(n, k, r_prime, sink);
     let target = min_feasible_delay(&log);
     let offline = regulate(&log, target);
     let unregulated = {
@@ -50,7 +50,7 @@ pub(crate) fn run() -> ExperimentOutput {
         &["buffer cap", "achieved jitter", "forced releases"],
     );
     let mut pass = true;
-    let plan = SweepPlan::new("e18", vec![1usize, 2, 4, 8, 16, 32, 48, 64]);
+    let plan = SweepPlan::new_in("e18", vec![1usize, 2, 4, 8, 16, 32, 48, 64], sink);
     let reports = plan.run(|pt| regulate_online(&log, target, *pt.params));
     // The monotonicity check compares adjacent caps, post-merge.
     let mut prev = u64::MAX;
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn tradeoff_curve_shape() {
-        let log = attacked_log(16, 8, 4);
+        let log = attacked_log(16, 8, 4, &Sink::default());
         let target = min_feasible_delay(&log);
         let tiny = regulate_online(&log, target, 1).achieved_jitter;
         let offline = regulate(&log, target);
@@ -110,6 +110,6 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 }

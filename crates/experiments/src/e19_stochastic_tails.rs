@@ -22,7 +22,7 @@
 //! tail rather than the max).
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless, relative_delays, Comparison, Table, TailQuantiles};
+use pps_analysis::{compare_bufferless_in, relative_delays, Comparison, Table, TailQuantiles};
 use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
@@ -60,24 +60,25 @@ fn families() -> Vec<(&'static str, String)> {
 /// geometry it is handed and runs `trace` against the shadow OQ.
 type ClassRunner = (
     &'static str,
-    fn(PpsConfig, &Trace) -> Result<Comparison, ModelError>,
+    fn(PpsConfig, &Trace, &Sink) -> Result<Comparison, ModelError>,
 );
 
 /// Information classes: one representative demux per class (also the rows
 /// of the `ppslab --workload` report).
 pub(crate) fn classes() -> [ClassRunner; 3] {
     [
-        ("fully-dist (rr)", |cfg, t| {
-            compare_bufferless(cfg, RoundRobinDemux::new(cfg.n, cfg.k), t)
+        ("fully-dist (rr)", |cfg, t, sink| {
+            compare_bufferless_in(cfg, RoundRobinDemux::new(cfg.n, cfg.k), t, sink)
         }),
-        ("u-RT (stale:2)", |cfg, t| {
-            compare_bufferless(cfg, StaleLeastLoadedDemux::new(cfg.n, cfg.k, 2), t)
+        ("u-RT (stale:2)", |cfg, t, sink| {
+            compare_bufferless_in(cfg, StaleLeastLoadedDemux::new(cfg.n, cfg.k, 2), t, sink)
         }),
-        ("centralized (cpa)", |cfg, t| {
-            compare_bufferless(
+        ("centralized (cpa)", |cfg, t, sink| {
+            compare_bufferless_in(
                 cfg.with_discipline(OutputDiscipline::GlobalFcfs),
                 CpaDemux::new(cfg.n, cfg.k, cfg.r_prime),
                 t,
+                sink,
             )
         }),
     ]
@@ -108,19 +109,19 @@ impl TailPoint {
 }
 
 /// Measure every `(family, class)` combination.
-fn measure() -> Vec<TailPoint> {
+fn measure(sink: &Sink) -> Vec<TailPoint> {
     let fams = families();
     let cls = classes();
     let combos: Vec<(usize, usize)> = (0..fams.len())
         .flat_map(|f| (0..cls.len()).map(move |c| (f, c)))
         .collect();
-    let plan = SweepPlan::new("e19", combos);
+    let plan = SweepPlan::new_in("e19", combos, sink);
     plan.run(|pt| {
         let (f, c) = *pt.params;
         let spec = WorkloadSpec::parse(&fams[f].1).expect("family spec");
         let trace = spec.trace().expect("materialize");
         let b = min_burstiness(&trace, N).overall();
-        let cmp = (cls[c].1)(PpsConfig::bufferless(N, K, R_PRIME), &trace).expect("run");
+        let cmp = (cls[c].1)(PpsConfig::bufferless(N, K, R_PRIME), &trace, pt.sink).expect("run");
         let rd = cmp.relative_delay();
         let tails =
             TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq)).expect("nonempty trace");
@@ -136,7 +137,7 @@ fn measure() -> Vec<TailPoint> {
 }
 
 /// Run the study.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let mut table = Table::new(
         format!(
             "Relative-delay tails under stochastic load (N={N}, K={K}, r'={R_PRIME}, S=2; \
@@ -147,7 +148,7 @@ pub(crate) fn run() -> ExperimentOutput {
         ],
     );
     let mut pass = true;
-    let points = measure();
+    let points = measure(sink);
     for p in &points {
         // Soundness: everything delivered, tails ordered, and the whole
         // distribution under the traffic-measured envelope ceiling.
@@ -199,12 +200,12 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]
     fn all_nine_combinations_are_measured() {
-        let pts = measure();
+        let pts = measure(&Sink::default());
         assert_eq!(pts.len(), 9);
         let zipf_fd = pts
             .iter()
@@ -220,7 +221,7 @@ mod tests {
     fn centralized_class_beats_fully_distributed_in_the_mean() {
         // CPA tracks the shadow OQ's global FCFS order; its mean relative
         // delay under stochastic load must not exceed round robin's.
-        let pts = measure();
+        let pts = measure(&Sink::default());
         for fam in ["zipf", "mmpp", "onoff"] {
             let fd = pts
                 .iter()

@@ -18,7 +18,9 @@
 //! degradation, exactly as the paper's bounds say.
 
 use crate::ExperimentOutput;
-use pps_analysis::{compare_buffered, compare_bufferless, relative_delays, Table, TailQuantiles};
+use pps_analysis::{
+    compare_buffered_in, compare_bufferless_in, relative_delays, Table, TailQuantiles,
+};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
@@ -57,7 +59,7 @@ struct LoadPoint {
 }
 
 /// Measure one load level.
-fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
     let spec = WorkloadSpec::parse(&format!(
         "uniform:n={N},load={load},seed={seed},horizon={HORIZON}"
     ))
@@ -65,9 +67,11 @@ fn measure(load: f64, seed: u64) -> LoadPoint {
     let trace = spec.trace().expect("materialize");
 
     let cfg = PpsConfig::bufferless(N, K, R_PRIME);
-    let bl = compare_bufferless(cfg, RoundRobinDemux::new(N, K), &trace).expect("bufferless");
+    let bl =
+        compare_bufferless_in(cfg, RoundRobinDemux::new(N, K), &trace, sink).expect("bufferless");
     let cfg_b = PpsConfig::buffered(N, K, R_PRIME, BUFFER);
-    let bf = compare_buffered(cfg_b, BufferedRoundRobinDemux::new(N, K), &trace).expect("buffered");
+    let bf = compare_buffered_in(cfg_b, BufferedRoundRobinDemux::new(N, K), &trace, sink)
+        .expect("buffered");
 
     LoadPoint {
         load,
@@ -82,7 +86,7 @@ fn measure(load: f64, seed: u64) -> LoadPoint {
 }
 
 /// Run the sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let loads = [0.6, 0.75, 0.9, 0.95, 0.98];
     let mut table = Table::new(
         format!(
@@ -101,8 +105,8 @@ pub(crate) fn run() -> ExperimentOutput {
             "buf p999",
         ],
     );
-    let plan = SweepPlan::new("e20", loads.to_vec());
-    let points = plan.run(|pt| measure(*pt.params, 20_000 + pt.index as u64));
+    let plan = SweepPlan::new_in("e20", loads.to_vec(), sink);
+    let points = plan.run(|pt| measure(*pt.params, 20_000 + pt.index as u64, pt.sink));
     let mut pass = true;
     for (i, p) in points.iter().enumerate() {
         let w = predicted_oq_mean(p.load);
@@ -154,12 +158,12 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]
     fn oq_mean_tracks_geo_d1_at_moderate_load() {
-        let p = measure(0.75, 1);
+        let p = measure(0.75, 1, &Sink::default());
         let w = predicted_oq_mean(0.75);
         assert!(
             p.oq_mean > w / 2.0 && p.oq_mean < w * 2.0 + 0.5,
@@ -177,9 +181,16 @@ mod tests {
         let spec = format!("uniform:n={N},load=0.9,seed=20002,horizon={HORIZON}");
         let trace = WorkloadSpec::parse(&spec).unwrap().trace().unwrap();
         let cfg = PpsConfig::bufferless(N, K, R_PRIME);
-        let bl = compare_bufferless(cfg, RoundRobinDemux::new(N, K), &trace).unwrap();
+        let bl = compare_bufferless_in(cfg, RoundRobinDemux::new(N, K), &trace, &Sink::default())
+            .unwrap();
         let cfg_b = PpsConfig::buffered(N, K, R_PRIME, BUFFER);
-        let bf = compare_buffered(cfg_b, BufferedRoundRobinDemux::new(N, K), &trace).unwrap();
+        let bf = compare_buffered_in(
+            cfg_b,
+            BufferedRoundRobinDemux::new(N, K),
+            &trace,
+            &Sink::default(),
+        )
+        .unwrap();
         let digests = [&bl.pps.log, &bl.oq, &bf.pps.log, &bf.oq].map(RunLog::digest);
         assert_eq!(trace.len(), 576_279);
         assert_eq!(
@@ -195,8 +206,8 @@ mod tests {
 
     #[test]
     fn relative_tail_does_not_diverge_with_load() {
-        let lo = measure(0.6, 2);
-        let hi = measure(0.98, 3);
+        let lo = measure(0.6, 2, &Sink::default());
+        let hi = measure(0.98, 3, &Sink::default());
         // Absolute delay explodes by an order of magnitude...
         assert!(hi.oq_mean > 4.0 * lo.oq_mean);
         // ...while the relative p999 stays under the geometric worst case.

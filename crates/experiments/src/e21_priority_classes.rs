@@ -19,6 +19,7 @@
 
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
+use pps_core::run::Sink;
 use pps_reference::fcfs_departure_times;
 use pps_workload::{priority_oq_delays, ClassedTrace, WorkloadSpec};
 
@@ -58,7 +59,7 @@ fn per_class_tails(classed: &ClassedTrace) -> Vec<(TailQuantiles, TailQuantiles)
 }
 
 /// Run the study.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(_sink: &Sink) -> ExperimentOutput {
     let classed = classed_workload(31);
     let tails = per_class_tails(&classed);
     let mut table = Table::new(
@@ -127,7 +128,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_crossbar::{run_crossbar_with, QpsRScheduler};
-use pps_reference::oq::run_oq;
+use pps_crossbar::{run_crossbar_in, QpsRScheduler};
+use pps_reference::oq::run_oq_in;
 use pps_traffic::gen::BernoulliGen;
 
 /// Ports.
@@ -63,15 +63,13 @@ struct LoadPoint {
 }
 
 /// Measure one load level.
-fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
     let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
-    let mode = pps_core::stepping::process_default();
-    let oq = run_oq(&trace, N);
-    let (islip_log, _) = run_crossbar_with(&trace, pps_crossbar::IslipArbiter::new(N, 2), mode);
+    let oq = run_oq_in(&trace, N, sink);
+    let (islip_log, _) = run_crossbar_in(&trace, pps_crossbar::IslipArbiter::new(N, 2), sink);
     let qps: Vec<(RunLog, TailQuantiles)> = (1..=3)
         .map(|r| {
-            let (log, _) =
-                run_crossbar_with(&trace, QpsRScheduler::new(N, r, seed ^ r as u64), mode);
+            let (log, _) = run_crossbar_in(&trace, QpsRScheduler::new(N, r, seed ^ r as u64), sink);
             let t = tails(&log);
             (log, t)
         })
@@ -98,7 +96,7 @@ pub(crate) fn fmt_p99(q: &TailQuantiles) -> String {
 }
 
 /// Run the sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let loads = [0.2, 0.35, 0.5, 0.7];
     let mut table = Table::new(
         format!(
@@ -116,8 +114,8 @@ pub(crate) fn run() -> ExperimentOutput {
             "qps-3 mean/p99",
         ],
     );
-    let plan = SweepPlan::new("e22", loads.to_vec());
-    let points = plan.run(|pt| measure(*pt.params, 2200 + pt.index as u64));
+    let plan = SweepPlan::new_in("e22", loads.to_vec(), sink);
+    let points = plan.run(|pt| measure(*pt.params, 2200 + pt.index as u64, pt.sink));
     let mut pass = true;
     for p in &points {
         pass &= p.undelivered == 0;
@@ -163,12 +161,12 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]
     fn qps_extra_wait_sits_inside_the_envelope() {
-        let p = measure(0.35, 9);
+        let p = measure(0.35, 9, &Sink::default());
         let env = envelope(0.35).unwrap();
         for q in &p.qps {
             assert!(

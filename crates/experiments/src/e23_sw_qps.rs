@@ -20,9 +20,10 @@
 use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, tails, N};
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
+use pps_core::run::Sink;
 use pps_core::sweep::SweepPlan;
-use pps_crossbar::{run_crossbar_with, QpsRScheduler, SwQpsScheduler};
-use pps_reference::oq::run_oq;
+use pps_crossbar::{run_crossbar_in, QpsRScheduler, SwQpsScheduler};
+use pps_reference::oq::run_oq_in;
 use pps_traffic::gen::BernoulliGen;
 
 /// Slots per load point.
@@ -46,17 +47,16 @@ struct LoadPoint {
 }
 
 /// Measure one load level.
-fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
     let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
-    let mode = pps_core::stepping::process_default();
-    let oq = run_oq(&trace, N);
-    let (qps_log, _) = run_crossbar_with(&trace, QpsRScheduler::new(N, 1, seed ^ 0xE23), mode);
+    let oq = run_oq_in(&trace, N, sink);
+    let (qps_log, _) = run_crossbar_in(&trace, QpsRScheduler::new(N, 1, seed ^ 0xE23), sink);
     let mut undelivered = qps_log.undelivered();
     let sw: Vec<TailQuantiles> = WINDOWS
         .iter()
         .map(|&w| {
             let (log, _) =
-                run_crossbar_with(&trace, SwQpsScheduler::new(N, w, seed ^ w as u64), mode);
+                run_crossbar_in(&trace, SwQpsScheduler::new(N, w, seed ^ w as u64), sink);
             undelivered += log.undelivered();
             tails(&log)
         })
@@ -71,7 +71,7 @@ fn measure(load: f64, seed: u64) -> LoadPoint {
 }
 
 /// Run the sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let loads = [0.5, 0.75];
     let mut table = Table::new(
         format!(
@@ -89,8 +89,8 @@ pub(crate) fn run() -> ExperimentOutput {
             "T=8 mean/p99",
         ],
     );
-    let plan = SweepPlan::new("e23", loads.to_vec());
-    let points = plan.run(|pt| measure(*pt.params, 2300 + pt.index as u64));
+    let plan = SweepPlan::new_in("e23", loads.to_vec(), sink);
+    let points = plan.run(|pt| measure(*pt.params, 2300 + pt.index as u64, pt.sink));
     let mut pass = true;
     for p in &points {
         pass &= p.undelivered == 0;
@@ -145,12 +145,12 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]
     fn wide_window_never_loses_to_narrow() {
-        let p = measure(0.75, 4);
+        let p = measure(0.75, 4, &Sink::default());
         assert_eq!(p.undelivered, 0);
         let widest = p.sw.last().unwrap();
         assert!(

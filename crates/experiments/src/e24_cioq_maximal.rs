@@ -19,9 +19,10 @@
 use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, tails, N};
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
+use pps_core::run::Sink;
 use pps_core::sweep::SweepPlan;
-use pps_crossbar::{run_cioq_policy, CioqPolicy};
-use pps_reference::oq::run_oq;
+use pps_crossbar::{run_cioq_in, CioqPolicy};
+use pps_reference::oq::run_oq_in;
 use pps_traffic::gen::BernoulliGen;
 
 /// Slots per load point.
@@ -45,13 +46,12 @@ struct LoadPoint {
 }
 
 /// Measure one load level.
-fn measure(load: f64, seed: u64) -> LoadPoint {
+fn measure(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
     let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
-    let mode = pps_core::stepping::process_default();
-    let oq = run_oq(&trace, N);
-    let mm1 = run_cioq_policy(&trace, N, 1, CioqPolicy::MaximalRr, mode);
-    let mm2 = run_cioq_policy(&trace, N, 2, CioqPolicy::MaximalRr, mode);
-    let cf2 = run_cioq_policy(&trace, N, 2, CioqPolicy::CriticalFirst, mode);
+    let oq = run_oq_in(&trace, N, sink);
+    let mm1 = run_cioq_in(&trace, N, 1, CioqPolicy::MaximalRr, sink);
+    let mm2 = run_cioq_in(&trace, N, 2, CioqPolicy::MaximalRr, sink);
+    let cf2 = run_cioq_in(&trace, N, 2, CioqPolicy::CriticalFirst, sink);
     LoadPoint {
         load,
         oq_mean: oq.mean_delay().unwrap_or(0.0),
@@ -63,7 +63,7 @@ fn measure(load: f64, seed: u64) -> LoadPoint {
 }
 
 /// Run the sweep.
-pub(crate) fn run() -> ExperimentOutput {
+pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let loads = [0.2, 0.35, 0.5, 0.8];
     let mut table = Table::new(
         format!(
@@ -80,8 +80,8 @@ pub(crate) fn run() -> ExperimentOutput {
             "cf s=2 mean/p99",
         ],
     );
-    let plan = SweepPlan::new("e24", loads.to_vec());
-    let points = plan.run(|pt| measure(*pt.params, 2400 + pt.index as u64));
+    let plan = SweepPlan::new_in("e24", loads.to_vec(), sink);
+    let points = plan.run(|pt| measure(*pt.params, 2400 + pt.index as u64, pt.sink));
     let mut pass = true;
     for p in &points {
         pass &= p.undelivered == 0;
@@ -128,12 +128,12 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run().pass);
+        assert!(run(&Sink::default()).pass);
     }
 
     #[test]
     fn speedup_two_is_inside_the_envelope() {
-        let p = measure(0.35, 11);
+        let p = measure(0.35, 11, &Sink::default());
         let env = envelope(0.35).unwrap();
         assert_eq!(p.undelivered, 0);
         assert!(

@@ -68,6 +68,7 @@ mod e24_cioq_maximal;
 pub mod run;
 
 use pps_analysis::Table;
+use pps_core::run::Sink;
 
 /// The printable outcome of one experiment.
 #[derive(Clone, Debug)]
@@ -125,38 +126,52 @@ impl ExperimentOutput {
     }
 }
 
-/// An experiment entry point.
+/// An experiment: its tables, computed as part of the run `sink` records.
+pub type Experiment = fn(&Sink) -> ExperimentOutput;
+
+/// Every experiment, in paper order: `(id, experiment)`.
+pub const EXPERIMENTS: [(&str, Experiment); 27] = [
+    ("e1", e01_partitioned::run),
+    ("e2", e02_unpartitioned::run),
+    ("e3", e03_fd_general::run),
+    ("e4", e04_urt::run),
+    ("e5", e05_rt::run),
+    ("e6", e06_buffered_cpa::run),
+    ("e7", e07_buffered_fd::run),
+    ("e8", e08_ftd_congestion::run),
+    ("e9", e09_lb_violation::run),
+    ("e10", e10_cpa::run),
+    ("e11", e11_tightness::run),
+    ("e12", e12_scaling::run),
+    ("e13", e13_crossbar_baseline::run),
+    ("e14", e14_random_distribution::run),
+    ("e15", e15_buffer_implications::run),
+    ("e16", e16_small_buffers::run),
+    ("e17", e17_cioq_speedup::run),
+    ("e18", e18_regulator_tradeoff::run),
+    ("e19", e19_stochastic_tails::run),
+    ("e20", e20_heavy_traffic::run),
+    ("e21", e21_priority_classes::run),
+    ("e22", e22_qps_crossbar::run),
+    ("e23", e23_sw_qps::run),
+    ("e24", e24_cioq_maximal::run),
+    ("a1", a1_fault::run),
+    ("a2", a2_speedup::run),
+    ("a3", a3_discipline::run),
+];
+
+/// An experiment on the process default: the argless entry point of the
+/// benchmark seam (DESIGN.md, "The benchmark's surface").
 pub type Runner = fn() -> ExperimentOutput;
 
-/// All experiments, in paper order: `(id, runner)`.
+/// Every experiment as an argless [`Runner`] over [`pps_core::process`]:
+/// a shim of the benchmark seam. The product runs [`EXPERIMENTS`].
 pub fn registry() -> Vec<(&'static str, Runner)> {
-    vec![
-        ("e1", e01_partitioned::run as Runner),
-        ("e2", e02_unpartitioned::run),
-        ("e3", e03_fd_general::run),
-        ("e4", e04_urt::run),
-        ("e5", e05_rt::run),
-        ("e6", e06_buffered_cpa::run),
-        ("e7", e07_buffered_fd::run),
-        ("e8", e08_ftd_congestion::run),
-        ("e9", e09_lb_violation::run),
-        ("e10", e10_cpa::run),
-        ("e11", e11_tightness::run),
-        ("e12", e12_scaling::run),
-        ("e13", e13_crossbar_baseline::run),
-        ("e14", e14_random_distribution::run),
-        ("e15", e15_buffer_implications::run),
-        ("e16", e16_small_buffers::run),
-        ("e17", e17_cioq_speedup::run),
-        ("e18", e18_regulator_tradeoff::run),
-        ("e19", e19_stochastic_tails::run),
-        ("e20", e20_heavy_traffic::run),
-        ("e21", e21_priority_classes::run),
-        ("e22", e22_qps_crossbar::run),
-        ("e23", e23_sw_qps::run),
-        ("e24", e24_cioq_maximal::run),
-        ("a1", a1_fault::run),
-        ("a2", a2_speedup::run),
-        ("a3", a3_discipline::run),
-    ]
+    fn argless<const I: usize>() -> ExperimentOutput {
+        (EXPERIMENTS[I].1)(&pps_core::process::sink())
+    }
+    macro_rules! runners {
+        ($($i:literal)*) => { vec![$((EXPERIMENTS[$i].0, argless::<$i> as Runner)),*] };
+    }
+    runners!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26)
 }

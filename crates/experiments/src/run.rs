@@ -24,7 +24,7 @@
 //! string is the full reproducible name of the run.
 
 use crate::e19_stochastic_tails::classes;
-use pps_analysis::{compare_bufferless, relative_delays, Comparison, TailQuantiles};
+use pps_analysis::{compare_bufferless_in, relative_delays, Comparison, TailQuantiles};
 use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_switch::demux::*;
@@ -118,6 +118,7 @@ fn run_algo(
     algo: &str,
     cfg: PpsConfig,
     traffic: &Traffic,
+    sink: &Sink,
 ) -> Result<(Trace, Comparison), String> {
     let (name, param) = match algo.split_once(':') {
         Some((name, param)) => (name, Some(param)),
@@ -128,16 +129,23 @@ fn run_algo(
         return Err(format!("algorithm {name} takes no :parameter"));
     }
     match name {
-        "rr" => run_with(args, cfg, RoundRobinDemux::new(n, k), 1, traffic),
-        "pfr" => run_with(args, cfg, PerFlowRoundRobinDemux::new(n, k), 1, traffic),
+        "rr" => run_with(args, cfg, RoundRobinDemux::new(n, k), 1, traffic, sink),
+        "pfr" => run_with(
+            args,
+            cfg,
+            PerFlowRoundRobinDemux::new(n, k),
+            1,
+            traffic,
+            sink,
+        ),
         "random" => {
             let seed = param.map_or(Ok(0), str::parse);
             let seed = seed.map_err(|e| format!("random seed: {e}"))?;
-            run_with(args, cfg, RandomDemux::new(n, seed), 4, traffic)
+            run_with(args, cfg, RandomDemux::new(n, seed), 4, traffic, sink)
         }
         "partition" => {
             let demux = StaticPartitionDemux::minimal(n, k, r_prime);
-            run_with(args, cfg, demux, 1, traffic)
+            run_with(args, cfg, demux, 1, traffic, sink)
         }
         "ftd" => {
             let h = param.map_or(Ok(2), str::parse);
@@ -147,7 +155,7 @@ fn run_algo(
                     "ftd:{h} needs h >= 2 and h*r' <= K <= 128 (got r' = {r_prime}, K = {k})"
                 ));
             }
-            run_with(args, cfg, FtdDemux::new(n, k, r_prime, h), 1, traffic)
+            run_with(args, cfg, FtdDemux::new(n, k, r_prime, h), 1, traffic, sink)
         }
         "stale" => {
             let u = param.ok_or("stale needs :u")?;
@@ -155,16 +163,23 @@ fn run_algo(
             if u == 0 {
                 return Err("stale u: must be at least 1".into());
             }
-            run_with(args, cfg, StaleLeastLoadedDemux::new(n, k, u), 1, traffic)
+            run_with(
+                args,
+                cfg,
+                StaleLeastLoadedDemux::new(n, k, u),
+                1,
+                traffic,
+                sink,
+            )
         }
         "lll" => {
             let demux = LeastLoadedLocalDemux::new(n, k, r_prime);
-            run_with(args, cfg, demux, 1, traffic)
+            run_with(args, cfg, demux, 1, traffic, sink)
         }
-        "hash" => run_with(args, cfg, HashFlowDemux::new(n, k), 1, traffic),
+        "hash" => run_with(args, cfg, HashFlowDemux::new(n, k), 1, traffic, sink),
         "cpa" => {
             let cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
-            run_with(args, cfg, CpaDemux::new(n, k, r_prime), 1, traffic)
+            run_with(args, cfg, CpaDemux::new(n, k, r_prime), 1, traffic, sink)
         }
         other => Err(format!("unknown algorithm {other}")),
     }
@@ -179,6 +194,7 @@ fn run_with<D: Demultiplexor + Clone>(
     demux: D,
     attack_budget: usize,
     traffic: &Traffic,
+    sink: &Sink,
 ) -> Result<(Trace, Comparison), String> {
     let trace = match traffic {
         Traffic::Attack => {
@@ -193,7 +209,7 @@ fn run_with<D: Demultiplexor + Clone>(
         traffic => traffic.trace(&cfg)?,
     };
     let trace = keep(trace, args)?;
-    let cmp = compare_bufferless(cfg, demux, &trace).map_err(|e| e.to_string())?;
+    let cmp = compare_bufferless_in(cfg, demux, &trace, sink).map_err(|e| e.to_string())?;
     Ok((trace, cmp))
 }
 
@@ -216,22 +232,23 @@ fn row(out: &mut String, label: &str, cmp: &Comparison) {
     );
 }
 
-/// Execute a `run`; returns the printable report.
-pub fn run(args: &RunArgs) -> Result<String, String> {
+/// Execute a `run` as part of the run `sink` records; returns the
+/// printable report.
+pub fn run(args: &RunArgs, sink: &Sink) -> Result<String, String> {
     let (n, traffic) = parse(&args.workload)?;
     let cfg = PpsConfig::bufferless(n, args.k, args.r_prime);
     cfg.validate().map_err(|e| e.to_string())?;
     let mut rows = String::new();
     let trace = match &args.algo {
         Some(algo) => {
-            let (trace, cmp) = run_algo(args, algo, cfg, &traffic)?;
+            let (trace, cmp) = run_algo(args, algo, cfg, &traffic, sink)?;
             row(&mut rows, algo, &cmp);
             trace
         }
         None => {
             let trace = keep(traffic.trace(&cfg)?, args)?;
             for (label, run) in classes() {
-                let cmp = run(cfg, &trace).map_err(|e| e.to_string())?;
+                let cmp = run(cfg, &trace, sink).map_err(|e| e.to_string())?;
                 row(&mut rows, label, &cmp);
             }
             trace
@@ -265,7 +282,7 @@ mod tests {
             .map(String::from)
             .collect();
         match crate::cli::parse(&argv).map_err(|e| e.to_string())?.mode {
-            crate::cli::Mode::Run(args) => super::run(&args),
+            crate::cli::Mode::Run(args) => super::run(&args, &pps_core::run::Sink::default()),
             other => panic!("run argv parsed to {other:?}"),
         }
     }

@@ -2,95 +2,79 @@
 //!
 //! - disabled path: no events recorded, results byte-identical to a traced
 //!   run (tracing must observe, never perturb);
-//! - `counters` level: registry grows but rings stay empty;
+//! - `counters` level: the meters grow but the rings stay empty;
 //! - `full` level: a lockstep E3 point yields a schema-valid Chrome trace
 //!   with paired PPS and shadow-OQ tracks;
 //! - sweep merge: the captured event bundle is identical at any `--jobs`.
 //!
-//! The recording level and worker budget are process-wide, so every test
-//! takes `TELEMETRY_LOCK` and restores `Level::Off` on exit (panic
-//! included) via `LevelGuard`.
+//! Every test runs on a [`RunSpec`] of its own and reads its own
+//! [`RunReport`]: the tests share no state and run in parallel.
 
+use pps_core::run::{self, RunReport, RunSpec};
 use pps_core::sweep::SweepPlan;
 use pps_core::telemetry::{self, Level};
-use pps_core::workers::set_jobs;
 use pps_experiments::e03_fd_general;
-use std::sync::Mutex;
 
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
-/// Serializes the test and restores `Level::Off` when dropped.
-struct LevelGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-impl LevelGuard {
-    fn set(level: Level) -> Self {
-        let lock = TELEMETRY_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        telemetry::set_level(level);
-        LevelGuard { _lock: lock }
+fn at(telemetry: Level) -> RunSpec {
+    RunSpec {
+        telemetry,
+        ..RunSpec::default()
     }
 }
 
-impl Drop for LevelGuard {
-    fn drop(&mut self) {
-        telemetry::set_level(Level::Off);
-    }
-}
+/// What `e03_fd_general::point` measures.
+type E3Point = (f64, u64, usize, u64, u64, i64, i64, u64);
 
 /// One lockstep E3 point: a bufferless PPS against its shadow OQ on the
 /// same concentration-attack trace. Small enough for a test, rich enough
 /// to emit every dataplane event kind on both engines.
-fn lockstep_point() -> (f64, u64, usize, u64, u64, i64, i64, u64) {
-    e03_fd_general::point(16, 8, 4)
+fn lockstep_point(level: Level) -> RunReport<E3Point> {
+    run::run(&at(level), "e3-point", |sink| {
+        e03_fd_general::point(16, 8, 4, sink)
+    })
 }
 
 #[test]
 fn disabled_level_records_nothing_and_leaves_results_unchanged() {
-    let _guard = LevelGuard::set(Level::Off);
-    let (off_result, off_log) = telemetry::collect("off", lockstep_point);
+    let off = lockstep_point(Level::Off);
     assert_eq!(
-        off_log.total_events(),
+        off.log.total_events(),
         0,
         "Level::Off must record no events"
     );
-    assert_eq!(off_log.overflowed, 0);
+    assert_eq!(off.log.overflowed, 0);
 
     // The same point traced at Full must compute the same numbers: the
     // instrumentation observes the engines, it never steers them.
-    telemetry::set_level(Level::Full);
-    let (full_result, full_log) = telemetry::collect("full", lockstep_point);
-    assert_eq!(off_result, full_result, "tracing changed engine results");
-    assert!(full_log.total_events() > 0, "Full traced nothing");
+    let full = lockstep_point(Level::Full);
+    assert_eq!(off.output, full.output, "tracing changed engine results");
+    assert!(full.log.total_events() > 0, "Full traced nothing");
 }
 
 #[test]
 fn counters_level_fills_registry_but_not_rings() {
-    let _guard = LevelGuard::set(Level::Counters);
-    let before: u64 = count_of("arrival");
-    let (_result, log) = telemetry::collect("counters", lockstep_point);
-    assert_eq!(log.total_events(), 0, "Counters must not buffer events");
-    let after: u64 = count_of("arrival");
-    assert!(
-        after > before,
-        "arrival counter did not grow ({before} -> {after})"
+    let report = lockstep_point(Level::Counters);
+    assert_eq!(
+        report.log.total_events(),
+        0,
+        "Counters must not buffer events"
     );
-}
-
-fn count_of(name: &str) -> u64 {
-    telemetry::counters()
+    let arrivals = report
+        .meters
+        .named()
         .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, v)| v)
-        .unwrap_or(0)
+        .find(|(n, _)| *n == "arrival");
+    assert!(
+        arrivals.is_some_and(|(_, count)| count > 0),
+        "arrival counter did not grow"
+    );
+    let off = lockstep_point(Level::Off).meters.named();
+    assert!(off.iter().all(|(n, c)| n.starts_with("perf.") || *c == 0));
 }
 
 #[test]
 fn lockstep_trace_is_schema_valid_with_paired_tracks() {
-    let _guard = LevelGuard::set(Level::Full);
-    let (_result, log) = telemetry::collect("e3-point", lockstep_point);
+    let log = lockstep_point(Level::Full).log;
     assert!(log.total_events() > 0);
 
     let mut buf = Vec::new();
@@ -138,14 +122,15 @@ fn fault_run_emits_resequencer_and_watchdog_events() {
     use pps_switch::demux::RoundRobinDemux;
     use pps_traffic::gen::BernoulliGen;
 
-    let _guard = LevelGuard::set(Level::Full);
     let (n, k, r_prime) = (16, 8, 2);
     let cfg = PpsConfig::bufferless(n, k, r_prime).with_watchdog(32);
     let trace = BernoulliGen::uniform(0.7, 77).trace(n, 1_000);
     let plan = FaultPlan::new().plane_down(0, 200).plane_up(0, 600);
-    let (_impact, log) = telemetry::collect("fault-run", || {
-        recovery_point(cfg, RoundRobinDemux::new(n, k), &trace, &plan, (200, 600))
-    });
+    let log = run::run(&at(Level::Full), "fault-run", |sink| {
+        let demux = RoundRobinDemux::new(n, k);
+        recovery_point(cfg, demux, &trace, &plan, (200, 600), sink)
+    })
+    .log;
 
     // A mid-run plane failure forces the resequencer half of the
     // vocabulary: holds behind lost cells, watchdog drops past them,
@@ -169,15 +154,16 @@ fn fault_run_emits_resequencer_and_watchdog_events() {
 
 #[test]
 fn sweep_event_bundle_is_jobs_invariant() {
-    let _guard = LevelGuard::set(Level::Full);
     let run_at = |jobs: usize| {
-        set_jobs(jobs);
-        let (_results, log) = telemetry::collect("sweep", || {
-            let plan = SweepPlan::new("tel-jobs", vec![4usize, 8, 16]);
-            plan.run(|pt| e03_fd_general::point(16, *pt.params, 4))
+        let spec = RunSpec {
+            jobs,
+            ..at(Level::Full)
+        };
+        let report = run::run(&spec, "sweep", |sink| {
+            let plan = SweepPlan::new_in("tel-jobs", vec![4usize, 8, 16], sink);
+            plan.run(|pt| e03_fd_general::point(16, *pt.params, 4, pt.sink))
         });
-        set_jobs(1);
-        log
+        report.log
     };
     let serial = run_at(1);
     let parallel = run_at(8);

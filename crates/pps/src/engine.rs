@@ -29,7 +29,7 @@
 use crate::fabric::{Fabric, FabricStats};
 use pps_core::prelude::*;
 use pps_core::stepping::{self, earliest, SlotEngine};
-use pps_core::telemetry::{self, Engine, EventKind, FaultKind};
+use pps_core::telemetry::{Engine, EventKind, FaultKind};
 use std::collections::VecDeque;
 
 /// Outcome of a complete PPS run.
@@ -162,9 +162,8 @@ impl FaultSchedule {
                     (plane, FaultKind::LinkDegraded)
                 }
             };
-            if telemetry::on() {
-                telemetry::record(Engine::Pps, now, EventKind::FaultApplied { plane, kind });
-            }
+            let kind = EventKind::FaultApplied { plane, kind };
+            fabric.sink().record(Engine::Pps, now, kind);
             self.next += 1;
         }
         Ok(())
@@ -214,11 +213,11 @@ pub trait InputStage: Sized {
 }
 
 #[inline(always)]
-fn record_arrival(now: Slot, cell: &Cell) {
+fn record_arrival(sink: &Sink, now: Slot, cell: &Cell) {
     debug_assert_eq!(cell.arrival, now);
-    if telemetry::on() {
+    if sink.on() {
         let (cell, input, output) = (cell.id, cell.input, cell.output);
-        telemetry::record(
+        sink.record(
             Engine::Pps,
             now,
             EventKind::Arrival {
@@ -231,10 +230,10 @@ fn record_arrival(now: Slot, cell: &Cell) {
 }
 
 #[inline(always)]
-fn record_decision(now: Slot, cell: &Cell, plane: PlaneId) {
-    if telemetry::on() {
+fn record_decision(sink: &Sink, now: Slot, cell: &Cell, plane: PlaneId) {
+    if sink.on() {
         let (cell, input) = (cell.id, cell.input);
-        telemetry::record(
+        sink.record(
             Engine::Pps,
             now,
             EventKind::DemuxDecision { cell, input, plane },
@@ -286,7 +285,7 @@ impl<D: Demultiplexor> InputStage for Unbuffered<D> {
     ) -> Result<(), ModelError> {
         self.demux.on_slot(now, global);
         for cell in arrivals {
-            record_arrival(now, cell);
+            record_arrival(fabric.sink(), now, cell);
             fabric.register_arrival(cell);
             // Under link degradation an input can find *every* line busy —
             // the K >= r' guarantee only covers ordinary occupancy. A
@@ -298,7 +297,7 @@ impl<D: Demultiplexor> InputStage for Unbuffered<D> {
                 continue;
             }
             let plane = self.demux.dispatch(cell, &DispatchCtx { local, global });
-            record_decision(now, cell, plane);
+            record_decision(fabric.sink(), now, cell, plane);
             fabric.dispatch(*cell, plane, now, log)?;
         }
         Ok(())
@@ -351,12 +350,12 @@ impl<D: BufferedDemultiplexor> InputBuffers<D> {
                 .ok_or(ModelError::BadBufferIndex { input: port, index })?;
             self.buffer_live[input] -= 1;
             self.buffered_cells -= 1;
-            record_decision(now, &cell, plane);
+            record_decision(fabric.sink(), now, &cell, plane);
             fabric.dispatch(cell, plane, now, log)?;
         }
         match (arrival, decision.arrival) {
             (Some(cell), Some(ArrivalAction::Dispatch(plane))) => {
-                record_decision(now, &cell, plane);
+                record_decision(fabric.sink(), now, &cell, plane);
                 fabric.dispatch(cell, plane, now, log)?;
             }
             (Some(cell), Some(ArrivalAction::Enqueue)) | (Some(cell), None) => {
@@ -431,7 +430,7 @@ impl<D: BufferedDemultiplexor> InputStage for InputBuffers<D> {
                 continue;
             }
             if let Some(c) = &arrival {
-                record_arrival(now, c);
+                record_arrival(fabric.sink(), now, c);
                 fabric.register_arrival(c);
             }
             let port = PortId(input as u32);
@@ -495,25 +494,26 @@ pub type BufferlessPps<D> = Pps<Unbuffered<D>>;
 pub type BufferedPps<D> = Pps<InputBuffers<D>>;
 
 impl<S: InputStage> Pps<S> {
-    /// Build the switch; validates the configuration, whose buffer spec
-    /// must match the input stage.
+    /// Build the switch outside any run ([`Sink::detached`]: skip-ahead
+    /// stepping, no telemetry). Validates the configuration, whose buffer
+    /// spec must match the input stage.
     pub fn new(cfg: PpsConfig, demux: S::Demux) -> Result<Self, ModelError> {
+        Pps::new_in(cfg, demux, &Sink::detached())
+    }
+
+    /// Build the switch for the run `sink` records: its stepping mode and
+    /// telemetry level. Validates the configuration, whose buffer spec
+    /// must match the input stage.
+    pub fn new_in(cfg: PpsConfig, demux: S::Demux, sink: &Sink) -> Result<Self, ModelError> {
         cfg.validate()?;
         let stage = S::build(&cfg, demux)?;
         Ok(Pps {
-            fabric: Fabric::new(cfg),
+            fabric: Fabric::new_in(cfg, sink.clone()),
             bus: InfoBus::new(stage.info_class()),
             stage,
             faults: FaultSchedule::default(),
-            stepping: stepping::process_default(),
+            stepping: sink.spec().stepping,
         })
-    }
-
-    /// Override the slot-stepping mode (the default is the process-wide
-    /// setting at construction time; see [`pps_core::stepping`]). Both
-    /// modes produce byte-identical runs.
-    pub fn set_stepping(&mut self, mode: Stepping) {
-        self.stepping = mode;
     }
 
     /// Ignored; kept until the ROADMAP 1(a) benchmark PR drops the call.
@@ -643,20 +643,12 @@ impl<S: InputStage> SlotEngine for Pps<S> {
     }
 }
 
-/// Convenience: run `trace` through a fresh bufferless PPS.
-pub fn run_bufferless<D: Demultiplexor>(
-    cfg: PpsConfig,
-    demux: D,
-    trace: &Trace,
-) -> Result<PpsRun, ModelError> {
-    BufferlessPps::new(cfg, demux)?.run(trace)
-}
-
-/// Convenience: run `trace` through a fresh input-buffered PPS.
+/// Run `trace` through a fresh input-buffered PPS on the process default:
+/// a shim of the benchmark seam (DESIGN.md, "The benchmark's surface").
 pub fn run_buffered<D: BufferedDemultiplexor>(
     cfg: PpsConfig,
     demux: D,
     trace: &Trace,
 ) -> Result<PpsRun, ModelError> {
-    BufferedPps::new(cfg, demux)?.run(trace)
+    BufferedPps::new_in(cfg, demux, &pps_core::process::sink())?.run(trace)
 }

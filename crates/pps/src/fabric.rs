@@ -7,7 +7,7 @@ use crate::agenda::Agenda;
 use crate::output::OutputMux;
 use crate::plane::Plane;
 use pps_core::prelude::*;
-use pps_core::telemetry::{self, Engine, EventKind};
+use pps_core::telemetry::{Engine, EventKind};
 use std::sync::Arc;
 
 /// Aggregate fabric statistics for one run.
@@ -66,11 +66,20 @@ pub struct Fabric {
     ///
     /// [`inject_conservation_leak`]: Self::inject_conservation_leak
     leak_budget: u32,
+    /// The run's telemetry gate and meters.
+    sink: Sink,
 }
 
 impl Fabric {
-    /// Build an idle fabric for `cfg` (assumed validated).
+    /// Build an idle fabric for `cfg` (assumed validated), outside any run
+    /// ([`Sink::detached`]).
     pub fn new(cfg: PpsConfig) -> Self {
+        Fabric::new_in(cfg, Sink::detached())
+    }
+
+    /// Build an idle fabric for `cfg` (assumed validated) that records
+    /// into `sink`.
+    pub(crate) fn new_in(cfg: PpsConfig, sink: Sink) -> Self {
         let (n, k) = (cfg.n, cfg.k);
         Fabric {
             cfg,
@@ -81,7 +90,7 @@ impl Fabric {
                 .map(|j| {
                     let mut mux = OutputMux::new(n, cfg.discipline);
                     mux.set_watchdog(cfg.watchdog);
-                    mux.set_port(PortId(j as u32));
+                    mux.set_port(PortId(j as u32), sink.clone());
                     mux
                 })
                 .collect(),
@@ -93,12 +102,18 @@ impl Fabric {
             output_pending_live: vec![0; n],
             dropped: 0,
             leak_budget: 0,
+            sink,
         }
     }
 
     /// The switch configuration.
     pub fn cfg(&self) -> &PpsConfig {
         &self.cfg
+    }
+
+    /// The run's telemetry gate and meters.
+    pub(crate) fn sink(&self) -> &Sink {
+        &self.sink
     }
 
     /// This input's local view of its lines (the *only* information a
@@ -156,8 +171,8 @@ impl Fabric {
             "cell {id:?} is not its row of the log's table"
         );
         if self.planes[p].accept(id, j) {
-            if telemetry::on() {
-                telemetry::record(
+            if self.sink.on() {
+                self.sink.record(
                     Engine::Pps,
                     now,
                     EventKind::PlaneEnqueue {
@@ -213,8 +228,8 @@ impl Fabric {
             let id = self.planes[p].pop_for(j).expect("non-empty checked");
             self.out_links.acquire(p, j, now)?;
             self.plane_len_live[p * self.cfg.n + j] -= 1;
-            if telemetry::on() {
-                telemetry::record(
+            if self.sink.on() {
+                self.sink.record(
                     Engine::Pps,
                     now,
                     EventKind::PlaneDeliver {
@@ -246,15 +261,15 @@ impl Fabric {
 
     /// Let every output with work emit at most one cell; record departures.
     pub fn emit(&mut self, now: Slot, log: &mut RunLog) {
-        pps_core::perf::record_slots(1);
+        self.sink.slots(1);
         let mut write = 0usize;
         for read in 0..self.active_list.len() {
             let j = self.active_list[read];
             let mux = &mut self.outputs[j as usize];
             if let Some(id) = mux.emit(&self.cells, now) {
                 self.output_pending_live[j as usize] -= 1;
-                if telemetry::on() {
-                    telemetry::record(
+                if self.sink.on() {
+                    self.sink.record(
                         Engine::Pps,
                         now,
                         EventKind::Depart {
@@ -316,7 +331,7 @@ impl Fabric {
             "skip over [{from}, {to}] jumps fabric activity due at {:?}",
             self.next_activity(from.saturating_sub(1))
         );
-        pps_core::perf::record_skipped(to - from + 1);
+        self.sink.skipped(to - from + 1);
         for idx in 0..self.active_list.len() {
             let j = self.active_list[idx] as usize;
             self.outputs[j].skip_idle(from, to);

@@ -21,8 +21,9 @@
 //!
 //! ```
 //! use pps_core::prelude::*;
+//! use pps_core::run::Sink;
 //! use pps_switch::demux::RoundRobinDemux;
-//! use pps_switch::engine::run_bufferless;
+//! use pps_switch::BufferlessPps;
 //!
 //! // A 4x4 PPS with 4 planes at half the external rate (S = 2).
 //! let cfg = PpsConfig::bufferless(4, 4, 2);
@@ -30,7 +31,8 @@
 //!     (0..16).map(|t| Arrival::new(t, (t % 4) as u32, ((t + 1) % 4) as u32)).collect(),
 //!     4,
 //! ).unwrap();
-//! let run = run_bufferless(cfg, RoundRobinDemux::new(4, 4), &trace).unwrap();
+//! let mut pps = BufferlessPps::new_in(cfg, RoundRobinDemux::new(4, 4), &Sink::default()).unwrap();
+//! let run = pps.run(&trace).unwrap();
 //! assert_eq!(run.log.undelivered(), 0);
 //! ```
 

@@ -26,7 +26,7 @@
 //! the per-delivery sequence agree on.
 
 use pps_core::prelude::*;
-use pps_core::telemetry::{self, Engine, EventKind};
+use pps_core::telemetry::{Engine, EventKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -167,6 +167,8 @@ pub struct OutputMux {
     /// Which output port this mux serves (telemetry track id; defaults to
     /// port 0 for muxes built outside a fabric, e.g. unit tests).
     port: PortId,
+    /// The run's telemetry gate (detached outside a fabric).
+    sink: Sink,
     /// Cells eligible for emission right now, min-ordered by [`EmitKey`].
     /// (A binary heap, not a BTreeMap: insert/pop-min dominate the hot
     /// path and keys are never removed out of order.)
@@ -220,6 +222,7 @@ impl OutputMux {
         OutputMux {
             discipline,
             port: PortId(0),
+            sink: Sink::detached(),
             eligible: BinaryHeap::new(),
             pending: Vec::new(),
             touched: Vec::new(),
@@ -248,10 +251,11 @@ impl OutputMux {
         self.watchdog = timeout;
     }
 
-    /// Tell the mux which output port it serves, so its telemetry events
-    /// land on the right track.
-    pub(crate) fn set_port(&mut self, port: PortId) {
+    /// Tell the mux which output port it serves and which run it records
+    /// into, so its telemetry events land on the right track.
+    pub(crate) fn set_port(&mut self, port: PortId, sink: Sink) {
         self.port = port;
+        self.sink = sink;
     }
 
     /// GlobalFcfs only: register that `id` has entered the switch bound for
@@ -307,8 +311,8 @@ impl OutputMux {
                     flow.eligible += 1;
                     self.pending.push((cells.arrival(id), id));
                 } else {
-                    if telemetry::on() {
-                        telemetry::record(
+                    if self.sink.on() {
+                        self.sink.record(
                             Engine::Pps,
                             now,
                             EventKind::ReseqHold {
@@ -331,9 +335,9 @@ impl OutputMux {
                 }
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
-                if telemetry::on() && self.in_flight.front() != Some(&id) {
+                if self.sink.on() && self.in_flight.front() != Some(&id) {
                     // Parked behind a straggler still in transit.
-                    telemetry::record(
+                    self.sink.record(
                         Engine::Pps,
                         now,
                         EventKind::ReseqHold {
@@ -497,8 +501,8 @@ impl OutputMux {
             self.skipped += u64::from(lost);
             self.flows[i].next_seq = seq;
             let head = self.unpark(i, seq).expect("min seq is present");
-            if telemetry::on() {
-                telemetry::record(
+            if self.sink.on() {
+                self.sink.record(
                     Engine::Pps,
                     now,
                     EventKind::WatchdogDrop {
@@ -506,7 +510,7 @@ impl OutputMux {
                         cells: lost,
                     },
                 );
-                telemetry::record(
+                self.sink.record(
                     Engine::Pps,
                     now,
                     EventKind::ReseqRelease {
@@ -531,8 +535,8 @@ impl OutputMux {
                 flow.next_seq = next_seq;
                 // The successor may now be eligible.
                 if let Some(next) = self.unpark(i, next_seq) {
-                    if telemetry::on() {
-                        telemetry::record(
+                    if self.sink.on() {
+                        self.sink.record(
                             Engine::Pps,
                             now,
                             EventKind::ReseqRelease {
@@ -587,8 +591,8 @@ impl OutputMux {
             self.skipped += 1;
             abandoned += 1;
         }
-        if abandoned > 0 && telemetry::on() {
-            telemetry::record(
+        if abandoned > 0 && self.sink.on() {
+            self.sink.record(
                 Engine::Pps,
                 now,
                 EventKind::WatchdogDrop {

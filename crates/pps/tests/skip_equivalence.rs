@@ -15,7 +15,6 @@
 //!   because skip-ahead makes it O(events).
 
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 use pps_core::fault::FaultPlan;
 use pps_core::prelude::*;
@@ -37,6 +36,14 @@ fn assert_same(dense: &PpsRun, skip: &PpsRun, what: &str) {
     assert_eq!(dense.end_slot, skip.end_slot, "{what}: end slots diverge");
 }
 
+/// A sink whose runs step in `mode`.
+fn stepped(mode: Stepping) -> Sink {
+    Sink::new(RunSpec {
+        stepping: mode,
+        ..RunSpec::default()
+    })
+}
+
 /// Run one bufferless configuration under both modes.
 fn bufferless_pair<D: pps_core::demux::Demultiplexor>(
     cfg: PpsConfig,
@@ -45,11 +52,10 @@ fn bufferless_pair<D: pps_core::demux::Demultiplexor>(
     plan: Option<&FaultPlan>,
 ) -> (PpsRun, PpsRun) {
     let run = |mode: Stepping, demux: D| {
-        let mut pps = BufferlessPps::new(cfg, demux).expect("engine");
+        let mut pps = BufferlessPps::new_in(cfg, demux, &stepped(mode)).expect("engine");
         if let Some(p) = plan {
             pps.set_fault_plan(p).expect("plan");
         }
-        pps.set_stepping(mode);
         pps.run(trace).expect("run")
     };
     (run(Stepping::Dense, mk()), run(Stepping::SkipAhead, mk()))
@@ -63,11 +69,10 @@ fn buffered_pair<D: pps_core::demux::BufferedDemultiplexor>(
     plan: Option<&FaultPlan>,
 ) -> (PpsRun, PpsRun) {
     let run = |mode: Stepping| {
-        let mut pps = BufferedPps::new(cfg, mk()).expect("engine");
+        let mut pps = BufferedPps::new_in(cfg, mk(), &stepped(mode)).expect("engine");
         if let Some(p) = plan {
             pps.set_fault_plan(p).expect("plan");
         }
-        pps.set_stepping(mode);
         pps.run(trace).expect("run")
     };
     (run(Stepping::Dense), run(Stepping::SkipAhead))
@@ -194,18 +199,13 @@ proptest! {
     }
 }
 
-static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
-
 /// Full-telemetry golden check: a gap-heavy faulted run records exactly
 /// the same event stream under both modes — skipped slots emit nothing in
 /// dense stepping, so eliding them must be invisible.
 #[test]
 fn full_telemetry_trace_is_identical() {
-    use pps_core::telemetry::{self, Level};
-    let _lock = TELEMETRY_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    telemetry::set_level(Level::Full);
+    use pps_core::run::{self, RunSpec};
+    use pps_core::telemetry::Level;
     let (n, k, r_prime) = (4usize, 4usize, 2usize);
     let cfg = PpsConfig::bufferless(n, k, r_prime)
         .with_discipline(OutputDiscipline::GlobalFcfs)
@@ -213,17 +213,22 @@ fn full_telemetry_trace_is_identical() {
     let trace = sparse_trace(n, &[(0, 3), (5_000, 2), (40_000, 1)]);
     let plan = pulse_plan(&[(0, 2, 10_000), (1, 41_000, 500)]);
 
-    let collect = |mode: Stepping| {
-        telemetry::collect(format!("equiv-{}", mode.name()), || {
-            let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).expect("engine");
+    let collect = |stepping: Stepping| {
+        let spec = RunSpec {
+            stepping,
+            telemetry: Level::Full,
+            ..RunSpec::default()
+        };
+        let report = run::run(&spec, &format!("equiv-{}", stepping.name()), |sink| {
+            let mut pps =
+                BufferlessPps::new_in(cfg, RoundRobinDemux::new(n, k), sink).expect("engine");
             pps.set_fault_plan(&plan).expect("plan");
-            pps.set_stepping(mode);
             pps.run(&trace).expect("run")
-        })
+        });
+        (report.output, report.log)
     };
     let (dense, dense_log) = collect(Stepping::Dense);
     let (skip, skip_log) = collect(Stepping::SkipAhead);
-    telemetry::set_level(Level::Off);
 
     assert_same(&dense, &skip, "telemetry run");
     assert!(dense_log.total_events() > 0, "trace recorded nothing");
@@ -246,8 +251,8 @@ fn sparse_workload_speedup_at_least_20x() {
     assert!(trace.horizon() >= 9_900_000);
 
     let timed = |mode: Stepping| {
-        let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).expect("engine");
-        pps.set_stepping(mode);
+        let demux = RoundRobinDemux::new(n, k);
+        let mut pps = BufferlessPps::new_in(cfg, demux, &stepped(mode)).expect("engine");
         let start = std::time::Instant::now();
         let run = pps.run(&trace).expect("run");
         (run, start.elapsed())
@@ -278,16 +283,16 @@ fn soak_billion_slot_horizon_is_events_bound() {
         trace.horizon()
     );
 
-    let skipped0 = pps_core::perf::slots_skipped();
-    let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).expect("engine");
-    pps.set_stepping(Stepping::SkipAhead);
     let start = std::time::Instant::now();
-    let run = pps.run(&trace).expect("run");
-    let elapsed = start.elapsed();
+    let report = pps_core::run::run(&Default::default(), "soak", |sink| {
+        let mut pps = BufferlessPps::new_in(cfg, RoundRobinDemux::new(n, k), sink).expect("engine");
+        pps.run(&trace).expect("run")
+    });
+    let (run, elapsed) = (report.output, start.elapsed());
     assert_eq!(run.log.undelivered(), 0);
     assert!(run.end_slot >= trace.horizon());
     // The elided interval is metered, not silently lost.
-    assert!(pps_core::perf::slots_skipped() - skipped0 >= 900_000_000);
+    assert!(report.meters.slots_skipped >= 900_000_000);
     assert!(
         elapsed.as_secs_f64() < 30.0,
         "soak took {elapsed:?} — skip-ahead is not events-bound"

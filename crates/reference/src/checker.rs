@@ -121,7 +121,8 @@ pub fn check_flow_order(log: &RunLog) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oq::run_oq;
+    use crate::oq::run_oq_in;
+    use pps_core::run::Sink;
 
     fn simple_trace() -> Trace {
         Trace::build(
@@ -139,7 +140,7 @@ mod tests {
     #[test]
     fn oq_switch_is_work_conserving_and_ordered() {
         let t = simple_trace();
-        let log = run_oq(&t, 3);
+        let log = run_oq_in(&t, 3, &Sink::default());
         assert!(check_work_conserving(&log, None).is_empty());
         assert!(check_flow_order(&log).is_empty());
     }

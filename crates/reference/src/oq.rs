@@ -9,6 +9,7 @@
 
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
+use pps_core::telemetry::{Engine, EventKind};
 
 /// A step-wise FCFS output-queued switch, usable in lockstep with a PPS on
 /// the same trace.
@@ -18,13 +19,21 @@ pub struct ShadowOq {
     /// id (the `RunLog` keyed by it holds the metadata), so the queues
     /// never park whole `Cell` values.
     queues: Vec<FifoQueue<CellId>>,
+    /// The run's telemetry gate.
+    sink: Sink,
 }
 
 impl ShadowOq {
-    /// An idle `n × n` OQ switch.
+    /// An idle `n × n` OQ switch outside any run ([`Sink::detached`]).
     pub fn new(n: usize) -> Self {
+        ShadowOq::new_in(n, &Sink::detached())
+    }
+
+    /// An idle `n × n` OQ switch that records into `sink`.
+    pub fn new_in(n: usize, sink: &Sink) -> Self {
         ShadowOq {
             queues: (0..n).map(|_| FifoQueue::new()).collect(),
+            sink: sink.clone(),
         }
     }
 
@@ -33,11 +42,10 @@ impl ShadowOq {
     ///
     /// `arrivals` must all have `arrival == now`.
     pub fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) {
-        use pps_core::telemetry::{self, Engine, EventKind};
         for cell in arrivals {
             debug_assert_eq!(cell.arrival, now, "arrival slot mismatch");
-            if telemetry::on() {
-                telemetry::record(
+            if self.sink.on() {
+                self.sink.record(
                     Engine::ShadowOq,
                     now,
                     EventKind::Arrival {
@@ -51,8 +59,8 @@ impl ShadowOq {
         }
         for (j, q) in self.queues.iter_mut().enumerate() {
             if let Some(id) = q.pop() {
-                if telemetry::on() {
-                    telemetry::record(
+                if self.sink.on() {
+                    self.sink.record(
                         Engine::ShadowOq,
                         now,
                         EventKind::Depart {
@@ -110,13 +118,19 @@ impl SlotEngine for ShadowOq {
     fn skip_idle(&mut self, _from: Slot, _to: Slot) {}
 }
 
-/// Run a trace through a fresh OQ switch until every cell departs; returns
-/// the per-cell log. Uses the process-default stepping mode (both modes
-/// produce identical logs). An OQ switch is work-conserving, so the run
-/// needs no livelock cap.
+/// [`run_oq_in`] on the process default: a shim of the benchmark seam
+/// (DESIGN.md, "The benchmark's surface").
 pub fn run_oq(trace: &Trace, n: usize) -> RunLog {
-    let mode = stepping::process_default();
-    let (log, _) = stepping::drive(&mut ShadowOq::new(n), trace, n, Slot::MAX, mode)
+    run_oq_in(trace, n, &pps_core::process::sink())
+}
+
+/// Run a trace through a fresh OQ switch of the run `sink` records until
+/// every cell departs; returns the per-cell log. Both stepping modes
+/// produce identical logs. An OQ switch is work-conserving, so the run
+/// needs no livelock cap.
+pub fn run_oq_in(trace: &Trace, n: usize, sink: &Sink) -> RunLog {
+    let mode = sink.spec().stepping;
+    let (log, _) = stepping::drive(&mut ShadowOq::new_in(n, sink), trace, n, Slot::MAX, mode)
         .expect("an OQ slot cannot fail");
     log
 }
@@ -125,7 +139,7 @@ pub fn run_oq(trace: &Trace, n: usize) -> RunLog {
 /// output `j` departs at `max(arrival(c), previous_departure_j + 1)`.
 ///
 /// Returned indexed by cell id. This is the deadline oracle the CPA
-/// demultiplexor mimics, and a differential-testing target for [`run_oq`].
+/// demultiplexor mimics, and a differential-testing target for [`run_oq_in`].
 pub fn fcfs_departure_times(trace: &Trace, n: usize) -> Vec<Slot> {
     let mut last: Vec<Option<Slot>> = vec![None; n];
     trace
@@ -153,7 +167,7 @@ mod tests {
     #[test]
     fn lone_cell_departs_in_arrival_slot() {
         let t = trace(vec![Arrival::new(5, 0, 1)], 2);
-        let log = run_oq(&t, 2);
+        let log = run_oq_in(&t, 2, &Sink::default());
         assert_eq!(log.get(CellId(0)).departure(), Some(5));
         assert_eq!(log.get(CellId(0)).delay(), Some(0));
     }
@@ -170,7 +184,7 @@ mod tests {
             ],
             3,
         );
-        let log = run_oq(&t, 3);
+        let log = run_oq_in(&t, 3, &Sink::default());
         // The trace orders same-slot arrivals by input.
         let mut by_input: Vec<(u32, Slot)> = log
             .records()
@@ -192,7 +206,7 @@ mod tests {
             }
         }
         let t = trace(arr, 4);
-        let log = run_oq(&t, 4);
+        let log = run_oq_in(&t, 4, &Sink::default());
         let analytic = fcfs_departure_times(&t, 4);
         for (id, rec) in log.iter() {
             assert_eq!(
@@ -230,7 +244,7 @@ mod tests {
                 .collect(),
             4,
         );
-        let log = run_oq(&t, 4);
+        let log = run_oq_in(&t, 4, &Sink::default());
         assert_eq!(log.undelivered(), 0);
         // Load is 1/4 per output with no conflicts: all delays zero.
         assert_eq!(log.max_delay(), Some(0));

@@ -9,19 +9,14 @@
 //! envelope is checked at the end, so this is a real experiment at a
 //! horizon no dense walk could reach, not just a throughput stunt.
 
-use pps_analysis::{compare_bufferless, relative_delays, TailQuantiles};
+use pps_analysis::{compare_bufferless_in, relative_delays, TailQuantiles};
 use pps_core::prelude::*;
-use pps_core::stepping::set_process_default;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::min_burstiness;
 use pps_workload::{materialize, OnOffBurstGen};
 
 #[test]
 fn hundred_million_slot_soak_stays_inside_the_envelope() {
-    // This binary owns the process, so pinning the stepping default is
-    // safe — it is the point of the test.
-    set_process_default(Stepping::SkipAhead);
-
     const N: usize = 4;
     const K: usize = 8;
     const R_PRIME: usize = 2;
@@ -41,7 +36,8 @@ fn hundred_million_slot_soak_stays_inside_the_envelope() {
     );
 
     let cfg = PpsConfig::bufferless(N, K, R_PRIME);
-    let cmp = compare_bufferless(cfg, RoundRobinDemux::new(N, K), &trace).expect("soak run failed");
+    let cmp = compare_bufferless_in(cfg, RoundRobinDemux::new(N, K), &trace, &Sink::default())
+        .expect("soak run failed");
     let rel = cmp.relative_delay();
     assert_eq!(rel.pps_undelivered, 0, "cells lost in a fault-free run");
 

@@ -7,7 +7,7 @@
 //! cargo run --release --example adversarial_concentration
 //! ```
 
-use pps_analysis::compare_bufferless;
+use pps_analysis::compare_bufferless_in;
 use pps_core::prelude::*;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack;
@@ -37,7 +37,7 @@ fn main() {
         atk.predicted_bound, atk.model_exact_bound
     );
 
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).expect("run");
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, &Sink::default()).expect("run");
     let rd = cmp.relative_delay();
     println!("\n-- measured --");
     println!(

@@ -9,10 +9,10 @@
 
 use pps_analysis::Table;
 use pps_core::prelude::*;
-use pps_crossbar::run_crossbar;
-use pps_reference::oq::run_oq;
+use pps_crossbar::{run_crossbar_in, IslipArbiter};
+use pps_reference::oq::run_oq_in;
 use pps_switch::demux::{CpaDemux, RoundRobinDemux};
-use pps_switch::engine::run_bufferless;
+use pps_switch::BufferlessPps;
 use pps_traffic::gen::{BernoulliGen, TrafficPattern};
 
 fn row(trace: &Trace, n: usize, k: usize, r_prime: usize) -> [String; 4] {
@@ -23,20 +23,20 @@ fn row(trace: &Trace, n: usize, k: usize, r_prime: usize) -> [String; 4] {
             log.max_delay().unwrap_or(0)
         )
     };
-    let oq = run_oq(trace, n);
-    let xb = run_crossbar(trace, n, 2);
-    let cpa = run_bufferless(
+    let oq = run_oq_in(trace, n, &Sink::default());
+    let xb = run_crossbar_in(trace, IslipArbiter::new(n, 2), &Sink::default()).0;
+    let cpa = BufferlessPps::new(
         PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs),
         CpaDemux::new(n, k, r_prime),
-        trace,
     )
+    .and_then(|mut pps| pps.run(trace))
     .expect("run")
     .log;
-    let rr = run_bufferless(
+    let rr = BufferlessPps::new(
         PpsConfig::bufferless(n, k, r_prime),
         RoundRobinDemux::new(n, k),
-        trace,
     )
+    .and_then(|mut pps| pps.run(trace))
     .expect("run")
     .log;
     [fmt(&oq), fmt(&xb), fmt(&cpa), fmt(&rr)]

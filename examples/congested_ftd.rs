@@ -8,6 +8,7 @@
 //! ```
 
 use pps_analysis::Table;
+use pps_core::run::Sink;
 use pps_experiments::e08_ftd_congestion;
 use pps_traffic::adversary::congestion_traffic;
 use pps_traffic::min_burstiness;
@@ -26,7 +27,7 @@ fn main() {
         ],
     );
     for h in [2usize, 3, 4] {
-        let out = e08_ftd_congestion::point(n, k, r_prime, h, 1_000);
+        let out = e08_ftd_congestion::point(n, k, r_prime, h, 1_000, &Sink::default());
         t14.row_display(&[
             h.to_string(),
             out.congestion_start

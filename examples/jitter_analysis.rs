@@ -10,7 +10,7 @@
 //! cargo run --release --example jitter_analysis
 //! ```
 
-use pps_analysis::{compare_bufferless, metrics::flow_jitters, Table};
+use pps_analysis::{compare_bufferless_in, metrics::flow_jitters, Table};
 use pps_core::prelude::*;
 use pps_switch::demux::{CpaDemux, PerFlowRoundRobinDemux, RoundRobinDemux};
 use pps_traffic::adversary::concentration_attack;
@@ -50,7 +50,8 @@ fn main() {
         ],
     );
     for (wname, trace) in [("onoff-0.8", &bursty), ("rr-attack", &attack)] {
-        let rr = compare_bufferless(cfg, RoundRobinDemux::new(n, k), trace).expect("run");
+        let rr = compare_bufferless_in(cfg, RoundRobinDemux::new(n, k), trace, &Sink::default())
+            .expect("run");
         let (mx, mn, rel) = jitter_stats(&rr);
         table.row_display(&[
             "round-robin".into(),
@@ -59,7 +60,13 @@ fn main() {
             format!("{mn:.2}"),
             rel.to_string(),
         ]);
-        let pf = compare_bufferless(cfg, PerFlowRoundRobinDemux::new(n, k), trace).expect("run");
+        let pf = compare_bufferless_in(
+            cfg,
+            PerFlowRoundRobinDemux::new(n, k),
+            trace,
+            &Sink::default(),
+        )
+        .expect("run");
         let (mx, mn, rel) = jitter_stats(&pf);
         table.row_display(&[
             "per-flow-rr".into(),
@@ -68,10 +75,11 @@ fn main() {
             format!("{mn:.2}"),
             rel.to_string(),
         ]);
-        let cpa = compare_bufferless(
+        let cpa = compare_bufferless_in(
             cfg.with_discipline(OutputDiscipline::GlobalFcfs),
             CpaDemux::new(n, k, r_prime),
             trace,
+            &Sink::default(),
         )
         .expect("run");
         let (mx, mn, rel) = jitter_stats(&cpa);

@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use pps_analysis::{compare_bufferless, distribution};
+use pps_analysis::{compare_bufferless_in, distribution};
 use pps_core::prelude::*;
 use pps_core::topology;
 use pps_switch::demux::RoundRobinDemux;
@@ -30,7 +30,7 @@ fn main() {
     // Run the PPS (round-robin demultiplexing) and the shadow OQ switch on
     // the identical trace.
     let demux = RoundRobinDemux::new(cfg.n, cfg.k);
-    let cmp = compare_bufferless(cfg, demux, &trace).expect("admissible run");
+    let cmp = compare_bufferless_in(cfg, demux, &trace, &Sink::default()).expect("admissible run");
 
     let rd = cmp.relative_delay();
     println!(

@@ -10,7 +10,7 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use pps_analysis::{compare_bufferless, AsciiChart, Table};
+use pps_analysis::{compare_bufferless_in, AsciiChart, Table};
 use pps_core::prelude::*;
 use pps_switch::demux::StaleLeastLoadedDemux;
 use pps_switch::demux::{CpaDemux, RoundRobinDemux};
@@ -38,25 +38,35 @@ fn main() {
         // Fully distributed under its concentration attack.
         let rr = RoundRobinDemux::new(n, k);
         let atk = concentration_attack(&rr, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-        let fd = compare_bufferless(cfg, rr, &atk.trace)
+        let fd = compare_bufferless_in(cfg, rr, &atk.trace, &Sink::default())
             .expect("run")
             .relative_delay()
             .max;
 
         // 1-RT under its hidden-window burst.
         let urt_atk = urt_burst_attack(&cfg, 1);
-        let urt = compare_bufferless(cfg, StaleLeastLoadedDemux::new(n, k, 1), &urt_atk.trace)
-            .expect("run")
-            .relative_delay()
-            .max;
+        let urt = compare_bufferless_in(
+            cfg,
+            StaleLeastLoadedDemux::new(n, k, 1),
+            &urt_atk.trace,
+            &Sink::default(),
+        )
+        .expect("run")
+        .relative_delay()
+        .max;
 
         // Centralized CPA under the *fully-distributed* attack traffic
         // (the worst we have): zero.
         let cpa_cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
-        let cpa = compare_bufferless(cpa_cfg, CpaDemux::new(n, k, r_prime), &atk.trace)
-            .expect("run")
-            .relative_delay()
-            .max;
+        let cpa = compare_bufferless_in(
+            cpa_cfg,
+            CpaDemux::new(n, k, r_prime),
+            &atk.trace,
+            &Sink::default(),
+        )
+        .expect("run")
+        .relative_delay()
+        .max;
 
         chart.point(n as f64, fd as f64);
         table.row_display(&[

@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use pps_analysis::compare_bufferless;
+use pps_analysis::compare_bufferless_in;
 use pps_core::prelude::*;
 use pps_core::trace_io;
 use pps_switch::demux::RoundRobinDemux;
@@ -37,8 +37,10 @@ fn main() {
 
     // 3. Replay: two fresh runs over the reloaded trace must agree on
     //    every per-cell record.
-    let run_a = compare_bufferless(cfg, RoundRobinDemux::new(n, k), &reloaded).expect("run A");
-    let run_b = compare_bufferless(cfg, RoundRobinDemux::new(n, k), &reloaded).expect("run B");
+    let run_a = compare_bufferless_in(cfg, RoundRobinDemux::new(n, k), &reloaded, &Sink::default())
+        .expect("run A");
+    let run_b = compare_bufferless_in(cfg, RoundRobinDemux::new(n, k), &reloaded, &Sink::default())
+        .expect("run B");
     assert_eq!(
         run_a.pps.log.records(),
         run_b.pps.log.records(),

@@ -24,6 +24,13 @@
 # * argv parsers: non-test functions that walk an argv iterator
 #   (`while let Some(..) = it.next()`), plus closures over `flag_value`.
 # * exit sites: `process::exit` calls in bin/ppslab.rs.
+# * items named by ppsbench: the distinct `pps_*::` paths in the non-comment
+#   lines of ppsbench/src, brace groups expanded (`a::{b, self}` names
+#   `a::b` and `a`) — the benchmark's frozen surface (DESIGN.md, "The
+#   benchmark's surface"). Methods called on those items are not counted.
+# * shim calls outside ppsbench/: calls, in every .rs file but ppsbench's,
+#   of the names that only the frozen surface keeps (the shims over the
+#   process-default `RunSpec`); definitions and comments do not count.
 root=${1:-$(dirname "$0")/..}
 cd "$root" || exit 1
 
@@ -86,3 +93,32 @@ echo "ppslab flags         $flags"
 echo "ppslab modes         $modes"
 echo "argv parsers         $parsers"
 echo "ppslab exit sites    $(grep -c 'process::exit' crates/experiments/src/bin/ppslab.rs)"
+
+named=0
+crates='pps_(analysis|chaos|core|crossbar|experiments|reference|switch|telemetry|traffic|workload)'
+if [ -d ppsbench/src ]; then
+    named=$(grep -hv '^[[:space:]]*//' ppsbench/src/*.rs | tr '\n' ' ' |
+        grep -oE "$crates(::[A-Za-z_]+)*(::\\{[^}]*\\})?" |
+        awk '
+            !/::\{/ { print; next }
+            {
+                at = index($0, "::{")
+                base = substr($0, 1, at - 1)
+                n = split(substr($0, at + 3, length($0) - at - 3), parts, ",")
+                for (i = 1; i <= n; i++) {
+                    gsub(/[[:space:]]/, "", parts[i])
+                    if (parts[i] != "")
+                        print (parts[i] == "self" ? base : base "::" parts[i])
+                }
+            }' | sort -u | wc -l)
+fi
+shims='workers::set_jobs|set_intra_jobs|telemetry::set_level|telemetry::counters'
+shims="$shims|telemetry::collect|take_absorbed|slots_simulated|slots_skipped"
+shims="$shims|set_process_default|SweepPlan::new|registry|compare_bufferless"
+shims="$shims|compare_buffered|compare_bufferless_faulted|run_oq|run_buffered"
+shims="$shims|run_crossbar_with|run_cioq_policy|reserve_cells"
+shim_calls=$(find crates src tests examples -name '*.rs' 2>/dev/null | sort |
+    xargs grep -hE "(^|[^A-Za-z0-9_.])($shims)\(" |
+    grep -cvE '^[[:space:]]*(//|(pub(\([a-z]+\))? )?fn )')
+echo "items named by ppsbench        $named"
+echo "shim calls outside ppsbench/   $shim_calls"

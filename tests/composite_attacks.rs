@@ -4,7 +4,7 @@
 //! `(plane, output)` queues and do not interfere. These tests check the
 //! superposition, and that the merged traffic is still burst-free.
 
-use pps_analysis::{compare_bufferless, metrics};
+use pps_analysis::{compare_bufferless_in, metrics};
 use pps_core::prelude::*;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::adversary::concentration_attack_on;
@@ -26,7 +26,7 @@ fn two_simultaneous_concentrations_both_meet_their_bounds() {
     // Disjoint inputs, distinct outputs: the merge stays burst-free.
     assert!(min_burstiness(&merged, n).burst_free());
 
-    let cmp = compare_bufferless(cfg, demux, &merged).unwrap();
+    let cmp = compare_bufferless_in(cfg, demux, &merged, &Sink::default()).unwrap();
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     // Per-output relative delay: reconstruct per output from the joined
@@ -53,11 +53,11 @@ fn concentrations_on_distinct_outputs_do_not_interfere() {
     let atk_a = concentration_attack_on(&demux, &cfg, &half_a, 0, 4 * k);
     let atk_b = concentration_attack_on(&demux, &cfg, &half_b, 1, 4 * k);
 
-    let solo = compare_bufferless(cfg, demux.clone(), &atk_a.trace).unwrap();
+    let solo = compare_bufferless_in(cfg, demux.clone(), &atk_a.trace, &Sink::default()).unwrap();
     let solo_delay = solo.relative_delay().max;
 
     let merged = atk_a.trace.clone().merge(atk_b.trace, n).unwrap();
-    let both = compare_bufferless(cfg, demux, &merged).unwrap();
+    let both = compare_bufferless_in(cfg, demux, &merged, &Sink::default()).unwrap();
     let merged_delay_out0 =
         metrics::relative_delay_for_output(&both.pps.log, &both.oq, PortId(0)).max;
     assert_eq!(
@@ -76,7 +76,7 @@ fn composite_jitter_matches_the_worse_output() {
     let atk_a = concentration_attack_on(&demux, &cfg, &a, 2, 4 * k);
     let atk_b = concentration_attack_on(&demux, &cfg, &b, 5, 4 * k);
     let merged = atk_a.trace.clone().merge(atk_b.trace, n).unwrap();
-    let cmp = compare_bufferless(cfg, demux, &merged).unwrap();
+    let cmp = compare_bufferless_in(cfg, demux, &merged, &Sink::default()).unwrap();
     let jit = metrics::relative_jitter(&cmp.pps.log, &cmp.oq);
     assert!(
         jit as u64 >= atk_a.model_exact_bound.max(atk_b.model_exact_bound),

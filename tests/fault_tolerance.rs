@@ -193,7 +193,6 @@ fn a_watchdog_limit_of_slot_max_behaves_like_no_watchdog() {
     let plan = FaultPlan::new().plane_down(0, 50).plane_up(0, 60);
     let run = |cfg: PpsConfig| {
         let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).unwrap();
-        pps.set_stepping(Stepping::SkipAhead);
         pps.set_fault_plan(&plan).unwrap();
         pps.run(&trace).unwrap()
     };

@@ -6,13 +6,13 @@
 
 use pps_analysis::metrics::relative_delay;
 use pps_analysis::{
-    compare_buffered, compare_bufferless, compare_bufferless_faulted, fault_impact,
+    compare_buffered_in, compare_bufferless_faulted_in, compare_bufferless_in, fault_impact,
 };
 use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_core::stepping::drive;
-use pps_crossbar::{run_cioq_policy, run_crossbar_with, CioqPolicy, IslipArbiter};
-use pps_reference::oq::run_oq;
+use pps_crossbar::{run_cioq_in, run_crossbar_in, CioqPolicy, IslipArbiter};
+use pps_reference::oq::run_oq_in;
 use pps_switch::demux::{
     ArbitratedCrossbarDemux, BufferedRoundRobinDemux, CpaDemux, DelayedCpaDemux,
     FaultAwareRoundRobinDemux, RoundRobinDemux, StaleLeastLoadedDemux,
@@ -58,7 +58,7 @@ fn corollary7_exact_to_the_slot() {
         let cfg = PpsConfig::bufferless(n, k, r_prime);
         let demux = RoundRobinDemux::new(n, k);
         let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-        let cmp = compare_bufferless(cfg, demux, &atk.trace).unwrap();
+        let cmp = compare_bufferless_in(cfg, demux, &atk.trace, &Sink::default()).unwrap();
         assert_eq!(
             cmp.relative_delay().max as u64,
             bounds::corollary7_exact(&cfg),
@@ -82,8 +82,13 @@ fn urt_jitter_exact_to_the_slot() {
     let cfg = PpsConfig::bufferless(32, 8, 8);
     for u in [1u64, 2, 4] {
         let atk = urt_burst_attack(&cfg, u);
-        let cmp =
-            compare_bufferless(cfg, StaleLeastLoadedDemux::new(32, 8, u), &atk.trace).unwrap();
+        let cmp = compare_bufferless_in(
+            cfg,
+            StaleLeastLoadedDemux::new(32, 8, u),
+            &atk.trace,
+            &Sink::default(),
+        )
+        .unwrap();
         assert_eq!(
             cmp.relative_jitter() as u64,
             bounds::theorem10_exact(&cfg, u),
@@ -103,7 +108,8 @@ fn fixed_seed_bernoulli_run_is_stable() {
     assert_eq!(trace.len(), 6358, "generator output drifted");
     assert_eq!(min_burstiness(&trace, n).overall(), 13);
     let cfg = PpsConfig::bufferless(n, k, r_prime);
-    let cmp = compare_bufferless(cfg, RoundRobinDemux::new(n, k), &trace).unwrap();
+    let cmp =
+        compare_bufferless_in(cfg, RoundRobinDemux::new(n, k), &trace, &Sink::default()).unwrap();
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     assert!(
@@ -131,7 +137,14 @@ fn a1_fail_recover_loss_and_recovery_pinned() {
         .plane_down(0, window.0)
         .plane_up(0, window.1);
 
-    let cmp = compare_bufferless_faulted(cfg, RoundRobinDemux::new(n, k), &trace, &plan).unwrap();
+    let cmp = compare_bufferless_faulted_in(
+        cfg,
+        RoundRobinDemux::new(n, k),
+        &trace,
+        &plan,
+        &Sink::default(),
+    )
+    .unwrap();
     let fd = fault_impact(&cmp.pps.log, &cmp.oq, n, window);
     assert_eq!(fd.lost, 732, "fault-blind loss count drifted");
     assert!((fd.loss_fraction - 732.0 / 5808.0).abs() < 1e-12);
@@ -142,11 +155,12 @@ fn a1_fail_recover_loss_and_recovery_pinned() {
         fd.loss_concentration
     );
 
-    let cmp = compare_bufferless_faulted(
+    let cmp = compare_bufferless_faulted_in(
         cfg,
         FaultAwareRoundRobinDemux::centralized(n, k),
         &trace,
         &plan,
+        &Sink::default(),
     )
     .unwrap();
     let cent = fault_impact(&cmp.pps.log, &cmp.oq, n, window);
@@ -163,13 +177,25 @@ fn cpa_and_delayed_cpa_exactness_pinned() {
     let trace = BernoulliGen::uniform(1.0, 7).trace(n, 500);
     let cpa_cfg =
         PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
-    let cmp = compare_bufferless(cpa_cfg, CpaDemux::new(n, k, r_prime), &trace).unwrap();
+    let cmp = compare_bufferless_in(
+        cpa_cfg,
+        CpaDemux::new(n, k, r_prime),
+        &trace,
+        &Sink::default(),
+    )
+    .unwrap();
     assert_eq!(cmp.relative_delay().max, 0, "CPA exactness regressed");
 
     let u = 3u64;
     let buf_cfg = PpsConfig::buffered(n, k, r_prime, u as usize)
         .with_discipline(OutputDiscipline::GlobalFcfs);
-    let cmp = compare_buffered(buf_cfg, DelayedCpaDemux::new(n, k, r_prime, u), &trace).unwrap();
+    let cmp = compare_buffered_in(
+        buf_cfg,
+        DelayedCpaDemux::new(n, k, r_prime, u),
+        &trace,
+        &Sink::default(),
+    )
+    .unwrap();
     assert_eq!(
         cmp.relative_delay().max,
         bounds::theorem12_upper(u) as i64,
@@ -202,7 +228,7 @@ fn buffered_pin<D: BufferedDemultiplexor>(
         pps.set_fault_plan(plan).unwrap();
     }
     let run = pps.run(trace).unwrap();
-    let rd = relative_delay(&run.log, &run_oq(trace, cfg.n));
+    let rd = relative_delay(&run.log, &run_oq_in(trace, cfg.n, &Sink::default()));
     assert_eq!(rd.pps_undelivered, 0);
     let digest = run.log.records().fold(0xcbf2_9ce4_8422_2325, |h, r| {
         let word = r.departure().unwrap() << 8 | r.plane().unwrap().0 as u64;
@@ -350,7 +376,14 @@ fn run_logs_pinned_record_by_record() {
         plan = plan.link_degraded(0, p, 100, 160);
     }
     let cfg = PpsConfig::bufferless(n, 8, 4);
-    let cmp = compare_bufferless_faulted(cfg, RoundRobinDemux::new(n, 8), &trace, &plan).unwrap();
+    let cmp = compare_bufferless_faulted_in(
+        cfg,
+        RoundRobinDemux::new(n, 8),
+        &trace,
+        &plan,
+        &Sink::default(),
+    )
+    .unwrap();
     assert_eq!(cmp.pps.log.undelivered(), 0);
     assert_eq!(
         (cmp.pps.log.digest(), cmp.oq.digest()),
@@ -358,9 +391,8 @@ fn run_logs_pinned_record_by_record() {
     );
 
     // One iSLIP and one CIOQ log.
-    let skip = Stepping::SkipAhead;
-    let islip = run_crossbar_with(&trace, IslipArbiter::new(n, 2), skip).0;
-    let cioq = run_cioq_policy(&trace, n, 2, CioqPolicy::MaximalRr, skip);
+    let islip = run_crossbar_in(&trace, IslipArbiter::new(n, 2), &Sink::default()).0;
+    let cioq = run_cioq_in(&trace, n, 2, CioqPolicy::MaximalRr, &Sink::default());
     assert_eq!(
         (islip.digest(), cioq.digest()),
         (2_118_753_898_183_900_666, 2_052_834_561_015_913_874)

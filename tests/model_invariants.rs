@@ -12,12 +12,12 @@ use proptest::prelude::*;
 
 use pps_core::prelude::*;
 use pps_reference::checker::{check_flow_order, check_work_conserving};
-use pps_reference::oq::run_oq;
+use pps_reference::oq::run_oq_in;
 use pps_switch::demux::{
     BufferedRoundRobinDemux, CpaDemux, DelayedCpaDemux, FtdDemux, PerFlowRoundRobinDemux,
     RandomDemux, RoundRobinDemux, StaleLeastLoadedDemux, StaticPartitionDemux,
 };
-use pps_switch::engine::{run_buffered, run_bufferless, PpsRun};
+use pps_switch::engine::{BufferedPps, BufferlessPps, PpsRun};
 
 /// Random geometry: (n, k, r') with K >= r' (bufferless-legal).
 fn geometry() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -83,12 +83,12 @@ proptest! {
         let cfg = PpsConfig::bufferless(n, k, r_prime);
         prop_assume!(cfg.validate().is_ok());
         let runs = vec![
-            ("rr", run_bufferless(cfg, RoundRobinDemux::new(n, k), &trace).unwrap()),
-            ("pfr", run_bufferless(cfg, PerFlowRoundRobinDemux::new(n, k), &trace).unwrap()),
-            ("rand", run_bufferless(cfg, RandomDemux::new(n, seed), &trace).unwrap()),
+            ("rr", BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).and_then(|mut pps| pps.run(&trace)).unwrap()),
+            ("pfr", BufferlessPps::new(cfg, PerFlowRoundRobinDemux::new(n, k)).and_then(|mut pps| pps.run(&trace)).unwrap()),
+            ("rand", BufferlessPps::new(cfg, RandomDemux::new(n, seed)).and_then(|mut pps| pps.run(&trace)).unwrap()),
             (
                 "part",
-                run_bufferless(cfg, StaticPartitionDemux::minimal(n, k, r_prime), &trace)
+                BufferlessPps::new(cfg, StaticPartitionDemux::minimal(n, k, r_prime)).and_then(|mut pps| pps.run(&trace))
                     .unwrap(),
             ),
         ];
@@ -104,7 +104,7 @@ proptest! {
     ) {
         let cfg = PpsConfig::bufferless(n, k, r_prime);
         prop_assume!(cfg.validate().is_ok());
-        let run = run_bufferless(cfg, RoundRobinDemux::new(n, k), &trace).unwrap();
+        let run = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).and_then(|mut pps| pps.run(&trace)).unwrap();
         assert_run_obligations(&run, "rr/arbitrary");
     }
 
@@ -150,10 +150,10 @@ proptest! {
         let cfg = PpsConfig::bufferless(n, k, r_prime);
         prop_assume!(cfg.validate().is_ok());
         let trace = pps_traffic::gen::BernoulliGen::uniform(0.7, seed).trace(n, 50);
-        let urt = run_bufferless(cfg, StaleLeastLoadedDemux::new(n, k, u), &trace).unwrap();
+        let urt = BufferlessPps::new(cfg, StaleLeastLoadedDemux::new(n, k, u)).and_then(|mut pps| pps.run(&trace)).unwrap();
         assert_run_obligations(&urt, "stale-least-loaded");
         let cpa_cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
-        let cpa = run_bufferless(cpa_cfg, CpaDemux::new(n, k, r_prime), &trace).unwrap();
+        let cpa = BufferlessPps::new(cpa_cfg, CpaDemux::new(n, k, r_prime)).and_then(|mut pps| pps.run(&trace)).unwrap();
         assert_run_obligations(&cpa, "cpa");
     }
 
@@ -165,14 +165,14 @@ proptest! {
     ) {
         let cfg = PpsConfig::buffered(n, k, r_prime, buffer.max(8));
         let trace = pps_traffic::gen::BernoulliGen::uniform(0.8, seed).trace(n, 50);
-        let run = run_buffered(cfg, BufferedRoundRobinDemux::new(n, k), &trace).unwrap();
+        let run = BufferedPps::new(cfg, BufferedRoundRobinDemux::new(n, k)).and_then(|mut pps| pps.run(&trace)).unwrap();
         assert_run_obligations(&run, "buffered-rr");
         // Delayed CPA needs S >= 2 for its guarantee but must satisfy the
         // model obligations regardless; give it buffer >= u.
         let u = (buffer as u64 % 4) + 1;
         let cfg2 = PpsConfig::buffered(n, k, r_prime, u as usize + 1)
             .with_discipline(OutputDiscipline::GlobalFcfs);
-        let run2 = run_buffered(cfg2, DelayedCpaDemux::new(n, k, r_prime, u), &trace).unwrap();
+        let run2 = BufferedPps::new(cfg2, DelayedCpaDemux::new(n, k, r_prime, u)).and_then(|mut pps| pps.run(&trace)).unwrap();
         assert_run_obligations(&run2, "delayed-cpa");
     }
 
@@ -257,15 +257,11 @@ proptest! {
         let cap = 64usize;
         let cfg = PpsConfig::buffered(n, k, r_prime, cap);
         let trace = pps_traffic::gen::BernoulliGen::uniform(0.6, seed).trace(n, 50);
-        let run = run_buffered(
-            cfg,
-            Chaotic {
+        let run = BufferedPps::new(cfg, Chaotic {
                 state: seed.wrapping_add(1),
                 k,
                 cap,
-            },
-            &trace,
-        )
+            }).and_then(|mut pps| pps.run(&trace))
         .unwrap();
         assert_run_obligations(&run, "chaotic-buffered");
     }
@@ -276,7 +272,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         let trace = pps_traffic::gen::BernoulliGen::uniform(0.9, seed).trace(n, 80);
-        let log = run_oq(&trace, n);
+        let log = run_oq_in(&trace, n, &Sink::default());
         prop_assert_eq!(log.undelivered(), 0);
         prop_assert!(check_work_conserving(&log, None).is_empty());
         prop_assert!(check_flow_order(&log).is_empty());

@@ -17,10 +17,10 @@ use pps_core::prelude::*;
 use pps_core::rng::SplitMix64;
 use pps_core::stepping::{drive, SlotEngine};
 use pps_crossbar::{
-    run_cioq_policy, run_crossbar_with, CioqPolicy, CioqSwitch, CrossbarSwitch, IslipArbiter,
+    run_cioq_in, run_crossbar_in, CioqPolicy, CioqSwitch, CrossbarSwitch, IslipArbiter,
     QpsRScheduler,
 };
-use pps_reference::oq::{run_oq, ShadowOq};
+use pps_reference::oq::{run_oq_in, ShadowOq};
 use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
 use pps_switch::engine::{BufferedPps, BufferlessPps};
 use pps_traffic::gen::OnOffGen;
@@ -51,10 +51,16 @@ fn comparison_engines_agree_across_stepping_modes() {
     let cap = trace.horizon() + (trace.len() as Slot + 2) * n as Slot + 64;
 
     assert_modes_agree("shadow-oq", || ShadowOq::new(n), &trace, n, Slot::MAX);
-    assert_modes_agree("islip", || CrossbarSwitch::new(n, 2), &trace, n, cap);
+    assert_modes_agree(
+        "islip",
+        || CrossbarSwitch::new(n, 2, &Sink::default()),
+        &trace,
+        n,
+        cap,
+    );
     assert_modes_agree(
         "qps-3",
-        || CrossbarSwitch::with_scheduler(QpsRScheduler::new(n, 3, 5)),
+        || CrossbarSwitch::with_scheduler(QpsRScheduler::new(n, 3, 5), &Sink::default()),
         &trace,
         n,
         cap,
@@ -62,7 +68,7 @@ fn comparison_engines_agree_across_stepping_modes() {
     for policy in [CioqPolicy::CriticalFirst, CioqPolicy::MaximalRr] {
         assert_modes_agree(
             policy.name(),
-            || CioqSwitch::with_policy(n, 2, policy),
+            || CioqSwitch::with_policy(n, 2, policy, &Sink::default()),
             &trace,
             n,
             cap,
@@ -160,10 +166,14 @@ fn drive_matches_the_materialising_driver_on_the_real_engines() {
     }
     for seed in 0..40 {
         check("shadow-oq", &ShadowOq::new, seed);
-        check("islip-2", &|n| CrossbarSwitch::new(n, 2), seed);
+        check(
+            "islip-2",
+            &|n| CrossbarSwitch::new(n, 2, &Sink::default()),
+            seed,
+        );
         check(
             "cioq-maximal",
-            &|n| CioqSwitch::with_policy(n, 2, CioqPolicy::MaximalRr),
+            &|n| CioqSwitch::with_policy(n, 2, CioqPolicy::MaximalRr, &Sink::default()),
             seed,
         );
     }
@@ -185,29 +195,26 @@ fn a_trace_near_the_end_of_time_runs_like_the_same_trace_at_slot_zero() {
     let at = |base: Slot| {
         Trace::build(vec![Arrival::new(base, 0, 1), Arrival::new(base, 2, 1)], n).unwrap()
     };
-    let skip = Stepping::SkipAhead;
     type Run<'a> = &'a dyn Fn(&Trace) -> RunLog;
     let engines: [(&str, Run); 5] = [
         ("bufferless-pps", &|t| {
             let cfg = PpsConfig::bufferless(n, 4, 2);
             let mut pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, 4)).unwrap();
-            pps.set_stepping(skip);
             pps.run(t).unwrap().log
         }),
         ("buffered-pps", &|t| {
             let cfg = PpsConfig::buffered(n, 4, 2, 8);
             let mut pps = BufferedPps::new(cfg, BufferedRoundRobinDemux::new(n, 4)).unwrap();
-            pps.set_stepping(skip);
             pps.run(t).unwrap().log
         }),
         // The process default is skip-ahead; nothing in this binary
         // changes it.
-        ("shadow-oq", &|t| run_oq(t, n)),
+        ("shadow-oq", &|t| run_oq_in(t, n, &Sink::default())),
         ("crossbar", &|t| {
-            run_crossbar_with(t, IslipArbiter::new(n, 1), skip).0
+            run_crossbar_in(t, IslipArbiter::new(n, 1), &Sink::default()).0
         }),
         ("cioq", &|t| {
-            run_cioq_policy(t, n, 2, CioqPolicy::CriticalFirst, skip)
+            run_cioq_in(t, n, 2, CioqPolicy::CriticalFirst, &Sink::default())
         }),
     ];
     let late = Slot::MAX - 40;

@@ -4,7 +4,7 @@
 //! The experiment modules themselves carry their own `full_run_passes`
 //! tests at the default scales.
 
-use pps_analysis::{compare_buffered, compare_bufferless};
+use pps_analysis::{compare_buffered_in, compare_bufferless_in};
 use pps_core::prelude::*;
 use pps_switch::demux::{
     ArbitratedCrossbarDemux, BufferedRoundRobinDemux, BufferedStaleDemux, CpaDemux,
@@ -34,7 +34,7 @@ fn theorem6_bound_at_r_prime_8() {
     let atk = concentration_attack(&demux, &cfg, &(0..d as u32).collect::<Vec<_>>(), 4 * k);
     assert_eq!(atk.d, d);
     assert!(min_burstiness(&atk.trace, n).burst_free());
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).unwrap();
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, &Sink::default()).unwrap();
     let exact = (r_prime as u64 - 1) * (d as u64 - 1);
     assert!(cmp.relative_delay().max as u64 >= exact);
     assert!(cmp.relative_jitter() as u64 >= exact);
@@ -49,12 +49,24 @@ fn corollary7_holds_for_every_unpartitioned_algorithm_we_ship() {
     // aligns a large subset within the probe budget.
     let rr_atk = concentration_attack(&RoundRobinDemux::new(n, k), &cfg, &inputs, 8 * k);
     assert_eq!(rr_atk.d, n);
-    let cmp = compare_bufferless(cfg, RoundRobinDemux::new(n, k), &rr_atk.trace).unwrap();
+    let cmp = compare_bufferless_in(
+        cfg,
+        RoundRobinDemux::new(n, k),
+        &rr_atk.trace,
+        &Sink::default(),
+    )
+    .unwrap();
     assert!(cmp.relative_delay().max as u64 >= rr_atk.model_exact_bound);
 
     let pf_atk = concentration_attack(&PerFlowRoundRobinDemux::new(n, k), &cfg, &inputs, 8 * k);
     assert_eq!(pf_atk.d, n);
-    let cmp = compare_bufferless(cfg, PerFlowRoundRobinDemux::new(n, k), &pf_atk.trace).unwrap();
+    let cmp = compare_bufferless_in(
+        cfg,
+        PerFlowRoundRobinDemux::new(n, k),
+        &pf_atk.trace,
+        &Sink::default(),
+    )
+    .unwrap();
     assert!(cmp.relative_delay().max as u64 >= pf_atk.model_exact_bound);
 }
 
@@ -72,7 +84,7 @@ fn randomized_demux_still_concentrates_in_expectation() {
         "alignment search should steer the seeded RNG: {}",
         atk.d
     );
-    let cmp = compare_bufferless(cfg, demux, &atk.trace).unwrap();
+    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, &Sink::default()).unwrap();
     assert!(cmp.relative_delay().max as u64 >= atk.model_exact_bound);
 }
 
@@ -89,7 +101,13 @@ fn theorem10_bound_at_minimal_plane_count() {
     let atk = urt_burst_attack(&cfg, u);
     assert_eq!(atk.u_eff, 2);
     assert_eq!(atk.m, 8);
-    let cmp = compare_bufferless(cfg, StaleLeastLoadedDemux::new(n, k, u), &atk.trace).unwrap();
+    let cmp = compare_bufferless_in(
+        cfg,
+        StaleLeastLoadedDemux::new(n, k, u),
+        &atk.trace,
+        &Sink::default(),
+    )
+    .unwrap();
     assert!(cmp.relative_delay().max as u64 >= atk.model_exact_bound);
     assert!(cmp.relative_jitter() as u64 >= atk.model_exact_bound);
     assert!(min_burstiness(&atk.trace, n).overall() <= atk.predicted_burstiness);
@@ -105,7 +123,13 @@ fn theorem12_upper_bound_with_odd_u() {
     let cfg = PpsConfig::buffered(n, k, r_prime, u as usize)
         .with_discipline(OutputDiscipline::GlobalFcfs);
     let trace = BernoulliGen::uniform(0.9, 17).trace(n, 1_200);
-    let cmp = compare_buffered(cfg, DelayedCpaDemux::new(n, k, r_prime, u), &trace).unwrap();
+    let cmp = compare_buffered_in(
+        cfg,
+        DelayedCpaDemux::new(n, k, r_prime, u),
+        &trace,
+        &Sink::default(),
+    )
+    .unwrap();
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     assert!(rd.max <= u as i64, "relative delay {} > u = {u}", rd.max);
@@ -120,17 +144,19 @@ fn theorem12_is_an_identity_delayed_cpa_is_cpa_shifted_by_u() {
     let fcfs = |cfg: PpsConfig| cfg.with_discipline(OutputDiscipline::GlobalFcfs);
     for seed in [3, 17, 41] {
         let trace = BernoulliGen::uniform(0.9, seed).trace(n, 400);
-        let cpa = compare_bufferless(
+        let cpa = compare_bufferless_in(
             fcfs(PpsConfig::bufferless(n, k, r_prime)),
             CpaDemux::new(n, k, r_prime),
             &trace,
+            &Sink::default(),
         )
         .unwrap();
         for u in [1u64, 3, 8] {
-            let held = compare_buffered(
+            let held = compare_buffered_in(
                 fcfs(PpsConfig::buffered(n, k, r_prime, u as usize)),
                 DelayedCpaDemux::new(n, k, r_prime, u),
                 &trace,
+                &Sink::default(),
             )
             .unwrap();
             for ((id, c), h) in cpa.pps.log.iter().zip(held.pps.log.records()) {
@@ -150,16 +176,18 @@ fn zero_hold_buffered_stale_is_bufferless_stale_least_loaded() {
     for seed in [3, 17, 41] {
         let trace = BernoulliGen::uniform(0.9, seed).trace(n, 400);
         for u in [1u64, 3, 8] {
-            let bufferless = compare_bufferless(
+            let bufferless = compare_bufferless_in(
                 PpsConfig::bufferless(n, k, r_prime),
                 StaleLeastLoadedDemux::new(n, k, u),
                 &trace,
+                &Sink::default(),
             )
             .unwrap();
-            let buffered = compare_buffered(
+            let buffered = compare_buffered_in(
                 PpsConfig::buffered(n, k, r_prime, 1),
                 BufferedStaleDemux::new(n, k, u, 0),
                 &trace,
+                &Sink::default(),
             )
             .unwrap();
             assert_eq!(
@@ -176,7 +204,13 @@ fn arbitrated_crossbar_is_a_working_u_rt_switch() {
     let (n, k, r_prime, u) = (8, 8, 2, 3u64);
     let cfg = PpsConfig::buffered(n, k, r_prime, 8);
     let trace = BernoulliGen::uniform(0.8, 23).trace(n, 600);
-    let cmp = compare_buffered(cfg, ArbitratedCrossbarDemux::new(k, u), &trace).unwrap();
+    let cmp = compare_buffered_in(
+        cfg,
+        ArbitratedCrossbarDemux::new(k, u),
+        &trace,
+        &Sink::default(),
+    )
+    .unwrap();
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
     // No exact bound claimed for the arbiter, but the grant latency shows
@@ -204,7 +238,13 @@ fn theorem13_bound_with_huge_buffers() {
         8 * k,
     );
     let cfg = PpsConfig::buffered(n, k, r_prime, 4096);
-    let cmp = compare_buffered(cfg, BufferedRoundRobinDemux::new(n, k), &atk.trace).unwrap();
+    let cmp = compare_buffered_in(
+        cfg,
+        BufferedRoundRobinDemux::new(n, k),
+        &atk.trace,
+        &Sink::default(),
+    )
+    .unwrap();
     let paper = (r_prime as u64 - 1) * cfg.n_over_s() / r_prime as u64; // (1 - r/R) N/S
     assert!(cmp.relative_delay().max as u64 >= paper);
 }
@@ -219,7 +259,9 @@ fn cpa_zero_relative_delay_at_higher_speedups() {
         let cfg =
             PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
         let trace = BernoulliGen::uniform(1.0, 29).trace(n, 800);
-        let cmp = compare_bufferless(cfg, CpaDemux::new(n, k, r_prime), &trace).unwrap();
+        let cmp =
+            compare_bufferless_in(cfg, CpaDemux::new(n, k, r_prime), &trace, &Sink::default())
+                .unwrap();
         let rd = cmp.relative_delay();
         assert_eq!(rd.pps_undelivered, 0, "K={k}");
         assert!(rd.max <= 0, "K={k}: relative delay {}", rd.max);
@@ -238,6 +280,12 @@ fn cpa_mimics_under_its_victims_attack_traffic() {
         8 * k,
     );
     let cpa_cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
-    let cmp = compare_bufferless(cpa_cfg, CpaDemux::new(n, k, r_prime), &atk.trace).unwrap();
+    let cmp = compare_bufferless_in(
+        cpa_cfg,
+        CpaDemux::new(n, k, r_prime),
+        &atk.trace,
+        &Sink::default(),
+    )
+    .unwrap();
     assert!(cmp.relative_delay().max <= 0);
 }
