@@ -20,20 +20,20 @@ pub fn slots_skipped() -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::process;
     use crate::run::Sink;
 
     #[test]
     fn counter_is_monotonic() {
-        let before = slots_simulated();
+        let before = process::meters().slots_simulated;
         Sink::detached().slots(3);
-        assert!(slots_simulated() >= before + 3);
+        assert!(process::meters().slots_simulated >= before + 3);
     }
 
     #[test]
     fn skipped_counter_is_monotonic() {
-        let skip = slots_skipped();
+        let skip = process::meters().slots_skipped;
         Sink::detached().skipped(5);
-        assert!(slots_skipped() >= skip + 5);
+        assert!(process::meters().slots_skipped >= skip + 5);
     }
 }

@@ -27,7 +27,7 @@ use crate::stepping::Stepping;
 use crate::telemetry::{Engine, Event, EventKind, EventLog, Level, Meters, Recorder};
 use crate::time::Slot;
 use crate::workers::WorkerLease;
-use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How one run executes. Geometry, demultiplexor and faults stay
@@ -132,13 +132,13 @@ impl Sink {
     /// Meter `n` processed slots (engines: one per slot).
     #[inline]
     pub fn slots(&self, n: u64) {
-        self.rec.meter(n, false);
+        self.rec.slots.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Meter `n` slots elided by a skip-ahead jump.
     #[inline]
     pub fn skipped(&self, n: u64) {
-        self.rec.meter(n, true);
+        self.rec.skipped.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Take one extra worker from the run's budget; `None` when it is

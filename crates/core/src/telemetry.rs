@@ -281,24 +281,27 @@ impl Meters {
 /// of the sweep points it absorbed.
 #[derive(Debug, Default)]
 pub(crate) struct Recorder {
-    slots: AtomicU64,
-    skipped: AtomicU64,
+    pub(crate) slots: AtomicU64,
+    pub(crate) skipped: AtomicU64,
     events: [AtomicU64; KINDS],
-    log: Mutex<Scope>,
+    log: Mutex<Log>,
 }
 
 impl Recorder {
     pub(crate) fn new(label: String) -> Recorder {
         Recorder {
-            log: Mutex::new(Scope {
+            log: Mutex::new(Log {
                 label,
-                ..Scope::default()
+                ..Log::default()
             }),
             ..Recorder::default()
         }
     }
 
-    fn scope(&self) -> std::sync::MutexGuard<'_, Scope> {
+    /// Every update under this lock is one push or one addition, so a
+    /// panic elsewhere cannot leave the log half-written: a poisoned lock
+    /// is taken as is.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Log> {
         self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -307,36 +310,29 @@ impl Recorder {
     pub(crate) fn record(&self, level: Level, event: Event) {
         self.events[event.kind.counter_index()].fetch_add(1, Ordering::Relaxed);
         if level == Level::Full {
-            let mut scope = self.scope();
-            scope.ring.push(event);
-            scope.recorded += 1;
+            let mut log = self.lock();
+            log.ring.push(event);
+            log.recorded += 1;
         }
     }
 
-    /// Meter `n` processed slots, or `n` skipped ones.
-    #[inline]
-    pub(crate) fn meter(&self, n: u64, skipped: bool) {
-        let meter = if skipped { &self.skipped } else { &self.slots };
-        meter.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Fold a finished child's meters in, and at `Full` its log.
-    pub(crate) fn absorb(&self, meters: &Meters, log: Option<EventLog>) {
-        let mut scope = self.scope();
-        scope.absorbed.add(meters);
-        scope.children.extend(log);
+    pub(crate) fn absorb(&self, meters: &Meters, child: Option<EventLog>) {
+        let mut log = self.lock();
+        log.absorbed.add(meters);
+        log.children.extend(child);
     }
 
     /// The meters so far.
     pub(crate) fn meters(&self) -> Meters {
-        let scope = self.scope();
-        let mut meters = scope.absorbed;
+        let log = self.lock();
+        let mut meters = log.absorbed;
         meters.add(&Meters {
             slots_simulated: self.slots.load(Ordering::Relaxed),
             slots_skipped: self.skipped.load(Ordering::Relaxed),
             events: std::array::from_fn(|i| self.events[i].load(Ordering::Relaxed)),
-            recorded: scope.recorded,
-            overflowed: scope.ring.overwritten,
+            recorded: log.recorded,
+            overflowed: log.ring.overwritten,
         });
         meters
     }
@@ -344,14 +340,14 @@ impl Recorder {
     /// Drain the log: the ring's events and the absorbed child logs. The
     /// meters keep counting what was drained.
     pub(crate) fn take_log(&self) -> EventLog {
-        let mut scope = self.scope();
-        let ring = std::mem::take(&mut scope.ring);
-        scope.absorbed.overflowed += ring.overwritten;
+        let mut log = self.lock();
+        let ring = std::mem::take(&mut log.ring);
+        log.absorbed.overflowed += ring.overwritten;
         EventLog {
-            label: scope.label.clone(),
+            label: log.label.clone(),
             overflowed: ring.overwritten,
             events: ring.into_events(),
-            children: std::mem::take(&mut scope.children),
+            children: std::mem::take(&mut log.children),
         }
     }
 
@@ -394,7 +390,7 @@ pub fn take_absorbed() -> Vec<EventLog> {
 }
 
 // ---------------------------------------------------------------------------
-// Ring buffer and scopes
+// Ring buffer and logs
 // ---------------------------------------------------------------------------
 
 /// A bounded event buffer: grows lazily up to its capacity, then wraps,
@@ -448,16 +444,16 @@ impl EventRing {
     }
 }
 
-/// The events captured by one [`collect`] scope, plus the logs of any
-/// nested scopes absorbed while it was active (sweep points inside an
-/// experiment, experiments inside the registry sweep).
+/// The events one sink recorded, plus the logs of the child sinks it
+/// absorbed (sweep points inside an experiment, experiments inside the
+/// registry sweep).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EventLog {
-    /// Scope label (experiment id, `plan-id/point-index`, …).
+    /// The sink's label (run label, `plan-id/point-index`, …).
     pub label: String,
-    /// Events recorded directly in this scope, in emission order.
+    /// Events recorded directly into this sink, in emission order.
     pub events: Vec<Event>,
-    /// Events lost to ring overflow in this scope.
+    /// Events lost to ring overflow in this sink.
     pub overflowed: u64,
     /// Nested logs, in the order they were absorbed (declared sweep order).
     pub children: Vec<EventLog>,
@@ -499,7 +495,7 @@ impl EventLog {
 
 /// The log half of a [`Recorder`].
 #[derive(Debug, Default)]
-struct Scope {
+struct Log {
     label: String,
     ring: EventRing,
     children: Vec<EventLog>,
