@@ -98,15 +98,17 @@ impl Sink {
         &self.spec
     }
 
-    /// The disabled-path gate: `true` iff the run records anything. Call
-    /// sites guard event construction behind it.
+    /// `true` iff the run records anything: the disabled-path gate, for a
+    /// call site that has more to decide than [`record`](Self::record)
+    /// does.
     #[inline(always)]
     pub fn on(&self) -> bool {
         self.spec.telemetry != Level::Off
     }
 
-    /// Record one event. Call sites guard with [`on`](Self::on), so the
-    /// disabled path never constructs payloads:
+    /// Record one event. `kind` is only called when the run records
+    /// anything, so the disabled path is one load and one branch and
+    /// builds no payload:
     ///
     /// ```
     /// use pps_core::run::{self, RunSpec};
@@ -114,18 +116,16 @@ impl Sink {
     /// use pps_core::{CellId, PortId};
     /// let spec = RunSpec { telemetry: Level::Full, ..RunSpec::default() };
     /// let report = run::run(&spec, "demo", |sink| {
-    ///     if sink.on() {
-    ///         let kind = EventKind::Depart { cell: CellId(0), output: PortId(3) };
-    ///         sink.record(Engine::Pps, 7, kind);
-    ///     }
+    ///     sink.record(Engine::Pps, 7, || EventKind::Depart { cell: CellId(0), output: PortId(3) });
     /// });
     /// assert_eq!(report.log.events.len(), 1);
     /// ```
-    #[inline]
-    pub fn record(&self, engine: Engine, slot: Slot, kind: EventKind) {
+    #[inline(always)]
+    pub fn record(&self, engine: Engine, slot: Slot, kind: impl FnOnce() -> EventKind) {
         if self.on() {
-            let event = Event { slot, engine, kind };
-            self.rec.record(self.spec.telemetry, event);
+            let kind = kind();
+            self.rec
+                .record(self.spec.telemetry, Event { slot, engine, kind });
         }
     }
 

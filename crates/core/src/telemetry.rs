@@ -524,9 +524,7 @@ mod tests {
     fn off_by_default_records_nothing() {
         let report = crate::run::run(&crate::run::RunSpec::default(), "idle", |sink| {
             let (e, s, k) = ev(1);
-            if sink.on() {
-                sink.record(e, s, k);
-            }
+            sink.record(e, s, || k);
         });
         assert_eq!(report.log.events.len(), 0);
         assert_eq!(report.meters, Meters::default());

@@ -107,17 +107,11 @@ impl CioqSwitch {
         self.sink.slots(1);
         for cell in arrivals {
             debug_assert_eq!(cell.arrival, now);
-            if self.sink.on() {
-                self.sink.record(
-                    Engine::Cioq,
-                    now,
-                    EventKind::Arrival {
-                        cell: cell.id,
-                        input: cell.input,
-                        output: cell.output,
-                    },
-                );
-            }
+            self.sink.record(Engine::Cioq, now, || EventKind::Arrival {
+                cell: cell.id,
+                input: cell.input,
+                output: cell.output,
+            });
             let j = cell.output.idx();
             let dt = match self.dt_last[j] {
                 Some(prev) => now.max(prev + 1),
@@ -190,16 +184,10 @@ impl CioqSwitch {
             self.max_outq = self.max_outq.max(self.outq[j].len());
             if let Some((_dt, id)) = self.outq[j].pop_first() {
                 self.parked -= 1;
-                if self.sink.on() {
-                    self.sink.record(
-                        Engine::Cioq,
-                        now,
-                        EventKind::Depart {
-                            cell: id,
-                            output: PortId(j as u32),
-                        },
-                    );
-                }
+                self.sink.record(Engine::Cioq, now, || EventKind::Depart {
+                    cell: id,
+                    output: PortId(j as u32),
+                });
                 log.set_departure(id, now);
             }
         }
@@ -211,17 +199,12 @@ impl CioqSwitch {
     /// buffer.
     fn transfer(&mut self, now: Slot, i: usize, j: usize) {
         let (dt, id) = self.voqs.pop(i, j).expect("head exists");
-        if self.sink.on() {
-            // Parked at the output buffer awaiting its deadline turn.
-            self.sink.record(
-                Engine::Cioq,
-                now,
-                EventKind::ReseqHold {
-                    cell: id,
-                    output: PortId(j as u32),
-                },
-            );
-        }
+        // Parked at the output buffer awaiting its deadline turn.
+        self.sink
+            .record(Engine::Cioq, now, || EventKind::ReseqHold {
+                cell: id,
+                output: PortId(j as u32),
+            });
         self.outq[j].insert((dt, id));
         self.parked += 1;
     }

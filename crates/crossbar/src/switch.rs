@@ -53,17 +53,12 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
         self.sink.slots(1);
         for cell in arrivals {
             debug_assert_eq!(cell.arrival, now);
-            if self.sink.on() {
-                self.sink.record(
-                    Engine::Crossbar,
-                    now,
-                    EventKind::Arrival {
-                        cell: cell.id,
-                        input: cell.input,
-                        output: cell.output,
-                    },
-                );
-            }
+            self.sink
+                .record(Engine::Crossbar, now, || EventKind::Arrival {
+                    cell: cell.id,
+                    input: cell.input,
+                    output: cell.output,
+                });
             self.voqs.push(cell.input.idx(), cell.output.idx(), cell.id);
         }
         self.matching.fill(None);
@@ -75,16 +70,11 @@ impl<S: CrossbarScheduler> CrossbarSwitch<S> {
                     .voqs
                     .pop(i, j)
                     .expect("scheduler only matches occupied VOQs");
-                if self.sink.on() {
-                    self.sink.record(
-                        Engine::Crossbar,
-                        now,
-                        EventKind::Depart {
-                            cell: id,
-                            output: PortId(j as u32),
-                        },
-                    );
-                }
+                self.sink
+                    .record(Engine::Crossbar, now, || EventKind::Depart {
+                        cell: id,
+                        output: PortId(j as u32),
+                    });
                 log.set_departure(id, now);
             }
         }

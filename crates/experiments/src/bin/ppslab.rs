@@ -20,8 +20,8 @@
 //! ```
 //!
 //! argv is parsed once, by `pps_experiments::cli::parse`, whose flag table
-//! the block above is pinned against, and the three settings flags become
-//! the one [`RunSpec`] every mode runs on (`cli::Settings::spec`). Nothing
+//! the block above is pinned against, and `--jobs` / `--telemetry` become
+//! the one [`RunSpec`] every mode runs on (`Invocation::spec`). Nothing
 //! here, and nothing the modes call, reads process state: a mode's output
 //! depends on its arguments and its spec only.
 //!
@@ -43,7 +43,7 @@
 use pps_core::run::{self, RunSpec};
 use pps_core::sweep::SweepPlan;
 use pps_core::telemetry::{EventLog, Level, Meters};
-use pps_experiments::cli::{self, CliError, ExperimentArgs, Mode, Settings};
+use pps_experiments::cli::{self, CliError, ExperimentArgs, Mode};
 use pps_experiments::{ExperimentOutput, EXPERIMENTS};
 use std::path::Path;
 use std::process::ExitCode;
@@ -210,8 +210,8 @@ fn dispatch(mode: &Mode, spec: &RunSpec, seen: &mut Seen) -> Result<bool, CliErr
 
 /// What `--telemetry` asked to see once the run is over: the summary and
 /// the `--trace-out` file at `full`, the counters at `counters` and up.
-fn telemetry_epilogue(settings: &Settings, seen: Seen) -> Result<(), CliError> {
-    if settings.telemetry == Level::Full {
+fn telemetry_epilogue(level: Level, trace_out: Option<&Path>, seen: Seen) -> Result<(), CliError> {
+    if level == Level::Full {
         let root = EventLog {
             label: "ppslab".into(),
             events: Vec::new(),
@@ -219,7 +219,7 @@ fn telemetry_epilogue(settings: &Settings, seen: Seen) -> Result<(), CliError> {
             children: seen.logs,
         };
         eprint!("{}", pps_telemetry::summarize(&root));
-        if let Some(path) = &settings.trace_out {
+        if let Some(path) = trace_out {
             pps_telemetry::dump(&root, path).map_err(io_error("--trace-out", path))?;
             let events = root.total_events();
             eprintln!("telemetry: {events} events -> {}", path.display());
@@ -227,7 +227,7 @@ fn telemetry_epilogue(settings: &Settings, seen: Seen) -> Result<(), CliError> {
     }
     // Ring overflow is reported by `summarize` above, next to the figures
     // it thins out.
-    if settings.telemetry != Level::Off {
+    if level != Level::Off {
         eprintln!("telemetry counters:");
         for (name, value) in seen.meters.named() {
             eprintln!("  {name:<24} {value}");
@@ -242,13 +242,13 @@ fn telemetry_epilogue(settings: &Settings, seen: Seen) -> Result<(), CliError> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let outcome = cli::parse(&args).and_then(|inv| {
-        let spec = inv.settings.spec();
-        if inv.settings.trace_out.is_some() && spec.telemetry != Level::Full {
+        let spec = inv.spec;
+        if inv.trace_out.is_some() && spec.telemetry != Level::Full {
             eprintln!("warning: --trace-out needs --telemetry full to have events to write");
         }
         let mut seen = Seen::default();
         let passed = dispatch(&inv.mode, &spec, &mut seen)?;
-        telemetry_epilogue(&inv.settings, seen)?;
+        telemetry_epilogue(spec.telemetry, inv.trace_out.as_deref(), seen)?;
         Ok(passed)
     });
     match outcome {

@@ -1,8 +1,8 @@
 //! `ppslab`'s command line, parsed once.
 //!
 //! [`parse`] makes one left-to-right pass over argv against one flag table
-//! and returns a typed [`Invocation`]: the [`Settings`] every mode shares
-//! (and the [`RunSpec`] they make) plus the [`Mode`] to run. Nothing else reads argv, so a token
+//! and returns a typed [`Invocation`]: the [`RunSpec`] every mode runs on,
+//! the trace path, and the [`Mode`] to run. Nothing else reads argv, so a token
 //! consumed as a flag's value is never read again as a flag, an id or a
 //! subcommand. Flags come in any order, before or after the subcommand
 //! word; the tokens that do not start with `--` are either the one word
@@ -33,7 +33,7 @@ enum Kind {
 /// modes it applies to. README.md's flag table and the usage block at the
 /// top of `bin/ppslab.rs` are pinned against it (tests below).
 const FLAGS: &[(&str, bool, &[Kind])] = &[
-    // The process settings: every mode, any position.
+    // The run's settings: every mode, any position.
     ("--jobs", true, &[]),
     ("--telemetry", true, &[]),
     ("--trace-out", true, &[]),
@@ -60,32 +60,6 @@ const FLAGS: &[(&str, bool, &[Kind])] = &[
 
 fn index_of(name: &str) -> Option<usize> {
     FLAGS.iter().position(|f| f.0 == name)
-}
-
-/// The run's knobs: the same three flags in every mode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Settings {
-    /// `--jobs`: the worker budget (`None`: every available core).
-    pub jobs: Option<usize>,
-    /// `--telemetry`: the recording level (default off).
-    pub telemetry: Level,
-    /// `--trace-out`: where the merged event stream goes.
-    pub trace_out: Option<PathBuf>,
-}
-
-impl Settings {
-    /// The [`RunSpec`] these flags configure — the only place `ppslab`
-    /// makes one. Tables and reports are byte-identical at any worker
-    /// budget (the sweep executor's contract), so the default is every
-    /// core; stepping is always the product's skip-ahead.
-    pub fn spec(&self) -> RunSpec {
-        let cores = || std::thread::available_parallelism().map_or(1, usize::from);
-        RunSpec {
-            jobs: self.jobs.unwrap_or_else(cores),
-            telemetry: self.telemetry,
-            ..RunSpec::default()
-        }
-    }
 }
 
 /// Which experiments to run and how to print them.
@@ -119,8 +93,12 @@ pub enum Mode {
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Invocation {
-    /// What the three settings flags say, whatever the mode.
-    pub settings: Settings,
+    /// The run every mode runs on: `--jobs` (default: every available
+    /// core; tables are byte-identical at any budget) and `--telemetry`
+    /// (default off). Stepping is always the product's skip-ahead.
+    pub spec: RunSpec,
+    /// `--trace-out`: where the merged event stream goes.
+    pub trace_out: Option<PathBuf>,
     /// The mode and its own arguments.
     pub mode: Mode,
 }
@@ -215,8 +193,9 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
         ));
     }
 
-    let settings = Settings {
-        jobs: given.number("--jobs")?,
+    let cores = || std::thread::available_parallelism().map_or(1, usize::from);
+    let spec = RunSpec {
+        jobs: given.number("--jobs")?.unwrap_or_else(cores).max(1),
         telemetry: match given.text("--telemetry") {
             None | Some("off") => Level::Off,
             Some("counters") => Level::Counters,
@@ -227,7 +206,7 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
                 ))
             }
         },
-        trace_out: given.text("--trace-out").map(PathBuf::from),
+        ..RunSpec::default()
     };
     let mode = match kind {
         Kind::List => Mode::List,
@@ -260,7 +239,12 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
             Mode::Chaos(opts.map_err(|e| CliError::Refused(e.to_string()))?)
         }
     };
-    Ok(Invocation { settings, mode })
+    let trace_out = given.text("--trace-out").map(PathBuf::from);
+    Ok(Invocation {
+        spec,
+        trace_out,
+        mode,
+    })
 }
 
 /// The registry's ids that `words` names, in registry order; all of them
@@ -367,7 +351,7 @@ mod tests {
         let before = ok(&["--jobs", "2", "chaos", "--cases", "2"]);
         let after = ok(&["chaos", "--cases", "2", "--jobs", "2"]);
         assert_eq!(before, after);
-        assert_eq!(before.settings.jobs, Some(2));
+        assert_eq!(before.spec.jobs, 2);
         assert!(matches!(&before.mode, Mode::Chaos(o) if o.cases == 2));
         // A subcommand's `... --telemetry full` used to be an unknown flag.
         let inv = ok(&[
@@ -381,8 +365,8 @@ mod tests {
             "--telemetry",
             "full",
         ]);
-        assert_eq!(inv.settings.telemetry, Level::Full);
-        assert_eq!(inv.settings.trace_out, Some(PathBuf::from("t.json")));
+        assert_eq!(inv.spec.telemetry, Level::Full);
+        assert_eq!(inv.trace_out, Some(PathBuf::from("t.json")));
         let pfr = Some("pfr".to_string());
         assert!(matches!(&inv.mode, Mode::Run(r) if r.algo == pfr && (r.k, r.r_prime) == (8, 4)));
     }

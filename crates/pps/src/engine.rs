@@ -162,8 +162,8 @@ impl FaultSchedule {
                     (plane, FaultKind::LinkDegraded)
                 }
             };
-            let kind = EventKind::FaultApplied { plane, kind };
-            fabric.sink().record(Engine::Pps, now, kind);
+            let applied = || EventKind::FaultApplied { plane, kind };
+            fabric.sink().record(Engine::Pps, now, applied);
             self.next += 1;
         }
         Ok(())
@@ -215,30 +215,20 @@ pub trait InputStage: Sized {
 #[inline(always)]
 fn record_arrival(sink: &Sink, now: Slot, cell: &Cell) {
     debug_assert_eq!(cell.arrival, now);
-    if sink.on() {
-        let (cell, input, output) = (cell.id, cell.input, cell.output);
-        sink.record(
-            Engine::Pps,
-            now,
-            EventKind::Arrival {
-                cell,
-                input,
-                output,
-            },
-        );
-    }
+    sink.record(Engine::Pps, now, || EventKind::Arrival {
+        cell: cell.id,
+        input: cell.input,
+        output: cell.output,
+    });
 }
 
 #[inline(always)]
 fn record_decision(sink: &Sink, now: Slot, cell: &Cell, plane: PlaneId) {
-    if sink.on() {
-        let (cell, input) = (cell.id, cell.input);
-        sink.record(
-            Engine::Pps,
-            now,
-            EventKind::DemuxDecision { cell, input, plane },
-        );
-    }
+    sink.record(Engine::Pps, now, || EventKind::DemuxDecision {
+        cell: cell.id,
+        input: cell.input,
+        plane,
+    });
 }
 
 /// The Definition 1 input stage: no buffers, every arrival is dispatched

@@ -171,17 +171,12 @@ impl Fabric {
             "cell {id:?} is not its row of the log's table"
         );
         if self.planes[p].accept(id, j) {
-            if self.sink.on() {
-                self.sink.record(
-                    Engine::Pps,
-                    now,
-                    EventKind::PlaneEnqueue {
-                        cell: id,
-                        plane,
-                        output: PortId(j as u32),
-                    },
-                );
-            }
+            self.sink
+                .record(Engine::Pps, now, || EventKind::PlaneEnqueue {
+                    cell: id,
+                    plane,
+                    output: PortId(j as u32),
+                });
             self.plane_len_live[p * self.cfg.n + j] += 1;
             // The queue may have become serviceable.
             let at = now.max(self.out_links.free_at(p, j));
@@ -228,17 +223,12 @@ impl Fabric {
             let id = self.planes[p].pop_for(j).expect("non-empty checked");
             self.out_links.acquire(p, j, now)?;
             self.plane_len_live[p * self.cfg.n + j] -= 1;
-            if self.sink.on() {
-                self.sink.record(
-                    Engine::Pps,
-                    now,
-                    EventKind::PlaneDeliver {
-                        cell: id,
-                        plane: PlaneId(p as u32),
-                        output: PortId(j as u32),
-                    },
-                );
-            }
+            self.sink
+                .record(Engine::Pps, now, || EventKind::PlaneDeliver {
+                    cell: id,
+                    plane: PlaneId(p as u32),
+                    output: PortId(j as u32),
+                });
             // Classification is per cell (telemetry order preserved); heap
             // pushes and gap refreshes are batched inside the mux and
             // flushed by its `emit` this same slot.
@@ -268,16 +258,10 @@ impl Fabric {
             let mux = &mut self.outputs[j as usize];
             if let Some(id) = mux.emit(&self.cells, now) {
                 self.output_pending_live[j as usize] -= 1;
-                if self.sink.on() {
-                    self.sink.record(
-                        Engine::Pps,
-                        now,
-                        EventKind::Depart {
-                            cell: id,
-                            output: PortId(j),
-                        },
-                    );
-                }
+                self.sink.record(Engine::Pps, now, || EventKind::Depart {
+                    cell: id,
+                    output: PortId(j),
+                });
                 log.set_departure(id, now);
             }
             if mux.has_work() {

@@ -311,16 +311,10 @@ impl OutputMux {
                     flow.eligible += 1;
                     self.pending.push((cells.arrival(id), id));
                 } else {
-                    if self.sink.on() {
-                        self.sink.record(
-                            Engine::Pps,
-                            now,
-                            EventKind::ReseqHold {
-                                cell: id,
-                                output: self.port,
-                            },
-                        );
-                    }
+                    self.sink.record(Engine::Pps, now, || EventKind::ReseqHold {
+                        cell: id,
+                        output: self.port,
+                    });
                     self.park(i, seq, id);
                 }
                 let i = i as u32;
@@ -337,14 +331,10 @@ impl OutputMux {
                 self.max_held = self.max_held.max(self.held);
                 if self.sink.on() && self.in_flight.front() != Some(&id) {
                     // Parked behind a straggler still in transit.
-                    self.sink.record(
-                        Engine::Pps,
-                        now,
-                        EventKind::ReseqHold {
-                            cell: id,
-                            output: self.port,
-                        },
-                    );
+                    self.sink.record(Engine::Pps, now, || EventKind::ReseqHold {
+                        cell: id,
+                        output: self.port,
+                    });
                 }
                 self.present.push(Reverse(id));
             }
@@ -501,24 +491,16 @@ impl OutputMux {
             self.skipped += u64::from(lost);
             self.flows[i].next_seq = seq;
             let head = self.unpark(i, seq).expect("min seq is present");
-            if self.sink.on() {
-                self.sink.record(
-                    Engine::Pps,
-                    now,
-                    EventKind::WatchdogDrop {
-                        output: self.port,
-                        cells: lost,
-                    },
-                );
-                self.sink.record(
-                    Engine::Pps,
-                    now,
-                    EventKind::ReseqRelease {
-                        cell: head,
-                        output: self.port,
-                    },
-                );
-            }
+            self.sink
+                .record(Engine::Pps, now, || EventKind::WatchdogDrop {
+                    output: self.port,
+                    cells: lost,
+                });
+            self.sink
+                .record(Engine::Pps, now, || EventKind::ReseqRelease {
+                    cell: head,
+                    output: self.port,
+                });
             self.push_eligible(cells, head);
             self.refresh_gap(i, now);
         }
@@ -535,16 +517,11 @@ impl OutputMux {
                 flow.next_seq = next_seq;
                 // The successor may now be eligible.
                 if let Some(next) = self.unpark(i, next_seq) {
-                    if self.sink.on() {
-                        self.sink.record(
-                            Engine::Pps,
-                            now,
-                            EventKind::ReseqRelease {
-                                cell: next,
-                                output: self.port,
-                            },
-                        );
-                    }
+                    self.sink
+                        .record(Engine::Pps, now, || EventKind::ReseqRelease {
+                            cell: next,
+                            output: self.port,
+                        });
                     self.push_eligible(cells, next);
                 }
                 self.refresh_gap(i, now);
@@ -591,15 +568,12 @@ impl OutputMux {
             self.skipped += 1;
             abandoned += 1;
         }
-        if abandoned > 0 && self.sink.on() {
-            self.sink.record(
-                Engine::Pps,
-                now,
-                EventKind::WatchdogDrop {
+        if abandoned > 0 {
+            self.sink
+                .record(Engine::Pps, now, || EventKind::WatchdogDrop {
                     output: self.port,
                     cells: abandoned,
-                },
-            );
+                });
         }
     }
 

@@ -44,31 +44,21 @@ impl ShadowOq {
     pub fn slot(&mut self, now: Slot, arrivals: &[Cell], log: &mut RunLog) {
         for cell in arrivals {
             debug_assert_eq!(cell.arrival, now, "arrival slot mismatch");
-            if self.sink.on() {
-                self.sink.record(
-                    Engine::ShadowOq,
-                    now,
-                    EventKind::Arrival {
-                        cell: cell.id,
-                        input: cell.input,
-                        output: cell.output,
-                    },
-                );
-            }
+            self.sink
+                .record(Engine::ShadowOq, now, || EventKind::Arrival {
+                    cell: cell.id,
+                    input: cell.input,
+                    output: cell.output,
+                });
             self.queues[cell.output.idx()].push(cell.id);
         }
         for (j, q) in self.queues.iter_mut().enumerate() {
             if let Some(id) = q.pop() {
-                if self.sink.on() {
-                    self.sink.record(
-                        Engine::ShadowOq,
-                        now,
-                        EventKind::Depart {
-                            cell: id,
-                            output: PortId(j as u32),
-                        },
-                    );
-                }
+                self.sink
+                    .record(Engine::ShadowOq, now, || EventKind::Depart {
+                        cell: id,
+                        output: PortId(j as u32),
+                    });
                 log.set_departure(id, now);
             }
         }
