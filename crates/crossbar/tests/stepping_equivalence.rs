@@ -60,7 +60,7 @@ fn assert_equivalent<S: CrossbarScheduler, F: Fn() -> S>(
     make: F,
 ) -> (u64, u64) {
     let (dense_log, dense_sw) = run_crossbar_in(t, make(), &stepped(Stepping::Dense));
-    let (skip_log, skip_sw) = run_crossbar_in(t, make(), &Sink::default());
+    let (skip_log, skip_sw) = run_crossbar_in(t, make(), &stepped(Stepping::SkipAhead));
     let dense: Vec<_> = dense_log
         .iter()
         .map(|(id, r)| (id, r.arrival, r.departure()))
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let t = gappy_trace(n, seed, bursts);
         let (_, dense_sw) = run_crossbar_in(&t, IslipArbiter::new(n, iterations), &stepped(Stepping::Dense));
-        let (_, skip_sw) = run_crossbar_in(&t, IslipArbiter::new(n, iterations), &Sink::default());
+        let (_, skip_sw) = run_crossbar_in(&t, IslipArbiter::new(n, iterations), &stepped(Stepping::SkipAhead));
         // Byte-identical pointer vectors, not just equal digests.
         prop_assert_eq!(dense_sw.scheduler().pointers(), skip_sw.scheduler().pointers());
         prop_assert_eq!(
@@ -133,7 +133,7 @@ proptest! {
         let t = gappy_trace(n, seed, bursts);
         for policy in [CioqPolicy::CriticalFirst, CioqPolicy::MaximalRr] {
             let dense = run_cioq_in(&t, n, speedup, policy, &stepped(Stepping::Dense));
-            let skip = run_cioq_in(&t, n, speedup, policy, &Sink::default());
+            let skip = run_cioq_in(&t, n, speedup, policy, &stepped(Stepping::SkipAhead));
             let d: Vec<_> = dense.iter().map(|(id, r)| (id, r.departure())).collect();
             let s: Vec<_> = skip.iter().map(|(id, r)| (id, r.departure())).collect();
             prop_assert_eq!(d, s, "policy {} diverged", policy.name());
@@ -162,7 +162,8 @@ fn islip_pointer_freeze_regression() {
     let t = Trace::build(v, n).unwrap();
     let (dense_log, dense_sw) =
         run_crossbar_in(&t, IslipArbiter::new(n, 1), &stepped(Stepping::Dense));
-    let (skip_log, skip_sw) = run_crossbar_in(&t, IslipArbiter::new(n, 1), &Sink::default());
+    let (skip_log, skip_sw) =
+        run_crossbar_in(&t, IslipArbiter::new(n, 1), &stepped(Stepping::SkipAhead));
     assert_eq!(
         dense_sw.scheduler().pointers(),
         skip_sw.scheduler().pointers()
