@@ -15,14 +15,22 @@ fn experiment(id: &str) -> Experiment {
     found.expect("a registered experiment").1
 }
 
-/// Run `a` and `b` on two threads at once.
+/// Run `a` and `b` on two threads, released together by a barrier so the
+/// two runs overlap.
 fn side_by_side<A: Send, B: Send>(
     a: impl FnOnce() -> A + Send,
     b: impl FnOnce() -> B + Send,
 ) -> (A, B) {
+    let start = std::sync::Barrier::new(2);
     std::thread::scope(|s| {
-        let a = s.spawn(a);
-        let b = s.spawn(b);
+        let a = s.spawn(|| {
+            start.wait();
+            a()
+        });
+        let b = s.spawn(|| {
+            start.wait();
+            b()
+        });
         (a.join().expect("first run"), b.join().expect("second run"))
     })
 }
