@@ -229,9 +229,6 @@ impl Fabric {
                     plane: PlaneId(p as u32),
                     output: PortId(j as u32),
                 });
-            // Classification is per cell (telemetry order preserved); heap
-            // pushes and gap refreshes are batched inside the mux and
-            // flushed by its `emit` this same slot.
             if self.outputs[j].deliver(&self.cells, id, now) {
                 self.output_pending_live[j] += 1;
                 if !self.active_flag[j] {

@@ -10,29 +10,22 @@
 //! of the paper), and unordered greedy (ablation only).
 //!
 //! The mux holds bare [`CellId`]s and reads what a cell is from the trace's
-//! [`CellTable`]. FlowFifo state costs three `u32`s per input (`Flow`);
-//! a flow that parks an out-of-order cell takes a `SeqRing`, with its
-//! gap timer, from a per-mux slab and hands it back when the ring empties,
-//! so a mux holds rings only for the flows that have a gap right now.
+//! [`CellTable`]. FlowFifo state costs two `u32`s and a flag per input
+//! (`Flow`); a flow that parks an out-of-order cell takes a `SeqRing`, with
+//! its gap timer, from a per-mux slab and hands it back when the ring
+//! empties, so a mux holds rings only for the flows that have a gap right
+//! now.
 //!
-//! FlowFifo deliveries are *batched per slot*: each
-//! `deliver` classifies its cell (so per-cell
-//! telemetry keeps the exact delivery order) but defers the heap push and
-//! the gap-timer refresh to `flush_batch`, which
-//! pushes every newly-eligible cell in one heap extend and refreshes each
-//! touched input's gap timer once. Deferral is sound because all of a
-//! slot's refreshes share the same `now`: the timer's end-of-slot state
-//! depends only on the final blocked/eligible state, which the batch and
-//! the per-delivery sequence agree on.
+//! A FlowFifo delivery is placed in one pass: `deliver` pushes the cell the
+//! flow waits for straight into the eligible heap (or parks any other in
+//! the flow's ring) and refreshes that flow's gap timer at once. Within a
+//! slot's delivery phase a flow's state only gains cells, so the timer's
+//! end-of-slot state is the same whatever order the planes deliver in.
 
 use pps_core::prelude::*;
 use pps_core::telemetry::{Engine, EventKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Key ordering eligible cells: earliest switch arrival first, then global
-/// id (which encodes input order within a slot).
-type EmitKey = (Slot, CellId);
 
 /// Sparse sequence-indexed ring holding one flow's gap-blocked cell ids.
 ///
@@ -135,9 +128,11 @@ const NO_RING: u32 = u32::MAX;
 struct Flow {
     /// Next expected sequence number.
     next_seq: u32,
-    /// Cells of the flow in `eligible` or `pending` (a flow with an
-    /// eligible cell is progressing, not gap-blocked).
-    eligible: u32,
+    /// Whether the flow's cell `next_seq` sits in the eligible heap (a flow
+    /// with an eligible cell is progressing, not gap-blocked). Only that
+    /// cell is ever eligible, and `next_seq` moves only on its emission or
+    /// a watchdog skip, so a flow has at most one.
+    eligible: bool,
     /// Slab index of the flow's [`Gap`] while it has cells parked;
     /// [`NO_RING`] otherwise.
     ring: u32,
@@ -146,7 +141,7 @@ struct Flow {
 impl Flow {
     const IDLE: Flow = Flow {
         next_seq: 0,
-        eligible: 0,
+        eligible: false,
         ring: NO_RING,
     };
 }
@@ -169,16 +164,12 @@ pub struct OutputMux {
     port: PortId,
     /// The run's telemetry gate (detached outside a fabric).
     sink: Sink,
-    /// Cells eligible for emission right now, min-ordered by [`EmitKey`].
-    /// (A binary heap, not a BTreeMap: insert/pop-min dominate the hot
-    /// path and keys are never removed out of order.)
-    eligible: BinaryHeap<Reverse<EmitKey>>,
-    /// FlowFifo: emit keys classified eligible this slot but not yet pushed
-    /// — flushed into `eligible` in one extend by `flush_batch`.
-    pending: Vec<EmitKey>,
-    /// FlowFifo: inputs that received a delivery this slot and need one
-    /// gap-timer refresh at flush (deduplicated; at most K entries).
-    touched: Vec<u32>,
+    /// FlowFifo/Greedy: cells eligible for emission right now, min-heap
+    /// by id. The trace numbers cells in `(arrival slot, input)` order, so
+    /// the smallest id is the earliest switch arrival, ties broken by
+    /// input. (A binary heap, not a BTreeMap: push/pop-min dominate the
+    /// hot path and keys are never removed out of order.)
+    eligible: BinaryHeap<Reverse<CellId>>,
     /// FlowFifo: each input's flow.
     flows: Vec<Flow>,
     /// FlowFifo: the slab of rings, one per flow with cells waiting for
@@ -224,8 +215,6 @@ impl OutputMux {
             port: PortId(0),
             sink: Sink::detached(),
             eligible: BinaryHeap::new(),
-            pending: Vec::new(),
-            touched: Vec::new(),
             flows: vec![Flow::IDLE; n],
             gaps: Vec::new(),
             free: Vec::new(),
@@ -291,11 +280,7 @@ impl OutputMux {
     /// already skipped past it, so emitting it now would reorder cells
     /// already sent on the external line. (Without a watchdog every
     /// delivery is accepted.)
-    ///
-    /// FlowFifo heap pushes and gap-timer refreshes are deferred to
-    /// [`flush_batch`](Self::flush_batch); [`emit`](Self::emit) flushes
-    /// implicitly, so deliver/emit sequences need no explicit flush.
-    pub(crate) fn deliver(&mut self, cells: &CellTable, id: CellId, now: Slot) -> bool {
+    pub fn deliver(&mut self, cells: &CellTable, id: CellId, now: Slot) -> bool {
         match self.discipline {
             OutputDiscipline::FlowFifo => {
                 let i = cells.input(id).idx();
@@ -308,8 +293,7 @@ impl OutputMux {
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
                 if seq == flow.next_seq {
-                    flow.eligible += 1;
-                    self.pending.push((cells.arrival(id), id));
+                    self.push_eligible(i, id);
                 } else {
                     self.sink.record(Engine::Pps, now, || EventKind::ReseqHold {
                         cell: id,
@@ -317,10 +301,7 @@ impl OutputMux {
                     });
                     self.park(i, seq, id);
                 }
-                let i = i as u32;
-                if !self.touched.contains(&i) {
-                    self.touched.push(i);
-                }
+                self.refresh_gap(i, now);
             }
             OutputDiscipline::GlobalFcfs => {
                 if self.in_flight.binary_search(&id).is_err() {
@@ -341,48 +322,21 @@ impl OutputMux {
             OutputDiscipline::Greedy => {
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
-                self.eligible.push(Reverse((cells.arrival(id), id)));
+                self.eligible.push(Reverse(id));
             }
         }
         true
     }
 
-    /// Deliver a whole slot's arrivals for this output in one call. Cells
-    /// are classified in order — the per-cell telemetry
-    /// (`ReseqHold`, late drops) is identical to calling
-    /// `deliver` per cell — and then the batch is flushed:
-    /// every newly-eligible cell lands in the heap via one extend and each
-    /// touched input's gap timer is refreshed once. Returns how many cells
-    /// were accepted (not late-dropped).
-    pub fn deliver_batch(&mut self, cells: &CellTable, ids: &[CellId], now: Slot) -> usize {
-        let mut accepted = 0usize;
-        for &id in ids {
-            if self.deliver(cells, id, now) {
-                accepted += 1;
-            }
-        }
-        self.flush_batch(now);
-        accepted
-    }
-
-    /// Flush deliveries deferred by [`deliver`](Self::deliver): one heap
-    /// extend for all pending eligible cells, one gap-timer refresh per
-    /// touched input. Idempotent; called automatically at the start of
-    /// [`emit`](Self::emit).
-    fn flush_batch(&mut self, now: Slot) {
-        if !self.pending.is_empty() {
-            self.eligible.extend(self.pending.drain(..).map(Reverse));
-        }
-        for k in 0..self.touched.len() {
-            let i = self.touched[k] as usize;
-            self.refresh_gap(i, now);
-        }
-        self.touched.clear();
-    }
-
-    fn push_eligible(&mut self, cells: &CellTable, id: CellId) {
-        self.flows[cells.input(id).idx()].eligible += 1;
-        self.eligible.push(Reverse((cells.arrival(id), id)));
+    /// Make `id`, the cell input `i`'s flow waits for, eligible.
+    fn push_eligible(&mut self, i: usize, id: CellId) {
+        let flow = &mut self.flows[i];
+        debug_assert!(
+            !flow.eligible,
+            "input {i}'s flow already has an eligible cell"
+        );
+        flow.eligible = true;
+        self.eligible.push(Reverse(id));
     }
 
     /// Park cell `id` under `seq` in input `i`'s ring, taking one from the
@@ -425,7 +379,7 @@ impl OutputMux {
             return;
         }
         let since = &mut self.gaps[flow.ring as usize].blocked_since;
-        if flow.eligible > 0 {
+        if flow.eligible {
             *since = None;
         } else if since.is_none() {
             *since = Some(now);
@@ -439,9 +393,8 @@ impl OutputMux {
     /// emissions), whole-mux for GlobalFcfs (where a straggler blocks
     /// everything by definition).
     pub fn emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
-        self.flush_batch(now);
         if self.watchdog.is_some() && self.discipline == OutputDiscipline::FlowFifo {
-            self.expire_gaps(cells, now);
+            self.expire_gaps(now);
         }
         if let Some(id) = self.try_emit(cells, now) {
             self.stalled_since = None;
@@ -471,7 +424,7 @@ impl OutputMux {
     /// FlowFifo watchdog: skip past the gap of every flow that has been
     /// blocked for the timeout, making its waiting head eligible. Flows
     /// are visited in input order, which fixes the telemetry order.
-    fn expire_gaps(&mut self, cells: &CellTable, now: Slot) {
+    fn expire_gaps(&mut self, now: Slot) {
         let limit = self.watchdog.expect("caller checked");
         for i in 0..self.flows.len() {
             let flow = self.flows[i];
@@ -501,7 +454,7 @@ impl OutputMux {
                     cell: head,
                     output: self.port,
                 });
-            self.push_eligible(cells, head);
+            self.push_eligible(i, head);
             self.refresh_gap(i, now);
         }
     }
@@ -509,11 +462,11 @@ impl OutputMux {
     fn try_emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
         let id = match self.discipline {
             OutputDiscipline::FlowFifo => {
-                let Reverse((_, id)) = self.eligible.pop()?;
+                let Reverse(id) = self.eligible.pop()?;
                 let i = cells.input(id).idx();
                 let next_seq = cells.seq(id) + 1;
                 let flow = &mut self.flows[i];
-                flow.eligible -= 1;
+                flow.eligible = false;
                 flow.next_seq = next_seq;
                 // The successor may now be eligible.
                 if let Some(next) = self.unpark(i, next_seq) {
@@ -522,7 +475,7 @@ impl OutputMux {
                             cell: next,
                             output: self.port,
                         });
-                    self.push_eligible(cells, next);
+                    self.push_eligible(i, next);
                 }
                 self.refresh_gap(i, now);
                 id
@@ -541,10 +494,7 @@ impl OutputMux {
                 self.in_flight.pop_front();
                 self.present.pop().expect("peeked above").0
             }
-            OutputDiscipline::Greedy => {
-                let Reverse((_, id)) = self.eligible.pop()?;
-                id
-            }
+            OutputDiscipline::Greedy => self.eligible.pop()?.0,
         };
         self.held -= 1;
         self.emitted += 1;
@@ -578,14 +528,12 @@ impl OutputMux {
     }
 
     /// Whether a dense [`emit`](Self::emit) call right now would emit a
-    /// cell without watchdog help: FlowFifo/Greedy need an eligible (or
-    /// batch-pending) cell, GlobalFcfs needs the oldest present cell to be
-    /// the oldest still registered in flight.
+    /// cell without watchdog help: FlowFifo/Greedy need an eligible cell,
+    /// GlobalFcfs needs the oldest present cell to be the oldest still
+    /// registered in flight.
     fn can_emit(&self) -> bool {
         match self.discipline {
-            OutputDiscipline::FlowFifo | OutputDiscipline::Greedy => {
-                !self.eligible.is_empty() || !self.pending.is_empty()
-            }
+            OutputDiscipline::FlowFifo | OutputDiscipline::Greedy => !self.eligible.is_empty(),
             OutputDiscipline::GlobalFcfs => match self.present.peek() {
                 Some(&Reverse(oldest)) => self.in_flight.front() == Some(&oldest),
                 None => false,
@@ -687,6 +635,7 @@ impl OutputMux {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn cell(id: u64, input: u32, seq: u32, arrival: Slot) -> Cell {
         Cell {
@@ -703,6 +652,8 @@ mod tests {
     /// `Cell`s.
     struct Rig {
         rows: Vec<Cell>,
+        /// The ids a test has entered (filler rows are not among them).
+        named: BTreeSet<CellId>,
         log: RunLog,
         m: OutputMux,
     }
@@ -711,17 +662,31 @@ mod tests {
         fn new(n: usize, discipline: OutputDiscipline) -> Self {
             Rig {
                 rows: Vec::new(),
+                named: BTreeSet::new(),
                 log: RunLog::default(),
                 m: OutputMux::new(n, discipline),
             }
         }
 
-        /// Enter `c` as its id's row of the table.
+        /// Enter `c` as its id's row of the table. The rows a test names
+        /// must be in `(arrival, input)` order by id, as in every table a
+        /// trace builds: the mux's eligible heap relies on it.
         fn add(&mut self, c: Cell) {
             while self.rows.len() <= c.id.idx() {
                 self.rows.push(cell(self.rows.len() as u64, 0, 0, 0));
             }
             self.rows[c.id.idx()] = c;
+            self.named.insert(c.id);
+            let keys: Vec<_> = self
+                .named
+                .iter()
+                .map(|id| (self.rows[id.idx()].arrival, self.rows[id.idx()].input))
+                .collect();
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "no table numbers these cells so: {:?}",
+                self.named.iter().zip(&keys).collect::<Vec<_>>()
+            );
             self.log = RunLog::with_cells(&self.rows);
         }
 
@@ -795,37 +760,65 @@ mod tests {
     fn high_water_mark() {
         let mut m = Rig::new(1, OutputDiscipline::FlowFifo);
         m.deliver(cell(0, 0, 0, 0), 0);
-        m.deliver(cell(1, 0, 1, 0), 0);
-        m.emit(0);
-        m.deliver(cell(2, 0, 2, 0), 1);
+        m.deliver(cell(1, 0, 1, 1), 1);
+        m.emit(1);
+        m.deliver(cell(2, 0, 2, 2), 2);
         assert_eq!(m.m.max_held(), 2);
         assert_eq!(m.m.emitted(), 1);
     }
 
+    /// Every ordering of `items`.
+    fn permutations<T: Copy>(items: &[T]) -> Vec<Vec<T>> {
+        if items.len() <= 1 {
+            return vec![items.to_vec()];
+        }
+        let mut out = Vec::new();
+        for (k, &first) in items.iter().enumerate() {
+            let mut rest = items.to_vec();
+            rest.remove(k);
+            for mut tail in permutations(&rest) {
+                tail.insert(0, first);
+                out.push(tail);
+            }
+        }
+        out
+    }
+
     #[test]
-    fn deliver_batch_matches_per_cell_delivery() {
-        // Same cells, same slot: one batched call vs. per-cell calls with
-        // the implicit flush at emit. Emission order and counters agree.
+    fn within_slot_delivery_order_does_not_move_emission() {
+        // The planes may deliver one slot's cells in any order; each
+        // delivery refreshes its flow's gap timer at once, and the slot
+        // must end in the same state whatever the order. Emissions and
+        // counters agree for all 24 orders, the watchdog skip included.
         let cells = [
-            cell(4, 0, 1, 4), // blocked behind seq 0 of input 0
             cell(2, 1, 0, 2), // eligible
-            cell(3, 0, 0, 3), // fills input 0's gap
+            cell(3, 0, 0, 3), // eligible
+            cell(4, 0, 1, 4), // waits behind seq 0 of input 0
+            cell(5, 1, 2, 5), // seq 1 of input 1 is lost: a gap
         ];
-        let mut batched = Rig::new(2, OutputDiscipline::FlowFifo);
-        for c in cells {
-            batched.add(c);
+        let run = |order: &[Cell]| {
+            let mut m = Rig::new(2, OutputDiscipline::FlowFifo);
+            m.m.set_watchdog(Some(2));
+            for &c in order {
+                assert!(m.deliver(c, 5));
+            }
+            let out: Vec<_> = (5..10).map(|now| m.emit(now)).collect();
+            let counters = (
+                m.m.held(),
+                m.m.emitted(),
+                m.m.skipped(),
+                m.m.stalled_slots(),
+                m.m.max_held(),
+            );
+            (out, counters)
+        };
+        let ids = |v: [u64; 4]| v.map(|id| Some(CellId(id)));
+        let expect = run(&cells);
+        assert_eq!(expect.0[..4], ids([2, 3, 4, 5]));
+        assert_eq!(expect.1, (0, 4, 1, 0, 4));
+        for order in permutations(&cells) {
+            assert_eq!(run(&order), expect, "delivered in order {order:?}");
         }
-        let ids: Vec<CellId> = cells.iter().map(|c| c.id).collect();
-        assert_eq!(batched.m.deliver_batch(batched.log.table(), &ids, 5), 3);
-        let mut single = Rig::new(2, OutputDiscipline::FlowFifo);
-        for c in &cells {
-            assert!(single.deliver(*c, 5));
-        }
-        for now in 5..9 {
-            assert_eq!(batched.emit(now), single.emit(now));
-        }
-        assert_eq!(batched.m.held(), 0);
-        assert_eq!(single.m.held(), 0);
     }
 
     #[test]
@@ -874,16 +867,16 @@ mod tests {
     fn watchdog_gap_timer_ignores_other_flow_progress() {
         let mut m = Rig::new(2, OutputDiscipline::FlowFifo);
         m.m.set_watchdog(Some(4));
-        m.deliver(cell(9, 0, 1, 0), 0); // waits for seq 0 of input 0
+        m.deliver(cell(4, 0, 1, 0), 0); // waits for seq 0 of input 0
         assert_eq!(m.emit(0), None);
         assert_eq!(m.emit(1), None);
         // Another flow emits in slot 2 — but the gap timer is per flow, so
         // input 0's countdown keeps running instead of resetting (a busy mux
         // must not let gap-blocked flows rot behind other flows' progress).
-        m.deliver(cell(4, 1, 0, 1), 2);
-        assert_eq!(m.emit(2), Some(CellId(4)));
+        m.deliver(cell(9, 1, 0, 1), 2);
+        assert_eq!(m.emit(2), Some(CellId(9)));
         // Slot 3 is the 4th slot input 0 has been blocked: timeout fires.
-        assert_eq!(m.emit(3), Some(CellId(9)));
+        assert_eq!(m.emit(3), Some(CellId(4)));
         assert_eq!(m.m.skipped(), 1);
     }
 
@@ -909,11 +902,11 @@ mod tests {
         // Both inputs are gap-blocked and both timeouts expire in slot 0,
         // so both gaps are declared lost at once; emission then follows the
         // emit key — input 1's waiting cell arrived earlier and goes first.
-        m.deliver(cell(10, 0, 3, 7), 0);
-        m.deliver(cell(11, 1, 2, 4), 0);
-        assert_eq!(m.emit(0), Some(CellId(11)));
+        m.deliver(cell(11, 0, 3, 7), 0);
+        m.deliver(cell(10, 1, 2, 4), 0);
+        assert_eq!(m.emit(0), Some(CellId(10)));
         assert_eq!(m.m.skipped(), 5); // seqs 0–1 of input 1 and 0–2 of input 0
-        assert_eq!(m.emit(1), Some(CellId(10)));
+        assert_eq!(m.emit(1), Some(CellId(11)));
     }
 
     #[test]
@@ -1108,7 +1101,6 @@ mod tests {
             assert_eq!(m.m.next_activity(7), None, "{d:?}: empty mux");
             m.m.register_in_flight(CellId(0));
             m.deliver(cell(0, 0, 0, 0), 7);
-            m.m.flush_batch(7);
             assert_eq!(m.m.next_activity(7), Some(8), "{d:?}: emittable");
         }
     }
@@ -1122,14 +1114,16 @@ mod tests {
     fn the_slab_holds_no_more_rings_than_flows_ever_had_gaps_at_once() {
         let mut m = Rig::new(64, OutputDiscipline::FlowFifo);
         assert_eq!(rings(&m.m), (0, 0), "a new mux holds no ring");
-        let (mut id, mut now, mut peak) = (0, 0, 0);
-        // Each round gives fresh flows a gap at once (seq 1 before seq 0),
-        // then fills the gaps and drains.
+        let (mut base, mut now, mut peak) = (0, 0, 0);
+        // Each round gives fresh flows a gap at once (seq 1 delivered before
+        // seq 0), then fills the gaps and drains. A cell's id is its
+        // arrival slot: each flow's seq 0 arrived first.
         for flows in [0..4u32, 40..43, 10..16, 60..62] {
+            let len = flows.len() as u64;
             for seq in [1, 0] {
-                for input in flows.clone() {
-                    m.deliver(cell(id, input, seq, 0), now);
-                    id += 1;
+                for (k, input) in flows.clone().enumerate() {
+                    let id = base + u64::from(seq) * len + k as u64;
+                    m.deliver(cell(id, input, seq, id), now);
                 }
                 if seq == 1 {
                     peak = peak.max(flows.len());
@@ -1141,6 +1135,7 @@ mod tests {
                 assert!(m.emit(now).is_some());
                 now += 1;
             }
+            base += 2 * len;
             assert_eq!(rings(&m.m), (peak, 0), "every emptied ring went back");
         }
         assert_eq!(peak, 6);

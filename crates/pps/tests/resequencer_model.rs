@@ -1,17 +1,21 @@
 //! Model-based property test for the FlowFifo resequencer.
 //!
 //! The production path — cells read from a `CellTable`, `SeqRing`s taken
-//! from and returned to a per-mux slab, the batched `deliver_batch`/`emit`
-//! hot path of [`OutputMux`] — is checked against a deliberately naive
-//! reference model built on `BTreeMap`/`BTreeSet`, which transcribes the
-//! DESIGN.md semantics directly: a reorder map and a gap timer for every
-//! input, an eligible set ordered by `(arrival, id)`, timers that fire
-//! during the limit-th consecutive blocked slot. Random per-plane delivery
-//! delays produce reordered arrivals, watchdog skips, and late stragglers;
-//! the emission sequence and every counter must match exactly, slot by
-//! slot. Muxes have up to 64 inputs of which a few carry flows, each long
-//! enough to open and close several gaps, so rings are released and taken
-//! again by other flows.
+//! from and returned to a per-mux slab, one [`OutputMux::deliver`] call per
+//! cell that places it in the id-keyed eligible heap or a ring and
+//! refreshes its flow's gap timer at once — is checked against a
+//! deliberately naive reference model built on `BTreeMap`/`BTreeSet`,
+//! which transcribes the DESIGN.md semantics directly: a reorder map and a
+//! gap timer for every input, an eligible set ordered by the spec's key
+//! `(arrival, id)`, timer refreshes once per slot for every input the
+//! slot's deliveries touched, timers that fire during the limit-th
+//! consecutive blocked slot. Random per-plane delivery delays produce
+//! reordered arrivals, watchdog skips, and late stragglers; the emission
+//! sequence and every counter must match exactly, slot by slot. Ids are
+//! numbered as a trace numbers them, so the test also holds the mux's
+//! id-only key to the spec's `(arrival, id)` order. Muxes have up to 64
+//! inputs of which a few carry flows, each long enough to open and close
+//! several gaps, so rings are released and taken again by other flows.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,7 +28,8 @@ use pps_switch::output::OutputMux;
 struct ModelMux {
     reorder: Vec<BTreeMap<u32, CellId>>,
     next_seq: Vec<u32>,
-    /// Eligible cells keyed exactly like the real emit heap.
+    /// Eligible cells in emission order: earliest switch arrival first,
+    /// then id.
     eligible: BTreeSet<(Slot, CellId)>,
     blocked_since: Vec<Option<Slot>>,
     watchdog: Option<Slot>,
@@ -68,8 +73,8 @@ impl ModelMux {
         }
     }
 
-    /// Deliver one slot's batch, in order; returns per-cell accepted flags.
-    fn deliver_batch(&mut self, cells: &[Cell], ids: &[CellId], now: Slot) -> Vec<bool> {
+    /// Deliver one slot's cells, in order; returns per-cell accepted flags.
+    fn deliver_slot(&mut self, cells: &[Cell], ids: &[CellId], now: Slot) -> Vec<bool> {
         let mut accepted = Vec::with_capacity(ids.len());
         let mut touched = Vec::new();
         for &id in ids {
@@ -149,8 +154,8 @@ fn lcg(state: &mut u64) -> u64 {
 
 /// Build one output's worth of flows — per input, `len` cells with
 /// consecutive seqs and strictly increasing arrivals — then scatter each
-/// cell's plane-delivery slot by a random delay. Ids follow global arrival
-/// order, as `Trace::cursor` assigns them.
+/// cell's plane-delivery slot by a random delay. Ids follow `(arrival,
+/// input)` order, as `TraceBuilder` numbers them.
 fn build_run(
     lens: &[usize],
     seed: u64,
@@ -222,12 +227,13 @@ proptest! {
         let mut model_out = Vec::new();
         for now in 0..=horizon {
             if let Some(batch) = schedule.get(&now) {
-                let model_accepted = model.deliver_batch(&cells, batch, now);
-                let real_accepted = real.deliver_batch(table, batch, now);
+                let model_accepted = model.deliver_slot(&cells, batch, now);
+                let real_accepted: Vec<bool> =
+                    batch.iter().map(|&id| real.deliver(table, id, now)).collect();
                 prop_assert_eq!(
                     real_accepted,
-                    model_accepted.iter().filter(|&&a| a).count(),
-                    "accepted count diverged in slot {}", now
+                    model_accepted,
+                    "accepted flags diverged in slot {}", now
                 );
             }
             let r = real.emit(table, now);
