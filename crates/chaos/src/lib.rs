@@ -19,7 +19,7 @@
 //! * **no phantom / double / pre-arrival departures**, **output-line
 //!   constraint**, **no dispatch to a visibly-down plane**, and
 //!   **watchdog counter consistency** — folded over the telemetry event
-//!   stream ([`pps_telemetry::check_stream`]);
+//!   stream (`oracle::check_stream`);
 //! * the paper's **relative-delay envelope** vs the shadow OQ, on the
 //!   cases where it is a theorem (fault-free, bufferless, deterministic
 //!   spreading).
@@ -33,6 +33,7 @@
 
 mod case;
 pub mod cli;
+mod oracle;
 mod report;
 mod runner;
 mod shrink;

@@ -17,6 +17,7 @@
 //! otherwise (a campaign records at `full` whatever its caller's level).
 
 use crate::case::{ChaosCase, CrossbarChoice};
+use crate::oracle::{check_stream, StreamOracleConfig};
 use pps_core::oracle::{self, ConservationLedger, OracleKind, OracleViolation};
 use pps_core::run::Sink;
 use pps_core::stepping::{self, earliest_of, SlotEngine};
@@ -27,7 +28,6 @@ use pps_crossbar::{
 };
 use pps_reference::ShadowOq;
 use pps_switch::{BufferedPps, BufferlessPps, InputStage, Pps};
-use pps_telemetry::{check_stream, StreamOracleConfig};
 use pps_traffic::min_burstiness;
 
 /// iSLIP iteration count / CIOQ speedup for the comparison engines (the

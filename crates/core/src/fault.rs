@@ -29,6 +29,7 @@ use crate::config::PpsConfig;
 use crate::error::ModelError;
 use crate::ids::{PlaneId, PortId};
 use crate::time::Slot;
+use crate::trace_io::csv_field;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -224,7 +225,7 @@ impl FaultPlan {
 
 /// Serialize a fault plan as CSV (`kind,plane,input,at,until`; `input`
 /// and `until` are empty for plane events).
-fn write_csv<W: Write>(plan: &FaultPlan, mut w: W) -> std::io::Result<()> {
+pub(crate) fn write_csv<W: Write>(plan: &FaultPlan, mut w: W) -> std::io::Result<()> {
     writeln!(w, "kind,plane,input,at,until")?;
     for ev in plan.events() {
         match *ev {
@@ -242,7 +243,7 @@ fn write_csv<W: Write>(plan: &FaultPlan, mut w: W) -> std::io::Result<()> {
 }
 
 /// Parse a CSV fault plan (format of [`write_csv`]).
-fn read_csv<R: Read>(r: R) -> Result<FaultPlan, ModelError> {
+pub(crate) fn read_csv<R: Read>(r: R) -> Result<FaultPlan, ModelError> {
     let reader = BufReader::new(r);
     let mut plan = FaultPlan::new();
     for (lineno, line) in reader.lines().enumerate() {
@@ -253,29 +254,15 @@ fn read_csv<R: Read>(r: R) -> Result<FaultPlan, ModelError> {
         if line.is_empty() || (lineno == 0 && line.starts_with("kind")) {
             continue;
         }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        let field = |idx: usize, name: &str| -> Result<u64, ModelError> {
-            fields
-                .get(idx)
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| ModelError::MalformedTrace {
-                    reason: format!("line {}: missing {name}", lineno + 1),
-                })?
-                .parse()
-                .map_err(|e| ModelError::MalformedTrace {
-                    reason: format!("line {}: bad {name}: {e}", lineno + 1),
-                })
-        };
-        let plane = field(1, "plane")? as u32;
-        plan = match fields[0] {
-            "down" => plan.plane_down(plane, field(3, "at")?),
-            "up" => plan.plane_up(plane, field(3, "at")?),
-            "degrade" => plan.link_degraded(
-                field(2, "input")? as u32,
-                plane,
-                field(3, "from")?,
-                field(4, "until")?,
-            ),
+        let fields: Vec<&str> = line.split(',').collect();
+        let header = ["kind", "plane", "input", "at", "until"];
+        let slot = |i| csv_field::<Slot, 5>(&fields, i, header, lineno);
+        let port = |i| csv_field::<u32, 5>(&fields, i, header, lineno);
+        let plane = port(1)?;
+        plan = match fields[0].trim() {
+            "down" => plan.plane_down(plane, slot(3)?),
+            "up" => plan.plane_up(plane, slot(3)?),
+            "degrade" => plan.link_degraded(port(2)?, plane, slot(3)?, slot(4)?),
             kind => {
                 return Err(ModelError::MalformedTrace {
                     reason: format!("line {}: unknown fault kind {kind:?}", lineno + 1),
@@ -451,5 +438,24 @@ mod tests {
         assert!(!m.is_up(2));
         assert!(m.is_up(3));
         assert_eq!(m.k(), 4);
+    }
+
+    #[test]
+    fn planes_and_inputs_above_u32_max_are_refused_not_truncated() {
+        // 2^32 once failed plane 0.
+        let err = read_csv("down,4294967296,,5,\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 1: bad plane"), "{err}");
+        let err = read_csv("degrade,0,4294967297,1,2\n".as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("line 1: bad input"), "{err}");
+        let err = read_csv("kind,plane,input,at,until\nup,0,,5,,\n".as_bytes()).unwrap_err();
+        assert!(
+            err.to_string().contains("line 2: more than the 5 fields"),
+            "{err}"
+        );
+        // A plane event may leave off its trailing empty `until`.
+        assert_eq!(
+            read_csv("down,1,,5\n".as_bytes()).unwrap(),
+            FaultPlan::new().plane_down(1, 5)
+        );
     }
 }

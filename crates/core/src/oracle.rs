@@ -11,8 +11,8 @@
 //!
 //! Event-stream oracles — phantom delivery, dispatch to a known-down
 //! plane, watchdog accounting — need the telemetry vocabulary and live in
-//! `pps_telemetry::oracle`; they report through the same
-//! [`OracleViolation`] type.
+//! the chaos harness (`pps-chaos`), their one caller; they report through
+//! the same [`OracleViolation`] type.
 //!
 //! Every check is **fault-aware**: cells legitimately lost to failed
 //! planes, input starvation under link degradation, or watchdog skips are

@@ -37,25 +37,40 @@ pub fn read_csv<R: Read>(r: R, n: usize) -> Result<Trace, ModelError> {
         if line.is_empty() || (lineno == 0 && line.starts_with("slot")) {
             continue;
         }
-        let mut parts = line.split(',');
-        let mut field = |name: &str| -> Result<u64, ModelError> {
-            parts
-                .next()
-                .ok_or_else(|| ModelError::MalformedTrace {
-                    reason: format!("line {}: missing {name}", lineno + 1),
-                })?
-                .trim()
-                .parse()
-                .map_err(|e| ModelError::MalformedTrace {
-                    reason: format!("line {}: bad {name}: {e}", lineno + 1),
-                })
-        };
-        let slot = field("slot")?;
-        let input = field("input")? as u32;
-        let output = field("output")? as u32;
+        let fields: Vec<&str> = line.split(',').collect();
+        let header = ["slot", "input", "output"];
+        let slot = csv_field(&fields, 0, header, lineno)?;
+        let (input, output) = (
+            csv_field(&fields, 1, header, lineno)?,
+            csv_field(&fields, 2, header, lineno)?,
+        );
         arrivals.push(Arrival::new(slot, input, output));
     }
     Trace::build(arrivals, n)
+}
+
+/// Field `i` of the CSV row `fields` on line `lineno + 1`, whose header is
+/// `header`, parsed as a `T`: a missing or out-of-range field, or a row
+/// longer than its header, is a [`ModelError::MalformedTrace`].
+pub(crate) fn csv_field<T: std::str::FromStr<Err = std::num::ParseIntError>, const W: usize>(
+    fields: &[&str],
+    i: usize,
+    header: [&str; W],
+    lineno: usize,
+) -> Result<T, ModelError> {
+    let fail = |reason: String| ModelError::MalformedTrace {
+        reason: format!("line {}: {reason}", lineno + 1),
+    };
+    if fields.len() > W {
+        return Err(fail(format!(
+            "more than the {W} fields of {}",
+            header.join(",")
+        )));
+    }
+    let name = header[i];
+    let field = fields.get(i).map(|f| f.trim()).filter(|f| !f.is_empty());
+    let field = field.ok_or_else(|| fail(format!("missing {name}")))?;
+    field.parse().map_err(|e| fail(format!("bad {name}: {e}")))
 }
 
 /// Round-trip convenience: write `trace` to `path`.
@@ -161,5 +176,80 @@ mod tests {
         let loaded = load(&path, 5).unwrap();
         assert_eq!(loaded, t);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn ports_above_u32_max_are_refused_not_truncated() {
+        // 2^32 + 3 once replayed as port 3.
+        let err = read_csv("0,4294967299,1\n".as_bytes(), 8).unwrap_err();
+        assert!(err.to_string().contains("line 1: bad input"), "{err}");
+        let err = read_csv("0,1,4294967296\n".as_bytes(), 8).unwrap_err();
+        assert!(err.to_string().contains("line 1: bad output"), "{err}");
+        let err = read_csv("slot,input,output\n0,1,2,3\n".as_bytes(), 8).unwrap_err();
+        assert!(
+            err.to_string().contains("line 2: more than the 3 fields"),
+            "{err}"
+        );
+    }
+
+    /// `csv` with one to four seeded edits: a byte inserted, deleted or
+    /// replaced, or a number spliced in that overflows some field type.
+    fn mutate(csv: &[u8], rng: &mut crate::rng::SplitMix64) -> Vec<u8> {
+        const BYTES: &[u8] = b"0123456789,\n -x";
+        const NUMBERS: [&str; 4] = ["4294967296", "65536", "18446744073709551616", "-1"];
+        let mut out = csv.to_vec();
+        for _ in 0..1 + rng.below(4) {
+            let at = rng.below(out.len() as u64 + 1) as usize;
+            let byte = BYTES[rng.below(BYTES.len() as u64) as usize];
+            match rng.below(4) {
+                0 => out.insert(at, byte),
+                1 if at < out.len() => drop(out.remove(at)),
+                2 if at < out.len() => out[at] = byte,
+                _ => {
+                    let number = NUMBERS[rng.below(NUMBERS.len() as u64) as usize];
+                    out.splice(at..at, number.bytes());
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn mutated_traces_parse_or_are_refused_and_never_panic() {
+        let mut csv = Vec::new();
+        write_csv(&demo(), &mut csv).unwrap();
+        let mut rng = crate::rng::SplitMix64::new(0x7ace);
+        let (mut ok, mut refused) = (0, 0);
+        for _ in 0..4000 {
+            match read_csv(&mutate(&csv, &mut rng)[..], 5) {
+                Ok(t) => {
+                    assert!(t
+                        .arrivals()
+                        .all(|a| a.input.idx() < 5 && a.output.idx() < 5));
+                    ok += 1;
+                }
+                Err(ModelError::MalformedTrace { .. }) => refused += 1,
+                Err(e) => panic!("not a malformed-trace error: {e}"),
+            }
+        }
+        assert!(ok > 0 && refused > 0, "ok {ok}, refused {refused}");
+    }
+
+    #[test]
+    fn mutated_fault_plans_parse_or_are_refused_and_never_panic() {
+        use crate::fault::{read_csv, write_csv, FaultPlan};
+        let plan = FaultPlan::new().plane_down(0, 500).plane_up(0, 1500);
+        let mut csv = Vec::new();
+        write_csv(&plan.link_degraded(3, 2, 100, 200), &mut csv).unwrap();
+        let mut rng = crate::rng::SplitMix64::new(0xfa17);
+        let (mut ok, mut refused) = (0, 0);
+        for _ in 0..4000 {
+            match read_csv(&mutate(&csv, &mut rng)[..]) {
+                Ok(_) => ok += 1,
+                Err(ModelError::MalformedTrace { .. }) => refused += 1,
+                Err(e) => panic!("not a malformed-plan error: {e}"),
+            }
+        }
+        assert!(ok > 0 && refused > 0, "ok {ok}, refused {refused}");
     }
 }

@@ -22,6 +22,7 @@
 //! `centralized < u-RT < fully-distributed` is the information hierarchy
 //! of the paper made visible through faults instead of delay.
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless_faulted_in, fault_impact, FaultImpact, Table};
 use pps_core::prelude::*;
@@ -85,15 +86,13 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         &["algorithm", "aggregate loss", "worst per-input loss"],
     );
     let static_plan = SweepPlan::new_in("a1-static", vec![0usize, 1, 2], sink);
-    let static_results = static_plan.run(|pt| match pt.params {
-        0 => point(cfg, RoundRobinDemux::new(n, k), &trace, pt.sink),
-        1 => point(
-            cfg,
-            StaticPartitionDemux::minimal(n, k, r_prime),
-            &trace,
-            pt.sink,
-        ),
-        _ => point(cfg, FtdDemux::new(n, k, r_prime, 2), &trace, pt.sink),
+    let static_results = static_plan.run(|pt| {
+        let demux: Box<dyn Demultiplexor> = match pt.params {
+            0 => Box::new(RoundRobinDemux::new(n, k)),
+            1 => Box::new(StaticPartitionDemux::minimal(n, k, r_prime)),
+            _ => Box::new(FtdDemux::new(n, k, r_prime, 2)),
+        };
+        point(cfg, demux, &trace, pt.sink)
     });
     let (rr, sp, ftd) = (static_results[0], static_results[1], static_results[2]);
     for (name, (agg, worst)) in [("round-robin", rr), ("static-partition", sp), ("ftd", ftd)] {
@@ -105,7 +104,15 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     }
     // The partitioned switch must hurt its victims far more than the
     // unpartitioned ones hurt anyone.
-    let static_pass = sp.1 > 2.0 * rr.1 && sp.1 > 2.0 * ftd.1 && rr.0 > 0.0;
+    let mut claims = Claims::default();
+    claims.at("plane-0 failure");
+    let (worse_than_rr, worse_than_ftd) = (
+        "static-partition worst per-input loss > 2 x round-robin's",
+        "static-partition worst per-input loss > 2 x ftd's",
+    );
+    claims.check(worse_than_rr, sp.1, 2.0 * rr.1);
+    claims.check(worse_than_ftd, sp.1, 2.0 * ftd.1);
+    claims.check("round-robin aggregate loss > 0", rr.0, 0);
 
     // Fail→recover ablation across the information classes: plane 0 down
     // at slot 500, back at slot 1500, watchdog unblocking the resequencer.
@@ -116,31 +123,13 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let fcfg = cfg.with_watchdog(32);
     let u = 32;
     let recovery_plan = SweepPlan::new_in("a1-recover", vec![0usize, 1, 2], sink);
-    let recovery_results = recovery_plan.run(|pt| match pt.params {
-        0 => recovery_point(
-            fcfg,
-            RoundRobinDemux::new(n, k),
-            &trace,
-            &plan,
-            window,
-            pt.sink,
-        ),
-        1 => recovery_point(
-            fcfg,
-            FaultAwareRoundRobinDemux::urt(n, k, u),
-            &trace,
-            &plan,
-            window,
-            pt.sink,
-        ),
-        _ => recovery_point(
-            fcfg,
-            FaultAwareRoundRobinDemux::centralized(n, k),
-            &trace,
-            &plan,
-            window,
-            pt.sink,
-        ),
+    let recovery_results = recovery_plan.run(|pt| {
+        let demux: Box<dyn Demultiplexor> = match pt.params {
+            0 => Box::new(RoundRobinDemux::new(n, k)),
+            1 => Box::new(FaultAwareRoundRobinDemux::urt(n, k, u)),
+            _ => Box::new(FaultAwareRoundRobinDemux::centralized(n, k)),
+        };
+        recovery_point(fcfg, demux, &trace, &plan, window, pt.sink)
     });
     let [fd, urt, cent]: [FaultImpact; 3] = recovery_results.try_into().expect("three classes");
     let mut recovery_table = Table::new(
@@ -164,28 +153,32 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     }
     // The information hierarchy must show as a loss hierarchy, and every
     // class must settle back to its pre-fault delay level after PlaneUp.
-    let recover_pass = cent.lost < urt.lost
-        && urt.lost < fd.lost
-        && fd.recovery_time().is_some()
-        && urt.recovery_time().is_some()
-        && cent.recovery_time().is_some();
+    claims.at("fail→recover");
+    let ordered = [
+        "centralized lost < u-RT lost",
+        "u-RT lost < fully distributed lost",
+    ];
+    claims.check(ordered[0], cent.lost, urt.lost);
+    claims.check(ordered[1], urt.lost, fd.lost);
+    let never: usize = [&fd, &urt, &cent]
+        .map(|fi| fi.recovery_time().is_none() as usize)
+        .iter()
+        .sum();
+    claims.check("classes never recovering = 0", never, 0);
 
-    ExperimentOutput {
-        id: "a1",
-        title: "Fault-tolerance ablation — why the paper insists on unpartitioned algorithms"
-            .into(),
-        tables: vec![table, recovery_table],
-        notes: vec![
+    ExperimentOutput::new(
+        "a1",
+        "Fault-tolerance ablation — why the paper insists on unpartitioned algorithms",
+        vec![table, recovery_table],
+        &[
             "worst per-input loss ~50% under the minimal partition (its r'=2 subset \
-             lost one of two planes) vs ~1/K under unpartitioned spreading"
-                .into(),
+             lost one of two planes) vs ~1/K under unpartitioned spreading",
             "fail→recover: loss shrinks with information quality (centralized < u-RT \
              < fully distributed); all classes return to pre-fault relative delay \
-             after the plane comes back"
-                .into(),
+             after the plane comes back",
         ],
-        pass: static_pass && recover_pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -214,7 +207,8 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 
     #[test]

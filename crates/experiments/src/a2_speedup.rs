@@ -3,25 +3,13 @@
 //! Sweeping `S` across the threshold shows the crossover: deadline misses
 //! and relative delay appear exactly when `S < 2`.
 
+use crate::claim::Claims;
+use crate::e10_cpa::point;
 use crate::ExperimentOutput;
-use pps_analysis::{lockstep::Comparison, Table};
+use pps_analysis::Table;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_switch::demux::CpaDemux;
-use pps_switch::engine::BufferlessPps;
 use pps_traffic::gen::{BernoulliGen, TrafficPattern};
-
-/// One speedup point: `(S, max rel delay, deadline misses)`.
-fn point(n: usize, k: usize, r_prime: usize, trace: &Trace, sink: &Sink) -> (f64, i64, u64) {
-    let cfg = PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
-    cfg.validate().expect("valid point");
-    let mut pps = BufferlessPps::new_in(cfg, CpaDemux::new(n, k, r_prime), sink).expect("engine");
-    let run = pps.run(trace).expect("model-legal run");
-    let misses = pps.demux().deadline_misses();
-    let oq = pps_reference::oq::run_oq_in(trace, n, sink);
-    let cmp = Comparison { pps: run, oq, n };
-    (cfg.speedup().to_f64(), cmp.relative_delay().max, misses)
-}
 
 /// Run the sweep.
 pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
@@ -40,37 +28,40 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         format!("CPA speedup sweep at N={n}, r'={r_prime} (threshold S = 2)"),
         &["K", "S", "max rel delay", "deadline misses"],
     );
-    let mut pass = true;
-    let mut at_or_above_ok = true;
-    let mut below_degrades = false;
-    let plan = SweepPlan::new_in("a2", vec![4usize, 6, 8, 12, 16], sink);
-    let results = plan.run(|pt| point(n, *pt.params, r_prime, &trace, pt.sink));
-    for (&k, (s, max_rd, misses)) in plan.points().iter().zip(results) {
+    let mut claims = Claims::default();
+    let mut below_degrading = 0usize;
+    let configs = [4, 6, 8, 12, 16].map(|k| PpsConfig::bufferless(n, k, r_prime));
+    let plan = SweepPlan::new_in("a2", configs.to_vec(), sink);
+    let results = plan.run(|pt| point(*pt.params, &trace, pt.sink));
+    for (cfg, (max_rd, _, misses)) in plan.points().iter().zip(results) {
+        let s = cfg.speedup().to_f64();
         if s >= 2.0 {
-            at_or_above_ok &= max_rd <= 0 && misses == 0;
-        } else {
-            below_degrades |= misses > 0 || max_rd > 0;
+            claims.at(format!("K = {}", cfg.k));
+            claims.check("max rel delay at S >= 2 ≤ 0", max_rd, 0);
+            claims.check("deadline misses at S >= 2 = 0", misses, 0);
+        } else if misses > 0 || max_rd > 0 {
+            below_degrading += 1;
         }
         table.row_display(&[
-            k.to_string(),
+            cfg.k.to_string(),
             format!("{s}"),
             max_rd.to_string(),
             misses.to_string(),
         ]);
     }
-    pass &= at_or_above_ok && below_degrades;
-    ExperimentOutput {
-        id: "a2",
-        title: "Ablation — CPA's S >= 2 threshold: crossover of deadline feasibility".into(),
-        tables: vec![table],
-        notes: vec![
+    let degrading = "points below the S >= 2 threshold that miss deadlines or add delay ≥ 1";
+    claims.at("K = 4..16").check(degrading, below_degrading, 1);
+    ExperimentOutput::new(
+        "a2",
+        "Ablation — CPA's S >= 2 threshold: crossover of deadline feasibility",
+        vec![table],
+        &[
             "with K >= 2r' the input constraint excludes <= r'-1 planes and the \
              reservation calendar <= r'-1 more, so a feasible plane always exists; \
-             below the threshold the pigeonhole fails and delay reappears"
-                .into(),
+             below the threshold the pigeonhole fails and delay reappears",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -88,9 +79,9 @@ mod tests {
             seed: 3,
         }
         .trace(8, 1_200);
-        let (_s, rd_hi, miss_hi) = point(8, 8, 4, &trace, &Sink::default()); // S = 2
+        let (rd_hi, _, miss_hi) = point(PpsConfig::bufferless(8, 8, 4), &trace, &Sink::default()); // S = 2
         assert_eq!((rd_hi <= 0, miss_hi), (true, 0));
-        let (_s, rd_lo, miss_lo) = point(8, 4, 4, &trace, &Sink::default()); // S = 1
+        let (rd_lo, _, miss_lo) = point(PpsConfig::bufferless(8, 4, 4), &trace, &Sink::default()); // S = 1
         assert!(
             miss_lo > 0 || rd_lo > 0,
             "S = 1 should degrade: rd {rd_lo}, misses {miss_lo}"
@@ -99,6 +90,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

@@ -8,6 +8,7 @@
 //! * `Greedy` — maximal output utilization, may reorder flows (model
 //!   violation; quantified via the order checker).
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
@@ -70,18 +71,22 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     }
     // Order-preserving disciplines must not reorder; global FCFS pays (or
     // matches) delay relative to greedy.
-    let pass = ff.2 == 0 && gf.2 == 0 && gr.0 <= gf.0;
-    ExperimentOutput {
-        id: "a3",
-        title: "Ablation — output disciplines: order preservation vs work conservation".into(),
-        tables: vec![table],
-        notes: vec![
+    let mut claims = Claims::default();
+    claims.at("the three disciplines");
+    claims.check("flow-fifo flow reorders = 0", ff.2, 0);
+    claims.check("global-fcfs flow reorders = 0", gf.2, 0);
+    let greedy_wins = "greedy max rel delay ≤ global-fcfs max rel delay";
+    claims.check(greedy_wins, gr.0, gf.0);
+    ExperimentOutput::new(
+        "a3",
+        "Ablation — output disciplines: order preservation vs work conservation",
+        vec![table],
+        &[
             "greedy's reorder count shows why it is an ablation, not a legal mode: \
-             the model requires per-flow order"
-                .into(),
+             the model requires per-flow order",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -127,6 +132,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

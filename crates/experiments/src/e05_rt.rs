@@ -6,6 +6,8 @@
 //! This is E4 specialized to `u = 1`, swept over the switch size instead:
 //! even one slot of information lag is enough for the bound.
 
+use crate::attack::AttackPoint;
+use crate::claim::Claims;
 use crate::e04_urt;
 use crate::ExperimentOutput;
 use pps_analysis::Table;
@@ -15,48 +17,29 @@ use pps_core::sweep::SweepPlan;
 /// Run the default sweep over N.
 pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (k, r_prime) = (8, 8); // S = 1
+    let premise = "premise B = N/K-1";
     let mut table = Table::new(
         format!("Corollary 11 sweep: K={k}, r'={r_prime}, u=1 (bound = (1-r/R)*N/S)"),
-        &[
-            "N",
-            "m = N/K",
-            "bound (paper)",
-            "bound (exact)",
-            "measured delay",
-            "measured jitter",
-            "traffic B",
-            "premise B = N/K-1",
-        ],
+        &[&["N", "m = N/K"][..], &AttackPoint::HEADERS, &[premise]].concat(),
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e5", vec![16usize, 32, 64, 128], sink);
     let results = plan.run(|pt| e04_urt::point(*pt.params, k, r_prime, 1, pt.sink));
-    for (&n, (_u_eff, m, paper, exact, delay, jitter, b, premise)) in
-        plan.points().iter().zip(results)
-    {
-        pass &= delay as u64 >= exact && jitter as u64 >= exact && b <= premise;
-        table.row_display(&[
-            n.to_string(),
-            m.to_string(),
-            paper.to_string(),
-            exact.to_string(),
-            delay.to_string(),
-            jitter.to_string(),
-            b.to_string(),
-            premise.to_string(),
-        ]);
+    for (&n, a) in plan.points().iter().zip(results) {
+        a.check(claims.at(format!("N = {n}")), "=", premise);
+        let key = [n.to_string(), a.aligned.to_string()];
+        table.row_display(&[&key[..], &a.cells(), &[a.premise.to_string()]].concat());
     }
-    ExperimentOutput {
-        id: "e5",
-        title: "Corollary 11 — any real-time distributed algorithm: (1-r/R)*N/S".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e5",
+        "Corollary 11 — any real-time distributed algorithm: (1-r/R)*N/S",
+        vec![table],
+        &[
             "u = 1 is the strongest realistic information model short of centralized; \
-             the bound still grows linearly in N"
-                .into(),
+             the bound still grows linearly in N",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -65,18 +48,17 @@ mod tests {
 
     #[test]
     fn bound_holds_at_u_equals_one() {
-        let (_u, m, paper, exact, delay, jitter, b, premise) =
-            e04_urt::point(64, 8, 8, 1, &Sink::default());
-        assert_eq!(m, 8);
-        assert!(b <= premise);
-        assert!(delay as u64 >= exact, "{delay} < {exact}");
-        assert!(jitter as u64 >= exact);
+        let a = e04_urt::point(64, 8, 8, 1, &Sink::default());
+        assert_eq!(a.aligned, 8);
+        assert!(a.burstiness <= a.premise);
+        assert_eq!((a.delay, a.jitter), (a.exact as i64, a.exact as i64));
         // Paper closed form: (1 - r/R) * N/S = (1 - 1/8) * 64 = 56.
-        assert_eq!(paper, 56);
+        assert_eq!(a.paper, 56);
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

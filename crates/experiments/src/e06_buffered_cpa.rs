@@ -8,23 +8,16 @@
 //! including the very attack traffics that defeat the distributed
 //! algorithms. Sweep: `u` (buffer = `u`).
 
+use crate::attack::round_robin_attack;
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_switch::demux::{DelayedCpaDemux, RoundRobinDemux};
-use pps_traffic::adversary::concentration_attack;
+use pps_switch::demux::DelayedCpaDemux;
 use pps_traffic::gen::{BernoulliGen, OnOffGen, TrafficPattern};
 
 fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
-    let cfg = PpsConfig::bufferless(n, k, r_prime);
-    let attack = concentration_attack(
-        &RoundRobinDemux::new(n, k),
-        &cfg,
-        &(0..n as u32).collect::<Vec<_>>(),
-        4 * k,
-    )
-    .trace;
     vec![
         (
             "bernoulli-0.85",
@@ -46,7 +39,7 @@ fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
             }
             .trace(n, 1_500),
         ),
-        ("rr-attack-trace", attack),
+        ("rr-attack-trace", round_robin_attack(n, k, r_prime).trace),
     ]
 }
 
@@ -76,7 +69,7 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         format!("Theorem 12 sweep: N={n}, K={k}, r'={r_prime}, S=2, buffer=u (claim: delay <= u)"),
         &["u", "workload", "measured max rel delay", "claim"],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let loads = workloads(n, k, r_prime);
     let plan = SweepPlan::new_in(
         "e6",
@@ -91,8 +84,10 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         point(n, k, r_prime, u, &loads[w].1, pt.sink)
     });
     for (&(u, w), (max_rd, undelivered, dropped)) in plan.points().iter().zip(results) {
-        let ok = max_rd <= u as i64 && undelivered == 0 && dropped == 0;
-        pass &= ok;
+        claims.at(format!("u = {u}, workload = {}", loads[w].0));
+        let ok = claims.check("measured max rel delay ≤ u", max_rd, u)
+            & claims.check("cells undelivered = 0", undelivered, 0)
+            & claims.check("cells dropped = 0", dropped, 0);
         table.row_display(&[
             u.to_string(),
             loads[w].0.to_string(),
@@ -100,19 +95,18 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             format!("<= {u}: {}", if ok { "holds" } else { "VIOLATED" }),
         ]);
     }
-    ExperimentOutput {
-        id: "e6",
-        title: "Theorem 12 — buffered u-RT upper bound: relative delay <= u at S >= 2".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e6",
+        "Theorem 12 — buffered u-RT upper bound: relative delay <= u at S >= 2",
+        vec![table],
+        &[
             "delayed CPA holds each cell exactly u slots, by which time the global \
              information a u-RT algorithm may use covers the cell's arrival; it then \
-             emulates CPA with deadlines shifted by u (paper's reduction)"
-                .into(),
-            "the Omega(N/S) bufferless bounds do not apply: buffers >= u break them".into(),
+             emulates CPA with deadlines shifted by u (paper's reduction)",
+            "the Omega(N/S) bufferless bounds do not apply: buffers >= u break them",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -122,14 +116,7 @@ mod tests {
     #[test]
     fn delay_bounded_by_u_under_attack_traffic() {
         let (n, k, r) = (8, 8, 4);
-        let cfg = PpsConfig::bufferless(n, k, r);
-        let attack = concentration_attack(
-            &RoundRobinDemux::new(n, k),
-            &cfg,
-            &(0..n as u32).collect::<Vec<_>>(),
-            32,
-        )
-        .trace;
+        let attack = round_robin_attack(n, k, r).trace;
         for u in [1u64, 3] {
             let (max_rd, undelivered, _) = point(n, k, r, u, &attack, &Sink::default());
             assert_eq!(undelivered, 0);
@@ -147,6 +134,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

@@ -7,49 +7,29 @@
 //! the concentration — it can only add delay. Victim: buffered round
 //! robin. Sweep: the buffer size.
 
+use crate::attack::{round_robin_attack, AttackPoint};
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered_in, Table};
 use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_switch::demux::{BufferedRoundRobinDemux, RoundRobinDemux};
-use pps_traffic::adversary::concentration_attack;
-use pps_traffic::min_burstiness;
+use pps_switch::demux::BufferedRoundRobinDemux;
 
-/// One sweep point; returns `(theorem bound, exact bound, measured delay,
-/// measured jitter, burstiness)`.
-fn point(
-    n: usize,
-    k: usize,
-    r_prime: usize,
-    buffer: usize,
-    sink: &Sink,
-) -> (u64, u64, i64, i64, u64) {
+/// One sweep point; the paper's bound is Theorem 13's.
+fn point(n: usize, k: usize, r_prime: usize, buffer: usize, sink: &Sink) -> AttackPoint {
     // The buffered round robin's pointer automaton coincides with the
     // bufferless round robin whenever buffers are empty — which the
     // attack's r'-spaced phases guarantee — so the alignment is planned
     // against the bufferless twin.
-    let cfg_plan = PpsConfig::bufferless(n, k, r_prime);
-    let atk = concentration_attack(
-        &RoundRobinDemux::new(n, k),
-        &cfg_plan,
-        &(0..n as u32).collect::<Vec<_>>(),
-        4 * k,
-    );
-    let b = min_burstiness(&atk.trace, n).overall();
+    let atk = round_robin_attack(n, k, r_prime);
     let cfg = PpsConfig::buffered(n, k, r_prime, buffer);
-    cfg.validate().expect("valid sweep point");
     let cmp = compare_buffered_in(cfg, BufferedRoundRobinDemux::new(n, k), &atk.trace, sink)
         .expect("run");
-    let rd = cmp.relative_delay();
-    assert_eq!(rd.pps_undelivered, 0);
-    (
-        bounds::theorem13(&cfg),
-        atk.model_exact_bound,
-        rd.max,
-        cmp.relative_jitter(),
-        b,
-    )
+    AttackPoint {
+        paper: bounds::theorem13(&cfg),
+        ..AttackPoint::new(atk, &cmp)
+    }
 }
 
 /// Run the default sweep.
@@ -68,35 +48,29 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "traffic B",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e7", vec![1usize, 4, 16, 64, 256], sink);
     let results = plan.run(|pt| point(n, k, r_prime, *pt.params, pt.sink));
-    for (&buffer, (paper, exact, delay, jitter, b)) in plan.points().iter().zip(results) {
-        pass &= delay as u64 >= paper && delay as u64 >= exact && jitter as u64 >= paper && b == 0;
-        table.row_display(&[
-            buffer.to_string(),
-            paper.to_string(),
-            exact.to_string(),
-            delay.to_string(),
-            jitter.to_string(),
-            b.to_string(),
-        ]);
+    for (&buffer, a) in plan.points().iter().zip(results) {
+        claims.at(format!("buffer size = {buffer}"));
+        claims.check("measured delay ≥ bound (paper)", a.delay, a.paper);
+        claims.check("measured delay ≥ bound (exact, RR)", a.delay, a.exact);
+        claims.check("measured jitter ≥ bound (paper)", a.jitter, a.paper);
+        claims.check("traffic B ≤ 0", a.burstiness, a.premise);
+        table.row_display(&[&[buffer.to_string()][..], &a.cells()].concat());
     }
-    ExperimentOutput {
-        id: "e7",
-        title: "Theorem 13 — buffered fully-distributed lower bound, independent of buffer size"
-            .into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e7",
+        "Theorem 13 — buffered fully-distributed lower bound, independent of buffer size",
+        vec![table],
+        &[
             "measured delay is flat across buffer sizes: with no global information \
-             there is nothing useful to wait for (the theorem's point)"
-                .into(),
+             there is nothing useful to wait for (the theorem's point)",
             "bound (exact, RR) is the concentration the unpartitioned round robin \
-             actually suffers ((R/r-1)*(N-1)), far above the class-wide (1-r/R)*N/S"
-                .into(),
+             actually suffers ((R/r-1)*(N-1)), far above the class-wide (1-r/R)*N/S",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -106,22 +80,23 @@ mod tests {
     #[test]
     fn bound_holds_for_small_and_large_buffers() {
         for buffer in [1usize, 32] {
-            let (paper, _exact, delay, jitter, b) = point(8, 8, 4, buffer, &Sink::default());
-            assert_eq!(b, 0);
-            assert!(delay as u64 >= paper, "buffer {buffer}: {delay} < {paper}");
-            assert!(jitter as u64 >= paper);
+            let a = point(8, 8, 4, buffer, &Sink::default());
+            assert_eq!(a.burstiness, 0);
+            assert!(a.delay as u64 >= a.paper, "buffer {buffer}: {a:?}");
+            assert!(a.jitter as u64 >= a.paper);
         }
     }
 
     #[test]
     fn buffers_do_not_rescue_a_distributed_algorithm() {
-        let small = point(16, 8, 4, 1, &Sink::default()).2;
-        let large = point(16, 8, 4, 128, &Sink::default()).2;
+        let small = point(16, 8, 4, 1, &Sink::default()).delay;
+        let large = point(16, 8, 4, 128, &Sink::default()).delay;
         assert_eq!(small, large, "delay must not improve with buffer size");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

@@ -14,6 +14,7 @@
 //! the window (expected 0 — both switches emit the `k`-th congested cell
 //! in the same slot).
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
@@ -153,19 +154,20 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "ramp dev (slope S)",
         ],
     );
-    let mut pass = true;
-    let mut warmups = Vec::new();
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e8", vec![2usize, 3, 4], sink);
     let results = plan.run(|pt| point(n, k, r_prime, *pt.params, duration, pt.sink));
     for (&h, out) in plan.points().iter().zip(results) {
         let warm = out.congestion_start;
-        warmups.push((h, warm));
-        pass &= warm.is_some()
-            && out.wc_violations == 0
-            && out.max_rank_delta <= 1
-            && out.ranks > 0
-            && out.shape_samples > 0
-            && out.shape_violation.is_none();
+        claims.at(format!("h = {h}"));
+        let onset = warm.unwrap_or(duration);
+        claims.check("warm-up (slots) < duration", onset, duration);
+        claims.check("wc violations in window = 0", out.wc_violations, 0);
+        claims.check("max rank delta ≤ 1", out.max_rank_delta, 1);
+        claims.check("ranks compared > 0", out.ranks, 0);
+        claims.check("ramp samples > 0", out.shape_samples, 0);
+        let off_ramp = usize::from(out.shape_violation.is_some());
+        claims.check("ramp oracle violations = 0", off_ramp, 0);
         table.row_display(&[
             h.to_string(),
             warm.map_or("never".into(), |w| w.to_string()),
@@ -175,30 +177,26 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             out.shape_dev.to_string(),
         ]);
     }
-    ExperimentOutput {
-        id: "e8",
-        title: "Theorem 14 — extended FTD: zero relative queuing delay in congested periods".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e8",
+        "Theorem 14 — extended FTD: zero relative queuing delay in congested periods",
+        vec![table],
+        &[
             "rank delta compares the slot of the k-th congested-window departure in \
              each switch: 0 means the PPS output tracks the work-conserving reference \
-             cell-for-cell"
-                .into(),
+             cell-for-cell",
             "the warm-up period is when plane queues fill; Section 5 notes it shrinks \
-             as h grows"
-                .into(),
+             as h grows",
             "rank deltas of +-1 slot at the window boundary come from the PPS serving \
              one pre-congestion straggler in a different interleaving; the delta does \
-             not grow with the congestion duration (checked up to 3200 slots)"
-                .into(),
+             not grow with the congestion duration (checked up to 3200 slots)",
             "ramp dev: max deviation of the hot output's in-fabric occupancy from the \
              Theorem-14 shape (linear ramp at S = senders-1 per slot inside the \
              congested window), checked by the chaos oracle layer's linear-ramp \
-             invariant; pass requires it within one slot of in-flight jitter"
-                .into(),
+             invariant; pass requires it within one slot of in-flight jitter",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -227,6 +225,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

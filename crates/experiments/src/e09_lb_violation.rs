@@ -14,6 +14,7 @@
 //! longest duration, where rescanning per point was quadratic over the
 //! sweep.
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::Table;
 use pps_core::run::Sink;
@@ -66,7 +67,7 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "B_min / T",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e9", vec![50u64, 100, 200, 400, 800], sink);
     let checkpoints = duration_checkpoints(n, senders, plan.points(), sink);
     let results = plan.run(|pt| {
@@ -77,7 +78,9 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     // Cross-point monotonicity runs after the merge, over ordered results.
     let mut prev_b = 0u64;
     for (&duration, (expected, b)) in plan.points().iter().zip(results) {
-        pass &= b == expected && b > prev_b;
+        claims.at(format!("duration T = {duration}"));
+        claims.check("measured B_min = predicted B", b, expected);
+        claims.check("measured B_min > B_min at the previous T", b, prev_b);
         prev_b = b;
         table.row_display(&[
             duration.to_string(),
@@ -86,17 +89,16 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             format!("{:.2}", b as f64 / duration as f64),
         ]);
     }
-    ExperimentOutput {
-        id: "e9",
-        title: "Proposition 15 — congestion traffic violates every fixed leaky-bucket bound".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e9",
+        "Proposition 15 — congestion traffic violates every fixed leaky-bucket bound",
+        vec![table],
+        &[
             "B_min/T converges to rate-1: burstiness is proportional to the congested \
-             period's length, hence unbounded for sustained congestion"
-                .into(),
+             period's length, hence unbounded for sustained congestion",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -106,7 +108,8 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 
     #[test]

@@ -7,12 +7,16 @@
 //! dissolves the Ω(N) delays entirely — which is exactly why the paper's
 //! taxonomy (centralized / u-RT / fully-distributed) is the story.
 
+use crate::attack::round_robin_attack;
+use crate::claim::Claims;
 use crate::ExperimentOutput;
-use pps_analysis::Table;
+use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_switch::demux::{CpaDemux, RoundRobinDemux};
-use pps_traffic::adversary::{concentration_attack, urt_burst_attack};
+use pps_reference::oq::run_oq_in;
+use pps_switch::demux::CpaDemux;
+use pps_switch::engine::BufferlessPps;
+use pps_traffic::adversary::urt_burst_attack;
 use pps_traffic::gen::{BernoulliGen, OnOffGen, TrafficPattern};
 
 fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
@@ -38,34 +42,21 @@ fn workloads(n: usize, k: usize, r_prime: usize) -> Vec<(&'static str, Trace)> {
             }
             .trace(n, 2_000),
         ),
-        (
-            "rr-attack-trace",
-            concentration_attack(
-                &RoundRobinDemux::new(n, k),
-                &cfg,
-                &(0..n as u32).collect::<Vec<_>>(),
-                4 * k,
-            )
-            .trace,
-        ),
+        ("rr-attack-trace", round_robin_attack(n, k, r_prime).trace),
         ("urt-attack-trace", urt_burst_attack(&cfg, 2).trace),
     ]
 }
 
-/// One workload: `(max relative delay, undelivered, deadline misses)`.
-fn point(n: usize, k: usize, r_prime: usize, trace: &Trace, sink: &Sink) -> (i64, usize, u64) {
-    let cfg = PpsConfig::bufferless(n, k, r_prime).with_discipline(OutputDiscipline::GlobalFcfs);
-    cfg.validate().expect("valid point");
-    let pps = pps_switch::engine::BufferlessPps::new_in(cfg, CpaDemux::new(n, k, r_prime), sink)
-        .expect("engine");
-    // Run manually to read the demux statistic afterwards.
-    let mut pps = pps;
+/// One CPA run of the bufferless `cfg` over `trace`, under global FCFS:
+/// `(max relative delay, undelivered, deadline misses)`.
+pub(crate) fn point(cfg: PpsConfig, trace: &Trace, sink: &Sink) -> (i64, usize, u64) {
+    let PpsConfig { n, k, r_prime, .. } = cfg;
+    let cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
+    let mut pps = BufferlessPps::new_in(cfg, CpaDemux::new(n, k, r_prime), sink).expect("engine");
+    // Run by hand to read the demux's statistic afterwards.
     let run = pps.run(trace).expect("model-legal run");
-    let misses = pps.demux().deadline_misses();
-    let oq = pps_reference::oq::run_oq_in(trace, n, sink);
-    let cmp = pps_analysis::lockstep::Comparison { pps: run, oq, n };
-    let rd = cmp.relative_delay();
-    (rd.max, rd.pps_undelivered, misses)
+    let rd = metrics::relative_delay(&run.log, &run_oq_in(trace, n, sink));
+    (rd.max, rd.pps_undelivered, pps.demux().deadline_misses())
 }
 
 /// Run the default battery.
@@ -80,12 +71,21 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "deadline misses",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let loads = workloads(n, k, r_prime);
     let plan = SweepPlan::new_in("e10", (0..loads.len()).collect(), sink);
-    let results = plan.run(|pt| point(n, k, r_prime, &loads[*pt.params].1, pt.sink));
+    let results = plan.run(|pt| {
+        point(
+            PpsConfig::bufferless(n, k, r_prime),
+            &loads[*pt.params].1,
+            pt.sink,
+        )
+    });
     for (&w, (max_rd, undelivered, misses)) in plan.points().iter().zip(results) {
-        pass &= max_rd <= 0 && undelivered == 0 && misses == 0;
+        claims.at(format!("workload = {}", loads[w].0));
+        claims.check("max rel delay ≤ 0", max_rd, 0);
+        claims.check("undelivered = 0", undelivered, 0);
+        claims.check("deadline misses = 0", misses, 0);
         table.row_display(&[
             loads[w].0.to_string(),
             max_rd.to_string(),
@@ -93,17 +93,16 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             misses.to_string(),
         ]);
     }
-    ExperimentOutput {
-        id: "e10",
-        title: "CPA (Iyer et al. [14]) — centralized, S >= 2: zero relative queuing delay".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e10",
+        "CPA (Iyer et al. [14]) — centralized, S >= 2: zero relative queuing delay",
+        vec![table],
+        &[
             "the attack traffics that force Omega(N) on distributed algorithms leave \
-             CPA untouched: with immediate global knowledge no concentration can form"
-                .into(),
+             CPA untouched: with immediate global knowledge no concentration can form",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -113,14 +112,8 @@ mod tests {
     #[test]
     fn zero_relative_delay_under_attack() {
         let cfg = PpsConfig::bufferless(8, 8, 4);
-        let attack = concentration_attack(
-            &RoundRobinDemux::new(8, 8),
-            &cfg,
-            &(0..8).collect::<Vec<_>>(),
-            32,
-        )
-        .trace;
-        let (max_rd, undelivered, misses) = point(8, 8, 4, &attack, &Sink::default());
+        let attack = round_robin_attack(8, 8, 4).trace;
+        let (max_rd, undelivered, misses) = point(cfg, &attack, &Sink::default());
         assert_eq!(undelivered, 0);
         assert_eq!(misses, 0, "S = 2 must never miss a deadline");
         assert!(max_rd <= 0, "CPA must mimic the OQ switch: {max_rd}");
@@ -129,13 +122,15 @@ mod tests {
     #[test]
     fn zero_relative_delay_under_saturation() {
         let t = BernoulliGen::uniform(1.0, 5).trace(8, 500);
-        let (max_rd, undelivered, misses) = point(8, 8, 4, &t, &Sink::default());
+        let (max_rd, undelivered, misses) =
+            point(PpsConfig::bufferless(8, 8, 4), &t, &Sink::default());
         assert_eq!((undelivered, misses), (0, 0));
         assert!(max_rd <= 0, "{max_rd}");
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

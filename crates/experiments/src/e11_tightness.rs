@@ -9,12 +9,13 @@
 //! and under heavy admissible loads (typical side), and check everything
 //! sits inside the `[(R/r−1)(N−1), (R/r)·N]` window.
 
+use crate::attack::concentration;
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::PerFlowRoundRobinDemux;
-use pps_traffic::adversary::concentration_attack;
 use pps_traffic::gen::BernoulliGen;
 
 /// Run the default sweep over N.
@@ -31,56 +32,44 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "within window",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e11", vec![8usize, 16, 32, 64], sink);
     let results = plan.run(|pt| {
         let n = *pt.params;
         let cfg = PpsConfig::bufferless(n, k, r_prime);
         let demux = PerFlowRoundRobinDemux::new(n, k);
-        let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-        let attack_cmp =
-            compare_bufferless_in(cfg, demux.clone(), &atk.trace, pt.sink).expect("run");
+        let (attack, _) = concentration(cfg, demux.clone(), n, 4 * k, pt.sink);
         let bern = BernoulliGen::uniform(0.9, 31).trace(n, 1_500);
-        let bern_cmp = compare_bufferless_in(cfg, demux, &bern, pt.sink).expect("run");
-        (
-            atk.model_exact_bound,
-            attack_cmp.relative_delay().max,
-            bern_cmp.relative_delay().max,
-            attack_cmp.relative_delay().pps_undelivered,
-            bern_cmp.relative_delay().pps_undelivered,
-        )
+        let bern = compare_bufferless_in(cfg, demux, &bern, pt.sink).expect("run");
+        (attack, bern.relative_delay())
     });
-    for (&n, (lower, attack_delay, bern_delay, atk_undeliv, bern_undeliv)) in
-        plan.points().iter().zip(results)
-    {
+    for (&n, (attack, bern)) in plan.points().iter().zip(results) {
         let upper = (n * r_prime) as i64;
-        let ok = attack_delay as u64 >= lower
-            && attack_delay <= upper
-            && bern_delay <= upper
-            && atk_undeliv == 0
-            && bern_undeliv == 0;
-        pass &= ok;
+        claims.at(format!("N = {n}"));
+        let (delay, lower) = (attack.delay, attack.exact);
+        let ok = claims.check("attack delay ≥ lower bound (exact)", delay, lower)
+            & claims.check("attack delay ≤ upper bound N*R/r", attack.delay, upper)
+            & claims.check("bernoulli-0.9 delay ≤ upper bound N*R/r", bern.max, upper)
+            & claims.check("bernoulli-0.9 undelivered = 0", bern.pps_undelivered, 0);
         table.row_display(&[
             n.to_string(),
-            lower.to_string(),
+            attack.exact.to_string(),
             upper.to_string(),
-            attack_delay.to_string(),
-            bern_delay.to_string(),
+            attack.delay.to_string(),
+            bern.max.to_string(),
             if ok { "yes".into() } else { "NO".to_string() },
         ]);
     }
-    ExperimentOutput {
-        id: "e11",
-        title: "Tightness — lower bound meets the Iyer-McKeown N*R/r upper bound: Theta((R/r)N)"
-            .into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e11",
+        "Tightness — lower bound meets the Iyer-McKeown N*R/r upper bound: Theta((R/r)N)",
+        vec![table],
+        &[
             "the same algorithm exhibits both sides: worst-case traffic drives it to \
-             the lower bound, while no traffic pushes it past N*R/r"
-                .into(),
+             the lower bound, while no traffic pushes it past N*R/r",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -92,16 +81,22 @@ mod tests {
         let n = 16;
         let cfg = PpsConfig::bufferless(n, 8, 4);
         let demux = PerFlowRoundRobinDemux::new(n, 8);
-        let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 32);
-        assert_eq!(atk.d, n, "per-flow RR is unpartitioned: all inputs align");
-        let cmp = compare_bufferless_in(cfg, demux, &atk.trace, &Sink::default()).unwrap();
-        let d = cmp.relative_delay().max;
-        assert!(d as u64 >= atk.model_exact_bound);
-        assert!(d <= (n * 4) as i64, "upper bound violated: {d}");
+        let (a, _) = concentration(cfg, demux, n, 32, &Sink::default());
+        assert_eq!(
+            a.aligned, n,
+            "per-flow RR is unpartitioned: all inputs align"
+        );
+        assert!(a.delay as u64 >= a.exact);
+        assert!(
+            a.delay <= (n * 4) as i64,
+            "upper bound violated: {}",
+            a.delay
+        );
     }
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

@@ -8,31 +8,22 @@
 //! confirming the linear-in-N wall. Points run in parallel (they are
 //! independent simulations).
 
+use crate::attack::{concentration, AttackPoint};
+use crate::claim::Claims;
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless_in, Table};
+use pps_analysis::Table;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RoundRobinDemux;
-use pps_traffic::adversary::concentration_attack;
 
-/// One scaling point: `(N, exact bound, measured delay, implied buffer)`.
-fn point(n: usize, k: usize, r_prime: usize, sink: &Sink) -> (usize, u64, i64, usize) {
+/// One scaling point and the plane-buffer high-water mark it implies.
+fn point(n: usize, k: usize, r_prime: usize, sink: &Sink) -> (AttackPoint, usize) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
-    cfg.validate().expect("valid point");
-    let demux = RoundRobinDemux::new(n, k);
-    let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
-    let rd = cmp.relative_delay();
-    assert_eq!(rd.pps_undelivered, 0);
+    let (attack, cmp) = concentration(cfg, RoundRobinDemux::new(n, k), n, 4 * k, sink);
     // "Large relative queuing delays usually imply that the buffer sizes at
     // the middle-stage switches … should be large as well": report the
     // measured plane-buffer high-water mark alongside.
-    (
-        n,
-        atk.model_exact_bound,
-        rd.max,
-        cmp.pps_stats().max_plane_queue,
-    )
+    (attack, cmp.pps_stats().max_plane_queue)
 }
 
 /// Run the default sweep, in parallel across points.
@@ -50,32 +41,34 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "delay/N",
         ],
     );
-    let mut pass = true;
-    for &(n, bound, delay, hwm) in &results {
-        pass &= delay as u64 >= bound;
+    let mut claims = Claims::default();
+    for (&n, (a, hwm)) in plan.points().iter().zip(&results) {
+        claims.at(format!("N = {n}"));
+        claims.check("measured delay ≥ bound (exact)", a.delay, a.exact);
         table.row_display(&[
             n.to_string(),
-            bound.to_string(),
-            delay.to_string(),
+            a.exact.to_string(),
+            a.delay.to_string(),
             hwm.to_string(),
-            format!("{:.3}", delay as f64 / n as f64),
+            format!("{:.3}", a.delay as f64 / n as f64),
         ]);
     }
     // Least-squares slope through the (N, delay) points.
-    let xs: Vec<f64> = results.iter().map(|&(n, ..)| n as f64).collect();
-    let ys: Vec<f64> = results.iter().map(|&(_, _, d, _)| d as f64).collect();
+    let xs: Vec<f64> = plan.points().iter().map(|&n| n as f64).collect();
+    let ys: Vec<f64> = results.iter().map(|(a, _)| a.delay as f64).collect();
     let slope = slope(&xs, &ys);
-    pass &= (r_prime as f64 - 1.0 - slope).abs() < 0.2;
-    ExperimentOutput {
-        id: "e12",
-        title: "Scaling — relative delay grows linearly in N up to 1024 ports".into(),
-        tables: vec![table],
-        notes: vec![format!(
+    let linear = "least-squares slope of delay vs N within 0.2 of R/r - 1";
+    claims.at("N = 64..1024").check(linear, slope, r_prime - 1);
+    ExperimentOutput::new(
+        "e12",
+        "Scaling — relative delay grows linearly in N up to 1024 ports",
+        vec![table],
+        &[&format!(
             "least-squares slope of delay vs N: {slope:.3} (theory: R/r - 1 = {})",
             r_prime - 1
         )],
-        pass,
-    }
+        claims,
+    )
 }
 
 fn slope(xs: &[f64], ys: &[f64]) -> f64 {
@@ -93,8 +86,8 @@ mod tests {
 
     #[test]
     fn n_512_behaves_like_the_paper_warns() {
-        let (_n, bound, delay, hwm) = point(512, 8, 4, &Sink::default());
-        assert!(delay as u64 >= bound);
+        let (a, hwm) = point(512, 8, 4, &Sink::default());
+        assert!(a.delay as u64 >= a.exact);
         // The concentration fills one plane queue with ~N(1 - 1/r') cells
         // (it drains one cell per r' slots while the burst arrives).
         assert!(hwm >= 256, "plane buffer HWM {hwm} too small");
@@ -105,8 +98,8 @@ mod tests {
         let pts: Vec<(usize, i64)> = [64usize, 128, 256]
             .iter()
             .map(|&n| {
-                let (_, _, d, _) = point(n, 8, 4, &Sink::default());
-                (n, d)
+                let (a, _) = point(n, 8, 4, &Sink::default());
+                (n, a.delay)
             })
             .collect();
         let xs: Vec<f64> = pts.iter().map(|&(n, _)| n as f64).collect();
@@ -117,6 +110,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

@@ -18,12 +18,13 @@
 //! min/mean/p95/max, next to the balls-in-bins mean prediction and the
 //! seed-aware (= deterministic) ceiling.
 
+use crate::attack::concentration;
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_switch::demux::RandomDemux;
-use pps_traffic::adversary::concentration_attack;
 
 /// The oblivious burst: after an idle prefix, one cell per slot for the
 /// hot output from each of the `n` inputs (no alignment phase — nothing to
@@ -46,19 +47,14 @@ fn oblivious_point(n: usize, k: usize, r_prime: usize, seed: u64, sink: &Sink) -
     (rd.max, cmp.max_concentration())
 }
 
-/// Distribution summary over seeds.
-#[derive(Clone, Debug)]
+/// The relative delay over seeds — min, mean, 95th percentile, max — and
+/// the mean measured concentration.
 struct DelayDistribution {
-    /// Minimum over seeds.
-    pub min: i64,
-    /// Mean over seeds.
-    pub mean: f64,
-    /// 95th percentile.
-    pub p95: i64,
-    /// Maximum over seeds.
-    pub max: i64,
-    /// Mean measured concentration.
-    pub mean_concentration: f64,
+    min: i64,
+    mean: f64,
+    p95: i64,
+    max: i64,
+    mean_concentration: f64,
 }
 
 /// Sample the oblivious-attack delay distribution over `seeds` seeds.
@@ -96,7 +92,7 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "seed-aware ceiling",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e14", vec![16usize, 32, 64], sink);
     let results = plan.run(|pt| {
         let n = *pt.params;
@@ -104,15 +100,10 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         // Seed-aware adversary reaches the deterministic ceiling.
         let demux = RandomDemux::new(n, 424_242);
         let cfg = PpsConfig::bufferless(n, k, r_prime);
-        let aware = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 32 * k);
-        let aware_cmp = compare_bufferless_in(cfg, demux, &aware.trace, pt.sink).expect("run");
-        (
-            dist,
-            aware.model_exact_bound,
-            aware_cmp.relative_delay().max,
-        )
+        (dist, concentration(cfg, demux, n, 32 * k, pt.sink).0)
     });
-    for (&n, (dist, aware_exact_bound, ceiling)) in plan.points().iter().zip(results) {
+    for (&n, (dist, aware)) in plan.points().iter().zip(results) {
+        let ceiling = aware.delay;
         // Balls-in-bins mean prediction for the max bin.
         let lam = n as f64 / k as f64;
         let predict = lam + (2.0 * lam * (k as f64).ln()).sqrt();
@@ -120,10 +111,15 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         // seed-aware ceiling and is strictly positive in the mean; (b) the
         // measured concentration tracks the balls-in-bins prediction; (c)
         // the seed-aware adversary reaches the deterministic bound.
-        pass &= dist.min >= 0 && dist.mean > 0.0;
-        pass &= dist.max <= ceiling;
-        pass &= (dist.mean_concentration - predict).abs() < predict * 0.5;
-        pass &= ceiling as u64 >= aware_exact_bound.saturating_sub((r_prime as u64 - 1) * 2);
+        claims.at(format!("N = {n}"));
+        claims.check("delay min ≥ 0", dist.min, 0);
+        claims.check("delay mean > 0", dist.mean, 0);
+        claims.check("delay max ≤ seed-aware ceiling", dist.max, ceiling);
+        let tracks = "mean conc. / E[max bin] approx within 0.5 of 1";
+        claims.check(tracks, dist.mean_concentration / predict, 1);
+        let floor = aware.exact.saturating_sub((r_prime as u64 - 1) * 2);
+        let reached = "seed-aware ceiling ≥ its exact bound - 2(r'-1)";
+        claims.check(reached, ceiling, floor);
         table.row_display(&[
             n.to_string(),
             format!("{predict:.1}"),
@@ -135,23 +131,21 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             ceiling.to_string(),
         ]);
     }
-    ExperimentOutput {
-        id: "e14",
-        title: "Open question (§6) — the randomized demux's relative-delay distribution".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e14",
+        "Open question (§6) — the randomized demux's relative-delay distribution",
+        vec![table],
+        &[
             "randomization does not escape the lower bound (a seed-aware adversary \
              reaches the deterministic ceiling); against oblivious rate-R bursts the \
              typical delay stays small because each plane's share of the burst \
              arrives spread over N slots — the worst case needs coordination, which \
-             is the paper's point"
-                .into(),
+             is the paper's point",
             "mean concentration tracks the balls-in-bins prediction N/K + \
-             sqrt(2(N/K)lnK)"
-                .into(),
+             sqrt(2(N/K)lnK)",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -181,6 +175,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

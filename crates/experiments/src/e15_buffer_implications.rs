@@ -10,32 +10,23 @@
 //! regulator needs to flatten the run to constant delay. All three grow
 //! linearly with `N` — the delay bound priced in memory.
 
+use crate::attack::{concentration, AttackPoint};
+use crate::claim::Claims;
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless_in, Table};
+use pps_analysis::Table;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_reference::regulator::{min_feasible_delay, regulate};
+use pps_reference::regulator::{min_feasible_delay, regulate, RegulationReport as Regulated};
 use pps_switch::demux::RoundRobinDemux;
-use pps_traffic::adversary::concentration_attack;
+use pps_switch::fabric::FabricStats;
 
-/// One sweep point: `(relative delay, plane HWM, output HWM, regulator
-/// buffer, regulator residual jitter)`.
-fn point(n: usize, k: usize, r_prime: usize, sink: &Sink) -> (i64, usize, usize, usize, u64) {
+/// One sweep point: the attack, the fabric's buffer high-water marks, and
+/// the regulator that flattens the run to constant delay.
+fn point(n: usize, k: usize, r_prime: usize, sink: &Sink) -> (AttackPoint, FabricStats, Regulated) {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
-    let demux = RoundRobinDemux::new(n, k);
-    let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
-    let rd = cmp.relative_delay();
-    assert_eq!(rd.pps_undelivered, 0);
-    let d = min_feasible_delay(&cmp.pps.log);
-    let reg = regulate(&cmp.pps.log, d);
-    (
-        rd.max,
-        cmp.pps_stats().max_plane_queue,
-        cmp.pps_stats().max_output_held,
-        reg.buffer_required,
-        reg.residual_jitter,
-    )
+    let (attack, cmp) = concentration(cfg, RoundRobinDemux::new(n, k), n, 4 * k, sink);
+    let regulated = regulate(&cmp.pps.log, min_feasible_delay(&cmp.pps.log));
+    (attack, cmp.pps.stats, regulated)
 }
 
 /// Run the default sweep.
@@ -52,47 +43,48 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "residual jitter",
         ],
     );
-    let mut pass = true;
-    let mut prev: Option<(usize, i64, usize)> = None;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e15", vec![32usize, 64, 128, 256], sink);
     let results = plan.run(|pt| point(*pt.params, k, r_prime, pt.sink));
     // The doubling checks compare adjacent points, so they run post-merge
     // over the ordered results.
-    for (&n, (delay, plane_hwm, out_hwm, reg_buf, resid)) in plan.points().iter().zip(results) {
+    for (i, (&n, (a, fabric, reg))) in plan.points().iter().zip(&results).enumerate() {
         // The regulator buffer must absorb the early cells of the
         // concentration: at least a constant fraction of N.
-        pass &= reg_buf >= n / 2 && plane_hwm >= n / 2 && resid == 0;
-        if let Some((pn, pd, pb)) = prev {
+        let (plane_hwm, reg_buf) = (fabric.max_plane_queue, reg.buffer_required);
+        claims.at(format!("N = {n}"));
+        claims.check("regulator buffer ≥ N/2", reg_buf, n / 2);
+        claims.check("plane buffer HWM ≥ N/2", plane_hwm, n / 2);
+        claims.check("residual jitter = 0", reg.residual_jitter, 0);
+        if let Some((pa, _, preg)) = i.checked_sub(1).map(|j| &results[j]) {
             // Linear growth: doubling N roughly doubles both delay and buffers.
-            let dr = delay as f64 / pd as f64;
-            let br = reg_buf as f64 / pb as f64;
-            pass &= (1.6..2.4).contains(&dr) && (1.6..2.4).contains(&br);
-            let _ = pn;
+            let dr = a.delay as f64 / pa.delay as f64;
+            let br = reg_buf as f64 / preg.buffer_required as f64;
+            claims.check("rel delay / rel delay at N/2 within 0.4 of 2", dr, 2);
+            let doubled = "regulator buffer / regulator buffer at N/2 within 0.4 of 2";
+            claims.check(doubled, br, 2);
         }
-        prev = Some((n, delay, reg_buf));
         table.row_display(&[
             n.to_string(),
-            delay.to_string(),
+            a.delay.to_string(),
             plane_hwm.to_string(),
-            out_hwm.to_string(),
+            fabric.max_output_held.to_string(),
             reg_buf.to_string(),
-            resid.to_string(),
+            reg.residual_jitter.to_string(),
         ]);
     }
-    ExperimentOutput {
-        id: "e15",
-        title: "Buffer implications — the delay bounds priced in plane, resequencer and \
-                jitter-regulator memory"
-            .into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e15",
+        "Buffer implications — the delay bounds priced in plane, resequencer and \
+         jitter-regulator memory",
+        vec![table],
+        &[
             "residual jitter 0: a regulator *can* flatten the PPS output — but only \
              by holding Theta(N) cells, the paper's suggested translation of the \
-             delay lower bound into a buffer lower bound"
-                .into(),
+             delay lower bound into a buffer lower bound",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -101,10 +93,13 @@ mod tests {
 
     #[test]
     fn regulator_buffer_scales_with_the_concentration() {
-        let (delay, plane_hwm, _out, reg_small, _r) = point(16, 8, 4, &Sink::default());
-        let (_d2, _p2, _o2, reg_large, _r2) = point(64, 8, 4, &Sink::default());
-        assert!(delay > 0);
-        assert!(plane_hwm >= 8);
+        let (a, fabric, small) = point(16, 8, 4, &Sink::default());
+        let (reg_small, reg_large) = (
+            small.buffer_required,
+            point(64, 8, 4, &Sink::default()).2.buffer_required,
+        );
+        assert!(a.delay > 0);
+        assert!(fabric.max_plane_queue >= 8);
         assert!(
             reg_large > 3 * reg_small,
             "4x ports should ~4x the regulator buffer: {reg_small} -> {reg_large}"
@@ -113,6 +108,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

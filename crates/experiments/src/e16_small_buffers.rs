@@ -14,6 +14,8 @@
 //! `u` slots old) and assigns conflict-free deadlines — final row of the
 //! table.
 
+use crate::attack::AttackPoint;
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_buffered_in, compare_bufferless_in, Table};
 use pps_core::prelude::*;
@@ -21,56 +23,56 @@ use pps_core::sweep::SweepPlan;
 use pps_switch::demux::{BufferedStaleDemux, DelayedCpaDemux, StaleLeastLoadedDemux};
 use pps_traffic::adversary::urt_burst_attack;
 
-/// One sweep point: max relative delay of the buffered stale demux at
-/// `hold` against the Theorem 10 burst.
-fn stale_point(n: usize, k: usize, r_prime: usize, u: Slot, hold: Slot, sink: &Sink) -> i64 {
+/// One sweep point: the Theorem 10 burst against the buffered stale demux
+/// holding each cell `hold` slots (0: the bufferless dispatcher).
+fn stale_point(
+    n: usize,
+    k: usize,
+    r_prime: usize,
+    u: Slot,
+    hold: Slot,
+    sink: &Sink,
+) -> AttackPoint {
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
-    if hold == 0 {
-        // Degenerate: the bufferless dispatcher.
+    let cmp = if hold == 0 {
         let cfg = PpsConfig::bufferless(n, k, r_prime);
-        let cmp = compare_bufferless_in(cfg, StaleLeastLoadedDemux::new(n, k, u), &atk.trace, sink)
-            .expect("run");
-        assert_eq!(cmp.relative_delay().pps_undelivered, 0);
-        cmp.relative_delay().max
+        compare_bufferless_in(cfg, StaleLeastLoadedDemux::new(n, k, u), &atk.trace, sink)
     } else {
-        let cfg = PpsConfig::buffered(n, k, r_prime, (hold as usize) + 1);
-        let cmp = compare_buffered_in(
+        let cfg = PpsConfig::buffered(n, k, r_prime, hold as usize + 1);
+        compare_buffered_in(
             cfg,
             BufferedStaleDemux::new(n, k, u, hold),
             &atk.trace,
             sink,
         )
-        .expect("run");
-        assert_eq!(cmp.relative_delay().pps_undelivered, 0);
-        cmp.relative_delay().max
-    }
+    };
+    AttackPoint::new(atk, &cmp.expect("run"))
 }
 
 /// The Theorem 12 endpoint: delayed CPA with buffer = u on the same burst.
 fn cpa_point(n: usize, k: usize, r_prime: usize, u: Slot, sink: &Sink) -> i64 {
     let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
-    let cfg = PpsConfig::buffered(n, k, r_prime, u as usize)
-        .with_discipline(OutputDiscipline::GlobalFcfs);
+    let cfg = PpsConfig::buffered(n, k, r_prime, u as usize);
+    let cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
     let cmp = compare_buffered_in(
         cfg,
         DelayedCpaDemux::new(n, k, r_prime, u),
         &atk.trace,
         sink,
-    )
-    .expect("run");
-    assert_eq!(cmp.relative_delay().pps_undelivered, 0);
-    cmp.relative_delay().max
+    );
+    AttackPoint::new(atk, &cmp.expect("run")).delay
 }
 
 /// Run the default sweep.
 pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let (n, k, r_prime, u) = (32, 8, 8, 4u64); // S = 1 for the stale family
-    let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
+    let plan = SweepPlan::new_in("e16", (0..=u).collect(), sink);
+    let stale = plan.run(|pt| stale_point(n, k, r_prime, u, *pt.params, pt.sink));
+    let bound = stale[0].exact;
     let mut table = Table::new(
         format!(
             "Small buffers vs the Theorem 10 burst at N={n}, K={k}, r'={r_prime}, u={u} \
-             (u-RT bound: {} slots)",
-            atk.model_exact_bound
+             (u-RT bound: {bound} slots)"
         ),
         &[
             "algorithm",
@@ -79,12 +81,17 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "bound status",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e16", (0..=u).collect(), sink);
-    let stale_delays = plan.run(|pt| stale_point(n, k, r_prime, u, *pt.params, pt.sink));
-    for (&hold, &d) in plan.points().iter().zip(stale_delays.iter()) {
-        let holds = d as u64 >= atk.model_exact_bound;
-        pass &= holds;
+    for (i, (&hold, a)) in plan.points().iter().zip(&stale).enumerate() {
+        let d = a.delay;
+        claims.at(format!("hold/buffer = {hold}"));
+        let holds = claims.check("measured rel delay ≥ u-RT bound", d, bound);
+        // Holding cannot shrink the concentration delay (it adds its own).
+        if i > 0 {
+            let grows = "measured rel delay ≥ that at the previous hold";
+            claims.check(grows, d, stale[i - 1].delay);
+        }
         table.row_display(&[
             "buffered-stale-LL".into(),
             hold.to_string(),
@@ -92,13 +99,11 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             if holds { "bound persists" } else { "BROKEN" }.to_string(),
         ]);
     }
-    // Holding cannot shrink the concentration delay (it adds its own).
-    pass &= stale_delays.windows(2).all(|w| w[1] >= w[0]);
     // The CPA endpoint needs S >= 2: use K = 2r' for it.
     let k_cpa = 2 * r_prime;
     let d_cpa = cpa_point(n, k_cpa, r_prime, u, sink);
-    let ok = d_cpa <= u as i64;
-    pass &= ok;
+    let cpa = format!("delayed-CPA (K={k_cpa}, S=2)");
+    let ok = claims.at(&cpa).check("measured rel delay ≤ u", d_cpa, u);
     table.row_display(&[
         format!("delayed-CPA (K={k_cpa}, S=2)"),
         format!("{u}"),
@@ -109,22 +114,19 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "VIOLATED".to_string()
         },
     ]);
-    ExperimentOutput {
-        id: "e16",
-        title: "Section 4 — buffers below the information delay do not help; coordination does"
-            .into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e16",
+        "Section 4 — buffers below the information delay do not help; coordination does",
+        vec![table],
+        &[
             "holding cells delays the decisions exactly as much as the information, \
              so the blind spot never closes for a least-loaded dispatcher — the \
-             measured delay is flat-to-growing in the hold time"
-                .into(),
+             measured delay is flat-to-growing in the hold time",
             "Theorem 12's delayed CPA turns the same buffer into exact (u-old) \
-             knowledge of the global arrival order and collapses the delay to <= u"
-                .into(),
+             knowledge of the global arrival order and collapses the delay to <= u",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -134,14 +136,9 @@ mod tests {
     #[test]
     fn holding_does_not_break_the_bound() {
         let (n, k, r_prime, u) = (32, 8, 8, 2u64);
-        let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
         for hold in [0u64, 1, 2] {
-            let d = stale_point(n, k, r_prime, u, hold, &Sink::default());
-            assert!(
-                d as u64 >= atk.model_exact_bound,
-                "hold={hold}: {d} < {}",
-                atk.model_exact_bound
-            );
+            let a = stale_point(n, k, r_prime, u, hold, &Sink::default());
+            assert!(a.delay as u64 >= a.exact, "hold={hold}: {a:?}");
         }
     }
 
@@ -153,6 +150,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

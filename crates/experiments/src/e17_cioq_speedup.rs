@@ -12,6 +12,7 @@
 //! `s = 2` (our scheduler is greedy EDF, not the exact
 //! critical-cells-first of the theorem), and clean mimicking from `s = 3`.
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
 use pps_core::prelude::*;
@@ -49,31 +50,34 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         format!("CIOQ speedup sweep at N={n}, hotspot fan-in load 0.95 (threshold ~2)"),
         &["speedup s", "max rel delay", "mean rel delay"],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e17", vec![1usize, 2, 3, 4], sink);
     let results = plan.run(|pt| point(n, *pt.params, &trace, pt.sink));
-    for (&s, &(max_rd, mean_rd)) in plan.points().iter().zip(results.iter()) {
-        table.row_display(&[s.to_string(), max_rd.to_string(), format!("{mean_rd:.3}")]);
-    }
     // Shape: s = 1 misses clearly; s >= 2 within a one-slot greedy slip;
     // monotone non-increasing.
-    pass &= results[0].0 > 1;
-    pass &= results.iter().skip(1).all(|&(d, _)| d <= 1);
-    pass &= results.windows(2).all(|w| w[1].0 <= w[0].0);
-    ExperimentOutput {
-        id: "e17",
-        title: "Related work — CIOQ crossbar speedup threshold for OQ mimicking (~2)".into(),
-        tables: vec![table],
-        notes: vec![
-            "greedy earliest-deadline matching, not the exact critical-cells-first \
-             schedule of Chuang et al., hence the <= 1-slot slip allowance at s = 2"
-                .into(),
-            "same economics as the PPS: exactness costs a centralized rate-R element \
-             (here the arbiter at speedup 2, there CPA at S >= 2)"
-                .into(),
-        ],
-        pass,
+    for (i, (&s, &(max_rd, mean_rd))) in plan.points().iter().zip(results.iter()).enumerate() {
+        claims.at(format!("speedup s = {s}"));
+        if i == 0 {
+            claims.check("max rel delay at s=1 > 1", max_rd, 1);
+        } else {
+            claims.check("max rel delay at s>=2 ≤ 1", max_rd, 1);
+            let shrinks = "max rel delay ≤ that at the previous speedup";
+            claims.check(shrinks, max_rd, results[i - 1].0);
+        }
+        table.row_display(&[s.to_string(), max_rd.to_string(), format!("{mean_rd:.3}")]);
     }
+    ExperimentOutput::new(
+        "e17",
+        "Related work — CIOQ crossbar speedup threshold for OQ mimicking (~2)",
+        vec![table],
+        &[
+            "greedy earliest-deadline matching, not the exact critical-cells-first \
+             schedule of Chuang et al., hence the <= 1-slot slip allowance at s = 2",
+            "same economics as the PPS: exactness costs a centralized rate-R element \
+             (here the arbiter at speedup 2, there CPA at S >= 2)",
+        ],
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -93,6 +97,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

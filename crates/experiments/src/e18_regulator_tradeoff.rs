@@ -14,20 +14,19 @@
 //! with `o(N)` regulator memory: the delay lower bound *is* a buffer lower
 //! bound.
 
+use crate::attack::concentration;
+use crate::claim::Claims;
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless_in, Table};
+use pps_analysis::Table;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
 use pps_reference::regulator::{min_feasible_delay, regulate, regulate_online};
 use pps_switch::demux::RoundRobinDemux;
-use pps_traffic::adversary::concentration_attack;
 
 /// The attacked run to regulate: Corollary 7 on round robin.
 fn attacked_log(n: usize, k: usize, r_prime: usize, sink: &Sink) -> RunLog {
     let cfg = PpsConfig::bufferless(n, k, r_prime);
-    let demux = RoundRobinDemux::new(n, k);
-    let atk = concentration_attack(&demux, &cfg, &(0..n as u32).collect::<Vec<_>>(), 4 * k);
-    let cmp = compare_bufferless_in(cfg, demux, &atk.trace, sink).expect("run");
+    let (_, cmp) = concentration(cfg, RoundRobinDemux::new(n, k), n, 4 * k, sink);
     cmp.pps.log
 }
 
@@ -49,15 +48,18 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         ),
         &["buffer cap", "achieved jitter", "forced releases"],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let plan = SweepPlan::new_in("e18", vec![1usize, 2, 4, 8, 16, 32, 48, 64], sink);
     let reports = plan.run(|pt| regulate_online(&log, target, *pt.params));
     // The monotonicity check compares adjacent caps, post-merge.
-    let mut prev = u64::MAX;
     let mut flattened_at = None;
-    for (&cap, rep) in plan.points().iter().zip(reports.iter()) {
-        pass &= rep.achieved_jitter <= prev;
-        prev = rep.achieved_jitter;
+    for (i, (&cap, rep)) in plan.points().iter().zip(reports.iter()).enumerate() {
+        if i > 0 {
+            let shrinks = "achieved jitter ≤ that at the previous cap";
+            let previous = reports[i - 1].achieved_jitter;
+            claims.at(format!("buffer cap = {cap}"));
+            claims.check(shrinks, rep.achieved_jitter, previous);
+        }
         if rep.achieved_jitter == 0 && flattened_at.is_none() {
             flattened_at = Some(cap);
         }
@@ -69,25 +71,29 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     }
     // The curve must start near the unregulated jitter and flatten only
     // once the cap reaches the offline (Theta(N)) requirement.
-    pass &= flattened_at.is_some_and(|cap| cap >= offline.buffer_required.min(48));
-    pass &= unregulated > 0;
-    ExperimentOutput {
-        id: "e18",
-        title: "§6 translation — the delay lower bound as a jitter-regulator buffer bound".into(),
-        tables: vec![table],
-        notes: vec![
-            format!(
+    claims.at("the unregulated run");
+    claims.check("unregulated jitter > 0", unregulated, 0);
+    // A curve that never flattens reads as cap -1.
+    let late = "first buffer cap with zero achieved jitter ≥ min(offline buffer requirement, 48)";
+    let first = flattened_at.map_or(-1, |c| c as i64);
+    claims.at("buffer cap = 1..64");
+    claims.check(late, first, offline.buffer_required.min(48));
+    ExperimentOutput::new(
+        "e18",
+        "§6 translation — the delay lower bound as a jitter-regulator buffer bound",
+        vec![table],
+        &[
+            &format!(
                 "unregulated per-flow jitter of the run: {unregulated} slots; offline \
                  regulator needs {} cells of buffer to flatten it",
                 offline.buffer_required
             ),
             "zero jitter is unreachable below the offline buffer requirement, which \
              grows linearly in N (E15): the Omega(N) delay bound priced in regulator \
-             memory"
-                .into(),
+             memory",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -110,6 +116,7 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 }

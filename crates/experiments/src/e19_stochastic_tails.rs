@@ -21,6 +21,7 @@
 //! never produces (the paper's §6 closing point, here quantified in the
 //! tail rather than the max).
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless_in, relative_delays, Comparison, Table, TailQuantiles};
 use pps_core::bounds;
@@ -84,21 +85,15 @@ pub(crate) fn classes() -> [ClassRunner; 3] {
     ]
 }
 
-/// One measured point: tail stats plus bookkeeping for the pass checks.
-#[derive(Clone, Debug)]
+/// One `(family, class)` point: the materialized trace's cells and minimal
+/// burstiness, the relative-delay tails, and the cells the PPS left behind.
 struct TailPoint {
-    /// Generator family label.
-    pub family: &'static str,
-    /// Information-class label.
-    pub class: &'static str,
-    /// Cells in the materialized trace.
-    pub cells: usize,
-    /// Measured minimal burstiness of the trace.
-    pub burstiness: u64,
-    /// Relative-delay tail statistics.
-    pub tails: TailQuantiles,
-    /// Cells the PPS failed to deliver (must be 0).
-    pub undelivered: usize,
+    family: &'static str,
+    class: &'static str,
+    cells: usize,
+    burstiness: u64,
+    tails: TailQuantiles,
+    undelivered: usize,
 }
 
 impl TailPoint {
@@ -147,21 +142,25 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             "family", "class", "cells", "B_min", "mean", "p99", "p999", "max", "envelope",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     let points = measure(sink);
+    let worst = bounds::theorem6_exact(R_PRIME, N);
     for p in &points {
         // Soundness: everything delivered, tails ordered, and the whole
         // distribution under the traffic-measured envelope ceiling.
-        pass &= p.undelivered == 0;
-        pass &= p.tails.p99 <= p.tails.p999 && p.tails.p999 <= p.tails.max;
-        pass &= p.tails.max <= p.envelope();
+        claims.at(format!("family = {}, class = {}", p.family, p.class));
+        claims.check("undelivered = 0", p.undelivered, 0);
+        claims.check("p99 ≤ p999", p.tails.p99, p.tails.p999);
+        claims.check("p999 ≤ max", p.tails.p999, p.tails.max);
+        claims.check("max ≤ envelope", p.tails.max, p.envelope());
         // The stochastic tail sits far below the adversarial worst case:
         // the deterministic fully-distributed bound at this geometry is
         // (r'−1)(N−1) = 45; even p999 under heavy stochastic load must
         // not reach it for the distributed classes (the paper's point
         // that the worst case needs coordination).
         if p.class.starts_with("fully") {
-            pass &= p.tails.p999 < bounds::theorem6_exact(R_PRIME, N) as i64;
+            let what = "p999 < (r'-1)(N-1) for fully-distributed classes";
+            claims.check(what, p.tails.p999, worst);
         }
         table.row_display(&[
             p.family.to_string(),
@@ -175,23 +174,20 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             p.envelope().to_string(),
         ]);
     }
-    ExperimentOutput {
-        id: "e19",
-        title: "Stochastic heavy traffic — mean and tail relative delay across information classes"
-            .into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e19",
+        "Stochastic heavy traffic — mean and tail relative delay across information classes",
+        vec![table],
+        &[
             "three generator families (Zipf flows, correlated MMPP bursts, full-rate \
              on-off trains), one representative per information class; every cell \
-             delivered, every distribution under the measured-burstiness envelope"
-                .into(),
+             delivered, every distribution under the measured-burstiness envelope",
             "the adversarial ceiling (r'-1)(N-1) = 45 for fully-distributed demuxes is \
              never approached by the stochastic p999 — the worst case needs \
-             coordinated, demux-aware traffic (paper §6)"
-                .into(),
+             coordinated, demux-aware traffic (paper §6)",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -200,7 +196,8 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 
     #[test]

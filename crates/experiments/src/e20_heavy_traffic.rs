@@ -11,12 +11,13 @@
 //! reports, side by side: the measured OQ mean delay vs the Geo/D/1
 //! prediction, and the mean/p99/p999 relative delay of a bufferless and
 //! an input-buffered fully-distributed PPS. The expected shape — and the
-//! pass condition — is that the *absolute* delay diverges with the
+//! claims — is that the *absolute* delay diverges with the
 //! heavy-traffic prediction while the *relative* delay stays flat and
 //! small: the inherent queuing delay of the PPS is an additive geometric
 //! term (`Θ(N/S)` worst-case, near zero typically), not a multiplicative
 //! degradation, exactly as the paper's bounds say.
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{
     compare_buffered_in, compare_bufferless_in, relative_delays, Table, TailQuantiles,
@@ -43,19 +44,15 @@ fn predicted_oq_mean(load: f64) -> f64 {
     ((N - 1) as f64 / N as f64) * load / (2.0 * (1.0 - load))
 }
 
-/// One load point's measurements.
-#[derive(Clone, Debug)]
+/// One load level: the offered per-input load, the shadow OQ's mean
+/// queueing delay, the relative-delay tails of the bufferless and the
+/// buffered PPS, and the cells each left undelivered.
 struct LoadPoint {
-    /// Offered per-input load.
-    pub load: f64,
-    /// Measured mean queueing delay of the shadow OQ switch.
-    pub oq_mean: f64,
-    /// Bufferless PPS relative-delay tails.
-    pub bufferless: TailQuantiles,
-    /// Buffered PPS relative-delay tails.
-    pub buffered: TailQuantiles,
-    /// Undelivered cells (bufferless, buffered).
-    pub undelivered: (usize, usize),
+    load: f64,
+    oq_mean: f64,
+    bufferless: TailQuantiles,
+    buffered: TailQuantiles,
+    undelivered: (usize, usize),
 }
 
 /// Measure one load level.
@@ -107,7 +104,8 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     );
     let plan = SweepPlan::new_in("e20", loads.to_vec(), sink);
     let points = plan.run(|pt| measure(*pt.params, 20_000 + pt.index as u64, pt.sink));
-    let mut pass = true;
+    let mut claims = Claims::default();
+    let worst_case = pps_core::bounds::theorem6_exact(R_PRIME, N);
     for (i, p) in points.iter().enumerate() {
         let w = predicted_oq_mean(p.load);
         // (a) everything delivered; (b) measured OQ mean tracks the
@@ -115,15 +113,19 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         // point, where finite-horizon bias is large); (c) absolute delay
         // grows with load while the relative tail does NOT: p999 stays
         // below the fully-distributed worst case at every load.
-        pass &= p.undelivered == (0, 0);
+        claims.at(format!("load = {:.2}", p.load));
+        let undelivered = p.undelivered.0 + p.undelivered.1;
+        claims.check("undelivered (bl + buf) = 0", undelivered, 0);
         if p.load <= 0.951 {
-            pass &= p.oq_mean > w / 3.0 && p.oq_mean < w * 3.0 + 1.0;
+            claims.check("OQ mean > Geo/D/1 W / 3", p.oq_mean, w / 3.0);
+            claims.check("OQ mean < 3 Geo/D/1 W + 1", p.oq_mean, w * 3.0 + 1.0);
         }
         if i > 0 {
-            pass &= p.oq_mean > points[i - 1].oq_mean;
+            let previous = points[i - 1].oq_mean;
+            claims.check("OQ mean > that at the previous load", p.oq_mean, previous);
         }
-        let worst_case = pps_core::bounds::theorem6_exact(R_PRIME, N) as i64;
-        pass &= p.bufferless.p999 < worst_case && p.buffered.p999 < worst_case;
+        claims.check("bl p999 < (r'-1)(N-1)", p.bufferless.p999, worst_case);
+        claims.check("buf p999 < (r'-1)(N-1)", p.buffered.p999, worst_case);
         table.row_display(&[
             format!("{:.2}", p.load),
             format!("{:.2}", p.oq_mean),
@@ -136,20 +138,18 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
             p.buffered.p999.to_string(),
         ]);
     }
-    ExperimentOutput {
-        id: "e20",
-        title: "Heavy traffic — absolute delay diverges as 1/(1−ρ), relative delay stays geometric"
-            .into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e20",
+        "Heavy traffic — absolute delay diverges as 1/(1−ρ), relative delay stays geometric",
+        vec![table],
+        &[
             "the shadow OQ mean follows the Geo/D/1 heavy-traffic form (N−1)/N·ρ/(2(1−ρ)); \
              the PPS's relative delay does not inherit the 1/(1−ρ) divergence — the \
              inherent queuing delay is an additive geometric cost, which is the \
-             operational content of the paper's bounds under average-case load"
-                .into(),
+             operational content of the paper's bounds under average-case load",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -158,7 +158,8 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! class absorbs exactly the delay the top sheds, and the aggregate mean
 //! is identical under both schedulers.
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
 use pps_core::run::Sink;
@@ -79,9 +80,11 @@ pub(crate) fn run(_sink: &Sink) -> ExperimentOutput {
             "prio max",
         ],
     );
-    let mut pass = true;
+    let mut claims = Claims::default();
     for (c, (f, p)) in tails.iter().enumerate() {
-        pass &= f.count == p.count && f.count > 0;
+        claims.at(format!("class = {c}"));
+        claims.check("cells (prio) = cells (fcfs)", p.count, f.count);
+        claims.check("cells > 0", f.count, 0);
         table.row_display(&[
             c.to_string(),
             p.count.to_string(),
@@ -96,30 +99,36 @@ pub(crate) fn run(_sink: &Sink) -> ExperimentOutput {
     // Priority must shelter the top class relative to FCFS and order the
     // classes among themselves; work conservation must hold exactly
     // (same total delay under both schedulers — the ledger balances).
-    let top = &tails[0];
-    let bottom = &tails[CLASSES as usize - 1];
-    pass &= top.1.mean <= top.0.mean;
-    pass &= top.1.mean <= bottom.1.mean;
-    pass &= bottom.1.mean >= bottom.0.mean;
+    let (top, bottom) = (&tails[0], &tails[CLASSES as usize - 1]);
     let total_fcfs: f64 = tails.iter().map(|(f, _)| f.mean * f.count as f64).sum();
     let total_prio: f64 = tails.iter().map(|(_, p)| p.mean * p.count as f64).sum();
-    pass &= (total_fcfs - total_prio).abs() < 1e-6;
-    ExperimentOutput {
-        id: "e21",
-        title: "Egress priority queueing — per-class tails under strict priority vs FCFS".into(),
-        tables: vec![table],
-        notes: vec![
-            format!(
+    let [sheltered, ordered, absorbs, conserved] = [
+        "top prio mean ≤ top fcfs mean",
+        "top prio mean ≤ bottom prio mean",
+        "bottom prio mean ≥ bottom fcfs mean",
+        "total delay (prio) within 1e-6 of total delay (fcfs)",
+    ];
+    claims.at(format!("top class 0, bottom class {}", CLASSES - 1));
+    claims.check(sheltered, top.1.mean, top.0.mean);
+    claims.check(ordered, top.1.mean, bottom.1.mean);
+    claims.check(absorbs, bottom.1.mean, bottom.0.mean);
+    claims.at("all classes");
+    claims.check(conserved, total_prio, total_fcfs);
+    ExperimentOutput::new(
+        "e21",
+        "Egress priority queueing — per-class tails under strict priority vs FCFS",
+        vec![table],
+        &[
+            &format!(
                 "work conservation is exact: total queueing delay {total_fcfs:.0} slots under \
                  both schedulers — priority only redistributes it across classes"
             ),
             "class 0's mean and p99 drop below FCFS, the bottom class absorbs the \
              difference; the redistribution pattern is the qualitative content of the \
-             egress priority-queueing bounds (Kogan et al.)"
-                .into(),
+             egress priority-queueing bounds (Kogan et al.)",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -128,7 +137,8 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 
     #[test]

@@ -16,18 +16,19 @@
 //! `ρ < N / (2(N−1)) ≈ 0.53`); the high-load rows chart the unprovable
 //! region — QPS-r keeps draining, the bound column just goes blank.
 
+use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_crossbar::{run_crossbar_in, QpsRScheduler};
+use pps_crossbar::{run_crossbar_in, IslipArbiter, QpsRScheduler};
 use pps_reference::oq::run_oq_in;
 use pps_traffic::gen::BernoulliGen;
 
 /// Ports.
 pub(crate) const N: usize = 16;
 /// Slots per load point.
-const HORIZON: u64 = 10_000;
+pub(crate) const HORIZON: u64 = 10_000;
 
 /// The Cogill–Lall conflict load `λc = 2ρ(N−1)/N` for uniform traffic.
 pub(crate) fn conflict_load(load: f64) -> f64 {
@@ -41,58 +42,69 @@ pub(crate) fn envelope(load: f64) -> Option<f64> {
     (lc < 1.0).then(|| lc / (1.0 - lc))
 }
 
-/// Delay tails of one scheduler run.
-pub(crate) fn tails(log: &RunLog) -> TailQuantiles {
-    let delays: Vec<i64> = log.delays().flatten().map(|d| d as i64).collect();
-    TailQuantiles::from(&delays).expect("non-empty run")
+/// One load point of a crossbar sweep: the ideal OQ mean delay, the delay
+/// tails of each scheduler run in order, and the cells they left behind.
+pub(crate) struct LoadPoint {
+    pub(crate) load: f64,
+    pub(crate) oq_mean: f64,
+    pub(crate) runs: Vec<TailQuantiles>,
+    pub(crate) undelivered: usize,
 }
 
-/// One load point's measurements.
-#[derive(Clone, Debug)]
-struct LoadPoint {
-    /// Offered per-input load.
-    pub load: f64,
-    /// Ideal OQ mean delay.
-    pub oq_mean: f64,
-    /// iSLIP (2 iterations) delay tails.
-    pub islip: TailQuantiles,
-    /// QPS-r delay tails, indexed by `r - 1`.
-    pub qps: [TailQuantiles; 3],
-    /// Undelivered cells across all crossbar runs.
-    pub undelivered: usize,
-}
-
-/// Measure one load level.
-fn measure(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
+/// Run the shadow OQ, then every scheduler `runs` runs, on the `HORIZON`-slot
+/// uniform Bernoulli trace at `load`.
+pub(crate) fn measure(
+    load: f64,
+    seed: u64,
+    sink: &Sink,
+    runs: impl FnOnce(&Trace) -> Vec<RunLog>,
+) -> LoadPoint {
     let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
-    let oq = run_oq_in(&trace, N, sink);
-    let (islip_log, _) = run_crossbar_in(&trace, pps_crossbar::IslipArbiter::new(N, 2), sink);
-    let qps: Vec<(RunLog, TailQuantiles)> = (1..=3)
-        .map(|r| {
-            let (log, _) = run_crossbar_in(&trace, QpsRScheduler::new(N, r, seed ^ r as u64), sink);
-            let t = tails(&log);
-            (log, t)
-        })
-        .collect();
+    let oq_mean = run_oq_in(&trace, N, sink).mean_delay().unwrap_or(0.0);
+    let logs = runs(&trace);
+    let tails = |log: &RunLog| {
+        let delays: Vec<i64> = log.delays().flatten().map(|d| d as i64).collect();
+        TailQuantiles::from(&delays).expect("non-empty run")
+    };
     LoadPoint {
         load,
-        oq_mean: oq.mean_delay().unwrap_or(0.0),
-        islip: tails(&islip_log),
-        qps: [qps[0].1.clone(), qps[1].1.clone(), qps[2].1.clone()],
-        undelivered: islip_log.undelivered()
-            + qps.iter().map(|(l, _)| l.undelivered()).sum::<usize>(),
+        oq_mean,
+        runs: logs.iter().map(tails).collect(),
+        undelivered: logs.iter().map(RunLog::undelivered).sum(),
     }
 }
 
-/// Format a tail quantile, flagging unresolved small samples with `~`
-/// (see `TailQuantiles` — for `count < den` the order statistic is the
-/// max by definition).
-pub(crate) fn fmt_p99(q: &TailQuantiles) -> String {
-    if q.resolvable(100) {
-        q.p99.to_string()
-    } else {
-        format!("~{}", q.p99)
-    }
+/// iSLIP (2 iterations), then QPS-r for `r = 1, 2, 3`.
+fn point(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
+    measure(load, seed, sink, |trace| {
+        let islip = IslipArbiter::new(N, 2);
+        let mut logs = vec![run_crossbar_in(trace, islip, sink).0];
+        for r in 1..=3 {
+            let qps = QpsRScheduler::new(N, r, seed ^ r as u64);
+            logs.push(run_crossbar_in(trace, qps, sink).0);
+        }
+        logs
+    })
+}
+
+/// `mean/p99`, flagging an unresolved small-sample p99 with `~` (see
+/// `TailQuantiles` — for `count < den` the order statistic is the max by
+/// definition).
+pub(crate) fn mean_p99(q: &TailQuantiles) -> String {
+    let unresolved = if q.resolvable(100) { "" } else { "~" };
+    format!("{:.2}/{unresolved}{}", q.mean, q.p99)
+}
+
+/// A table row: load, `λc`, envelope, OQ mean, then each run's `mean/p99`.
+pub(crate) fn row(p: &LoadPoint) -> Vec<String> {
+    let mut row = vec![
+        format!("{:.2}", p.load),
+        format!("{:.2}", conflict_load(p.load)),
+        envelope(p.load).map_or("—".into(), |e| format!("{e:.2}")),
+        format!("{:.2}", p.oq_mean),
+    ];
+    row.extend(p.runs.iter().map(mean_p99));
+    row
 }
 
 /// Run the sweep.
@@ -115,44 +127,35 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         ],
     );
     let plan = SweepPlan::new_in("e22", loads.to_vec(), sink);
-    let points = plan.run(|pt| measure(*pt.params, 2200 + pt.index as u64, pt.sink));
-    let mut pass = true;
+    let points = plan.run(|pt| point(*pt.params, 2200 + pt.index as u64, pt.sink));
+    let mut claims = Claims::default();
     for p in &points {
-        pass &= p.undelivered == 0;
+        claims.at(format!("load = {:.2}", p.load));
+        claims.check("undelivered = 0", p.undelivered, 0);
         if let Some(env) = envelope(p.load) {
             // The paper's guarantee: expected extra waiting over the ideal
             // OQ stays inside the conflict envelope, for every r.
-            for q in &p.qps {
-                pass &= q.mean - p.oq_mean <= env;
-            }
+            let extra = p.runs[1..]
+                .iter()
+                .map(|q| q.mean - p.oq_mean)
+                .fold(f64::MIN, f64::max);
+            claims.check("max over r of qps-r mean - OQ mean ≤ envelope", extra, env);
         }
-        let fmt = |q: &TailQuantiles| format!("{:.2}/{}", q.mean, fmt_p99(q));
-        table.row_display(&[
-            format!("{:.2}", p.load),
-            format!("{:.2}", conflict_load(p.load)),
-            envelope(p.load).map_or("—".into(), |e| format!("{e:.2}")),
-            format!("{:.2}", p.oq_mean),
-            fmt(&p.islip),
-            fmt(&p.qps[0]),
-            fmt(&p.qps[1]),
-            fmt(&p.qps[2]),
-        ]);
+        table.row_display(&row(p));
     }
-    ExperimentOutput {
-        id: "e22",
-        title: "QPS-r — queue-proportional sampling meets the maximal-matching envelope".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e22",
+        "QPS-r — queue-proportional sampling meets the maximal-matching envelope",
+        vec![table],
+        &[
             "QPS-r's distinguishing claim is a maximal-matching delay guarantee at O(1) \
              per-port work: measured extra waiting over OQ sits far inside λc/(1−λc) \
-             wherever that envelope is a theorem (λc < 1)"
-                .into(),
+             wherever that envelope is a theorem (λc < 1)",
             "more rounds help the constant, not the guarantee — r = 1 already carries \
-             the full envelope"
-                .into(),
+             the full envelope",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -161,14 +164,15 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 
     #[test]
     fn qps_extra_wait_sits_inside_the_envelope() {
-        let p = measure(0.35, 9, &Sink::default());
+        let p = point(0.35, 9, &Sink::default());
         let env = envelope(0.35).unwrap();
-        for q in &p.qps {
+        for q in &p.runs[1..] {
             assert!(
                 q.mean - p.oq_mean <= env,
                 "extra wait {} vs envelope {env}",

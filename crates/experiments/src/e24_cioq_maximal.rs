@@ -16,50 +16,26 @@
 //! on speedup 1; critical-first tracks OQ tighter still — the price of
 //! deadline bookkeeping is what the envelope saves you from paying.
 
-use crate::e22_qps_crossbar::{conflict_load, envelope, fmt_p99, tails, N};
+use crate::claim::Claims;
+use crate::e22_qps_crossbar::{envelope, measure, row, LoadPoint, HORIZON, N};
 use crate::ExperimentOutput;
-use pps_analysis::{Table, TailQuantiles};
+use pps_analysis::Table;
 use pps_core::run::Sink;
 use pps_core::sweep::SweepPlan;
 use pps_crossbar::{run_cioq_in, CioqPolicy};
-use pps_reference::oq::run_oq_in;
-use pps_traffic::gen::BernoulliGen;
 
-/// Slots per load point.
-const HORIZON: u64 = 10_000;
-
-/// One load point's measurements.
-#[derive(Clone, Debug)]
-struct LoadPoint {
-    /// Offered per-input load.
-    pub load: f64,
-    /// Ideal OQ mean delay.
-    pub oq_mean: f64,
-    /// Maximal round-robin at speedup 1.
-    pub mm_s1: TailQuantiles,
-    /// Maximal round-robin at speedup 2.
-    pub mm_s2: TailQuantiles,
-    /// Critical-cells-first at speedup 2.
-    pub cf_s2: TailQuantiles,
-    /// Undelivered cells across all runs.
-    pub undelivered: usize,
-}
-
-/// Measure one load level.
-fn measure(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
-    let trace = BernoulliGen::uniform(load, seed).trace(N, HORIZON);
-    let oq = run_oq_in(&trace, N, sink);
-    let mm1 = run_cioq_in(&trace, N, 1, CioqPolicy::MaximalRr, sink);
-    let mm2 = run_cioq_in(&trace, N, 2, CioqPolicy::MaximalRr, sink);
-    let cf2 = run_cioq_in(&trace, N, 2, CioqPolicy::CriticalFirst, sink);
-    LoadPoint {
-        load,
-        oq_mean: oq.mean_delay().unwrap_or(0.0),
-        mm_s1: tails(&mm1),
-        mm_s2: tails(&mm2),
-        cf_s2: tails(&cf2),
-        undelivered: mm1.undelivered() + mm2.undelivered() + cf2.undelivered(),
-    }
+/// Maximal round-robin at speedup 1 and 2, then critical-cells-first at
+/// speedup 2.
+fn point(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
+    measure(load, seed, sink, |trace| {
+        let runs = [
+            (1, CioqPolicy::MaximalRr),
+            (2, CioqPolicy::MaximalRr),
+            (2, CioqPolicy::CriticalFirst),
+        ];
+        runs.map(|(s, policy)| run_cioq_in(trace, N, s, policy, sink))
+            .into()
+    })
 }
 
 /// Run the sweep.
@@ -81,45 +57,37 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
         ],
     );
     let plan = SweepPlan::new_in("e24", loads.to_vec(), sink);
-    let points = plan.run(|pt| measure(*pt.params, 2400 + pt.index as u64, pt.sink));
-    let mut pass = true;
+    let points = plan.run(|pt| point(*pt.params, 2400 + pt.index as u64, pt.sink));
+    let mut claims = Claims::default();
     for p in &points {
-        pass &= p.undelivered == 0;
+        claims.at(format!("load = {:.2}", p.load));
+        claims.check("undelivered = 0", p.undelivered, 0);
         // Speedup 2 never loses to speedup 1 (same matching, twice the
-        // phases), and the deadline-aware policy never loses to the blind
+        // phases; the same cells, so the means compare as their integer
+        // sums do), and the deadline-aware policy never loses to the blind
         // one at the same speedup.
-        pass &= p.mm_s2.mean <= p.mm_s1.mean + 1e-9;
-        pass &= p.cf_s2.mean <= p.mm_s2.mean + 0.05;
+        let [mm_s1, mm_s2, cf_s2] = [0, 1, 2].map(|i| p.runs[i].mean);
+        claims.check("mm s=2 mean ≤ mm s=1 mean", mm_s2, mm_s1);
+        claims.check("cf s=2 mean ≤ mm s=2 mean + 0.05", cf_s2, mm_s2 + 0.05);
         if let Some(env) = envelope(p.load) {
             // The theorem under test: blind maximal matching at speedup 2
             // stays inside the conflict envelope of the ideal OQ delay.
-            pass &= p.mm_s2.mean - p.oq_mean <= env;
+            claims.check("mm s=2 mean - OQ mean ≤ envelope", mm_s2 - p.oq_mean, env);
         }
-        let fmt = |q: &TailQuantiles| format!("{:.2}/{}", q.mean, fmt_p99(q));
-        table.row_display(&[
-            format!("{:.2}", p.load),
-            format!("{:.2}", conflict_load(p.load)),
-            envelope(p.load).map_or("—".into(), |e| format!("{e:.2}")),
-            format!("{:.2}", p.oq_mean),
-            fmt(&p.mm_s1),
-            fmt(&p.mm_s2),
-            fmt(&p.cf_s2),
-        ]);
+        table.row_display(&row(p));
     }
-    ExperimentOutput {
-        id: "e24",
-        title: "Maximal matching with speedup — the Cogill–Lall envelope, measured".into(),
-        tables: vec![table],
-        notes: vec![
+    ExperimentOutput::new(
+        "e24",
+        "Maximal matching with speedup — the Cogill–Lall envelope, measured",
+        vec![table],
+        &[
             "any maximal matching at speedup 2 inherits the λc/(1−λc) waiting envelope; \
-             the measured blind round-robin matching sits far inside it wherever λc < 1"
-                .into(),
+             the measured blind round-robin matching sits far inside it wherever λc < 1",
             "critical-first at the same speedup tracks OQ tighter — deadline bookkeeping \
-             buys the constant, the envelope is free"
-                .into(),
+             buys the constant, the envelope is free",
         ],
-        pass,
-    }
+        claims,
+    )
 }
 
 #[cfg(test)]
@@ -128,19 +96,21 @@ mod tests {
 
     #[test]
     fn full_run_passes() {
-        assert!(run(&Sink::default()).pass);
+        let out = run(&Sink::default());
+        assert!(out.pass, "{}", out.render());
     }
 
     #[test]
     fn speedup_two_is_inside_the_envelope() {
-        let p = measure(0.35, 11, &Sink::default());
+        let p = point(0.35, 11, &Sink::default());
         let env = envelope(0.35).unwrap();
+        let [mm_s1, mm_s2] = [0, 1].map(|i| p.runs[i].mean);
         assert_eq!(p.undelivered, 0);
         assert!(
-            p.mm_s2.mean - p.oq_mean <= env,
+            mm_s2 - p.oq_mean <= env,
             "extra wait {} vs envelope {env}",
-            p.mm_s2.mean - p.oq_mean
+            mm_s2 - p.oq_mean
         );
-        assert!(p.mm_s2.mean <= p.mm_s1.mean + 1e-9);
+        assert!(mm_s2 <= mm_s1);
     }
 }

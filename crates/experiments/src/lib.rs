@@ -1,45 +1,18 @@
 //! # pps-experiments — the per-theorem reproduction suite
 //!
-//! One experiment per result in the paper (see DESIGN.md §4 for the full
-//! index). Each experiment builds its traffic, runs the PPS and the shadow
-//! output-queued switch on it, and emits a table of *paper-predicted bound*
-//! vs *measured value* across a parameter sweep. `ppslab` (the CLI binary)
-//! runs any subset and prints the tables; EXPERIMENTS.md records the
-//! committed outputs.
-//!
-//! | id | paper result | module |
-//! |----|--------------|--------|
-//! | e1 | Theorem 6 — d-partitioned fully-distributed ≥ (R/r−1)·d | `e01_partitioned` |
-//! | e2 | Corollary 7 — unpartitioned fully-distributed ≥ (R/r−1)·N | `e02_unpartitioned` |
-//! | e3 | Theorem 8 — any fully-distributed ≥ (R/r−1)·N/S | [`e03_fd_general`] |
-//! | e4 | Theorem 10 — bufferless u-RT ≥ (1−u'r/R)·u'N/S | `e04_urt` |
-//! | e5 | Corollary 11 — real-time distributed ≥ (1−r/R)·N/S | `e05_rt` |
-//! | e6 | Theorem 12 — buffered u-RT, S ≥ 2: ≤ u (upper bound) | `e06_buffered_cpa` |
-//! | e7 | Theorem 13 — buffered fully-distributed ≥ (1−r/R)·N/S, any buffer | `e07_buffered_fd` |
-//! | e8 | Theorem 14 — extended FTD: zero relative delay in congestion | [`e08_ftd_congestion`] |
-//! | e9 | Proposition 15 — congestion traffic is not leaky-bucket | `e09_lb_violation` |
-//! | e10 | CPA (cited \[14\]) — zero relative delay at S ≥ 2 | `e10_cpa` |
-//! | e11 | Iyer–McKeown (cited \[15\]) — Θ((R/r)·N) tightness | `e11_tightness` |
-//! | e12 | §1.2 — "the PPS does not scale": delay linear in N to 1024 | `e12_scaling` |
-//! | e13 | baseline: PPS vs ideal OQ vs iSLIP input-queued crossbar | `e13_crossbar_baseline` |
-//! | e14 | §6 open question — randomized demux delay distribution | `e14_random_distribution` |
-//! | e15 | §1.2/§6 — buffers implied by the delay bounds (planes, resequencer, jitter regulator) | `e15_buffer_implications` |
-//! | e16 | §4 small-buffer regime — holding without coordination keeps the u-RT bound | `e16_small_buffers` |
-//! | e17 | related work — CIOQ crossbar speedup-2 mimicking threshold | `e17_cioq_speedup` |
-//! | e18 | §6 — the delay bound as a jitter-regulator buffer bound | `e18_regulator_tradeoff` |
-//! | e19 | stochastic heavy traffic — tail relative delay across information classes | `e19_stochastic_tails` |
-//! | e20 | heavy-traffic regime — absolute delay diverges, relative delay stays geometric | `e20_heavy_traffic` |
-//! | e21 | egress priority queueing — per-class tails, strict priority vs FCFS | `e21_priority_classes` |
-//! | e22 | scheduler zoo — QPS-r vs the maximal-matching conflict envelope | `e22_qps_crossbar` |
-//! | e23 | scheduler zoo — SW-QPS sliding window: batch quality, zero batch delay | `e23_sw_qps` |
-//! | e24 | scheduler zoo — maximal matching with speedup (Cogill–Lall envelope) | `e24_cioq_maximal` |
-//! | a1 | §3 fault-tolerance motivation — plane failure ablation | [`a1_fault`] |
-//! | a2 | CPA speedup threshold ablation (S sweep across 2) | `a2_speedup` |
-//! | a3 | output-discipline ablation | `a3_discipline` |
+//! One experiment per result in the paper. Each experiment builds its
+//! traffic, runs the PPS and the shadow output-queued switch on it, and
+//! emits a table of *paper-predicted bound* vs *measured value* across a
+//! parameter sweep, with its claims about that table ([`Claim`]), from which
+//! its verdict is derived. `ppslab` (the CLI binary) runs any subset and
+//! prints the tables; EXPERIMENTS.md records the committed outputs. The
+//! index is DESIGN.md §4, held to [`EXPERIMENTS`] by a test.
 
 pub mod a1_fault;
 mod a2_speedup;
 mod a3_discipline;
+mod attack;
+mod claim;
 pub mod cli;
 mod e01_partitioned;
 mod e02_unpartitioned;
@@ -67,6 +40,9 @@ mod e23_sw_qps;
 mod e24_cioq_maximal;
 pub mod run;
 
+pub use attack::AttackPoint;
+pub use claim::Claim;
+use claim::Claims;
 use pps_analysis::Table;
 use pps_core::run::Sink;
 
@@ -81,11 +57,33 @@ pub struct ExperimentOutput {
     pub tables: Vec<Table>,
     /// Free-form observations (phase logs, caveats).
     pub notes: Vec<String>,
-    /// Did the measured values land on the correct side of every bound?
+    /// Did every claim hold?
     pub pass: bool,
+    /// What the experiment asserts about its tables.
+    pub claims: Vec<Claim>,
 }
 
 impl ExperimentOutput {
+    /// The outcome of experiment `id`: it passes when every claim holds.
+    /// This is the one place a verdict is derived.
+    fn new(
+        id: &'static str,
+        title: &str,
+        tables: Vec<Table>,
+        notes: &[&str],
+        claims: Claims,
+    ) -> Self {
+        let claims = claims.list;
+        ExperimentOutput {
+            id,
+            title: title.to_string(),
+            tables,
+            notes: notes.iter().map(|n| n.to_string()).collect(),
+            pass: claims.iter().all(Claim::holds),
+            claims,
+        }
+    }
+
     /// Render the experiment as GitHub-flavoured markdown (tables become
     /// pipe tables; notes become a bullet list).
     pub fn render_markdown(&self) -> String {
@@ -96,6 +94,9 @@ impl ExperimentOutput {
         }
         for n in &self.notes {
             out.push_str(&format!("- {n}\n"));
+        }
+        for f in self.claims.iter().filter_map(Claim::failure) {
+            out.push_str(&format!("- {f}\n"));
         }
         out.push_str(if self.pass {
             "\n**Verdict: PASS**\n"
@@ -117,6 +118,9 @@ impl ExperimentOutput {
             out.push_str(n);
             out.push('\n');
         }
+        for f in self.claims.iter().filter_map(Claim::failure) {
+            out.push_str(&format!("  {f}\n"));
+        }
         out.push_str(if self.pass {
             "  verdict: PASS (measured on the predicted side of every bound)\n"
         } else {
@@ -124,6 +128,24 @@ impl ExperimentOutput {
         });
         out
     }
+}
+
+/// The Summary table of EXPERIMENTS.md, generated from the experiments'
+/// claims: one row per experiment, its title, its claims and its verdict.
+pub fn summary(outputs: &[ExperimentOutput]) -> String {
+    let mut out =
+        "| Exp | Result | Claims, each at every point of its table | Verdict |\n".to_string();
+    out += "|-----|--------|------------------------------------------|---------|\n";
+    for o in outputs {
+        let claims: Vec<String> = o.claims.iter().map(|c| format!("`{c}`")).collect();
+        let (id, verdict) = (o.id.to_uppercase(), if o.pass { "PASS" } else { "FAIL" });
+        out += &format!(
+            "| {id} | {} | {} | {verdict} |\n",
+            o.title,
+            claims.join("; ")
+        );
+    }
+    out
 }
 
 /// An experiment: its tables, computed as part of the run `sink` records.
@@ -174,4 +196,31 @@ pub fn registry() -> Vec<(&'static str, Runner)> {
         ($($i:literal)*) => { vec![$((EXPERIMENTS[$i].0, argless::<$i> as Runner)),*] };
     }
     runners!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::EXPERIMENTS;
+
+    #[test]
+    fn design_index_lists_every_experiment_once_in_order() {
+        // DESIGN.md §4 is the experiment index; its figure rows (F1, F2)
+        // are not experiments.
+        let design = include_str!("../../../DESIGN.md");
+        let (_, index) = design
+            .split_once("## 4. Per-experiment index")
+            .expect("DESIGN.md has §4");
+        let (index, _) = index.split_once("\n## 5.").expect("§5 follows §4");
+        let ids: Vec<String> = index
+            .lines()
+            .filter_map(|l| l.strip_prefix("| ")?.split(' ').next())
+            .filter(|id| {
+                let (class, number) = id.split_at(1);
+                matches!(class, "E" | "A") && number.parse::<u32>().is_ok()
+            })
+            .map(str::to_lowercase)
+            .collect();
+        let registry: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, registry);
+    }
 }

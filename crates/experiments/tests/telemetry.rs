@@ -13,7 +13,7 @@
 use pps_core::run::{self, RunReport, RunSpec};
 use pps_core::sweep::SweepPlan;
 use pps_core::telemetry::{self, Level};
-use pps_experiments::e03_fd_general;
+use pps_experiments::{e03_fd_general, AttackPoint};
 
 fn at(telemetry: Level) -> RunSpec {
     RunSpec {
@@ -22,13 +22,10 @@ fn at(telemetry: Level) -> RunSpec {
     }
 }
 
-/// What `e03_fd_general::point` measures.
-type E3Point = (f64, u64, usize, u64, u64, i64, i64, u64);
-
 /// One lockstep E3 point: a bufferless PPS against its shadow OQ on the
 /// same concentration-attack trace. Small enough for a test, rich enough
 /// to emit every dataplane event kind on both engines.
-fn lockstep_point(level: Level) -> RunReport<E3Point> {
+fn lockstep_point(level: Level) -> RunReport<AttackPoint> {
     run::run(&at(level), "e3-point", |sink| {
         e03_fd_general::point(16, 8, 4, sink)
     })

@@ -21,10 +21,7 @@
 
 pub mod chrome;
 mod metrics;
-mod oracle;
 mod sink;
-
-pub use oracle::{check_stream, StreamOracleConfig};
 
 use chrome::write_chrome;
 use metrics::MetricsReport;

@@ -24,6 +24,9 @@
 # * argv parsers: non-test functions that walk an argv iterator
 #   (`while let Some(..) = it.next()`), plus closures over `flag_value`.
 # * exit sites: `process::exit` calls in bin/ppslab.rs.
+# * verdict folds: `pass &=` sites anywhere under crates/experiments. An
+#   experiment's verdict is derived from its claims in one place
+#   (`ExperimentOutput::new`), so this reads 0 (CI gates it).
 # * items named by ppsbench: the distinct `pps_*::` paths in the non-comment
 #   lines of ppsbench/src, brace groups expanded (`a::{b, self}` names
 #   `a::b` and `a`) — the benchmark's frozen surface (DESIGN.md, "The
@@ -93,6 +96,7 @@ echo "ppslab flags         $flags"
 echo "ppslab modes         $modes"
 echo "argv parsers         $parsers"
 echo "ppslab exit sites    $(grep -c 'process::exit' crates/experiments/src/bin/ppslab.rs)"
+echo "verdict folds        $(grep -rho 'pass &=' crates/experiments | wc -l)"
 
 named=0
 crates='pps_(analysis|chaos|core|crossbar|experiments|reference|switch|telemetry|traffic|workload)'

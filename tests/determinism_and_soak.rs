@@ -89,17 +89,20 @@ fn registry_tables_identical_across_job_counts() {
     // every experiment renders byte-identically. This is what lets ppslab
     // default to all cores without touching a single golden number.
     use pps_core::run::{self, RunSpec};
-    use pps_experiments::EXPERIMENTS;
-    // Each experiment followed by a blank line, as `ppslab` prints them.
-    let render_all = |jobs: usize| -> String {
+    use pps_experiments::{ExperimentOutput, EXPERIMENTS};
+    let run_all = |jobs: usize| -> Vec<ExperimentOutput> {
         let spec = RunSpec {
             jobs,
             ..RunSpec::default()
         };
         EXPERIMENTS
             .iter()
-            .map(|&(id, experiment)| run::run(&spec, id, experiment).output.render() + "\n")
+            .map(|&(id, experiment)| run::run(&spec, id, experiment).output)
             .collect()
+    };
+    // Each experiment followed by a blank line, as `ppslab` prints them.
+    let render = |outputs: &[ExperimentOutput]| -> String {
+        outputs.iter().map(|out| out.render() + "\n").collect()
     };
     let assert_same = |what: &str, ours: &str, theirs: &str| {
         if ours != theirs {
@@ -118,8 +121,14 @@ fn registry_tables_identical_across_job_counts() {
             panic!("rendered tables differ between jobs=1 and {what}; {diff}");
         }
     };
-    let serial = render_all(1);
-    let parallel = render_all(8);
+    let outputs = run_all(1);
+    // Every experiment states what it claims, and every claim holds.
+    for out in &outputs {
+        assert!(!out.claims.is_empty(), "{} states no claim", out.id);
+        assert!(out.claims.iter().all(|c| c.holds()), "{}", out.render());
+    }
+    let serial = render(&outputs);
+    let parallel = render(&run_all(8));
     assert_same("jobs=8", &serial, &parallel);
 
     // The same rendering is the committed behavioural contract: the fenced
@@ -131,6 +140,22 @@ fn registry_tables_identical_across_job_counts() {
         .expect("EXPERIMENTS.md has a fenced block under `## Full committed output`");
     let (committed, _) = rest.split_once("```\n").expect("the block is closed");
     assert_same("EXPERIMENTS.md", &serial, committed);
+
+    // The Summary table is generated from the claims: it says what the
+    // verdicts check, no more and no less.
+    let summary = pps_experiments::summary(&outputs);
+    let (_, rest) = doc
+        .split_once("## Summary of outcomes\n")
+        .expect("EXPERIMENTS.md has a Summary");
+    let table = rest.find("\n| Exp |").expect("the Summary has its table") + 1;
+    let committed = &rest[table
+        ..rest[table..]
+            .find("\n\n")
+            .map_or(rest.len(), |e| table + e + 1)];
+    assert!(
+        committed == summary,
+        "EXPERIMENTS.md's Summary table is not what the claims say; it should read:\n{summary}"
+    );
 }
 
 #[test]
