@@ -1,11 +1,10 @@
-//! `ppslab chaos` — the campaign flags and the fuzzing driver.
+//! `ppslab chaos` — the campaign options and the fuzzing driver.
 //!
 //! Lives here (not in the driver binary) so the harness tests exercise
-//! the exact code path the CLI runs, flag parsing included: `ppslab`'s one
-//! argv pass turns `--jobs` / `--telemetry` into the [`RunSpec`] it hands
-//! [`run`], and hands [`parse`] the rest.
-//! All errors are typed: the driver prints them and exits nonzero instead
-//! of panicking on a bad flag or an unwritable repro directory.
+//! the exact code path the CLI runs: `ppslab`'s one argv pass fills
+//! [`ChaosOptions`] and the [`RunSpec`] it hands [`run`]. An unwritable
+//! repro directory is a typed error, which the driver prints before it
+//! exits nonzero.
 
 use crate::case::ChaosCase;
 use crate::report::{case_line, failure_block, render, write_repro};
@@ -19,38 +18,23 @@ use pps_core::time::Slot;
 use std::fmt;
 use std::path::PathBuf;
 
-/// A user-facing chaos-driver error. Every variant maps to a message and
-/// a nonzero exit, never a panic.
+/// Writing a repro failed: the directory and the underlying error. The
+/// driver prints it and exits nonzero, never panics.
 #[derive(Debug)]
-pub enum ChaosError {
-    /// A flag was unknown, malformed, or inconsistent with the others.
-    InvalidFlag(String),
-    /// Reading or writing a file failed.
-    Io {
-        /// What the driver was touching.
-        path: PathBuf,
-        /// The underlying error.
-        source: std::io::Error,
-    },
-    /// A `--plan` CSV failed to load or parse.
-    BadPlan(String),
+pub struct ChaosError {
+    path: PathBuf,
+    source: std::io::Error,
 }
 
 impl fmt::Display for ChaosError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChaosError::InvalidFlag(msg) => write!(f, "invalid argument: {msg}"),
-            ChaosError::Io { path, source } => {
-                write!(f, "i/o error on {}: {source}", path.display())
-            }
-            ChaosError::BadPlan(msg) => write!(f, "bad fault plan: {msg}"),
-        }
+        write!(f, "i/o error on {}: {}", self.path.display(), self.source)
     }
 }
 
 impl std::error::Error for ChaosError {}
 
-/// Parsed `ppslab chaos` options.
+/// `ppslab chaos`'s options, filled by `ppslab`'s one argv pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosOptions {
     /// Master seed; every case seed derives from it.
@@ -85,59 +69,6 @@ impl Default for ChaosOptions {
             inject_leak: 0,
         }
     }
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ChaosError>
-where
-    T::Err: fmt::Display,
-{
-    value
-        .parse()
-        .map_err(|e| ChaosError::InvalidFlag(format!("{flag} {value}: {e}")))
-}
-
-/// Parse the campaign flags of `ppslab chaos` (`--flag value` pairs).
-pub fn parse(args: &[String]) -> Result<ChaosOptions, ChaosError> {
-    let mut opts = ChaosOptions::default();
-    let mut plan_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .ok_or_else(|| ChaosError::InvalidFlag(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
-            "--seed" => opts.seed = parse_num(flag, value()?)?,
-            "--cases" => opts.cases = parse_num(flag, value()?)?,
-            "--budget-slots" => opts.budget_slots = parse_num(flag, value()?)?,
-            "--repro-out" => opts.repro_out = PathBuf::from(value()?),
-            "--case" => opts.only_case = Some(parse_num(flag, value()?)?),
-            "--plan" => plan_path = Some(PathBuf::from(value()?)),
-            "--truncate-at" => opts.truncate_at = Some(parse_num(flag, value()?)?),
-            "--inject-leak" => opts.inject_leak = parse_num(flag, value()?)?,
-            other => {
-                return Err(ChaosError::InvalidFlag(format!("unknown flag {other}")));
-            }
-        }
-    }
-    if let Some(path) = plan_path {
-        if opts.only_case.is_none() {
-            return Err(ChaosError::InvalidFlag(
-                "--plan replays one case and requires --case <index>".into(),
-            ));
-        }
-        let plan = pps_core::fault::load(&path).map_err(|e| ChaosError::BadPlan(e.to_string()))?;
-        opts.plan_override = Some(plan);
-    }
-    if opts.truncate_at.is_some() && opts.only_case.is_none() {
-        return Err(ChaosError::InvalidFlag(
-            "--truncate-at replays one case and requires --case <index>".into(),
-        ));
-    }
-    if opts.cases == 0 {
-        return Err(ChaosError::InvalidFlag("--cases must be at least 1".into()));
-    }
-    Ok(opts)
 }
 
 /// A finished chaos run: the rendered report, the failure count and what
@@ -208,7 +139,7 @@ pub fn run(opts: &ChaosOptions, spec: &RunSpec) -> Result<ChaosReport, ChaosErro
                 Some(sh) => {
                     let dir =
                         write_repro(&opts.repro_out, seed, budget, case, sh, opts.inject_leak)
-                            .map_err(|source| ChaosError::Io {
+                            .map_err(|source| ChaosError {
                                 path: opts.repro_out.clone(),
                                 source,
                             })?;
@@ -231,53 +162,4 @@ pub fn run(opts: &ChaosOptions, spec: &RunSpec) -> Result<ChaosReport, ChaosErro
         failed,
         meters: report.meters,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn s(args: &[&str]) -> Vec<String> {
-        args.iter().map(|a| a.to_string()).collect()
-    }
-
-    #[test]
-    fn parse_happy_path() {
-        let opts = parse(&s(&[
-            "--seed",
-            "7",
-            "--cases",
-            "12",
-            "--budget-slots",
-            "99",
-        ]))
-        .unwrap();
-        assert_eq!(opts.seed, 7);
-        assert_eq!(opts.cases, 12);
-        assert_eq!(opts.budget_slots, 99);
-    }
-
-    #[test]
-    fn unknown_flag_is_typed() {
-        let err = parse(&s(&["--bogus"])).unwrap_err();
-        assert!(matches!(err, ChaosError::InvalidFlag(_)));
-    }
-
-    #[test]
-    fn plan_requires_case() {
-        let err = parse(&s(&["--plan", "x.csv"])).unwrap_err();
-        assert!(matches!(err, ChaosError::InvalidFlag(_)));
-    }
-
-    #[test]
-    fn missing_plan_file_is_typed() {
-        let err = parse(&s(&["--case", "0", "--plan", "/nonexistent/plan.csv"])).unwrap_err();
-        assert!(matches!(err, ChaosError::BadPlan(_)));
-    }
-
-    #[test]
-    fn malformed_value_is_typed() {
-        let err = parse(&s(&["--cases", "many"])).unwrap_err();
-        assert!(matches!(err, ChaosError::InvalidFlag(_)));
-    }
 }

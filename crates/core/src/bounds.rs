@@ -5,8 +5,9 @@
 //! and the docs telling the same story. Each function documents the exact
 //! statement it encodes, and the `*_exact` variants re-derive the bound
 //! under this model's timing convention (a plane's first delivery
-//! completes in its starting slot — see DESIGN.md §4 "Deviations"), which
-//! subtracts one `(R/r − 1)` term. Asymptotics are identical.
+//! completes in its starting slot — see EXPERIMENTS.md, "Deviations from
+//! the paper"), which subtracts one `(R/r − 1)` term. Asymptotics are
+//! identical.
 
 use crate::config::PpsConfig;
 

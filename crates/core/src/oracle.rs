@@ -7,7 +7,8 @@
 //! every engine already produces ([`RunLog`], per-slot counters, sampled
 //! occupancy series). The chaos harness (`pps-chaos`) evaluates them every
 //! slot against randomized fault/traffic schedules; experiments reuse the
-//! same checks as pass criteria (e8's congestion-window shape assertion).
+//! same checks as pass criteria (e8's work conservation and occupancy
+//! ramp inside the congestion window, a3's flow-order count).
 //!
 //! Event-stream oracles — phantom delivery, dispatch to a known-down
 //! plane, watchdog accounting — need the telemetry vocabulary and live in
@@ -19,6 +20,7 @@
 //! accounted, not flagged. A violation therefore always indicates a
 //! simulator bug (or an injected one), never an unlucky schedule.
 
+use crate::ids::PortId;
 use crate::record::RunLog;
 use crate::time::Slot;
 use std::fmt;
@@ -44,6 +46,8 @@ pub enum OracleKind {
     RelativeDelayBound,
     /// A sampled occupancy series left the predicted linear envelope.
     OccupancyShape,
+    /// An output idled while cells for it were pending.
+    WorkConservation,
 }
 
 impl OracleKind {
@@ -58,6 +62,7 @@ impl OracleKind {
             OracleKind::WatchdogAccounting => "watchdog-accounting",
             OracleKind::RelativeDelayBound => "relative-delay-bound",
             OracleKind::OccupancyShape => "occupancy-shape",
+            OracleKind::WorkConservation => "work-conservation",
         }
     }
 }
@@ -166,6 +171,56 @@ pub fn check_flow_order(log: &RunLog) -> Vec<OracleViolation> {
     violations
 }
 
+/// Work conservation at one output, the defining property of the shadow
+/// switch and of the PPS's hot output in Theorem 14's congested window:
+/// *"if a cell is pending for output port j at time-slot t, then some cell
+/// leaves from output-port j at time-slot t"*.
+///
+/// One violation per slot, up to `output`'s last departure, at which
+/// cells for it had arrived and not left and none left. `within`
+/// restricts the check to the slots of `[lo, hi)` (e8's window after
+/// warm-up).
+pub fn check_work_conserving(
+    log: &RunLog,
+    output: PortId,
+    within: Option<(Slot, Slot)>,
+) -> Vec<OracleViolation> {
+    let (mut arrivals, mut departures) = (Vec::new(), Vec::new());
+    for (_, rec) in log.iter().filter(|(_, rec)| rec.output == output) {
+        arrivals.push(rec.arrival);
+        departures.extend(rec.departure());
+    }
+    arrivals.sort_unstable();
+    departures.sort_unstable();
+    departures.dedup();
+    let horizon = departures.last().copied().unwrap_or(0);
+    let (mut arrived, mut departed, mut pending) = (0, 0, 0usize);
+    let mut violations = Vec::new();
+    for slot in 0..=horizon {
+        while arrivals.get(arrived) == Some(&slot) {
+            pending += 1;
+            arrived += 1;
+        }
+        let departs = departures.get(departed) == Some(&slot);
+        if departs {
+            pending -= 1;
+            departed += 1;
+        }
+        let in_window = within.is_none_or(|(lo, hi)| slot >= lo && slot < hi);
+        if in_window && pending > 0 && !departs {
+            violations.push(OracleViolation {
+                kind: OracleKind::WorkConservation,
+                slot,
+                detail: format!(
+                    "output {}: {pending} cells pending, none departed",
+                    output.0
+                ),
+            });
+        }
+    }
+    violations
+}
+
 /// Relative-delay envelope versus the shadow OQ switch: every cell
 /// delivered by both switches satisfies
 /// `delay_pps(c) - delay_oq(c) <= bound`.
@@ -250,7 +305,8 @@ pub fn max_ramp_deviation(series: &[(Slot, u64)], slope: i64) -> u64 {
 mod tests {
     use super::*;
     use crate::cell::Cell;
-    use crate::ids::{CellId, PortId};
+    use crate::ids::CellId;
+    use crate::trace::{Arrival, Trace};
 
     fn cell(id: u64, input: u32, output: u32, arrival: Slot) -> Cell {
         Cell {
@@ -315,6 +371,81 @@ mod tests {
         let vs = check_relative_delay(&pps, &oq, 8);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].kind, OracleKind::RelativeDelayBound);
+    }
+
+    /// Four cells on three ports: three for output 0 at slots 0, 0 and 1,
+    /// one for output 1 at slot 9.
+    fn simple_log() -> RunLog {
+        let arrivals = vec![
+            Arrival::new(0, 0, 0),
+            Arrival::new(0, 1, 0),
+            Arrival::new(1, 0, 0),
+            Arrival::new(9, 2, 1),
+        ];
+        RunLog::with_cells(&Trace::build(arrivals, 3).unwrap().cells(3))
+    }
+
+    fn depart(log: &mut RunLog, slots: [Slot; 4]) {
+        for (id, slot) in slots.into_iter().enumerate() {
+            log.set_departure(CellId(id as u64), slot);
+        }
+    }
+
+    fn idle_slots(log: &RunLog, within: Option<(Slot, Slot)>) -> Vec<OracleViolation> {
+        (0..3)
+            .flat_map(|j| check_work_conserving(log, PortId(j), within))
+            .collect()
+    }
+
+    #[test]
+    fn oq_switch_is_work_conserving_and_ordered() {
+        // The FCFS output-queued schedule of the trace.
+        let mut log = simple_log();
+        depart(&mut log, [0, 1, 2, 9]);
+        assert!(idle_slots(&log, None).is_empty());
+        assert!(check_flow_order(&log).is_empty());
+    }
+
+    #[test]
+    fn idle_with_backlog_is_flagged() {
+        // Output 0 received cells at slots 0, 0, 1 but first departs at 2.
+        let mut log = simple_log();
+        depart(&mut log, [2, 3, 4, 9]);
+        let v = idle_slots(&log, None);
+        let slots: Vec<Slot> = v.iter().map(|x| x.slot).collect();
+        assert_eq!(slots, [0, 1]);
+        assert!(v.iter().all(|x| x.kind == OracleKind::WorkConservation));
+        assert_eq!(v[1].detail, "output 0: 3 cells pending, none departed");
+    }
+
+    #[test]
+    fn window_restriction_excuses_warmup() {
+        let mut log = simple_log();
+        depart(&mut log, [2, 3, 4, 9]);
+        // Checking only after slot 2 ("after warm-up") passes.
+        assert!(idle_slots(&log, Some((2, 100))).is_empty());
+    }
+
+    #[test]
+    fn reorder_is_flagged() {
+        let arrivals = vec![Arrival::new(0, 0, 0), Arrival::new(1, 0, 0)];
+        let mut log = RunLog::with_cells(&Trace::build(arrivals, 1).unwrap().cells(1));
+        // seq 1 departs before seq 0.
+        log.set_departure(CellId(0), 5);
+        log.set_departure(CellId(1), 2);
+        let v = check_flow_order(&log);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].kind, OracleKind::FlowOrder);
+    }
+
+    #[test]
+    fn undelivered_is_flagged() {
+        // A cell that never departs is a gap to the flow-order oracle and
+        // is counted by the log.
+        let trace = Trace::build(vec![Arrival::new(0, 0, 0)], 1).unwrap();
+        let log = RunLog::with_cells(&trace.cells(1));
+        assert!(check_flow_order(&log).is_empty());
+        assert_eq!(log.undelivered(), 1);
     }
 
     #[test]

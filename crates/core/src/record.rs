@@ -5,7 +5,7 @@
 //! it. What a cell *is* (arrival slot, ports, per-flow sequence number)
 //! belongs to the trace, not to the switch, so a log holds a handle to its
 //! trace's shared cell table and stores only its own columns (DESIGN.md
-//! §21):
+//! §11):
 //!
 //! | column | bytes per cell | stored by |
 //! |---|---|---|

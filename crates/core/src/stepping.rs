@@ -5,8 +5,8 @@
 //! activity, replay an idle interval in closed form — and [`drive`] is the
 //! only loop that runs one over a trace: it streams each slot's arrivals
 //! out of the [`Trace`] and appends their entries to a log that shares the
-//! trace's cell table (DESIGN.md §21), enforces the livelock cap and, under [`Stepping::SkipAhead`]
-//! (DESIGN.md §15), jumps `now` to the earlier of the next arrival and the
+//! trace's cell table (DESIGN.md §11), enforces the livelock cap and, under [`Stepping::SkipAhead`]
+//! (DESIGN.md §10), jumps `now` to the earlier of the next arrival and the
 //! engine's next activity. The two modes are **byte-identical** in
 //! everything observable (run logs, statistics, telemetry traces, oracle
 //! verdicts); they differ only in wall clock and in how a run's
@@ -103,7 +103,7 @@ pub trait SlotEngine {
 /// `Trace::cursor` into a scratch of at most `n` entries, and each cell's
 /// departure entry is appended to the log as the cell enters the switch —
 /// the log shares the trace's cell table, so nothing else O(cells) is built
-/// and nothing is counted per run (DESIGN.md §21). The log still covers the
+/// and nothing is counted per run (DESIGN.md §11). The log still covers the
 /// whole trace when the cap cuts a run short: cells that never entered are
 /// appended as undelivered entries, so `log.len() == trace.len()` always
 /// and two logs of one trace join by id.
@@ -143,7 +143,7 @@ pub fn drive<E: SlotEngine + ?Sized>(
                 #[cfg(debug_assertions)]
                 let backlog = engine.backlog();
                 engine.skip_idle(now, stop - 1);
-                // Missed-wake oracle (DESIGN.md §15): the replay moved no
+                // Missed-wake oracle (DESIGN.md §10): the replay moved no
                 // cell, left nothing overdue, and did not push the event
                 // it was jumping towards any later (earlier is fine).
                 #[cfg(debug_assertions)]

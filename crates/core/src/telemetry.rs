@@ -14,7 +14,7 @@
 //! feeds that run's sink — its [`Meters`] and, at [`Level::Full`], its
 //! bounded event ring. A sweep gives each point a child sink and merges
 //! the children's logs in **declared point order**, preserving the
-//! determinism contract (DESIGN.md §10): the final bundle is identical at
+//! determinism contract (DESIGN.md §9): the final bundle is identical at
 //! any `--jobs`. Engines that run in lockstep on one sink (the chaos
 //! harness's four) share its ring, so their events interleave in emission
 //! order.

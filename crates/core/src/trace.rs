@@ -12,7 +12,7 @@
 //! A trace *is* its cell table: each cell's arrival and per-flow sequence
 //! number, numbered once when the trace is built and kept behind an `Arc`.
 //! Every [`RunLog`](crate::RunLog) of the trace holds a handle to that one
-//! table and stores only what its switch decided (DESIGN.md §21), and every
+//! table and stores only what its switch decided (DESIGN.md §11), and every
 //! run's cursor reads the numbers instead of recounting them. The table
 //! stores each column at the width its values need:
 //!

@@ -358,7 +358,7 @@ mod tests {
         let t = pps_traffic::gen::OnOffGen::uniform(8.0, 0.8, 3).trace(n, 400);
         let log = run_cioq_in(&t, n, 2, CioqPolicy::CriticalFirst, &Sink::default());
         assert_eq!(log.undelivered(), 0);
-        assert!(pps_reference::checker::check_flow_order(&log).is_empty());
+        assert!(pps_core::oracle::check_flow_order(&log).is_empty());
     }
 
     #[test]
@@ -374,7 +374,7 @@ mod tests {
                 &stepped(pps_core::Stepping::Dense),
             );
             assert_eq!(log.undelivered(), 0);
-            assert!(pps_reference::checker::check_flow_order(&log).is_empty());
+            assert!(pps_core::oracle::check_flow_order(&log).is_empty());
         }
     }
 

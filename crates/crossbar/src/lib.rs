@@ -37,7 +37,7 @@
 //! Every discipline reads the switch's [`Occupancy`] index — queue
 //! lengths, row totals and non-empty bitmaps kept current by the VOQs'
 //! `push`/`pop` — and walks bitmaps instead of rescanning `N²` lengths
-//! (DESIGN.md §20).
+//! (DESIGN.md §15).
 //!
 //! The CIOQ switch ([`CioqSwitch`]) separately offers critical-cell-first
 //! or rotating maximal matching under configurable speedup

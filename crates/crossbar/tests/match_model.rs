@@ -3,7 +3,7 @@
 //! The five matching disciplines — iSLIP, QPS-r, SW-QPS on the
 //! [`CrossbarSwitch`], critical-first and rotating maximal matching on the
 //! [`CioqSwitch`] — walk an incrementally maintained occupancy index with
-//! bitmap scans (DESIGN.md §20). Each is checked here against the loop it
+//! bitmap scans (DESIGN.md §15). Each is checked here against the loop it
 //! replaced: a dense rescan of an `N × N` length matrix rebuilt from the
 //! queues every slot, kept below as the reference oracle. Old and new are
 //! driven through one random arrival/drain script — contended bursts on a

@@ -1,12 +1,12 @@
 //! Property tests for the crossbar substrates.
 
+use pps_core::oracle::check_flow_order;
 use pps_core::run::Sink;
 use proptest::prelude::*;
 
 use pps_crossbar::{
     run_cioq_in, run_crossbar_in, CioqPolicy, CrossbarScheduler, IslipArbiter, Occupancy,
 };
-use pps_reference::checker::check_flow_order;
 use pps_reference::oq::run_oq_in;
 use pps_traffic::gen::BernoulliGen;
 

@@ -6,14 +6,14 @@
 //! * `FlowFifo` — per-flow order, work-conserving among eligible flows;
 //! * `GlobalFcfs` — exact FCFS mimicking, may idle waiting for stragglers;
 //! * `Greedy` — maximal output utilization, may reorder flows (model
-//!   violation; quantified via the order checker).
+//!   violation; counted by the flow-order oracle).
 
 use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{compare_bufferless_in, Table};
+use pps_core::oracle::check_flow_order;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_reference::checker::check_flow_order;
 use pps_switch::demux::RoundRobinDemux;
 use pps_traffic::gen::OnOffGen;
 
@@ -30,10 +30,7 @@ fn point(
     let cmp = compare_bufferless_in(cfg, RoundRobinDemux::new(n, k), trace, sink).expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
-    let reorders = check_flow_order(&cmp.pps.log)
-        .iter()
-        .filter(|v| matches!(v, pps_reference::checker::Violation::FlowReorder { .. }))
-        .count();
+    let reorders = check_flow_order(&cmp.pps.log).len();
     (rd.max, rd.mean, reorders)
 }
 

@@ -6,10 +6,9 @@
 //! consumed as a flag's value is never read again as a flag, an id or a
 //! subcommand. Flags come in any order, before or after the subcommand
 //! word; the tokens that do not start with `--` are either the one word
-//! `run` / `chaos` or experiment ids. `chaos`'s campaign flags are in
-//! the table (the pass must know their names and that each takes a value)
-//! but their values are parsed by `pps_chaos::cli::parse`, next to the
-//! options struct the harness tests drive.
+//! `run` / `chaos` or experiment ids. Each mode's arguments are filled
+//! from the flags the pass gave: [`RunArgs`] for `run`, [`ChaosOptions`]
+//! (the struct the chaos harness tests build directly) for `chaos`.
 
 use crate::run::RunArgs;
 use pps_chaos::cli::ChaosOptions;
@@ -47,7 +46,7 @@ const FLAGS: &[(&str, bool, &[Kind])] = &[
     ("--rprime", true, &[Kind::Run]),
     ("--algo", true, &[Kind::Run]),
     ("--save-trace", true, &[Kind::Run]),
-    // The campaign flags: values parsed by `pps_chaos::cli::parse`.
+    // The campaign flags: `ChaosOptions`.
     ("--seed", true, &[Kind::Chaos]),
     ("--cases", true, &[Kind::Chaos]),
     ("--budget-slots", true, &[Kind::Chaos]),
@@ -228,15 +227,39 @@ pub fn parse(args: &[String]) -> Result<Invocation, CliError> {
             save_trace: given.text("--save-trace").map(PathBuf::from),
         }),
         Kind::Chaos => {
-            let campaign: Vec<String> = FLAGS
-                .iter()
-                .zip(&given.0)
-                .filter(|((_, _, modes), _)| *modes == [Kind::Chaos])
-                .filter_map(|((name, ..), v)| v.map(|v| [name.to_string(), v.to_string()]))
-                .flatten()
-                .collect();
-            let opts = pps_chaos::cli::parse(&campaign);
-            Mode::Chaos(opts.map_err(|e| CliError::Refused(e.to_string()))?)
+            let default = ChaosOptions::default();
+            let only_case = given.number("--case")?;
+            for flag in ["--plan", "--truncate-at"] {
+                if given.text(flag).is_some() && only_case.is_none() {
+                    return usage(format!(
+                        "{flag} replays one case and requires --case <index>"
+                    ));
+                }
+            }
+            let cases = given.number("--cases")?.unwrap_or(default.cases);
+            if cases == 0 {
+                return usage("--cases must be at least 1".into());
+            }
+            let plan = given.text("--plan").map(|path| {
+                pps_core::fault::load(path.as_ref())
+                    .map_err(|e| CliError::Refused(format!("bad fault plan: {e}")))
+            });
+            Mode::Chaos(ChaosOptions {
+                seed: given.number("--seed")?.unwrap_or(default.seed),
+                cases,
+                budget_slots: given
+                    .number("--budget-slots")?
+                    .unwrap_or(default.budget_slots),
+                repro_out: given
+                    .text("--repro-out")
+                    .map_or(default.repro_out, PathBuf::from),
+                only_case,
+                plan_override: plan.transpose()?,
+                truncate_at: given.number("--truncate-at")?,
+                inject_leak: given
+                    .number("--inject-leak")?
+                    .unwrap_or(default.inject_leak),
+            })
         }
     };
     let trace_out = given.text("--trace-out").map(PathBuf::from);
@@ -386,11 +409,59 @@ mod tests {
             "--rprime:",
         );
         refused(&["e1", "e99"], "unknown experiment id e99 (--list");
-        refused(&["chaos", "--cases", "many"], "--cases many: invalid digit");
+        refused(&["chaos", "--cases", "many"], "--cases: invalid digit");
         // Ids select in registry order, whatever order argv names them in.
         let inv = ok(&["e12", "--csv", "e2", "e12"]);
         assert!(matches!(&inv.mode, Mode::Experiments(e) if e.csv && e.ids == ["e2", "e12"]));
         assert!(matches!(ok(&[]).mode, Mode::Experiments(e) if e.ids.len() == 27));
+    }
+
+    // The campaign flags fill `ChaosOptions` in the same pass.
+
+    #[test]
+    fn parse_happy_path() {
+        let inv = ok(&[
+            "chaos",
+            "--seed",
+            "7",
+            "--cases",
+            "12",
+            "--budget-slots",
+            "99",
+        ]);
+        let want = ChaosOptions {
+            seed: 7,
+            cases: 12,
+            budget_slots: 99,
+            ..ChaosOptions::default()
+        };
+        assert_eq!(inv.mode, Mode::Chaos(want));
+    }
+
+    #[test]
+    fn unknown_flag_is_typed() {
+        refused(&["chaos", "--bogus"], "unknown flag --bogus");
+    }
+
+    #[test]
+    fn plan_requires_case() {
+        refused(&["chaos", "--plan", "x.csv"], "--plan replays one case");
+        refused(
+            &["chaos", "--truncate-at", "5"],
+            "--truncate-at replays one case",
+        );
+    }
+
+    #[test]
+    fn missing_plan_file_is_typed() {
+        let argv = ["chaos", "--case", "0", "--plan", "/nonexistent/plan.csv"];
+        refused(&argv, "bad fault plan");
+    }
+
+    #[test]
+    fn malformed_value_is_typed() {
+        refused(&["chaos", "--cases", "many"], "--cases: invalid digit");
+        refused(&["chaos", "--cases", "0"], "--cases must be at least 1");
     }
 
     /// Split `args` where the pass does: a value flag and its value are

@@ -17,10 +17,10 @@
 use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{metrics, Table};
+use pps_core::oracle;
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
 use pps_core::sweep::SweepPlan;
-use pps_reference::checker::{check_work_conserving, Violation};
 use pps_reference::oq::run_oq_in;
 use pps_switch::demux::FtdDemux;
 use pps_switch::engine::BufferlessPps;
@@ -113,11 +113,7 @@ pub fn point(
     // The congested window: from observed onset to the end of the
     // overload. Cells arriving inside it are the theorem's subjects.
     let window = (congestion_start.unwrap_or(duration), duration);
-    let wc = check_work_conserving(&log, Some((window.0, window.1)));
-    let wc_violations = wc
-        .iter()
-        .filter(|v| matches!(v, Violation::IdleWithBacklog { output, .. } if output.idx() == 0))
-        .count();
+    let wc_violations = oracle::check_work_conserving(&log, PortId(0), Some(window)).len();
     let deltas = metrics::rank_relative_delay(&log, &oq, PortId(0), window);
     // Theorem 14 makes the hot output work-conserving inside the window
     // (one departure per slot) while the adversary offers `senders` cells
@@ -132,9 +128,9 @@ pub fn point(
         wc_violations,
         max_rank_delta: deltas.iter().copied().map(i64::abs).max().unwrap_or(0),
         ranks: deltas.len(),
-        shape_dev: pps_core::oracle::max_ramp_deviation(&series, slope),
+        shape_dev: oracle::max_ramp_deviation(&series, slope),
         shape_samples: series.len(),
-        shape_violation: pps_core::oracle::check_linear_ramp(&series, slope, tolerance),
+        shape_violation: oracle::check_linear_ramp(&series, slope, tolerance),
     }
 }
 

@@ -1,4 +1,4 @@
-//! The fabric's event agenda: a bitmap timing wheel (DESIGN.md §19).
+//! The fabric's event agenda: a bitmap timing wheel (DESIGN.md §12).
 //!
 //! The paper's *output constraint* — a plane→output line carries one cell
 //! every `r'` slots — bounds how far ahead a plane-service event can lie:

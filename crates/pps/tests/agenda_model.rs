@@ -1,7 +1,7 @@
 //! Model-based property test for the fabric's timing-wheel agenda.
 //!
 //! [`Agenda`] — per-slot bitmap buckets walked with `trailing_zeros`
-//! (DESIGN.md §19) — is checked against the structure it replaced: a
+//! (DESIGN.md §12) — is checked against the structure it replaced: a
 //! `BinaryHeap<Reverse<(Slot, u32, u32)>>` with a membership set. Both are
 //! driven by one random script shaped like the fabric's use of the agenda:
 //! pushes land in `[now, now + r']`, every service pass drains what is due

@@ -4,7 +4,7 @@
 //! resequencer, dense ≡ skip), but two engines that agree with each other
 //! share every composition bug. This test holds the *assembled*
 //! `BufferlessPps` to a naive transcription of the formal model of
-//! DESIGN.md §2 (and the fault and watchdog rules of §9), written without
+//! DESIGN.md §2 (and the fault and watchdog rules of §8), written without
 //! reading the fabric:
 //!
 //! * an internal line carries at most one cell per `r'` slots

@@ -1,4 +1,4 @@
-//! Dense-vs-skip-ahead equivalence harness (DESIGN.md §15).
+//! Dense-vs-skip-ahead equivalence harness (DESIGN.md §10).
 //!
 //! Skip-ahead stepping must be an *unobservable* optimization: for any
 //! trace, fault plan, watchdog and discipline, the run log, fabric

@@ -11,14 +11,10 @@
 //! * [`oq::fcfs_departure_times`] — the closed-form FCFS departure schedule
 //!   `dt_j = max(t, last_dt_j + 1)`, used both to cross-check the simulated
 //!   switch and as the deadline oracle inside the CPA demultiplexor.
-//! * [`checker`] — post-hoc verifiers: work conservation (no output idles
-//!   with backlog) and per-flow order preservation, applied to any
-//!   [`pps_core::RunLog`], PPS or shadow.
 //! * [`regulator`] — jitter regulators (paper §6): re-time a run to
 //!   constant delay and measure the internal buffer that costs, linking
 //!   the relative-delay lower bounds to regulator buffer bounds.
 
-pub mod checker;
 pub mod oq;
 pub mod regulator;
 

@@ -5,7 +5,7 @@
 //! because every generator pre-draws its next event (geometric gap
 //! inversion instead of per-slot coin flips). Generation therefore costs `O(cells + state
 //! transitions)` however long the horizon — the same event-driven contract
-//! the engines' skip-ahead stepping lives by (DESIGN.md §15), which is what
+//! the engines' skip-ahead stepping lives by (DESIGN.md §10), which is what
 //! lets a 10⁸-slot sparse soak materialize and simulate in seconds.
 //!
 //! Determinism contract: a stream is a pure function of its parameters and

@@ -17,8 +17,9 @@
 # * ppslab flags: distinct `"--name"` string literals in the non-test part
 #   of the files that parse argv — the one pass (crates/experiments/src/
 #   cli.rs; bin/ppslab.rs + the old ad-hoc mode's custom.rs before it
-#   existed) and the campaign flags (crates/chaos/src/cli.rs). A spelling
-#   counts once however many grammars accept it.
+#   existed) and crates/chaos/src/cli.rs (which parsed the campaign flags
+#   a second time in older trees). A spelling counts once however many
+#   grammars accept it.
 # * ppslab modes: the variants of `cli::Mode` (the `pub enum Mode` block
 #   of crates/experiments/src/cli.rs; 0 before that file existed).
 # * argv parsers: non-test functions that walk an argv iterator
@@ -34,6 +35,7 @@
 # * shim calls outside ppsbench/: calls, in every .rs file but ppsbench's,
 #   of the names that only the frozen surface keeps (the shims over the
 #   process-default `RunSpec`); definitions and comments do not count.
+# * DESIGN.md lines: `wc -l` of DESIGN.md (CI gates it at 900).
 root=${1:-$(dirname "$0")/..}
 cd "$root" || exit 1
 
@@ -97,6 +99,7 @@ echo "ppslab modes         $modes"
 echo "argv parsers         $parsers"
 echo "ppslab exit sites    $(grep -c 'process::exit' crates/experiments/src/bin/ppslab.rs)"
 echo "verdict folds        $(grep -rho 'pass &=' crates/experiments | wc -l)"
+echo "DESIGN.md lines      $(wc -l < DESIGN.md)"
 
 named=0
 crates='pps_(analysis|chaos|core|crossbar|experiments|reference|switch|telemetry|traffic|workload)'

@@ -4,8 +4,8 @@
 //! correct over long horizons.
 
 use pps_analysis::compare_bufferless_in;
+use pps_core::oracle::check_flow_order;
 use pps_core::prelude::*;
-use pps_reference::checker::check_flow_order;
 use pps_switch::demux::{CpaDemux, RandomDemux, RoundRobinDemux, StaleLeastLoadedDemux};
 use pps_switch::BufferlessPps;
 use pps_traffic::gen::{BernoulliGen, OnOffGen};

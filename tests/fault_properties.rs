@@ -9,8 +9,8 @@
 
 use proptest::prelude::*;
 
+use pps_core::oracle::check_flow_order;
 use pps_core::prelude::*;
-use pps_reference::checker::{check_flow_order, Violation};
 use pps_switch::demux::{BufferedRoundRobinDemux, FaultAwareRoundRobinDemux, RoundRobinDemux};
 use pps_switch::engine::{BufferedPps, BufferlessPps, InputStage, Pps, PpsRun};
 use pps_traffic::gen::BernoulliGen;
@@ -99,19 +99,13 @@ proptest! {
         prop_assume!(cfg.validate().is_ok());
         let pps = BufferlessPps::new(cfg, RoundRobinDemux::new(n, k)).unwrap();
         let run = run_faulted(pps, &trace, &plan);
-        let reorders: Vec<_> = check_flow_order(&run.log)
-            .into_iter()
-            .filter(|v| matches!(v, Violation::FlowReorder { .. }))
-            .collect();
+        let reorders = check_flow_order(&run.log);
         prop_assert!(reorders.is_empty(), "flow reordered: {reorders:?}");
 
         let bcfg = PpsConfig::buffered(n, k, r_prime, 64).with_watchdog(watchdog);
         let bpps = BufferedPps::new(bcfg, BufferedRoundRobinDemux::new(n, k)).unwrap();
         let brun = run_faulted(bpps, &trace, &plan);
-        let reorders: Vec<_> = check_flow_order(&brun.log)
-            .into_iter()
-            .filter(|v| matches!(v, Violation::FlowReorder { .. }))
-            .collect();
+        let reorders = check_flow_order(&brun.log);
         prop_assert!(reorders.is_empty(), "buffered flow reordered: {reorders:?}");
     }
 }

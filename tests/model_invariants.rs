@@ -10,8 +10,8 @@
 
 use proptest::prelude::*;
 
+use pps_core::oracle::{check_flow_order, check_work_conserving};
 use pps_core::prelude::*;
-use pps_reference::checker::{check_flow_order, check_work_conserving};
 use pps_reference::oq::run_oq_in;
 use pps_switch::demux::{
     BufferedRoundRobinDemux, CpaDemux, DelayedCpaDemux, FtdDemux, PerFlowRoundRobinDemux,
@@ -274,7 +274,9 @@ proptest! {
         let trace = pps_traffic::gen::BernoulliGen::uniform(0.9, seed).trace(n, 80);
         let log = run_oq_in(&trace, n, &Sink::default());
         prop_assert_eq!(log.undelivered(), 0);
-        prop_assert!(check_work_conserving(&log, None).is_empty());
+        for j in 0..n as u32 {
+            prop_assert!(check_work_conserving(&log, PortId(j), None).is_empty());
+        }
         prop_assert!(check_flow_order(&log).is_empty());
         let analytic = pps_reference::oq::fcfs_departure_times(&trace, n);
         for (id, rec) in log.iter() {
