@@ -207,7 +207,7 @@ pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts, sink: &Sink) -> CaseOutc
     // Paper bound: relative delay vs the shadow OQ, for cases where the
     // Section 3 envelope is actually a theorem (see the eligibility doc).
     if case.relative_delay_eligible() {
-        let b = min_burstiness(&trace, case.n).overall();
+        let b = min_burstiness(&trace, case.n);
         let bound = bounds::traffic_envelope(&case.config(), b);
         outcome
             .violations

@@ -74,7 +74,7 @@ impl AttackPoint {
             paper,
             exact,
             premise,
-            burstiness: min_burstiness(&trace, cmp.n).overall(),
+            burstiness: min_burstiness(&trace, cmp.n),
             delay: rd.max,
             jitter: cmp.relative_jitter(),
         }

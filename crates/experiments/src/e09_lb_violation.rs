@@ -26,7 +26,7 @@ use pps_traffic::IncrementalBurstiness;
 /// `B_min` of the `durations[i]`-slot congestion trace, for every `i`, from
 /// a single scan of the longest duration's trace. `checkpoints[i]` equals
 /// `min_burstiness(congestion_traffic(n, 0, senders, durations[i]).trace,
-/// n).overall()` (pinned by a test) because shorter traces are prefixes and
+/// n)` (pinned by a test) because shorter traces are prefixes and
 /// the calculator's running maxima are valid at any prefix.
 fn duration_checkpoints(n: usize, senders: usize, durations: &[Slot], sink: &Sink) -> Vec<u64> {
     let longest = durations.iter().copied().max().unwrap_or(0);
@@ -123,7 +123,7 @@ mod tests {
             let c = congestion_traffic(n, 0, 3, d);
             assert_eq!(
                 b,
-                min_burstiness(&c.trace, n).overall(),
+                min_burstiness(&c.trace, n),
                 "checkpoint for duration {d}"
             );
         }

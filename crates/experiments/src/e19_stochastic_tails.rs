@@ -115,7 +115,7 @@ fn measure(sink: &Sink) -> Vec<TailPoint> {
         let (f, c) = *pt.params;
         let spec = WorkloadSpec::parse(&fams[f].1).expect("family spec");
         let trace = spec.trace().expect("materialize");
-        let b = min_burstiness(&trace, N).overall();
+        let b = min_burstiness(&trace, N);
         let cmp = (cls[c].1)(PpsConfig::bufferless(N, K, R_PRIME), &trace, pt.sink).expect("run");
         let rd = cmp.relative_delay();
         let tails =

@@ -20,9 +20,11 @@
 //! The model drives the same `Demultiplexor` type as the engine under
 //! test, so only the fabric is under test. For every bufferless
 //! fully-distributed demultiplexor of the zoo, over random traces, fault
-//! free and under `PlaneDown`/`PlaneUp` pulses with a resequencer
-//! watchdog, the engine (in its skip-ahead product mode) must depart every
-//! cell in the same slot as the model and report equal `FabricStats`.
+//! free and under `PlaneDown`/`PlaneUp` and `LinkDegraded` pulses with a
+//! resequencer watchdog, the engine (in its skip-ahead product mode) must
+//! depart every cell in the same slot as the model and report equal
+//! `FabricStats`. A degraded line is busy until the window ends, never
+//! shorter than the occupancy it already has (DESIGN.md §8).
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -116,18 +118,30 @@ impl<D: Demultiplexor> Model<D> {
         queued + self.outputs.iter().map(|o| o.held).sum::<usize>()
     }
 
-    /// Run `cells` (a trace's cells, in id order) with plane pulses
-    /// `(slot, plane, up)`; returns the slot after the last one processed.
-    fn run(&mut self, cells: &[Cell], faults: &[(Slot, usize, bool)]) -> Slot {
+    /// Run `cells` (a trace's cells, in id order) under `faults`; returns
+    /// the slot after the last one processed.
+    fn run(&mut self, cells: &[Cell], faults: &[FaultEvent]) -> Slot {
         let mut next = 0;
         let mut now = 0;
         while next < cells.len() || self.backlog() > 0 {
-            for &(_, p, up) in faults.iter().filter(|f| f.0 == now) {
-                self.failed[p] = !up;
-                if !up {
-                    for q in &mut self.queues[p] {
-                        self.stats.dropped += q.len() as u64;
-                        q.clear();
+            for ev in faults.iter().filter(|ev| ev.activates_at() == now) {
+                match *ev {
+                    FaultEvent::PlaneDown { plane, .. } => {
+                        self.failed[plane.idx()] = true;
+                        for q in &mut self.queues[plane.idx()] {
+                            self.stats.dropped += q.len() as u64;
+                            q.clear();
+                        }
+                    }
+                    FaultEvent::PlaneUp { plane, .. } => self.failed[plane.idx()] = false,
+                    FaultEvent::LinkDegraded {
+                        input,
+                        plane,
+                        until,
+                        ..
+                    } => {
+                        let line = &mut self.in_busy[input.idx()][plane.idx()];
+                        *line = (*line).max(until);
                     }
                 }
             }
@@ -276,23 +290,15 @@ fn check<D: Demultiplexor>(
     cfg: PpsConfig,
     mk: impl Fn() -> D,
     trace: &Trace,
-    faults: &[(Slot, usize, bool)],
+    plan: &FaultPlan,
 ) -> Result<(), TestCaseError> {
-    let mut plan = FaultPlan::new();
-    for &(at, p, up) in faults {
-        plan = if up {
-            plan.plane_up(p as u32, at)
-        } else {
-            plan.plane_down(p as u32, at)
-        };
-    }
     let mut pps = BufferlessPps::new(cfg, mk()).expect("engine");
-    pps.set_fault_plan(&plan).expect("plan");
+    pps.set_fault_plan(plan).expect("plan");
     let run = pps.run(trace).expect("run");
 
     let cells = trace.cells(cfg.n);
     let mut model = Model::new(&cfg, mk(), cells.len());
-    let end_slot = model.run(&cells, faults);
+    let end_slot = model.run(&cells, plan.events());
 
     let departures: Vec<_> = run.log.departures().collect();
     if let Some(id) = (0..cells.len()).find(|&id| departures[id] != model.departures[id]) {
@@ -316,25 +322,30 @@ proptest! {
     #[test]
     fn bufferless_pps_matches_the_paper_model(
         n in 2usize..=6,
-        r_prime in 2usize..=3,
+        r_prime in 2usize..=4,
         extra_planes in 0usize..=3,
         horizon in 10u64..60,
         load in 30u64..=100,
         hot in 0u64..=100,
         seed in 0u64..1_000_000,
-        pulses in proptest::collection::vec((0u64..50, 0usize..8, 1u64..20), 1usize..3),
+        pulses in proptest::collection::vec((0u64..50, 0u32..8, 1u64..20), 1usize..3),
+        degrades in proptest::collection::vec((0u64..50, 0u32..6, 0u32..8, 1u64..4), 0usize..8),
         watchdog in 1u64..8,
     ) {
         // K >= 2r' so that FTD (block h·r' with h = 2) fits.
         let k = 2 * r_prime + extra_planes;
         let trace = random_trace(n, horizon, load, hot, seed);
-        let faults: Vec<(Slot, usize, bool)> = pulses
-            .iter()
-            .flat_map(|&(at, p, len)| [(at, p % k, false), (at + len, p % k, true)])
-            .collect();
+        let mut faults = FaultPlan::new();
+        for &(at, p, len) in &pulses {
+            let p = p % k as u32;
+            faults = faults.plane_down(p, at).plane_up(p, at + len);
+        }
+        for &(from, i, p, len) in &degrades {
+            faults = faults.link_degraded(i % n as u32, p % k as u32, from, from + len);
+        }
         let fault_free = PpsConfig::bufferless(n, k, r_prime);
         let faulted = fault_free.with_watchdog(watchdog);
-        for (cfg, faults) in [(fault_free, &[][..]), (faulted, &faults[..])] {
+        for (cfg, faults) in [(fault_free, &FaultPlan::new()), (faulted, &faults)] {
             check("round robin", cfg, || RoundRobinDemux::new(n, k), &trace, faults)?;
             check("per-flow rr", cfg, || PerFlowRoundRobinDemux::new(n, k), &trace, faults)?;
             check("random", cfg, || RandomDemux::new(n, seed), &trace, faults)?;

@@ -65,7 +65,7 @@ pub struct ConcentrationAttack {
 ///     &RoundRobinDemux::new(8, 4), &cfg, &(0..8).collect::<Vec<_>>(), 16,
 /// );
 /// assert_eq!(atk.d, 8);                               // everyone aligned
-/// assert!(min_burstiness(&atk.trace, 8).burst_free()); // Theorem 6 premise
+/// assert_eq!(min_burstiness(&atk.trace, 8), 0); // Theorem 6 premise
 /// assert_eq!(atk.predicted_bound, (2 - 1) * 8);        // (R/r - 1) * N
 /// ```
 pub fn concentration_attack<D: Demultiplexor + Clone>(
@@ -203,10 +203,10 @@ mod tests {
         let inputs: Vec<u32> = (0..8).collect();
         let atk = concentration_attack(&Rr::new(8, 4), &cfg, &inputs, 16);
         assert_eq!(atk.d, 8, "all inputs align on a round robin");
-        let rep = min_burstiness(&atk.trace, 8);
-        assert!(
-            rep.burst_free(),
-            "Theorem 6 requires burst-free traffic: {rep:?}"
+        assert_eq!(
+            min_burstiness(&atk.trace, 8),
+            0,
+            "Theorem 6 requires burst-free traffic"
         );
     }
 

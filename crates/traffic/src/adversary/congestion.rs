@@ -82,7 +82,7 @@ mod tests {
         let mut prev = 0;
         for duration in [10u64, 40, 160] {
             let c = congestion_traffic(8, 0, 2, duration);
-            let b = min_burstiness(&c.trace, 8).overall();
+            let b = min_burstiness(&c.trace, 8);
             assert_eq!(b, c.expected_burstiness, "duration {duration}");
             assert!(b > prev, "burstiness must grow with duration");
             prev = b;

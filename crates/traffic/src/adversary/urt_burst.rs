@@ -161,7 +161,7 @@ mod tests {
     fn actual_burstiness_is_within_the_premise() {
         let cfg = PpsConfig::bufferless(32, 8, 8);
         let atk = urt_burst_attack(&cfg, 4);
-        let b = min_burstiness(&atk.trace, cfg.n).overall();
+        let b = min_burstiness(&atk.trace, cfg.n);
         assert!(
             b <= atk.predicted_burstiness,
             "measured B {b} exceeds theorem premise {}",

@@ -109,7 +109,7 @@ mod tests {
                 .collect(),
             3,
         );
-        assert!(min_burstiness(&t, 3).burst_free());
+        assert_eq!(min_burstiness(&t, 3), 0);
         for w in 1..=20 {
             assert!(is_aqt_admissible(&t, 3, w, Ratio::new(1, 1)), "w = {w}");
         }

@@ -1,4 +1,4 @@
-//! `(R, B)` leaky-bucket traffic (paper, Definition 3).
+//! `(R, B)` leaky-bucket traffic (paper, Definition 3), written once.
 //!
 //! With the external rate normalized to `R = 1` cell/slot, a trace is
 //! `(R, B)` leaky-bucket iff for every slot `t`, every length `τ ≥ 1`,
@@ -9,49 +9,87 @@
 //! ```
 //!
 //! where `A_i` counts arrivals on input `i` and `B_j` counts arrivals
-//! destined for output `j`. The per-input constraint holds automatically
-//! for any `B ≥ 0` (at most one cell arrives per input per slot); the
-//! per-output constraint is the binding one.
+//! destined for output `j`. The per-input constraint holds for any
+//! `B ≥ 0` (`Trace::build` refuses two cells on one `(slot, input)`), so
+//! only outputs are tracked.
 //!
-//! The minimal `B` for which a port conforms equals the supremum of the
-//! *excess* `A(t1, t2) − (t2 − t1)`, computable in one pass with the
-//! virtual-queue recurrence `q(t) = max(0, q(t−1) + a(t) − 1)`: the port's
-//! minimal burstiness is `max_t q(t)` shifted to window semantics. Cruz's
-//! calculus \[9\] also makes `B` the buffer bound of any work-conserving
-//! switch under such traffic — which the paper uses in Lemma 4's jitter
-//! argument.
+//! Each output is one [`Bucket`], a virtual queue in `1/den` cells: it
+//! drains `num` per slot and fills `den` per arrival. A cell conforms to
+//! the contract `(num/den, burst)` iff the level after it stays within
+//! `burst·den + num` — the `+num` is the arrival slot's own rate credit,
+//! which makes this the window condition `A_j(t, t+τ) ≤ ρ·τ + σ` in
+//! integer arithmetic. Everything here is that one update:
+//! [`LbContract::admits`] checks it, `pps_workload::Shaped` polices with
+//! it (dropping the cells it refuses), and [`IncrementalBurstiness`] runs
+//! it uncapped at rate 1/1, where the highest level minus the credit is
+//! the trace's minimal `B`. Cruz's calculus \[9\] also makes `B` the
+//! buffer bound of any work-conserving switch under such traffic — which
+//! the paper uses in Lemma 4's jitter argument.
 
 use pps_core::prelude::*;
+use pps_core::rate::Ratio;
 
-/// Minimal burstiness factors of a trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BurstinessReport {
-    /// Minimal `B` per input port.
-    pub per_input: Vec<u64>,
-    /// Minimal `B` per output port.
-    pub per_output: Vec<u64>,
+/// A leaky-bucket contract for a trace: for every output `j` and every
+/// window of `τ` slots, the cells destined to `j` number at most
+/// `rate·τ + burst` (Cruz `(σ, ρ)` with `σ = burst`, `ρ = rate`; the
+/// paper's Definition 3 is the `rate = 1` case). Checked exactly, in
+/// integer arithmetic over [`Ratio`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LbContract {
+    /// Sustained per-output rate `ρ`, kept exact.
+    pub rate: Ratio,
+    /// Burst allowance `σ`, in cells.
+    pub burst: u64,
 }
 
-impl BurstinessReport {
-    /// The trace's overall minimal burstiness factor: the smallest `B`
-    /// such that the trace is `(R, B)` leaky-bucket.
-    pub fn overall(&self) -> u64 {
-        self.per_input
-            .iter()
-            .chain(self.per_output.iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
+impl LbContract {
+    /// A contract at `num/den` cells per slot with `burst` slack.
+    pub fn new(num: u64, den: u64, burst: u64) -> Self {
+        LbContract {
+            rate: Ratio::new(num, den),
+            burst,
+        }
     }
 
-    /// True iff the trace has no bursts at all (`B = 0`), the premise of
-    /// Theorems 6, 8 and 13.
-    pub fn burst_free(&self) -> bool {
-        self.overall() == 0
+    /// Does every output of `trace` stay within this contract?
+    pub fn admits(&self, trace: &Trace, n: usize) -> bool {
+        let mut buckets = vec![Bucket::default(); n];
+        trace
+            .arrivals()
+            .all(|a| buckets[a.output.idx()].offer(a.slot, self))
     }
 }
 
-/// Compute the exact minimal burstiness of `trace` per port.
+/// One output's virtual queue, in `1/den` cells of its contract's rate.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Bucket {
+    level: u64,
+    last: Slot,
+}
+
+impl Bucket {
+    /// Drain the bucket by `num` per slot since the last offer, then pour
+    /// in one cell (`den`) arriving at `slot` if the level stays within
+    /// `burst·den + num`. Returns whether the cell went in; a refused cell
+    /// leaves the level drained but unfilled. Slots must not decrease.
+    pub fn offer(&mut self, slot: Slot, contract: &LbContract) -> bool {
+        let (num, den) = (contract.rate.num(), contract.rate.den());
+        let cap = contract.burst.saturating_mul(den).saturating_add(num);
+        self.level = self
+            .level
+            .saturating_sub((slot - self.last).saturating_mul(num));
+        self.last = slot;
+        let fits = self.level + den <= cap;
+        if fits {
+            self.level += den;
+        }
+        fits
+    }
+}
+
+/// The exact minimal burstiness `B` of `trace`: the smallest `B` such
+/// that the trace is `(R, B)` leaky-bucket (0 for a burst-free trace, the
+/// premise of Theorems 6, 8 and 13).
 ///
 /// ```
 /// use pps_core::prelude::*;
@@ -63,215 +101,119 @@ impl BurstinessReport {
 ///     (0..3).map(|i| Arrival::new(0, i, 0)).collect(),
 ///     3,
 /// ).unwrap();
-/// assert_eq!(min_burstiness(&t, 3).overall(), 2);
+/// assert_eq!(min_burstiness(&t, 3), 2);
 /// ```
-pub fn min_burstiness(trace: &Trace, n: usize) -> BurstinessReport {
-    let mut lane_in = Lane::new(n);
-    let mut lane_out = Lane::new(n);
+pub fn min_burstiness(trace: &Trace, n: usize) -> u64 {
+    let mut scan = IncrementalBurstiness::new(n);
     for (slot, group) in trace.by_slot() {
-        let mut touched_in: Vec<(usize, u64)> = Vec::with_capacity(group.len());
-        let mut touched_out: Vec<(usize, u64)> = Vec::with_capacity(group.len());
-        for a in group {
-            bump(&mut touched_in, a.input.idx());
-            bump(&mut touched_out, a.output.idx());
-        }
-        for &(i, a) in &touched_in {
-            lane_in.touch(i, slot, a);
-        }
-        for &(j, a) in &touched_out {
-            lane_out.touch(j, slot, a);
-        }
+        scan.observe_slot(slot, group);
     }
-    BurstinessReport {
-        per_input: lane_in.max,
-        per_output: lane_out.max,
-    }
-}
-
-/// Virtual queue per port, updated lazily: `q(t) = max(0, q(t-1) + a(t) - 1)`,
-/// and between touches q just decays by one per slot, so touching a port
-/// at slot t with state (q0 at slot t0) gives
-/// `q(t) = max(0, max(0, q0 - (t - t0 - 1)) + a - 1)`.
-/// B_min is the running maximum of q.
-#[derive(Clone, Debug)]
-struct Lane {
-    q: Vec<u64>,
-    last: Vec<Slot>,
-    max: Vec<u64>,
-}
-
-impl Lane {
-    fn new(n: usize) -> Self {
-        Lane {
-            q: vec![0; n],
-            last: vec![0; n],
-            max: vec![0; n],
-        }
-    }
-    fn touch(&mut self, port: usize, slot: Slot, a: u64) {
-        let decay = slot.saturating_sub(self.last[port] + 1);
-        let q = (self.q[port].saturating_sub(decay) + a).saturating_sub(1);
-        self.q[port] = q;
-        self.last[port] = slot;
-        self.max[port] = self.max[port].max(q);
-    }
+    scan.overall()
 }
 
 /// Incremental minimal-burstiness calculator.
 ///
-/// Feed a trace one slot group at a time (strictly increasing slots; empty
-/// slots may be skipped — decay is lazy) and read the running minimal `B`
-/// of the prefix observed so far at any point. The window maxima only ever
-/// grow along a prefix, so one linear pass over the longest trace yields
-/// the exact burstiness of *every* prefix: the e9/e15 duration sweeps read
-/// their per-duration checkpoints from a single scan instead of re-running
+/// Feed a trace one slot group at a time (increasing slots; empty slots
+/// may be skipped, the buckets drain lazily) and read the minimal `B` of
+/// the prefix observed so far at any point. The maximum level only ever
+/// grows along a prefix, so one pass over the longest trace yields the
+/// exact burstiness of *every* prefix: e9's duration sweep reads its
+/// per-duration checkpoints from a single scan instead of re-running
 /// [`min_burstiness`] per duration (quadratic over sweep points).
-///
-/// A full pass followed by `report` (test-only) is exactly equivalent
-/// to the one-shot [`min_burstiness`] scan (pinned by tests).
 #[derive(Clone, Debug)]
 pub struct IncrementalBurstiness {
-    lane_in: Lane,
-    lane_out: Lane,
-    touched_in: Vec<(usize, u64)>,
-    touched_out: Vec<(usize, u64)>,
-    last_slot: Option<Slot>,
+    buckets: Vec<Bucket>,
+    max_level: u64,
 }
 
 impl IncrementalBurstiness {
     /// A calculator for an `n`-port switch that has observed nothing yet.
     pub fn new(n: usize) -> Self {
         IncrementalBurstiness {
-            lane_in: Lane::new(n),
-            lane_out: Lane::new(n),
-            touched_in: Vec::new(),
-            touched_out: Vec::new(),
-            last_slot: None,
+            buckets: vec![Bucket::default(); n],
+            max_level: 0,
         }
     }
 
-    /// Observe one slot's arrival group. Slots must be fed in strictly
-    /// increasing order (as [`Trace::by_slot`] yields them).
+    /// Observe one slot's arrival group, at rate 1/1 with no cap.
     pub fn observe_slot(&mut self, slot: Slot, group: impl IntoIterator<Item = Arrival>) {
-        debug_assert!(
-            self.last_slot.is_none_or(|s| slot > s),
-            "slots must be observed in increasing order"
-        );
-        self.last_slot = Some(slot);
-        self.touched_in.clear();
-        self.touched_out.clear();
+        let uncapped = LbContract::new(1, 1, u64::MAX);
         for a in group {
-            bump(&mut self.touched_in, a.input.idx());
-            bump(&mut self.touched_out, a.output.idx());
-        }
-        for &(i, a) in &self.touched_in {
-            self.lane_in.touch(i, slot, a);
-        }
-        for &(j, a) in &self.touched_out {
-            self.lane_out.touch(j, slot, a);
+            let bucket = &mut self.buckets[a.output.idx()];
+            bucket.offer(slot, &uncapped);
+            self.max_level = self.max_level.max(bucket.level);
         }
     }
 
-    /// Burstiness report of the prefix observed so far (what the tests
-    /// compare with the one-shot [`min_burstiness`], lane by lane).
-    #[cfg(test)]
-    fn report(&self) -> BurstinessReport {
-        BurstinessReport {
-            per_input: self.lane_in.max.clone(),
-            per_output: self.lane_out.max.clone(),
-        }
-    }
-
-    /// Overall minimal `B` of the prefix observed so far.
+    /// Minimal `B` of the prefix observed so far: the highest level less
+    /// the arrival slot's one-cell credit.
     pub fn overall(&self) -> u64 {
-        self.lane_in
-            .max
-            .iter()
-            .chain(self.lane_out.max.iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
+        self.max_level.saturating_sub(1)
     }
-}
-
-fn bump(v: &mut Vec<(usize, u64)>, key: usize) {
-    if let Some(e) = v.iter_mut().find(|(k, _)| *k == key) {
-        e.1 += 1;
-    } else {
-        v.push((key, 1));
-    }
-}
-
-/// Does `trace` conform to `(R, B)` leaky bucket?
-pub fn is_leaky_bucket(trace: &Trace, n: usize, b: u64) -> bool {
-    min_burstiness(trace, n).overall() <= b
-}
-
-/// Greedily shape `arrivals` (desired slots) into a `(R, B)`-conformant
-/// trace by delaying cells: cells keep their input port and relative order
-/// per input; a cell is admitted at the earliest slot at which both its
-/// input's and its output's virtual queues stay within `B`.
-///
-/// Returns the shaped trace. Per-input one-cell-per-slot is also enforced.
-pub fn shape(arrivals: Vec<Arrival>, n: usize, b: u64) -> Trace {
-    let mut pending: Vec<std::collections::VecDeque<Arrival>> = vec![Default::default(); n];
-    let mut sorted = arrivals;
-    sorted.sort_by_key(|a| (a.slot, a.input));
-    for a in sorted {
-        pending[a.input.idx()].push_back(a);
-    }
-    let mut q_out = vec![0u64; n];
-    let mut out = Vec::new();
-    let mut slot: Slot = 0;
-    while pending.iter().any(|p| !p.is_empty()) {
-        let mut admitted_this_slot = 0usize;
-        // Per-slot arrivals per output, applied with the virtual-queue
-        // recurrence q <- max(0, q + a - 1) at slot end.
-        let mut a_out = vec![0u64; n];
-        #[allow(clippy::needless_range_loop)] // `input` indexes `pending` mutably below
-        for input in 0..n {
-            let Some(head) = pending[input].front() else {
-                continue;
-            };
-            if head.slot > slot {
-                continue; // not yet desired
-            }
-            let j = head.output.idx();
-            // Admitting would set q_j = max(0, q_j + a_j + 1 - 1); keep <= B.
-            if (q_out[j] + a_out[j] + 1).saturating_sub(1) > b {
-                continue;
-            }
-            let head = pending[input].pop_front().unwrap();
-            a_out[j] += 1;
-            admitted_this_slot += 1;
-            out.push(Arrival { slot, ..head });
-        }
-        for j in 0..n {
-            q_out[j] = (q_out[j] + a_out[j]).saturating_sub(1);
-        }
-        slot += 1;
-        // Fast-forward across dead time when every head lies in the future.
-        if admitted_this_slot == 0 {
-            if let Some(next) = pending
-                .iter()
-                .filter_map(|p| p.front().map(|h| h.slot))
-                .min()
-            {
-                if next > slot && q_out.iter().all(|&q| q == 0) {
-                    slot = next;
-                }
-            }
-        }
-    }
-    Trace::build(out, n).expect("shaper emits at most one cell per (slot, input)")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pps_core::rng::SplitMix64;
 
     fn trace(v: Vec<Arrival>, n: usize) -> Trace {
         Trace::build(v, n).unwrap()
+    }
+
+    /// A 40-slot trace on `n` ports: each `(slot, input)` fires with a
+    /// per-trace probability, destinations skewed toward low outputs so
+    /// fan-in bursts and gaps both occur.
+    fn random_trace(rng: &mut SplitMix64, n: usize, slots: Slot) -> Trace {
+        let p = rng.next_f64();
+        let mut v = Vec::new();
+        for slot in 0..slots {
+            for input in 0..n as u32 {
+                if rng.chance(p) {
+                    let hot = rng.below(n as u64);
+                    v.push(Arrival::new(slot, input, rng.below(hot + 1) as u32));
+                }
+            }
+        }
+        trace(v, n)
+    }
+
+    #[test]
+    fn min_burstiness_is_definition_3() {
+        // The brute-force reading of Definition 3: the largest excess
+        // B_j(t, t+τ) − τ over every output and every window, clamped at 0.
+        let slots = 40;
+        let mut rng = SplitMix64::new(0xDEF3);
+        let mut bursty = 0;
+        for case in 0..360 {
+            let n = 1 + case % 6;
+            let t = random_trace(&mut rng, n, slots);
+            let mut per_slot = vec![vec![0i64; slots as usize]; n];
+            for a in t.arrivals() {
+                per_slot[a.output.idx()][a.slot as usize] += 1;
+            }
+            let mut want = 0i64;
+            for counts in &per_slot {
+                for start in 0..counts.len() {
+                    let mut cells = 0;
+                    for (tau, c) in counts[start..].iter().enumerate() {
+                        cells += c;
+                        want = want.max(cells - (tau as i64 + 1));
+                    }
+                }
+            }
+            let b = min_burstiness(&t, n);
+            assert_eq!(b as i64, want, "case {case} (N = {n})");
+            bursty += usize::from(b > 0);
+            for probe in 0..=b + 1 {
+                assert_eq!(
+                    LbContract::new(1, 1, probe).admits(&t, n),
+                    probe >= b,
+                    "case {case}: B = {probe} vs B_min = {b}"
+                );
+            }
+        }
+        assert!((30..330).contains(&bursty), "{bursty} of 360 traces bursty");
     }
 
     #[test]
@@ -282,8 +224,7 @@ mod tests {
                 .collect(),
             3,
         );
-        let rep = min_burstiness(&t, 3);
-        assert!(rep.burst_free(), "{rep:?}");
+        assert_eq!(min_burstiness(&t, 3), 0);
     }
 
     #[test]
@@ -298,11 +239,9 @@ mod tests {
             ],
             3,
         );
-        let rep = min_burstiness(&t, 3);
-        assert_eq!(rep.per_output[0], 2);
-        assert_eq!(rep.overall(), 2);
-        assert!(is_leaky_bucket(&t, 3, 2));
-        assert!(!is_leaky_bucket(&t, 3, 1));
+        assert_eq!(min_burstiness(&t, 3), 2);
+        assert!(LbContract::new(1, 1, 2).admits(&t, 3));
+        assert!(!LbContract::new(1, 1, 1).admits(&t, 3));
     }
 
     #[test]
@@ -315,8 +254,7 @@ mod tests {
                 v.push(Arrival::new(s, 0, 0));
                 v.push(Arrival::new(s, 1, 0));
             }
-            let rep = min_burstiness(&trace(v, 2), 2);
-            assert_eq!(rep.per_output[0], t_len, "duration {t_len}");
+            assert_eq!(min_burstiness(&trace(v, 2), 2), t_len, "duration {t_len}");
         }
     }
 
@@ -333,63 +271,46 @@ mod tests {
             ],
             2,
         );
-        assert_eq!(min_burstiness(&t, 2).overall(), 1);
+        assert_eq!(min_burstiness(&t, 2), 1);
     }
 
     #[test]
     fn inputs_never_exceed_zero() {
-        // Per-input constraint is structural.
+        // An input busy every slot adds no burstiness: the per-input
+        // constraint is structural, only outputs are tracked.
         let t = trace(
             (0..20)
                 .map(|s| Arrival::new(s, 0, (s % 2) as u32))
                 .collect(),
             2,
         );
-        let rep = min_burstiness(&t, 2);
-        assert_eq!(rep.per_input, vec![0, 0]);
+        assert_eq!(min_burstiness(&t, 2), 0);
     }
 
     #[test]
-    fn shaper_produces_conformant_traffic() {
-        // Ask for 4 cells to output 0 in slot 0 (from 4 inputs) with B = 1:
-        // the shaper must spread them out.
-        let want: Vec<Arrival> = (0..4).map(|i| Arrival::new(0, i, 0)).collect();
-        let t = shape(want, 4, 1);
-        assert_eq!(t.len(), 4);
-        assert!(is_leaky_bucket(&t, 4, 1), "{:?}", t.arrivals());
-    }
-
-    #[test]
-    fn shaper_keeps_per_input_order() {
-        let want = vec![
-            Arrival::new(0, 0, 1),
-            Arrival::new(1, 0, 0),
-            Arrival::new(2, 0, 1),
-        ];
-        let t = shape(want, 2, 0);
-        let outs: Vec<u32> = t
-            .arrivals()
-            .filter(|a| a.input == PortId(0))
-            .map(|a| a.output.0)
-            .collect();
-        assert_eq!(outs, vec![1, 0, 1]);
+    fn contract_admits_exact_boundary() {
+        // rate 1/2, burst 1: one cell per slot-0 window is fine
+        // (A = 1 ≤ ρ·1 + σ = 1.5); two same-slot cells exceed it
+        // (A = 2 > 1.5); the same two cells two slots apart conform.
+        let c = LbContract::new(1, 2, 1);
+        assert!(c.admits(&trace(vec![Arrival::new(0, 0, 0)], 2), 2));
+        let burst = trace(vec![Arrival::new(0, 0, 0), Arrival::new(0, 1, 0)], 2);
+        assert!(!c.admits(&burst, 2));
+        let spaced = trace(vec![Arrival::new(0, 0, 0), Arrival::new(2, 1, 0)], 2);
+        assert!(c.admits(&spaced, 2));
     }
 
     #[test]
     fn incremental_matches_one_shot_at_every_prefix() {
-        // Deterministic pseudo-random trace with gaps and fan-in; at every
-        // slot boundary the incremental report must equal a one-shot scan
-        // of exactly the arrivals observed so far.
+        // At every slot boundary the incremental value must equal a
+        // one-shot scan of exactly the arrivals observed so far.
         let n = 4;
-        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut rng = SplitMix64::new(0x2545_f491_4f6c_dd1d);
         let mut arrivals = Vec::new();
         for slot in 0..60u64 {
             for input in 0..n as u32 {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                if state >> 62 != 0 {
-                    arrivals.push(Arrival::new(slot, input, ((state >> 33) % n as u64) as u32));
+                if rng.chance(0.75) {
+                    arrivals.push(Arrival::new(slot, input, rng.below(n as u64) as u32));
                 }
             }
         }
@@ -400,23 +321,14 @@ mod tests {
             seen.extend(group.clone());
             inc.observe_slot(slot, group);
             let one_shot = min_burstiness(&trace(seen.clone(), n), n);
-            assert_eq!(inc.report(), one_shot, "prefix through slot {slot}");
-            assert_eq!(inc.overall(), one_shot.overall(), "overall at slot {slot}");
+            assert_eq!(inc.overall(), one_shot, "prefix through slot {slot}");
         }
-        assert_eq!(inc.report(), min_burstiness(&t, n));
+        assert_eq!(inc.overall(), min_burstiness(&t, n));
+        assert!(inc.overall() > 0, "the trace must carry a burst");
     }
 
     #[test]
     fn incremental_on_empty_prefix_is_zero() {
-        let inc = IncrementalBurstiness::new(3);
-        assert_eq!(inc.overall(), 0);
-        assert!(inc.report().burst_free());
-    }
-
-    #[test]
-    fn shaper_is_identity_on_conformant_traffic() {
-        let want: Vec<Arrival> = (0..10).map(|s| Arrival::new(s, 0, 0)).collect();
-        let t = shape(want.clone(), 1, 0);
-        assert_eq!(t, trace(want, 1));
+        assert_eq!(IncrementalBurstiness::new(3).overall(), 0);
     }
 }

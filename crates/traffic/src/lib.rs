@@ -1,11 +1,12 @@
 //! # pps-traffic — workloads for the PPS reproduction
 //!
-//! Three families of traffic, all emitted as validated
-//! [`pps_core::Trace`]s:
+//! The admissibility model every theorem assumes, and two families of
+//! traffic emitted as validated [`pps_core::Trace`]s:
 //!
-//! * `leaky_bucket` — the paper's admissibility model (Definition 3):
-//!   `(R, B)` leaky-bucket constrained flows, with an exact minimal-
-//!   burstiness calculator, a conformance validator, and a greedy shaper.
+//! * `leaky_bucket` — Definition 3's `(R, B)` leaky bucket, written once: the per-output [`Bucket`], the [`LbContract`] it
+//!   checks, and the exact minimal-burstiness scan ([`min_burstiness`],
+//!   [`IncrementalBurstiness`]). `pps_workload::Shaped` polices with the
+//!   same [`Bucket`].
 //! * [`gen`] — stochastic workload generators (Bernoulli i.i.d., bursty
 //!   on/off, with uniform / hotspot / permutation / diagonal destination
 //!   patterns) for the throughput/latency experiments.
@@ -24,7 +25,5 @@ pub mod gen;
 mod leaky_bucket;
 mod stats;
 
-pub use leaky_bucket::{
-    is_leaky_bucket, min_burstiness, shape, BurstinessReport, IncrementalBurstiness,
-};
+pub use leaky_bucket::{min_burstiness, Bucket, IncrementalBurstiness, LbContract};
 pub use stats::TraceStats;

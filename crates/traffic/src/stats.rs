@@ -48,7 +48,7 @@ impl TraceStats {
             per_input,
             per_output,
             flows: flows.len(),
-            burstiness: min_burstiness(trace, n).overall(),
+            burstiness: min_burstiness(trace, n),
         }
     }
 

@@ -17,8 +17,8 @@
 //! * [`MmppGen`] / [`OnOffBurstGen`] — Markov-modulated bursts correlated
 //!   across inputs, and independent full-rate on-off trains.
 //! * [`UniformGen`] / [`Shaped`] — memoryless baseline, and leaky-bucket
-//!   policing that makes any stream *admissible by construction*
-//!   ([`LbContract`], integer-exact over [`pps_core::rate::Ratio`]).
+//!   policing that makes any stream *admissible by construction*, on
+//!   `pps_traffic`'s per-output bucket and contract.
 //! * `ReplayStream` — recorded/CSV traces through the same pipe.
 //! * `DiagonalCbr` — constant-bit-rate control traffic, one cell per
 //!   period per input, input `i` to output `i`.
@@ -49,5 +49,5 @@ pub use classes::{priority_oq_delays, ClassedTrace};
 pub use mmpp::{MmppGen, OnOffBurstGen, Phase};
 pub use shaped::{Shaped, UniformGen};
 pub use spec::{SpecKeys, WorkloadSpec};
-pub use stream::{materialize, materialize_dense, ArrivalStream, LbContract};
+pub use stream::{materialize, materialize_dense, ArrivalStream};
 pub use zipf::ZipfGen;

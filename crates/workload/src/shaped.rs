@@ -4,20 +4,20 @@
 //! leaky-bucket conformance (Definition 3) — but a raw stochastic source
 //! has no such promise: a Bernoulli stream at load 0.9 will eventually
 //! aim `N` cells at one output in one slot. [`Shaped`] closes the gap by
-//! policing any inner [`ArrivalStream`] through exact per-output token
-//! buckets, dropping non-conforming cells at the source, so the emitted
-//! trace provably satisfies the [`LbContract`] it advertises and every
-//! envelope/ordering oracle downstream stays valid. The bucket arithmetic
-//! is integer-exact over [`pps_core::rate::Ratio`] — the same recurrence
-//! `pps_traffic::min_burstiness` measures, so shape-then-measure
-//! round-trips exactly.
+//! policing any inner [`ArrivalStream`] through one `pps_traffic`
+//! [`Bucket`] per output, dropping non-conforming cells at the source, so
+//! the emitted trace provably satisfies the [`LbContract`] it advertises
+//! and every envelope/ordering oracle downstream stays valid. The policer
+//! admits a cell exactly when [`LbContract::admits`] would accept it: both
+//! are [`Bucket::offer`].
 //!
 //! [`UniformGen`] is the plain memoryless source (Bernoulli slots, uniform
 //! destinations) used both standalone and as the default shaping inner.
 
-use crate::stream::{ArrivalStream, LbContract};
+use crate::stream::ArrivalStream;
 use pps_core::prelude::*;
 use pps_core::rng::SplitMix64;
+use pps_traffic::{Bucket, LbContract};
 
 /// Memoryless source: each input fires with probability `load` per slot
 /// (pre-drawn geometric gaps), destination uniform per cell.
@@ -76,18 +76,12 @@ impl ArrivalStream for UniformGen {
     }
 }
 
-/// Per-output token-bucket state in `den`-scaled integer units.
-struct Lane {
-    q: u64,
-    last: Slot,
-}
-
 /// Polices an inner stream through per-output `(σ, ρ)` buckets; cells that
 /// would breach the bucket are dropped before they reach the trace.
 pub struct Shaped<S> {
     inner: S,
     contract: LbContract,
-    lanes: Vec<Lane>,
+    buckets: Vec<Bucket>,
     scratch: Vec<Arrival>,
 }
 
@@ -95,11 +89,10 @@ impl<S: ArrivalStream> Shaped<S> {
     /// Shape `inner` to `contract` (burst must admit at least one cell).
     pub fn new(inner: S, contract: LbContract) -> Self {
         assert!(contract.burst >= 1, "burst 0 admits no cells at all");
-        let lanes = (0..inner.ports()).map(|_| Lane { q: 0, last: 0 }).collect();
         Shaped {
+            buckets: vec![Bucket::default(); inner.ports()],
             inner,
             contract,
-            lanes,
             scratch: Vec::new(),
         }
     }
@@ -120,17 +113,8 @@ impl<S: ArrivalStream> ArrivalStream for Shaped<S> {
     fn emit(&mut self, slot: Slot, out: &mut Vec<Arrival>) {
         self.scratch.clear();
         self.inner.emit(slot, &mut self.scratch);
-        // Same `+num` arrival-slot credit as `LbContract::admits`, so the
-        // policer admits exactly what the checker accepts.
-        let (num, den) = (self.contract.rate.num(), self.contract.rate.den());
-        let cap = self.contract.burst.saturating_mul(den).saturating_add(num);
         for a in &self.scratch {
-            let lane = &mut self.lanes[a.output.idx()];
-            let decay = (slot - lane.last).saturating_mul(num);
-            lane.q = lane.q.saturating_sub(decay);
-            lane.last = slot;
-            if lane.q + den <= cap {
-                lane.q += den;
+            if self.buckets[a.output.idx()].offer(slot, &self.contract) {
                 out.push(*a);
             }
         }

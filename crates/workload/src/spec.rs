@@ -28,11 +28,12 @@ use crate::cbr::DiagonalCbr;
 use crate::mmpp::{MmppGen, OnOffBurstGen, Phase};
 use crate::replay::ReplayStream;
 use crate::shaped::{Shaped, UniformGen};
-use crate::stream::{materialize, ArrivalStream, LbContract};
+use crate::stream::{materialize, ArrivalStream};
 use crate::zipf::ZipfGen;
 use pps_core::prelude::*;
 use pps_core::trace::MAX_PORTS;
 use pps_traffic::adversary::congestion_traffic;
+use pps_traffic::LbContract;
 
 /// A parsed `--workload` specification; build streams with
 /// [`WorkloadSpec::stream`] or go straight to a trace with
@@ -268,17 +269,23 @@ impl WorkloadSpec {
                 seed: f.num("seed", 1)?,
                 horizon: f.horizon()?,
             },
-            "shaped" => WorkloadSpec::Shaped {
-                n: f.ports()?,
-                load: f.prob("load", 0.9)?,
-                contract: LbContract::new(
-                    f.num("num", 3)?,
-                    f.count("den", 4)?,
-                    f.count("burst", 8)?,
-                ),
-                seed: f.num("seed", 1)?,
-                horizon: f.horizon()?,
-            },
+            "shaped" => {
+                // A rate above the line rate is no Definition 3 bucket,
+                // and at 0 the bucket never drains.
+                let den = f.count("den", 4)?;
+                let want = format!("in [1, den = {den}]");
+                WorkloadSpec::Shaped {
+                    n: f.ports()?,
+                    load: f.prob("load", 0.9)?,
+                    contract: LbContract::new(
+                        f.num_where("num", 3, &want, |m| (1..=den).contains(m))?,
+                        den,
+                        f.count("burst", 8)?,
+                    ),
+                    seed: f.num("seed", 1)?,
+                    horizon: f.horizon()?,
+                }
+            }
             "replay" => {
                 let path = f
                     .take("path")
@@ -447,6 +454,8 @@ mod tests {
             "onoff:off=0",
             "shaped:den=0",
             "shaped:burst=0",
+            "shaped:n=4,num=5,den=4,horizon=200",
+            "shaped:num=0",
             "uniform:n=65537",
             "replay:path=t.csv,n=70000",
             "cbr:period=0",
@@ -464,6 +473,7 @@ mod tests {
             "onoff:n=65536",
             "cbr:period=1",
             "congestion:n=4,senders=4",
+            "shaped:num=1,den=1",
         ] {
             assert!(WorkloadSpec::parse(spec).is_ok(), "{spec}");
         }

@@ -16,60 +16,8 @@
 //! byte-identical at any `--jobs`.
 
 use pps_core::prelude::*;
-use pps_core::rate::Ratio;
 use pps_core::trace::TraceBuilder;
-
-/// A leaky-bucket contract a stream claims for its emissions: for every
-/// output `j` and every window of `τ` slots, the cells destined to `j`
-/// number at most `rate·τ + burst` (Cruz `(σ, ρ)` with `σ = burst`,
-/// `ρ = rate`; the paper's Definition 3 is the `rate = 1` case). Checked
-/// exactly — in integer arithmetic over [`Ratio`] — by the shaper that
-/// enforces it and by the admissibility property suite.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LbContract {
-    /// Sustained per-output rate `ρ ≤ 1`, kept exact.
-    pub rate: Ratio,
-    /// Burst allowance `σ`, in cells.
-    pub burst: u64,
-}
-
-impl LbContract {
-    /// A contract at `num/den` cells per slot with `burst` slack.
-    pub fn new(num: u64, den: u64, burst: u64) -> Self {
-        LbContract {
-            rate: Ratio::new(num, den),
-            burst,
-        }
-    }
-
-    /// Verify `trace` against this contract with the virtual-queue
-    /// recurrence `q(t) = max(0, q(t−1) − num·Δt) + den·a(t)`: the trace
-    /// conforms iff `q` never exceeds `burst·den + num` on any output
-    /// (the `+num` is the arrival slot's own rate credit — the same
-    /// convention as `pps_traffic::min_burstiness`, whose per-slot
-    /// recurrence is `q(t) = max(0, q(t−1) + a(t) − 1)`, so for `rate = 1`
-    /// the two agree exactly). This is the window condition
-    /// `A_j(t, t+τ] ≤ ρ·τ + σ` in integer arithmetic — no float fuzz, as
-    /// [`pps_core::rate`] demands of admissibility predicates.
-    pub fn admits(&self, trace: &Trace, n: usize) -> bool {
-        let (num, den) = (self.rate.num(), self.rate.den());
-        let cap = self.burst.saturating_mul(den).saturating_add(num);
-        let mut q = vec![0u64; n];
-        let mut last = vec![0 as Slot; n];
-        for (slot, group) in trace.by_slot() {
-            for a in group {
-                let j = a.output.idx();
-                let decay = (slot - last[j]).saturating_mul(num);
-                q[j] = q[j].saturating_sub(decay) + den;
-                last[j] = slot;
-                if q[j] > cap {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
+use pps_traffic::LbContract;
 
 /// A deterministic, seeded arrival process that can be materialized into a
 /// validated [`Trace`] in time proportional to the cells it emits.
@@ -177,38 +125,5 @@ mod tests {
         let b = materialize_dense(&mut Pulse { period: 7, next: 0 }, 100);
         assert_eq!(a, b);
         assert_eq!(a.len(), 15); // slots 0, 7, …, 98
-    }
-
-    #[test]
-    fn contract_admits_exact_boundary() {
-        // rate 1/2, burst 1: one cell per slot-0 window is fine
-        // (A = 1 ≤ ρ·1 + σ = 1.5); two same-slot cells exceed it
-        // (A = 2 > 1.5); the same two cells two slots apart conform.
-        let c = LbContract::new(1, 2, 1);
-        let ok = Trace::build(vec![Arrival::new(0, 0, 0)], 2).unwrap();
-        assert!(c.admits(&ok, 2));
-        let burst = Trace::build(vec![Arrival::new(0, 0, 0), Arrival::new(0, 1, 0)], 2).unwrap();
-        assert!(!c.admits(&burst, 2));
-        let spaced = Trace::build(vec![Arrival::new(0, 0, 0), Arrival::new(2, 1, 0)], 2).unwrap();
-        assert!(c.admits(&spaced, 2));
-    }
-
-    #[test]
-    fn contract_rate_one_matches_min_burstiness() {
-        // For R = 1 the recurrence is the paper's Definition 3; compare
-        // with pps_traffic::min_burstiness on a bursty hand trace.
-        let t = Trace::build(
-            vec![
-                Arrival::new(0, 0, 0),
-                Arrival::new(0, 1, 0),
-                Arrival::new(0, 2, 0),
-                Arrival::new(5, 0, 0),
-            ],
-            3,
-        )
-        .unwrap();
-        let b = pps_traffic::min_burstiness(&t, 3).overall();
-        assert!(LbContract::new(1, 1, b).admits(&t, 3));
-        assert!(!LbContract::new(1, 1, b - 1).admits(&t, 3));
     }
 }

@@ -9,8 +9,9 @@
 use proptest::prelude::*;
 
 use pps_core::prelude::*;
+use pps_traffic::{min_burstiness, LbContract};
 use pps_workload::{
-    materialize, materialize_dense, ArrivalStream, LbContract, Shaped, UniformGen, WorkloadSpec,
+    materialize, materialize_dense, ArrivalStream, Shaped, UniformGen, WorkloadSpec,
 };
 
 const HORIZON: Slot = 1_200;
@@ -194,6 +195,20 @@ proptest! {
             advertised.admits(&trace, n),
             "shaped trace breaches its advertised bucket"
         );
+    }
+
+    #[test]
+    fn leaky_bucket_validator_agrees_with_shaper(
+        n in 2usize..=6,
+        b in 1u64..6,
+        seed in 0u64..100,
+    ) {
+        // Police over-demand to Definition 3's rate with burst B, then
+        // verify the scanner certifies at most B.
+        let mut g = Shaped::new(UniformGen::new(seed, n, 0.9), LbContract::new(1, 1, b));
+        let shaped = materialize(&mut g, 40);
+        let b_min = min_burstiness(&shaped, n);
+        prop_assert!(b_min <= b, "policer output exceeds B = {}: B_min = {}", b, b_min);
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn hundred_million_slot_soak_stays_inside_the_envelope() {
     let rel = cmp.relative_delay();
     assert_eq!(rel.pps_undelivered, 0, "cells lost in a fault-free run");
 
-    let b = min_burstiness(&trace, N).overall();
+    let b = min_burstiness(&trace, N);
     let envelope = ((R_PRIME as u64) * (N as u64 + K as u64 + b) + 64) as i64;
     let tails = TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq)).unwrap();
     assert!(

@@ -26,11 +26,10 @@ fn main() {
     for line in &atk.phase_log {
         println!("  {line}");
     }
-    let b = min_burstiness(&atk.trace, n);
     println!(
         "\ntraffic: {} cells, minimal burstiness B = {} (Theorem 6 premise: burst-free)",
         atk.trace.len(),
-        b.overall()
+        min_burstiness(&atk.trace, n)
     );
     println!(
         "paper bound (R/r - 1)*N   = {} slots; model-exact (R/r - 1)*(N - 1) = {}",

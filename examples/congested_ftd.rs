@@ -47,7 +47,7 @@ fn main() {
         let c = congestion_traffic(n, 0, k / r_prime + 1, duration);
         t15.row_display(&[
             duration.to_string(),
-            min_burstiness(&c.trace, n).overall().to_string(),
+            min_burstiness(&c.trace, n).to_string(),
         ]);
     }
     println!("{}", t15.render());

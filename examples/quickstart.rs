@@ -20,11 +20,10 @@ fn main() {
 
     // Admissible i.i.d. traffic at 85% load, uniform destinations.
     let trace = BernoulliGen::uniform(0.85, 7).trace(cfg.n, 5_000);
-    let report = min_burstiness(&trace, cfg.n);
     println!(
         "offered {} cells over 5000 slots (minimal leaky-bucket burstiness B = {})\n",
         trace.len(),
-        report.overall()
+        min_burstiness(&trace, cfg.n)
     );
 
     // Run the PPS (round-robin demultiplexing) and the shadow OQ switch on

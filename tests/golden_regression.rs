@@ -106,7 +106,7 @@ fn fixed_seed_bernoulli_run_is_stable() {
     let (n, k, r_prime) = (8, 8, 2);
     let trace = BernoulliGen::uniform(0.8, 20_260_705).trace(n, 1_000);
     assert_eq!(trace.len(), 6358, "generator output drifted");
-    assert_eq!(min_burstiness(&trace, n).overall(), 13);
+    assert_eq!(min_burstiness(&trace, n), 13);
     let cfg = PpsConfig::bufferless(n, k, r_prime);
     let cmp =
         compare_bufferless_in(cfg, RoundRobinDemux::new(n, k), &trace, &Sink::default()).unwrap();

@@ -283,22 +283,4 @@ proptest! {
             prop_assert_eq!(rec.departure(), Some(analytic[id.idx()]));
         }
     }
-
-    #[test]
-    fn leaky_bucket_validator_agrees_with_shaper(
-        n in 2usize..=6,
-        b in 0u64..6,
-        seed in 0u64..100,
-    ) {
-        // Shape random (over-)demand to burstiness B, then verify the
-        // validator certifies exactly <= B.
-        let want: Vec<Arrival> = pps_traffic::gen::BernoulliGen::uniform(0.9, seed)
-            .trace(n, 40)
-            .arrivals()
-            .collect();
-        let shaped = pps_traffic::shape(want, n, b);
-        prop_assert!(pps_traffic::is_leaky_bucket(&shaped, n, b),
-            "shaper output exceeds B = {}: report {:?}", b,
-            pps_traffic::min_burstiness(&shaped, n));
-    }
 }
