@@ -1,7 +1,8 @@
 //! Registry-level dense/skip equivalence: the experiment tables a user
 //! actually reads must come out byte-identical whichever slot-stepping
 //! mode the engines run under, at any worker budget. This is the
-//! user-facing face of the `skip_equivalence` harness in `pps-switch`.
+//! user-facing face of `pps-switch`'s `engine_model` test, which holds
+//! both PPS variants to the same naive model in each mode.
 //!
 //! Each configuration is a [`RunSpec`] of its own: the mode and the budget
 //! are arguments of the run, not process state.

@@ -6,24 +6,19 @@
 //! the dense lockstep loop. The only permitted difference is wall clock
 //! and the `slots_simulated` / `slots_skipped` split in the perf meters.
 //!
-//! Three layers:
-//! * a proptest that pits the two modes against random sparse traces,
-//!   fault plans and resequencer configurations, for both engines;
+//! `engine_model.rs` runs both engines under both modes against the naive
+//! model of DESIGN.md §2, over random traces, faults, watchdogs and
+//! disciplines. What it cannot see is checked here:
 //! * a full-telemetry golden check on a gap-heavy fault run;
 //! * a wall-clock check on a ≤1%-occupied 10⁷-slot workload (≥20× — in
 //!   practice far more) and a 10⁹-slot sparse soak that is only feasible
 //!   because skip-ahead makes it O(events).
 
-use proptest::prelude::*;
-
 use pps_core::fault::FaultPlan;
 use pps_core::prelude::*;
 use pps_core::Stepping;
-use pps_switch::demux::{
-    ArbitratedCrossbarDemux, BufferedRoundRobinDemux, BufferedStaleDemux, CpaDemux,
-    DelayedCpaDemux, RoundRobinDemux,
-};
-use pps_switch::engine::{BufferedPps, BufferlessPps, PpsRun};
+use pps_switch::demux::RoundRobinDemux;
+use pps_switch::engine::{BufferlessPps, PpsRun};
 
 /// Assert two runs are observably identical (log, stats, end slot).
 fn assert_same(dense: &PpsRun, skip: &PpsRun, what: &str) {
@@ -42,40 +37,6 @@ fn stepped(mode: Stepping) -> Sink {
         stepping: mode,
         ..RunSpec::default()
     })
-}
-
-/// Run one bufferless configuration under both modes.
-fn bufferless_pair<D: pps_core::demux::Demultiplexor>(
-    cfg: PpsConfig,
-    mut mk: impl FnMut() -> D,
-    trace: &Trace,
-    plan: Option<&FaultPlan>,
-) -> (PpsRun, PpsRun) {
-    let run = |mode: Stepping, demux: D| {
-        let mut pps = BufferlessPps::new_in(cfg, demux, &stepped(mode)).expect("engine");
-        if let Some(p) = plan {
-            pps.set_fault_plan(p).expect("plan");
-        }
-        pps.run(trace).expect("run")
-    };
-    (run(Stepping::Dense, mk()), run(Stepping::SkipAhead, mk()))
-}
-
-/// Run one buffered configuration under both modes.
-fn buffered_pair<D: pps_core::demux::BufferedDemultiplexor>(
-    cfg: PpsConfig,
-    mk: impl Fn() -> D,
-    trace: &Trace,
-    plan: Option<&FaultPlan>,
-) -> (PpsRun, PpsRun) {
-    let run = |mode: Stepping| {
-        let mut pps = BufferedPps::new_in(cfg, mk(), &stepped(mode)).expect("engine");
-        if let Some(p) = plan {
-            pps.set_fault_plan(p).expect("plan");
-        }
-        pps.run(trace).expect("run")
-    };
-    (run(Stepping::Dense), run(Stepping::SkipAhead))
 }
 
 /// A sparse arrival pattern: bursts separated by long idle gaps, exactly
@@ -101,8 +62,8 @@ fn sparse_trace(n: usize, bursts: &[(u64, u8)]) -> Trace {
     Trace::build(v, n).expect("trace")
 }
 
-/// Random fault plan over `k` planes: a down/up pulse per drawn plane,
-/// placed inside or between the bursts so skip jumps must stop at
+/// A fault plan of down/up pulses `(plane, down_at, up_after)`, placed
+/// inside or between the bursts so skip jumps must stop at
 /// activation slots that dense merely walks past.
 fn pulse_plan(pulses: &[(u32, u64, u64)]) -> FaultPlan {
     let mut plan = FaultPlan::new();
@@ -112,91 +73,6 @@ fn pulse_plan(pulses: &[(u32, u64, u64)]) -> FaultPlan {
             .plane_up(plane, down_at + up_after);
     }
     plan
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Bufferless engine, FlowFifo + watchdog sweep, sparse bursty traffic
-    /// with plane-fault pulses: dense and skip must agree exactly.
-    #[test]
-    fn bufferless_dense_equals_skip(
-        bursts in proptest::collection::vec((0u64..20_000, 1u8..4), 1..5),
-        watchdog in (0u64..13).prop_map(|w| (w > 0).then_some(w)),
-        fcfs in 0u8..2,
-        pulses in proptest::collection::vec((0u32..4, 0u64..20_000, 1u64..6_000), 0..3),
-    ) {
-        let (n, k, r_prime) = (4usize, 4usize, 2usize);
-        let mut cfg = PpsConfig::bufferless(n, k, r_prime);
-        if fcfs == 1 {
-            cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
-        }
-        if let Some(w) = watchdog {
-            cfg = cfg.with_watchdog(w);
-        }
-        let trace = sparse_trace(n, &bursts);
-        let plan = pulse_plan(&pulses);
-        prop_assume!(plan.validate(&cfg).is_ok());
-
-        let (d, s) = bufferless_pair(cfg, || RoundRobinDemux::new(n, k), &trace, Some(&plan));
-        assert_same(&d, &s, "bufferless/rr");
-
-        let (d, s) = bufferless_pair(
-            cfg.with_discipline(OutputDiscipline::GlobalFcfs),
-            || CpaDemux::new(n, k, r_prime),
-            &trace,
-            Some(&plan),
-        );
-        assert_same(&d, &s, "bufferless/cpa");
-    }
-
-    /// Buffered engine: input buffers force the loop dense while occupied;
-    /// the skip logic must only engage across truly idle stretches.
-    #[test]
-    fn buffered_dense_equals_skip(
-        bursts in proptest::collection::vec((0u64..20_000, 1u8..4), 1..5),
-        size in 1usize..6,
-        watchdog in (0u64..13).prop_map(|w| (w > 0).then_some(w)),
-        pulses in proptest::collection::vec((0u32..4, 0u64..20_000, 1u64..6_000), 0..3),
-        blackout in (0u32..4, 0u64..4, 1u64..40),
-        u in 1u64..5,
-    ) {
-        let (n, k, r_prime) = (4usize, 4usize, 2usize);
-        let mut cfg = PpsConfig::buffered(n, k, r_prime, size);
-        if let Some(w) = watchdog {
-            cfg = cfg.with_watchdog(w);
-        }
-        let trace = sparse_trace(n, &bursts);
-        let plan = pulse_plan(&pulses);
-        prop_assume!(plan.validate(&cfg).is_ok());
-
-        let (d, s) = buffered_pair(cfg, || BufferedRoundRobinDemux::new(n, k), &trace, Some(&plan));
-        assert_same(&d, &s, "buffered/rr");
-
-        // The hold-then-dispatch demuxes: besides the plane pulses, black
-        // out every line of one input around the first burst, so heads
-        // ripen with no line free and are released late. They keep up to
-        // `u` cells per input (more across the blackout): give them room,
-        // whatever `size` drew.
-        let (input, lead, len) = blackout;
-        let from = bursts[0].0 + lead;
-        let plan = (0..k as u32).fold(plan, |plan, p| {
-            plan.link_degraded(input, p, from, from + len)
-        });
-        let roomy = PpsConfig { buffer: BufferSpec::Buffered { size: 64 }, ..cfg };
-        let (d, s) = buffered_pair(roomy, || ArbitratedCrossbarDemux::new(k, u), &trace, Some(&plan));
-        assert_same(&d, &s, "buffered/arbitrated");
-        let (d, s) =
-            buffered_pair(roomy, || BufferedStaleDemux::new(n, k, u, u / 2), &trace, Some(&plan));
-        assert_same(&d, &s, "buffered/stale");
-        let (d, s) = buffered_pair(
-            roomy.with_discipline(OutputDiscipline::GlobalFcfs),
-            || DelayedCpaDemux::new(n, k, r_prime, u),
-            &trace,
-            Some(&plan),
-        );
-        assert_same(&d, &s, "buffered/delayed-cpa");
-    }
 }
 
 /// Full-telemetry golden check: a gap-heavy faulted run records exactly

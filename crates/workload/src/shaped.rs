@@ -6,10 +6,10 @@
 //! aim `N` cells at one output in one slot. [`Shaped`] closes the gap by
 //! policing any inner [`ArrivalStream`] through one `pps_traffic`
 //! [`Bucket`] per output, dropping non-conforming cells at the source, so
-//! the emitted trace provably satisfies the [`LbContract`] it advertises
-//! and every envelope/ordering oracle downstream stays valid. The policer
-//! admits a cell exactly when [`LbContract::admits`] would accept it: both
-//! are [`Bucket::offer`].
+//! the emitted trace provably satisfies the [`LbContract`] it is built
+//! with and every envelope/ordering oracle downstream stays valid. The
+//! policer admits a cell exactly when [`LbContract::admits`] would accept
+//! it: both are [`Bucket::offer`].
 //!
 //! [`UniformGen`] is the plain memoryless source (Bernoulli slots, uniform
 //! destinations) used both standalone and as the default shaping inner.
@@ -85,10 +85,18 @@ pub struct Shaped<S> {
     scratch: Vec<Arrival>,
 }
 
+/// Whether a bucket of `contract` holds one cell (`burst·den + num ≥
+/// den`): any burst at the line rate, where burst 0 is the paper's
+/// burst-free `(R, 0)` traffic; below it, a burst of at least 1.
+pub(crate) fn holds_a_cell(contract: &LbContract) -> bool {
+    let (num, den) = (contract.rate.num(), contract.rate.den());
+    contract.burst.saturating_mul(den).saturating_add(num) >= den
+}
+
 impl<S: ArrivalStream> Shaped<S> {
-    /// Shape `inner` to `contract` (burst must admit at least one cell).
+    /// Shape `inner` to `contract`, whose bucket must hold one cell.
     pub fn new(inner: S, contract: LbContract) -> Self {
-        assert!(contract.burst >= 1, "burst 0 admits no cells at all");
+        assert!(holds_a_cell(&contract), "the bucket holds no cell");
         Shaped {
             buckets: vec![Bucket::default(); inner.ports()],
             inner,
@@ -119,10 +127,6 @@ impl<S: ArrivalStream> ArrivalStream for Shaped<S> {
             }
         }
     }
-
-    fn contract(&self) -> Option<LbContract> {
-        Some(self.contract)
-    }
 }
 
 #[cfg(test)]
@@ -130,18 +134,20 @@ mod tests {
     use super::*;
     use crate::stream::{materialize, materialize_dense};
 
+    fn contract() -> LbContract {
+        LbContract::new(3, 4, 4)
+    }
+
     fn shaped(seed: u64) -> Shaped<UniformGen> {
-        Shaped::new(UniformGen::new(seed, 4, 0.9), LbContract::new(3, 4, 4))
+        Shaped::new(UniformGen::new(seed, 4, 0.9), contract())
     }
 
     #[test]
     fn emitted_trace_satisfies_its_own_contract() {
         for seed in 0..20 {
-            let mut g = shaped(seed);
-            let c = g.contract().expect("shaped streams carry their contract");
-            let t = materialize(&mut g, 3_000);
+            let t = materialize(&mut shaped(seed), 3_000);
             assert!(
-                c.admits(&t, 4),
+                contract().admits(&t, 4),
                 "seed {seed}: shaped trace breaches contract"
             );
         }

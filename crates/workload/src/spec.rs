@@ -27,7 +27,7 @@
 use crate::cbr::DiagonalCbr;
 use crate::mmpp::{MmppGen, OnOffBurstGen, Phase};
 use crate::replay::ReplayStream;
-use crate::shaped::{Shaped, UniformGen};
+use crate::shaped::{holds_a_cell, Shaped, UniformGen};
 use crate::stream::{materialize, ArrivalStream};
 use crate::zipf::ZipfGen;
 use pps_core::prelude::*;
@@ -271,17 +271,19 @@ impl WorkloadSpec {
             },
             "shaped" => {
                 // A rate above the line rate is no Definition 3 bucket,
-                // and at 0 the bucket never drains.
+                // at 0 the bucket never drains, and a bucket must hold one
+                // cell: burst 0 suits the line rate alone.
                 let den = f.count("den", 4)?;
                 let want = format!("in [1, den = {den}]");
+                let (n, load) = (f.ports()?, f.prob("load", 0.9)?);
+                let num = f.num_where("num", 3, &want, |m| (1..=den).contains(m))?;
+                let burst = f.num_where("burst", 8, "at least 1 unless num = den", |&b| {
+                    holds_a_cell(&LbContract::new(num, den, b))
+                })?;
                 WorkloadSpec::Shaped {
-                    n: f.ports()?,
-                    load: f.prob("load", 0.9)?,
-                    contract: LbContract::new(
-                        f.num_where("num", 3, &want, |m| (1..=den).contains(m))?,
-                        den,
-                        f.count("burst", 8)?,
-                    ),
+                    n,
+                    load,
+                    contract: LbContract::new(num, den, burst),
                     seed: f.num("seed", 1)?,
                     horizon: f.horizon()?,
                 }
@@ -454,6 +456,7 @@ mod tests {
             "onoff:off=0",
             "shaped:den=0",
             "shaped:burst=0",
+            "shaped:num=3,den=4,burst=0",
             "shaped:n=4,num=5,den=4,horizon=200",
             "shaped:num=0",
             "uniform:n=65537",
@@ -474,6 +477,7 @@ mod tests {
             "cbr:period=1",
             "congestion:n=4,senders=4",
             "shaped:num=1,den=1",
+            "shaped:num=4,den=4,burst=0",
         ] {
             assert!(WorkloadSpec::parse(spec).is_ok(), "{spec}");
         }

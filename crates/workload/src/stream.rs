@@ -17,7 +17,6 @@
 
 use pps_core::prelude::*;
 use pps_core::trace::TraceBuilder;
-use pps_traffic::LbContract;
 
 /// A deterministic, seeded arrival process that can be materialized into a
 /// validated [`Trace`] in time proportional to the cells it emits.
@@ -40,13 +39,6 @@ pub trait ArrivalStream {
     /// slot before `next_activity(from)` is a no-op; slots must be
     /// visited in non-decreasing order.
     fn emit(&mut self, slot: Slot, out: &mut Vec<Arrival>);
-
-    /// The leaky-bucket contract this stream *guarantees* per output, if
-    /// it shapes its emissions. `None` means only the structural per-input
-    /// limit (one cell per slot per input) is promised.
-    fn contract(&self) -> Option<LbContract> {
-        None
-    }
 }
 
 /// Materialize `horizon` slots of `stream` into a validated [`Trace`],

@@ -10,6 +10,9 @@
 #   module — the first `#[cfg(test)]` line that is directly followed by a
 #   column-0 `mod name {`. A `#[cfg(test)]`-gated item in the middle of a
 #   file therefore still counts as product code (PR 21's rule).
+# * test LoC: every line of tests/*.rs and crates/*/tests/*.rs, plus the
+#   unit-test module of each crates/*/src file (exactly the part non-test
+#   LoC cuts). Printed only; nothing gates it.
 # * pub sites: non-test lines whose first token is `pub` (not `pub(...)`).
 # * unwrap/expect sites: `.unwrap(` and `.expect(` calls in non-test code
 #   (ROADMAP item 7 iii classifies them: invariant, or input-reachable).
@@ -64,6 +67,11 @@ nontest $files | awk -F/ '
         close("sort")
         printf "  %-12s %6d\n", "total", total
     }'
+
+# shellcheck disable=SC2086
+cut=$(($(cat $files | wc -l) - $(nontest $files | wc -l)))
+integration=$(find tests crates/*/tests -maxdepth 1 -name '*.rs' | xargs cat | wc -l)
+echo "test LoC             $((cut + integration))"
 
 # shellcheck disable=SC2086
 pubs=$(nontest $files | grep -cE '^[^:]+:[[:space:]]*pub ')
