@@ -5,7 +5,7 @@
 //! of the randomized demultiplexor, or quantifying how rare the Θ(N)
 //! worst case is under benign load.
 
-use crate::metrics::{delay_pairs, relative};
+use crate::metrics::relative;
 use pps_core::prelude::*;
 
 /// Per-cell relative delays (`delay_PPS − delay_OQ`) of two logs over one
@@ -19,43 +19,44 @@ pub fn relative_delays<'a>(pps: &'a RunLog, oq: &'a RunLog) -> RelativeDelays<'a
 }
 
 /// The relative delays of two logs ([`relative_delays`]): a view that
-/// stores nothing per cell. Each walk streams the two delay columns again.
+/// stores nothing per cell. Each walk ([`Sample::fold_values`]) streams the
+/// two delay columns again.
 #[derive(Clone, Copy)]
 pub struct RelativeDelays<'a> {
     pps: &'a RunLog,
     oq: &'a RunLog,
 }
 
-impl<'a> RelativeDelays<'a> {
-    /// The values, in cell-id order.
-    pub fn iter(&self) -> impl Iterator<Item = i64> + 'a {
-        delay_pairs(self.pps, self.oq).filter_map(|(p, q)| Some(relative(p?, q?)))
-    }
-}
-
 /// A sample the order statistics read in two passes ([`Percentiles`],
 /// [`TailQuantiles`], [`Histogram`]): a slice or vector of values,
 /// or a [`RelativeDelays`] view over two logs.
 pub trait Sample {
-    /// The values, in order; every call walks the whole sample again.
-    fn values(&self) -> impl Iterator<Item = i64> + '_;
+    /// Fold `f` over the values, in order; every call walks the whole
+    /// sample again.
+    fn fold_values<B>(&self, init: B, f: impl FnMut(B, i64) -> B) -> B;
 }
 
 impl Sample for [i64] {
-    fn values(&self) -> impl Iterator<Item = i64> + '_ {
-        self.iter().copied()
+    fn fold_values<B>(&self, init: B, mut f: impl FnMut(B, i64) -> B) -> B {
+        self.iter().fold(init, |acc, &v| f(acc, v))
     }
 }
 
 impl Sample for Vec<i64> {
-    fn values(&self) -> impl Iterator<Item = i64> + '_ {
-        self.iter().copied()
+    fn fold_values<B>(&self, init: B, f: impl FnMut(B, i64) -> B) -> B {
+        self.as_slice().fold_values(init, f)
     }
 }
 
+/// One [`RunLog::fold_pairs`] pass: both delay columns read at their
+/// widths.
 impl Sample for RelativeDelays<'_> {
-    fn values(&self) -> impl Iterator<Item = i64> + '_ {
-        self.iter()
+    fn fold_values<B>(&self, init: B, mut f: impl FnMut(B, i64) -> B) -> B {
+        self.pps
+            .fold_pairs(self.oq, init, |acc, p, q| match (p, q) {
+                (Some(p), Some(q)) => f(acc, relative(p, q)),
+                _ => acc,
+            })
     }
 }
 
@@ -70,22 +71,19 @@ struct Summary {
 impl Summary {
     /// `None` for an empty sample.
     fn of<S: Sample + ?Sized>(sample: &S) -> Option<Self> {
-        let mut values = sample.values();
-        let first = values.next()?;
-        Some(values.fold(
-            Summary {
-                count: 1,
-                min: first,
-                max: first,
-                sum: first,
-            },
-            |s, v| Summary {
-                count: s.count + 1,
-                min: s.min.min(v),
-                max: s.max.max(v),
-                sum: s.sum + v,
-            },
-        ))
+        let empty = Summary {
+            count: 0,
+            min: i64::MAX,
+            max: i64::MIN,
+            sum: 0,
+        };
+        let s = sample.fold_values(empty, |s, v| Summary {
+            count: s.count + 1,
+            min: s.min.min(v),
+            max: s.max.max(v),
+            sum: s.sum + v,
+        });
+        (s.count > 0).then_some(s)
     }
 
     /// Arithmetic mean.
@@ -232,13 +230,17 @@ impl OrderStats {
         let summary = Summary::of(values)?;
         let (min, max) = (summary.min, summary.max);
         let ranked = if max.abs_diff(min) < summary.count as u64 {
-            let mut counts = vec![0usize; max.abs_diff(min) as usize + 1];
-            for v in values.values() {
+            let counts = vec![0usize; max.abs_diff(min) as usize + 1];
+            Ranked::Counted(values.fold_values(counts, |mut counts, v| {
                 counts[v.abs_diff(min) as usize] += 1;
-            }
-            Ranked::Counted(counts)
+                counts
+            }))
         } else {
-            let mut sorted: Vec<i64> = values.values().collect();
+            let sorted = Vec::with_capacity(summary.count);
+            let mut sorted = values.fold_values(sorted, |mut sorted, v| {
+                sorted.push(v);
+                sorted
+            });
             sorted.sort_unstable();
             Ranked::Sorted(sorted)
         };
@@ -277,16 +279,17 @@ impl Histogram {
         }
         let Summary { min, max, .. } = Summary::of(values)?;
         let width = (((max - min) as u64 / buckets as u64) + 1) as i64;
-        let mut out: Vec<(i64, i64, usize)> = (0..buckets)
+        let out: Vec<(i64, i64, usize)> = (0..buckets)
             .map(|b| {
                 let lo = min + b as i64 * width;
                 (lo, lo + width, 0)
             })
             .collect();
-        for v in values.values() {
+        let mut out = values.fold_values(out, |mut out, v| {
             let idx = (((v - min) / width) as usize).min(buckets - 1);
             out[idx].2 += 1;
-        }
+            out
+        });
         // Trim empty trailing buckets.
         while out.len() > 1 && out.last().unwrap().2 == 0 {
             out.pop();
@@ -469,6 +472,14 @@ mod tests {
         assert!(t.resolvable(1000));
     }
 
+    /// A sample's values, in order.
+    fn values<S: Sample + ?Sized>(sample: &S) -> Vec<i64> {
+        sample.fold_values(Vec::new(), |mut v, x| {
+            v.push(x);
+            v
+        })
+    }
+
     #[test]
     fn relative_delays_joins_by_id() {
         // Reuse the RunLog machinery: two 2-cell logs.
@@ -480,10 +491,7 @@ mod tests {
         pps.set_departure(CellId(1), 5);
         oq.set_departure(CellId(0), 0);
         oq.set_departure(CellId(1), 1);
-        assert_eq!(
-            relative_delays(&pps, &oq).iter().collect::<Vec<_>>(),
-            vec![4, 4]
-        );
+        assert_eq!(values(&relative_delays(&pps, &oq)), vec![4, 4]);
     }
 
     /// Two logs of one trace with a PPS delay of `pps_delay(i)` and an OQ
@@ -518,7 +526,7 @@ mod tests {
         for (paths, (pps, oq)) in [("counted", narrow), ("sorted", wide)] {
             let view = relative_delays(&pps, &oq);
             let vec = collected(&pps, &oq);
-            assert_eq!(view.iter().collect::<Vec<_>>(), vec, "{paths}");
+            assert_eq!(values(&view), vec, "{paths}");
             assert!(vec.len() < pps.len(), "a PPS cell is undelivered");
             let ranked = OrderStats::of(&view).unwrap().ranked;
             assert_eq!(matches!(ranked, Ranked::Counted(_)), paths == "counted");

@@ -34,65 +34,79 @@ pub(crate) fn relative(a: Slot, b: Slot) -> i64 {
     }
 }
 
-/// Per cell of two logs over one trace, in id order: its PPS delay and
-/// its OQ delay — the columns every join streams. The shared arrival
-/// cancels, so a cell's relative delay is the difference of its two
-/// delays, and a join that does not select cells reads no arrival.
+/// Per cell of two logs over one trace, in id order: its arrival, its PPS
+/// delay and its OQ delay, for a join that selects or groups cells by
+/// arrival, read cell by cell. The shared arrival cancels, so a cell's
+/// relative delay is the difference of its two delays; a join that does
+/// not select cells reads no arrival ([`RunLog::fold_pairs`]).
 ///
 /// # Panics
 /// Panics if the logs do not cover the same cells.
-pub(crate) fn delay_pairs<'a>(
-    pps: &'a RunLog,
-    oq: &'a RunLog,
-) -> impl Iterator<Item = (Option<Slot>, Option<Slot>)> + 'a {
-    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
-    pps.delays().zip(oq.delays())
-}
-
-/// [`delay_pairs`] beside each cell's arrival, for a join that selects or
-/// groups cells by it.
 pub(crate) fn joined<'a>(
     pps: &'a RunLog,
     oq: &'a RunLog,
 ) -> impl Iterator<Item = (Arrival, Option<Slot>, Option<Slot>)> + 'a {
-    let pairs = delay_pairs(pps, oq);
-    pps.arrivals().zip(pairs).map(|(a, (p, q))| (a, p, q))
+    assert_eq!(pps.len(), oq.len(), "logs must cover the same trace");
+    pps.arrivals()
+        .zip(pps.delays().zip(oq.delays()))
+        .map(|(a, (p, q))| (a, p, q))
 }
 
-/// Fold the relative delay of each cell of `pairs` (its PPS and OQ delay).
-fn fold_relative(pairs: impl Iterator<Item = (Option<Slot>, Option<Slot>)>) -> RelativeDelay {
-    let mut max = i64::MIN;
-    let mut sum = 0i128;
-    let mut compared = 0usize;
-    let mut undelivered = 0usize;
-    for (p, q) in pairs {
+/// The running fold of [`RelativeDelay`] over cells.
+struct RelativeFold {
+    max: i64,
+    sum: i128,
+    compared: usize,
+    undelivered: usize,
+}
+
+impl RelativeFold {
+    const EMPTY: RelativeFold = RelativeFold {
+        max: i64::MIN,
+        sum: 0,
+        compared: 0,
+        undelivered: 0,
+    };
+
+    /// Fold in one cell from its PPS and OQ delay.
+    #[inline]
+    fn add(mut self, p: Option<Slot>, q: Option<Slot>) -> Self {
         match (p, q) {
             (Some(p), Some(q)) => {
                 let d = relative(p, q);
-                max = max.max(d);
-                sum += d as i128;
-                compared += 1;
+                self.max = self.max.max(d);
+                self.sum += d as i128;
+                self.compared += 1;
             }
-            (None, _) => undelivered += 1,
+            (None, _) => self.undelivered += 1,
             (Some(_), None) => unreachable!("the OQ reference always drains"),
         }
+        self
     }
-    RelativeDelay {
-        max: if compared == 0 { 0 } else { max },
-        mean: if compared == 0 {
-            0.0
-        } else {
-            sum as f64 / compared as f64
-        },
-        compared,
-        pps_undelivered: undelivered,
+
+    fn finish(self) -> RelativeDelay {
+        let compared = self.compared;
+        RelativeDelay {
+            max: if compared == 0 { 0 } else { self.max },
+            mean: if compared == 0 {
+                0.0
+            } else {
+                self.sum as f64 / compared as f64
+            },
+            compared,
+            pps_undelivered: self.undelivered,
+        }
     }
 }
 
 /// Compute the relative-delay distribution from two logs over the same
-/// trace (joined by cell id).
+/// trace (joined by cell id), in one [`RunLog::fold_pairs`] pass.
+///
+/// # Panics
+/// Panics if the logs do not cover the same cells.
 pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
-    fold_relative(delay_pairs(pps, oq))
+    pps.fold_pairs(oq, RelativeFold::EMPTY, RelativeFold::add)
+        .finish()
 }
 
 /// Relative delay restricted to the cells of one output port.
@@ -101,8 +115,10 @@ pub fn relative_delay(pps: &RunLog, oq: &RunLog) -> RelativeDelay {
 /// hot output); composite multi-output attacks are checked output by
 /// output with this.
 pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> RelativeDelay {
-    let cells = joined(pps, oq).filter(|(a, ..)| a.output == output);
-    fold_relative(cells.map(|(_, p, q)| (p, q)))
+    joined(pps, oq)
+        .filter(|(a, ..)| a.output == output)
+        .fold(RelativeFold::EMPTY, |f, (_, p, q)| f.add(p, q))
+        .finish()
 }
 
 /// Per-flow delay jitter: the maximal difference in queuing delay between

@@ -11,13 +11,16 @@
 //! |---|---|---|
 //! | arrival, input, output | 4 + 2 + 2 | the trace, once (the arrival's high word once per run) |
 //! | seq | 4 | the trace, once |
-//! | delay | 4 | every log (a delay of 2³²−2 slots or more in a side map) |
-//! | plane | 2 | a log whose engine records one (allocated on the first [`RunLog::set_plane`]) |
+//! | delay | 1, 2 or 4 | every log (a delay of 2³²−2 slots or more in a side map) |
+//! | plane | 1 or 2 | a log whose engine records one (allocated on the first [`RunLog::set_plane`]) |
 //!
 //! A log stores a cell's *delay*, `departure − arrival`, not its departure
-//! slot: the arrival is the table's, and a delay fits 32 bits where a slot
-//! does not. The rare delay that does not fit is kept exactly in a side map
-//! keyed by cell index, behind a reserved column value.
+//! slot: the arrival is the table's, and the paper's metric keeps delays
+//! small. Each column holds its values at the narrowest width they need —
+//! one byte per cell until the first value of 255 or more, then two, then
+//! (delays only) four — and widens itself, once per width, when a value
+//! does not fit. The rare delay that does not fit 32 bits is kept exactly
+//! in a side map keyed by cell index, behind a reserved column value.
 //!
 //! A delay entry is appended when its cell enters the switch
 //! ([`crate::stepping::drive`] pushes each slot's arrivals before it hands
@@ -30,7 +33,9 @@
 //! on read ([`RunLog::get`], [`RunLog::iter`], [`RunLog::records`]).
 //! Relative queuing delay and relative delay jitter are computed by joining
 //! two logs on the id in `pps-analysis`, which streams the delay columns
-//! themselves ([`RunLog::arrivals`], [`RunLog::delays`]).
+//! themselves: [`RunLog::fold_pairs`] reads both at their widths, choosing
+//! the loop once per pass; [`RunLog::arrivals`] and [`RunLog::delays`]
+//! read cell by cell.
 
 use crate::cell::Cell;
 use crate::ids::{CellId, FlowId, PlaneId, PortId};
@@ -44,10 +49,9 @@ use std::sync::Arc;
 
 /// Departure of a [`CellRecord`] that has not departed.
 const NO_DEPARTURE: Slot = Slot::MAX;
-/// Stored delay of a cell that has not departed.
-const NOT_DEPARTED: u32 = u32::MAX;
-/// Stored delay of a cell whose delay is 2³²−2 slots or more; the exact
-/// value is in [`RunLog::long_delay`].
+/// Stored delay of a cell whose delay is 2³²−2 slots or more (a value
+/// only the 4-byte width holds); the exact value is in
+/// [`RunLog::long_delay`].
 const ESCAPED: u32 = u32::MAX - 1;
 /// Stored `plane` of a cell no plane was recorded for; planes are
 /// `0..NO_PLANE`, so a switch has at most 65535 of them.
@@ -117,6 +121,18 @@ impl fmt::Debug for CellRecord {
     }
 }
 
+/// `$body` with `$c` bound to `$column`'s vector at whichever width the
+/// column holds: one `match` around code that is monomorphic per width.
+macro_rules! at_width {
+    ($column:expr, $c:ident => $body:expr) => {
+        match $column {
+            Column::U8($c) => $body,
+            Column::U16($c) => $body,
+            Column::U32($c) => $body,
+        }
+    };
+}
+
 /// Per-cell log of one simulation run, indexed by [`CellId`]: a handle to
 /// the trace's cell table plus the run's own delay and plane columns.
 #[derive(Clone, Default, Serialize, Deserialize)]
@@ -125,14 +141,14 @@ pub struct RunLog {
     /// (a [`with_cells`](Self::with_cells) log has a table of its own).
     cells: Arc<CellTable>,
     /// Queuing delay (`departure − arrival`) of each cell that has entered
-    /// the switch; [`NOT_DEPARTED`] while it is queued, [`ESCAPED`] when the
-    /// delay is in `long_delay`. Its length is the log's.
-    delay: Vec<u32>,
+    /// the switch; absent while it is queued, [`ESCAPED`] when the delay is
+    /// in `long_delay`. Its length is the log's.
+    delay: Column,
     /// The exact delay of every cell stored as [`ESCAPED`], by index.
     long_delay: BTreeMap<usize, Slot>,
-    /// Plane of every cell of the table, [`NO_PLANE`] where none was
-    /// recorded; empty until the engine records its first plane.
-    plane: Vec<u16>,
+    /// Plane of every cell of the table, absent where none was recorded;
+    /// empty until the engine records its first plane.
+    plane: Column,
 }
 
 impl RunLog {
@@ -141,7 +157,7 @@ impl RunLog {
     pub fn new(trace: &Trace) -> Self {
         RunLog {
             cells: trace.table(),
-            delay: Vec::with_capacity(trace.len()),
+            delay: Column::with_capacity(trace.len()),
             ..RunLog::default()
         }
     }
@@ -156,7 +172,7 @@ impl RunLog {
         }
         let mut log = RunLog {
             cells: Arc::new(table),
-            delay: Vec::with_capacity(cells.len()),
+            delay: Column::with_capacity(cells.len()),
             ..RunLog::default()
         };
         for cell in cells {
@@ -185,11 +201,12 @@ impl RunLog {
             self.cells.cell(cell.id),
             "cell pushed into another trace's log"
         );
-        self.delay.push(NOT_DEPARTED);
+        self.delay.push_absent();
     }
 
     /// Record the plane assignment of a cell. The first call allocates the
-    /// plane column.
+    /// plane column, one byte per cell; the first plane of 255 or more
+    /// widens it to two.
     ///
     /// # Panics
     /// Panics on a plane of 65535 or more, which the 2-byte column cannot
@@ -205,9 +222,9 @@ impl RunLog {
             "cell {id:?} has not entered the switch"
         );
         if self.plane.is_empty() {
-            self.plane = vec![NO_PLANE; self.cells.len()];
+            self.plane = Column::absent(self.cells.len());
         }
-        self.plane[id.idx()] = plane.0 as u16;
+        self.plane.set(id.idx(), plane.0);
     }
 
     /// Record the departure slot of a cell; the log stores its delay.
@@ -225,7 +242,7 @@ impl RunLog {
         );
         let i = id.idx();
         assert!(
-            self.delay[i] == NOT_DEPARTED,
+            self.delay.get(i).is_none(),
             "cell {id:?} departed twice (slots {:?} and {slot})",
             self.departure(i)
         );
@@ -235,30 +252,36 @@ impl RunLog {
             "cell {id:?} departs in slot {slot}, before its arrival in slot {arrival}"
         );
         let delay = slot - arrival;
-        self.delay[i] = match u32::try_from(delay) {
+        let stored = match u32::try_from(delay) {
             Ok(d) if d < ESCAPED => d,
             _ => {
                 self.long_delay.insert(i, delay);
                 ESCAPED
             }
         };
+        self.delay.set(i, stored);
     }
 
-    /// The delay of cell `i` decoded from its column entry `stored`.
+    /// The delay of cell `i` decoded from its column entry `stored`, at
+    /// whatever width the column holds it.
     #[inline]
-    fn decode(&self, i: usize, stored: u32) -> Option<Slot> {
-        match stored {
-            NOT_DEPARTED => None,
+    fn decode<W: Width>(&self, i: usize, stored: W) -> Option<Slot> {
+        match stored.value()? {
             ESCAPED => Some(self.long_delay[&i]),
             d => Some(d as Slot),
         }
     }
 
+    /// The delay of cell `i`, if it departed.
+    #[inline]
+    fn delay(&self, i: usize) -> Option<Slot> {
+        at_width!(&self.delay, c => self.decode(i, c[i]))
+    }
+
     /// The departure slot of cell `i`, if it departed.
     #[inline]
     fn departure(&self, i: usize) -> Option<Slot> {
-        self.decode(i, self.delay[i])
-            .map(|d| self.cells.slot(i) + d)
+        self.delay(i).map(|d| self.cells.slot(i) + d)
     }
 
     /// The record of cell `i`, assembled from the columns.
@@ -271,7 +294,11 @@ impl RunLog {
             input: c.input,
             output: c.output,
             seq: c.seq,
-            plane: self.plane.get(i).copied().unwrap_or(NO_PLANE),
+            plane: if self.plane.is_empty() {
+                NO_PLANE
+            } else {
+                self.plane.get(i).map_or(NO_PLANE, |p| p as u16)
+            },
         }
     }
 
@@ -318,10 +345,33 @@ impl RunLog {
     /// Queuing delay of each logged cell, in id order, read from the delay
     /// column: `None` for a cell still queued.
     pub fn delays(&self) -> impl ExactSizeIterator<Item = Option<Slot>> + '_ {
-        self.delay
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| self.decode(i, d))
+        (0..self.len()).map(|i| self.delay(i))
+    }
+
+    /// Fold `f` over the delays of each cell in this log and in `other`, a
+    /// log of the same trace, in id order: `f(acc, mine, other's)`, `None`
+    /// for a cell still queued. The pass reads both delay columns at their
+    /// widths, choosing the loop once rather than once per cell.
+    ///
+    /// # Panics
+    /// Panics if the logs do not cover the same cells.
+    #[inline]
+    pub fn fold_pairs<B, F>(&self, other: &RunLog, init: B, f: F) -> B
+    where
+        F: FnMut(B, Option<Slot>, Option<Slot>) -> B,
+    {
+        assert_eq!(self.len(), other.len(), "logs must cover the same trace");
+        at_width!(&self.delay, mine => other.fold_beside(self, mine, init, f))
+    }
+
+    /// [`fold_pairs`](Self::fold_pairs) of `first`, whose delay column is
+    /// `mine`, against this log's column at its width.
+    #[inline]
+    fn fold_beside<W: Width, B, F>(&self, first: &RunLog, mine: &[W], init: B, f: F) -> B
+    where
+        F: FnMut(B, Option<Slot>, Option<Slot>) -> B,
+    {
+        at_width!(&self.delay, theirs => zip_fold(first, mine, self, theirs, init, f))
     }
 
     /// Number of cells in the log.
@@ -331,7 +381,7 @@ impl RunLog {
 
     /// Number of cells that never departed (still queued at horizon).
     pub fn undelivered(&self) -> usize {
-        self.delay.iter().filter(|&&d| d == NOT_DEPARTED).count()
+        self.delay.count_absent()
     }
 
     /// Maximum queuing delay over delivered cells.
@@ -375,6 +425,167 @@ impl RunLog {
                 .fold(h, fold)
             },
         )
+    }
+}
+
+/// The loop of one [`RunLog::fold_pairs`] pass: both delay columns at
+/// fixed widths.
+#[inline]
+fn zip_fold<V: Width, W: Width, B>(
+    a: &RunLog,
+    mine: &[V],
+    b: &RunLog,
+    theirs: &[W],
+    init: B,
+    mut f: impl FnMut(B, Option<Slot>, Option<Slot>) -> B,
+) -> B {
+    mine.iter()
+        .zip(theirs)
+        .enumerate()
+        .fold(init, |acc, (i, (&p, &q))| {
+            f(acc, a.decode(i, p), b.decode(i, q))
+        })
+}
+
+/// A stored width of a [`Column`]: its all-ones value means "absent".
+trait Width: Copy + Eq + Into<u32> {
+    const ABSENT: Self;
+
+    /// The value, or `None` if absent.
+    #[inline]
+    fn value(self) -> Option<u32> {
+        (self != Self::ABSENT).then(|| self.into())
+    }
+}
+
+impl Width for u8 {
+    const ABSENT: Self = u8::MAX;
+}
+
+impl Width for u16 {
+    const ABSENT: Self = u16::MAX;
+}
+
+impl Width for u32 {
+    const ABSENT: Self = u32::MAX;
+}
+
+/// A column of values below `u32::MAX`, each possibly absent, stored at
+/// the narrowest width that holds every value written so far: one byte per
+/// cell, then two, then four. At each width the all-ones value is
+/// "absent"; a value that does not fit the current width widens the whole
+/// column once to the width it needs.
+#[derive(Clone, Serialize, Deserialize)]
+enum Column {
+    U8(Vec<u8>),
+    U16(Vec<u16>),
+    U32(Vec<u32>),
+}
+
+impl Default for Column {
+    fn default() -> Self {
+        Column::U8(Vec::new())
+    }
+}
+
+impl Column {
+    /// An empty 1-byte column with room for `n` cells.
+    fn with_capacity(n: usize) -> Self {
+        Column::U8(Vec::with_capacity(n))
+    }
+
+    /// A 1-byte column of `n` absent cells.
+    fn absent(n: usize) -> Self {
+        Column::U8(vec![u8::ABSENT; n])
+    }
+
+    fn len(&self) -> usize {
+        at_width!(self, c => c.len())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append an absent cell.
+    #[inline]
+    fn push_absent(&mut self) {
+        match self {
+            Column::U8(c) => c.push(u8::ABSENT),
+            Column::U16(c) => c.push(u16::ABSENT),
+            Column::U32(c) => c.push(u32::ABSENT),
+        }
+    }
+
+    /// The value of cell `i`, or `None` if absent.
+    #[inline]
+    fn get(&self, i: usize) -> Option<u32> {
+        at_width!(self, c => c[i].value())
+    }
+
+    /// Store `v` (below `u32::MAX`) at cell `i`, widening the column first
+    /// if `v` does not fit its width.
+    #[inline]
+    fn set(&mut self, i: usize, v: u32) {
+        debug_assert!(v != u32::ABSENT, "{v} is the absent value");
+        let fits = match self {
+            Column::U8(_) => v < u8::ABSENT.into(),
+            Column::U16(_) => v < u16::ABSENT.into(),
+            Column::U32(_) => true,
+        };
+        if !fits {
+            self.widen_for(v);
+        }
+        match self {
+            Column::U8(c) => c[i] = v as u8,
+            Column::U16(c) => c[i] = v as u16,
+            Column::U32(c) => c[i] = v,
+        }
+    }
+
+    /// Rewrite the column at the narrowest width that holds `v`, keeping
+    /// its capacity in cells.
+    #[cold]
+    fn widen_for(&mut self, v: u32) {
+        fn widened<V: Width, W: Width + From<V>>(narrow: &[V], capacity: usize) -> Vec<W> {
+            let mut wide = Vec::with_capacity(capacity);
+            wide.extend(narrow.iter().map(|&x| {
+                if x == V::ABSENT {
+                    W::ABSENT
+                } else {
+                    W::from(x)
+                }
+            }));
+            wide
+        }
+        let to_u32 = v >= u16::ABSENT.into();
+        *self = match std::mem::take(self) {
+            Column::U8(c) if to_u32 => Column::U32(widened(&c, c.capacity())),
+            Column::U8(c) => Column::U16(widened(&c, c.capacity())),
+            Column::U16(c) => Column::U32(widened(&c, c.capacity())),
+            Column::U32(_) => unreachable!("a 4-byte column holds every value"),
+        };
+    }
+
+    /// Number of absent cells.
+    fn count_absent(&self) -> usize {
+        at_width!(self, c => c.iter().filter(|x| x.value().is_none()).count())
+    }
+
+    /// Bytes each cell takes at the current width.
+    #[cfg(test)]
+    fn width(&self) -> usize {
+        match self {
+            Column::U8(_) => 1,
+            Column::U16(_) => 2,
+            Column::U32(_) => 4,
+        }
+    }
+
+    /// Cells the column holds without reallocating.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        at_width!(self, c => c.capacity())
     }
 }
 
@@ -605,6 +816,160 @@ mod tests {
         assert_eq!(log.max_delay(), Some(1 << 33));
         assert_eq!(log.undelivered(), 1);
         assert_eq!(log.digest(), 13_403_367_361_745_545_497);
+    }
+
+    /// Delays on both sides of each width's boundary, recorded `ascending`
+    /// or descending, read back through every reader.
+    fn delays_read_back_at_every_width(ascending: bool) {
+        let delays: Vec<Option<Slot>> = [
+            0,
+            253,
+            254,
+            255,
+            256,
+            65_533,
+            65_534,
+            65_535,
+            65_536,
+            (1 << 32) - 3,
+            (1 << 32) - 2,
+            (1 << 32) - 1,
+            1 << 33,
+        ]
+        .into_iter()
+        .map(Some)
+        .chain([None])
+        .collect();
+        let t = Trace::build((0..14).map(|s| Arrival::new(s, 0, 0)).collect(), 1).unwrap();
+        let mut log = RunLog::with_cells(&t.cells(1));
+        let mut order: Vec<usize> = (0..delays.len()).collect();
+        if !ascending {
+            order.reverse();
+        }
+        for i in order {
+            if let Some(d) = delays[i] {
+                log.set_departure(CellId(i as u64), i as Slot + d);
+            }
+        }
+        assert_eq!(log.delay.width(), 4);
+        let departures: Vec<Option<Slot>> = delays
+            .iter()
+            .enumerate()
+            .map(|(i, d)| d.map(|d| i as Slot + d))
+            .collect();
+        assert_eq!(log.delays().collect::<Vec<_>>(), delays);
+        assert_eq!(log.departures().collect::<Vec<_>>(), departures);
+        for (id, rec) in log.iter() {
+            assert_eq!(rec, log.get(id));
+            assert_eq!(rec.delay(), delays[id.idx()]);
+            assert_eq!(rec.departure(), departures[id.idx()]);
+        }
+        let records: Vec<CellRecord> = log.records().collect();
+        assert_eq!(records, log.iter().map(|(_, r)| r).collect::<Vec<_>>());
+        assert_eq!(log.undelivered(), 1);
+        assert_eq!(log.max_delay(), Some(1 << 33));
+        let sum: u128 = delays.iter().flatten().map(|&d| d as u128).sum();
+        assert_eq!(log.mean_delay(), Some(sum as f64 / 13.0));
+        let pairs = log.fold_pairs(&log, Vec::new(), |mut v, p, q| {
+            v.push((p, q));
+            v
+        });
+        assert_eq!(pairs, delays.iter().map(|&d| (d, d)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn delays_read_back_exactly_when_the_widest_comes_last() {
+        delays_read_back_at_every_width(true);
+    }
+
+    #[test]
+    fn delays_read_back_exactly_when_the_widest_comes_first() {
+        delays_read_back_at_every_width(false);
+    }
+
+    #[test]
+    fn the_delay_column_widens_once_per_width_and_only_when_a_value_needs_it() {
+        let t = Trace::build((0..4).map(|s| Arrival::new(s, 0, 0)).collect(), 1).unwrap();
+        let mut log = RunLog::with_cells(&t.cells(1));
+        let mut widths = Vec::new();
+        for (i, d) in [254, 255, 65_534, 65_535].into_iter().enumerate() {
+            log.set_departure(CellId(i as u64), i as Slot + d);
+            widths.push(log.delay.width());
+        }
+        assert_eq!(widths, [1, 2, 2, 4]);
+        assert_eq!(log.delay.capacity(), 4, "widening keeps the room reserved");
+    }
+
+    #[test]
+    fn planes_read_back_across_the_one_byte_boundary() {
+        let t = Trace::build((0..5).map(|s| Arrival::new(s, 0, 0)).collect(), 1).unwrap();
+        let mut log = RunLog::with_cells(&t.cells(1));
+        let planes = [Some(0), Some(254), None, Some(255), Some(65_534)];
+        let mut widths = Vec::new();
+        for (i, p) in planes.iter().enumerate() {
+            if let Some(p) = p {
+                log.set_plane(CellId(i as u64), PlaneId(*p));
+            }
+            widths.push(log.plane.width());
+        }
+        assert_eq!(widths, [1, 1, 1, 2, 2]);
+        let read: Vec<Option<u32>> = log.records().map(|r| r.plane().map(|p| p.0)).collect();
+        assert_eq!(read, planes);
+        assert_eq!(log.get(CellId(2)).plane(), None);
+    }
+
+    #[test]
+    fn a_log_of_small_values_holds_one_byte_per_cell_in_each_column() {
+        let t = Trace::build((0..300).map(|s| Arrival::new(s, 0, 0)).collect(), 1).unwrap();
+        let mut log = RunLog::with_cells(&t.cells(1));
+        for i in 0..300 {
+            log.set_plane(CellId(i), PlaneId((i % 255) as u32));
+            if i % 7 != 0 {
+                log.set_departure(CellId(i), i + i % 255);
+            }
+        }
+        assert_eq!((log.delay.width(), log.plane.width()), (1, 1));
+        assert_eq!(log.max_delay(), Some(254));
+        assert_eq!(log.undelivered(), 43);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// At each of the nine pairs of widths, the fold sees what the
+        /// cell-by-cell readers see.
+        #[test]
+        fn fold_pairs_equals_zipped_delays_at_every_width_pair(
+            raw in proptest::collection::vec((0u64..u64::MAX, 0u8..4), 1..60),
+        ) {
+            let len = raw.len();
+            let t = Trace::build((0..len as Slot).map(|s| Arrival::new(s, 0, 0)).collect(), 1)
+                .unwrap();
+            // A log of width `w` (0, 1, 2 for 1, 2, 4 bytes), with cell 0
+            // holding a delay only that width holds; a quarter undeparted.
+            let log_at = |w: usize, salt: u64| {
+                let (floor, cap): (u64, u64) = [(0, 255), (255, 65_535), (65_535, 1 << 34)][w];
+                let mut log = RunLog::with_cells(&t.cells(1));
+                for (i, &(r, skip)) in raw.iter().enumerate() {
+                    let r = crate::rng::mix64(r ^ salt);
+                    let d = if i == 0 { floor } else if skip == 0 { continue } else { r % cap };
+                    log.set_departure(CellId(i as u64), i as Slot + d);
+                }
+                assert_eq!(log.delay.width(), [1, 2, 4][w]);
+                log
+            };
+            for wa in 0..3 {
+                for wb in 0..3 {
+                    let (a, b) = (log_at(wa, 1), log_at(wb, 2));
+                    let folded = a.fold_pairs(&b, Vec::new(), |mut v, p, q| {
+                        v.push((p, q));
+                        v
+                    });
+                    let zipped: Vec<_> = a.delays().zip(b.delays()).collect();
+                    proptest::prop_assert_eq!(folded, zipped);
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,26 +83,12 @@ impl SplitMix64 {
     /// sequence — `Geometric(p)` on `{0, 1, 2, …}` via inversion, so a
     /// per-slot-probability process can jump straight to its next event
     /// instead of flipping a coin every slot. `p = 1` always returns 0;
-    /// `p = 0` saturates (the caller treats it as "never").
+    /// `p = 0` saturates (the caller treats it as "never"). A stream that
+    /// draws many gaps at one `p` keeps a [`Geometric`] instead.
     #[inline]
     pub fn geometric(&mut self, p: f64) -> u64 {
-        debug_assert!((0.0..=1.0).contains(&p), "geometric({p})");
-        if p >= 1.0 {
-            return 0;
-        }
-        if p <= 0.0 {
-            return u64::MAX;
-        }
-        // Inversion: floor(ln(1-U) / ln(1-p)); 1-U is uniform on (0, 1].
-        let u = 1.0 - self.next_f64();
-        let g = u.ln() / (1.0 - p).ln();
-        if g >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            g as u64
-        }
+        Geometric::new(p).sample(self)
     }
-
     /// The raw generator state — a compact fingerprint for the dense/skip
     /// state-equality proptests (two generators with equal state produce
     /// equal futures).
@@ -119,9 +105,119 @@ impl SplitMix64 {
     }
 }
 
+/// The `Geometric(p)` sampler of [`SplitMix64::geometric`] with
+/// `ln(1 − p)` taken once: a draw is `floor(ln u / ln(1 − p))` for
+/// `u = 1 − U` uniform on `(0, 1]`, one logarithm, and none at all when `u`
+/// lies in the band above `(1 − p)·(1 + 10⁻⁹)`, where the quotient is
+/// provably below 1 and the draw is 0.
+///
+/// The band is safe: there `ln u − ln(1 − p) > ln(1 + 10⁻⁹) ≈ 10⁻⁹`, and
+/// `|ln(1 − p)| < 37` for every `f64` below 1, so the exact quotient is
+/// below `1 − 2·10⁻¹¹` — some 10⁵ times the few ulps of error the two
+/// logarithms and the division can make. A draw is bit-identical to the
+/// two-logarithm formula, and consumes the same draws.
+#[derive(Clone, Copy, Debug)]
+pub struct Geometric {
+    p: f64,
+    /// `ln(1 − p)`.
+    ln_q: f64,
+    /// `(1 − p)·(1 + 10⁻⁹)`: a `u` above it draws 0.
+    zero_above: f64,
+}
+
+impl Geometric {
+    /// The sampler for success probability `p ∈ [0, 1]`.
+    pub fn new(p: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&p), "geometric({p})");
+        let q = 1.0 - p;
+        Geometric {
+            p,
+            ln_q: q.ln(),
+            zero_above: q * (1.0 + 1e-9),
+        }
+    }
+
+    /// One draw from `rng`: none when `p` is 0 or 1, else one.
+    #[inline]
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+        if self.p >= 1.0 {
+            return 0;
+        }
+        if self.p <= 0.0 {
+            return u64::MAX;
+        }
+        self.invert(1.0 - rng.next_f64())
+    }
+
+    /// The draw for `u ∈ (0, 1]`, `0 < p < 1`.
+    #[inline]
+    fn invert(&self, u: f64) -> u64 {
+        if u > self.zero_above {
+            return 0;
+        }
+        let g = u.ln() / self.ln_q;
+        if g >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            g as u64
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The two-logarithm formula the sampler must reproduce.
+    fn two_logs(u: f64, p: f64) -> u64 {
+        let g = u.ln() / (1.0 - p).ln();
+        if g >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            g as u64
+        }
+    }
+
+    #[test]
+    fn the_geometric_sampler_equals_the_two_logarithm_formula() {
+        for p in [0.0, 1e-12, 2e-4, 0.03, 0.5, 0.9, 0.999, 1.0] {
+            let sampler = Geometric::new(p);
+            let (mut a, mut b) = (SplitMix64::new(p.to_bits()), SplitMix64::new(p.to_bits()));
+            for _ in 0..1_000_000 {
+                let want = match p {
+                    0.0 => u64::MAX,
+                    1.0 => 0,
+                    _ => two_logs(1.0 - b.next_f64(), p),
+                };
+                assert_eq!(sampler.sample(&mut a), want, "p = {p}");
+                assert_eq!(a, b, "p = {p}: same draws consumed");
+            }
+        }
+    }
+
+    #[test]
+    fn the_geometric_sampler_is_exact_on_both_sides_of_its_zero_band() {
+        for p in [1e-12, 1e-9, 2e-4, 0.03, 0.5, 0.9, 0.999, 1.0 - f64::EPSILON] {
+            let sampler = Geometric::new(p);
+            let edges = [1.0 - p, sampler.zero_above];
+            for edge in edges {
+                let mut u = edge;
+                for _ in 0..64 {
+                    u = f64::from_bits(u.to_bits() - 1);
+                }
+                for _ in 0..128 {
+                    if u > 0.0 && u <= 1.0 {
+                        assert_eq!(sampler.invert(u), two_logs(u, p), "p = {p}, u = {u:e}");
+                    }
+                    u = f64::from_bits(u.to_bits() + 1);
+                }
+            }
+            for k in [-3.0, -1.0, -0.5, 0.5, 1.0, 3.0] {
+                let u = ((1.0 - p) * (1.0 + k * 1e-9)).min(1.0);
+                assert_eq!(sampler.invert(u), two_logs(u, p), "p = {p}, u = {u:e}");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_and_seed_sensitive() {

@@ -29,7 +29,8 @@ pub struct GlobalSnapshot {
     pub n: usize,
     /// Queue length of plane `k`'s buffer for output `j`, at `k * n + j`.
     pub plane_queue_len: Box<[u32]>,
-    /// Occupancy of each input-port buffer (all zero for a bufferless PPS).
+    /// Occupancy of each input-port buffer, one entry per input; empty in
+    /// the snapshots a bufferless PPS publishes, which has no input buffers.
     pub input_buffer_len: Box<[u32]>,
     /// Cells waiting at each output multiplexor.
     pub output_pending: Box<[u32]>,

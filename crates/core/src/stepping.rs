@@ -198,10 +198,13 @@ mod tests {
         pending: std::collections::VecDeque<(Slot, crate::CellId)>,
         processed: u64,
         skipped: u64,
-        /// A deliberately wrong `skip_idle`, for the missed-wake oracle.
+        /// A deliberately wrong `skip_idle`, for the missed-wake oracle
+        /// (a debug assertion, so the fixture is debug-only too).
+        #[cfg(debug_assertions)]
         bug: Option<SkipBug>,
     }
 
+    #[cfg(debug_assertions)]
     #[derive(Clone, Copy)]
     enum SkipBug {
         /// The replay forgets the queued cells.
@@ -217,6 +220,7 @@ mod tests {
                 pending: Default::default(),
                 processed: 0,
                 skipped: 0,
+                #[cfg(debug_assertions)]
                 bug: None,
             }
         }
@@ -256,6 +260,7 @@ mod tests {
         fn skip_idle(&mut self, from: Slot, to: Slot) {
             assert!(from <= to);
             self.skipped += to - from + 1;
+            #[cfg(debug_assertions)]
             match self.bug {
                 Some(SkipBug::DropsQueue) => self.pending.clear(),
                 Some(SkipBug::WakesLater) => self.pending.iter_mut().for_each(|p| p.0 += 1),

@@ -243,14 +243,17 @@ impl TraceBuilder {
         }
     }
 
-    /// Append `arrivals`, sorted here by `(slot, input)`; every one must
+    /// Append `arrivals`, sorted here by `(slot, input)` unless they are in
+    /// that order already (as every generator emits them); every one must
     /// come after each arrival appended before, in that order. The batch is
     /// refused whole, with the error [`Trace::build`] gives, if two of its
     /// arrivals (or its first and the last appended) share a
     /// `(slot, input)` pair, or if it names a port outside `0..n`.
     pub fn append(&mut self, arrivals: &mut [Arrival]) -> Result<(), ModelError> {
         let malformed = |reason| Err(ModelError::MalformedTrace { reason });
-        arrivals.sort_unstable_by_key(|a| (a.slot, a.input));
+        if !arrivals.is_sorted_by_key(|a| (a.slot, a.input)) {
+            arrivals.sort_unstable_by_key(|a| (a.slot, a.input));
+        }
         let ports = self.n.min(MAX_PORTS);
         let mut prev = self.last;
         let mut outside = None;

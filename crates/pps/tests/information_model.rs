@@ -116,6 +116,11 @@ fn u_rt_snapshot_contents_lag_reality() {
         }
         fn dispatch(&mut self, cell: &Cell, ctx: &DispatchCtx<'_>) -> PlaneId {
             if let Some(g) = ctx.global {
+                assert!(
+                    g.input_buffer_len.is_empty(),
+                    "a bufferless PPS has no input buffers to report: {:?}",
+                    g.input_buffer_len
+                );
                 let total: u64 = g.plane_queue_len.iter().map(|&x| x as u64).sum();
                 self.seen.lock().unwrap().push((ctx.local.now, total));
             }

@@ -21,7 +21,7 @@
 
 use crate::stream::ArrivalStream;
 use pps_core::prelude::*;
-use pps_core::rng::SplitMix64;
+use pps_core::rng::{Geometric, SplitMix64};
 
 /// Parameters of one modulation state: per-slot arrival probability while
 /// in the state, and per-slot probability of leaving it.
@@ -37,6 +37,9 @@ pub struct Phase {
 pub struct MmppGen {
     n: usize,
     phases: [Phase; 2],
+    /// Per phase: the dwell sampler (at `exit_p`) and the gap sampler (at
+    /// `arrival_p`).
+    samplers: [(Geometric, Geometric); 2],
     /// Environment chain: segment list `(start_slot, state)`, extended
     /// lazily; `seg_starts[k]` begins segment `k`.
     modulator: SplitMix64,
@@ -70,6 +73,8 @@ impl MmppGen {
         let mut g = MmppGen {
             n,
             phases: [calm, burst],
+            samplers: [calm, burst]
+                .map(|ph| (Geometric::new(ph.exit_p), Geometric::new(ph.arrival_p))),
             modulator: master.derive(0x40D0),
             seg_starts: vec![0],
             seg_states: vec![0],
@@ -92,9 +97,9 @@ impl MmppGen {
     fn cover(&mut self, slot: Slot) {
         while *self.seg_starts.last().unwrap() <= slot {
             let state = *self.seg_states.last().unwrap();
-            let dwell = 1 + self
-                .modulator
-                .geometric(self.phases[state as usize].exit_p)
+            let dwell = 1 + self.samplers[state as usize]
+                .0
+                .sample(&mut self.modulator)
                 .min(Slot::MAX / 4);
             let start = self.seg_starts.last().unwrap().saturating_add(dwell);
             self.seg_starts.push(start);
@@ -120,13 +125,13 @@ impl MmppGen {
         for _ in 0..1_000_000 {
             self.cover(cursor);
             let seg = self.seg_at(cursor);
-            let p = self.phases[self.seg_states[seg] as usize].arrival_p;
+            let state = self.seg_states[seg] as usize;
             let seg_end = self.seg_starts.get(seg + 1).copied().unwrap_or(Slot::MAX);
-            if p <= 0.0 {
+            if self.phases[state].arrival_p <= 0.0 {
                 cursor = seg_end;
                 continue;
             }
-            let gap = self.inputs[i].gaps.geometric(p);
+            let gap = self.samplers[state].1.sample(&mut self.inputs[i].gaps);
             let cand = cursor.saturating_add(gap);
             if cand < seg_end {
                 return Some(cand);
@@ -167,10 +172,12 @@ impl ArrivalStream for MmppGen {
 /// OFF silences.
 pub struct OnOffBurstGen {
     n: usize,
-    /// Per-slot probability an ON period ends (mean train `1/off_p`).
-    off_p: f64,
-    /// Per-slot probability an OFF period ends (mean silence `1/on_p`).
-    on_p: f64,
+    /// Train-length sampler at `off_p`, the per-slot probability an ON
+    /// period ends (mean train `1/off_p`).
+    train: Geometric,
+    /// Silence sampler at `on_p`, the per-slot probability an OFF period
+    /// ends (mean silence `1/on_p`).
+    silence: Geometric,
     inputs: Vec<OnOffInput>,
 }
 
@@ -189,6 +196,7 @@ impl OnOffBurstGen {
         assert!(on_p > 0.0 && on_p <= 1.0, "on_p must be in (0, 1]");
         assert!(off_p > 0.0 && off_p <= 1.0, "off_p must be in (0, 1]");
         let master = SplitMix64::new(seed);
+        let (train, silence) = (Geometric::new(off_p), Geometric::new(on_p));
         let inputs = (0..n)
             .map(|i| {
                 let mut input = OnOffInput {
@@ -197,26 +205,27 @@ impl OnOffBurstGen {
                     end: 0,
                     dest: 0,
                 };
-                let silence = input.rng.geometric(on_p).min(Slot::MAX / 4);
-                input.begin_train(silence, off_p, n);
+                let first = silence.sample(&mut input.rng).min(Slot::MAX / 4);
+                input.begin_train(first, &train, n);
                 input
             })
             .collect();
         OnOffBurstGen {
             n,
-            off_p,
-            on_p,
+            train,
+            silence,
             inputs,
         }
     }
 }
 
 impl OnOffInput {
-    /// Start a train at `start`: draw its destination and length.
-    fn begin_train(&mut self, start: Slot, off_p: f64, n: usize) {
+    /// Start a train at `start`: draw its destination and its length
+    /// from `train`.
+    fn begin_train(&mut self, start: Slot, train: &Geometric, n: usize) {
         self.start = start;
         self.dest = self.rng.below(n as u64) as u32;
-        let len = 1 + self.rng.geometric(off_p).min(Slot::MAX / 4);
+        let len = 1 + train.sample(&mut self.rng).min(Slot::MAX / 4);
         self.end = start.saturating_add(len);
     }
 }
@@ -231,7 +240,7 @@ impl ArrivalStream for OnOffBurstGen {
     }
 
     fn emit(&mut self, slot: Slot, out: &mut Vec<Arrival>) {
-        let (n, on_p, off_p) = (self.n, self.on_p, self.off_p);
+        let (n, train, silence) = (self.n, &self.train, &self.silence);
         for (i, st) in self.inputs.iter_mut().enumerate() {
             if slot < st.start || slot >= st.end {
                 continue;
@@ -239,9 +248,9 @@ impl ArrivalStream for OnOffBurstGen {
             out.push(Arrival::new(slot, i as u32, st.dest));
             if slot + 1 >= st.end {
                 // Train over: draw the following silence and next train.
-                let silence = st.rng.geometric(on_p).min(Slot::MAX / 4);
-                let next_start = st.end.saturating_add(silence);
-                st.begin_train(next_start, off_p, n);
+                let gap = silence.sample(&mut st.rng).min(Slot::MAX / 4);
+                let next_start = st.end.saturating_add(gap);
+                st.begin_train(next_start, train, n);
             } else {
                 // Mid-train: emission resumes next slot; `start` tracks
                 // the next emitting slot so `next_activity` stays exact.

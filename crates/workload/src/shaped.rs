@@ -16,14 +16,15 @@
 
 use crate::stream::ArrivalStream;
 use pps_core::prelude::*;
-use pps_core::rng::SplitMix64;
+use pps_core::rng::{Geometric, SplitMix64};
 use pps_traffic::{Bucket, LbContract};
 
 /// Memoryless source: each input fires with probability `load` per slot
 /// (pre-drawn geometric gaps), destination uniform per cell.
 pub struct UniformGen {
     n: usize,
-    load: f64,
+    /// Gap sampler at the per-slot probability `load`.
+    gap: Geometric,
     inputs: Vec<UniformInput>,
 }
 
@@ -38,11 +39,12 @@ impl UniformGen {
     pub fn new(seed: u64, n: usize, load: f64) -> Self {
         assert!((0.0..=1.0).contains(&load), "load must be in [0, 1]");
         let master = SplitMix64::new(seed);
+        let gap = Geometric::new(load);
         let inputs = (0..n)
             .map(|i| {
                 let mut gaps = master.derive(0xBE2A).derive(i as u64);
                 let dests = master.derive(0xD0D0).derive(i as u64);
-                let first = gaps.geometric(load).min(Slot::MAX - 1);
+                let first = gap.sample(&mut gaps).min(Slot::MAX - 1);
                 UniformInput {
                     gaps,
                     dests,
@@ -50,7 +52,7 @@ impl UniformGen {
                 }
             })
             .collect();
-        UniformGen { n, load, inputs }
+        UniformGen { n, gap, inputs }
     }
 }
 
@@ -70,7 +72,7 @@ impl ArrivalStream for UniformGen {
             }
             let output = st.dests.below(self.n as u64) as u32;
             out.push(Arrival::new(slot, i as u32, output));
-            let gap = st.gaps.geometric(self.load);
+            let gap = self.gap.sample(&mut st.gaps);
             st.next = slot.saturating_add(1).saturating_add(gap);
         }
     }

@@ -19,7 +19,7 @@
 
 use crate::stream::ArrivalStream;
 use pps_core::prelude::*;
-use pps_core::rng::{mix64, SplitMix64};
+use pps_core::rng::{mix64, Geometric, SplitMix64};
 
 /// O(1) sampler for `P(k) ∝ 1/k^s`, `k ∈ 1..=n`, by rejection-inversion.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +106,8 @@ impl ZipfSampler {
 /// shared rank-skewed flow population, destinations hashed from flow ids.
 pub struct ZipfGen {
     n: usize,
-    load: f64,
+    /// Gap sampler at the per-slot probability `load`.
+    gap: Geometric,
     sampler: ZipfSampler,
     /// Salt mixed into the flow→output hash so different seeds shuffle
     /// which outputs are hot.
@@ -129,11 +130,12 @@ impl ZipfGen {
         assert!((0.0..=1.0).contains(&load), "load must be in [0, 1]");
         let master = SplitMix64::new(seed);
         let sampler = ZipfSampler::new(flows, s);
+        let gap = Geometric::new(load);
         let inputs = (0..n)
             .map(|i| {
                 let mut gaps = master.derive(0x5A1F).derive(i as u64);
                 let flows = master.derive(0xF10E).derive(i as u64);
-                let first = gaps.geometric(load);
+                let first = gap.sample(&mut gaps);
                 InputState {
                     gaps,
                     flows,
@@ -143,7 +145,7 @@ impl ZipfGen {
             .collect();
         ZipfGen {
             n,
-            load,
+            gap,
             sampler,
             flow_salt: mix64(seed ^ 0x0F10_3A17),
             inputs,
@@ -187,7 +189,7 @@ impl ArrivalStream for ZipfGen {
             let flow = self.sampler.sample(&mut st.flows);
             let output = flow_output(flow, salt, n);
             out.push(Arrival::new(slot, i as u32, output));
-            let gap = st.gaps.geometric(self.load);
+            let gap = self.gap.sample(&mut st.gaps);
             st.next = slot.saturating_add(1).saturating_add(gap);
         }
     }
