@@ -9,8 +9,7 @@
 //!
 //! | column | bytes per cell | stored by |
 //! |---|---|---|
-//! | arrival, input, output | 4 + 2 + 2 | the trace, once (the arrival's high word once per run) |
-//! | seq | 4 | the trace, once |
+//! | arrival, input, output, seq | 6, 8 or 12, the narrowest layout the trace fits | the trace, once (the arrival's high word once per run) |
 //! | delay | 1, 2 or 4 | every log (a delay of 2³²−2 slots or more in a side map) |
 //! | plane | 1 or 2 | a log whose engine records one (allocated on the first [`RunLog::set_plane`]) |
 //!
@@ -135,7 +134,7 @@ macro_rules! at_width {
 
 /// Per-cell log of one simulation run, indexed by [`CellId`]: a handle to
 /// the trace's cell table plus the run's own delay and plane columns.
-#[derive(Clone, Default, Serialize, Deserialize)]
+#[derive(Clone, Default)]
 pub struct RunLog {
     /// The trace's cells, shared with the trace and every other log of it
     /// (a [`with_cells`](Self::with_cells) log has a table of its own).
@@ -475,7 +474,7 @@ impl Width for u32 {
 /// cell, then two, then four. At each width the all-ones value is
 /// "absent"; a value that does not fit the current width widens the whole
 /// column once to the width it needs.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum Column {
     U8(Vec<u8>),
     U16(Vec<u16>),

@@ -14,13 +14,19 @@
 //! Every [`RunLog`](crate::RunLog) of the trace holds a handle to that one
 //! table and stores only what its switch decided (DESIGN.md §11), and every
 //! run's cursor reads the numbers instead of recounting them. The table
-//! stores each column at the width its values need:
+//! stores each row in the narrowest of three layouts that holds every row:
 //!
-//! | column | bytes per cell |
-//! |---|---|
-//! | arrival slot, low 32 bits | 4 (the high word once per run of cells that share it) |
-//! | input, output | 2 + 2 (ports are `0..`[`MAX_PORTS`]) |
-//! | seq | 4 |
+//! | layout | slot, low 32 bits | input, output | seq | bytes per cell |
+//! |---|---|---|---|---|
+//! | short | `u16` | `u8` each | `u16` | 6 |
+//! | narrow | `u32` | `u8` each | `u16` | 8 |
+//! | wide | `u32` | `u16` each (ports are `0..`[`MAX_PORTS`]) | `u32` | 12 |
+//!
+//! The high word of the slot is stored once per run of cells that share
+//! it, whatever the layout. A table starts short; the first row that does
+//! not fit rewrites it once in the narrowest layout that holds that row,
+//! and it never narrows again. Readers match the layout once and load
+//! plain fields.
 //!
 //! An [`Arrival`] is the value a reader sees, assembled from the row on read
 //! ([`Trace::arrival`], [`Trace::arrivals`], [`Trace::by_slot`]). Every
@@ -66,31 +72,246 @@ impl Arrival {
     }
 }
 
-/// One cell of a [`CellTable`]: 12 bytes.
+/// One cell of a [`CellTable`], unpacked: what the writer packs into a
+/// row and every reader takes its fields from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Row {
+struct Fields {
     /// Arrival slot, low 32 bits (the high word is the table's).
+    slot: u32,
+    input: u32,
+    output: u32,
+    seq: u32,
+}
+
+/// A row of the wide layout, 12 bytes: ports below [`MAX_PORTS`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Wide {
     slot: u32,
     input: u16,
     output: u16,
     seq: u32,
 }
 
-/// What a trace's cells are, by [`CellId`]: a 12-byte row each — the low
-/// word of the arrival slot, 16-bit input and output ports, the 4-byte
-/// per-flow sequence number — plus one entry per run of cells whose
-/// arrival slots share a high word. Shared, read-only, by the [`Trace`],
-/// every log of it ([`RunLog::table`](crate::RunLog::table)) and the PPS
-/// fabric, whose queues hold bare ids and read a cell's facts here.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A row of the narrow layout, 8 bytes: ports below 256, seq below 2¹⁶.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Narrow {
+    slot: u32,
+    input: u8,
+    output: u8,
+    seq: u16,
+}
+
+/// A row of the short layout, 6 bytes: a narrow row whose slot's low word
+/// is below 2¹⁶ too.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Short {
+    slot: u16,
+    input: u8,
+    output: u8,
+    seq: u16,
+}
+
+/// A layout of a [`CellTable`]'s rows.
+trait Row: Copy {
+    /// Whether every value of `f` fits this layout.
+    fn holds(f: Fields) -> bool;
+    /// `f` in this layout; lossless where [`holds`](Row::holds).
+    fn pack(f: Fields) -> Self;
+    /// The row's values.
+    fn unpack(self) -> Fields;
+}
+
+impl Row for Wide {
+    /// Every row: the writer refuses ports of [`MAX_PORTS`] or more.
+    fn holds(_: Fields) -> bool {
+        true
+    }
+
+    fn pack(f: Fields) -> Self {
+        Wide {
+            slot: f.slot,
+            input: f.input as u16,
+            output: f.output as u16,
+            seq: f.seq,
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> Fields {
+        Fields {
+            slot: self.slot,
+            input: self.input.into(),
+            output: self.output.into(),
+            seq: self.seq,
+        }
+    }
+}
+
+impl Row for Narrow {
+    #[inline]
+    fn holds(f: Fields) -> bool {
+        f.input <= u8::MAX.into() && f.output <= u8::MAX.into() && f.seq <= u16::MAX.into()
+    }
+
+    #[inline]
+    fn pack(f: Fields) -> Self {
+        Narrow {
+            slot: f.slot,
+            input: f.input as u8,
+            output: f.output as u8,
+            seq: f.seq as u16,
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> Fields {
+        Fields {
+            slot: self.slot,
+            input: self.input.into(),
+            output: self.output.into(),
+            seq: self.seq.into(),
+        }
+    }
+}
+
+impl Row for Short {
+    #[inline]
+    fn holds(f: Fields) -> bool {
+        f.slot <= u16::MAX.into() && Narrow::holds(f)
+    }
+
+    #[inline]
+    fn pack(f: Fields) -> Self {
+        Short {
+            slot: f.slot as u16,
+            input: f.input as u8,
+            output: f.output as u8,
+            seq: f.seq as u16,
+        }
+    }
+
+    #[inline]
+    fn unpack(self) -> Fields {
+        Fields {
+            slot: self.slot.into(),
+            input: self.input.into(),
+            output: self.output.into(),
+            seq: self.seq.into(),
+        }
+    }
+}
+
+/// A table's rows in the narrowest layout that holds every one of them.
+#[derive(Clone, Debug)]
+enum Rows {
+    Short(Vec<Short>),
+    Narrow(Vec<Narrow>),
+    Wide(Vec<Wide>),
+}
+
+/// `$body` with `$r` bound to `$rows`' vector in whichever layout it holds:
+/// one `match` around code that is monomorphic per layout.
+macro_rules! at_layout {
+    ($rows:expr, $r:ident => $body:expr) => {
+        match $rows {
+            Rows::Short($r) => $body,
+            Rows::Narrow($r) => $body,
+            Rows::Wide($r) => $body,
+        }
+    };
+}
+
+impl Default for Rows {
+    fn default() -> Self {
+        Rows::Short(Vec::new())
+    }
+}
+
+impl Rows {
+    /// Append a row of `f`, first rewriting the rows once in the narrowest
+    /// wider layout that holds it if the current one does not.
+    #[inline]
+    fn push(&mut self, f: Fields) {
+        let held = match self {
+            Rows::Short(_) => Short::holds(f),
+            Rows::Narrow(_) => Narrow::holds(f),
+            Rows::Wide(_) => true,
+        };
+        if !held {
+            self.widen_for(f);
+        }
+        at_layout!(self, r => r.push(Row::pack(f)));
+    }
+
+    /// Rewrite the rows in the narrowest layout that holds `f`, keeping
+    /// their capacity in rows.
+    #[cold]
+    fn widen_for(&mut self, f: Fields) {
+        fn rewritten<V: Row, W: Row>(rows: &[V], capacity: usize) -> Vec<W> {
+            let mut out = Vec::with_capacity(capacity);
+            out.extend(rows.iter().map(|r| W::pack(r.unpack())));
+            out
+        }
+        let to_narrow = Narrow::holds(f);
+        *self = match std::mem::take(self) {
+            Rows::Short(r) if to_narrow => Rows::Narrow(rewritten(&r, r.capacity())),
+            Rows::Short(r) => Rows::Wide(rewritten(&r, r.capacity())),
+            Rows::Narrow(r) => Rows::Wide(rewritten(&r, r.capacity())),
+            Rows::Wide(_) => unreachable!("the wide layout holds every row"),
+        };
+    }
+
+    fn len(&self) -> usize {
+        at_layout!(self, r => r.len())
+    }
+
+    /// The values of the row at index `i`, read in its layout.
+    #[inline]
+    fn get(&self, i: usize) -> Fields {
+        at_layout!(self, r => r[i].unpack())
+    }
+
+    /// Bytes each row takes in the current layout.
+    #[cfg(test)]
+    fn width(&self) -> usize {
+        match self {
+            Rows::Short(_) => std::mem::size_of::<Short>(),
+            Rows::Narrow(_) => std::mem::size_of::<Narrow>(),
+            Rows::Wide(_) => std::mem::size_of::<Wide>(),
+        }
+    }
+}
+
+/// What a trace's cells are, by [`CellId`]: a row each — the low word of
+/// the arrival slot, the input and output ports, the per-flow sequence
+/// number — in the narrowest of three layouts that holds every row (6
+/// bytes while slots' low words and seqs fit 16 bits and ports 8; 8 bytes
+/// while only ports and seqs fit; 12 bytes otherwise), plus one entry per
+/// run of cells whose arrival slots share a high word. A table starts
+/// short and is rewritten once per wider layout a row needs, never back;
+/// tables with equal rows are equal whatever their layouts. Shared,
+/// read-only, by the [`Trace`], every log of it
+/// ([`RunLog::table`](crate::RunLog::table)) and the PPS fabric, whose
+/// queues hold bare ids and read a cell's facts here.
+#[derive(Clone, Debug, Default)]
 pub struct CellTable {
     /// One row per cell, in id order, i.e. sorted by `(slot, input)`.
-    rows: Vec<Row>,
+    rows: Rows,
     /// `(first id, slot >> 32)` of each run of rows whose slots share a
     /// high word, in id order: one entry for a trace that stays below slot
     /// 2³², which is what the read path's fast branch expects.
     highs: Vec<(usize, u32)>,
 }
+
+impl PartialEq for CellTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.highs == other.highs
+            && self.len() == other.len()
+            && (0..self.len()).all(|i| self.rows.get(i) == other.rows.get(i))
+    }
+}
+
+impl Eq for CellTable {}
 
 impl CellTable {
     /// Append the row of the next cell: the one writer of a table.
@@ -100,13 +321,16 @@ impl CellTable {
     pub(crate) fn push(&mut self, slot: Slot, input: PortId, output: PortId, seq: u32) {
         let high = (slot >> 32) as u32;
         if self.highs.last().map(|&(_, h)| h) != Some(high) {
-            self.highs.push((self.rows.len(), high));
+            self.highs.push((self.len(), high));
         }
         let port = |p: PortId| {
-            u16::try_from(p.0)
-                .unwrap_or_else(|_| panic!("port {p:?} is outside the table's 0..{MAX_PORTS}"))
+            assert!(
+                p.idx() < MAX_PORTS,
+                "port {p:?} is outside the table's 0..{MAX_PORTS}"
+            );
+            p.0
         };
-        self.rows.push(Row {
+        self.rows.push(Fields {
             slot: slot as u32,
             input: port(input),
             output: port(output),
@@ -120,24 +344,30 @@ impl CellTable {
         self.rows.len()
     }
 
-    /// Arrival slot of the cell at index `i`.
+    /// The high slot word of the cell at index `i`.
     #[inline]
-    pub(crate) fn slot(&self, i: usize) -> Slot {
+    fn high(&self, i: usize) -> Slot {
         let high = match self.highs.as_slice() {
             [(_, high)] => *high,
             runs => high_word(runs, i),
         };
-        (high as Slot) << 32 | self.rows[i].slot as Slot
+        (high as Slot) << 32
+    }
+
+    /// Arrival slot of the cell at index `i`.
+    #[inline]
+    pub(crate) fn slot(&self, i: usize) -> Slot {
+        self.high(i) | self.rows.get(i).slot as Slot
     }
 
     /// The arrival of the cell at index `i`.
     #[inline]
     fn arrival_at(&self, i: usize) -> Arrival {
-        let row = self.rows[i];
+        let row = self.rows.get(i);
         Arrival {
-            slot: self.slot(i),
-            input: PortId(row.input.into()),
-            output: PortId(row.output.into()),
+            slot: self.high(i) | row.slot as Slot,
+            input: PortId(row.input),
+            output: PortId(row.output),
         }
     }
 
@@ -149,19 +379,19 @@ impl CellTable {
     /// Input port the cell arrived on.
     #[inline]
     pub fn input(&self, id: CellId) -> PortId {
-        PortId(self.rows[id.idx()].input.into())
+        PortId(self.rows.get(id.idx()).input)
     }
 
     /// Output port the cell is destined for.
     #[inline]
     pub fn output(&self, id: CellId) -> PortId {
-        PortId(self.rows[id.idx()].output.into())
+        PortId(self.rows.get(id.idx()).output)
     }
 
     /// Per-flow sequence number.
     #[inline]
     pub fn seq(&self, id: CellId) -> u32 {
-        self.rows[id.idx()].seq
+        self.rows.get(id.idx()).seq
     }
 
     /// Slot in which the cell arrived to the switch.
@@ -173,19 +403,13 @@ impl CellTable {
     /// The cell with id `id`, whole.
     #[inline]
     pub fn cell(&self, id: CellId) -> Cell {
-        self.cell_arriving(id, self.slot(id.idx()))
-    }
-
-    /// The cell with id `id`, whose arrival slot the caller has read.
-    #[inline]
-    fn cell_arriving(&self, id: CellId, arrival: Slot) -> Cell {
-        let row = self.rows[id.idx()];
+        let row = self.rows.get(id.idx());
         Cell {
             id,
-            input: PortId(row.input.into()),
-            output: PortId(row.output.into()),
+            input: PortId(row.input),
+            output: PortId(row.output),
             seq: row.seq,
-            arrival,
+            arrival: self.high(id.idx()) | row.slot as Slot,
         }
     }
 }
@@ -319,7 +543,7 @@ impl TraceBuilder {
 }
 
 /// A validated arrival sequence for an `N × N` switch.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     cells: Arc<CellTable>,
 }
@@ -501,11 +725,15 @@ impl CellCursor<'_> {
     /// input-port order.
     #[inline]
     pub(crate) fn next_at(&mut self, slot: Slot) -> Option<Cell> {
-        if self.peek_slot() != Some(slot) {
+        if self.pos == self.cells.len() {
+            return None;
+        }
+        let cell = self.cells.cell(CellId(self.pos as u64));
+        if cell.arrival != slot {
             return None;
         }
         self.pos += 1;
-        Some(self.cells.cell_arriving(CellId(self.pos as u64 - 1), slot))
+        Some(cell)
     }
 }
 
@@ -591,8 +819,12 @@ mod tests {
     }
 
     #[test]
-    fn a_row_is_12_bytes_and_a_short_trace_has_one_high_word() {
-        assert_eq!(std::mem::size_of::<Row>(), 12);
+    fn rows_are_6_8_or_12_bytes_and_a_short_trace_has_one_high_word() {
+        use std::mem::size_of;
+        assert_eq!(
+            [size_of::<Short>(), size_of::<Narrow>(), size_of::<Wide>()],
+            [6, 8, 12]
+        );
         let t = Trace::build((0..5).map(|s| Arrival::new(s << 20, 0, 0)).collect(), 1).unwrap();
         assert_eq!(t.cells.highs, vec![(0, 0)]);
         let late = t.then(
@@ -601,6 +833,180 @@ mod tests {
         );
         assert_eq!(late.cells.highs, vec![(0, 0), (5, 2)]);
         assert_eq!(late.horizon(), (4 << 20) + 1 + (1 << 33));
+    }
+
+    /// `want`'s cells, each flow numbered in a map: the table's contents
+    /// from the definition, read through nothing the table provides.
+    fn numbered(want: &[Arrival]) -> Vec<Cell> {
+        let mut seq = std::collections::BTreeMap::new();
+        want.iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let next = seq.entry((a.input, a.output)).or_insert(0u32);
+                *next += 1;
+                Cell {
+                    id: CellId(i as u64),
+                    input: a.input,
+                    output: a.output,
+                    seq: *next - 1,
+                    arrival: a.slot,
+                }
+            })
+            .collect()
+    }
+
+    /// Build `want` (sorted) into a trace, check that its table holds
+    /// `bytes` per row, and read every cell back through every accessor.
+    fn reads_back(want: &[Arrival], bytes: usize) {
+        let n = MAX_PORTS;
+        let t = Trace::build(want.iter().rev().copied().collect(), n).unwrap();
+        assert_eq!(t.cells.rows.width(), bytes, "layout of {} rows", t.len());
+        let cells = numbered(want);
+        assert_eq!(t.len(), want.len());
+        for (i, a) in want.iter().enumerate() {
+            assert_eq!(t.arrival(i), *a);
+        }
+        assert!(t.arrivals().eq(want.iter().copied()));
+        assert!(t.arrivals().rev().eq(want.iter().rev().copied()));
+        let mut groups = Vec::new();
+        for (slot, group) in t.by_slot() {
+            assert!(group.clone().all(|a| a.slot == slot));
+            groups.extend(group);
+        }
+        assert_eq!(groups, want);
+        assert_eq!(t.cells(n), cells);
+        let mut cursor = t.cursor();
+        let mut pulled = Vec::new();
+        while let Some(slot) = cursor.peek_slot() {
+            while let Some(cell) = cursor.next_at(slot) {
+                pulled.push(cell);
+            }
+        }
+        assert_eq!(pulled, cells);
+        let table = t.table();
+        for c in &cells {
+            let read = (
+                table.input(c.id),
+                table.output(c.id),
+                table.seq(c.id),
+                table.arrival(c.id),
+            );
+            assert_eq!(read, (c.input, c.output, c.seq, c.arrival));
+            assert_eq!(table.cell(c.id), *c);
+        }
+    }
+
+    /// Each field at the last value of a layout and the first past it, the
+    /// row that needs the wider layout recorded last and first.
+    #[test]
+    fn layout_boundaries_read_back_through_every_accessor() {
+        let a = Arrival::new;
+        // The slot's low word: 65535 is short, 65536 narrow.
+        reads_back(&[a(65_535, 3, 4), a(65_536, 3, 4)], 8);
+        reads_back(&[a(65_536, 3, 4), a((1 << 32) + 65_535, 3, 4)], 8);
+        reads_back(&[a(0, 1, 2), a(65_535, 255, 255)], 6);
+        // Ports: 255 is short, 256 wide, on either side.
+        reads_back(&[a(0, 255, 255), a(1, 256, 0), a(2, 0, 256)], 12);
+        reads_back(&[a(0, 0, 256), a(0, 256, 0), a(1, 255, 255)], 12);
+        // Seq: one flow of 65 537 cells, 65535 short and 65536 wide; the
+        // flow's last cell, then a cell of another flow after it.
+        let flow: Vec<Arrival> = (0..65_537).map(|s| a(s, 7, 9)).collect();
+        reads_back(&flow[..65_536], 6);
+        reads_back(&flow, 12);
+        let mut then = flow.clone();
+        then.push(a(65_537, 0, 0));
+        reads_back(&then, 12);
+    }
+
+    #[test]
+    fn a_table_widens_once_to_the_layout_a_row_needs_and_never_back() {
+        let mut table = CellTable::default();
+        let push = |table: &mut CellTable, slot: Slot, port: u32, seq: u32| {
+            table.push(slot, PortId(port), PortId(0), seq);
+            table.rows.width()
+        };
+        assert_eq!(push(&mut table, 0, 1, 0), 6);
+        // Short straight to wide: the first row past short needs a 2-byte port.
+        assert_eq!(push(&mut table, 1, 256, 0), 12);
+        assert_eq!(push(&mut table, 2, 1, 0), 12);
+        let mut table = CellTable::default();
+        assert_eq!(push(&mut table, 0, 1, 0), 6);
+        assert_eq!(push(&mut table, 1 << 16, 1, 0), 8);
+        assert_eq!(push(&mut table, (1 << 32) + 1, 1, 0), 8);
+        assert_eq!(push(&mut table, (1 << 32) + 2, 1, 1 << 16), 12);
+        let rows: Vec<(Slot, u32)> = (0..4)
+            .map(|i| (table.slot(i), table.seq(CellId(i as u64))))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (0, 0),
+                (1 << 16, 0),
+                ((1 << 32) + 1, 0),
+                ((1 << 32) + 2, 1 << 16)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_short_table_stays_short_across_a_high_word() {
+        let want = [
+            Arrival::new(5, 0, 1),
+            Arrival::new(65_535, 1, 0),
+            Arrival::new(1 << 32, 0, 1),
+            Arrival::new((3 << 32) + 65_535, 255, 255),
+        ];
+        reads_back(&want, 6);
+        let t = Trace::build(want.to_vec(), 256).unwrap();
+        assert_eq!(t.cells.highs, [(0, 0), (2, 1), (3, 3)]);
+    }
+
+    #[test]
+    fn tables_with_equal_rows_are_equal_whatever_their_layouts() {
+        let t = Trace::build(
+            vec![
+                Arrival::new(0, 0, 1),
+                Arrival::new(3, 1, 1),
+                Arrival::new(3, 0, 1),
+            ],
+            2,
+        )
+        .unwrap();
+        let short = t.cells.as_ref().clone();
+        assert_eq!(short.rows.width(), 6);
+        let wide = |rows: Vec<Wide>| CellTable {
+            rows: Rows::Wide(rows),
+            highs: vec![(0, 0)],
+        };
+        let row = |slot, input, output, seq| Wide {
+            slot,
+            input,
+            output,
+            seq,
+        };
+        let same = wide(vec![row(0, 0, 1, 0), row(3, 0, 1, 1), row(3, 1, 1, 0)]);
+        assert_eq!(short, same);
+        assert_eq!(same, short);
+        let other = wide(vec![row(0, 0, 1, 0), row(3, 0, 1, 1), row(3, 1, 0, 0)]);
+        assert_ne!(short, other);
+        assert_ne!(short, wide(vec![row(0, 0, 1, 0)]));
+    }
+
+    #[test]
+    fn a_table_of_small_values_holds_6_bytes_per_cell() {
+        let n = 16;
+        let arrivals: Vec<Arrival> = (0..4_000u64)
+            .flat_map(|s| (0..n).map(move |i| Arrival::new(s, i, (i + s as u32) % n)))
+            .collect();
+        let t = Trace::build(arrivals, n as usize).unwrap();
+        let Rows::Short(rows) = &t.cells.rows else {
+            panic!(
+                "a table of small values is short: {:?}",
+                t.cells.rows.width()
+            );
+        };
+        assert_eq!(std::mem::size_of_val(rows.as_slice()), 6 * t.len());
+        assert_eq!(t.cells.highs.len(), 1);
     }
 
     #[test]
