@@ -10,13 +10,14 @@
 use pps_core::demux::{BufferedDemultiplexor, Demultiplexor};
 use pps_core::fault::FaultPlan;
 use pps_core::time::Slot;
-use pps_core::{BufferSpec, OutputDiscipline, PpsConfig, Trace};
+use pps_core::{bounds, BufferSpec, OutputDiscipline, PpsConfig, Trace};
 use pps_switch::demux::{
     BufferedRoundRobinDemux, BufferedStaleDemux, DelayedCpaDemux, FaultAwareRoundRobinDemux,
     HashFlowDemux, LeastLoadedLocalDemux, LeastLoadedOfDDemux, PerFlowRoundRobinDemux, RandomDemux,
     RoundRobinDemux, TwoStageLbDemux,
 };
 use pps_traffic::gen::{BernoulliGen, OnOffGen, TrafficPattern};
+use pps_traffic::min_burstiness;
 use pps_workload::{materialize, MmppGen, Phase, ZipfGen};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -561,20 +562,34 @@ impl ChaosCase {
         }
     }
 
-    /// Whether the paper's relative-delay envelope is a sound oracle for
-    /// this case: the bound is proved for fault-free bufferless runs with
-    /// an order-preserving discipline and no watchdog skips, and the chaos
-    /// harness additionally restricts it to the deterministic spreading
-    /// demuxes (random/hash placement can concentrate a flow arbitrarily).
-    pub(crate) fn relative_delay_eligible(&self) -> bool {
-        self.buffer == 0
-            && self.plan.is_empty()
-            && self.watchdog.is_none()
-            && self.discipline == OutputDiscipline::FlowFifo
-            && matches!(
-                self.demux,
-                DemuxChoice::RoundRobin | DemuxChoice::PerFlowRoundRobin
-            )
+    /// The relative-delay bound `trace`, this case's trace, is held to, or
+    /// `None` where no bound is a theorem for the case. Every bound needs
+    /// a fault-free run and no watchdog: a watchdog that fires lets a
+    /// flow's later cells overtake a missing one, outside every model
+    /// below (the draw arms one only with a fault plan, so a fault-free
+    /// case has it off).
+    ///
+    /// - Bufferless FlowFifo round robin and per-flow round robin: the
+    ///   envelope [`bounds::traffic_envelope`] at the trace's measured
+    ///   burstiness (random and hash placement can concentrate a flow
+    ///   arbitrarily, so they get none).
+    /// - Delayed CPA: `u`, [`bounds::theorem12_upper`]. Its draw already
+    ///   guarantees Theorem 12's premise: a buffer larger than `u`,
+    ///   `K ≥ 2r'` and the GlobalFcfs output stage.
+    pub(crate) fn relative_delay_bound(&self, trace: &Trace) -> Option<u64> {
+        if !self.plan.is_empty() || self.watchdog.is_some() {
+            return None;
+        }
+        match self.demux {
+            DemuxChoice::RoundRobin | DemuxChoice::PerFlowRoundRobin
+                if self.buffer == 0 && self.discipline == OutputDiscipline::FlowFifo =>
+            {
+                let b = min_burstiness(trace, self.n);
+                Some(bounds::traffic_envelope(&self.config(), b))
+            }
+            DemuxChoice::DelayedCpa(u) => Some(bounds::theorem12_upper(u)),
+            _ => None,
+        }
     }
 }
 

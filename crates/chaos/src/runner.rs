@@ -22,13 +22,12 @@ use pps_core::oracle::{self, ConservationLedger, OracleKind, OracleViolation};
 use pps_core::run::Sink;
 use pps_core::stepping::{self, earliest_of, SlotEngine};
 use pps_core::telemetry::Event;
-use pps_core::{bounds, Cell, ModelError, RunLog, Slot, Trace};
+use pps_core::{Cell, ModelError, RunLog, Slot, Trace};
 use pps_crossbar::{
     CioqSwitch, CrossbarScheduler, CrossbarSwitch, IslipArbiter, QpsRScheduler, SwQpsScheduler,
 };
 use pps_reference::ShadowOq;
 use pps_switch::{BufferedPps, BufferlessPps, InputStage, Pps};
-use pps_traffic::min_burstiness;
 
 /// iSLIP iteration count / CIOQ speedup for the comparison engines (the
 /// scheduler and matching policy themselves are per-case draws).
@@ -204,11 +203,9 @@ pub(crate) fn run_case(case: &ChaosCase, opts: RunOpts, sink: &Sink) -> CaseOutc
         outcome.violations.extend(oracle::check_flow_order(log));
     }
 
-    // Paper bound: relative delay vs the shadow OQ, for cases where the
-    // Section 3 envelope is actually a theorem (see the eligibility doc).
-    if case.relative_delay_eligible() {
-        let b = min_burstiness(&trace, case.n);
-        let bound = bounds::traffic_envelope(&case.config(), b);
+    // Paper bounds: relative delay vs the shadow OQ, on the cases whose
+    // premise a bound covers.
+    if let Some(bound) = case.relative_delay_bound(&trace) {
         outcome
             .violations
             .extend(oracle::check_relative_delay(&pps_log, &oq_log, bound));
@@ -473,6 +470,35 @@ mod tests {
             }
         }
         panic!("corpus lacked fault-free stochastic cases: {ran:?}");
+    }
+
+    /// Theorem 12 on random traffic: the generated fault-free delayed-CPA
+    /// cases are held to relative delay ≤ `u` and run clean (a delayed CPA
+    /// that holds `u + 1` fails here).
+    #[test]
+    fn fault_free_delayed_cpa_cases_hold_theorem_12() {
+        use crate::case::DemuxChoice;
+        const CASES: usize = 16;
+        let mut ran = 0;
+        for i in 0..40_000 {
+            let case = ChaosCase::generate(12, i, 256);
+            let DemuxChoice::DelayedCpa(u) = case.demux else {
+                continue;
+            };
+            if !case.plan.is_empty() {
+                continue;
+            }
+            assert_eq!(case.relative_delay_bound(&case.trace()), Some(u));
+            let out = run_case(&case, RunOpts::default(), &Sink::default());
+            assert_eq!(out.engine_error, None, "case {i}");
+            assert!(out.violations.is_empty(), "case {i}: {:?}", out.violations);
+            assert!(out.delivered > 0, "case {i} delivered nothing");
+            ran += 1;
+            if ran == CASES {
+                return;
+            }
+        }
+        panic!("corpus had {ran} fault-free delayed-CPA cases, not {CASES}");
     }
 
     #[test]

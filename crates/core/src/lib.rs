@@ -47,6 +47,7 @@ pub mod rng;
 pub mod run;
 pub mod snapshot;
 pub mod stepping;
+mod store;
 pub mod sweep;
 pub mod telemetry;
 pub mod time;

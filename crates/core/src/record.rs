@@ -4,29 +4,28 @@
 //! of the trace, when it departed and — for the PPS — which plane carried
 //! it. What a cell *is* (arrival slot, ports, per-flow sequence number)
 //! belongs to the trace, not to the switch, so a log holds a handle to its
-//! trace's shared cell table and stores only its own columns (DESIGN.md
-//! §11):
+//! trace's shared cell table (its rows at 6, 8 or 12 bytes a cell, tabled
+//! in [`crate::trace`]) and stores only its own columns (DESIGN.md §11): a
+//! delay column, 1, 2 or 4 bytes per cell, and — in a log whose engine
+//! records planes, from its first [`RunLog::set_plane`] — a plane column, 1
+//! or 2 bytes per cell.
 //!
-//! | column | bytes per cell | stored by |
-//! |---|---|---|
-//! | arrival, input, output, seq | 6, 8 or 12, the narrowest layout the trace fits | the trace, once (the arrival's high word once per run) |
-//! | delay | 1, 2 or 4 | every log (a delay of 2³²−2 slots or more in a side map) |
-//! | plane | 1 or 2 | a log whose engine records one (allocated on the first [`RunLog::set_plane`]) |
-//!
-//! A log stores a cell's *delay*, `departure − arrival`, not its departure
-//! slot: the arrival is the table's, and the paper's metric keeps delays
-//! small. Each column holds its values at the narrowest width they need —
-//! one byte per cell until the first value of 255 or more, then two, then
-//! (delays only) four — and widens itself, once per width, when a value
-//! does not fit. The rare delay that does not fit 32 bits is kept exactly
-//! in a side map keyed by cell index, behind a reserved column value.
+//! Both columns and the table are one widening store: it holds its values
+//! at the narrowest width they need — one byte per cell until the first
+//! value of 256 or more, then two, then four — and widens itself,
+//! zero-extended, once per width, when a value does not fit. A log stores
+//! a cell's *delay*, `departure − arrival`, not its departure slot: the
+//! arrival is the table's, and the paper's metric keeps delays small. The
+//! columns store `value + 1` and read 0 as "none", so a delay of up to 254
+//! slots or a plane below 255 takes one byte. The rare delay of 2³²−2
+//! slots or more is kept exactly in a side map keyed by cell index, behind
+//! the reserved stored value `u32::MAX`.
 //!
 //! A delay entry is appended when its cell enters the switch
 //! ([`crate::stepping::drive`] pushes each slot's arrivals before it hands
 //! them to the engine), so the log grows in [`CellId`] order and a cell's id
-//! *is* its index. The two `Option`s a record reports are stored as
-//! sentinel values, and the setters refuse the values that would alias
-//! "none".
+//! *is* its index. The setters refuse the values that would alias "none"
+//! in a record.
 //!
 //! A [`CellRecord`] is the value a reader sees, assembled from the columns
 //! on read ([`RunLog::get`], [`RunLog::iter`], [`RunLog::records`]).
@@ -38,6 +37,7 @@
 
 use crate::cell::Cell;
 use crate::ids::{CellId, FlowId, PlaneId, PortId};
+use crate::store::{Column, Packed, Store};
 use crate::time::Slot;
 use crate::trace::{Arrivals, CellTable, Trace};
 use serde::{Deserialize, Serialize};
@@ -51,7 +51,7 @@ const NO_DEPARTURE: Slot = Slot::MAX;
 /// Stored delay of a cell whose delay is 2³²−2 slots or more (a value
 /// only the 4-byte width holds); the exact value is in
 /// [`RunLog::long_delay`].
-const ESCAPED: u32 = u32::MAX - 1;
+const ESCAPED: u32 = u32::MAX;
 /// Stored `plane` of a cell no plane was recorded for; planes are
 /// `0..NO_PLANE`, so a switch has at most 65535 of them.
 pub(crate) const NO_PLANE: u16 = u16::MAX;
@@ -120,18 +120,6 @@ impl fmt::Debug for CellRecord {
     }
 }
 
-/// `$body` with `$c` bound to `$column`'s vector at whichever width the
-/// column holds: one `match` around code that is monomorphic per width.
-macro_rules! at_width {
-    ($column:expr, $c:ident => $body:expr) => {
-        match $column {
-            Column::U8($c) => $body,
-            Column::U16($c) => $body,
-            Column::U32($c) => $body,
-        }
-    };
-}
-
 /// Per-cell log of one simulation run, indexed by [`CellId`]: a handle to
 /// the trace's cell table plus the run's own delay and plane columns.
 #[derive(Clone, Default)]
@@ -139,14 +127,14 @@ pub struct RunLog {
     /// The trace's cells, shared with the trace and every other log of it
     /// (a [`with_cells`](Self::with_cells) log has a table of its own).
     cells: Arc<CellTable>,
-    /// Queuing delay (`departure − arrival`) of each cell that has entered
-    /// the switch; absent while it is queued, [`ESCAPED`] when the delay is
-    /// in `long_delay`. Its length is the log's.
+    /// Queuing delay (`departure − arrival`) plus one of each cell that has
+    /// entered the switch: 0 while it is queued, [`ESCAPED`] when the delay
+    /// is in `long_delay`. Its length is the log's.
     delay: Column,
     /// The exact delay of every cell stored as [`ESCAPED`], by index.
     long_delay: BTreeMap<usize, Slot>,
-    /// Plane of every cell of the table, absent where none was recorded;
-    /// empty until the engine records its first plane.
+    /// Plane plus one of every cell of the table, 0 where none was
+    /// recorded; empty until the engine records its first plane.
     plane: Column,
 }
 
@@ -200,7 +188,7 @@ impl RunLog {
             self.cells.cell(cell.id),
             "cell pushed into another trace's log"
         );
-        self.delay.push_absent();
+        self.delay.push(0);
     }
 
     /// Record the plane assignment of a cell. The first call allocates the
@@ -221,9 +209,9 @@ impl RunLog {
             "cell {id:?} has not entered the switch"
         );
         if self.plane.is_empty() {
-            self.plane = Column::absent(self.cells.len());
+            self.plane = Column::First(vec![0; self.cells.len()]);
         }
-        self.plane.set(id.idx(), plane.0);
+        self.plane.set(id.idx(), plane.0 + 1);
     }
 
     /// Record the departure slot of a cell; the log stores its delay.
@@ -241,7 +229,7 @@ impl RunLog {
         );
         let i = id.idx();
         assert!(
-            self.delay.get(i).is_none(),
+            self.delay.get(i) == 0,
             "cell {id:?} departed twice (slots {:?} and {slot})",
             self.departure(i)
         );
@@ -252,7 +240,7 @@ impl RunLog {
         );
         let delay = slot - arrival;
         let stored = match u32::try_from(delay) {
-            Ok(d) if d < ESCAPED => d,
+            Ok(d) if d < ESCAPED - 1 => d + 1,
             _ => {
                 self.long_delay.insert(i, delay);
                 ESCAPED
@@ -261,20 +249,20 @@ impl RunLog {
         self.delay.set(i, stored);
     }
 
-    /// The delay of cell `i` decoded from its column entry `stored`, at
-    /// whatever width the column holds it.
+    /// The delay of cell `i` decoded from its delay column entry `stored`.
     #[inline]
-    fn decode<W: Width>(&self, i: usize, stored: W) -> Option<Slot> {
-        match stored.value()? {
+    fn decode(&self, i: usize, stored: u32) -> Option<Slot> {
+        match stored {
+            0 => None,
             ESCAPED => Some(self.long_delay[&i]),
-            d => Some(d as Slot),
+            d => Some(d as Slot - 1),
         }
     }
 
     /// The delay of cell `i`, if it departed.
     #[inline]
     fn delay(&self, i: usize) -> Option<Slot> {
-        at_width!(&self.delay, c => self.decode(i, c[i]))
+        self.decode(i, self.delay.get(i))
     }
 
     /// The departure slot of cell `i`, if it departed.
@@ -296,7 +284,8 @@ impl RunLog {
             plane: if self.plane.is_empty() {
                 NO_PLANE
             } else {
-                self.plane.get(i).map_or(NO_PLANE, |p| p as u16)
+                // A stored 0 ("none") wraps to `NO_PLANE`.
+                (self.plane.get(i) as u16).wrapping_sub(1)
             },
         }
     }
@@ -360,17 +349,26 @@ impl RunLog {
         F: FnMut(B, Option<Slot>, Option<Slot>) -> B,
     {
         assert_eq!(self.len(), other.len(), "logs must cover the same trace");
-        at_width!(&self.delay, mine => other.fold_beside(self, mine, init, f))
+        match &self.delay {
+            Store::First(mine) => other.fold_beside(self, mine, init, f),
+            Store::Second(mine) => other.fold_beside(self, mine, init, f),
+            Store::Third(mine) => other.fold_beside(self, mine, init, f),
+        }
     }
 
     /// [`fold_pairs`](Self::fold_pairs) of `first`, whose delay column is
     /// `mine`, against this log's column at its width.
     #[inline]
-    fn fold_beside<W: Width, B, F>(&self, first: &RunLog, mine: &[W], init: B, f: F) -> B
+    fn fold_beside<W, B, F>(&self, first: &RunLog, mine: &[W], init: B, f: F) -> B
     where
+        W: Packed<Value = u32>,
         F: FnMut(B, Option<Slot>, Option<Slot>) -> B,
     {
-        at_width!(&self.delay, theirs => zip_fold(first, mine, self, theirs, init, f))
+        match &self.delay {
+            Store::First(theirs) => zip_fold(first, mine, self, theirs, init, f),
+            Store::Second(theirs) => zip_fold(first, mine, self, theirs, init, f),
+            Store::Third(theirs) => zip_fold(first, mine, self, theirs, init, f),
+        }
     }
 
     /// Number of cells in the log.
@@ -380,7 +378,7 @@ impl RunLog {
 
     /// Number of cells that never departed (still queued at horizon).
     pub fn undelivered(&self) -> usize {
-        self.delay.count_absent()
+        self.delay.count(|d| d == 0)
     }
 
     /// Maximum queuing delay over delivered cells.
@@ -430,162 +428,24 @@ impl RunLog {
 /// The loop of one [`RunLog::fold_pairs`] pass: both delay columns at
 /// fixed widths.
 #[inline]
-fn zip_fold<V: Width, W: Width, B>(
+fn zip_fold<V, W, B>(
     a: &RunLog,
     mine: &[V],
     b: &RunLog,
     theirs: &[W],
     init: B,
     mut f: impl FnMut(B, Option<Slot>, Option<Slot>) -> B,
-) -> B {
+) -> B
+where
+    V: Packed<Value = u32>,
+    W: Packed<Value = u32>,
+{
     mine.iter()
         .zip(theirs)
         .enumerate()
         .fold(init, |acc, (i, (&p, &q))| {
-            f(acc, a.decode(i, p), b.decode(i, q))
+            f(acc, a.decode(i, p.unpack()), b.decode(i, q.unpack()))
         })
-}
-
-/// A stored width of a [`Column`]: its all-ones value means "absent".
-trait Width: Copy + Eq + Into<u32> {
-    const ABSENT: Self;
-
-    /// The value, or `None` if absent.
-    #[inline]
-    fn value(self) -> Option<u32> {
-        (self != Self::ABSENT).then(|| self.into())
-    }
-}
-
-impl Width for u8 {
-    const ABSENT: Self = u8::MAX;
-}
-
-impl Width for u16 {
-    const ABSENT: Self = u16::MAX;
-}
-
-impl Width for u32 {
-    const ABSENT: Self = u32::MAX;
-}
-
-/// A column of values below `u32::MAX`, each possibly absent, stored at
-/// the narrowest width that holds every value written so far: one byte per
-/// cell, then two, then four. At each width the all-ones value is
-/// "absent"; a value that does not fit the current width widens the whole
-/// column once to the width it needs.
-#[derive(Clone)]
-enum Column {
-    U8(Vec<u8>),
-    U16(Vec<u16>),
-    U32(Vec<u32>),
-}
-
-impl Default for Column {
-    fn default() -> Self {
-        Column::U8(Vec::new())
-    }
-}
-
-impl Column {
-    /// An empty 1-byte column with room for `n` cells.
-    fn with_capacity(n: usize) -> Self {
-        Column::U8(Vec::with_capacity(n))
-    }
-
-    /// A 1-byte column of `n` absent cells.
-    fn absent(n: usize) -> Self {
-        Column::U8(vec![u8::ABSENT; n])
-    }
-
-    fn len(&self) -> usize {
-        at_width!(self, c => c.len())
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append an absent cell.
-    #[inline]
-    fn push_absent(&mut self) {
-        match self {
-            Column::U8(c) => c.push(u8::ABSENT),
-            Column::U16(c) => c.push(u16::ABSENT),
-            Column::U32(c) => c.push(u32::ABSENT),
-        }
-    }
-
-    /// The value of cell `i`, or `None` if absent.
-    #[inline]
-    fn get(&self, i: usize) -> Option<u32> {
-        at_width!(self, c => c[i].value())
-    }
-
-    /// Store `v` (below `u32::MAX`) at cell `i`, widening the column first
-    /// if `v` does not fit its width.
-    #[inline]
-    fn set(&mut self, i: usize, v: u32) {
-        debug_assert!(v != u32::ABSENT, "{v} is the absent value");
-        let fits = match self {
-            Column::U8(_) => v < u8::ABSENT.into(),
-            Column::U16(_) => v < u16::ABSENT.into(),
-            Column::U32(_) => true,
-        };
-        if !fits {
-            self.widen_for(v);
-        }
-        match self {
-            Column::U8(c) => c[i] = v as u8,
-            Column::U16(c) => c[i] = v as u16,
-            Column::U32(c) => c[i] = v,
-        }
-    }
-
-    /// Rewrite the column at the narrowest width that holds `v`, keeping
-    /// its capacity in cells.
-    #[cold]
-    fn widen_for(&mut self, v: u32) {
-        fn widened<V: Width, W: Width + From<V>>(narrow: &[V], capacity: usize) -> Vec<W> {
-            let mut wide = Vec::with_capacity(capacity);
-            wide.extend(narrow.iter().map(|&x| {
-                if x == V::ABSENT {
-                    W::ABSENT
-                } else {
-                    W::from(x)
-                }
-            }));
-            wide
-        }
-        let to_u32 = v >= u16::ABSENT.into();
-        *self = match std::mem::take(self) {
-            Column::U8(c) if to_u32 => Column::U32(widened(&c, c.capacity())),
-            Column::U8(c) => Column::U16(widened(&c, c.capacity())),
-            Column::U16(c) => Column::U32(widened(&c, c.capacity())),
-            Column::U32(_) => unreachable!("a 4-byte column holds every value"),
-        };
-    }
-
-    /// Number of absent cells.
-    fn count_absent(&self) -> usize {
-        at_width!(self, c => c.iter().filter(|x| x.value().is_none()).count())
-    }
-
-    /// Bytes each cell takes at the current width.
-    #[cfg(test)]
-    fn width(&self) -> usize {
-        match self {
-            Column::U8(_) => 1,
-            Column::U16(_) => 2,
-            Column::U32(_) => 4,
-        }
-    }
-
-    /// Cells the column holds without reallocating.
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        at_width!(self, c => c.capacity())
-    }
 }
 
 impl fmt::Debug for RunLog {

@@ -25,8 +25,8 @@
 //! The high word of the slot is stored once per run of cells that share
 //! it, whatever the layout. A table starts short; the first row that does
 //! not fit rewrites it once in the narrowest layout that holds that row,
-//! and it never narrows again. Readers match the layout once and load
-//! plain fields.
+//! and it never narrows again — the widening store a run log's columns
+//! use too. Readers match the layout once and load plain fields.
 //!
 //! An [`Arrival`] is the value a reader sees, assembled from the row on read
 //! ([`Trace::arrival`], [`Trace::arrivals`], [`Trace::by_slot`]). Every
@@ -38,6 +38,7 @@
 use crate::cell::Cell;
 use crate::error::ModelError;
 use crate::ids::{CellId, PortId};
+use crate::store::{Packed, Store};
 use crate::time::Slot;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -111,17 +112,9 @@ struct Short {
     seq: u16,
 }
 
-/// A layout of a [`CellTable`]'s rows.
-trait Row: Copy {
-    /// Whether every value of `f` fits this layout.
-    fn holds(f: Fields) -> bool;
-    /// `f` in this layout; lossless where [`holds`](Row::holds).
-    fn pack(f: Fields) -> Self;
-    /// The row's values.
-    fn unpack(self) -> Fields;
-}
+impl Packed for Wide {
+    type Value = Fields;
 
-impl Row for Wide {
     /// Every row: the writer refuses ports of [`MAX_PORTS`] or more.
     fn holds(_: Fields) -> bool {
         true
@@ -147,7 +140,9 @@ impl Row for Wide {
     }
 }
 
-impl Row for Narrow {
+impl Packed for Narrow {
+    type Value = Fields;
+
     #[inline]
     fn holds(f: Fields) -> bool {
         f.input <= u8::MAX.into() && f.output <= u8::MAX.into() && f.seq <= u16::MAX.into()
@@ -174,7 +169,9 @@ impl Row for Narrow {
     }
 }
 
-impl Row for Short {
+impl Packed for Short {
+    type Value = Fields;
+
     #[inline]
     fn holds(f: Fields) -> bool {
         f.slot <= u16::MAX.into() && Narrow::holds(f)
@@ -202,85 +199,7 @@ impl Row for Short {
 }
 
 /// A table's rows in the narrowest layout that holds every one of them.
-#[derive(Clone, Debug)]
-enum Rows {
-    Short(Vec<Short>),
-    Narrow(Vec<Narrow>),
-    Wide(Vec<Wide>),
-}
-
-/// `$body` with `$r` bound to `$rows`' vector in whichever layout it holds:
-/// one `match` around code that is monomorphic per layout.
-macro_rules! at_layout {
-    ($rows:expr, $r:ident => $body:expr) => {
-        match $rows {
-            Rows::Short($r) => $body,
-            Rows::Narrow($r) => $body,
-            Rows::Wide($r) => $body,
-        }
-    };
-}
-
-impl Default for Rows {
-    fn default() -> Self {
-        Rows::Short(Vec::new())
-    }
-}
-
-impl Rows {
-    /// Append a row of `f`, first rewriting the rows once in the narrowest
-    /// wider layout that holds it if the current one does not.
-    #[inline]
-    fn push(&mut self, f: Fields) {
-        let held = match self {
-            Rows::Short(_) => Short::holds(f),
-            Rows::Narrow(_) => Narrow::holds(f),
-            Rows::Wide(_) => true,
-        };
-        if !held {
-            self.widen_for(f);
-        }
-        at_layout!(self, r => r.push(Row::pack(f)));
-    }
-
-    /// Rewrite the rows in the narrowest layout that holds `f`, keeping
-    /// their capacity in rows.
-    #[cold]
-    fn widen_for(&mut self, f: Fields) {
-        fn rewritten<V: Row, W: Row>(rows: &[V], capacity: usize) -> Vec<W> {
-            let mut out = Vec::with_capacity(capacity);
-            out.extend(rows.iter().map(|r| W::pack(r.unpack())));
-            out
-        }
-        let to_narrow = Narrow::holds(f);
-        *self = match std::mem::take(self) {
-            Rows::Short(r) if to_narrow => Rows::Narrow(rewritten(&r, r.capacity())),
-            Rows::Short(r) => Rows::Wide(rewritten(&r, r.capacity())),
-            Rows::Narrow(r) => Rows::Wide(rewritten(&r, r.capacity())),
-            Rows::Wide(_) => unreachable!("the wide layout holds every row"),
-        };
-    }
-
-    fn len(&self) -> usize {
-        at_layout!(self, r => r.len())
-    }
-
-    /// The values of the row at index `i`, read in its layout.
-    #[inline]
-    fn get(&self, i: usize) -> Fields {
-        at_layout!(self, r => r[i].unpack())
-    }
-
-    /// Bytes each row takes in the current layout.
-    #[cfg(test)]
-    fn width(&self) -> usize {
-        match self {
-            Rows::Short(_) => std::mem::size_of::<Short>(),
-            Rows::Narrow(_) => std::mem::size_of::<Narrow>(),
-            Rows::Wide(_) => std::mem::size_of::<Wide>(),
-        }
-    }
-}
+type Rows = Store<Short, Narrow, Wide>;
 
 /// What a trace's cells are, by [`CellId`]: a row each — the low word of
 /// the arrival slot, the input and output ports, the per-flow sequence
@@ -975,7 +894,7 @@ mod tests {
         let short = t.cells.as_ref().clone();
         assert_eq!(short.rows.width(), 6);
         let wide = |rows: Vec<Wide>| CellTable {
-            rows: Rows::Wide(rows),
+            rows: Store::Third(rows),
             highs: vec![(0, 0)],
         };
         let row = |slot, input, output, seq| Wide {
@@ -999,7 +918,7 @@ mod tests {
             .flat_map(|s| (0..n).map(move |i| Arrival::new(s, i, (i + s as u32) % n)))
             .collect();
         let t = Trace::build(arrivals, n as usize).unwrap();
-        let Rows::Short(rows) = &t.cells.rows else {
+        let Store::First(rows) = &t.cells.rows else {
             panic!(
                 "a table of small values is short: {:?}",
                 t.cells.rows.width()
