@@ -741,6 +741,66 @@ mod tests {
     }
 
     #[test]
+    fn every_documented_run_line_agrees_with_its_attribution() {
+        let (mut agreed, mut lossy) = (0, 0);
+        for doc in [
+            include_str!("../../../README.md"),
+            include_str!("../../../EXPERIMENTS.md"),
+        ] {
+            // `replay:path=capture.csv` needs a capture file.
+            for mut args in command_lines(doc) {
+                let run = args.first().is_some_and(|a| a == "run");
+                if !run || args.iter().any(|a| a.contains("replay:")) {
+                    continue;
+                }
+                if !args.iter().any(|a| a == "--telemetry") {
+                    args.extend(["--telemetry".into(), "full".into()]);
+                }
+                let invocation = parse(&args).expect("a documented line parses");
+                let Mode::Run(run) = &invocation.mode else {
+                    panic!("{args:?} is a run");
+                };
+                let report =
+                    pps_core::run::run(&invocation.spec, "run", |sink| crate::run::run(run, sink));
+                let table = report.output.expect("a documented run runs");
+                let summary = pps_telemetry::summarize(&report.log);
+                let blocks = crate::tests::blocks(&summary);
+                if report.log.overflowed > 0 {
+                    // A scope past its 2^20-event ring has lost arrivals,
+                    // so it prints no OQ-relative figures.
+                    assert!(blocks.is_empty() && summary.contains("lost to ring overflow"));
+                    lossy += 1;
+                    continue;
+                }
+                // A row ends in mean, p99, p999, max, jitter, conc, hwm and
+                // undeliv; its label may hold spaces.
+                let rows: Vec<Vec<&str>> = table
+                    .lines()
+                    .skip_while(|l| !l.starts_with("algorithm "))
+                    .skip(1)
+                    .map(|row| {
+                        let words: Vec<&str> = row.split_whitespace().collect();
+                        let c = &words[words.len() - 8..];
+                        vec![c[0], c[1], c[3], c[4]]
+                    })
+                    .collect();
+                let figures: Vec<Vec<&str>> = blocks
+                    .iter()
+                    .map(|(_, lines)| {
+                        let head = &lines[0];
+                        let keys = ["mean", "p99", "max", "jitter"];
+                        keys.iter().map(|key| head.text(key)).collect()
+                    })
+                    .collect();
+                assert_eq!(rows, figures, "ppslab {args:?}:\n{table}{summary}");
+                agreed += 1;
+            }
+        }
+        // The zipf line's scope is the lossy one.
+        assert_eq!((agreed, lossy), (4, 1));
+    }
+
+    #[test]
     fn usage_block_names_exactly_the_flag_table() {
         let source = include_str!("bin/ppslab.rs");
         let usage: String = source

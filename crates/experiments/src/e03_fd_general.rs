@@ -94,6 +94,24 @@ mod tests {
     }
 
     #[test]
+    fn the_worst_cells_relative_delay_is_all_plane_wait() {
+        let (a, summary) = crate::tests::traced(|sink| point(16, 8, 4, sink));
+        let blocks = crate::tests::blocks(&summary);
+        let [(engine, lines)] = &blocks[..] else {
+            panic!("one PPS run: {summary}");
+        };
+        assert_eq!(engine, "pps");
+        assert_eq!(lines[0].get("max"), a.delay);
+        // Bufferless, fully distributed: no input wait and no hold; the
+        // reference serves the cell on arrival.
+        let worst = &lines[3];
+        for stage in ["input-wait", "output-hold", "oq-wait"] {
+            assert_eq!(worst.get(stage), 0, "{stage}: {summary}");
+        }
+        assert_eq!(worst.get("plane-wait"), a.delay, "{summary}");
+    }
+
+    #[test]
     fn full_run_passes() {
         let out = run(&Sink::default());
         assert!(out.pass, "{}", out.render());

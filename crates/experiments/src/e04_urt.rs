@@ -92,6 +92,31 @@ mod tests {
     }
 
     #[test]
+    fn the_worst_cell_is_dispatched_inside_the_blind_window() {
+        let (n, k, r_prime) = (32, 8, 8);
+        for u in [1, 2, 3, 4, 8] {
+            let (a, summary) = crate::tests::traced(|sink| point(n, k, r_prime, u, sink));
+            let blocks = crate::tests::blocks(&summary);
+            let [(_, lines)] = &blocks[..] else {
+                panic!("one PPS run: {summary}");
+            };
+            // Every cell's delay is line + plane wait.
+            let all = &lines[1];
+            assert_eq!((all.get("input-wait"), all.get("output-hold")), (0, 0));
+            let (worst, timeline) = (&lines[3], &lines[4]);
+            assert_eq!(worst.get("relative"), a.delay, "{summary}");
+            // The plane was chosen on a view older than the burst.
+            let atk = urt_burst_attack(&PpsConfig::bufferless(n, k, r_prime), u);
+            let window = atk.burst_start..atk.burst_start + atk.u_eff;
+            let demux = timeline.get("demux") as Slot;
+            assert!(
+                window.contains(&demux),
+                "u = {u}: {demux} outside {window:?}"
+            );
+        }
+    }
+
+    #[test]
     fn full_run_passes() {
         let out = run(&Sink::default());
         assert!(out.pass, "{}", out.render());

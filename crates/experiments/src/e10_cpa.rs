@@ -129,6 +129,30 @@ mod tests {
     }
 
     #[test]
+    fn every_cell_matches_the_reference_and_waits_mostly_at_the_output() {
+        let (n, k, r_prime) = (16, 8, 4);
+        for (name, trace) in workloads(n, k, r_prime) {
+            let cfg = PpsConfig::bufferless(n, k, r_prime);
+            let (_, summary) = crate::tests::traced(|sink| point(cfg, &trace, sink));
+            let blocks = crate::tests::blocks(&summary);
+            let [(_, lines)] = &blocks[..] else {
+                panic!("{name}: one PPS run: {summary}");
+            };
+            // No cell is late and the relative delays sum to 0: none is
+            // early either.
+            let (head, all) = (&lines[0], &lines[1]);
+            assert_eq!((head.get("max"), all.get("relative")), (0, 0), "{name}");
+            // CPA dispatches on arrival; the reference's wait is spent in a
+            // plane queue and at the output, most of it at the output.
+            assert_eq!(all.get("input-wait"), 0, "{name}");
+            assert!(
+                all.get("output-hold") >= all.get("plane-wait"),
+                "{name}: {summary}"
+            );
+        }
+    }
+
+    #[test]
     fn full_run_passes() {
         let out = run(&Sink::default());
         assert!(out.pass, "{}", out.render());

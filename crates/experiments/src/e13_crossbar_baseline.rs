@@ -122,6 +122,30 @@ mod tests {
     }
 
     #[test]
+    fn islip_waits_only_at_its_inputs_and_each_pps_run_has_a_block() {
+        let ([_, xb, cpa, rr], summary) =
+            crate::tests::traced(|sink| point(16, 8, 4, 0.5, 77, sink));
+        let blocks = crate::tests::blocks(&summary);
+        let engines: Vec<&str> = blocks.iter().map(|(e, _)| e.as_str()).collect();
+        assert_eq!(engines, ["crossbar", "pps", "pps"], "{summary}");
+        // Each block's absolute delay is its run's: the stage waits summed
+        // over the cells, divided by them, is the table's mean delay.
+        for ((_, lines), (mean, ..)) in blocks.iter().zip([xb, cpa, rr]) {
+            let (cells, all) = (lines[0].get("cells"), &lines[1]);
+            let waits: i64 = ["input-wait", "plane-wait", "output-hold"]
+                .iter()
+                .map(|stage| all.get(stage))
+                .sum();
+            assert!((waits as f64 / cells as f64 - mean).abs() < 1e-9);
+        }
+        let islip = &blocks[0].1[1];
+        assert_eq!((islip.get("plane-wait"), islip.get("output-hold")), (0, 0));
+        // CPA mimics the reference; round robin does not.
+        assert_eq!(blocks[1].1[0].get("max"), 0);
+        assert!(blocks[2].1[0].get("max") > 0);
+    }
+
+    #[test]
     fn crossbar_degrades_under_hotspot_where_pps_cpa_does_not() {
         use pps_traffic::gen::TrafficPattern;
         let n = 8;

@@ -201,6 +201,56 @@ pub fn registry() -> Vec<(&'static str, Runner)> {
 #[cfg(test)]
 mod tests {
     use super::EXPERIMENTS;
+    use pps_core::run::{RunSpec, Sink};
+    use pps_core::telemetry::Level;
+    use std::collections::BTreeMap;
+
+    /// What `f` computes in a run at `Level::Full`, and the
+    /// `pps_telemetry::summarize` of what the run recorded.
+    pub(crate) fn traced<R>(f: impl FnOnce(&Sink) -> R) -> (R, String) {
+        let spec = RunSpec {
+            telemetry: Level::Full,
+            ..RunSpec::default()
+        };
+        let report = pps_core::run::run(&spec, "test", f);
+        (report.output, pps_telemetry::summarize(&report.log))
+    }
+
+    /// The `key=value` figures of one summary line.
+    pub(crate) struct Figures(BTreeMap<String, String>);
+
+    impl Figures {
+        pub(crate) fn text(&self, key: &str) -> &str {
+            self.0
+                .get(key)
+                .unwrap_or_else(|| panic!("no {key}= in {:?}", self.0))
+        }
+
+        pub(crate) fn get(&self, key: &str) -> i64 {
+            self.text(key).parse().expect("an integer figure")
+        }
+    }
+
+    /// Each engine run's block in `summary`: its engine, then the figures
+    /// of its lines in print order — the header, the sum over all
+    /// delivered cells, the sum over the cells at or above p99, the worst
+    /// cell's split, its timeline, and the held/loss counts.
+    pub(crate) fn blocks(summary: &str) -> Vec<(String, Vec<Figures>)> {
+        let mut blocks: Vec<(String, Vec<Figures>)> = Vec::new();
+        for line in summary.lines() {
+            let figures = || {
+                let pairs = line.split_whitespace().filter_map(|t| t.split_once('='));
+                Figures(pairs.map(|(k, v)| (k.into(), v.into())).collect())
+            };
+            if let Some(head) = line.strip_prefix("  run ") {
+                let engine = head.split(['(', ')']).nth(1).expect("(engine)");
+                blocks.push((engine.into(), vec![figures()]));
+            } else if line.starts_with("    ") {
+                blocks.last_mut().expect("a block").1.push(figures());
+            }
+        }
+        blocks
+    }
 
     #[test]
     fn design_index_lists_every_experiment_once_in_order() {

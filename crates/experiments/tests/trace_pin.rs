@@ -2,9 +2,10 @@
 //! at `--jobs 1` and `--jobs 2`:
 //!
 //! - `--telemetry full --trace-out X.json e3`: the trace file;
-//! - `--telemetry full e6` and `… a1`: the event summary and counters on
-//!   stderr (their trace files run to hundreds of MB, too big to write in
-//!   a test; the summary folds every scope's stream per engine);
+//! - `--telemetry full e6` and `… a1`: the delay-attribution summary and
+//!   the counters on stderr (their trace files run to hundreds of MB, too
+//!   big to write in a test; the summary prints a block per engine run of
+//!   each scope);
 //! - `--telemetry counters e3 e6 a1`: the tables on stdout and the
 //!   counters on stderr.
 //!
@@ -44,8 +45,8 @@ fn ppslab(args: &[&str]) -> (Vec<u8>, String) {
 const PINNED: [(&str, u64); 6] = [
     ("e3 trace", 0x263b_7e34_b9f8_e86d),
     ("e3 full stdout", 0x8d8a_3bb9_7a7d_95ba),
-    ("e6 full stderr", 0xee11_66bb_fb04_bf81),
-    ("a1 full stderr", 0xdad4_0eeb_c098_51d0),
+    ("e6 full stderr", 0xa28b_8628_260d_59b2),
+    ("a1 full stderr", 0x550b_ce8f_641d_3893),
     ("counters stdout", 0x2e5f_49f1_b58a_7ff3),
     ("counters stderr", 0xeed0_7524_6f8e_e4d9),
 ];

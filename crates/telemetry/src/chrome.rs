@@ -620,10 +620,10 @@ pub fn lint(text: &str) -> LintReport {
         };
         let pid = pid as u64;
         pids.insert(pid);
-        if ev.get("name").and_then(Json::as_str).is_none() {
+        let Some(name) = ev.get("name").and_then(Json::as_str) else {
             r.errors.push(format!("{}: missing \"name\"", loc()));
             continue;
-        }
+        };
         if ph != "M" && ev.get("ts").and_then(Json::as_num).is_none() {
             r.errors
                 .push(format!("{}: ph {ph:?} missing numeric \"ts\"", loc()));
@@ -632,11 +632,10 @@ pub fn lint(text: &str) -> LintReport {
         match ph {
             "C" => {
                 r.counter_events += 1;
-                let name = ev.get("name").and_then(Json::as_str).unwrap().to_string();
                 if name.starts_with("plane ") {
-                    plane_counters.insert((pid, name));
+                    plane_counters.insert((pid, name.to_string()));
                 } else if name.starts_with("output ") {
-                    output_counters.insert((pid, name));
+                    output_counters.insert((pid, name.to_string()));
                 }
             }
             "s" | "t" | "f" => {
@@ -665,7 +664,7 @@ pub fn lint(text: &str) -> LintReport {
                 }
             }
             "M" => {
-                if ev.get("name").and_then(Json::as_str) == Some("process_name") {
+                if name == "process_name" {
                     if let Some(n) = ev
                         .get("args")
                         .and_then(|a| a.get("name"))

@@ -1,12 +1,13 @@
-//! # pps-telemetry — metrics and export sinks for the PPS event stream
+//! # pps-telemetry — delay attribution and export sinks for the PPS event stream
 //!
 //! The recording substrate lives in [`pps_core::telemetry`] (so the
 //! engines can emit events without depending on this crate); everything
 //! *derived* from the stream lives here:
 //!
-//! * `metrics` — per-plane / per-output occupancy time series and
-//!   fixed-bucket log2 histograms of relative delay and jitter, folded
-//!   from an [`pps_core::telemetry::EventLog`] after the run;
+//! * `attribution` — where each cell's relative delay came from: one fold
+//!   per engine run over its own events, against an FCFS output-queued
+//!   reference streamed from its arrivals, splitting the delay into input
+//!   wait, line + plane wait and output hold;
 //! * `sink` — flat JSONL and CSV dumps, one row per event;
 //! * [`chrome`] — Chrome trace-event JSON loadable in Perfetto (planes
 //!   and outputs as tracks, cells as flow events, queue levels as
@@ -16,15 +17,13 @@
 //! `ppslab --telemetry <off|counters|full> --trace-out <path>` is the
 //! driver-facing face of all of this: [`dump`] picks the sink from the
 //! path extension (`.json` → Chrome, `.csv` → CSV, anything else →
-//! JSONL), and [`summarize`] renders the per-engine metric digest that
-//! goes to stderr.
+//! JSONL), and [`summarize`] renders the attribution that goes to stderr.
 
+mod attribution;
 pub mod chrome;
-mod metrics;
 mod sink;
 
 use chrome::write_chrome;
-use metrics::MetricsReport;
 use pps_core::telemetry::EventLog;
 use sink::{write_csv, write_jsonl};
 use std::io::Write;
@@ -74,25 +73,14 @@ fn overflowed(log: &EventLog) -> u64 {
     log.overflowed + log.children.iter().map(overflowed).sum::<u64>()
 }
 
-/// Per-engine metric digest of a whole log tree, for stderr reporting:
-/// every scope with events contributes a section, engines split within it.
-/// A tree that lost events to ring overflow ends with a `warning:` line
-/// saying how many, so a reader can tell the digest is of the survivors.
+/// The delay attribution of a whole log tree, for stderr reporting: each
+/// scope with events gives its event count and a block per engine run
+/// (module `attribution`). A scope that lost events to ring overflow gives
+/// its loss instead, since each output's OQ reference needs every arrival;
+/// a tree that lost any ends with a `warning:` line saying how many.
 pub fn summarize(log: &EventLog) -> String {
     let mut out = String::new();
-    for (scope, events) in log.flatten() {
-        if events.is_empty() {
-            continue;
-        }
-        out.push_str(&format!("[{scope}] {} events\n", events.len()));
-        for report in MetricsReport::per_engine(events) {
-            for line in report.render().lines() {
-                out.push_str("  ");
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-    }
+    summarize_scope(log, "", &mut out);
     let dropped = overflowed(log);
     if dropped > 0 {
         out.push_str(&format!(
@@ -102,6 +90,29 @@ pub fn summarize(log: &EventLog) -> String {
         ));
     }
     out
+}
+
+/// [`summarize`] `log` and its children, depth first, under `prefix`.
+fn summarize_scope(log: &EventLog, prefix: &str, out: &mut String) {
+    let path = match prefix {
+        "" => log.label.clone(),
+        _ => format!("{prefix}/{}", log.label),
+    };
+    if !log.events.is_empty() {
+        out.push_str(&format!("[{path}] {} events", log.events.len()));
+        if log.overflowed > 0 {
+            out.push_str(&format!(
+                ", {} lost to ring overflow: no OQ-relative figures\n",
+                log.overflowed
+            ));
+        } else {
+            out.push('\n');
+            attribution::render(&log.events, out);
+        }
+    }
+    for child in &log.children {
+        summarize_scope(child, &path, out);
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +134,44 @@ mod tests {
         let mut root = scope("ppslab", 0);
         root.children = vec![scope("e1", 2), scope("e2", 5)];
         assert!(summarize(&root).starts_with("warning: 7 events dropped"));
+    }
+
+    #[test]
+    fn a_scope_that_lost_events_prints_its_loss_not_its_figures() {
+        use pps_core::telemetry::{Engine, Event, EventKind};
+        use pps_core::{CellId, PortId};
+        let kinds = [
+            EventKind::Arrival {
+                cell: CellId(7),
+                input: PortId(0),
+                output: PortId(0),
+            },
+            EventKind::Depart {
+                cell: CellId(7),
+                output: PortId(0),
+            },
+        ];
+        let events = kinds
+            .into_iter()
+            .map(|kind| Event {
+                slot: 3,
+                engine: Engine::Pps,
+                kind,
+            })
+            .collect();
+        let mut scope = EventLog {
+            label: "run".into(),
+            events,
+            overflowed: 0,
+            children: Vec::new(),
+        };
+        assert!(summarize(&scope).starts_with("[run] 2 events\n  run 1 (pps): cells=1 "));
+        scope.overflowed = 5;
+        let lossy = summarize(&scope);
+        let head = "[run] 2 events, 5 lost to ring overflow: no OQ-relative figures\n";
+        assert!(lossy.starts_with(head), "{lossy}");
+        assert!(!lossy.contains("run 1"), "{lossy}");
+        assert!(lossy.ends_with("cover the survivors only\n"), "{lossy}");
     }
 
     #[test]
