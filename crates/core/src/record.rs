@@ -4,8 +4,9 @@
 //! of the trace, when it departed and — for the PPS — which plane carried
 //! it. What a cell *is* (arrival slot, ports, per-flow sequence number)
 //! belongs to the trace, not to the switch, so a log holds a handle to its
-//! trace's shared cell table (its rows at 6, 8 or 12 bytes a cell, tabled
-//! in [`crate::trace`]) and stores only its own columns (DESIGN.md §11): a
+//! trace's shared cell table (its rows at 6, 8 or 12 bytes a cell, each
+//! arrival an offset from its block's base slot, tabled in
+//! [`crate::trace`]) and stores only its own columns (DESIGN.md §11): a
 //! delay column, 1, 2 or 4 bytes per cell, and — in a log whose engine
 //! records planes, from its first [`RunLog::set_plane`] — a plane column, 1
 //! or 2 bytes per cell.

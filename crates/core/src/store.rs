@@ -6,7 +6,8 @@
 //! it, keeping the store's capacity in cells; a store never narrows. It is
 //! the one widening store of core (DESIGN.md §11):
 //!
-//! - a trace's cell table is a store of rows, 6, 8 or 12 bytes each
+//! - a trace's cell table is a store of rows, 6, 8 or 12 bytes each, that
+//!   widen for ports and seqs and for a block of cells spanning 2¹⁶ slots
 //!   (`trace.rs`);
 //! - a run log's delay and plane columns are stores of `u32`s, at 1, 2 or 4
 //!   bytes each, zero-extended when they widen (`record.rs`).

@@ -16,17 +16,21 @@
 //! run's cursor reads the numbers instead of recounting them. The table
 //! stores each row in the narrowest of three layouts that holds every row:
 //!
-//! | layout | slot, low 32 bits | input, output | seq | bytes per cell |
+//! | layout | slot offset | input, output | seq | bytes per cell |
 //! |---|---|---|---|---|
 //! | short | `u16` | `u8` each | `u16` | 6 |
-//! | narrow | `u32` | `u8` each | `u16` | 8 |
+//! | narrow | `u16` | `u16` each | `u16` | 8 |
 //! | wide | `u32` | `u16` each (ports are `0..`[`MAX_PORTS`]) | `u32` | 12 |
 //!
-//! The high word of the slot is stored once per run of cells that share
-//! it, whatever the layout. A table starts short; the first row that does
-//! not fit rewrites it once in the narrowest layout that holds that row,
-//! and it never narrows again — the widening store a run log's columns
-//! use too. Readers match the layout once and load plain fields.
+//! A row's slot is an offset from its block's base: the table keeps the
+//! full arrival slot of the first cell of each block of 64 cells, so a slot
+//! read is one base plus one offset at any horizon, and only a block whose
+//! cells span 2¹⁶ slots or more needs the wide layout. An offset of
+//! 2³² − 1 or more is kept exactly in a side map, behind a reserved offset.
+//! A table starts short; the first row that does not fit rewrites it once
+//! in the narrowest layout that holds that row, and it never narrows again
+//! — the widening store a run log's columns use too. Readers match the
+//! layout once and load plain fields.
 //!
 //! An [`Arrival`] is the value a reader sees, assembled from the row on read
 //! ([`Trace::arrival`], [`Trace::arrivals`], [`Trace::by_slot`]). Every
@@ -42,6 +46,7 @@ use crate::store::{Packed, Store};
 use crate::time::Slot;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -77,8 +82,9 @@ impl Arrival {
 /// row and every reader takes its fields from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Fields {
-    /// Arrival slot, low 32 bits (the high word is the table's).
-    slot: u32,
+    /// Arrival slot less its block's base; [`ESCAPED`] when the slot is in
+    /// the table's side map.
+    offset: u32,
     input: u32,
     output: u32,
     seq: u32,
@@ -87,26 +93,26 @@ struct Fields {
 /// A row of the wide layout, 12 bytes: ports below [`MAX_PORTS`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Wide {
-    slot: u32,
+    offset: u32,
     input: u16,
     output: u16,
     seq: u32,
 }
 
-/// A row of the narrow layout, 8 bytes: ports below 256, seq below 2¹⁶.
+/// A row of the narrow layout, 8 bytes: offset and seq below 2¹⁶.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Narrow {
-    slot: u32,
-    input: u8,
-    output: u8,
+    offset: u16,
+    input: u16,
+    output: u16,
     seq: u16,
 }
 
-/// A row of the short layout, 6 bytes: a narrow row whose slot's low word
-/// is below 2¹⁶ too.
+/// A row of the short layout, 6 bytes: a narrow row whose ports are below
+/// 256 too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Short {
-    slot: u16,
+    offset: u16,
     input: u8,
     output: u8,
     seq: u16,
@@ -122,7 +128,7 @@ impl Packed for Wide {
 
     fn pack(f: Fields) -> Self {
         Wide {
-            slot: f.slot,
+            offset: f.offset,
             input: f.input as u16,
             output: f.output as u16,
             seq: f.seq,
@@ -132,7 +138,7 @@ impl Packed for Wide {
     #[inline]
     fn unpack(self) -> Fields {
         Fields {
-            slot: self.slot,
+            offset: self.offset,
             input: self.input.into(),
             output: self.output.into(),
             seq: self.seq,
@@ -145,15 +151,15 @@ impl Packed for Narrow {
 
     #[inline]
     fn holds(f: Fields) -> bool {
-        f.input <= u8::MAX.into() && f.output <= u8::MAX.into() && f.seq <= u16::MAX.into()
+        f.offset <= u16::MAX.into() && f.seq <= u16::MAX.into()
     }
 
     #[inline]
     fn pack(f: Fields) -> Self {
         Narrow {
-            slot: f.slot,
-            input: f.input as u8,
-            output: f.output as u8,
+            offset: f.offset as u16,
+            input: f.input as u16,
+            output: f.output as u16,
             seq: f.seq as u16,
         }
     }
@@ -161,7 +167,7 @@ impl Packed for Narrow {
     #[inline]
     fn unpack(self) -> Fields {
         Fields {
-            slot: self.slot,
+            offset: self.offset.into(),
             input: self.input.into(),
             output: self.output.into(),
             seq: self.seq.into(),
@@ -174,13 +180,13 @@ impl Packed for Short {
 
     #[inline]
     fn holds(f: Fields) -> bool {
-        f.slot <= u16::MAX.into() && Narrow::holds(f)
+        f.input <= u8::MAX.into() && f.output <= u8::MAX.into() && Narrow::holds(f)
     }
 
     #[inline]
     fn pack(f: Fields) -> Self {
         Short {
-            slot: f.slot as u16,
+            offset: f.offset as u16,
             input: f.input as u8,
             output: f.output as u8,
             seq: f.seq as u16,
@@ -190,7 +196,7 @@ impl Packed for Short {
     #[inline]
     fn unpack(self) -> Fields {
         Fields {
-            slot: self.slot.into(),
+            offset: self.offset.into(),
             input: self.input.into(),
             output: self.output.into(),
             seq: self.seq.into(),
@@ -201,32 +207,46 @@ impl Packed for Short {
 /// A table's rows in the narrowest layout that holds every one of them.
 type Rows = Store<Short, Narrow, Wide>;
 
-/// What a trace's cells are, by [`CellId`]: a row each — the low word of
-/// the arrival slot, the input and output ports, the per-flow sequence
-/// number — in the narrowest of three layouts that holds every row (6
-/// bytes while slots' low words and seqs fit 16 bits and ports 8; 8 bytes
-/// while only ports and seqs fit; 12 bytes otherwise), plus one entry per
-/// run of cells whose arrival slots share a high word. A table starts
-/// short and is rewritten once per wider layout a row needs, never back;
-/// tables with equal rows are equal whatever their layouts. Shared,
-/// read-only, by the [`Trace`], every log of it
-/// ([`RunLog::table`](crate::RunLog::table)) and the PPS fabric, whose
-/// queues hold bare ids and read a cell's facts here.
+/// A block is `1 << BLOCK_BITS` cells: a row's slot is stored as an offset
+/// from the arrival slot of its block's first cell.
+const BLOCK_BITS: u32 = 6;
+/// Block bases a [`TraceBuilder`] reserves before its first row: those of
+/// 2²⁰ cells, 128 KiB that the allocator maps on their own and that become
+/// resident only as they are written. Grown by doubling from empty, the
+/// bases would leave each outgrown copy behind on the heap (0.15 MiB more
+/// peak on a 144 k-cell trace).
+const BASES_UP_FRONT: usize = 1 << 14;
+/// Offset of a cell whose slot lies 2³² − 1 slots or more past its block's
+/// base (a value only the wide layout holds); the slot is in
+/// [`CellTable::far`].
+const ESCAPED: u32 = u32::MAX;
+
+/// What a trace's cells are, by [`CellId`]: a row each — the arrival slot
+/// as an offset from its 64-cell block's base, the input and output ports,
+/// the per-flow sequence number — in the narrowest of three layouts that
+/// holds every row (6 bytes while offsets and seqs fit 16 bits and ports
+/// 8; 8 bytes while offsets and seqs fit 16 bits; 12 bytes otherwise),
+/// plus one base slot per block. A table starts short and is rewritten
+/// once per wider layout a row needs, never back; tables with equal cells
+/// are equal whatever their layouts. Shared, read-only, by the [`Trace`],
+/// every log of it ([`RunLog::table`](crate::RunLog::table)) and the PPS
+/// fabric, whose queues hold bare ids and read a cell's facts here.
 #[derive(Clone, Debug, Default)]
 pub struct CellTable {
     /// One row per cell, in id order, i.e. sorted by `(slot, input)`.
     rows: Rows,
-    /// `(first id, slot >> 32)` of each run of rows whose slots share a
-    /// high word, in id order: one entry for a trace that stays below slot
-    /// 2³², which is what the read path's fast branch expects.
-    highs: Vec<(usize, u32)>,
+    /// The arrival slot of the first cell of each block of
+    /// `1 << BLOCK_BITS` cells.
+    bases: Vec<Slot>,
+    /// The arrival slot of every cell whose offset is [`ESCAPED`], by
+    /// index.
+    far: BTreeMap<usize, Slot>,
 }
 
 impl PartialEq for CellTable {
     fn eq(&self, other: &Self) -> bool {
-        self.highs == other.highs
-            && self.len() == other.len()
-            && (0..self.len()).all(|i| self.rows.get(i) == other.rows.get(i))
+        self.len() == other.len()
+            && (0..self.len()).all(|i| self.cell(CellId(i as u64)) == other.cell(CellId(i as u64)))
     }
 }
 
@@ -238,10 +258,19 @@ impl CellTable {
     /// # Panics
     /// Panics on a port outside `0..MAX_PORTS`.
     pub(crate) fn push(&mut self, slot: Slot, input: PortId, output: PortId, seq: u32) {
-        let high = (slot >> 32) as u32;
-        if self.highs.last().map(|&(_, h)| h) != Some(high) {
-            self.highs.push((self.len(), high));
+        let i = self.len();
+        if i & ((1 << BLOCK_BITS) - 1) == 0 {
+            self.bases.push(slot);
         }
+        let offset = match slot.checked_sub(self.bases[i >> BLOCK_BITS]) {
+            Some(d) if d < ESCAPED.into() => d as u32,
+            // Past 2³² − 2 slots, or before the base in a hand-built
+            // table whose cells are out of order.
+            _ => {
+                self.far.insert(i, slot);
+                ESCAPED
+            }
+        };
         let port = |p: PortId| {
             assert!(
                 p.idx() < MAX_PORTS,
@@ -250,7 +279,7 @@ impl CellTable {
             p.0
         };
         self.rows.push(Fields {
-            slot: slot as u32,
+            offset,
             input: port(input),
             output: port(output),
             seq,
@@ -263,20 +292,28 @@ impl CellTable {
         self.rows.len()
     }
 
-    /// The high slot word of the cell at index `i`.
+    /// The arrival slot of the cell at index `i`, whose row's offset is
+    /// `offset`.
     #[inline]
-    fn high(&self, i: usize) -> Slot {
-        let high = match self.highs.as_slice() {
-            [(_, high)] => *high,
-            runs => high_word(runs, i),
-        };
-        (high as Slot) << 32
+    fn slot_at(&self, i: usize, offset: u32) -> Slot {
+        if offset == ESCAPED {
+            return self.far_slot(i);
+        }
+        self.bases[i >> BLOCK_BITS] + Slot::from(offset)
+    }
+
+    /// The arrival slot of an escaped cell (kept out of line: no benchmark
+    /// trace has one).
+    #[cold]
+    #[inline(never)]
+    fn far_slot(&self, i: usize) -> Slot {
+        self.far[&i]
     }
 
     /// Arrival slot of the cell at index `i`.
     #[inline]
     pub(crate) fn slot(&self, i: usize) -> Slot {
-        self.high(i) | self.rows.get(i).slot as Slot
+        self.slot_at(i, self.rows.get(i).offset)
     }
 
     /// The arrival of the cell at index `i`.
@@ -284,7 +321,7 @@ impl CellTable {
     fn arrival_at(&self, i: usize) -> Arrival {
         let row = self.rows.get(i);
         Arrival {
-            slot: self.high(i) | row.slot as Slot,
+            slot: self.slot_at(i, row.offset),
             input: PortId(row.input),
             output: PortId(row.output),
         }
@@ -328,18 +365,9 @@ impl CellTable {
             input: PortId(row.input),
             output: PortId(row.output),
             seq: row.seq,
-            arrival: self.high(id.idx()) | row.slot as Slot,
+            arrival: self.slot_at(id.idx(), row.offset),
         }
     }
-}
-
-/// The high slot word of the cell at index `i`, from the runs of a table
-/// that crosses a multiple of 2³² (kept out of line: no benchmark trace
-/// does).
-#[cold]
-#[inline(never)]
-fn high_word(runs: &[(usize, u32)], i: usize) -> u32 {
-    runs[runs.partition_point(|&(first, _)| first <= i) - 1].1
 }
 
 /// Writes a [`Trace`] in id order, numbering each cell within its flow:
@@ -380,7 +408,10 @@ impl TraceBuilder {
         };
         TraceBuilder {
             n,
-            table: CellTable::default(),
+            table: CellTable {
+                bases: Vec::with_capacity(BASES_UP_FRONT),
+                ..CellTable::default()
+            },
             count,
             last: None,
         }
@@ -738,19 +769,21 @@ mod tests {
     }
 
     #[test]
-    fn rows_are_6_8_or_12_bytes_and_a_short_trace_has_one_high_word() {
+    fn rows_are_6_8_or_12_bytes_and_a_late_trace_reads_back() {
         use std::mem::size_of;
         assert_eq!(
             [size_of::<Short>(), size_of::<Narrow>(), size_of::<Wide>()],
             [6, 8, 12]
         );
         let t = Trace::build((0..5).map(|s| Arrival::new(s << 20, 0, 0)).collect(), 1).unwrap();
-        assert_eq!(t.cells.highs, vec![(0, 0)]);
         let late = t.then(
             &Trace::build(vec![Arrival::new(0, 0, 0)], 1).unwrap(),
             1 << 33,
         );
-        assert_eq!(late.cells.highs, vec![(0, 0), (5, 2)]);
+        let slots: Vec<Slot> = late.arrivals().map(|a| a.slot).collect();
+        let mut want: Vec<Slot> = (0..5).map(|s| s << 20).collect();
+        want.push((4 << 20) + 1 + (1 << 33));
+        assert_eq!(slots, want);
         assert_eq!(late.horizon(), (4 << 20) + 1 + (1 << 33));
     }
 
@@ -820,13 +853,16 @@ mod tests {
     #[test]
     fn layout_boundaries_read_back_through_every_accessor() {
         let a = Arrival::new;
-        // The slot's low word: 65535 is short, 65536 narrow.
-        reads_back(&[a(65_535, 3, 4), a(65_536, 3, 4)], 8);
-        reads_back(&[a(65_536, 3, 4), a((1 << 32) + 65_535, 3, 4)], 8);
+        // The offset from the block's base: 65535 is short, 65536 wide; a
+        // slot past 2¹⁶ is not wide on its own, an offset of 2³² − 1 is
+        // escaped.
+        reads_back(&[a(65_535, 3, 4), a(65_536, 3, 4)], 6);
+        reads_back(&[a(65_536, 3, 4), a((1 << 32) + 65_535, 3, 4)], 12);
         reads_back(&[a(0, 1, 2), a(65_535, 255, 255)], 6);
-        // Ports: 255 is short, 256 wide, on either side.
-        reads_back(&[a(0, 255, 255), a(1, 256, 0), a(2, 0, 256)], 12);
-        reads_back(&[a(0, 0, 256), a(0, 256, 0), a(1, 255, 255)], 12);
+        reads_back(&[a(0, 1, 2), a(65_536, 255, 255)], 12);
+        // Ports: 255 is short, 256 narrow, on either side.
+        reads_back(&[a(0, 255, 255), a(1, 256, 0), a(2, 0, 256)], 8);
+        reads_back(&[a(0, 0, 256), a(0, 256, 0), a(1, 255, 255)], 8);
         // Seq: one flow of 65 537 cells, 65535 short and 65536 wide; the
         // flow's last cell, then a cell of another flow after it.
         let flow: Vec<Arrival> = (0..65_537).map(|s| a(s, 7, 9)).collect();
@@ -845,39 +881,113 @@ mod tests {
             table.rows.width()
         };
         assert_eq!(push(&mut table, 0, 1, 0), 6);
-        // Short straight to wide: the first row past short needs a 2-byte port.
-        assert_eq!(push(&mut table, 1, 256, 0), 12);
-        assert_eq!(push(&mut table, 2, 1, 0), 12);
+        // Short straight to wide: the first row past short needs a 2-byte
+        // offset.
+        assert_eq!(push(&mut table, 1 << 16, 1, 0), 12);
+        assert_eq!(push(&mut table, (1 << 16) + 1, 1, 0), 12);
         let mut table = CellTable::default();
         assert_eq!(push(&mut table, 0, 1, 0), 6);
-        assert_eq!(push(&mut table, 1 << 16, 1, 0), 8);
-        assert_eq!(push(&mut table, (1 << 32) + 1, 1, 0), 8);
+        assert_eq!(push(&mut table, 1, 256, 0), 8);
+        assert_eq!(push(&mut table, 2, 1, 0), 8);
+        assert_eq!(push(&mut table, (1 << 32) + 1, 1, 0), 12);
         assert_eq!(push(&mut table, (1 << 32) + 2, 1, 1 << 16), 12);
-        let rows: Vec<(Slot, u32)> = (0..4)
-            .map(|i| (table.slot(i), table.seq(CellId(i as u64))))
+        let rows: Vec<(Slot, u32, u32)> = (0..5)
+            .map(|i| {
+                let id = CellId(i as u64);
+                (table.slot(i), table.input(id).0, table.seq(id))
+            })
             .collect();
         assert_eq!(
             rows,
             [
-                (0, 0),
-                (1 << 16, 0),
-                ((1 << 32) + 1, 0),
-                ((1 << 32) + 2, 1 << 16)
+                (0, 1, 0),
+                (1, 256, 0),
+                (2, 1, 0),
+                ((1 << 32) + 1, 1, 0),
+                ((1 << 32) + 2, 1, 1 << 16)
             ]
         );
     }
 
+    /// Blocks of 64 cells, each within 2¹⁶ slots of its first, at slots
+    /// on both sides of 2³² and past it.
     #[test]
-    fn a_short_table_stays_short_across_a_high_word() {
-        let want = [
-            Arrival::new(5, 0, 1),
-            Arrival::new(65_535, 1, 0),
-            Arrival::new(1 << 32, 0, 1),
-            Arrival::new((3 << 32) + 65_535, 255, 255),
-        ];
+    fn a_short_table_stays_short_across_slot_2_32() {
+        let block = |base: Slot, last: Slot| {
+            (0..64).map(move |k| Arrival::new(base + k * last / 63, (k % 2) as u32, 1))
+        };
+        let want: Vec<Arrival> = block(5, 65_535)
+            .chain(block((1 << 32) - 64, 63))
+            .chain(block(1 << 32, 65_535))
+            .chain(block((3 << 32) + 65_535, 65_535))
+            .chain([Arrival::new(Slot::MAX - 40, 255, 255)])
+            .collect();
         reads_back(&want, 6);
-        let t = Trace::build(want.to_vec(), 256).unwrap();
-        assert_eq!(t.cells.highs, [(0, 0), (2, 1), (3, 3)]);
+    }
+
+    /// A 16-port trace whose slots reach 6·10⁷ while every block of 64
+    /// cells spans at most 2¹⁶ − 1 slots stays at 6 bytes a row.
+    #[test]
+    fn a_16_port_trace_past_2_16_slots_stays_short() {
+        let want: Vec<Arrival> = (0..57_700u64)
+            .map(|k| Arrival::new(k * 1_040, (k % 16) as u32, (k * 7 % 16) as u32))
+            .collect();
+        assert!(want.last().unwrap().slot >= 60_000_000);
+        reads_back(&want, 6);
+    }
+
+    /// A 512-port trace over 1000 slots (the shape of a wide lockstep
+    /// run): 2-byte ports, every offset and seq in 16 bits.
+    #[test]
+    fn a_512_port_trace_of_1000_slots_is_8_bytes() {
+        let want: Vec<Arrival> = (0..1_000u64)
+            .flat_map(|s| {
+                (0..8u64).map(move |k| {
+                    let input = k * 64 + s % 64;
+                    Arrival::new(s, input as u32, ((input * 91 + s) % 512) as u32)
+                })
+            })
+            .collect();
+        reads_back(&want, 8);
+    }
+
+    /// Only a block's own span counts: 64 cells within 2¹⁶ − 1 slots and a
+    /// next block far after them stay short; one block spanning 2¹⁶ slots
+    /// is wide.
+    #[test]
+    fn one_block_spanning_2_16_slots_widens_to_12_bytes() {
+        let mut want: Vec<Arrival> = (0..63).map(|s| Arrival::new(s, 0, 0)).collect();
+        want.push(Arrival::new(65_535, 0, 0));
+        want.push(Arrival::new(1 << 20, 0, 0));
+        reads_back(&want, 6);
+        want[63].slot = 65_536;
+        reads_back(&want, 12);
+    }
+
+    /// A block that spans 2³² slots or more keeps its far slots in the
+    /// side map and reads them back exactly, as does a hand-built table
+    /// whose cells go back before their block's base.
+    #[test]
+    fn a_block_spanning_2_32_slots_reads_back_through_the_escape() {
+        let a = Arrival::new;
+        let want = [
+            a(0, 0, 0),
+            a((1 << 32) - 2, 1, 1),
+            a((1 << 32) - 1, 0, 0),
+            a(1 << 32, 0, 0),
+            a((1 << 32) + 1, 1, 1),
+            a(Slot::MAX - 40, 0, 0),
+        ];
+        reads_back(&want, 12);
+        let t = Trace::build(want.to_vec(), 2).unwrap();
+        assert_eq!(
+            t.cells.far.keys().copied().collect::<Vec<_>>(),
+            [2, 3, 4, 5]
+        );
+        let mut table = CellTable::default();
+        table.push(10, PortId(0), PortId(0), 0);
+        table.push(5, PortId(1), PortId(0), 0);
+        assert_eq!((table.slot(0), table.slot(1)), (10, 5));
     }
 
     #[test]
@@ -895,10 +1005,11 @@ mod tests {
         assert_eq!(short.rows.width(), 6);
         let wide = |rows: Vec<Wide>| CellTable {
             rows: Store::Third(rows),
-            highs: vec![(0, 0)],
+            bases: vec![0],
+            far: BTreeMap::new(),
         };
-        let row = |slot, input, output, seq| Wide {
-            slot,
+        let row = |offset, input, output, seq| Wide {
+            offset,
             input,
             output,
             seq,
@@ -925,7 +1036,11 @@ mod tests {
             );
         };
         assert_eq!(std::mem::size_of_val(rows.as_slice()), 6 * t.len());
-        assert_eq!(t.cells.highs.len(), 1);
+        // One 8-byte base per 64 cells.
+        assert_eq!(
+            std::mem::size_of_val(t.cells.bases.as_slice()),
+            8 * t.len().div_ceil(64)
+        );
     }
 
     #[test]
@@ -1064,8 +1179,8 @@ mod tests {
 
         assert_eq!(t.len(), 8);
         assert_eq!(t.horizon(), end);
-        let highs = [(0, 0), (4, 1), (5, 1 << 8), (6, u32::MAX)];
-        assert_eq!(t.cells.highs, highs);
+        let slots: Vec<Slot> = (0..t.len()).map(|i| t.cells.slot(i)).collect();
+        assert_eq!(slots, want.iter().map(|a| a.slot).collect::<Vec<_>>());
         for (i, a) in want.iter().enumerate() {
             assert_eq!(t.arrival(i), *a);
         }
@@ -1117,7 +1232,7 @@ mod tests {
             assert_eq!(read, (c.input, c.output, c.seq, c.arrival));
         }
 
-        // Composition: `then` past a high word, `merge` of interleaved halves.
+        // Composition: `then` past 2³², `merge` of interleaved halves.
         let part = |arrivals: &[Arrival], back: Slot| {
             let shifted = arrivals.iter().map(|a| Arrival {
                 slot: a.slot - back,
