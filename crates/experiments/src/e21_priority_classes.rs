@@ -7,7 +7,7 @@
 //! two output-queued muxes over the same arrivals:
 //!
 //! * plain FCFS — the classless shadow reference
-//!   (`pps_reference::fcfs_departure_times`);
+//!   (`pps_reference::fcfs_departures`);
 //! * strict priority — `pps_workload::classes::priority_oq_delays`,
 //!   always serving the lowest-numbered class with backlog.
 //!
@@ -21,7 +21,7 @@ use crate::claim::Claims;
 use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
 use pps_core::run::Sink;
-use pps_reference::fcfs_departure_times;
+use pps_reference::fcfs_departures;
 use pps_workload::{priority_oq_delays, ClassedTrace, WorkloadSpec};
 
 /// Ports (also the trace's geometry; this experiment is OQ-only).
@@ -40,23 +40,29 @@ fn classed_workload(seed: u64) -> ClassedTrace {
 }
 
 /// Per-class tails under both schedulers: `(fcfs, priority)` per class.
+/// The priority delays are ranked and dropped before the FCFS delays are
+/// collected, in one pass over the arrivals, so at most one per-cell
+/// delay set is alive at a time.
 fn per_class_tails(classed: &ClassedTrace) -> Vec<(TailQuantiles, TailQuantiles)> {
-    let prio = priority_oq_delays(classed, N);
-    let fcfs_departs = fcfs_departure_times(&classed.trace, N);
+    let tails = |delays: Vec<Vec<i64>>| -> Vec<TailQuantiles> {
+        delays
+            .iter()
+            .map(|d| TailQuantiles::from(d).expect("class has cells"))
+            .collect()
+    };
+    let prio = tails(
+        priority_oq_delays(classed, N)
+            .into_iter()
+            // Reuses each class's allocation: `u64` and `i64` share a layout.
+            .map(|p| p.into_iter().map(|d| d as i64).collect())
+            .collect(),
+    );
     let mut fcfs: Vec<Vec<i64>> = vec![Vec::new(); CLASSES as usize];
-    for (i, a) in classed.trace.arrivals().enumerate() {
-        fcfs[classed.classes[i] as usize].push((fcfs_departs[i] - a.slot) as i64);
+    let arrivals = classed.trace.arrivals().zip(&classed.classes);
+    for ((a, &class), depart) in arrivals.zip(fcfs_departures(&classed.trace, N)) {
+        fcfs[class as usize].push((depart - a.slot) as i64);
     }
-    fcfs.iter()
-        .zip(prio.iter())
-        .map(|(f, p)| {
-            let p_i64: Vec<i64> = p.iter().map(|&d| d as i64).collect();
-            (
-                TailQuantiles::from(f).expect("class has cells"),
-                TailQuantiles::from(&p_i64).expect("class has cells"),
-            )
-        })
-        .collect()
+    tails(fcfs).into_iter().zip(prio).collect()
 }
 
 /// Run the study.

@@ -10,9 +10,11 @@
 //! of the paper), and unordered greedy (ablation only).
 //!
 //! The mux holds bare [`CellId`]s and reads what a cell is from the trace's
-//! [`CellTable`]. FlowFifo state costs two `u32`s and a flag per input
-//! (`Flow`); a flow that parks an out-of-order cell takes a `SeqRing`, with
-//! its gap timer, from a per-mux slab and hands it back when the ring
+//! [`CellTable`]. FlowFifo state costs 8 bytes per input (`Flow`: the
+//! next seq, and one word for the eligible bit and the ring's slab index),
+//! allocated at the mux's first delivery, so an output no cell reaches
+//! holds none; a flow that parks an out-of-order cell takes a `SeqRing`,
+//! with its gap timer, from a per-mux slab and hands it back when the ring
 //! empties, so a mux holds rings only for the flows that have a gap right
 //! now.
 //!
@@ -120,30 +122,41 @@ impl SeqRing {
     }
 }
 
-/// [`Flow::ring`] of a flow with no cell parked.
-const NO_RING: u32 = u32::MAX;
-
-/// FlowFifo state of one input's flow to this output.
-#[derive(Clone, Copy, Debug)]
+/// FlowFifo state of one input's flow to this output: 8 bytes, all zero
+/// while the flow is idle.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Flow {
     /// Next expected sequence number.
     next_seq: u32,
-    /// Whether the flow's cell `next_seq` sits in the eligible heap (a flow
-    /// with an eligible cell is progressing, not gap-blocked). Only that
-    /// cell is ever eligible, and `next_seq` moves only on its emission or
-    /// a watchdog skip, so a flow has at most one.
-    eligible: bool,
-    /// Slab index of the flow's [`Gap`] while it has cells parked;
-    /// [`NO_RING`] otherwise.
-    ring: u32,
+    /// Bit 0: whether the flow's cell `next_seq` sits in the eligible heap
+    /// (a flow with an eligible cell is progressing, not gap-blocked). Only
+    /// that cell is ever eligible, and `next_seq` moves only on its
+    /// emission or a watchdog skip, so a flow has at most one. Bits 1–31:
+    /// one more than the slab index of the flow's [`Gap`] while it has
+    /// cells parked, 0 otherwise (a slab holds at most one ring per flow,
+    /// and flows number at most `MAX_PORTS`, far below 2³¹).
+    state: u32,
 }
 
 impl Flow {
-    const IDLE: Flow = Flow {
-        next_seq: 0,
-        eligible: false,
-        ring: NO_RING,
-    };
+    fn eligible(self) -> bool {
+        self.state & 1 == 1
+    }
+
+    fn set_eligible(&mut self, eligible: bool) {
+        self.state = self.state & !1 | u32::from(eligible);
+    }
+
+    /// Slab index of the flow's ring, if it has cells parked.
+    fn ring(self) -> Option<u32> {
+        (self.state >> 1).checked_sub(1)
+    }
+
+    fn set_ring(&mut self, ring: Option<u32>) {
+        let tag = ring.map_or(0, |r| r + 1);
+        debug_assert!(tag < 1 << 31, "ring index {ring:?} overflows the tag");
+        self.state = self.state & 1 | tag << 1;
+    }
 }
 
 /// What a flow holds only while it has cells parked: the ring they wait
@@ -170,8 +183,11 @@ pub struct OutputMux {
     /// input. (A binary heap, not a BTreeMap: push/pop-min dominate the
     /// hot path and keys are never removed out of order.)
     eligible: BinaryHeap<Reverse<CellId>>,
-    /// FlowFifo: each input's flow.
+    /// FlowFifo: each input's flow, empty until the mux's first delivery
+    /// sizes it to `inputs` (an output no cell reaches holds none).
     flows: Vec<Flow>,
+    /// FlowFifo: the switch's input count, the length `flows` takes.
+    inputs: usize,
     /// FlowFifo: the slab of rings, one per flow with cells waiting for
     /// earlier cells of their flow (O(1) park/unpark, see [`SeqRing`]),
     /// plus the released ones listed in `free`: empty, with no timer.
@@ -215,7 +231,8 @@ impl OutputMux {
             port: PortId(0),
             sink: Sink::detached(),
             eligible: BinaryHeap::new(),
-            flows: vec![Flow::IDLE; n],
+            flows: Vec::new(),
+            inputs: n,
             gaps: Vec::new(),
             free: Vec::new(),
             in_flight: VecDeque::new(),
@@ -283,6 +300,9 @@ impl OutputMux {
     pub fn deliver(&mut self, cells: &CellTable, id: CellId, now: Slot) -> bool {
         match self.discipline {
             OutputDiscipline::FlowFifo => {
+                if self.flows.is_empty() {
+                    self.flows = vec![Flow::default(); self.inputs];
+                }
                 let i = cells.input(id).idx();
                 let seq = cells.seq(id);
                 let flow = &mut self.flows[i];
@@ -332,10 +352,10 @@ impl OutputMux {
     fn push_eligible(&mut self, i: usize, id: CellId) {
         let flow = &mut self.flows[i];
         debug_assert!(
-            !flow.eligible,
+            !flow.eligible(),
             "input {i}'s flow already has an eligible cell"
         );
-        flow.eligible = true;
+        flow.set_eligible(true);
         self.eligible.push(Reverse(id));
     }
 
@@ -343,28 +363,28 @@ impl OutputMux {
     /// slab if the flow has none.
     fn park(&mut self, i: usize, seq: u32, id: CellId) {
         let flow = &mut self.flows[i];
-        if flow.ring == NO_RING {
-            flow.ring = self.free.pop().unwrap_or_else(|| {
+        let ring = flow.ring().unwrap_or_else(|| {
+            let ring = self.free.pop().unwrap_or_else(|| {
                 self.gaps.push(Gap::default());
                 (self.gaps.len() - 1) as u32
             });
-        }
-        self.gaps[flow.ring as usize].ring.insert(seq, id);
+            flow.set_ring(Some(ring));
+            ring
+        });
+        self.gaps[ring as usize].ring.insert(seq, id);
     }
 
     /// Take the cell parked under `seq` in input `i`'s ring, if present. A
     /// ring left empty goes back to the slab, its timer cleared.
     fn unpark(&mut self, i: usize, seq: u32) -> Option<CellId> {
         let flow = &mut self.flows[i];
-        if flow.ring == NO_RING {
-            return None;
-        }
-        let gap = &mut self.gaps[flow.ring as usize];
+        let ring = flow.ring()?;
+        let gap = &mut self.gaps[ring as usize];
         let id = gap.ring.remove(seq)?;
         if gap.ring.is_empty() {
             gap.blocked_since = None;
-            self.free.push(flow.ring);
-            flow.ring = NO_RING;
+            self.free.push(ring);
+            flow.set_ring(None);
         }
         Some(id)
     }
@@ -375,11 +395,11 @@ impl OutputMux {
     /// with nothing parked holds no ring, and so no timer.
     fn refresh_gap(&mut self, i: usize, now: Slot) {
         let flow = self.flows[i];
-        if flow.ring == NO_RING {
+        let Some(ring) = flow.ring() else {
             return;
-        }
-        let since = &mut self.gaps[flow.ring as usize].blocked_since;
-        if flow.eligible {
+        };
+        let since = &mut self.gaps[ring as usize].blocked_since;
+        if flow.eligible() {
             *since = None;
         } else if since.is_none() {
             *since = Some(now);
@@ -428,10 +448,10 @@ impl OutputMux {
         let limit = self.watchdog.expect("caller checked");
         for i in 0..self.flows.len() {
             let flow = self.flows[i];
-            if flow.ring == NO_RING {
+            let Some(ring) = flow.ring() else {
                 continue;
-            }
-            let gap = &self.gaps[flow.ring as usize];
+            };
+            let gap = &self.gaps[ring as usize];
             let Some(since) = gap.blocked_since else {
                 continue;
             };
@@ -464,9 +484,11 @@ impl OutputMux {
             OutputDiscipline::FlowFifo => {
                 let Reverse(id) = self.eligible.pop()?;
                 let i = cells.input(id).idx();
-                let next_seq = cells.seq(id) + 1;
                 let flow = &mut self.flows[i];
-                flow.eligible = false;
+                // The flow's one eligible cell is the one it waits for.
+                debug_assert_eq!(cells.seq(id), flow.next_seq);
+                let next_seq = flow.next_seq + 1;
+                flow.set_eligible(false);
                 flow.next_seq = next_seq;
                 // The successor may now be eligible.
                 if let Some(next) = self.unpark(i, next_seq) {
@@ -1102,6 +1124,75 @@ mod tests {
             m.m.register_in_flight(CellId(0));
             m.deliver(cell(0, 0, 0, 0), 7);
             assert_eq!(m.m.next_activity(7), Some(8), "{d:?}: emittable");
+        }
+    }
+
+    #[test]
+    fn a_flow_is_eight_bytes_and_zero_while_idle() {
+        assert_eq!(std::mem::size_of::<Flow>(), 8);
+        let mut flow = Flow::default();
+        assert_eq!((flow.next_seq, flow.state), (0, 0));
+        assert_eq!((flow.eligible(), flow.ring()), (false, None));
+        flow.set_ring(Some(0));
+        flow.set_eligible(true);
+        assert_eq!((flow.eligible(), flow.ring()), (true, Some(0)));
+        flow.set_ring(None);
+        assert_eq!((flow.eligible(), flow.ring()), (true, None));
+        flow.set_eligible(false);
+        assert_eq!(flow, Flow::default());
+    }
+
+    #[test]
+    fn only_a_flow_fifo_mux_that_got_a_cell_holds_flow_state() {
+        let idle = Rig::new(1024, OutputDiscipline::FlowFifo);
+        assert_eq!(idle.m.flows.capacity(), 0, "no cell, no flows");
+        for d in [OutputDiscipline::GlobalFcfs, OutputDiscipline::Greedy] {
+            let mut m = Rig::new(1024, d);
+            for k in 0..4 {
+                m.m.register_in_flight(CellId(k));
+                assert!(m.deliver(cell(k, k as u32, 0, k), k));
+            }
+            assert_eq!(m.m.held(), 4);
+            assert_eq!(m.m.flows.capacity(), 0, "{d:?} keeps no flows");
+        }
+        let mut fifo = Rig::new(1024, OutputDiscipline::FlowFifo);
+        assert!(fifo.deliver(cell(0, 7, 0, 0), 0));
+        assert_eq!(fifo.m.flows.len(), 1024);
+    }
+
+    #[test]
+    fn every_flow_of_a_full_width_mux_parks_and_drains_in_order() {
+        // N = MAX_PORTS: every flow parks its seq 1 behind a missing seq 0,
+        // so the slab's last ring is index 65 535. Seq 0 of input i is cell
+        // i (slot 0) and seq 1 is cell N + i (slot 1).
+        let n = pps_core::trace::MAX_PORTS;
+        let cells: Vec<Cell> = (0..2 * n)
+            .map(|k| cell(k as u64, (k % n) as u32, (k / n) as u32, (k / n) as Slot))
+            .collect();
+        let log = RunLog::with_cells(&cells);
+        let mut m = OutputMux::new(n, OutputDiscipline::FlowFifo);
+        for c in &cells[n..] {
+            assert!(m.deliver(log.table(), c.id, 0));
+        }
+        assert_eq!(rings(&m), (n, n));
+        for (i, flow) in m.flows.iter().enumerate() {
+            assert_eq!((flow.eligible(), flow.ring()), (false, Some(i as u32)));
+        }
+        for c in &cells[..n] {
+            assert!(m.deliver(log.table(), c.id, 1));
+        }
+        for (i, flow) in m.flows.iter().enumerate() {
+            assert_eq!((flow.eligible(), flow.ring()), (true, Some(i as u32)));
+        }
+        // Each emitted seq 0 makes its flow's seq 1 eligible; the heap
+        // orders by id, so the cells leave in id order.
+        for (now, c) in cells.iter().enumerate() {
+            assert_eq!(m.emit(log.table(), 2 + now as Slot), Some(c.id));
+        }
+        assert_eq!(m.held(), 0);
+        assert_eq!(rings(&m), (n, 0));
+        for flow in &m.flows {
+            assert_eq!((flow.next_seq, flow.state), (2, 0));
         }
     }
 

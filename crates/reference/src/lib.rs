@@ -10,7 +10,8 @@
 //!   minimum transit time (a cell can depart in its arrival slot).
 //! * [`oq::fcfs_departure_times`] — the closed-form FCFS departure schedule
 //!   `dt_j = max(t, last_dt_j + 1)`, used both to cross-check the simulated
-//!   switch and as the deadline oracle inside the CPA demultiplexor.
+//!   switch and as the deadline oracle inside the CPA demultiplexor;
+//!   [`oq::fcfs_departures`] yields it cell by cell with O(N) state.
 //! * [`regulator`] — jitter regulators (paper §6): re-time a run to
 //!   constant delay and measure the internal buffer that costs, linking
 //!   the relative-delay lower bounds to regulator buffer bounds.
@@ -18,4 +19,4 @@
 pub mod oq;
 pub mod regulator;
 
-pub use oq::{fcfs_departure_times, ShadowOq};
+pub use oq::{fcfs_departure_times, fcfs_departures, ShadowOq};

@@ -131,19 +131,22 @@ pub fn run_oq_in(trace: &Trace, n: usize, sink: &Sink) -> RunLog {
 /// Returned indexed by cell id. This is the deadline oracle the CPA
 /// demultiplexor mimics, and a differential-testing target for [`run_oq_in`].
 pub fn fcfs_departure_times(trace: &Trace, n: usize) -> Vec<Slot> {
+    fcfs_departures(trace, n).collect()
+}
+
+/// [`fcfs_departure_times`] on the fly: each cell's departure in id order,
+/// computed as the trace's arrivals are walked, with O(N) state.
+pub fn fcfs_departures(trace: &Trace, n: usize) -> impl Iterator<Item = Slot> + '_ {
     let mut last: Vec<Option<Slot>> = vec![None; n];
-    trace
-        .arrivals()
-        .map(|a| {
-            let j = a.output.idx();
-            let dt = match last[j] {
-                Some(prev) => a.slot.max(prev + 1),
-                None => a.slot,
-            };
-            last[j] = Some(dt);
-            dt
-        })
-        .collect()
+    trace.arrivals().map(move |a| {
+        let j = a.output.idx();
+        let dt = match last[j] {
+            Some(prev) => a.slot.max(prev + 1),
+            None => a.slot,
+        };
+        last[j] = Some(dt);
+        dt
+    })
 }
 
 #[cfg(test)]
