@@ -1,4 +1,4 @@
-//! Delay distributions: percentiles and compact ASCII histograms.
+//! Delay distributions: exact tail quantiles of a sample.
 //!
 //! The headline metrics (max relative delay/jitter) tell the worst-case
 //! story; the distributions tell the typical-case one — e.g. E14's study
@@ -27,9 +27,8 @@ pub struct RelativeDelays<'a> {
     oq: &'a RunLog,
 }
 
-/// A sample the order statistics read in two passes ([`Percentiles`],
-/// [`TailQuantiles`], [`Histogram`]): a slice or vector of values,
-/// or a [`RelativeDelays`] view over two logs.
+/// A sample the order statistics read in two passes ([`TailQuantiles`]):
+/// a slice or vector of values, or a [`RelativeDelays`] view over two logs.
 pub trait Sample {
     /// Fold `f` over the values, in order; every call walks the whole
     /// sample again.
@@ -92,55 +91,9 @@ impl Summary {
     }
 }
 
-/// Order statistics of a sample.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Percentiles {
-    /// Sample size.
-    pub count: usize,
-    /// Minimum.
-    pub min: i64,
-    /// Median (lower interpolation).
-    pub p50: i64,
-    /// 95th percentile.
-    pub p95: i64,
-    /// 99th percentile.
-    pub p99: i64,
-    /// Maximum.
-    pub max: i64,
-    /// Arithmetic mean.
-    pub mean: f64,
-}
-
-impl Percentiles {
-    /// Compute exact order statistics (`None` for empty input): counted
-    /// when the sample's range is no wider than the sample, else from a
-    /// sorted copy.
-    pub fn from<S: Sample + ?Sized>(values: &S) -> Option<Percentiles> {
-        let v = OrderStats::of(values)?;
-        let at = |q: usize| v.nth((v.summary.count - 1) * q / 100);
-        Some(Percentiles {
-            count: v.summary.count,
-            min: v.summary.min,
-            p50: at(50),
-            p95: at(95),
-            p99: at(99),
-            max: v.summary.max,
-            mean: v.summary.mean(),
-        })
-    }
-
-    /// One-line summary for tables.
-    pub fn summary(&self) -> String {
-        format!(
-            "n={} min={} p50={} p95={} p99={} max={} mean={:.2}",
-            self.count, self.min, self.p50, self.p95, self.p99, self.max, self.mean
-        )
-    }
-}
-
-/// Tail order statistics of a sample — the far-quantile companion to
-/// [`Percentiles`], for the stochastic-workload experiments where the
-/// interesting signal lives at p99/p999 rather than the median.
+/// Tail order statistics of a sample, for the stochastic-workload
+/// experiments where the interesting signal lives at p99/p999 rather than
+/// the median.
 ///
 /// Quantiles use the lower (type-1) definition on the sorted sample:
 /// `q(f) = v[ceil(f·count) − 1]`, so `p999` of 1000 samples is the 999th
@@ -265,98 +218,14 @@ impl OrderStats {
     }
 }
 
-/// A fixed-bucket histogram over `[min, max]` with an ASCII rendering.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    buckets: Vec<(i64, i64, usize)>, // [lo, hi), count
-}
-
-impl Histogram {
-    /// Bucket `values` into `buckets` equal-width bins (`None` if empty).
-    pub fn build<S: Sample + ?Sized>(values: &S, buckets: usize) -> Option<Histogram> {
-        if buckets == 0 {
-            return None;
-        }
-        let Summary { min, max, .. } = Summary::of(values)?;
-        let width = (((max - min) as u64 / buckets as u64) + 1) as i64;
-        let out: Vec<(i64, i64, usize)> = (0..buckets)
-            .map(|b| {
-                let lo = min + b as i64 * width;
-                (lo, lo + width, 0)
-            })
-            .collect();
-        let mut out = values.fold_values(out, |mut out, v| {
-            let idx = (((v - min) / width) as usize).min(buckets - 1);
-            out[idx].2 += 1;
-            out
-        });
-        // Trim empty trailing buckets.
-        while out.len() > 1 && out.last().unwrap().2 == 0 {
-            out.pop();
-        }
-        Some(Histogram { buckets: out })
-    }
-
-    /// Render as an ASCII bar chart, `width` columns for the longest bar.
-    pub fn render(&self, width: usize) -> String {
-        let max_count = self
-            .buckets
-            .iter()
-            .map(|&(_, _, c)| c)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let mut out = String::new();
-        for &(lo, hi, count) in &self.buckets {
-            let bar = "#".repeat((count * width).div_ceil(max_count).min(width));
-            out.push_str(&format!("{lo:>6}..{hi:<6} | {bar} {count}\n"));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_of_a_ramp() {
-        let v: Vec<i64> = (0..100).collect();
-        let p = Percentiles::from(&v).unwrap();
-        assert_eq!(p.min, 0);
-        assert_eq!(p.max, 99);
-        assert_eq!(p.p50, 49);
-        assert_eq!(p.p95, 94);
-        assert!((p.mean - 49.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_sample_is_none() {
-        assert!(Percentiles::from(&[][..]).is_none());
-        assert!(Histogram::build(&[][..], 4).is_none());
-    }
-
-    #[test]
-    fn single_value_sample() {
-        let p = Percentiles::from(&[7][..]).unwrap();
-        assert_eq!((p.min, p.p50, p.max), (7, 7, 7));
-    }
-
-    #[test]
-    fn histogram_counts_everything_once() {
-        let v: Vec<i64> = (0..50).map(|i| i % 10).collect();
-        let h = Histogram::build(&v, 5).unwrap();
-        let total: usize = h.buckets.iter().map(|&(_, _, c)| c).sum();
-        assert_eq!(total, 50);
-    }
-
-    #[test]
-    fn histogram_renders_bars() {
-        let v = vec![0, 0, 0, 5, 9];
-        let h = Histogram::build(&v, 2).unwrap();
-        let s = h.render(10);
-        assert!(s.contains('#'), "{s}");
-        assert!(s.lines().count() >= 2);
+        assert!(TailQuantiles::from(&[][..]).is_none());
+        assert!(TailQuantiles::from(&Vec::<i64>::new()).is_none());
     }
 
     /// Reference lower quantile on a sorted copy, straight from the
@@ -407,14 +276,6 @@ mod tests {
             assert_eq!(t.p999, ref_quantile(&v, 999, 1000));
             assert_eq!(t.max, *v.iter().max().unwrap());
             assert_eq!(t.count, v.len());
-            let p = Percentiles::from(&v).unwrap();
-            let mut sorted = v.clone();
-            sorted.sort_unstable();
-            let at = |q: usize| sorted[(sorted.len() - 1) * q / 100];
-            assert_eq!(
-                (p.min, p.p50, p.p95, p.p99, p.max),
-                (sorted[0], at(50), at(95), at(99), *sorted.last().unwrap())
-            );
         }
     }
 
@@ -531,12 +392,6 @@ mod tests {
             let ranked = OrderStats::of(&view).unwrap().ranked;
             assert_eq!(matches!(ranked, Ranked::Counted(_)), paths == "counted");
             assert_eq!(TailQuantiles::from(&view), TailQuantiles::from(&vec));
-            assert_eq!(Percentiles::from(&view), Percentiles::from(&vec));
-            let (h, hv) = (
-                Histogram::build(&view, 7).unwrap(),
-                Histogram::build(&vec, 7).unwrap(),
-            );
-            assert_eq!(h.buckets, hv.buckets, "{paths}");
         }
         let (pps, oq) = join(3, |_| None);
         assert!(TailQuantiles::from(&relative_delays(&pps, &oq)).is_none());

@@ -18,7 +18,6 @@ mod degradation;
 pub mod distribution;
 pub mod lockstep;
 pub mod metrics;
-mod plot;
 mod table;
 
 pub use degradation::{fault_impact, FaultImpact};
@@ -27,5 +26,4 @@ pub use lockstep::{
     compare_buffered, compare_buffered_in, compare_bufferless, compare_bufferless_faulted,
     compare_bufferless_faulted_in, compare_bufferless_in, Comparison,
 };
-pub use plot::AsciiChart;
 pub use table::Table;

@@ -1,12 +1,11 @@
-//! Topology description and rendering (the paper's Figure 1).
+//! Topology description (the paper's Figure 1).
 //!
 //! Figure 1 of the paper depicts "a 5×5 PPS with 2 planes in its center
-//! stage, without buffers in the input-ports". [`render`] reproduces that
-//! diagram for any configuration — the quickstart example prints it — and
-//! [`describe`] gives the one-line architectural summary used in reports.
+//! stage, without buffers in the input-ports". [`describe`] gives that
+//! architecture for any configuration in one line, the `switch :` line
+//! every `ppslab run` prints.
 
 use crate::config::{BufferSpec, PpsConfig};
-use std::fmt::Write;
 
 /// One-line architectural summary, e.g.
 /// `5x5 PPS, K=2 planes @ r=R/2 (S=1), bufferless inputs`.
@@ -24,58 +23,6 @@ pub fn describe(cfg: &PpsConfig) -> String {
     )
 }
 
-/// ASCII rendering of the three-stage Clos topology (Figure 1).
-///
-/// Inputs on the left, planes in the center, outputs on the right. Large
-/// configurations are elided with ellipsis rows to keep the diagram
-/// readable.
-pub fn render(cfg: &PpsConfig) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", describe(cfg));
-    let _ = writeln!(out);
-    let show_ports = cfg.n.min(5);
-    let show_planes = cfg.k.min(4);
-    let port_rows = show_ports + usize::from(cfg.n > show_ports);
-    let plane_rows = show_planes + usize::from(cfg.k > show_planes);
-    let rows = port_rows.max(plane_rows);
-    for row in 0..rows {
-        let inp = column_label(row, show_ports, cfg.n, "in ");
-        let pl = plane_label(cfg, row, show_planes);
-        let outp = column_label(row, show_ports, cfg.n, "out ");
-        let _ = writeln!(out, "  {inp:<8} >--r-->  {pl:<22} --r-->  {outp}");
-    }
-    let _ = writeln!(
-        out,
-        "\n  every input connects to all {} planes; every plane to all {} outputs",
-        cfg.k, cfg.n
-    );
-    out
-}
-
-fn column_label(row: usize, shown: usize, total: usize, prefix: &str) -> String {
-    if row < shown {
-        format!("{prefix}{row}")
-    } else if row == shown && total > shown {
-        format!("{prefix}... ({} total)", total)
-    } else {
-        String::new()
-    }
-}
-
-fn plane_label(cfg: &PpsConfig, row: usize, shown: usize) -> String {
-    if row < shown {
-        format!(
-            "[plane {row}: {n}x{n} @ r=R/{rp}]",
-            n = cfg.n,
-            rp = cfg.r_prime
-        )
-    } else if row == shown && cfg.k > shown {
-        format!("[... {} planes total]", cfg.k)
-    } else {
-        String::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,22 +34,6 @@ mod tests {
             describe(&cfg),
             "5x5 PPS, K=2 planes @ r=R/2 (S=1), bufferless inputs"
         );
-    }
-
-    #[test]
-    fn render_mentions_every_stage() {
-        let s = render(&PpsConfig::bufferless(5, 2, 2));
-        assert!(s.contains("in 0"));
-        assert!(s.contains("plane 1"));
-        assert!(s.contains("out 4"));
-        assert!(!s.contains("..."), "small configs are not elided:\n{s}");
-    }
-
-    #[test]
-    fn large_configs_are_elided() {
-        let s = render(&PpsConfig::bufferless(512, 64, 16));
-        assert!(s.contains("(512 total)"));
-        assert!(s.contains("[... 64 planes total]"));
     }
 
     #[test]

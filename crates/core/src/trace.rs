@@ -385,9 +385,10 @@ pub struct TraceBuilder {
 
 /// Cells so far per flow, for numbering; it lives only for the build.
 enum FlowCounts {
-    /// One counter per flow of an `n`-port switch, at `input · n + output`:
+    /// One counter per flow of an `n`-port switch, at `output · n + input`:
     /// one zeroed allocation, mapped in as flows are touched and returned
-    /// whole when the build ends.
+    /// whole when the build ends. The flows into one output share a row,
+    /// so traffic that converges on few outputs touches few pages.
     Flat(Vec<u32>),
     /// A row per input that has sent a cell, as wide as the outputs it has
     /// sent to: for a switch too wide for a flat table.
@@ -467,7 +468,7 @@ impl TraceBuilder {
     fn push(&mut self, a: &Arrival) {
         let (i, o) = (a.input.idx(), a.output.idx());
         let count = match &mut self.count {
-            FlowCounts::Flat(count) => &mut count[i * self.n + o],
+            FlowCounts::Flat(count) => &mut count[o * self.n + i],
             FlowCounts::Rows(rows) => {
                 if rows.len() <= i {
                     rows.resize_with(i + 1, Vec::new);

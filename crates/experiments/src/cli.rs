@@ -797,7 +797,7 @@ mod tests {
             }
         }
         // The zipf line's scope is the lossy one.
-        assert_eq!((agreed, lossy), (4, 1));
+        assert_eq!((agreed, lossy), (7, 1));
     }
 
     #[test]

@@ -28,23 +28,23 @@ use pps_traffic::adversary::congestion_traffic;
 
 /// Outcome of one congestion run.
 #[derive(Clone, Debug)]
-pub struct CongestionOutcome {
+pub(crate) struct CongestionOutcome {
     /// First slot at which all `K` plane queues for the hot output were
     /// simultaneously backlogged (`None` if congestion never set in).
-    pub congestion_start: Option<Slot>,
+    pub(crate) congestion_start: Option<Slot>,
     /// Work-conservation violations of the hot output inside the window.
-    pub wc_violations: usize,
+    pub(crate) wc_violations: usize,
     /// Maximum |departure-rank delta| inside the window.
-    pub max_rank_delta: i64,
+    pub(crate) max_rank_delta: i64,
     /// Cells compared rank-wise.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Maximum deviation of the hot output's in-fabric occupancy from the
     /// Theorem-14 ramp (slope `senders − 1` per slot) inside the window.
-    pub shape_dev: u64,
+    pub(crate) shape_dev: u64,
     /// Occupancy samples taken inside the window.
-    pub shape_samples: usize,
+    pub(crate) shape_samples: usize,
     /// The ramp oracle's verdict ([`pps_core::oracle::check_linear_ramp`]).
-    pub shape_violation: Option<pps_core::OracleViolation>,
+    pub(crate) shape_violation: Option<pps_core::OracleViolation>,
 }
 
 /// The PPS under test plus the Theorem-14 probe: after every slot it notes
@@ -84,7 +84,7 @@ impl SlotEngine for Probe {
 }
 
 /// Run the congestion scenario with the extended-FTD demultiplexor.
-pub fn point(
+pub(crate) fn point(
     n: usize,
     k: usize,
     r_prime: usize,

@@ -162,15 +162,23 @@ mod tests {
         assert!(out.pass, "{}", out.render());
     }
 
+    /// The shadow OQ mean within 3 % of Geo/D/1 below heavy traffic: seeds
+    /// 1–5 read within 1.3 % at each of these loads, and a delay off by
+    /// one slot misses by 23 % or more.
     #[test]
     fn oq_mean_tracks_geo_d1_at_moderate_load() {
-        let p = measure(0.75, 1, &Sink::default());
-        let w = predicted_oq_mean(0.75);
-        assert!(
-            p.oq_mean > w / 2.0 && p.oq_mean < w * 2.0 + 0.5,
-            "OQ mean {} vs predicted {w}",
-            p.oq_mean
-        );
+        const TOLERANCE: f64 = 0.03;
+        for load in [0.5, 0.75, 0.9] {
+            let p = measure(load, 1, &Sink::default());
+            let w = predicted_oq_mean(load);
+            let error = (p.oq_mean - w).abs() / w;
+            assert!(
+                error < TOLERANCE,
+                "load {load}: OQ mean {} vs predicted {w} ({:.2} %)",
+                p.oq_mean,
+                100.0 * error
+            );
+        }
     }
 
     /// Pinned here, not in `tests/golden_regression.rs` beside the other

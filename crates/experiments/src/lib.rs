@@ -21,7 +21,7 @@ mod e04_urt;
 mod e05_rt;
 mod e06_buffered_cpa;
 mod e07_buffered_fd;
-pub mod e08_ftd_congestion;
+mod e08_ftd_congestion;
 mod e09_lb_violation;
 mod e10_cpa;
 mod e11_tightness;

@@ -43,8 +43,6 @@ pub struct ConcentrationAttack {
     /// waits `(R/r − 1)·(d − 1)` slots. Asymptotically identical to
     /// [`Self::predicted_bound`]; exact for assertions.
     pub model_exact_bound: u64,
-    /// Human-readable phase narration (the Figure 2 storyboard).
-    pub phase_log: Vec<String>,
 }
 
 /// Build the Theorem 6 traffic against a concrete demultiplexor.
@@ -91,7 +89,6 @@ pub fn concentration_attack_on<D: Demultiplexor + Clone>(
     // One forward recording of every input's trajectory; the best plane's
     // plan is a table scan (no per-plane re-runs, no per-peek clones).
     let plan = DispatchLog::record(demux, inputs, cfg.k, hot_output, max_probes).best_plan();
-    let mut phase_log = Vec::new();
     let mut arrivals: Vec<Arrival> = Vec::new();
 
     // Phase 1: alignment cells, spaced r' slots apart globally.
@@ -102,23 +99,11 @@ pub fn concentration_attack_on<D: Demultiplexor + Clone>(
             cursor += r_prime;
         }
     }
-    phase_log.push(format!(
-        "phase 1 (alignment): {} cells steer {} demultiplexors toward plane {} for output {} \
-         (slots 0..{})",
-        plan.total_probes(),
-        plan.d(),
-        plan.plane,
-        hot_output,
-        cursor
-    ));
 
     // Phase 2: quiescence. Worst case every alignment cell sits in one
     // plane queue: draining takes (cells + 1) * r' slots; add slack.
     let gap = (plan.total_probes() as Slot + 2) * r_prime + 2 * r_prime;
     let burst_start = cursor + gap;
-    phase_log.push(format!(
-        "phase 2 (quiescence): no arrivals for {gap} slots; all plane buffers drain"
-    ));
 
     // Phase 3: d cells, one per slot, from distinct aligned inputs.
     let d = plan.d();
@@ -129,11 +114,6 @@ pub fn concentration_attack_on<D: Demultiplexor + Clone>(
             hot_output,
         ));
     }
-    phase_log.push(format!(
-        "phase 3 (burst): {d} cells for output {hot_output}, one per slot from distinct \
-         inputs, starting at slot {burst_start}; all land on plane {}",
-        plan.plane
-    ));
 
     // Phase 4 (jitter witness, from Lemma 4's proof): after the burst has
     // certainly drained, a lone cell of the *last* burst flow arrives to an
@@ -143,10 +123,6 @@ pub fn concentration_attack_on<D: Demultiplexor + Clone>(
         let drain = (d as Slot + 2) * r_prime + 2 * r_prime;
         let witness_slot = burst_start + d as Slot + drain;
         arrivals.push(Arrival::new(witness_slot, last_input, hot_output));
-        phase_log.push(format!(
-            "phase 4 (jitter witness): one cell of flow ({last_input} -> {hot_output}) at \
-             slot {witness_slot}, after all buffers drain"
-        ));
     }
 
     let predicted_bound = pps_core::bounds::theorem6(cfg.r_prime, d);
@@ -159,7 +135,6 @@ pub fn concentration_attack_on<D: Demultiplexor + Clone>(
         d,
         predicted_bound,
         model_exact_bound,
-        phase_log,
     }
 }
 
@@ -239,12 +214,50 @@ mod tests {
     }
 
     #[test]
-    fn phase_log_tells_the_figure_2_story() {
+    fn trace_holds_the_figure_2_phases() {
         let cfg = PpsConfig::bufferless(4, 2, 2);
         let atk = concentration_attack(&Rr::new(4, 2), &cfg, &[0, 1, 2, 3], 8);
-        assert_eq!(atk.phase_log.len(), 4);
-        assert!(atk.phase_log[0].contains("alignment"));
-        assert!(atk.phase_log[1].contains("quiescence"));
-        assert!(atk.phase_log[2].contains("burst"));
+        let r_prime = cfg.r_prime as Slot;
+        let all: Vec<Arrival> = atk.trace.arrivals().collect();
+        assert!(all.iter().all(|a| a.output.0 == 0), "one hot output");
+        let burst_end = atk.burst_start + atk.d as Slot;
+
+        // Phase 1: the alignment cells arrive r' slots apart from slot 0.
+        let alignment: Vec<Slot> = all
+            .iter()
+            .map(|a| a.slot)
+            .take_while(|&s| s < atk.burst_start)
+            .collect();
+        assert_eq!(alignment.len(), atk.plan.total_probes());
+        let spaced: Vec<Slot> = (0..alignment.len() as Slot).map(|i| i * r_prime).collect();
+        assert_eq!(alignment, spaced);
+
+        // Phase 2: every arrival before the burst is an alignment cell, so
+        // the switch is quiet from the last of them until the burst, long
+        // enough for one plane to drain every alignment cell.
+        let last_probe = alignment.last().copied().unwrap_or(0);
+        let drain = (alignment.len() as Slot + 1) * r_prime;
+        assert!(atk.burst_start - last_probe > drain, "quiescence gap");
+
+        // Phase 3: d cells, one per slot from distinct inputs.
+        let burst: Vec<&Arrival> = all
+            .iter()
+            .filter(|a| (atk.burst_start..burst_end).contains(&a.slot))
+            .collect();
+        let slots: Vec<Slot> = burst.iter().map(|a| a.slot).collect();
+        assert_eq!(slots, (atk.burst_start..burst_end).collect::<Vec<_>>());
+        let inputs: std::collections::BTreeSet<u32> = burst.iter().map(|a| a.input.0).collect();
+        assert_eq!(inputs.len(), atk.d);
+
+        // Phase 4: exactly one witness cell after the burst, on the last
+        // burst flow.
+        let witness: Vec<&Arrival> = all.iter().filter(|a| a.slot >= burst_end).collect();
+        assert_eq!(witness.len(), 1);
+        assert_eq!(witness[0].input, burst[atk.d - 1].input);
+        assert_eq!(
+            all.len(),
+            alignment.len() + atk.d + 1,
+            "no cell outside the four phases"
+        );
     }
 }

@@ -1,11 +1,2 @@
-//! Umbrella crate re-exporting the PPS reproduction workspace.
-//!
-//! See the individual crates: `pps-core`, `pps-traffic`, `pps-reference`,
-//! `pps-switch`, `pps-analysis`, `pps-experiments`.
-
-pub use pps_analysis as analysis;
-pub use pps_core as core_model;
-pub use pps_experiments as experiments;
-pub use pps_reference as reference;
-pub use pps_switch as switch;
-pub use pps_traffic as traffic;
+//! The workspace root package. It holds no code of its own: it is the
+//! host of the cross-crate integration tests under `tests/`.

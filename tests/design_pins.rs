@@ -153,7 +153,7 @@ fn crate_tree_lists_the_workspace_members_and_ppsbench() {
         assert_eq!(deps, &want, "the dependencies of {}", krate.package);
     }
     // The root package's directories and the benchmark's package.
-    let want: BTreeSet<&str> = ["src/", "examples/", "tests/", "ppsbench/"].into();
+    let want: BTreeSet<&str> = ["src/", "tests/", "ppsbench/"].into();
     assert_eq!(others, want, "the tree's other entries");
 }
 
