@@ -136,17 +136,27 @@ impl TailQuantiles {
     /// the sample's range is no wider than the sample, else from a sorted
     /// copy.
     pub fn from<S: Sample + ?Sized>(values: &S) -> Option<TailQuantiles> {
-        let v = OrderStats::of(values)?;
+        Some(Self::of_ranked(&OrderStats::of(values)?))
+    }
+
+    /// Exact tail quantiles of a counted sample, where `counts[v]` values
+    /// equal `v` (`None` when every count is 0): the same answer as
+    /// [`from`](Self::from) on the sample spelled out, without it.
+    pub fn from_counts(counts: &[usize]) -> Option<TailQuantiles> {
+        Some(Self::of_ranked(&OrderStats::counted(counts)?))
+    }
+
+    fn of_ranked(v: &OrderStats) -> TailQuantiles {
         let n = v.summary.count;
         // Lower quantile `num/den`: the `ceil(f·n)`-th order statistic.
         let at = |num: usize, den: usize| v.nth((n * num).div_ceil(den).max(1) - 1);
-        Some(TailQuantiles {
+        TailQuantiles {
             count: n,
             mean: v.summary.mean(),
             p99: at(99, 100),
             p999: at(999, 1000),
             max: v.summary.max,
-        })
+        }
     }
 
     /// Whether a `1 − 1/den` tail quantile of this sample is resolvable —
@@ -197,6 +207,23 @@ impl OrderStats {
             sorted.sort_unstable();
             Ranked::Sorted(sorted)
         };
+        Some(OrderStats { summary, ranked })
+    }
+
+    /// A sample given as its counts (`counts[v]` values equal `v`), ranked
+    /// over the span from its least to its greatest value; `None` when
+    /// every count is 0.
+    fn counted(counts: &[usize]) -> Option<Self> {
+        let min = counts.iter().position(|&c| c > 0)?;
+        let max = counts.iter().rposition(|&c| c > 0)?;
+        let span = &counts[min..=max];
+        let summary = Summary {
+            count: span.iter().sum(),
+            min: min as i64,
+            max: max as i64,
+            sum: (min..).zip(span).map(|(v, &c)| v as i64 * c as i64).sum(),
+        };
+        let ranked = Ranked::Counted(span.to_vec());
         Some(OrderStats { summary, ranked })
     }
 
@@ -331,6 +358,32 @@ mod tests {
         let t = TailQuantiles::from(&v).unwrap();
         assert_eq!((t.p99, t.p999, t.max), (991, 1000, 1001));
         assert!(t.resolvable(1000));
+    }
+
+    #[test]
+    fn a_counted_sample_ranks_as_the_sample_spelled_out() {
+        // Heavy head, thin tail: 10 000 values in 0..7, 100 spread to 9 901.
+        let mut lumpy = vec![0usize; 9_902];
+        for i in 0..10_000 {
+            lumpy[i % 7] += 1;
+        }
+        for i in 0..100 {
+            lumpy[100 + i * i] += 1;
+        }
+        // Zero counts below the least value and between the values.
+        let gaps = vec![0, 0, 3, 0, 0, 0, 1_200, 0, 5, 0, 0];
+        let single = vec![0, 0, 0, 0, 1];
+        for counts in [lumpy, gaps, single] {
+            let spelled_out: Vec<i64> = (0..)
+                .zip(&counts)
+                .flat_map(|(v, &c)| std::iter::repeat_n(v, c))
+                .collect();
+            let counted = TailQuantiles::from_counts(&counts);
+            assert!(counted.is_some());
+            assert_eq!(counted, TailQuantiles::from(&spelled_out));
+        }
+        assert!(TailQuantiles::from_counts(&[]).is_none());
+        assert!(TailQuantiles::from_counts(&[0, 0, 0]).is_none());
     }
 
     /// A sample's values, in order.

@@ -63,22 +63,25 @@ fn measure(load: f64, seed: u64, sink: &Sink) -> LoadPoint {
     .expect("spec");
     let trace = spec.trace().expect("materialize");
 
+    // The bufferless comparison is read and dropped before the buffered
+    // run, so one run's logs are alive at a time.
     let cfg = PpsConfig::bufferless(N, K, R_PRIME);
     let bl =
         compare_bufferless_in(cfg, RoundRobinDemux::new(N, K), &trace, sink).expect("bufferless");
+    let oq_mean = bl.oq.mean_delay().unwrap_or(0.0);
+    let bufferless = TailQuantiles::from(&relative_delays(&bl.pps.log, &bl.oq)).expect("cells");
+    let bl_undelivered = bl.relative_delay().pps_undelivered;
+    drop(bl);
     let cfg_b = PpsConfig::buffered(N, K, R_PRIME, BUFFER);
     let bf = compare_buffered_in(cfg_b, BufferedRoundRobinDemux::new(N, K), &trace, sink)
         .expect("buffered");
 
     LoadPoint {
         load,
-        oq_mean: bl.oq.mean_delay().unwrap_or(0.0),
-        bufferless: TailQuantiles::from(&relative_delays(&bl.pps.log, &bl.oq)).expect("cells"),
+        oq_mean,
+        bufferless,
         buffered: TailQuantiles::from(&relative_delays(&bf.pps.log, &bf.oq)).expect("cells"),
-        undelivered: (
-            bl.relative_delay().pps_undelivered,
-            bf.relative_delay().pps_undelivered,
-        ),
+        undelivered: (bl_undelivered, bf.relative_delay().pps_undelivered),
     }
 }
 

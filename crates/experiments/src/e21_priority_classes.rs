@@ -8,8 +8,12 @@
 //!
 //! * plain FCFS — the classless shadow reference
 //!   (`pps_reference::fcfs_departures`);
-//! * strict priority — `pps_workload::classes::priority_oq_delays`,
+//! * strict priority — `pps_workload::classes::priority_oq_delay_counts`,
 //!   always serving the lowest-numbered class with backlog.
+//!
+//! Both sides count each class's delays as the cells depart
+//! (`counts[class][delay]`) and rank the counts
+//! (`TailQuantiles::from_counts`), so no per-cell delay set is stored.
 //!
 //! Work conservation fixes the *multiset* of departure slots per output —
 //! the schedulers only redistribute who takes each slot — so the table is
@@ -22,7 +26,7 @@ use crate::ExperimentOutput;
 use pps_analysis::{Table, TailQuantiles};
 use pps_core::run::Sink;
 use pps_reference::fcfs_departures;
-use pps_workload::{priority_oq_delays, ClassedTrace, WorkloadSpec};
+use pps_workload::{priority_oq_delay_counts, ClassedTrace, WorkloadSpec};
 
 /// Ports (also the trace's geometry; this experiment is OQ-only).
 const N: usize = 16;
@@ -40,29 +44,22 @@ fn classed_workload(seed: u64) -> ClassedTrace {
 }
 
 /// Per-class tails under both schedulers: `(fcfs, priority)` per class.
-/// The priority delays are ranked and dropped before the FCFS delays are
-/// collected, in one pass over the arrivals, so at most one per-cell
-/// delay set is alive at a time.
+/// Each side counts its delays per class as the cells depart, so no
+/// per-cell delay set is stored.
 fn per_class_tails(classed: &ClassedTrace) -> Vec<(TailQuantiles, TailQuantiles)> {
-    let tails = |delays: Vec<Vec<i64>>| -> Vec<TailQuantiles> {
-        delays
-            .iter()
-            .map(|d| TailQuantiles::from(d).expect("class has cells"))
-            .collect()
-    };
-    let prio = tails(
-        priority_oq_delays(classed, N)
-            .into_iter()
-            // Reuses each class's allocation: `u64` and `i64` share a layout.
-            .map(|p| p.into_iter().map(|d| d as i64).collect())
-            .collect(),
-    );
-    let mut fcfs: Vec<Vec<i64>> = vec![Vec::new(); CLASSES as usize];
+    let mut fcfs: Vec<Vec<usize>> = vec![Vec::new(); CLASSES as usize];
     let arrivals = classed.trace.arrivals().zip(&classed.classes);
     for ((a, &class), depart) in arrivals.zip(fcfs_departures(&classed.trace, N)) {
-        fcfs[class as usize].push((depart - a.slot) as i64);
+        let counts = &mut fcfs[class as usize];
+        let delay = (depart - a.slot) as usize;
+        if delay >= counts.len() {
+            counts.resize(delay + 1, 0);
+        }
+        counts[delay] += 1;
     }
-    tails(fcfs).into_iter().zip(prio).collect()
+    let tails = |counts: &Vec<usize>| TailQuantiles::from_counts(counts).expect("class has cells");
+    let prio = priority_oq_delay_counts(classed, N);
+    fcfs.iter().map(tails).zip(prio.iter().map(tails)).collect()
 }
 
 /// Run the study.

@@ -128,14 +128,10 @@ pub fn run_oq_in(trace: &Trace, n: usize, sink: &Sink) -> RunLog {
 /// Closed-form FCFS-OQ departure times for a trace: cell `c` destined for
 /// output `j` departs at `max(arrival(c), previous_departure_j + 1)`.
 ///
-/// Returned indexed by cell id. This is the deadline oracle the CPA
-/// demultiplexor mimics, and a differential-testing target for [`run_oq_in`].
-pub fn fcfs_departure_times(trace: &Trace, n: usize) -> Vec<Slot> {
-    fcfs_departures(trace, n).collect()
-}
-
-/// [`fcfs_departure_times`] on the fly: each cell's departure in id order,
-/// computed as the trace's arrivals are walked, with O(N) state.
+/// Yields each cell's departure in id order, computed as the trace's
+/// arrivals are walked, with O(N) state. This is the deadline oracle the
+/// CPA demultiplexor mimics, and a differential-testing target for
+/// [`run_oq_in`].
 pub fn fcfs_departures(trace: &Trace, n: usize) -> impl Iterator<Item = Slot> + '_ {
     let mut last: Vec<Option<Slot>> = vec![None; n];
     trace.arrivals().map(move |a| {
@@ -200,7 +196,7 @@ mod tests {
         }
         let t = trace(arr, 4);
         let log = run_oq_in(&t, 4, &Sink::default());
-        let analytic = fcfs_departure_times(&t, 4);
+        let analytic: Vec<Slot> = fcfs_departures(&t, 4).collect();
         for (id, rec) in log.iter() {
             assert_eq!(
                 rec.departure(),

@@ -5,7 +5,7 @@
 //! keeps the first slot its FCFS output-queued reference is idle, and a cell
 //! arriving at `t` leaves the reference at `max(t, idle)`. Engines record
 //! arrivals in (slot, input) order, so this is
-//! `pps_reference::oq::fcfs_departure_times`' rule, without the shadow
+//! `pps_reference::oq::fcfs_departures`' rule, without the shadow
 //! engine's events or the trace.
 //!
 //! **The split.** A delivered cell's delay is input wait (`DemuxDecision −

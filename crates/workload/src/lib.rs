@@ -45,7 +45,7 @@ mod spec;
 mod stream;
 mod zipf;
 
-pub use classes::{priority_oq_delays, ClassedTrace};
+pub use classes::{priority_oq_delay_counts, ClassedTrace};
 pub use mmpp::{MmppGen, OnOffBurstGen, Phase};
 pub use shaped::{Shaped, UniformGen};
 pub use spec::{SpecKeys, WorkloadSpec};

@@ -278,7 +278,7 @@ proptest! {
             prop_assert!(check_work_conserving(&log, PortId(j), None).is_empty());
         }
         prop_assert!(check_flow_order(&log).is_empty());
-        let analytic = pps_reference::oq::fcfs_departure_times(&trace, n);
+        let analytic: Vec<Slot> = pps_reference::oq::fcfs_departures(&trace, n).collect();
         for (id, rec) in log.iter() {
             prop_assert_eq!(rec.departure(), Some(analytic[id.idx()]));
         }
