@@ -28,7 +28,8 @@ pub struct RelativeDelays<'a> {
 }
 
 /// A sample the order statistics read in two passes ([`TailQuantiles`]):
-/// a slice or vector of values, or a [`RelativeDelays`] view over two logs.
+/// a slice or vector of values, a [`RelativeDelays`] view over two logs, or
+/// a closure that starts a fresh walk of its values on every call.
 pub trait Sample {
     /// Fold `f` over the values, in order; every call walks the whole
     /// sample again.
@@ -44,6 +45,12 @@ impl Sample for [i64] {
 impl Sample for Vec<i64> {
     fn fold_values<B>(&self, init: B, f: impl FnMut(B, i64) -> B) -> B {
         self.as_slice().fold_values(init, f)
+    }
+}
+
+impl<F: Fn() -> I, I: Iterator<Item = i64>> Sample for F {
+    fn fold_values<B>(&self, init: B, f: impl FnMut(B, i64) -> B) -> B {
+        self().fold(init, f)
     }
 }
 

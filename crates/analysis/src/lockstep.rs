@@ -32,24 +32,12 @@ impl Comparison {
 
     /// Relative delay jitter (max over flows).
     pub fn relative_jitter(&self) -> i64 {
-        metrics::relative_jitter(&self.pps.log, &self.oq)
+        metrics::relative_jitter(&self.pps.log, self.oq.departures())
     }
 
     /// Fabric statistics of the PPS run.
     pub fn pps_stats(&self) -> &FabricStats {
         &self.pps.stats
-    }
-
-    /// Largest number of cells one plane carried for one output — the
-    /// measured concentration `c` of Lemma 4, reconstructed from the log.
-    pub fn max_concentration(&self) -> usize {
-        let mut counts: std::collections::BTreeMap<(PlaneId, PortId), usize> = Default::default();
-        for rec in self.pps.log.records() {
-            if let Some(plane) = rec.plane() {
-                *counts.entry((plane, rec.output)).or_default() += 1;
-            }
-        }
-        counts.into_values().max().unwrap_or(0)
     }
 }
 
@@ -79,7 +67,7 @@ fn compare<S: InputStage>(
 /// use pps_core::prelude::*;
 /// use pps_core::run::Sink;
 /// use pps_switch::demux::RoundRobinDemux;
-/// use pps_analysis::compare_bufferless_in;
+/// use pps_analysis::{compare_bufferless_in, metrics::max_concentration};
 ///
 /// let cfg = PpsConfig::bufferless(4, 4, 2);
 /// let trace = Trace::build(vec![Arrival::new(0, 0, 1), Arrival::new(0, 1, 1)], 4)?;
@@ -88,7 +76,7 @@ fn compare<S: InputStage>(
 /// // cells concentrate on it — a miniature Corollary 7: the second cell
 /// // leaves one slot later than in the reference switch.
 /// assert_eq!(cmp.relative_delay().max, 1);
-/// assert_eq!(cmp.max_concentration(), 2);
+/// assert_eq!(max_concentration(&cmp.pps.log), 2);
 /// # Ok::<(), pps_core::ModelError>(())
 /// ```
 pub fn compare_bufferless_in<D: Demultiplexor>(
@@ -214,6 +202,6 @@ mod tests {
         )
         .unwrap();
         let cmp = compare_bufferless_in(cfg, RoundRobinDemux::new(2, 2), &t, &sink()).unwrap();
-        assert!(cmp.max_concentration() >= 4);
+        assert!(crate::metrics::max_concentration(&cmp.pps.log) >= 4);
     }
 }

@@ -1,7 +1,7 @@
 //! Relative queuing delay and relative delay jitter.
 
 use pps_core::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Distribution of per-cell relative delay `delay_PPS − delay_OQ`.
 #[derive(Clone, Debug, PartialEq)]
@@ -121,43 +121,44 @@ pub fn relative_delay_for_output(pps: &RunLog, oq: &RunLog, output: PortId) -> R
         .finish()
 }
 
-/// Per-flow delay jitter: the maximal difference in queuing delay between
-/// two delivered cells of the flow (0 for flows with fewer than two
-/// delivered cells).
-pub fn flow_jitters(log: &RunLog) -> BTreeMap<FlowId, u64> {
-    let mut minmax: BTreeMap<FlowId, (Slot, Slot)> = BTreeMap::new();
-    for (a, d) in log.arrivals().zip(log.delays()) {
-        if let Some(d) = d {
-            minmax
-                .entry(FlowId {
-                    input: a.input,
-                    output: a.output,
-                })
-                .and_modify(|(lo, hi)| {
-                    *lo = (*lo).min(d);
-                    *hi = (*hi).max(d);
-                })
-                .or_insert((d, d));
+/// Relative delay jitter: `max_f (jitter_PPS(f) − jitter_OQ(f))` over the
+/// trace's flows, in one pass. A flow's jitter is the maximal difference in
+/// queuing delay between two of its delivered cells (0 with fewer than two).
+///
+/// `oq` is the reference's departure slot of each cell of `pps`' trace, in
+/// id order: a shadow log's [`RunLog::departures`], or the FCFS departures
+/// streamed from the trace (`pps_reference::fcfs_departures`). Against a
+/// reference that forwards each cell in its arrival slot (every jitter 0),
+/// it is the log's own worst per-flow jitter.
+pub fn relative_jitter(pps: &RunLog, oq: impl IntoIterator<Item = Option<Slot>>) -> i64 {
+    // Per flow: the least and greatest PPS delay, then the reference's.
+    let mut spans: HashMap<FlowId, [Slot; 4]> = HashMap::new();
+    for ((a, p), q) in pps.arrivals().zip(pps.delays()).zip(oq) {
+        let flow = FlowId::new(a.input.0, a.output.0);
+        let span = spans.entry(flow).or_insert([Slot::MAX, 0, Slot::MAX, 0]);
+        for (i, d) in [(0, p), (2, q.map(|q| q - a.slot))] {
+            if let Some(d) = d {
+                span[i] = span[i].min(d);
+                span[i + 1] = span[i + 1].max(d);
+            }
         }
     }
-    minmax
-        .into_iter()
-        .map(|(f, (lo, hi))| (f, hi - lo))
-        .collect()
-}
-
-/// Relative delay jitter: `max_f (jitter_PPS(f) − jitter_OQ(f))` over
-/// flows present in either log (missing = 0).
-pub fn relative_jitter(pps: &RunLog, oq: &RunLog) -> i64 {
-    let jp = flow_jitters(pps);
-    let jq = flow_jitters(oq);
-    let mut flows: std::collections::BTreeSet<FlowId> = jp.keys().copied().collect();
-    flows.extend(jq.keys().copied());
-    flows
-        .into_iter()
-        .map(|f| *jp.get(&f).unwrap_or(&0) as i64 - *jq.get(&f).unwrap_or(&0) as i64)
+    let jitter = |lo: Slot, hi: Slot| hi.saturating_sub(lo) as i64;
+    spans
+        .into_values()
+        .map(|[p_lo, p_hi, q_lo, q_hi]| jitter(p_lo, p_hi) - jitter(q_lo, q_hi))
         .max()
         .unwrap_or(0)
+}
+
+/// Largest number of cells one plane carried for one output — the
+/// measured concentration `c` of Lemma 4, reconstructed from a PPS log.
+pub fn max_concentration(pps: &RunLog) -> usize {
+    let mut counts = HashMap::<_, usize>::new();
+    for rec in pps.records().filter(|rec| rec.plane().is_some()) {
+        *counts.entry((rec.plane(), rec.output)).or_default() += 1;
+    }
+    counts.into_values().max().unwrap_or(0)
 }
 
 /// Departure-rank relative delay for one output inside a window: compare
@@ -258,6 +259,12 @@ mod tests {
         assert_eq!(relative_delay_for_output(&pps, &oq, PortId(2)).compared, 0);
     }
 
+    /// A log's worst per-flow jitter: relative to a reference that forwards
+    /// each cell in its arrival slot.
+    fn own_jitter(log: &RunLog) -> i64 {
+        relative_jitter(log, log.arrivals().map(|a| Some(a.slot)))
+    }
+
     #[test]
     fn jitter_is_max_delay_spread_per_flow() {
         let log = log_with(&[
@@ -265,9 +272,10 @@ mod tests {
             (1, 5, Some(12), 0, 0, 1), // flow (0,0) delay 7
             (2, 0, Some(3), 1, 0, 0),  // flow (1,0) delay 3 (single cell)
         ]);
-        let j = flow_jitters(&log);
-        assert_eq!(j[&FlowId::new(0, 0)], 7);
-        assert_eq!(j[&FlowId::new(1, 0)], 0);
+        assert_eq!(own_jitter(&log), 7);
+        // A flow with one delivered cell has jitter 0, not its delay.
+        let one = log_with(&[(0, 0, Some(3), 1, 0, 0), (1, 4, None, 1, 0, 1)]);
+        assert_eq!(own_jitter(&one), 0);
     }
 
     #[test]
@@ -280,7 +288,30 @@ mod tests {
             (0, 0, Some(0), 0, 0, 0),
             (1, 1, Some(4), 0, 0, 1), // jitter 3
         ]);
-        assert_eq!(relative_jitter(&pps, &oq), 5);
+        assert_eq!(relative_jitter(&pps, oq.departures()), 5);
+    }
+
+    #[test]
+    fn relative_jitter_reads_a_streamed_reference_as_a_shadow_log() {
+        // Flow (0,0) is delivered, flow (1,0) is not: jitter 0 less the
+        // reference's, never a flow missing from the join.
+        let rows = [
+            (0, 0, Some(3), 0, 0, 0),
+            (1, 0, None, 1, 0, 0),
+            (2, 1, Some(9), 0, 0, 1),
+            (3, 1, None, 1, 0, 1),
+            (4, 2, Some(2), 1, 1, 0),
+        ];
+        let pps = log_with(&rows);
+        let arrivals: Vec<Arrival> = pps.arrivals().collect();
+        let trace = Trace::build(arrivals, 2).unwrap();
+        let shadow = pps_reference::oq::run_oq_in(&trace, 2, &Sink::default());
+        let stream = pps_reference::fcfs_departures(&trace, 2).map(Some);
+        let from_log = relative_jitter(&pps, shadow.departures());
+        assert_eq!(relative_jitter(&pps, stream), from_log);
+        // PPS (0,0) delays 3 and 8; the reference's 0 and 1.
+        assert_eq!(from_log, 5 - 1);
+        assert_eq!(own_jitter(&shadow), 1);
     }
 
     #[test]

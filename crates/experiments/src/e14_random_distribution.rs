@@ -21,6 +21,7 @@
 use crate::attack::concentration;
 use crate::claim::Claims;
 use crate::ExperimentOutput;
+use pps_analysis::metrics::max_concentration;
 use pps_analysis::{compare_bufferless_in, Table};
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
@@ -44,7 +45,7 @@ fn oblivious_point(n: usize, k: usize, r_prime: usize, seed: u64, sink: &Sink) -
         .expect("run");
     let rd = cmp.relative_delay();
     assert_eq!(rd.pps_undelivered, 0);
-    (rd.max, cmp.max_concentration())
+    (rd.max, max_concentration(&cmp.pps.log))
 }
 
 /// The relative delay over seeds — min, mean, 95th percentile, max — and

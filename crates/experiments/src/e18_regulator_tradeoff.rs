@@ -36,10 +36,9 @@ pub(crate) fn run(sink: &Sink) -> ExperimentOutput {
     let log = attacked_log(n, k, r_prime, sink);
     let target = min_feasible_delay(&log);
     let offline = regulate(&log, target);
-    let unregulated = {
-        let j = pps_analysis::metrics::flow_jitters(&log);
-        j.values().copied().max().unwrap_or(0)
-    };
+    // The worst per-flow jitter: relative to forwarding on arrival.
+    let on_arrival = log.arrivals().map(|a| Some(a.slot));
+    let unregulated = pps_analysis::metrics::relative_jitter(&log, on_arrival);
     let mut table = Table::new(
         format!(
             "Jitter vs regulator buffer on the Corollary 7 run (N={n}, target D={target}, \

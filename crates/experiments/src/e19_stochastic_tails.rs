@@ -22,12 +22,13 @@
 //! tail rather than the max).
 
 use crate::claim::Claims;
+use crate::run::{with_algo, Drive, TRIO};
 use crate::ExperimentOutput;
-use pps_analysis::{compare_bufferless_in, relative_delays, Comparison, Table, TailQuantiles};
+use pps_analysis::{relative_delays, Table, TailQuantiles};
 use pps_core::bounds;
 use pps_core::prelude::*;
 use pps_core::sweep::SweepPlan;
-use pps_switch::demux::{CpaDemux, RoundRobinDemux, StaleLeastLoadedDemux};
+use pps_reference::oq::run_oq_in;
 use pps_traffic::min_burstiness;
 use pps_workload::WorkloadSpec;
 
@@ -57,34 +58,6 @@ fn families() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// A labeled comparison runner: builds its demux for the bufferless
-/// geometry it is handed and runs `trace` against the shadow OQ.
-type ClassRunner = (
-    &'static str,
-    fn(PpsConfig, &Trace, &Sink) -> Result<Comparison, ModelError>,
-);
-
-/// Information classes: one representative demux per class (also the rows
-/// of the `ppslab --workload` report).
-pub(crate) fn classes() -> [ClassRunner; 3] {
-    [
-        ("fully-dist (rr)", |cfg, t, sink| {
-            compare_bufferless_in(cfg, RoundRobinDemux::new(cfg.n, cfg.k), t, sink)
-        }),
-        ("u-RT (stale:2)", |cfg, t, sink| {
-            compare_bufferless_in(cfg, StaleLeastLoadedDemux::new(cfg.n, cfg.k, 2), t, sink)
-        }),
-        ("centralized (cpa)", |cfg, t, sink| {
-            compare_bufferless_in(
-                cfg.with_discipline(OutputDiscipline::GlobalFcfs),
-                CpaDemux::new(cfg.n, cfg.k, cfg.r_prime),
-                t,
-                sink,
-            )
-        }),
-    ]
-}
-
 /// One `(family, class)` point: the materialized trace's cells and minimal
 /// burstiness, the relative-delay tails, and the cells the PPS left behind.
 struct TailPoint {
@@ -106,9 +79,8 @@ impl TailPoint {
 /// Measure every `(family, class)` combination.
 fn measure(sink: &Sink) -> Vec<TailPoint> {
     let fams = families();
-    let cls = classes();
     let combos: Vec<(usize, usize)> = (0..fams.len())
-        .flat_map(|f| (0..cls.len()).map(move |c| (f, c)))
+        .flat_map(|f| (0..TRIO.len()).map(move |c| (f, c)))
         .collect();
     let plan = SweepPlan::new_in("e19", combos, sink);
     plan.run(|pt| {
@@ -116,17 +88,19 @@ fn measure(sink: &Sink) -> Vec<TailPoint> {
         let spec = WorkloadSpec::parse(&fams[f].1).expect("family spec");
         let trace = spec.trace().expect("materialize");
         let b = min_burstiness(&trace, N);
-        let cmp = (cls[c].1)(PpsConfig::bufferless(N, K, R_PRIME), &trace, pt.sink).expect("run");
-        let rd = cmp.relative_delay();
-        let tails =
-            TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq)).expect("nonempty trace");
+        // The PPS, then its shadow OQ switch, on the point's sink: the
+        // order its recorded events keep.
+        let cfg = PpsConfig::bufferless(N, K, R_PRIME);
+        let pps = with_algo(TRIO[c].1, cfg, Drive(&trace, pt.sink)).expect("run");
+        let oq = run_oq_in(&trace, N, pt.sink);
+        let tails = TailQuantiles::from(&relative_delays(&pps.log, &oq)).expect("nonempty trace");
         TailPoint {
             family: fams[f].0,
-            class: cls[c].0,
+            class: TRIO[c].0,
             cells: trace.len(),
             burstiness: b,
             tails,
-            undelivered: rd.pps_undelivered,
+            undelivered: pps.log.undelivered(),
         }
     })
 }

@@ -38,8 +38,9 @@ const BUFFER: usize = 64;
 /// Slots per load point.
 const HORIZON: u64 = 40_000;
 
-/// Geo/D/1 mean-waiting prediction for an output fed by
-/// `Binomial(N, ρ/N)` arrivals at one departure per slot.
+/// The FCFS reference's exact stationary mean wait, `E[A(A−1)]/(2λ(1−λ))`,
+/// at an output fed `A ~ Binomial(N, ρ/N)` cells a slot, serving one: no
+/// offset, as a cell may leave in its arrival slot (THEORY.md, e20's mean).
 fn predicted_oq_mean(load: f64) -> f64 {
     ((N - 1) as f64 / N as f64) * load / (2.0 * (1.0 - load))
 }

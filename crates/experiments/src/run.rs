@@ -1,5 +1,5 @@
-//! `ppslab run` — one workload through a PPS of one geometry, compared
-//! with the shadow output-queued switch, without writing code.
+//! `ppslab run` — one workload through a PPS of one geometry, measured
+//! against the FCFS output-queued reference, without writing code.
 //!
 //! ```text
 //! ppslab run --workload "zipf:n=16,load=0.85,s=1.1,seed=7"   # the three-class trio
@@ -14,20 +14,26 @@
 //! fully-distributed) and `urt:n=,u=` (the Theorem 10 burst). N and the
 //! horizon live in the spec; K and r' come from `--k` / `--rprime`.
 //!
-//! Algorithms: `rr`, `pfr` (per-flow RR), `random[:seed]`, `partition`
-//! (minimal static), `ftd[:h]`, `stale:u`, `lll` (local least-loaded),
-//! `hash`, `cpa`. Without `--algo` the rows are e19's information-class
-//! trio: round robin, stale least-loaded and CPA.
+//! Algorithms (`with_algo`, the one table of them by name): `rr`, `pfr`
+//! (per-flow RR), `random[:seed]`, `partition` (minimal static), `ftd[:h]`,
+//! `stale:u`, `lll` (local least-loaded), `hash`, `cpa`. Without `--algo`
+//! the rows are the information-class `TRIO`, e19's rows too: round
+//! robin, stale least-loaded and CPA.
 //!
 //! The report is a header (the switch and its envelope bound, the spec,
 //! the traffic summary with `B_min`) and one row per algorithm. The spec
-//! string is the full reproducible name of the run.
+//! string is the full reproducible name of the run. Each row runs one
+//! engine, the PPS: its log is read against the reference departures that
+//! `pps_reference::fcfs_departures` streams from the trace, not against a
+//! shadow switch run beside it.
 
-use crate::e19_stochastic_tails::classes;
-use pps_analysis::{compare_bufferless_in, relative_delays, Comparison, TailQuantiles};
+use pps_analysis::metrics::{max_concentration, relative_jitter};
+use pps_analysis::TailQuantiles;
 use pps_core::bounds;
 use pps_core::prelude::*;
+use pps_reference::fcfs_departures;
 use pps_switch::demux::*;
+use pps_switch::engine::{BufferlessPps, PpsRun};
 use pps_traffic::adversary::{concentration_attack, urt_burst_attack};
 use pps_traffic::TraceStats;
 use pps_workload::{SpecKeys, WorkloadSpec};
@@ -44,6 +50,14 @@ pub struct RunArgs {
     pub(crate) algo: Option<String>,
     pub(crate) save_trace: Option<PathBuf>,
 }
+
+/// The information-class trio, one representative per class of the
+/// paper's taxonomy: `(row label, --algo name)`.
+pub(crate) const TRIO: [(&str, &str); 3] = [
+    ("fully-dist (rr)", "rr"),
+    ("u-RT (stale:2)", "stale:2"),
+    ("centralized (cpa)", "cpa"),
+];
 
 /// What a spec builds its trace from.
 enum Traffic {
@@ -77,7 +91,7 @@ fn parse(spec: &str) -> Result<(usize, Traffic), String> {
 
 impl Traffic {
     /// The trace of every traffic but the attack, which needs the
-    /// algorithm (see [`run_with`]).
+    /// algorithm (see [`Build`]).
     fn trace(&self, cfg: &PpsConfig) -> Result<Trace, String> {
         match self {
             Traffic::Attack => {
@@ -110,16 +124,26 @@ fn keep(trace: Trace, args: &RunArgs) -> Result<Trace, String> {
     Ok(trace)
 }
 
-/// Build the algorithm `--algo` names and hand it to [`run_with`], along
-/// with its attack probe budget in units of `8·K` cells. What a constructor
-/// `assert!`s about its `:param` is checked first: no `--algo` can panic.
-fn run_algo(
-    args: &RunArgs,
-    algo: &str,
-    cfg: PpsConfig,
-    traffic: &Traffic,
-    sink: &Sink,
-) -> Result<(Trace, Comparison), String> {
+/// What is done with the demultiplexor an `--algo` name builds: its type
+/// differs per name, so [`with_algo`] hands it to a generic method.
+pub(crate) trait WithDemux {
+    type Out;
+    /// Use `demux` in a PPS of geometry `cfg`; `budget` is its
+    /// concentration attack's probe budget in units of `8·K` cells (the
+    /// attack probes a clone).
+    fn with<D: Demultiplexor + Clone>(
+        self,
+        cfg: PpsConfig,
+        demux: D,
+        budget: usize,
+    ) -> Result<Self::Out, String>;
+}
+
+/// The one table of algorithms: build the one `algo` names for the
+/// bufferless geometry `cfg` (CPA over global FCFS) and hand it to `w`.
+/// What a constructor `assert!`s about its `:param` is checked first: no
+/// `--algo` can panic.
+pub(crate) fn with_algo<W: WithDemux>(algo: &str, cfg: PpsConfig, w: W) -> Result<W::Out, String> {
     let (name, param) = match algo.split_once(':') {
         Some((name, param)) => (name, Some(param)),
         None => (algo, None),
@@ -129,24 +153,14 @@ fn run_algo(
         return Err(format!("algorithm {name} takes no :parameter"));
     }
     match name {
-        "rr" => run_with(args, cfg, RoundRobinDemux::new(n, k), 1, traffic, sink),
-        "pfr" => run_with(
-            args,
-            cfg,
-            PerFlowRoundRobinDemux::new(n, k),
-            1,
-            traffic,
-            sink,
-        ),
+        "rr" => w.with(cfg, RoundRobinDemux::new(n, k), 1),
+        "pfr" => w.with(cfg, PerFlowRoundRobinDemux::new(n, k), 1),
         "random" => {
             let seed = param.map_or(Ok(0), str::parse);
             let seed = seed.map_err(|e| format!("random seed: {e}"))?;
-            run_with(args, cfg, RandomDemux::new(n, seed), 4, traffic, sink)
+            w.with(cfg, RandomDemux::new(n, seed), 4)
         }
-        "partition" => {
-            let demux = StaticPartitionDemux::minimal(n, k, r_prime);
-            run_with(args, cfg, demux, 1, traffic, sink)
-        }
+        "partition" => w.with(cfg, StaticPartitionDemux::minimal(n, k, r_prime), 1),
         "ftd" => {
             let h = param.map_or(Ok(2), str::parse);
             let h: usize = h.map_err(|e| format!("ftd h: {e}"))?;
@@ -155,7 +169,7 @@ fn run_algo(
                     "ftd:{h} needs h >= 2 and h*r' <= K <= 128 (got r' = {r_prime}, K = {k})"
                 ));
             }
-            run_with(args, cfg, FtdDemux::new(n, k, r_prime, h), 1, traffic, sink)
+            w.with(cfg, FtdDemux::new(n, k, r_prime, h), 1)
         }
         "stale" => {
             let u = param.ok_or("stale needs :u")?;
@@ -163,61 +177,68 @@ fn run_algo(
             if u == 0 {
                 return Err("stale u: must be at least 1".into());
             }
-            run_with(
-                args,
-                cfg,
-                StaleLeastLoadedDemux::new(n, k, u),
-                1,
-                traffic,
-                sink,
-            )
+            w.with(cfg, StaleLeastLoadedDemux::new(n, k, u), 1)
         }
-        "lll" => {
-            let demux = LeastLoadedLocalDemux::new(n, k, r_prime);
-            run_with(args, cfg, demux, 1, traffic, sink)
-        }
-        "hash" => run_with(args, cfg, HashFlowDemux::new(n, k), 1, traffic, sink),
+        "lll" => w.with(cfg, LeastLoadedLocalDemux::new(n, k, r_prime), 1),
+        "hash" => w.with(cfg, HashFlowDemux::new(n, k), 1),
         "cpa" => {
             let cfg = cfg.with_discipline(OutputDiscipline::GlobalFcfs);
-            run_with(args, cfg, CpaDemux::new(n, k, r_prime), 1, traffic, sink)
+            w.with(cfg, CpaDemux::new(n, k, r_prime), 1)
         }
         other => Err(format!("unknown algorithm {other}")),
     }
 }
 
-/// The part of a run that depends on the algorithm's type: build the
-/// trace (the attack probes a clone of `demux`), keep it, and compare the
-/// PPS driven by `demux` with the shadow switch.
-fn run_with<D: Demultiplexor + Clone>(
-    args: &RunArgs,
-    cfg: PpsConfig,
-    demux: D,
-    attack_budget: usize,
-    traffic: &Traffic,
-    sink: &Sink,
-) -> Result<(Trace, Comparison), String> {
-    let trace = match traffic {
-        Traffic::Attack => {
-            if demux.info_class() != InfoClass::FullyDistributed {
-                return Err(
-                    "attack targets fully-distributed algorithms; use urt for stale".into(),
-                );
-            }
-            let inputs: Vec<u32> = (0..cfg.n as u32).collect();
-            concentration_attack(&demux, &cfg, &inputs, attack_budget * 8 * cfg.k).trace
+/// Build a spec's trace for one algorithm: the attack probes a clone of it.
+struct Build<'a>(&'a Traffic);
+
+impl WithDemux for Build<'_> {
+    type Out = Trace;
+    fn with<D: Demultiplexor + Clone>(
+        self,
+        cfg: PpsConfig,
+        demux: D,
+        budget: usize,
+    ) -> Result<Trace, String> {
+        let Traffic::Attack = self.0 else {
+            return self.0.trace(&cfg);
+        };
+        if demux.info_class() != InfoClass::FullyDistributed {
+            return Err("attack targets fully-distributed algorithms; use urt for stale".into());
         }
-        traffic => traffic.trace(&cfg)?,
-    };
-    let trace = keep(trace, args)?;
-    let cmp = compare_bufferless_in(cfg, demux, &trace, sink).map_err(|e| e.to_string())?;
-    Ok((trace, cmp))
+        let inputs: Vec<u32> = (0..cfg.n as u32).collect();
+        Ok(concentration_attack(&demux, &cfg, &inputs, budget * 8 * cfg.k).trace)
+    }
+}
+
+/// Drive a bufferless PPS through a trace, in the run a sink records.
+pub(crate) struct Drive<'a>(pub(crate) &'a Trace, pub(crate) &'a Sink);
+
+impl WithDemux for Drive<'_> {
+    type Out = PpsRun;
+    fn with<D: Demultiplexor + Clone>(
+        self,
+        cfg: PpsConfig,
+        demux: D,
+        _: usize,
+    ) -> Result<PpsRun, String> {
+        let Drive(trace, sink) = self;
+        let run = BufferlessPps::new_in(cfg, demux, sink).and_then(|mut pps| pps.run(trace));
+        run.map_err(|e| e.to_string())
+    }
 }
 
 /// One row of the report: `label`'s relative-delay tails, jitter,
-/// concentration, plane-buffer high-water mark and undelivered cells.
-fn row(out: &mut String, label: &str, cmp: &Comparison) {
-    let tails = TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq))
-        .expect("the trace is nonempty");
+/// concentration, plane-buffer high-water mark and undelivered cells,
+/// against the FCFS reference departures streamed from `trace`.
+fn row(out: &mut String, label: &str, pps: &PpsRun, trace: &Trace, n: usize) {
+    let log = &pps.log;
+    let relative = || {
+        let oq = log.arrivals().zip(fcfs_departures(trace, n));
+        let delays = log.delays().zip(oq);
+        delays.filter_map(|(d, (a, q))| Some(d? as i64 - (q - a.slot) as i64))
+    };
+    let tails = TailQuantiles::from(&relative).expect("the trace is nonempty");
     let _ = writeln!(
         out,
         "{label:<22} {:>10.3} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
@@ -225,10 +246,10 @@ fn row(out: &mut String, label: &str, cmp: &Comparison) {
         tails.p99,
         tails.p999,
         tails.max,
-        cmp.relative_jitter(),
-        cmp.max_concentration(),
-        cmp.pps_stats().max_plane_queue,
-        cmp.relative_delay().pps_undelivered
+        relative_jitter(log, fcfs_departures(trace, n).map(Some)),
+        max_concentration(log),
+        pps.stats.max_plane_queue,
+        log.undelivered()
     );
 }
 
@@ -238,22 +259,18 @@ pub fn run(args: &RunArgs, sink: &Sink) -> Result<String, String> {
     let (n, traffic) = parse(&args.workload)?;
     let cfg = PpsConfig::bufferless(n, args.k, args.r_prime);
     cfg.validate().map_err(|e| e.to_string())?;
-    let mut rows = String::new();
-    let trace = match &args.algo {
-        Some(algo) => {
-            let (trace, cmp) = run_algo(args, algo, cfg, &traffic, sink)?;
-            row(&mut rows, algo, &cmp);
-            trace
-        }
-        None => {
-            let trace = keep(traffic.trace(&cfg)?, args)?;
-            for (label, run) in classes() {
-                let cmp = run(cfg, &trace, sink).map_err(|e| e.to_string())?;
-                row(&mut rows, label, &cmp);
-            }
-            trace
-        }
+    // The one `--algo` (labelled by its name) is checked before the trace
+    // is built, since an attack is built against it.
+    let (trace, algos) = match &args.algo {
+        Some(a) => (with_algo(a, cfg, Build(&traffic))?, vec![(&a[..], &a[..])]),
+        None => (traffic.trace(&cfg)?, TRIO.to_vec()),
     };
+    let trace = keep(trace, args)?;
+    let mut rows = String::new();
+    for (label, algo) in algos {
+        let pps = with_algo(algo, cfg, Drive(&trace, sink))?;
+        row(&mut rows, label, &pps, &trace, n);
+    }
     let stats = TraceStats::of(&trace, n);
     let envelope = bounds::traffic_envelope(&cfg, stats.burstiness);
     let mut out = String::new();
@@ -275,15 +292,153 @@ pub fn run(args: &RunArgs, sink: &Sink) -> Result<String, String> {
 
 #[cfg(test)]
 mod tests {
-    /// Parse `run` + `flags` the way `ppslab` does, then run.
-    fn run(flags: &[&str]) -> Result<String, String> {
+    use super::*;
+    use pps_analysis::{compare_bufferless_in, metrics, relative_delays, Comparison};
+    use pps_core::run::RunSpec;
+    use pps_core::telemetry::{Engine, EventLog, Level};
+
+    /// Every `--algo` name of the table.
+    const ALGOS: [&str; 9] = [
+        "rr",
+        "pfr",
+        "random:7",
+        "partition",
+        "ftd:2",
+        "stale:2",
+        "lll",
+        "hash",
+        "cpa",
+    ];
+
+    /// Parse `run` + `flags` the way `ppslab` does.
+    fn parsed(flags: &[&str]) -> Result<RunArgs, String> {
         let argv: Vec<String> = std::iter::once("run")
             .chain(flags.iter().copied())
             .map(String::from)
             .collect();
         match crate::cli::parse(&argv).map_err(|e| e.to_string())?.mode {
-            crate::cli::Mode::Run(args) => super::run(&args, &pps_core::run::Sink::default()),
+            crate::cli::Mode::Run(args) => Ok(args),
             other => panic!("run argv parsed to {other:?}"),
+        }
+    }
+
+    /// Parse `run` + `flags` the way `ppslab` does, then run.
+    fn run(flags: &[&str]) -> Result<String, String> {
+        super::run(&parsed(flags)?, &Sink::default())
+    }
+
+    /// A bufferless PPS compared with a shadow switch run beside it.
+    struct Compare<'a>(&'a Trace);
+
+    impl WithDemux for Compare<'_> {
+        type Out = Comparison;
+        fn with<D: Demultiplexor + Clone>(
+            self,
+            cfg: PpsConfig,
+            demux: D,
+            _: usize,
+        ) -> Result<Comparison, String> {
+            compare_bufferless_in(cfg, demux, self.0, &Sink::default()).map_err(|e| e.to_string())
+        }
+    }
+
+    /// A row read from a shadow switch's log, as `run` built it while it ran
+    /// one beside each PPS: the reference the streamed row is held to.
+    fn shadow_row(label: &str, cmp: &Comparison) -> String {
+        let tails = TailQuantiles::from(&relative_delays(&cmp.pps.log, &cmp.oq)).unwrap();
+        format!(
+            "{label:<22} {:>10.3} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
+            tails.mean,
+            tails.p99,
+            tails.p999,
+            tails.max,
+            cmp.relative_jitter(),
+            metrics::max_concentration(&cmp.pps.log),
+            cmp.pps_stats().max_plane_queue,
+            cmp.relative_delay().pps_undelivered
+        )
+    }
+
+    /// The rows of `ppslab run` + `flags`, rebuilt beside a shadow switch.
+    fn shadow_rows(flags: &[&str]) -> String {
+        let args = parsed(flags).unwrap();
+        let (n, traffic) = parse(&args.workload).unwrap();
+        let cfg = PpsConfig::bufferless(n, args.k, args.r_prime);
+        let (trace, algos) = match &args.algo {
+            Some(algo) => (
+                with_algo(algo, cfg, Build(&traffic)).unwrap(),
+                vec![(&algo[..], &algo[..])],
+            ),
+            None => (traffic.trace(&cfg).unwrap(), TRIO.to_vec()),
+        };
+        algos
+            .into_iter()
+            .map(|(label, algo)| shadow_row(label, &with_algo(algo, cfg, Compare(&trace)).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn every_row_is_the_row_a_shadow_switch_gives() {
+        let mut lines = vec![
+            vec![
+                "--workload",
+                "attack:n=16",
+                "--k",
+                "8",
+                "--rprime",
+                "4",
+                "--algo",
+                "rr",
+            ],
+            vec!["--workload", "attack:n=16", "--algo", "random:3"],
+            vec!["--workload", "urt:n=64,u=2", "--algo", "stale:2"],
+            vec!["--workload", "urt:n=8,u=1", "--rprime", "2"],
+        ];
+        let uniform = "uniform:n=8,load=0.8,seed=5,horizon=300";
+        for algo in ALGOS {
+            lines.push(vec!["--workload", uniform, "--rprime", "2", "--algo", algo]);
+        }
+        for trio in [
+            "mmpp:n=8,calm=0.1,burst=0.9,horizon=400",
+            "onoff:n=8,horizon=400",
+            "zipf:n=8,load=0.7,seed=3,horizon=400",
+        ] {
+            lines.push(vec!["--workload", trio, "--rprime", "2"]);
+        }
+        for flags in lines {
+            let report = run(&flags).unwrap();
+            let (_, rows) = report.split_once(" undeliv\n").unwrap();
+            assert_eq!(rows, shadow_rows(&flags), "{flags:?}");
+        }
+    }
+
+    /// Whether any event of `log` or of a log under it is the shadow's.
+    fn shadow_recorded(log: &EventLog) -> bool {
+        log.events.iter().any(|e| e.engine == Engine::ShadowOq)
+            || log.children.iter().any(shadow_recorded)
+    }
+
+    #[test]
+    fn a_run_drives_one_engine_per_row() {
+        let trio = ["--workload", "uniform:n=8,load=0.7,seed=3,horizon=500"];
+        let attack = ["--workload", "attack:n=16", "--algo", "rr"];
+        for (flags, rows) in [(&trio[..], 3), (&attack[..], 1)] {
+            let args = parsed(flags).unwrap();
+            let at = |telemetry| {
+                let spec = RunSpec {
+                    telemetry,
+                    ..RunSpec::default()
+                };
+                pps_core::run::run(&spec, "run", |sink| super::run(&args, sink).unwrap())
+            };
+            let counted = at(Level::Counters);
+            let traffic = counted.output.lines().find(|l| l.starts_with("traffic"));
+            let words: Vec<&str> = traffic.unwrap().split_whitespace().collect();
+            let cells: u64 = words[2].parse().unwrap();
+            let meters = counted.meters.named();
+            let arrivals = meters.iter().find(|(name, _)| *name == "arrival");
+            assert_eq!(arrivals.unwrap().1, cells * rows, "{flags:?}");
+            assert!(!shadow_recorded(&at(Level::Full).log), "{flags:?}");
         }
     }
 
@@ -312,17 +467,7 @@ mod tests {
 
     #[test]
     fn every_algorithm_spec_parses_and_runs() {
-        for algo in [
-            "rr",
-            "pfr",
-            "random:7",
-            "partition",
-            "ftd:2",
-            "stale:2",
-            "lll",
-            "hash",
-            "cpa",
-        ] {
+        for algo in ALGOS {
             let out = run(&[
                 "--k",
                 "8",

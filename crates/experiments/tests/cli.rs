@@ -276,3 +276,23 @@ fn every_flag_in_the_readme_table_is_accepted() {
     assert!(flags >= 12, "only {flags} flags parsed out of the table");
     let _ = std::fs::remove_dir_all(&scratch);
 }
+
+#[test]
+fn the_documented_attribution_block_is_what_run_prints() {
+    // EXPERIMENTS.md's walkthrough: the command's block, then the block of
+    // what it prints on stderr, which the telemetry counters follow.
+    let doc = include_str!("../../../EXPERIMENTS.md");
+    let line = "ppslab run --workload attack:n=16 --k 8 --rprime 4 --algo rr --telemetry full";
+    let (_, after) = doc
+        .split_once(&format!("{line}\n```\n\n```\n"))
+        .expect("EXPERIMENTS.md shows the line and what it prints");
+    let block = &after[..after.find("```").expect("a closed block")];
+    let args: Vec<&str> = line.split_whitespace().skip(1).collect();
+    let out = ppslab(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let printed = stderr
+        .split_once("telemetry counters:")
+        .map(|(head, _)| head);
+    assert_eq!(printed, Some(block));
+}

@@ -9,9 +9,9 @@
 //!   `R`: per-output FIFO queues, one departure per output per slot, zero
 //!   minimum transit time (a cell can depart in its arrival slot).
 //! * [`oq::fcfs_departures`] — the closed-form FCFS departure schedule
-//!   `dt_j = max(t, last_dt_j + 1)`, yielded cell by cell with O(N) state,
-//!   used both to cross-check the simulated switch and as the deadline
-//!   oracle inside the CPA demultiplexor.
+//!   `dt_j = max(t, last_dt_j + 1)`, yielded cell by cell with O(N) state:
+//!   the reference of `ppslab run`'s rows and e21's FCFS side, which the
+//!   tests hold to the simulated switch.
 //! * [`regulator`] — jitter regulators (paper §6): re-time a run to
 //!   constant delay and measure the internal buffer that costs, linking
 //!   the relative-delay lower bounds to regulator buffer bounds.

@@ -129,9 +129,9 @@ pub fn run_oq_in(trace: &Trace, n: usize, sink: &Sink) -> RunLog {
 /// output `j` departs at `max(arrival(c), previous_departure_j + 1)`.
 ///
 /// Yields each cell's departure in id order, computed as the trace's
-/// arrivals are walked, with O(N) state. This is the deadline oracle the
-/// CPA demultiplexor mimics, and a differential-testing target for
-/// [`run_oq_in`].
+/// arrivals are walked, with O(N) state. `ppslab run` and e21 read it in
+/// place of a shadow switch run; [`run_oq_in`] is the oracle the tests
+/// hold it to.
 pub fn fcfs_departures(trace: &Trace, n: usize) -> impl Iterator<Item = Slot> + '_ {
     let mut last: Vec<Option<Slot>> = vec![None; n];
     trace.arrivals().map(move |a| {

@@ -1,7 +1,7 @@
 //! Trace replay as an [`ArrivalStream`].
 //!
 //! Replays a recorded [`Trace`] (typically loaded from the CSV format of
-//! `pps_core::trace_io`, as written by `ppslab --trace-out`) through the
+//! `pps_core::trace_io`, as written by `ppslab run --save-trace`) through the
 //! same streaming interface the stochastic generators use, so captured or
 //! externally produced workloads run through exactly the same
 //! materialize → lockstep → distribution pipeline. `next_activity` reads

@@ -39,6 +39,11 @@
 #   of the names that only the frozen surface keeps (the shims over the
 #   process-default `RunSpec`); definitions and comments do not count.
 # * DESIGN.md lines: `wc -l` of DESIGN.md (CI gates it at 900).
+# * shadow sites in run.rs: non-test, non-comment lines of
+#   crates/experiments/src/run.rs that name `run_oq`, `ShadowOq` or
+#   `compare_buffer*`. `ppslab run` reads each PPS log against the FCFS
+#   departures streamed from the trace and runs no shadow switch, so this
+#   reads 0 (CI gates it); its tests still hold the rows to one.
 root=${1:-$(dirname "$0")/..}
 cd "$root" || exit 1
 
@@ -137,3 +142,9 @@ shim_calls=$(find crates src tests examples -name '*.rs' 2>/dev/null | sort |
     grep -cvE '^[[:space:]]*(//|(pub(\([a-z]+\))? )?fn )')
 echo "items named by ppsbench        $named"
 echo "shim calls outside ppsbench/   $shim_calls"
+shadow=0
+if [ -f crates/experiments/src/run.rs ]; then
+    shadow=$(nontest crates/experiments/src/run.rs | grep -vE '^[^:]+:[[:space:]]*//' |
+        grep -cE 'run_oq|ShadowOq|compare_buffer')
+fi
+echo "shadow sites in run.rs         $shadow"

@@ -77,7 +77,7 @@ fn composite_jitter_matches_the_worse_output() {
     let atk_b = concentration_attack_on(&demux, &cfg, &b, 5, 4 * k);
     let merged = atk_a.trace.clone().merge(atk_b.trace, n).unwrap();
     let cmp = compare_bufferless_in(cfg, demux, &merged, &Sink::default()).unwrap();
-    let jit = metrics::relative_jitter(&cmp.pps.log, &cmp.oq);
+    let jit = metrics::relative_jitter(&cmp.pps.log, cmp.oq.departures());
     assert!(
         jit as u64 >= atk_a.model_exact_bound.max(atk_b.model_exact_bound),
         "jitter {jit} below the per-output bounds"

@@ -4,7 +4,7 @@
 //! must be a deliberate, documented decision (recorded in EXPERIMENTS.md's
 //! "Deviations" list), never drift.
 
-use pps_analysis::metrics::relative_delay;
+use pps_analysis::metrics::{max_concentration, relative_delay};
 use pps_analysis::{
     compare_buffered_in, compare_bufferless_faulted_in, compare_bufferless_in, fault_impact,
 };
@@ -70,7 +70,7 @@ fn corollary7_exact_to_the_slot() {
             "jitter at N={n} K={k} r'={r_prime}"
         );
         assert_eq!(
-            cmp.max_concentration(),
+            max_concentration(&cmp.pps.log),
             n,
             "concentration must be the full burst: {n}"
         );
