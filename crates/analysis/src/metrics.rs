@@ -152,13 +152,24 @@ pub fn relative_jitter(pps: &RunLog, oq: impl IntoIterator<Item = Option<Slot>>)
 }
 
 /// Largest number of cells one plane carried for one output — the
-/// measured concentration `c` of Lemma 4, reconstructed from a PPS log.
+/// measured concentration `c` of Lemma 4, reconstructed from a PPS log: its
+/// plane column, folded beside the table's outputs into a flat counter
+/// indexed `output · K + plane`.
 pub fn max_concentration(pps: &RunLog) -> usize {
-    let mut counts = HashMap::<_, usize>::new();
-    for rec in pps.records().filter(|rec| rec.plane().is_some()) {
-        *counts.entry((rec.plane(), rec.output)).or_default() += 1;
+    let Some(k) = pps.planes().flatten().map(|p| p.idx() + 1).max() else {
+        return 0;
+    };
+    let mut counts: Vec<usize> = Vec::new();
+    for (a, plane) in pps.arrivals().zip(pps.planes()) {
+        if let Some(p) = plane {
+            let at = a.output.idx() * k + p.idx();
+            if at >= counts.len() {
+                counts.resize(at + 1, 0);
+            }
+            counts[at] += 1;
+        }
     }
-    counts.into_values().max().unwrap_or(0)
+    counts.into_iter().max().unwrap_or(0)
 }
 
 /// Departure-rank relative delay for one output inside a window: compare

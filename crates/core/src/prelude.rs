@@ -14,7 +14,7 @@ pub use crate::error::ModelError;
 pub use crate::fault::{FaultEvent, FaultPlan, PlaneMask};
 pub use crate::ids::{CellId, FlowId, PlaneId, PortId};
 pub use crate::link::{LinkBank, LinkSide};
-pub use crate::queue::FifoQueue;
+pub use crate::queue::FifoSlab;
 pub use crate::rate::Ratio;
 pub use crate::record::{CellRecord, Records, RunLog};
 pub use crate::run::{RunSpec, Sink};

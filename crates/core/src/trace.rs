@@ -228,9 +228,8 @@ const ESCAPED: u32 = u32::MAX;
 /// 8; 8 bytes while offsets and seqs fit 16 bits; 12 bytes otherwise),
 /// plus one base slot per block. A table starts short and is rewritten
 /// once per wider layout a row needs, never back; tables with equal cells
-/// are equal whatever their layouts. Shared, read-only, by the [`Trace`],
-/// every log of it ([`RunLog::table`](crate::RunLog::table)) and the PPS
-/// fabric, whose queues hold bare ids and read a cell's facts here.
+/// are equal whatever their layouts. Shared, read-only, by the [`Trace`]
+/// and every log of it ([`RunLog::table`](crate::RunLog::table)).
 #[derive(Clone, Debug, Default)]
 pub struct CellTable {
     /// One row per cell, in id order, i.e. sorted by `(slot, input)`.
@@ -564,7 +563,7 @@ impl Trace {
     /// Every engine run pulls its arrivals through one of these
     /// ([`crate::stepping::drive`]), so per-cell records can be joined by
     /// [`CellId`] afterwards.
-    pub(crate) fn cursor(&self) -> CellCursor<'_> {
+    pub fn cursor(&self) -> CellCursor<'_> {
         CellCursor {
             cells: &self.cells,
             pos: 0,
@@ -659,7 +658,7 @@ impl fmt::Debug for Arrivals<'_> {
 }
 
 /// Lazy cell view of a trace; see [`Trace::cursor`].
-pub(crate) struct CellCursor<'a> {
+pub struct CellCursor<'a> {
     cells: &'a CellTable,
     pos: usize,
 }

@@ -30,7 +30,7 @@ use pps_switch::demux::RandomDemux;
 /// The oblivious burst: after an idle prefix, one cell per slot for the
 /// hot output from each of the `n` inputs (no alignment phase — nothing to
 /// align without knowing the seed).
-fn oblivious_burst(n: usize) -> Trace {
+pub(crate) fn oblivious_burst(n: usize) -> Trace {
     let arrivals = (0..n as u64)
         .map(|i| Arrival::new(i, i as u32, 0))
         .collect();

@@ -361,6 +361,14 @@ mod tests {
 
     /// The rows of `ppslab run` + `flags`, rebuilt beside a shadow switch.
     fn shadow_rows(flags: &[&str]) -> String {
+        comparisons(flags)
+            .iter()
+            .map(|(label, cmp)| shadow_row(label, cmp))
+            .collect()
+    }
+
+    /// Each row of `ppslab run` + `flags` as a labelled `Comparison`.
+    fn comparisons(flags: &[&str]) -> Vec<(String, Comparison)> {
         let args = parsed(flags).unwrap();
         let (n, traffic) = parse(&args.workload).unwrap();
         let cfg = PpsConfig::bufferless(n, args.k, args.r_prime);
@@ -373,12 +381,14 @@ mod tests {
         };
         algos
             .into_iter()
-            .map(|(label, algo)| shadow_row(label, &with_algo(algo, cfg, Compare(&trace)).unwrap()))
+            .map(|(label, algo)| (label.into(), with_algo(algo, cfg, Compare(&trace)).unwrap()))
             .collect()
     }
 
-    #[test]
-    fn every_row_is_the_row_a_shadow_switch_gives() {
+    /// The `ppslab run` lines the row tests cover: the attack and `urt:`
+    /// lines, all nine algorithms on a short uniform trace, and the trio
+    /// on short stochastic ones.
+    fn table_lines() -> Vec<Vec<&'static str>> {
         let mut lines = vec![
             vec![
                 "--workload",
@@ -405,10 +415,48 @@ mod tests {
         ] {
             lines.push(vec!["--workload", trio, "--rprime", "2"]);
         }
-        for flags in lines {
+        lines
+    }
+
+    #[test]
+    fn every_row_is_the_row_a_shadow_switch_gives() {
+        for flags in table_lines() {
             let report = run(&flags).unwrap();
             let (_, rows) = report.split_once(" undeliv\n").unwrap();
             assert_eq!(rows, shadow_rows(&flags), "{flags:?}");
+        }
+    }
+
+    /// `max_concentration` as it was: a `HashMap` of records keyed by
+    /// `(plane, output)`.
+    fn hashed_concentration(pps: &RunLog) -> usize {
+        let mut counts = std::collections::HashMap::<_, usize>::new();
+        for rec in pps.records().filter(|rec| rec.plane().is_some()) {
+            *counts.entry((rec.plane(), rec.output)).or_default() += 1;
+        }
+        counts.into_values().max().unwrap_or(0)
+    }
+
+    #[test]
+    fn max_concentration_is_the_hashed_count() {
+        let mut logs: Vec<RunLog> = table_lines()
+            .iter()
+            .flat_map(|flags| comparisons(flags))
+            .map(|(_, cmp)| cmp.pps.log)
+            .collect();
+        // e14's oblivious bursts at its three sizes, a few seeds each.
+        for n in [16, 32, 64] {
+            let trace = crate::e14_random_distribution::oblivious_burst(n);
+            for seed in 0..4 {
+                let cfg = PpsConfig::bufferless(n, 8, 4);
+                let cmp =
+                    compare_bufferless_in(cfg, RandomDemux::new(n, seed), &trace, &Sink::default());
+                logs.push(cmp.unwrap().pps.log);
+            }
+        }
+        logs.push(RunLog::default());
+        for log in &logs {
+            assert_eq!(metrics::max_concentration(log), hashed_concentration(log));
         }
     }
 

@@ -9,8 +9,9 @@
 //! global FCFS (exact mimicking of a FCFS output-queued switch, footnote 3
 //! of the paper), and unordered greedy (ablation only).
 //!
-//! The mux holds bare [`CellId`]s and reads what a cell is from the trace's
-//! [`CellTable`]. FlowFifo state costs 8 bytes per input (`Flow`: the
+//! The mux holds the records the planes deliver (`InFlight`), so what it
+//! reads of a cell (input, seq) and what the log needs at its departure
+//! (arrival) come with it. FlowFifo state costs 8 bytes per input (`Flow`: the
 //! next seq, and one word for the eligible bit and the ring's slab index),
 //! allocated at the mux's first delivery, so an output no cell reaches
 //! holds none; a flow that parks an out-of-order cell takes a `SeqRing`,
@@ -29,7 +30,34 @@ use pps_core::telemetry::{Engine, EventKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Sparse sequence-indexed ring holding one flow's gap-blocked cell ids.
+/// What the fabric carries of a cell from dispatch to departure: what the
+/// mux reads (input, seq), what orders it (id) and what the log needs when
+/// it departs (arrival). Its output is the queue it is in.
+///
+/// Records order by id (the first field; ids are unique, so no other field
+/// is ever compared): the trace numbers cells in `(arrival slot, input)`
+/// order, so the smallest id is the earliest switch arrival, ties broken by
+/// input — and global FCFS rank.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct InFlight {
+    pub(crate) id: CellId,
+    pub(crate) arrival: Slot,
+    pub(crate) input: PortId,
+    pub(crate) seq: u32,
+}
+
+impl From<Cell> for InFlight {
+    fn from(cell: Cell) -> Self {
+        InFlight {
+            id: cell.id,
+            arrival: cell.arrival,
+            input: cell.input,
+            seq: cell.seq,
+        }
+    }
+}
+
+/// Sparse sequence-indexed ring holding one flow's gap-blocked cells.
 ///
 /// Cells wait here keyed by their per-flow sequence number; at any moment
 /// the pending seqs live in a window no wider than the flow's in-switch
@@ -38,14 +66,14 @@ use std::collections::{BinaryHeap, VecDeque};
 /// occupancy check compares the stored seq, so a stale slot can never
 /// masquerade as a hit). Insert, remove-min, and min queries are O(1)
 /// amortized — the resequencer's whole hot path, which previously walked a
-/// `BTreeMap` per delivery and per emission. Slots store `(seq, id)` — two
-/// words — instead of a whole `Cell`. An emptied ring has every slot
+/// `BTreeMap` per delivery and per emission. A slot's key is its cell's
+/// own `seq`. An emptied ring has every slot
 /// vacant, so a flow that takes it from the slab starts clean and keeps
 /// only its capacity.
 #[derive(Clone, Debug, Default)]
 struct SeqRing {
     /// Power-of-two slot array (empty until the first insert).
-    slots: Vec<Option<(u32, CellId)>>,
+    slots: Vec<Option<InFlight>>,
     /// Pending-cell count.
     len: usize,
     /// Exact smallest pending seq (meaningful while `len > 0`).
@@ -71,14 +99,15 @@ impl SeqRing {
         }
         let new_cap = span.next_power_of_two().max(8);
         let mut new_slots = vec![None; new_cap];
-        for (seq, id) in self.slots.drain(..).flatten() {
-            new_slots[seq as usize & (new_cap - 1)] = Some((seq, id));
+        for cell in self.slots.drain(..).flatten() {
+            new_slots[cell.seq as usize & (new_cap - 1)] = Some(cell);
         }
         self.slots = new_slots;
     }
 
-    /// Park cell `id` under its sequence number `seq`.
-    fn insert(&mut self, seq: u32, id: CellId) {
+    /// Park `cell` under its sequence number.
+    fn insert(&mut self, cell: InFlight) {
+        let seq = cell.seq;
         let (lo, hi) = if self.len == 0 {
             (seq, seq)
         } else {
@@ -88,7 +117,7 @@ impl SeqRing {
         let mask = self.slots.len() - 1;
         let slot = &mut self.slots[seq as usize & mask];
         debug_assert!(slot.is_none(), "duplicate seq {seq} delivered");
-        *slot = Some((seq, id));
+        *slot = Some(cell);
         self.len += 1;
         self.min_seq = lo;
         self.max_seq = hi;
@@ -97,28 +126,28 @@ impl SeqRing {
     /// Take the cell parked under `seq`, if present. Callers only ever
     /// remove the current minimum (the head the flow is waiting on), so
     /// the min is maintained by scanning forward from the vacated slot.
-    fn remove(&mut self, seq: u32) -> Option<CellId> {
+    fn remove(&mut self, seq: u32) -> Option<InFlight> {
         if self.len == 0 {
             return None;
         }
         let cap = self.slots.len();
         let slot = &mut self.slots[seq as usize & (cap - 1)];
         match slot {
-            Some((s, _)) if *s == seq => {}
+            Some(c) if c.seq == seq => {}
             _ => return None,
         }
-        let (_, id) = slot.take().expect("matched above");
+        let cell = slot.take().expect("matched above");
         self.len -= 1;
         if self.len > 0 && seq == self.min_seq {
             let mut s = seq + 1;
             self.min_seq = loop {
-                if matches!(&self.slots[s as usize & (cap - 1)], Some((q, _)) if *q == s) {
+                if matches!(&self.slots[s as usize & (cap - 1)], Some(c) if c.seq == s) {
                     break s;
                 }
                 s += 1;
             };
         }
-        Some(id)
+        Some(cell)
     }
 }
 
@@ -178,11 +207,9 @@ pub struct OutputMux {
     /// The run's telemetry gate (detached outside a fabric).
     sink: Sink,
     /// FlowFifo/Greedy: cells eligible for emission right now, min-heap
-    /// by id. The trace numbers cells in `(arrival slot, input)` order, so
-    /// the smallest id is the earliest switch arrival, ties broken by
-    /// input. (A binary heap, not a BTreeMap: push/pop-min dominate the
-    /// hot path and keys are never removed out of order.)
-    eligible: BinaryHeap<Reverse<CellId>>,
+    /// by id ([`InFlight`]'s order). (A binary heap, not a BTreeMap: push/pop-min
+    /// dominate the hot path and keys are never removed out of order.)
+    eligible: BinaryHeap<Reverse<InFlight>>,
     /// FlowFifo: each input's flow, empty until the mux's first delivery
     /// sizes it to `inputs` (an output no cell reaches holds none).
     flows: Vec<Flow>,
@@ -202,7 +229,7 @@ pub struct OutputMux {
     /// GlobalFcfs: cells parked at the mux, min-heap by id (emission only
     /// ever takes the oldest; ids are globally unique and encode FCFS
     /// order).
-    present: BinaryHeap<Reverse<CellId>>,
+    present: BinaryHeap<Reverse<InFlight>>,
     /// Number of cells currently held (all disciplines).
     held: usize,
     /// High-water mark of `held`.
@@ -292,19 +319,19 @@ impl OutputMux {
         }
     }
 
-    /// A plane delivered cell `id` to this output in slot `now`. Returns
+    /// A plane delivered `cell` to this output in slot `now`. Returns
     /// `false` if the cell was discarded as *late*: the watchdog had
     /// already skipped past it, so emitting it now would reorder cells
     /// already sent on the external line. (Without a watchdog every
     /// delivery is accepted.)
-    pub fn deliver(&mut self, cells: &CellTable, id: CellId, now: Slot) -> bool {
+    pub(crate) fn deliver(&mut self, cell: InFlight, now: Slot) -> bool {
+        let id = cell.id;
         match self.discipline {
             OutputDiscipline::FlowFifo => {
                 if self.flows.is_empty() {
                     self.flows = vec![Flow::default(); self.inputs];
                 }
-                let i = cells.input(id).idx();
-                let seq = cells.seq(id);
+                let (i, seq) = (cell.input.idx(), cell.seq);
                 let flow = &mut self.flows[i];
                 if seq < flow.next_seq {
                     self.late_dropped += 1;
@@ -313,13 +340,13 @@ impl OutputMux {
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
                 if seq == flow.next_seq {
-                    self.push_eligible(i, id);
+                    self.push_eligible(i, cell);
                 } else {
                     self.sink.record(Engine::Pps, now, || EventKind::ReseqHold {
                         cell: id,
                         output: self.port,
                     });
-                    self.park(i, seq, id);
+                    self.park(i, cell);
                 }
                 self.refresh_gap(i, now);
             }
@@ -337,31 +364,31 @@ impl OutputMux {
                         output: self.port,
                     });
                 }
-                self.present.push(Reverse(id));
+                self.present.push(Reverse(cell));
             }
             OutputDiscipline::Greedy => {
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
-                self.eligible.push(Reverse(id));
+                self.eligible.push(Reverse(cell));
             }
         }
         true
     }
 
-    /// Make `id`, the cell input `i`'s flow waits for, eligible.
-    fn push_eligible(&mut self, i: usize, id: CellId) {
+    /// Make `cell`, the one input `i`'s flow waits for, eligible.
+    fn push_eligible(&mut self, i: usize, cell: InFlight) {
         let flow = &mut self.flows[i];
         debug_assert!(
             !flow.eligible(),
             "input {i}'s flow already has an eligible cell"
         );
         flow.set_eligible(true);
-        self.eligible.push(Reverse(id));
+        self.eligible.push(Reverse(cell));
     }
 
-    /// Park cell `id` under `seq` in input `i`'s ring, taking one from the
-    /// slab if the flow has none.
-    fn park(&mut self, i: usize, seq: u32, id: CellId) {
+    /// Park `cell` in input `i`'s ring, taking one from the slab if the
+    /// flow has none.
+    fn park(&mut self, i: usize, cell: InFlight) {
         let flow = &mut self.flows[i];
         let ring = flow.ring().unwrap_or_else(|| {
             let ring = self.free.pop().unwrap_or_else(|| {
@@ -371,22 +398,22 @@ impl OutputMux {
             flow.set_ring(Some(ring));
             ring
         });
-        self.gaps[ring as usize].ring.insert(seq, id);
+        self.gaps[ring as usize].ring.insert(cell);
     }
 
     /// Take the cell parked under `seq` in input `i`'s ring, if present. A
     /// ring left empty goes back to the slab, its timer cleared.
-    fn unpark(&mut self, i: usize, seq: u32) -> Option<CellId> {
+    fn unpark(&mut self, i: usize, seq: u32) -> Option<InFlight> {
         let flow = &mut self.flows[i];
         let ring = flow.ring()?;
         let gap = &mut self.gaps[ring as usize];
-        let id = gap.ring.remove(seq)?;
+        let cell = gap.ring.remove(seq)?;
         if gap.ring.is_empty() {
             gap.blocked_since = None;
             self.free.push(ring);
             flow.set_ring(None);
         }
-        Some(id)
+        Some(cell)
     }
 
     /// Restart or clear input `i`'s gap timer: the flow is gap-blocked iff
@@ -412,13 +439,13 @@ impl OutputMux {
     /// per-flow for FlowFifo (a gap must not wait behind other flows'
     /// emissions), whole-mux for GlobalFcfs (where a straggler blocks
     /// everything by definition).
-    pub fn emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
+    pub(crate) fn emit(&mut self, now: Slot) -> Option<InFlight> {
         if self.watchdog.is_some() && self.discipline == OutputDiscipline::FlowFifo {
             self.expire_gaps(now);
         }
-        if let Some(id) = self.try_emit(cells, now) {
+        if let Some(cell) = self.try_emit(now) {
             self.stalled_since = None;
-            return Some(id);
+            return Some(cell);
         }
         if self.held == 0 {
             self.stalled_since = None;
@@ -429,11 +456,11 @@ impl OutputMux {
             if self.discipline == OutputDiscipline::GlobalFcfs && now - since + 1 >= limit {
                 self.skip_stragglers(now);
                 self.stalled_since = None;
-                if let Some(id) = self.try_emit(cells, now) {
+                if let Some(cell) = self.try_emit(now) {
                     // The skip unblocked an emission, so by definition
                     // ("held cells but emitted nothing") this slot is not
                     // stalled — it must not be counted below.
-                    return Some(id);
+                    return Some(cell);
                 }
             }
         }
@@ -471,7 +498,7 @@ impl OutputMux {
                 });
             self.sink
                 .record(Engine::Pps, now, || EventKind::ReseqRelease {
-                    cell: head,
+                    cell: head.id,
                     output: self.port,
                 });
             self.push_eligible(i, head);
@@ -479,14 +506,14 @@ impl OutputMux {
         }
     }
 
-    fn try_emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
-        let id = match self.discipline {
+    fn try_emit(&mut self, now: Slot) -> Option<InFlight> {
+        let cell = match self.discipline {
             OutputDiscipline::FlowFifo => {
-                let Reverse(id) = self.eligible.pop()?;
-                let i = cells.input(id).idx();
+                let Reverse(cell) = self.eligible.pop()?;
+                let i = cell.input.idx();
                 let flow = &mut self.flows[i];
                 // The flow's one eligible cell is the one it waits for.
-                debug_assert_eq!(cells.seq(id), flow.next_seq);
+                debug_assert_eq!(cell.seq, flow.next_seq);
                 let next_seq = flow.next_seq + 1;
                 flow.set_eligible(false);
                 flow.next_seq = next_seq;
@@ -494,13 +521,13 @@ impl OutputMux {
                 if let Some(next) = self.unpark(i, next_seq) {
                     self.sink
                         .record(Engine::Pps, now, || EventKind::ReseqRelease {
-                            cell: next,
+                            cell: next.id,
                             output: self.port,
                         });
                     self.push_eligible(i, next);
                 }
                 self.refresh_gap(i, now);
-                id
+                cell
             }
             OutputDiscipline::GlobalFcfs => {
                 // Emit the oldest present cell only if nothing older is
@@ -510,17 +537,18 @@ impl OutputMux {
                     .in_flight
                     .front()
                     .expect("present cells are always registered in flight");
-                if oldest_present != oldest_in_flight {
+                if oldest_present.id != oldest_in_flight {
                     return None; // wait for the straggler
                 }
                 self.in_flight.pop_front();
-                self.present.pop().expect("peeked above").0
+                self.present.pop();
+                oldest_present
             }
             OutputDiscipline::Greedy => self.eligible.pop()?.0,
         };
         self.held -= 1;
         self.emitted += 1;
-        Some(id)
+        Some(cell)
     }
 
     /// GlobalFcfs watchdog: abandon in-flight registrations older than the
@@ -533,7 +561,7 @@ impl OutputMux {
         };
         let mut abandoned = 0u32;
         while let Some(&oldest) = self.in_flight.front() {
-            if oldest >= oldest_present {
+            if oldest >= oldest_present.id {
                 break;
             }
             self.in_flight.pop_front();
@@ -557,7 +585,7 @@ impl OutputMux {
         match self.discipline {
             OutputDiscipline::FlowFifo | OutputDiscipline::Greedy => !self.eligible.is_empty(),
             OutputDiscipline::GlobalFcfs => match self.present.peek() {
-                Some(&Reverse(oldest)) => self.in_flight.front() == Some(&oldest),
+                Some(&Reverse(oldest)) => self.in_flight.front() == Some(&oldest.id),
                 None => false,
             },
         }
@@ -657,7 +685,7 @@ impl OutputMux {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::BTreeMap;
 
     fn cell(id: u64, input: u32, seq: u32, arrival: Slot) -> Cell {
         Cell {
@@ -669,60 +697,41 @@ mod tests {
         }
     }
 
-    /// Test harness: a mux plus a table of every cell handed to it (ids
-    /// the test never uses hold filler rows), so test bodies deliver
-    /// `Cell`s.
+    /// Test harness: a mux plus the arrival and input of every cell a
+    /// test delivered, so test bodies deliver `Cell`s and read ids back.
     struct Rig {
-        rows: Vec<Cell>,
-        /// The ids a test has entered (filler rows are not among them).
-        named: BTreeSet<CellId>,
-        log: RunLog,
+        named: BTreeMap<CellId, (Slot, PortId)>,
         m: OutputMux,
     }
 
     impl Rig {
         fn new(n: usize, discipline: OutputDiscipline) -> Self {
             Rig {
-                rows: Vec::new(),
-                named: BTreeSet::new(),
-                log: RunLog::default(),
+                named: BTreeMap::new(),
                 m: OutputMux::new(n, discipline),
             }
         }
 
-        /// Enter `c` as its id's row of the table. The rows a test names
-        /// must be in `(arrival, input)` order by id, as in every table a
-        /// trace builds: the mux's eligible heap relies on it.
-        fn add(&mut self, c: Cell) {
-            while self.rows.len() <= c.id.idx() {
-                self.rows.push(cell(self.rows.len() as u64, 0, 0, 0));
-            }
-            self.rows[c.id.idx()] = c;
-            self.named.insert(c.id);
-            let keys: Vec<_> = self
-                .named
-                .iter()
-                .map(|id| (self.rows[id.idx()].arrival, self.rows[id.idx()].input))
-                .collect();
+        /// Deliver `c`. The cells a test names must be in `(arrival, input)`
+        /// order by id, as every trace numbers them: the mux's heaps rely
+        /// on it.
+        fn deliver(&mut self, c: Cell, now: Slot) -> bool {
+            self.named.insert(c.id, (c.arrival, c.input));
+            let keys: Vec<_> = self.named.values().collect();
             assert!(
                 keys.windows(2).all(|w| w[0] < w[1]),
-                "no table numbers these cells so: {:?}",
-                self.named.iter().zip(&keys).collect::<Vec<_>>()
+                "no trace numbers these cells so: {:?}",
+                self.named
             );
-            self.log = RunLog::with_cells(&self.rows);
-        }
-
-        fn deliver(&mut self, c: Cell, now: Slot) -> bool {
-            self.add(c);
-            self.m.deliver(self.log.table(), c.id, now)
+            self.m.deliver(c.into(), now)
         }
 
         fn emit(&mut self, now: Slot) -> Option<CellId> {
-            self.m.emit(self.log.table(), now)
+            self.m.emit(now).map(|c| c.id)
         }
 
         fn emit_seq(&mut self, now: Slot) -> Option<u32> {
-            self.emit(now).map(|id| self.log.table().seq(id))
+            self.m.emit(now).map(|c| c.seq)
         }
     }
 
@@ -1169,17 +1178,16 @@ mod tests {
         let cells: Vec<Cell> = (0..2 * n)
             .map(|k| cell(k as u64, (k % n) as u32, (k / n) as u32, (k / n) as Slot))
             .collect();
-        let log = RunLog::with_cells(&cells);
         let mut m = OutputMux::new(n, OutputDiscipline::FlowFifo);
-        for c in &cells[n..] {
-            assert!(m.deliver(log.table(), c.id, 0));
+        for &c in &cells[n..] {
+            assert!(m.deliver(c.into(), 0));
         }
         assert_eq!(rings(&m), (n, n));
         for (i, flow) in m.flows.iter().enumerate() {
             assert_eq!((flow.eligible(), flow.ring()), (false, Some(i as u32)));
         }
-        for c in &cells[..n] {
-            assert!(m.deliver(log.table(), c.id, 1));
+        for &c in &cells[..n] {
+            assert!(m.deliver(c.into(), 1));
         }
         for (i, flow) in m.flows.iter().enumerate() {
             assert_eq!((flow.eligible(), flow.ring()), (true, Some(i as u32)));
@@ -1187,7 +1195,7 @@ mod tests {
         // Each emitted seq 0 makes its flow's seq 1 eligible; the heap
         // orders by id, so the cells leave in id order.
         for (now, c) in cells.iter().enumerate() {
-            assert_eq!(m.emit(log.table(), 2 + now as Slot), Some(c.id));
+            assert_eq!(m.emit(2 + now as Slot).map(|r| r.id), Some(c.id));
         }
         assert_eq!(m.held(), 0);
         assert_eq!(rings(&m), (n, 0));

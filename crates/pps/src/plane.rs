@@ -9,16 +9,18 @@
 //! allows to be *optimal*: the lower bounds do not depend on plane
 //! scheduling, only on the line-rate bottleneck.
 //!
-//! Queues hold bare [`CellId`]s; what a cell is lives in the trace's
-//! [`CellTable`], so a plane hop moves one word, not a whole `Cell`.
+//! A plane's `N` queues share one [`FifoSlab`], and each entry is the
+//! dispatched cell's [`InFlight`] record, so what the output needs of it
+//! (input, seq, arrival) travels with it.
 
+use crate::output::InFlight;
 use pps_core::prelude::*;
 
 /// One center-stage plane: per-output FIFO buffers plus carry statistics.
 #[derive(Clone, Debug)]
 pub(crate) struct Plane {
-    /// Per-destination FIFO queues of cell ids.
-    queues: Vec<FifoQueue<CellId>>,
+    /// Per-destination FIFO queues of in-flight cells.
+    queues: FifoSlab<InFlight>,
     /// Cells ever accepted by this plane.
     carried: u64,
     /// Whether the plane has failed (fault-injection experiments): a failed
@@ -30,36 +32,36 @@ impl Plane {
     /// An idle plane for an `n`-port switch.
     pub(crate) fn new(n: usize) -> Self {
         Plane {
-            queues: (0..n).map(|_| FifoQueue::new()).collect(),
+            queues: FifoSlab::new(n),
             carried: 0,
             failed: false,
         }
     }
 
-    /// Accept cell `id` for destination queue `output`. Returns `false` if
+    /// Accept `cell` for destination queue `output`. Returns `false` if
     /// the plane has failed and the cell was lost.
-    pub(crate) fn accept(&mut self, id: CellId, output: usize) -> bool {
+    pub(crate) fn accept(&mut self, cell: InFlight, output: usize) -> bool {
         if self.failed {
             return false;
         }
-        self.queues[output].push(id);
+        self.queues.push(output, cell);
         self.carried += 1;
         true
     }
 
     /// Pop the head cell queued for `output`.
-    pub(crate) fn pop_for(&mut self, output: usize) -> Option<CellId> {
-        self.queues[output].pop()
+    pub(crate) fn pop_for(&mut self, output: usize) -> Option<InFlight> {
+        self.queues.pop(output)
     }
 
     /// Occupancy of the queue for `output`.
     pub(crate) fn queue_len(&self, output: usize) -> usize {
-        self.queues[output].len()
+        self.queues.len(output)
     }
 
     /// Total queued cells across outputs.
     pub(crate) fn backlog(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.queues.backlog()
     }
 
     /// Cells ever accepted.
@@ -70,24 +72,20 @@ impl Plane {
     /// Highest occupancy any destination queue ever reached — the buffer
     /// provisioning the paper ties to relative queuing delay.
     pub(crate) fn max_queue_occupancy(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| q.max_occupancy())
-            .max()
-            .unwrap_or(0)
+        self.queues.max_occupancy()
     }
 
     /// Mark the plane failed (fault-injection); subsequent cells are lost.
     /// Cells already queued inside the plane are lost with it — they are
-    /// drained and returned as `(output, id)`, output by output, so the
-    /// fabric can account for them (live counters, straggler
-    /// registrations, drop statistics).
-    pub(crate) fn fail(&mut self) -> Vec<(usize, CellId)> {
+    /// drained and returned as `(output, cell)`, output by output and FIFO
+    /// within each, so the fabric can account for them (live counters,
+    /// straggler registrations, drop statistics).
+    pub(crate) fn fail(&mut self) -> Vec<(usize, InFlight)> {
         self.failed = true;
-        let mut flushed = Vec::new();
-        for (output, q) in self.queues.iter_mut().enumerate() {
-            while let Some(id) = q.pop() {
-                flushed.push((output, id));
+        let mut flushed = Vec::with_capacity(self.backlog());
+        for output in 0..self.queues.keys() {
+            while let Some(cell) = self.queues.pop(output) {
+                flushed.push((output, cell));
             }
         }
         flushed
@@ -109,15 +107,30 @@ impl Plane {
 mod tests {
     use super::*;
 
+    /// The record of cell `id`, from input `id`.
+    fn cell(id: u64) -> InFlight {
+        InFlight {
+            id: CellId(id),
+            arrival: 0,
+            input: PortId(id as u32),
+            seq: 0,
+        }
+    }
+
+    /// `(output, id)` of each flushed cell.
+    fn ids(flushed: &[(usize, InFlight)]) -> Vec<(usize, u64)> {
+        flushed.iter().map(|(j, c)| (*j, c.id.0)).collect()
+    }
+
     #[test]
     fn per_output_fifo() {
         let mut p = Plane::new(2);
-        assert!(p.accept(CellId(0), 1));
-        assert!(p.accept(CellId(1), 0));
-        assert!(p.accept(CellId(2), 1));
+        assert!(p.accept(cell(0), 1));
+        assert!(p.accept(cell(1), 0));
+        assert!(p.accept(cell(2), 1));
         assert_eq!(p.queue_len(1), 2);
-        assert_eq!(p.pop_for(1), Some(CellId(0)));
-        assert_eq!(p.pop_for(1), Some(CellId(2)));
+        assert_eq!(p.pop_for(1), Some(cell(0)));
+        assert_eq!(p.pop_for(1), Some(cell(2)));
         assert_eq!(p.pop_for(1), None);
         assert_eq!(p.backlog(), 1);
         assert_eq!(p.carried(), 3);
@@ -127,7 +140,7 @@ mod tests {
     fn failed_plane_black_holes() {
         let mut p = Plane::new(1);
         assert!(p.fail().is_empty());
-        assert!(!p.accept(CellId(0), 0));
+        assert!(!p.accept(cell(0), 0));
         assert_eq!(p.backlog(), 0);
         assert_eq!(p.carried(), 0);
     }
@@ -135,23 +148,36 @@ mod tests {
     #[test]
     fn failure_flushes_queued_cells_and_recovery_restarts_empty() {
         let mut p = Plane::new(2);
-        assert!(p.accept(CellId(0), 0));
-        assert!(p.accept(CellId(1), 1));
-        let flushed = p.fail();
-        assert_eq!(flushed, vec![(0, CellId(0)), (1, CellId(1))]);
+        assert!(p.accept(cell(0), 0));
+        assert!(p.accept(cell(1), 1));
+        assert_eq!(ids(&p.fail()), vec![(0, 0), (1, 1)]);
         assert_eq!(p.backlog(), 0);
         assert!(p.is_failed());
         p.recover();
         assert!(!p.is_failed());
-        assert!(p.accept(CellId(2), 0));
+        assert!(p.accept(cell(2), 0));
         assert_eq!(p.queue_len(0), 1);
+    }
+
+    #[test]
+    fn failure_flushes_output_by_output_fifo_within_each() {
+        // Interleaved arrivals, one output popped part-way: the flush lists
+        // output 0's cells before output 2's, each in arrival order, and
+        // skips the empty output 1.
+        let mut p = Plane::new(3);
+        for (id, output) in [(0, 2), (1, 0), (2, 2), (3, 0), (4, 2), (5, 0)] {
+            assert!(p.accept(cell(id), output));
+        }
+        assert_eq!(p.pop_for(2), Some(cell(0)));
+        assert_eq!(ids(&p.fail()), vec![(0, 1), (0, 3), (0, 5), (2, 2), (2, 4)]);
+        assert_eq!((p.backlog(), p.max_queue_occupancy()), (0, 3));
     }
 
     #[test]
     fn occupancy_high_water_mark() {
         let mut p = Plane::new(1);
         for i in 0..4 {
-            p.accept(CellId(i), 0);
+            p.accept(cell(i), 0);
         }
         p.pop_for(0);
         p.pop_for(0);

@@ -15,10 +15,10 @@ use pps_core::telemetry::{Engine, EventKind};
 /// the same trace.
 #[derive(Clone, Debug)]
 pub struct ShadowOq {
-    /// Per-output FIFO queues of bare cell ids — departures only need the
-    /// id (the `RunLog` keyed by it holds the metadata), so the queues
-    /// never park whole `Cell` values.
-    queues: Vec<FifoQueue<CellId>>,
+    /// Per-output FIFO queues of bare cell ids, in one slab — departures
+    /// only need the id (the `RunLog` keyed by it holds the metadata), so
+    /// the queues never park whole `Cell` values.
+    queues: FifoSlab<CellId>,
     /// The run's telemetry gate.
     sink: Sink,
 }
@@ -32,7 +32,7 @@ impl ShadowOq {
     /// An idle `n × n` OQ switch that records into `sink`.
     pub fn new_in(n: usize, sink: &Sink) -> Self {
         ShadowOq {
-            queues: (0..n).map(|_| FifoQueue::new()).collect(),
+            queues: FifoSlab::new(n),
             sink: sink.clone(),
         }
     }
@@ -50,10 +50,10 @@ impl ShadowOq {
                     input: cell.input,
                     output: cell.output,
                 });
-            self.queues[cell.output.idx()].push(cell.id);
+            self.queues.push(cell.output.idx(), cell.id);
         }
-        for (j, q) in self.queues.iter_mut().enumerate() {
-            if let Some(id) = q.pop() {
+        for j in 0..self.queues.keys() {
+            if let Some(id) = self.queues.pop(j) {
                 self.sink
                     .record(Engine::ShadowOq, now, || EventKind::Depart {
                         cell: id,
@@ -66,7 +66,7 @@ impl ShadowOq {
 
     /// Total cells currently queued.
     pub fn backlog(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.queues.backlog()
     }
 
     /// The next slot strictly after `now` at which the switch does
@@ -81,11 +81,7 @@ impl ShadowOq {
     /// this is bounded by the traffic's burstiness factor `B` for
     /// leaky-bucket traffic (via Cruz's calculus \[9\]).
     pub fn max_occupancy(&self) -> usize {
-        self.queues
-            .iter()
-            .map(|q| q.max_occupancy())
-            .max()
-            .unwrap_or(0)
+        self.queues.max_occupancy()
     }
 }
 

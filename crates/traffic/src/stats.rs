@@ -27,15 +27,17 @@ pub struct TraceStats {
 }
 
 impl TraceStats {
-    /// Compute statistics for `trace`.
+    /// Compute statistics for `trace`. A flow's first cell is its seq 0
+    /// (the build numbers each flow's cells from 0), so the flows are
+    /// counted as those cells, with no set of flows.
     pub fn of(trace: &Trace, n: usize) -> TraceStats {
         let mut per_input = vec![0u64; n];
         let mut per_output = vec![0u64; n];
-        let mut flows = std::collections::BTreeSet::new();
-        for a in trace.arrivals() {
-            per_input[a.input.idx()] += 1;
-            per_output[a.output.idx()] += 1;
-            flows.insert((a.input, a.output));
+        let mut flows = 0;
+        for cell in trace.cursor() {
+            per_input[cell.input.idx()] += 1;
+            per_output[cell.output.idx()] += 1;
+            flows += usize::from(cell.seq == 0);
         }
         TraceStats {
             n,
@@ -47,7 +49,7 @@ impl TraceStats {
             },
             per_input,
             per_output,
-            flows: flows.len(),
+            flows,
             burstiness: min_burstiness(trace, n),
         }
     }
@@ -133,6 +135,41 @@ mod tests {
         );
         assert!(s.flows > 8, "uniform destinations create many flows");
         assert!(s.summary().contains("ports"));
+    }
+
+    #[test]
+    fn flows_are_the_distinct_input_output_pairs() {
+        use crate::gen::{OnOffGen, TrafficPattern};
+        use pps_switch::demux::RoundRobinDemux;
+        let n = 8;
+        let hotspot = BernoulliGen {
+            load: 0.7,
+            pattern: TrafficPattern::Hotspot {
+                target: 3,
+                hot: 0.6,
+            },
+            seed: 4,
+        };
+        let cfg = PpsConfig::bufferless(n, 4, 2);
+        let traces = [
+            BernoulliGen::uniform(0.6, 5).trace(n, 500),
+            hotspot.trace(n, 500),
+            OnOffGen::uniform(8.0, 0.5, 2).trace(n, 500),
+            crate::adversary::congestion_traffic(n, 0, 3, 100).trace,
+            crate::adversary::concentration_attack(
+                &RoundRobinDemux::new(n, 4),
+                &cfg,
+                &(0..n as u32).collect::<Vec<_>>(),
+                16,
+            )
+            .trace,
+            Trace::empty(),
+        ];
+        for (k, t) in traces.iter().enumerate() {
+            let set: std::collections::BTreeSet<_> =
+                t.arrivals().map(|a| (a.input, a.output)).collect();
+            assert_eq!(TraceStats::of(t, n).flows, set.len(), "trace {k}");
+        }
     }
 
     #[test]
