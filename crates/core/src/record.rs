@@ -224,29 +224,6 @@ impl RunLog {
     /// cell's arrival.
     #[inline]
     pub fn set_departure(&mut self, id: CellId, slot: Slot) {
-        let arrival = self.cells.slot(id.idx());
-        self.store_departure(id, arrival, slot);
-    }
-
-    /// [`set_departure`](Self::set_departure) for a cell whose `arrival`
-    /// the engine carried through the switch: the delay is taken from it,
-    /// so the table is not read (debug builds check that it is the
-    /// table's).
-    ///
-    /// # Panics
-    /// As [`set_departure`](Self::set_departure).
-    #[inline]
-    pub fn set_departure_from(&mut self, id: CellId, arrival: Slot, slot: Slot) {
-        debug_assert_eq!(
-            arrival,
-            self.cells.slot(id.idx()),
-            "cell {id:?} departs with another arrival than its row's"
-        );
-        self.store_departure(id, arrival, slot);
-    }
-
-    #[inline]
-    fn store_departure(&mut self, id: CellId, arrival: Slot, slot: Slot) {
         assert!(
             slot != NO_DEPARTURE,
             "departure slot {slot} of cell {id:?} is not representable in a record"
@@ -257,6 +234,7 @@ impl RunLog {
             "cell {id:?} departed twice (slots {:?} and {slot})",
             self.departure(i)
         );
+        let arrival = self.cells.slot(i);
         assert!(
             slot >= arrival,
             "cell {id:?} departs in slot {slot}, before its arrival in slot {arrival}"
@@ -565,24 +543,6 @@ mod tests {
         let mut log = demo_log();
         log.set_departure(CellId(0), 1);
         log.set_departure(CellId(0), 2);
-    }
-
-    #[test]
-    fn a_carried_arrival_departs_as_the_tables() {
-        let (mut by_id, mut carried) = (demo_log(), demo_log());
-        for (id, slot) in [(0, 0), (1, 4), (2, 9)] {
-            by_id.set_departure(CellId(id), slot);
-            let arrival = carried.get(CellId(id)).arrival;
-            carried.set_departure_from(CellId(id), arrival, slot);
-        }
-        assert_eq!(carried.digest(), by_id.digest());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "departs with another arrival")]
-    fn a_carried_arrival_that_is_not_the_rows_panics() {
-        demo_log().set_departure_from(CellId(2), 1, 5);
     }
 
     #[test]

@@ -228,8 +228,9 @@ const ESCAPED: u32 = u32::MAX;
 /// 8; 8 bytes while offsets and seqs fit 16 bits; 12 bytes otherwise),
 /// plus one base slot per block. A table starts short and is rewritten
 /// once per wider layout a row needs, never back; tables with equal cells
-/// are equal whatever their layouts. Shared, read-only, by the [`Trace`]
-/// and every log of it ([`RunLog::table`](crate::RunLog::table)).
+/// are equal whatever their layouts. Shared, read-only, by the [`Trace`],
+/// every log of it ([`RunLog::table`](crate::RunLog::table)) and the PPS
+/// fabric, whose queues hold bare ids and read a cell's facts here.
 #[derive(Clone, Debug, Default)]
 pub struct CellTable {
     /// One row per cell, in id order, i.e. sorted by `(slot, input)`.

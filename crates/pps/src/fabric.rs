@@ -8,6 +8,7 @@ use crate::output::OutputMux;
 use crate::plane::Plane;
 use pps_core::prelude::*;
 use pps_core::telemetry::{Engine, EventKind};
+use std::sync::Arc;
 
 /// Aggregate fabric statistics for one run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -43,6 +44,10 @@ pub struct Fabric {
     out_links: LinkBank,
     planes: Vec<Plane>,
     outputs: Vec<OutputMux>,
+    /// The cell table of the log cells are dispatched into (adopted by
+    /// [`dispatch`](Self::dispatch)); plane queues and output muxes park
+    /// bare ids and read a cell's facts here. The fabric stores none.
+    cells: Arc<CellTable>,
     /// Pending plane-service events, `(slot, plane, output)`, at most one
     /// per line.
     agenda: Agenda,
@@ -50,6 +55,10 @@ pub struct Fabric {
     /// the emit sweep compacts the list in place, no per-slot allocation).
     active_list: Vec<u32>,
     active_flag: Vec<bool>,
+    /// Live per-(plane,output) queue lengths for snapshots.
+    plane_len_live: Vec<u32>,
+    /// Live per-output mux occupancy for snapshots.
+    output_pending_live: Vec<u32>,
     dropped: u64,
     /// Test-only chaos hook: number of flushed cells to "lose" without
     /// accounting them (see [`inject_conservation_leak`]). Always 0 in
@@ -85,9 +94,12 @@ impl Fabric {
                     mux
                 })
                 .collect(),
+            cells: Arc::default(),
             agenda: Agenda::new(n, k, cfg.r_prime),
             active_list: Vec::with_capacity(n),
             active_flag: vec![false; n],
+            plane_len_live: vec![0; k * n],
+            output_pending_live: vec![0; n],
             dropped: 0,
             leak_budget: 0,
             sink,
@@ -130,10 +142,9 @@ impl Fabric {
     /// line. Fails if the line is busy or the plane index is out of range —
     /// both are demultiplexor bugs under the model.
     ///
-    /// The cell travels as it is through its plane queue and output
-    /// multiplexor, and its departure is written into the `log` of the
-    /// [`emit`](Self::emit) that sends it; `cell` must be its row of
-    /// `log`'s table (debug builds check it).
+    /// The fabric reads every cell it holds from `log`'s cell table, so
+    /// all cells in flight at once must be dispatched into logs of one
+    /// table; `cell` must be its row there (debug builds check it).
     pub fn dispatch(
         &mut self,
         cell: Cell,
@@ -151,18 +162,22 @@ impl Fabric {
         self.in_links.acquire(i, p, now)?;
         log.set_plane(cell.id, plane);
         let id = cell.id;
+        if !Arc::ptr_eq(&self.cells, log.table()) {
+            self.cells = Arc::clone(log.table());
+        }
         debug_assert_eq!(
             cell,
-            log.table().cell(id),
+            self.cells.cell(id),
             "cell {id:?} is not its row of the log's table"
         );
-        if self.planes[p].accept(cell.into(), j) {
+        if self.planes[p].accept(id, j) {
             self.sink
                 .record(Engine::Pps, now, || EventKind::PlaneEnqueue {
                     cell: id,
                     plane,
                     output: PortId(j as u32),
                 });
+            self.plane_len_live[p * self.cfg.n + j] += 1;
             // The queue may have become serviceable.
             let at = now.max(self.out_links.free_at(p, j));
             self.schedule(p, j, at);
@@ -205,17 +220,21 @@ impl Fabric {
                 self.schedule(p, j, at);
                 continue;
             }
-            let cell = self.planes[p].pop_for(j).expect("non-empty checked");
+            let id = self.planes[p].pop_for(j).expect("non-empty checked");
             self.out_links.acquire(p, j, now)?;
+            self.plane_len_live[p * self.cfg.n + j] -= 1;
             self.sink
                 .record(Engine::Pps, now, || EventKind::PlaneDeliver {
-                    cell: cell.id,
+                    cell: id,
                     plane: PlaneId(p as u32),
                     output: PortId(j as u32),
                 });
-            if self.outputs[j].deliver(cell, now) && !self.active_flag[j] {
-                self.active_flag[j] = true;
-                self.active_list.push(j as u32);
+            if self.outputs[j].deliver(&self.cells, id, now) {
+                self.output_pending_live[j] += 1;
+                if !self.active_flag[j] {
+                    self.active_flag[j] = true;
+                    self.active_list.push(j as u32);
+                }
             }
             if self.planes[p].queue_len(j) > 0 {
                 // Re-arm when the line frees: `now + r'`, which `acquire`
@@ -234,12 +253,13 @@ impl Fabric {
         for read in 0..self.active_list.len() {
             let j = self.active_list[read];
             let mux = &mut self.outputs[j as usize];
-            if let Some(cell) = mux.emit(now) {
+            if let Some(id) = mux.emit(&self.cells, now) {
+                self.output_pending_live[j as usize] -= 1;
                 self.sink.record(Engine::Pps, now, || EventKind::Depart {
-                    cell: cell.id,
+                    cell: id,
                     output: PortId(j),
                 });
-                log.set_departure_from(cell.id, cell.arrival, now);
+                log.set_departure(id, now);
             }
             if mux.has_work() {
                 self.active_list[write] = j;
@@ -350,7 +370,8 @@ impl Fabric {
     /// faulted run and needs a re-bless.
     pub fn fail_plane(&mut self, plane: usize) -> Result<(), ModelError> {
         self.check_plane(plane)?;
-        for (j, cell) in self.planes[plane].fail() {
+        for (j, id) in self.planes[plane].fail() {
+            self.plane_len_live[plane * self.cfg.n + j] -= 1;
             if self.leak_budget > 0 {
                 // Injected bug (test-only, see `inject_conservation_leak`):
                 // the cell vanishes without being counted dropped or
@@ -361,7 +382,7 @@ impl Fabric {
             }
             self.dropped += 1;
             if self.cfg.discipline == OutputDiscipline::GlobalFcfs {
-                self.outputs[j].unregister_in_flight(cell.id);
+                self.outputs[j].unregister_in_flight(id);
             }
         }
         Ok(())
@@ -432,28 +453,22 @@ impl Fabric {
         input_buffer_len: &[u32],
         out: &mut GlobalSnapshot,
     ) {
-        let (n, k) = (self.cfg.n, self.cfg.k);
         out.taken_at = taken_at;
-        out.k = k;
-        out.n = n;
-        if out.plane_queue_len.len() != k * n {
-            out.plane_queue_len = vec![0; k * n].into_boxed_slice();
+        out.k = self.cfg.k;
+        out.n = self.cfg.n;
+        if out.plane_queue_len.len() != self.plane_len_live.len() {
+            out.plane_queue_len = vec![0; self.plane_len_live.len()].into_boxed_slice();
         }
-        for (lens, plane) in out.plane_queue_len.chunks_exact_mut(n).zip(&self.planes) {
-            for (j, len) in lens.iter_mut().enumerate() {
-                *len = plane.queue_len(j) as u32;
-            }
-        }
+        out.plane_queue_len.copy_from_slice(&self.plane_len_live);
         if out.input_buffer_len.len() != input_buffer_len.len() {
             out.input_buffer_len = vec![0; input_buffer_len.len()].into_boxed_slice();
         }
         out.input_buffer_len.copy_from_slice(input_buffer_len);
-        if out.output_pending.len() != n {
-            out.output_pending = vec![0; n].into_boxed_slice();
+        if out.output_pending.len() != self.output_pending_live.len() {
+            out.output_pending = vec![0; self.output_pending_live.len()].into_boxed_slice();
         }
-        for (pending, mux) in out.output_pending.iter_mut().zip(&self.outputs) {
-            *pending = mux.held() as u32;
-        }
+        out.output_pending
+            .copy_from_slice(&self.output_pending_live);
         if out.plane_mask.k() != self.cfg.k {
             out.plane_mask = PlaneMask::all_up(self.cfg.k);
         }
@@ -498,7 +513,7 @@ mod tests {
     }
 
     /// An idle fabric and a log whose table holds exactly the cells the
-    /// test dispatches (`cells[i].id == i`).
+    /// test dispatches (`cells[i].id == i`): the fabric reads them there.
     fn setup(n: usize, k: usize, rp: usize, cells: &[Cell]) -> (Fabric, RunLog) {
         let fabric = Fabric::new(PpsConfig::bufferless(n, k, rp));
         (fabric, RunLog::with_cells(cells))

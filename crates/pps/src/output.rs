@@ -9,9 +9,8 @@
 //! global FCFS (exact mimicking of a FCFS output-queued switch, footnote 3
 //! of the paper), and unordered greedy (ablation only).
 //!
-//! The mux holds the records the planes deliver (`InFlight`), so what it
-//! reads of a cell (input, seq) and what the log needs at its departure
-//! (arrival) come with it. FlowFifo state costs 8 bytes per input (`Flow`: the
+//! The mux holds bare [`CellId`]s and reads what a cell is from the trace's
+//! [`CellTable`]. FlowFifo state costs 8 bytes per input (`Flow`: the
 //! next seq, and one word for the eligible bit and the ring's slab index),
 //! allocated at the mux's first delivery, so an output no cell reaches
 //! holds none; a flow that parks an out-of-order cell takes a `SeqRing`,
@@ -30,34 +29,7 @@ use pps_core::telemetry::{Engine, EventKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// What the fabric carries of a cell from dispatch to departure: what the
-/// mux reads (input, seq), what orders it (id) and what the log needs when
-/// it departs (arrival). Its output is the queue it is in.
-///
-/// Records order by id (the first field; ids are unique, so no other field
-/// is ever compared): the trace numbers cells in `(arrival slot, input)`
-/// order, so the smallest id is the earliest switch arrival, ties broken by
-/// input — and global FCFS rank.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct InFlight {
-    pub(crate) id: CellId,
-    pub(crate) arrival: Slot,
-    pub(crate) input: PortId,
-    pub(crate) seq: u32,
-}
-
-impl From<Cell> for InFlight {
-    fn from(cell: Cell) -> Self {
-        InFlight {
-            id: cell.id,
-            arrival: cell.arrival,
-            input: cell.input,
-            seq: cell.seq,
-        }
-    }
-}
-
-/// Sparse sequence-indexed ring holding one flow's gap-blocked cells.
+/// Sparse sequence-indexed ring holding one flow's gap-blocked cell ids.
 ///
 /// Cells wait here keyed by their per-flow sequence number; at any moment
 /// the pending seqs live in a window no wider than the flow's in-switch
@@ -66,14 +38,14 @@ impl From<Cell> for InFlight {
 /// occupancy check compares the stored seq, so a stale slot can never
 /// masquerade as a hit). Insert, remove-min, and min queries are O(1)
 /// amortized — the resequencer's whole hot path, which previously walked a
-/// `BTreeMap` per delivery and per emission. A slot's key is its cell's
-/// own `seq`. An emptied ring has every slot
+/// `BTreeMap` per delivery and per emission. Slots store `(seq, id)` — two
+/// words — instead of a whole `Cell`. An emptied ring has every slot
 /// vacant, so a flow that takes it from the slab starts clean and keeps
 /// only its capacity.
 #[derive(Clone, Debug, Default)]
 struct SeqRing {
     /// Power-of-two slot array (empty until the first insert).
-    slots: Vec<Option<InFlight>>,
+    slots: Vec<Option<(u32, CellId)>>,
     /// Pending-cell count.
     len: usize,
     /// Exact smallest pending seq (meaningful while `len > 0`).
@@ -99,15 +71,14 @@ impl SeqRing {
         }
         let new_cap = span.next_power_of_two().max(8);
         let mut new_slots = vec![None; new_cap];
-        for cell in self.slots.drain(..).flatten() {
-            new_slots[cell.seq as usize & (new_cap - 1)] = Some(cell);
+        for (seq, id) in self.slots.drain(..).flatten() {
+            new_slots[seq as usize & (new_cap - 1)] = Some((seq, id));
         }
         self.slots = new_slots;
     }
 
-    /// Park `cell` under its sequence number.
-    fn insert(&mut self, cell: InFlight) {
-        let seq = cell.seq;
+    /// Park cell `id` under its sequence number `seq`.
+    fn insert(&mut self, seq: u32, id: CellId) {
         let (lo, hi) = if self.len == 0 {
             (seq, seq)
         } else {
@@ -117,7 +88,7 @@ impl SeqRing {
         let mask = self.slots.len() - 1;
         let slot = &mut self.slots[seq as usize & mask];
         debug_assert!(slot.is_none(), "duplicate seq {seq} delivered");
-        *slot = Some(cell);
+        *slot = Some((seq, id));
         self.len += 1;
         self.min_seq = lo;
         self.max_seq = hi;
@@ -126,28 +97,28 @@ impl SeqRing {
     /// Take the cell parked under `seq`, if present. Callers only ever
     /// remove the current minimum (the head the flow is waiting on), so
     /// the min is maintained by scanning forward from the vacated slot.
-    fn remove(&mut self, seq: u32) -> Option<InFlight> {
+    fn remove(&mut self, seq: u32) -> Option<CellId> {
         if self.len == 0 {
             return None;
         }
         let cap = self.slots.len();
         let slot = &mut self.slots[seq as usize & (cap - 1)];
         match slot {
-            Some(c) if c.seq == seq => {}
+            Some((s, _)) if *s == seq => {}
             _ => return None,
         }
-        let cell = slot.take().expect("matched above");
+        let (_, id) = slot.take().expect("matched above");
         self.len -= 1;
         if self.len > 0 && seq == self.min_seq {
             let mut s = seq + 1;
             self.min_seq = loop {
-                if matches!(&self.slots[s as usize & (cap - 1)], Some(c) if c.seq == s) {
+                if matches!(&self.slots[s as usize & (cap - 1)], Some((q, _)) if *q == s) {
                     break s;
                 }
                 s += 1;
             };
         }
-        Some(cell)
+        Some(id)
     }
 }
 
@@ -207,9 +178,11 @@ pub struct OutputMux {
     /// The run's telemetry gate (detached outside a fabric).
     sink: Sink,
     /// FlowFifo/Greedy: cells eligible for emission right now, min-heap
-    /// by id ([`InFlight`]'s order). (A binary heap, not a BTreeMap: push/pop-min
-    /// dominate the hot path and keys are never removed out of order.)
-    eligible: BinaryHeap<Reverse<InFlight>>,
+    /// by id. The trace numbers cells in `(arrival slot, input)` order, so
+    /// the smallest id is the earliest switch arrival, ties broken by
+    /// input. (A binary heap, not a BTreeMap: push/pop-min dominate the
+    /// hot path and keys are never removed out of order.)
+    eligible: BinaryHeap<Reverse<CellId>>,
     /// FlowFifo: each input's flow, empty until the mux's first delivery
     /// sizes it to `inputs` (an output no cell reaches holds none).
     flows: Vec<Flow>,
@@ -229,7 +202,7 @@ pub struct OutputMux {
     /// GlobalFcfs: cells parked at the mux, min-heap by id (emission only
     /// ever takes the oldest; ids are globally unique and encode FCFS
     /// order).
-    present: BinaryHeap<Reverse<InFlight>>,
+    present: BinaryHeap<Reverse<CellId>>,
     /// Number of cells currently held (all disciplines).
     held: usize,
     /// High-water mark of `held`.
@@ -319,19 +292,19 @@ impl OutputMux {
         }
     }
 
-    /// A plane delivered `cell` to this output in slot `now`. Returns
+    /// A plane delivered cell `id` to this output in slot `now`. Returns
     /// `false` if the cell was discarded as *late*: the watchdog had
     /// already skipped past it, so emitting it now would reorder cells
     /// already sent on the external line. (Without a watchdog every
     /// delivery is accepted.)
-    pub(crate) fn deliver(&mut self, cell: InFlight, now: Slot) -> bool {
-        let id = cell.id;
+    pub fn deliver(&mut self, cells: &CellTable, id: CellId, now: Slot) -> bool {
         match self.discipline {
             OutputDiscipline::FlowFifo => {
                 if self.flows.is_empty() {
                     self.flows = vec![Flow::default(); self.inputs];
                 }
-                let (i, seq) = (cell.input.idx(), cell.seq);
+                let i = cells.input(id).idx();
+                let seq = cells.seq(id);
                 let flow = &mut self.flows[i];
                 if seq < flow.next_seq {
                     self.late_dropped += 1;
@@ -340,13 +313,13 @@ impl OutputMux {
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
                 if seq == flow.next_seq {
-                    self.push_eligible(i, cell);
+                    self.push_eligible(i, id);
                 } else {
                     self.sink.record(Engine::Pps, now, || EventKind::ReseqHold {
                         cell: id,
                         output: self.port,
                     });
-                    self.park(i, cell);
+                    self.park(i, seq, id);
                 }
                 self.refresh_gap(i, now);
             }
@@ -364,31 +337,31 @@ impl OutputMux {
                         output: self.port,
                     });
                 }
-                self.present.push(Reverse(cell));
+                self.present.push(Reverse(id));
             }
             OutputDiscipline::Greedy => {
                 self.held += 1;
                 self.max_held = self.max_held.max(self.held);
-                self.eligible.push(Reverse(cell));
+                self.eligible.push(Reverse(id));
             }
         }
         true
     }
 
-    /// Make `cell`, the one input `i`'s flow waits for, eligible.
-    fn push_eligible(&mut self, i: usize, cell: InFlight) {
+    /// Make `id`, the cell input `i`'s flow waits for, eligible.
+    fn push_eligible(&mut self, i: usize, id: CellId) {
         let flow = &mut self.flows[i];
         debug_assert!(
             !flow.eligible(),
             "input {i}'s flow already has an eligible cell"
         );
         flow.set_eligible(true);
-        self.eligible.push(Reverse(cell));
+        self.eligible.push(Reverse(id));
     }
 
-    /// Park `cell` in input `i`'s ring, taking one from the slab if the
-    /// flow has none.
-    fn park(&mut self, i: usize, cell: InFlight) {
+    /// Park cell `id` under `seq` in input `i`'s ring, taking one from the
+    /// slab if the flow has none.
+    fn park(&mut self, i: usize, seq: u32, id: CellId) {
         let flow = &mut self.flows[i];
         let ring = flow.ring().unwrap_or_else(|| {
             let ring = self.free.pop().unwrap_or_else(|| {
@@ -398,22 +371,22 @@ impl OutputMux {
             flow.set_ring(Some(ring));
             ring
         });
-        self.gaps[ring as usize].ring.insert(cell);
+        self.gaps[ring as usize].ring.insert(seq, id);
     }
 
     /// Take the cell parked under `seq` in input `i`'s ring, if present. A
     /// ring left empty goes back to the slab, its timer cleared.
-    fn unpark(&mut self, i: usize, seq: u32) -> Option<InFlight> {
+    fn unpark(&mut self, i: usize, seq: u32) -> Option<CellId> {
         let flow = &mut self.flows[i];
         let ring = flow.ring()?;
         let gap = &mut self.gaps[ring as usize];
-        let cell = gap.ring.remove(seq)?;
+        let id = gap.ring.remove(seq)?;
         if gap.ring.is_empty() {
             gap.blocked_since = None;
             self.free.push(ring);
             flow.set_ring(None);
         }
-        Some(cell)
+        Some(id)
     }
 
     /// Restart or clear input `i`'s gap timer: the flow is gap-blocked iff
@@ -439,13 +412,13 @@ impl OutputMux {
     /// per-flow for FlowFifo (a gap must not wait behind other flows'
     /// emissions), whole-mux for GlobalFcfs (where a straggler blocks
     /// everything by definition).
-    pub(crate) fn emit(&mut self, now: Slot) -> Option<InFlight> {
+    pub fn emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
         if self.watchdog.is_some() && self.discipline == OutputDiscipline::FlowFifo {
             self.expire_gaps(now);
         }
-        if let Some(cell) = self.try_emit(now) {
+        if let Some(id) = self.try_emit(cells, now) {
             self.stalled_since = None;
-            return Some(cell);
+            return Some(id);
         }
         if self.held == 0 {
             self.stalled_since = None;
@@ -456,11 +429,11 @@ impl OutputMux {
             if self.discipline == OutputDiscipline::GlobalFcfs && now - since + 1 >= limit {
                 self.skip_stragglers(now);
                 self.stalled_since = None;
-                if let Some(cell) = self.try_emit(now) {
+                if let Some(id) = self.try_emit(cells, now) {
                     // The skip unblocked an emission, so by definition
                     // ("held cells but emitted nothing") this slot is not
                     // stalled — it must not be counted below.
-                    return Some(cell);
+                    return Some(id);
                 }
             }
         }
@@ -498,7 +471,7 @@ impl OutputMux {
                 });
             self.sink
                 .record(Engine::Pps, now, || EventKind::ReseqRelease {
-                    cell: head.id,
+                    cell: head,
                     output: self.port,
                 });
             self.push_eligible(i, head);
@@ -506,14 +479,14 @@ impl OutputMux {
         }
     }
 
-    fn try_emit(&mut self, now: Slot) -> Option<InFlight> {
-        let cell = match self.discipline {
+    fn try_emit(&mut self, cells: &CellTable, now: Slot) -> Option<CellId> {
+        let id = match self.discipline {
             OutputDiscipline::FlowFifo => {
-                let Reverse(cell) = self.eligible.pop()?;
-                let i = cell.input.idx();
+                let Reverse(id) = self.eligible.pop()?;
+                let i = cells.input(id).idx();
                 let flow = &mut self.flows[i];
                 // The flow's one eligible cell is the one it waits for.
-                debug_assert_eq!(cell.seq, flow.next_seq);
+                debug_assert_eq!(cells.seq(id), flow.next_seq);
                 let next_seq = flow.next_seq + 1;
                 flow.set_eligible(false);
                 flow.next_seq = next_seq;
@@ -521,13 +494,13 @@ impl OutputMux {
                 if let Some(next) = self.unpark(i, next_seq) {
                     self.sink
                         .record(Engine::Pps, now, || EventKind::ReseqRelease {
-                            cell: next.id,
+                            cell: next,
                             output: self.port,
                         });
                     self.push_eligible(i, next);
                 }
                 self.refresh_gap(i, now);
-                cell
+                id
             }
             OutputDiscipline::GlobalFcfs => {
                 // Emit the oldest present cell only if nothing older is
@@ -537,18 +510,17 @@ impl OutputMux {
                     .in_flight
                     .front()
                     .expect("present cells are always registered in flight");
-                if oldest_present.id != oldest_in_flight {
+                if oldest_present != oldest_in_flight {
                     return None; // wait for the straggler
                 }
                 self.in_flight.pop_front();
-                self.present.pop();
-                oldest_present
+                self.present.pop().expect("peeked above").0
             }
             OutputDiscipline::Greedy => self.eligible.pop()?.0,
         };
         self.held -= 1;
         self.emitted += 1;
-        Some(cell)
+        Some(id)
     }
 
     /// GlobalFcfs watchdog: abandon in-flight registrations older than the
@@ -561,7 +533,7 @@ impl OutputMux {
         };
         let mut abandoned = 0u32;
         while let Some(&oldest) = self.in_flight.front() {
-            if oldest >= oldest_present.id {
+            if oldest >= oldest_present {
                 break;
             }
             self.in_flight.pop_front();
@@ -585,7 +557,7 @@ impl OutputMux {
         match self.discipline {
             OutputDiscipline::FlowFifo | OutputDiscipline::Greedy => !self.eligible.is_empty(),
             OutputDiscipline::GlobalFcfs => match self.present.peek() {
-                Some(&Reverse(oldest)) => self.in_flight.front() == Some(&oldest.id),
+                Some(&Reverse(oldest)) => self.in_flight.front() == Some(&oldest),
                 None => false,
             },
         }
@@ -685,7 +657,7 @@ impl OutputMux {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use std::collections::BTreeSet;
 
     fn cell(id: u64, input: u32, seq: u32, arrival: Slot) -> Cell {
         Cell {
@@ -697,41 +669,60 @@ mod tests {
         }
     }
 
-    /// Test harness: a mux plus the arrival and input of every cell a
-    /// test delivered, so test bodies deliver `Cell`s and read ids back.
+    /// Test harness: a mux plus a table of every cell handed to it (ids
+    /// the test never uses hold filler rows), so test bodies deliver
+    /// `Cell`s.
     struct Rig {
-        named: BTreeMap<CellId, (Slot, PortId)>,
+        rows: Vec<Cell>,
+        /// The ids a test has entered (filler rows are not among them).
+        named: BTreeSet<CellId>,
+        log: RunLog,
         m: OutputMux,
     }
 
     impl Rig {
         fn new(n: usize, discipline: OutputDiscipline) -> Self {
             Rig {
-                named: BTreeMap::new(),
+                rows: Vec::new(),
+                named: BTreeSet::new(),
+                log: RunLog::default(),
                 m: OutputMux::new(n, discipline),
             }
         }
 
-        /// Deliver `c`. The cells a test names must be in `(arrival, input)`
-        /// order by id, as every trace numbers them: the mux's heaps rely
-        /// on it.
-        fn deliver(&mut self, c: Cell, now: Slot) -> bool {
-            self.named.insert(c.id, (c.arrival, c.input));
-            let keys: Vec<_> = self.named.values().collect();
+        /// Enter `c` as its id's row of the table. The rows a test names
+        /// must be in `(arrival, input)` order by id, as in every table a
+        /// trace builds: the mux's eligible heap relies on it.
+        fn add(&mut self, c: Cell) {
+            while self.rows.len() <= c.id.idx() {
+                self.rows.push(cell(self.rows.len() as u64, 0, 0, 0));
+            }
+            self.rows[c.id.idx()] = c;
+            self.named.insert(c.id);
+            let keys: Vec<_> = self
+                .named
+                .iter()
+                .map(|id| (self.rows[id.idx()].arrival, self.rows[id.idx()].input))
+                .collect();
             assert!(
                 keys.windows(2).all(|w| w[0] < w[1]),
-                "no trace numbers these cells so: {:?}",
-                self.named
+                "no table numbers these cells so: {:?}",
+                self.named.iter().zip(&keys).collect::<Vec<_>>()
             );
-            self.m.deliver(c.into(), now)
+            self.log = RunLog::with_cells(&self.rows);
+        }
+
+        fn deliver(&mut self, c: Cell, now: Slot) -> bool {
+            self.add(c);
+            self.m.deliver(self.log.table(), c.id, now)
         }
 
         fn emit(&mut self, now: Slot) -> Option<CellId> {
-            self.m.emit(now).map(|c| c.id)
+            self.m.emit(self.log.table(), now)
         }
 
         fn emit_seq(&mut self, now: Slot) -> Option<u32> {
-            self.m.emit(now).map(|c| c.seq)
+            self.emit(now).map(|id| self.log.table().seq(id))
         }
     }
 
@@ -1178,16 +1169,17 @@ mod tests {
         let cells: Vec<Cell> = (0..2 * n)
             .map(|k| cell(k as u64, (k % n) as u32, (k / n) as u32, (k / n) as Slot))
             .collect();
+        let log = RunLog::with_cells(&cells);
         let mut m = OutputMux::new(n, OutputDiscipline::FlowFifo);
-        for &c in &cells[n..] {
-            assert!(m.deliver(c.into(), 0));
+        for c in &cells[n..] {
+            assert!(m.deliver(log.table(), c.id, 0));
         }
         assert_eq!(rings(&m), (n, n));
         for (i, flow) in m.flows.iter().enumerate() {
             assert_eq!((flow.eligible(), flow.ring()), (false, Some(i as u32)));
         }
-        for &c in &cells[..n] {
-            assert!(m.deliver(c.into(), 1));
+        for c in &cells[..n] {
+            assert!(m.deliver(log.table(), c.id, 1));
         }
         for (i, flow) in m.flows.iter().enumerate() {
             assert_eq!((flow.eligible(), flow.ring()), (true, Some(i as u32)));
@@ -1195,7 +1187,7 @@ mod tests {
         // Each emitted seq 0 makes its flow's seq 1 eligible; the heap
         // orders by id, so the cells leave in id order.
         for (now, c) in cells.iter().enumerate() {
-            assert_eq!(m.emit(2 + now as Slot).map(|r| r.id), Some(c.id));
+            assert_eq!(m.emit(log.table(), 2 + now as Slot), Some(c.id));
         }
         assert_eq!(m.held(), 0);
         assert_eq!(rings(&m), (n, 0));

@@ -9,18 +9,18 @@
 //! allows to be *optimal*: the lower bounds do not depend on plane
 //! scheduling, only on the line-rate bottleneck.
 //!
-//! A plane's `N` queues share one [`FifoSlab`], and each entry is the
-//! dispatched cell's [`InFlight`] record, so what the output needs of it
-//! (input, seq, arrival) travels with it.
+//! Queues hold bare [`CellId`]s; what a cell is lives in the trace's
+//! [`CellTable`], so a plane hop moves one word, not a whole `Cell`. A
+//! plane's `N` queues share one [`FifoSlab`]: a 512-port plane keeps 512
+//! queue heads of 16 bytes, not 512 `VecDeque`s and their buffers.
 
-use crate::output::InFlight;
 use pps_core::prelude::*;
 
 /// One center-stage plane: per-output FIFO buffers plus carry statistics.
 #[derive(Clone, Debug)]
 pub(crate) struct Plane {
-    /// Per-destination FIFO queues of in-flight cells.
-    queues: FifoSlab<InFlight>,
+    /// Per-destination FIFO queues of cell ids, in one slab.
+    queues: FifoSlab<CellId>,
     /// Cells ever accepted by this plane.
     carried: u64,
     /// Whether the plane has failed (fault-injection experiments): a failed
@@ -38,19 +38,19 @@ impl Plane {
         }
     }
 
-    /// Accept `cell` for destination queue `output`. Returns `false` if
+    /// Accept cell `id` for destination queue `output`. Returns `false` if
     /// the plane has failed and the cell was lost.
-    pub(crate) fn accept(&mut self, cell: InFlight, output: usize) -> bool {
+    pub(crate) fn accept(&mut self, id: CellId, output: usize) -> bool {
         if self.failed {
             return false;
         }
-        self.queues.push(output, cell);
+        self.queues.push(output, id);
         self.carried += 1;
         true
     }
 
     /// Pop the head cell queued for `output`.
-    pub(crate) fn pop_for(&mut self, output: usize) -> Option<InFlight> {
+    pub(crate) fn pop_for(&mut self, output: usize) -> Option<CellId> {
         self.queues.pop(output)
     }
 
@@ -77,15 +77,16 @@ impl Plane {
 
     /// Mark the plane failed (fault-injection); subsequent cells are lost.
     /// Cells already queued inside the plane are lost with it — they are
-    /// drained and returned as `(output, cell)`, output by output and FIFO
-    /// within each, so the fabric can account for them (live counters,
-    /// straggler registrations, drop statistics).
-    pub(crate) fn fail(&mut self) -> Vec<(usize, InFlight)> {
+    /// drained and returned as `(output, id)`, output by output and FIFO
+    /// within each, so the
+    /// fabric can account for them (live counters, straggler
+    /// registrations, drop statistics).
+    pub(crate) fn fail(&mut self) -> Vec<(usize, CellId)> {
         self.failed = true;
         let mut flushed = Vec::with_capacity(self.backlog());
         for output in 0..self.queues.keys() {
-            while let Some(cell) = self.queues.pop(output) {
-                flushed.push((output, cell));
+            while let Some(id) = self.queues.pop(output) {
+                flushed.push((output, id));
             }
         }
         flushed
@@ -107,30 +108,15 @@ impl Plane {
 mod tests {
     use super::*;
 
-    /// The record of cell `id`, from input `id`.
-    fn cell(id: u64) -> InFlight {
-        InFlight {
-            id: CellId(id),
-            arrival: 0,
-            input: PortId(id as u32),
-            seq: 0,
-        }
-    }
-
-    /// `(output, id)` of each flushed cell.
-    fn ids(flushed: &[(usize, InFlight)]) -> Vec<(usize, u64)> {
-        flushed.iter().map(|(j, c)| (*j, c.id.0)).collect()
-    }
-
     #[test]
     fn per_output_fifo() {
         let mut p = Plane::new(2);
-        assert!(p.accept(cell(0), 1));
-        assert!(p.accept(cell(1), 0));
-        assert!(p.accept(cell(2), 1));
+        assert!(p.accept(CellId(0), 1));
+        assert!(p.accept(CellId(1), 0));
+        assert!(p.accept(CellId(2), 1));
         assert_eq!(p.queue_len(1), 2);
-        assert_eq!(p.pop_for(1), Some(cell(0)));
-        assert_eq!(p.pop_for(1), Some(cell(2)));
+        assert_eq!(p.pop_for(1), Some(CellId(0)));
+        assert_eq!(p.pop_for(1), Some(CellId(2)));
         assert_eq!(p.pop_for(1), None);
         assert_eq!(p.backlog(), 1);
         assert_eq!(p.carried(), 3);
@@ -140,7 +126,7 @@ mod tests {
     fn failed_plane_black_holes() {
         let mut p = Plane::new(1);
         assert!(p.fail().is_empty());
-        assert!(!p.accept(cell(0), 0));
+        assert!(!p.accept(CellId(0), 0));
         assert_eq!(p.backlog(), 0);
         assert_eq!(p.carried(), 0);
     }
@@ -148,14 +134,15 @@ mod tests {
     #[test]
     fn failure_flushes_queued_cells_and_recovery_restarts_empty() {
         let mut p = Plane::new(2);
-        assert!(p.accept(cell(0), 0));
-        assert!(p.accept(cell(1), 1));
-        assert_eq!(ids(&p.fail()), vec![(0, 0), (1, 1)]);
+        assert!(p.accept(CellId(0), 0));
+        assert!(p.accept(CellId(1), 1));
+        let flushed = p.fail();
+        assert_eq!(flushed, vec![(0, CellId(0)), (1, CellId(1))]);
         assert_eq!(p.backlog(), 0);
         assert!(p.is_failed());
         p.recover();
         assert!(!p.is_failed());
-        assert!(p.accept(cell(2), 0));
+        assert!(p.accept(CellId(2), 0));
         assert_eq!(p.queue_len(0), 1);
     }
 
@@ -166,10 +153,11 @@ mod tests {
         // skips the empty output 1.
         let mut p = Plane::new(3);
         for (id, output) in [(0, 2), (1, 0), (2, 2), (3, 0), (4, 2), (5, 0)] {
-            assert!(p.accept(cell(id), output));
+            assert!(p.accept(CellId(id), output));
         }
-        assert_eq!(p.pop_for(2), Some(cell(0)));
-        assert_eq!(ids(&p.fail()), vec![(0, 1), (0, 3), (0, 5), (2, 2), (2, 4)]);
+        assert_eq!(p.pop_for(2), Some(CellId(0)));
+        let flushed: Vec<(usize, u64)> = p.fail().into_iter().map(|(j, id)| (j, id.0)).collect();
+        assert_eq!(flushed, vec![(0, 1), (0, 3), (0, 5), (2, 2), (2, 4)]);
         assert_eq!((p.backlog(), p.max_queue_occupancy()), (0, 3));
     }
 
@@ -177,7 +165,7 @@ mod tests {
     fn occupancy_high_water_mark() {
         let mut p = Plane::new(1);
         for i in 0..4 {
-            p.accept(cell(i), 0);
+            p.accept(CellId(i), 0);
         }
         p.pop_for(0);
         p.pop_for(0);

@@ -10,15 +10,20 @@
 use pps_core::prelude::*;
 use pps_core::stepping::{self, SlotEngine};
 use pps_core::telemetry::{Engine, EventKind};
+use std::collections::VecDeque;
 
 /// A step-wise FCFS output-queued switch, usable in lockstep with a PPS on
 /// the same trace.
 #[derive(Clone, Debug)]
 pub struct ShadowOq {
-    /// Per-output FIFO queues of bare cell ids, in one slab — departures
-    /// only need the id (the `RunLog` keyed by it holds the metadata), so
-    /// the queues never park whole `Cell` values.
-    queues: FifoSlab<CellId>,
+    /// Per-output FIFO queues of bare cell ids — departures only need the
+    /// id (the `RunLog` keyed by it holds the metadata), so the queues
+    /// never park whole `Cell` values. `N` `VecDeque`s, not a
+    /// [`FifoSlab`]: with one queue per output there are few to share a
+    /// slab, and a `VecDeque` pushes and pops faster.
+    queues: Vec<VecDeque<CellId>>,
+    /// Highest occupancy any queue ever reached.
+    max_occupancy: usize,
     /// The run's telemetry gate.
     sink: Sink,
 }
@@ -32,7 +37,8 @@ impl ShadowOq {
     /// An idle `n × n` OQ switch that records into `sink`.
     pub fn new_in(n: usize, sink: &Sink) -> Self {
         ShadowOq {
-            queues: FifoSlab::new(n),
+            queues: vec![VecDeque::new(); n],
+            max_occupancy: 0,
             sink: sink.clone(),
         }
     }
@@ -50,10 +56,12 @@ impl ShadowOq {
                     input: cell.input,
                     output: cell.output,
                 });
-            self.queues.push(cell.output.idx(), cell.id);
+            let queue = &mut self.queues[cell.output.idx()];
+            queue.push_back(cell.id);
+            self.max_occupancy = self.max_occupancy.max(queue.len());
         }
-        for j in 0..self.queues.keys() {
-            if let Some(id) = self.queues.pop(j) {
+        for (j, queue) in self.queues.iter_mut().enumerate() {
+            if let Some(id) = queue.pop_front() {
                 self.sink
                     .record(Engine::ShadowOq, now, || EventKind::Depart {
                         cell: id,
@@ -66,7 +74,7 @@ impl ShadowOq {
 
     /// Total cells currently queued.
     pub fn backlog(&self) -> usize {
-        self.queues.backlog()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
     /// The next slot strictly after `now` at which the switch does
@@ -81,7 +89,7 @@ impl ShadowOq {
     /// this is bounded by the traffic's burstiness factor `B` for
     /// leaky-bucket traffic (via Cruz's calculus \[9\]).
     pub fn max_occupancy(&self) -> usize {
-        self.queues.max_occupancy()
+        self.max_occupancy
     }
 }
 
